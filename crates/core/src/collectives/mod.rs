@@ -8,12 +8,20 @@
 //!
 //! | operation    | computed defaults                                               |
 //! |--------------|-----------------------------------------------------------------|
-//! | `allgatherv` | recv counts (allgather of send count), recv displs (prefix sum) |
-//! | `alltoallv`  | send displs (prefix sum), recv counts (alltoall of send counts), recv displs (prefix sum) |
-//! | `gatherv`    | recv counts (gather of send count), recv displs (prefix sum)    |
-//! | `scatterv`   | send displs (prefix sum), recv count (via scatter of counts)    |
+//! | `allgatherv` | recv counts (read off the delivered blocks), recv displs (prefix sum) |
+//! | `alltoallv`  | send displs (prefix sum), recv counts (read off the delivered blocks), recv displs (prefix sum) |
+//! | `gatherv`    | recv counts (read off the delivered blocks), recv displs (prefix sum) |
+//! | `scatterv`   | send displs (prefix sum), recv count (read off the delivered block) |
 //! | `allgather`/`alltoall`/`gather`/`scatter`/`bcast`/`reduce`/`allreduce`/`scan`/`exscan` | receive storage sizing |
-//! | `neighbor_allgatherv`/`neighbor_alltoallv` | recv counts by an **O(degree)** edge exchange, displs (prefix sums) — see [`neighborhood`] |
+//! | `neighbor_allgatherv`/`neighbor_alltoallv` | recv counts (read off the delivered blocks), displs (prefix sums) — see [`neighborhood`] |
+//!
+//! Omitted receive counts cost **no extra communication**: the
+//! substrate's messages carry their own length, so every v-collective
+//! lowers to one self-sizing block exchange and the counts are the block
+//! lengths (supplied `recv_counts` are verified against them after the
+//! exchange). This deviates from Fig. 2 of the paper, where the default
+//! is a separate count collective the user would otherwise write by hand
+//! — MPI receives need their sizes up front, the substrate's do not.
 //!
 //! The receive buffer is implicitly returned by value unless storage was
 //! passed by reference; `*_out()` parameters append further components to
@@ -28,6 +36,11 @@ pub mod nonblocking;
 mod reduce;
 mod scatter;
 
+use kmp_mpi::collectives::{block_counts, displacements_from_counts};
+use kmp_mpi::{MpiError, Plain, Result};
+
+use crate::params::slots::{CountsSlot, RecvBufSpec};
+
 pub use allgather::{AllgatherArgs, AllgatherInPlaceArgs, AllgathervArgs};
 pub use alltoall::{AlltoallArgs, AlltoallvArgs};
 pub use bcast::{BcastArgs, BcastSingleArgs};
@@ -39,3 +52,62 @@ pub use nonblocking::{
 };
 pub use reduce::{AllreduceArgs, AllreduceSingleArgs, ExscanArgs, ReduceArgs, ScanArgs};
 pub use scatter::{ScatterArgs, ScattervArgs};
+
+/// The receive side shared by the blocking v-collectives: assembles the
+/// blocks delivered by the substrate's self-sizing exchange (`None`
+/// where the receive side is not significant — non-roots of `gatherv` —
+/// and any supplied layout is ignored). The block lengths are the
+/// receive counts; counts the user supplied are verified against them —
+/// after the exchange, so a mismatch leaves no message queued. Returns
+/// the three finished output components.
+pub(crate) fn receive_v<T, RB, RC, RD, B>(
+    recv_buf: RB,
+    recv_counts: RC,
+    recv_displs: RD,
+    blocks: Option<Vec<B>>,
+) -> Result<(RB::Out, RC::Out, RD::Out)>
+where
+    T: Plain,
+    RB: RecvBufSpec<T>,
+    RC: CountsSlot,
+    RD: CountsSlot,
+    B: AsRef<[u8]>,
+{
+    let significant = blocks.is_some();
+    let blocks = blocks.unwrap_or_default();
+    let counts = block_counts::<T, B>(&blocks)?;
+    if let Some(declared) = recv_counts.provided().filter(|_| significant) {
+        check_declared_counts::<T>(declared, &counts)?;
+    }
+    let displs = recv_displs.provided().filter(|_| significant);
+    let rb_out = recv_buf.assemble(blocks, &counts, displs)?;
+    let computed_rd = RD::REQUESTED.then(|| displacements_from_counts(&counts));
+    Ok((
+        rb_out,
+        recv_counts.finish(RC::REQUESTED.then_some(counts)),
+        recv_displs.finish(computed_rd),
+    ))
+}
+
+/// User-supplied receive counts must be what was delivered.
+fn check_declared_counts<T>(declared: &[usize], delivered: &[usize]) -> Result<()> {
+    if declared.len() != delivered.len() {
+        return Err(MpiError::InvalidLayout(format!(
+            "{} receive counts for {} delivered blocks",
+            declared.len(),
+            delivered.len()
+        )));
+    }
+    let elem = std::mem::size_of::<T>();
+    match declared
+        .iter()
+        .zip(delivered)
+        .find(|(want, got)| want != got)
+    {
+        Some((&want, &got)) => Err(MpiError::Truncated {
+            message_bytes: got * elem,
+            buffer_bytes: want * elem,
+        }),
+        None => Ok(()),
+    }
+}

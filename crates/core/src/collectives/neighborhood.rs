@@ -6,11 +6,10 @@
 //! offers `neighbor_alltoallv` / `neighbor_allgatherv` with the same
 //! named-parameter surface as their dense counterparts — any subset of
 //! the parameters, in any order, with defaults computed only for omitted
-//! slots. The crucial difference from the dense calls sits in those
-//! defaults: where `alltoallv` transposes its counts with an O(p)
-//! `alltoall`, the neighborhood builder exchanges counts **only along the
-//! topology's edges** — O(degree) messages — so a sparse exchange stays
-//! sparse even when the user lets the library compute the receive side.
+//! slots. As in the dense calls, omitted receive counts are read off the
+//! delivered blocks — no count travels ahead of the payload — so a
+//! sparse exchange posts exactly its O(degree) payload messages even
+//! when the user lets the library compute the receive side.
 //!
 //! Counts and displacements are indexed by *neighbor position*, not by
 //! rank: `send_counts[k]` belongs to `destinations()[k]`, and the block
@@ -19,6 +18,7 @@
 use kmp_mpi::collectives::displacements_from_counts;
 use kmp_mpi::{CartComm, DistGraphComm, Neighborhood, NeighborhoodColl, Plain, Rank, Result};
 
+use super::receive_v;
 use crate::communicator::Communicator;
 use crate::params::argset::{ArgSet, IntoArgs};
 use crate::params::output::{FinalOf, Finalize, Push1, Push2, Push3, Push4, PushComponent};
@@ -76,9 +76,9 @@ impl<N: Neighborhood> NeighborhoodCommunicator<N> {
     /// Accepted parameters: `send_buf` and `send_counts` (required, one
     /// count per out-neighbor), `send_displs`(`_out`), `recv_buf`,
     /// `recv_counts`(`_out`), `recv_displs`(`_out`), `tuning`. Omitted
-    /// displacements are prefix sums; omitted receive counts are
-    /// exchanged **along the edges only** — O(degree) messages where the
-    /// dense `alltoallv` default pays O(p).
+    /// displacements are prefix sums; omitted receive counts are read
+    /// off the delivered messages — no extra communication, O(degree)
+    /// messages in total.
     pub fn neighbor_alltoallv<T, A>(
         &self,
         args: A,
@@ -97,7 +97,8 @@ impl<N: Neighborhood> NeighborhoodCommunicator<N> {
     ///
     /// Accepted parameters: `send_buf` (required), `recv_buf`,
     /// `recv_counts`(`_out`), `recv_displs`(`_out`), `tuning`. Omitted
-    /// receive counts cost one O(degree) edge exchange.
+    /// receive counts are read off the delivered messages — no extra
+    /// communication.
     pub fn neighbor_allgatherv<T, A>(
         &self,
         args: A,
@@ -152,21 +153,11 @@ impl Communicator {
     }
 }
 
-/// Exchanges one `usize` per topology edge: rank `r` sends `values[k]`
-/// to `destinations()[k]` and the result holds one value per source, in
-/// `sources()` order. This is the O(degree) count exchange backing every
-/// computed receive-side default in this module.
-fn exchange_edge_counts<N: Neighborhood>(topo: &N, values: &[usize]) -> Result<Vec<usize>> {
-    let sends: Vec<Vec<u64>> = values.iter().map(|&v| vec![v as u64]).collect();
-    let per_source = topo.neighbor_alltoall_vecs(&sends)?;
-    Ok(per_source.iter().map(|v| v[0] as usize).collect())
-}
-
 /// Heavy (communicating) check: the counts each sender will deliver
 /// along the topology's edges must match what the receiver was told to
 /// expect. The neighborhood analogue of
-/// [`crate::assertions::check_count_matrix`] — but it verifies over the
-/// edges, so even the assertion costs only O(degree) messages.
+/// [`crate::assertions::check_count_matrix`] — but one count travels
+/// along each edge, so even the assertion costs only O(degree) messages.
 fn check_neighbor_counts<N: Neighborhood>(
     topo: &N,
     send_counts: &[usize],
@@ -176,7 +167,9 @@ fn check_neighbor_counts<N: Neighborhood>(
     if !assertions_enabled(AssertionLevel::Heavy) {
         return Ok(());
     }
-    let delivered = exchange_edge_counts(topo, send_counts)?;
+    let sends: Vec<Vec<u64>> = send_counts.iter().map(|&c| vec![c as u64]).collect();
+    let delivered = topo.neighbor_alltoall_vecs(&sends)?;
+    let delivered: Vec<usize> = delivered.iter().map(|v| v[0] as usize).collect();
     if delivered != recv_counts {
         return Err(kmp_mpi::MpiError::InvalidLayout(format!(
             "heavy assertion failed: inconsistent neighbor_alltoallv counts on rank {}: \
@@ -226,68 +219,29 @@ where
 
         // Default send displacements: local exclusive prefix sum over
         // the out-neighbor blocks.
-        let computed_sd: Option<Vec<usize>> = if SD::PROVIDED {
-            None
-        } else {
-            Some(displacements_from_counts(send_counts))
-        };
-        let send_displs: &[usize] = match self.send_displs.provided() {
-            Some(d) => d,
-            None => computed_sd.as_deref().expect("computed when not provided"),
-        };
-
-        // Default recv counts: one count travels along each edge —
-        // O(degree) messages, never the dense O(p) transpose.
-        let computed_rc: Option<Vec<usize>> = if RC::PROVIDED {
-            None
-        } else {
-            Some(exchange_edge_counts(topo, send_counts)?)
-        };
-        let recv_counts: &[usize] = match self.recv_counts.provided() {
-            Some(c) => c,
-            None => computed_rc.as_deref().expect("computed when not provided"),
-        };
-
-        let computed_rd: Option<Vec<usize>> = if RD::PROVIDED {
-            None
-        } else {
-            Some(displacements_from_counts(recv_counts))
-        };
-        let recv_displs: &[usize] = match self.recv_displs.provided() {
-            Some(d) => d,
-            None => computed_rd.as_deref().expect("computed when not provided"),
-        };
+        let computed_sd = (!SD::PROVIDED).then(|| displacements_from_counts(send_counts));
+        let send_displs = (self.send_displs.provided().or(computed_sd.as_deref()))
+            .expect("computed when not provided");
 
         // Heavy assertion (§III-G): user-provided receive counts must
-        // match what the in-neighbors will send. Free when counts were
-        // computed (they are the delivered counts by construction).
-        if RC::PROVIDED {
+        // match what the in-neighbors will send. Moot when the counts
+        // are omitted (they are then read off the delivered blocks).
+        if let Some(recv_counts) = self.recv_counts.provided() {
             check_neighbor_counts(topo, send_counts, recv_counts)?;
         }
 
-        let needed = recv_displs
-            .iter()
-            .zip(recv_counts)
-            .map(|(d, c)| d + c)
-            .max()
-            .unwrap_or(0);
-        let ((), rb_out) = self.recv_buf.apply(needed, |storage| {
-            topo.neighbor_alltoallv_into(
-                send,
-                send_counts,
-                send_displs,
-                storage,
-                recv_counts,
-                recv_displs,
-            )
-        })?;
+        let blocks = topo.neighbor_alltoallv_blocks(send, send_counts, send_displs)?;
+        let (rb_out, rc_out, rd_out) = receive_v(
+            self.recv_buf,
+            self.recv_counts,
+            self.recv_displs,
+            Some(blocks),
+        )?;
 
-        let acc = ();
-        let acc = rb_out.push_component(acc);
+        let acc = rb_out.push_component(());
         let acc = self.send_displs.finish(computed_sd).push_component(acc);
-        let acc = self.recv_counts.finish(computed_rc).push_component(acc);
-        let acc = self.recv_displs.finish(computed_rd).push_component(acc);
-        Ok(acc.finalize())
+        let acc = rc_out.push_component(acc);
+        Ok(rd_out.push_component(acc).finalize())
     }
 }
 
@@ -320,45 +274,15 @@ where
         let topo = comm.topology();
         let _tuning = topo.comm().tuning_guard(self.meta.tuning);
         let send = self.send_buf.send_slice();
-
-        // Default recv counts: each rank announces its send count along
-        // its out-edges — the in-neighbors' counts arrive over theirs.
-        let computed_rc: Option<Vec<usize>> = if RC::PROVIDED {
-            None
-        } else {
-            let mine = vec![send.len(); topo.destinations().len()];
-            Some(exchange_edge_counts(topo, &mine)?)
-        };
-        let recv_counts: &[usize] = match self.recv_counts.provided() {
-            Some(c) => c,
-            None => computed_rc.as_deref().expect("computed when not provided"),
-        };
-
-        let computed_rd: Option<Vec<usize>> = if RD::PROVIDED {
-            None
-        } else {
-            Some(displacements_from_counts(recv_counts))
-        };
-        let recv_displs: &[usize] = match self.recv_displs.provided() {
-            Some(d) => d,
-            None => computed_rd.as_deref().expect("computed when not provided"),
-        };
-
-        let needed = recv_displs
-            .iter()
-            .zip(recv_counts)
-            .map(|(d, c)| d + c)
-            .max()
-            .unwrap_or(0);
-        let ((), rb_out) = self.recv_buf.apply(needed, |storage| {
-            topo.neighbor_allgatherv_into(send, storage, recv_counts, recv_displs)
-        })?;
-
-        let acc = ();
-        let acc = rb_out.push_component(acc);
-        let acc = self.recv_counts.finish(computed_rc).push_component(acc);
-        let acc = self.recv_displs.finish(computed_rd).push_component(acc);
-        Ok(acc.finalize())
+        let blocks = topo.neighbor_allgatherv_blocks(send)?;
+        let (rb_out, rc_out, rd_out) = receive_v(
+            self.recv_buf,
+            self.recv_counts,
+            self.recv_displs,
+            Some(blocks),
+        )?;
+        let acc = rc_out.push_component(rb_out.push_component(()));
+        Ok(rd_out.push_component(acc).finalize())
     }
 }
 
@@ -426,7 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_alltoallv_provided_recv_counts_skips_exchange() {
+    fn neighbor_v_collectives_are_one_call_with_or_without_recv_counts() {
         // Heavy assertions would add an edge exchange of their own.
         let _g = crate::assertions::LEVEL_GUARD.lock().unwrap();
         Universe::run(4, |comm| {
@@ -444,16 +368,18 @@ mod tests {
                 .unwrap();
             let delta = comm.call_counts().since(&before);
             assert_eq!(delta.get("neighbor_alltoallv"), 1);
-            assert_eq!(delta.get("neighbor_alltoall"), 0, "no edge count exchange");
+            assert_eq!(delta.total(), 1, "{delta}");
 
+            // Counts omitted: still one call — they ride the blocks.
             let before = comm.call_counts();
             let _: Vec<u16> = g
                 .neighbor_alltoallv((send_buf(&send), send_counts(&[2])))
                 .unwrap();
+            let _: Vec<u16> = g.neighbor_allgatherv(send_buf(&send)).unwrap();
             let delta = comm.call_counts().since(&before);
             assert_eq!(delta.get("neighbor_alltoallv"), 1);
-            assert_eq!(delta.get("neighbor_alltoall"), 1, "one O(degree) exchange");
-            assert_eq!(delta.get("alltoall"), 0, "never the dense O(p) transpose");
+            assert_eq!(delta.get("neighbor_allgatherv"), 1);
+            assert_eq!(delta.total(), 2, "no count exchange of any kind: {delta}");
         });
     }
 

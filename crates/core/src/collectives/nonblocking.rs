@@ -16,12 +16,11 @@
 //!   while in flight, so it does not compile) and hands the broadcast
 //!   content back on `wait()`.
 //!
-//! Unlike their blocking counterparts, the variable-size operations need
-//! **no receive counts at all** — not even a hidden count exchange: the
-//! substrate engine discovers block sizes from the messages themselves,
-//! and `wait_with_counts()` hands them back for free. Compare
-//! `allgatherv`, which issues an extra `allgather` when counts are
-//! omitted (Fig. 2).
+//! The variable-size operations need **no receive counts at all** — not
+//! even a hidden count exchange: the substrate engine discovers block
+//! sizes from the messages themselves, and `wait_with_counts()` hands
+//! them back for free. The blocking v-collectives read omitted counts
+//! off the delivered blocks the same way.
 //!
 //! All futures compose with [`RequestPool`](crate::p2p::RequestPool) and
 //! [`BoundedRequestPool`](crate::p2p::BoundedRequestPool) via
@@ -519,9 +518,7 @@ mod tests {
             let delta = comm.call_counts().since(&before);
             assert_eq!(all.len(), 3);
             assert_eq!(counts, vec![0, 1, 2]);
-            // One iallgatherv; zero count-exchanging allgathers (compare
-            // the blocking path, which issues one when counts are
-            // omitted).
+            // One iallgatherv; zero count-exchanging allgathers.
             assert_eq!(delta.get("iallgatherv"), 1);
             assert_eq!(delta.get("allgather"), 0);
             assert_eq!(delta.total(), 1);

@@ -7,9 +7,14 @@
 //! - **Named parameters** (§III-A): operations take any subset of their
 //!   parameters, in any order, created by factory functions —
 //!   [`params::send_buf`], [`params::recv_counts_out`], … Omitted
-//!   parameters are computed (possibly with extra communication), and the
-//!   code path for that computation exists only when the parameter is
-//!   omitted (compile-time resolution, zero runtime dispatch).
+//!   parameters are computed, and the code path for that computation
+//!   exists only when the parameter is omitted (compile-time resolution,
+//!   zero runtime dispatch). Omitted receive counts are read off the
+//!   delivered messages; no extra communication — `allgatherv`,
+//!   `alltoallv`, `gatherv` and their neighborhood forms are one exchange
+//!   on the wire with or without `recv_counts` (a deviation from Fig. 2,
+//!   possible because the substrate's messages are self-describing; see
+//!   [`collectives`]).
 //! - **In/out parameters and results by value** (§III-B): the receive
 //!   buffer is always returned by value; each `*_out()` parameter appends
 //!   a component to the returned tuple, destructured with plain `let` —
@@ -27,10 +32,9 @@
 //!   buffers and produce the received data on `wait()` — so local work
 //!   placed between the call and `wait()` genuinely overlaps with the
 //!   collective (all outgoing traffic is posted eagerly by the
-//!   substrate), and no §III-E hazard is expressible. The v-collectives
-//!   need **no receive counts**, not even a hidden exchange: block sizes
-//!   are discovered from the messages and `wait_with_counts()` returns
-//!   them for free. Futures compose with [`p2p::RequestPool`] /
+//!   substrate), and no §III-E hazard is expressible. Here too block
+//!   sizes are discovered from the messages and `wait_with_counts()`
+//!   returns them for free. Futures compose with [`p2p::RequestPool`] /
 //!   [`p2p::BoundedRequestPool`] (including `wait_any` / `wait_some`).
 //! - **Persistent operations** (MPI-4, [`persistent`]): `send_init` /
 //!   `recv_init` / `bcast_init` / `allreduce_init` / `allgather_init` /
@@ -47,7 +51,8 @@
 //! - **Serialization** (§III-D3): explicit, via
 //!   [`serialization::as_serialized`] /
 //!   [`serialization::as_deserializable`].
-//! - **Plugins** (§III-F, §V): grid all-to-all, sparse (NBX) all-to-all,
+//! - **Plugins** (§III-F, §V): grid all-to-all (two self-sizing hops,
+//!   `(c-1) + (r-1)` startups on an `r x c` grid), sparse (NBX) all-to-all,
 //!   reproducible reduce, ULFM fault tolerance, and a distributed sorter,
 //!   each an extension trait on [`Communicator`].
 //!

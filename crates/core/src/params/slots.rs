@@ -10,9 +10,10 @@
 //! compile errors).
 
 use bytes::Bytes;
+use kmp_mpi::collectives::{concat_blocks, displacements_from_counts, place_blocks};
 use kmp_mpi::op::ReduceOp;
-use kmp_mpi::plain::{bytes_from_slice, bytes_into_vec, SharedPayload};
-use kmp_mpi::Plain;
+use kmp_mpi::plain::{bytes_from_slice, bytes_into_vec, whole_elements, SharedPayload};
+use kmp_mpi::{MpiError, Plain};
 
 use super::containers::{AsSlice, ResizePolicy};
 use super::{
@@ -193,8 +194,66 @@ pub trait RecvBufSpec<T: Plain> {
     /// Adopts a delivered payload directly into the slot's storage: a
     /// single copy into prepared buffers — and **zero** copies when the
     /// slot allocates its own `Vec<u8>`-shaped result and the payload is
-    /// the unique view of its allocation.
+    /// the unique view of its allocation. A payload that is not whole
+    /// `T`s reports [`MpiError::Truncated`].
     fn adopt(self, payload: Bytes) -> kmp_mpi::Result<Self::Out>;
+
+    /// Assembles the delivered blocks of a self-sizing exchange into the
+    /// slot's storage, each byte copied once and each block released as
+    /// soon as it is copied. `counts` are the
+    /// blocks' element counts
+    /// ([`block_counts`](kmp_mpi::collectives::block_counts)); block `j`
+    /// lands at `displs[j]`, or packed in block order when the user gave
+    /// no displacements. Resize policies apply exactly as in
+    /// [`RecvBufSpec::apply`].
+    fn assemble<B: AsRef<[u8]>>(
+        self,
+        blocks: Vec<B>,
+        counts: &[usize],
+        displs: Option<&[usize]>,
+    ) -> kmp_mpi::Result<Self::Out>
+    where
+        Self: Sized,
+    {
+        match displs {
+            Some(displs) => place_via_apply(self, blocks, counts, displs),
+            None => place_via_apply(self, blocks, counts, &displacements_from_counts(counts)),
+        }
+    }
+}
+
+/// Elements a receive buffer must hold for `counts` placed at `displs`
+/// (one past the furthest block end), validating the pair on the way.
+fn layout_extent(counts: &[usize], displs: &[usize]) -> kmp_mpi::Result<usize> {
+    if counts.len() != displs.len() {
+        return Err(MpiError::InvalidLayout(format!(
+            "{} receive displacements for {} receive counts",
+            displs.len(),
+            counts.len()
+        )));
+    }
+    let mut extent = 0usize;
+    for (&d, &c) in displs.iter().zip(counts) {
+        let end = d
+            .checked_add(c)
+            .ok_or_else(|| MpiError::InvalidLayout(format!("receive block {d} + {c} overflows")))?;
+        extent = extent.max(end);
+    }
+    Ok(extent)
+}
+
+/// Verify-and-place through [`RecvBufSpec::apply`]: storage is prepared
+/// for the layout's extent under the slot's policy, then every block is
+/// copied to its displacement.
+fn place_via_apply<T: Plain, S: RecvBufSpec<T>, B: AsRef<[u8]>>(
+    spec: S,
+    blocks: Vec<B>,
+    counts: &[usize],
+    displs: &[usize],
+) -> kmp_mpi::Result<S::Out> {
+    let extent = layout_extent(counts, displs)?;
+    let fill = |storage: &mut [T]| place_blocks(blocks, storage, counts, displs);
+    spec.apply(extent, fill).map(|((), out)| out)
 }
 
 impl<T: Plain> RecvBufSpec<T> for Absent {
@@ -213,7 +272,23 @@ impl<T: Plain> RecvBufSpec<T> for Absent {
 
     #[inline]
     fn adopt(self, payload: Bytes) -> kmp_mpi::Result<Vec<T>> {
+        whole_elements::<T>(payload.len())?;
         Ok(bytes_into_vec(payload))
+    }
+
+    #[inline]
+    fn assemble<B: AsRef<[u8]>>(
+        self,
+        blocks: Vec<B>,
+        counts: &[usize],
+        displs: Option<&[usize]>,
+    ) -> kmp_mpi::Result<Vec<T>> {
+        match displs {
+            // Packed result: exactly sized, extended block by block —
+            // no zero-fill of bytes that are about to be overwritten.
+            None => Ok(concat_blocks(blocks, counts)),
+            Some(displs) => place_via_apply(self, blocks, counts, displs),
+        }
     }
 }
 
@@ -261,7 +336,7 @@ impl<T: Plain, P: ResizePolicy> RecvBufSpec<T> for RecvBuf<Vec<T>, P> {
 /// Prepares `buf` under policy `P` for the payload's element count and
 /// copies the payload in (one copy).
 fn adopt_into<T: Plain, P: ResizePolicy>(buf: &mut Vec<T>, payload: Bytes) -> kmp_mpi::Result<()> {
-    let n = kmp_mpi::plain::element_count::<T>(payload.len());
+    let n = whole_elements::<T>(payload.len())?;
     P::prepare(buf, n)?;
     kmp_mpi::plain::copy_bytes_into(&payload, &mut buf[..n]);
     Ok(())
@@ -488,6 +563,32 @@ mod tests {
             })
             .unwrap();
         assert_eq!(out, vec![0, 5]);
+    }
+
+    #[test]
+    fn assemble_places_blocks_packed_or_at_user_displacements() {
+        let blocks = || vec![vec![1u8, 0, 2, 0], vec![], vec![3u8, 0]];
+        let counts = [2usize, 0, 1];
+        // Library-allocated, no displacements: packed, exactly sized.
+        let out: Vec<u16> = Absent.assemble(blocks(), &counts, None).unwrap();
+        assert_eq!((out.as_slice(), out.capacity()), (&[1, 2, 3][..], 3));
+        // User displacements (reordered, with a gap) size the storage.
+        let out: Vec<u16> = Absent
+            .assemble(blocks(), &counts, Some(&[2, 0, 0]))
+            .unwrap();
+        assert_eq!(out, vec![3, 0, 1, 2]);
+        // Provided storage: the resize policy decides, as in `apply`.
+        let mut storage = vec![9u16; 5];
+        recv_buf(&mut storage)
+            .grow_only()
+            .assemble(blocks(), &counts, Some(&[3, 0, 0]))
+            .unwrap();
+        assert_eq!(storage, vec![3, 9, 9, 1, 2]);
+        let mut small = vec![9u16; 2];
+        let err = recv_buf(&mut small).assemble(blocks(), &counts, None);
+        assert!(matches!(err, Err(MpiError::Truncated { .. })));
+        let err = RecvBufSpec::<u16>::assemble(Absent, blocks(), &counts, Some(&[0]));
+        assert!(matches!(err, Err(MpiError::InvalidLayout(_))));
     }
 
     #[test]

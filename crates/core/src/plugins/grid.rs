@@ -13,11 +13,15 @@
 //! near-square grids; primes degenerate to `1 x p`, i.e. direct
 //! exchange).
 
-use kmp_mpi::plain::{as_bytes, bytes_to_vec};
-use kmp_mpi::{Plain, Rank, Result};
+use bytes::Bytes;
+use kmp_mpi::collectives::displacements_from_counts;
+use kmp_mpi::plain::{
+    as_bytes, bytes_from_vec, bytes_to_vec, extend_vec_from_bytes, vec_with_capacity,
+    whole_elements,
+};
+use kmp_mpi::{MpiError, Plain, Rank, Result};
 
 use crate::communicator::Communicator;
-use crate::params::{send_buf, send_counts};
 
 /// Grid all-to-all as a communicator extension.
 pub trait GridAlltoall {
@@ -76,33 +80,122 @@ pub struct GridCommunicator {
     p: usize,
 }
 
-/// Per-block routing header: final destination, origin, payload bytes.
-const HEADER_WORDS: usize = 3;
+/// Per-block routing header: final destination, origin, payload bytes
+/// (three `u64` words).
+const HEADER_BYTES: usize = 3 * 8;
 
-fn pack_block(out: &mut Vec<u8>, dest: Rank, origin: Rank, payload: &[u8]) {
-    let header = [dest as u64, origin as u64, payload.len() as u64];
-    out.extend_from_slice(as_bytes(&header));
-    out.extend_from_slice(payload);
+/// One routed block inside a delivered hop buffer, viewed in place.
+struct Record<'a> {
+    dest: Rank,
+    origin: Rank,
+    header: &'a [u8],
+    payload: &'a [u8],
 }
 
-fn unpack_blocks(mut bytes: &[u8], mut f: impl FnMut(Rank, Rank, &[u8])) {
-    while !bytes.is_empty() {
-        let header: Vec<u64> = bytes_to_vec(&bytes[..HEADER_WORDS * 8]);
-        let len = header[2] as usize;
-        let start = HEADER_WORDS * 8;
-        f(
-            header[0] as usize,
-            header[1] as usize,
-            &bytes[start..start + len],
-        );
-        bytes = &bytes[start + len..];
+/// Parses the records of delivered hop buffers in place — no allocation
+/// per block. A buffer that ends inside a record reports
+/// [`MpiError::Truncated`].
+fn records(blocks: &[Bytes]) -> Result<Vec<Record<'_>>> {
+    let mut out = Vec::new();
+    for block in blocks {
+        let mut rest: &[u8] = block;
+        while !rest.is_empty() {
+            let truncated = MpiError::Truncated {
+                message_bytes: rest.len(),
+                buffer_bytes: HEADER_BYTES,
+            };
+            let Some((header, body)) = rest.split_at_checked(HEADER_BYTES) else {
+                return Err(truncated);
+            };
+            let word = |i: usize| {
+                u64::from_ne_bytes(header[8 * i..8 * i + 8].try_into().expect("eight bytes"))
+                    as usize
+            };
+            let Some((payload, tail)) = body.split_at_checked(word(2)) else {
+                return Err(truncated);
+            };
+            out.push(Record {
+                dest: word(0),
+                origin: word(1),
+                header,
+                payload,
+            });
+            rest = tail;
+        }
     }
+    Ok(out)
+}
+
+/// Packs `(bucket, header, payload)` items, sorted by bucket, into one
+/// exactly pre-sized hop buffer (each byte copied once); returns it with
+/// the byte count per bucket.
+fn pack_hop(buckets: usize, items: &[(usize, &[u8], &[u8])]) -> (Bytes, Vec<usize>) {
+    let mut counts = vec![0usize; buckets];
+    for &(bucket, header, payload) in items {
+        counts[bucket] += header.len() + payload.len();
+    }
+    let mut buf: Vec<u8> = vec_with_capacity(counts.iter().sum());
+    for &(_, header, payload) in items {
+        extend_vec_from_bytes(&mut buf, header);
+        extend_vec_from_bytes(&mut buf, payload);
+    }
+    (bytes_from_vec(buf), counts)
 }
 
 impl GridCommunicator {
     /// Grid dimensions `(rows, cols)`.
     pub fn dims(&self) -> (usize, usize) {
         (self.rows, self.cols)
+    }
+
+    /// Routes the send blocks over both hops and returns the column
+    /// hop's delivered buffers. Each hop packs once into an adopted
+    /// buffer and is one self-sizing block exchange — `(c-1) + (r-1)`
+    /// startups in total, no count exchange ahead of either hop — so a
+    /// payload byte is copied twice on the way (pack, re-bucket).
+    fn route<T: Plain>(&self, send: &[T], counts: &[usize]) -> Result<Vec<Bytes>> {
+        assert_eq!(counts.len(), self.p, "one send count per rank");
+        let displs = displacements_from_counts(counts);
+
+        // Hop 1 (row exchange): bucket per destination *column* — a
+        // column-major walk over the grid visits the buckets in order.
+        let dests: Vec<Rank> = (0..self.cols)
+            .flat_map(|c| (0..self.rows).map(move |r| r * self.cols + c))
+            .filter(|&d| counts[d] > 0)
+            .collect();
+        let elem = std::mem::size_of::<T>();
+        let headers: Vec<[u64; 3]> = (dests.iter())
+            .map(|&d| [d, self.rank, counts[d] * elem].map(|w| w as u64))
+            .collect();
+        let items: Vec<_> = (dests.iter().zip(&headers))
+            .map(|(&d, header)| {
+                let block = &send[displs[d]..displs[d] + counts[d]];
+                (d % self.cols, as_bytes(&header[..]), as_bytes(block))
+            })
+            .collect();
+        let (row_data, row_counts) = pack_hop(self.cols, &items);
+        let from_row = (self.row_comm.raw()).alltoallv_blocks_bytes(row_data, &row_counts)?;
+
+        // Hop 2 (column exchange): re-bucket per destination *row*.
+        let records = records(&from_row)?;
+        let mut items: Vec<_> = (records.iter())
+            .map(|r| (r.dest / self.cols, r.header, r.payload))
+            .collect();
+        items.sort_by_key(|&(row, ..)| row);
+        let (col_data, col_counts) = pack_hop(self.rows, &items);
+        (self.col_comm.raw()).alltoallv_blocks_bytes(col_data, &col_counts)
+    }
+
+    /// The records delivered to this rank, origin-sorted, each checked
+    /// to hold whole `T`s.
+    fn delivered<'a, T: Plain>(&self, from_col: &'a [Bytes]) -> Result<Vec<Record<'a>>> {
+        let mut records = records(from_col)?;
+        for r in &records {
+            debug_assert_eq!(r.dest, self.rank, "block routed to the wrong rank");
+            whole_elements::<T>(r.payload.len())?;
+        }
+        records.sort_by_key(|r| r.origin);
+        Ok(records)
     }
 
     /// Personalized all-to-all routed over the grid: semantics of
@@ -114,58 +207,24 @@ impl GridCommunicator {
         send: &[T],
         counts: &[usize],
     ) -> Result<Vec<(Rank, Vec<T>)>> {
-        assert_eq!(counts.len(), self.p, "one send count per rank");
-        let elem = std::mem::size_of::<T>();
-
-        // Phase 1 (row exchange): bucket per destination *column*.
-        let mut row_bufs: Vec<Vec<u8>> = (0..self.cols).map(|_| Vec::new()).collect();
-        let mut offset = 0usize;
-        for (dest, &count) in counts.iter().enumerate() {
-            let block = &send[offset..offset + count];
-            offset += count;
-            if count == 0 {
-                continue;
-            }
-            let dest_col = dest % self.cols;
-            pack_block(&mut row_bufs[dest_col], dest, self.rank, as_bytes(block));
-        }
-        let row_counts: Vec<usize> = row_bufs.iter().map(Vec::len).collect();
-        let row_data: Vec<u8> = row_bufs.concat();
-        let from_row: Vec<u8> = self
-            .row_comm
-            .alltoallv((send_buf(&row_data), send_counts(&row_counts)))?;
-
-        // Phase 2 (column exchange): bucket per destination *row*.
-        let mut col_bufs: Vec<Vec<u8>> = (0..self.col_comm.size()).map(|_| Vec::new()).collect();
-        unpack_blocks(&from_row, |dest, origin, payload| {
-            let dest_row = dest / self.cols;
-            pack_block(&mut col_bufs[dest_row], dest, origin, payload);
-        });
-        let col_counts: Vec<usize> = col_bufs.iter().map(Vec::len).collect();
-        let col_data: Vec<u8> = col_bufs.concat();
-        let from_col: Vec<u8> = self
-            .col_comm
-            .alltoallv((send_buf(&col_data), send_counts(&col_counts)))?;
-
-        let mut out: Vec<(Rank, Vec<T>)> = Vec::new();
-        unpack_blocks(&from_col, |dest, origin, payload| {
-            debug_assert_eq!(dest, self.rank, "block routed to the wrong rank");
-            debug_assert_eq!(payload.len() % elem.max(1), 0);
-            out.push((origin, bytes_to_vec(payload)));
-        });
-        out.sort_by_key(|(origin, _)| *origin);
-        Ok(out)
+        let from_col = self.route(send, counts)?;
+        let records = self.delivered::<T>(&from_col)?;
+        Ok((records.iter())
+            .map(|r| (r.origin, bytes_to_vec(r.payload)))
+            .collect())
     }
 
     /// Like [`GridCommunicator::alltoallv_sparse`], but returns only the
     /// concatenated data (origin-sorted) — a drop-in for the dense
-    /// `alltoallv` in exchange loops.
+    /// `alltoallv` in exchange loops. Unpacks straight into one exactly
+    /// pre-sized vector: three copies per payload byte end to end.
     pub fn alltoallv<T: Plain>(&self, send: &[T], counts: &[usize]) -> Result<Vec<T>> {
-        let pairs = self.alltoallv_sparse(send, counts)?;
-        let total = pairs.iter().map(|(_, v)| v.len()).sum();
-        let mut out = Vec::with_capacity(total);
-        for (_, mut v) in pairs {
-            out.append(&mut v);
+        let from_col = self.route(send, counts)?;
+        let records = self.delivered::<T>(&from_col)?;
+        let bytes: usize = records.iter().map(|r| r.payload.len()).sum();
+        let mut out = vec_with_capacity(bytes / std::mem::size_of::<T>().max(1));
+        for r in &records {
+            extend_vec_from_bytes(&mut out, r.payload);
         }
         Ok(out)
     }

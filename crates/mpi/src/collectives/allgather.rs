@@ -14,7 +14,7 @@ use super::algos::{
     allgather::{allgather_blocks_bruck, allgather_blocks_rd},
     AllgatherAlgo,
 };
-use super::{check_layout, recv_internal, send_internal};
+use super::{check_layout, place_blocks, recv_internal, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::plain::{bytes_from_slice, copy_bytes_into, copy_slice, extend_vec_from_bytes};
@@ -168,11 +168,20 @@ impl Comm {
         self.count_op("allgatherv");
         allgatherv_internal(self, send, recv, counts, displs)
     }
+
+    /// Self-sizing `allgatherv`: returns every rank's block by origin
+    /// rank. The block lengths *are* the receive counts
+    /// ([`block_counts`](super::block_counts)) — read off the messages,
+    /// where Fig. 2 spends a separate `allgather` to learn them.
+    pub fn allgatherv_blocks<T: Plain>(&self, send: &[T]) -> Result<Vec<Bytes>> {
+        self.count_op("allgatherv");
+        allgather_blocks(self, bytes_from_slice(send))
+    }
 }
 
 /// Ring allgatherv: forwards shared blocks around the ring (no per-hop
-/// re-serialization) and writes each rank's block at its displacement
-/// exactly once.
+/// re-serialization), then verifies and places each rank's block at its
+/// displacement exactly once.
 pub(crate) fn allgatherv_internal<T: Plain>(
     comm: &Comm,
     send: &[T],
@@ -180,9 +189,10 @@ pub(crate) fn allgatherv_internal<T: Plain>(
     counts: &[usize],
     displs: &[usize],
 ) -> Result<()> {
-    let p = comm.size();
     let rank = comm.rank();
-    check_layout("allgatherv", counts, displs, recv.len(), p)?;
+    check_layout("allgatherv", counts, displs, recv.len(), comm.size())?;
+    // Checked before anything is sent: a rank that disagrees with
+    // itself must not leave its peers waiting.
     if send.len() != counts[rank] {
         return Err(MpiError::InvalidLayout(format!(
             "allgatherv: rank {rank} sends {} elements but counts[{rank}] = {}",
@@ -190,25 +200,8 @@ pub(crate) fn allgatherv_internal<T: Plain>(
             counts[rank]
         )));
     }
-    copy_slice(send, &mut recv[displs[rank]..displs[rank] + counts[rank]]);
-    if p == 1 {
-        return Ok(());
-    }
     let blocks = allgather_blocks(comm, bytes_from_slice(send))?;
-    for (origin, bytes) in blocks.iter().enumerate() {
-        if origin == rank {
-            continue; // own block already placed
-        }
-        let dst = &mut recv[displs[origin]..displs[origin] + counts[origin]];
-        if bytes.len() != std::mem::size_of_val(dst) {
-            return Err(MpiError::Truncated {
-                message_bytes: bytes.len(),
-                buffer_bytes: std::mem::size_of_val(dst),
-            });
-        }
-        copy_bytes_into(bytes, dst);
-    }
-    Ok(())
+    place_blocks(blocks, recv, counts, displs)
 }
 
 #[cfg(test)]

@@ -4,11 +4,13 @@
 //! `alltoall` dispatches between pairwise and Bruck through the
 //! communicator's [`CollTuning`](super::algos::CollTuning).
 
+use bytes::Bytes;
+
 use super::algos::{self, AlltoallAlgo};
-use super::{check_layout, recv_internal, send_internal};
+use super::{check_layout, displacements_from_counts, place_blocks, recv_internal, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::plain::{bytes_from_slice, copy_bytes_into, copy_slice};
+use crate::plain::bytes_from_slice;
 use crate::Plain;
 
 impl Comm {
@@ -83,6 +85,46 @@ impl Comm {
         )
     }
 
+    /// Self-sizing `alltoallv`: the send side of
+    /// [`alltoallv_into`](Self::alltoallv_into) with no receive counts at
+    /// all. Returns the delivered blocks by source rank; their lengths
+    /// *are* the receive counts
+    /// ([`block_counts`](super::block_counts)), read off the messages
+    /// instead of a preceding count `alltoall`.
+    pub fn alltoallv_blocks<T: Plain>(
+        &self,
+        send: &[T],
+        send_counts: &[usize],
+        send_displs: &[usize],
+    ) -> Result<Vec<Bytes>> {
+        self.count_op("alltoallv");
+        let p = self.size();
+        check_layout("alltoallv(send)", send_counts, send_displs, send.len(), p)?;
+        let elem = std::mem::size_of::<T>();
+        pairwise_blocks(self, bytes_from_slice(send), elem, send_counts, send_displs)
+    }
+
+    /// Byte-level [`alltoallv_blocks`](Self::alltoallv_blocks) over an
+    /// adopted payload: `packed` holds the per-peer blocks contiguously
+    /// in rank order, `byte_counts[r]` bytes each, and is scattered by
+    /// refcount slicing — not one copy on the send side.
+    pub fn alltoallv_blocks_bytes(
+        &self,
+        packed: Bytes,
+        byte_counts: &[usize],
+    ) -> Result<Vec<Bytes>> {
+        self.count_op("alltoallv");
+        let displs = displacements_from_counts(byte_counts);
+        check_layout(
+            "alltoallv(send)",
+            byte_counts,
+            &displs,
+            packed.len(),
+            self.size(),
+        )?;
+        pairwise_blocks(self, packed, 1, byte_counts, &displs)
+    }
+
     /// Byte-level alltoallw: counts and displacements are in bytes, so
     /// each destination may receive a differently-typed payload.
     ///
@@ -117,6 +159,7 @@ impl Comm {
     }
 }
 
+/// The counted exchange: [`pairwise_blocks`] + verify-and-place.
 pub(crate) fn alltoallv_internal<T: Plain>(
     comm: &Comm,
     send: &[T],
@@ -126,57 +169,48 @@ pub(crate) fn alltoallv_internal<T: Plain>(
     recv_counts: &[usize],
     recv_displs: &[usize],
 ) -> Result<()> {
-    let p = comm.size();
-    let rank = comm.rank();
+    let (p, rank) = (comm.size(), comm.rank());
     check_layout("alltoallv(send)", send_counts, send_displs, send.len(), p)?;
     check_layout("alltoallv(recv)", recv_counts, recv_displs, recv.len(), p)?;
-    let tag = comm.next_internal_tag();
-
-    // Own block: straight copy (send and recv are distinct buffers).
-    {
-        let src = &send[send_displs[rank]..send_displs[rank] + send_counts[rank]];
-        if src.len() != recv_counts[rank] {
-            return Err(MpiError::InvalidLayout(format!(
-                "alltoallv: self block sends {} elements but expects {}",
-                src.len(),
-                recv_counts[rank]
-            )));
-        }
-        copy_slice(
-            src,
-            &mut recv[recv_displs[rank]..recv_displs[rank] + recv_counts[rank]],
-        );
+    // Checked before anything is sent: a rank that disagrees with
+    // itself must not leave its peers waiting.
+    if send_counts[rank] != recv_counts[rank] {
+        return Err(MpiError::InvalidLayout(format!(
+            "alltoallv: self block sends {} elements but expects {}",
+            send_counts[rank], recv_counts[rank]
+        )));
     }
-
-    if p == 1 {
-        return Ok(());
-    }
-
-    // Pack the whole send buffer into one shared payload and carve
-    // per-peer blocks out of it by refcount slicing: one serialization
-    // pass total instead of one allocation + copy per peer.
     let elem = std::mem::size_of::<T>();
-    let packed = bytes_from_slice(send);
+    let blocks = pairwise_blocks(comm, bytes_from_slice(send), elem, send_counts, send_displs)?;
+    place_blocks(blocks, recv, recv_counts, recv_displs)
+}
 
-    // Pairwise exchange; a message is sent for every peer, including
-    // zero-sized blocks (dense-exchange semantics).
+/// The one pairwise loop behind every `alltoallv` form. `packed` is the
+/// whole send buffer as one shared payload; per-peer blocks (`counts` /
+/// `displs` in units of `elem` bytes, already validated) are carved out
+/// of it by refcount slicing — one serialization pass total instead of
+/// one allocation + copy per peer, the own block included. A message is
+/// sent for every peer, zero-sized blocks too (dense-exchange
+/// semantics). Returns the delivered blocks by source rank.
+fn pairwise_blocks(
+    comm: &Comm,
+    packed: Bytes,
+    elem: usize,
+    counts: &[usize],
+    displs: &[usize],
+) -> Result<Vec<Bytes>> {
+    let (p, rank) = (comm.size(), comm.rank());
+    let tag = comm.next_internal_tag();
+    let block = |r: usize| packed.slice(displs[r] * elem..(displs[r] + counts[r]) * elem);
+    let mut blocks = vec![Bytes::new(); p];
+    blocks[rank] = block(rank);
     for step in 1..p {
         let to = (rank + step) % p;
         let from = (rank + p - step) % p;
-        let start = send_displs[to] * elem;
-        let block = packed.slice(start..start + send_counts[to] * elem);
-        send_internal(comm, to, tag, block)?;
-        let bytes = recv_internal(comm, from, tag)?;
-        let dst = &mut recv[recv_displs[from]..recv_displs[from] + recv_counts[from]];
-        if bytes.len() != std::mem::size_of_val(dst) {
-            return Err(MpiError::Truncated {
-                message_bytes: bytes.len(),
-                buffer_bytes: std::mem::size_of_val(dst),
-            });
-        }
-        copy_bytes_into(&bytes, dst);
+        send_internal(comm, to, tag, block(to))?;
+        blocks[from] = recv_internal(comm, from, tag)?;
     }
-    Ok(())
+    Ok(blocks)
 }
 
 #[cfg(test)]

@@ -1,10 +1,32 @@
 //! Gather and gatherv (flat tree).
 
-use super::{check_layout, send_slice_internal};
+use bytes::Bytes;
+
+use super::{block_counts, check_layout, concat_blocks, place_blocks_at, send_slice_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::plain::{copy_bytes_into, copy_slice, element_count, extend_vec_from_bytes};
-use crate::{Plain, Rank};
+use crate::message::{Src, TagSel};
+use crate::plain::as_bytes;
+use crate::{Plain, Rank, Tag};
+
+/// One gathered block at the root: a delivered payload, or the root's
+/// own contribution — read in place from its send buffer, never copied
+/// into a message.
+pub enum GatherBlock<'a> {
+    /// The root's own send buffer.
+    Own(&'a [u8]),
+    /// Another rank's delivered payload.
+    Delivered(Bytes),
+}
+
+impl AsRef<[u8]> for GatherBlock<'_> {
+    fn as_ref(&self) -> &[u8] {
+        match self {
+            GatherBlock::Own(bytes) => bytes,
+            GatherBlock::Delivered(bytes) => bytes,
+        }
+    }
+}
 
 impl Comm {
     /// Gathers equal-sized contributions to the root, rank-ordered
@@ -12,38 +34,16 @@ impl Comm {
     /// must hold `p * send.len()` elements there.
     pub fn gather_into<T: Plain>(&self, send: &[T], recv: &mut [T], root: Rank) -> Result<()> {
         self.count_op("gather");
-        let p = self.size();
-        self.check_rank(root)?;
-        let tag = self.next_internal_tag();
-        if self.rank() == root {
-            let n = send.len();
-            if recv.len() < p * n {
+        let (n, need) = (send.len(), self.size() * send.len());
+        let fits = |len: usize| {
+            if len < need {
                 return Err(MpiError::InvalidLayout(format!(
-                    "gather: receive buffer holds {} elements, need {}",
-                    recv.len(),
-                    p * n
+                    "gather: receive buffer holds {len} elements, need {need}"
                 )));
             }
-            copy_slice(send, &mut recv[root * n..(root + 1) * n]);
-            for _ in 0..p - 1 {
-                // Accept in arrival order; the tag identifies the call and
-                // the source determines the block.
-                let env =
-                    self.recv_envelope(crate::message::Src::Any, crate::message::TagSel::Is(tag))?;
-                let src = env.src;
-                let block = &mut recv[src * n..(src + 1) * n];
-                let written = copy_bytes_into(&env.payload, block);
-                if written != n {
-                    return Err(MpiError::Truncated {
-                        message_bytes: env.payload.len(),
-                        buffer_bytes: std::mem::size_of_val(send),
-                    });
-                }
-            }
             Ok(())
-        } else {
-            send_slice_internal(self, root, tag, send)
-        }
+        };
+        gather_place(self, send, recv, root, fits, |src| (src * n, n))
     }
 
     /// Gathers variable-sized contributions to the root
@@ -58,11 +58,8 @@ impl Comm {
         root: Rank,
     ) -> Result<()> {
         self.count_op("gatherv");
-        let p = self.size();
-        self.check_rank(root)?;
-        let tag = self.next_internal_tag();
-        if self.rank() == root {
-            check_layout("gatherv", counts, displs, recv.len(), p)?;
+        let fits = |len: usize| {
+            check_layout("gatherv", counts, displs, len, self.size())?;
             if send.len() != counts[root] {
                 return Err(MpiError::InvalidLayout(format!(
                     "gatherv: root sends {} elements but counts[{root}] = {}",
@@ -70,23 +67,29 @@ impl Comm {
                     counts[root]
                 )));
             }
-            copy_slice(send, &mut recv[displs[root]..displs[root] + counts[root]]);
-            for _ in 0..p - 1 {
-                let env =
-                    self.recv_envelope(crate::message::Src::Any, crate::message::TagSel::Is(tag))?;
-                let src = env.src;
-                let block = &mut recv[displs[src]..displs[src] + counts[src]];
-                let written = copy_bytes_into(&env.payload, block);
-                if written != counts[src] {
-                    return Err(MpiError::Truncated {
-                        message_bytes: env.payload.len(),
-                        buffer_bytes: counts[src] * std::mem::size_of::<T>(),
-                    });
-                }
-            }
             Ok(())
+        };
+        gather_place(self, send, recv, root, fits, |src| {
+            (displs[src], counts[src])
+        })
+    }
+
+    /// Self-sizing `gatherv`: `Some(blocks)` by source rank at the root,
+    /// `None` elsewhere; the block lengths are the receive counts (they
+    /// travel with the messages). The root's own entry borrows `send`.
+    pub fn gatherv_blocks<'a, T: Plain>(
+        &self,
+        send: &'a [T],
+        root: Rank,
+    ) -> Result<Option<Vec<GatherBlock<'a>>>> {
+        self.count_op("gatherv");
+        self.check_rank(root)?;
+        let tag = self.next_internal_tag();
+        if self.rank() == root {
+            gather_blocks(self, tag, as_bytes(send)).map(Some)
         } else {
-            send_slice_internal(self, root, tag, send)
+            send_slice_internal(self, root, tag, send)?;
+            Ok(None)
         }
     }
 
@@ -100,15 +103,45 @@ impl Comm {
     ) -> Result<Option<(Vec<T>, Vec<usize>)>> {
         self.count_op("gatherv");
         self.check_rank(root)?;
-        let tag = self.next_internal_tag();
-        if self.rank() == root {
-            let (data, counts) = gather_assemble(self, tag, send, root)?;
-            Ok(Some((data, counts)))
-        } else {
-            send_slice_internal(self, root, tag, send)?;
-            Ok(None)
-        }
+        self.gatherv_vec_uncounted(send, root)
     }
+}
+
+/// The one receive loop behind every gather, root side: `own` in the
+/// root's slot and a delivered payload per other rank, by source,
+/// accepted in arrival order (the tag identifies the call, the
+/// envelope's source the slot).
+fn gather_blocks<'a>(comm: &Comm, tag: Tag, own: &'a [u8]) -> Result<Vec<GatherBlock<'a>>> {
+    let p = comm.size();
+    // Every slot starts as `own`; the p - 1 deliveries overwrite all
+    // but the root's.
+    let mut blocks: Vec<_> = (0..p).map(|_| GatherBlock::Own(own)).collect();
+    for _ in 0..p - 1 {
+        let env = comm.recv_envelope(Src::Any, TagSel::Is(tag))?;
+        blocks[env.src] = GatherBlock::Delivered(env.payload);
+    }
+    Ok(blocks)
+}
+
+/// The counted gathers: non-roots send; the root validates its layout
+/// against the receive buffer's length (`fits`), gathers, then verifies
+/// and places every block — its own included — at `slot(source)` =
+/// (displacement, count).
+fn gather_place<T: Plain>(
+    comm: &Comm,
+    send: &[T],
+    recv: &mut [T],
+    root: Rank,
+    fits: impl FnOnce(usize) -> Result<()>,
+    slot: impl Fn(Rank) -> (usize, usize),
+) -> Result<()> {
+    comm.check_rank(root)?;
+    let tag = comm.next_internal_tag();
+    if comm.rank() != root {
+        return send_slice_internal(comm, root, tag, send);
+    }
+    fits(recv.len())?;
+    place_blocks_at(gather_blocks(comm, tag, as_bytes(send))?, recv, slot)
 }
 
 /// Root side of a counts-discovering gatherv: collects one shared payload
@@ -116,37 +149,12 @@ impl Comm {
 /// no intermediate per-rank vectors.
 pub(crate) fn gather_assemble<T: Plain>(
     comm: &Comm,
-    tag: crate::Tag,
+    tag: Tag,
     own: &[T],
-    root: Rank,
 ) -> Result<(Vec<T>, Vec<usize>)> {
-    let p = comm.size();
-    let mut blocks: Vec<Option<bytes::Bytes>> = (0..p).map(|_| None).collect();
-    for _ in 0..p - 1 {
-        let env = comm.recv_envelope(crate::message::Src::Any, crate::message::TagSel::Is(tag))?;
-        blocks[env.src] = Some(env.payload);
-    }
-    let counts: Vec<usize> = blocks
-        .iter()
-        .enumerate()
-        .map(|(r, b)| {
-            if r == root {
-                own.len()
-            } else {
-                element_count::<T>(b.as_ref().expect("all blocks arrived").len())
-            }
-        })
-        .collect();
-    let mut data: Vec<T> = Vec::with_capacity(counts.iter().sum());
-    for (r, b) in blocks.iter().enumerate() {
-        if r == root {
-            crate::metrics::record_copy(std::mem::size_of_val(own));
-            data.extend_from_slice(own);
-        } else {
-            extend_vec_from_bytes(&mut data, b.as_ref().expect("block present"));
-        }
-    }
-    Ok((data, counts))
+    let blocks = gather_blocks(comm, tag, as_bytes(own))?;
+    let counts = block_counts::<T, _>(&blocks)?;
+    Ok((concat_blocks(blocks, &counts), counts))
 }
 
 #[cfg(test)]

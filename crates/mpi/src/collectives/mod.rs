@@ -43,6 +43,17 @@
 //! materialization bill is gone: combining steps fold the delivered
 //! payload into the accumulator in place.
 //!
+//! Every irregular exchange (`alltoallv`, `allgatherv`, `gatherv`,
+//! `neighbor_alltoallv`, `neighbor_allgatherv`) comes in two forms over
+//! **one** pairwise / ring / gather / sparse loop. The self-sizing
+//! `*_blocks` form returns the delivered payloads; messages carry their
+//! own length, so the block lengths *are* the receive counts
+//! ([`block_counts`]) and no count collective precedes the payload. The
+//! counted `*_into` form is the same exchange followed by
+//! verify-and-place ([`place_blocks`]): a block that disagrees with its
+//! declared count reports [`MpiError::Truncated`] after the exchange has
+//! completed, leaving no message of the call queued.
+//!
 //! The "selected when" column is the *static* policy — the warm-up
 //! fallback. With [`CollTuning::self_tuning`] enabled, `Auto` is
 //! instead driven by the communicator's **measured cost model**
@@ -86,6 +97,7 @@ pub use algos::{
 pub(crate) use allgather::{allgather_blocks, allgather_internal};
 pub(crate) use alltoall::alltoallv_internal;
 pub(crate) use bcast::{bcast_bytes_internal, bcast_forward, bcast_one_internal};
+pub use gather::GatherBlock;
 pub(crate) use reduce::allreduce_internal;
 
 use bytes::Bytes;
@@ -93,7 +105,9 @@ use bytes::Bytes;
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::message::{Src, TagSel};
-use crate::plain::bytes_from_slice;
+use crate::plain::{
+    bytes_from_slice, copy_bytes_into, extend_vec_from_bytes, vec_with_capacity, whole_elements,
+};
 use crate::{Plain, Rank, Tag};
 
 /// Sends raw bytes on an internal (negative) tag. Passing a clone of an
@@ -169,9 +183,101 @@ pub fn displacements_from_counts(counts: &[usize]) -> Vec<usize> {
     displs
 }
 
+/// Element counts of delivered blocks: `counts[j]` whole `T`s arrived in
+/// `blocks[j]`. This is how an exchange with receive counts omitted
+/// learns them — the messages are self-describing, so no count exchange
+/// precedes the payload. A block that does not divide into elements
+/// reports [`MpiError::Truncated`].
+pub fn block_counts<T: Plain, B: AsRef<[u8]>>(blocks: &[B]) -> Result<Vec<usize>> {
+    blocks
+        .iter()
+        .map(|b| whole_elements::<T>(b.as_ref().len()))
+        .collect()
+}
+
+/// Concatenates delivered blocks, in order, into one exactly-sized
+/// vector: one allocation, every byte copied once, no zero-fill, and
+/// each block released as soon as it is copied. `counts` must be
+/// [`block_counts`] of `blocks`.
+pub fn concat_blocks<T: Plain, B: AsRef<[u8]>>(blocks: Vec<B>, counts: &[usize]) -> Vec<T> {
+    let mut data = vec_with_capacity(counts.iter().sum());
+    for block in blocks {
+        extend_vec_from_bytes(&mut data, block.as_ref());
+    }
+    data
+}
+
+/// Verify-and-place, the receive half of every counted exchange: block
+/// `j` is copied to `recv[displs[j]..][..counts[j]]` and released. A
+/// block whose size differs from its declared count reports
+/// [`MpiError::Truncated`] — after the exchange has completed, so no
+/// message of the call is left queued.
+///
+/// # Panics
+///
+/// Panics if the layout does not fit `recv` or has fewer entries than
+/// there are blocks; callers validate it first.
+pub fn place_blocks<T: Plain, B: AsRef<[u8]>>(
+    blocks: Vec<B>,
+    recv: &mut [T],
+    counts: &[usize],
+    displs: &[usize],
+) -> Result<()> {
+    place_blocks_at(blocks, recv, |j| (displs[j], counts[j]))
+}
+
+/// [`place_blocks`] over a computed layout: `slot(j)` is block `j`'s
+/// (displacement, count), so a regular layout needs no vectors.
+pub(crate) fn place_blocks_at<T: Plain, B: AsRef<[u8]>>(
+    blocks: Vec<B>,
+    recv: &mut [T],
+    slot: impl Fn(usize) -> (usize, usize),
+) -> Result<()> {
+    for (j, block) in blocks.into_iter().enumerate() {
+        let (at, count) = slot(j);
+        let dst = &mut recv[at..at + count];
+        if block.as_ref().len() != std::mem::size_of_val(dst) {
+            return Err(MpiError::Truncated {
+                message_bytes: block.as_ref().len(),
+                buffer_bytes: std::mem::size_of_val(dst),
+            });
+        }
+        copy_bytes_into(block.as_ref(), dst);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn blocks_are_counted_concatenated_and_placed() {
+        let blocks = vec![vec![1u8, 0, 2, 0], vec![], vec![3u8, 0]];
+        let counts = block_counts::<u16, _>(&blocks).unwrap();
+        assert_eq!(counts, vec![2, 0, 1]);
+        assert_eq!(concat_blocks::<u16, _>(blocks.clone(), &counts), [1, 2, 3]);
+        let mut recv = [9u16; 5];
+        place_blocks(blocks.clone(), &mut recv, &counts, &[3, 0, 0]).unwrap();
+        assert_eq!(recv, [3, 9, 9, 1, 2]);
+        // A declared count the block does not match, and a block that is
+        // not whole elements, are typed errors.
+        let err = place_blocks(blocks, &mut recv, &[2, 0, 2], &[0, 0, 2]).unwrap_err();
+        assert_eq!(
+            err,
+            MpiError::Truncated {
+                message_bytes: 2,
+                buffer_bytes: 4
+            }
+        );
+        assert!(matches!(
+            block_counts::<u32, _>(&[vec![0u8; 6]]),
+            Err(MpiError::Truncated {
+                message_bytes: 6,
+                buffer_bytes: 4
+            })
+        ));
+    }
 
     #[test]
     fn displacement_computation() {

@@ -37,11 +37,11 @@ use bytes::Bytes;
 
 use super::algos::NeighborhoodAlgo;
 use super::nonblocking::{recv_one, CollEngine};
-use super::send_internal;
+use super::{place_blocks, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::persistent::{CollBody, CollPlan, CollSends, OwnSpec, PersistentRequest};
-use crate::plain::{bytes_from_slice, bytes_to_vec, copy_bytes_into};
+use crate::plain::{bytes_from_slice, bytes_to_vec};
 use crate::request::{Completion, Request};
 use crate::topology::Neighborhood;
 use crate::trace;
@@ -273,6 +273,20 @@ fn exchange<N: Neighborhood + ?Sized>(
     Ok(out)
 }
 
+/// The allgather-shaped exchange: one serialization of `data`, a
+/// refcount clone per out-neighbor.
+fn allgather_exchange<N: Neighborhood + ?Sized, T: Plain>(
+    n: &N,
+    name: &'static str,
+    data: &[T],
+) -> Result<Vec<Bytes>> {
+    let comm = n.comm();
+    comm.count_op(name);
+    let tag = comm.next_internal_tag();
+    let payloads = vec![bytes_from_slice(data); n.destinations().len()];
+    exchange(n, name, tag, payloads)
+}
+
 /// The neighborhood collectives, blanket-implemented for every
 /// [`Neighborhood`] communicator
 /// ([`CartComm`](crate::topology::CartComm),
@@ -286,19 +300,25 @@ pub trait NeighborhoodColl: Neighborhood {
     /// may differ in size, so this is also the `v` variant). `s + r`
     /// copied bytes: one serialization regardless of out-degree.
     fn neighbor_allgather_vecs<T: Plain>(&self, data: &[T]) -> Result<Vec<Vec<T>>> {
-        let comm = self.comm();
-        comm.count_op("neighbor_allgather");
-        let tag = comm.next_internal_tag();
-        let payload = bytes_from_slice(data);
-        let payloads = vec![payload; self.destinations().len()];
-        let blocks = exchange(self, "neighbor_allgather", tag, payloads)?;
+        let blocks = allgather_exchange(self, "neighbor_allgather", data)?;
         Ok(blocks.iter().map(|b| bytes_to_vec(b)).collect())
     }
 
-    /// Counted [`neighbor_allgather_vecs`](Self::neighbor_allgather_vecs)
+    /// Self-sizing `neighbor_allgatherv`: one delivered block per
+    /// in-neighbor in declaration order. The block lengths *are* the
+    /// receive counts ([`block_counts`](super::block_counts)) — no count
+    /// travels ahead of the payload.
+    fn neighbor_allgatherv_blocks<T: Plain>(&self, data: &[T]) -> Result<Vec<Bytes>> {
+        allgather_exchange(self, "neighbor_allgatherv", data)
+    }
+
+    /// Counted [`neighbor_allgatherv_blocks`](Self::neighbor_allgatherv_blocks)
     /// into a caller-owned buffer (mirrors `MPI_Neighbor_allgatherv`):
     /// the block from `sources()[j]` lands at
-    /// `recv[recv_displs[j]..][..recv_counts[j]]`.
+    /// `recv[recv_displs[j]..][..recv_counts[j]]`. A block that differs
+    /// from its declared count reports [`MpiError::Truncated`], as in
+    /// the dense collectives (it used to be `InvalidLayout`), once the
+    /// exchange has completed.
     fn neighbor_allgatherv_into<T: Plain>(
         &self,
         data: &[T],
@@ -306,29 +326,20 @@ pub trait NeighborhoodColl: Neighborhood {
         recv_counts: &[usize],
         recv_displs: &[usize],
     ) -> Result<()> {
-        let comm = self.comm();
-        comm.count_op("neighbor_allgatherv");
-        // Tag first: the layout check is rank-local, and an erroring
-        // rank must stay tag-aligned with peers whose layouts are fine.
-        let tag = comm.next_internal_tag();
+        // The layout check is rank-local: exchange first, so a rank
+        // whose layout is wrong stays tag-aligned with — and sends its
+        // block to — the peers whose layouts are fine.
+        let blocks = allgather_exchange(self, "neighbor_allgatherv", data)?;
+        let degree = self.sources().len();
         check_neighbor_layout(
             "neighbor_allgatherv",
             "source",
             recv_counts,
             recv_displs,
             recv.len(),
-            self.sources().len(),
+            degree,
         )?;
-        let payload = bytes_from_slice(data);
-        let payloads = vec![payload; self.destinations().len()];
-        let blocks = exchange(self, "neighbor_allgatherv", tag, payloads)?;
-        scatter_blocks(
-            "neighbor_allgatherv",
-            &blocks,
-            recv,
-            recv_counts,
-            recv_displs,
-        )
+        place_blocks(blocks, recv, recv_counts, recv_displs)
     }
 
     /// Sends `sends[k]` to `destinations()[k]` and returns one received
@@ -350,11 +361,44 @@ pub trait NeighborhoodColl: Neighborhood {
         Ok(blocks.iter().map(|b| bytes_to_vec(b)).collect())
     }
 
-    /// Counted personalized neighborhood exchange into caller-owned
-    /// buffers (mirrors `MPI_Neighbor_alltoallv`): sends
-    /// `send[send_displs[k]..][..send_counts[k]]` to
-    /// `destinations()[k]`, receives the block from `sources()[j]` into
-    /// `recv[recv_displs[j]..][..recv_counts[j]]`.
+    /// Self-sizing `neighbor_alltoallv`: sends
+    /// `send[send_displs[k]..][..send_counts[k]]` to `destinations()[k]`
+    /// and returns one delivered block per in-neighbor in declaration
+    /// order; the block lengths *are* the receive counts. Packs `send`
+    /// once and slices a refcount per neighbor.
+    fn neighbor_alltoallv_blocks<T: Plain>(
+        &self,
+        send: &[T],
+        send_counts: &[usize],
+        send_displs: &[usize],
+    ) -> Result<Vec<Bytes>> {
+        let comm = self.comm();
+        comm.count_op("neighbor_alltoallv");
+        // Tag first: the layout check is rank-local, and an erroring
+        // rank must stay tag-aligned with peers whose layouts are fine.
+        let tag = comm.next_internal_tag();
+        check_neighbor_layout(
+            "neighbor_alltoallv",
+            "destination",
+            send_counts,
+            send_displs,
+            send.len(),
+            self.destinations().len(),
+        )?;
+        let elem = std::mem::size_of::<T>();
+        let packed = bytes_from_slice(send);
+        let payloads = (send_displs.iter().zip(send_counts))
+            .map(|(&d, &c)| packed.slice(d * elem..(d + c) * elem))
+            .collect();
+        exchange(self, "neighbor_alltoallv", tag, payloads)
+    }
+
+    /// Counted [`neighbor_alltoallv_blocks`](Self::neighbor_alltoallv_blocks)
+    /// into caller-owned buffers (mirrors `MPI_Neighbor_alltoallv`):
+    /// the block from `sources()[j]` lands at
+    /// `recv[recv_displs[j]..][..recv_counts[j]]`. A count mismatch is
+    /// [`MpiError::Truncated`] (formerly `InvalidLayout`), see
+    /// [`neighbor_allgatherv_into`](Self::neighbor_allgatherv_into).
     #[allow(clippy::too_many_arguments)]
     fn neighbor_alltoallv_into<T: Plain>(
         &self,
@@ -365,37 +409,18 @@ pub trait NeighborhoodColl: Neighborhood {
         recv_counts: &[usize],
         recv_displs: &[usize],
     ) -> Result<()> {
-        let comm = self.comm();
-        comm.count_op("neighbor_alltoallv");
-        // Tag first (see neighbor_allgatherv_into).
-        let tag = comm.next_internal_tag();
-        check_neighbor_layout(
-            "neighbor_alltoallv",
-            "destination",
-            send_counts,
-            send_displs,
-            send.len(),
-            self.destinations().len(),
-        )?;
+        // Exchange first (see neighbor_allgatherv_into).
+        let blocks = self.neighbor_alltoallv_blocks(send, send_counts, send_displs)?;
+        let degree = self.sources().len();
         check_neighbor_layout(
             "neighbor_alltoallv",
             "source",
             recv_counts,
             recv_displs,
             recv.len(),
-            self.sources().len(),
+            degree,
         )?;
-        let payloads: Vec<Bytes> = (0..self.destinations().len())
-            .map(|k| bytes_from_slice(&send[send_displs[k]..send_displs[k] + send_counts[k]]))
-            .collect();
-        let blocks = exchange(self, "neighbor_alltoallv", tag, payloads)?;
-        scatter_blocks(
-            "neighbor_alltoallv",
-            &blocks,
-            recv,
-            recv_counts,
-            recv_displs,
-        )
+        place_blocks(blocks, recv, recv_counts, recv_displs)
     }
 
     /// Nonblocking [`neighbor_allgather_vecs`](Self::neighbor_allgather_vecs):
@@ -552,30 +577,6 @@ fn neighbor_byte_ranges<T: Plain>(
     Ok(ranges)
 }
 
-/// Copies received blocks into a counted user buffer, validating each
-/// block's size against the declared count.
-fn scatter_blocks<T: Plain>(
-    what: &str,
-    blocks: &[Bytes],
-    recv: &mut [T],
-    counts: &[usize],
-    displs: &[usize],
-) -> Result<()> {
-    let elem = std::mem::size_of::<T>();
-    for (j, block) in blocks.iter().enumerate() {
-        if block.len() != counts[j] * elem {
-            return Err(MpiError::InvalidLayout(format!(
-                "{what}: source {j} sent {} bytes, expected {} ({} elements)",
-                block.len(),
-                counts[j] * elem,
-                counts[j]
-            )));
-        }
-        copy_bytes_into(block, &mut recv[displs[j]..displs[j] + counts[j]]);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,9 +700,10 @@ mod tests {
             expected.extend(vec![right as u64; right + 1]);
             assert_eq!(recv, expected);
 
-            // Wrong counts surface as a layout error on the receiver.
+            // Wrong counts surface as a typed error on the receiver —
+            // after the exchange, so no peer is left waiting.
             let bad = g.neighbor_allgatherv_into(&data, &mut recv, &[1, 1], &[0, 1]);
-            assert!(matches!(bad, Err(MpiError::InvalidLayout(_))));
+            assert!(matches!(bad, Err(MpiError::Truncated { .. })));
         });
     }
 

@@ -72,7 +72,7 @@ impl Comm {
     ) -> Result<Option<(Vec<T>, Vec<usize>)>> {
         let tag = self.next_internal_tag();
         if self.rank() == root {
-            let (data, counts) = super::gather::gather_assemble(self, tag, send, root)?;
+            let (data, counts) = super::gather::gather_assemble(self, tag, send)?;
             Ok(Some((data, counts)))
         } else {
             send_slice_internal(self, root, tag, send)?;

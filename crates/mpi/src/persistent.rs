@@ -342,7 +342,7 @@ impl<'a> PersistentRequest<'a> {
                 return Ok(c);
             }
             Ok(None) => {}
-            Err(e) => return Err(e),
+            Err(e) => return Err(self.poison(e)),
         }
         // Arm, then re-test before parking: the store precedes the
         // re-test's shard-lock acquisition, so a push that enqueues

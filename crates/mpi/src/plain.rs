@@ -329,6 +329,35 @@ impl<T: Plain> SharedPayload<T> {
     }
 }
 
+/// Allocates an empty vector with room for `n` plain values, charging
+/// the allocation counter — the `extend`-filled sibling of
+/// [`zeroed_vec`] for results whose every byte is about to be written.
+#[inline]
+pub fn vec_with_capacity<T: Plain>(n: usize) -> Vec<T> {
+    metrics::record_alloc();
+    Vec::with_capacity(n)
+}
+
+/// Number of whole `T` elements in a delivered message of `bytes` bytes.
+/// A message that does not divide into elements was sent as another type
+/// (or cut short): that is the peer's doing, so it is reported as
+/// [`MpiError::Truncated`](crate::MpiError::Truncated) instead of the
+/// panic the copy helpers above reserve for internal misuse.
+#[inline]
+pub fn whole_elements<T: Plain>(bytes: usize) -> crate::Result<usize> {
+    let size = std::mem::size_of::<T>();
+    if size == 0 {
+        return Ok(0);
+    }
+    if !bytes.is_multiple_of(size) {
+        return Err(crate::MpiError::Truncated {
+            message_bytes: bytes,
+            buffer_bytes: bytes / size * size,
+        });
+    }
+    Ok(bytes / size)
+}
+
 /// Number of `T` elements encoded by a byte count.
 #[inline]
 pub fn element_count<T: Plain>(bytes: usize) -> usize {

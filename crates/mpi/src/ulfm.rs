@@ -758,10 +758,11 @@ mod tests {
                     let mut rx = dup.recv_init(1, 7).unwrap();
                     rx.start().unwrap();
                     rx.wait().unwrap();
-                    // Ack on the (never revoked) parent so cycle 1 is
-                    // deterministically complete before the revocation.
-                    comm.send(&[1u8], 1, 0).unwrap();
+                    // Re-arm, then ack on the (never revoked) parent: cycle
+                    // 1 is deterministically complete and cycle 2 armed
+                    // before the revocation.
                     rx.start().unwrap();
+                    comm.send(&[1u8], 1, 0).unwrap();
                     let err = rx.wait().unwrap_err();
                     assert_eq!(err, MpiError::Revoked);
                     assert_eq!(rx.start().unwrap_err(), MpiError::Revoked);

@@ -28,9 +28,12 @@ fn allgatherv_with_all_defaults() {
         let mine = vec![comm.rank() as u64; comm.rank() + 1];
         let _: Vec<u64> = comm.allgatherv(send_buf(&mine)).unwrap();
     });
-    assert_eq!(d.get("allgather"), 1, "count exchange");
     assert_eq!(d.get("allgatherv"), 1, "payload exchange");
-    assert_eq!(d.total(), 2, "nothing else: {d}");
+    assert_eq!(
+        d.total(),
+        1,
+        "the counts ride the blocks, nothing else: {d}"
+    );
 }
 
 #[test]
@@ -57,7 +60,7 @@ fn allgatherv_fully_specified_is_single_call() {
 }
 
 #[test]
-fn alltoallv_defaults_add_exactly_one_alltoall() {
+fn alltoallv_defaults_are_single_call() {
     let d = footprint(|comm| {
         let counts = vec![1usize; comm.size()];
         let data = vec![comm.rank() as u32; comm.size()];
@@ -65,9 +68,8 @@ fn alltoallv_defaults_add_exactly_one_alltoall() {
             .alltoallv((send_buf(&data), send_counts(&counts)))
             .unwrap();
     });
-    assert_eq!(d.get("alltoall"), 1, "count transpose");
     assert_eq!(d.get("alltoallv"), 1);
-    assert_eq!(d.total(), 2, "{d}");
+    assert_eq!(d.total(), 1, "no count transpose: {d}");
 }
 
 #[test]
@@ -90,14 +92,36 @@ fn alltoallv_with_recv_side_given_is_single_call() {
 }
 
 #[test]
-fn gatherv_defaults_add_exactly_one_gather() {
+fn gatherv_defaults_are_single_call() {
     let d = footprint(|comm| {
         let mine = vec![1u8; comm.rank()];
         let _: Vec<u8> = comm.gatherv(send_buf(&mine)).unwrap();
     });
-    assert_eq!(d.get("gather"), 1, "count gather");
     assert_eq!(d.get("gatherv"), 1);
-    assert_eq!(d.total(), 2, "{d}");
+    assert_eq!(d.total(), 1, "no count gather: {d}");
+}
+
+#[test]
+fn neighbor_v_collectives_with_defaults_are_single_calls() {
+    Universe::run(4, |comm| {
+        let comm = Communicator::new(comm);
+        let p = comm.size();
+        let (left, right) = ((comm.rank() + p - 1) % p, (comm.rank() + 1) % p);
+        let g = comm
+            .create_dist_graph_adjacent(&[left, right], &[left, right])
+            .unwrap();
+        let data = vec![comm.rank() as u32; comm.rank() + 2];
+        let counts = [1, comm.rank() + 1];
+        let before = comm.call_counts();
+        let _: Vec<u32> = g
+            .neighbor_alltoallv((send_buf(&data), send_counts(&counts[..])))
+            .unwrap();
+        let _: Vec<u32> = g.neighbor_allgatherv(send_buf(&data)).unwrap();
+        let d = comm.call_counts().since(&before);
+        assert_eq!(d.get("neighbor_alltoallv"), 1);
+        assert_eq!(d.get("neighbor_allgatherv"), 1);
+        assert_eq!(d.total(), 2, "no edge count exchange: {d}");
+    });
 }
 
 #[test]
@@ -161,9 +185,10 @@ fn grid_alltoall_uses_two_sub_exchanges() {
         comm.call_counts().since(&before)
     });
     for d in out {
-        // One alltoallv in the row communicator, one in the column
-        // communicator; the count transposes ride along (alltoall).
+        // One self-sizing alltoallv in the row communicator, one in the
+        // column communicator, and no count transpose ahead of either.
         assert_eq!(d.get("alltoallv"), 2, "{d}");
+        assert_eq!(d.total(), 2, "{d}");
     }
 }
 

@@ -164,3 +164,56 @@ fn allgatherv_binding_copies_s_plus_r() {
         );
     });
 }
+
+/// Receive counts omitted: the self-sizing exchange serializes the send
+/// buffer once (s) and copies every delivered block once, straight into
+/// the exactly-sized result (r) — no count exchange, no zero-fill, and
+/// two allocations: the packed payload and the result.
+#[test]
+fn alltoallv_counts_absent_copies_s_plus_r_into_one_allocation() {
+    const PER_PEER: usize = 1 << 12; // u64 elements
+    let p = 4usize;
+    Universe::run(p, move |comm| {
+        let comm = Communicator::new(comm);
+        // Rank r sends (r + 1) * PER_PEER elements to every peer.
+        let n = (comm.rank() + 1) * PER_PEER;
+        let send = vec![comm.rank() as u64; p * n];
+        let counts = vec![n; p];
+        let before = metrics::snapshot();
+        let got: Vec<u64> = comm
+            .alltoallv((send_buf(&send), send_counts(&counts)))
+            .unwrap();
+        let delta = metrics::snapshot().since(&before);
+        assert_eq!(got.len(), (1 + 2 + 3 + 4) * PER_PEER);
+        let (s, r) = (8 * send.len() as u64, 8 * got.len() as u64);
+        assert_eq!(delta.bytes_copied, s + r, "rank {}", comm.rank());
+        assert_eq!(delta.allocations, 2, "rank {}", comm.rank());
+    });
+}
+
+/// One grid exchange on a 2 x 2 grid: a payload byte is copied three
+/// times end to end (pack for the row hop, re-bucket for the column
+/// hop, unpack into the result) and its 24-byte routing header twice;
+/// both hops move an adopted buffer, so the exchanges themselves copy
+/// nothing. Three allocations: the two hop buffers and the result.
+#[test]
+fn grid_exchange_copies_each_payload_byte_three_times() {
+    const PER_PEER: usize = 1 << 10; // u32 elements
+    let p = 4usize;
+    Universe::run(p, move |comm| {
+        let comm = Communicator::new(comm);
+        let grid = comm.make_grid().unwrap();
+        let send = vec![comm.rank() as u32; p * PER_PEER];
+        let counts = vec![PER_PEER; p];
+        comm.barrier().unwrap();
+        let before = metrics::snapshot();
+        let got = grid.alltoallv(&send, &counts).unwrap();
+        let delta = metrics::snapshot().since(&before);
+        assert_eq!(got.len(), p * PER_PEER);
+        // Uniform traffic: p blocks leave on the row hop, p blocks (this
+        // column's, from both rows) on the column hop, p blocks arrive.
+        let (payload, header) = ((4 * p * PER_PEER) as u64, 24 * p as u64);
+        assert_eq!(delta.bytes_copied, 3 * payload + 2 * header);
+        assert_eq!(delta.allocations, 3);
+    });
+}

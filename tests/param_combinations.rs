@@ -171,8 +171,8 @@ fn allgatherv_resize_policies_matrix() {
             .unwrap();
         assert_eq!(exact, fit);
 
-        // Undersized no_resize: every rank errors symmetrically (the
-        // needed size is known before any payload exchange).
+        // Undersized no_resize: every rank errors symmetrically, once
+        // the exchange has completed.
         let mut small = vec![0u8; 3];
         let err = comm
             .allgatherv((send_buf(&mine), recv_buf(&mut small)))
@@ -215,8 +215,8 @@ fn alltoallv_resize_policies_matrix() {
             .unwrap();
         assert_eq!(exact, fit);
 
-        // Undersized no_resize: provide recv_counts so the failure is
-        // detected before any payload exchange, symmetrically.
+        // Undersized no_resize with recv_counts supplied: the same typed
+        // error, raised once the exchange has completed.
         let mut small = vec![0u16; 1];
         let err = comm
             .alltoallv((
@@ -230,6 +230,147 @@ fn alltoallv_resize_policies_matrix() {
             err,
             kamping_repro::mpi::MpiError::Truncated { .. }
         ));
+    });
+}
+
+/// Counts omitted + an undersized `no_resize` buffer on one rank only:
+/// that rank gets `Truncated` *after* the self-sizing exchange has
+/// completed, so its peers succeed and no message of the failed call is
+/// left queued — the same operation, repeated at once on the same
+/// communicator, delivers exactly its own data.
+#[test]
+fn undersized_buffer_with_counts_absent_leaves_no_stray_messages() {
+    use kamping_repro::mpi::MpiError;
+    Universe::run(3, |comm| {
+        let comm = Communicator::new(comm);
+        let (p, me) = (comm.size(), comm.rank());
+        let g = comm
+            .create_dist_graph_adjacent(&[(me + p - 1) % p], &[(me + 1) % p])
+            .unwrap();
+        let counts = vec![1usize; p];
+        // Round 0 fails on rank 0, round 1 must be unaffected by it.
+        for round in 0..2u32 {
+            let send = vec![round * 10 + me as u32; p];
+            let small = |rank: usize| vec![0u32; if round == 0 && rank == 0 { 0 } else { p }];
+            let expect = |res: kamping_repro::mpi::Result<()>, got: &[u32], want: &[u32]| {
+                if round == 0 && me == 0 {
+                    assert!(matches!(res, Err(MpiError::Truncated { .. })), "{res:?}");
+                } else {
+                    res.unwrap();
+                    assert_eq!(&got[..want.len()], want);
+                }
+            };
+            let all: Vec<u32> = (0..p as u32).map(|r| round * 10 + r).collect();
+
+            let mut out = small(me);
+            let res = comm.alltoallv((send_buf(&send), send_counts(&counts), recv_buf(&mut out)));
+            expect(res, &out, &all);
+
+            let mut out = small(me);
+            let res = comm.allgatherv((send_buf(&send[..1]), recv_buf(&mut out)));
+            expect(res, &out, &all);
+
+            let mut out = small(me);
+            let res = comm.gatherv((send_buf(&send[..1]), recv_buf(&mut out)));
+            expect(res, &out, if me == 0 { &all } else { &[] });
+
+            let left = [all[(me + p - 1) % p]];
+            let mut out = small(me);
+            let res =
+                g.neighbor_alltoallv((send_buf(&send[..1]), send_counts(&[1]), recv_buf(&mut out)));
+            expect(res, &out, &left);
+
+            let mut out = small(me);
+            let res = g.neighbor_allgatherv((send_buf(&send[..1]), recv_buf(&mut out)));
+            expect(res, &out, &left);
+        }
+    });
+}
+
+/// Supplied receive counts are verified against the delivered blocks
+/// after the exchange: the rank whose counts are wrong gets `Truncated`,
+/// its peers are served, and the next call is unaffected.
+#[test]
+fn wrong_supplied_recv_counts_are_truncated_after_the_exchange() {
+    use kamping_repro::mpi::MpiError;
+    Universe::run(3, |comm| {
+        let comm = Communicator::new(comm);
+        let (p, me) = (comm.size(), comm.rank());
+        let ones = vec![1usize; p];
+        let all: Vec<u32> = (0..p as u32).collect();
+        for round in 0..2 {
+            let wrong = round == 0 && me == 0;
+            let claimed = if wrong { vec![2usize; p] } else { ones.clone() };
+            let expect = |res: kamping_repro::mpi::Result<Vec<u32>>, want: &[u32]| {
+                if wrong {
+                    assert!(matches!(res, Err(MpiError::Truncated { .. })), "{res:?}");
+                } else {
+                    assert_eq!(res.unwrap(), want);
+                }
+            };
+            let send = vec![me as u32; p];
+            let args = (send_buf(&send), send_counts(&ones), recv_counts(&claimed));
+            expect(comm.alltoallv(args), &all);
+            let args = (send_buf(&send[..1]), recv_counts(&claimed));
+            expect(comm.allgatherv(args), &all);
+            let args = (send_buf(&send[..1]), recv_counts(&claimed));
+            expect(comm.gatherv(args), if me == 0 { &all } else { &[] });
+        }
+    });
+}
+
+/// A delivered message that is not whole elements of the receive type is
+/// a typed error, not a panic — in point-to-point receives and in the
+/// assembled blocks of a collective alike.
+#[test]
+fn element_size_mismatch_is_truncated_not_a_panic() {
+    use kamping_repro::mpi::MpiError;
+    Universe::run(2, |comm| {
+        let comm = Communicator::new(comm);
+        if comm.rank() == 0 {
+            comm.send((send_buf(&[1u8, 2, 3][..]), destination(1)))
+                .unwrap();
+            comm.send((send_buf(&[4u8, 5, 6][..]), destination(1)))
+                .unwrap();
+        } else {
+            let err = comm.recv::<u32, _>((source(0),)).unwrap_err();
+            assert_eq!(
+                err,
+                MpiError::Truncated {
+                    message_bytes: 3,
+                    buffer_bytes: 0
+                }
+            );
+            let mut out = vec![0u16; 4];
+            let err = comm
+                .recv::<u16, _>((source(0), recv_buf(&mut out).resize_to_fit()))
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                MpiError::Truncated {
+                    message_bytes: 3,
+                    ..
+                }
+            ));
+        }
+        // Ranks disagreeing on the element type: rank 0 contributes three
+        // bytes, which rank 1 cannot assemble into u16s.
+        if comm.rank() == 0 {
+            let all: Vec<u8> = comm.allgatherv(send_buf(&[7u8, 8, 9][..])).unwrap();
+            assert_eq!((&all[..3], all.len()), (&[7, 8, 9][..], 5));
+        } else {
+            let err = comm
+                .allgatherv::<u16, _>(send_buf(&[1u16][..]))
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                MpiError::Truncated {
+                    message_bytes: 3,
+                    ..
+                }
+            ));
+        }
+        comm.barrier().unwrap();
     });
 }
 
@@ -493,8 +634,7 @@ fn iallgatherv_counts_without_extra_exchange() {
         let delta = comm.call_counts().since(&before);
         assert_eq!(all.len(), 6);
         assert_eq!(counts, vec![1, 2, 3]);
-        // Exactly one operation: counts are discovered, never exchanged
-        // (the blocking path issues an extra allgather here).
+        // Exactly one operation: counts are discovered, never exchanged.
         assert_eq!(delta.total(), 1);
         assert_eq!(delta.get("iallgatherv"), 1);
     });

@@ -284,4 +284,100 @@ proptest! {
             assert_eq!(back, mine);
         });
     }
+
+    /// Receive counts omitted (read off the delivered blocks) and receive
+    /// counts supplied must be indistinguishable — data, `recv_counts_out`
+    /// and `recv_displs_out` — for all five blocking v-collectives, with
+    /// empty blocks and ranks that send nothing at all.
+    #[test]
+    fn recv_counts_absent_equals_recv_counts_provided(
+        p in 1usize..9,
+        seed in any::<u64>()
+    ) {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(seed);
+        // m[u][v]: elements u sends to v. About a third of the blocks and
+        // every block of about a quarter of the ranks are empty.
+        let m: Vec<Vec<usize>> = (0..p)
+            .map(|_| {
+                let silent = rng.random_range(0..4) == 0;
+                (0..p)
+                    .map(|_| rng.random_range(0..6usize).saturating_sub(2))
+                    .map(|n| if silent { 0 } else { n })
+                    .collect()
+            })
+            .collect();
+        // A random directed topology, self-edges included.
+        let edge: Vec<Vec<bool>> = (0..p)
+            .map(|_| (0..p).map(|_| rng.random_range(0..3) != 0).collect())
+            .collect();
+        let root = rng.random_range(0..p);
+        let (m, edge) = (&m, &edge);
+        Universe::run(p, move |comm| {
+            use kamping_repro::kamping::params::root as at;
+            let comm = Communicator::new(comm);
+            let me = comm.rank();
+            let value = |to: usize, i: usize| (me * 10_000 + to * 100 + i) as u32;
+            let (rc_out, rd_out) = (recv_counts_out, recv_displs_out);
+
+            // alltoallv
+            let sc = m[me].clone();
+            let send: Vec<u32> = (0..p)
+                .flat_map(|v| (0..sc[v]).map(move |i| value(v, i)))
+                .collect();
+            let rc: Vec<usize> = (0..p).map(|u| m[u][me]).collect();
+            let absent = comm
+                .alltoallv((send_buf(&send), send_counts(&sc), rc_out(), rd_out()))
+                .unwrap();
+            let (data, rd) = comm
+                .alltoallv((send_buf(&send), send_counts(&sc), recv_counts(&rc), rd_out()))
+                .unwrap();
+            assert_eq!(absent, (data, rc, rd), "alltoallv");
+
+            // allgatherv / gatherv: rank u contributes its block for rank 0.
+            let mine = &send[..sc[0]];
+            let lens: Vec<usize> = (0..p).map(|u| m[u][0]).collect();
+            let absent = comm
+                .allgatherv((send_buf(mine), rc_out(), rd_out()))
+                .unwrap();
+            let (data, rd) = comm
+                .allgatherv((send_buf(mine), recv_counts(&lens), rd_out()))
+                .unwrap();
+            assert_eq!(absent, (data, lens.clone(), rd), "allgatherv");
+            let absent = comm
+                .gatherv((send_buf(mine), rc_out(), rd_out(), at(root)))
+                .unwrap();
+            let (data, rd) = comm
+                .gatherv((send_buf(mine), recv_counts(&lens), rd_out(), at(root)))
+                .unwrap();
+            let lens = if me == root { lens } else { Vec::new() };
+            assert_eq!(absent, (data, lens, rd), "gatherv");
+
+            // The neighborhood pair over the random topology.
+            let sources: Vec<usize> = (0..p).filter(|&u| edge[u][me]).collect();
+            let dests: Vec<usize> = (0..p).filter(|&v| edge[me][v]).collect();
+            let g = comm.create_dist_graph_adjacent(&sources, &dests).unwrap();
+            let sc: Vec<usize> = dests.iter().map(|&v| m[me][v]).collect();
+            let send: Vec<u32> = dests
+                .iter()
+                .flat_map(|&v| (0..m[me][v]).map(move |i| value(v, i)))
+                .collect();
+            let rc: Vec<usize> = sources.iter().map(|&u| m[u][me]).collect();
+            let absent = g
+                .neighbor_alltoallv((send_buf(&send), send_counts(&sc), rc_out(), rd_out()))
+                .unwrap();
+            let (data, rd) = g
+                .neighbor_alltoallv((send_buf(&send), send_counts(&sc), recv_counts(&rc), rd_out()))
+                .unwrap();
+            assert_eq!(absent, (data, rc, rd), "neighbor_alltoallv");
+            let lens: Vec<usize> = sources.iter().map(|&u| m[u][0]).collect();
+            let absent = g
+                .neighbor_allgatherv((send_buf(mine), rc_out(), rd_out()))
+                .unwrap();
+            let (data, rd) = g
+                .neighbor_allgatherv((send_buf(mine), recv_counts(&lens), rd_out()))
+                .unwrap();
+            assert_eq!(absent, (data, lens, rd), "neighbor_allgatherv");
+        });
+    }
 }
