@@ -2,11 +2,13 @@
 
 use kmp_mpi::{Plain, Result};
 
-use super::receive_v;
+use super::{receive_equal, receive_v};
 use crate::communicator::Communicator;
 use crate::params::argset::{ArgSet, IntoArgs};
 use crate::params::output::{FinalOf, Finalize, Push1, Push2, Push3, PushComponent};
-use crate::params::slots::{CountsSlot, ProvidesSendData, RecvBufSpec, SendRecvBufSpec};
+use crate::params::slots::{
+    CountsSlot, ProvidesSendData, RecvBufSpec, SendRecvBufSpec, SendToTransport,
+};
 use crate::params::{Absent, SendBuf, SendRecvBuf};
 
 /// Valid argument sets for [`Communicator::allgatherv`].
@@ -21,7 +23,7 @@ impl<T, B, RB, RC, RD> AllgathervArgs<T>
     for ArgSet<SendBuf<B>, Absent, RB, Absent, RC, Absent, RD, Absent>
 where
     T: Plain,
-    SendBuf<B>: ProvidesSendData<T>,
+    SendBuf<B>: SendToTransport<T>,
     RB: RecvBufSpec<T>,
     RC: CountsSlot,
     RD: CountsSlot,
@@ -33,11 +35,12 @@ where
     type Output = FinalOf<Push3<RB::Out, RC::Out, RD::Out>>;
 
     fn run(self, comm: &Communicator) -> Result<Self::Output> {
-        let send = self.send_buf.send_slice();
-        // Omitted counts are read off the delivered blocks, omitted
-        // displacements are their prefix sums; both resolved at compile
-        // time from the slots.
-        let blocks = comm.raw().allgatherv_blocks(send)?;
+        // An owned send buffer moves into the transport; a borrowed one
+        // is serialized once. Omitted counts are read off the delivered
+        // blocks, omitted displacements are their prefix sums; all
+        // resolved at compile time from the slots.
+        let (own, _) = self.send_buf.into_payload();
+        let blocks = comm.raw().allgatherv_blocks(own)?;
         let (rb_out, rc_out, rd_out) = receive_v(
             self.recv_buf,
             self.recv_counts,
@@ -62,7 +65,7 @@ impl<T, B, RB> AllgatherArgs<T>
     for ArgSet<SendBuf<B>, Absent, RB, Absent, Absent, Absent, Absent, Absent>
 where
     T: Plain,
-    SendBuf<B>: ProvidesSendData<T>,
+    SendBuf<B>: SendToTransport<T>,
     RB: RecvBufSpec<T>,
     RB::Out: PushComponent<()>,
     Push1<RB::Out>: Finalize,
@@ -70,12 +73,10 @@ where
     type Output = FinalOf<Push1<RB::Out>>;
 
     fn run(self, comm: &Communicator) -> Result<Self::Output> {
-        let send = self.send_buf.send_slice();
-        let needed = send.len() * comm.size();
-        let raw = comm.raw();
-        let ((), rb_out) = self
-            .recv_buf
-            .apply(needed, |storage| raw.allgather_into(send, storage))?;
+        let n = self.send_buf.send_slice().len();
+        let (own, _) = self.send_buf.into_payload();
+        let blocks = comm.raw().allgather_blocks(own)?;
+        let rb_out = receive_equal(self.recv_buf, n, Some(blocks))?;
         Ok(rb_out.push_component(()).finalize())
     }
 }
@@ -173,7 +174,7 @@ impl<T, B, RB> AllgatherDispatch<T>
     for ArgSet<SendBuf<B>, Absent, RB, Absent, Absent, Absent, Absent, Absent>
 where
     T: Plain,
-    SendBuf<B>: ProvidesSendData<T>,
+    SendBuf<B>: SendToTransport<T>,
     RB: RecvBufSpec<T>,
     RB::Out: PushComponent<()>,
     Push1<RB::Out>: Finalize,

@@ -3,11 +3,13 @@
 use kmp_mpi::collectives::displacements_from_counts;
 use kmp_mpi::{Plain, Result};
 
-use super::receive_v;
+use super::{receive_equal, receive_v};
 use crate::communicator::Communicator;
 use crate::params::argset::{ArgSet, IntoArgs};
 use crate::params::output::{FinalOf, Finalize, Push1, Push2, Push3, Push4, PushComponent};
-use crate::params::slots::{CountsSlot, ProvidedCounts, ProvidesSendData, RecvBufSpec};
+use crate::params::slots::{
+    CountsSlot, ProvidedCounts, ProvidesSendData, RecvBufSpec, SendToTransport,
+};
 use crate::params::{Absent, SendBuf};
 
 /// Valid argument sets for [`Communicator::alltoallv`].
@@ -22,7 +24,7 @@ impl<T, B, RB, SC, RC, SD, RD> AlltoallvArgs<T>
     for ArgSet<SendBuf<B>, Absent, RB, SC, RC, SD, RD, Absent>
 where
     T: Plain,
-    SendBuf<B>: ProvidesSendData<T>,
+    SendBuf<B>: SendToTransport<T>,
     RB: RecvBufSpec<T>,
     SC: ProvidedCounts,
     RC: CountsSlot,
@@ -39,16 +41,10 @@ where
     fn run(self, comm: &Communicator) -> Result<Self::Output> {
         let raw = comm.raw();
         let _tuning = raw.tuning_guard(self.meta.tuning);
-        let send = self.send_buf.send_slice();
         let send_counts = self
             .send_counts
             .provided()
             .expect("send_counts is required");
-
-        // Default send displacements: local exclusive prefix sum.
-        let computed_sd = (!SD::PROVIDED).then(|| displacements_from_counts(send_counts));
-        let send_displs = (self.send_displs.provided().or(computed_sd.as_deref()))
-            .expect("computed when not provided");
 
         // Heavy assertion (§III-G): user-provided receive counts must
         // match the transposed send counts. Free below the Heavy level,
@@ -58,7 +54,21 @@ where
             crate::assertions::check_count_matrix(comm, send_counts, recv_counts)?;
         }
 
-        let blocks = raw.alltoallv_blocks(send, send_counts, send_displs)?;
+        let blocks = match self.send_displs.provided() {
+            Some(send_displs) => {
+                raw.alltoallv_blocks(self.send_buf.send_slice(), send_counts, send_displs)?
+            }
+            // Default send displacements are the prefix sums: the buffer
+            // is already the packed wire payload, so an owned one moves
+            // into the transport and a borrowed one is serialized once.
+            None => {
+                let elem = std::mem::size_of::<T>();
+                let byte_counts: Vec<usize> =
+                    send_counts.iter().map(|c| c.saturating_mul(elem)).collect();
+                let (packed, _) = self.send_buf.into_payload();
+                raw.alltoallv_blocks_bytes(packed, &byte_counts)?
+            }
+        };
         let (rb_out, rc_out, rd_out) = receive_v(
             self.recv_buf,
             self.recv_counts,
@@ -67,6 +77,7 @@ where
         )?;
 
         let acc = rb_out.push_component(());
+        let computed_sd = SD::REQUESTED.then(|| displacements_from_counts(send_counts));
         let acc = self.send_displs.finish(computed_sd).push_component(acc);
         let acc = rc_out.push_component(acc);
         Ok(rd_out.push_component(acc).finalize())
@@ -96,10 +107,8 @@ where
     fn run(self, comm: &Communicator) -> Result<Self::Output> {
         let _tuning = comm.raw().tuning_guard(self.meta.tuning);
         let send = self.send_buf.send_slice();
-        let raw = comm.raw();
-        let ((), rb_out) = self
-            .recv_buf
-            .apply(send.len(), |storage| raw.alltoall_into(send, storage))?;
+        let blocks = comm.raw().alltoall_blocks(send)?;
+        let rb_out = receive_equal(self.recv_buf, send.len() / comm.size(), Some(blocks))?;
         Ok(rb_out.push_component(()).finalize())
     }
 }

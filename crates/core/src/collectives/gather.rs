@@ -2,7 +2,7 @@
 
 use kmp_mpi::{Plain, Result};
 
-use super::receive_v;
+use super::{receive_equal, receive_v};
 use crate::communicator::Communicator;
 use crate::params::argset::{ArgSet, IntoArgs};
 use crate::params::output::{FinalOf, Finalize, Push1, Push2, Push3, PushComponent};
@@ -66,15 +66,9 @@ where
     fn run(self, comm: &Communicator) -> Result<Self::Output> {
         let root = self.meta.root.unwrap_or(0);
         let send = self.send_buf.send_slice();
-        let needed = if comm.rank() == root {
-            send.len() * comm.size()
-        } else {
-            0
-        };
-        let raw = comm.raw();
-        let ((), rb_out) = self
-            .recv_buf
-            .apply(needed, |storage| raw.gather_into(send, storage, root))?;
+        // `Some` at the root only, whose own block borrows `send`.
+        let blocks = comm.raw().gather_blocks(send, root)?;
+        let rb_out = receive_equal(self.recv_buf, send.len(), blocks)?;
         Ok(rb_out.push_component(()).finalize())
     }
 }

@@ -12,7 +12,9 @@
 //! | `alltoallv`  | send displs (prefix sum), recv counts (read off the delivered blocks), recv displs (prefix sum) |
 //! | `gatherv`    | recv counts (read off the delivered blocks), recv displs (prefix sum) |
 //! | `scatterv`   | send displs (prefix sum), recv count (read off the delivered block) |
-//! | `allgather`/`alltoall`/`gather`/`scatter`/`bcast`/`reduce`/`allreduce`/`scan`/`exscan` | receive storage sizing |
+//! | `allgather`/`alltoall`/`gather` | receive storage: the delivered equal-sized blocks are assembled into it, once |
+//! | `reduce`/`allreduce`/`scan`/`exscan`/`scatter` | receive storage: the substrate's accumulator (or scattered block) *is* the library-allocated result |
+//! | `bcast` | buffer sizing at the non-roots (the payload carries its length) |
 //! | `neighbor_allgatherv`/`neighbor_alltoallv` | recv counts (read off the delivered blocks), displs (prefix sums) — see [`neighborhood`] |
 //!
 //! Omitted receive counts cost **no extra communication**: the
@@ -25,7 +27,18 @@
 //!
 //! The receive buffer is implicitly returned by value unless storage was
 //! passed by reference; `*_out()` parameters append further components to
-//! the returned tuple.
+//! the returned tuple. An omitted `recv_buf` costs what a hand-written
+//! `*_vec` call costs (§III-B): storage is never prepared before the
+//! bytes exist and the result is never built twice — block-delivered
+//! operations assemble the delivered blocks, accumulator-delivered ones
+//! hand the substrate's vector over ([`RecvBufSpec`] names the
+//! lowerings). Provided storage is prepared under its resize policy
+//! *after* the exchange: a result shorter than the buffer fills its
+//! prefix, and an undersized `no_resize` buffer reports
+//! [`MpiError::Truncated`] on that rank alone, its peers unaffected.
+//! Owned `send_buf(vec)` payloads of `allgather`, `allgatherv` and
+//! `alltoallv` (default send displacements) move into the transport
+//! unserialized, as in the `i*` forms.
 
 mod allgather;
 mod alltoall;
@@ -40,6 +53,7 @@ use kmp_mpi::collectives::{block_counts, displacements_from_counts};
 use kmp_mpi::{MpiError, Plain, Result};
 
 use crate::params::slots::{CountsSlot, RecvBufSpec};
+use crate::params::{Absent, RecvCounts};
 
 pub use allgather::{AllgatherArgs, AllgatherInPlaceArgs, AllgathervArgs};
 pub use alltoall::{AlltoallArgs, AlltoallvArgs};
@@ -87,6 +101,24 @@ where
         recv_counts.finish(RC::REQUESTED.then_some(counts)),
         recv_displs.finish(computed_rd),
     ))
+}
+
+/// The receive side of the equal-block collectives (`allgather`,
+/// `gather`, `alltoall`): the v-collectives' path with the contract —
+/// every block holds `n` elements — as the declared counts, so a peer
+/// that broke it reports [`MpiError::Truncated`] after the exchange.
+pub(crate) fn receive_equal<T, RB, B>(
+    recv_buf: RB,
+    n: usize,
+    blocks: Option<Vec<B>>,
+) -> Result<RB::Out>
+where
+    T: Plain,
+    RB: RecvBufSpec<T>,
+    B: AsRef<[u8]>,
+{
+    let declared = RecvCounts(vec![n; blocks.as_ref().map_or(0, Vec::len)]);
+    receive_v(recv_buf, declared, Absent, blocks).map(|(out, (), ())| out)
 }
 
 /// User-supplied receive counts must be what was delivered.

@@ -52,12 +52,9 @@ where
     let root = args.meta.root.unwrap_or(0);
     let send = args.send_buf.send_slice();
     let op = args.op.into_op();
-    let needed = if comm.rank() == root { send.len() } else { 0 };
-    let raw = comm.raw();
-    let ((), rb_out) = args
-        .recv_buf
-        .apply(needed, |storage| raw.reduce_into(send, storage, op, root))?;
-    Ok(rb_out)
+    // The root's accumulator is the result; elsewhere it is empty.
+    let folded = comm.raw().reduce_vec(send, op, root)?;
+    args.recv_buf.accept(folded.unwrap_or_default())
 }
 
 fn run_allreduce<T, B, RB, O>(
@@ -73,11 +70,7 @@ where
     let _tuning = comm.raw().tuning_guard(args.meta.tuning);
     let send = args.send_buf.send_slice();
     let op = args.op.into_op();
-    let raw = comm.raw();
-    let ((), rb_out) = args
-        .recv_buf
-        .apply(send.len(), |storage| raw.allreduce_into(send, storage, op))?;
-    Ok(rb_out)
+    args.recv_buf.accept(comm.raw().allreduce_vec(send, op)?)
 }
 
 fn run_scan<T, B, RB, O>(
@@ -93,11 +86,7 @@ where
     let _tuning = comm.raw().tuning_guard(args.meta.tuning);
     let send = args.send_buf.send_slice();
     let op = args.op.into_op();
-    let raw = comm.raw();
-    let ((), rb_out) = args
-        .recv_buf
-        .apply(send.len(), |storage| raw.scan_into(send, storage, op))?;
-    Ok(rb_out)
+    args.recv_buf.accept(comm.raw().scan_vec(send, op)?)
 }
 
 fn run_exscan<T, B, RB, O>(
@@ -113,18 +102,15 @@ where
     let _tuning = comm.raw().tuning_guard(args.meta.tuning);
     let send = args.send_buf.send_slice();
     let op = args.op.into_op();
-    let raw = comm.raw();
-    let ((), rb_out) = args.recv_buf.apply(send.len(), |storage| {
-        let prefix = raw.exscan_vec(send, op)?;
-        // MPI leaves rank 0 undefined; kamping defaults it to the input
-        // values (the natural identity for prefix sums over own data is
-        // "nothing reduced yet" — we keep the storage zeroed).
-        if let Some(prefix) = prefix {
-            storage[..prefix.len()].copy_from_slice(&prefix);
-        }
-        Ok(())
-    })?;
-    Ok(rb_out)
+    match comm.raw().exscan_vec(send, op)? {
+        Some(prefix) => args.recv_buf.accept(prefix),
+        // MPI leaves rank 0 undefined: the whole result is a gap, so
+        // library storage is zeroed and provided storage is left as is.
+        None => args
+            .recv_buf
+            .apply(send.len(), |_| Ok(()))
+            .map(|((), out)| out),
+    }
 }
 
 reduction_family!(

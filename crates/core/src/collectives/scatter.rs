@@ -36,10 +36,7 @@ where
         let block = comm
             .raw()
             .scatter_vec((comm.rank() == root).then_some(send), root)?;
-        let ((), rb_out) = self.recv_buf.apply(block.len(), |storage| {
-            storage[..block.len()].copy_from_slice(&block);
-            Ok(())
-        })?;
+        let rb_out = self.recv_buf.accept(block)?;
         Ok(rb_out.push_component(()).finalize())
     }
 }
@@ -92,10 +89,7 @@ where
             is_root.then(|| (send, counts.expect("checked above"), send_displs)),
             root,
         )?;
-        let ((), rb_out) = self.recv_buf.apply(block.len(), |storage| {
-            storage[..block.len()].copy_from_slice(&block);
-            Ok(())
-        })?;
+        let rb_out = self.recv_buf.accept(block)?;
 
         let acc = ();
         let acc = rb_out.push_component(acc);

@@ -12,7 +12,7 @@
 use bytes::Bytes;
 use kmp_mpi::collectives::{concat_blocks, displacements_from_counts, place_blocks};
 use kmp_mpi::op::ReduceOp;
-use kmp_mpi::plain::{bytes_from_slice, bytes_into_vec, whole_elements, SharedPayload};
+use kmp_mpi::plain::{as_bytes, bytes_from_slice, bytes_into_vec, whole_elements, SharedPayload};
 use kmp_mpi::{MpiError, Plain};
 
 use super::containers::{AsSlice, ResizePolicy};
@@ -163,6 +163,7 @@ macro_rules! borrowed_send_to_transport {
 borrowed_send_to_transport!(
     ['a, B: AsSlice<T>,] &'a B,
     ['a,] &'a [T],
+    [const N: usize,] [T; N],
 );
 
 // ---------------------------------------------------------------------------
@@ -175,6 +176,34 @@ borrowed_send_to_transport!(
 /// by value — the implicit receive-buffer out-parameter of §III-B),
 /// `recv_buf(&mut v)` (written in place, nothing returned) and
 /// `recv_buf(v)` (moved in, reused, returned by value).
+///
+/// One rule picks the lowering: **storage is never prepared before the
+/// bytes exist, and the result is never built twice.** What the
+/// substrate hands over decides the method:
+///
+/// | the substrate delivers | method | `Absent` pays | provided storage pays |
+/// |---|---|---|---|
+/// | one payload (`recv`) | [`adopt`] | at most 1 copy | prepare + 1 copy |
+/// | blocks by source (`allgather`, `gather`, `alltoall`, every v-collective) | [`assemble`] | 1 allocation + 1 copy | prepare + 1 copy |
+/// | an owned vector (the accumulator of `allreduce` / `reduce` / `scan` / `exscan`, a `scatter` block) | [`accept`] | nothing — the vector is the result | prepare + 1 copy |
+/// | nothing: it writes through a `&mut [T]` | [`apply`] | 1 allocation + a **zero-fill** | prepare |
+///
+/// [`apply`]'s zero-fill — a pass over the whole result that `CopyStats`
+/// does not see — is the price of handing out initialised memory. It is
+/// right for layouts with gaps (user displacements, `exscan` on rank 0)
+/// and for substrate routines that fold in place, and wrong wherever one
+/// of the other three fits: every byte would be written twice.
+///
+/// Provided storage is prepared under its resize policy only once the
+/// bytes exist, i.e. after the exchange: an undersized `no_resize`
+/// buffer fails on that rank alone and leaves no peer waiting. A result
+/// shorter than the storage fills its prefix; the tail is left as it
+/// was.
+///
+/// [`adopt`]: RecvBufSpec::adopt
+/// [`assemble`]: RecvBufSpec::assemble
+/// [`accept`]: RecvBufSpec::accept
+/// [`apply`]: RecvBufSpec::apply
 #[diagnostic::on_unimplemented(
     message = "invalid `recv_buf` parameter for element type `{T}`",
     note = "pass `recv_buf(&mut my_vec)`, `recv_buf(my_vec)`, or omit the parameter to receive by value"
@@ -197,6 +226,13 @@ pub trait RecvBufSpec<T: Plain> {
     /// the unique view of its allocation. A payload that is not whole
     /// `T`s reports [`MpiError::Truncated`].
     fn adopt(self, payload: Bytes) -> kmp_mpi::Result<Self::Out>;
+
+    /// Accepts a result the substrate built as an owned vector (a
+    /// reduction's accumulator, a scattered block). `Absent` returns it
+    /// as is — no copy, no second allocation; provided storage is
+    /// prepared for `result.len()` elements under its resize policy and
+    /// receives one copy into its prefix.
+    fn accept(self, result: Vec<T>) -> kmp_mpi::Result<Self::Out>;
 
     /// Assembles the delivered blocks of a self-sizing exchange into the
     /// slot's storage, each byte copied once and each block released as
@@ -277,6 +313,11 @@ impl<T: Plain> RecvBufSpec<T> for Absent {
     }
 
     #[inline]
+    fn accept(self, result: Vec<T>) -> kmp_mpi::Result<Vec<T>> {
+        Ok(result)
+    }
+
+    #[inline]
     fn assemble<B: AsRef<[u8]>>(
         self,
         blocks: Vec<B>,
@@ -308,7 +349,12 @@ impl<T: Plain, P: ResizePolicy> RecvBufSpec<T> for RecvBuf<&mut Vec<T>, P> {
 
     #[inline]
     fn adopt(self, payload: Bytes) -> kmp_mpi::Result<()> {
-        adopt_into::<T, P>(self.buf, payload)
+        adopt_into::<T, P>(self.buf, &payload)
+    }
+
+    #[inline]
+    fn accept(self, result: Vec<T>) -> kmp_mpi::Result<()> {
+        adopt_into::<T, P>(self.buf, as_bytes(&result))
     }
 }
 
@@ -328,17 +374,23 @@ impl<T: Plain, P: ResizePolicy> RecvBufSpec<T> for RecvBuf<Vec<T>, P> {
 
     #[inline]
     fn adopt(mut self, payload: Bytes) -> kmp_mpi::Result<Vec<T>> {
-        adopt_into::<T, P>(&mut self.buf, payload)?;
+        adopt_into::<T, P>(&mut self.buf, &payload)?;
+        Ok(self.buf)
+    }
+
+    #[inline]
+    fn accept(mut self, result: Vec<T>) -> kmp_mpi::Result<Vec<T>> {
+        adopt_into::<T, P>(&mut self.buf, as_bytes(&result))?;
         Ok(self.buf)
     }
 }
 
 /// Prepares `buf` under policy `P` for the payload's element count and
-/// copies the payload in (one copy).
-fn adopt_into<T: Plain, P: ResizePolicy>(buf: &mut Vec<T>, payload: Bytes) -> kmp_mpi::Result<()> {
+/// copies the payload into its prefix (one copy).
+fn adopt_into<T: Plain, P: ResizePolicy>(buf: &mut Vec<T>, payload: &[u8]) -> kmp_mpi::Result<()> {
     let n = whole_elements::<T>(payload.len())?;
     P::prepare(buf, n)?;
-    kmp_mpi::plain::copy_bytes_into(&payload, &mut buf[..n]);
+    kmp_mpi::plain::copy_bytes_into(payload, &mut buf[..n]);
     Ok(())
 }
 

@@ -21,7 +21,7 @@ use bytes::Bytes;
 use crate::collectives::{recv_internal, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::plain::{bytes_from_slice, bytes_from_vec, copy_bytes_into, extend_vec_from_bytes};
+use crate::plain::{bytes_from_slice, bytes_from_vec, extend_vec_from_bytes};
 use crate::{Plain, Rank, Tag};
 
 /// One Bruck round: the peers and the (rotated) block indices exchanged.
@@ -102,9 +102,10 @@ pub(crate) fn bruck_source_index(rank: Rank, j: usize, p: usize) -> usize {
     (rank + p - j) % p
 }
 
-/// Blocking Bruck alltoall of `p` equal blocks of `n` elements; writes
-/// the result (rank-ordered by source) into `recv[..p * n]`.
-pub(crate) fn bruck<T: Plain>(comm: &Comm, send: &[T], n: usize, recv: &mut [T]) -> Result<()> {
+/// Blocking Bruck alltoall of `p` equal blocks of `n` elements; returns
+/// the delivered blocks by source rank (refcount slices of the round
+/// messages).
+pub(crate) fn bruck<T: Plain>(comm: &Comm, send: &[T], n: usize) -> Result<Vec<Bytes>> {
     let p = comm.size();
     let rank = comm.rank();
     let block_bytes = n * std::mem::size_of::<T>();
@@ -122,11 +123,9 @@ pub(crate) fn bruck<T: Plain>(comm: &Comm, send: &[T], n: usize, recv: &mut [T])
         bruck_unpack(&mut blocks, &round.indices, &payload, block_bytes)?;
     }
 
-    for j in 0..p {
-        let block = &blocks[bruck_source_index(rank, j, p)];
-        copy_bytes_into(block, &mut recv[j * n..(j + 1) * n]);
-    }
-    Ok(())
+    Ok((0..p)
+        .map(|j| std::mem::take(&mut blocks[bruck_source_index(rank, j, p)]))
+        .collect())
 }
 
 #[cfg(test)]
@@ -142,8 +141,11 @@ mod tests {
                     let rank = comm.rank();
                     let send: Vec<u32> =
                         (0..p * n).map(|i| rank as u32 * 1000 + i as u32).collect();
-                    let mut recv = vec![0u32; p * n];
-                    bruck(&comm, &send, n, &mut recv).unwrap();
+                    let recv: Vec<u32> = bruck(&comm, &send, n)
+                        .unwrap()
+                        .iter()
+                        .flat_map(|b| crate::plain::bytes_to_vec::<u32>(b))
+                        .collect();
                     let expected: Vec<u32> = (0..p)
                         .flat_map(|src| {
                             (0..n).map(move |e| src as u32 * 1000 + (rank * n + e) as u32)
@@ -159,8 +161,8 @@ mod tests {
     fn bruck_zero_sized_blocks() {
         Universe::run(3, |comm| {
             let send: Vec<u64> = vec![];
-            let mut recv: Vec<u64> = vec![];
-            bruck(&comm, &send, 0, &mut recv).unwrap();
+            let blocks = bruck(&comm, &send, 0).unwrap();
+            assert!(blocks.iter().all(|b| b.is_empty()));
         });
     }
 

@@ -14,10 +14,13 @@ use super::algos::{
     allgather::{allgather_blocks_bruck, allgather_blocks_rd},
     AllgatherAlgo,
 };
-use super::{check_layout, place_blocks, recv_internal, send_internal};
+use super::{
+    block_counts, check_layout, concat_blocks, place_blocks, place_blocks_at, recv_internal,
+    send_internal,
+};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::plain::{bytes_from_slice, copy_bytes_into, copy_slice, extend_vec_from_bytes};
+use crate::plain::{bytes_from_slice, copy_bytes_into};
 use crate::Plain;
 
 /// Ring primitive on shared payloads: each rank contributes `own` and
@@ -89,18 +92,15 @@ pub(crate) fn allgather_blocks_tuned(comm: &Comm, own: Bytes) -> Result<Vec<Byte
 /// in rank order. Used internally (e.g. by `split`) without counting.
 pub(crate) fn allgather_internal<T: Plain>(comm: &Comm, send: &[T]) -> Result<Vec<T>> {
     let blocks = allgather_blocks_tuned(comm, bytes_from_slice(send))?;
-    let total: usize = blocks.iter().map(|b| b.len()).sum();
-    let mut result: Vec<T> = Vec::with_capacity(crate::plain::element_count::<T>(total));
-    for b in &blocks {
-        extend_vec_from_bytes(&mut result, b);
-    }
-    Ok(result)
+    let counts = block_counts::<T, _>(&blocks)?;
+    Ok(concat_blocks(blocks, &counts))
 }
 
 impl Comm {
     /// Gathers equal-sized contributions from all ranks to all ranks,
     /// rank-ordered (mirrors `MPI_Allgather`). `recv` must hold
-    /// `p * send.len()` elements. Ring algorithm: `p-1` messages per rank.
+    /// `p * send.len()` elements; every delivered block is verified and
+    /// copied straight to its slot.
     pub fn allgather_into<T: Plain>(&self, send: &[T], recv: &mut [T]) -> Result<()> {
         self.count_op("allgather");
         let p = self.size();
@@ -112,15 +112,24 @@ impl Comm {
                 p * n
             )));
         }
-        let all = allgather_internal(self, send)?;
-        copy_slice(&all, &mut recv[..p * n]);
-        Ok(())
+        let blocks = allgather_blocks_tuned(self, bytes_from_slice(send))?;
+        place_blocks_at(blocks, recv, |origin| (origin * n, n))
     }
 
     /// Gathers equal-sized contributions into a fresh vector.
     pub fn allgather_vec<T: Plain>(&self, send: &[T]) -> Result<Vec<T>> {
         self.count_op("allgather");
         allgather_internal(self, send)
+    }
+
+    /// The equal-block exchange of `allgather` as delivered blocks, by
+    /// origin rank, over an adopted payload (an owned send buffer moves
+    /// in without a copy). Every rank must contribute the same number of
+    /// bytes; the algorithm is selected as for
+    /// [`allgather_vec`](Self::allgather_vec).
+    pub fn allgather_blocks(&self, own: Bytes) -> Result<Vec<Bytes>> {
+        self.count_op("allgather");
+        allgather_blocks_tuned(self, own)
     }
 
     /// In-place allgather mirroring the `MPI_IN_PLACE` idiom of Fig. 2:
@@ -169,13 +178,13 @@ impl Comm {
         allgatherv_internal(self, send, recv, counts, displs)
     }
 
-    /// Self-sizing `allgatherv`: returns every rank's block by origin
-    /// rank. The block lengths *are* the receive counts
-    /// ([`block_counts`](super::block_counts)) — read off the messages,
-    /// where Fig. 2 spends a separate `allgather` to learn them.
-    pub fn allgatherv_blocks<T: Plain>(&self, send: &[T]) -> Result<Vec<Bytes>> {
+    /// Self-sizing `allgatherv` over an adopted payload: returns every
+    /// rank's block by origin rank. The block lengths *are* the receive
+    /// counts ([`block_counts`]) — read off the messages, where Fig. 2
+    /// spends a separate `allgather` to learn them.
+    pub fn allgatherv_blocks(&self, own: Bytes) -> Result<Vec<Bytes>> {
         self.count_op("allgatherv");
-        allgather_blocks(self, bytes_from_slice(send))
+        allgather_blocks(self, own)
     }
 }
 

@@ -7,7 +7,10 @@
 use bytes::Bytes;
 
 use super::algos::{self, AlltoallAlgo};
-use super::{check_layout, displacements_from_counts, place_blocks, recv_internal, send_internal};
+use super::{
+    check_layout, displacements_from_counts, place_blocks, place_blocks_at, recv_internal,
+    send_internal,
+};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::plain::bytes_from_slice;
@@ -21,13 +24,28 @@ impl Comm {
     /// dense-exchange behaviour the sparse/grid plugins of §V-A improve
     /// on) or Bruck (`ceil(log2 p)` packed messages) for small blocks.
     pub fn alltoall_into<T: Plain>(&self, send: &[T], recv: &mut [T]) -> Result<()> {
+        if recv.len() < send.len() {
+            self.count_op("alltoall");
+            return Err(MpiError::InvalidLayout(format!(
+                "alltoall: receive buffer holds {} elements, need {}",
+                recv.len(),
+                send.len()
+            )));
+        }
+        let n = send.len() / self.size();
+        place_blocks_at(self.alltoall_blocks(send)?, recv, |src| (src * n, n))
+    }
+
+    /// The exchange of [`alltoall_into`](Self::alltoall_into) as
+    /// delivered blocks by source rank, under the same algorithm
+    /// selection: what a caller that builds its own result needs.
+    pub fn alltoall_blocks<T: Plain>(&self, send: &[T]) -> Result<Vec<Bytes>> {
         self.count_op("alltoall");
         let p = self.size();
-        if !send.len().is_multiple_of(p) || recv.len() < send.len() {
+        if !send.len().is_multiple_of(p) {
             return Err(MpiError::InvalidLayout(format!(
-                "alltoall: send length {} not divisible by {p} or receive buffer too small ({})",
-                send.len(),
-                recv.len()
+                "alltoall: send length {} not divisible by {p}",
+                send.len()
             )));
         }
         let n = send.len() / p;
@@ -51,15 +69,21 @@ impl Comm {
         } else {
             AlltoallAlgo::Pairwise
         });
-        if bruck {
-            algos::alltoall::bruck(self, send, n, recv)?;
+        let blocks = if bruck {
+            algos::alltoall::bruck(self, send, n)?
         } else {
-            let counts: Vec<usize> = vec![n; p];
-            let displs: Vec<usize> = (0..p).map(|r| r * n).collect();
-            alltoallv_internal(self, send, &counts, &displs, recv, &counts, &displs)?;
-        }
+            // In units of one block: every peer gets one, at its rank.
+            let displs: Vec<usize> = (0..p).collect();
+            pairwise_blocks(
+                self,
+                bytes_from_slice(send),
+                block_bytes,
+                &vec![1; p],
+                &displs,
+            )?
+        };
         algos::model::observe(self, class, begun, block_bytes as f64);
-        Ok(())
+        Ok(blocks)
     }
 
     /// Personalized all-to-all with per-destination counts and

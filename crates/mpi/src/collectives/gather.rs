@@ -83,6 +83,26 @@ impl Comm {
         root: Rank,
     ) -> Result<Option<Vec<GatherBlock<'a>>>> {
         self.count_op("gatherv");
+        self.gather_blocks_uncounted(send, root)
+    }
+
+    /// [`gatherv_blocks`](Self::gatherv_blocks) counted as `gather`: the
+    /// same exchange for callers that hold the equal-contribution
+    /// contract and verify the block sizes themselves.
+    pub fn gather_blocks<'a, T: Plain>(
+        &self,
+        send: &'a [T],
+        root: Rank,
+    ) -> Result<Option<Vec<GatherBlock<'a>>>> {
+        self.count_op("gather");
+        self.gather_blocks_uncounted(send, root)
+    }
+
+    fn gather_blocks_uncounted<'a, T: Plain>(
+        &self,
+        send: &'a [T],
+        root: Rank,
+    ) -> Result<Option<Vec<GatherBlock<'a>>>> {
         self.check_rank(root)?;
         let tag = self.next_internal_tag();
         if self.rank() == root {

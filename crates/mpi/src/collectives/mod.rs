@@ -54,6 +54,16 @@
 //! declared count reports [`MpiError::Truncated`] after the exchange has
 //! completed, leaving no message of the call queued.
 //!
+//! The equal-block collectives follow the same split, so that a caller
+//! building its own result writes every received byte once:
+//! [`Comm::allgather_blocks`], [`Comm::alltoall_blocks`] (pairwise and
+//! Bruck alike end in per-source slices) and [`Comm::gather_blocks`]
+//! return the delivered payloads under the usual algorithm selection,
+//! and `allgather_into` / `alltoall_into` / `gather_into` are that
+//! exchange plus a placement straight into `recv`. The reductions end in
+//! an owned accumulator, which the `*_vec` forms (`allreduce_vec`,
+//! `reduce_vec`, `scan_vec`, `exscan_vec`) move out.
+//!
 //! The "selected when" column is the *static* policy — the warm-up
 //! fallback. With [`CollTuning::self_tuning`] enabled, `Auto` is
 //! instead driven by the communicator's **measured cost model**

@@ -89,9 +89,30 @@ impl Comm {
         op: O,
         root: Rank,
     ) -> Result<()> {
+        if let Some(folded) = self.reduce_vec(send, op, root)? {
+            if recv.len() != folded.len() {
+                return Err(MpiError::InvalidLayout(format!(
+                    "reduce: receive buffer holds {} elements, need {}",
+                    recv.len(),
+                    folded.len()
+                )));
+            }
+            crate::plain::copy_slice(&folded, recv);
+        }
+        Ok(())
+    }
+
+    /// Elementwise reduction to the root, whose accumulator moves out:
+    /// `Some(folded)` at the root, `None` elsewhere (no receive-buffer
+    /// copy).
+    pub fn reduce_vec<T: Plain, O: ReduceOp<T>>(
+        &self,
+        send: &[T],
+        op: O,
+        root: Rank,
+    ) -> Result<Option<Vec<T>>> {
         self.count_op("reduce");
         self.check_rank(root)?;
-        let rank = self.rank();
 
         let bytes = std::mem::size_of_val(send);
         algos::model::tick(self)?;
@@ -119,18 +140,7 @@ impl Comm {
             }
         };
         algos::model::observe(self, algos::model::reduce_class(algo), begun, bytes as f64);
-        if rank == root {
-            let folded = folded.expect("root holds the folded result");
-            if recv.len() != folded.len() {
-                return Err(MpiError::InvalidLayout(format!(
-                    "reduce: receive buffer holds {} elements, need {}",
-                    recv.len(),
-                    folded.len()
-                )));
-            }
-            crate::plain::copy_slice(&folded, recv);
-        }
-        Ok(())
+        Ok(folded)
     }
 
     /// Elementwise reduction to all ranks (mirrors `MPI_Allreduce`).

@@ -45,6 +45,25 @@ impl Comm {
         Ok(())
     }
 
+    /// Inclusive prefix reduction into a fresh vector: the fold of the
+    /// delivered prefix with `send` *is* the result (no zero-fill, no
+    /// receive-buffer copy).
+    pub fn scan_vec<T: Plain, O: ReduceOp<T>>(&self, send: &[T], op: O) -> Result<Vec<T>> {
+        self.count_op("scan");
+        let rank = self.rank();
+        let tag = self.next_internal_tag();
+        let acc = if rank > 0 {
+            fold_bytes_to_vec(&recv_internal(self, rank - 1, tag)?, send, &op)?
+        } else {
+            crate::metrics::record_copy(std::mem::size_of_val(send));
+            send.to_vec()
+        };
+        if rank + 1 < self.size() {
+            send_slice_internal(self, rank + 1, tag, &acc)?;
+        }
+        Ok(acc)
+    }
+
     /// Exclusive prefix reduction (mirrors `MPI_Exscan`): rank `r > 0`
     /// receives the reduction over ranks `0..r`; rank 0 receives `None`
     /// (its value is undefined in MPI).

@@ -143,6 +143,43 @@ fn simple_wrappers_are_one_to_one() {
     assert_eq!(d.total(), 5, "{d}");
 }
 
+/// The block- and accumulator-delivered lowerings, and the owned send
+/// buffers that move into the transport, still cost one substrate call
+/// of their own name each.
+#[test]
+fn block_and_accumulator_lowerings_are_one_to_one() {
+    let d = footprint(|comm| {
+        let mine = vec![comm.rank() as u64; 2];
+        let per_peer = vec![comm.rank() as u64; comm.size()];
+        let ones = vec![1usize; comm.size()];
+        let mut out = vec![0u64; 2 * comm.size()];
+        comm.allgather((send_buf(mine.clone()), recv_buf(&mut out)))
+            .unwrap();
+        let _: Vec<u64> = comm.gather((send_buf(&mine), root(1))).unwrap();
+        let _: Vec<u64> = comm.alltoall(send_buf(&per_peer)).unwrap();
+        let _: Vec<u64> = comm
+            .alltoallv((send_buf(per_peer.clone()), send_counts(&ones)))
+            .unwrap();
+        let _: Vec<u64> = comm.allgatherv(send_buf(mine.clone())).unwrap();
+        let _: Vec<u64> = comm
+            .reduce((send_buf(&mine), op(ops::Sum), root(2)))
+            .unwrap();
+        let _: Vec<u64> = comm.exscan((send_buf(&mine), op(ops::Sum))).unwrap();
+    });
+    for name in [
+        "allgather",
+        "gather",
+        "alltoall",
+        "alltoallv",
+        "allgatherv",
+        "reduce",
+        "exscan",
+    ] {
+        assert_eq!(d.get(name), 1, "{name}: {d}");
+    }
+    assert_eq!(d.total(), 7, "{d}");
+}
+
 #[test]
 fn in_place_allgather_is_one_call() {
     let d = footprint(|comm| {

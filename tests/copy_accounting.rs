@@ -217,3 +217,134 @@ fn grid_exchange_copies_each_payload_byte_three_times() {
         assert_eq!(delta.allocations, 3);
     });
 }
+
+/// Default-receive `allgather` builds its result once: one serialization
+/// of the contribution (s) and one copy of each of the p delivered
+/// blocks into the exactly-sized result (p·s) — no zero-fill, no second
+/// vector, the substrate `allgather_vec`'s bill to the byte and the
+/// allocation. An owned contribution moves into the transport and drops
+/// the serialization too.
+#[test]
+fn allgather_default_receive_copies_s_plus_ps_and_owned_send_only_ps() {
+    const N: usize = 1 << 13; // u64 per rank: 64 KiB, the ring regime
+    let p = 4usize;
+    Universe::run(p, move |comm| {
+        let comm = Communicator::new(comm);
+        let mine = vec![comm.rank() as u64; N];
+        let s = (8 * N) as u64;
+
+        let before = metrics::snapshot();
+        let twin = comm.raw().allgather_vec(&mine).unwrap();
+        let substrate = metrics::snapshot().since(&before);
+
+        let before = metrics::snapshot();
+        let all: Vec<u64> = comm.allgather(send_buf(&mine)).unwrap();
+        let binding = metrics::snapshot().since(&before);
+        assert_eq!(all, twin);
+        assert_eq!(
+            binding.bytes_copied,
+            s + p as u64 * s,
+            "rank {}",
+            comm.rank()
+        );
+        assert_eq!(
+            binding, substrate,
+            "the binding adds 0 bytes / 0 allocations"
+        );
+
+        let before = metrics::snapshot();
+        let owned: Vec<u64> = comm.allgather(send_buf(mine)).unwrap();
+        let delta = metrics::snapshot().since(&before);
+        assert_eq!(owned, twin);
+        assert_eq!(
+            delta.bytes_copied,
+            p as u64 * s,
+            "owned send_buf is not serialized"
+        );
+        assert_eq!(delta.allocations, 1, "the result and nothing else");
+    });
+}
+
+/// The reductions hand the substrate's accumulator to the caller: the
+/// binding's `allreduce` and `reduce` bills equal the substrate
+/// `allreduce_vec` / `reduce_vec` bills on the same input, in both
+/// algorithm regimes and on root and non-root ranks alike.
+#[test]
+fn reduction_bindings_add_no_copies_and_no_allocations() {
+    let p = 4usize;
+    Universe::run(p, move |comm| {
+        let comm = Communicator::new(comm);
+        // 4 KiB: recursive doubling / binomial tree; 1 MiB: Rabenseifner.
+        for n in [1usize << 9, 1 << 17] {
+            let mine = vec![comm.rank() as u64 + 1; n];
+
+            let before = metrics::snapshot();
+            let twin = comm.raw().allreduce_vec(&mine, ops::Sum).unwrap();
+            let substrate = metrics::snapshot().since(&before);
+            let before = metrics::snapshot();
+            let total: Vec<u64> = comm.allreduce((send_buf(&mine), op(ops::Sum))).unwrap();
+            let binding = metrics::snapshot().since(&before);
+            assert_eq!(total, twin);
+            assert_eq!(
+                binding,
+                substrate,
+                "allreduce, n = {n}, rank {}",
+                comm.rank()
+            );
+
+            let before = metrics::snapshot();
+            let twin = comm.raw().reduce_vec(&mine, ops::Sum, 1).unwrap();
+            let substrate = metrics::snapshot().since(&before);
+            let before = metrics::snapshot();
+            let total: Vec<u64> = comm
+                .reduce((send_buf(&mine), op(ops::Sum), root(1)))
+                .unwrap();
+            let binding = metrics::snapshot().since(&before);
+            assert_eq!(total, twin.unwrap_or_default());
+            assert_eq!(binding, substrate, "reduce, n = {n}, rank {}", comm.rank());
+        }
+    });
+}
+
+/// The send half of the same rule: a blocking `alltoallv` with default
+/// (packed) send displacements adopts an owned `send_buf` as the wire
+/// payload — the call copies the delivered blocks into the result (r)
+/// and nothing on the send side, in one allocation. User-supplied send
+/// displacements keep the one serializing copy.
+#[test]
+fn alltoallv_owned_packed_send_is_not_serialized() {
+    const PER_PEER: usize = 1 << 12; // u64 elements
+    let p = 4usize;
+    Universe::run(p, move |comm| {
+        let comm = Communicator::new(comm);
+        let send = vec![comm.rank() as u64; p * PER_PEER];
+        let counts = vec![PER_PEER; p];
+        let displs: Vec<usize> = (0..p).map(|r| r * PER_PEER).collect();
+        let (s, r) = (8 * send.len() as u64, 8 * (p * PER_PEER) as u64);
+
+        let before = metrics::snapshot();
+        let got: Vec<u64> = comm
+            .alltoallv((
+                send_buf(send.clone()),
+                send_counts(&counts),
+                send_displs(&displs),
+            ))
+            .unwrap();
+        let delta = metrics::snapshot().since(&before);
+        assert_eq!(got.len(), p * PER_PEER);
+        assert_eq!(
+            delta.bytes_copied,
+            s + r,
+            "user displacements: one serialization"
+        );
+
+        let before = metrics::snapshot();
+        let got: Vec<u64> = comm
+            .alltoallv((send_buf(send), send_counts(&counts)))
+            .unwrap();
+        let delta = metrics::snapshot().since(&before);
+        assert_eq!(got.len(), p * PER_PEER);
+        assert_eq!(delta.bytes_copied, r, "rank {}", comm.rank());
+        assert_eq!(delta.allocations, 1, "rank {}", comm.rank());
+    });
+}

@@ -233,13 +233,15 @@ fn alltoallv_resize_policies_matrix() {
     });
 }
 
-/// Counts omitted + an undersized `no_resize` buffer on one rank only:
-/// that rank gets `Truncated` *after* the self-sizing exchange has
-/// completed, so its peers succeed and no message of the failed call is
-/// left queued — the same operation, repeated at once on the same
-/// communicator, delivers exactly its own data.
+/// An undersized `no_resize` buffer on one rank only: that rank gets
+/// `Truncated` *after* the exchange has completed — storage is prepared
+/// once the bytes exist — so its peers succeed (none is left waiting for
+/// a rank that bailed out before sending) and no message of the failed
+/// call is left queued: the same operation, repeated at once on the same
+/// communicator, delivers exactly its own data. Covers the v-collectives
+/// with counts omitted and the regular collectives alike.
 #[test]
-fn undersized_buffer_with_counts_absent_leaves_no_stray_messages() {
+fn undersized_buffer_fails_alone_and_leaves_no_stray_messages() {
     use kamping_repro::mpi::MpiError;
     Universe::run(3, |comm| {
         let comm = Communicator::new(comm);
@@ -283,6 +285,22 @@ fn undersized_buffer_with_counts_absent_leaves_no_stray_messages() {
             let mut out = small(me);
             let res = g.neighbor_allgatherv((send_buf(&send[..1]), recv_buf(&mut out)));
             expect(res, &out, &left);
+
+            let mut out = small(me);
+            let res = comm.allgather((send_buf(&send[..1]), recv_buf(&mut out)));
+            expect(res, &out, &all);
+
+            let mut out = small(me);
+            let res = comm.gather((send_buf(&send[..1]), recv_buf(&mut out)));
+            expect(res, &out, if me == 0 { &all } else { &[] });
+
+            let mut out = small(me);
+            let res = comm.alltoall((send_buf(&send), recv_buf(&mut out)));
+            expect(res, &out, &all);
+
+            let mut out = small(me);
+            let res = comm.allreduce((send_buf(&send[..1]), op(ops::Sum), recv_buf(&mut out)));
+            expect(res, &out, &[all.iter().sum()]);
         }
     });
 }
@@ -506,6 +524,69 @@ fn allreduce_min_max_pair() {
         let lo: Vec<i64> = comm.allreduce((send_buf(&mine[..]), op(ops::Min))).unwrap();
         let hi: Vec<i64> = comm.allreduce((send_buf(&mine[..]), op(ops::Max))).unwrap();
         assert_eq!((lo[0], hi[0]), (-1, 2));
+    });
+}
+
+/// A reused receive buffer that is *larger* than the result: `no_resize`
+/// and `grow_only` promise "error only if too small", so the reductions
+/// write the prefix and leave the tail alone (they used to reject the
+/// buffer — `reduce` on the root only, after the communication);
+/// `resize_to_fit` cuts it to size. Borrowed and owned storage alike.
+#[test]
+fn reductions_accept_exact_and_oversized_storage_under_every_policy() {
+    const STALE: u64 = 99;
+    // `$fits`: the policy cuts oversized storage down to the result.
+    // `$defined` is false where MPI leaves the result undefined.
+    macro_rules! check {
+        ($comm:ident.$op:ident($($arg:expr),+).$policy:ident(), $fits:expr, $want:expr, $defined:expr) => {
+            for extra in [0usize, 3] {
+                let want: &[u64] = $want;
+                let mut v = vec![STALE; want.len() + extra];
+                $comm.$op(($($arg,)+ recv_buf(&mut v).$policy())).unwrap();
+                let owned: Vec<u64> = $comm
+                    .$op(($($arg,)+ recv_buf(vec![STALE; want.len() + extra]).$policy()))
+                    .unwrap();
+                let what = format!("{}.{} + {extra}", stringify!($op), stringify!($policy));
+                assert_eq!(v, owned, "{what}: borrowed and owned agree");
+                let tail = if $fits { 0 } else { extra };
+                assert_eq!(v.len(), want.len() + tail, "{what}");
+                assert_eq!(&v[want.len()..], &vec![STALE; tail][..], "{what}: tail untouched");
+                if $defined {
+                    assert_eq!(&v[..want.len()], want, "{what}");
+                }
+            }
+        };
+    }
+    macro_rules! every_policy {
+        ($comm:ident.$op:ident($($arg:expr),+), $want:expr, $defined:expr) => {
+            check!($comm.$op($($arg),+).no_resize(), false, $want, $defined);
+            check!($comm.$op($($arg),+).grow_only(), false, $want, $defined);
+            check!($comm.$op($($arg),+).resize_to_fit(), true, $want, $defined);
+        };
+    }
+    Universe::run(3, |comm| {
+        let comm = Communicator::new(comm);
+        let me = comm.rank() as u64;
+        let mine = vec![me + 1, 10];
+        let at_root = |v: Vec<u64>| if me == 1 { v } else { Vec::new() };
+        every_policy!(
+            comm.allreduce(send_buf(&mine), op(ops::Sum)),
+            &[6, 30],
+            true
+        );
+        every_policy!(
+            comm.reduce(send_buf(&mine), op(ops::Sum), root(1)),
+            &at_root(vec![6, 30]),
+            true
+        );
+        let inclusive = [(me + 1) * (me + 2) / 2, 10 * (me + 1)];
+        every_policy!(comm.scan(send_buf(&mine), op(ops::Sum)), &inclusive, true);
+        let exclusive = [me * (me + 1) / 2, 10 * me];
+        every_policy!(
+            comm.exscan(send_buf(&mine), op(ops::Sum)),
+            &exclusive,
+            me > 0
+        );
     });
 }
 

@@ -7,8 +7,118 @@ use kamping_repro::kamping::prelude::*;
 use kamping_repro::mpi::Universe;
 use proptest::prelude::*;
 
+/// What provided receive storage holds before a call.
+const STALE: u64 = u64::MAX;
+
+/// Runs `$comm.$op(($args.., recv_buf-shape))` once per receive-buffer
+/// shape — absent, `&mut` exact, `&mut` oversized, `resize_to_fit` (from
+/// too large and from empty), `grow_only` (from empty and from too
+/// large), owned — and checks each against `$expected`: the result is
+/// the storage's prefix, what lies behind it is left as it was. With
+/// `$check` false the calls are made (collectives must match up across
+/// ranks) and nothing is asserted.
+macro_rules! every_recv_shape {
+    ($comm:ident.$op:ident($($arg:expr),+), $expected:expr, $check:expr) => {{
+        let (expected, check): (&[u64], bool) = ($expected, $check);
+        let n = expected.len();
+        let verify = |shape: &str, got: &[u64], tail: usize| {
+            if check {
+                assert_eq!(got.len(), n + tail, "{}: {shape}", stringify!($op));
+                assert_eq!(&got[..n], expected, "{}: {shape}", stringify!($op));
+                assert!(got[n..].iter().all(|&v| v == STALE), "{}: {shape} tail", stringify!($op));
+            }
+        };
+        let got: Vec<u64> = $comm.$op(($($arg,)+)).unwrap();
+        verify("absent", &got, 0);
+        let mut v = vec![STALE; n];
+        $comm.$op(($($arg,)+ recv_buf(&mut v))).unwrap();
+        verify("&mut exact", &v, 0);
+        let mut v = vec![STALE; n + 3];
+        $comm.$op(($($arg,)+ recv_buf(&mut v))).unwrap();
+        verify("&mut oversized", &v, 3);
+        let mut v = vec![STALE; n + 3];
+        $comm.$op(($($arg,)+ recv_buf(&mut v).resize_to_fit())).unwrap();
+        verify("resize_to_fit shrinks", &v, 0);
+        let mut v = Vec::new();
+        $comm.$op(($($arg,)+ recv_buf(&mut v).resize_to_fit())).unwrap();
+        verify("resize_to_fit grows", &v, 0);
+        let mut v = Vec::new();
+        $comm.$op(($($arg,)+ recv_buf(&mut v).grow_only())).unwrap();
+        verify("grow_only grows", &v, 0);
+        let mut v = vec![STALE; n + 3];
+        $comm.$op(($($arg,)+ recv_buf(&mut v).grow_only())).unwrap();
+        verify("grow_only keeps", &v, 3);
+        let got: Vec<u64> = $comm.$op(($($arg,)+ recv_buf(vec![STALE; n + 3]))).unwrap();
+        verify("owned oversized", &got, 3);
+        let got: Vec<u64> = $comm
+            .$op(($($arg,)+ recv_buf(Vec::new()).resize_to_fit()))
+            .unwrap();
+        verify("owned resize_to_fit", &got, 0);
+    }};
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Every regular collective equals its sequential oracle under every
+    /// receive-buffer shape, empty contributions included.
+    #[test]
+    fn regular_collectives_match_oracle_for_every_recv_buf_shape(
+        p in 1usize..9,
+        n in 0usize..4,
+        seed in any::<u64>()
+    ) {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(seed);
+        // data[u][v * n + i]: what u sends to v in the personalized
+        // exchanges; its first n elements are u's contribution elsewhere.
+        // Below 2^32, so sums are exact.
+        let data: Vec<Vec<u64>> = (0..p)
+            .map(|_| (0..p * n).map(|_| rng.random_range(0..1u64 << 32)).collect())
+            .collect();
+        let at_root = rng.random_range(0..p);
+        let data = &data;
+        Universe::run(p, move |comm| {
+            use kamping_repro::kamping::params::root as at;
+            let comm = Communicator::new(comm);
+            let me = comm.rank();
+            let (all, mine) = (&data[me], &data[me][..n]);
+            let is_root = me == at_root;
+            let sum_below = |end: usize| -> Vec<u64> {
+                (0..n).map(|i| data[..end].iter().map(|d| d[i]).sum()).collect()
+            };
+            let concat: Vec<u64> = data.iter().flat_map(|d| d[..n].iter().copied()).collect();
+            let transposed: Vec<u64> = data
+                .iter()
+                .flat_map(|d| d[me * n..(me + 1) * n].iter().copied())
+                .collect();
+            let rooted = |full: Vec<u64>| if is_root { full } else { Vec::new() };
+
+            every_recv_shape!(comm.allgather(send_buf(mine)), &concat, true);
+            every_recv_shape!(comm.gather(send_buf(mine), at(at_root)), &rooted(concat.clone()), true);
+            every_recv_shape!(comm.alltoall(send_buf(all)), &transposed, true);
+            every_recv_shape!(
+                comm.scatter(send_buf(all), at(at_root)),
+                &data[at_root][me * n..(me + 1) * n],
+                true
+            );
+            every_recv_shape!(comm.allreduce(send_buf(mine), op(ops::Sum)), &sum_below(p), true);
+            every_recv_shape!(
+                comm.reduce(send_buf(mine), op(ops::Sum), at(at_root)),
+                &rooted(sum_below(p)),
+                true
+            );
+            every_recv_shape!(comm.scan(send_buf(mine), op(ops::Sum)), &sum_below(me + 1), true);
+            // Rank 0's exclusive prefix is undefined in MPI: pinned below.
+            every_recv_shape!(comm.exscan(send_buf(mine), op(ops::Sum)), &sum_below(me), me > 0);
+            if me == 0 {
+                let fresh: Vec<u64> = comm.exscan((send_buf(mine), op(ops::Sum))).unwrap();
+                assert_eq!(fresh, vec![0; n], "library storage is zeroed");
+            } else {
+                let _: Vec<u64> = comm.exscan((send_buf(mine), op(ops::Sum))).unwrap();
+            }
+        });
+    }
 
     #[test]
     fn allgatherv_concatenates_any_distribution(
