@@ -124,10 +124,6 @@ impl Communicator {
     }
 }
 
-/// Marker trait kept for the module's public surface; `bcast_single` is a
-/// plain method, not parameter-driven.
-pub trait BcastSingleArgs<T> {}
-
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;

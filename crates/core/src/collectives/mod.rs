@@ -57,7 +57,7 @@ use crate::params::{Absent, RecvCounts};
 
 pub use allgather::{AllgatherArgs, AllgatherInPlaceArgs, AllgathervArgs};
 pub use alltoall::{AlltoallArgs, AlltoallvArgs};
-pub use bcast::{BcastArgs, BcastSingleArgs};
+pub use bcast::BcastArgs;
 pub use gather::{GatherArgs, GathervArgs};
 pub use neighborhood::{NeighborAllgathervArgs, NeighborAlltoallvArgs, NeighborhoodCommunicator};
 pub use nonblocking::{

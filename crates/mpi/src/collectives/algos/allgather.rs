@@ -25,124 +25,196 @@
 //!
 //! In both algorithms incoming groups are carved into per-origin blocks
 //! by refcount slicing, copy-free.
+//!
+//! Each algorithm is written once, as the round description
+//! ([`Rounds`]) the shared driver runs: the blocking `allgather`
+//! drives it to completion on the stack, `iallgather` resumes it on
+//! `test`/`wait`.
 
 use bytes::Bytes;
 
-use crate::collectives::{recv_internal, send_internal};
+use crate::collectives::nonblocking::Rounds;
+use crate::collectives::send_internal;
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::plain::{bytes_from_vec, extend_vec_from_bytes};
+use crate::request::Completion;
+use crate::{Rank, Tag};
 
-/// Equal-block recursive-doubling allgather at the shared-payload
-/// level: contributes `own`, returns one block per origin rank.
-/// Requires `comm.size()` to be a power of two (the selection engine
-/// guarantees this) and every rank to contribute `own.len()` bytes
-/// (MPI's equal-count contract for `MPI_Allgather`; violations surface
-/// as [`MpiError::InvalidLayout`]).
-pub(crate) fn allgather_blocks_rd(comm: &Comm, own: Bytes) -> Result<Vec<Bytes>> {
-    let p = comm.size();
-    let rank = comm.rank();
-    debug_assert!(p.is_power_of_two(), "selection gates RD to power-of-two p");
-    let s = own.len();
-    let mut blocks: Vec<Option<Bytes>> = (0..p).map(|_| None).collect();
-    blocks[rank] = Some(own);
-    let rounds = p.trailing_zeros() as usize;
-    // One tag per round, allocated in the same order on every rank.
-    let tags: Vec<_> = (0..rounds).map(|_| comm.next_internal_tag()).collect();
-    for (k, &tag) in tags.iter().enumerate() {
-        let group = 1usize << k;
-        let partner = rank ^ group;
-        // Origins this rank has accumulated: the `group`-aligned span
-        // containing it.
-        let base = rank & !(group - 1);
-        let outgoing = if group == 1 {
-            blocks[rank].clone().expect("own block present")
-        } else {
-            // Pack the group in ascending origin order (the counted
-            // copy this algorithm trades for its latency win).
-            let mut packed: Vec<u8> = Vec::with_capacity(group * s);
-            for b in &blocks[base..base + group] {
-                let b = b.as_ref().expect("block from earlier round");
-                extend_vec_from_bytes(&mut packed, b);
-            }
-            bytes_from_vec(packed)
-        };
-        send_internal(comm, partner, tag, outgoing)?;
-        let incoming = recv_internal(comm, partner, tag)?;
-        if incoming.len() != group * s {
-            return Err(MpiError::InvalidLayout(format!(
-                "allgather (recursive doubling): round {k} delivered {} bytes, \
-                 expected {} ({} blocks of {s}) — unequal contributions?",
-                incoming.len(),
-                group * s,
-                group
-            )));
-        }
-        let partner_base = partner & !(group - 1);
-        for (i, origin) in (partner_base..partner_base + group).enumerate() {
-            // Carve per-origin blocks as refcount sub-views (copy-free).
-            blocks[origin] = Some(incoming.slice(i * s..(i + 1) * s));
-        }
-    }
-    Ok(blocks
-        .into_iter()
-        .map(|b| b.expect("all groups exchanged"))
-        .collect())
+/// One tag per round, allocated in the same order on every rank.
+fn round_tags(comm: &Comm, rounds: u32) -> Vec<Tag> {
+    (0..rounds).map(|_| comm.next_internal_tag()).collect()
 }
 
-/// Equal-block Bruck allgather at the shared-payload level: contributes
-/// `own`, returns one block per origin rank. Works for **any** `p`;
-/// every rank must contribute `own.len()` bytes (violations surface as
-/// [`MpiError::InvalidLayout`]).
-pub(crate) fn allgather_blocks_bruck(comm: &Comm, own: Bytes) -> Result<Vec<Bytes>> {
-    let p = comm.size();
-    let rank = comm.rank();
-    let s = own.len();
-    // `local[i]` accumulates the block of origin rank `(rank + i) % p`.
-    let mut local: Vec<Bytes> = Vec::with_capacity(p);
-    local.push(own);
-    // One tag per round, allocated in the same order on every rank.
-    let rounds = p.next_power_of_two().trailing_zeros() as usize;
-    let tags: Vec<_> = (0..rounds).map(|_| comm.next_internal_tag()).collect();
-    let mut step = 1usize;
-    for (k, &tag) in tags.iter().enumerate() {
-        let cnt = step.min(p - step);
-        let dest = (rank + p - step) % p;
-        let src = (rank + step) % p;
-        let outgoing = if cnt == 1 {
-            // A single block travels as a refcount clone, copy-free
-            // (round 0 always; also the short final round of
-            // non-power-of-two sizes, e.g. p = 5).
-            local[0].clone()
-        } else {
-            // Pack the first `cnt` accumulated blocks (the counted copy
-            // this algorithm trades for its startup win).
-            let mut packed: Vec<u8> = Vec::with_capacity(cnt * s);
-            for b in &local[..cnt] {
-                extend_vec_from_bytes(&mut packed, b);
-            }
-            bytes_from_vec(packed)
-        };
-        send_internal(comm, dest, tag, outgoing)?;
-        let incoming = recv_internal(comm, src, tag)?;
-        if incoming.len() != cnt * s {
-            return Err(MpiError::InvalidLayout(format!(
-                "allgather (Bruck): round {k} delivered {} bytes, expected {} \
-                 ({cnt} blocks of {s}) — unequal contributions?",
-                incoming.len(),
-                cnt * s
-            )));
-        }
-        for i in 0..cnt {
-            // Carve per-origin blocks as refcount sub-views (copy-free).
-            local.push(incoming.slice(i * s..(i + 1) * s));
-        }
-        step <<= 1;
+/// The message carrying a block group: a single block travels as a
+/// refcount clone, several are packed in order into one buffer (the
+/// counted copy both algorithms trade for their startup win).
+fn group_message(group: &[Bytes]) -> Bytes {
+    if let [block] = group {
+        return block.clone();
     }
-    debug_assert_eq!(local.len(), p, "Bruck rounds deliver every block");
-    // Inverse rotation: origin `o`'s block sits at local index
-    // `(o - rank) mod p`.
-    Ok((0..p)
-        .map(|origin| local[(origin + p - rank) % p].clone())
-        .collect())
+    let mut packed: Vec<u8> = Vec::with_capacity(group.iter().map(Bytes::len).sum());
+    for block in group {
+        extend_vec_from_bytes(&mut packed, block);
+    }
+    bytes_from_vec(packed)
+}
+
+/// Carves a received group of `cnt` blocks of `s` bytes into per-origin
+/// refcount sub-views (copy-free). A group of any other size means the
+/// ranks did not contribute equally (MPI's equal-count contract for
+/// `MPI_Allgather`).
+fn carve<'a>(
+    what: &str,
+    k: usize,
+    incoming: &'a Bytes,
+    cnt: usize,
+    s: usize,
+) -> Result<impl Iterator<Item = Bytes> + 'a> {
+    if incoming.len() != cnt * s {
+        return Err(MpiError::InvalidLayout(format!(
+            "allgather ({what}): round {k} delivered {} bytes, expected {} \
+             ({cnt} blocks of {s}) — unequal contributions?",
+            incoming.len(),
+            cnt * s
+        )));
+    }
+    Ok((0..cnt).map(move |i| incoming.slice(i * s..(i + 1) * s)))
+}
+
+/// Equal-block recursive-doubling allgather: round `k` exchanges the
+/// accumulated `2^k`-block group with `rank ^ 2^k`. Requires
+/// `comm.size()` to be a power of two (the selection engine guarantees
+/// this); completes with one block per origin rank.
+pub(crate) struct RecursiveDoubling {
+    tags: Vec<Tag>,
+    /// By origin rank; empty until that origin's group arrived.
+    blocks: Vec<Bytes>,
+    block_bytes: usize,
+}
+
+impl RecursiveDoubling {
+    pub(crate) fn new(comm: &Comm) -> Self {
+        let p = comm.size();
+        debug_assert!(p.is_power_of_two(), "selection gates RD to power-of-two p");
+        RecursiveDoubling {
+            tags: round_tags(comm, p.trailing_zeros()),
+            blocks: vec![Bytes::new(); p],
+            block_bytes: 0,
+        }
+    }
+
+    /// Round `k`'s partner, and the first origin of the `2^k`-aligned
+    /// group that `rank` has accumulated before that round.
+    fn group(rank: Rank, k: usize) -> (Rank, usize, usize) {
+        let group = 1usize << k;
+        (rank ^ group, rank & !(group - 1), group)
+    }
+}
+
+impl Rounds for RecursiveDoubling {
+    fn seed(&mut self, comm: &Comm, own: Bytes) {
+        self.block_bytes = own.len();
+        self.blocks[comm.rank()] = own;
+    }
+
+    fn rounds(&self) -> usize {
+        self.tags.len()
+    }
+
+    fn peer(&self, comm: &Comm, k: usize) -> (Rank, Tag) {
+        (Self::group(comm.rank(), k).0, self.tags[k])
+    }
+
+    fn post(&mut self, comm: &Comm, k: usize) -> Result<()> {
+        let (partner, base, group) = Self::group(comm.rank(), k);
+        let outgoing = group_message(&self.blocks[base..base + group]);
+        send_internal(comm, partner, self.tags[k], outgoing)
+    }
+
+    fn absorb(&mut self, comm: &Comm, k: usize, incoming: Bytes) -> Result<()> {
+        let (partner, _, group) = Self::group(comm.rank(), k);
+        let partner_base = Self::group(partner, k).1;
+        let carved = carve("recursive doubling", k, &incoming, group, self.block_bytes)?;
+        for (slot, block) in self.blocks[partner_base..].iter_mut().zip(carved) {
+            *slot = block;
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self, _comm: &Comm) -> Result<Completion> {
+        Ok(Completion::Blocks(
+            self.blocks.iter_mut().map(std::mem::take).collect(),
+        ))
+    }
+}
+
+/// Equal-block Bruck allgather (any `p`): local index `i` accumulates
+/// the block of origin `(rank + i) % p`; round `k` sends the first
+/// `min(2^k, p - 2^k)` accumulated blocks to `rank - 2^k` and appends
+/// the same count from `rank + 2^k`. Completion rotates back into rank
+/// order.
+pub(crate) struct BruckAllgather {
+    tags: Vec<Tag>,
+    local: Vec<Bytes>,
+    block_bytes: usize,
+}
+
+impl BruckAllgather {
+    pub(crate) fn new(comm: &Comm) -> Self {
+        let p = comm.size();
+        BruckAllgather {
+            tags: round_tags(comm, p.next_power_of_two().trailing_zeros()),
+            local: Vec::with_capacity(p),
+            block_bytes: 0,
+        }
+    }
+
+    /// Round `k`'s distance and the number of blocks it moves.
+    fn step(p: usize, k: usize) -> (usize, usize) {
+        let step = 1usize << k;
+        (step, step.min(p - step))
+    }
+}
+
+impl Rounds for BruckAllgather {
+    fn seed(&mut self, _comm: &Comm, own: Bytes) {
+        self.block_bytes = own.len();
+        self.local.clear();
+        self.local.push(own);
+    }
+
+    fn rounds(&self) -> usize {
+        self.tags.len()
+    }
+
+    fn peer(&self, comm: &Comm, k: usize) -> (Rank, Tag) {
+        ((comm.rank() + (1usize << k)) % comm.size(), self.tags[k])
+    }
+
+    fn post(&mut self, comm: &Comm, k: usize) -> Result<()> {
+        let p = comm.size();
+        let (step, cnt) = Self::step(p, k);
+        let dest = (comm.rank() + p - step) % p;
+        send_internal(comm, dest, self.tags[k], group_message(&self.local[..cnt]))
+    }
+
+    fn absorb(&mut self, comm: &Comm, k: usize, incoming: Bytes) -> Result<()> {
+        let (_, cnt) = Self::step(comm.size(), k);
+        let carved = carve("Bruck", k, &incoming, cnt, self.block_bytes)?;
+        self.local.extend(carved);
+        Ok(())
+    }
+
+    fn finish(&mut self, comm: &Comm) -> Result<Completion> {
+        let (p, rank) = (comm.size(), comm.rank());
+        debug_assert_eq!(self.local.len(), p, "Bruck rounds deliver every block");
+        // Inverse rotation: origin `o`'s block sits at local index
+        // `(o - rank) mod p`.
+        Ok(Completion::Blocks(
+            (0..p)
+                .map(|origin| self.local[(origin + p - rank) % p].clone())
+                .collect(),
+        ))
+    }
 }

@@ -18,26 +18,28 @@
 
 use bytes::Bytes;
 
-use crate::collectives::{recv_internal, send_internal};
+use crate::collectives::nonblocking::Rounds;
+use crate::collectives::send_internal;
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::plain::{bytes_from_slice, bytes_from_vec, extend_vec_from_bytes};
-use crate::{Plain, Rank, Tag};
+use crate::plain::{bytes_from_vec, extend_vec_from_bytes};
+use crate::request::Completion;
+use crate::{Rank, Tag};
 
 /// One Bruck round: the peers and the (rotated) block indices exchanged.
-pub(crate) struct BruckRound {
+struct BruckRound {
     /// Destination of this rank's packed message.
-    pub dest: Rank,
+    dest: Rank,
     /// Source of the packed message this rank receives.
-    pub src: Rank,
+    src: Rank,
     /// Block indices (into the rotated block array) sent and replaced,
     /// in ascending order.
-    pub indices: Vec<usize>,
+    indices: Vec<usize>,
 }
 
 /// The round plan for `rank` in a `p`-rank Bruck exchange
 /// (`ceil(log2 p)` rounds).
-pub(crate) fn bruck_rounds(rank: Rank, p: usize) -> Vec<BruckRound> {
+fn bruck_rounds(rank: Rank, p: usize) -> Vec<BruckRound> {
     let mut rounds = Vec::new();
     let mut step = 1usize;
     while step < p {
@@ -54,7 +56,7 @@ pub(crate) fn bruck_rounds(rank: Rank, p: usize) -> Vec<BruckRound> {
 
 /// Initial rotation: `blocks[i]` = the caller's block destined to rank
 /// `(rank + i) % p`, sliced out of one packed payload.
-pub(crate) fn bruck_rotate(packed: &Bytes, rank: Rank, p: usize, block_bytes: usize) -> Vec<Bytes> {
+fn bruck_rotate(packed: &Bytes, rank: Rank, p: usize, block_bytes: usize) -> Vec<Bytes> {
     (0..p)
         .map(|i| {
             let dest = (rank + i) % p;
@@ -65,7 +67,7 @@ pub(crate) fn bruck_rotate(packed: &Bytes, rank: Rank, p: usize, block_bytes: us
 
 /// Packs the blocks of one round into a single message (one counted
 /// repack; the message adopts the fresh buffer without another copy).
-pub(crate) fn bruck_pack(blocks: &[Bytes], indices: &[usize]) -> Bytes {
+fn bruck_pack(blocks: &[Bytes], indices: &[usize]) -> Bytes {
     let total: usize = indices.iter().map(|&i| blocks[i].len()).sum();
     let mut packed: Vec<u8> = Vec::with_capacity(total);
     crate::metrics::record_alloc();
@@ -77,7 +79,7 @@ pub(crate) fn bruck_pack(blocks: &[Bytes], indices: &[usize]) -> Bytes {
 
 /// Unpacks a received round message back into the block array (refcount
 /// slices, no copies).
-pub(crate) fn bruck_unpack(
+fn bruck_unpack(
     blocks: &mut [Bytes],
     indices: &[usize],
     payload: &Bytes,
@@ -98,40 +100,86 @@ pub(crate) fn bruck_unpack(
 /// After the rounds, the block received *from* rank `j` sits at rotated
 /// index `(rank - j) mod p`.
 #[inline]
-pub(crate) fn bruck_source_index(rank: Rank, j: usize, p: usize) -> usize {
+fn bruck_source_index(rank: Rank, j: usize, p: usize) -> usize {
     (rank + p - j) % p
 }
 
-/// Blocking Bruck alltoall of `p` equal blocks of `n` elements; returns
-/// the delivered blocks by source rank (refcount slices of the round
-/// messages).
-pub(crate) fn bruck<T: Plain>(comm: &Comm, send: &[T], n: usize) -> Result<Vec<Bytes>> {
-    let p = comm.size();
-    let rank = comm.rank();
-    let block_bytes = n * std::mem::size_of::<T>();
-    let rounds = bruck_rounds(rank, p);
-    // One tag per round, allocated in the same order on every rank.
-    let tags: Vec<Tag> = rounds.iter().map(|_| comm.next_internal_tag()).collect();
+/// Bruck alltoall of `p` equal blocks, as the round description the
+/// shared driver runs ([`Rounds`]): the blocking `alltoall` drives it to
+/// completion on the stack, `ialltoall` resumes it on `test`/`wait`.
+/// Seeded with the packed send buffer; completes with the delivered
+/// blocks by source rank (refcount slices of the round messages).
+pub(crate) struct BruckAlltoall {
+    rounds: Vec<BruckRound>,
+    /// One tag per round, allocated in the same order on every rank.
+    tags: Vec<Tag>,
+    blocks: Vec<Bytes>,
+    block_bytes: usize,
+}
 
-    let packed = bytes_from_slice(send);
-    let mut blocks = bruck_rotate(&packed, rank, p, block_bytes);
+impl BruckAlltoall {
+    pub(crate) fn new(comm: &Comm) -> Self {
+        let rounds = bruck_rounds(comm.rank(), comm.size());
+        let tags = rounds.iter().map(|_| comm.next_internal_tag()).collect();
+        BruckAlltoall {
+            rounds,
+            tags,
+            blocks: Vec::new(),
+            block_bytes: 0,
+        }
+    }
+}
 
-    for (round, &tag) in rounds.iter().zip(&tags) {
-        let msg = bruck_pack(&blocks, &round.indices);
-        send_internal(comm, round.dest, tag, msg)?;
-        let payload = recv_internal(comm, round.src, tag)?;
-        bruck_unpack(&mut blocks, &round.indices, &payload, block_bytes)?;
+impl Rounds for BruckAlltoall {
+    fn seed(&mut self, comm: &Comm, packed: Bytes) {
+        let p = comm.size();
+        self.block_bytes = packed.len() / p;
+        self.blocks = bruck_rotate(&packed, comm.rank(), p, self.block_bytes);
     }
 
-    Ok((0..p)
-        .map(|j| std::mem::take(&mut blocks[bruck_source_index(rank, j, p)]))
-        .collect())
+    fn rounds(&self) -> usize {
+        self.rounds.len()
+    }
+
+    fn peer(&self, _comm: &Comm, k: usize) -> (Rank, Tag) {
+        (self.rounds[k].src, self.tags[k])
+    }
+
+    fn post(&mut self, comm: &Comm, k: usize) -> Result<()> {
+        let msg = bruck_pack(&self.blocks, &self.rounds[k].indices);
+        send_internal(comm, self.rounds[k].dest, self.tags[k], msg)
+    }
+
+    fn absorb(&mut self, _comm: &Comm, k: usize, payload: Bytes) -> Result<()> {
+        bruck_unpack(
+            &mut self.blocks,
+            &self.rounds[k].indices,
+            &payload,
+            self.block_bytes,
+        )
+    }
+
+    fn finish(&mut self, comm: &Comm) -> Result<Completion> {
+        let (p, rank) = (comm.size(), comm.rank());
+        Ok(Completion::Blocks(
+            (0..p)
+                .map(|j| std::mem::take(&mut self.blocks[bruck_source_index(rank, j, p)]))
+                .collect(),
+        ))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::nonblocking::drive_blocks;
+    use crate::plain::bytes_from_slice;
     use crate::Universe;
+
+    /// The blocking driver over the one definition.
+    fn run_bruck<T: crate::Plain>(comm: &Comm, send: &[T]) -> Vec<Bytes> {
+        drive_blocks(comm, BruckAlltoall::new(comm), bytes_from_slice(send)).unwrap()
+    }
 
     #[test]
     fn bruck_matches_pairwise_semantics() {
@@ -141,8 +189,7 @@ mod tests {
                     let rank = comm.rank();
                     let send: Vec<u32> =
                         (0..p * n).map(|i| rank as u32 * 1000 + i as u32).collect();
-                    let recv: Vec<u32> = bruck(&comm, &send, n)
-                        .unwrap()
+                    let recv: Vec<u32> = run_bruck(&comm, &send)
                         .iter()
                         .flat_map(|b| crate::plain::bytes_to_vec::<u32>(b))
                         .collect();
@@ -161,7 +208,7 @@ mod tests {
     fn bruck_zero_sized_blocks() {
         Universe::run(3, |comm| {
             let send: Vec<u64> = vec![];
-            let blocks = bruck(&comm, &send, 0).unwrap();
+            let blocks = run_bruck(&comm, &send);
             assert!(blocks.iter().all(|b| b.is_empty()));
         });
     }

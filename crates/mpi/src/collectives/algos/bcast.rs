@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 
-use crate::collectives::{allgather_blocks, recv_internal, send_internal};
+use crate::collectives::{allgather_blocks, recv_internal, root_without_data, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::plain::element_count;
@@ -130,7 +130,13 @@ pub(crate) fn scatter_allgather(
     let scatter_tag = comm.next_internal_tag();
 
     let own_chunk = if rank == root {
-        let payload = payload.expect("root must supply a payload");
+        let Some(payload) = payload else {
+            // The peers go on to the ring; stay tag-aligned with them.
+            if p > 1 {
+                comm.next_internal_tag();
+            }
+            return Err(root_without_data("bcast"));
+        };
         debug_assert_eq!(payload.len(), size, "sized bcast: payload/size mismatch");
         for r in 0..p {
             if r != root {

@@ -28,7 +28,7 @@
 //! | `allgather` | Bruck (rotated packed rounds, any p) | ceil(log2 p) | <= s·(p-1) + r | `p >= 4` not a power of two and `s <=` [`CollTuning::allgather_bruck_max_bytes`] |
 //! | `alltoall`  | pairwise exchange      | p-1        | s + r       | `b >` [`CollTuning::bruck_max_block_bytes`] |
 //! | `alltoall`  | Bruck                  | ceil(log2 p) | s + r + s·ceil(log2 p)/2 | `p >= 4` and `b <=` threshold |
-//! | `reduce`    | binomial tree, in-place fold | <= log2 p | non-root s, root r | op commutative |
+//! | `reduce`    | binomial tree, in-place fold | <= log2 p | leaf s, inner 0, root r | op commutative |
 //! | `reduce`    | flat gather + ordered fold | 1 (root p-1) | s (root: + r) | op non-commutative, or forced |
 //!
 //! The "auto-selected when" column describes the **static fallback**.

@@ -1,17 +1,26 @@
 //! Binomial-tree reduction with in-place folds.
 //!
-//! The PR 2 datapath still materialized every child's block
-//! (`recv_vec` + fold), paying `O(s log p)` copies at inner nodes. Here
-//! a child's delivered payload folds straight into the accumulator
-//! ([`fold_bytes_right`]): the only payload copy left is the single
-//! serialization towards the parent, halving (or better) every inner
-//! node's bill.
+//! A child's delivered payload folds straight into the accumulator
+//! ([`fold_bytes_right`]) instead of being materialized first, and the
+//! folded subtree moves into the message towards the parent: a pure
+//! leaf pays one serialization (`s`), every other rank seeds its
+//! accumulator from its own contribution once and copies nothing else.
+//!
+//! The tree is written once, as the round description ([`Rounds`]) the
+//! shared driver runs: the blocking `reduce` drives it to completion on
+//! the stack, `ireduce` and the tree phase of `iallreduce` resume it on
+//! `test`/`wait`.
+
+use bytes::Bytes;
 
 use super::fold_bytes_right;
-use crate::collectives::{recv_internal, send_slice_internal};
+use crate::collectives::nonblocking::{message_completion, Rounds};
+use crate::collectives::{bcast_forward, bcast_parent, send_internal};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::op::ReduceOp;
+use crate::plain::{bytes_from_slice, bytes_from_vec, bytes_into_vec};
+use crate::request::Completion;
 use crate::{Plain, Rank, Tag};
 
 /// Binomial-tree shape for `vrank` (rank relative to the root):
@@ -32,38 +41,161 @@ pub(crate) fn binomial_children(vrank: usize, p: usize) -> (Vec<usize>, Option<u
     (children, None)
 }
 
-/// Blocking binomial reduce over virtual ranks. Returns `Some(folded)`
-/// at the root, `None` elsewhere. Commutative operations only: the tree
-/// combines blocks out of rank order.
-pub(crate) fn binomial_inplace<T: Plain, O: ReduceOp<T>>(
-    comm: &Comm,
+/// A rank's contribution as its caller holds it: a borrowed slice
+/// (blocking `reduce`, `ireduce`) or an adopted payload
+/// (`iallreduce_bytes`).
+pub(crate) enum Own<'a, T> {
+    Slice(&'a [T]),
+    Payload(Bytes),
+}
+
+/// What a [`TreeReduce`] does once its subtree is folded.
+pub(crate) enum AfterTreeReduce {
+    /// Forward to the parent and complete with [`Completion::Done`]; a
+    /// root keeps its accumulator in [`TreeReduce::acc`] (blocking
+    /// `reduce` on every rank, `ireduce` non-roots).
+    Done,
+    /// `ireduce` root: complete with the folded payload.
+    Complete,
+    /// `iallreduce` rank 0: forward the result down the binomial
+    /// broadcast tree on this tag, then complete with it.
+    BcastSend(Tag),
+    /// `iallreduce` elsewhere: forward to the parent, then one more
+    /// round receives (and forwards) the broadcast result on this tag.
+    BcastRecv(Tag),
+}
+
+/// Binomial-tree reduction over virtual ranks (commutative operations
+/// only: the tree combines blocks out of rank order): round `k` folds
+/// child `k`'s subtree into the accumulator in place. The contribution
+/// is typed, so it is fixed at construction instead of at `seed`: that
+/// is what lets a leaf serialize once and every other rank fold into
+/// its own accumulator without materializing it twice.
+pub(crate) struct TreeReduce<T: Plain, O: ReduceOp<T>> {
     tag: Tag,
-    send: &[T],
-    op: &O,
     root: Rank,
-) -> Result<Option<Vec<T>>> {
-    let p = comm.size();
-    let rank = comm.rank();
-    let vrank = (rank + p - root) % p;
-    let (children, parent) = binomial_children(vrank, p);
-    let mut acc = send.to_vec();
-    for child_v in children {
-        let child = (child_v + root) % p;
-        let theirs = recv_internal(comm, child, tag)?;
-        fold_bytes_right(&mut acc, &theirs, op)?;
+    op: O,
+    /// Children (actual ranks) in receive order.
+    children: Vec<Rank>,
+    parent: Option<Rank>,
+    /// A rank with nothing to fold forwards its contribution untouched.
+    own: Option<Bytes>,
+    pub(crate) acc: Option<Vec<T>>,
+    after: AfterTreeReduce,
+    /// The broadcast result of [`AfterTreeReduce::BcastRecv`].
+    result: Option<Bytes>,
+}
+
+impl<T: Plain, O: ReduceOp<T>> TreeReduce<T, O> {
+    pub(crate) fn new(
+        comm: &Comm,
+        tag: Tag,
+        own: Own<'_, T>,
+        op: O,
+        root: Rank,
+        after: AfterTreeReduce,
+    ) -> Self {
+        let p = comm.size();
+        let vrank = (comm.rank() + p - root) % p;
+        let (children, parent) = binomial_children(vrank, p);
+        let (own, acc) = match own {
+            Own::Slice(s) if children.is_empty() && parent.is_some() => {
+                (Some(bytes_from_slice(s)), None)
+            }
+            Own::Slice(s) => (None, Some(s.to_vec())),
+            Own::Payload(b) if children.is_empty() => (Some(b), None),
+            Own::Payload(b) => (None, Some(bytes_into_vec(b))),
+        };
+        TreeReduce {
+            tag,
+            root,
+            op,
+            children: children.iter().map(|&c| (c + root) % p).collect(),
+            parent: parent.map(|pv| (pv + root) % p),
+            own,
+            acc,
+            after,
+            result: None,
+        }
     }
-    if let Some(parent_v) = parent {
-        let parent = (parent_v + root) % p;
-        send_slice_internal(comm, parent, tag, &acc)?;
-        Ok(None)
-    } else {
-        Ok(Some(acc))
+
+    /// The folded subtree as a payload: the accumulator moves in
+    /// without a serialization copy, an unfolded contribution moves out
+    /// untouched.
+    fn take_payload(&mut self) -> Bytes {
+        match self.acc.take() {
+            Some(acc) => bytes_from_vec(acc),
+            None => self.own.take().expect("payload taken once"),
+        }
+    }
+
+    fn send_up(&mut self, comm: &Comm) -> Result<()> {
+        match self.parent {
+            Some(parent) => send_internal(comm, parent, self.tag, self.take_payload()),
+            None => Ok(()),
+        }
+    }
+}
+
+impl<T: Plain, O: ReduceOp<T>> Rounds for TreeReduce<T, O> {
+    fn rounds(&self) -> usize {
+        self.children.len() + usize::from(matches!(self.after, AfterTreeReduce::BcastRecv(_)))
+    }
+
+    fn peer(&self, comm: &Comm, k: usize) -> (Rank, Tag) {
+        match (self.children.get(k), &self.after) {
+            (Some(&child), _) => (child, self.tag),
+            (None, AfterTreeReduce::BcastRecv(bcast_tag)) => (bcast_parent(comm, 0), *bcast_tag),
+            (None, _) => unreachable!("only the broadcast round follows the children"),
+        }
+    }
+
+    fn post(&mut self, comm: &Comm, k: usize) -> Result<()> {
+        // Rounds below `children.len()` only receive; the broadcast
+        // round is preceded by this subtree's result going up.
+        if k == self.children.len() {
+            self.send_up(comm)?;
+        }
+        Ok(())
+    }
+
+    fn absorb(&mut self, comm: &Comm, k: usize, theirs: Bytes) -> Result<()> {
+        if k < self.children.len() {
+            let acc = self.acc.as_mut().expect("a rank with children folds");
+            return fold_bytes_right(acc, &theirs, &self.op);
+        }
+        let (_, bcast_tag) = self.peer(comm, k);
+        bcast_forward(comm, 0, bcast_tag, &theirs)?;
+        self.result = Some(theirs);
+        Ok(())
+    }
+
+    fn finish(&mut self, comm: &Comm) -> Result<Completion> {
+        match self.after {
+            AfterTreeReduce::Done => {
+                self.send_up(comm)?;
+                Ok(Completion::Done)
+            }
+            AfterTreeReduce::Complete => {
+                Ok(message_completion(self.root, self.tag, self.take_payload()))
+            }
+            AfterTreeReduce::BcastSend(bcast_tag) => {
+                let payload = self.take_payload();
+                bcast_forward(comm, 0, bcast_tag, &payload)?;
+                Ok(message_completion(0, bcast_tag, payload))
+            }
+            AfterTreeReduce::BcastRecv(bcast_tag) => {
+                let result = self.result.take().expect("broadcast round absorbed");
+                Ok(message_completion(0, bcast_tag, result))
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::nonblocking::drive;
     use crate::op::Sum;
     use crate::Universe;
 
@@ -88,12 +220,14 @@ mod tests {
                 Universe::run(p, move |comm| {
                     let tag = comm.next_internal_tag();
                     let mine = [comm.rank() as u64 + 1, 1];
-                    let out = binomial_inplace(&comm, tag, &mine, &Sum, root).unwrap();
+                    let after = AfterTreeReduce::Done;
+                    let tree = TreeReduce::new(&comm, tag, Own::Slice(&mine), Sum, root, after);
+                    let (_, tree) = drive(&comm, tree, Bytes::new()).unwrap();
                     if comm.rank() == root {
                         let total = (p * (p + 1) / 2) as u64;
-                        assert_eq!(out.unwrap(), vec![total, p as u64]);
+                        assert_eq!(tree.acc.unwrap(), vec![total, p as u64]);
                     } else {
-                        assert!(out.is_none());
+                        assert!(tree.acc.is_none());
                     }
                 });
             }

@@ -10,10 +10,9 @@
 
 use bytes::Bytes;
 
-use super::algos::{
-    allgather::{allgather_blocks_bruck, allgather_blocks_rd},
-    AllgatherAlgo,
-};
+use super::algos::allgather::{BruckAllgather, RecursiveDoubling};
+use super::algos::AllgatherAlgo;
+use super::nonblocking::drive_blocks;
 use super::{
     block_counts, check_layout, concat_blocks, place_blocks, place_blocks_at, recv_internal,
     send_internal,
@@ -74,9 +73,11 @@ pub(crate) fn allgather_blocks_tuned(comm: &Comm, own: Bytes) -> Result<Vec<Byte
         comm.size() as u64,
     );
     let begun = super::algos::model::measure_begin(comm);
+    // The two latency algorithms are the engines `iallgather` resumes,
+    // driven to completion here.
     let out = match algo {
-        AllgatherAlgo::RecursiveDoubling => allgather_blocks_rd(comm, own)?,
-        AllgatherAlgo::Bruck => allgather_blocks_bruck(comm, own)?,
+        AllgatherAlgo::RecursiveDoubling => drive_blocks(comm, RecursiveDoubling::new(comm), own)?,
+        AllgatherAlgo::Bruck => drive_blocks(comm, BruckAllgather::new(comm), own)?,
         AllgatherAlgo::Ring => allgather_blocks(comm, own)?,
     };
     super::algos::model::observe(

@@ -7,6 +7,7 @@
 use bytes::Bytes;
 
 use super::algos::{self, AlltoallAlgo};
+use super::nonblocking::drive_blocks;
 use super::{
     check_layout, displacements_from_counts, place_blocks, place_blocks_at, recv_internal,
     send_internal,
@@ -70,7 +71,9 @@ impl Comm {
             AlltoallAlgo::Pairwise
         });
         let blocks = if bruck {
-            algos::alltoall::bruck(self, send, n)?
+            // The engine `ialltoall` resumes, driven to completion.
+            let engine = algos::alltoall::BruckAlltoall::new(self);
+            drive_blocks(self, engine, bytes_from_slice(send))?
         } else {
             // In units of one block: every peer gets one, at its rank.
             let displs: Vec<usize> = (0..p).collect();

@@ -1,8 +1,56 @@
 //! Dissemination barrier.
 
-use super::{recv_internal, send_internal};
+use bytes::Bytes;
+
+use super::nonblocking::{drive, RoundEngine, Rounds};
+use super::send_internal;
 use crate::comm::Comm;
 use crate::error::Result;
+use crate::request::{Completion, Request};
+use crate::{Rank, Tag};
+
+/// The dissemination barrier as the round description the shared driver
+/// runs ([`Rounds`]): round `k` signals `rank + 2^k` and hears from
+/// `rank - 2^k`; after `ceil(log2 p)` rounds every rank has
+/// (transitively) heard from every other. `barrier` drives it to
+/// completion on the stack, `ibarrier` resumes it on `test`/`wait`.
+struct Dissemination {
+    tag: Tag,
+    rounds: usize,
+}
+
+impl Dissemination {
+    fn new(comm: &Comm) -> Self {
+        Dissemination {
+            tag: comm.next_internal_tag(),
+            rounds: comm.size().next_power_of_two().trailing_zeros() as usize,
+        }
+    }
+}
+
+impl Rounds for Dissemination {
+    fn rounds(&self) -> usize {
+        self.rounds
+    }
+
+    fn peer(&self, comm: &Comm, k: usize) -> (Rank, Tag) {
+        let p = comm.size();
+        ((comm.rank() + p - (1usize << k)) % p, self.tag)
+    }
+
+    fn post(&mut self, comm: &Comm, k: usize) -> Result<()> {
+        let to = (comm.rank() + (1usize << k)) % comm.size();
+        send_internal(comm, to, self.tag, Bytes::new())
+    }
+
+    fn absorb(&mut self, _comm: &Comm, _k: usize, _signal: Bytes) -> Result<()> {
+        Ok(())
+    }
+
+    fn finish(&mut self, _comm: &Comm) -> Result<Completion> {
+        Ok(Completion::Done)
+    }
+}
 
 pub(crate) fn barrier_internal(comm: &Comm) -> Result<()> {
     let p = comm.size();
@@ -15,17 +63,7 @@ pub(crate) fn barrier_internal(comm: &Comm) -> Result<()> {
         0,
         p as u64,
     );
-    let rank = comm.rank();
-    let tag = comm.next_internal_tag();
-    let mut step = 1usize;
-    while step < p {
-        let to = (rank + step) % p;
-        let from = (rank + p - step) % p;
-        send_internal(comm, to, tag, bytes::Bytes::new())?;
-        recv_internal(comm, from, tag)?;
-        step <<= 1;
-    }
-    Ok(())
+    drive(comm, Dissemination::new(comm), Bytes::new()).map(drop)
 }
 
 impl Comm {
@@ -35,6 +73,15 @@ impl Comm {
     pub fn barrier(&self) -> Result<()> {
         self.count_op("barrier");
         barrier_internal(self)
+    }
+
+    /// Starts a non-blocking barrier (mirrors `MPI_Ibarrier`): the same
+    /// dissemination rounds, the first signal posted before the call
+    /// returns and the rest driven by test/wait.
+    pub fn ibarrier(&self) -> Result<Request<'_>> {
+        self.count_op("ibarrier");
+        let engine = RoundEngine::new(Dissemination::new(self));
+        self.icoll(Box::new(engine), Bytes::new())
     }
 }
 

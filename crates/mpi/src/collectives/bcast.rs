@@ -4,7 +4,7 @@
 use bytes::Bytes;
 
 use super::algos::{self, BcastAlgo, BcastParts};
-use super::{recv_internal, send_internal};
+use super::{recv_internal, root_without_data, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::plain::{
@@ -21,48 +21,37 @@ pub(crate) fn bcast_bytes_internal(
     payload: Option<Bytes>,
     root: Rank,
 ) -> Result<Bytes> {
-    let p = comm.size();
-    let rank = comm.rank();
-    if root >= p {
-        return Err(MpiError::InvalidRank {
-            rank: root,
-            comm_size: p,
-        });
-    }
+    comm.check_rank(root)?;
     let tag = comm.next_internal_tag();
-    let vrank = (rank + p - root) % p;
-
-    let mut data = if rank == root {
-        Some(payload.expect("root must supply a payload"))
+    let data = if comm.rank() == root {
+        payload.ok_or_else(|| root_without_data("bcast"))?
     } else {
-        None
+        recv_internal(comm, bcast_parent(comm, root), tag)?
     };
-
-    // Receive from the parent: the parent of vrank v is v with its lowest
-    // set bit cleared.
-    if vrank != 0 {
-        let parent_v = vrank & (vrank - 1);
-        let parent = (parent_v + root) % p;
-        data = Some(recv_internal(comm, parent, tag)?);
-    }
-    let data = data.expect("payload present after receive");
-
-    bcast_forward(comm, vrank, root, tag, &data)?;
+    bcast_forward(comm, root, tag, &data)?;
     Ok(data)
 }
 
-/// Forwards `data` to the binomial-tree children of `vrank` (relative to
-/// `root`): vrank v has children v | (1 << k) for each k above v's
-/// lowest set bit (all k for the root). Shared with the non-blocking
-/// `ibcast` / `iallreduce` engines.
-pub(crate) fn bcast_forward(
-    comm: &Comm,
-    vrank: usize,
-    root: Rank,
-    tag: crate::Tag,
-    data: &Bytes,
-) -> Result<()> {
+/// This rank's position in the binomial tree rooted at `root`.
+fn bcast_vrank(comm: &Comm, root: Rank) -> usize {
+    (comm.rank() + comm.size() - root) % comm.size()
+}
+
+/// A non-root rank's parent in the binomial tree rooted at `root`: its
+/// virtual rank with the lowest set bit cleared.
+pub(crate) fn bcast_parent(comm: &Comm, root: Rank) -> Rank {
+    let vrank = bcast_vrank(comm, root);
+    debug_assert!(vrank != 0, "the root has no bcast parent");
+    ((vrank & (vrank - 1)) + root) % comm.size()
+}
+
+/// Forwards `data` to this rank's children in the binomial tree rooted
+/// at `root`: vrank v has children v | (1 << k) for each k below v's
+/// lowest set bit (all k for the root). Shared by the blocking
+/// broadcast and the `ibcast` / `iallreduce` engines.
+pub(crate) fn bcast_forward(comm: &Comm, root: Rank, tag: crate::Tag, data: &Bytes) -> Result<()> {
     let p = comm.size();
+    let vrank = bcast_vrank(comm, root);
     let low = if vrank == 0 {
         usize::BITS
     } else {
@@ -194,7 +183,12 @@ impl Comm {
         algos::model::tick(self)?;
         let begun = algos::model::measure_begin(self);
         if self.rank() == root {
-            let data = data.expect("root must supply data");
+            let Some(data) = data else {
+                // Every non-root's first step is the one-tag header
+                // receive; burn that tag so this rank stays aligned.
+                self.next_internal_tag();
+                return Err(root_without_data("bcast"));
+            };
             let size = std::mem::size_of_val(data);
             // Empty payloads always fuse: scatter+allgather cannot ship
             // zero-length chunks, and 8 bytes is trivially small anyway.

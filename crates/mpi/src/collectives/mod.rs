@@ -30,7 +30,7 @@
 //! | `alltoall`       | pairwise exchange, pack-once + slice   | p-1                 | s + r                | `b > 1 KiB` |
 //! | `alltoall`       | Bruck (packed log-round forwarding)    | ceil(log2 p)        | s + r + s·ceil(log2 p)/2 | `p >= 4`, `b <= 1 KiB` |
 //! | `alltoall(v/w)`  | pairwise exchange, pack-once + slice   | p-1                 | s + r                | always |
-//! | `reduce`         | binomial tree, in-place folds          | <= log2 p           | non-root: s; root: r | op commutative |
+//! | `reduce`         | binomial tree, in-place folds          | <= log2 p           | leaf: s; inner: 0; root: r | op commutative |
 //! | `reduce`         | flat gather + ordered fold             | 1 (root: p-1)       | s (root: + r)        | op non-commutative |
 //! | `allreduce`      | recursive doubling, in-place folds     | ~log2 p             | s·log2 p             | `s < 128 KiB` |
 //! | `allreduce`      | Rabenseifner (reduce-scatter + ring allgather) | log2 p + p  | ~2s                  | `p >= 4`, `s >= 128 KiB` |
@@ -63,6 +63,17 @@
 //! exchange plus a placement straight into `recv`. The reductions end in
 //! an owned accumulator, which the `*_vec` forms (`allreduce_vec`,
 //! `reduce_vec`, `scan_vec`, `exscan_vec`) move out.
+//!
+//! The third axis is the lifecycle. Every round-structured algorithm —
+//! the dissemination barrier, recursive-doubling and Bruck `allgather`,
+//! Bruck `alltoall`, the binomial `reduce` tree — is defined exactly
+//! once, as a resumable engine (a `Rounds` description under the one
+//! round loop of `collectives/nonblocking.rs`). The blocking calls of the table build that
+//! engine on their stack and drive it to completion; `i*` boxes it into
+//! a [`Request`](crate::Request) that `test`/`wait` resume; `*_init`
+//! builds a flat engine once and restarts it every cycle. The remaining
+//! rows (ring, recursive-doubling allreduce, Rabenseifner, van de Geijn,
+//! pairwise, flat gather/scatter) are blocking-only loops.
 //!
 //! The "selected when" column is the *static* policy — the warm-up
 //! fallback. With [`CollTuning::self_tuning`] enabled, `Auto` is
@@ -106,9 +117,11 @@ pub use algos::{
 };
 pub(crate) use allgather::{allgather_blocks, allgather_internal};
 pub(crate) use alltoall::alltoallv_internal;
-pub(crate) use bcast::{bcast_bytes_internal, bcast_forward, bcast_one_internal};
+pub(crate) use bcast::{bcast_bytes_internal, bcast_forward, bcast_one_internal, bcast_parent};
 pub use gather::GatherBlock;
 pub(crate) use reduce::allreduce_internal;
+
+use std::ops::Range;
 
 use bytes::Bytes;
 
@@ -179,6 +192,52 @@ pub(crate) fn check_layout(
         }
     }
     Ok(())
+}
+
+/// The one send-layout check of the packed exchanges (`iscatterv`,
+/// `ialltoallv`, `alltoallv_init` and their neighborhood forms, whose
+/// blocks lie back to back in peer order): `counts` must have one entry
+/// per peer and sum to the buffer length `len`, both in units of `unit`
+/// bytes. Returns the byte range each peer's block occupies. The check
+/// is rank-local, so callers take the operation's tag first — an
+/// erroring rank must stay tag-aligned with peers whose layouts are
+/// fine.
+pub(crate) fn packed_ranges(
+    what: &str,
+    counts: &[usize],
+    unit: usize,
+    len: usize,
+    peers: usize,
+) -> Result<Vec<Range<usize>>> {
+    if counts.len() != peers {
+        return Err(MpiError::InvalidLayout(format!(
+            "{what}: counts has {} entries for {peers} peers",
+            counts.len()
+        )));
+    }
+    let total = counts.iter().try_fold(0usize, |acc, &c| acc.checked_add(c));
+    if total != Some(len) {
+        return Err(MpiError::InvalidLayout(format!(
+            "{what}: send buffer holds {len} but counts sum to {}",
+            total.map_or("more than usize::MAX".to_string(), |t| t.to_string())
+        )));
+    }
+    let mut offset = 0usize;
+    Ok(counts
+        .iter()
+        .map(|&c| {
+            let range = offset * unit..(offset + c) * unit;
+            offset += c;
+            range
+        })
+        .collect())
+}
+
+/// The error of a rooted collective whose root passed no data. Returned
+/// only after the operation's internal tags are taken, so the erroring
+/// root stays tag-aligned with its peers.
+pub(crate) fn root_without_data(what: &str) -> MpiError {
+    MpiError::InvalidLayout(format!("{what}: the root must supply data"))
 }
 
 /// Computes exclusive-prefix-sum displacements from counts

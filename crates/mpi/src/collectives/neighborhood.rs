@@ -33,14 +33,16 @@
 //! variants always run the sparse schedule — their value is the
 //! minimal frozen envelope set.
 
+use std::ops::Range;
+
 use bytes::Bytes;
 
 use super::algos::NeighborhoodAlgo;
-use super::nonblocking::{recv_one, CollEngine};
-use super::{place_blocks, send_internal};
+use super::nonblocking::{check_frozen_total, recv_one, CollEngine};
+use super::{packed_ranges, place_blocks, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::persistent::{CollBody, CollPlan, CollSends, OwnSpec, PersistentRequest};
+use crate::persistent::PersistentRequest;
 use crate::plain::{bytes_from_slice, bytes_to_vec};
 use crate::request::{Completion, Request};
 use crate::topology::Neighborhood;
@@ -126,15 +128,49 @@ impl NeighborRecv {
     }
 }
 
-/// [`CollEngine`] over a [`NeighborRecv`]: the body of
-/// `ineighbor_allgatherv` / `ineighbor_alltoallv` and of the persistent
-/// neighbor plans. Completes with [`Completion::Blocks`], one block per
-/// in-neighbor in declaration order.
+/// [`CollEngine`] over a [`NeighborRecv`] — `ineighbor_allgatherv` /
+/// `ineighbor_alltoallv` and the persistent neighbor plans: `start`
+/// fans the payload out along the frozen out-edge list, the receives
+/// collect one block per in-neighbor. Completes with
+/// [`Completion::Blocks`] in declaration order.
 struct NeighborBlocksEngine {
     recv: NeighborRecv,
+    dests: Vec<Rank>,
+    /// `payload[ranges[k]]` goes to `dests[k]` (alltoallv: contiguous
+    /// destination-ordered slices); `None` sends every destination the
+    /// whole payload (allgather: refcount clones).
+    ranges: Option<Vec<Range<usize>>>,
+}
+
+impl NeighborBlocksEngine {
+    fn boxed<N: Neighborhood + ?Sized>(
+        n: &N,
+        tag: Tag,
+        ranges: Option<Vec<Range<usize>>>,
+    ) -> Box<dyn CollEngine> {
+        Box::new(NeighborBlocksEngine {
+            recv: NeighborRecv::new(tag, n.sources().to_vec()),
+            dests: n.destinations().to_vec(),
+            ranges,
+        })
+    }
 }
 
 impl CollEngine for NeighborBlocksEngine {
+    fn start(&mut self, comm: &Comm, payload: Bytes) -> Result<()> {
+        for (k, &d) in self.dests.iter().enumerate() {
+            let block = match &self.ranges {
+                Some(ranges) => payload.slice(ranges[k].clone()),
+                None => payload.clone(),
+            };
+            send_internal(comm, d, self.recv.tag, block)?;
+        }
+        // No home slot to seed: self-edges travel through the mailbox
+        // like every other edge.
+        self.recv.reset();
+        Ok(())
+    }
+
     fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
         if self.recv.advance(comm, block)? {
             Ok(Some(Completion::Blocks(self.recv.take_blocks())))
@@ -147,22 +183,16 @@ impl CollEngine for NeighborBlocksEngine {
         self.recv.sources(out);
     }
 
-    fn rewind(&mut self, _own: Option<Bytes>) -> bool {
-        // No home slot to re-seed: self-edges travel through the
-        // mailbox like every other edge.
-        self.recv.reset();
-        true
-    }
-
     fn all_sources(&self, _comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
         self.recv.all_sources(out);
     }
-}
 
-fn neighbor_blocks_engine(tag: Tag, sources: Vec<Rank>) -> Box<dyn CollEngine> {
-    Box::new(NeighborBlocksEngine {
-        recv: NeighborRecv::new(tag, sources),
-    })
+    fn check_payload(&self, payload: &Bytes) -> Result<()> {
+        match &self.ranges {
+            Some(ranges) => check_frozen_total(ranges, payload),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Validates a per-neighbor counts/displacements layout.
@@ -439,14 +469,8 @@ pub trait NeighborhoodColl: Neighborhood {
             std::mem::size_of_val(data) as u64,
             self.max_degree() as u64,
         );
-        let payload = bytes_from_slice(data);
-        for &d in self.destinations() {
-            send_internal(comm, d, tag, payload.clone())?;
-        }
-        Ok(Request::collective(
-            comm,
-            neighbor_blocks_engine(tag, self.sources().to_vec()),
-        ))
+        let engine = NeighborBlocksEngine::boxed(self, tag, None);
+        comm.icoll(engine, bytes_from_slice(data))
     }
 
     /// Nonblocking counted neighborhood exchange: `data` holds the
@@ -462,21 +486,17 @@ pub trait NeighborhoodColl: Neighborhood {
         let comm = self.comm();
         comm.count_op("ineighbor_alltoallv");
         let tag = comm.next_internal_tag();
-        let ranges = neighbor_byte_ranges::<T>("ineighbor_alltoallv", counts, self, data.len())?;
+        let elem = std::mem::size_of::<T>();
+        let degree = self.destinations().len();
+        let ranges = packed_ranges("ineighbor_alltoallv", counts, elem, data.len(), degree)?;
         trace::instant(
             trace::cat::COLL,
             "ineighbor_alltoallv",
             std::mem::size_of_val(data) as u64,
             self.max_degree() as u64,
         );
-        let packed = bytes_from_slice(data);
-        for (range, &d) in ranges.into_iter().zip(self.destinations()) {
-            send_internal(comm, d, tag, packed.slice(range))?;
-        }
-        Ok(Request::collective(
-            comm,
-            neighbor_blocks_engine(tag, self.sources().to_vec()),
-        ))
+        let engine = NeighborBlocksEngine::boxed(self, tag, Some(ranges));
+        comm.icoll(engine, bytes_from_slice(data))
     }
 
     /// Persistent [`ineighbor_allgatherv`](Self::ineighbor_allgatherv)
@@ -498,16 +518,8 @@ pub trait NeighborhoodColl: Neighborhood {
             std::mem::size_of_val(data) as u64,
             self.max_degree() as u64,
         );
-        let own = bytes_from_slice(data);
-        let plan = CollPlan {
-            sends: CollSends::ToEach {
-                tag,
-                dests: self.destinations().to_vec(),
-            },
-            own: OwnSpec::None,
-            body: CollBody::Engine(neighbor_blocks_engine(tag, self.sources().to_vec())),
-        };
-        comm.persistent_coll(plan, Some(own))
+        let engine = NeighborBlocksEngine::boxed(self, tag, None);
+        comm.persistent_coll(engine, Some(bytes_from_slice(data)))
     }
 
     /// Persistent [`ineighbor_alltoallv`](Self::ineighbor_alltoallv)
@@ -524,58 +536,21 @@ pub trait NeighborhoodColl: Neighborhood {
         let comm = self.comm();
         comm.count_op("neighbor_alltoallv_init");
         let tag = comm.next_internal_tag();
-        let ranges =
-            neighbor_byte_ranges::<T>("neighbor_alltoallv_init", counts, self, data.len())?;
+        let elem = std::mem::size_of::<T>();
+        let degree = self.destinations().len();
+        let ranges = packed_ranges("neighbor_alltoallv_init", counts, elem, data.len(), degree)?;
         trace::instant(
             trace::cat::COLL,
             "neighbor_alltoallv_init",
             std::mem::size_of_val(data) as u64,
             self.max_degree() as u64,
         );
-        let plan = CollPlan {
-            sends: CollSends::SlicedTo {
-                tag,
-                dests: self.destinations().to_vec(),
-                ranges,
-            },
-            own: OwnSpec::None,
-            body: CollBody::Engine(neighbor_blocks_engine(tag, self.sources().to_vec())),
-        };
-        comm.persistent_coll(plan, Some(bytes_from_slice(data)))
+        let engine = NeighborBlocksEngine::boxed(self, tag, Some(ranges));
+        comm.persistent_coll(engine, Some(bytes_from_slice(data)))
     }
 }
 
 impl<N: Neighborhood + ?Sized> NeighborhoodColl for N {}
-
-/// Contiguous per-destination byte ranges from element counts.
-fn neighbor_byte_ranges<T: Plain>(
-    what: &str,
-    counts: &[usize],
-    n: &(impl Neighborhood + ?Sized),
-    data_len: usize,
-) -> Result<Vec<std::ops::Range<usize>>> {
-    let degree = n.destinations().len();
-    if counts.len() != degree {
-        return Err(MpiError::InvalidLayout(format!(
-            "{what}: {} counts for {degree} destination neighbors",
-            counts.len()
-        )));
-    }
-    let total: usize = counts.iter().sum();
-    if total != data_len {
-        return Err(MpiError::InvalidLayout(format!(
-            "{what}: send buffer holds {data_len} elements but counts sum to {total}"
-        )));
-    }
-    let elem = std::mem::size_of::<T>();
-    let mut ranges = Vec::with_capacity(degree);
-    let mut offset = 0usize;
-    for &c in counts {
-        ranges.push(offset * elem..(offset + c) * elem);
-        offset += c;
-    }
-    Ok(ranges)
-}
 
 #[cfg(test)]
 mod tests {

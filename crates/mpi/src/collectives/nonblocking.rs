@@ -1,36 +1,56 @@
-//! Non-blocking collectives: resumable state machines behind [`Request`].
+//! Non-blocking collectives: resumable state machines behind [`Request`]
+//! — and the one definition of every round-structured algorithm.
+//!
+//! A collective here is a [`CollEngine`]: `start` posts everything that
+//! depends on no receive, `advance` drains receives (posting each later
+//! round's sends as the round before it completes). The three
+//! lifecycles are three drivers of that one machine:
+//!
+//! ```text
+//!   blocking   build on the stack, start, advance(block = true)   [drive]
+//!   i*         build, start, box into a Request; test/wait advance it
+//!   *_init     build once; every PersistentRequest::start calls start
+//! ```
 //!
 //! Each `i*` collective allocates its internal tag(s) at call time (so
 //! ranks must start non-blocking collectives in the same order, the MPI
-//! rule), posts every send it can *eagerly* (the substrate transport is
-//! eager, so sends never block), and packages the remaining receives into
-//! a [`CollEngine`] state machine stored inside the returned [`Request`].
-//! `Request::test` advances the machine without blocking;
-//! `Request::wait` drives it to completion — MPI's progress-on-call
-//! semantics. Communication therefore genuinely overlaps local compute:
-//! all outgoing traffic is in flight from the moment the call returns,
-//! and incoming traffic is drained whenever the caller polls.
+//! rule) and posts every send it can *eagerly* (the substrate transport
+//! is eager, so sends never block). `Request::test` advances the machine
+//! without blocking; `Request::wait` drives it to completion — MPI's
+//! progress-on-call semantics. Communication therefore genuinely
+//! overlaps local compute: all outgoing traffic is in flight from the
+//! moment the call returns, and incoming traffic is drained whenever the
+//! caller polls.
 //!
 //! Algorithms (startups per rank; copies with `s` = bytes sent by the
 //! rank, `r` = bytes of its result — a payload is serialized at most
 //! once at its origin and materialized once per destination; forwarding
 //! and fan-out are refcount clones, and the `*_bytes` entry points adopt
-//! owned buffers with **zero** call-time copies):
+//! owned buffers with **zero** call-time copies). "Also runs" names the
+//! other lifecycles driving the same engine:
 //!
-//! | operation            | algorithm                         | startups      | copies per rank    |
-//! |----------------------|-----------------------------------|---------------|--------------------|
-//! | `ibcast`             | binomial tree, forward on poll    | <= log2 p     | root: <= s; other: r |
-//! | `igather(v)`         | flat tree (linear at root)        | 1 (root: p-1) | s + r              |
-//! | `iscatter(v)`        | flat tree (eager, pack-once root) | p-1 (other: 1)| root: s; other: r  |
-//! | `iallgather(v)`      | flat dissemination                | p-1           | <= s, + r at wait  |
-//! | `iallgather` (model/forced) | recursive doubling, resumable rounds | log2 p | s·(p-2) + r |
-//! | `iallgather` (model/forced) | Bruck, resumable rounds     | ceil(log2 p)  | <= s·(p-1) + r     |
-//! | `ialltoall(v)`       | pairwise eager, pack-once + slice | p-1           | <= s, + r at wait  |
-//! | `ialltoall` (model/forced) | Bruck, resumable rounds     | ceil(log2 p)  | s + r + repacks    |
-//! | `ireduce`            | flat gather + in-place ordered fold | 1 (root: p-1) | s (root: r)      |
-//! | `ireduce` (model/forced) | binomial tree, in-place folds | <= log2 p     | s (root: r)        |
-//! | `iallreduce`         | flat gather + fold + binomial bcast | mixed       | s (folds/fan-out free) |
-//! | `iallreduce` (model/forced)| binomial tree reduce + binomial bcast | <= 2 log2 p | s (folds/fan-out free) |
+//! | operation            | algorithm                         | startups      | copies per rank    | also runs |
+//! |----------------------|-----------------------------------|---------------|--------------------|-----------|
+//! | `ibarrier`           | dissemination                     | ceil(log2 p)  | 0                  | blocking `barrier` |
+//! | `ibcast`             | binomial tree, forward on poll    | <= log2 p     | root: <= s; other: r | `bcast_init` |
+//! | `igather(v)`         | flat tree (linear at root)        | 1 (root: p-1) | s + r              | — |
+//! | `iscatter(v)`        | flat tree (eager, pack-once root) | p-1 (other: 1)| root: s; other: r  | — |
+//! | `iallgather(v)`      | flat dissemination                | p-1           | <= s, + r at wait  | `allgather_init` |
+//! | `iallgather` (model/forced) | recursive doubling         | log2 p        | s·(p-2) + r        | blocking `allgather` |
+//! | `iallgather` (model/forced) | Bruck                      | ceil(log2 p)  | <= s·(p-1) + r     | blocking `allgather` |
+//! | `ialltoall(v)`       | pairwise eager, pack-once + slice | p-1           | <= s, + r at wait  | `alltoallv_init` |
+//! | `ialltoall` (model/forced) | Bruck                       | ceil(log2 p)  | s + r + repacks    | blocking `alltoall` |
+//! | `ireduce`            | flat gather + in-place ordered fold | 1 (root: p-1) | s (root: r)      | — |
+//! | `ireduce` (model/forced) | binomial tree, in-place folds | <= log2 p     | leaf: s; other: 0  | blocking `reduce` |
+//! | `iallreduce`         | flat gather + fold + binomial bcast | mixed       | s (folds/fan-out free) | `allreduce_init` |
+//! | `iallreduce` (model/forced)| binomial tree reduce + binomial bcast | <= 2 log2 p | s (folds/fan-out free) | (tree shared with `reduce`) |
+//!
+//! The five log-round rows (and the barrier) are [`Rounds`]
+//! descriptions — index arithmetic only, in [`super::algos`] and
+//! [`super::barrier`] — run by the one round loop of [`RoundEngine`].
+//! The blocking-only algorithms (ring, recursive-doubling allreduce,
+//! Rabenseifner, van de Geijn, pairwise, flat gather/scatter) have no
+//! engine form.
 //!
 //! The flat algorithms trade the blocking collectives' latency-optimal
 //! trees for *immediacy*: every byte a rank contributes is on the wire
@@ -38,8 +58,7 @@
 //! overlap (§III-E of the paper, extended to collectives) effective.
 //! They therefore stay the *static* `Auto` choice of the communicator's
 //! [`CollTuning`](super::algos::CollTuning); the tree/Bruck/doubling
-//! engines (resumable state machines like everything here) engage when
-//! the tuning *forces* them — or, with
+//! engines engage when the tuning *forces* them — or, with
 //! [`CollTuning::self_tuning`](super::algos::CollTuning::self_tuning)
 //! enabled, when the warm measured cost model predicts that the round
 //! structure wins even after charging every round one extra startup for
@@ -56,62 +75,57 @@
 //! derives receive counts from the block lengths without any extra
 //! count exchange.
 
+use std::ops::Range;
+
 use bytes::Bytes;
 
-use super::algos::{
-    self, alltoall as bruck_algo, fold_bytes_right, AllgatherAlgo, AlltoallAlgo, ReduceAlgo,
-};
-use super::send_internal;
+use super::algos::allgather::{BruckAllgather, RecursiveDoubling};
+use super::algos::alltoall::BruckAlltoall;
+use super::algos::reduce::{AfterTreeReduce, Own, TreeReduce};
+use super::algos::{self, fold_bytes_right, AllgatherAlgo, AlltoallAlgo, ReduceAlgo};
+use super::{bcast_forward, bcast_parent, packed_ranges, root_without_data, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::message::{Src, Status, TagSel};
 use crate::op::ReduceOp;
-use crate::plain::{bytes_from_slice, bytes_from_vec, bytes_into_vec, extend_vec_from_bytes};
+use crate::plain::{bytes_from_slice, bytes_from_vec, bytes_into_vec};
 use crate::request::{Completion, Request};
 use crate::{Plain, Rank, Tag};
 
-/// A resumable non-blocking collective. `advance(block = false)` makes as
-/// much progress as possible without blocking; `advance(block = true)`
-/// runs to completion. Returns `Some` exactly once.
+/// A resumable collective: the only definition of its algorithm, driven
+/// by all three lifecycles (see the module doc).
 pub(crate) trait CollEngine {
+    /// Begins one cycle with this cycle's contribution (empty where the
+    /// rank contributes nothing): initialises the receive state, reusing
+    /// whatever storage the previous cycle left, and posts everything
+    /// that depends on no receive — a flat fan-out, round 0 of a
+    /// log-round algorithm, a leaf's send to its parent. Tags, peers and
+    /// slice ranges were frozen when the engine was built.
+    fn start(&mut self, comm: &Comm, payload: Bytes) -> Result<()>;
+
+    /// `advance(block = false)` makes as much progress as possible
+    /// without blocking; `advance(block = true)` runs to completion.
+    /// Returns `Some` exactly once per cycle.
     fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>>;
 
     /// The registration hook of the completion subsystem
     /// ([`crate::completion`]): appends the `(source rank, tag)` pairs
     /// whose arrival could let `advance` make progress *right now*.
     /// Reporting none means the engine is not blocked on any receive
-    /// (about to complete) and must not be parked on. Called only after
-    /// a non-blocking `advance`, so call-time sends have been posted.
+    /// (about to complete) and must not be parked on.
     fn sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>);
-
-    /// Resets a completed engine for another cycle on the *same* frozen
-    /// tag schedule (the persistent-request hook, [`crate::persistent`]):
-    /// `own` re-seeds this rank's contribution where the engine carries
-    /// one. Returns `false` for engines that do not support restart —
-    /// persistent init only builds rewindable engines, so the default
-    /// stays honest for the one-shot ones.
-    fn rewind(&mut self, _own: Option<Bytes>) -> bool {
-        false
-    }
 
     /// The full, frozen set of `(source rank, tag)` pairs this engine
     /// can ever receive from across a cycle (unlike [`Self::sources`],
     /// which reports only the *currently* blocking ones). Persistent
-    /// init registers a standing waiter on each, once. Engines that do
-    /// not support restart report none.
-    fn all_sources(&self, _comm: &Comm, _out: &mut Vec<(Rank, Tag)>) {}
-}
+    /// init registers a standing waiter on each, once.
+    fn all_sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>);
 
-/// Receives one message from every peer rank (everything except
-/// `blocks[i].is_some()` holes pre-filled at creation), collecting
-/// payloads in rank order.
-struct RecvFromEach {
-    tag: Tag,
-    blocks: Vec<Option<Bytes>>,
-    missing: usize,
-    /// This rank's slot (pre-filled when the rank contributes in-band);
-    /// remembered so a persistent rewind can re-seed it.
-    home: usize,
+    /// Whether `payload` fits what was frozen at build time; a
+    /// persistent request asks before accepting a new cycle's payload.
+    fn check_payload(&self, _payload: &Bytes) -> Result<()> {
+        Ok(())
+    }
 }
 
 /// One receive attempt from `src` on `tag`: blocking when `block` is
@@ -123,7 +137,7 @@ struct RecvFromEach {
 /// other collectives' traffic is piled up at the rank.
 pub(crate) fn recv_one(comm: &Comm, src: Rank, tag: Tag, block: bool) -> Result<Option<Bytes>> {
     // Every collective engine phase funnels through here, so a planned
-    // crash can land inside any algorithm round (e.g. mid-Rabenseifner).
+    // crash can land inside any algorithm round (e.g. mid-Bruck).
     crate::fault::point("coll/phase");
     if block {
         let env = comm.recv_envelope(Src::Rank(src), TagSel::Is(tag))?;
@@ -138,37 +152,156 @@ pub(crate) fn recv_one(comm: &Comm, src: Rank, tag: Tag, block: bool) -> Result<
     }
 }
 
-impl RecvFromEach {
-    /// `own` pre-fills this rank's slot (None for rooted gathers where
-    /// the root contributes in-band).
-    fn new(comm: &Comm, tag: Tag, own: Option<Bytes>) -> Self {
-        let p = comm.size();
-        let mut blocks: Vec<Option<Bytes>> = (0..p).map(|_| None).collect();
-        let mut missing = p;
-        let home = comm.rank();
-        if let Some(own) = own {
-            blocks[home] = Some(own);
-            missing -= 1;
+pub(crate) fn message_completion(source: Rank, tag: Tag, payload: Bytes) -> Completion {
+    let status = Status {
+        source,
+        tag,
+        bytes: payload.len(),
+    };
+    Completion::Message(payload, status)
+}
+
+// ---------------------------------------------------------------------------
+// The round driver
+// ---------------------------------------------------------------------------
+
+/// A round-structured algorithm reduced to its index arithmetic: round
+/// `k` posts sends that depend only on rounds `< k`, then receives one
+/// message from `peer(k)` and absorbs it. [`RoundEngine`] supplies the
+/// loop, the resumption state and both source sets.
+pub(crate) trait Rounds {
+    /// Installs this cycle's contribution, back at "nothing received".
+    /// The default is for algorithms that take none here: the barrier,
+    /// and the reduce tree, whose typed contribution is fixed when it is
+    /// built.
+    fn seed(&mut self, _comm: &Comm, _payload: Bytes) {}
+    /// Number of receive rounds (fixed once built).
+    fn rounds(&self) -> usize;
+    /// Whom round `k` receives from, and on which tag.
+    fn peer(&self, comm: &Comm, k: usize) -> (Rank, Tag);
+    /// Posts round `k`'s sends; called once rounds `< k` are absorbed.
+    fn post(&mut self, comm: &Comm, k: usize) -> Result<()>;
+    /// Takes in round `k`'s message.
+    fn absorb(&mut self, comm: &Comm, k: usize, payload: Bytes) -> Result<()>;
+    /// Runs once every round is absorbed: closing sends and the result.
+    fn finish(&mut self, comm: &Comm) -> Result<Completion>;
+}
+
+/// The one round loop: drives any [`Rounds`] description as a
+/// [`CollEngine`].
+pub(crate) struct RoundEngine<A> {
+    algo: A,
+    /// The round whose receive is outstanding.
+    round: usize,
+    /// An algorithm with no round to wait for finishes inside `start`,
+    /// so that its closing sends (a tree leaf's block towards its
+    /// parent) leave at the call like every other eager send.
+    done: Option<Completion>,
+}
+
+impl<A: Rounds> RoundEngine<A> {
+    pub(crate) fn new(algo: A) -> Self {
+        RoundEngine {
+            algo,
+            round: 0,
+            done: None,
         }
-        RecvFromEach {
-            tag,
-            blocks,
-            missing,
-            home,
+    }
+}
+
+impl<A: Rounds> CollEngine for RoundEngine<A> {
+    fn start(&mut self, comm: &Comm, payload: Bytes) -> Result<()> {
+        self.algo.seed(comm, payload);
+        self.round = 0;
+        if self.algo.rounds() == 0 {
+            self.done = Some(self.algo.finish(comm)?);
+            return Ok(());
+        }
+        self.algo.post(comm, 0)
+    }
+
+    fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
+        if let Some(done) = self.done.take() {
+            return Ok(Some(done));
+        }
+        while self.round < self.algo.rounds() {
+            let (src, tag) = self.algo.peer(comm, self.round);
+            let Some(payload) = recv_one(comm, src, tag, block)? else {
+                return Ok(None);
+            };
+            self.algo.absorb(comm, self.round, payload)?;
+            self.round += 1;
+            if self.round < self.algo.rounds() {
+                self.algo.post(comm, self.round)?;
+            }
+        }
+        self.algo.finish(comm).map(Some)
+    }
+
+    fn sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
+        // Rounds are received strictly in order, so the current round's
+        // peer is the one source whose arrival unblocks the engine.
+        if self.round < self.algo.rounds() {
+            out.push(self.algo.peer(comm, self.round));
         }
     }
 
-    /// Re-arms for another round of receives on the same tag, reusing
-    /// the slot vector (no allocation): the persistent-cycle reset.
-    fn reset(&mut self, own: Option<Bytes>) {
-        self.missing = self.blocks.len();
-        for b in &mut self.blocks {
-            *b = None;
+    fn all_sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
+        out.extend((0..self.algo.rounds()).map(|k| self.algo.peer(comm, k)));
+    }
+}
+
+/// The blocking driver: the engine lives on the caller's stack — no
+/// `Box`, no [`Request`], no async trace span — and is driven straight
+/// to completion. Hands the algorithm back for results it keeps typed.
+pub(crate) fn drive<A: Rounds>(comm: &Comm, algo: A, payload: Bytes) -> Result<(Completion, A)> {
+    let mut engine = RoundEngine::new(algo);
+    engine.start(comm, payload)?;
+    let done = engine.advance(comm, true)?;
+    Ok((
+        done.expect("a blocking advance completes the collective"),
+        engine.algo,
+    ))
+}
+
+/// [`drive`] for the algorithms that complete with one block per rank.
+pub(crate) fn drive_blocks<A: Rounds>(comm: &Comm, algo: A, payload: Bytes) -> Result<Vec<Bytes>> {
+    let (done, _) = drive(comm, algo, payload)?;
+    Ok(done
+        .into_blocks()
+        .expect("the algorithm completes with blocks"))
+}
+
+// ---------------------------------------------------------------------------
+// Flat collectors
+// ---------------------------------------------------------------------------
+
+/// Receives one message from every peer rank, collecting payloads in
+/// rank order around this rank's own pre-filled slot.
+struct RecvFromEach {
+    tag: Tag,
+    blocks: Vec<Option<Bytes>>,
+    missing: usize,
+    /// This rank's slot.
+    home: usize,
+}
+
+impl RecvFromEach {
+    fn new(comm: &Comm, tag: Tag) -> Self {
+        RecvFromEach {
+            tag,
+            blocks: vec![None; comm.size()],
+            missing: 0,
+            home: comm.rank(),
         }
-        if let Some(own) = own {
-            self.blocks[self.home] = Some(own);
-            self.missing -= 1;
-        }
+    }
+
+    /// Arms a cycle of receives around `own`, reusing the slot vector
+    /// (no allocation in a persistent steady state).
+    fn reset(&mut self, own: Bytes) {
+        self.blocks.fill(None);
+        self.blocks[self.home] = Some(own);
+        self.missing = self.blocks.len() - 1;
     }
 
     /// Drains matching envelopes; `Ok(true)` once every slot is filled.
@@ -212,108 +345,73 @@ impl RecvFromEach {
     }
 }
 
-pub(crate) fn message_completion(source: Rank, tag: Tag, payload: Bytes) -> Completion {
-    let status = Status {
-        source,
-        tag,
-        bytes: payload.len(),
-    };
-    Completion::Message(payload, status)
-}
-
-// ---------------------------------------------------------------------------
-// Binomial-tree broadcast machinery (shared with the blocking bcast)
-// ---------------------------------------------------------------------------
-
-use super::bcast::bcast_forward;
-
-/// Non-root side of a binomial broadcast: waits for the parent, forwards
-/// to children on receipt.
-struct BcastRecv {
+/// Sends `payload[ranges[r]]` to every rank `r` but this one and
+/// returns this rank's own slice (refcount slices: the packed payload
+/// is scattered without a copy).
+fn scatter_slices(
+    comm: &Comm,
     tag: Tag,
-    root: Rank,
-}
-
-impl BcastRecv {
-    /// This rank's parent in the binomial tree rooted at `self.root`.
-    fn parent(&self, comm: &Comm) -> Rank {
-        let p = comm.size();
-        let vrank = (comm.rank() + p - self.root) % p;
-        debug_assert!(vrank != 0, "the root never waits for a bcast parent");
-        let parent_v = vrank & (vrank - 1);
-        (parent_v + self.root) % p
-    }
-
-    /// `Ok(Some(payload))` once the parent's message arrived (children
-    /// already forwarded to).
-    fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Bytes>> {
-        let p = comm.size();
-        let vrank = (comm.rank() + p - self.root) % p;
-        let parent = self.parent(comm);
-        let Some(payload) = recv_one(comm, parent, self.tag, block)? else {
-            return Ok(None);
-        };
-        bcast_forward(comm, vrank, self.root, self.tag, &payload)?;
-        Ok(Some(payload))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Engines
-// ---------------------------------------------------------------------------
-
-/// Already finished at creation (eager sends only, or `p == 1`).
-struct ReadyEngine(Option<Completion>);
-
-impl CollEngine for ReadyEngine {
-    fn advance(&mut self, _comm: &Comm, _block: bool) -> Result<Option<Completion>> {
-        Ok(Some(
-            self.0.take().expect("ready engine polled after completion"),
-        ))
-    }
-
-    fn sources(&self, _comm: &Comm, _out: &mut Vec<(Rank, Tag)>) {
-        // Complete on creation: nothing to park on.
-    }
-}
-
-/// Non-root `ibcast` / phase 2 of non-root `iallreduce`.
-struct BcastRecvEngine {
-    recv: BcastRecv,
-    root: Rank,
-}
-
-impl CollEngine for BcastRecvEngine {
-    fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
-        match self.recv.advance(comm, block)? {
-            Some(payload) => Ok(Some(message_completion(self.root, self.recv.tag, payload))),
-            None => Ok(None),
+    payload: &Bytes,
+    ranges: &[Range<usize>],
+) -> Result<Bytes> {
+    for (r, range) in ranges.iter().enumerate() {
+        if r != comm.rank() {
+            send_internal(comm, r, tag, payload.slice(range.clone()))?;
         }
     }
+    Ok(payload.slice(ranges[comm.rank()].clone()))
+}
 
-    fn sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        out.push((self.recv.parent(comm), self.recv.tag));
+/// The `check_payload` of engines that slice by frozen ranges: the new
+/// payload must be exactly as long as the counts frozen at init say.
+pub(crate) fn check_frozen_total(ranges: &[Range<usize>], payload: &Bytes) -> Result<()> {
+    let total = ranges.last().map_or(0, |r| r.end);
+    if payload.len() != total {
+        return Err(MpiError::InvalidLayout(format!(
+            "persistent alltoallv: payload holds {} bytes but the \
+             frozen counts sum to {total} bytes",
+            payload.len()
+        )));
     }
+    Ok(())
+}
 
-    fn rewind(&mut self, _own: Option<Bytes>) -> bool {
-        // Stateless between cycles: every field is frozen config.
-        true
-    }
-
-    fn all_sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        out.push((self.recv.parent(comm), self.recv.tag));
-    }
+/// What a [`BlocksEngine`] posts at `start`.
+enum FanOut {
+    /// Nothing: the root of a gather only collects.
+    None,
+    /// The whole payload to every peer (allgather).
+    All,
+    /// `payload[ranges[r]]` to each rank `r` (alltoallv), the ranges
+    /// frozen at build time.
+    Sliced(Vec<Range<usize>>),
 }
 
 /// Collects one block per rank and completes with
 /// [`Completion::Blocks`]: the root side of `igather(v)` and every rank
-/// of `iallgather(v)` / `ialltoall(v)` (whose sends were all posted
-/// eagerly at call time).
+/// of the flat `iallgather(v)` / `ialltoall(v)` and their persistent
+/// plans.
 struct BlocksEngine {
     recv: RecvFromEach,
+    fan: FanOut,
 }
 
 impl CollEngine for BlocksEngine {
+    fn start(&mut self, comm: &Comm, payload: Bytes) -> Result<()> {
+        let own = match &self.fan {
+            FanOut::None => payload,
+            FanOut::All => {
+                for r in (0..comm.size()).filter(|&r| r != comm.rank()) {
+                    send_internal(comm, r, self.recv.tag, payload.clone())?;
+                }
+                payload
+            }
+            FanOut::Sliced(ranges) => scatter_slices(comm, self.recv.tag, &payload, ranges)?,
+        };
+        self.recv.reset(own);
+        Ok(())
+    }
+
     fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
         if self.recv.advance(comm, block)? {
             Ok(Some(Completion::Blocks(self.recv.take_blocks())))
@@ -326,443 +424,182 @@ impl CollEngine for BlocksEngine {
         self.recv.sources(out);
     }
 
-    fn rewind(&mut self, own: Option<Bytes>) -> bool {
-        self.recv.reset(own);
-        true
+    fn all_sources(&self, _comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
+        self.recv.all_sources(out);
+    }
+
+    fn check_payload(&self, payload: &Bytes) -> Result<()> {
+        match &self.fan {
+            FanOut::Sliced(ranges) => check_frozen_total(ranges, payload),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// A rank whose whole part is one eager send: the non-root side of a
+/// flat gather or reduce.
+struct SendEngine {
+    dest: Rank,
+    tag: Tag,
+}
+
+impl CollEngine for SendEngine {
+    fn start(&mut self, comm: &Comm, payload: Bytes) -> Result<()> {
+        send_internal(comm, self.dest, self.tag, payload)
+    }
+
+    fn advance(&mut self, _comm: &Comm, _block: bool) -> Result<Option<Completion>> {
+        Ok(Some(Completion::Done))
+    }
+
+    fn sources(&self, _comm: &Comm, _out: &mut Vec<(Rank, Tag)>) {
+        // Complete at `start`: nothing to park on.
+    }
+
+    fn all_sources(&self, _comm: &Comm, _out: &mut Vec<(Rank, Tag)>) {}
+}
+
+/// The root of a binomial broadcast: forwards down the tree at `start`
+/// and completes with the payload it sent.
+struct BcastRootEngine {
+    tag: Tag,
+    root: Rank,
+    payload: Bytes,
+}
+
+impl CollEngine for BcastRootEngine {
+    fn start(&mut self, comm: &Comm, payload: Bytes) -> Result<()> {
+        bcast_forward(comm, self.root, self.tag, &payload)?;
+        self.payload = payload;
+        Ok(())
+    }
+
+    fn advance(&mut self, _comm: &Comm, _block: bool) -> Result<Option<Completion>> {
+        let payload = std::mem::take(&mut self.payload);
+        Ok(Some(message_completion(self.root, self.tag, payload)))
+    }
+
+    fn sources(&self, _comm: &Comm, _out: &mut Vec<(Rank, Tag)>) {}
+
+    fn all_sources(&self, _comm: &Comm, _out: &mut Vec<(Rank, Tag)>) {}
+}
+
+/// Every other rank of a binomial broadcast: waits for the parent and
+/// forwards to its children on receipt. With `up` set it first
+/// contributes there — the non-root side of a flat `iallreduce`, whose
+/// gather phase is that one send.
+struct BcastRecvEngine {
+    tag: Tag,
+    root: Rank,
+    up: Option<(Rank, Tag)>,
+}
+
+impl CollEngine for BcastRecvEngine {
+    fn start(&mut self, comm: &Comm, payload: Bytes) -> Result<()> {
+        match self.up {
+            Some((dest, tag)) => send_internal(comm, dest, tag, payload),
+            None => Ok(()),
+        }
+    }
+
+    fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
+        let parent = bcast_parent(comm, self.root);
+        let Some(payload) = recv_one(comm, parent, self.tag, block)? else {
+            return Ok(None);
+        };
+        bcast_forward(comm, self.root, self.tag, &payload)?;
+        Ok(Some(message_completion(self.root, self.tag, payload)))
+    }
+
+    fn sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
+        out.push((bcast_parent(comm, self.root), self.tag));
+    }
+
+    fn all_sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
+        self.sources(comm, out);
+    }
+}
+
+/// Both sides of `iscatter(v)`: the root slices the packed payload by
+/// the ranges frozen at build time and completes with its own block;
+/// every other rank receives its block from the root.
+struct ScatterEngine {
+    tag: Tag,
+    root: Rank,
+    /// At the root: each rank's byte range of the packed payload.
+    ranges: Vec<Range<usize>>,
+    own: Bytes,
+}
+
+impl CollEngine for ScatterEngine {
+    fn start(&mut self, comm: &Comm, payload: Bytes) -> Result<()> {
+        if comm.rank() == self.root {
+            self.own = scatter_slices(comm, self.tag, &payload, &self.ranges)?;
+        }
+        Ok(())
+    }
+
+    fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
+        let block = if comm.rank() == self.root {
+            Some(std::mem::take(&mut self.own))
+        } else {
+            recv_one(comm, self.root, self.tag, block)?
+        };
+        Ok(block.map(|b| message_completion(self.root, self.tag, b)))
+    }
+
+    fn sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
+        if comm.rank() != self.root {
+            out.push((self.root, self.tag));
+        }
+    }
+
+    fn all_sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
+        self.sources(comm, out);
+    }
+}
+
+/// The root of a flat reduction: gathers one block per rank, folds them
+/// strictly in rank order (correct for non-commutative operations by
+/// construction) and completes with the result — after sending it down
+/// the binomial tree on `bcast`, when this is rank 0 of an allreduce.
+struct FoldRootEngine {
+    recv: RecvFromEach,
+    /// `FnMut`, so a persistent plan reuses it every cycle.
+    fold: Box<dyn FnMut(Vec<Bytes>) -> Result<Bytes>>,
+    root: Rank,
+    bcast: Option<Tag>,
+}
+
+impl CollEngine for FoldRootEngine {
+    fn start(&mut self, _comm: &Comm, payload: Bytes) -> Result<()> {
+        self.recv.reset(payload);
+        Ok(())
+    }
+
+    fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
+        if !self.recv.advance(comm, block)? {
+            return Ok(None);
+        }
+        let folded = (self.fold)(self.recv.take_blocks())?;
+        let tag = match self.bcast {
+            Some(bcast_tag) => {
+                bcast_forward(comm, self.root, bcast_tag, &folded)?;
+                bcast_tag
+            }
+            None => self.recv.tag,
+        };
+        Ok(Some(message_completion(self.root, tag, folded)))
+    }
+
+    fn sources(&self, _comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
+        self.recv.sources(out);
     }
 
     fn all_sources(&self, _comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
         self.recv.all_sources(out);
     }
 }
-
-/// Non-root side of `iscatter(v)`: receive this rank's block from the
-/// root.
-struct ScatterRecvEngine {
-    tag: Tag,
-    root: Rank,
-}
-
-impl CollEngine for ScatterRecvEngine {
-    fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
-        let payload = recv_one(comm, self.root, self.tag, block)?;
-        Ok(payload.map(|p| message_completion(self.root, self.tag, p)))
-    }
-
-    fn sources(&self, _comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        out.push((self.root, self.tag));
-    }
-}
-
-/// Root side of `ireduce`: flat gather, then a strictly rank-ordered fold
-/// (correct for non-commutative operations by construction).
-struct ReduceRootEngine {
-    recv: RecvFromEach,
-    fold: Box<dyn FnMut(Vec<Bytes>) -> Result<Bytes>>,
-    source: Rank,
-}
-
-impl CollEngine for ReduceRootEngine {
-    fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
-        if self.recv.advance(comm, block)? {
-            let folded = (self.fold)(self.recv.take_blocks())?;
-            Ok(Some(message_completion(self.source, self.recv.tag, folded)))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn sources(&self, _comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        self.recv.sources(out);
-    }
-}
-
-/// Rank 0 of `iallreduce`: gather + fold, then broadcast the result down
-/// the binomial tree.
-struct AllreduceRootEngine {
-    recv: RecvFromEach,
-    fold: Box<dyn FnMut(Vec<Bytes>) -> Result<Bytes>>,
-    bcast_tag: Tag,
-}
-
-impl CollEngine for AllreduceRootEngine {
-    fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
-        if self.recv.advance(comm, block)? {
-            let folded = (self.fold)(self.recv.take_blocks())?;
-            bcast_forward(comm, 0, 0, self.bcast_tag, &folded)?;
-            Ok(Some(message_completion(0, self.bcast_tag, folded)))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn sources(&self, _comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        self.recv.sources(out);
-    }
-
-    fn rewind(&mut self, own: Option<Bytes>) -> bool {
-        // The fold closure is `FnMut` — reusable across cycles.
-        self.recv.reset(own);
-        true
-    }
-
-    fn all_sources(&self, _comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        self.recv.all_sources(out);
-    }
-}
-
-/// What a [`TreeReduceEngine`] does once its subtree is folded and (for
-/// non-roots) forwarded to the parent.
-enum AfterTreeReduce {
-    /// `ireduce` non-root: complete with [`Completion::Done`].
-    Done,
-    /// `ireduce` root: complete with the folded payload.
-    Complete,
-    /// `iallreduce` root (rank 0): forward down the binomial broadcast
-    /// tree, then complete with the payload.
-    BcastSend(Tag),
-    /// `iallreduce` non-root: wait for the broadcast of the result.
-    BcastRecvPhase(Tag),
-}
-
-/// Resumable binomial-tree reduction (commutative operations): receive
-/// from each binomial child as messages arrive, fold the delivered
-/// payload in place, then forward the subtree result to the parent.
-/// Selected by forcing [`ReduceAlgo::BinomialTree`]; the flat engines
-/// remain the overlap-friendly default.
-struct TreeReduceEngine<T: Plain, O: ReduceOp<T>> {
-    tag: Tag,
-    root: Rank,
-    op: O,
-    /// This rank's contribution; folds lazily into `acc` so leaves
-    /// forward it without materializing.
-    own: Option<Bytes>,
-    acc: Option<Vec<T>>,
-    /// Children (actual ranks) still to be received from.
-    pending: Vec<Rank>,
-    parent: Option<Rank>,
-    after: AfterTreeReduce,
-    /// Engaged for the broadcast phase of a non-root `iallreduce`.
-    bcast: Option<BcastRecv>,
-    sent: bool,
-}
-
-impl<T: Plain, O: ReduceOp<T>> TreeReduceEngine<T, O> {
-    fn new(comm: &Comm, tag: Tag, own: Bytes, op: O, root: Rank, after: AfterTreeReduce) -> Self {
-        let p = comm.size();
-        let vrank = (comm.rank() + p - root) % p;
-        let (children, parent) = algos::reduce::binomial_children(vrank, p);
-        TreeReduceEngine {
-            tag,
-            root,
-            op,
-            own: Some(own),
-            acc: None,
-            pending: children.iter().map(|&c| (c + root) % p).collect(),
-            parent: parent.map(|pv| (pv + root) % p),
-            after,
-            bcast: None,
-            sent: false,
-        }
-    }
-
-    /// The folded subtree contribution as a payload (a leaf's own block
-    /// moves out untouched; an inner node's accumulator moves in
-    /// without a serialization copy).
-    fn take_payload(&mut self) -> Bytes {
-        match self.acc.take() {
-            Some(acc) => bytes_from_vec(acc),
-            None => self.own.take().expect("payload taken once"),
-        }
-    }
-}
-
-impl<T: Plain, O: ReduceOp<T>> CollEngine for TreeReduceEngine<T, O> {
-    fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
-        if let Some(bcast) = &mut self.bcast {
-            return Ok(bcast
-                .advance(comm, block)?
-                .map(|payload| message_completion(0, bcast.tag, payload)));
-        }
-        while let Some(&child) = self.pending.last() {
-            let Some(theirs) = recv_one(comm, child, self.tag, block)? else {
-                return Ok(None);
-            };
-            self.pending.pop();
-            let acc = match &mut self.acc {
-                Some(acc) => acc,
-                None => {
-                    let own = self.own.take().expect("own block present before folding");
-                    self.acc.insert(crate::plain::bytes_to_vec(&own))
-                }
-            };
-            if theirs.len() != std::mem::size_of_val(acc.as_slice()) {
-                return Err(MpiError::InvalidLayout(format!(
-                    "ireduce: rank {child} contributed {} payload bytes, expected {}",
-                    theirs.len(),
-                    std::mem::size_of_val(acc.as_slice())
-                )));
-            }
-            fold_bytes_right(acc, &theirs, &self.op)?;
-        }
-        debug_assert!(!self.sent, "engine polled after completion");
-        self.sent = true;
-        let payload = self.take_payload();
-        if let Some(parent) = self.parent {
-            send_internal(comm, parent, self.tag, payload.clone())?;
-        }
-        match self.after {
-            AfterTreeReduce::Done => Ok(Some(Completion::Done)),
-            AfterTreeReduce::Complete => Ok(Some(message_completion(self.root, self.tag, payload))),
-            AfterTreeReduce::BcastSend(bcast_tag) => {
-                bcast_forward(comm, 0, 0, bcast_tag, &payload)?;
-                Ok(Some(message_completion(0, bcast_tag, payload)))
-            }
-            AfterTreeReduce::BcastRecvPhase(bcast_tag) => {
-                let mut recv = BcastRecv {
-                    tag: bcast_tag,
-                    root: 0,
-                };
-                let done = recv
-                    .advance(comm, block)?
-                    .map(|p| message_completion(0, bcast_tag, p));
-                self.bcast = Some(recv);
-                Ok(done)
-            }
-        }
-    }
-
-    fn sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        if let Some(bcast) = &self.bcast {
-            out.push((bcast.parent(comm), bcast.tag));
-        } else if let Some(&child) = self.pending.last() {
-            // `advance` receives children strictly in `pending.last()`
-            // order, so that child is the one source whose arrival
-            // unblocks the fold.
-            out.push((child, self.tag));
-        }
-        // No pending child and no bcast phase: the next advance
-        // completes without receiving — nothing to park on.
-    }
-}
-
-/// Resumable Bruck all-to-all: each round's packed message is sent as
-/// soon as the previous round's payload arrived; receives drain on
-/// test/wait like every engine here. Completes with
-/// [`Completion::Blocks`] (one block per source rank), exactly like the
-/// pairwise engine.
-struct BruckEngine {
-    rounds: Vec<bruck_algo::BruckRound>,
-    tags: Vec<Tag>,
-    blocks: Vec<Bytes>,
-    block_bytes: usize,
-    round: usize,
-}
-
-impl BruckEngine {
-    /// Packs and posts the sends of round `k` (round 0 is posted by the
-    /// caller at call time).
-    fn post_round(&self, comm: &Comm, k: usize) -> Result<()> {
-        let round = &self.rounds[k];
-        let msg = bruck_algo::bruck_pack(&self.blocks, &round.indices);
-        send_internal(comm, round.dest, self.tags[k], msg)
-    }
-}
-
-impl CollEngine for BruckEngine {
-    fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
-        while self.round < self.rounds.len() {
-            let k = self.round;
-            let Some(payload) = recv_one(comm, self.rounds[k].src, self.tags[k], block)? else {
-                return Ok(None);
-            };
-            bruck_algo::bruck_unpack(
-                &mut self.blocks,
-                &self.rounds[k].indices,
-                &payload,
-                self.block_bytes,
-            )?;
-            self.round += 1;
-            if self.round < self.rounds.len() {
-                self.post_round(comm, self.round)?;
-            }
-        }
-        let p = comm.size();
-        let rank = comm.rank();
-        let by_source: Vec<Bytes> = (0..p)
-            .map(|j| self.blocks[bruck_algo::bruck_source_index(rank, j, p)].clone())
-            .collect();
-        Ok(Some(Completion::Blocks(by_source)))
-    }
-
-    fn sources(&self, _comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        if self.round < self.rounds.len() {
-            out.push((self.rounds[self.round].src, self.tags[self.round]));
-        }
-    }
-}
-
-/// Resumable recursive-doubling allgather (power-of-two `p` only, the
-/// same gate as the blocking engine): round `k` exchanges the
-/// accumulated `2^k`-block group with `rank ^ 2^k`. Round 0's send
-/// (this rank's own block) is posted eagerly at call time; each later
-/// round's packed group goes out the moment the previous round's
-/// payload arrives. Completes with [`Completion::Blocks`] in rank
-/// order, exactly like the flat engine.
-struct AllgatherRdEngine {
-    tags: Vec<Tag>,
-    blocks: Vec<Option<Bytes>>,
-    block_bytes: usize,
-    round: usize,
-}
-
-impl AllgatherRdEngine {
-    fn post_round(&self, comm: &Comm, k: usize) -> Result<()> {
-        let rank = comm.rank();
-        let group = 1usize << k;
-        let partner = rank ^ group;
-        let base = rank & !(group - 1);
-        let outgoing = if group == 1 {
-            // Round 0 forwards the own block as a refcount clone.
-            self.blocks[rank].clone().expect("own block present")
-        } else {
-            // Pack the group in ascending origin order (the counted
-            // copy this algorithm trades for its startup win).
-            let mut packed: Vec<u8> = Vec::with_capacity(group * self.block_bytes);
-            for b in &self.blocks[base..base + group] {
-                extend_vec_from_bytes(&mut packed, b.as_ref().expect("block from earlier round"));
-            }
-            bytes_from_vec(packed)
-        };
-        send_internal(comm, partner, self.tags[k], outgoing)
-    }
-}
-
-impl CollEngine for AllgatherRdEngine {
-    fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
-        let rank = comm.rank();
-        let s = self.block_bytes;
-        while self.round < self.tags.len() {
-            let k = self.round;
-            let group = 1usize << k;
-            let partner = rank ^ group;
-            let Some(incoming) = recv_one(comm, partner, self.tags[k], block)? else {
-                return Ok(None);
-            };
-            if incoming.len() != group * s {
-                return Err(MpiError::InvalidLayout(format!(
-                    "iallgather (recursive doubling): round {k} delivered {} bytes, \
-                     expected {} ({group} blocks of {s}) — unequal contributions?",
-                    incoming.len(),
-                    group * s
-                )));
-            }
-            let partner_base = partner & !(group - 1);
-            for (i, origin) in (partner_base..partner_base + group).enumerate() {
-                // Carve per-origin blocks as refcount sub-views.
-                self.blocks[origin] = Some(incoming.slice(i * s..(i + 1) * s));
-            }
-            self.round += 1;
-            if self.round < self.tags.len() {
-                self.post_round(comm, self.round)?;
-            }
-        }
-        Ok(Some(Completion::Blocks(
-            self.blocks
-                .iter_mut()
-                .map(|b| b.take().expect("all groups exchanged"))
-                .collect(),
-        )))
-    }
-
-    fn sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        if self.round < self.tags.len() {
-            out.push((comm.rank() ^ (1usize << self.round), self.tags[self.round]));
-        }
-    }
-}
-
-/// Resumable Bruck allgather (any `p`): local index `i` accumulates the
-/// block of origin `(rank + i) % p`; round `k` sends the first
-/// `min(2^k, p - 2^k)` accumulated blocks to `rank - 2^k` and appends
-/// the same count from `rank + 2^k`. Round 0 is posted eagerly at call
-/// time; the final completion rotates back into rank order.
-struct AllgatherBruckEngine {
-    tags: Vec<Tag>,
-    local: Vec<Bytes>,
-    block_bytes: usize,
-    round: usize,
-}
-
-impl AllgatherBruckEngine {
-    fn post_round(&self, comm: &Comm, k: usize) -> Result<()> {
-        let p = comm.size();
-        let rank = comm.rank();
-        let step = 1usize << k;
-        let cnt = step.min(p - step);
-        let dest = (rank + p - step) % p;
-        let outgoing = if cnt == 1 {
-            // Single blocks travel as refcount clones, copy-free.
-            self.local[0].clone()
-        } else {
-            let mut packed: Vec<u8> = Vec::with_capacity(cnt * self.block_bytes);
-            for b in &self.local[..cnt] {
-                extend_vec_from_bytes(&mut packed, b);
-            }
-            bytes_from_vec(packed)
-        };
-        send_internal(comm, dest, self.tags[k], outgoing)
-    }
-}
-
-impl CollEngine for AllgatherBruckEngine {
-    fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
-        let p = comm.size();
-        let rank = comm.rank();
-        let s = self.block_bytes;
-        while self.round < self.tags.len() {
-            let k = self.round;
-            let step = 1usize << k;
-            let cnt = step.min(p - step);
-            let src = (rank + step) % p;
-            let Some(incoming) = recv_one(comm, src, self.tags[k], block)? else {
-                return Ok(None);
-            };
-            if incoming.len() != cnt * s {
-                return Err(MpiError::InvalidLayout(format!(
-                    "iallgather (Bruck): round {k} delivered {} bytes, expected {} \
-                     ({cnt} blocks of {s}) — unequal contributions?",
-                    incoming.len(),
-                    cnt * s
-                )));
-            }
-            for i in 0..cnt {
-                self.local.push(incoming.slice(i * s..(i + 1) * s));
-            }
-            self.round += 1;
-            if self.round < self.tags.len() {
-                self.post_round(comm, self.round)?;
-            }
-        }
-        debug_assert_eq!(self.local.len(), p, "Bruck rounds deliver every block");
-        Ok(Some(Completion::Blocks(
-            (0..p)
-                .map(|origin| self.local[(origin + p - rank) % p].clone())
-                .collect(),
-        )))
-    }
-
-    fn sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        if self.round < self.tags.len() {
-            let step = 1usize << self.round;
-            out.push(((comm.rank() + step) % comm.size(), self.tags[self.round]));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared construction helpers
-// ---------------------------------------------------------------------------
 
 fn ordered_fold<T: Plain, O: ReduceOp<T> + 'static>(
     op: O,
@@ -791,72 +628,103 @@ fn ordered_fold<T: Plain, O: ReduceOp<T> + 'static>(
 }
 
 // ---------------------------------------------------------------------------
-// Persistent-init engine constructors (see `crate::persistent`): the
-// engine types stay private to this module; persistent plans freeze one
-// of these rewindable machines at init time.
+// Build functions — one per (operation, algorithm), shared by `i*` and
+// `*_init` (see `crate::persistent`) — and the `i*` entry points. Every
+// build function takes its internal tag(s) first and runs its rank-local
+// checks after, so an erroring rank stays tag-aligned with its peers.
 // ---------------------------------------------------------------------------
 
-/// Non-root side of a persistent broadcast cycle (also the broadcast
-/// phase of a persistent allreduce at non-roots).
-pub(crate) fn bcast_recv_engine(tag: Tag, root: Rank) -> Box<dyn CollEngine> {
-    Box::new(BcastRecvEngine {
-        recv: BcastRecv { tag, root },
-        root,
-    })
-}
-
-/// One-block-per-rank collector (persistent allgather / alltoallv):
-/// completes with [`Completion::Blocks`]. `own` seeds the first cycle.
-pub(crate) fn blocks_engine(comm: &Comm, tag: Tag, own: Bytes) -> Box<dyn CollEngine> {
-    Box::new(BlocksEngine {
-        recv: RecvFromEach::new(comm, tag, Some(own)),
-    })
-}
-
-/// Rank 0 of a persistent allreduce: gather + rank-ordered fold +
-/// binomial broadcast, rewindable across cycles (the fold closure is
-/// `FnMut`).
-pub(crate) fn allreduce_root_engine<T: Plain, O: ReduceOp<T> + 'static>(
-    comm: &Comm,
-    gather_tag: Tag,
-    bcast_tag: Tag,
-    own: Bytes,
-    op: O,
-) -> Box<dyn CollEngine> {
-    Box::new(AllreduceRootEngine {
-        recv: RecvFromEach::new(comm, gather_tag, Some(own)),
-        fold: ordered_fold::<T, O>(op),
-        bcast_tag,
-    })
-}
-
-fn check_v_layout(what: &str, len: usize, counts: &[usize], p: usize) -> Result<()> {
-    if counts.len() != p {
-        return Err(MpiError::InvalidLayout(format!(
-            "{what}: counts has {} entries for communicator of size {p}",
-            counts.len()
-        )));
-    }
-    let total: usize = counts.iter().sum();
-    if total != len {
-        return Err(MpiError::InvalidLayout(format!(
-            "{what}: buffer holds {len} elements but counts sum to {total}"
-        )));
-    }
-    Ok(())
-}
-
 impl Comm {
-    fn coll_request(&self, engine: Box<dyn CollEngine>) -> Request<'_> {
-        Request::collective(self, engine)
+    /// The `i*` driver: `start` the engine, hand it out as a
+    /// [`Request`].
+    pub(crate) fn icoll(
+        &self,
+        mut engine: Box<dyn CollEngine>,
+        payload: Bytes,
+    ) -> Result<Request<'_>> {
+        engine.start(self, payload)?;
+        Ok(Request::collective(self, engine))
+    }
+
+    /// Binomial-tree broadcast from `root` (`ibcast`, `bcast_init`).
+    pub(crate) fn bcast_binomial(
+        &self,
+        what: &str,
+        root_has_data: bool,
+        root: Rank,
+    ) -> Result<Box<dyn CollEngine>> {
+        self.check_rank(root)?;
+        let tag = self.next_internal_tag();
+        Ok(if self.rank() != root {
+            Box::new(BcastRecvEngine {
+                tag,
+                root,
+                up: None,
+            })
+        } else if root_has_data {
+            Box::new(BcastRootEngine {
+                tag,
+                root,
+                payload: Bytes::new(),
+            })
+        } else {
+            return Err(root_without_data(what));
+        })
+    }
+
+    /// Flat allgather: own block to every peer, one block back from
+    /// each (`iallgather(v)`, `allgather_init`).
+    pub(crate) fn allgather_flat(&self) -> Box<dyn CollEngine> {
+        Box::new(BlocksEngine {
+            recv: RecvFromEach::new(self, self.next_internal_tag()),
+            fan: FanOut::All,
+        })
+    }
+
+    /// Flat pairwise alltoallv over a packed payload of `packed_len`
+    /// bytes, `byte_counts[r]` of them for rank `r` (`ialltoall(v)`,
+    /// `alltoallv_init`).
+    pub(crate) fn alltoallv_flat(
+        &self,
+        what: &str,
+        packed_len: usize,
+        byte_counts: &[usize],
+    ) -> Result<Box<dyn CollEngine>> {
+        let recv = RecvFromEach::new(self, self.next_internal_tag());
+        let ranges = packed_ranges(what, byte_counts, 1, packed_len, self.size())?;
+        let fan = FanOut::Sliced(ranges);
+        Ok(Box::new(BlocksEngine { recv, fan }))
+    }
+
+    /// Flat allreduce: gather to rank 0, rank-ordered fold, binomial
+    /// broadcast of the result (`iallreduce`, `allreduce_init`).
+    pub(crate) fn allreduce_flat<T: Plain, O: ReduceOp<T> + 'static>(
+        &self,
+        op: O,
+    ) -> Box<dyn CollEngine> {
+        let gather_tag = self.next_internal_tag();
+        let bcast_tag = self.next_internal_tag();
+        if self.rank() == 0 {
+            Box::new(FoldRootEngine {
+                recv: RecvFromEach::new(self, gather_tag),
+                fold: ordered_fold::<T, O>(op),
+                root: 0,
+                bcast: Some(bcast_tag),
+            })
+        } else {
+            Box::new(BcastRecvEngine {
+                tag: bcast_tag,
+                root: 0,
+                up: Some((0, gather_tag)),
+            })
+        }
     }
 
     /// Starts a non-blocking broadcast (mirrors `MPI_Ibcast`). The root
     /// passes `Some(data)`; completion yields the payload on every rank
     /// ([`Completion::Message`]).
     pub fn ibcast<T: Plain>(&self, data: Option<&[T]>, root: Rank) -> Result<Request<'_>> {
-        let payload =
-            (self.rank() == root).then(|| bytes_from_slice(data.expect("root must supply data")));
+        let payload = data.filter(|_| self.rank() == root).map(bytes_from_slice);
         self.ibcast_bytes(payload, root)
     }
 
@@ -865,23 +733,8 @@ impl Comm {
     /// the tree clones refcounts).
     pub fn ibcast_bytes(&self, payload: Option<Bytes>, root: Rank) -> Result<Request<'_>> {
         self.count_op("ibcast");
-        self.check_rank(root)?;
-        let tag = self.next_internal_tag();
-        if self.rank() == root {
-            let payload = payload.expect("root must supply a payload");
-            let vrank = 0;
-            bcast_forward(self, vrank, root, tag, &payload)?;
-            Ok(
-                self.coll_request(Box::new(ReadyEngine(Some(message_completion(
-                    root, tag, payload,
-                ))))),
-            )
-        } else {
-            Ok(self.coll_request(Box::new(BcastRecvEngine {
-                recv: BcastRecv { tag, root },
-                root,
-            })))
-        }
+        let engine = self.bcast_binomial("ibcast", payload.is_some(), root)?;
+        self.icoll(engine, payload.unwrap_or_default())
     }
 
     /// Starts a non-blocking gather of per-rank blocks to `root` (mirrors
@@ -903,14 +756,15 @@ impl Comm {
     fn igather_impl<T: Plain>(&self, send: &[T], root: Rank) -> Result<Request<'_>> {
         self.check_rank(root)?;
         let tag = self.next_internal_tag();
-        if self.rank() == root {
-            let own = bytes_from_slice(send);
-            let recv = RecvFromEach::new(self, tag, Some(own));
-            Ok(self.coll_request(Box::new(BlocksEngine { recv })))
+        let engine: Box<dyn CollEngine> = if self.rank() == root {
+            Box::new(BlocksEngine {
+                recv: RecvFromEach::new(self, tag),
+                fan: FanOut::None,
+            })
         } else {
-            send_internal(self, root, tag, bytes_from_slice(send))?;
-            Ok(self.coll_request(Box::new(ReadyEngine(Some(Completion::Done)))))
-        }
+            Box::new(SendEngine { dest: root, tag })
+        };
+        self.icoll(engine, bytes_from_slice(send))
     }
 
     /// Starts a non-blocking scatter of variable-size blocks from `root`
@@ -923,7 +777,7 @@ impl Comm {
         root: Rank,
     ) -> Result<Request<'_>> {
         self.count_op("iscatterv");
-        self.iscatter_impl(send, root)
+        self.iscatter_impl("iscatterv", send, root)
     }
 
     /// Equal-block flavour of [`Comm::iscatterv`] (mirrors
@@ -931,62 +785,51 @@ impl Comm {
     pub fn iscatter<T: Plain>(&self, send: Option<&[T]>, root: Rank) -> Result<Request<'_>> {
         self.count_op("iscatter");
         let p = self.size();
-        if self.rank() == root {
-            let data = send.expect("root must supply data");
-            if !data.len().is_multiple_of(p) {
+        match send.filter(|_| self.rank() == root) {
+            Some(data) if !data.len().is_multiple_of(p) => {
                 // Burn this operation's tag before erroring: peers (who
                 // cannot see the root's buffer length) have already
                 // allocated theirs, and the per-rank tag counters must
                 // stay aligned for every *subsequent* collective.
                 self.next_internal_tag();
-                return Err(MpiError::InvalidLayout(format!(
+                Err(MpiError::InvalidLayout(format!(
                     "iscatter: buffer length {} not divisible by {p}",
                     data.len()
-                )));
+                )))
             }
-            let counts = vec![data.len() / p; p];
-            self.iscatter_impl(Some((data, &counts)), root)
-        } else {
-            self.iscatter_impl::<T>(None, root)
+            Some(data) => {
+                self.iscatter_impl("iscatter", Some((data, &vec![data.len() / p; p])), root)
+            }
+            None => self.iscatter_impl::<T>("iscatter", None, root),
         }
     }
 
     fn iscatter_impl<T: Plain>(
         &self,
+        what: &str,
         send: Option<(&[T], &[usize])>,
         root: Rank,
     ) -> Result<Request<'_>> {
-        // Rank-local validation failures must come *after* the tag
-        // allocation so an erroring rank stays tag-aligned with its
-        // peers (`check_rank` is symmetric: every rank sees the same
-        // root, so erroring before the tag is fine there).
+        // `check_rank` is symmetric (every rank sees the same root), so
+        // erroring before the tag is fine there.
         self.check_rank(root)?;
         let tag = self.next_internal_tag();
-        if self.rank() == root {
-            let (data, counts) = send.expect("root must supply data and counts");
-            check_v_layout("iscatterv", data.len(), counts, self.size())?;
-            // Pack once, slice per destination (refcount clones).
+        let (ranges, packed) = if self.rank() == root {
+            let (data, counts) = send.ok_or_else(|| root_without_data(what))?;
             let elem = std::mem::size_of::<T>();
-            let packed = bytes_from_slice(data);
-            let mut offset = 0usize;
-            let mut own = Bytes::new();
-            for (r, &c) in counts.iter().enumerate() {
-                let block = packed.slice(offset * elem..(offset + c) * elem);
-                offset += c;
-                if r == self.rank() {
-                    own = block;
-                } else {
-                    send_internal(self, r, tag, block)?;
-                }
-            }
-            Ok(
-                self.coll_request(Box::new(ReadyEngine(Some(message_completion(
-                    root, tag, own,
-                ))))),
-            )
+            let ranges = packed_ranges(what, counts, elem, data.len(), self.size())?;
+            // Pack once, slice per destination (refcount clones).
+            (ranges, bytes_from_slice(data))
         } else {
-            Ok(self.coll_request(Box::new(ScatterRecvEngine { tag, root })))
-        }
+            (Vec::new(), Bytes::new())
+        };
+        let engine = ScatterEngine {
+            tag,
+            root,
+            ranges,
+            own: Bytes::new(),
+        };
+        self.icoll(Box::new(engine), packed)
     }
 
     /// Starts a non-blocking allgather of variable-size blocks (mirrors
@@ -994,8 +837,7 @@ impl Comm {
     /// posted eagerly and the lengths travel with the messages.
     /// Completion yields [`Completion::Blocks`] in rank order.
     pub fn iallgatherv<T: Plain>(&self, send: &[T]) -> Result<Request<'_>> {
-        self.count_op("iallgatherv");
-        self.iallgather_impl(bytes_from_slice(send))
+        self.iallgatherv_bytes(bytes_from_slice(send))
     }
 
     /// Byte-level [`Comm::iallgatherv`]: the payload is posted to every
@@ -1003,7 +845,7 @@ impl Comm {
     /// transport without any copy.
     pub fn iallgatherv_bytes(&self, own: Bytes) -> Result<Request<'_>> {
         self.count_op("iallgatherv");
-        self.iallgather_impl(own)
+        self.icoll(self.allgather_flat(), own)
     }
 
     /// Equal-block flavour of [`Comm::iallgatherv`] (mirrors
@@ -1013,17 +855,12 @@ impl Comm {
     /// or Bruck instead of the flat dissemination — unequal
     /// contributions surface as [`MpiError::InvalidLayout`] there.
     pub fn iallgather<T: Plain>(&self, send: &[T]) -> Result<Request<'_>> {
-        self.count_op("iallgather");
-        self.iallgather_tuned(bytes_from_slice(send))
+        self.iallgather_bytes(bytes_from_slice(send))
     }
 
     /// Byte-level [`Comm::iallgather`].
     pub fn iallgather_bytes(&self, own: Bytes) -> Result<Request<'_>> {
         self.count_op("iallgather");
-        self.iallgather_tuned(own)
-    }
-
-    fn iallgather_tuned(&self, own: Bytes) -> Result<Request<'_>> {
         let algo = algos::model::select_iallgather(self, own.len());
         crate::trace::instant(
             crate::trace::cat::COLL,
@@ -1035,59 +872,14 @@ impl Comm {
             own.len() as u64,
             self.size() as u64,
         );
-        match algo {
-            AllgatherAlgo::Ring => self.iallgather_impl(own),
-            AllgatherAlgo::RecursiveDoubling => self.iallgather_rd(own),
-            AllgatherAlgo::Bruck => self.iallgather_bruck(own),
-        }
-    }
-
-    fn iallgather_rd(&self, own: Bytes) -> Result<Request<'_>> {
-        let p = self.size();
-        debug_assert!(p.is_power_of_two(), "selection gates RD to power-of-two p");
-        let rounds = p.trailing_zeros() as usize;
-        // One tag per round, allocated in the same order on every rank.
-        let tags: Vec<Tag> = (0..rounds).map(|_| self.next_internal_tag()).collect();
-        let block_bytes = own.len();
-        let mut blocks: Vec<Option<Bytes>> = (0..p).map(|_| None).collect();
-        blocks[self.rank()] = Some(own);
-        let engine = AllgatherRdEngine {
-            tags,
-            blocks,
-            block_bytes,
-            round: 0,
-        };
-        // Round 0 goes out eagerly; later rounds depend on received
-        // payloads and go out as polling drains them.
-        engine.post_round(self, 0)?;
-        Ok(self.coll_request(Box::new(engine)))
-    }
-
-    fn iallgather_bruck(&self, own: Bytes) -> Result<Request<'_>> {
-        let p = self.size();
-        let rounds = p.next_power_of_two().trailing_zeros() as usize;
-        // One tag per round, allocated in the same order on every rank.
-        let tags: Vec<Tag> = (0..rounds).map(|_| self.next_internal_tag()).collect();
-        let block_bytes = own.len();
-        let engine = AllgatherBruckEngine {
-            tags,
-            local: vec![own],
-            block_bytes,
-            round: 0,
-        };
-        engine.post_round(self, 0)?;
-        Ok(self.coll_request(Box::new(engine)))
-    }
-
-    fn iallgather_impl(&self, own: Bytes) -> Result<Request<'_>> {
-        let tag = self.next_internal_tag();
-        for r in 0..self.size() {
-            if r != self.rank() {
-                send_internal(self, r, tag, own.clone())?;
+        let engine: Box<dyn CollEngine> = match algo {
+            AllgatherAlgo::Ring => self.allgather_flat(),
+            AllgatherAlgo::RecursiveDoubling => {
+                Box::new(RoundEngine::new(RecursiveDoubling::new(self)))
             }
-        }
-        let recv = RecvFromEach::new(self, tag, Some(own));
-        Ok(self.coll_request(Box::new(BlocksEngine { recv })))
+            AllgatherAlgo::Bruck => Box::new(RoundEngine::new(BruckAllgather::new(self))),
+        };
+        self.icoll(engine, own)
     }
 
     /// Starts a non-blocking personalized all-to-all with per-destination
@@ -1096,10 +888,9 @@ impl Comm {
     /// lengths. Completion yields [`Completion::Blocks`]: one block per
     /// source rank.
     pub fn ialltoallv<T: Plain>(&self, send: &[T], counts: &[usize]) -> Result<Request<'_>> {
-        self.count_op("ialltoallv");
         let elem = std::mem::size_of::<T>();
         let byte_counts: Vec<usize> = counts.iter().map(|&c| c * elem).collect();
-        self.ialltoall_impl(bytes_from_slice(send), &byte_counts, "ialltoallv")
+        self.ialltoallv_bytes(bytes_from_slice(send), &byte_counts)
     }
 
     /// Byte-level [`Comm::ialltoallv`]: `packed` holds the per-peer
@@ -1108,7 +899,8 @@ impl Comm {
     /// buffer is scattered to all peers without a single copy.
     pub fn ialltoallv_bytes(&self, packed: Bytes, byte_counts: &[usize]) -> Result<Request<'_>> {
         self.count_op("ialltoallv");
-        self.ialltoall_impl(packed, byte_counts, "ialltoallv")
+        let engine = self.alltoallv_flat("ialltoallv", packed.len(), byte_counts)?;
+        self.icoll(engine, packed)
     }
 
     /// Equal-block flavour of [`Comm::ialltoallv`] (mirrors
@@ -1145,69 +937,12 @@ impl Comm {
             block_bytes as u64,
             p as u64,
         );
-        if bruck {
-            return self.ialltoall_bruck(bytes_from_slice(send), block_bytes);
-        }
-        let byte_counts = vec![block_bytes; p];
-        self.ialltoall_impl(bytes_from_slice(send), &byte_counts, "ialltoall")
-    }
-
-    fn ialltoall_bruck(&self, packed: Bytes, block_bytes: usize) -> Result<Request<'_>> {
-        let p = self.size();
-        let rank = self.rank();
-        let rounds = bruck_algo::bruck_rounds(rank, p);
-        // One tag per round, allocated in the same order on every rank.
-        let tags: Vec<Tag> = rounds.iter().map(|_| self.next_internal_tag()).collect();
-        let blocks = bruck_algo::bruck_rotate(&packed, rank, p, block_bytes);
-        let engine = BruckEngine {
-            rounds,
-            tags,
-            blocks,
-            block_bytes,
-            round: 0,
+        let engine: Box<dyn CollEngine> = if bruck {
+            Box::new(RoundEngine::new(BruckAlltoall::new(self)))
+        } else {
+            self.alltoallv_flat("ialltoall", p * block_bytes, &vec![block_bytes; p])?
         };
-        // Round 0 is posted eagerly at call time; later rounds depend
-        // on received payloads and go out as polling drains them.
-        engine.post_round(self, 0)?;
-        Ok(self.coll_request(Box::new(engine)))
-    }
-
-    fn ialltoall_impl(
-        &self,
-        packed: Bytes,
-        byte_counts: &[usize],
-        what: &str,
-    ) -> Result<Request<'_>> {
-        // Tag first: the layout check is rank-local, and an erroring
-        // rank must stay tag-aligned with peers whose layouts are fine.
-        let tag = self.next_internal_tag();
-        let p = self.size();
-        if byte_counts.len() != p {
-            return Err(MpiError::InvalidLayout(format!(
-                "{what}: counts has {} entries for communicator of size {p}",
-                byte_counts.len()
-            )));
-        }
-        let total: usize = byte_counts.iter().sum();
-        if total != packed.len() {
-            return Err(MpiError::InvalidLayout(format!(
-                "{what}: send buffer holds {} bytes but counts sum to {total} bytes",
-                packed.len()
-            )));
-        }
-        let mut offset = 0usize;
-        let mut own = Bytes::new();
-        for (r, &c) in byte_counts.iter().enumerate() {
-            let block = packed.slice(offset..offset + c);
-            offset += c;
-            if r == self.rank() {
-                own = block;
-            } else {
-                send_internal(self, r, tag, block)?;
-            }
-        }
-        let recv = RecvFromEach::new(self, tag, Some(own));
-        Ok(self.coll_request(Box::new(BlocksEngine { recv })))
+        self.icoll(engine, bytes_from_slice(send))
     }
 
     /// Starts a non-blocking reduction to `root` (mirrors `MPI_Ireduce`).
@@ -1244,38 +979,20 @@ impl Comm {
             } else {
                 AfterTreeReduce::Done
             };
-            let engine =
-                TreeReduceEngine::<T, O>::new(self, tag, bytes_from_slice(send), op, root, after);
-            return self.start_tree_engine(engine);
+            let tree = TreeReduce::new(self, tag, Own::Slice(send), op, root, after);
+            return self.icoll(Box::new(RoundEngine::new(tree)), Bytes::new());
         }
-        if self.rank() == root {
-            let own = bytes_from_slice(send);
-            let recv = RecvFromEach::new(self, tag, Some(own));
-            Ok(self.coll_request(Box::new(ReduceRootEngine {
-                recv,
+        let engine: Box<dyn CollEngine> = if self.rank() == root {
+            Box::new(FoldRootEngine {
+                recv: RecvFromEach::new(self, tag),
                 fold: ordered_fold::<T, O>(op),
-                source: root,
-            })))
+                root,
+                bcast: None,
+            })
         } else {
-            send_internal(self, root, tag, bytes_from_slice(send))?;
-            Ok(self.coll_request(Box::new(ReadyEngine(Some(Completion::Done)))))
-        }
-    }
-
-    /// Starts a tree-reduce engine: a leaf's send must be posted
-    /// *eagerly at call time* (the property overlap relies on), which
-    /// one non-blocking advance achieves — inner nodes simply find no
-    /// child payloads yet.
-    fn start_tree_engine<T: Plain, O: ReduceOp<T> + 'static>(
-        &self,
-        mut engine: TreeReduceEngine<T, O>,
-    ) -> Result<Request<'_>> {
-        if engine.pending.is_empty() {
-            if let Some(done) = engine.advance(self, false)? {
-                return Ok(self.coll_request(Box::new(ReadyEngine(Some(done)))));
-            }
-        }
-        Ok(self.coll_request(Box::new(engine)))
+            Box::new(SendEngine { dest: root, tag })
+        };
+        self.icoll(engine, bytes_from_slice(send))
     }
 
     /// Starts a non-blocking all-reduce (mirrors `MPI_Iallreduce`): flat
@@ -1311,34 +1028,18 @@ impl Comm {
             own.len() as u64,
             self.size() as u64,
         );
+        if algo == ReduceAlgo::FlatGather {
+            return self.icoll(self.allreduce_flat::<T, O>(op), own);
+        }
         let gather_tag = self.next_internal_tag();
         let bcast_tag = self.next_internal_tag();
-        if algo == ReduceAlgo::BinomialTree {
-            let after = if self.rank() == 0 {
-                AfterTreeReduce::BcastSend(bcast_tag)
-            } else {
-                AfterTreeReduce::BcastRecvPhase(bcast_tag)
-            };
-            let engine = TreeReduceEngine::<T, O>::new(self, gather_tag, own, op, 0, after);
-            return self.start_tree_engine(engine);
-        }
-        if self.rank() == 0 {
-            let recv = RecvFromEach::new(self, gather_tag, Some(own));
-            Ok(self.coll_request(Box::new(AllreduceRootEngine {
-                recv,
-                fold: ordered_fold::<T, O>(op),
-                bcast_tag,
-            })))
+        let after = if self.rank() == 0 {
+            AfterTreeReduce::BcastSend(bcast_tag)
         } else {
-            send_internal(self, 0, gather_tag, own)?;
-            Ok(self.coll_request(Box::new(BcastRecvEngine {
-                recv: BcastRecv {
-                    tag: bcast_tag,
-                    root: 0,
-                },
-                root: 0,
-            })))
-        }
+            AfterTreeReduce::BcastRecv(bcast_tag)
+        };
+        let tree = TreeReduce::new(self, gather_tag, Own::Payload(own), op, 0, after);
+        self.icoll(Box::new(RoundEngine::new(tree)), Bytes::new())
     }
 }
 
@@ -1593,7 +1294,16 @@ mod tests {
 
     #[test]
     fn rank_local_error_keeps_tag_counters_aligned() {
+        use crate::MpiError;
         Universe::run(3, |comm| {
+            // The *next* collective must still line up on every rank —
+            // this hangs (mismatched internal tags) if an erroring rank
+            // skipped a tag allocation its peers made.
+            let still_aligned = || {
+                let req = comm.iallreduce(&[1u64], Sum).unwrap();
+                let (sum, _) = req.wait().unwrap().into_vec::<u64>().unwrap();
+                assert_eq!(sum, vec![3]);
+            };
             // Root-local failure: only rank 0 can see that 7 elements do
             // not split into 3 equal blocks; ranks 1 and 2 post their
             // receive and allocate a tag for the operation.
@@ -1604,12 +1314,40 @@ mod tests {
                 // dropping the pending request is the recovery path.
                 let _pending = comm.iscatter::<u8>(None, 0).unwrap();
             }
-            // The *next* collective must still line up on every rank —
-            // this hangs (mismatched internal tags) if the erroring rank
-            // skipped its tag allocation.
-            let req = comm.iallreduce(&[1u64], Sum).unwrap();
-            let (sum, _) = req.wait().unwrap().into_vec::<u64>().unwrap();
-            assert_eq!(sum, vec![3]);
+            still_aligned();
+            // A root that passes no data is a typed error, not a panic,
+            // in every lifecycle — reported after the operation's tag is
+            // taken.
+            let no_data = |r: Result<(), MpiError>| {
+                assert!(matches!(r, Err(MpiError::InvalidLayout(_))), "{r:?}");
+            };
+            if comm.rank() == 0 {
+                no_data(comm.ibcast::<u8>(None, 0).map(drop));
+            } else {
+                let _pending = comm.ibcast::<u8>(None, 0).unwrap();
+            }
+            still_aligned();
+            if comm.rank() == 0 {
+                no_data(comm.bcast_init::<u8>(None, 0).map(drop));
+            } else {
+                let _plan = comm.bcast_init::<u8>(None, 0).unwrap();
+            }
+            still_aligned();
+            // Blocking forms: the peers burn the operation's one tag
+            // with the non-blocking twin (the blocking call would wait
+            // for the root forever).
+            if comm.rank() == 0 {
+                no_data(comm.bcast_vec::<u8>(None, 0).map(drop));
+                no_data(comm.bcast_bytes(None, 0).map(drop));
+                no_data(comm.scatter_vec::<u8>(None, 0).map(drop));
+                no_data(comm.iscatterv::<u8>(None, 0).map(drop));
+            } else {
+                let _pending = comm.ibcast::<u8>(None, 0).unwrap();
+                let _pending = comm.ibcast::<u8>(None, 0).unwrap();
+                let _pending = comm.iscatter::<u8>(None, 0).unwrap();
+                let _pending = comm.iscatterv::<u8>(None, 0).unwrap();
+            }
+            still_aligned();
         });
     }
 

@@ -7,7 +7,11 @@
 //! back to gather + ordered local fold (+ broadcast), which preserves
 //! strict rank order for any `p`.
 
+use bytes::Bytes;
+
+use super::algos::reduce::{AfterTreeReduce, Own, TreeReduce};
 use super::algos::{self, ReduceAlgo};
+use super::nonblocking::drive;
 use super::send_slice_internal;
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
@@ -133,10 +137,12 @@ impl Comm {
                 gathered.map(|(data, counts)| fold_blocks(&data, &counts, &op))
             }
             ReduceAlgo::BinomialTree => {
-                // Binomial tree over virtual ranks, folding delivered
-                // payloads in place (no materialization per child).
+                // The tree `ireduce` resumes, driven to completion; the
+                // root's accumulator stays typed and moves out.
                 let tag = self.next_internal_tag();
-                algos::reduce::binomial_inplace(self, tag, send, &op, root)?
+                let after = AfterTreeReduce::Done;
+                let tree = TreeReduce::new(self, tag, Own::Slice(send), op, root, after);
+                drive(self, tree, Bytes::new())?.1.acc
             }
         };
         algos::model::observe(self, algos::model::reduce_class(algo), begun, bytes as f64);

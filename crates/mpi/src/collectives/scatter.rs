@@ -6,7 +6,7 @@
 
 use bytes::Bytes;
 
-use super::{check_layout, recv_internal, send_internal};
+use super::{check_layout, recv_internal, root_without_data, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::plain::{bytes_from_slice, bytes_into_vec, copy_bytes_into, copy_slice};
@@ -116,7 +116,7 @@ impl Comm {
         self.check_rank(root)?;
         let tag = self.next_internal_tag();
         if self.rank() == root {
-            let data = send.expect("root must supply data");
+            let data = send.ok_or_else(|| root_without_data("scatter"))?;
             if !data.len().is_multiple_of(p) {
                 return Err(MpiError::InvalidLayout(format!(
                     "scatter: send length {} not divisible by {p}",
@@ -146,7 +146,7 @@ impl Comm {
         self.check_rank(root)?;
         let tag = self.next_internal_tag();
         if self.rank() == root {
-            let (data, counts, displs) = send.expect("root must supply data and layout");
+            let (data, counts, displs) = send.ok_or_else(|| root_without_data("scatterv"))?;
             check_layout("scatterv", counts, displs, data.len(), p)?;
             let own = scatter_blocks(self, tag, data, counts, displs, root)?;
             Ok(bytes_into_vec(own))

@@ -96,7 +96,7 @@ pub use plain::{
 pub use request::{Request, RequestSet};
 pub use topology::{CartComm, DistGraphComm, Neighborhood};
 pub use trace::{LatencyHist, RankTrace, TraceData, TraceStats};
-pub use universe::{Config, RankOutcome, RankStats, RunStats, Universe};
+pub use universe::{Config, RankOutcome, RankStats, Universe};
 
 /// A rank identifier within a communicator (also used for world ranks).
 pub type Rank = usize;

@@ -18,8 +18,10 @@
 //!   `*_init` is called collectively in the same order on every rank)
 //!   and reused by every cycle,
 //! - the collective **algorithm is selected once** and its engine built
-//!   once; `start` merely *rewinds* the engine
-//!   (`CollEngine::rewind` in `crate::collectives::nonblocking`)
+//!   once, by the same build function the `i*` form calls on every
+//!   call; each cycle only calls the engine's `start`
+//!   (`CollEngine::start` in `crate::collectives::nonblocking`), which
+//!   re-arms the receive state in place and posts the cycle's sends,
 //!   instead of re-constructing it,
 //! - a **standing registration**
 //!   ([`Mailbox::register_standing`](crate::mailbox)) is installed in
@@ -54,26 +56,29 @@
 //! keeps them aligned. `start` on a revoked communicator is poisoned
 //! with [`MpiError::Revoked`] before any message moves.
 //!
-//! # What is deliberately frozen
+//! # The plan is the engine
 //!
-//! Persistent collectives pin the algorithm family whose engines are
-//! rewindable: binomial-tree broadcast, flat-gather + ordered-fold
-//! allreduce, and eager pairwise alltoallv/allgather. The per-call
+//! A persistent collective holds nothing but the engine its `i*` twin
+//! would have built for one call — tags, peers and slice ranges frozen
+//! inside it — plus the payload of the next cycle. `start` hands that
+//! payload to the engine's `start`; `wait`/`test` advance it. There is
+//! no separate description of a plan's sends: what a cycle posts is
+//! what the engine posts.
+//!
+//! Persistent collectives freeze the flat, eager engines:
+//! binomial-tree broadcast, flat-gather + ordered-fold allreduce, and
+//! eager pairwise alltoallv/allgather. The per-call
 //! [`CollTuning`](crate::CollTuning) consultation that regular
 //! collectives perform is exactly one of the costs `*_init` is meant to
 //! hoist out of the loop.
 
-use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
 
 use crate::collectives::algos::model::{self, AlgoClass};
-use crate::collectives::nonblocking::{
-    allreduce_root_engine, bcast_recv_engine, blocks_engine, message_completion, CollEngine,
-};
-use crate::collectives::{bcast_forward, send_internal};
+use crate::collectives::nonblocking::CollEngine;
 use crate::comm::Comm;
 use crate::completion::Waiter;
 use crate::error::{MpiError, Result};
@@ -83,68 +88,15 @@ use crate::request::Completion;
 use crate::trace;
 use crate::{Plain, Rank, ReduceOp, Tag};
 
-/// The eager sends a collective cycle posts at `start` time. Everything
-/// here was computed at init; `start` only moves payload bytes.
-pub(crate) enum CollSends {
-    /// Pure receiver side: nothing to send.
-    None,
-    /// Binomial-tree root forwarding (persistent bcast root).
-    BcastRoot { root: Rank, tag: Tag },
-    /// The whole payload to one rank (allreduce leaf's contribution).
-    ToRank { dest: Rank, tag: Tag },
-    /// The whole payload to every peer (allgather).
-    ToAll { tag: Tag },
-    /// `payload[ranges[r]]` to each rank `r` (alltoallv); the entry for
-    /// this rank is kept as the engine's own block.
-    Blocks { tag: Tag, ranges: Vec<Range<usize>> },
-    /// The whole payload to each listed rank (neighborhood allgather:
-    /// fan-out over the frozen out-edge list, refcount clones).
-    ToEach { tag: Tag, dests: Vec<Rank> },
-    /// `payload[ranges[k]]` to `dests[k]` (neighborhood alltoallv:
-    /// contiguous destination-ordered slices of the packed payload).
-    SlicedTo {
-        tag: Tag,
-        dests: Vec<Rank>,
-        ranges: Vec<Range<usize>>,
-    },
-}
-
-/// Which part of the cycle's payload seeds the engine's own slot when
-/// the cycle is rewound.
-pub(crate) enum OwnSpec {
-    /// The engine starts empty (bcast receivers, neighborhood plans —
-    /// whose self-edges travel through the mailbox like any edge).
-    None,
-    /// The whole payload (allgather contribution, allreduce root).
-    All,
-    /// A byte range of the payload (this rank's alltoallv block).
-    Slice(Range<usize>),
-}
-
-/// How a collective cycle completes.
-pub(crate) enum CollBody {
-    /// Complete immediately with this cycle's payload (bcast root: the
-    /// tree forwarding happened at `start`).
-    Ready { source: Rank, tag: Tag },
-    /// Drive a rewindable engine to completion.
-    Engine(Box<dyn CollEngine>),
-}
-
-/// A frozen collective plan: eager sends + own-block spec + body.
-pub(crate) struct CollPlan {
-    pub(crate) sends: CollSends,
-    pub(crate) own: OwnSpec,
-    pub(crate) body: CollBody,
-}
-
 /// The plan a persistent request executes every cycle.
 enum PlanKind {
     /// Eager send: complete at `start`.
     Send { dest: Rank, tag: Tag },
     /// Posted receive on frozen selectors.
     Recv { src: Src, tag: TagSel },
-    /// A collective cycle.
-    Coll(CollPlan),
+    /// A collective cycle: the engine its `i*` twin builds per call,
+    /// built once.
+    Coll(Box<dyn CollEngine>),
 }
 
 /// A persistent request (mirrors the inactive `MPI_Request` returned by
@@ -213,19 +165,8 @@ impl<'a> PersistentRequest<'a> {
         if self.active {
             return Err(MpiError::RequestActive);
         }
-        if let PlanKind::Coll(CollPlan {
-            sends: CollSends::Blocks { ranges, .. } | CollSends::SlicedTo { ranges, .. },
-            ..
-        }) = &self.kind
-        {
-            let total = ranges.last().map_or(0, |r| r.end);
-            if payload.len() != total {
-                return Err(MpiError::InvalidLayout(format!(
-                    "persistent alltoallv: payload holds {} bytes but the \
-                     frozen counts sum to {total} bytes",
-                    payload.len()
-                )));
-            }
+        if let PlanKind::Coll(engine) = &self.kind {
+            engine.check_payload(&payload)?;
         }
         self.payload = Some(payload);
         Ok(())
@@ -237,8 +178,9 @@ impl<'a> PersistentRequest<'a> {
         self.set_payload(bytes_from_slice(data))
     }
 
-    /// Starts one cycle (mirrors `MPI_Start`): posts the plan's eager
-    /// sends and rewinds the engine with this cycle's payload. O(sends)
+    /// Starts one cycle (mirrors `MPI_Start`): hands this cycle's
+    /// payload to the frozen engine's `start`, which re-arms its
+    /// receive state and posts the cycle's eager sends. O(sends)
     /// — no tag allocation, no algorithm selection, no waiter
     /// registration. Errors if the previous cycle has not completed
     /// ([`MpiError::RequestActive`]) or the communicator is revoked
@@ -268,51 +210,7 @@ impl<'a> PersistentRequest<'a> {
                 self.comm.deliver_bytes(*dest, *tag, payload, None)?;
             }
             PlanKind::Recv { .. } => {}
-            PlanKind::Coll(plan) => {
-                let payload = payload.unwrap_or_default();
-                if let CollBody::Engine(engine) = &mut plan.body {
-                    let own = match &plan.own {
-                        OwnSpec::None => None,
-                        OwnSpec::All => Some(payload.clone()),
-                        OwnSpec::Slice(r) => Some(payload.slice(r.clone())),
-                    };
-                    let rewound = engine.rewind(own);
-                    debug_assert!(rewound, "persistent plans hold only rewindable engines");
-                }
-                match &plan.sends {
-                    CollSends::None => {}
-                    CollSends::BcastRoot { root, tag } => {
-                        bcast_forward(self.comm, 0, *root, *tag, &payload)?;
-                    }
-                    CollSends::ToRank { dest, tag } => {
-                        send_internal(self.comm, *dest, *tag, payload.clone())?;
-                    }
-                    CollSends::ToAll { tag } => {
-                        for r in 0..self.comm.size() {
-                            if r != self.comm.rank() {
-                                send_internal(self.comm, r, *tag, payload.clone())?;
-                            }
-                        }
-                    }
-                    CollSends::Blocks { tag, ranges } => {
-                        for (r, range) in ranges.iter().enumerate() {
-                            if r != self.comm.rank() {
-                                send_internal(self.comm, r, *tag, payload.slice(range.clone()))?;
-                            }
-                        }
-                    }
-                    CollSends::ToEach { tag, dests } => {
-                        for &d in dests {
-                            send_internal(self.comm, d, *tag, payload.clone())?;
-                        }
-                    }
-                    CollSends::SlicedTo { tag, dests, ranges } => {
-                        for (&d, range) in dests.iter().zip(ranges) {
-                            send_internal(self.comm, d, *tag, payload.slice(range.clone()))?;
-                        }
-                    }
-                }
-            }
+            PlanKind::Coll(engine) => engine.start(self.comm, payload.unwrap_or_default())?,
         }
         self.active = true;
         Ok(())
@@ -458,16 +356,7 @@ impl<'a> PersistentRequest<'a> {
                     None => Ok(None),
                 },
             },
-            PlanKind::Coll(plan) => match &mut plan.body {
-                CollBody::Ready { source, tag } => {
-                    let payload = self
-                        .payload
-                        .clone()
-                        .expect("a ready collective body holds the cycle's payload");
-                    Ok(Some(message_completion(*source, *tag, payload)))
-                }
-                CollBody::Engine(engine) => engine.advance(self.comm, false),
-            },
+            PlanKind::Coll(engine) => engine.advance(self.comm, false),
         }
     }
 }
@@ -655,22 +544,16 @@ impl<'a> PersistentSet<'a> {
 }
 
 impl Comm {
-    /// Installs standing registrations for every source the plan's
-    /// engine can ever receive from, then hands the request out.
+    /// Installs standing registrations for every source the engine can
+    /// ever receive from, then hands the request out.
     pub(crate) fn persistent_coll(
         &self,
-        plan: CollPlan,
+        engine: Box<dyn CollEngine>,
         payload: Option<Bytes>,
     ) -> Result<PersistentRequest<'_>> {
-        let mut req = PersistentRequest::new(self, PlanKind::Coll(plan), payload);
         let mut pairs: Vec<(Rank, Tag)> = Vec::new();
-        if let PlanKind::Coll(CollPlan {
-            body: CollBody::Engine(engine),
-            ..
-        }) = &req.kind
-        {
-            engine.all_sources(self, &mut pairs);
-        }
+        engine.all_sources(self, &mut pairs);
+        let mut req = PersistentRequest::new(self, PlanKind::Coll(engine), payload);
         for (slot, (r, t)) in pairs.iter().enumerate() {
             // A message already queued is fine: `wait` always attempts
             // completion before parking, so pre-registration arrivals
@@ -758,8 +641,7 @@ impl Comm {
         data: Option<&[T]>,
         root: Rank,
     ) -> Result<PersistentRequest<'_>> {
-        let payload =
-            (self.rank() == root).then(|| bytes_from_slice(data.expect("root must supply data")));
+        let payload = data.filter(|_| self.rank() == root).map(bytes_from_slice);
         self.bcast_init_bytes(payload, root)
     }
 
@@ -770,27 +652,13 @@ impl Comm {
         root: Rank,
     ) -> Result<PersistentRequest<'_>> {
         self.count_op("bcast_init");
-        self.check_rank(root)?;
-        let tag = self.next_internal_tag();
+        let engine = self.bcast_binomial("bcast_init", payload.is_some(), root)?;
         // Persistent plans freeze the engine shape at init: the binomial
         // tree is recorded as a frozen pick and the model never
         // re-selects mid-cycle, however the estimates move afterwards.
         model::freeze_selection(self, AlgoClass::BcastBinomial);
         trace::instant(trace::cat::COLL, "bcast_init/binomial_tree", 0, root as u64);
-        let plan = if self.rank() == root {
-            CollPlan {
-                sends: CollSends::BcastRoot { root, tag },
-                own: OwnSpec::None,
-                body: CollBody::Ready { source: root, tag },
-            }
-        } else {
-            CollPlan {
-                sends: CollSends::None,
-                own: OwnSpec::None,
-                body: CollBody::Engine(bcast_recv_engine(tag, root)),
-            }
-        };
-        self.persistent_coll(plan, payload)
+        self.persistent_coll(engine, payload)
     }
 
     /// Creates a persistent allreduce (mirrors `MPI_Allreduce_init`):
@@ -804,8 +672,7 @@ impl Comm {
     ) -> Result<PersistentRequest<'_>> {
         self.count_op("allreduce_init");
         let own = bytes_from_slice(data);
-        let gather_tag = self.next_internal_tag();
-        let bcast_tag = self.next_internal_tag();
+        let engine = self.allreduce_flat::<T, O>(op);
         model::freeze_selection(self, AlgoClass::ReduceFlat);
         trace::instant(
             trace::cat::COLL,
@@ -813,29 +680,7 @@ impl Comm {
             own.len() as u64,
             self.size() as u64,
         );
-        let plan = if self.rank() == 0 {
-            CollPlan {
-                sends: CollSends::None,
-                own: OwnSpec::All,
-                body: CollBody::Engine(allreduce_root_engine::<T, O>(
-                    self,
-                    gather_tag,
-                    bcast_tag,
-                    own.clone(),
-                    op,
-                )),
-            }
-        } else {
-            CollPlan {
-                sends: CollSends::ToRank {
-                    dest: 0,
-                    tag: gather_tag,
-                },
-                own: OwnSpec::None,
-                body: CollBody::Engine(bcast_recv_engine(bcast_tag, 0)),
-            }
-        };
-        self.persistent_coll(plan, Some(own))
+        self.persistent_coll(engine, Some(own))
     }
 
     /// Creates a persistent allgather (mirrors `MPI_Allgather_init`):
@@ -850,7 +695,7 @@ impl Comm {
     /// Byte-level [`Comm::allgather_init`].
     pub fn allgather_init_bytes(&self, own: Bytes) -> Result<PersistentRequest<'_>> {
         self.count_op("allgather_init");
-        let tag = self.next_internal_tag();
+        let engine = self.allgather_flat();
         model::freeze_selection(self, AlgoClass::AllgatherRing);
         trace::instant(
             trace::cat::COLL,
@@ -858,12 +703,7 @@ impl Comm {
             own.len() as u64,
             self.size() as u64,
         );
-        let plan = CollPlan {
-            sends: CollSends::ToAll { tag },
-            own: OwnSpec::All,
-            body: CollBody::Engine(blocks_engine(self, tag, own.clone())),
-        };
-        self.persistent_coll(plan, Some(own))
+        self.persistent_coll(engine, Some(own))
     }
 
     /// Creates a persistent personalized all-to-all with per-destination
@@ -890,44 +730,15 @@ impl Comm {
         byte_counts: &[usize],
     ) -> Result<PersistentRequest<'_>> {
         self.count_op("alltoallv_init");
-        // Tag first: the layout check is rank-local, and an erroring
-        // rank must stay tag-aligned with peers whose layouts are fine.
-        let tag = self.next_internal_tag();
-        let p = self.size();
-        if byte_counts.len() != p {
-            return Err(MpiError::InvalidLayout(format!(
-                "alltoallv_init: counts has {} entries for communicator of size {p}",
-                byte_counts.len()
-            )));
-        }
-        let total: usize = byte_counts.iter().sum();
-        if total != packed.len() {
-            return Err(MpiError::InvalidLayout(format!(
-                "alltoallv_init: send buffer holds {} bytes but counts sum to {total} bytes",
-                packed.len()
-            )));
-        }
+        let engine = self.alltoallv_flat("alltoallv_init", packed.len(), byte_counts)?;
         model::freeze_selection(self, AlgoClass::AlltoallPairwise);
         trace::instant(
             trace::cat::COLL,
             "alltoallv_init/pairwise",
-            total as u64,
-            p as u64,
+            packed.len() as u64,
+            self.size() as u64,
         );
-        let mut ranges = Vec::with_capacity(p);
-        let mut offset = 0usize;
-        for &c in byte_counts {
-            ranges.push(offset..offset + c);
-            offset += c;
-        }
-        let own_range = ranges[self.rank()].clone();
-        let own = packed.slice(own_range.clone());
-        let plan = CollPlan {
-            sends: CollSends::Blocks { tag, ranges },
-            own: OwnSpec::Slice(own_range),
-            body: CollBody::Engine(blocks_engine(self, tag, own)),
-        };
-        self.persistent_coll(plan, Some(packed))
+        self.persistent_coll(engine, Some(packed))
     }
 }
 

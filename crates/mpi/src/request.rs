@@ -1,5 +1,5 @@
-//! Non-blocking operations: requests, test/wait, request sets, ibarrier
-//! — and the design note for the **completion protocol** that makes
+//! Non-blocking operations: requests, test/wait, request sets — and the
+//! design note for the **completion protocol** that makes
 //! every blocking wait on them event-driven.
 //!
 //! Substrate requests are byte-level; the binding layer wraps them in the
@@ -44,10 +44,11 @@
 //!
 //! Each request kind reports the sources it is blocked on through
 //! `Request::park_spec`: a posted receive its `(context, source,
-//! tag)` selectors, a barrier its current round's receive, a collective
-//! engine the receives its state machine is stalled on (the hook every
-//! engine in `crate::collectives::nonblocking` implements), a
-//! synchronous-mode send its acknowledgement slot. Sends buffered at
+//! tag)` selectors, a collective engine the receives its state machine
+//! is stalled on (the hook every engine in
+//! `crate::collectives::nonblocking` implements — `ibarrier` is one of
+//! them, with no state of its own here), a synchronous-mode send its
+//! acknowledgement slot. Sends buffered at
 //! creation report "ready" and never park.
 //!
 //! **Why spurious wakeups are bounded:** a parked waiter is woken by a
@@ -75,8 +76,10 @@
 //!
 //! ```text
 //!   one-shot:    [started] ──wait/test──> [complete]      (consumed)
+//!                (a collective: engine built and `start`ed by the call)
 //!
-//!   persistent:  *_init
+//!   persistent:  *_init  (a collective: the same engine, built once;
+//!                         every `start` below is the engine's `start`)
 //!              ─────────> [inactive] ──start──> [started]
 //!                             ^                     │ wait/test
 //!                             │    restartable      v
@@ -155,8 +158,6 @@ enum ReqState {
     SyncSend { ack: Arc<AckSlot>, dest: Rank },
     /// Posted receive: matches lazily in test/wait.
     Recv { src: Src, tag: TagSel },
-    /// Non-blocking dissemination barrier state machine.
-    Barrier { tag: Tag, step: usize, sent: bool },
     /// Non-blocking collective engine
     /// (see [`crate::collectives::nonblocking`]).
     Coll(Box<dyn crate::collectives::nonblocking::CollEngine>),
@@ -201,7 +202,6 @@ impl<'a> Request<'a> {
             ReqState::SendDone => "isend",
             ReqState::SyncSend { .. } => "issend",
             ReqState::Recv { .. } => "irecv",
-            ReqState::Barrier { .. } => "ibarrier",
             ReqState::Coll(_) => "icoll",
         }
     }
@@ -226,30 +226,6 @@ impl<'a> Request<'a> {
                     bytes: env.payload.len(),
                 };
                 Ok(Completion::Message(env.payload, st))
-            }
-            ReqState::Barrier {
-                tag,
-                mut step,
-                mut sent,
-            } => {
-                let p = comm.size();
-                let rank = comm.rank();
-                let mut dist = 1usize << step;
-                while dist < p {
-                    if !sent {
-                        crate::collectives::send_internal(
-                            comm,
-                            (rank + dist) % p,
-                            tag,
-                            Bytes::new(),
-                        )?;
-                    }
-                    comm.recv_envelope(Src::Rank((rank + p - dist) % p), TagSel::Is(tag))?;
-                    step += 1;
-                    sent = false;
-                    dist = 1usize << step;
-                }
-                Ok(Completion::Done)
             }
             ReqState::Coll(mut engine) => {
                 let c = engine.advance(comm, true)?;
@@ -309,45 +285,6 @@ impl<'a> Request<'a> {
                     }))
                 }
             },
-            ReqState::Barrier {
-                tag,
-                mut step,
-                mut sent,
-            } => {
-                let p = comm.size();
-                let rank = comm.rank();
-                let mut dist = 1usize << step;
-                while dist < p {
-                    if !sent {
-                        crate::collectives::send_internal(
-                            comm,
-                            (rank + dist) % p,
-                            tag,
-                            Bytes::new(),
-                        )?;
-                        sent = true;
-                    }
-                    let from = Src::Rank((rank + p - dist) % p);
-                    match comm.try_recv_envelope(from, TagSel::Is(tag)) {
-                        Some(_) => {
-                            step += 1;
-                            sent = false;
-                            dist = 1usize << step;
-                        }
-                        None => {
-                            if let Some(err) = comm.wait_interrupted(from) {
-                                return Err(err);
-                            }
-                            return Ok(TestOutcome::Pending(Request {
-                                comm,
-                                state: ReqState::Barrier { tag, step, sent },
-                                id,
-                            }));
-                        }
-                    }
-                }
-                Ok(TestOutcome::Ready(Completion::Done))
-            }
             ReqState::Coll(mut engine) => match engine.advance(comm, false)? {
                 Some(c) => Ok(TestOutcome::Ready(c)),
                 None => Ok(TestOutcome::Pending(Request {
@@ -405,22 +342,6 @@ impl<'a> Request<'a> {
                     context: self.comm.context,
                     src: *src,
                     tag: *tag,
-                });
-                false
-            }
-            ReqState::Barrier { tag, step, .. } => {
-                let p = self.comm.size();
-                let dist = 1usize << step;
-                if dist >= p {
-                    return true;
-                }
-                // The round's send happens inside test(); by the time a
-                // set parks, the preceding sweep has posted it, so the
-                // round blocks only on this receive.
-                out.push(ParkSource::Mailbox {
-                    context: self.comm.context,
-                    src: Src::Rank((self.comm.rank() + p - dist) % p),
-                    tag: TagSel::Is(*tag),
                 });
                 false
             }
@@ -485,21 +406,6 @@ impl Comm {
                 tag: tag.into(),
             },
         )
-    }
-
-    /// Starts a non-blocking barrier (mirrors `MPI_Ibarrier`);
-    /// dissemination algorithm driven by test/wait.
-    pub fn ibarrier(&self) -> Result<Request<'_>> {
-        self.count_op("ibarrier");
-        let tag = self.next_internal_tag();
-        Ok(Request::new(
-            self,
-            ReqState::Barrier {
-                tag,
-                step: 0,
-                sent: false,
-            },
-        ))
     }
 }
 

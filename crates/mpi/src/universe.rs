@@ -240,7 +240,7 @@ impl Universe {
     }
 
     /// Runs `f` on `config.size` ranks and additionally returns each
-    /// rank's total [`RunStats`] — copy bill plus matching-engine
+    /// rank's total [`RankStats`] — copy bill plus matching-engine
     /// diagnostics — the universe-level aggregation that lets benches
     /// read per-rank statistics without threading snapshots through
     /// their closures (the per-operation diffing of
@@ -249,7 +249,7 @@ impl Universe {
     pub fn run_stats<R: Send, F: Fn(Comm) -> R + Sync>(
         config: Config,
         f: F,
-    ) -> (Vec<RankOutcome<R>>, Vec<RunStats>) {
+    ) -> (Vec<RankOutcome<R>>, Vec<RankStats>) {
         let world = WorldState::new(&config);
         let outcomes = Self::run_on(&config, &world, f);
         let stats = Self::collect_run_stats(&world);
@@ -374,7 +374,7 @@ impl Universe {
     /// plus each rank's matching-engine diagnostics (max unexpected-
     /// queue depth = matching pressure; targeted wakeups = envelopes
     /// delivered straight to a posted waiter).
-    pub fn collect_run_stats(world: &WorldState) -> Vec<RunStats> {
+    pub fn collect_run_stats(world: &WorldState) -> Vec<RankStats> {
         world
             .copy_stats
             .iter()
@@ -474,9 +474,6 @@ pub struct RankStats {
     /// communicator's tuning enables the model.
     pub tuning: TuningStats,
 }
-
-/// Former name of [`RankStats`], kept for existing callers.
-pub type RunStats = RankStats;
 
 fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {

@@ -338,11 +338,15 @@ fn auto_allreduce_switches_algorithms_by_size() {
     });
 }
 
-/// The binomial reduce folds delivered payloads in place: a non-root
-/// rank's whole bill is the single serialization towards its parent
-/// (`s`), and the root pays only the copy into the caller's receive
-/// buffer — previously the root of p = 4 paid `3s` (two materialized
-/// children + the output copy).
+/// The binomial reduce folds delivered payloads in place: a leaf's whole
+/// bill is the single serialization towards its parent (`s`), an inner
+/// node pays nothing — its accumulator *moves* into the message to its
+/// parent — and the root pays only the copy into the caller's receive
+/// buffer. Previously the root of p = 4 paid `3s` (two materialized
+/// children + the output copy). The inner node's bill dropped from `s`
+/// to `0` when blocking `reduce` became a driver of the engine `ireduce`
+/// resumes: the blocking loop re-serialized its accumulator
+/// (`send_slice_internal(&acc)`) where the engine hands it over.
 #[test]
 fn inplace_binomial_reduce_halves_the_bill() {
     const ELEMS: usize = 64 * 1024; // u64 -> s = 512 KiB
@@ -355,11 +359,12 @@ fn inplace_binomial_reduce_halves_the_bill() {
         comm.reduce_into(&mine, &mut out, kmp_mpi::op::Sum, 0)
             .unwrap();
         let delta = metrics::snapshot().since(&before);
-        let expected = s; // non-root: one send; root: one output copy
+        // Rank 2 is the one inner node of the p = 4 tree (child: 3).
+        let expected = if comm.rank() == 2 { 0 } else { s };
         assert_eq!(
             delta.bytes_copied,
             expected,
-            "rank {}: in-place binomial reduce copies exactly s",
+            "rank {}: leaf = one send, inner = none, root = one output copy",
             comm.rank()
         );
         if comm.rank() == 0 {
@@ -435,4 +440,58 @@ fn scatter_root_packs_once() {
             assert_eq!(delta.bytes_copied, PER_RANK as u64);
         }
     });
+}
+
+/// One definition ⇒ one bill: each round-structured algorithm is a
+/// single engine that the blocking call drives on its stack and the
+/// `i*` call resumes on `wait`, so both lifecycles must charge every
+/// rank the same bytes *and* the same allocations for the same input.
+/// (Before the engines were shared the binomial tree failed this at
+/// inner nodes and the root: `ireduce` materialized the accumulator
+/// twice.)
+#[test]
+fn blocking_and_nonblocking_lifecycles_pay_the_same_bill() {
+    use kmp_mpi::op::Sum;
+    use kmp_mpi::{AllgatherAlgo, AlltoallAlgo, CopyStats, ReduceAlgo};
+    const N: usize = 512; // u64 elements per block
+    fn bill(f: impl FnOnce()) -> CopyStats {
+        let before = metrics::snapshot();
+        f();
+        metrics::snapshot().since(&before)
+    }
+    for p in [4usize, 5, 8] {
+        Universe::run(p, move |comm| {
+            let rank = comm.rank();
+            let mine = vec![rank as u64; N];
+            for algo in [AllgatherAlgo::RecursiveDoubling, AllgatherAlgo::Bruck] {
+                comm.set_tuning(CollTuning::default().allgather(algo));
+                let own = || kmp_mpi::bytes_from_vec(mine.clone());
+                let (a, b) = (own(), own());
+                let blocking = bill(|| drop(comm.allgather_blocks(a).unwrap()));
+                let nonblocking = bill(|| drop(comm.iallgather_bytes(b).unwrap().wait().unwrap()));
+                assert_eq!(
+                    blocking, nonblocking,
+                    "rank {rank} p={p} allgather {algo:?}"
+                );
+            }
+
+            comm.set_tuning(CollTuning::default().alltoall(AlltoallAlgo::Bruck));
+            let send = vec![rank as u64; p * N];
+            let blocking = bill(|| drop(comm.alltoall_blocks(&send).unwrap()));
+            let nonblocking = bill(|| drop(comm.ialltoall(&send).unwrap().wait().unwrap()));
+            assert_eq!(blocking, nonblocking, "rank {rank} p={p} alltoall Bruck");
+
+            // Root 1 puts leaves, inner nodes and the root on distinct
+            // ranks of every p here.
+            comm.set_tuning(CollTuning::default().reduce(ReduceAlgo::BinomialTree));
+            let blocking = bill(|| drop(comm.reduce_vec(&mine, Sum, 1).unwrap()));
+            let nonblocking = bill(|| drop(comm.ireduce(&mine, Sum, 1).unwrap().wait().unwrap()));
+            assert_eq!(blocking, nonblocking, "rank {rank} p={p} binomial reduce");
+
+            let blocking = bill(|| comm.barrier().unwrap());
+            let nonblocking = bill(|| drop(comm.ibarrier().unwrap().wait().unwrap()));
+            assert_eq!(blocking, nonblocking, "rank {rank} p={p} barrier");
+            assert_eq!(blocking, CopyStats::default(), "a barrier moves no payload");
+        });
+    }
 }

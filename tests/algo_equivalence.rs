@@ -489,3 +489,263 @@ fn dup_inherits_model_and_reset_restarts_warmup() {
         );
     });
 }
+
+// ---------------------------------------------------------------------------
+// The lifecycle axis: every round-structured algorithm has one
+// definition (a resumable engine) and three drivers of it. Each driver,
+// on every (p, n) of the grid, must equal the sequential result.
+// ---------------------------------------------------------------------------
+
+mod lifecycles {
+    use kamping_repro::mpi::request::{Completion, TestOutcome};
+    use kamping_repro::mpi::{
+        bytes_to_vec, AllgatherAlgo, AlltoallAlgo, CollTuning, Comm, MpiError, PersistentRequest,
+        ReduceAlgo, Request, RequestSet, Universe,
+    };
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const GRID_P: [usize; 9] = [1, 2, 3, 4, 5, 6, 7, 8, 16];
+    /// Empty, one, odd, large.
+    const GRID_N: [usize; 4] = [0, 1, 7, 1500];
+    const CYCLES: usize = 3;
+
+    /// How an `i*` request is brought to completion.
+    #[derive(Clone, Copy, Debug)]
+    enum Finish {
+        Wait,
+        /// `test` only — the engine never sees a blocking receive.
+        Poll,
+        /// Inside a set that also holds a receive which cannot complete
+        /// first: the collective finishes through sweep-and-park.
+        WaitAny,
+    }
+    const FINISHES: [Finish; 3] = [Finish::Wait, Finish::Poll, Finish::WaitAny];
+
+    fn finish(comm: &Comm, mut req: Request<'_>, how: Finish) -> Completion {
+        match how {
+            Finish::Wait => req.wait().unwrap(),
+            Finish::Poll => loop {
+                match req.test().unwrap() {
+                    TestOutcome::Ready(c) => return c,
+                    TestOutcome::Pending(r) => {
+                        req = r;
+                        std::thread::yield_now();
+                    }
+                }
+            },
+            Finish::WaitAny => {
+                // Only this rank sends the receive's message, and only
+                // once the collective is done.
+                let mut set = RequestSet::new();
+                set.push(comm.irecv(comm.rank(), 99));
+                set.push(req);
+                let (index, done) = set.wait_any().unwrap().expect("two requests");
+                assert_eq!(index, 1, "the receive's message is not sent yet");
+                comm.send(&[0u8], comm.rank(), 99).unwrap();
+                set.wait_any().unwrap().expect("the receive");
+                done
+            }
+        }
+    }
+
+    /// Three `start`/`wait` cycles with `set_data` between them.
+    fn cycles(
+        mut plan: PersistentRequest<'_>,
+        data: impl Fn(usize) -> Vec<u64>,
+        check: impl Fn(usize, Completion),
+    ) {
+        for cycle in 0..CYCLES {
+            plan.set_data(&data(cycle)).unwrap();
+            plan.start().unwrap();
+            check(cycle, plan.wait().unwrap());
+        }
+    }
+
+    fn concat(done: Completion) -> Vec<u64> {
+        let blocks = done.into_blocks().expect("a blocks completion");
+        blocks.iter().flat_map(|b| bytes_to_vec::<u64>(b)).collect()
+    }
+
+    /// Element `i` of rank `r`'s contribution in cycle `c`.
+    fn val(r: usize, i: usize, c: usize) -> u64 {
+        (r as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i as u64 * 31 + c as u64 * 7)
+    }
+
+    fn wrapping_sum(a: &u64, b: &u64) -> u64 {
+        a.wrapping_add(*b)
+    }
+
+    fn on_grid(f: impl Fn(usize, usize) + Sync) {
+        for p in GRID_P {
+            for n in GRID_N {
+                f(p, n);
+            }
+        }
+    }
+
+    #[test]
+    fn allgather_rd_and_bruck() {
+        on_grid(|p, n| {
+            Universe::run(p, move |comm| {
+                let mine =
+                    |c: usize| -> Vec<u64> { (0..n).map(|i| val(comm.rank(), i, c)).collect() };
+                let expected = |c: usize| -> Vec<u64> {
+                    (0..p)
+                        .flat_map(|r| (0..n).map(move |i| val(r, i, c)))
+                        .collect()
+                };
+                // Forced RD resolves to the ring / flat engine off
+                // powers of two in every lifecycle alike.
+                for algo in [AllgatherAlgo::RecursiveDoubling, AllgatherAlgo::Bruck] {
+                    comm.set_tuning(CollTuning::default().allgather(algo));
+                    let what = format!("{algo:?} p={p} n={n}");
+                    assert_eq!(comm.allgather_vec(&mine(0)).unwrap(), expected(0), "{what}");
+                    for how in FINISHES {
+                        let req = comm.iallgather(&mine(0)).unwrap();
+                        assert_eq!(
+                            concat(finish(&comm, req, how)),
+                            expected(0),
+                            "{what} {how:?}"
+                        );
+                    }
+                    cycles(comm.allgather_init(&mine(0)).unwrap(), mine, |c, done| {
+                        assert_eq!(concat(done), expected(c), "{what} cycle {c}")
+                    });
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn alltoall_bruck() {
+        on_grid(|p, n| {
+            Universe::run(p, move |comm| {
+                let me = comm.rank();
+                // Block for destination `d`: n elements keyed by (me, d).
+                let send = |c: usize| -> Vec<u64> {
+                    (0..p)
+                        .flat_map(|d| (0..n).map(move |i| val(me * p + d, i, c)))
+                        .collect()
+                };
+                let expected = |c: usize| -> Vec<u64> {
+                    (0..p)
+                        .flat_map(|s| (0..n).map(move |i| val(s * p + me, i, c)))
+                        .collect()
+                };
+                comm.set_tuning(CollTuning::default().alltoall(AlltoallAlgo::Bruck));
+                let what = format!("p={p} n={n}");
+                let mut recv = vec![0u64; p * n];
+                comm.alltoall_into(&send(0), &mut recv).unwrap();
+                assert_eq!(recv, expected(0), "{what}");
+                for how in FINISHES {
+                    let req = comm.ialltoall(&send(0)).unwrap();
+                    assert_eq!(
+                        concat(finish(&comm, req, how)),
+                        expected(0),
+                        "{what} {how:?}"
+                    );
+                }
+                let plan = comm.alltoallv_init(&send(0), &vec![n; p]).unwrap();
+                cycles(plan, send, |c, done| {
+                    assert_eq!(concat(done), expected(c), "{what} cycle {c}")
+                });
+            });
+        });
+    }
+
+    #[test]
+    fn binomial_reduce_and_the_tree_phase_of_iallreduce() {
+        on_grid(|p, n| {
+            Universe::run(p, move |comm| {
+                let mine =
+                    |c: usize| -> Vec<u64> { (0..n).map(|i| val(comm.rank(), i, c)).collect() };
+                let expected = |c: usize| -> Vec<u64> {
+                    (0..n)
+                        .map(|i| (0..p).fold(0u64, |acc, r| acc.wrapping_add(val(r, i, c))))
+                        .collect()
+                };
+                comm.set_tuning(CollTuning::default().reduce(ReduceAlgo::BinomialTree));
+                let root = p / 2;
+                let what = format!("p={p} n={n}");
+                let folded = comm.reduce_vec(&mine(0), wrapping_sum, root).unwrap();
+                assert_eq!(folded, (comm.rank() == root).then(|| expected(0)), "{what}");
+                for how in FINISHES {
+                    let req = comm.ireduce(&mine(0), wrapping_sum, root).unwrap();
+                    let done = finish(&comm, req, how).into_vec::<u64>();
+                    let folded = done.map(|(v, _)| v);
+                    assert_eq!(
+                        folded,
+                        (comm.rank() == root).then(|| expected(0)),
+                        "{what} {how:?}"
+                    );
+                }
+                // The blocking allreduce has its own algorithms; it is
+                // the operation's oracle twin here.
+                assert_eq!(
+                    comm.allreduce_vec(&mine(0), wrapping_sum).unwrap(),
+                    expected(0)
+                );
+                for how in FINISHES {
+                    let req = comm.iallreduce(&mine(0), wrapping_sum).unwrap();
+                    let (sum, _) = finish(&comm, req, how).into_vec::<u64>().unwrap();
+                    assert_eq!(sum, expected(0), "{what} {how:?}");
+                }
+                let plan = comm.allreduce_init(&mine(0), wrapping_sum).unwrap();
+                cycles(plan, mine, |c, done| {
+                    assert_eq!(
+                        done.into_vec::<u64>().unwrap().0,
+                        expected(c),
+                        "{what} cycle {c}"
+                    )
+                });
+            });
+        });
+    }
+
+    #[test]
+    fn dissemination_barrier() {
+        for p in GRID_P {
+            // One arrival counter per barrier: nobody may leave barrier
+            // `b` before all `p` ranks have entered it.
+            let arrived: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
+            let arrived = &arrived;
+            Universe::run(p, move |comm| {
+                arrived[0].fetch_add(1, Ordering::SeqCst);
+                comm.barrier().unwrap();
+                assert_eq!(arrived[0].load(Ordering::SeqCst), p, "blocking p={p}");
+                for (b, how) in FINISHES.into_iter().enumerate() {
+                    arrived[b + 1].fetch_add(1, Ordering::SeqCst);
+                    let req = comm.ibarrier().unwrap();
+                    assert!(matches!(finish(&comm, req, how), Completion::Done));
+                    assert_eq!(arrived[b + 1].load(Ordering::SeqCst), p, "{how:?} p={p}");
+                }
+            });
+        }
+    }
+
+    /// Unequal contributions break the equal-block contract the packed
+    /// rounds rely on: one definition reports it, with one text, from
+    /// every lifecycle. Halves contributing different sizes make every
+    /// rank see the mismatch (in its last round), so nobody is left
+    /// waiting for a peer that bailed.
+    #[test]
+    fn unequal_contributions_report_the_same_error_from_both_lifecycles() {
+        for p in [2usize, 4] {
+            for algo in [AllgatherAlgo::RecursiveDoubling, AllgatherAlgo::Bruck] {
+                Universe::run(p, move |comm| {
+                    comm.set_tuning(CollTuning::default().allgather(algo));
+                    let mine = vec![7u64; if comm.rank() < p / 2 { 1 } else { 2 }];
+                    let blocking = comm.allgather_vec(&mine).unwrap_err();
+                    let nonblocking = comm.iallgather(&mine).unwrap().wait().unwrap_err();
+                    assert_eq!(blocking, nonblocking, "{algo:?} p={p}");
+                    match blocking {
+                        MpiError::InvalidLayout(text) => {
+                            assert!(text.contains("unequal contributions"), "{text}")
+                        }
+                        other => panic!("{algo:?} p={p}: {other:?}"),
+                    }
+                });
+            }
+        }
+    }
+}
