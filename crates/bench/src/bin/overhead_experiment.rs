@@ -252,6 +252,89 @@ fn allreduce(bytes: usize, p: usize, reps: usize) -> Row {
     }
 }
 
+/// What a hand-written substrate caller does with a block completion.
+fn concat(done: kmp_mpi::request::Completion) -> Vec<u64> {
+    let blocks = done.into_blocks().unwrap_or_default();
+    let mut out = Vec::with_capacity(blocks.iter().map(|b| b.len()).sum::<usize>() / 8);
+    for b in &blocks {
+        kmp_mpi::plain::extend_vec_from_bytes(&mut out, b);
+    }
+    out
+}
+
+/// The owned rows: the caller gives its buffer away on both sides — the
+/// twin adopts it with `bytes_from_vec` into the byte-level substrate
+/// call — and the binding must not copy more than that hand-written
+/// code does. `p` is 4 throughout (the benchmark's communicator size).
+fn owned(bytes: usize, reps: usize) -> Vec<Row> {
+    use kamping::prelude::*;
+    use kmp_mpi::{bytes_from_vec, bytes_into_vec};
+    const P: usize = 4;
+    let n = bytes / 8;
+    let mine = move |rank: usize| vec![rank as u64; n];
+    let counts = [n / P; P];
+    let row = |name: &str, (raw_us, raw_copied): (f64, u64), (kamping_us, kamping_copied)| Row {
+        name: format!("{name}_{}KiB_owned_p{P}", bytes / 1024),
+        ranks: P,
+        payload_bytes: bytes,
+        reps,
+        raw_us,
+        kamping_us,
+        raw_copied_per_op: raw_copied,
+        kamping_copied_per_op: kamping_copied,
+    };
+    vec![
+        row(
+            "iallgather",
+            measure(P, reps, |comm| {
+                let own = bytes_from_vec(mine(comm.rank()));
+                let _all = concat(comm.iallgather_bytes(own).unwrap().wait().unwrap());
+            }),
+            measure_kamping(P, reps, |comm| {
+                let fut = comm.iallgather(send_buf(mine(comm.rank()))).unwrap();
+                let (_all, _mine): (Vec<u64>, _) = fut.wait().unwrap();
+            }),
+        ),
+        row(
+            "ialltoallv",
+            measure(P, reps, |comm| {
+                let packed = bytes_from_vec(mine(comm.rank()));
+                let req = comm.ialltoallv_bytes(packed, &counts.map(|c| 8 * c));
+                let _got = concat(req.unwrap().wait().unwrap());
+            }),
+            measure_kamping(P, reps, |comm| {
+                let args = (send_buf(mine(comm.rank())), send_counts(&counts));
+                let (_got, _mine): (Vec<u64>, _) = comm.ialltoallv(args).unwrap().wait().unwrap();
+            }),
+        ),
+        row(
+            "bcast",
+            measure(P, reps, |comm| {
+                let payload = (comm.rank() == 0).then(|| bytes_from_vec(mine(0)));
+                let _data: Vec<u64> = bytes_into_vec(comm.bcast_bytes(payload, 0).unwrap());
+            }),
+            measure_kamping(P, reps, |comm| {
+                let buf = if comm.rank() == 0 {
+                    mine(0)
+                } else {
+                    Vec::new()
+                };
+                let _data: Vec<u64> = comm.bcast((send_recv_buf(buf),)).unwrap();
+            }),
+        ),
+        row(
+            "allreduce",
+            measure(P, reps, |comm| {
+                let _sum = comm.allreduce_vec(mine(comm.rank()), kmp_mpi::op::Sum);
+            }),
+            measure_kamping(P, reps, |comm| {
+                let args = (send_buf(mine(comm.rank())), op(ops::Sum));
+                let _sum: Vec<u64> = comm.allreduce(args).unwrap();
+            }),
+        ),
+    ]
+}
+
 /// Runtime probe: true when the substrate was built with copy counters.
 fn copy_metrics_enabled() -> bool {
     let before = metrics::snapshot();
@@ -280,16 +363,17 @@ fn main() {
         if bytes <= 1 << 20 {
             rows.push(allgather(bytes, p.min(4), reps));
             rows.push(allreduce(bytes, p.min(4), reps));
+            rows.extend(owned(bytes, reps));
         }
     }
 
     println!(
-        "{:<26} {:>10} {:>12} {:>12} {:>9} {:>14} {:>14}",
+        "{:<30} {:>10} {:>12} {:>12} {:>9} {:>14} {:>14}",
         "experiment", "bytes", "raw us/op", "kmp us/op", "ratio", "raw cp/op", "kmp cp/op"
     );
     for r in &rows {
         println!(
-            "{:<26} {:>10} {:>12.1} {:>12.1} {:>9.3} {:>14} {:>14}",
+            "{:<30} {:>10} {:>12.1} {:>12.1} {:>9.3} {:>14} {:>14}",
             r.name,
             r.payload_bytes,
             r.raw_us,

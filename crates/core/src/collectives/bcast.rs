@@ -34,45 +34,29 @@ where
         let raw = comm.raw();
         let is_root = comm.rank() == root;
         let ((), out) = self.send_recv_buf.apply(|buf| {
-            if let Some(n) = recv_count {
-                // Sized broadcast: `recv_count(n)` tells every rank the
-                // payload size up front, which lets the substrate's
-                // tuning select the large-message algorithm — without
-                // it, non-roots cannot agree on a size they have not
-                // received yet and the binomial tree is the only safe
-                // choice.
-                let size = n * std::mem::size_of::<T>();
-                if is_root && buf.len() != n {
-                    return Err(kmp_mpi::MpiError::InvalidLayout(format!(
-                        "bcast: root buffer holds {} elements but recv_count says {n}",
-                        buf.len()
-                    )));
-                }
-                let payload = is_root.then(|| kmp_mpi::bytes_from_slice(&buf[..]));
-                let parts = raw.bcast_parts(payload, size, root)?;
-                if !is_root {
-                    // The root dictates the payload; it must match this
-                    // rank's recv_count claim (the scatter+allgather
-                    // branch enforces this on the wire already — keep
-                    // the binomial branch equally strict).
-                    if parts.len() != size {
-                        return Err(kmp_mpi::MpiError::Truncated {
-                            message_bytes: parts.len(),
-                            buffer_bytes: size,
-                        });
-                    }
-                    // One copy of `r`, whichever shape was delivered —
-                    // into the caller's storage when it is already
-                    // correctly sized, else into one fresh allocation.
-                    if buf.len() == n {
-                        parts.write_into(kmp_mpi::plain::as_bytes_mut(&mut buf[..]))?;
-                    } else {
-                        *buf = parts.into_vec();
-                    }
-                }
-            } else if is_root {
-                raw.bcast_bytes(Some(kmp_mpi::bytes_from_slice(&buf[..])), root)?;
-            } else {
+            // Sized broadcast: `recv_count(n)` tells every rank the
+            // payload size up front, which lets the substrate's tuning
+            // select the large-message algorithm — without it, non-roots
+            // cannot agree on a size they have not received yet and the
+            // binomial tree is the only safe choice.
+            let size = recv_count.map(|n| n * std::mem::size_of::<T>());
+            if is_root {
+                // The buffer goes on the wire as it is: the children's
+                // messages are views of it, so they leave before any
+                // byte is copied. It comes home through `take()` on
+                // every path — the same allocation when the children are
+                // done with it, one counted copy otherwise. A root that
+                // holds something else than `recv_count` elements still
+                // broadcasts (the substrate reports it afterwards).
+                let (hold, payload) = kmp_mpi::SharedPayload::new(std::mem::take(buf));
+                let sent = match size {
+                    Some(size) => raw.bcast_parts(Some(payload), size, root).map(drop),
+                    None => raw.bcast_bytes(Some(payload), root).map(drop),
+                };
+                *buf = hold.take();
+                return sent;
+            }
+            let Some(size) = size else {
                 // Adopt the delivered payload straight into the buffer:
                 // a single copy, no intermediate vector. The broadcast
                 // length is dictated by the root (bcast has no
@@ -80,8 +64,28 @@ where
                 let incoming = raw.bcast_bytes(None, root)?;
                 buf.clear();
                 kmp_mpi::plain::extend_vec_from_bytes(buf, &incoming);
+                return Ok(());
+            };
+            let parts = raw.bcast_parts(None, size, root)?;
+            // The root dictates the payload; it must match this rank's
+            // recv_count claim (the scatter+allgather branch enforces
+            // this on the wire already — keep the binomial branch equally
+            // strict).
+            if parts.len() != size {
+                return Err(kmp_mpi::MpiError::Truncated {
+                    message_bytes: parts.len(),
+                    buffer_bytes: size,
+                });
             }
-            Ok(())
+            // One copy of `r`, whichever shape was delivered — into the
+            // caller's storage when it is already correctly sized, else
+            // into one fresh allocation.
+            if std::mem::size_of_val(&buf[..]) == size {
+                parts.write_into(kmp_mpi::plain::as_bytes_mut(&mut buf[..]))
+            } else {
+                *buf = parts.into_vec();
+                Ok(())
+            }
         })?;
         Ok(out.push_component(()).finalize())
     }
@@ -97,6 +101,16 @@ impl Communicator {
     /// the element count on every rank, enabling size-based algorithm
     /// selection for large messages), `tuning` (optional per-call
     /// algorithm override).
+    ///
+    /// The root's buffer is not serialized: it goes on the wire as it is
+    /// (the children's messages are views of it) and is taken back once
+    /// they are sent — the same allocation if the children are done with
+    /// it by then, otherwise one copy made *after* the sends. A root
+    /// `&mut Vec` may therefore come back as a different allocation with
+    /// the same content. With `recv_count(n)`, a root holding another
+    /// number of elements still broadcasts and then reports
+    /// [`MpiError::InvalidLayout`](kmp_mpi::MpiError::InvalidLayout); its
+    /// peers get [`MpiError::Truncated`](kmp_mpi::MpiError::Truncated).
     ///
     /// ```
     /// use kamping::prelude::*;

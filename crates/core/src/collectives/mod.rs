@@ -13,8 +13,8 @@
 //! | `gatherv`    | recv counts (read off the delivered blocks), recv displs (prefix sum) |
 //! | `scatterv`   | send displs (prefix sum), recv count (read off the delivered block) |
 //! | `allgather`/`alltoall`/`gather` | receive storage: the delivered equal-sized blocks are assembled into it, once |
-//! | `reduce`/`allreduce`/`scan`/`exscan`/`scatter` | receive storage: the substrate's accumulator (or scattered block) *is* the library-allocated result |
-//! | `bcast` | buffer sizing at the non-roots (the payload carries its length) |
+//! | `reduce`/`allreduce`/`scan`/`exscan`/`scatter` | receive storage: the substrate's accumulator (or scattered block) *is* the library-allocated result — and an owned `send_buf(vec)` *is* that accumulator |
+//! | `bcast` | buffer sizing at the non-roots (the payload carries its length); the root's buffer is the wire payload |
 //! | `neighbor_allgatherv`/`neighbor_alltoallv` | recv counts (read off the delivered blocks), displs (prefix sums) — see [`neighborhood`] |
 //!
 //! Omitted receive counts cost **no extra communication**: the
@@ -36,9 +36,18 @@
 //! *after* the exchange: a result shorter than the buffer fills its
 //! prefix, and an undersized `no_resize` buffer reports
 //! [`MpiError::Truncated`] on that rank alone, its peers unaffected.
-//! Owned `send_buf(vec)` payloads of `allgather`, `allgatherv` and
-//! `alltoallv` (default send displacements) move into the transport
-//! unserialized, as in the `i*` forms.
+//!
+//! **Owned means moved**: a buffer the caller gave away is never copied
+//! on the caller's critical path. Owned `send_buf(vec)` payloads of
+//! `allgather`, `allgatherv` and `alltoallv` (default send
+//! displacements) move into the transport unserialized, as in the `i*`
+//! forms; an owned `send_buf(vec)` of `reduce` / `allreduce` / `scan` /
+//! `exscan` is consumed and becomes the accumulator (or, on a rank that
+//! folds nothing, the message); the `bcast` root's buffer — owned or
+//! `&mut` — goes on the wire as it is and is taken back after the sends.
+//! The `i*` forms return a moved-in send buffer as a handle
+//! ([`SharedPayload`](kmp_mpi::SharedPayload)) that costs nothing unless
+//! the caller `take()`s the vector.
 
 mod allgather;
 mod alltoall;

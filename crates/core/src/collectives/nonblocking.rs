@@ -6,11 +6,19 @@
 //!
 //! - [`NonBlockingCollective`] (for `iallgatherv` / `iallgather` /
 //!   `ialltoallv` / `iallreduce`): [`NonBlockingCollective::wait`]
-//!   returns `(received_data, moved_in_send_buffer)` — the send buffer
-//!   comes back to the caller exactly like Fig. 6's `v = r1.wait()`, and
-//!   the received data *does not exist* before completion, so neither
-//!   §III-E hazard (mutating an in-flight send buffer, reading an
-//!   incomplete receive buffer) can be expressed.
+//!   returns `(received_data, send_buffer_handle)`. The received data
+//!   *does not exist* before completion and the handle is not reachable
+//!   before it, so neither §III-E hazard (mutating an in-flight send
+//!   buffer, reading an incomplete receive buffer) can be expressed. The
+//!   handle of an owned send buffer is a
+//!   [`SharedPayload`]: Fig. 6's `v = r1.wait()`
+//!   reads `v = r1.wait()?.1.take()` here. The transport *aliases* a
+//!   moved-in vector instead of copying it, so the vector comes home
+//!   when its last reader — possibly a peer that has not decoded its
+//!   copy yet — is done with it. Reading the handle (`&handle[..]`) is
+//!   free, dropping it costs a reference count, and `take()` is the
+//!   original allocation once the last view is gone and one counted copy
+//!   before that — paid only by callers who ask for the vector back.
 //! - [`NonBlockingBcast`] (for `ibcast`): takes the `send_recv_buf` by
 //!   value (owned `Vec<T>` only — a borrowed buffer would be accessible
 //!   while in flight, so it does not compile) and hands the broadcast
@@ -28,36 +36,39 @@
 
 use std::marker::PhantomData;
 
+use bytes::Bytes;
 use kmp_mpi::request::{Completion, Request, TestOutcome};
-use kmp_mpi::{Plain, Result};
+use kmp_mpi::{MpiError, Plain, Result, SharedPayload};
 
 use crate::communicator::Communicator;
 use crate::params::argset::{ArgSet, IntoArgs};
-use crate::params::slots::{ProvidedCounts, ProvidesOp, ReclaimHold, SendToTransport};
+use crate::params::slots::{CountsSlot, ProvidedCounts, ProvidesOp, SendToTransport};
 use crate::params::{Absent, OpParam, SendBuf, SendRecvBuf};
 
-/// Decodes a completed collective into `(data, per-rank counts)`: each
-/// delivered block is copied **once**, straight into the final vector.
-fn decode<T: Plain>(completion: Completion) -> (Vec<T>, Vec<usize>) {
-    match completion.into_blocks() {
-        None => (Vec::new(), Vec::new()),
-        Some(blocks) => {
-            let mut data = Vec::with_capacity(
-                blocks.iter().map(|b| b.len()).sum::<usize>() / std::mem::size_of::<T>().max(1),
-            );
-            let mut counts = Vec::with_capacity(blocks.len());
-            for b in &blocks {
-                counts.push(kmp_mpi::plain::extend_vec_from_bytes(&mut data, b));
-            }
-            (data, counts)
+/// Decodes a completed collective: each delivered block is copied
+/// **once**, straight into the final vector, and released as soon as it
+/// is copied — a block is a view of its sender's buffer, which that
+/// sender may be about to take back. `counts` collects the per-rank
+/// element counts for the callers that want them.
+fn decode<T: Plain>(completion: Completion, mut counts: Option<&mut Vec<usize>>) -> Vec<T> {
+    let blocks = completion.into_blocks().unwrap_or_default();
+    let mut data = Vec::with_capacity(
+        blocks.iter().map(|b| b.len()).sum::<usize>() / std::mem::size_of::<T>().max(1),
+    );
+    for block in blocks {
+        let n = kmp_mpi::plain::extend_vec_from_bytes(&mut data, &block);
+        if let Some(counts) = counts.as_deref_mut() {
+            counts.push(n);
         }
     }
+    data
 }
 
 /// A non-blocking collective in flight. An owned send container has
 /// **moved into the transport** (the wire payload aliases its
-/// allocation — zero call-time copies); the stored [`ReclaimHold`]
-/// resolves back to it on completion, and the received data is produced
+/// allocation — zero call-time copies); `H` is the handle that comes
+/// back with the completion ([`SharedPayload<T>`] for an owned send
+/// buffer, `()` for a borrowed one), and the received data is produced
 /// by `wait()`.
 #[must_use = "non-blocking operations must be completed with wait() or test()"]
 pub struct NonBlockingCollective<'a, T: Plain, H> {
@@ -66,53 +77,58 @@ pub struct NonBlockingCollective<'a, T: Plain, H> {
     _elem: PhantomData<T>,
 }
 
-impl<'a, T: Plain, H: ReclaimHold> NonBlockingCollective<'a, T, H> {
+impl<'a, T: Plain, H> NonBlockingCollective<'a, T, H> {
+    fn new(req: Request<'a>, hold: H) -> Self {
+        NonBlockingCollective {
+            req,
+            hold,
+            _elem: PhantomData,
+        }
+    }
+
+    fn complete(self) -> Result<(Completion, H)> {
+        Ok((self.req.wait()?, self.hold))
+    }
+
+    /// One poll: the completion and the handle, or the future back.
+    fn poll(self) -> Result<std::result::Result<(Completion, H), Self>> {
+        Ok(match self.req.test()? {
+            TestOutcome::Ready(c) => Ok((c, self.hold)),
+            TestOutcome::Pending(req) => Err(Self::new(req, self.hold)),
+        })
+    }
+
     /// Blocks until the collective completes; returns the received data
-    /// and hands back the moved-in send buffer.
-    pub fn wait(self) -> Result<(Vec<T>, H::Back)> {
-        let (data, _counts) = decode::<T>(self.req.wait()?);
-        Ok((data, self.hold.finish()))
+    /// and the handle of the moved-in send buffer (free to read or drop;
+    /// `take()` it to get the vector back).
+    pub fn wait(self) -> Result<(Vec<T>, H)> {
+        let (completion, hold) = self.complete()?;
+        Ok((decode(completion, None), hold))
     }
 
     /// Like [`NonBlockingCollective::wait`], additionally returning the
     /// per-rank element counts (the v-collectives' receive counts,
     /// discovered from the messages — no extra communication).
-    pub fn wait_with_counts(self) -> Result<(Vec<T>, Vec<usize>, H::Back)> {
-        let (data, counts) = decode::<T>(self.req.wait()?);
-        Ok((data, counts, self.hold.finish()))
+    pub fn wait_with_counts(self) -> Result<(Vec<T>, Vec<usize>, H)> {
+        let (completion, hold) = self.complete()?;
+        let mut counts = Vec::new();
+        let data = decode(completion, Some(&mut counts));
+        Ok((data, counts, hold))
     }
 
-    /// Completion test: `Ok(Ok((data, buffer)))` when complete,
+    /// Completion test: `Ok(Ok((data, handle)))` when complete,
     /// `Ok(Err(self))` when still pending.
     #[allow(clippy::type_complexity)]
-    pub fn test(self) -> Result<std::result::Result<(Vec<T>, H::Back), Self>> {
-        match self.req.test()? {
-            TestOutcome::Ready(c) => {
-                let (data, _counts) = decode::<T>(c);
-                Ok(Ok((data, self.hold.finish())))
-            }
-            TestOutcome::Pending(req) => Ok(Err(NonBlockingCollective {
-                req,
-                hold: self.hold,
-                _elem: PhantomData,
-            })),
-        }
+    pub fn test(self) -> Result<std::result::Result<(Vec<T>, H), Self>> {
+        Ok(self.poll()?.map(|(c, hold)| (decode(c, None), hold)))
     }
 
     pub(crate) fn wait_discard(self) -> Result<()> {
-        self.req.wait()?;
-        Ok(())
+        self.req.wait().map(drop)
     }
 
     pub(crate) fn test_discard(self) -> Result<std::result::Result<(), Self>> {
-        match self.req.test()? {
-            TestOutcome::Ready(_) => Ok(Ok(())),
-            TestOutcome::Pending(req) => Ok(Err(NonBlockingCollective {
-                req,
-                hold: self.hold,
-                _elem: PhantomData,
-            })),
-        }
+        Ok(self.poll()?.map(drop))
     }
 
     pub(crate) fn raw_request(&self) -> &Request<'a> {
@@ -124,69 +140,51 @@ impl<'a, T: Plain, H: ReclaimHold> NonBlockingCollective<'a, T, H> {
 /// the wire payload itself (zero call-time copies), reclaimed and
 /// handed back by `wait()`.
 #[must_use = "non-blocking operations must be completed with wait() or test()"]
-pub struct NonBlockingBcast<'a, T: Plain> {
-    req: Request<'a>,
-    /// The root's moved-in buffer, aliased by the in-flight payload.
-    root_buf: Option<kmp_mpi::SharedPayload<T>>,
+pub struct NonBlockingBcast<'a, T: Plain>(
+    /// The handle is the root's moved-in buffer, aliased by the
+    /// in-flight payload.
+    NonBlockingCollective<'a, T, Option<SharedPayload<T>>>,
+);
+
+/// The broadcast content — on the root the moved-in vector itself: its
+/// buffer *is* its result, so it is taken back, after the engine's view
+/// of the payload is released (which keeps the handback zero-copy once
+/// the children are done).
+fn bcast_content<T: Plain>(
+    (completion, root_buf): (Completion, Option<SharedPayload<T>>),
+) -> Vec<T> {
+    match root_buf {
+        Some(buf) => {
+            drop(completion);
+            buf.take()
+        }
+        None => decode(completion, None),
+    }
 }
 
 impl<'a, T: Plain> NonBlockingBcast<'a, T> {
     /// Blocks until the broadcast completes; returns the broadcast
     /// content (on the root: the moved-in vector itself).
     pub fn wait(self) -> Result<Vec<T>> {
-        let completion = self.req.wait()?;
-        match self.root_buf {
-            Some(buf) => {
-                // Release the engine's view of the payload before
-                // reclaiming, so the handback stays zero-copy.
-                drop(completion);
-                Ok(buf.take())
-            }
-            None => {
-                let (data, _) = decode::<T>(completion);
-                Ok(data)
-            }
-        }
+        self.0.complete().map(bcast_content)
     }
 
     /// Completion test: `Ok(Ok(content))` when complete, `Ok(Err(self))`
     /// when still pending.
     pub fn test(self) -> Result<std::result::Result<Vec<T>, Self>> {
-        match self.req.test()? {
-            TestOutcome::Ready(c) => match self.root_buf {
-                Some(buf) => {
-                    drop(c);
-                    Ok(Ok(buf.take()))
-                }
-                None => {
-                    let (data, _) = decode::<T>(c);
-                    Ok(Ok(data))
-                }
-            },
-            TestOutcome::Pending(req) => Ok(Err(NonBlockingBcast {
-                req,
-                root_buf: self.root_buf,
-            })),
-        }
+        Ok(self.0.poll()?.map(bcast_content).map_err(NonBlockingBcast))
     }
 
     pub(crate) fn wait_discard(self) -> Result<()> {
-        self.req.wait()?;
-        Ok(())
+        self.0.wait_discard()
     }
 
     pub(crate) fn test_discard(self) -> Result<std::result::Result<(), Self>> {
-        match self.req.test()? {
-            TestOutcome::Ready(_) => Ok(Ok(())),
-            TestOutcome::Pending(req) => Ok(Err(NonBlockingBcast {
-                req,
-                root_buf: self.root_buf,
-            })),
-        }
+        Ok(self.0.test_discard()?.map_err(NonBlockingBcast))
     }
 
     pub(crate) fn raw_request(&self) -> &Request<'a> {
-        &self.req
+        self.0.raw_request()
     }
 }
 
@@ -199,9 +197,9 @@ impl<'a, T: Plain> NonBlockingBcast<'a, T> {
 /// produced by the completion (§III-E: results by value), and receive
 /// counts are discovered, not exchanged.
 pub trait IallgatherArgs<T: Plain> {
-    /// The handback token resolved by `wait()` to the moved-in send
-    /// container (or `()` for borrowed buffers).
-    type Hold: ReclaimHold;
+    /// What `wait()` returns beside the data: the handle of a moved-in
+    /// send container, `()` for borrowed buffers.
+    type Hold;
     /// Starts the operation (`equal_blocks` selects allgather vs
     /// allgatherv call counting).
     fn run<'c>(
@@ -232,11 +230,7 @@ where
         } else {
             comm.raw().iallgatherv_bytes(payload)?
         };
-        Ok(NonBlockingCollective {
-            req,
-            hold,
-            _elem: PhantomData,
-        })
+        Ok(NonBlockingCollective::new(req, hold))
     }
 }
 
@@ -244,9 +238,9 @@ where
 /// `send_counts` (required), `send_displs` (optional; omitted means the
 /// send buffer is packed contiguously in rank order).
 pub trait IalltoallvArgs<T: Plain> {
-    /// The handback token resolved by `wait()` to the moved-in send
-    /// container (or `()` for borrowed buffers).
-    type Hold: ReclaimHold;
+    /// What `wait()` returns beside the data: the handle of a moved-in
+    /// send container, `()` for borrowed buffers.
+    type Hold;
     /// Starts the operation.
     fn run<'c>(self, comm: &'c Communicator) -> Result<NonBlockingCollective<'c, T, Self::Hold>>;
 }
@@ -257,45 +251,62 @@ where
     T: Plain,
     SendBuf<B>: SendToTransport<T>,
     SC: ProvidedCounts,
-    SD: crate::params::slots::CountsSlot,
+    SD: CountsSlot,
 {
     type Hold = <SendBuf<B> as SendToTransport<T>>::Hold;
 
     fn run<'c>(self, comm: &'c Communicator) -> Result<NonBlockingCollective<'c, T, Self::Hold>> {
         let _tuning = comm.raw().tuning_guard(self.meta.tuning);
-        let counts = self
-            .send_counts
-            .provided()
-            .expect("send_counts is required")
-            .to_vec();
+        // `ProvidedCounts` guarantees the counts; an empty layout would
+        // fail the substrate's check like any other wrong one.
+        let counts = self.send_counts.provided().unwrap_or_default();
         let elem = std::mem::size_of::<T>();
         let byte_counts: Vec<usize> = counts.iter().map(|&c| c * elem).collect();
-        let (payload, hold) = match self.send_displs.provided().map(<[usize]>::to_vec) {
+        let packed = match self.send_displs.provided() {
             // Contiguous rank order: the buffer is the wire payload
             // (zero copies for owned containers); per-peer blocks are
             // refcount slices.
-            None => self.send_buf.into_payload(),
-            Some(displs) => {
-                // Repack into contiguous rank order so displacement gaps
-                // (or overlaps) never travel; the original container is
-                // still handed back by `wait()`.
-                self.send_buf.into_packed(|send| {
-                    let mut packed = Vec::with_capacity(counts.iter().sum());
-                    for (r, &c) in counts.iter().enumerate() {
-                        let d = displs[r];
-                        packed.extend_from_slice(&send[d..d + c]);
-                    }
-                    packed
-                })
-            }
+            None => Ok(self.send_buf.into_payload()),
+            // Repack into contiguous rank order so displacement gaps (or
+            // overlaps) never travel; the original container is still
+            // handed back by `wait()`.
+            Some(displs) => self
+                .send_buf
+                .into_packed(|send| pack_by_displs(send, counts, displs)),
         };
+        let (payload, hold) = packed.inspect_err(|_| {
+            // The layout error is rank-local: peers whose layouts are
+            // fine have taken this operation's tag. An empty layout never
+            // passes the substrate's check, which runs after it takes the
+            // tag — so this rank stays aligned with them.
+            let _ = comm.raw().ialltoallv_bytes(Bytes::new(), &[]);
+        })?;
         let req = comm.raw().ialltoallv_bytes(payload, &byte_counts)?;
-        Ok(NonBlockingCollective {
-            req,
-            hold,
-            _elem: PhantomData,
-        })
+        Ok(NonBlockingCollective::new(req, hold))
     }
+}
+
+/// `send[displs[r]..][..counts[r]]` for every rank `r`, back to back.
+fn pack_by_displs<T: Plain>(send: &[T], counts: &[usize], displs: &[usize]) -> Result<Vec<T>> {
+    let mut packed = Vec::with_capacity(send.len());
+    for (r, &c) in counts.iter().enumerate() {
+        let Some(&d) = displs.get(r) else {
+            return Err(MpiError::InvalidLayout(format!(
+                "ialltoallv: {} send displacements for {} send counts",
+                displs.len(),
+                counts.len()
+            )));
+        };
+        let block = d.checked_add(c).and_then(|end| send.get(d..end));
+        packed.extend_from_slice(block.ok_or_else(|| {
+            MpiError::InvalidLayout(format!(
+                "ialltoallv: the block for rank {r}, {c} elements at {d}, lies outside \
+                 the send buffer of {} elements",
+                send.len()
+            ))
+        })?);
+    }
+    Ok(packed)
 }
 
 /// Valid argument sets for [`Communicator::ibcast`]: an **owned**
@@ -317,31 +328,25 @@ where
         crate::assertions::check_same_root(comm, root)?;
         let _tuning = comm.raw().tuning_guard(self.meta.tuning);
         let buf = self.send_recv_buf.0;
-        if comm.rank() == root {
-            // The moved-in vector is the wire payload (zero call-time
-            // copies); it is reclaimed and handed back by `wait()`.
-            let (hold, payload) = kmp_mpi::SharedPayload::new(buf);
-            let req = comm.raw().ibcast_bytes(Some(payload), root)?;
-            Ok(NonBlockingBcast {
-                req,
-                root_buf: Some(hold),
-            })
+        // At the root the moved-in vector is the wire payload (zero
+        // call-time copies); it is reclaimed and handed back by `wait()`.
+        let (hold, payload) = if comm.rank() == root {
+            let (hold, payload) = SharedPayload::new(buf);
+            (Some(hold), Some(payload))
         } else {
-            let req = comm.raw().ibcast_bytes(None, root)?;
-            Ok(NonBlockingBcast {
-                req,
-                root_buf: None,
-            })
-        }
+            (None, None)
+        };
+        let req = comm.raw().ibcast_bytes(payload, root)?;
+        Ok(NonBlockingBcast(NonBlockingCollective::new(req, hold)))
     }
 }
 
 /// Valid argument sets for [`Communicator::iallreduce`]: `send_buf` and
 /// `op` (both required).
 pub trait IallreduceArgs<T: Plain> {
-    /// The handback token resolved by `wait()` to the moved-in send
-    /// container (or `()` for borrowed buffers).
-    type Hold: ReclaimHold;
+    /// What `wait()` returns beside the data: the handle of a moved-in
+    /// send container, `()` for borrowed buffers.
+    type Hold;
     /// Starts the operation.
     fn run<'c>(self, comm: &'c Communicator) -> Result<NonBlockingCollective<'c, T, Self::Hold>>;
 }
@@ -364,11 +369,7 @@ where
         let op = self.op.into_op();
         let (payload, hold) = self.send_buf.into_payload();
         let req = comm.raw().iallreduce_bytes::<T, _>(payload, op)?;
-        Ok(NonBlockingCollective {
-            req,
-            hold,
-            _elem: PhantomData,
-        })
+        Ok(NonBlockingCollective::new(req, hold))
     }
 }
 
@@ -380,10 +381,10 @@ impl Communicator {
     /// Starts a non-blocking allgatherv (wraps `MPI_Iallgatherv`).
     ///
     /// Parameters: `send_buf` (required; owned containers are moved in
-    /// and handed back by `wait()`). Returns a
-    /// [`NonBlockingCollective`]; the concatenated data (and, via
-    /// `wait_with_counts()`, the per-rank counts) only exist after
-    /// completion.
+    /// and come back with `wait()` as a handle: read it, or `take()` the
+    /// vector). Returns a [`NonBlockingCollective`]; the concatenated
+    /// data (and, via `wait_with_counts()`, the per-rank counts) only
+    /// exist after completion.
     ///
     /// ```
     /// use kamping::prelude::*;
@@ -395,7 +396,8 @@ impl Communicator {
     ///     // ... overlap local work here ...
     ///     let (all, mine) = fut.wait().unwrap();
     ///     assert_eq!(all, vec![0, 1, 1, 2, 2, 2]);
-    ///     assert_eq!(mine.len(), comm.rank() + 1); // moved-in buffer is back
+    ///     assert_eq!(mine.len(), comm.rank() + 1); // readable for free ...
+    ///     let mine: Vec<u64> = mine.take(); // ... and the vector on request
     /// });
     /// ```
     pub fn iallgatherv<T, A>(
@@ -463,7 +465,8 @@ impl Communicator {
     ///
     /// Parameters: `send_buf` and `op` (required). `wait()` returns the
     /// elementwise reduction over all ranks (strict rank order — safe for
-    /// non-commutative operations) plus the moved-in send buffer.
+    /// non-commutative operations) plus the handle of the moved-in send
+    /// buffer.
     pub fn iallreduce<T, A>(
         &self,
         args: A,
@@ -490,7 +493,7 @@ mod tests {
             let fut = comm.iallgatherv(send_buf(mine)).unwrap();
             let (all, mine) = fut.wait().unwrap();
             assert_eq!(all, vec![0, 1, 1, 2, 2, 2]);
-            assert_eq!(mine, vec![comm.rank() as u32; comm.rank() + 1]);
+            assert_eq!(mine.take(), vec![comm.rank() as u32; comm.rank() + 1]);
         });
     }
 
@@ -555,6 +558,42 @@ mod tests {
             let (got, ()) = fut.wait().unwrap();
             let offset = comm.rank() as u32 * 10;
             assert_eq!(got, vec![offset, offset + 1]);
+        });
+    }
+
+    /// A `send_displs` that is too short or points outside the buffer is
+    /// a layout error, not a panic — and the erroring rank has consumed
+    /// the operation's tag, so whatever collective comes next matches up
+    /// with peers whose layouts were fine.
+    #[test]
+    fn ialltoallv_bad_send_displs_is_an_error_that_keeps_tags_aligned() {
+        Universe::run(2, |comm| {
+            let comm = Communicator::new(comm);
+            let send = vec![7u32, 8, 9];
+            let counts = vec![1usize, 1];
+            let next_collective = || {
+                let fut = comm.iallgatherv(send_buf(vec![comm.rank() as u32]));
+                assert_eq!(fut.unwrap().wait().unwrap().0, vec![0, 1]);
+            };
+            for displs in [vec![1usize, 5], vec![2], vec![usize::MAX, 0]] {
+                let args = (send_buf(&send), send_counts(&counts), send_displs(&displs));
+                let res = comm.ialltoallv(args).map(drop);
+                assert!(
+                    matches!(res, Err(kmp_mpi::MpiError::InvalidLayout(_))),
+                    "{displs:?}: {res:?}"
+                );
+                next_collective();
+            }
+            // Rank 0 alone passes a bad layout; rank 1 has started the
+            // exchange and abandons it.
+            let displs = [vec![0usize, 3], vec![0, 1]];
+            let args = (
+                send_buf(send.clone()),
+                send_counts(&counts),
+                send_displs(&displs[comm.rank()]),
+            );
+            assert_eq!(comm.ialltoallv(args).is_err(), comm.rank() == 0);
+            next_collective();
         });
     }
 

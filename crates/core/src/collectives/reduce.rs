@@ -5,7 +5,7 @@ use kmp_mpi::{Plain, Result};
 use crate::communicator::Communicator;
 use crate::params::argset::{ArgSet, IntoArgs};
 use crate::params::output::{FinalOf, Finalize, Push1, PushComponent};
-use crate::params::slots::{ProvidesOp, ProvidesSendData, RecvBufSpec};
+use crate::params::slots::{ProvidesOp, ProvidesSendData, RecvBufSpec, SendToTransport};
 use crate::params::{Absent, OpParam, SendBuf};
 
 macro_rules! reduction_family {
@@ -22,7 +22,7 @@ macro_rules! reduction_family {
             for ArgSet<SendBuf<B>, Absent, RB, Absent, Absent, Absent, Absent, OpParam<O>>
         where
             T: Plain,
-            SendBuf<B>: ProvidesSendData<T>,
+            SendBuf<B>: SendToTransport<T>,
             RB: RecvBufSpec<T>,
             OpParam<O>: ProvidesOp<T>,
             RB::Out: PushComponent<()>,
@@ -44,16 +44,15 @@ fn run_reduce<T, B, RB, O>(
 ) -> Result<RB::Out>
 where
     T: Plain,
-    SendBuf<B>: ProvidesSendData<T>,
+    SendBuf<B>: SendToTransport<T>,
     RB: RecvBufSpec<T>,
     OpParam<O>: ProvidesOp<T>,
 {
     let _tuning = comm.raw().tuning_guard(args.meta.tuning);
     let root = args.meta.root.unwrap_or(0);
-    let send = args.send_buf.send_slice();
     let op = args.op.into_op();
     // The root's accumulator is the result; elsewhere it is empty.
-    let folded = comm.raw().reduce_vec(send, op, root)?;
+    let folded = (args.send_buf).lend(|send| comm.raw().reduce_vec(send, op, root))?;
     args.recv_buf.accept(folded.unwrap_or_default())
 }
 
@@ -63,14 +62,14 @@ fn run_allreduce<T, B, RB, O>(
 ) -> Result<RB::Out>
 where
     T: Plain,
-    SendBuf<B>: ProvidesSendData<T>,
+    SendBuf<B>: SendToTransport<T>,
     RB: RecvBufSpec<T>,
     OpParam<O>: ProvidesOp<T>,
 {
     let _tuning = comm.raw().tuning_guard(args.meta.tuning);
-    let send = args.send_buf.send_slice();
     let op = args.op.into_op();
-    args.recv_buf.accept(comm.raw().allreduce_vec(send, op)?)
+    let reduced = (args.send_buf).lend(|send| comm.raw().allreduce_vec(send, op))?;
+    args.recv_buf.accept(reduced)
 }
 
 fn run_scan<T, B, RB, O>(
@@ -79,14 +78,14 @@ fn run_scan<T, B, RB, O>(
 ) -> Result<RB::Out>
 where
     T: Plain,
-    SendBuf<B>: ProvidesSendData<T>,
+    SendBuf<B>: SendToTransport<T>,
     RB: RecvBufSpec<T>,
     OpParam<O>: ProvidesOp<T>,
 {
     let _tuning = comm.raw().tuning_guard(args.meta.tuning);
-    let send = args.send_buf.send_slice();
     let op = args.op.into_op();
-    args.recv_buf.accept(comm.raw().scan_vec(send, op)?)
+    let prefix = (args.send_buf).lend(|send| comm.raw().scan_vec(send, op))?;
+    args.recv_buf.accept(prefix)
 }
 
 fn run_exscan<T, B, RB, O>(
@@ -95,21 +94,18 @@ fn run_exscan<T, B, RB, O>(
 ) -> Result<RB::Out>
 where
     T: Plain,
-    SendBuf<B>: ProvidesSendData<T>,
+    SendBuf<B>: SendToTransport<T>,
     RB: RecvBufSpec<T>,
     OpParam<O>: ProvidesOp<T>,
 {
     let _tuning = comm.raw().tuning_guard(args.meta.tuning);
-    let send = args.send_buf.send_slice();
+    let n = args.send_buf.send_slice().len();
     let op = args.op.into_op();
-    match comm.raw().exscan_vec(send, op)? {
+    match (args.send_buf).lend(|send| comm.raw().exscan_vec(send, op))? {
         Some(prefix) => args.recv_buf.accept(prefix),
         // MPI leaves rank 0 undefined: the whole result is a gap, so
         // library storage is zeroed and provided storage is left as is.
-        None => args
-            .recv_buf
-            .apply(send.len(), |_| Ok(()))
-            .map(|((), out)| out),
+        None => args.recv_buf.apply(n, |_| Ok(())).map(|((), out)| out),
     }
 }
 
@@ -166,7 +162,10 @@ where
 impl Communicator {
     /// Elementwise reduction to the root (wraps `MPI_Reduce`). Non-root
     /// ranks receive an empty vector. Parameters: `send_buf` and `op`
-    /// (required), `recv_buf`, `root` (default 0).
+    /// (required), `recv_buf`, `root` (default 0). An owned `send_buf` is
+    /// consumed: it becomes the accumulator (the root's result is the
+    /// moved-in allocation) or, on a rank that folds nothing, the
+    /// message to its parent; a borrowed one is copied there instead.
     pub fn reduce<T, A>(&self, args: A) -> Result<<A::Out as ReduceArgs<T>>::Output>
     where
         T: Plain,
@@ -177,7 +176,10 @@ impl Communicator {
     }
 
     /// Elementwise reduction to all ranks (wraps `MPI_Allreduce`).
-    /// Parameters: `send_buf` and `op` (required), `recv_buf`.
+    /// Parameters: `send_buf` and `op` (required), `recv_buf`. An owned
+    /// `send_buf` is consumed: it becomes the accumulator — under
+    /// recursive doubling the result *is* the moved-in allocation — where
+    /// a borrowed one is first copied into a fresh one.
     pub fn allreduce<T, A>(&self, args: A) -> Result<<A::Out as AllreduceArgs<T>>::Output>
     where
         T: Plain,
@@ -202,7 +204,9 @@ impl Communicator {
     }
 
     /// Inclusive prefix reduction (wraps `MPI_Scan`). Parameters:
-    /// `send_buf` and `op` (required), `recv_buf`.
+    /// `send_buf` and `op` (required), `recv_buf`. An owned `send_buf` is
+    /// consumed: it becomes the accumulator, the upstream prefix is
+    /// folded into it in place and it is the result.
     pub fn scan<T, A>(&self, args: A) -> Result<<A::Out as ScanArgs<T>>::Output>
     where
         T: Plain,
@@ -214,7 +218,9 @@ impl Communicator {
 
     /// Exclusive prefix reduction (wraps `MPI_Exscan`). Rank 0 receives
     /// zeroed values (MPI leaves it undefined). Parameters: `send_buf`
-    /// and `op` (required), `recv_buf`.
+    /// and `op` (required), `recv_buf`. An owned `send_buf` is consumed:
+    /// it becomes the accumulator of the prefix this rank forwards
+    /// (rank 0 forwards it as is).
     pub fn exscan<T, A>(&self, args: A) -> Result<<A::Out as ExscanArgs<T>>::Output>
     where
         T: Plain,

@@ -125,6 +125,31 @@
 //! }
 //! ```
 //!
+//! What `wait()` hands back is a handle onto the buffer (read it, or
+//! `take()` the vector). It travels inside the future and is not
+//! reachable before completion either:
+//!
+//! ```compile_fail
+//! use kamping::prelude::*;
+//! fn handle_before_completion(comm: &Communicator) {
+//!     let fut = comm.iallgatherv(send_buf(vec![1u32])).unwrap();
+//!     let _v = fut.hold.take(); // ERROR: the handle is private to the future
+//!     let _ = fut.wait().unwrap();
+//! }
+//! ```
+//!
+//! The blocking reductions consume an owned `send_buf` the same way (it
+//! becomes the accumulator), so it cannot be used afterwards:
+//!
+//! ```compile_fail
+//! use kamping::prelude::*;
+//! fn use_after_reduction(comm: &Communicator) {
+//!     let v = vec![1u64, 2, 3];
+//!     let _sum: Vec<u64> = comm.allreduce((send_buf(v), op(ops::Sum))).unwrap();
+//!     let _len = v.len(); // ERROR: v was moved into the reduction
+//! }
+//! ```
+//!
 //! ## No in-flight access for `ibcast` (§III-E)
 //!
 //! `ibcast` refuses *borrowed* buffers: while the broadcast is in flight
@@ -175,15 +200,18 @@
 //! ```
 //!
 //! Positive control for the non-blocking collectives (owned buffers move
-//! through and come back):
+//! through and come back) and for the owned reduction:
 //!
 //! ```no_run
 //! use kamping::prelude::*;
 //! fn positive_control_nonblocking(comm: &Communicator) {
 //!     let fut = comm.iallgatherv(send_buf(vec![1u32])).unwrap();
-//!     let (_all, _mine) = fut.wait().unwrap();
+//!     let (_all, mine) = fut.wait().unwrap();
+//!     let _first = mine[0];
+//!     let _mine: Vec<u32> = mine.take();
 //!     let fut = comm.ibcast((send_recv_buf(vec![1u32]),)).unwrap();
 //!     let _data = fut.wait().unwrap();
+//!     let _sum: Vec<u32> = comm.allreduce((send_buf(vec![1u32]), op(ops::Sum))).unwrap();
 //! }
 //! ```
 

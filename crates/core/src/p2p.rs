@@ -4,18 +4,19 @@
 //! Blocking: [`Communicator::send`] / [`Communicator::recv`]. Non-blocking:
 //! [`Communicator::isend`] / [`Communicator::issend`] /
 //! [`Communicator::irecv`], which return buffer-owning results — send
-//! buffers are *moved into* the call and handed back by `wait()`, and
-//! received data is only accessible after completion, so no send buffer
-//! can be mutated and no receive buffer read while an operation is in
-//! flight (the guarantee the paper notes only rsmpi's ownership model
-//! otherwise provides).
+//! buffers are *moved into* the call and come back with `wait()` (as a
+//! [`SharedPayload`](kmp_mpi::SharedPayload) handle: free to read,
+//! `take()` for the vector), and received data is only accessible after
+//! completion, so no send buffer can be mutated and no receive buffer
+//! read while an operation is in flight (the guarantee the paper notes
+//! only rsmpi's ownership model otherwise provides).
 
 use kmp_mpi::{Plain, Request, Result, Src, TagSel};
 
 use crate::communicator::Communicator;
 use crate::params::argset::{ArgSet, IntoArgs};
 use crate::params::output::{FinalOf, Finalize, Push1, PushComponent};
-use crate::params::slots::{ProvidesSendData, ReclaimHold, RecvBufSpec, SendToTransport};
+use crate::params::slots::{ProvidesSendData, RecvBufSpec, SendToTransport};
 use crate::params::{Absent, Meta, SendBuf};
 
 fn send_meta(meta: &Meta) -> (usize, i32) {
@@ -167,26 +168,30 @@ plain_recv_impls!(
 
 /// A non-blocking send in flight. An owned send buffer has **moved into
 /// the transport** (zero-copy: the payload aliases its allocation);
-/// [`NonBlockingSend::wait`] completes the request and hands the buffer
-/// back (Fig. 6: `v = r1.wait()`).
+/// [`NonBlockingSend::wait`] completes the request and returns its
+/// handle `H` — a [`SharedPayload`](kmp_mpi::SharedPayload) for an owned
+/// buffer (Fig. 6's `v = r1.wait()` reads `v = r1.wait()?.take()` here:
+/// zero-copy once the receiver has consumed the message, one counted
+/// copy before that), `()` for a borrowed one.
 #[must_use = "non-blocking operations must be completed with wait() or test()"]
 pub struct NonBlockingSend<'a, H> {
     req: Request<'a>,
     hold: H,
 }
 
-impl<'a, H: ReclaimHold> NonBlockingSend<'a, H> {
-    /// Blocks until the send completes, returning the moved-in buffer.
-    pub fn wait(self) -> Result<H::Back> {
+impl<'a, H> NonBlockingSend<'a, H> {
+    /// Blocks until the send completes, returning the handle of the
+    /// moved-in buffer.
+    pub fn wait(self) -> Result<H> {
         self.req.wait()?;
-        Ok(self.hold.finish())
+        Ok(self.hold)
     }
 
-    /// Completion test: `Ok(Ok(buffer))` when complete, `Ok(Err(self))`
+    /// Completion test: `Ok(Ok(handle))` when complete, `Ok(Err(self))`
     /// when still pending.
-    pub fn test(self) -> Result<std::result::Result<H::Back, Self>> {
+    pub fn test(self) -> Result<std::result::Result<H, Self>> {
         match self.req.test()? {
-            kmp_mpi::request::TestOutcome::Ready(_) => Ok(Ok(self.hold.finish())),
+            kmp_mpi::request::TestOutcome::Ready(_) => Ok(Ok(self.hold)),
             kmp_mpi::request::TestOutcome::Pending(req) => Ok(Err(NonBlockingSend {
                 req,
                 hold: self.hold,
@@ -251,10 +256,9 @@ fn check_count<T>(expected: Option<usize>, data: &[T], bytes: usize) -> Result<(
 
 /// Valid argument sets for [`Communicator::isend`] / `issend`.
 pub trait IsendArgs<M> {
-    /// The handback token the in-flight send stores; `wait()` resolves
-    /// it to the moved-in container for owned send buffers, `()` for
-    /// borrowed ones.
-    type Hold: ReclaimHold;
+    /// What `wait()` returns: the handle of a moved-in send container,
+    /// `()` for borrowed buffers.
+    type Hold;
     /// Starts the (standard-mode) send.
     fn run<'c>(self, comm: &'c Communicator) -> Result<NonBlockingSend<'c, Self::Hold>>;
     /// Starts the synchronous-mode send (completes on receiver match).
@@ -278,7 +282,7 @@ trait Pooled<'a> {
     fn raw_request(&self) -> &Request<'a>;
 }
 
-impl<'a, H: ReclaimHold + 'a> Pooled<'a> for NonBlockingSend<'a, H> {
+impl<'a, H: 'a> Pooled<'a> for NonBlockingSend<'a, H> {
     fn wait_boxed(self: Box<Self>) -> Result<()> {
         self.wait().map(|_| ())
     }
@@ -312,9 +316,7 @@ impl<'a, T: Plain> Pooled<'a> for NonBlockingRecv<'a, T> {
     }
 }
 
-impl<'a, T: Plain, H: ReclaimHold + 'a> Pooled<'a>
-    for crate::collectives::NonBlockingCollective<'a, T, H>
-{
+impl<'a, T: Plain, H: 'a> Pooled<'a> for crate::collectives::NonBlockingCollective<'a, T, H> {
     fn wait_boxed(self: Box<Self>) -> Result<()> {
         self.wait_discard()
     }
@@ -384,7 +386,7 @@ impl<'a> RequestPool<'a> {
     }
 
     /// Submits a non-blocking send.
-    pub fn submit_send<H: ReclaimHold + 'a>(&mut self, op: NonBlockingSend<'a, H>) {
+    pub fn submit_send<H: 'a>(&mut self, op: NonBlockingSend<'a, H>) {
         self.push_entry(Box::new(op));
     }
 
@@ -396,7 +398,7 @@ impl<'a> RequestPool<'a> {
     /// Submits a non-blocking collective (`iallgatherv`, `ialltoallv`,
     /// `iallreduce`, …). The carried values are discarded on completion;
     /// await the future individually when its result is needed.
-    pub fn submit_collective<T: Plain, H: ReclaimHold + 'a>(
+    pub fn submit_collective<T: Plain, H: 'a>(
         &mut self,
         op: crate::collectives::NonBlockingCollective<'a, T, H>,
     ) {
@@ -665,7 +667,7 @@ impl<'a> BoundedRequestPool<'a> {
 
     /// Submits a non-blocking send, completing the oldest operation
     /// first if the pool is full.
-    pub fn submit_send<H: ReclaimHold + 'a>(&mut self, op: NonBlockingSend<'a, H>) -> Result<()> {
+    pub fn submit_send<H: 'a>(&mut self, op: NonBlockingSend<'a, H>) -> Result<()> {
         self.make_room()?;
         self.slots.push_back(Box::new(op));
         Ok(())
@@ -682,7 +684,7 @@ impl<'a> BoundedRequestPool<'a> {
     /// Submits a non-blocking collective, completing the oldest operation
     /// first if the pool is full — bounding both in-flight requests and
     /// the buffer memory held by moved-in send containers.
-    pub fn submit_collective<T: Plain, H: ReclaimHold + 'a>(
+    pub fn submit_collective<T: Plain, H: 'a>(
         &mut self,
         op: crate::collectives::NonBlockingCollective<'a, T, H>,
     ) -> Result<()> {
@@ -845,11 +847,11 @@ mod tests {
         Universe::run(2, |comm| {
             let comm = Communicator::new(comm);
             if comm.rank() == 0 {
-                // Fig. 6: the buffer is moved into the call and returned
-                // by wait() once the operation completed.
+                // Fig. 6: the buffer is moved into the call and comes
+                // back with wait() once the operation completed.
                 let v = vec![1u32, 2, 3];
                 let r1 = comm.isend((send_buf(v), destination(1))).unwrap();
-                let v = r1.wait().unwrap();
+                let v = r1.wait().unwrap().take();
                 assert_eq!(v, vec![1, 2, 3]);
             } else {
                 let data: Vec<u32> = comm.recv((source(0),)).unwrap();
@@ -904,7 +906,7 @@ mod tests {
             if comm.rank() == 0 {
                 let r = comm.issend((send_buf(vec![1u8]), destination(1))).unwrap();
                 let v = r.wait().unwrap();
-                assert_eq!(v, vec![1]);
+                assert_eq!(&v[..], [1]);
             } else {
                 let v: Vec<u8> = comm.recv((source(0),)).unwrap();
                 assert_eq!(v, vec![1]);

@@ -9,6 +9,8 @@
 //! `#[diagnostic::on_unimplemented]` messages (§III-G's human-readable
 //! compile errors).
 
+use std::borrow::Cow;
+
 use bytes::Bytes;
 use kmp_mpi::collectives::{concat_blocks, displacements_from_counts, place_blocks};
 use kmp_mpi::op::ReduceOp;
@@ -43,81 +45,42 @@ impl<T: Plain, B: AsSlice<T>> ProvidesSendData<T> for SendBuf<B> {
     }
 }
 
-/// Reclaims ownership of a send buffer after the payload has been copied
-/// out: owned containers come back to the caller (the paper's
-/// move-in/move-out of §III-E), borrowed ones yield `()`.
-pub trait SendReclaim {
-    /// What the caller gets back.
-    type Back;
-    /// Consumes the parameter, returning the container (if owned).
-    fn reclaim(self) -> Self::Back;
-}
-
-impl<T> SendReclaim for SendBuf<Vec<T>> {
-    type Back = Vec<T>;
-    #[inline]
-    fn reclaim(self) -> Vec<T> {
-        self.0
-    }
-}
-
-impl<B> SendReclaim for SendBuf<&B> {
-    type Back = ();
-    #[inline]
-    fn reclaim(self) {}
-}
-
-impl<T> SendReclaim for SendBuf<&[T]> {
-    type Back = ();
-    #[inline]
-    fn reclaim(self) {}
-}
-
 // ---------------------------------------------------------------------------
-// Zero-copy transport handoff
+// Handing send data over: to the transport, to a reduction
 // ---------------------------------------------------------------------------
 
-/// The handback token a non-blocking operation stores until `wait()`:
-/// resolves to the caller's reclaimed container (or `()` for borrowed
-/// send buffers) once the operation has completed.
-pub trait ReclaimHold {
-    /// What the caller gets back.
-    type Back;
-    /// Resolves the hold after completion.
-    fn finish(self) -> Self::Back;
-}
-
-impl ReclaimHold for () {
-    type Back = ();
-    #[inline]
-    fn finish(self) {}
-}
-
-impl<T: Plain> ReclaimHold for SharedPayload<T> {
-    type Back = Vec<T>;
-    #[inline]
-    fn finish(self) -> Vec<T> {
-        self.take()
-    }
-}
-
-/// Converts a send slot into the wire payload plus a [`ReclaimHold`].
+/// Hands a send slot over to the operation. One rule: **a buffer the
+/// caller gave away is never copied, and its return costs nothing
+/// unless the caller takes it.**
 ///
-/// Owned `Vec<T>` buffers **move into the transport**: the payload
-/// aliases the vector's allocation (zero copies at call time) and the
-/// hold reclaims it on `wait()` (§III-E's move-in/move-out). Borrowed
-/// buffers are serialized with one counted copy and hold nothing.
+/// - To the transport ([`into_payload`](SendToTransport::into_payload)):
+///   an owned `Vec<T>` *is* the wire payload — the transport aliases its
+///   allocation, zero copies at call time — and the stored handle is the
+///   [`SharedPayload`] a completed non-blocking operation hands back
+///   (read it for free, `take()` it to get the vector). Borrowed buffers
+///   are serialized with one counted copy and hold `()`.
+/// - To a reduction ([`lend`](SendToTransport::lend)): an owned `Vec<T>`
+///   is consumed and becomes the accumulator; borrowed buffers are
+///   copied where the algorithm needs one.
 pub trait SendToTransport<T: Plain>: ProvidesSendData<T> {
-    /// The handback token stored by the in-flight operation.
-    type Hold: ReclaimHold;
+    /// What the in-flight operation keeps and its completion returns:
+    /// [`SharedPayload<T>`] for an owned `Vec<T>`, `()` otherwise.
+    type Hold;
 
-    /// Splits into the wire payload and the handback token.
+    /// Splits into the wire payload and the handle.
     fn into_payload(self) -> (Bytes, Self::Hold);
 
     /// Like [`SendToTransport::into_payload`], but the wire payload is a
     /// repacked copy produced by `pack` (used when displacements reorder
     /// the buffer); the original container is still handed back.
-    fn into_packed(self, pack: impl FnOnce(&[T]) -> Vec<T>) -> (Bytes, Self::Hold);
+    fn into_packed(
+        self,
+        pack: impl FnOnce(&[T]) -> kmp_mpi::Result<Vec<T>>,
+    ) -> kmp_mpi::Result<(Bytes, Self::Hold)>;
+
+    /// Passes the data on as a reduction's contribution: an owned
+    /// `Vec<T>` moves, every other shape lends its slice.
+    fn lend<R>(self, to: impl FnOnce(Cow<'_, [T]>) -> R) -> R;
 }
 
 impl<T: Plain> SendToTransport<T> for SendBuf<Vec<T>> {
@@ -130,12 +93,20 @@ impl<T: Plain> SendToTransport<T> for SendBuf<Vec<T>> {
     }
 
     #[inline]
-    fn into_packed(self, pack: impl FnOnce(&[T]) -> Vec<T>) -> (Bytes, SharedPayload<T>) {
-        let packed = pack(&self.0);
-        (
+    fn into_packed(
+        self,
+        pack: impl FnOnce(&[T]) -> kmp_mpi::Result<Vec<T>>,
+    ) -> kmp_mpi::Result<(Bytes, SharedPayload<T>)> {
+        let packed = pack(&self.0)?;
+        Ok((
             kmp_mpi::plain::bytes_from_vec(packed),
             SharedPayload::ready(self.0),
-        )
+        ))
+    }
+
+    #[inline]
+    fn lend<R>(self, to: impl FnOnce(Cow<'_, [T]>) -> R) -> R {
+        to(Cow::Owned(self.0))
     }
 }
 
@@ -153,8 +124,16 @@ macro_rules! borrowed_send_to_transport {
             }
 
             #[inline]
-            fn into_packed(self, pack: impl FnOnce(&[T]) -> Vec<T>) -> (Bytes, ()) {
-                (kmp_mpi::plain::bytes_from_vec(pack(self.send_slice())), ())
+            fn into_packed(
+                self,
+                pack: impl FnOnce(&[T]) -> kmp_mpi::Result<Vec<T>>,
+            ) -> kmp_mpi::Result<(Bytes, ())> {
+                Ok((kmp_mpi::plain::bytes_from_vec(pack(self.send_slice())?), ()))
+            }
+
+            #[inline]
+            fn lend<R>(self, to: impl FnOnce(Cow<'_, [T]>) -> R) -> R {
+                to(Cow::Borrowed(self.send_slice()))
             }
         }
     )+};
@@ -570,15 +549,15 @@ mod tests {
         assert_eq!(p.send_slice(), &[1, 2, 3]);
         let p = send_buf(v.clone());
         assert_eq!(ProvidesSendData::<u32>::send_slice(&p), &[1, 2, 3]);
-        assert_eq!(p.reclaim(), vec![1, 2, 3]);
     }
 
     #[test]
-    fn borrowed_send_reclaims_unit() {
-        let v = vec![1u8];
-        let p = send_buf(&v);
-        #[allow(clippy::unused_unit)]
-        let () = p.reclaim();
+    fn lend_moves_owned_and_borrows_the_rest() {
+        let v = vec![1u8, 2];
+        let ptr = v.as_ptr();
+        assert!(send_buf(&v).lend(|c| matches!(c, Cow::Borrowed(s) if s.as_ptr() == ptr)));
+        assert!(send_buf([1u8, 2]).lend(|c| matches!(c, Cow::Borrowed(&[1, 2]))));
+        assert!(send_buf(v).lend(|c| matches!(c, Cow::Owned(o) if o.as_ptr() == ptr)));
     }
 
     #[test]

@@ -37,7 +37,6 @@ use kmp_mpi::{MpiError, Result};
 use crate::communicator::Communicator;
 use crate::p2p::{RecvArgs, SendArgs};
 use crate::params::argset::ArgSet;
-use crate::params::slots::SendReclaim;
 use crate::params::{Absent, NoResize, RecvBuf, SendBuf, SendRecvBuf};
 
 /// Mode marker selecting the serialized code path of `send`/`recv`/`bcast`.
@@ -105,11 +104,6 @@ impl<'a, T: Serialize> SendArgs<SerialMode>
         // The serialized buffer moves into the transport (no second copy).
         comm.raw().send_vec(bytes, dest, tag)
     }
-}
-
-impl<'a, T> SendReclaim for SendBuf<Serialized<'a, T>> {
-    type Back = ();
-    fn reclaim(self) {}
 }
 
 // --- recv ------------------------------------------------------------------

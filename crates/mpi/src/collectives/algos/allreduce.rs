@@ -5,6 +5,8 @@
 //! in the low half before the main phase and receive the finished
 //! result afterwards.
 
+use std::borrow::Cow;
+
 use bytes::Bytes;
 
 use super::fold_bytes_right;
@@ -12,7 +14,7 @@ use crate::collectives::{recv_internal, send_internal, send_slice_internal};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::op::ReduceOp;
-use crate::plain::{bytes_from_slice, bytes_into_vec, extend_vec_from_bytes};
+use crate::plain::{bytes_from_cow, bytes_from_slice, bytes_into_vec, extend_vec_from_bytes};
 use crate::Plain;
 
 /// Largest power of two `<= p`.
@@ -22,10 +24,12 @@ fn pow2_below(p: usize) -> usize {
 
 /// Recursive doubling with in-place folds: log2 p rounds, each
 /// serializing the full vector once (`s` copied per round); the received
-/// payload folds into the accumulator without materializing.
+/// payload folds into the accumulator without materializing. The
+/// contribution becomes the accumulator — and, in the low half, the
+/// result: moved if owned, copied once if borrowed.
 pub(crate) fn recursive_doubling<T: Plain, O: ReduceOp<T>>(
     comm: &Comm,
-    send: &[T],
+    send: Cow<'_, [T]>,
     op: &O,
 ) -> Result<Vec<T>> {
     let p = comm.size();
@@ -33,7 +37,7 @@ pub(crate) fn recursive_doubling<T: Plain, O: ReduceOp<T>>(
     let tag = comm.next_internal_tag();
     let p2 = pow2_below(p);
     let extra = p - p2;
-    let mut acc = send.to_vec();
+    let mut acc = send.into_owned();
 
     // Fold the `extra` highest ranks into the low half.
     if rank >= p2 {
@@ -80,7 +84,7 @@ fn chunk_bound(n: usize, parts: usize, i: usize) -> usize {
 /// doubling.
 pub(crate) fn rabenseifner<T: Plain, O: ReduceOp<T>>(
     comm: &Comm,
-    send: &[T],
+    send: Cow<'_, [T]>,
     op: &O,
 ) -> Result<Vec<T>> {
     let p = comm.size();
@@ -96,10 +100,10 @@ pub(crate) fn rabenseifner<T: Plain, O: ReduceOp<T>>(
     // Non-power-of-two fixup: the high ranks contribute and then wait
     // for the finished result.
     if rank >= p2 {
-        send_slice_internal(comm, rank - p2, fixup_tag, send)?;
+        send_internal(comm, rank - p2, fixup_tag, bytes_from_cow(send))?;
         return Ok(bytes_into_vec(recv_internal(comm, rank - p2, result_tag)?));
     }
-    let mut acc = send.to_vec();
+    let mut acc = send.into_owned();
     if rank + p2 < p {
         let theirs = recv_internal(comm, rank + p2, fixup_tag)?;
         fold_bytes_right(&mut acc, &theirs, op)?;
@@ -171,10 +175,10 @@ pub(crate) fn rabenseifner<T: Plain, O: ReduceOp<T>>(
 /// (model-driven when warm; see [`super::model`]).
 pub(crate) fn dispatch<T: Plain, O: ReduceOp<T>>(
     comm: &Comm,
-    send: &[T],
+    send: Cow<'_, [T]>,
     op: &O,
 ) -> Result<Vec<T>> {
-    let bytes = std::mem::size_of_val(send);
+    let bytes = std::mem::size_of_val(&*send);
     super::model::tick(comm)?;
     let algo = super::model::select_allreduce(comm, bytes);
     let _sp = crate::trace::span(
@@ -216,7 +220,7 @@ mod tests {
                     let mine: Vec<u64> = (0..n as u64)
                         .map(|i| comm.rank() as u64 * 100 + i)
                         .collect();
-                    let out = rabenseifner(&comm, &mine, &Sum).unwrap();
+                    let out = rabenseifner(&comm, mine.into(), &Sum).unwrap();
                     let expected: Vec<u64> = (0..n as u64)
                         .map(|i| (0..p as u64).map(|r| r * 100 + i).sum())
                         .collect();
@@ -231,7 +235,7 @@ mod tests {
         for p in [1, 2, 3, 5, 8] {
             Universe::run(p, move |comm| {
                 let mine = [comm.rank() as u64 + 1, 2];
-                let out = recursive_doubling(&comm, &mine, &Sum).unwrap();
+                let out = recursive_doubling(&comm, (&mine).into(), &Sum).unwrap();
                 assert_eq!(out, vec![(p * (p + 1) / 2) as u64, 2 * p as u64]);
             });
         }

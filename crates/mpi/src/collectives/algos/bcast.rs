@@ -118,7 +118,9 @@ fn chunk_bound(len: usize, p: usize, i: usize) -> usize {
 /// Van de Geijn broadcast. `size` must be identical on every rank (the
 /// caller's contract: it comes from a buffer length all ranks agree on,
 /// like `MPI_Bcast`'s count). The root returns its own payload whole;
-/// non-roots return the gathered chunks.
+/// non-roots return the gathered chunks. A root whose payload is not
+/// `size` bytes long splits what it has; every rank still completes the
+/// exchange, and the non-roots then report [`MpiError::Truncated`].
 pub(crate) fn scatter_allgather(
     comm: &Comm,
     payload: Option<Bytes>,
@@ -129,7 +131,7 @@ pub(crate) fn scatter_allgather(
     let rank = comm.rank();
     let scatter_tag = comm.next_internal_tag();
 
-    let own_chunk = if rank == root {
+    if rank == root {
         let Some(payload) = payload else {
             // The peers go on to the ring; stay tag-aligned with them.
             if p > 1 {
@@ -137,31 +139,29 @@ pub(crate) fn scatter_allgather(
             }
             return Err(root_without_data("bcast"));
         };
-        debug_assert_eq!(payload.len(), size, "sized bcast: payload/size mismatch");
-        for r in 0..p {
-            if r != root {
-                let block = payload.slice(chunk_bound(size, p, r)..chunk_bound(size, p, r + 1));
-                send_internal(comm, r, scatter_tag, block)?;
-            }
+        let chunk = |r: usize| {
+            payload.slice(chunk_bound(payload.len(), p, r)..chunk_bound(payload.len(), p, r + 1))
+        };
+        for r in (0..p).filter(|&r| r != root) {
+            send_internal(comm, r, scatter_tag, chunk(r))?;
         }
-        let own = payload.slice(chunk_bound(size, p, rank)..chunk_bound(size, p, rank + 1));
         // The ring below circulates chunks the root already has; it
         // returns the original payload untouched.
-        allgather_blocks_discard(comm, own)?;
+        allgather_blocks_discard(comm, chunk(rank))?;
         return Ok(BcastParts::Whole(payload));
-    } else {
-        let chunk = recv_internal(comm, root, scatter_tag)?;
-        let expected = chunk_bound(size, p, rank + 1) - chunk_bound(size, p, rank);
-        if chunk.len() != expected {
-            return Err(MpiError::Truncated {
-                message_bytes: chunk.len(),
-                buffer_bytes: expected,
-            });
-        }
-        chunk
-    };
-
-    let blocks = allgather_blocks(comm, own_chunk)?;
+    }
+    let chunk = recv_internal(comm, root, scatter_tag)?;
+    let received = chunk.len();
+    // Communicate first, fail alone after: a rank that left before the
+    // ring would strand its neighbours in it.
+    let blocks = allgather_blocks(comm, chunk)?;
+    let expected = chunk_bound(size, p, rank + 1) - chunk_bound(size, p, rank);
+    if received != expected {
+        return Err(MpiError::Truncated {
+            message_bytes: received,
+            buffer_bytes: expected,
+        });
+    }
     Ok(BcastParts::Chunks(blocks))
 }
 

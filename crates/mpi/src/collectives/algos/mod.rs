@@ -59,6 +59,8 @@ pub use model::{
     AlgoClass, ClassEstimate, ClassStat, ModelConfig, ModelSnapshot, TuningStats, CLASS_COUNT,
 };
 
+use std::borrow::Cow;
+
 use crate::error::{MpiError, Result};
 use crate::op::ReduceOp;
 use crate::Plain;
@@ -511,26 +513,36 @@ pub(crate) fn fold_bytes_map<T: Plain, O: ReduceOp<T>>(
     Ok(())
 }
 
-/// `out[i] = op(prefix[i], send[i])` into a fresh vector (the exscan
-/// forward path; the result moves into the transport without a copy).
+/// `out[i] = op(prefix[i], send[i])` (the `scan_vec` / `exscan_vec`
+/// datapath; the result moves into the transport without a copy): an
+/// owned `send` is folded in place and returned, a borrowed one folds
+/// into a fresh vector.
 pub(crate) fn fold_bytes_to_vec<T: Plain, O: ReduceOp<T>>(
     prefix: &[u8],
-    send: &[T],
+    send: Cow<'_, [T]>,
     op: &O,
 ) -> Result<Vec<T>> {
-    check_fold_len("exscan fold", send, prefix)?;
+    check_fold_len("exscan fold", &send, prefix)?;
     let base = prefix.as_ptr();
-    let mut out = Vec::with_capacity(send.len());
-    for (i, s) in send.iter().enumerate() {
-        // SAFETY: as in `fold_bytes_right`.
-        let pre = unsafe {
-            base.add(i * std::mem::size_of::<T>())
-                .cast::<T>()
-                .read_unaligned()
-        };
-        out.push(op.apply(&pre, s));
-    }
-    Ok(out)
+    // SAFETY: `prefix` holds exactly `send.len()` elements (checked
+    // above) and `pre` is only called with indices of `send`; `T: Plain`
+    // permits unaligned reads of arbitrary byte patterns.
+    let pre = |i: usize| unsafe {
+        base.add(i * std::mem::size_of::<T>())
+            .cast::<T>()
+            .read_unaligned()
+    };
+    Ok(match send {
+        Cow::Owned(mut acc) => {
+            for (i, a) in acc.iter_mut().enumerate() {
+                *a = op.apply(&pre(i), a);
+            }
+            acc
+        }
+        Cow::Borrowed(send) => (send.iter().enumerate())
+            .map(|(i, s)| op.apply(&pre(i), s))
+            .collect(),
+    })
 }
 
 #[cfg(test)]
@@ -665,6 +677,18 @@ mod tests {
     fn fold_length_mismatch_errors() {
         let mut acc = vec![1u64];
         assert!(fold_bytes_right(&mut acc, &[0u8; 4], &Sum).is_err());
-        assert!(fold_bytes_to_vec::<u64, _>(&[0u8; 4], &[1u64], &Sum).is_err());
+        assert!(fold_bytes_to_vec(&[0u8; 4], Cow::Borrowed(&[1u64][..]), &Sum).is_err());
+    }
+
+    #[test]
+    fn fold_to_vec_folds_an_owned_contribution_in_place() {
+        let op = crate::op::non_commutative(|a: &u64, b: &u64| a * 10 + b);
+        let prefix = [1u64, 2];
+        let send = vec![3u64, 4];
+        let ptr = send.as_ptr();
+        let borrowed = fold_bytes_to_vec(as_bytes(&prefix), Cow::Borrowed(&send[..]), &op);
+        assert_eq!(borrowed.unwrap(), vec![13, 24]);
+        let owned = fold_bytes_to_vec(as_bytes(&prefix), Cow::Owned(send), &op).unwrap();
+        assert_eq!((owned.as_ptr(), &owned[..]), (ptr, &[13, 24][..]));
     }
 }

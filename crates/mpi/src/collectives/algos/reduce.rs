@@ -11,6 +11,8 @@
 //! the stack, `ireduce` and the tree phase of `iallreduce` resume it on
 //! `test`/`wait`.
 
+use std::borrow::Cow;
+
 use bytes::Bytes;
 
 use super::fold_bytes_right;
@@ -19,7 +21,7 @@ use crate::collectives::{bcast_forward, bcast_parent, send_internal};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::op::ReduceOp;
-use crate::plain::{bytes_from_slice, bytes_from_vec, bytes_into_vec};
+use crate::plain::{bytes_from_cow, bytes_from_vec, bytes_into_vec};
 use crate::request::Completion;
 use crate::{Plain, Rank, Tag};
 
@@ -41,11 +43,11 @@ pub(crate) fn binomial_children(vrank: usize, p: usize) -> (Vec<usize>, Option<u
     (children, None)
 }
 
-/// A rank's contribution as its caller holds it: a borrowed slice
-/// (blocking `reduce`, `ireduce`) or an adopted payload
+/// A rank's contribution as its caller holds it: typed data, borrowed
+/// or owned (blocking `reduce`, `ireduce`), or an adopted payload
 /// (`iallreduce_bytes`).
-pub(crate) enum Own<'a, T> {
-    Slice(&'a [T]),
+pub(crate) enum Own<'a, T: Plain> {
+    Data(Cow<'a, [T]>),
     Payload(Bytes),
 }
 
@@ -99,10 +101,13 @@ impl<T: Plain, O: ReduceOp<T>> TreeReduce<T, O> {
         let vrank = (comm.rank() + p - root) % p;
         let (children, parent) = binomial_children(vrank, p);
         let (own, acc) = match own {
-            Own::Slice(s) if children.is_empty() && parent.is_some() => {
-                (Some(bytes_from_slice(s)), None)
+            // A leaf's contribution goes to the wire (an owned one
+            // unserialized); elsewhere it becomes the accumulator
+            // (an owned one as is).
+            Own::Data(d) if children.is_empty() && parent.is_some() => {
+                (Some(bytes_from_cow(d)), None)
             }
-            Own::Slice(s) => (None, Some(s.to_vec())),
+            Own::Data(d) => (None, Some(d.into_owned())),
             Own::Payload(b) if children.is_empty() => (Some(b), None),
             Own::Payload(b) => (None, Some(bytes_into_vec(b))),
         };
@@ -221,7 +226,8 @@ mod tests {
                     let tag = comm.next_internal_tag();
                     let mine = [comm.rank() as u64 + 1, 1];
                     let after = AfterTreeReduce::Done;
-                    let tree = TreeReduce::new(&comm, tag, Own::Slice(&mine), Sum, root, after);
+                    let tree =
+                        TreeReduce::new(&comm, tag, Own::Data((&mine).into()), Sum, root, after);
                     let (_, tree) = drive(&comm, tree, Bytes::new()).unwrap();
                     if comm.rank() == root {
                         let total = (p * (p + 1) / 2) as u64;

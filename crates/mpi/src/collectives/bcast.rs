@@ -140,7 +140,10 @@ impl Comm {
     /// Sized byte-level broadcast: every rank passes the payload size
     /// (so the tuning may pick the large-message algorithm, which the
     /// size-discovering [`Comm::bcast_bytes`] cannot). The root's
-    /// payload length must equal `size`.
+    /// payload length must equal `size`; a root that breaks this still
+    /// broadcasts what it has — its peers must not be left waiting — and
+    /// reports [`MpiError::InvalidLayout`] afterwards, while they see a
+    /// payload of the wrong length.
     pub fn bcast_parts(
         &self,
         payload: Option<Bytes>,
@@ -148,15 +151,14 @@ impl Comm {
         root: Rank,
     ) -> Result<BcastParts> {
         self.count_op("bcast");
-        if let Some(p) = &payload {
-            if p.len() != size {
-                return Err(MpiError::InvalidLayout(format!(
-                    "bcast: root payload holds {} bytes but size says {size}",
-                    p.len()
-                )));
-            }
+        let held = payload.as_ref().map_or(size, Bytes::len);
+        let parts = bcast_parts_internal(self, payload, size, root)?;
+        if held != size {
+            return Err(MpiError::InvalidLayout(format!(
+                "bcast: root payload holds {held} bytes but size says {size}"
+            )));
         }
-        bcast_parts_internal(self, payload, size, root)
+        Ok(parts)
     }
 
     /// Broadcasts a vector from the root; non-root ranks receive a fresh

@@ -123,7 +123,13 @@ impl Comm {
     ) -> Result<Option<(Vec<T>, Vec<usize>)>> {
         self.count_op("gatherv");
         self.check_rank(root)?;
-        self.gatherv_vec_uncounted(send, root)
+        let tag = self.next_internal_tag();
+        if self.rank() == root {
+            gather_assemble(self, tag, send).map(Some)
+        } else {
+            send_slice_internal(self, root, tag, send)?;
+            Ok(None)
+        }
     }
 }
 

@@ -979,7 +979,7 @@ impl Comm {
             } else {
                 AfterTreeReduce::Done
             };
-            let tree = TreeReduce::new(self, tag, Own::Slice(send), op, root, after);
+            let tree = TreeReduce::new(self, tag, Own::Data(send.into()), op, root, after);
             return self.icoll(Box::new(RoundEngine::new(tree)), Bytes::new());
         }
         let engine: Box<dyn CollEngine> = if self.rank() == root {

@@ -7,12 +7,14 @@
 //! back to gather + ordered local fold (+ broadcast), which preserves
 //! strict rank order for any `p`.
 
+use std::borrow::Cow;
+
 use bytes::Bytes;
 
 use super::algos::reduce::{AfterTreeReduce, Own, TreeReduce};
 use super::algos::{self, ReduceAlgo};
 use super::nonblocking::drive;
-use super::send_slice_internal;
+use super::send_internal;
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::op::ReduceOp;
@@ -26,31 +28,44 @@ fn combine<T: Plain, O: ReduceOp<T>>(low: &mut [T], high: &[T], op: &O) {
     }
 }
 
+/// The one definition behind every allreduce entry point. `send` is the
+/// rank's contribution as the caller holds it: an owned vector becomes
+/// the accumulator (or the wire payload) as is, a borrowed slice is
+/// copied exactly where an accumulator is needed.
 pub(crate) fn allreduce_internal<T: Plain, O: ReduceOp<T>>(
     comm: &Comm,
-    send: &[T],
+    send: Cow<'_, [T]>,
     op: &O,
 ) -> Result<Vec<T>> {
-    let p = comm.size();
-    let rank = comm.rank();
-    if p == 1 {
-        return Ok(send.to_vec());
+    if comm.size() == 1 {
+        return Ok(send.into_owned());
     }
     if !op.is_commutative() {
-        // Gather + ordered fold + broadcast keeps strict rank order.
-        let gathered = comm.gatherv_vec_uncounted(send, 0)?;
-        let result = if rank == 0 {
-            let (data, counts) = gathered.expect("root gathered");
-            Some(fold_blocks(&data, &counts, op))
-        } else {
-            None
-        };
-        // The folded result moves into the broadcast payload (no copy).
-        let payload = result.map(crate::plain::bytes_from_vec);
+        // Gather + ordered fold + broadcast keeps strict rank order; the
+        // folded result moves into the broadcast payload (no copy).
+        let payload = gather_fold(comm, send, op, 0)?.map(crate::plain::bytes_from_vec);
         let bytes = super::bcast_bytes_internal(comm, payload, 0)?;
         return Ok(crate::plain::bytes_into_vec(bytes));
     }
     algos::allreduce::dispatch(comm, send, op)
+}
+
+/// Flat reduction to `root`: every other rank's contribution goes to the
+/// wire (an owned one unserialized), the root folds the gathered blocks
+/// strictly in rank order — safe for non-commutative operations.
+fn gather_fold<T: Plain, O: ReduceOp<T>>(
+    comm: &Comm,
+    send: Cow<'_, [T]>,
+    op: &O,
+    root: Rank,
+) -> Result<Option<Vec<T>>> {
+    let tag = comm.next_internal_tag();
+    if comm.rank() != root {
+        send_internal(comm, root, tag, crate::plain::bytes_from_cow(send))?;
+        return Ok(None);
+    }
+    let (data, counts) = super::gather::gather_assemble(comm, tag, &send)?;
+    Ok(Some(fold_blocks(&data, &counts, op)))
 }
 
 fn fold_blocks<T: Plain, O: ReduceOp<T>>(data: &[T], counts: &[usize], op: &O) -> Vec<T> {
@@ -67,23 +82,6 @@ fn fold_blocks<T: Plain, O: ReduceOp<T>>(data: &[T], counts: &[usize], op: &O) -
 }
 
 impl Comm {
-    /// Variant of gatherv_vec that does not bump the call counters (used
-    /// inside other collectives).
-    pub(crate) fn gatherv_vec_uncounted<T: Plain>(
-        &self,
-        send: &[T],
-        root: Rank,
-    ) -> Result<Option<(Vec<T>, Vec<usize>)>> {
-        let tag = self.next_internal_tag();
-        if self.rank() == root {
-            let (data, counts) = super::gather::gather_assemble(self, tag, send)?;
-            Ok(Some((data, counts)))
-        } else {
-            send_slice_internal(self, root, tag, send)?;
-            Ok(None)
-        }
-    }
-
     /// Elementwise reduction to the root (mirrors `MPI_Reduce`). `recv` is
     /// significant at the root only and must match `send` in length there.
     pub fn reduce_into<T: Plain, O: ReduceOp<T>>(
@@ -108,17 +106,21 @@ impl Comm {
 
     /// Elementwise reduction to the root, whose accumulator moves out:
     /// `Some(folded)` at the root, `None` elsewhere (no receive-buffer
-    /// copy).
-    pub fn reduce_vec<T: Plain, O: ReduceOp<T>>(
+    /// copy). `send` is a borrowed slice or an owned `Vec<T>`; an owned
+    /// contribution is consumed — it becomes the accumulator, or the
+    /// wire payload of a rank that folds nothing — where a borrowed one
+    /// is copied.
+    pub fn reduce_vec<'a, T: Plain, O: ReduceOp<T>>(
         &self,
-        send: &[T],
+        send: impl Into<Cow<'a, [T]>>,
         op: O,
         root: Rank,
     ) -> Result<Option<Vec<T>>> {
         self.count_op("reduce");
         self.check_rank(root)?;
 
-        let bytes = std::mem::size_of_val(send);
+        let send = send.into();
+        let bytes = std::mem::size_of_val(&*send);
         algos::model::tick(self)?;
         let algo = algos::model::select_reduce(self, op.is_commutative(), bytes);
         let _sp = crate::trace::span(
@@ -132,16 +134,13 @@ impl Comm {
         );
         let begun = algos::model::measure_begin(self);
         let folded: Option<Vec<T>> = match algo {
-            ReduceAlgo::FlatGather => {
-                let gathered = self.gatherv_vec_uncounted(send, root)?;
-                gathered.map(|(data, counts)| fold_blocks(&data, &counts, &op))
-            }
+            ReduceAlgo::FlatGather => gather_fold(self, send, &op, root)?,
             ReduceAlgo::BinomialTree => {
                 // The tree `ireduce` resumes, driven to completion; the
                 // root's accumulator stays typed and moves out.
                 let tag = self.next_internal_tag();
                 let after = AfterTreeReduce::Done;
-                let tree = TreeReduce::new(self, tag, Own::Slice(send), op, root, after);
+                let tree = TreeReduce::new(self, tag, Own::Data(send), op, root, after);
                 drive(self, tree, Bytes::new())?.1.acc
             }
         };
@@ -164,22 +163,29 @@ impl Comm {
                 recv.len()
             )));
         }
-        let out = allreduce_internal(self, send, &op)?;
+        let out = allreduce_internal(self, send.into(), &op)?;
         crate::plain::copy_slice(&out, recv);
         Ok(())
     }
 
-    /// Elementwise reduction to all ranks, returning a fresh vector (no
-    /// receive-buffer copy; the algorithm's accumulator moves out).
-    pub fn allreduce_vec<T: Plain, O: ReduceOp<T>>(&self, send: &[T], op: O) -> Result<Vec<T>> {
+    /// Elementwise reduction to all ranks; the algorithm's accumulator
+    /// moves out (no receive-buffer copy). `send` is a borrowed slice or
+    /// an owned `Vec<T>`: an owned contribution is consumed and *is* the
+    /// accumulator (under recursive doubling the result is the moved-in
+    /// allocation), a borrowed one is copied into a fresh one.
+    pub fn allreduce_vec<'a, T: Plain, O: ReduceOp<T>>(
+        &self,
+        send: impl Into<Cow<'a, [T]>>,
+        op: O,
+    ) -> Result<Vec<T>> {
         self.count_op("allreduce");
-        allreduce_internal(self, send, &op)
+        allreduce_internal(self, send.into(), &op)
     }
 
     /// Reduces a single value to all ranks.
     pub fn allreduce_one<T: Plain, O: ReduceOp<T>>(&self, value: T, op: O) -> Result<T> {
         self.count_op("allreduce");
-        let out = allreduce_internal(self, std::slice::from_ref(&value), &op)?;
+        let out = allreduce_internal(self, std::slice::from_ref(&value).into(), &op)?;
         Ok(out[0])
     }
 }

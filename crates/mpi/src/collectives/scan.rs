@@ -3,12 +3,14 @@
 //! the delivered payload (no per-hop `Vec` materialization), and the
 //! forwarded prefix moves into the transport without a copy.
 
+use std::borrow::Cow;
+
 use super::algos::{fold_bytes_map, fold_bytes_to_vec};
 use super::{recv_internal, send_internal, send_slice_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::op::ReduceOp;
-use crate::plain::{bytes_from_vec, bytes_into_vec};
+use crate::plain::{bytes_from_cow, bytes_from_vec, bytes_into_vec};
 use crate::Plain;
 
 impl Comm {
@@ -45,18 +47,28 @@ impl Comm {
         Ok(())
     }
 
-    /// Inclusive prefix reduction into a fresh vector: the fold of the
-    /// delivered prefix with `send` *is* the result (no zero-fill, no
-    /// receive-buffer copy).
-    pub fn scan_vec<T: Plain, O: ReduceOp<T>>(&self, send: &[T], op: O) -> Result<Vec<T>> {
+    /// Inclusive prefix reduction: the fold of the delivered prefix with
+    /// `send` *is* the result (no zero-fill, no receive-buffer copy).
+    /// `send` is a borrowed slice or an owned `Vec<T>`; an owned
+    /// contribution is consumed and folded in place — the result is the
+    /// moved-in allocation — where a borrowed one folds into a fresh
+    /// vector.
+    pub fn scan_vec<'a, T: Plain, O: ReduceOp<T>>(
+        &self,
+        send: impl Into<Cow<'a, [T]>>,
+        op: O,
+    ) -> Result<Vec<T>> {
         self.count_op("scan");
+        let send = send.into();
         let rank = self.rank();
         let tag = self.next_internal_tag();
         let acc = if rank > 0 {
             fold_bytes_to_vec(&recv_internal(self, rank - 1, tag)?, send, &op)?
         } else {
-            crate::metrics::record_copy(std::mem::size_of_val(send));
-            send.to_vec()
+            if let Cow::Borrowed(s) = send {
+                crate::metrics::record_copy(std::mem::size_of_val(s));
+            }
+            send.into_owned()
         };
         if rank + 1 < self.size() {
             send_slice_internal(self, rank + 1, tag, &acc)?;
@@ -66,13 +78,17 @@ impl Comm {
 
     /// Exclusive prefix reduction (mirrors `MPI_Exscan`): rank `r > 0`
     /// receives the reduction over ranks `0..r`; rank 0 receives `None`
-    /// (its value is undefined in MPI).
-    pub fn exscan_vec<T: Plain, O: ReduceOp<T>>(
+    /// (its value is undefined in MPI). An owned `send` is consumed: it
+    /// is what this rank forwards (rank 0: as is; elsewhere: folded in
+    /// place), where a borrowed one is serialized or folded into a fresh
+    /// vector.
+    pub fn exscan_vec<'a, T: Plain, O: ReduceOp<T>>(
         &self,
-        send: &[T],
+        send: impl Into<Cow<'a, [T]>>,
         op: O,
     ) -> Result<Option<Vec<T>>> {
         self.count_op("exscan");
+        let send = send.into();
         let rank = self.rank();
         let p = self.size();
         let tag = self.next_internal_tag();
@@ -84,11 +100,11 @@ impl Comm {
         if rank + 1 < p {
             // Forward the inclusive prefix over 0..=rank. Middle ranks'
             // fold output moves into the transport (no serialization
-            // copy); rank 0 forwards its own data, which is one counted
-            // serialization like any other borrowed send.
+            // copy); rank 0 forwards its own data: one counted
+            // serialization if it is borrowed, none if it is owned.
             let payload = match &prefix_bytes {
                 Some(pre) => bytes_from_vec(fold_bytes_to_vec(pre, send, &op)?),
-                None => crate::plain::bytes_from_slice(send),
+                None => bytes_from_cow(send),
             };
             send_internal(self, rank + 1, tag, payload)?;
         }

@@ -13,6 +13,7 @@
 //! no-padding requirement with a compile-time assertion).
 
 use std::any::TypeId;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use bytes::{ByteOwner, Bytes};
@@ -234,6 +235,16 @@ pub fn bytes_from_slice<T: Plain>(s: &[T]) -> Bytes {
     Bytes::copy_from_slice(as_bytes(s))
 }
 
+/// A contribution on its way to the wire: an owned vector is adopted
+/// (no copy), a borrowed slice is serialized (one counted copy).
+#[inline]
+pub fn bytes_from_cow<T: Plain>(data: Cow<'_, [T]>) -> Bytes {
+    match data {
+        Cow::Owned(v) => bytes_from_vec(v),
+        Cow::Borrowed(s) => bytes_from_slice(s),
+    }
+}
+
 /// A `Vec<T>` adopted as [`ByteOwner`] backing storage for a [`Bytes`].
 struct PlainVec<T: Plain>(Vec<T>);
 
@@ -284,9 +295,18 @@ pub fn bytes_into_vec<T: Plain>(b: Bytes) -> Vec<T> {
 }
 
 /// An owned send container moved into the transport (§III-E): the
-/// transport holds [`Bytes`] views aliasing the same allocation, and the
-/// caller reclaims the container through [`SharedPayload::take`] once the
-/// operation completes.
+/// transport holds [`Bytes`] views aliasing the same allocation — nothing
+/// was copied to send it — so the container comes home when its last
+/// reader is done with it, not at a moment the sender can name. This
+/// handle is what a completed non-blocking operation hands back in its
+/// place:
+///
+/// - **reading** it (`Deref<Target = [T]>`) is free at any time: the
+///   views are read-only, so the content is what the caller moved in;
+/// - **[`take`](SharedPayload::take)** returns the container itself:
+///   the original allocation once every view is gone, one counted copy
+///   (one allocation) while a peer still holds one;
+/// - **dropping** it costs a reference count.
 pub struct SharedPayload<T: Plain>(SharedRepr<T>);
 
 enum SharedRepr<T: Plain> {
@@ -312,8 +332,11 @@ impl<T: Plain> SharedPayload<T> {
     }
 
     /// Reclaims the container. Zero-copy when the transport has dropped
-    /// every alias (the usual case after completion); falls back to one
-    /// counted copy if a peer still holds a view of the payload.
+    /// every alias; one counted copy if a peer still holds a view of the
+    /// payload. Never waits for that peer: the substrate progresses an
+    /// operation only inside its owner's `test`/`wait`, so a handback
+    /// that parked until the last view is gone could deadlock a legal
+    /// program (`ibcast; wait; send` against `ibcast; recv; wait`).
     pub fn take(self) -> Vec<T> {
         match self.0 {
             SharedRepr::Ready(v) => v,
@@ -325,6 +348,18 @@ impl<T: Plain> SharedPayload<T> {
                     arc.0.clone()
                 }
             },
+        }
+    }
+}
+
+impl<T: Plain> std::ops::Deref for SharedPayload<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            SharedRepr::Shared(arc) => &arc.0,
+            SharedRepr::Ready(v) => v,
         }
     }
 }

@@ -70,7 +70,7 @@ impl Comm {
         // would diverge (some building the communicator, some erroring).
         let any_mismatch = crate::collectives::allreduce_internal(
             self,
-            &[u8::from(local_mismatch.is_some())],
+            (&[u8::from(local_mismatch.is_some())]).into(),
             &crate::op::LogicalOr,
         )?[0];
         if any_mismatch != 0 {

@@ -1,6 +1,12 @@
 //! The paper's Fig. 6: memory-safe non-blocking communication — the send
-//! buffer is moved into the request and handed back on `wait()`; received
-//! data is only accessible after completion.
+//! buffer is moved into the request and comes back with `wait()`;
+//! received data is only accessible after completion.
+//!
+//! Fig. 6's `v = r1.wait()` reads `v = r1.wait()?.take()` here: the
+//! transport aliases a moved-in vector instead of copying it, so `wait()`
+//! returns a handle — free to read, free to drop — and `take()` turns it
+//! into the vector: the original allocation once the receiver has
+//! consumed the message, a copy before that.
 //!
 //! Run with: `cargo run --example nonblocking`
 
@@ -16,8 +22,10 @@ fn main() {
             let v: Vec<i32> = (0..42).collect();
             let r1 = comm.isend((send_buf(v), destination(1))).unwrap();
             // `v` is inaccessible here — the compiler enforces §III-E.
-            let v = r1.wait().unwrap(); // moved back to the caller
-            assert_eq!(v.len(), 42);
+            let handle = r1.wait().unwrap();
+            assert_eq!(handle.len(), 42); // reading the buffer is free
+            let v: Vec<i32> = handle.take(); // moved back to the caller
+            assert_eq!(v[41], 41);
 
             // Request pools: fire-and-collect.
             let mut pool = RequestPool::new();

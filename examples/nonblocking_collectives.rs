@@ -6,7 +6,8 @@
 //! the *next* chunk while the collective is in flight, and only then
 //! completes the exchange — the software-pipelining pattern non-blocking
 //! collectives exist for. The send buffer is moved into the future and
-//! handed back by `wait()`, so no in-flight buffer can be touched.
+//! comes back with `wait()` — as a handle that is free to read or drop
+//! and `take()`s into the vector — so no in-flight buffer can be touched.
 //!
 //! Run with: `cargo run --example nonblocking_collectives`
 
@@ -44,10 +45,13 @@ fn main() {
                 Vec::new()
             };
 
-            // Completion yields everyone's data and hands the moved-in
-            // buffer back (it could be reused for the next round).
-            let (all, _mine) = fut.wait().unwrap();
+            // Completion yields everyone's data and the handle of the
+            // moved-in buffer: reading it costs nothing, `mine.take()`
+            // would give the vector back for reuse (the original
+            // allocation once every peer has decoded its view of it).
+            let (all, mine) = fut.wait().unwrap();
             assert_eq!(all.len(), p * CHUNK);
+            assert_eq!(mine[..], all[comm.rank() * CHUNK..][..CHUNK]);
             total = total.wrapping_add(all.iter().sum::<u64>());
 
             chunk = next;

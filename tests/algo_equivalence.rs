@@ -667,7 +667,7 @@ mod lifecycles {
                 comm.set_tuning(CollTuning::default().reduce(ReduceAlgo::BinomialTree));
                 let root = p / 2;
                 let what = format!("p={p} n={n}");
-                let folded = comm.reduce_vec(&mine(0), wrapping_sum, root).unwrap();
+                let folded = comm.reduce_vec(mine(0), wrapping_sum, root).unwrap();
                 assert_eq!(folded, (comm.rank() == root).then(|| expected(0)), "{what}");
                 for how in FINISHES {
                     let req = comm.ireduce(&mine(0), wrapping_sum, root).unwrap();
@@ -682,7 +682,7 @@ mod lifecycles {
                 // The blocking allreduce has its own algorithms; it is
                 // the operation's oracle twin here.
                 assert_eq!(
-                    comm.allreduce_vec(&mine(0), wrapping_sum).unwrap(),
+                    comm.allreduce_vec(mine(0), wrapping_sum).unwrap(),
                     expected(0)
                 );
                 for how in FINISHES {

@@ -88,7 +88,9 @@ fn ibcast_owned_root_buffer_is_zero_copy_at_call() {
 
 /// The blocking bcast adopts the delivered payload straight into the
 /// caller's buffer: non-root ranks copy exactly N bytes, independent of
-/// their number of binomial-tree children.
+/// their number of binomial-tree children. The root's buffer is the wire
+/// payload: it copies nothing before its sends, and N bytes afterwards
+/// only if a child still reads the buffer when it takes it back.
 #[test]
 fn bcast_binding_single_copy_per_rank() {
     const N: usize = 1 << 20; // u8 payload
@@ -102,13 +104,17 @@ fn bcast_binding_single_copy_per_rank() {
         let before = metrics::snapshot();
         comm.bcast((send_recv_buf(&mut data),)).unwrap();
         let delta = metrics::snapshot().since(&before);
-        assert_eq!(data.len(), N);
-        assert_eq!(
-            delta.bytes_copied,
-            N as u64,
-            "rank {}: binding bcast copies the payload exactly once",
-            comm.rank()
-        );
+        assert_eq!(data, vec![5u8; N]);
+        if comm.rank() == 0 {
+            assert!(delta.bytes_copied == 0 || delta.bytes_copied == N as u64);
+        } else {
+            assert_eq!(
+                delta.bytes_copied,
+                N as u64,
+                "rank {}: binding bcast copies the payload exactly once",
+                comm.rank()
+            );
+        }
     });
 }
 
@@ -346,5 +352,196 @@ fn alltoallv_owned_packed_send_is_not_serialized() {
         assert_eq!(got.len(), p * PER_PEER);
         assert_eq!(delta.bytes_copied, r, "rank {}", comm.rank());
         assert_eq!(delta.allocations, 1, "rank {}", comm.rank());
+    });
+}
+
+/// Completing an owned `i*` collective copies what it delivers and
+/// nothing else: the send buffer comes back as a handle, so the bill of
+/// call + `wait()` does not depend on whether a peer has decoded its
+/// view yet. (Reclaiming eagerly inside `wait()` lost that race on about
+/// every third call and then paid `s` bytes and an allocation for a
+/// vector most callers drop.) The result vector itself is allocated by
+/// the binding's decode, which `CopyStats` does not count.
+#[test]
+fn owned_nonblocking_collectives_bill_only_what_they_deliver() {
+    const N: usize = 1 << 10; // u64 per rank (and per peer)
+    let p = 4usize;
+    Universe::run(p, move |comm| {
+        let comm = Communicator::new(comm);
+        let (s, counts) = (8 * N as u64, vec![N; p]);
+        let bill = |run: &dyn Fn() -> usize| {
+            let before = metrics::snapshot();
+            let delivered = run();
+            (metrics::snapshot().since(&before), delivered)
+        };
+        for rep in 0..200 {
+            let (delta, n) = bill(&|| {
+                let fut = comm.iallgatherv(send_buf(vec![rep as u64; N])).unwrap();
+                fut.wait().unwrap().0.len()
+            });
+            assert_eq!(n, p * N);
+            assert_eq!((delta.bytes_copied, delta.allocations), (p as u64 * s, 0));
+
+            let (delta, n) = bill(&|| {
+                let send = send_buf(vec![rep as u64; p * N]);
+                let fut = comm.ialltoallv((send, send_counts(&counts))).unwrap();
+                fut.wait().unwrap().0.len()
+            });
+            assert_eq!(n, p * N);
+            assert_eq!((delta.bytes_copied, delta.allocations), (p as u64 * s, 0));
+
+            let (delta, n) = bill(&|| {
+                let send = send_buf(vec![rep as u64; N]);
+                let fut = comm.iallreduce((send, op(ops::Sum))).unwrap();
+                fut.wait().unwrap().0.len()
+            });
+            assert_eq!(n, N);
+            // Rank 0 folds: it materializes its accumulator once.
+            let folds = u64::from(comm.rank() == 0);
+            assert_eq!(
+                (delta.bytes_copied, delta.allocations),
+                (s + folds * s, folds),
+                "iallreduce, rank {}, repetition {rep}",
+                comm.rank()
+            );
+        }
+    });
+}
+
+/// The handle is the moved-in vector once its last reader is done, and
+/// an equal copy before that. After a barrier every peer has completed
+/// its `wait()`, hence released its view: `take()` returns the original
+/// allocation for nothing. A message nobody has received yet is a view:
+/// `take()` does not wait for its reader, it pays one counted copy.
+#[test]
+fn handle_take_is_the_allocation_once_no_peer_reads_it_and_one_copy_before() {
+    const N: usize = 1 << 12;
+    Universe::run(4, |comm| {
+        let comm = Communicator::new(comm);
+        let mine = vec![comm.rank() as u64; N];
+        let at = mine.as_ptr();
+        let fut = comm.iallgatherv(send_buf(mine)).unwrap();
+        let (_all, handle) = fut.wait().unwrap();
+        comm.barrier().unwrap();
+        assert_eq!(handle[0], comm.rank() as u64, "reading needs no take");
+        let before = metrics::snapshot();
+        let mine = handle.take();
+        let delta = metrics::snapshot().since(&before);
+        assert_eq!(mine.as_ptr(), at, "rank {}", comm.rank());
+        assert_eq!((delta.bytes_copied, delta.allocations), (0, 0));
+
+        // Rank 1 receives only after rank 0 has taken its buffer back.
+        if comm.rank() == 0 {
+            let sent = comm.isend((send_buf(mine), destination(1))).unwrap();
+            let handle = sent.wait().unwrap();
+            let before = metrics::snapshot();
+            let mine = handle.take();
+            let delta = metrics::snapshot().since(&before);
+            assert_eq!(mine, vec![0u64; N]);
+            assert_ne!(mine.as_ptr(), at);
+            assert_eq!((delta.bytes_copied, delta.allocations), (8 * N as u64, 1));
+        }
+        comm.barrier().unwrap();
+        if comm.rank() == 1 {
+            let got: Vec<u64> = comm.recv((source(0),)).unwrap();
+            assert_eq!(got, vec![0u64; N]);
+        }
+    });
+}
+
+/// An owned `send_buf` is consumed by the reductions: it is the
+/// accumulator. Under recursive doubling at a power-of-two `p` the
+/// result of `allreduce` *is* the moved-in allocation, and the bill is
+/// the rounds' serializations and nothing else. In the binomial `reduce`
+/// no rank copies anything: a leaf's buffer is its message, an inner
+/// rank's buffer is folded into and forwarded, the root's is the result.
+#[test]
+fn owned_send_buf_is_the_reductions_accumulator() {
+    use kamping_repro::mpi::{AllreduceAlgo, CollTuning, ReduceAlgo};
+    const N: usize = 1 << 10;
+    Universe::run(4, |comm| {
+        let comm = Communicator::new(comm);
+        let s = 8 * N as u64;
+        comm.set_tuning(
+            CollTuning::default()
+                .allreduce(AllreduceAlgo::RecursiveDoubling)
+                .reduce(ReduceAlgo::BinomialTree),
+        );
+        let mine = vec![comm.rank() as u64 + 1; N];
+        let at = mine.as_ptr();
+        let before = metrics::snapshot();
+        let total: Vec<u64> = comm.allreduce((send_buf(mine), op(ops::Sum))).unwrap();
+        let delta = metrics::snapshot().since(&before);
+        assert_eq!(total, vec![10; N]);
+        assert_eq!(total.as_ptr(), at, "rank {}", comm.rank());
+        assert_eq!(delta.bytes_copied, 2 * s, "one serialization per round");
+
+        let mine = vec![comm.rank() as u64 + 1; N];
+        let at = mine.as_ptr();
+        let before = metrics::snapshot();
+        let total: Vec<u64> = comm.reduce((send_buf(mine), op(ops::Sum))).unwrap();
+        let delta = metrics::snapshot().since(&before);
+        assert_eq!(delta.bytes_copied, 0, "rank {}", comm.rank());
+        if comm.rank() == 0 {
+            assert_eq!((total.as_ptr(), &total[..]), (at, &[10u64; N][..]));
+        }
+        // The borrowed leaf keeps its one serialization.
+        let mine = vec![comm.rank() as u64 + 1; N];
+        let before = metrics::snapshot();
+        let _: Vec<u64> = comm.reduce((send_buf(&mine), op(ops::Sum))).unwrap();
+        let delta = metrics::snapshot().since(&before);
+        let leaf = comm.rank() % 2 == 1;
+        assert_eq!(delta.bytes_copied, if leaf { s } else { 0 });
+    });
+}
+
+/// The blocking `bcast` root puts its buffer on the wire as it is and
+/// takes it back after the sends: alone it gets the same allocation
+/// back, among peers it pays at most one copy of `s` — after the
+/// children's messages have left, not before — and a failed broadcast
+/// leaves a borrowed buffer holding its data.
+#[test]
+fn bcast_root_sends_its_buffer_before_it_copies_it() {
+    const N: usize = 1 << 12;
+    Universe::run(1, |comm| {
+        let comm = Communicator::new(comm);
+        let data = vec![3u64; N];
+        let at = data.as_ptr();
+        let before = metrics::snapshot();
+        let back: Vec<u64> = comm.bcast((send_recv_buf(data),)).unwrap();
+        let delta = metrics::snapshot().since(&before);
+        assert_eq!((back.as_ptr(), &back[..]), (at, &[3u64; N][..]));
+        assert_eq!((delta.bytes_copied, delta.allocations), (0, 0));
+    });
+    Universe::run(4, |comm| {
+        let comm = Communicator::new(comm);
+        for sized in [false, true] {
+            let mut data = if comm.rank() == 2 {
+                vec![7u64; N]
+            } else {
+                vec![]
+            };
+            let before = metrics::snapshot();
+            if sized {
+                comm.bcast((send_recv_buf(&mut data), root(2), recv_count(N)))
+                    .unwrap();
+            } else {
+                comm.bcast((send_recv_buf(&mut data), root(2))).unwrap();
+            }
+            let delta = metrics::snapshot().since(&before);
+            assert_eq!(data, vec![7u64; N], "rank {}", comm.rank());
+            if comm.rank() == 2 {
+                assert!(delta.bytes_copied <= 8 * N as u64 && delta.allocations <= 1);
+            }
+        }
+        // Revocation is not collective: revoke a duplicate, once every
+        // rank holds it, so the barrier itself runs undisturbed.
+        let doomed = comm.dup().unwrap();
+        comm.barrier().unwrap();
+        doomed.revoke();
+        let mut data = vec![comm.rank() as u64; N];
+        let err = doomed.bcast((send_recv_buf(&mut data), root(2)));
+        assert!(err.is_err(), "a revoked communicator broadcasts nothing");
+        assert_eq!(data, vec![comm.rank() as u64; N], "rank {}", comm.rank());
     });
 }

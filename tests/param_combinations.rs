@@ -305,6 +305,41 @@ fn undersized_buffer_fails_alone_and_leaves_no_stray_messages() {
     });
 }
 
+/// A sized `bcast` whose root holds something else than `recv_count`
+/// elements communicates first and fails after: the root broadcasts what
+/// it has and then reports `InvalidLayout` (its buffer intact), its
+/// peers see a payload of the wrong length — nobody is left waiting for
+/// a root that bailed out — and the next collective on the communicator
+/// is unaffected. Under both broadcast algorithms, and under a deadline:
+/// the failure this guards against is a hang.
+#[test]
+fn sized_bcast_with_a_wrong_root_buffer_fails_after_the_broadcast() {
+    use kamping_repro::mpi::{BcastAlgo, CollTuning, MpiError};
+    let (done, deadline) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        Universe::run(3, |comm| {
+            let comm = Communicator::new(comm);
+            for algo in [BcastAlgo::Binomial, BcastAlgo::ScatterAllgather] {
+                comm.set_tuning(CollTuning::default().bcast(algo));
+                let mut buf = vec![comm.rank() as u32; 3];
+                let res = comm.bcast((send_recv_buf(&mut buf), root(1), recv_count(4)));
+                if comm.rank() == 1 {
+                    assert!(matches!(res, Err(MpiError::InvalidLayout(_))), "{res:?}");
+                    assert_eq!(buf, vec![1; 3], "the root keeps its data");
+                } else {
+                    assert!(matches!(res, Err(MpiError::Truncated { .. })), "{res:?}");
+                }
+                let all: Vec<u32> = comm.allgather(send_buf(&[comm.rank() as u32])).unwrap();
+                assert_eq!(all, vec![0, 1, 2], "{algo:?}");
+            }
+        });
+        let _ = done.send(());
+    });
+    deadline
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("a rank is still waiting for the root's broadcast");
+}
+
 /// Supplied receive counts are verified against the delivered blocks
 /// after the exchange: the rank whose counts are wrong gets `Truncated`,
 /// its peers are served, and the next call is unaffected.
@@ -667,7 +702,7 @@ fn issend_owned_array_comes_back() {
             let r = comm
                 .issend((send_buf(vec![9u8; 3]), destination(1)))
                 .unwrap();
-            let v = r.wait().unwrap();
+            let v = r.wait().unwrap().take();
             assert_eq!(v, vec![9; 3]);
         } else {
             let v: Vec<u8> = comm.recv((source(0),)).unwrap();
@@ -688,7 +723,7 @@ fn iallgatherv_owned_send_buf_comes_back() {
         let fut = comm.iallgatherv(send_buf(mine)).unwrap();
         let (all, mine) = fut.wait().unwrap();
         assert_eq!(all, vec![1, 2, 2]);
-        assert_eq!(mine, vec![comm.rank() as u32; comm.rank()]);
+        assert_eq!(mine.take(), vec![comm.rank() as u32; comm.rank()]);
     });
 }
 

@@ -301,7 +301,7 @@ proptest! {
             prop_assert_eq!(&blocking, &expected);
             prop_assert_eq!(&nonblocking, &expected);
             prop_assert_eq!(&counts, &expected_counts);
-            prop_assert_eq!(&mine, &blocks[rank], "moved-in buffer returned unchanged");
+            prop_assert_eq!(&mine[..], &blocks[rank][..], "moved-in buffer readable, unchanged");
         }
     }
 
@@ -372,6 +372,111 @@ proptest! {
                 .unwrap();
             let got = fut.wait().unwrap();
             assert_eq!(&got, data);
+        });
+    }
+
+    /// Owned means moved, never different: wherever an owned `send_buf`
+    /// (or `send_recv_buf`) is consumed, `v.clone()` and `&v` give equal
+    /// results, and the handle a non-blocking operation hands back reads
+    /// as `v`. The forced algorithms put an owned accumulator on every
+    /// role, the fixup ranks of non-power-of-two `p` included.
+    #[test]
+    fn owned_send_buf_equals_borrowed_wherever_it_is_consumed(
+        p in 1usize..9,
+        n in 0usize..5,
+        seed in any::<u64>()
+    ) {
+        use kamping_repro::kamping::params::root;
+        use kamping_repro::mpi::{AllreduceAlgo, CollTuning, ReduceAlgo};
+        use rand::prelude::*;
+        let at_root = (seed % p as u64) as usize;
+        Universe::run(p, move |comm| {
+            let comm = Communicator::new(comm);
+            let rank = comm.rank();
+            let mut rng = StdRng::seed_from_u64(seed ^ (rank as u64).wrapping_mul(0x9E37));
+            let v: Vec<u64> = (0..n).map(|_| rng.random_range(0..1u64 << 32)).collect();
+            let to_each: Vec<u64> = (0..p * n).map(|_| rng.random()).collect();
+            // x -> a x + b over u32, packed as (a, b): composition is
+            // associative and not commutative.
+            let compose = || {
+                ops::non_commutative(|f: &u64, g: &u64| {
+                    let (a1, b1, a2, b2) = ((f >> 32) as u32, *f as u32, (g >> 32) as u32, *g as u32);
+                    (u64::from(a1.wrapping_mul(a2)) << 32)
+                        | u64::from(a2.wrapping_mul(b1).wrapping_add(b2))
+                })
+            };
+
+            let at = |r: usize| if rank == r { v.clone() } else { Vec::new() };
+            let mut borrowed = at(at_root);
+            comm.bcast((send_recv_buf(&mut borrowed), root(at_root))).unwrap();
+            let owned: Vec<u64> = comm.bcast((send_recv_buf(at(at_root)), root(at_root))).unwrap();
+            assert_eq!(owned, borrowed, "bcast");
+            let mut sized = at(at_root);
+            comm.bcast((send_recv_buf(&mut sized), root(at_root), recv_count(n))).unwrap();
+            let owned: Vec<u64> = comm
+                .bcast((send_recv_buf(at(at_root)), root(at_root), recv_count(n)))
+                .unwrap();
+            assert_eq!((&owned, &sized), (&borrowed, &borrowed), "sized bcast");
+
+            for tuning in [
+                CollTuning::default(),
+                CollTuning::default()
+                    .allreduce(AllreduceAlgo::RecursiveDoubling)
+                    .reduce(ReduceAlgo::BinomialTree),
+                CollTuning::default()
+                    .allreduce(AllreduceAlgo::Rabenseifner)
+                    .reduce(ReduceAlgo::FlatGather),
+            ] {
+                comm.raw().set_tuning(tuning);
+                macro_rules! same {
+                    ($op:ident($($arg:expr),+)) => {{
+                        let borrowed: Vec<u64> = comm.$op((send_buf(&v), $($arg),+)).unwrap();
+                        let owned: Vec<u64> = comm.$op((send_buf(v.clone()), $($arg),+)).unwrap();
+                        assert_eq!(owned, borrowed, "{} under {tuning:?}", stringify!($op($($arg),+)));
+                    }};
+                }
+                same!(allreduce(op(ops::Sum)));
+                same!(allreduce(op(compose())));
+                same!(reduce(op(ops::Sum), root(at_root)));
+                same!(reduce(op(compose()), root(at_root)));
+                same!(scan(op(ops::Sum)));
+                same!(scan(op(compose())));
+                same!(exscan(op(ops::Sum)));
+                same!(exscan(op(compose())));
+                macro_rules! same_nonblocking {
+                    ($op:ident($($arg:expr),*)) => {{
+                        let (borrowed, ()) = comm.$op((send_buf(&v), $($arg),*)).unwrap().wait().unwrap();
+                        let fut = comm.$op((send_buf(v.clone()), $($arg),*)).unwrap();
+                        let (owned, handle): (Vec<u64>, _) = fut.wait().unwrap();
+                        assert_eq!(owned, borrowed, "{} under {tuning:?}", stringify!($op));
+                        assert_eq!(&handle[..], &v[..], "{}: the handle reads as v", stringify!($op));
+                        assert_eq!(handle.take(), v, "{}: and takes as v", stringify!($op));
+                    }};
+                }
+                same_nonblocking!(iallreduce(op(ops::Sum)));
+                same_nonblocking!(iallreduce(op(compose())));
+                same_nonblocking!(iallgather());
+                same_nonblocking!(iallgatherv());
+            }
+            comm.raw().set_tuning(CollTuning::default());
+
+            let counts = vec![n; p];
+            let fut = comm.ialltoallv((send_buf(&to_each), send_counts(&counts))).unwrap();
+            let (borrowed, ()) = fut.wait().unwrap();
+            let fut = comm.ialltoallv((send_buf(to_each.clone()), send_counts(&counts))).unwrap();
+            let (owned, handle): (Vec<u64>, _) = fut.wait().unwrap();
+            assert_eq!(owned, borrowed, "ialltoallv");
+            assert_eq!(&handle[..], &to_each[..], "ialltoallv: the handle reads as the buffer");
+
+            let (next, prev) = ((rank + 1) % p, (rank + p - 1) % p);
+            let sent = comm.isend((send_buf(&v), destination(next))).unwrap();
+            let borrowed: Vec<u64> = comm.recv((source(prev),)).unwrap();
+            sent.wait().unwrap();
+            let sent = comm.isend((send_buf(v.clone()), destination(next))).unwrap();
+            let owned: Vec<u64> = comm.recv((source(prev),)).unwrap();
+            let handle = sent.wait().unwrap();
+            assert_eq!(owned, borrowed, "isend");
+            assert_eq!(&handle[..], &v[..], "isend: the handle reads as v");
         });
     }
 
