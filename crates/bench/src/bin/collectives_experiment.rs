@@ -11,6 +11,9 @@
 //!   regime: `auto` is never slower than the former single-algorithm
 //!   default (recursive doubling / binomial / pairwise).
 //!
+//! Model-driven `Auto` is not measured here: `tuning_experiment` /
+//! `BENCH_tuning.json` owns it.
+//!
 //! Per-rank copy bills come from `Universe::run_stats` — the
 //! universe-level aggregation, no snapshot threading in the closures.
 //!
@@ -19,8 +22,7 @@
 
 use kmp_bench::harness::{write_json, BenchArgs};
 use kmp_mpi::{
-    AlgoClass, AllreduceAlgo, AlltoallAlgo, BcastAlgo, CollTuning, Comm, Config, CostModel,
-    ModelConfig, Universe,
+    AllreduceAlgo, AlltoallAlgo, BcastAlgo, CollTuning, Comm, Config, CostModel, Universe,
 };
 
 #[derive(Clone, Debug)]
@@ -52,11 +54,10 @@ impl Row {
 }
 
 /// Runs `op` under the cluster cost model on `p` ranks with `tuning`
-/// applied (`warm` unmeasured warm-up iterations — model-driven rows
-/// use them to converge), returning (max-over-ranks virtual us,
-/// max-over-ranks median wall us, max-over-ranks payload bytes copied
-/// per op, rank 0's whole-run per-class selection counts).
-fn measure<F>(p: usize, warm: usize, reps: usize, tuning: CollTuning, op: F) -> Measurement
+/// applied (after one unmeasured warm-up iteration), returning
+/// (max-over-ranks virtual us, max-over-ranks median wall us,
+/// max-over-ranks payload bytes copied per op).
+fn measure<F>(p: usize, reps: usize, tuning: CollTuning, op: F) -> Measurement
 where
     F: Fn(&Comm) + Sync,
 {
@@ -64,9 +65,7 @@ where
         Universe::run_stats(Config::new(p).cost(CostModel::cluster()), |comm| {
             comm.set_tuning(tuning);
             comm.barrier().unwrap();
-            for _ in 0..warm {
-                op(&comm); // warm-up, excluded from wall-clock medians
-            }
+            op(&comm); // warm-up, excluded from wall-clock medians
             let mut vtime = 0u64;
             let mut walls = Vec::with_capacity(reps);
             for _ in 0..reps {
@@ -87,65 +86,32 @@ where
     // clock bookkeeping copy nothing).
     let copied = stats
         .iter()
-        .map(|s| s.copy.bytes_copied / (reps as u64 + warm as u64))
+        .map(|s| s.copy.bytes_copied / (reps as u64 + 1))
         .max()
         .unwrap();
-    (
-        vtime_us,
-        wall_us,
-        copied,
-        stats[0].tuning.selections.to_vec(),
-    )
+    (vtime_us, wall_us, copied)
 }
 
-type Measurement = (f64, f64, u64, Vec<u64>);
+type Measurement = (f64, f64, u64);
 
-/// The model cadence used by the `auto_tuned` rows: same shape as the
-/// tuning_experiment harness (fast EWMA, periodic re-exploration).
-fn self_tuning() -> CollTuning {
-    CollTuning::default().model(
-        ModelConfig::default()
-            .drive(true)
-            .epoch_len(4)
-            .warmup_obs(2)
-            .ewma_pct(50)
-            .reexplore_every(16),
-    )
-}
-
-fn allreduce_rows(
-    p: usize,
-    bytes: usize,
-    reps: usize,
-    rows: &mut Vec<Row>,
-    tuned_sel: &mut Vec<(usize, usize, Vec<u64>)>,
-) {
+fn allreduce_rows(p: usize, bytes: usize, reps: usize, rows: &mut Vec<Row>) {
     let n = bytes / 8;
     let run = |comm: &Comm| {
         let mine = vec![comm.rank() as u64 + 1; n];
         let _ = comm.allreduce_vec(&mine, kmp_mpi::op::Sum).unwrap();
     };
-    for (algo, warm, tuning) in [
+    for (algo, tuning) in [
         (
             "recursive_doubling",
-            1,
             CollTuning::default().allreduce(AllreduceAlgo::RecursiveDoubling),
         ),
         (
             "rabenseifner",
-            1,
             CollTuning::default().allreduce(AllreduceAlgo::Rabenseifner),
         ),
-        ("auto", 1, CollTuning::default()),
-        // Model-driven Auto: the warm-up budget covers exploration +
-        // EWMA convergence, the measured reps are the converged steady
-        // state.
-        ("auto_tuned", 40, self_tuning()),
+        ("auto", CollTuning::default()),
     ] {
-        let (vtime_us, wall_us, copied_per_rank, selections) = measure(p, warm, reps, tuning, run);
-        if algo == "auto_tuned" {
-            tuned_sel.push((p, bytes, selections));
-        }
+        let (vtime_us, wall_us, copied_per_rank) = measure(p, reps, tuning, run);
         rows.push(Row {
             collective: "allreduce",
             algo,
@@ -171,7 +137,7 @@ fn bcast_rows(p: usize, bytes: usize, reps: usize, rows: &mut Vec<Row>) {
         ),
         ("auto", CollTuning::default()),
     ] {
-        let (vtime_us, wall_us, copied_per_rank, _) = measure(p, 1, reps, tuning, run);
+        let (vtime_us, wall_us, copied_per_rank) = measure(p, reps, tuning, run);
         rows.push(Row {
             collective: "bcast",
             algo,
@@ -199,7 +165,7 @@ fn alltoall_rows(p: usize, block_bytes: usize, reps: usize, rows: &mut Vec<Row>)
         ("bruck", CollTuning::default().alltoall(AlltoallAlgo::Bruck)),
         ("auto", CollTuning::default()),
     ] {
-        let (vtime_us, wall_us, copied_per_rank, _) = measure(p, 1, reps, tuning, run);
+        let (vtime_us, wall_us, copied_per_rank) = measure(p, reps, tuning, run);
         rows.push(Row {
             collective: "alltoall",
             algo,
@@ -238,10 +204,9 @@ fn main() {
     };
 
     let mut rows: Vec<Row> = Vec::new();
-    let mut tuned_sel: Vec<(usize, usize, Vec<u64>)> = Vec::new();
     for &p in &ps {
         for &bytes in &big_sizes {
-            allreduce_rows(p, bytes, reps, &mut rows, &mut tuned_sel);
+            allreduce_rows(p, bytes, reps, &mut rows);
             bcast_rows(p, bytes, reps, &mut rows);
         }
         for &bytes in &block_sizes {
@@ -321,31 +286,6 @@ fn main() {
                 r.payload_bytes,
                 r.vtime_us,
                 legacy_vt
-            );
-        }
-    }
-    // Self-tuning: static auto rides recursive doubling in the pinned
-    // losing cell (p @ 64 KiB, below `rabenseifner_min_bytes`), but the
-    // model-driven auto converges onto Rabenseifner — asserted on the
-    // selection counters, which are noise-free; BENCH_tuning.json
-    // quantifies the wall-clock win.
-    if big_sizes.contains(&(64 * 1024)) {
-        let (rd_i, rab_i) = (
-            AlgoClass::AllreduceRd.index(),
-            AlgoClass::AllreduceRabenseifner.index(),
-        );
-        for &p in &ps {
-            let sel = &tuned_sel
-                .iter()
-                .find(|(sp, bytes, _)| *sp == p && *bytes == 64 * 1024)
-                .unwrap()
-                .2;
-            assert!(
-                sel[rab_i] > sel[rd_i],
-                "p={p} @64 KiB: model-driven auto must converge onto Rabenseifner \
-                 (selected rd {} times, rabenseifner {} times)",
-                sel[rd_i],
-                sel[rab_i]
             );
         }
     }

@@ -9,7 +9,8 @@ use std::borrow::Cow;
 
 use bytes::Bytes;
 
-use super::fold_bytes_right;
+use super::table::{tuned, Call, Site};
+use super::{fold_bytes_right, AllreduceAlgo};
 use crate::collectives::{recv_internal, send_internal, send_slice_internal};
 use crate::comm::Comm;
 use crate::error::Result;
@@ -178,30 +179,11 @@ pub(crate) fn dispatch<T: Plain, O: ReduceOp<T>>(
     send: Cow<'_, [T]>,
     op: &O,
 ) -> Result<Vec<T>> {
-    let bytes = std::mem::size_of_val(&*send);
-    super::model::tick(comm)?;
-    let algo = super::model::select_allreduce(comm, bytes);
-    let _sp = crate::trace::span(
-        crate::trace::cat::COLL,
-        match algo {
-            super::AllreduceAlgo::RecursiveDoubling => "allreduce/recursive_doubling",
-            super::AllreduceAlgo::Rabenseifner => "allreduce/rabenseifner",
-        },
-        bytes as u64,
-        comm.size() as u64,
-    );
-    let begun = super::model::measure_begin(comm);
-    let out = match algo {
-        super::AllreduceAlgo::RecursiveDoubling => recursive_doubling(comm, send, op)?,
-        super::AllreduceAlgo::Rabenseifner => rabenseifner(comm, send, op)?,
-    };
-    super::model::observe(
-        comm,
-        super::model::allreduce_class(algo),
-        begun,
-        bytes as f64,
-    );
-    Ok(out)
+    let call = Call::sized(std::mem::size_of_val(&*send));
+    tuned(comm, Site::BLOCKING, call, |algo| match algo {
+        AllreduceAlgo::RecursiveDoubling => recursive_doubling(comm, send, op),
+        AllreduceAlgo::Rabenseifner => rabenseifner(comm, send, op),
+    })
 }
 
 #[cfg(test)]

@@ -10,28 +10,11 @@
 //! user-provided tuning (the `tuning(...)` named parameter in `kamping`)
 //! through [`Comm::tuning_guard`](crate::Comm::tuning_guard).
 //!
-//! Algorithm menu (`s` = bytes a rank contributes, `r` = bytes of its
-//! result, `b` = bytes of one all-to-all block, `p` = communicator
-//! size). "Copies per rank" is the payload-byte memcpy bill on the
-//! shared-`Bytes` datapath; folds that combine a received payload into
-//! an accumulator *in place* read the delivered bytes directly and are
-//! compute, not copies:
+//! The menu — every algorithm with its startups, copy bill, needs and
+//! static `Auto` rule — is the [`table`] module: each algorithm is
+//! declared there once, and its rustdoc is the one written-down copy.
 //!
-//! | collective  | algorithm              | startups   | copies/rank | auto-selected when |
-//! |-------------|------------------------|------------|-------------|--------------------|
-//! | `allreduce` | recursive doubling     | log2 p     | s·log2 p    | `s <` [`CollTuning::rabenseifner_min_bytes`] |
-//! | `allreduce` | Rabenseifner (reduce-scatter + ring allgather) | log2 p + p | ~2s | `p >= 4` and `s >=` threshold |
-//! | `bcast`     | binomial tree          | <= log2 p  | root s, other r | `s <` [`CollTuning::bcast_scatter_min_bytes`] (and always on unsized paths) |
-//! | `bcast`     | scatter + ring allgather (van de Geijn) | ~2p | root s, other r | sized paths, `p >= 4` and `s >=` threshold |
-//! | `allgather` | ring, block forwarding | p-1        | s + r       | `s >` the latency thresholds below |
-//! | `allgather` | recursive doubling (packed rounds) | log2 p | s·(p-1) + r | `p >= 4` power of two and `s <=` [`CollTuning::allgather_rd_max_bytes`] |
-//! | `allgather` | Bruck (rotated packed rounds, any p) | ceil(log2 p) | <= s·(p-1) + r | `p >= 4` not a power of two and `s <=` [`CollTuning::allgather_bruck_max_bytes`] |
-//! | `alltoall`  | pairwise exchange      | p-1        | s + r       | `b >` [`CollTuning::bruck_max_block_bytes`] |
-//! | `alltoall`  | Bruck                  | ceil(log2 p) | s + r + s·ceil(log2 p)/2 | `p >= 4` and `b <=` threshold |
-//! | `reduce`    | binomial tree, in-place fold | <= log2 p | leaf s, inner 0, root r | op commutative |
-//! | `reduce`    | flat gather + ordered fold | 1 (root p-1) | s (root: + r) | op non-commutative, or forced |
-//!
-//! The "auto-selected when" column describes the **static fallback**.
+//! The `Auto` rules of that table are the **static fallback**.
 //! With [`CollTuning::self_tuning`] enabled, `Auto` selection is driven
 //! by the online measured cost model in [`model`]: per-algorithm
 //! `(alpha, beta)` estimates fitted by EWMA from wall-clock
@@ -53,6 +36,7 @@ pub(crate) mod alltoall;
 pub(crate) mod bcast;
 pub mod model;
 pub(crate) mod reduce;
+pub mod table;
 
 pub use bcast::BcastParts;
 pub use model::{
@@ -61,6 +45,7 @@ pub use model::{
 
 use std::borrow::Cow;
 
+use self::table::{static_pick, Algo, Call, Lifecycle};
 use crate::error::{MpiError, Result};
 use crate::op::ReduceOp;
 use crate::Plain;
@@ -340,77 +325,39 @@ impl CollTuning {
         self
     }
 
+    /// The static blocking pick of `A` at `(p, size)`.
+    fn static_algo<A: Algo>(&self, p: usize, size: usize) -> A {
+        static_pick(self, Lifecycle::Blocking, p, &Call::sized(size))
+            .0
+            .algo
+    }
+
     /// Selects the allreduce algorithm for `bytes` payload bytes per
     /// rank on a communicator of `p` ranks.
     pub fn allreduce_algo(&self, p: usize, bytes: usize) -> AllreduceAlgo {
-        match self.allreduce {
-            Select::Force(a) => a,
-            Select::Auto => {
-                if p >= 4 && bytes >= self.rabenseifner_min_bytes {
-                    AllreduceAlgo::Rabenseifner
-                } else {
-                    AllreduceAlgo::RecursiveDoubling
-                }
-            }
-        }
+        self.static_algo(p, bytes)
     }
 
     /// Selects the broadcast algorithm for a payload of `bytes` bytes
     /// whose size is known on every rank.
     pub fn bcast_algo(&self, p: usize, bytes: usize) -> BcastAlgo {
-        match self.bcast {
-            Select::Force(a) => a,
-            Select::Auto => {
-                if p >= 4 && bytes >= self.bcast_scatter_min_bytes {
-                    BcastAlgo::ScatterAllgather
-                } else {
-                    BcastAlgo::Binomial
-                }
-            }
-        }
+        self.static_algo(p, bytes)
     }
 
     /// Selects the allgather algorithm for equal contributions of
     /// `bytes` bytes per rank. Recursive doubling requires a
     /// power-of-two communicator: forcing it on any other size resolves
     /// to the ring, mirroring how a forced tree reduce yields to
-    /// non-commutative operations. Bruck works for any `p`, completing
-    /// the latency-regime menu off powers of two.
+    /// non-commutative operations. Bruck works for any `p >= 2`,
+    /// completing the latency-regime menu off powers of two.
     pub fn allgather_algo(&self, p: usize, bytes: usize) -> AllgatherAlgo {
-        if p < 2 {
-            return AllgatherAlgo::Ring;
-        }
-        match self.allgather {
-            Select::Force(AllgatherAlgo::RecursiveDoubling) if !p.is_power_of_two() => {
-                AllgatherAlgo::Ring
-            }
-            Select::Force(a) => a,
-            Select::Auto => {
-                if p >= 4 && bytes <= self.allgather_rd_max_bytes && p.is_power_of_two() {
-                    AllgatherAlgo::RecursiveDoubling
-                } else if p >= 4 && bytes <= self.allgather_bruck_max_bytes && !p.is_power_of_two()
-                {
-                    AllgatherAlgo::Bruck
-                } else {
-                    AllgatherAlgo::Ring
-                }
-            }
-        }
+        self.static_algo(p, bytes)
     }
 
     /// Selects the alltoall algorithm for equal blocks of `block_bytes`
     /// bytes.
     pub fn alltoall_algo(&self, p: usize, block_bytes: usize) -> AlltoallAlgo {
-        match self.alltoall {
-            Select::Force(a) => a,
-            Select::Auto => {
-                if p >= 4 && block_bytes <= self.bruck_max_block_bytes {
-                    AlltoallAlgo::Bruck
-                } else {
-                    AlltoallAlgo::Pairwise
-                }
-            }
-        }
+        self.static_algo(p, block_bytes)
     }
 
     /// Selects the neighborhood-exchange algorithm from the
@@ -421,30 +368,21 @@ impl CollTuning {
     /// when the topology is not
     /// [`dense_eligible`](crate::topology::Neighborhood::dense_eligible).
     pub fn neighborhood_algo(&self, p: usize, max_degree: usize) -> NeighborhoodAlgo {
-        match self.neighborhood {
-            Select::Force(a) => a,
-            Select::Auto => {
-                if p >= 2 && max_degree * 100 >= self.neighborhood_dense_min_degree_pct * (p - 1) {
-                    NeighborhoodAlgo::Dense
-                } else {
-                    NeighborhoodAlgo::Sparse
-                }
-            }
-        }
+        self.static_algo(p, max_degree)
     }
 
-    /// Selects the reduce algorithm. `auto` is the caller's default
-    /// (binomial tree for blocking reduce, flat gather for the
-    /// non-blocking engines); non-commutative operations always fold in
-    /// strict rank order via the flat gather.
+    /// Selects the reduce algorithm. `auto` is the caller's default —
+    /// the binomial tree of a blocking reduce, the flat gather of the
+    /// non-blocking engines, i.e. its lifecycle; non-commutative
+    /// operations always fold in strict rank order via the flat gather.
     pub fn reduce_algo(&self, commutative: bool, auto: ReduceAlgo) -> ReduceAlgo {
-        if !commutative {
-            return ReduceAlgo::FlatGather;
-        }
-        match self.reduce {
-            Select::Force(a) => a,
-            Select::Auto => auto,
-        }
+        let lifecycle = match auto {
+            ReduceAlgo::BinomialTree => Lifecycle::Blocking,
+            ReduceAlgo::FlatGather => Lifecycle::Overlap,
+        };
+        // No reduce row's needs depend on `p`.
+        let call = Call::reduction(0, commutative);
+        static_pick(self, lifecycle, 2, &call).0.algo
     }
 }
 

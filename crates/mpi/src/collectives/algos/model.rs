@@ -8,13 +8,13 @@
 //! algorithm in whole regimes). This module replaces guessing with
 //! measuring: a per-communicator **alpha–beta estimator** maintains
 //! `(alpha, beta)` — per-startup and per-byte cost in nanoseconds — for
-//! every *algorithm class* (13 of them, one per concrete algorithm:
-//! recursive-doubling allreduce, Rabenseifner, binomial bcast, van de
-//! Geijn, ring/RD/Bruck allgather, pairwise/Bruck alltoall,
-//! binomial/flat reduce, sparse/dense neighborhood), fitted by EWMA
-//! from wall-clock measurements of the calls that actually ran. At
-//! call time each candidate's cost is predicted as
-//! `startups·alpha + bytes·beta` and `Auto` picks the argmin.
+//! every *algorithm class* (one per row of the algorithm
+//! [`table`], i.e. per concrete algorithm), fitted by
+//! EWMA from wall-clock measurements of the calls that actually ran.
+//! At call time each candidate row's cost is predicted as
+//! `startups·alpha + bytes·beta` — the row's workload features — and
+//! `Auto` picks the argmin (`select` in the table module; this module
+//! measures, synchronizes and counts).
 //!
 //! ## Why per-algorithm classes, not per-collective
 //!
@@ -99,14 +99,11 @@ use std::time::Instant;
 
 use bytes::Bytes;
 
-use super::{
-    AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, NeighborhoodAlgo, ReduceAlgo, Select,
-};
+use super::table;
 use crate::comm::Comm;
 use crate::error::Result;
 
-/// Number of algorithm classes the model tracks.
-pub const CLASS_COUNT: usize = 13;
+pub use super::table::CLASS_COUNT;
 
 /// One concrete collective algorithm — the granularity at which
 /// `(alpha, beta)` is fitted and selection counts are reported.
@@ -143,21 +140,15 @@ pub enum AlgoClass {
 
 impl AlgoClass {
     /// All classes, in index order.
-    pub const ALL: [AlgoClass; CLASS_COUNT] = [
-        AlgoClass::AllreduceRd,
-        AlgoClass::AllreduceRabenseifner,
-        AlgoClass::BcastBinomial,
-        AlgoClass::BcastScatterAllgather,
-        AlgoClass::AllgatherRing,
-        AlgoClass::AllgatherRd,
-        AlgoClass::AllgatherBruck,
-        AlgoClass::AlltoallPairwise,
-        AlgoClass::AlltoallBruck,
-        AlgoClass::ReduceBinomial,
-        AlgoClass::ReduceFlat,
-        AlgoClass::NeighborhoodSparse,
-        AlgoClass::NeighborhoodDense,
-    ];
+    pub const ALL: [AlgoClass; CLASS_COUNT] = {
+        let mut all = [AlgoClass::AllreduceRd; CLASS_COUNT];
+        let mut i = 0;
+        while i < CLASS_COUNT {
+            all[i] = table::CLASSES[i].0;
+            i += 1;
+        }
+        all
+    };
 
     /// Array index of this class.
     #[inline]
@@ -165,24 +156,10 @@ impl AlgoClass {
         self as usize
     }
 
-    /// Stable display name (`collective/algorithm`, matching the trace
-    /// span names).
+    /// Stable display name (`collective/algorithm`, the name of the
+    /// blocking call's trace span).
     pub fn name(self) -> &'static str {
-        match self {
-            AlgoClass::AllreduceRd => "allreduce/recursive_doubling",
-            AlgoClass::AllreduceRabenseifner => "allreduce/rabenseifner",
-            AlgoClass::BcastBinomial => "bcast/binomial",
-            AlgoClass::BcastScatterAllgather => "bcast/scatter_allgather",
-            AlgoClass::AllgatherRing => "allgather/ring",
-            AlgoClass::AllgatherRd => "allgather/recursive_doubling",
-            AlgoClass::AllgatherBruck => "allgather/bruck",
-            AlgoClass::AlltoallPairwise => "alltoall/pairwise",
-            AlgoClass::AlltoallBruck => "alltoall/bruck",
-            AlgoClass::ReduceBinomial => "reduce/binomial_tree",
-            AlgoClass::ReduceFlat => "reduce/flat_gather",
-            AlgoClass::NeighborhoodSparse => "neighborhood/sparse",
-            AlgoClass::NeighborhoodDense => "neighborhood/dense",
-        }
+        table::CLASSES[self.index()].1
     }
 }
 
@@ -512,7 +489,7 @@ fn mirror_snapshot_into_stats(snap: &ModelSnapshot, stats: &mut TuningStats) {
 
 /// How a decision was resolved (stats bookkeeping).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Pick {
+pub(super) enum Pick {
     Static,
     Explore,
     Model,
@@ -520,7 +497,7 @@ enum Pick {
     Frozen,
 }
 
-fn note_decision(class: AlgoClass, pick: Pick) {
+pub(super) fn note_decision(class: AlgoClass, pick: Pick) {
     with_stats(|s| {
         s.decisions += 1;
         s.selections[class.index()] += 1;
@@ -545,7 +522,7 @@ fn note_decision(class: AlgoClass, pick: Pick) {
 /// first internal tag would be allocated, so the model sequence number
 /// stays as rank-aligned as the tag counters. No-op (and
 /// allocation-free) when the tuning does not drive the model.
-pub(crate) fn tick(comm: &Comm) -> Result<()> {
+pub(super) fn tick(comm: &Comm) -> Result<()> {
     let cfg = comm.tuning().model;
     if !cfg.drive || comm.size() < 2 {
         return Ok(());
@@ -601,567 +578,23 @@ pub(crate) fn tick(comm: &Comm) -> Result<()> {
 /// Only rank 0 measures (its observations are the ones published), so
 /// every other rank gets a free `None`.
 #[inline]
-pub(crate) fn measure_begin(comm: &Comm) -> Option<Instant> {
+pub(super) fn measure_begin(comm: &Comm) -> Option<Instant> {
     (comm.tuning().model.drive && comm.size() > 1 && comm.rank() == 0).then(Instant::now)
 }
 
 /// Records one finished measurement into the pending buffer of
-/// `class`. `size` is the same collectively-agreed scalar the selection
-/// saw (contribution bytes; block bytes for alltoall; the maximum
-/// degree for the neighborhood classes) — it is mapped to the class's
-/// `(startups, bytes)` workload features here.
-pub(crate) fn observe(comm: &Comm, class: AlgoClass, begun: Option<Instant>, size: f64) {
-    let Some(t0) = begun else { return };
-    let t_ns = t0.elapsed().as_nanos() as f64;
-    let (startups, bytes) = class_features(class, comm.size(), size);
+/// `class`, as the `(startups, bytes)` workload features its row maps
+/// the call to.
+pub(super) fn observe(comm: &Comm, class: AlgoClass, begun: Instant, features: (f64, f64)) {
+    let t_ns = begun.elapsed().as_nanos() as f64;
     let mut m = comm.model_state_mut();
     let pend = &mut m.pending[class.index()];
-    pend.startups += startups;
-    pend.bytes += bytes;
+    pend.startups += features.0;
+    pend.bytes += features.1;
     pend.t_ns += t_ns;
     pend.calls += 1;
     drop(m);
     with_stats(|s| s.observations += 1);
-}
-
-// ---------------------------------------------------------------------------
-// Candidates and choice
-// ---------------------------------------------------------------------------
-
-/// Ceil(log2 p) as f64 (0 for p <= 1).
-#[inline]
-fn ceil_log2(p: usize) -> f64 {
-    if p <= 1 {
-        0.0
-    } else {
-        f64::from(usize::BITS - (p - 1).leading_zeros())
-    }
-}
-
-/// One selectable algorithm with its coarse workload features:
-/// `startups` messages on the critical path and `bytes` of payload
-/// moved (wire + packing). The absolute scale only needs to be
-/// consistent *within* a class across workloads — cross-class
-/// comparison happens through the fitted costs — so the formulas stay
-/// deliberately simple.
-#[derive(Clone, Copy, Debug)]
-struct Candidate<A> {
-    algo: A,
-    class: AlgoClass,
-    startups: f64,
-    bytes: f64,
-    /// Serialized rounds for the overlap bias (non-blocking selection
-    /// only): rounds whose sends wait on a previous round's receive.
-    rounds: f64,
-}
-
-/// Workload features of `class` for a `p`-rank communicator moving `s`
-/// bytes (contribution bytes; block bytes for alltoall; ignored for
-/// the degree-driven neighborhood classes).
-fn class_features(class: AlgoClass, p: usize, s: f64) -> (f64, f64) {
-    let pf = p as f64;
-    let l = ceil_log2(p);
-    match class {
-        AlgoClass::AllreduceRd => {
-            let fix = if p.is_power_of_two() { 0.0 } else { 2.0 };
-            (l + fix, s * l + fix * s)
-        }
-        AlgoClass::AllreduceRabenseifner => (l + pf - 1.0, 2.0 * s),
-        AlgoClass::BcastBinomial => (l, s * l),
-        AlgoClass::BcastScatterAllgather => (2.0 * (pf - 1.0), 2.0 * s),
-        AlgoClass::AllgatherRing => (pf - 1.0, (pf - 1.0) * s),
-        AlgoClass::AllgatherRd | AlgoClass::AllgatherBruck => (l, (2.0 * pf - 3.0).max(1.0) * s),
-        AlgoClass::AlltoallPairwise => (pf - 1.0, (pf - 1.0) * s),
-        AlgoClass::AlltoallBruck => (l, l * (pf / 2.0) * s),
-        AlgoClass::ReduceBinomial => (l, s * l),
-        AlgoClass::ReduceFlat => (pf - 1.0, (pf - 1.0) * s),
-        // Degree-driven: `s` carries the collectively-agreed degree,
-        // and the payload volume is deliberately not modelled (per-rank
-        // payload sizes are not symmetric inputs) — alpha absorbs the
-        // typical per-message cost.
-        AlgoClass::NeighborhoodSparse => (s.max(1.0), 0.0),
-        AlgoClass::NeighborhoodDense => ((pf - 1.0).max(1.0), 0.0),
-    }
-}
-
-fn candidate<A>(algo: A, class: AlgoClass, p: usize, s: f64, rounds: f64) -> Candidate<A> {
-    let (startups, bytes) = class_features(class, p, s);
-    Candidate {
-        algo,
-        class,
-        startups,
-        bytes,
-        rounds,
-    }
-}
-
-/// Blocking choice: static until the static class is warm, then
-/// explore cold candidates (fewest observations first, ties to the
-/// lowest index), then the warm argmin — refreshed every
-/// [`ModelConfig::reexplore_every`]-th driven call (`seq`, the
-/// rank-aligned tick counter) by re-measuring the least-observed
-/// candidate so stale cold-start estimates cannot lock in a loser.
-fn choose_blocking<A: Copy>(
-    snap: &ModelSnapshot,
-    cfg: &ModelConfig,
-    cands: &[Candidate<A>],
-    static_i: usize,
-    seq: u64,
-) -> (usize, Pick) {
-    let est = |i: usize| snap.classes[cands[i].class.index()];
-    if !est(static_i).warm(cfg.warmup_obs) {
-        return (static_i, Pick::Static);
-    }
-    let mut cold: Option<usize> = None;
-    for i in 0..cands.len() {
-        if !est(i).warm(cfg.warmup_obs) && cold.is_none_or(|j| est(i).obs < est(j).obs) {
-            cold = Some(i);
-        }
-    }
-    if let Some(i) = cold {
-        return (i, Pick::Explore);
-    }
-    if cfg.reexplore_every > 0 && seq.is_multiple_of(u64::from(cfg.reexplore_every)) {
-        let stalest = (0..cands.len()).min_by_key(|&i| est(i).obs).unwrap_or(0);
-        return (stalest, Pick::Explore);
-    }
-    (argmin_cost(snap, cfg, cands, 0.0), Pick::Model)
-}
-
-/// Non-blocking choice: static until *every* candidate class is warm
-/// (the engines are never measured, so exploration could not warm them
-/// anyway), then the argmin with the per-round overlap penalty.
-fn choose_overlap<A: Copy>(
-    snap: &ModelSnapshot,
-    cfg: &ModelConfig,
-    cands: &[Candidate<A>],
-    static_i: usize,
-) -> (usize, Pick) {
-    let all_warm = cands
-        .iter()
-        .all(|c| snap.classes[c.class.index()].warm(cfg.warmup_obs));
-    if !all_warm {
-        return (static_i, Pick::Static);
-    }
-    let bias = f64::from(cfg.overlap_alpha_pct) / 100.0;
-    (argmin_cost(snap, cfg, cands, bias), Pick::Model)
-}
-
-fn argmin_cost<A: Copy>(
-    snap: &ModelSnapshot,
-    _cfg: &ModelConfig,
-    cands: &[Candidate<A>],
-    round_bias: f64,
-) -> usize {
-    let mut best = 0usize;
-    let mut best_cost = f64::INFINITY;
-    for (i, c) in cands.iter().enumerate() {
-        let e = snap.classes[c.class.index()];
-        let cost = e.predict_ns(c.startups, c.bytes) + c.rounds * e.alpha_ns * round_bias;
-        if cost < best_cost {
-            best = i;
-            best_cost = cost;
-        }
-    }
-    best
-}
-
-// ---------------------------------------------------------------------------
-// Per-collective selection (blocking: model may explore and override;
-// non-blocking `i*` variants: snapshot-only, overlap-biased)
-// ---------------------------------------------------------------------------
-
-/// Class of a concrete allreduce algorithm.
-pub(crate) fn allreduce_class(algo: AllreduceAlgo) -> AlgoClass {
-    match algo {
-        AllreduceAlgo::RecursiveDoubling => AlgoClass::AllreduceRd,
-        AllreduceAlgo::Rabenseifner => AlgoClass::AllreduceRabenseifner,
-    }
-}
-
-/// Class of a concrete bcast algorithm.
-pub(crate) fn bcast_class(algo: BcastAlgo) -> AlgoClass {
-    match algo {
-        BcastAlgo::Binomial => AlgoClass::BcastBinomial,
-        BcastAlgo::ScatterAllgather => AlgoClass::BcastScatterAllgather,
-    }
-}
-
-/// Class of a concrete allgather algorithm.
-pub(crate) fn allgather_class(algo: AllgatherAlgo) -> AlgoClass {
-    match algo {
-        AllgatherAlgo::Ring => AlgoClass::AllgatherRing,
-        AllgatherAlgo::RecursiveDoubling => AlgoClass::AllgatherRd,
-        AllgatherAlgo::Bruck => AlgoClass::AllgatherBruck,
-    }
-}
-
-/// Class of a concrete alltoall algorithm.
-pub(crate) fn alltoall_class(algo: AlltoallAlgo) -> AlgoClass {
-    match algo {
-        AlltoallAlgo::Pairwise => AlgoClass::AlltoallPairwise,
-        AlltoallAlgo::Bruck => AlgoClass::AlltoallBruck,
-    }
-}
-
-/// Class of a concrete reduce algorithm.
-pub(crate) fn reduce_class(algo: ReduceAlgo) -> AlgoClass {
-    match algo {
-        ReduceAlgo::BinomialTree => AlgoClass::ReduceBinomial,
-        ReduceAlgo::FlatGather => AlgoClass::ReduceFlat,
-    }
-}
-
-/// Class of a concrete neighborhood algorithm.
-pub(crate) fn neighborhood_class(algo: NeighborhoodAlgo) -> AlgoClass {
-    match algo {
-        NeighborhoodAlgo::Sparse => AlgoClass::NeighborhoodSparse,
-        NeighborhoodAlgo::Dense => AlgoClass::NeighborhoodDense,
-    }
-}
-
-macro_rules! blocking_select {
-    ($comm:expr, $stat:expr, $force:expr, $class_of:expr, $cands:expr) => {{
-        let tuning = $comm.tuning();
-        let stat = $stat;
-        if $force {
-            note_decision($class_of(stat), Pick::Forced);
-            return stat;
-        }
-        if !tuning.model.drive || $comm.size() < 2 {
-            note_decision($class_of(stat), Pick::Static);
-            return stat;
-        }
-        let (snap, seq) = {
-            let m = $comm.model_state_mut();
-            (m.snapshot(), m.seq())
-        };
-        let cands = $cands;
-        let static_i = cands
-            .iter()
-            .position(|c| c.algo == stat)
-            .unwrap_or_default();
-        let (i, pick) = choose_blocking(&snap, &tuning.model, &cands, static_i, seq);
-        note_decision(cands[i].class, pick);
-        cands[i].algo
-    }};
-}
-
-/// Blocking allreduce selection for `bytes` payload bytes per rank.
-pub(crate) fn select_allreduce(comm: &Comm, bytes: usize) -> AllreduceAlgo {
-    let p = comm.size();
-    let s = bytes as f64;
-    let t = comm.tuning();
-    blocking_select!(
-        comm,
-        t.allreduce_algo(p, bytes),
-        matches!(t.allreduce, Select::Force(_)),
-        allreduce_class,
-        [
-            candidate(
-                AllreduceAlgo::RecursiveDoubling,
-                AlgoClass::AllreduceRd,
-                p,
-                s,
-                0.0
-            ),
-            candidate(
-                AllreduceAlgo::Rabenseifner,
-                AlgoClass::AllreduceRabenseifner,
-                p,
-                s,
-                0.0
-            ),
-        ]
-    )
-}
-
-/// Sized-bcast selection for a payload of `bytes` bytes.
-pub(crate) fn select_bcast(comm: &Comm, bytes: usize) -> BcastAlgo {
-    let p = comm.size();
-    let s = bytes as f64;
-    let t = comm.tuning();
-    blocking_select!(
-        comm,
-        t.bcast_algo(p, bytes),
-        matches!(t.bcast, Select::Force(_)),
-        bcast_class,
-        [
-            candidate(BcastAlgo::Binomial, AlgoClass::BcastBinomial, p, s, 0.0),
-            candidate(
-                BcastAlgo::ScatterAllgather,
-                AlgoClass::BcastScatterAllgather,
-                p,
-                s,
-                0.0
-            ),
-        ]
-    )
-}
-
-/// Equal-block allgather selection for `bytes` contribution bytes per
-/// rank. Recursive doubling stays gated to power-of-two `p`.
-pub(crate) fn select_allgather(comm: &Comm, bytes: usize) -> AllgatherAlgo {
-    let p = comm.size();
-    let s = bytes as f64;
-    let t = comm.tuning();
-    if p.is_power_of_two() {
-        blocking_select!(
-            comm,
-            t.allgather_algo(p, bytes),
-            matches!(t.allgather, Select::Force(_)),
-            allgather_class,
-            [
-                candidate(AllgatherAlgo::Ring, AlgoClass::AllgatherRing, p, s, 0.0),
-                candidate(
-                    AllgatherAlgo::RecursiveDoubling,
-                    AlgoClass::AllgatherRd,
-                    p,
-                    s,
-                    0.0
-                ),
-                candidate(AllgatherAlgo::Bruck, AlgoClass::AllgatherBruck, p, s, 0.0),
-            ]
-        )
-    } else {
-        blocking_select!(
-            comm,
-            t.allgather_algo(p, bytes),
-            matches!(t.allgather, Select::Force(_)),
-            allgather_class,
-            [
-                candidate(AllgatherAlgo::Ring, AlgoClass::AllgatherRing, p, s, 0.0),
-                candidate(AllgatherAlgo::Bruck, AlgoClass::AllgatherBruck, p, s, 0.0),
-            ]
-        )
-    }
-}
-
-/// Equal-block alltoall selection for `block_bytes` bytes per block.
-pub(crate) fn select_alltoall(comm: &Comm, block_bytes: usize) -> AlltoallAlgo {
-    let p = comm.size();
-    let s = block_bytes as f64;
-    let t = comm.tuning();
-    blocking_select!(
-        comm,
-        t.alltoall_algo(p, block_bytes),
-        matches!(t.alltoall, Select::Force(_)),
-        alltoall_class,
-        [
-            candidate(
-                AlltoallAlgo::Pairwise,
-                AlgoClass::AlltoallPairwise,
-                p,
-                s,
-                0.0
-            ),
-            candidate(AlltoallAlgo::Bruck, AlgoClass::AlltoallBruck, p, s, 0.0),
-        ]
-    )
-}
-
-/// Blocking reduce selection. Non-commutative operations always fold
-/// flat in rank order (the model never overrides correctness).
-pub(crate) fn select_reduce(comm: &Comm, commutative: bool, bytes: usize) -> ReduceAlgo {
-    let p = comm.size();
-    let s = bytes as f64;
-    let t = comm.tuning();
-    let stat = t.reduce_algo(commutative, ReduceAlgo::BinomialTree);
-    if !commutative {
-        note_decision(reduce_class(stat), Pick::Static);
-        return stat;
-    }
-    blocking_select!(
-        comm,
-        stat,
-        matches!(t.reduce, Select::Force(_)),
-        reduce_class,
-        [
-            candidate(
-                ReduceAlgo::BinomialTree,
-                AlgoClass::ReduceBinomial,
-                p,
-                s,
-                0.0
-            ),
-            candidate(ReduceAlgo::FlatGather, AlgoClass::ReduceFlat, p, s, 0.0),
-        ]
-    )
-}
-
-/// Neighborhood exchange selection from collectively-agreed inputs
-/// only (`p`, `max_degree`, eligibility — never per-rank payload
-/// sizes).
-pub(crate) fn select_neighborhood(
-    comm: &Comm,
-    dense_eligible: bool,
-    max_degree: usize,
-) -> NeighborhoodAlgo {
-    let p = comm.size();
-    let d = max_degree as f64;
-    let t = comm.tuning();
-    if !dense_eligible {
-        note_decision(AlgoClass::NeighborhoodSparse, Pick::Static);
-        return NeighborhoodAlgo::Sparse;
-    }
-    blocking_select!(
-        comm,
-        t.neighborhood_algo(p, max_degree),
-        matches!(t.neighborhood, Select::Force(_)),
-        neighborhood_class,
-        [
-            candidate(
-                NeighborhoodAlgo::Sparse,
-                AlgoClass::NeighborhoodSparse,
-                p,
-                d,
-                0.0
-            ),
-            candidate(
-                NeighborhoodAlgo::Dense,
-                AlgoClass::NeighborhoodDense,
-                p,
-                d,
-                0.0
-            ),
-        ]
-    )
-}
-
-/// Non-blocking alltoall selection (snapshot-only; overlap-biased).
-/// The pairwise engine posts everything eagerly (one serialized
-/// round); the Bruck engine serializes `ceil(log2 p)` rounds.
-pub(crate) fn select_ialltoall(comm: &Comm, block_bytes: usize) -> AlltoallAlgo {
-    let p = comm.size();
-    let s = block_bytes as f64;
-    let t = comm.tuning();
-    if let Select::Force(a) = t.alltoall {
-        let a = if p < 2 { AlltoallAlgo::Pairwise } else { a };
-        note_decision(alltoall_class(a), Pick::Forced);
-        return a;
-    }
-    let stat = AlltoallAlgo::Pairwise;
-    if !t.model.drive || p < 2 {
-        note_decision(alltoall_class(stat), Pick::Static);
-        return stat;
-    }
-    let snap = comm.model_state_mut().snapshot();
-    let cands = [
-        candidate(
-            AlltoallAlgo::Pairwise,
-            AlgoClass::AlltoallPairwise,
-            p,
-            s,
-            1.0,
-        ),
-        candidate(
-            AlltoallAlgo::Bruck,
-            AlgoClass::AlltoallBruck,
-            p,
-            s,
-            ceil_log2(p),
-        ),
-    ];
-    let (i, pick) = choose_overlap(&snap, &t.model, &cands, 0);
-    note_decision(cands[i].class, pick);
-    cands[i].algo
-}
-
-/// Non-blocking reduce/allreduce selection (snapshot-only;
-/// overlap-biased). Reuses the blocking reduce classes as estimates —
-/// the engines move the same messages, just drained on poll.
-pub(crate) fn select_ireduce(comm: &Comm, commutative: bool, bytes: usize) -> ReduceAlgo {
-    let p = comm.size();
-    let s = bytes as f64;
-    let t = comm.tuning();
-    let stat = t.reduce_algo(commutative, ReduceAlgo::FlatGather);
-    if !commutative {
-        note_decision(reduce_class(stat), Pick::Static);
-        return stat;
-    }
-    if let Select::Force(_) = t.reduce {
-        note_decision(reduce_class(stat), Pick::Forced);
-        return stat;
-    }
-    if !t.model.drive || p < 2 {
-        note_decision(reduce_class(stat), Pick::Static);
-        return stat;
-    }
-    let snap = comm.model_state_mut().snapshot();
-    let cands = [
-        candidate(ReduceAlgo::FlatGather, AlgoClass::ReduceFlat, p, s, 1.0),
-        candidate(
-            ReduceAlgo::BinomialTree,
-            AlgoClass::ReduceBinomial,
-            p,
-            s,
-            ceil_log2(p),
-        ),
-    ];
-    let (i, pick) = choose_overlap(&snap, &t.model, &cands, 0);
-    note_decision(cands[i].class, pick);
-    cands[i].algo
-}
-
-/// Non-blocking equal-block allgather selection (snapshot-only;
-/// overlap-biased). `Ring` denotes the flat eager fan-out engine (same
-/// startups and volume, all sends posted at call time); the RD and
-/// Bruck engines serialize their log rounds. RD requires power-of-two
-/// `p` and yields to the flat engine elsewhere, like the blocking
-/// selection.
-pub(crate) fn select_iallgather(comm: &Comm, bytes: usize) -> AllgatherAlgo {
-    let p = comm.size();
-    let s = bytes as f64;
-    let t = comm.tuning();
-    if p < 2 {
-        note_decision(AlgoClass::AllgatherRing, Pick::Static);
-        return AllgatherAlgo::Ring;
-    }
-    if let Select::Force(a) = t.allgather {
-        let a = match a {
-            AllgatherAlgo::RecursiveDoubling if !p.is_power_of_two() => AllgatherAlgo::Ring,
-            a => a,
-        };
-        note_decision(allgather_class(a), Pick::Forced);
-        return a;
-    }
-    if !t.model.drive {
-        note_decision(AlgoClass::AllgatherRing, Pick::Static);
-        return AllgatherAlgo::Ring;
-    }
-    let snap = comm.model_state_mut().snapshot();
-    let flat = candidate(AllgatherAlgo::Ring, AlgoClass::AllgatherRing, p, s, 1.0);
-    let bruck = candidate(
-        AllgatherAlgo::Bruck,
-        AlgoClass::AllgatherBruck,
-        p,
-        s,
-        ceil_log2(p),
-    );
-    if p.is_power_of_two() {
-        let rd = candidate(
-            AllgatherAlgo::RecursiveDoubling,
-            AlgoClass::AllgatherRd,
-            p,
-            s,
-            ceil_log2(p),
-        );
-        let cands = [flat, rd, bruck];
-        let (i, pick) = choose_overlap(&snap, &t.model, &cands, 0);
-        note_decision(cands[i].class, pick);
-        cands[i].algo
-    } else {
-        let cands = [flat, bruck];
-        let (i, pick) = choose_overlap(&snap, &t.model, &cands, 0);
-        note_decision(cands[i].class, pick);
-        cands[i].algo
-    }
-}
-
-/// Records a selection frozen into a persistent plan at `*_init`
-/// (snapshot-only — a plan never re-selects at `start()`).
-pub(crate) fn freeze_selection(_comm: &Comm, class: AlgoClass) {
-    note_decision(class, Pick::Frozen);
 }
 
 #[cfg(test)]
@@ -1245,111 +678,6 @@ mod tests {
         let back = ModelSnapshot::from_wire(&wire).expect("valid wire form");
         assert_eq!(back, snap);
         assert!(ModelSnapshot::from_wire(&wire[1..]).is_none());
-    }
-
-    fn cands2(a_class: AlgoClass, b_class: AlgoClass) -> [Candidate<u8>; 2] {
-        [
-            candidate(0u8, a_class, 8, 1024.0, 1.0),
-            candidate(1u8, b_class, 8, 1024.0, 3.0),
-        ]
-    }
-
-    #[test]
-    fn choose_follows_static_until_warm_then_explores_then_predicts() {
-        let cfg = ModelConfig::default().drive(true);
-        let mut snap = ModelSnapshot::default();
-        let cands = cands2(AlgoClass::AllreduceRd, AlgoClass::AllreduceRabenseifner);
-
-        // Everything cold: static.
-        assert_eq!(
-            choose_blocking(&snap, &cfg, &cands, 0, 1),
-            (0, Pick::Static)
-        );
-
-        // Static class warm, other cold: explore it.
-        snap.classes[AlgoClass::AllreduceRd.index()].obs = cfg.warmup_obs;
-        assert_eq!(
-            choose_blocking(&snap, &cfg, &cands, 0, 1),
-            (1, Pick::Explore)
-        );
-
-        // All warm: argmin of predicted cost.
-        let rd = &mut snap.classes[AlgoClass::AllreduceRd.index()];
-        rd.alpha_ns = 10_000.0;
-        let rab = &mut snap.classes[AlgoClass::AllreduceRabenseifner.index()];
-        rab.obs = cfg.warmup_obs;
-        rab.alpha_ns = 1.0;
-        assert_eq!(choose_blocking(&snap, &cfg, &cands, 0, 1), (1, Pick::Model));
-    }
-
-    #[test]
-    fn warm_choice_periodically_remeasures_the_stalest_candidate() {
-        let cfg = ModelConfig::default().drive(true);
-        let mut snap = ModelSnapshot::default();
-        let cands = cands2(AlgoClass::AllreduceRd, AlgoClass::AllreduceRabenseifner);
-        // Both warm; the winner (index 1) has accrued many more
-        // observations than the loser's warm-up leftovers.
-        let rd = &mut snap.classes[AlgoClass::AllreduceRd.index()];
-        rd.obs = cfg.warmup_obs;
-        rd.alpha_ns = 10_000.0;
-        let rab = &mut snap.classes[AlgoClass::AllreduceRabenseifner.index()];
-        rab.obs = cfg.warmup_obs + 40;
-        rab.alpha_ns = 1.0;
-        // Off-cadence: argmin. On-cadence: the stale loser is refreshed.
-        let every = u64::from(cfg.reexplore_every);
-        assert_eq!(
-            choose_blocking(&snap, &cfg, &cands, 0, every + 1),
-            (1, Pick::Model)
-        );
-        assert_eq!(
-            choose_blocking(&snap, &cfg, &cands, 0, every),
-            (0, Pick::Explore)
-        );
-        // Disabled cadence never re-explores.
-        let off = cfg.reexplore_every(0);
-        assert_eq!(
-            choose_blocking(&snap, &off, &cands, 0, every),
-            (1, Pick::Model)
-        );
-    }
-
-    #[test]
-    fn overlap_choice_stays_static_until_all_warm_and_charges_rounds() {
-        let cfg = ModelConfig::default().drive(true);
-        let mut snap = ModelSnapshot::default();
-        let cands = cands2(AlgoClass::AlltoallPairwise, AlgoClass::AlltoallBruck);
-
-        // Partial warmth is not enough for the unmeasured engines.
-        snap.classes[AlgoClass::AlltoallPairwise.index()].obs = cfg.warmup_obs;
-        assert_eq!(choose_overlap(&snap, &cfg, &cands, 0), (0, Pick::Static));
-
-        // Warm, identical base costs: the per-round alpha penalty makes
-        // the 3-round candidate lose.
-        for class in [AlgoClass::AlltoallPairwise, AlgoClass::AlltoallBruck] {
-            let c = &mut snap.classes[class.index()];
-            c.obs = cfg.warmup_obs;
-            c.alpha_ns = 1_000.0;
-            c.beta_ns_per_byte = 0.0;
-        }
-        // Equalize the base cost by feature count: pairwise (p-1 = 7
-        // startups) vs Bruck (3 startups × ~4096 packed bytes·0) —
-        // Bruck's base is cheaper, but crank the round bias to flip it.
-        let heavy = ModelConfig::default().drive(true).overlap_alpha_pct(10_000);
-        assert_eq!(choose_overlap(&snap, &heavy, &cands, 0), (0, Pick::Model));
-        // With no bias, Bruck's fewer startups win.
-        let none = ModelConfig::default().drive(true).overlap_alpha_pct(0);
-        assert_eq!(choose_overlap(&snap, &none, &cands, 0), (1, Pick::Model));
-    }
-
-    #[test]
-    fn class_features_are_positive_and_scale() {
-        for class in AlgoClass::ALL {
-            let (s1, v1) = class_features(class, 8, 1024.0);
-            let (s2, v2) = class_features(class, 8, 4096.0);
-            assert!(s1 >= 1.0, "{class:?} startups");
-            assert!(v1 >= 0.0, "{class:?} bytes");
-            assert!(s2 >= s1 && v2 >= v1, "{class:?} monotone in size");
-        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use bytes::Bytes;
 
 use super::algos::allgather::{BruckAllgather, RecursiveDoubling};
+use super::algos::table::{tuned, Call, Site};
 use super::algos::AllgatherAlgo;
 use super::nonblocking::drive_blocks;
 use super::{
@@ -59,34 +60,14 @@ pub(crate) fn allgather_blocks(comm: &Comm, own: Bytes) -> Result<Vec<Bytes>> {
 /// so all ranks resolve the same [`AllgatherAlgo`] from the shared
 /// tuning and the agreed block size.
 pub(crate) fn allgather_blocks_tuned(comm: &Comm, own: Bytes) -> Result<Vec<Bytes>> {
-    let bytes = own.len();
-    super::algos::model::tick(comm)?;
-    let algo = super::algos::model::select_allgather(comm, bytes);
-    let _sp = crate::trace::span(
-        crate::trace::cat::COLL,
-        match algo {
-            AllgatherAlgo::RecursiveDoubling => "allgather/recursive_doubling",
-            AllgatherAlgo::Bruck => "allgather/bruck",
-            AllgatherAlgo::Ring => "allgather/ring",
-        },
-        bytes as u64,
-        comm.size() as u64,
-    );
-    let begun = super::algos::model::measure_begin(comm);
     // The two latency algorithms are the engines `iallgather` resumes,
     // driven to completion here.
-    let out = match algo {
-        AllgatherAlgo::RecursiveDoubling => drive_blocks(comm, RecursiveDoubling::new(comm), own)?,
-        AllgatherAlgo::Bruck => drive_blocks(comm, BruckAllgather::new(comm), own)?,
-        AllgatherAlgo::Ring => allgather_blocks(comm, own)?,
-    };
-    super::algos::model::observe(
-        comm,
-        super::algos::model::allgather_class(algo),
-        begun,
-        bytes as f64,
-    );
-    Ok(out)
+    let call = Call::sized(own.len());
+    tuned(comm, Site::BLOCKING, call, |algo| match algo {
+        AllgatherAlgo::RecursiveDoubling => drive_blocks(comm, RecursiveDoubling::new(comm), own),
+        AllgatherAlgo::Bruck => drive_blocks(comm, BruckAllgather::new(comm), own),
+        AllgatherAlgo::Ring => allgather_blocks(comm, own),
+    })
 }
 
 /// Allgather of equal-size contributions; returns the concatenation

@@ -6,6 +6,7 @@
 
 use bytes::Bytes;
 
+use super::algos::table::{tuned, Call, Site};
 use super::algos::{self, AlltoallAlgo};
 use super::nonblocking::drive_blocks;
 use super::{
@@ -50,43 +51,19 @@ impl Comm {
             )));
         }
         let n = send.len() / p;
-        let block_bytes = n * std::mem::size_of::<T>();
-        algos::model::tick(self)?;
-        let bruck =
-            p > 1 && algos::model::select_alltoall(self, block_bytes) == AlltoallAlgo::Bruck;
-        let _sp = crate::trace::span(
-            crate::trace::cat::COLL,
-            if bruck {
-                "alltoall/bruck"
-            } else {
-                "alltoall/pairwise"
-            },
-            block_bytes as u64,
-            p as u64,
-        );
-        let begun = algos::model::measure_begin(self);
-        let class = algos::model::alltoall_class(if bruck {
-            AlltoallAlgo::Bruck
-        } else {
-            AlltoallAlgo::Pairwise
-        });
-        let blocks = if bruck {
+        let call = Call::sized(n * std::mem::size_of::<T>());
+        tuned(self, Site::BLOCKING, call, |algo| match algo {
             // The engine `ialltoall` resumes, driven to completion.
-            let engine = algos::alltoall::BruckAlltoall::new(self);
-            drive_blocks(self, engine, bytes_from_slice(send))?
-        } else {
+            AlltoallAlgo::Bruck => {
+                let engine = algos::alltoall::BruckAlltoall::new(self);
+                drive_blocks(self, engine, bytes_from_slice(send))
+            }
             // In units of one block: every peer gets one, at its rank.
-            let displs: Vec<usize> = (0..p).collect();
-            pairwise_blocks(
-                self,
-                bytes_from_slice(send),
-                block_bytes,
-                &vec![1; p],
-                &displs,
-            )?
-        };
-        algos::model::observe(self, class, begun, block_bytes as f64);
-        Ok(blocks)
+            AlltoallAlgo::Pairwise => {
+                let (packed, displs) = (bytes_from_slice(send), (0..p).collect::<Vec<_>>());
+                pairwise_blocks(self, packed, call.size, &vec![1; p], &displs)
+            }
+        })
     }
 
     /// Personalized all-to-all with per-destination counts and

@@ -3,6 +3,7 @@
 
 use bytes::Bytes;
 
+use super::algos::table::{select, tuned, Call, Lifecycle, Site, Tuned};
 use super::algos::{self, BcastAlgo, BcastParts};
 use super::{recv_internal, root_without_data, send_internal};
 use crate::comm::Comm;
@@ -83,24 +84,10 @@ pub(crate) fn bcast_parts_internal(
             comm_size: p,
         });
     }
-    algos::model::tick(comm)?;
-    let algo = algos::model::select_bcast(comm, size);
-    let _sp = crate::trace::span(
-        crate::trace::cat::COLL,
-        match algo {
-            BcastAlgo::Binomial => "bcast/binomial",
-            BcastAlgo::ScatterAllgather => "bcast/scatter_allgather",
-        },
-        size as u64,
-        p as u64,
-    );
-    let begun = algos::model::measure_begin(comm);
-    let out = match algo {
-        BcastAlgo::Binomial => bcast_bytes_internal(comm, payload, root).map(BcastParts::Whole)?,
-        BcastAlgo::ScatterAllgather => algos::bcast::scatter_allgather(comm, payload, size, root)?,
-    };
-    algos::model::observe(comm, algos::model::bcast_class(algo), begun, size as f64);
-    Ok(out)
+    tuned(comm, Site::BLOCKING, Call::sized(size), |algo| match algo {
+        BcastAlgo::Binomial => bcast_bytes_internal(comm, payload, root).map(BcastParts::Whole),
+        BcastAlgo::ScatterAllgather => algos::bcast::scatter_allgather(comm, payload, size, root),
+    })
 }
 
 /// Broadcasts a single plain value (used internally for context ids).
@@ -182,8 +169,7 @@ impl Comm {
                 comm_size: p,
             });
         }
-        algos::model::tick(self)?;
-        let begun = algos::model::measure_begin(self);
+        let step = Tuned::begin(self, Site::BLOCKING)?;
         if self.rank() == root {
             let Some(data) = data else {
                 // Every non-root's first step is the one-tag header
@@ -192,54 +178,25 @@ impl Comm {
                 return Err(root_without_data("bcast"));
             };
             let size = std::mem::size_of_val(data);
-            // Empty payloads always fuse: scatter+allgather cannot ship
-            // zero-length chunks, and 8 bytes is trivially small anyway.
-            let algo = if size == 0 {
-                BcastAlgo::Binomial
-            } else {
-                algos::model::select_bcast(self, size)
-            };
-            let _sp = crate::trace::span(
-                crate::trace::cat::COLL,
-                match algo {
-                    BcastAlgo::Binomial => "bcast/binomial",
-                    BcastAlgo::ScatterAllgather => "bcast/scatter_allgather",
-                },
-                size as u64,
-                p as u64,
-            );
-            match algo {
+            // An empty payload always fuses: scatter+allgather needs
+            // one (see its row), so the selection resolves to binomial.
+            let algo = select(self, Lifecycle::Blocking, Call::sized(size));
+            step.finish(algo, size, || match algo {
                 BcastAlgo::Binomial => {
                     let mut fused: Vec<u8> = Vec::with_capacity(8 + size);
                     crate::metrics::record_alloc();
                     fused.extend_from_slice(&(size as u64).to_le_bytes());
                     extend_vec_from_bytes(&mut fused, as_bytes(data));
                     bcast_bytes_internal(self, Some(bytes_from_vec(fused)), root)?;
-                    algos::model::observe(
-                        self,
-                        algos::AlgoClass::BcastBinomial,
-                        begun,
-                        size as f64,
-                    );
                     Ok(bytes_to_vec(as_bytes(data)))
                 }
                 BcastAlgo::ScatterAllgather => {
                     bcast_bytes_internal(self, Some(bytes_from_slice(&[size as u64])), root)?;
-                    let parts = algos::bcast::scatter_allgather(
-                        self,
-                        Some(bytes_from_slice(data)),
-                        size,
-                        root,
-                    )?;
-                    algos::model::observe(
-                        self,
-                        algos::AlgoClass::BcastScatterAllgather,
-                        begun,
-                        size as f64,
-                    );
+                    let payload = Some(bytes_from_slice(data));
+                    let parts = algos::bcast::scatter_allgather(self, payload, size, root)?;
                     Ok(parts.into_vec())
                 }
-            }
+            })
         } else {
             let msg = bcast_bytes_internal(self, None, root)?;
             if msg.len() < 8 {
@@ -249,39 +206,25 @@ impl Comm {
                 )));
             }
             let size = u64::from_le_bytes(msg[..8].try_into().expect("8-byte header")) as usize;
-            if msg.len() == 8 + size {
-                // Fused header + payload: the root picked binomial.
-                let _sp = crate::trace::span(
-                    crate::trace::cat::COLL,
-                    "bcast/binomial",
-                    size as u64,
-                    p as u64,
-                );
-                let out = bytes_to_vec(&msg[8..]);
-                algos::model::observe(self, algos::AlgoClass::BcastBinomial, begun, size as f64);
-                Ok(out)
+            // The message's shape names the root's pick: header fused
+            // with the payload is binomial, header only is
+            // scatter+allgather, which this rank now joins.
+            let algo = if msg.len() == 8 + size {
+                BcastAlgo::Binomial
             } else if msg.len() == 8 {
-                // Header only: the root picked scatter+allgather; join it.
-                let _sp = crate::trace::span(
-                    crate::trace::cat::COLL,
-                    "bcast/scatter_allgather",
-                    size as u64,
-                    p as u64,
-                );
-                let parts = algos::bcast::scatter_allgather(self, None, size, root)?;
-                algos::model::observe(
-                    self,
-                    algos::AlgoClass::BcastScatterAllgather,
-                    begun,
-                    size as f64,
-                );
-                Ok(parts.into_vec())
+                BcastAlgo::ScatterAllgather
             } else {
-                Err(MpiError::InvalidLayout(format!(
+                return Err(MpiError::InvalidLayout(format!(
                     "bcast_vec: header says {size} bytes but message carries {}",
                     msg.len() - 8
-                )))
-            }
+                )));
+            };
+            step.finish(algo, size, || match algo {
+                BcastAlgo::Binomial => Ok(bytes_to_vec(&msg[8..])),
+                BcastAlgo::ScatterAllgather => {
+                    Ok(algos::bcast::scatter_allgather(self, None, size, root)?.into_vec())
+                }
+            })
         }
     }
 

@@ -11,30 +11,23 @@
 //! re-serialization, and in-place folds over delivered payloads are
 //! compute, not copies; see [`crate::metrics`]).
 //!
-//! The hot collectives are **tunable** (see [`algos`]): a
-//! per-communicator [`CollTuning`] policy selects the
-//! algorithm at call time, by default switching at the listed size
-//! thresholds (chosen so the default is never slower under the cluster
-//! cost model than the former single-algorithm behaviour):
+//! The hot collectives — `allreduce`, `bcast`, `allgather`, `alltoall`,
+//! `reduce`, the neighborhood exchanges — are **tunable**: a
+//! per-communicator [`CollTuning`] policy selects the algorithm at call
+//! time, by default switching at size thresholds chosen so the default
+//! is never slower under the cluster cost model than the former
+//! single-algorithm behaviour. Their menu — algorithm, startups, copy
+//! bill, needs, static `Auto` rule, lifecycles — is declared and
+//! documented once, in [`algos::table`]. The remaining collectives run
+//! one algorithm:
 //!
-//! | operation        | algorithm                              | startups (per rank) | copies per rank      | selected when |
-//! |------------------|----------------------------------------|---------------------|----------------------|---------------|
-//! | `barrier`        | dissemination                          | ceil(log2 p)        | 0                    | always |
-//! | `bcast`          | binomial tree                          | <= log2 p           | root: s; other: r    | `s < 256 KiB`, or size unknown at non-roots |
-//! | `bcast`          | scatter + ring allgather (van de Geijn)| ~2p                 | root: s; other: r    | sized paths, `p >= 4`, `s >= 256 KiB` |
-//! | `gather/scatter` | flat tree (linear at root)             | 1 (root: p-1)       | root: s + r; other: s + r | always |
-//! | `allgather`      | ring, block forwarding                 | p-1                 | s + r                | `s > 8 KiB`, or `p < 4` |
-//! | `allgather`      | recursive doubling (packed rounds)     | log2 p              | s·(p-1) + r          | `p >= 4` power of two, `s <= 8 KiB` |
-//! | `allgather`      | Bruck (rotated packed rounds, any p)   | ceil(log2 p)        | <= s·(p-1) + r       | `p >= 4` not a power of two, `s <= 8 KiB` |
-//! | `allgatherv`     | ring, block forwarding                 | p-1                 | s + r                | always |
-//! | `alltoall`       | pairwise exchange, pack-once + slice   | p-1                 | s + r                | `b > 1 KiB` |
-//! | `alltoall`       | Bruck (packed log-round forwarding)    | ceil(log2 p)        | s + r + s·ceil(log2 p)/2 | `p >= 4`, `b <= 1 KiB` |
-//! | `alltoall(v/w)`  | pairwise exchange, pack-once + slice   | p-1                 | s + r                | always |
-//! | `reduce`         | binomial tree, in-place folds          | <= log2 p           | leaf: s; inner: 0; root: r | op commutative |
-//! | `reduce`         | flat gather + ordered fold             | 1 (root: p-1)       | s (root: + r)        | op non-commutative |
-//! | `allreduce`      | recursive doubling, in-place folds     | ~log2 p             | s·log2 p             | `s < 128 KiB` |
-//! | `allreduce`      | Rabenseifner (reduce-scatter + ring allgather) | log2 p + p  | ~2s                  | `p >= 4`, `s >= 128 KiB` |
-//! | `scan/exscan`    | linear chain, in-place folds           | 1                   | scan: <= 2s; exscan: s | always |
+//! | operation        | algorithm                              | startups (per rank) | copies per rank      |
+//! |------------------|----------------------------------------|---------------------|----------------------|
+//! | `barrier`        | dissemination                          | ceil(log2 p)        | 0                    |
+//! | `gather/scatter` | flat tree (linear at root)             | 1 (root: p-1)       | root: s + r; other: s + r |
+//! | `allgatherv`     | ring, block forwarding                 | p-1                 | s + r                |
+//! | `alltoall(v/w)`  | pairwise exchange, pack-once + slice   | p-1                 | s + r                |
+//! | `scan/exscan`    | linear chain, in-place folds           | 1                   | scan: <= 2s; exscan: s |
 //!
 //! Every non-reducing collective is bounded by `s + r` (+ Bruck's
 //! deliberate repack trade): each payload byte is serialized once at its
@@ -68,14 +61,14 @@
 //! the dissemination barrier, recursive-doubling and Bruck `allgather`,
 //! Bruck `alltoall`, the binomial `reduce` tree — is defined exactly
 //! once, as a resumable engine (a `Rounds` description under the one
-//! round loop of `collectives/nonblocking.rs`). The blocking calls of the table build that
+//! round loop of `collectives/nonblocking.rs`). The blocking calls build that
 //! engine on their stack and drive it to completion; `i*` boxes it into
 //! a [`Request`](crate::Request) that `test`/`wait` resume; `*_init`
 //! builds a flat engine once and restarts it every cycle. The remaining
 //! rows (ring, recursive-doubling allreduce, Rabenseifner, van de Geijn,
 //! pairwise, flat gather/scatter) are blocking-only loops.
 //!
-//! The "selected when" column is the *static* policy — the warm-up
+//! The table's `Auto` rules are the *static* policy — the warm-up
 //! fallback. With [`CollTuning::self_tuning`] enabled, `Auto` is
 //! instead driven by the communicator's **measured cost model**
 //! ([`algos::model`]): an online per-class alpha-beta estimator fed by

@@ -37,6 +37,7 @@ use std::ops::Range;
 
 use bytes::Bytes;
 
+use super::algos::table::{tuned, Call, Site};
 use super::algos::NeighborhoodAlgo;
 use super::nonblocking::{check_frozen_total, recv_one, CollEngine};
 use super::{packed_ranges, place_blocks, send_internal};
@@ -280,27 +281,21 @@ fn exchange<N: Neighborhood + ?Sized>(
     payloads: Vec<Bytes>,
 ) -> Result<Vec<Bytes>> {
     let comm = n.comm();
-    super::algos::model::tick(comm)?;
-    let algo = super::algos::model::select_neighborhood(comm, n.dense_eligible(), n.max_degree());
     let total: usize = payloads.iter().map(Bytes::len).sum();
-    let begun = super::algos::model::measure_begin(comm);
-    let out = match algo {
+    let call = Call {
+        duplicate_free: n.dense_eligible(),
+        ..Call::sized(n.max_degree())
+    };
+    tuned(comm, Site::BLOCKING, call, |algo| match algo {
         NeighborhoodAlgo::Sparse => {
             trace::instant(trace::cat::COLL, name, total as u64, n.max_degree() as u64);
-            sparse_exchange(n, tag, payloads)?
+            sparse_exchange(n, tag, payloads)
         }
         NeighborhoodAlgo::Dense => {
             trace::instant(trace::cat::COLL, name, total as u64, comm.size() as u64);
-            dense_exchange(n, tag, payloads)?
+            dense_exchange(n, tag, payloads)
         }
-    };
-    super::algos::model::observe(
-        comm,
-        super::algos::model::neighborhood_class(algo),
-        begun,
-        n.max_degree() as f64,
-    );
-    Ok(out)
+    })
 }
 
 /// The allgather-shaped exchange: one serialization of `data`, a

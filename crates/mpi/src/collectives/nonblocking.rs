@@ -22,12 +22,14 @@
 //! moment the call returns, and incoming traffic is drained whenever the
 //! caller polls.
 //!
-//! Algorithms (startups per rank; copies with `s` = bytes sent by the
-//! rank, `r` = bytes of its result — a payload is serialized at most
-//! once at its origin and materialized once per destination; forwarding
-//! and fan-out are refcount clones, and the `*_bytes` entry points adopt
-//! owned buffers with **zero** call-time copies). "Also runs" names the
-//! other lifecycles driving the same engine:
+//! Every payload is serialized at most once at its origin and
+//! materialized once per destination; forwarding and fan-out are
+//! refcount clones, and the `*_bytes` entry points adopt owned buffers
+//! with **zero** call-time copies. The tunable operations
+//! (`iallgather`, `ialltoall`, `ireduce`, `iallreduce`) select among
+//! the rows of [`algos::table`](super::algos::table) — its "runs as"
+//! column names the engines an initiation may get — the rest run one
+//! engine ("also runs" names the other lifecycles driving it):
 //!
 //! | operation            | algorithm                         | startups      | copies per rank    | also runs |
 //! |----------------------|-----------------------------------|---------------|--------------------|-----------|
@@ -35,18 +37,11 @@
 //! | `ibcast`             | binomial tree, forward on poll    | <= log2 p     | root: <= s; other: r | `bcast_init` |
 //! | `igather(v)`         | flat tree (linear at root)        | 1 (root: p-1) | s + r              | — |
 //! | `iscatter(v)`        | flat tree (eager, pack-once root) | p-1 (other: 1)| root: s; other: r  | — |
-//! | `iallgather(v)`      | flat dissemination                | p-1           | <= s, + r at wait  | `allgather_init` |
-//! | `iallgather` (model/forced) | recursive doubling         | log2 p        | s·(p-2) + r        | blocking `allgather` |
-//! | `iallgather` (model/forced) | Bruck                      | ceil(log2 p)  | <= s·(p-1) + r     | blocking `allgather` |
-//! | `ialltoall(v)`       | pairwise eager, pack-once + slice | p-1           | <= s, + r at wait  | `alltoallv_init` |
-//! | `ialltoall` (model/forced) | Bruck                       | ceil(log2 p)  | s + r + repacks    | blocking `alltoall` |
-//! | `ireduce`            | flat gather + in-place ordered fold | 1 (root: p-1) | s (root: r)      | — |
-//! | `ireduce` (model/forced) | binomial tree, in-place folds | <= log2 p     | leaf: s; other: 0  | blocking `reduce` |
-//! | `iallreduce`         | flat gather + fold + binomial bcast | mixed       | s (folds/fan-out free) | `allreduce_init` |
-//! | `iallreduce` (model/forced)| binomial tree reduce + binomial bcast | <= 2 log2 p | s (folds/fan-out free) | (tree shared with `reduce`) |
+//! | `iallgatherv`        | flat dissemination                | p-1           | <= s, + r at wait  | `allgather_init` |
+//! | `ialltoallv`         | pairwise eager, pack-once + slice | p-1           | <= s, + r at wait  | `alltoallv_init` |
 //!
-//! The five log-round rows (and the barrier) are [`Rounds`]
-//! descriptions — index arithmetic only, in [`super::algos`] and
+//! The five log-round rows of the table (and the barrier) are
+//! [`Rounds`] descriptions — index arithmetic only, in [`super::algos`] and
 //! [`super::barrier`] — run by the one round loop of [`RoundEngine`].
 //! The blocking-only algorithms (ring, recursive-doubling allreduce,
 //! Rabenseifner, van de Geijn, pairwise, flat gather/scatter) have no
@@ -82,7 +77,8 @@ use bytes::Bytes;
 use super::algos::allgather::{BruckAllgather, RecursiveDoubling};
 use super::algos::alltoall::BruckAlltoall;
 use super::algos::reduce::{AfterTreeReduce, Own, TreeReduce};
-use super::algos::{self, fold_bytes_right, AllgatherAlgo, AlltoallAlgo, ReduceAlgo};
+use super::algos::table::{tuned, Call, Site};
+use super::algos::{fold_bytes_right, AllgatherAlgo, AlltoallAlgo, ReduceAlgo};
 use super::{bcast_forward, bcast_parent, packed_ranges, root_without_data, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
@@ -681,6 +677,18 @@ impl Comm {
         })
     }
 
+    /// The equal-block allgather engine of `algo` (`iallgather`,
+    /// `allgather_init`); the ring row's engine is the flat fan-out.
+    pub(crate) fn allgather_engine(&self, algo: AllgatherAlgo) -> Box<dyn CollEngine> {
+        match algo {
+            AllgatherAlgo::Ring => self.allgather_flat(),
+            AllgatherAlgo::RecursiveDoubling => {
+                Box::new(RoundEngine::new(RecursiveDoubling::new(self)))
+            }
+            AllgatherAlgo::Bruck => Box::new(RoundEngine::new(BruckAllgather::new(self))),
+        }
+    }
+
     /// Flat pairwise alltoallv over a packed payload of `packed_len`
     /// bytes, `byte_counts[r]` of them for rank `r` (`ialltoall(v)`,
     /// `alltoallv_init`).
@@ -861,25 +869,9 @@ impl Comm {
     /// Byte-level [`Comm::iallgather`].
     pub fn iallgather_bytes(&self, own: Bytes) -> Result<Request<'_>> {
         self.count_op("iallgather");
-        let algo = algos::model::select_iallgather(self, own.len());
-        crate::trace::instant(
-            crate::trace::cat::COLL,
-            match algo {
-                AllgatherAlgo::Ring => "iallgather/flat",
-                AllgatherAlgo::RecursiveDoubling => "iallgather/recursive_doubling",
-                AllgatherAlgo::Bruck => "iallgather/bruck",
-            },
-            own.len() as u64,
-            self.size() as u64,
-        );
-        let engine: Box<dyn CollEngine> = match algo {
-            AllgatherAlgo::Ring => self.allgather_flat(),
-            AllgatherAlgo::RecursiveDoubling => {
-                Box::new(RoundEngine::new(RecursiveDoubling::new(self)))
-            }
-            AllgatherAlgo::Bruck => Box::new(RoundEngine::new(BruckAllgather::new(self))),
-        };
-        self.icoll(engine, own)
+        tuned(self, Site::IMMEDIATE, Call::sized(own.len()), |algo| {
+            self.icoll(self.allgather_engine(algo), own)
+        })
     }
 
     /// Starts a non-blocking personalized all-to-all with per-destination
@@ -926,23 +918,15 @@ impl Comm {
         // call-time sends are what make overlap effective. Bruck engages
         // when forced, or when the warm model predicts it wins even
         // after the per-round overlap charge.
-        let bruck = algos::model::select_ialltoall(self, block_bytes) == AlltoallAlgo::Bruck;
-        crate::trace::instant(
-            crate::trace::cat::COLL,
-            if bruck {
-                "ialltoall/bruck"
-            } else {
-                "ialltoall/pairwise"
-            },
-            block_bytes as u64,
-            p as u64,
-        );
-        let engine: Box<dyn CollEngine> = if bruck {
-            Box::new(RoundEngine::new(BruckAlltoall::new(self)))
-        } else {
-            self.alltoallv_flat("ialltoall", p * block_bytes, &vec![block_bytes; p])?
-        };
-        self.icoll(engine, bytes_from_slice(send))
+        tuned(self, Site::IMMEDIATE, Call::sized(block_bytes), |algo| {
+            let engine: Box<dyn CollEngine> = match algo {
+                AlltoallAlgo::Bruck => Box::new(RoundEngine::new(BruckAlltoall::new(self))),
+                AlltoallAlgo::Pairwise => {
+                    self.alltoallv_flat("ialltoall", p * block_bytes, &vec![block_bytes; p])?
+                }
+            };
+            self.icoll(engine, bytes_from_slice(send))
+        })
     }
 
     /// Starts a non-blocking reduction to `root` (mirrors `MPI_Ireduce`).
@@ -961,38 +945,30 @@ impl Comm {
     ) -> Result<Request<'_>> {
         self.count_op("ireduce");
         self.check_rank(root)?;
-        let algo =
-            algos::model::select_ireduce(self, op.is_commutative(), std::mem::size_of_val(send));
-        crate::trace::instant(
-            crate::trace::cat::COLL,
-            match algo {
-                ReduceAlgo::FlatGather => "ireduce/flat_gather",
-                ReduceAlgo::BinomialTree => "ireduce/binomial_tree",
-            },
-            std::mem::size_of_val(send) as u64,
-            self.size() as u64,
-        );
-        let tag = self.next_internal_tag();
-        if algo == ReduceAlgo::BinomialTree {
-            let after = if self.rank() == root {
-                AfterTreeReduce::Complete
-            } else {
-                AfterTreeReduce::Done
+        let call = Call::reduction(std::mem::size_of_val(send), op.is_commutative());
+        tuned(self, Site::IMMEDIATE, call, |algo| {
+            let tag = self.next_internal_tag();
+            let at_root = self.rank() == root;
+            let engine: Box<dyn CollEngine> = match algo {
+                ReduceAlgo::BinomialTree => {
+                    let after = if at_root {
+                        AfterTreeReduce::Complete
+                    } else {
+                        AfterTreeReduce::Done
+                    };
+                    let tree = TreeReduce::new(self, tag, Own::Data(send.into()), op, root, after);
+                    return self.icoll(Box::new(RoundEngine::new(tree)), Bytes::new());
+                }
+                ReduceAlgo::FlatGather if at_root => Box::new(FoldRootEngine {
+                    recv: RecvFromEach::new(self, tag),
+                    fold: ordered_fold::<T, O>(op),
+                    root,
+                    bcast: None,
+                }),
+                ReduceAlgo::FlatGather => Box::new(SendEngine { dest: root, tag }),
             };
-            let tree = TreeReduce::new(self, tag, Own::Data(send.into()), op, root, after);
-            return self.icoll(Box::new(RoundEngine::new(tree)), Bytes::new());
-        }
-        let engine: Box<dyn CollEngine> = if self.rank() == root {
-            Box::new(FoldRootEngine {
-                recv: RecvFromEach::new(self, tag),
-                fold: ordered_fold::<T, O>(op),
-                root,
-                bcast: None,
-            })
-        } else {
-            Box::new(SendEngine { dest: root, tag })
-        };
-        self.icoll(engine, bytes_from_slice(send))
+            self.icoll(engine, bytes_from_slice(send))
+        })
     }
 
     /// Starts a non-blocking all-reduce (mirrors `MPI_Iallreduce`): flat
@@ -1018,28 +994,21 @@ impl Comm {
         op: O,
     ) -> Result<Request<'_>> {
         self.count_op("iallreduce");
-        let algo = algos::model::select_ireduce(self, op.is_commutative(), own.len());
-        crate::trace::instant(
-            crate::trace::cat::COLL,
-            match algo {
-                ReduceAlgo::FlatGather => "iallreduce/flat_gather",
-                ReduceAlgo::BinomialTree => "iallreduce/binomial_tree",
-            },
-            own.len() as u64,
-            self.size() as u64,
-        );
-        if algo == ReduceAlgo::FlatGather {
-            return self.icoll(self.allreduce_flat::<T, O>(op), own);
-        }
-        let gather_tag = self.next_internal_tag();
-        let bcast_tag = self.next_internal_tag();
-        let after = if self.rank() == 0 {
-            AfterTreeReduce::BcastSend(bcast_tag)
-        } else {
-            AfterTreeReduce::BcastRecv(bcast_tag)
-        };
-        let tree = TreeReduce::new(self, gather_tag, Own::Payload(own), op, 0, after);
-        self.icoll(Box::new(RoundEngine::new(tree)), Bytes::new())
+        let call = Call::reduction(own.len(), op.is_commutative());
+        tuned(self, Site::IALLREDUCE, call, |algo| match algo {
+            ReduceAlgo::FlatGather => self.icoll(self.allreduce_flat::<T, O>(op), own),
+            ReduceAlgo::BinomialTree => {
+                let gather_tag = self.next_internal_tag();
+                let bcast_tag = self.next_internal_tag();
+                let after = if self.rank() == 0 {
+                    AfterTreeReduce::BcastSend(bcast_tag)
+                } else {
+                    AfterTreeReduce::BcastRecv(bcast_tag)
+                };
+                let tree = TreeReduce::new(self, gather_tag, Own::Payload(own), op, 0, after);
+                self.icoll(Box::new(RoundEngine::new(tree)), Bytes::new())
+            }
+        })
     }
 }
 

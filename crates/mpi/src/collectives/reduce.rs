@@ -12,6 +12,7 @@ use std::borrow::Cow;
 use bytes::Bytes;
 
 use super::algos::reduce::{AfterTreeReduce, Own, TreeReduce};
+use super::algos::table::{tuned, Call, Site};
 use super::algos::{self, ReduceAlgo};
 use super::nonblocking::drive;
 use super::send_internal;
@@ -121,31 +122,18 @@ impl Comm {
 
         let send = send.into();
         let bytes = std::mem::size_of_val(&*send);
-        algos::model::tick(self)?;
-        let algo = algos::model::select_reduce(self, op.is_commutative(), bytes);
-        let _sp = crate::trace::span(
-            crate::trace::cat::COLL,
-            match algo {
-                ReduceAlgo::FlatGather => "reduce/flat_gather",
-                ReduceAlgo::BinomialTree => "reduce/binomial_tree",
-            },
-            bytes as u64,
-            self.size() as u64,
-        );
-        let begun = algos::model::measure_begin(self);
-        let folded: Option<Vec<T>> = match algo {
-            ReduceAlgo::FlatGather => gather_fold(self, send, &op, root)?,
+        let call = Call::reduction(bytes, op.is_commutative());
+        tuned(self, Site::BLOCKING, call, |algo| match algo {
+            ReduceAlgo::FlatGather => gather_fold(self, send, &op, root),
             ReduceAlgo::BinomialTree => {
                 // The tree `ireduce` resumes, driven to completion; the
                 // root's accumulator stays typed and moves out.
                 let tag = self.next_internal_tag();
                 let after = AfterTreeReduce::Done;
                 let tree = TreeReduce::new(self, tag, Own::Data(send), op, root, after);
-                drive(self, tree, Bytes::new())?.1.acc
+                Ok(drive(self, tree, Bytes::new())?.1.acc)
             }
-        };
-        algos::model::observe(self, algos::model::reduce_class(algo), begun, bytes as f64);
-        Ok(folded)
+        })
     }
 
     /// Elementwise reduction to all ranks (mirrors `MPI_Allreduce`).

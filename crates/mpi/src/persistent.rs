@@ -77,7 +77,8 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::collectives::algos::model::{self, AlgoClass};
+use crate::collectives::algos::table::{tuned, Call, Site};
+use crate::collectives::algos::{AlltoallAlgo, BcastAlgo, ReduceAlgo};
 use crate::collectives::nonblocking::CollEngine;
 use crate::comm::Comm;
 use crate::completion::Waiter;
@@ -652,13 +653,14 @@ impl Comm {
         root: Rank,
     ) -> Result<PersistentRequest<'_>> {
         self.count_op("bcast_init");
-        let engine = self.bcast_binomial("bcast_init", payload.is_some(), root)?;
-        // Persistent plans freeze the engine shape at init: the binomial
-        // tree is recorded as a frozen pick and the model never
-        // re-selects mid-cycle, however the estimates move afterwards.
-        model::freeze_selection(self, AlgoClass::BcastBinomial);
-        trace::instant(trace::cat::COLL, "bcast_init/binomial_tree", 0, root as u64);
-        self.persistent_coll(engine, payload)
+        // A plan freezes its collective's eager row (`select`): the
+        // engine is built once, here, and never re-selected at `start`,
+        // however the model's estimates move afterwards.
+        let size = payload.as_ref().map_or(0, Bytes::len);
+        tuned(self, Site::INIT, Call::sized(size), |_: BcastAlgo| {
+            let engine = self.bcast_binomial("bcast_init", payload.is_some(), root)?;
+            self.persistent_coll(engine, payload)
+        })
     }
 
     /// Creates a persistent allreduce (mirrors `MPI_Allreduce_init`):
@@ -672,15 +674,9 @@ impl Comm {
     ) -> Result<PersistentRequest<'_>> {
         self.count_op("allreduce_init");
         let own = bytes_from_slice(data);
-        let engine = self.allreduce_flat::<T, O>(op);
-        model::freeze_selection(self, AlgoClass::ReduceFlat);
-        trace::instant(
-            trace::cat::COLL,
-            "allreduce_init/flat_gather",
-            own.len() as u64,
-            self.size() as u64,
-        );
-        self.persistent_coll(engine, Some(own))
+        tuned(self, Site::INIT, Call::sized(own.len()), |_: ReduceAlgo| {
+            self.persistent_coll(self.allreduce_flat::<T, O>(op), Some(own))
+        })
     }
 
     /// Creates a persistent allgather (mirrors `MPI_Allgather_init`):
@@ -695,15 +691,9 @@ impl Comm {
     /// Byte-level [`Comm::allgather_init`].
     pub fn allgather_init_bytes(&self, own: Bytes) -> Result<PersistentRequest<'_>> {
         self.count_op("allgather_init");
-        let engine = self.allgather_flat();
-        model::freeze_selection(self, AlgoClass::AllgatherRing);
-        trace::instant(
-            trace::cat::COLL,
-            "allgather_init/pairwise",
-            own.len() as u64,
-            self.size() as u64,
-        );
-        self.persistent_coll(engine, Some(own))
+        tuned(self, Site::INIT, Call::sized(own.len()), |algo| {
+            self.persistent_coll(self.allgather_engine(algo), Some(own))
+        })
     }
 
     /// Creates a persistent personalized all-to-all with per-destination
@@ -730,15 +720,11 @@ impl Comm {
         byte_counts: &[usize],
     ) -> Result<PersistentRequest<'_>> {
         self.count_op("alltoallv_init");
-        let engine = self.alltoallv_flat("alltoallv_init", packed.len(), byte_counts)?;
-        model::freeze_selection(self, AlgoClass::AlltoallPairwise);
-        trace::instant(
-            trace::cat::COLL,
-            "alltoallv_init/pairwise",
-            packed.len() as u64,
-            self.size() as u64,
-        );
-        self.persistent_coll(engine, Some(packed))
+        let call = Call::sized(packed.len());
+        tuned(self, Site::INIT, call, |_: AlltoallAlgo| {
+            let engine = self.alltoallv_flat("alltoallv_init", packed.len(), byte_counts)?;
+            self.persistent_coll(engine, Some(packed))
+        })
     }
 }
 

@@ -242,3 +242,99 @@ fn model_driven_run_names_every_explored_algorithm() {
         }
     }
 }
+
+/// An initiation's instant is named from the row it selected: for the
+/// four `i*` and the four `*_init` sites — under the default tuning and
+/// with every slot forced off its eager row — the instant's suffix is
+/// the algorithm name of the class whose `selections` counter the call
+/// bumped, so a plan's name, its `frozen_picks` class and
+/// `AlgoClass::name()` cannot drift apart.
+#[cfg(feature = "trace")]
+#[test]
+fn initiation_instants_are_named_from_the_selected_row() {
+    use kmp_mpi::{AlgoClass, AllgatherAlgo, AlltoallAlgo, CollTuning, Comm, ReduceAlgo};
+
+    /// The class `call` selected, by `selections` delta.
+    fn selected(comm: &Comm, call: impl FnOnce()) -> AlgoClass {
+        let before = comm.tuning_stats().selections;
+        call();
+        let after = comm.tuning_stats().selections;
+        let mut picked = AlgoClass::ALL
+            .into_iter()
+            .filter(|c| after[c.index()] > before[c.index()]);
+        let class = picked.next().expect("the site takes a decision");
+        assert!(picked.next().is_none(), "one decision per call");
+        class
+    }
+
+    let _toggle = TRACE_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+    trace::set_enabled(true);
+    let (outcomes, data) = Universe::run_traced(Config::new(4), |comm| {
+        let forced = CollTuning::default()
+            .allgather(AllgatherAlgo::Bruck)
+            .alltoall(AlltoallAlgo::Bruck)
+            .reduce(ReduceAlgo::BinomialTree);
+        let sum = |a: &u64, b: &u64| a.wrapping_add(*b);
+        let mine = [comm.rank() as u64; 4];
+        let root = (comm.rank() == 0).then_some(&mine[..]);
+        let mut expected = Vec::new();
+        for tuning in [CollTuning::default(), forced] {
+            comm.set_tuning(tuning);
+            let comm = &comm;
+            type Site<'a> = (&'static str, Box<dyn FnOnce() + 'a>);
+            let sites: [Site<'_>; 8] = [
+                (
+                    "iallgather",
+                    Box::new(|| drop(comm.iallgather(&mine).unwrap().wait())),
+                ),
+                (
+                    "ialltoall",
+                    Box::new(|| drop(comm.ialltoall(&mine).unwrap().wait())),
+                ),
+                (
+                    "ireduce",
+                    Box::new(|| drop(comm.ireduce(&mine, sum, 0).unwrap().wait())),
+                ),
+                (
+                    "iallreduce",
+                    Box::new(|| drop(comm.iallreduce(&mine, sum).unwrap().wait())),
+                ),
+                (
+                    "bcast_init",
+                    Box::new(|| drop(comm.bcast_init(root, 0).unwrap())),
+                ),
+                (
+                    "allreduce_init",
+                    Box::new(|| drop(comm.allreduce_init(&mine, sum).unwrap())),
+                ),
+                (
+                    "allgather_init",
+                    Box::new(|| drop(comm.allgather_init(&mine).unwrap())),
+                ),
+                (
+                    "alltoallv_init",
+                    Box::new(|| drop(comm.alltoallv_init(&mine, &[1; 4]).unwrap())),
+                ),
+            ];
+            for (site, call) in sites {
+                expected.push((site, selected(comm, call)));
+            }
+        }
+        expected
+    });
+    for (rt, outcome) in data.ranks.iter().zip(outcomes) {
+        let kmp_mpi::RankOutcome::Completed(expected) = outcome else {
+            panic!("a rank did not complete");
+        };
+        let site_of = |name: &'static str| name.split_once('/').map(|(site, _)| site);
+        let mut instants = rt.events.iter().filter(|e| {
+            e.cat == trace::cat::COLL && expected.iter().any(|(s, _)| site_of(e.name) == Some(*s))
+        });
+        for (site, class) in &expected {
+            let algorithm = class.name().split_once('/').expect("op/algorithm").1;
+            let event = instants.next().expect("every site leaves an instant");
+            assert_eq!(event.name, format!("{site}/{algorithm}"));
+        }
+        assert!(instants.next().is_none());
+    }
+}
