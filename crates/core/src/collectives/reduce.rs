@@ -206,7 +206,11 @@ impl Communicator {
     /// Inclusive prefix reduction (wraps `MPI_Scan`). Parameters:
     /// `send_buf` and `op` (required), `recv_buf`. An owned `send_buf` is
     /// consumed: it becomes the accumulator, the upstream prefix is
-    /// folded into it in place and it is the result.
+    /// folded into it in place and it is the result. Rank order is
+    /// preserved for a non-commutative `op`, but `op` must be
+    /// **associative**: ranks combine partial prefixes (recursive
+    /// doubling), so a non-associative lambda silently disagrees with a
+    /// sequential fold from rank 2 on.
     pub fn scan<T, A>(&self, args: A) -> Result<<A::Out as ScanArgs<T>>::Output>
     where
         T: Plain,
@@ -220,7 +224,8 @@ impl Communicator {
     /// zeroed values (MPI leaves it undefined). Parameters: `send_buf`
     /// and `op` (required), `recv_buf`. An owned `send_buf` is consumed:
     /// it becomes the accumulator of the prefix this rank forwards
-    /// (rank 0 forwards it as is).
+    /// (rank 0 forwards it as is). `op` must be associative, as for
+    /// [`Communicator::scan`].
     pub fn exscan<T, A>(&self, args: A) -> Result<<A::Out as ExscanArgs<T>>::Output>
     where
         T: Plain,

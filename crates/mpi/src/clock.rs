@@ -15,6 +15,12 @@
 //!   receive advances the receiver to at least the arrival time plus a
 //!   per-message receive overhead.
 //!
+//! The sender pays `alpha` per message in program order, so the *order*
+//! in which a rank posts its sends is visible to the model: its `j`-th
+//! message cannot leave before `(j + 1) * alpha`. That is why a tree
+//! fan-out posts the send that roots the deepest subtree first (see
+//! `bcast_children` in `collectives/bcast.rs`).
+//!
 //! The "total time" reported by the scaling harnesses is the maximum
 //! virtual time over all ranks, which reproduces the mechanism behind the
 //! paper's who-wins comparisons: dense exchanges pay `p` startups, the

@@ -427,40 +427,17 @@ pub(crate) fn fold_bytes_right<T: Plain, O: ReduceOp<T>>(
     Ok(())
 }
 
-/// `dst[i] = op(prefix[i], send[i])` where `prefix` is a delivered
-/// payload read in place — the scan datapath: the upstream prefix is the
-/// *left* operand, so non-commutative operations stay rank-ordered.
-pub(crate) fn fold_bytes_map<T: Plain, O: ReduceOp<T>>(
-    prefix: &[u8],
-    send: &[T],
-    dst: &mut [T],
-    op: &O,
-) -> Result<()> {
-    check_fold_len("scan fold", send, prefix)?;
-    debug_assert_eq!(send.len(), dst.len());
-    let base = prefix.as_ptr();
-    for (i, (s, d)) in send.iter().zip(dst.iter_mut()).enumerate() {
-        // SAFETY: as in `fold_bytes_right`.
-        let pre = unsafe {
-            base.add(i * std::mem::size_of::<T>())
-                .cast::<T>()
-                .read_unaligned()
-        };
-        *d = op.apply(&pre, s);
-    }
-    Ok(())
-}
-
-/// `out[i] = op(prefix[i], send[i])` (the `scan_vec` / `exscan_vec`
-/// datapath; the result moves into the transport without a copy): an
-/// owned `send` is folded in place and returned, a borrowed one folds
-/// into a fresh vector.
+/// `out[i] = op(prefix[i], send[i])` where `prefix` is a delivered
+/// payload read in place — the `scan` / `exscan` datapath: the upstream
+/// prefix is the *left* operand, so non-commutative operations stay
+/// rank-ordered. An owned `send` is folded in place and returned, a
+/// borrowed one folds into a fresh vector.
 pub(crate) fn fold_bytes_to_vec<T: Plain, O: ReduceOp<T>>(
     prefix: &[u8],
     send: Cow<'_, [T]>,
     op: &O,
 ) -> Result<Vec<T>> {
-    check_fold_len("exscan fold", &send, prefix)?;
+    check_fold_len("scan fold", &send, prefix)?;
     let base = prefix.as_ptr();
     // SAFETY: `prefix` holds exactly `send.len()` elements (checked
     // above) and `pre` is only called with indices of `send`; `T: Plain`
@@ -599,16 +576,6 @@ mod tests {
         let theirs = [10u64, 20, 30];
         fold_bytes_right(&mut acc, as_bytes(&theirs), &Sum).unwrap();
         assert_eq!(acc, vec![11, 22, 33]);
-    }
-
-    #[test]
-    fn fold_map_keeps_prefix_on_the_left() {
-        let op = crate::op::non_commutative(|a: &u64, b: &u64| a * 10 + b);
-        let prefix = [1u64, 2];
-        let send = [3u64, 4];
-        let mut dst = [0u64; 2];
-        fold_bytes_map(as_bytes(&prefix), &send, &mut dst, &op).unwrap();
-        assert_eq!(dst, [13, 24]);
     }
 
     #[test]

@@ -17,31 +17,13 @@ use bytes::Bytes;
 
 use super::fold_bytes_right;
 use crate::collectives::nonblocking::{message_completion, Rounds};
-use crate::collectives::{bcast_forward, bcast_parent, send_internal};
+use crate::collectives::{bcast_children, bcast_forward, bcast_parent, send_internal};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::op::ReduceOp;
 use crate::plain::{bytes_from_cow, bytes_from_vec, bytes_into_vec};
 use crate::request::Completion;
 use crate::{Plain, Rank, Tag};
-
-/// Binomial-tree shape for `vrank` (rank relative to the root):
-/// children in receive order, and the parent (None for the root).
-pub(crate) fn binomial_children(vrank: usize, p: usize) -> (Vec<usize>, Option<usize>) {
-    let mut children = Vec::new();
-    let mut mask = 1usize;
-    while mask < p {
-        if vrank & mask != 0 {
-            return (children, Some(vrank & !mask));
-        }
-        let child_v = vrank | mask;
-        if child_v < p {
-            children.push(child_v);
-        }
-        mask <<= 1;
-    }
-    (children, None)
-}
 
 /// A rank's contribution as its caller holds it: typed data, borrowed
 /// or owned (blocking `reduce`, `ireduce`), or an adopted payload
@@ -77,7 +59,8 @@ pub(crate) struct TreeReduce<T: Plain, O: ReduceOp<T>> {
     tag: Tag,
     root: Rank,
     op: O,
-    /// Children (actual ranks) in receive order.
+    /// Children in receive order: [`bcast_children`] reversed, smallest
+    /// subtree first.
     children: Vec<Rank>,
     parent: Option<Rank>,
     /// A rank with nothing to fold forwards its contribution untouched.
@@ -97,9 +80,9 @@ impl<T: Plain, O: ReduceOp<T>> TreeReduce<T, O> {
         root: Rank,
         after: AfterTreeReduce,
     ) -> Self {
-        let p = comm.size();
-        let vrank = (comm.rank() + p - root) % p;
-        let (children, parent) = binomial_children(vrank, p);
+        let mut children: Vec<Rank> = bcast_children(comm, root).collect();
+        children.reverse();
+        let parent = (comm.rank() != root).then(|| bcast_parent(comm, root));
         let (own, acc) = match own {
             // A leaf's contribution goes to the wire (an owned one
             // unserialized); elsewhere it becomes the accumulator
@@ -115,8 +98,8 @@ impl<T: Plain, O: ReduceOp<T>> TreeReduce<T, O> {
             tag,
             root,
             op,
-            children: children.iter().map(|&c| (c + root) % p).collect(),
-            parent: parent.map(|pv| (pv + root) % p),
+            children,
+            parent,
             own,
             acc,
             after,
@@ -203,20 +186,6 @@ mod tests {
     use crate::collectives::nonblocking::drive;
     use crate::op::Sum;
     use crate::Universe;
-
-    #[test]
-    fn tree_shape_matches_the_classic_binomial_tree() {
-        // p = 8: vrank 0 has children 1, 2, 4; vrank 4 has 5, 6; leaves
-        // have none.
-        assert_eq!(binomial_children(0, 8), (vec![1, 2, 4], None));
-        assert_eq!(binomial_children(4, 8), (vec![5, 6], Some(0)));
-        assert_eq!(binomial_children(6, 8), (vec![7], Some(4)));
-        assert_eq!(binomial_children(7, 8), (vec![], Some(6)));
-        // Truncated tree at p = 5.
-        assert_eq!(binomial_children(0, 5), (vec![1, 2, 4], None));
-        assert_eq!(binomial_children(2, 5), (vec![3], Some(0)));
-        assert_eq!(binomial_children(4, 5), (vec![], Some(0)));
-    }
 
     #[test]
     fn inplace_reduce_sums_to_any_root() {

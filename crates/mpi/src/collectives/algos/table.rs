@@ -12,7 +12,7 @@
 //! |---|---|---|---|---|---|---|
 //! | **`allreduce/recursive_doubling`** | in-place folds, full vector per round | log2 p (+2 off powers of two) | s·log2 p | — | otherwise | blocking |
 //! | `allreduce/rabenseifner` | reduce-scatter + ring allgather | log2 p + p | ~2s | — | `p >= 4`, `s >=` [`CollTuning::rabenseifner_min_bytes`] | blocking |
-//! | **`bcast/binomial`** | binomial tree, refcount forwarding | <= log2 p | root s, other r | — | otherwise (and always where non-roots do not know `s`) | blocking, `ibcast`, `bcast_init` |
+//! | **`bcast/binomial`** | binomial tree, refcount forwarding; every rank sends to its largest subtree first, so the critical path is ceil(log2 p) hops | <= log2 p | root s, other r | — | otherwise (and always where non-roots do not know `s`) | blocking, `ibcast`, `bcast_init` |
 //! | `bcast/scatter_allgather` | van de Geijn: scatter + ring allgather | ~2p | root s, other r | `s > 0`, known on every rank | `p >= 4`, `s >=` [`CollTuning::bcast_scatter_min_bytes`] | blocking |
 //! | **`allgather/ring`** | block forwarding; as an engine, the flat eager fan-out | p-1 | s + r | — | otherwise | blocking, `iallgather`, `allgather_init` |
 //! | `allgather/recursive_doubling` | packed doubling rounds | log2 p | s·(p-2) + r | `p >= 2`, a power of two | `p >= 4`, `s <=` [`CollTuning::allgather_rd_max_bytes`] | blocking, `iallgather` |

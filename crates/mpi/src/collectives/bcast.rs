@@ -46,26 +46,37 @@ pub(crate) fn bcast_parent(comm: &Comm, root: Rank) -> Rank {
     ((vrank & (vrank - 1)) + root) % comm.size()
 }
 
-/// Forwards `data` to this rank's children in the binomial tree rooted
-/// at `root`: vrank v has children v | (1 << k) for each k below v's
-/// lowest set bit (all k for the root). Shared by the blocking
-/// broadcast and the `ibcast` / `iallreduce` engines.
-pub(crate) fn bcast_forward(comm: &Comm, root: Rank, tag: crate::Tag, data: &Bytes) -> Result<()> {
+/// This rank's children in the binomial tree rooted at `root`,
+/// **largest subtree first** (`v + 2^k` by descending `k`) — the one
+/// definition of the shape every tree collective walks. A fan-out that
+/// posts its sends in this order has the deepest subtree working while
+/// the sender still pays startups for the shallow ones: the last rank
+/// is reached after `ceil(log2 p)` message times, not `~log2(p)^2 / 2`
+/// startups. A fan-in (the reduce tree) receives the list reversed,
+/// leaves first.
+pub(crate) fn bcast_children(comm: &Comm, root: Rank) -> impl Iterator<Item = Rank> {
     let p = comm.size();
-    let vrank = bcast_vrank(comm, root);
-    let low = if vrank == 0 {
-        usize::BITS
-    } else {
-        vrank.trailing_zeros()
-    };
-    for k in 0..low.min(usize::BITS - 1) {
-        let child_v = vrank | (1usize << k);
-        if child_v == vrank || child_v >= p {
-            break;
-        }
-        send_internal(comm, (child_v + root) % p, tag, data.clone())?;
-    }
-    Ok(())
+    vchildren(bcast_vrank(comm, root), p).map(move |v| (v + root) % p)
+}
+
+/// Virtual rank `v`'s children among `0..p`: `v + 2^k` for every `k`
+/// below `v`'s lowest set bit (any `k` at the root) that stays inside,
+/// by descending `k`. Child `k` roots `2^k` ranks (`p` may cut the
+/// first one short) and is posted `n - k` startups in, so it is done
+/// within `n` whatever `p` is.
+fn vchildren(v: usize, p: usize) -> impl Iterator<Item = usize> {
+    // `0.trailing_zeros()` is the word size: the root has every `k`.
+    let n = v
+        .trailing_zeros()
+        .min((p - 1 - v).checked_ilog2().map_or(0, |k| k + 1));
+    (0..n).rev().map(move |k| v + (1 << k))
+}
+
+/// Forwards `data` to this rank's children in the binomial tree rooted
+/// at `root`. Shared by the blocking broadcast and the `ibcast` /
+/// `iallreduce` engines.
+pub(crate) fn bcast_forward(comm: &Comm, root: Rank, tag: crate::Tag, data: &Bytes) -> Result<()> {
+    bcast_children(comm, root).try_for_each(|child| send_internal(comm, child, tag, data.clone()))
 }
 
 /// Sized broadcast: `size` (bytes) is known and identical on every rank
@@ -237,7 +248,66 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
+    use super::{bcast_children, bcast_parent, vchildren};
     use crate::Universe;
+
+    #[test]
+    fn tree_shape_is_the_classic_binomial_tree_largest_subtree_first() {
+        let children = |v, p| vchildren(v, p).collect::<Vec<_>>();
+        assert_eq!(children(0, 8), [4, 2, 1]);
+        assert_eq!(children(4, 8), [6, 5]);
+        assert_eq!(children(6, 8), [7]);
+        assert_eq!(children(7, 8), []);
+        // Truncated at p = 5: vrank 4 roots {4} alone and still goes first.
+        assert_eq!(children(0, 5), [4, 2, 1]);
+        assert_eq!(children(2, 5), [3]);
+        assert_eq!(children(4, 5), []);
+        assert_eq!(children(0, 1), []);
+    }
+
+    /// The contract every tree collective inherits, for every size up
+    /// to 33 and every root: the children lists partition the ranks
+    /// minus the root, every rank's parent lists it, subtree sizes halve
+    /// along each list (`2^k`, only the first may be cut short by `p`),
+    /// and the fan-out's critical path — a rank's `j`-th send leaves
+    /// after `j + 1` startups — is at most `ceil(log2 p)` startups (so
+    /// the depth is, too).
+    #[test]
+    fn tree_shape_contract_for_every_size_and_root() {
+        for p in 1..=33usize {
+            // shape[rank][root] = (children, parent)
+            let shape = Universe::run(p, |comm| {
+                let at = |root| {
+                    let parent = (comm.rank() != root).then(|| bcast_parent(&comm, root));
+                    (bcast_children(&comm, root).collect::<Vec<_>>(), parent)
+                };
+                (0..p).map(at).collect::<Vec<_>>()
+            });
+            for root in 0..p {
+                let kids = |r: usize| &shape[r][root].0;
+                let mut listed = vec![0usize; p];
+                // Children have larger virtual ranks: fold bottom-up.
+                let (mut size, mut startups) = (vec![1usize; p], vec![0usize; p]);
+                for r in (0..p).rev().map(|v| (v + root) % p) {
+                    for (j, &c) in kids(r).iter().enumerate() {
+                        listed[c] += 1;
+                        assert_eq!(shape[c][root].1, Some(r), "p = {p}, root = {root}");
+                        size[r] += size[c];
+                        startups[r] = startups[r].max(j + 1 + startups[c]);
+                    }
+                    let sizes: Vec<usize> = kids(r).iter().map(|&c| size[c]).collect();
+                    for (j, &s) in sizes.iter().enumerate() {
+                        let full = 1 << (sizes.len() - 1 - j);
+                        assert!(s == full || (j == 0 && s < full), "p = {p}: {sizes:?}");
+                    }
+                }
+                assert!((0..p).all(|r| listed[r] == usize::from(r != root)));
+                let log = p.next_power_of_two().trailing_zeros() as usize;
+                assert_eq!(size[root], p);
+                assert!(startups[root] <= log, "p = {p}: {} > {log}", startups[root]);
+            }
+        }
+    }
 
     #[test]
     fn bcast_from_rank_zero() {

@@ -27,7 +27,7 @@
 //! | `gather/scatter` | flat tree (linear at root)             | 1 (root: p-1)       | root: s + r; other: s + r |
 //! | `allgatherv`     | ring, block forwarding                 | p-1                 | s + r                |
 //! | `alltoall(v/w)`  | pairwise exchange, pack-once + slice   | p-1                 | s + r                |
-//! | `scan/exscan`    | linear chain, in-place folds           | 1                   | scan: <= 2s; exscan: s |
+//! | `scan/exscan`    | rank-ordered recursive doubling, in-place folds | <= ceil(log2 p) | <= s·ceil(log2 p) + s |
 //!
 //! Every non-reducing collective is bounded by `s + r` (+ Bruck's
 //! deliberate repack trade): each payload byte is serialized once at its
@@ -59,7 +59,8 @@
 //!
 //! The third axis is the lifecycle. Every round-structured algorithm —
 //! the dissemination barrier, recursive-doubling and Bruck `allgather`,
-//! Bruck `alltoall`, the binomial `reduce` tree — is defined exactly
+//! Bruck `alltoall`, the binomial `reduce` tree, the doubling `scan` /
+//! `exscan` — is defined exactly
 //! once, as a resumable engine (a `Rounds` description under the one
 //! round loop of `collectives/nonblocking.rs`). The blocking calls build that
 //! engine on their stack and drive it to completion; `i*` boxes it into
@@ -110,7 +111,9 @@ pub use algos::{
 };
 pub(crate) use allgather::{allgather_blocks, allgather_internal};
 pub(crate) use alltoall::alltoallv_internal;
-pub(crate) use bcast::{bcast_bytes_internal, bcast_forward, bcast_one_internal, bcast_parent};
+pub(crate) use bcast::{
+    bcast_bytes_internal, bcast_children, bcast_forward, bcast_one_internal, bcast_parent,
+};
 pub use gather::GatherBlock;
 pub(crate) use reduce::allreduce_internal;
 

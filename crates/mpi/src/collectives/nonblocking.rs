@@ -34,15 +34,16 @@
 //! | operation            | algorithm                         | startups      | copies per rank    | also runs |
 //! |----------------------|-----------------------------------|---------------|--------------------|-----------|
 //! | `ibarrier`           | dissemination                     | ceil(log2 p)  | 0                  | blocking `barrier` |
-//! | `ibcast`             | binomial tree, forward on poll    | <= log2 p     | root: <= s; other: r | `bcast_init` |
+//! | `ibcast`             | binomial tree, forward on poll, largest subtree first: critical path ceil(log2 p) hops | <= log2 p | root: <= s; other: r | `bcast_init` |
 //! | `igather(v)`         | flat tree (linear at root)        | 1 (root: p-1) | s + r              | — |
 //! | `iscatter(v)`        | flat tree (eager, pack-once root) | p-1 (other: 1)| root: s; other: r  | — |
 //! | `iallgatherv`        | flat dissemination                | p-1           | <= s, + r at wait  | `allgather_init` |
 //! | `ialltoallv`         | pairwise eager, pack-once + slice | p-1           | <= s, + r at wait  | `alltoallv_init` |
 //!
-//! The five log-round rows of the table (and the barrier) are
-//! [`Rounds`] descriptions — index arithmetic only, in [`super::algos`] and
-//! [`super::barrier`] — run by the one round loop of [`RoundEngine`].
+//! The five log-round rows of the table, the barrier and the doubling
+//! `scan` / `exscan` are [`Rounds`] descriptions — index arithmetic
+//! only, in [`super::algos`], [`super::barrier`] and `scan.rs` — run by
+//! the one round loop of [`RoundEngine`].
 //! The blocking-only algorithms (ring, recursive-doubling allreduce,
 //! Rabenseifner, van de Geijn, pairwise, flat gather/scatter) have no
 //! engine form.

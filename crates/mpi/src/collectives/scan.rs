@@ -1,29 +1,125 @@
-//! Inclusive and exclusive prefix reductions (linear chain) on the
-//! shared-`Bytes` datapath: the upstream prefix is folded straight from
-//! the delivered payload (no per-hop `Vec` materialization), and the
-//! forwarded prefix moves into the transport without a copy.
+//! Inclusive and exclusive prefix reductions by rank-order-preserving
+//! recursive doubling. Entering round `k` a rank holds the fold over
+//! ranks `rank - 2^k + 1 ..= rank` (clipped at 0); it sends that to
+//! `rank + 2^k` and folds what arrives from `rank - 2^k` on its *left*,
+//! so the running prefix stays a contiguous rank range in rank order —
+//! correct for non-commutative operations — and covers `0 ..= rank`
+//! after `ceil(log2 (rank + 1))` receives: `ceil(log2 p)` message times
+//! on the critical path.
+//!
+//! Written once, as the round description ([`Rounds`]) the shared
+//! driver runs. Folds read the delivered payload in place; a rank
+//! copies only the prefixes it serializes (at most `ceil(log2 p)`, `s`
+//! bytes each) and the seed of a result (`copy_accounting` pins both).
 
 use std::borrow::Cow;
 
-use super::algos::{fold_bytes_map, fold_bytes_to_vec};
-use super::{recv_internal, send_internal, send_slice_internal};
+use bytes::Bytes;
+
+use super::algos::fold_bytes_to_vec;
+use super::nonblocking::{drive, Rounds};
+use super::{send_internal, send_slice_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::op::ReduceOp;
-use crate::plain::{bytes_from_cow, bytes_from_vec, bytes_into_vec};
-use crate::Plain;
+use crate::plain::{bytes_from_cow, bytes_from_slice, bytes_into_vec};
+use crate::request::Completion;
+use crate::{Plain, Rank, Tag};
+
+struct DoublingScan<'a, T: Plain, O: ReduceOp<T>> {
+    tag: Tag,
+    op: O,
+    /// Rounds `k` with `2^k <= rank`: those with a left partner.
+    rounds: usize,
+    /// The running inclusive prefix — what every round sends, and the
+    /// result of `scan`. The caller's buffer until the first fold; an
+    /// owned one is folded in place.
+    incl: Cow<'a, [T]>,
+    /// `exscan`: the fold of everything received so far.
+    excl: Option<Vec<T>>,
+    exclusive: bool,
+}
+
+impl<'a, T: Plain, O: ReduceOp<T>> DoublingScan<'a, T, O> {
+    fn run(comm: &Comm, send: Cow<'a, [T]>, op: O, exclusive: bool) -> Result<Self> {
+        let scan = DoublingScan {
+            tag: comm.next_internal_tag(),
+            op,
+            rounds: (usize::BITS - comm.rank().leading_zeros()) as usize,
+            incl: send,
+            excl: None,
+            exclusive,
+        };
+        Ok(drive(comm, scan, Bytes::new())?.1)
+    }
+}
+
+/// Round `k`'s right partner, if the communicator has one.
+fn right(comm: &Comm, k: usize) -> Option<Rank> {
+    Some(comm.rank() + (1 << k)).filter(|&to| to < comm.size())
+}
+
+impl<T: Plain, O: ReduceOp<T>> Rounds for DoublingScan<'_, T, O> {
+    fn rounds(&self) -> usize {
+        self.rounds
+    }
+
+    fn peer(&self, comm: &Comm, k: usize) -> (Rank, Tag) {
+        (comm.rank() - (1 << k), self.tag)
+    }
+
+    fn post(&mut self, comm: &Comm, k: usize) -> Result<()> {
+        match right(comm, k) {
+            Some(to) => send_slice_internal(comm, to, self.tag, &self.incl),
+            None => Ok(()),
+        }
+    }
+
+    fn absorb(&mut self, comm: &Comm, k: usize, theirs: Bytes) -> Result<()> {
+        // `exscan` only ever sends the inclusive prefix: it stays
+        // current while a later round still has someone to send it to.
+        if !self.exclusive || right(comm, k + 1).is_some() {
+            let incl = std::mem::take(&mut self.incl);
+            self.incl = fold_bytes_to_vec(&theirs, incl, &self.op)?.into();
+        }
+        if self.exclusive {
+            self.excl = Some(match self.excl.take() {
+                Some(excl) => fold_bytes_to_vec(&theirs, excl.into(), &self.op)?,
+                None => bytes_into_vec(theirs),
+            });
+        }
+        Ok(())
+    }
+
+    /// The rounds past this rank's last receive all send the finished
+    /// prefix: one payload, serialized once (`exscan` moves it out).
+    fn finish(&mut self, comm: &Comm) -> Result<Completion> {
+        let mut later = (self.rounds..).map_while(|k| right(comm, k)).peekable();
+        if later.peek().is_some() {
+            let payload = if self.exclusive {
+                bytes_from_cow(std::mem::take(&mut self.incl))
+            } else {
+                bytes_from_slice(&self.incl)
+            };
+            later.try_for_each(|to| send_internal(comm, to, self.tag, payload.clone()))?;
+        }
+        Ok(Completion::Done)
+    }
+}
 
 impl Comm {
     /// Inclusive prefix reduction (mirrors `MPI_Scan`): rank `r` receives
     /// the elementwise reduction over ranks `0..=r`. Rank order is always
-    /// preserved, so non-commutative operations are safe.
+    /// preserved, so non-commutative operations are safe; the operation
+    /// must be associative (partial prefixes are combined). This is
+    /// [`Comm::scan_vec`] plus the copy into `recv` — one allocation and
+    /// `s` copied bytes more; prefer `scan_vec`.
     pub fn scan_into<T: Plain, O: ReduceOp<T>>(
         &self,
         send: &[T],
         recv: &mut [T],
         op: O,
     ) -> Result<()> {
-        self.count_op("scan");
         if send.len() != recv.len() {
             return Err(MpiError::InvalidLayout(format!(
                 "scan: send has {} elements, recv has {}",
@@ -31,86 +127,42 @@ impl Comm {
                 recv.len()
             )));
         }
-        let rank = self.rank();
-        let p = self.size();
-        let tag = self.next_internal_tag();
-        if rank > 0 {
-            // Fold the delivered prefix directly into the result buffer.
-            let prefix = recv_internal(self, rank - 1, tag)?;
-            fold_bytes_map(&prefix, send, recv, &op)?;
-        } else {
-            crate::plain::copy_slice(send, recv);
-        }
-        if rank + 1 < p {
-            send_slice_internal(self, rank + 1, tag, recv)?;
-        }
+        crate::plain::copy_slice(&self.scan_vec(send, op)?, recv);
         Ok(())
     }
 
-    /// Inclusive prefix reduction: the fold of the delivered prefix with
-    /// `send` *is* the result (no zero-fill, no receive-buffer copy).
-    /// `send` is a borrowed slice or an owned `Vec<T>`; an owned
-    /// contribution is consumed and folded in place — the result is the
-    /// moved-in allocation — where a borrowed one folds into a fresh
-    /// vector.
+    /// Inclusive prefix reduction whose accumulator moves out (no
+    /// zero-fill, no receive-buffer copy). `send` is a borrowed slice or
+    /// an owned `Vec<T>`; an owned contribution is consumed and folded
+    /// in place — the result is the moved-in allocation — where a
+    /// borrowed one folds into a fresh vector.
     pub fn scan_vec<'a, T: Plain, O: ReduceOp<T>>(
         &self,
         send: impl Into<Cow<'a, [T]>>,
         op: O,
     ) -> Result<Vec<T>> {
         self.count_op("scan");
-        let send = send.into();
-        let rank = self.rank();
-        let tag = self.next_internal_tag();
-        let acc = if rank > 0 {
-            fold_bytes_to_vec(&recv_internal(self, rank - 1, tag)?, send, &op)?
-        } else {
-            if let Cow::Borrowed(s) = send {
-                crate::metrics::record_copy(std::mem::size_of_val(s));
-            }
-            send.into_owned()
-        };
-        if rank + 1 < self.size() {
-            send_slice_internal(self, rank + 1, tag, &acc)?;
+        let done = DoublingScan::run(self, send.into(), op, false)?;
+        if let Cow::Borrowed(own) = done.incl {
+            // Rank 0: its prefix is its contribution.
+            crate::metrics::record_copy(std::mem::size_of_val(own));
         }
-        Ok(acc)
+        Ok(done.incl.into_owned())
     }
 
     /// Exclusive prefix reduction (mirrors `MPI_Exscan`): rank `r > 0`
     /// receives the reduction over ranks `0..r`; rank 0 receives `None`
     /// (its value is undefined in MPI). An owned `send` is consumed: it
-    /// is what this rank forwards (rank 0: as is; elsewhere: folded in
-    /// place), where a borrowed one is serialized or folded into a fresh
-    /// vector.
+    /// seeds the running prefix this rank sends on (folded in place,
+    /// and moved into the transport once final), where a borrowed one
+    /// is serialized or folded into a fresh vector.
     pub fn exscan_vec<'a, T: Plain, O: ReduceOp<T>>(
         &self,
         send: impl Into<Cow<'a, [T]>>,
         op: O,
     ) -> Result<Option<Vec<T>>> {
         self.count_op("exscan");
-        let send = send.into();
-        let rank = self.rank();
-        let p = self.size();
-        let tag = self.next_internal_tag();
-        let prefix_bytes = if rank > 0 {
-            Some(recv_internal(self, rank - 1, tag)?)
-        } else {
-            None
-        };
-        if rank + 1 < p {
-            // Forward the inclusive prefix over 0..=rank. Middle ranks'
-            // fold output moves into the transport (no serialization
-            // copy); rank 0 forwards its own data: one counted
-            // serialization if it is borrowed, none if it is owned.
-            let payload = match &prefix_bytes {
-                Some(pre) => bytes_from_vec(fold_bytes_to_vec(pre, send, &op)?),
-                None => bytes_from_cow(send),
-            };
-            send_internal(self, rank + 1, tag, payload)?;
-        }
-        // Materialize the returned prefix once (zero-copy for unique
-        // byte-shaped payloads).
-        Ok(prefix_bytes.map(bytes_into_vec))
+        Ok(DoublingScan::run(self, send.into(), op, true)?.excl)
     }
 }
 
@@ -133,7 +185,9 @@ mod tests {
     #[test]
     fn scan_preserves_order() {
         Universe::run(4, |comm| {
-            let op = non_commutative(|a: &u64, b: &u64| a * 10 + b);
+            // Decimal concatenation of positive integers (`ilog10`
+            // rejects 0): non-commutative, associative.
+            let op = non_commutative(|a: &u64, b: &u64| a * 10u64.pow(b.ilog10() + 1) + b);
             let mine = [comm.rank() as u64 + 1];
             let mut out = [0u64];
             comm.scan_into(&mine, &mut out, op).unwrap();

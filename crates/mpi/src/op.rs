@@ -153,7 +153,9 @@ pub fn commutative<T, F: Fn(&T, &T) -> T>(f: F) -> Lambda<F> {
 }
 
 /// Wraps a lambda as a non-commutative reduction operation; reduction
-/// algorithms will preserve rank order for it.
+/// algorithms will preserve rank order for it. Like every MPI
+/// operation it must still be associative: `scan` / `exscan` combine
+/// partial prefixes, not one contribution at a time.
 pub fn non_commutative<T, F: Fn(&T, &T) -> T>(f: F) -> Lambda<F> {
     Lambda {
         f,

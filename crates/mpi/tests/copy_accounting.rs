@@ -373,42 +373,63 @@ fn inplace_binomial_reduce_halves_the_bill() {
     });
 }
 
-/// Scan and exscan ride the shared-`Bytes` datapath: the upstream
-/// prefix folds straight out of the delivered payload (no per-hop
-/// `Vec` materialization) and middle ranks' forwarded prefixes move
-/// into the transport. Per-rank bills: scan — rank 0 copies `2s`
-/// (seed + send), middle ranks `s` (send only), the last rank `0`;
-/// exscan — `s` everywhere (rank 0: the forward serialization; others:
-/// the returned prefix, their fold output moving out copy-free).
+/// The doubling scan's copy bill, exact per rank. Folds read the
+/// delivered prefix in place (no per-round `Vec` materialization), so a
+/// rank copies only what it serializes: `s` per round `k` that has both
+/// a left partner (`2^k <= rank`, the prefix is still growing) and a
+/// right one (`rank + 2^k < p`), plus `s` once for every later right
+/// partner together (the finished prefix is one shared payload —
+/// `exscan` moves it out instead) — at most `s·ceil(log2 p)`. On top
+/// of that come the seeds: rank 0 of `scan` copies a borrowed
+/// contribution into its result, every other rank of `exscan`
+/// materializes its first received prefix, and `scan_into` copies the
+/// result into `recv`. An owned contribution is folded in place and
+/// seeds nothing.
 #[test]
-fn scan_and_exscan_fold_in_place() {
-    const ELEMS: usize = 32 * 1024; // u64 -> s = 256 KiB
-    let p = 4usize;
+fn scan_and_exscan_copy_one_prefix_per_sending_round() {
+    const ELEMS: usize = 4 * 1024; // u64 -> s = 32 KiB
     let s = (ELEMS * 8) as u64;
-    Universe::run(p, move |comm| {
-        let mine = vec![comm.rank() as u64 + 1; ELEMS];
-        let mut out = vec![0u64; ELEMS];
-        let before = metrics::snapshot();
-        comm.scan_into(&mine, &mut out, kmp_mpi::op::Sum).unwrap();
-        let delta = metrics::snapshot().since(&before);
-        let expected = match comm.rank() {
-            0 => 2 * s,
-            r if r + 1 == p => 0,
-            _ => s,
-        };
-        assert_eq!(delta.bytes_copied, expected, "scan rank {}", comm.rank());
-        let r = comm.rank() as u64 + 1;
-        assert_eq!(out[0], r * (r + 1) / 2);
+    for p in [2usize, 4, 5, 8, 13] {
+        Universe::run(p, move |comm| {
+            let rank = comm.rank();
+            let log = p.next_power_of_two().trailing_zeros() as usize;
+            let growing = (0..log).filter(|k| 1 << k <= rank && rank + (1 << k) < p);
+            let finished = (0..log).any(|k| 1 << k > rank && rank + (1 << k) < p);
+            let (growing, finished) = (growing.count() as u64, u64::from(finished));
+            assert!(growing + finished <= log as u64);
+            let first = u64::from(rank == 0);
+            let mine = vec![rank as u64 + 1; ELEMS];
+            let copied = |run: &mut dyn FnMut()| {
+                let before = metrics::snapshot();
+                run();
+                metrics::snapshot().since(&before).bytes_copied / s
+            };
+            let sum = kmp_mpi::op::Sum;
 
-        let before = metrics::snapshot();
-        let prefix = comm.exscan_vec(&mine, kmp_mpi::op::Sum).unwrap();
-        let delta = metrics::snapshot().since(&before);
-        assert_eq!(delta.bytes_copied, s, "exscan rank {}", comm.rank());
-        if comm.rank() > 0 {
-            let r = comm.rank() as u64;
-            assert_eq!(prefix.unwrap()[0], r * (r + 1) / 2);
-        }
-    });
+            let mut out = vec![0u64; ELEMS];
+            let into = copied(&mut || comm.scan_into(&mine, &mut out, sum).unwrap());
+            assert_eq!(
+                into,
+                growing + finished + first + 1,
+                "scan_into, rank {rank}"
+            );
+            let r = rank as u64 + 1;
+            assert_eq!(out[0], r * (r + 1) / 2);
+            let borrowed = copied(&mut || drop(comm.scan_vec(&mine, sum).unwrap()));
+            assert_eq!(
+                borrowed,
+                growing + finished + first,
+                "scan_vec, rank {rank}"
+            );
+            let owned = copied(&mut || drop(comm.scan_vec(mine.clone(), sum).unwrap()));
+            assert_eq!(owned, growing + finished, "owned scan_vec, rank {rank}");
+
+            let borrowed = copied(&mut || drop(comm.exscan_vec(&mine, sum).unwrap()));
+            assert_eq!(borrowed, growing + first * finished + (1 - first), "exscan");
+            let owned = copied(&mut || drop(comm.exscan_vec(mine.clone(), sum).unwrap()));
+            assert_eq!(owned, growing + (1 - first), "owned exscan, rank {rank}");
+        });
+    }
 }
 
 /// Scatter packs the root's buffer once; every per-destination block is

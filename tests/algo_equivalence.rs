@@ -368,17 +368,104 @@ fn sized_bcast_selects_large_message_algorithm() {
 
 /// Scan/exscan on the shared-`Bytes` datapath stay rank-ordered for
 /// non-commutative operations (the fold keeps the upstream prefix as
-/// the left operand).
+/// the left operand). Decimal concatenation of positive integers
+/// (`ilog10` rejects 0): associative, as every MPI operation must be
+/// — the doubling rounds fold partial prefixes.
 #[test]
 fn scan_datapath_preserves_rank_order() {
     Universe::run(5, |comm| {
-        let op = kamping_repro::mpi::non_commutative(|a: &u64, b: &u64| a * 10 + b);
+        let concat = |a: &u64, b: &u64| a * 10u64.pow(b.ilog10() + 1) + b;
+        let op = kamping_repro::mpi::non_commutative(concat);
         let mut out = [0u64];
         comm.scan_into(&[comm.rank() as u64 + 1], &mut out, op)
             .unwrap();
         let expected = (1..=comm.rank() as u64 + 1).fold(0, |acc, d| acc * 10 + d);
         assert_eq!(out[0], expected);
     });
+}
+
+/// Composition of affine maps `x -> a·x + b` over `Z/2^32`, packed as
+/// `a << 32 | b`: associative, non-commutative, and closed under any
+/// number of ranks (decimal concatenation overflows past 19 digits).
+fn compose(f: &u64, g: &u64) -> u64 {
+    let low = |x: &u64| x & 0xFFFF_FFFF;
+    let (a1, b1, a2, b2) = (f >> 32, low(f), g >> 32, low(g));
+    low(&(a1 * a2)) << 32 | low(&(a2 * b1 + b2))
+}
+
+/// The doubling scan against the sequential oracle — the left-to-right
+/// fold over ranks `0..=r` (`0..r` for exscan) — on the whole grid:
+/// p in 1..=17 x {empty, 1, odd, 4096 elements} x {`Sum`, a
+/// non-commutative op} x {borrowed, owned send buffer}, through the
+/// substrate's `_into` / `_vec` forms and the binding. An owned
+/// contribution to `scan` is folded in place (the result is the
+/// moved-in allocation); rank 0's `exscan` is `None` at the substrate
+/// and zeroed library storage through the binding.
+#[test]
+fn scan_and_exscan_match_the_sequential_oracle_on_the_grid() {
+    fn check<O: kamping_repro::mpi::ReduceOp<u64> + Copy>(
+        comm: &Communicator,
+        n: usize,
+        fold: O,
+        kop: impl Fn() -> kamping_repro::kamping::params::OpParam<O>,
+    ) {
+        let (raw, rank) = (comm.raw(), comm.rank());
+        let of = |r: usize| -> Vec<u64> {
+            let seed = (r as u64 + 1) * 0x9E37_79B9;
+            (0..n as u64).map(|i| (seed ^ i) >> 8).collect()
+        };
+        let prefix = |upto: usize| {
+            (1..upto).fold(of(0), |acc, r| {
+                (acc.iter().zip(of(r)).map(|(a, b)| fold.apply(a, &b))).collect()
+            })
+        };
+        let (mine, incl) = (of(rank), prefix(rank + 1));
+        let excl = (rank > 0).then(|| prefix(rank));
+        let what = format!("p = {}, rank {rank}, n = {n}", comm.size());
+
+        let mut into = vec![0u64; n];
+        raw.scan_into(&mine, &mut into, fold).unwrap();
+        assert_eq!(into, incl, "scan_into, {what}");
+        assert_eq!(raw.scan_vec(&mine, fold).unwrap(), incl, "scan_vec, {what}");
+        let owned = mine.clone();
+        let moved_in = owned.as_ptr();
+        let got = raw.scan_vec(owned, fold).unwrap();
+        assert_eq!(
+            (got.as_ptr(), &got),
+            (moved_in, &incl),
+            "owned scan_vec, {what}"
+        );
+        assert_eq!(
+            raw.exscan_vec(&mine, fold).unwrap(),
+            excl,
+            "exscan_vec, {what}"
+        );
+        assert_eq!(
+            raw.exscan_vec(mine.clone(), fold).unwrap(),
+            excl,
+            "owned, {what}"
+        );
+
+        let zeroed = excl.unwrap_or(vec![0; n]);
+        let got: Vec<u64> = comm.scan((send_buf(&mine), kop())).unwrap();
+        assert_eq!(got, incl, "scan, {what}");
+        let got: Vec<u64> = comm.scan((send_buf(mine.clone()), kop())).unwrap();
+        assert_eq!(got, incl, "owned scan, {what}");
+        let got: Vec<u64> = comm.exscan((send_buf(&mine), kop())).unwrap();
+        assert_eq!(got, zeroed, "exscan, {what}");
+        let got: Vec<u64> = comm.exscan((send_buf(mine), kop())).unwrap();
+        assert_eq!(got, zeroed, "owned exscan, {what}");
+    }
+    for p in 1..=17 {
+        Universe::run(p, |comm| {
+            let comm = Communicator::new(comm);
+            for n in [0, 1, 37, 4096] {
+                check(&comm, n, Sum, || op(Sum));
+                let composed = kamping_repro::mpi::non_commutative(compose);
+                check(&comm, n, composed, || op(composed));
+            }
+        });
+    }
 }
 
 /// Oracle check that the default (auto) policy is used end-to-end by

@@ -187,3 +187,177 @@ fn weak_scaling_of_dense_exchange_is_superlinear_in_p() {
         "dense exchange at p=32 ({t32} ns) must cost well over 2x p=8 ({t8} ns)"
     );
 }
+
+// ---------------------------------------------------------------------------
+// The critical-path audit: what a small-message collective costs in
+// message times, per operation, communicator size and root.
+// ---------------------------------------------------------------------------
+
+/// Runs `ops` back to back at `p` ranks under `model`, each from a
+/// synchronized zero; returns the virtual ns of each operation name in
+/// first-run order — the maximum over ranks and over every run of that
+/// name (one per root, for the rooted ones).
+fn timed_ops<F>(p: usize, model: CostModel, ops: F) -> Vec<(&'static str, u64)>
+where
+    F: Fn(&Comm, &mut dyn FnMut(&'static str, &mut dyn FnMut())) + Sync,
+{
+    let per_rank = Universe::run_with(Config::new(p).cost(model), |comm| {
+        let mut out = Vec::new();
+        ops(&comm, &mut |name, op| {
+            comm.barrier().unwrap();
+            comm.clock_reset();
+            op();
+            out.push((name, comm.clock_now_ns()));
+        });
+        out
+    });
+    let mut worst: Vec<(&'static str, u64)> = Vec::new();
+    for (name, t) in per_rank.into_iter().flat_map(|o| o.unwrap()) {
+        match worst.iter_mut().find(|(n, _)| *n == name) {
+            Some(slot) => slot.1 = slot.1.max(t),
+            None => worst.push((name, t)),
+        }
+    }
+    worst
+}
+
+const AUDIT_SIZES: [usize; 18] = [
+    2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 32, 64,
+];
+
+/// Every 8-byte collective that can finish in `ceil(log2 p)` message
+/// times does, from every root: one message time is `alpha + 8 beta +
+/// o` under `CostModel::cluster()`. The allowances are the documented
+/// ones — the bytes a packed Bruck / doubling round carries beyond its
+/// own 8, and recursive-doubling allreduce's fold-in and hand-back hops
+/// off powers of two. `--nocapture` prints the table.
+#[test]
+fn small_message_collectives_finish_in_log_p_message_times() {
+    use kamping_repro::mpi::op::Sum;
+    let model = CostModel::cluster();
+    let hop = model.alpha_ns + model.transfer_ns(8) + model.recv_overhead_ns;
+    let mut over = Vec::new();
+    for p in AUDIT_SIZES {
+        let log = p.next_power_of_two().trailing_zeros() as u64;
+        let tree = log * hop;
+        let packed = log * (hop + model.transfer_ns(8 * p));
+        let limit = |name: &str| match name {
+            "allgather_vec" | "alltoall_into" => packed,
+            "allreduce_vec" if !p.is_power_of_two() => tree + hop,
+            "split" => 2 * packed,
+            _ => tree,
+        };
+        let times = timed_ops(p, model, |comm, run| {
+            let mine = [comm.rank() as u64];
+            run("barrier", &mut || comm.barrier().unwrap());
+            for root in 0..p {
+                let data = (comm.rank() == root).then_some(&mine[..]);
+                run("bcast_into", &mut || {
+                    comm.bcast_into(&mut [root as u64], root).unwrap()
+                });
+                run("ibcast", &mut || {
+                    comm.ibcast(data, root).unwrap().wait().unwrap();
+                });
+                let mut plan = comm.bcast_init(data, root).unwrap();
+                run("bcast_init", &mut || {
+                    plan.start().unwrap();
+                    plan.wait().unwrap();
+                });
+                run("reduce_vec", &mut || {
+                    comm.reduce_vec(&mine, Sum, root).unwrap();
+                });
+            }
+            run("allreduce_vec", &mut || {
+                comm.allreduce_vec(&mine, Sum).unwrap();
+            });
+            run("allgather_vec", &mut || {
+                comm.allgather_vec(&mine).unwrap();
+            });
+            run("alltoall_into", &mut || {
+                comm.alltoall_into(&vec![1u64; p], &mut vec![0u64; p])
+                    .unwrap()
+            });
+            run("scan_vec", &mut || {
+                comm.scan_vec(&mine, Sum).unwrap();
+            });
+            run("exscan_vec", &mut || {
+                comm.exscan_vec(&mine, Sum).unwrap();
+            });
+            run("dup", &mut || drop(comm.dup().unwrap()));
+            run("split", &mut || {
+                comm.split(Some(comm.rank() as u64 % 2), 0).unwrap();
+            });
+        });
+        let row: Vec<String> = (times.iter())
+            .map(|(name, t)| format!("{name} {:.1}", *t as f64 / 1e3))
+            .collect();
+        println!(
+            "p = {p}, bound {:.1} us: {}",
+            tree as f64 / 1e3,
+            row.join(", ")
+        );
+        over.extend(
+            (times.iter().filter(|(name, t)| *t > limit(name)))
+                .map(|(name, t)| format!("p = {p}: {name} {t} ns > {} ns", limit(name))),
+        );
+    }
+    assert!(
+        over.is_empty(),
+        "not finished in ceil(log2 p) message times:\n{}",
+        over.join("\n")
+    );
+}
+
+/// What stays at `p - 1` startups, pinned exactly so that a change
+/// which fixes one has to edit this table. Their log-round forms trade
+/// startups for packed copies or forwarded bytes and need a size rule
+/// (`scatter`/`gatherv`: a binomial tree forwards up to `s·p/2` per
+/// inner rank; `allgatherv`/`alltoallv`: Bruck packs every round).
+/// Under `alpha = 1000, o = 1` the critical path reads as
+/// `1000·startups + receive completions`.
+#[test]
+fn linear_collectives_are_pinned_at_p_minus_one_startups() {
+    let model = CostModel {
+        alpha_ns: 1_000,
+        beta_ns_per_byte: 0.0,
+        recv_overhead_ns: 1,
+        measure_cpu: false,
+    };
+    for p in AUDIT_SIZES {
+        let n = p as u64 - 1;
+        let times = timed_ops(p, model, |comm, run| {
+            let mine = [comm.rank() as u64];
+            let (ones, displs) = (vec![1usize; p], (0..p).collect::<Vec<_>>());
+            for root in [0, p - 1] {
+                let all = vec![7u64; p];
+                run("scatter_vec", &mut || {
+                    let send = (comm.rank() == root).then_some(&all[..]);
+                    comm.scatter_vec(send, root).unwrap();
+                });
+                run("gatherv_vec", &mut || {
+                    comm.gatherv_vec(&mine, root).unwrap();
+                });
+            }
+            run("allgatherv_into", &mut || {
+                comm.allgatherv_into(&mine, &mut vec![0u64; p], &ones, &displs)
+                    .unwrap()
+            });
+            run("alltoallv_into", &mut || {
+                let mut recv = vec![0u64; p];
+                comm.alltoallv_into(&vec![1u64; p], &ones, &displs, &mut recv, &ones, &displs)
+                    .unwrap()
+            });
+        });
+        for (name, t) in times {
+            let pinned = match name {
+                // The root posts p - 1 sends; the last leaf completes one receive.
+                "scatter_vec" => 1_000 * n + 1,
+                // Every leaf posts one send; the root completes p - 1 receives.
+                "gatherv_vec" => 1_000 + n,
+                // p - 1 ring rounds / pairwise steps of one send and one receive.
+                _ => 1_001 * n,
+            };
+            assert_eq!(t, pinned, "p = {p}: {name}");
+        }
+    }
+}

@@ -629,7 +629,9 @@ fn reductions_accept_exact_and_oversized_storage_under_every_policy() {
 fn scan_and_exscan_with_non_commutative_lambda() {
     Universe::run(3, |comm| {
         let comm = Communicator::new(comm);
-        let concat = ops::non_commutative(|a: &u64, b: &u64| a * 10 + b);
+        // Decimal concatenation of positive integers: non-commutative,
+        // associative.
+        let concat = ops::non_commutative(|a: &u64, b: &u64| a * 10u64.pow(b.ilog10() + 1) + b);
         let mine = [comm.rank() as u64 + 1];
         let inc: Vec<u64> = comm.scan((send_buf(&mine[..]), op(concat))).unwrap();
         let expected = [1u64, 12, 123][comm.rank()];
