@@ -37,10 +37,11 @@
 use std::marker::PhantomData;
 
 use bytes::Bytes;
-use kmp_mpi::request::{Completion, Request, TestOutcome};
+use kmp_mpi::request::Completion;
 use kmp_mpi::{MpiError, Plain, Result, SharedPayload};
 
 use crate::communicator::Communicator;
+use crate::p2p::InFlight;
 use crate::params::argset::{ArgSet, IntoArgs};
 use crate::params::slots::{CountsSlot, ProvidedCounts, ProvidesOp, SendToTransport};
 use crate::params::{Absent, OpParam, SendBuf, SendRecvBuf};
@@ -71,38 +72,18 @@ fn decode<T: Plain>(completion: Completion, mut counts: Option<&mut Vec<usize>>)
 /// buffer, `()` for a borrowed one), and the received data is produced
 /// by `wait()`.
 #[must_use = "non-blocking operations must be completed with wait() or test()"]
-pub struct NonBlockingCollective<'a, T: Plain, H> {
-    req: Request<'a>,
-    hold: H,
-    _elem: PhantomData<T>,
-}
+pub struct NonBlockingCollective<'a, T: Plain, H>(pub(crate) InFlight<'a, H>, PhantomData<T>);
 
 impl<'a, T: Plain, H> NonBlockingCollective<'a, T, H> {
-    fn new(req: Request<'a>, hold: H) -> Self {
-        NonBlockingCollective {
-            req,
-            hold,
-            _elem: PhantomData,
-        }
-    }
-
-    fn complete(self) -> Result<(Completion, H)> {
-        Ok((self.req.wait()?, self.hold))
-    }
-
-    /// One poll: the completion and the handle, or the future back.
-    fn poll(self) -> Result<std::result::Result<(Completion, H), Self>> {
-        Ok(match self.req.test()? {
-            TestOutcome::Ready(c) => Ok((c, self.hold)),
-            TestOutcome::Pending(req) => Err(Self::new(req, self.hold)),
-        })
+    fn new(op: InFlight<'a, H>) -> Self {
+        NonBlockingCollective(op, PhantomData)
     }
 
     /// Blocks until the collective completes; returns the received data
     /// and the handle of the moved-in send buffer (free to read or drop;
     /// `take()` it to get the vector back).
     pub fn wait(self) -> Result<(Vec<T>, H)> {
-        let (completion, hold) = self.complete()?;
+        let (completion, hold) = self.0.wait()?;
         Ok((decode(completion, None), hold))
     }
 
@@ -110,7 +91,7 @@ impl<'a, T: Plain, H> NonBlockingCollective<'a, T, H> {
     /// per-rank element counts (the v-collectives' receive counts,
     /// discovered from the messages — no extra communication).
     pub fn wait_with_counts(self) -> Result<(Vec<T>, Vec<usize>, H)> {
-        let (completion, hold) = self.complete()?;
+        let (completion, hold) = self.0.wait()?;
         let mut counts = Vec::new();
         let data = decode(completion, Some(&mut counts));
         Ok((data, counts, hold))
@@ -120,19 +101,8 @@ impl<'a, T: Plain, H> NonBlockingCollective<'a, T, H> {
     /// `Ok(Err(self))` when still pending.
     #[allow(clippy::type_complexity)]
     pub fn test(self) -> Result<std::result::Result<(Vec<T>, H), Self>> {
-        Ok(self.poll()?.map(|(c, hold)| (decode(c, None), hold)))
-    }
-
-    pub(crate) fn wait_discard(self) -> Result<()> {
-        self.req.wait().map(drop)
-    }
-
-    pub(crate) fn test_discard(self) -> Result<std::result::Result<(), Self>> {
-        Ok(self.poll()?.map(drop))
-    }
-
-    pub(crate) fn raw_request(&self) -> &Request<'a> {
-        &self.req
+        let polled = self.0.test()?.map_err(Self::new);
+        Ok(polled.map(|(completion, hold)| (decode(completion, None), hold)))
     }
 }
 
@@ -143,7 +113,7 @@ impl<'a, T: Plain, H> NonBlockingCollective<'a, T, H> {
 pub struct NonBlockingBcast<'a, T: Plain>(
     /// The handle is the root's moved-in buffer, aliased by the
     /// in-flight payload.
-    NonBlockingCollective<'a, T, Option<SharedPayload<T>>>,
+    pub(crate) InFlight<'a, Option<SharedPayload<T>>>,
 );
 
 /// The broadcast content — on the root the moved-in vector itself: its
@@ -166,25 +136,13 @@ impl<'a, T: Plain> NonBlockingBcast<'a, T> {
     /// Blocks until the broadcast completes; returns the broadcast
     /// content (on the root: the moved-in vector itself).
     pub fn wait(self) -> Result<Vec<T>> {
-        self.0.complete().map(bcast_content)
+        self.0.wait().map(bcast_content)
     }
 
     /// Completion test: `Ok(Ok(content))` when complete, `Ok(Err(self))`
     /// when still pending.
     pub fn test(self) -> Result<std::result::Result<Vec<T>, Self>> {
-        Ok(self.0.poll()?.map(bcast_content).map_err(NonBlockingBcast))
-    }
-
-    pub(crate) fn wait_discard(self) -> Result<()> {
-        self.0.wait_discard()
-    }
-
-    pub(crate) fn test_discard(self) -> Result<std::result::Result<(), Self>> {
-        Ok(self.0.test_discard()?.map_err(NonBlockingBcast))
-    }
-
-    pub(crate) fn raw_request(&self) -> &Request<'a> {
-        self.0.raw_request()
+        Ok(self.0.test()?.map(bcast_content).map_err(NonBlockingBcast))
     }
 }
 
@@ -230,7 +188,7 @@ where
         } else {
             comm.raw().iallgatherv_bytes(payload)?
         };
-        Ok(NonBlockingCollective::new(req, hold))
+        Ok(NonBlockingCollective::new(InFlight::new(req, hold)))
     }
 }
 
@@ -282,7 +240,7 @@ where
             let _ = comm.raw().ialltoallv_bytes(Bytes::new(), &[]);
         })?;
         let req = comm.raw().ialltoallv_bytes(payload, &byte_counts)?;
-        Ok(NonBlockingCollective::new(req, hold))
+        Ok(NonBlockingCollective::new(InFlight::new(req, hold)))
     }
 }
 
@@ -337,7 +295,7 @@ where
             (None, None)
         };
         let req = comm.raw().ibcast_bytes(payload, root)?;
-        Ok(NonBlockingBcast(NonBlockingCollective::new(req, hold)))
+        Ok(NonBlockingBcast(InFlight::new(req, hold)))
     }
 }
 
@@ -369,7 +327,7 @@ where
         let op = self.op.into_op();
         let (payload, hold) = self.send_buf.into_payload();
         let req = comm.raw().iallreduce_bytes::<T, _>(payload, op)?;
-        Ok(NonBlockingCollective::new(req, hold))
+        Ok(NonBlockingCollective::new(InFlight::new(req, hold)))
     }
 }
 

@@ -11,7 +11,8 @@
 //! read while an operation is in flight (the guarantee the paper notes
 //! only rsmpi's ownership model otherwise provides).
 
-use kmp_mpi::{Plain, Request, Result, Src, TagSel};
+use kmp_mpi::request::{Completion, TestOutcome};
+use kmp_mpi::{MpiError, Plain, Request, RequestSet, Result, Src, TagSel};
 
 use crate::communicator::Communicator;
 use crate::params::argset::{ArgSet, IntoArgs};
@@ -19,7 +20,7 @@ use crate::params::output::{FinalOf, Finalize, Push1, PushComponent};
 use crate::params::slots::{ProvidesSendData, RecvBufSpec, SendToTransport};
 use crate::params::{Absent, Meta, SendBuf};
 
-fn send_meta(meta: &Meta) -> (usize, i32) {
+pub(crate) fn send_meta(meta: &Meta) -> (usize, i32) {
     let dest = meta
         .destination
         .expect("missing required parameter `destination` (pass destination(rank))");
@@ -94,14 +95,14 @@ macro_rules! plain_isend_impls {
                 let (dest, tag) = send_meta(&self.meta);
                 let (payload, hold) = self.send_buf.into_payload();
                 let req = comm.raw().isend_bytes(payload, dest, tag)?;
-                Ok(NonBlockingSend { req, hold })
+                Ok(NonBlockingSend(InFlight::new(req, hold)))
             }
 
             fn run_sync<'c>(self, comm: &'c Communicator) -> Result<NonBlockingSend<'c, Self::Hold>> {
                 let (dest, tag) = send_meta(&self.meta);
                 let (payload, hold) = self.send_buf.into_payload();
                 let req = comm.raw().issend_bytes(payload, dest, tag)?;
-                Ok(NonBlockingSend { req, hold })
+                Ok(NonBlockingSend(InFlight::new(req, hold)))
             }
         }
     )+};
@@ -141,7 +142,7 @@ macro_rules! plain_recv_impls {
                 let (bytes, status) = comm.raw().recv_bytes(src, tag)?;
                 if let Some(expected) = self.meta.recv_count {
                     if expected != status.count::<T>() {
-                        return Err(kmp_mpi::MpiError::Truncated {
+                        return Err(MpiError::Truncated {
                             message_bytes: status.bytes,
                             buffer_bytes: expected * std::mem::size_of::<T>(),
                         });
@@ -166,6 +167,78 @@ plain_recv_impls!(
 // Non-blocking results
 // ---------------------------------------------------------------------------
 
+/// The operation in flight behind every non-blocking future of this
+/// crate ([`NonBlockingSend`], [`NonBlockingRecv`],
+/// [`NonBlockingCollective`](crate::collectives::NonBlockingCollective),
+/// [`NonBlockingBcast`](crate::collectives::NonBlockingBcast)): the
+/// substrate request, the handle `H` of whatever the caller moved into
+/// the call, and a receive's `recv_count` assertion. The futures are
+/// typed views of it — each adds only how its completion decodes.
+pub(crate) struct InFlight<'a, H> {
+    req: Request<'a>,
+    hold: H,
+    /// `recv_count` in bytes: the completing message must be exactly
+    /// this long.
+    expected_bytes: Option<usize>,
+}
+
+impl<'a, H> InFlight<'a, H> {
+    pub(crate) fn new(req: Request<'a>, hold: H) -> Self {
+        InFlight {
+            req,
+            hold,
+            expected_bytes: None,
+        }
+    }
+
+    /// Blocks until the operation completes: its (length-checked)
+    /// completion and the handle.
+    pub(crate) fn wait(self) -> Result<(Completion, H)> {
+        let completion = self.req.wait()?;
+        check_bytes(&completion, self.expected_bytes)?;
+        Ok((completion, self.hold))
+    }
+
+    /// One poll: the completion and the handle, or the operation back.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn test(self) -> Result<std::result::Result<(Completion, H), Self>> {
+        Ok(match self.req.test()? {
+            TestOutcome::Ready(completion) => {
+                check_bytes(&completion, self.expected_bytes)?;
+                Ok((completion, self.hold))
+            }
+            TestOutcome::Pending(req) => Err(InFlight { req, ..self }),
+        })
+    }
+
+    /// Becomes a pool entry: the request for the pool to wait on, and
+    /// what the operation still owes when it completes.
+    fn into_entry(self) -> (Request<'a>, Finisher<'a>)
+    where
+        H: 'a,
+    {
+        let finisher = Finisher {
+            expected_bytes: self.expected_bytes,
+            _hold: Box::new(self.hold),
+        };
+        (self.req, finisher)
+    }
+}
+
+/// `recv_count` against the delivered length — read off the status, so
+/// a caller that discards the payload never decodes it.
+fn check_bytes(completion: &Completion, expected_bytes: Option<usize>) -> Result<()> {
+    match (completion, expected_bytes) {
+        (Completion::Message(_, status), Some(expected)) if status.bytes != expected => {
+            Err(MpiError::Truncated {
+                message_bytes: status.bytes,
+                buffer_bytes: expected,
+            })
+        }
+        _ => Ok(()),
+    }
+}
+
 /// A non-blocking send in flight. An owned send buffer has **moved into
 /// the transport** (zero-copy: the payload aliases its allocation);
 /// [`NonBlockingSend::wait`] completes the request and returns its
@@ -174,29 +247,20 @@ plain_recv_impls!(
 /// zero-copy once the receiver has consumed the message, one counted
 /// copy before that), `()` for a borrowed one.
 #[must_use = "non-blocking operations must be completed with wait() or test()"]
-pub struct NonBlockingSend<'a, H> {
-    req: Request<'a>,
-    hold: H,
-}
+pub struct NonBlockingSend<'a, H>(InFlight<'a, H>);
 
 impl<'a, H> NonBlockingSend<'a, H> {
     /// Blocks until the send completes, returning the handle of the
     /// moved-in buffer.
     pub fn wait(self) -> Result<H> {
-        self.req.wait()?;
-        Ok(self.hold)
+        self.0.wait().map(|(_, hold)| hold)
     }
 
     /// Completion test: `Ok(Ok(handle))` when complete, `Ok(Err(self))`
     /// when still pending.
     pub fn test(self) -> Result<std::result::Result<H, Self>> {
-        match self.req.test()? {
-            kmp_mpi::request::TestOutcome::Ready(_) => Ok(Ok(self.hold)),
-            kmp_mpi::request::TestOutcome::Pending(req) => Ok(Err(NonBlockingSend {
-                req,
-                hold: self.hold,
-            })),
-        }
+        let polled = self.0.test()?.map_err(NonBlockingSend);
+        Ok(polled.map(|(_, hold)| hold))
     }
 }
 
@@ -204,54 +268,28 @@ impl<'a, H> NonBlockingSend<'a, H> {
 /// [`NonBlockingRecv::wait`] / [`NonBlockingRecv::test`] (§III-E: no read
 /// of incomplete receive buffers).
 #[must_use = "non-blocking operations must be completed with wait() or test()"]
-pub struct NonBlockingRecv<'a, T> {
-    req: Request<'a>,
-    expected_count: Option<usize>,
-    _elem: std::marker::PhantomData<T>,
-}
+pub struct NonBlockingRecv<'a, T>(InFlight<'a, ()>, std::marker::PhantomData<T>);
 
 impl<'a, T: Plain> NonBlockingRecv<'a, T> {
-    /// Blocks until a message arrives and returns it.
-    pub fn wait(self) -> Result<Vec<T>> {
-        let completion = self.req.wait()?;
-        let (data, status) = completion
+    fn decode((completion, ()): (Completion, ())) -> Vec<T> {
+        let (data, _) = completion
             .into_vec::<T>()
             .expect("receive requests complete with a payload");
-        check_count::<T>(self.expected_count, &data, status.bytes)?;
-        Ok(data)
+        data
+    }
+
+    /// Blocks until a message arrives and returns it.
+    pub fn wait(self) -> Result<Vec<T>> {
+        self.0.wait().map(Self::decode)
     }
 
     /// Completion test, mirroring the paper's `test()` returning
     /// `std::optional`: `Ok(Ok(Some(data)))` when complete,
     /// `Ok(Err(self))` when pending.
     pub fn test(self) -> Result<std::result::Result<Vec<T>, Self>> {
-        match self.req.test()? {
-            kmp_mpi::request::TestOutcome::Ready(c) => {
-                let (data, status) = c
-                    .into_vec::<T>()
-                    .expect("receive requests complete with a payload");
-                check_count::<T>(self.expected_count, &data, status.bytes)?;
-                Ok(Ok(data))
-            }
-            kmp_mpi::request::TestOutcome::Pending(req) => Ok(Err(NonBlockingRecv {
-                req,
-                expected_count: self.expected_count,
-                _elem: std::marker::PhantomData,
-            })),
-        }
+        let polled = self.0.test()?.map_err(|op| NonBlockingRecv(op, self.1));
+        Ok(polled.map(Self::decode))
     }
-}
-
-fn check_count<T>(expected: Option<usize>, data: &[T], bytes: usize) -> Result<()> {
-    if let Some(expected) = expected {
-        if data.len() != expected {
-            return Err(kmp_mpi::MpiError::Truncated {
-                message_bytes: bytes,
-                buffer_bytes: expected * std::mem::size_of::<T>(),
-            });
-        }
-    }
-    Ok(())
 }
 
 /// Valid argument sets for [`Communicator::isend`] / `issend`.
@@ -269,105 +307,38 @@ pub trait IsendArgs<M> {
 // Request pool
 // ---------------------------------------------------------------------------
 
-/// Type-erased entry of a [`RequestPool`].
-trait Pooled<'a> {
-    fn wait_boxed(self: Box<Self>) -> Result<()>;
-    /// One non-blocking poll: `Ok(None)` when complete, `Ok(Some(self))`
-    /// when still pending.
-    #[allow(clippy::type_complexity)]
-    fn test_boxed(self: Box<Self>) -> Result<Option<Box<dyn Pooled<'a> + 'a>>>;
-    /// The underlying substrate request, so pool-level waits can
-    /// register a parked waiter on its pending sources
-    /// ([`kmp_mpi::completion`]) instead of polling.
-    fn raw_request(&self) -> &Request<'a>;
+/// Whatever a pooled operation moved in, kept alive until it completes.
+trait Held {}
+impl<H> Held for H {}
+
+/// What a pooled operation still owes at completion: a receive's
+/// `recv_count` check, and the release of its moved-in buffer's handle.
+/// The values the operation carries are discarded undecoded.
+struct Finisher<'a> {
+    expected_bytes: Option<usize>,
+    _hold: Box<dyn Held + 'a>,
 }
 
-impl<'a, H: 'a> Pooled<'a> for NonBlockingSend<'a, H> {
-    fn wait_boxed(self: Box<Self>) -> Result<()> {
-        self.wait().map(|_| ())
-    }
-
-    fn test_boxed(self: Box<Self>) -> Result<Option<Box<dyn Pooled<'a> + 'a>>> {
-        match (*self).test()? {
-            Ok(_) => Ok(None),
-            Err(pending) => Ok(Some(Box::new(pending))),
-        }
-    }
-
-    fn raw_request(&self) -> &Request<'a> {
-        &self.req
-    }
-}
-
-impl<'a, T: Plain> Pooled<'a> for NonBlockingRecv<'a, T> {
-    fn wait_boxed(self: Box<Self>) -> Result<()> {
-        self.wait().map(|_| ())
-    }
-
-    fn test_boxed(self: Box<Self>) -> Result<Option<Box<dyn Pooled<'a> + 'a>>> {
-        match (*self).test()? {
-            Ok(_) => Ok(None),
-            Err(pending) => Ok(Some(Box::new(pending))),
-        }
-    }
-
-    fn raw_request(&self) -> &Request<'a> {
-        &self.req
-    }
-}
-
-impl<'a, T: Plain, H: 'a> Pooled<'a> for crate::collectives::NonBlockingCollective<'a, T, H> {
-    fn wait_boxed(self: Box<Self>) -> Result<()> {
-        self.wait_discard()
-    }
-
-    fn test_boxed(self: Box<Self>) -> Result<Option<Box<dyn Pooled<'a> + 'a>>> {
-        match (*self).test_discard()? {
-            Ok(()) => Ok(None),
-            Err(pending) => Ok(Some(Box::new(pending))),
-        }
-    }
-
-    fn raw_request(&self) -> &Request<'a> {
-        self.raw_request()
-    }
-}
-
-impl<'a, T: Plain> Pooled<'a> for crate::collectives::NonBlockingBcast<'a, T> {
-    fn wait_boxed(self: Box<Self>) -> Result<()> {
-        self.wait_discard()
-    }
-
-    fn test_boxed(self: Box<Self>) -> Result<Option<Box<dyn Pooled<'a> + 'a>>> {
-        match (*self).test_discard()? {
-            Ok(()) => Ok(None),
-            Err(pending) => Ok(Some(Box::new(pending))),
-        }
-    }
-
-    fn raw_request(&self) -> &Request<'a> {
-        self.raw_request()
+impl Finisher<'_> {
+    fn finish(self, completion: &Completion) -> Result<()> {
+        check_bytes(completion, self.expected_bytes)
     }
 }
 
 /// Collects non-blocking operations for bulk completion (§III-E's request
 /// pools). Values carried by the operations are discarded on completion;
 /// await operations individually when their results are needed.
+///
+/// A pool is a typed view of the substrate's [`RequestSet`]: the set
+/// holds the requests and does all the waiting — parked, never polled,
+/// with one standing registration per pooled receive across `wait_any`
+/// calls (how is [`kmp_mpi::completion`]'s business) — and the pool adds
+/// one small finisher per entry.
 #[derive(Default)]
 pub struct RequestPool<'a> {
-    entries: Vec<Box<dyn Pooled<'a> + 'a>>,
-    /// Stable id per entry, parallel to `entries` — the key of each
-    /// standing registration in `session` (positions shift as entries
-    /// retire; ids never do).
-    ids: Vec<usize>,
-    next_id: usize,
-    /// Standing registrations kept across `wait_any` calls for pools of
-    /// plain receives ([`kmp_mpi::PoolSession`]): each pending receive
-    /// registers once, each completion retires one registration —
-    /// draining n receives costs O(n) registrations total instead of
-    /// re-registering every survivor on every park. Torn down on any
-    /// mutation of the pool.
-    session: Option<kmp_mpi::PoolSession>,
+    set: RequestSet<'a>,
+    /// Parallel to the set's requests.
+    finishers: Vec<Finisher<'a>>,
 }
 
 impl<'a> RequestPool<'a> {
@@ -376,23 +347,20 @@ impl<'a> RequestPool<'a> {
         RequestPool::default()
     }
 
-    fn push_entry(&mut self, entry: Box<dyn Pooled<'a> + 'a>) {
-        // Mutation invalidates the session (its registrations no longer
-        // cover the whole pool); dropping it deregisters everything.
-        self.session = None;
-        self.entries.push(entry);
-        self.ids.push(self.next_id);
-        self.next_id += 1;
+    fn submit<H: 'a>(&mut self, op: InFlight<'a, H>) {
+        let (req, finisher) = op.into_entry();
+        self.set.push(req);
+        self.finishers.push(finisher);
     }
 
     /// Submits a non-blocking send.
     pub fn submit_send<H: 'a>(&mut self, op: NonBlockingSend<'a, H>) {
-        self.push_entry(Box::new(op));
+        self.submit(op.0);
     }
 
     /// Submits a non-blocking receive.
     pub fn submit_recv<T: Plain>(&mut self, op: NonBlockingRecv<'a, T>) {
-        self.push_entry(Box::new(op));
+        self.submit(op.0);
     }
 
     /// Submits a non-blocking collective (`iallgatherv`, `ialltoallv`,
@@ -402,219 +370,63 @@ impl<'a> RequestPool<'a> {
         &mut self,
         op: crate::collectives::NonBlockingCollective<'a, T, H>,
     ) {
-        self.push_entry(Box::new(op));
+        self.submit(op.0);
     }
 
     /// Submits a non-blocking broadcast.
     pub fn submit_bcast<T: Plain>(&mut self, op: crate::collectives::NonBlockingBcast<'a, T>) {
-        self.push_entry(Box::new(op));
+        self.submit(op.0);
     }
 
     /// Number of pending operations.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.set.len()
     }
 
     /// True if the pool holds no operations.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.set.is_empty()
     }
 
     /// Completes all pooled operations (mirrors `MPI_Waitall`).
-    pub fn wait_all(mut self) -> Result<()> {
-        self.session = None;
-        for e in self.entries {
-            e.wait_boxed()?;
-        }
-        Ok(())
+    pub fn wait_all(self) -> Result<()> {
+        let completions = self.set.wait_all()?;
+        let mut entries = self.finishers.into_iter().zip(&completions);
+        entries.try_for_each(|(finisher, completion)| finisher.finish(completion))
     }
 
-    /// One non-blocking sweep of the `wait_any` loop: tests entries in
-    /// order until one completes.
-    fn sweep_any(&mut self) -> Result<Option<usize>> {
-        let mut ready: Option<usize> = None;
-        let mut erred = None;
-        let mut kept: Vec<Box<dyn Pooled<'a> + 'a>> = Vec::with_capacity(self.entries.len());
-        let mut kept_ids: Vec<usize> = Vec::with_capacity(self.ids.len());
-        let prior_ids = std::mem::take(&mut self.ids);
-        for ((i, entry), id) in std::mem::take(&mut self.entries)
-            .into_iter()
-            .enumerate()
-            .zip(prior_ids)
-        {
-            if ready.is_some() || erred.is_some() {
-                kept.push(entry);
-                kept_ids.push(id);
-                continue;
-            }
-            match entry.test_boxed() {
-                Ok(None) => {
-                    ready = Some(i);
-                    if let Some(sess) = &mut self.session {
-                        sess.complete(id);
-                    }
-                }
-                Ok(Some(pending)) => {
-                    kept.push(pending);
-                    kept_ids.push(id);
-                }
-                // The erroring operation is consumed; the rest stay
-                // pooled so survivors remain completable.
-                Err(e) => {
-                    erred = Some(e);
-                    if let Some(sess) = &mut self.session {
-                        sess.complete(id);
-                    }
-                }
-            }
-        }
-        self.entries = kept;
-        self.ids = kept_ids;
-        match erred {
-            Some(e) => Err(e),
-            None => Ok(ready),
-        }
+    /// Retires the next completed operation — the set's request and this
+    /// pool's finisher for it — parking for one if `block`. Returns its
+    /// index at call time. An operation that fails is retired the same
+    /// way (the rest stay pooled, so survivors remain completable).
+    fn complete_one(&mut self, block: bool) -> Result<Option<usize>> {
+        let Some((index, outcome)) = self.set.complete_any(block) else {
+            return Ok(None);
+        };
+        self.finishers.remove(index).finish(&outcome?)?;
+        Ok(Some(index))
     }
 
     /// Blocks until *one* pooled operation completes (mirrors
     /// `MPI_Waitany`), removing it. Returns its index at call time, or
     /// `None` for an empty pool; later entries shift down by one.
-    ///
-    /// Event-driven: pools of plain receives keep a standing-registration
-    /// session across calls ([`kmp_mpi::PoolSession`]) — each completion
-    /// retires one registration and the next call parks with **zero**
-    /// re-registration, so draining n receives is O(n) registrations
-    /// total. Mixed pools park transiently with one waiter registered on
-    /// every pending operation's sources ([`kmp_mpi::completion`]) — the
-    /// §III-E ownership-safe futures gain the substrate's wakeup latency
-    /// with no change to their API.
     pub fn wait_any(&mut self) -> Result<Option<usize>> {
-        if self.entries.is_empty() {
-            self.session = None;
-            return Ok(None);
-        }
-        loop {
-            if self.session.is_some() {
-                let step = self.session.as_mut().expect("checked").next_signalled();
-                match step {
-                    kmp_mpi::PoolStep::Signalled(id) => {
-                        let Some(pos) = self.ids.iter().position(|&x| x == id) else {
-                            continue;
-                        };
-                        let entry = self.entries.remove(pos);
-                        self.ids.remove(pos);
-                        match entry.test_boxed() {
-                            Ok(None) => {
-                                if let Some(sess) = self.session.as_mut() {
-                                    sess.complete(id);
-                                }
-                                return Ok(Some(pos));
-                            }
-                            Ok(Some(pending)) => {
-                                // Spurious signal: one push wakes every
-                                // standing entry whose selector matches,
-                                // so siblings of the real recipient test
-                                // pending. Their registrations are still
-                                // in place — keep the session and wait
-                                // for the next signal.
-                                self.entries.insert(pos, pending);
-                                self.ids.insert(pos, id);
-                                continue;
-                            }
-                            Err(e) => {
-                                // The erroring entry is consumed (like
-                                // the sweep); retire its registration so
-                                // survivors keep a consistent session.
-                                if let Some(sess) = self.session.as_mut() {
-                                    sess.complete(id);
-                                }
-                                return Err(e);
-                            }
-                        }
-                    }
-                    kmp_mpi::PoolStep::Interrupted => self.session = None,
-                }
-            }
-            let epoch = kmp_mpi::park_epoch(self.entries[0].raw_request());
-            if let Some(i) = self.sweep_any()? {
-                return Ok(Some(i));
-            }
-            let pairs: Vec<(usize, &Request<'a>)> = self
-                .ids
-                .iter()
-                .zip(&self.entries)
-                .map(|(&id, e)| (id, e.raw_request()))
-                .collect();
-            if let Some(sess) = kmp_mpi::PoolSession::build(&pairs, epoch) {
-                self.session = Some(sess);
-                continue;
-            }
-            let refs: Vec<&Request<'a>> = self.entries.iter().map(|e| e.raw_request()).collect();
-            if let kmp_mpi::ParkOutcome::Ready(i) = kmp_mpi::park_any(&refs, epoch) {
-                // Targeted wakeup: re-test only the fired entry. A
-                // still-pending outcome (its engine advanced without
-                // finishing) falls through to the next full sweep.
-                let entry = self.entries.remove(i);
-                let id = self.ids.remove(i);
-                match entry.test_boxed()? {
-                    None => return Ok(Some(i)),
-                    Some(pending) => {
-                        self.entries.insert(i, pending);
-                        self.ids.insert(i, id);
-                    }
-                }
-            }
-        }
+        self.complete_one(true)
     }
 
     /// Blocks until *at least one* pooled operation completes (mirrors
     /// `MPI_Waitsome`), removing all completed ones. Returns their
     /// indices at call time, in order; an empty pool yields an empty
-    /// vector. Event-driven, like [`RequestPool::wait_any`].
+    /// vector.
     pub fn wait_some(&mut self) -> Result<Vec<usize>> {
-        // wait_some retires an unpredictable subset; simpler to drop the
-        // session (deregistering everything) than to patch it up.
-        self.session = None;
-        if self.entries.is_empty() {
-            return Ok(Vec::new());
+        let mut done: Vec<usize> = Vec::new();
+        while let Some(index) = self.complete_one(done.is_empty())? {
+            // Undo the shifts of the entries this call already removed
+            // (`done` is ascending).
+            let at_call = done.iter().fold(index, |at, &d| at + usize::from(d <= at));
+            done.insert(done.partition_point(|&d| d < at_call), at_call);
         }
-        loop {
-            let epoch = kmp_mpi::park_epoch(self.entries[0].raw_request());
-            let mut done = Vec::new();
-            let mut erred = None;
-            let mut kept: Vec<Box<dyn Pooled<'a> + 'a>> = Vec::with_capacity(self.entries.len());
-            let mut kept_ids: Vec<usize> = Vec::with_capacity(self.ids.len());
-            let prior_ids = std::mem::take(&mut self.ids);
-            for ((i, entry), id) in std::mem::take(&mut self.entries)
-                .into_iter()
-                .enumerate()
-                .zip(prior_ids)
-            {
-                if erred.is_some() {
-                    kept.push(entry);
-                    kept_ids.push(id);
-                    continue;
-                }
-                match entry.test_boxed() {
-                    Ok(None) => done.push(i),
-                    Ok(Some(pending)) => {
-                        kept.push(pending);
-                        kept_ids.push(id);
-                    }
-                    Err(e) => erred = Some(e),
-                }
-            }
-            self.entries = kept;
-            self.ids = kept_ids;
-            if let Some(e) = erred {
-                return Err(e);
-            }
-            if !done.is_empty() {
-                return Ok(done);
-            }
-            let refs: Vec<&Request<'a>> = self.entries.iter().map(|e| e.raw_request()).collect();
-            let _ = kmp_mpi::park_any(&refs, epoch);
-        }
+        Ok(done)
     }
 }
 
@@ -624,7 +436,7 @@ impl<'a> RequestPool<'a> {
 /// operation, bounding the number of concurrent non-blocking requests —
 /// and with it, buffer memory held by in-flight sends.
 pub struct BoundedRequestPool<'a> {
-    slots: std::collections::VecDeque<Box<dyn Pooled<'a> + 'a>>,
+    slots: std::collections::VecDeque<(Request<'a>, Finisher<'a>)>,
     capacity: usize,
 }
 
@@ -657,28 +469,31 @@ impl<'a> BoundedRequestPool<'a> {
         self.capacity
     }
 
-    fn make_room(&mut self) -> Result<()> {
-        while self.slots.len() >= self.capacity {
-            let oldest = self.slots.pop_front().expect("non-empty at capacity");
-            oldest.wait_boxed()?;
+    /// Completes the oldest operations until at most `room` are left.
+    fn drain_to(&mut self, room: usize) -> Result<()> {
+        while self.slots.len() > room {
+            let (req, finisher) = self.slots.pop_front().expect("non-empty");
+            finisher.finish(&req.wait()?)?;
         }
+        Ok(())
+    }
+
+    fn submit<H: 'a>(&mut self, op: InFlight<'a, H>) -> Result<()> {
+        self.drain_to(self.capacity - 1)?;
+        self.slots.push_back(op.into_entry());
         Ok(())
     }
 
     /// Submits a non-blocking send, completing the oldest operation
     /// first if the pool is full.
     pub fn submit_send<H: 'a>(&mut self, op: NonBlockingSend<'a, H>) -> Result<()> {
-        self.make_room()?;
-        self.slots.push_back(Box::new(op));
-        Ok(())
+        self.submit(op.0)
     }
 
     /// Submits a non-blocking receive, completing the oldest operation
     /// first if the pool is full.
     pub fn submit_recv<T: Plain>(&mut self, op: NonBlockingRecv<'a, T>) -> Result<()> {
-        self.make_room()?;
-        self.slots.push_back(Box::new(op));
-        Ok(())
+        self.submit(op.0)
     }
 
     /// Submits a non-blocking collective, completing the oldest operation
@@ -688,17 +503,12 @@ impl<'a> BoundedRequestPool<'a> {
         &mut self,
         op: crate::collectives::NonBlockingCollective<'a, T, H>,
     ) -> Result<()> {
-        self.make_room()?;
-        self.slots.push_back(Box::new(op));
-        Ok(())
+        self.submit(op.0)
     }
 
     /// Completes all remaining operations.
     pub fn wait_all(mut self) -> Result<()> {
-        while let Some(op) = self.slots.pop_front() {
-            op.wait_boxed()?;
-        }
-        Ok(())
+        self.drain_to(0)
     }
 }
 
@@ -768,12 +578,9 @@ impl Communicator {
     {
         let args = args.into_args().into_meta();
         let (src, tag) = recv_meta(&args);
-        let req = self.raw().irecv(src, tag);
-        Ok(NonBlockingRecv {
-            req,
-            expected_count: args.recv_count,
-            _elem: std::marker::PhantomData,
-        })
+        let mut op = InFlight::new(self.raw().irecv(src, tag), ());
+        op.expected_bytes = args.recv_count.map(|n| n * std::mem::size_of::<T>());
+        Ok(NonBlockingRecv(op, std::marker::PhantomData))
     }
 }
 

@@ -155,11 +155,7 @@ where
     SendBuf<B>: ProvidesSendData<T>,
 {
     fn run<'c>(self, comm: &'c Communicator) -> Result<Persistent<'c, T>> {
-        let dest = self
-            .meta
-            .destination
-            .expect("missing required parameter `destination` (pass destination(rank))");
-        let tag = self.meta.tag.unwrap_or(0);
+        let (dest, tag) = crate::p2p::send_meta(&self.meta);
         let req = comm
             .raw()
             .send_init(self.send_buf.send_slice(), dest, tag)?;

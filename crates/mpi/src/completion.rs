@@ -1,17 +1,29 @@
-//! The completion subsystem: one parking protocol for every blocking
-//! wait in the substrate.
+//! The completion subsystem: the one place that decides how a thread
+//! blocks on pending operations.
 //!
 //! PR 4 gave single blocking receives a targeted wakeup: a waiter parks
 //! on a private condvar and the matching push wakes exactly that
-//! thread. Everything *else* that blocked — request sets
+//! thread. This module is that wakeup generalized to every other wait
+//! in the substrate — request sets
 //! ([`RequestSet::wait_any`](crate::RequestSet::wait_any) /
-//! [`wait_some`](crate::RequestSet::wait_some)), synchronous-mode
-//! sends, the binding layer's request pools, the ULFM agreement table —
-//! still polled: sweep all pending operations, `yield_now`, sweep
-//! again. This module generalizes the targeted wakeup into a protocol
-//! any of those waits can use: a `Waiter` registered against *N*
+//! [`wait_some`](crate::RequestSet::wait_some), and through them the
+//! binding layer's request pools), synchronous-mode sends, persistent
+//! and partitioned requests: a `Waiter` registered against *N*
 //! pending sources at once, where the **first** completion claims the
 //! waiter, records which source fired, and wakes exactly that thread.
+//! Three pieces, each defined once:
+//!
+//! - **the claim** — `Waiter::claim`: the first completion sets
+//!   `claimed` / `fired` and wakes the thread; completions landing
+//!   while that claim is outstanding are appended to `missed` and wake
+//!   nobody;
+//! - **the park** — `Waiter::park`: under the waiter's lock, consume an
+//!   outstanding claim (→ fired id + missed ids), else notice that the
+//!   interruption epoch moved (→ interrupted), else sleep on the
+//!   private condvar. Every parked wait named above is a loop around
+//!   this one function;
+//! - **the session** — `Session`: the standing registrations a
+//!   [`RequestSet`] of plain receives keeps across `wait_any` calls.
 //!
 //! # The protocol
 //!
@@ -26,29 +38,61 @@
 //!   3. REGISTER: for each source the operations are blocked on,
 //!      atomically {check "already available?" ; else enqueue waiter}
 //!        available?    -> skip the park, go to 5
-//!   4. PARK on the waiter's private condvar until
-//!        claimed (fired = source index)          -> targeted wakeup
+//!   4. PARK (`Waiter::park`) on the waiter's private condvar until
+//!        claimed (fired = source id)             -> targeted wakeup
 //!        or epoch != captured                    -> interrupt, re-check
-//!   5. CANCEL: deregister the waiter everywhere, then re-test
-//!      (only the fired index on the fast path)
+//!   5. re-test the fired id only; on an interrupt deregister
+//!      everything and go to 1
 //! ```
 //!
-//! Registration state machine of one waiter (all transitions under the
-//! waiter's own lock):
+//! State machine of one waiter (all transitions under the waiter's own
+//! lock):
 //!
 //! ```text
-//!               register(slot 0..n-1)
+//!               register(id 0..n-1)
 //!   [idle] ───────────────────────────> [parked{n sources}]
 //!                                          │            │
 //!                 first matching completion│            │epoch bump
 //!                 claims: fired = Some(k)  │            │(interrupt)
-//!                                          v            v
+//!                 later ones: missed += j  v            v
 //!                                      [claimed(k)]  [re-check]
 //!                                          │            │
-//!                       cancel all sources │            │ cancel all
-//!                                          v            v
-//!                                   re-test slot k   full sweep
+//!                       park consumes the  │            │ deregister all
+//!                       claim: k, missed   v            v
+//!                                   re-test those    full sweep
 //! ```
+//!
+//! Who registers what, and for how long:
+//!
+//! - **Transient** (`park_any`: sets holding sends, synchronous-mode
+//!   sends or collective engines; `wait_some`; a lone `issend`): steps
+//!   3–5 run per park — fire-once `register_notify` entries on a
+//!   thread-cached waiter, all deregistered when the park ends.
+//! - **Standing, claim-always** (`Session`): a set of plain posted
+//!   receives never changes its sources, so step 3 runs once — one
+//!   `register_standing` entry per receive, keyed by a stable id, on a
+//!   waiter the set owns. The entries **survive a fire**; each is
+//!   retired (`retire_standing`) when its own request completes or
+//!   fails, and the rest stay armed. Draining N receives therefore
+//!   costs N registrations, whatever their selectors: N receives that
+//!   share one selector are all signalled by each push, the real
+//!   recipient tests ready, its siblings test pending and simply wait
+//!   for the next signal — no teardown, no re-registration
+//!   (`notify_registrations` in [`MailboxStats`](crate::MailboxStats)
+//!   pins N, for the set and for the binding's pool). Because pushes
+//!   record every fire in the waiter (claim or missed) even while the
+//!   owner is between calls, the owner serves later `wait_any` calls
+//!   straight from the recorded ids — O(1) amortized, no rescan. The
+//!   session ends when the set is otherwise mutated (`push`,
+//!   `test_some`, `wait_some`, `wait_all`, drop) or the epoch moves;
+//!   the epoch it compares against was captured before the sweep that
+//!   preceded its build, so "unchanged" proves no failure or
+//!   revocation has happened since everything was last re-checked.
+//! - **Standing, wake-only** ([`crate::persistent`],
+//!   [`crate::partitioned`]): registered once at `*_init`; pushes claim
+//!   only while the owner has raised `Waiter::armed` inside its wait,
+//!   because the owner re-tests its queues on every pass and never
+//!   reads claims as completion records.
 //!
 //! Three properties make this safe:
 //!
@@ -57,51 +101,54 @@
 //!   hand it the envelope — the envelope continues into the unexpected
 //!   queue (or to a directly-delivered single waiter) exactly as if
 //!   nobody had been parked. Claiming only says "source `k` fired; go
-//!   look". Cancellation therefore can never drop a message: there is
-//!   nothing in the waiter to drop, and a completion racing
-//!   deregistration leaves the message matchable in the queue either
-//!   way. (This is the multi-waiter extension of PR 4's cancel-rechecks-
-//!   the-delivery-slot proof, with the delivery moved out of the race
-//!   entirely; the 500-iteration race test in [`crate::mailbox`] pins
-//!   it.)
+//!   look". Deregistration therefore can never drop a message: there is
+//!   nothing in the waiter to drop, and a completion racing it leaves
+//!   the message matchable in the queue either way. (This is the
+//!   multi-waiter extension of PR 4's cancel-rechecks-the-delivery-slot
+//!   proof, with the delivery moved out of the race entirely; the
+//!   500-iteration race test in [`crate::mailbox`] pins it.)
 //! - **No lost wakeup.** The availability check in step 3 runs under the
 //!   same shard lock pushes take, so a message arriving before the
 //!   registration is seen by the check and one arriving after is seen by
-//!   the push's posted-queue scan. Interrupts (failure, revocation) bump
-//!   the epoch *before* waking, and the epoch was captured in step 1
-//!   *before* the sweep's interruption checks — every interleaving
-//!   either makes the condition visible to a check or makes the epochs
-//!   differ.
+//!   the push's registration lookup. A claim that lands before the owner
+//!   reaches step 4 is still there when it does: `park` tests `claimed`
+//!   under the lock the claim was written under, before it ever sleeps.
+//!   Interrupts (failure, revocation) bump the epoch *before* waking,
+//!   and the epoch was captured in step 1 *before* the sweep's
+//!   interruption checks — every interleaving either makes the condition
+//!   visible to a check or makes the epochs differ.
 //! - **Bounded spurious wakeups.** A parked waiter wakes for exactly two
-//!   reasons: a claim (never spurious — the fired source really
-//!   completed, and re-testing just that index finds it) or an epoch
-//!   bump. Epoch bumps happen once per interruption event (process
-//!   failure or communicator revocation), so the number of
-//!   non-productive wakeups over a run is bounded by the number of such
-//!   events — there is no periodic safety-net timer to wake anybody.
-//!   The count is surfaced as `spurious_wakeups` in
-//!   [`MailboxStats`](crate::MailboxStats).
+//!   reasons: a claim (the fired source really received a message;
+//!   re-testing that id finds it, or — for a same-selector sibling —
+//!   finds the recipient took it) or an epoch bump. Epoch bumps happen
+//!   once per interruption event (process failure or communicator
+//!   revocation), so the number of claim-less wakeups over a run is
+//!   bounded by the number of such events — there is no periodic
+//!   safety-net timer to wake anybody. The count is surfaced as
+//!   `spurious_wakeups` in [`MailboxStats`](crate::MailboxStats).
 //!
 //! The previous sweep-and-yield implementations are preserved verbatim
 //! in [`reference`](mod@reference) as the differential-testing baseline and the
 //! `completion_experiment` benchmark's baseline, mirroring
 //! [`mailbox::reference`](crate::mailbox::reference).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::comm::Comm;
 use crate::error::Result;
+use crate::mailbox::Mailbox;
 use crate::message::{AckSlot, Envelope, Src, Status, TagSel};
-use crate::request::{Completion, Request, RequestSet, TestOutcome};
+use crate::request::{Completion, Request, RequestSet};
 use crate::trace;
 use crate::{MpiError, Rank};
 
 /// A parked thread's delivery slot. Single blocking receives get the
 /// envelope or probe status delivered directly ([`crate::mailbox`]);
-/// multi-source waits get a *claim*: the index of the source that
-/// fired. All fields are written under [`Waiter::state`]'s lock.
+/// multi-source waits get a *claim*: the id of the source that fired.
+/// All fields are written under [`Waiter::state`]'s lock.
 #[derive(Default)]
 pub(crate) struct WaiterSlot {
     /// Direct delivery of a matched envelope (single posted receive).
@@ -114,9 +161,9 @@ pub(crate) struct WaiterSlot {
     /// see the claim and leave the waiter alone (one completion wakes
     /// exactly one waiter, exactly once).
     pub(crate) claimed: bool,
-    /// Sources that completed *while* the waiter was claimed (standing
-    /// registrations, see [`ParkSession`]): the owner drains these on
-    /// its next pass — no additional wakeups, no re-scan.
+    /// Sources that completed *while* the waiter was claimed: the owner
+    /// receives them with the claim from its next [`Waiter::park`] — no
+    /// additional wakeups, no re-scan.
     pub(crate) missed: Vec<usize>,
 }
 
@@ -138,19 +185,66 @@ pub(crate) struct Waiter {
     pub(crate) armed: std::sync::atomic::AtomicBool,
 }
 
+/// How a [`Waiter::park`] ended.
+pub(crate) struct Wake {
+    /// The source whose completion claimed the waiter; `None` when the
+    /// interruption epoch moved instead (re-check everything).
+    pub(crate) fired: Option<usize>,
+    /// Sources that completed while that claim was outstanding.
+    pub(crate) missed: Vec<usize>,
+    /// Whether the thread actually slept: a claim or an interrupt that
+    /// raced the park is consumed without sleeping.
+    pub(crate) slept: bool,
+}
+
 impl Waiter {
-    /// Claims the waiter for source `slot` and wakes it. Returns `false`
-    /// if another source already claimed it (the caller must then treat
-    /// the waiter as absent — its own completion stays queued).
+    /// The one claim: the first completion claims the waiter for source
+    /// `slot` and wakes it. Returns `false` if another source already
+    /// holds the claim — `slot` is then recorded as missed and nobody is
+    /// woken; the owner gets both from its next [`park`](Waiter::park).
+    /// A claim never carries a message: whatever fired stays queued for
+    /// the owner's re-test.
     pub(crate) fn claim(&self, slot: usize) -> bool {
         let mut st = self.state.lock();
         if st.claimed {
+            st.missed.push(slot);
             return false;
         }
         st.claimed = true;
         st.fired = Some(slot);
         self.cond.notify_one();
         true
+    }
+
+    /// The one parked wait (step 4 of the [module protocol](self)):
+    /// sleeps until a completion claims this waiter or `mb`'s
+    /// interruption epoch differs from `seen_epoch`, which the caller
+    /// captured **before** its last non-blocking re-check. The claim is
+    /// consumed: its fired and missed ids come back in the [`Wake`] and
+    /// the waiter can be claimed again.
+    pub(crate) fn park(&self, mb: &Mailbox, seen_epoch: u64) -> Wake {
+        let mut st = self.state.lock();
+        let mut slept = false;
+        loop {
+            if st.claimed {
+                st.claimed = false;
+                return Wake {
+                    fired: st.fired.take(),
+                    missed: std::mem::take(&mut st.missed),
+                    slept,
+                };
+            }
+            if mb.epoch() != seen_epoch {
+                mb.record_spurious();
+                return Wake {
+                    fired: None,
+                    missed: Vec::new(),
+                    slept,
+                };
+            }
+            slept = true;
+            self.cond.wait(&mut st);
+        }
     }
 }
 
@@ -193,487 +287,251 @@ pub(crate) enum ParkSource<'a> {
     Ack(&'a Arc<AckSlot>),
 }
 
-/// Outcome of [`park_any`].
-pub enum ParkOutcome {
-    /// Source `i` (the request index) fired, or was already available at
-    /// registration time. Re-test that request.
-    Ready(usize),
-    /// The interruption epoch moved (failure / revocation), or a request
-    /// had nothing to park on. Re-sweep everything.
-    Interrupted,
-}
-
-/// The interruption epoch governing parked waits for this request's
-/// rank. Capture it **before** sweeping, pass it to [`park_any`]: an
-/// interrupt raised after the capture makes the epochs differ, one
-/// raised before it is visible to the sweep's checks.
-pub fn park_epoch(req: &Request<'_>) -> u64 {
-    req.comm().mailbox().epoch()
-}
-
-/// Parks the calling thread until one of `requests` *may* have made
-/// progress: registers a single `Waiter` against every source the
-/// requests are blocked on, sleeps until the first completion claims it
-/// (returning that request's index) or the epoch moves. Never consumes
-/// a message — callers re-test the indicated request. `seen_epoch` must
-/// have been captured via [`park_epoch`] before the caller's last
-/// non-blocking sweep.
-pub fn park_any(requests: &[&Request<'_>], seen_epoch: u64) -> ParkOutcome {
-    let Some(first) = requests.first() else {
-        return ParkOutcome::Interrupted;
+/// [`Waiter::park`] for the waits of this module: their waiter is
+/// listed as a watcher for the duration, so an interrupt reaches it
+/// even when it holds no posted entry (a lone ack registration) and the
+/// parked-waiter gauges count it.
+fn park_watched(
+    waiter: &Arc<Waiter>,
+    mb: &Mailbox,
+    seen_epoch: u64,
+    span: &'static str,
+    arg: u64,
+) -> Wake {
+    crate::fault::point("completion/park");
+    mb.watch(waiter);
+    let wake = {
+        let _sp = trace::span(trace::cat::PARK, span, arg, 0);
+        waiter.park(mb, seen_epoch)
     };
+    mb.unwatch(waiter);
+    wake
+}
+
+/// The transient park: registers one waiter against every source
+/// `requests` are blocked on, sleeps until the first completion claims
+/// it or the epoch moves, then deregisters everything. Returns the
+/// index of the request to re-test — the one that fired, or one that
+/// was already available at registration time — or `None` for "re-sweep
+/// everything" (interrupt, or nothing to park on). Never consumes a
+/// message. `seen_epoch` must have been captured before the caller's
+/// last non-blocking sweep.
+fn park_any(requests: &[Request<'_>], seen_epoch: u64) -> Option<usize> {
+    let first = requests.first()?;
     crate::fault::point("completion/register");
     let mb = first.comm().mailbox();
     let waiter = fresh_waiter();
-    mb.watch(&waiter);
     let mut contexts: Vec<u64> = Vec::new();
     let mut acks: Vec<&Arc<AckSlot>> = Vec::new();
-    let mut immediate: Option<ParkOutcome> = None;
     let mut sources: Vec<ParkSource<'_>> = Vec::new();
-    'reg: for (i, req) in requests.iter().enumerate() {
+    let mut ready = None;
+    for (i, req) in requests.iter().enumerate() {
         debug_assert!(
             std::ptr::eq(req.comm().mailbox(), mb),
             "a request set parks on one rank's mailbox"
         );
         sources.clear();
-        if req.park_spec(&mut sources) || sources.is_empty() {
-            // Intrinsically ready (or in a state with nothing to park
-            // on): do not sleep — the caller's sweep will collect it.
-            immediate = Some(ParkOutcome::Ready(i));
-            break 'reg;
-        }
-        for s in sources.drain(..) {
-            match s {
+        // Intrinsically ready (or in a state with nothing to park on),
+        // or a source is already available: do not sleep — the caller's
+        // re-test collects it.
+        let available = req.park_spec(&mut sources)
+            || sources.is_empty()
+            || sources.drain(..).any(|s| match s {
                 ParkSource::Mailbox { context, src, tag } => {
-                    if mb.register_notify(context, src, tag, &waiter, i) {
-                        immediate = Some(ParkOutcome::Ready(i));
-                        break 'reg;
-                    }
                     if !contexts.contains(&context) {
                         contexts.push(context);
                     }
+                    mb.register_notify(context, src, tag, &waiter, i)
                 }
                 ParkSource::Ack(ack) => {
-                    if ack.register_notify(&waiter, i) {
-                        immediate = Some(ParkOutcome::Ready(i));
-                        break 'reg;
-                    }
                     acks.push(ack);
+                    ack.register_notify(&waiter, i)
                 }
-            }
+            });
+        if available {
+            ready = Some(i);
+            break;
         }
     }
-    let outcome = match immediate {
-        Some(o) => o,
-        None => {
-            crate::fault::point("completion/park");
-            let _sp = trace::span(trace::cat::PARK, "park_any", requests.len() as u64, 0);
-            let mut st = waiter.state.lock();
-            loop {
-                if let Some(slot) = st.fired {
-                    break ParkOutcome::Ready(slot);
-                }
-                if mb.epoch() != seen_epoch {
-                    mb.record_spurious();
-                    break ParkOutcome::Interrupted;
-                }
-                waiter.cond.wait(&mut st);
-            }
-        }
-    };
+    let fired = ready
+        .or_else(|| park_watched(&waiter, mb, seen_epoch, "park_any", requests.len() as u64).fired);
+    // A completion racing this deregistration is harmless: claims never
+    // carry a message, so whatever fired is still queued and the
+    // caller's re-test finds it.
     for context in contexts {
         mb.deregister_notify(context, &waiter);
     }
     for ack in acks {
         ack.deregister_notify(&waiter);
     }
-    mb.unwatch(&waiter);
-    // A completion racing this deregistration is harmless: claims never
-    // carry a message, so whatever fired is still queued and the
-    // caller's re-test finds it.
-    outcome
+    fired
 }
 
-/// Standing registrations for a request set of plain posted receives —
-/// ROADMAP's "one waiter registered per pending receive, first
-/// completion wakes", kept alive **across** `wait_any` calls.
-///
-/// A transient park re-registers every source on every call: O(set)
-/// work per completion even when the wakeup itself is targeted. For
-/// sets of plain receives the sources never change, so the session
-/// registers each pending receive once and then completes requests at
-/// O(1) amortized: a push claims the parked waiter with the fired
-/// request's id; completions landing while the claim is outstanding are
-/// recorded in the waiter's *missed* list by the pushes themselves (no
-/// wakeup, no rescan — see [`crate::mailbox`]); the owner drains the
-/// claim and the missed list into a pending-id queue and serves
-/// subsequent `wait_any` calls straight from it.
-///
-/// Safety valves: the session is torn down — falling back to the full
-/// sweep + transient park — whenever the set is mutated (`push`,
-/// `test_some`, `wait_some`), a drained request turns out not to be
-/// ready, or the interruption epoch moves (the epoch was captured
-/// before the sweep that built the session, so "unchanged epoch"
-/// proves no failure/revocation has happened since everything was last
-/// re-checked).
-pub(crate) struct ParkSession {
+/// The standing registrations of a [`RequestSet`] of plain posted
+/// receives, kept alive **across** `wait_any` calls (see "Standing,
+/// claim-always" in the [module docs](self)).
+pub(crate) struct Session {
+    /// Dedicated, never the thread-local cache: the registrations
+    /// outlive the call that made them.
     waiter: Arc<Waiter>,
     /// Stable id of each request, parallel to `RequestSet::requests`
-    /// (ids are the indices at session build).
+    /// (the index at session build; positions shift as requests retire,
+    /// ids never do) — the slot of its standing registration.
     ids: Vec<usize>,
     /// Ids whose completion has been signalled (fired, missed, or
-    /// already queued at registration) but not yet returned.
-    pending: std::collections::VecDeque<usize>,
-    /// Contexts holding standing registrations (for teardown).
-    contexts: Vec<u64>,
+    /// already queued at registration) but not yet served.
+    pending: VecDeque<usize>,
     /// Epoch captured before the sweep preceding the session build.
     seen_epoch: u64,
 }
 
-/// Tears down a set's standing registrations, if any (the entries are
-/// removed from the mailbox so no zombie claims linger).
-pub(crate) fn teardown_session(requests: &[Request<'_>], session: &mut Option<ParkSession>) {
-    if let Some(sess) = session.take() {
-        if let Some(req) = requests.first() {
-            let mb = req.comm().mailbox();
-            for ctx in &sess.contexts {
-                mb.deregister_notify(*ctx, &sess.waiter);
-            }
+/// Ends a set's session, if any: every registration it still holds is
+/// removed from the mailbox, so no claim is left pointed at a dead
+/// waiter.
+pub(crate) fn teardown_session(requests: &[Request<'_>], session: &mut Option<Session>) {
+    let Some(sess) = session.take() else {
+        return;
+    };
+    let mut contexts: Vec<u64> = Vec::new();
+    for req in requests {
+        let context = req.comm().context;
+        if !contexts.contains(&context) {
+            contexts.push(context);
+            req.comm()
+                .mailbox()
+                .deregister_notify(context, &sess.waiter);
         }
     }
 }
 
-/// Builds a session if every request is a plain receive; returns false
-/// (leaving the set untouched) otherwise. Must run right after a sweep
+/// Builds the session if every request is a plain receive; returns
+/// false (registering nothing) otherwise. Must run right after a sweep
 /// that found nothing ready, with the epoch captured before that sweep.
 fn build_session(set: &mut RequestSet<'_>, seen_epoch: u64) -> bool {
     crate::fault::point("completion/register");
-    if set.requests.is_empty() || !set.requests.iter().all(|r| r.recv_selectors().is_some()) {
+    let selectors: Option<Vec<_>> = set.requests.iter().map(Request::recv_selectors).collect();
+    let Some(selectors) = selectors else {
         return false;
-    }
+    };
     let mb = set.requests[0].comm().mailbox();
-    let waiter = fresh_waiter();
-    let mut sess = ParkSession {
-        waiter: Arc::clone(&waiter),
-        ids: (0..set.requests.len()).collect(),
-        pending: std::collections::VecDeque::new(),
-        contexts: Vec::new(),
+    let mut sess = Session {
+        waiter: Arc::new(Waiter::default()),
+        ids: (0..selectors.len()).collect(),
+        pending: VecDeque::new(),
         seen_epoch,
     };
-    for (i, req) in set.requests.iter().enumerate() {
-        let (context, src, tag) = req.recv_selectors().expect("checked above");
-        debug_assert!(std::ptr::eq(req.comm().mailbox(), mb));
-        if mb.register_notify(context, src, tag, &waiter, i) {
-            // Already queued: no registration made; complete it from
-            // the pending queue.
-            sess.pending.push_back(i);
-        } else if !sess.contexts.contains(&context) {
-            sess.contexts.push(context);
+    for (id, (context, src, tag)) in selectors.into_iter().enumerate() {
+        // Claim-always (`wake_only = false`): the session reads claims
+        // and missed fires as completion records, so a push must record
+        // even while the owner is between parks. A message already
+        // queued signals its receive from the start.
+        if mb.register_standing(context, src, tag, &sess.waiter, id, false) {
+            sess.pending.push_back(id);
         }
     }
     set.session = Some(sess);
     true
 }
 
-/// Outcome of one [`PoolSession::next_signalled`] step.
-pub enum PoolStep {
-    /// Entry `id` was signalled: a message matching its selectors
-    /// arrived (or was already queued at registration). Re-test it.
-    Signalled(usize),
-    /// The interruption epoch moved. Tear the session down and
-    /// re-sweep everything under fresh interruption checks.
-    Interrupted,
-}
-
-/// Standing registrations for an external pool of plain receives — the
-/// binding layer's [`RequestPool`](../kamping/p2p/struct.RequestPool.html)
-/// counterpart of `ParkSession`, with **caller-chosen stable ids**
-/// instead of set indices (pools remove completed entries, so positions
-/// shift; the standing slots must not).
-///
-/// Protocol, mirroring `ParkSession`: build right after a sweep that
-/// found nothing ready (epoch captured before that sweep); each entry
-/// registers one standing entry keyed by its id; pushes claim the
-/// session's waiter with the fired id and record overlapping fires in
-/// the missed list; [`next_signalled`](PoolSession::next_signalled)
-/// drains claim state into a pending-id queue and parks only when it is
-/// empty. [`complete`](PoolSession::complete) removes exactly one
-/// entry's registration when the pool retires it — the other standing
-/// entries stay, so draining an n-receive pool costs n registrations
-/// total instead of n²/2 transient re-registrations
-/// (`notify_registrations` in [`MailboxStats`](crate::MailboxStats)
-/// pins this).
-///
-/// Dropping the session deregisters everything it still holds.
-pub struct PoolSession {
-    world: Arc<crate::universe::WorldState>,
-    world_rank: Rank,
-    waiter: Arc<Waiter>,
-    /// `(id, context)` of each live standing registration.
-    live: Vec<(usize, u64)>,
-    /// Ids signalled but not yet served.
-    pending: std::collections::VecDeque<usize>,
-    /// Epoch captured before the sweep preceding the build.
-    seen_epoch: u64,
-}
-
-impl PoolSession {
-    /// Builds standing registrations for `(id, request)` pairs; returns
-    /// `None` (registering nothing) unless every request is a plain
-    /// posted receive — mixed pools fall back to the transient
-    /// [`park_any`]. Ids must be distinct; they come back out of
-    /// [`next_signalled`](PoolSession::next_signalled).
-    pub fn build(entries: &[(usize, &Request<'_>)], seen_epoch: u64) -> Option<PoolSession> {
-        crate::fault::point("completion/register");
-        let (_, first) = entries.first()?;
-        if !entries.iter().all(|(_, r)| r.recv_selectors().is_some()) {
-            return None;
-        }
-        let comm = first.comm();
-        let mb = comm.mailbox();
-        // A dedicated waiter, never the thread-local cache: the standing
-        // registrations outlive this call.
-        let mut sess = PoolSession {
-            world: Arc::clone(&comm.world),
-            world_rank: comm.world_rank(),
-            waiter: Arc::new(Waiter::default()),
-            live: Vec::with_capacity(entries.len()),
-            pending: std::collections::VecDeque::new(),
-            seen_epoch,
-        };
-        for (id, req) in entries {
-            let (context, src, tag) = req.recv_selectors().expect("checked above");
-            debug_assert!(
-                std::ptr::eq(req.comm().mailbox(), mb),
-                "a pool parks on one rank's mailbox"
-            );
-            // Claim-always (`wake_only = false`): the session reads
-            // claims and missed fires as completion records, so a push
-            // must record even while the owner is between parks.
-            if mb.register_standing(context, src, tag, &sess.waiter, *id, false) {
-                // Already queued: signalled from the start (the standing
-                // entry is installed either way).
-                sess.pending.push_back(*id);
-            }
-            sess.live.push((*id, context));
-        }
-        Some(sess)
-    }
-
-    fn mb(&self) -> &crate::mailbox::Mailbox {
-        &self.world.mailboxes[self.world_rank]
-    }
-
-    /// Blocks until some live entry has been signalled, serving queued
-    /// signals first and parking only when none are outstanding.
-    /// Signals for ids already [`complete`](PoolSession::complete)d
-    /// (late fires of retired entries) are discarded.
-    pub fn next_signalled(&mut self) -> PoolStep {
-        // Keep the mailbox reachable without borrowing `self` (the loop
-        // mutates the pending queue).
-        let world = Arc::clone(&self.world);
-        let mb = &world.mailboxes[self.world_rank];
-        loop {
-            if let Some(id) = self.pending.pop_front() {
-                if self.live.iter().any(|(i, _)| *i == id) {
-                    return PoolStep::Signalled(id);
-                }
-                continue;
-            }
-            crate::fault::point("completion/claim");
-            let mut st = self.waiter.state.lock();
-            if st.claimed {
-                st.claimed = false;
-                if let Some(f) = st.fired.take() {
-                    self.pending.push_back(f);
-                }
-                self.pending.extend(st.missed.drain(..));
-                continue;
-            }
-            crate::fault::point("completion/park");
-            mb.watch(&self.waiter);
-            let interrupted = {
-                let _sp = trace::span(trace::cat::PARK, "park_pool", self.live.len() as u64, 0);
-                loop {
-                    if st.claimed {
-                        break false;
-                    }
-                    if mb.epoch() != self.seen_epoch {
-                        mb.record_spurious();
-                        break true;
-                    }
-                    self.waiter.cond.wait(&mut st);
-                }
-            };
-            drop(st);
-            mb.unwatch(&self.waiter);
-            if interrupted {
-                return PoolStep::Interrupted;
-            }
-        }
-    }
-
-    /// Retires entry `id`: removes exactly its standing registration
-    /// (and any queued signals for it), leaving the rest armed.
-    pub fn complete(&mut self, id: usize) {
-        if let Some(pos) = self.live.iter().position(|(i, _)| *i == id) {
-            let (_, context) = self.live.remove(pos);
-            self.mb().deregister_slot(context, &self.waiter, id);
-        }
-        self.pending.retain(|&x| x != id);
-    }
-}
-
-impl Drop for PoolSession {
-    /// Removes every remaining standing registration — a dropped (or
-    /// torn-down) session must not leave claims pointed at a dead pool.
-    fn drop(&mut self) {
-        let mut contexts: Vec<u64> = Vec::new();
-        for (_, ctx) in self.live.drain(..) {
-            if !contexts.contains(&ctx) {
-                contexts.push(ctx);
-            }
-        }
-        for ctx in contexts {
-            self.mb().deregister_notify(ctx, &self.waiter);
-        }
-    }
-}
-
-enum SessionStep {
-    Hit((usize, Completion)),
-    /// Session alive; loop again (drain newly signalled completions).
-    Continue,
-    /// Session torn down; take the slow path this iteration.
-    TornDown,
-}
-
-/// One step of the session fast path: serve a signalled completion,
-/// else drain the claim/missed state, else park.
-fn session_step(set: &mut RequestSet<'_>) -> Result<SessionStep> {
-    // Serve the oldest signalled completion, if any.
-    loop {
-        let RequestSet { requests, session } = &mut *set;
-        let sess = session.as_mut().expect("session exists");
-        let Some(id) = sess.pending.pop_front() else {
-            break;
-        };
+/// Serves the oldest signalled request that has really completed (or
+/// failed), retiring exactly its registration.
+fn serve_signalled(set: &mut RequestSet<'_>) -> Option<(usize, Result<Completion>)> {
+    let RequestSet { requests, session } = set;
+    let sess = session.as_mut().expect("session exists");
+    while let Some(id) = sess.pending.pop_front() {
+        // A late fire of an already-retired request names no live id.
         let Some(pos) = sess.ids.iter().position(|&x| x == id) else {
             continue;
         };
-        sess.ids.remove(pos);
         let req = requests.remove(pos);
-        match req.test() {
-            Ok(TestOutcome::Ready(c)) => return Ok(SessionStep::Hit((pos, c))),
-            Ok(TestOutcome::Pending(r)) => {
-                // A signalled receive should always complete; fall back
-                // to the fully re-checked slow path if it somehow
-                // cannot.
-                requests.insert(pos, r);
-                sess.ids.insert(pos, id);
-                teardown_session(requests, session);
-                return Ok(SessionStep::TornDown);
-            }
-            Err(e) => {
-                // Like `test_at`: the erroring request is consumed, the
-                // rest stay completable.
-                teardown_session(requests, session);
-                return Err(e);
+        let comm = req.comm();
+        let (context, src, tag) = req.recv_selectors().expect("sessions hold receives");
+        match req.settle() {
+            // One push signals every standing entry its envelope
+            // matches, so the siblings of the real recipient test
+            // pending. Their registrations stand: wait for the next
+            // signal.
+            Err(pending) => requests.insert(pos, pending),
+            Ok(outcome) => {
+                sess.ids.remove(pos);
+                comm.mailbox()
+                    .retire_standing(context, src, tag, &sess.waiter, id);
+                return Some((pos, outcome));
             }
         }
     }
-    // Consume the claim state; park if nothing has been signalled.
-    let RequestSet { requests, session } = &mut *set;
-    let sess = session.as_mut().expect("session exists");
-    let mb = requests
-        .first()
-        .expect("session implies pending requests")
-        .comm()
-        .mailbox();
-    crate::fault::point("completion/claim");
-    let mut st = sess.waiter.state.lock();
-    if st.claimed {
-        st.claimed = false;
-        if let Some(f) = st.fired.take() {
-            sess.pending.push_back(f);
-        }
-        sess.pending.extend(st.missed.drain(..));
-        return Ok(SessionStep::Continue);
-    }
-    crate::fault::point("completion/park");
-    mb.watch(&sess.waiter);
-    let interrupted = {
-        let _sp = trace::span(trace::cat::PARK, "park_session", sess.ids.len() as u64, 0);
-        loop {
-            if st.claimed {
-                break false;
-            }
-            if mb.epoch() != sess.seen_epoch {
-                mb.record_spurious();
-                break true;
-            }
-            sess.waiter.cond.wait(&mut st);
-        }
-    };
-    drop(st);
-    mb.unwatch(&sess.waiter);
-    if interrupted {
-        teardown_session(requests, session);
-        return Ok(SessionStep::TornDown);
-    }
-    Ok(SessionStep::Continue)
+    None
 }
 
-/// Event-driven [`RequestSet::wait_any`]: standing registrations
-/// ([`ParkSession`]) for sets of plain receives — O(1) amortized per
-/// completion; otherwise sweep once, park transiently on every pending
-/// source, and on a targeted wakeup re-test only the fired index.
-pub(crate) fn wait_any<'a>(set: &mut RequestSet<'a>) -> Result<Option<(usize, Completion)>> {
-    if set.is_empty() {
+/// [`RequestSet::complete_any`]: a [`Session`] for sets of plain
+/// receives — O(1) amortized per completion; otherwise sweep once, park
+/// transiently on every pending source, and on a targeted wakeup
+/// re-test only the fired index. With `block` false the two parks
+/// become `return None`.
+pub(crate) fn complete_any(
+    set: &mut RequestSet<'_>,
+    block: bool,
+) -> Option<(usize, Result<Completion>)> {
+    let Some(first) = set.requests.first() else {
         teardown_session(&set.requests, &mut set.session);
-        return Ok(None);
-    }
+        return None;
+    };
+    let mb = first.comm().mailbox();
     loop {
         if set.session.is_some() {
-            match session_step(set)? {
-                SessionStep::Hit(hit) => return Ok(Some(hit)),
-                SessionStep::Continue => continue,
-                SessionStep::TornDown => {}
+            if let Some(hit) = serve_signalled(set) {
+                return Some(hit);
+            }
+            if !block {
+                return None;
+            }
+            crate::fault::point("completion/claim");
+            let sess = set.session.as_mut().expect("checked above");
+            let live = sess.ids.len() as u64;
+            let wake = park_watched(&sess.waiter, mb, sess.seen_epoch, "park_session", live);
+            match wake.fired {
+                Some(id) => {
+                    sess.pending.push_back(id);
+                    sess.pending.extend(wake.missed);
+                    continue;
+                }
+                // Interrupted: re-check everything under fresh
+                // interruption checks.
+                None => teardown_session(&set.requests, &mut set.session),
             }
         }
-        let epoch = park_epoch(set.first().expect("set non-empty"));
-        if let Some(hit) = set.sweep_any()? {
-            return Ok(Some(hit));
+        let epoch = mb.epoch();
+        if let Some(hit) = set.sweep_outcome() {
+            return Some(hit);
+        }
+        if !block {
+            return None;
         }
         if build_session(set, epoch) {
             continue;
         }
-        let refs: Vec<&Request<'a>> = set.iter().collect();
-        if let ParkOutcome::Ready(i) = park_any(&refs, epoch) {
-            // Fast path: exactly one source fired; test only that
-            // request. A pending outcome (the engine advanced but did
-            // not finish) falls through to the next full sweep.
-            if let Some(hit) = set.test_at(i)? {
-                return Ok(Some(hit));
-            }
+        // Fast path: exactly one source fired; test only that request.
+        // A pending outcome (the engine advanced but did not finish)
+        // falls through to the next full sweep.
+        if let Some(hit) = park_any(&set.requests, epoch).and_then(|i| set.test_at(i)) {
+            return Some(hit);
         }
     }
 }
 
-/// Event-driven [`RequestSet::wait_some`]: like [`wait_any`] but
-/// collects everything completed once the park ends.
-pub(crate) fn wait_some<'a>(set: &mut RequestSet<'a>) -> Result<Vec<(usize, Completion)>> {
-    if set.is_empty() {
-        return Ok(Vec::new());
-    }
+/// Event-driven [`RequestSet::wait_some`]: like [`complete_any`]'s
+/// transient path but collects everything completed once the park ends.
+pub(crate) fn wait_some(set: &mut RequestSet<'_>) -> Result<Vec<(usize, Completion)>> {
     loop {
-        let epoch = park_epoch(set.first().expect("set non-empty"));
+        let Some(first) = set.requests.first() else {
+            return Ok(Vec::new());
+        };
+        let epoch = first.comm().mailbox().epoch();
         let done = set.test_some()?;
         if !done.is_empty() {
             return Ok(done);
         }
-        let refs: Vec<&Request<'a>> = set.iter().collect();
-        let _ = park_any(&refs, epoch);
+        park_any(&set.requests, epoch);
     }
 }
 
@@ -697,23 +555,10 @@ pub(crate) fn wait_sync_send(comm: &Comm, ack: &Arc<AckSlot>, dest: Rank) -> Res
             });
         }
         let waiter = fresh_waiter();
-        mb.watch(&waiter);
         if !ack.register_notify(&waiter, 0) {
-            let _sp = trace::span(trace::cat::PARK, "park_sync_send", dest as u64, 0);
-            let mut st = waiter.state.lock();
-            loop {
-                if st.fired.is_some() {
-                    break;
-                }
-                if mb.epoch() != seen_epoch {
-                    mb.record_spurious();
-                    break;
-                }
-                waiter.cond.wait(&mut st);
-            }
+            park_watched(&waiter, mb, seen_epoch, "park_sync_send", dest as u64);
         }
         ack.deregister_notify(&waiter);
-        mb.unwatch(&waiter);
     }
 }
 
@@ -1004,6 +849,44 @@ mod tests {
             });
             prop_assert!(out.into_iter().all(|ok| ok));
         }
+    }
+
+    /// Draining a set of N receives that share **one selector** through
+    /// `wait_any` makes one standing registration per receive: each
+    /// push signals all of them, the recipient tests ready, its
+    /// siblings test pending and keep their registrations. (Were the
+    /// entries removed by the fire, the session would have to be rebuilt
+    /// after every completion: N + (N−1) + … + 1 = 78 registrations.)
+    #[test]
+    fn set_wait_any_drain_of_same_selector_receives_makes_one_registration_per_receive() {
+        const N: u64 = 12;
+        Universe::run(2, |comm| {
+            if comm.rank() == 0 {
+                let mut set = RequestSet::new();
+                for _ in 0..N {
+                    set.push(comm.irecv(1, 0));
+                }
+                let before = comm.mailbox_stats().notify_registrations;
+                let mut got = Vec::new();
+                while let Some((_, c)) = set.wait_any().unwrap() {
+                    got.push(c.into_vec::<u8>().unwrap().0[0]);
+                }
+                assert_eq!(got, (0..N as u8).collect::<Vec<_>>());
+                let made = comm.mailbox_stats().notify_registrations - before;
+                assert!(
+                    made <= N,
+                    "drained {N} same-selector receives with {made} registrations — the \
+                     set is rebuilding its session instead of keeping it"
+                );
+            } else {
+                for i in 0..N {
+                    // Stagger so the set actually parks between
+                    // completions instead of sweeping everything up.
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    comm.send(&[i as u8], 0, 0).unwrap();
+                }
+            }
+        });
     }
 
     /// A mixed set — sync-send (ack source) + receive (mailbox source)

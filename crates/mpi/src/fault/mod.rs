@@ -278,7 +278,6 @@ mod imp {
         /// Total injection points passed per rank (diagnostics).
         counters: Vec<AtomicU64>,
         msg: Mutex<MsgState>,
-        crashes_fired: AtomicU64,
     }
 
     impl Inner {
@@ -289,7 +288,6 @@ mod imp {
                 if arm.point.is_none_or(|p| p == name) {
                     let n = arm.hits.fetch_add(1, Ordering::Relaxed) + 1;
                     if n == arm.at && !arm.fired.swap(true, Ordering::Relaxed) {
-                        self.crashes_fired.fetch_add(1, Ordering::Relaxed);
                         trace::instant(trace::cat::ULFM, "fault/crash", rank as u64, n);
                         // Involuntary `fail_here`: unwind with the same
                         // payload; the universe marks the rank failed
@@ -396,16 +394,8 @@ mod imp {
                         delivered_to: vec![0; size],
                         delayed: Vec::new(),
                     }),
-                    crashes_fired: AtomicU64::new(0),
                 })),
             }
-        }
-
-        /// Crashes this plan has fired so far (diagnostics).
-        pub(crate) fn crashes_fired(&self) -> u64 {
-            self.inner
-                .as_ref()
-                .map_or(0, |i| i.crashes_fired.load(Ordering::Relaxed))
         }
     }
 
@@ -490,11 +480,6 @@ mod imp {
         #[inline]
         pub(crate) fn new(_plan: &FaultPlan, _size: usize) -> Self {
             WorldFaults
-        }
-
-        #[inline]
-        pub(crate) fn crashes_fired(&self) -> u64 {
-            0
         }
     }
 

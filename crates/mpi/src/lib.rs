@@ -80,7 +80,6 @@ pub use collectives::{
     TuningStats,
 };
 pub use comm::{Comm, TuningGuard};
-pub use completion::{park_any, park_epoch, ParkOutcome, PoolSession, PoolStep};
 pub use counter::CallCounts;
 pub use error::{MpiError, Result};
 pub use fault::{FaultPlan, MsgAction, MsgRule};

@@ -184,10 +184,10 @@ enum PostKind {
     /// A *standing* registration: claim-and-wake exactly like
     /// [`PostKind::Notify`], but the entry **survives the fire** — it
     /// stays posted and claims again on the next matching push. This is
-    /// the persistent-request / pool-session hook: register once at
-    /// init, then every `start`/`wait` cycle re-arms in O(1) with zero
-    /// re-registration ([`crate::persistent`],
-    /// [`crate::completion::PoolSession`]). Removed only by explicit
+    /// the persistent-request / request-set-session hook: register once,
+    /// then every `start`/`wait` cycle or `wait_any` call re-parks in
+    /// O(1) with zero re-registration (the registration kinds are
+    /// listed in [`crate::completion`]). Removed only by explicit
     /// deregistration.
     Standing(usize),
 }
@@ -442,7 +442,7 @@ impl Mailbox {
                 if reg.wake_only && !reg.waiter.armed.load(Ordering::SeqCst) {
                     continue;
                 }
-                self.claim_standing(&reg.waiter, reg.slot, seq);
+                self.claim(&reg.waiter, reg.slot, seq);
             }
         }
         // Posted-receive queue next, in posting order: every matching
@@ -463,14 +463,16 @@ impl Mailbox {
                 // persistent cycles never re-register. The envelope
                 // stays live. (Fully-specific standing registrations
                 // were already claimed through `standing_idx` above.)
-                self.claim_standing(&p.waiter, slot, seq);
+                self.claim(&p.waiter, slot, seq);
                 i += 1;
                 continue;
             }
+            // Entry `i` is removed: the scan continues at the same
+            // index unless a receive consumes the envelope.
             let p = st.posted.remove(i).expect("index in bounds");
-            let mut w = p.waiter.state.lock();
             match p.kind {
                 PostKind::Peek => {
+                    let mut w = p.waiter.state.lock();
                     w.status = Some(Status {
                         source: env.src,
                         tag: env.tag,
@@ -479,46 +481,21 @@ impl Mailbox {
                     p.waiter.cond.notify_one();
                     drop(w);
                     self.wakeups.fetch_add(1, Ordering::Relaxed);
-                    // The envelope is still available; keep scanning at
-                    // the same index (entry `i` was removed).
                 }
                 PostKind::Recv => {
                     trace::instant(trace::cat::MATCH, "targeted_wakeup", seq, env.src as u64);
+                    let mut w = p.waiter.state.lock();
                     w.env = Some(env);
                     p.waiter.cond.notify_one();
                     drop(w);
                     self.wakeups.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
-                PostKind::Notify(slot) => {
-                    // Notification-only: claim the waiter (first
-                    // completion wins) and keep the envelope live — it
-                    // falls through to the unexpected queue (or a later
-                    // posted receive) for the woken thread's re-test.
-                    // A completion landing while the waiter is already
-                    // claimed is recorded as *missed* instead of waking
-                    // anybody: the claim's owner drains the missed list
-                    // on its next pass, so standing registrations
-                    // ([`crate::completion::ParkSession`]) never need a
-                    // rescan and never double-wake. Entry `i` was
-                    // removed; keep scanning at the same index.
-                    if !w.claimed {
-                        w.claimed = true;
-                        w.fired = Some(slot);
-                        p.waiter.cond.notify_one();
-                        drop(w);
-                        self.multi_wakeups.fetch_add(1, Ordering::Relaxed);
-                        trace::instant(trace::cat::COMPLETION, "claim", slot as u64, seq);
-                    } else {
-                        w.missed.push(slot);
-                        trace::instant(
-                            trace::cat::COMPLETION,
-                            "missed_completion",
-                            slot as u64,
-                            seq,
-                        );
-                    }
-                }
+                // Notification-only: claim-or-miss, and the envelope
+                // stays live — it falls through to the unexpected queue
+                // (or a later posted receive) for the woken thread's
+                // re-test.
+                PostKind::Notify(slot) => self.claim(&p.waiter, slot, seq),
                 PostKind::Standing(_) => unreachable!("standing entries are never removed above"),
             }
         }
@@ -528,21 +505,16 @@ impl Mailbox {
         trace::umq_enqueue(seq, depth as u64);
     }
 
-    /// Claim-or-miss on a standing registration's waiter: the first
-    /// completion claims (and wakes) the waiter; later ones land in its
-    /// missed list for the owner's next drain pass. Claims never carry
-    /// messages — the woken thread re-tests against the queues.
-    fn claim_standing(&self, waiter: &Arc<Waiter>, slot: usize, seq: u64) {
-        let mut w = waiter.state.lock();
-        if !w.claimed {
-            w.claimed = true;
-            w.fired = Some(slot);
-            waiter.cond.notify_one();
-            drop(w);
+    /// Claim-or-miss on a registered waiter (`Waiter::claim`, counted
+    /// and traced): the first completion claims and wakes it; later
+    /// ones land in its missed list for the owner's next park. Claims
+    /// never carry messages — the woken thread re-tests against the
+    /// queues.
+    fn claim(&self, waiter: &Waiter, slot: usize, seq: u64) {
+        if waiter.claim(slot) {
             self.multi_wakeups.fetch_add(1, Ordering::Relaxed);
             trace::instant(trace::cat::COMPLETION, "claim", slot as u64, seq);
         } else {
-            w.missed.push(slot);
             trace::instant(
                 trace::cat::COMPLETION,
                 "missed_completion",
@@ -635,11 +607,11 @@ impl Mailbox {
     /// ([`Waiter::armed`]): pushes claim the waiter only while its
     /// owner is waiting. Legal only for owners that re-test the queues
     /// on every pass and never read claims as completion records
-    /// (persistent requests); owners that rely on claim/missed
-    /// recording ([`crate::completion::PoolSession`]) must pass
-    /// `false`. Wildcard selectors keep claim-always behavior
-    /// regardless — only indexed (fully-specific) entries check the
-    /// flag.
+    /// (persistent and partitioned requests); owners that rely on
+    /// claim/missed recording (a request set's session, see
+    /// [`crate::completion`]) must pass `false`. Wildcard selectors
+    /// keep claim-always behavior regardless — only indexed
+    /// (fully-specific) entries check the flag.
     pub(crate) fn register_standing(
         &self,
         context: u64,
@@ -696,8 +668,9 @@ impl Mailbox {
     }
 
     /// Removes `waiter`'s notify/standing registrations carrying `slot`
-    /// in `context`, leaving its other slots registered (a pool session
-    /// retires one completed entry without disturbing the rest).
+    /// in `context`, leaving its other slots registered (a request
+    /// set's session retires one completed receive without disturbing
+    /// the rest).
     pub(crate) fn deregister_slot(&self, context: u64, waiter: &Arc<Waiter>, slot: usize) {
         let Some(shard) = self.existing_shard(context) else {
             return;
@@ -711,6 +684,36 @@ impl Mailbox {
             regs.retain(|r| !(r.slot == slot && Arc::ptr_eq(&r.waiter, waiter)));
             !regs.is_empty()
         });
+    }
+
+    /// Removes the one registration `register_standing(context, src,
+    /// tag, waiter, slot, ..)` made: by `(source, tag)` lookup for a
+    /// fully-specific selector — retiring one of a set's many receives
+    /// must not cost a scan of all the others' entries — and through
+    /// [`Mailbox::deregister_slot`] otherwise.
+    pub(crate) fn retire_standing(
+        &self,
+        context: u64,
+        src: Src,
+        tag: TagSel,
+        waiter: &Arc<Waiter>,
+        slot: usize,
+    ) {
+        let (Src::Rank(r), TagSel::Is(t)) = (src, tag) else {
+            return self.deregister_slot(context, waiter, slot);
+        };
+        let Some(shard) = self.existing_shard(context) else {
+            return;
+        };
+        let mut st = shard.state.lock();
+        if let std::collections::hash_map::Entry::Occupied(mut regs) = st.standing_idx.entry((r, t))
+        {
+            regs.get_mut()
+                .retain(|reg| !(reg.slot == slot && Arc::ptr_eq(&reg.waiter, waiter)));
+            if regs.get().is_empty() {
+                regs.remove();
+            }
+        }
     }
 
     /// Adds a parked completion waiter to the interrupt watcher list

@@ -15,8 +15,9 @@
 //! Like the [`persistent`](crate::persistent) operations this builds
 //! on, all shape-dependent work happens once at `*_init`: envelope
 //! validation, the frozen `(dest, tag)` stream, and — on the receiver —
-//! a standing completion registration that serves every cycle's
-//! wakeups without re-registration.
+//! a standing, wake-only completion registration (see
+//! [`crate::completion`]) that serves every cycle's wakeups without
+//! re-registration.
 //!
 //! # Wire format and cycle alignment
 //!
@@ -49,8 +50,9 @@ use crate::{Plain, Rank, Tag};
 struct SendShared {
     state: Mutex<SendState>,
     /// Signals the rank thread's `wait` when the last partition of a
-    /// cycle is published (or the cycle is poisoned).
-    cond: Condvar,
+    /// cycle is published (or the cycle is poisoned). Producers are
+    /// local threads, not messages: this is not a completion park.
+    published: Condvar,
 }
 
 struct SendState {
@@ -142,7 +144,7 @@ impl<'a, T: Plain> PartitionedSend<'a, T> {
             return Ok(());
         }
         while st.done < self.partitions && st.poisoned.is_none() {
-            self.shared.cond.wait(&mut st);
+            self.shared.published.wait(&mut st);
         }
         st.armed = false;
         drop(st);
@@ -203,7 +205,7 @@ impl<T: Plain> PartitionWriter<T> {
         let mut st = self.shared.state.lock();
         if let Err(e) = err {
             st.poisoned.get_or_insert(e.clone());
-            self.shared.cond.notify_all();
+            self.shared.published.notify_all();
             return Err(e);
         }
         if !st.armed {
@@ -216,7 +218,7 @@ impl<T: Plain> PartitionWriter<T> {
                 "pready: partition {partition} already published this cycle"
             ));
             st.poisoned.get_or_insert(e.clone());
-            self.shared.cond.notify_all();
+            self.shared.published.notify_all();
             return Err(e);
         }
         // Push while holding the cycle lock: the armed/double-publish
@@ -244,7 +246,7 @@ impl<T: Plain> PartitionWriter<T> {
         st.ready[partition] = true;
         st.done += 1;
         if st.done == self.partitions {
-            self.shared.cond.notify_all();
+            self.shared.published.notify_all();
         }
         Ok(())
     }
@@ -364,20 +366,7 @@ impl<'a, T: Plain> PartitionedRecv<'a, T> {
             if let Some(e) = self.comm.wait_interrupted(Src::Rank(self.src)) {
                 break Err(e);
             }
-            let mut st = self.waiter.state.lock();
-            loop {
-                if st.claimed {
-                    st.claimed = false;
-                    st.fired = None;
-                    st.missed.clear();
-                    break;
-                }
-                if mb.epoch() != epoch {
-                    mb.record_spurious();
-                    break;
-                }
-                self.waiter.cond.wait(&mut st);
-            }
+            self.waiter.park(mb, epoch);
         };
         self.waiter
             .armed
@@ -465,11 +454,6 @@ impl<'a, T: Plain> PartitionedRecv<'a, T> {
 
     fn finish_cycle(&mut self) {
         trace::async_end(trace::cat::PERSIST, "partitioned_cycle", self.trace_id());
-        let mut st = self.waiter.state.lock();
-        st.claimed = false;
-        st.fired = None;
-        st.missed.clear();
-        drop(st);
         self.active = false;
         self.cycles += 1;
     }
@@ -521,7 +505,7 @@ impl Comm {
                     done: 0,
                     poisoned: None,
                 }),
-                cond: Condvar::new(),
+                published: Condvar::new(),
             }),
             cycles: 0,
             _ty: PhantomData,

@@ -23,12 +23,10 @@
 //!   (`CollEngine::start` in `crate::collectives::nonblocking`), which
 //!   re-arms the receive state in place and posts the cycle's sends,
 //!   instead of re-constructing it,
-//! - a **standing registration**
-//!   ([`Mailbox::register_standing`](crate::mailbox)) is installed in
-//!   the completion subsystem for every source the plan can ever block
-//!   on. Unlike the transient registrations of
-//!   [`park_any`](crate::completion::park_any), standing entries
-//!   survive every fire — the steady-state `start` → `wait` cycle
+//! - a **standing, wake-only registration** is installed in the
+//!   completion subsystem for every source the plan can ever block on
+//!   (the registration kinds and the park they feed are
+//!   [`crate::completion`]'s) — the steady-state `start` → `wait` cycle
 //!   performs **zero** waiter (de)registrations, pinned by the
 //!   `notify_registrations` counter in
 //!   [`MailboxStats`](crate::MailboxStats).
@@ -120,10 +118,6 @@ pub struct PersistentRequest<'a> {
     /// Whether standing registrations exist (teardown on drop).
     registered: bool,
     active: bool,
-    /// True once `wait` has armed the waiter since the last claim-state
-    /// clear: claims can only fire while armed, so an un-armed cycle's
-    /// `finish_cycle` skips the waiter lock entirely.
-    maybe_claimed: bool,
     /// Completed `start`/`wait` cycles (diagnostics).
     cycles: u64,
     /// Set when a cycle ends in a ULFM error (peer failure,
@@ -143,7 +137,6 @@ impl<'a> PersistentRequest<'a> {
             registered: false,
             active: false,
             poisoned: None,
-            maybe_claimed: false,
             cycles: 0,
         }
     }
@@ -223,66 +216,50 @@ impl<'a> PersistentRequest<'a> {
     /// at init claim the dedicated waiter directly — no registration,
     /// no deregistration, no sweep of unrelated sources. The
     /// registrations are *wake-only*: pushes claim the waiter only
-    /// between the arm below and completion, so cycles whose messages
-    /// have already arrived cost the senders nothing at all. Waiting on
-    /// an inactive request returns [`Completion::Done`] immediately
-    /// (MPI's null-status convention).
+    /// while an armed attempt below is under way, so cycles whose
+    /// messages have already arrived cost the senders nothing at all.
+    /// Waiting on an inactive request returns [`Completion::Done`]
+    /// immediately (MPI's null-status convention).
     pub fn wait(&mut self) -> Result<Completion> {
         if !self.active {
             return Ok(Completion::Done);
         }
         let _sp = trace::span(trace::cat::WAIT, "wait_persistent", 0, 0);
-        let mb = self.comm.mailbox();
         // Fast path: the cycle already completed — the armed flag is
         // never raised and no push ever locked this waiter.
-        match self.try_complete() {
-            Ok(Some(c)) => {
-                self.finish_cycle();
-                return Ok(c);
+        let mut attempt = self.try_complete();
+        loop {
+            match attempt {
+                Ok(Some(c)) => {
+                    self.finish_cycle();
+                    return Ok(c);
+                }
+                Ok(None) => attempt = self.armed_attempt().map(|(c, _)| c),
+                Err(e) => return Err(self.poison(e)),
             }
-            Ok(None) => {}
-            Err(e) => return Err(self.poison(e)),
         }
-        // Arm, then re-test before parking: the store precedes the
-        // re-test's shard-lock acquisition, so a push that enqueues
-        // after the re-test observes the flag and claims — no arrival
-        // can fall between re-test and park.
+    }
+
+    /// One armed completion attempt: arm, re-test, and — still pending —
+    /// park ([`Waiter::park`]) until the first wakeup. Returns the
+    /// completion (`None`: woken by a claim or an interrupt; re-test)
+    /// and whether the thread actually slept.
+    ///
+    /// Arm, then re-test before parking: the store precedes the
+    /// re-test's shard-lock acquisition, so a push that enqueues after
+    /// the re-test observes the flag and claims — no arrival can fall
+    /// between re-test and park. A claim left over from an earlier
+    /// attempt (claims never carry messages) costs one early return.
+    fn armed_attempt(&mut self) -> Result<(Option<Completion>, bool)> {
+        let mb = self.comm.mailbox();
         self.waiter.armed.store(true, Ordering::SeqCst);
-        self.maybe_claimed = true;
-        let result = loop {
-            let epoch = mb.epoch();
-            match self.try_complete() {
-                Ok(Some(c)) => break Ok(c),
-                Ok(None) => {}
-                Err(e) => break Err(e),
-            }
-            let mut st = self.waiter.state.lock();
-            loop {
-                if st.claimed {
-                    // Consume the claim (and any missed fires — claims
-                    // never carry messages, so clearing loses nothing:
-                    // whatever fired is queued and the next
-                    // `try_complete` finds it).
-                    st.claimed = false;
-                    st.fired = None;
-                    st.missed.clear();
-                    break;
-                }
-                if mb.epoch() != epoch {
-                    mb.record_spurious();
-                    break;
-                }
-                self.waiter.cond.wait(&mut st);
-            }
-        };
+        let epoch = mb.epoch();
+        let attempt = self.try_complete().map(|done| match done {
+            Some(c) => (Some(c), false),
+            None => (None, self.waiter.park(mb, epoch).slept),
+        });
         self.waiter.armed.store(false, Ordering::SeqCst);
-        match result {
-            Ok(c) => {
-                self.finish_cycle();
-                Ok(c)
-            }
-            Err(e) => Err(self.poison(e)),
-        }
+        attempt
     }
 
     /// Non-blocking completion check (mirrors `MPI_Test` on a
@@ -311,25 +288,11 @@ impl<'a> PersistentRequest<'a> {
         e
     }
 
-    /// Cycle bookkeeping shared by `wait` and `test`: clear any claim
-    /// state left by this cycle's pushes **before** the request is
-    /// restartable — a stale claim would swallow the next cycle's first
-    /// wakeup into the missed list.
+    /// Cycle bookkeeping shared by `wait` and `test`.
     fn finish_cycle(&mut self) {
         // The end event must carry the same id the cycle's `start`
         // emitted, so it fires before the cycle counter advances.
         trace::async_end(trace::cat::PERSIST, "persistent_cycle", self.trace_id());
-        // Claims only fire while the waiter is armed (the registrations
-        // are wake-only), so a cycle that completed on the un-armed
-        // fast path has clean claim state by construction — no lock.
-        if self.maybe_claimed {
-            let mut st = self.waiter.state.lock();
-            st.claimed = false;
-            st.fired = None;
-            st.missed.clear();
-            drop(st);
-            self.maybe_claimed = false;
-        }
         self.active = false;
         self.cycles += 1;
     }
@@ -488,54 +451,13 @@ impl<'a> PersistentSet<'a> {
             // The other members' waiters stay un-armed — their arrivals
             // queue silently and the re-sweep finds them.
             let req = &mut self.requests[first];
-            let mb = req.comm.mailbox();
-            req.waiter.armed.store(true, Ordering::SeqCst);
-            req.maybe_claimed = true;
-            let parked = loop {
-                let epoch = mb.epoch();
-                match req.try_complete() {
-                    Ok(Some(c)) => {
-                        req.finish_cycle();
-                        out[first] = Some(c);
-                        pending.remove(0);
-                        break false;
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        req.waiter.armed.store(false, Ordering::SeqCst);
-                        return Err(e);
-                    }
-                }
-                let mut st = req.waiter.state.lock();
-                let mut slept = false;
-                loop {
-                    if st.claimed {
-                        st.claimed = false;
-                        st.fired = None;
-                        st.missed.clear();
-                        break;
-                    }
-                    if mb.epoch() != epoch {
-                        mb.record_spurious();
-                        break;
-                    }
-                    slept = true;
-                    req.waiter.cond.wait(&mut st);
-                }
-                drop(st);
-                if slept {
-                    break true;
-                }
-                // Woken without sleeping (message raced the park):
-                // loop — the next try_complete consumes it.
-            };
-            if parked {
-                self.parks += 1;
+            let (done, slept) = req.armed_attempt()?;
+            if let Some(c) = done {
+                req.finish_cycle();
+                out[first] = Some(c);
+                pending.remove(0);
             }
-            self.requests[first]
-                .waiter
-                .armed
-                .store(false, Ordering::SeqCst);
+            self.parks += u64::from(slept);
         }
         Ok(out
             .into_iter()

@@ -1,6 +1,5 @@
-//! Non-blocking operations: requests, test/wait, request sets — and the
-//! design note for the **completion protocol** that makes
-//! every blocking wait on them event-driven.
+//! Non-blocking operations: requests, test/wait, request sets. How a
+//! thread *blocks* on them is decided in [`crate::completion`].
 //!
 //! Substrate requests are byte-level; the binding layer wraps them in the
 //! buffer-owning `NonBlockingResult` that provides the paper's §III-E
@@ -17,49 +16,18 @@
 //! The *blocking* paths never poll. Every one of them — `wait` on a
 //! receive, on a synchronous-mode send, on a collective engine;
 //! [`RequestSet::wait_any`] / [`RequestSet::wait_some`] over a mixed
-//! set — runs the parking protocol of [`crate::completion`]:
+//! set — parks under the one protocol of [`crate::completion`], whose
+//! module doc is the state machine, the registration kinds and the
+//! no-lost-wakeup / bounded-spurious-wakeup argument.
 //!
-//! ```text
-//!   capture epoch -> sweep (one non-blocking test of everything)
-//!                 -> register one waiter on every blocked source
-//!                    (posted receives across shards, sync-send acks)
-//!                 -> park          [thread sleeps; costs nothing]
-//!                 -> first completion claims the waiter with its
-//!                    source index; re-test ONLY that index
-//!                 -> cancel the other registrations
-//! ```
-//!
-//! Registration / wake / cancel state diagram (the full version with
-//! the lock-ordering argument is in [`crate::completion`]):
-//!
-//! ```text
-//!            register N sources            claim(k): source k fired
-//!   [sweep] ───────────────────> [parked] ─────────────────────────┐
-//!      ^                            │                              v
-//!      │                            │ epoch bump (interrupt)   [test k]
-//!      │        cancel N            v                              │
-//!      └────────────────────── [re-check] <──────── pending ───────┘
-//!                                                   ready -> return
-//! ```
-//!
-//! Each request kind reports the sources it is blocked on through
-//! `Request::park_spec`: a posted receive its `(context, source,
-//! tag)` selectors, a collective engine the receives its state machine
-//! is stalled on (the hook every engine in
-//! `crate::collectives::nonblocking` implements — `ibarrier` is one of
-//! them, with no state of its own here), a synchronous-mode send its
-//! acknowledgement slot. Sends buffered at
-//! creation report "ready" and never park.
-//!
-//! **Why spurious wakeups are bounded:** a parked waiter is woken by a
-//! claim (a source really completed — re-testing that index finds the
-//! progress, so the wakeup is productive) or by an interruption-epoch
-//! bump (process failure / revocation). There is no timed safety net
-//! and no broadcast: a push wakes at most one waiter, so the only
-//! non-productive wakeups are the per-interrupt re-checks, bounded by
-//! the number of interruption events in the run. The
-//! `spurious_wakeups` counter in [`crate::MailboxStats`] measures
-//! exactly this.
+//! What this module contributes to it is the *sources*: each request
+//! kind reports what it is blocked on through `Request::park_spec` — a
+//! posted receive its `(context, source, tag)` selectors, a collective
+//! engine the receives its state machine is stalled on (the hook every
+//! engine in `crate::collectives::nonblocking` implements — `ibarrier`
+//! is one of them, with no state of its own here), a synchronous-mode
+//! send its acknowledgement slot. Sends buffered at creation report
+//! "ready" and never park.
 //!
 //! The seed's sweep-and-yield strategy survives as
 //! [`crate::completion::reference`] — the differential-testing baseline
@@ -300,6 +268,17 @@ impl<'a> Request<'a> {
         outcome
     }
 
+    /// [`test`](Request::test) as request sets book it: the outcome
+    /// that consumed the request — completion or error — or the request
+    /// back while it is still pending.
+    pub(crate) fn settle(self) -> std::result::Result<Result<Completion>, Request<'a>> {
+        match self.test() {
+            Ok(TestOutcome::Pending(req)) => Err(req),
+            Ok(TestOutcome::Ready(c)) => Ok(Ok(c)),
+            Err(e) => Ok(Err(e)),
+        }
+    }
+
     /// The communicator this request operates on.
     pub(crate) fn comm(&self) -> &'a Comm {
         self.comm
@@ -307,8 +286,8 @@ impl<'a> Request<'a> {
 
     /// The `(context, source, tag)` selectors of a plain posted
     /// receive — the requests whose park sources never change, making
-    /// them eligible for standing registrations
-    /// ([`ParkSession`](crate::completion::ParkSession)).
+    /// them eligible for a set's standing registrations
+    /// (`crate::completion::Session`).
     pub(crate) fn recv_selectors(&self) -> Option<(u64, Src, TagSel)> {
         match &self.state {
             ReqState::Recv { src, tag } => Some((self.comm.context, *src, *tag)),
@@ -411,23 +390,20 @@ impl Comm {
 
 /// A set of requests completed together
 /// (mirrors `MPI_Waitall` over an array of requests; the substrate
-/// counterpart of KaMPIng's request pools).
+/// counterpart of KaMPIng's request pools, which are typed views of
+/// it).
 #[derive(Default)]
 pub struct RequestSet<'a> {
     pub(crate) requests: Vec<Request<'a>>,
     /// Standing registrations kept across `wait_any` calls (sets of
-    /// plain receives only — see
-    /// [`ParkSession`](crate::completion::ParkSession)). Torn down by
-    /// any other mutation of the set.
-    pub(crate) session: Option<crate::completion::ParkSession>,
+    /// plain receives only — see `crate::completion::Session`). Ended
+    /// by any other mutation of the set.
+    pub(crate) session: Option<crate::completion::Session>,
 }
 
 impl<'a> RequestSet<'a> {
     pub fn new() -> Self {
-        RequestSet {
-            requests: Vec::new(),
-            session: None,
-        }
+        RequestSet::default()
     }
 
     /// Adds a request to the set.
@@ -490,68 +466,54 @@ impl<'a> RequestSet<'a> {
     }
 
     /// One non-blocking sweep of the `wait_any` loop: tests requests in
-    /// order until one completes, keeping the rest. If a request errors
-    /// (peer failure, revocation), that request is consumed but every
-    /// other one stays in the set, so fault-tolerant callers can keep
-    /// waiting on the survivors.
-    pub(crate) fn sweep_any(&mut self) -> Result<Option<(usize, Completion)>> {
-        let mut ready: Option<(usize, Completion)> = None;
-        let mut erred = None;
+    /// order until one completes or errors, keeping the rest. Returns
+    /// that request's index and outcome; either way it is consumed.
+    pub(crate) fn sweep_outcome(&mut self) -> Option<(usize, Result<Completion>)> {
+        let mut hit = None;
         let mut kept = Vec::with_capacity(self.requests.len());
         for (i, req) in std::mem::take(&mut self.requests).into_iter().enumerate() {
-            if ready.is_some() || erred.is_some() {
+            if hit.is_some() {
                 kept.push(req);
                 continue;
             }
-            match req.test() {
-                Ok(TestOutcome::Ready(c)) => ready = Some((i, c)),
-                Ok(TestOutcome::Pending(r)) => kept.push(r),
-                // The erroring request is consumed; the others stay
-                // in the set so survivors remain completable.
-                Err(e) => erred = Some(e),
+            match req.settle() {
+                Ok(outcome) => hit = Some((i, outcome)),
+                Err(pending) => kept.push(pending),
             }
         }
         self.requests = kept;
-        match erred {
-            Some(e) => Err(e),
-            None => Ok(ready),
-        }
+        hit
+    }
+
+    /// [`sweep_outcome`](Self::sweep_outcome) in `wait_any`'s return
+    /// shape (the sweep of [`crate::completion::reference`]).
+    pub(crate) fn sweep_any(&mut self) -> Result<Option<(usize, Completion)>> {
+        flatten(self.sweep_outcome())
     }
 
     /// Tests only the request at `index` (the fast path after a
-    /// targeted wakeup named that index): `Ok(Some(..))` if it
-    /// completed, `Ok(None)` if it is still pending (handed back in
-    /// place). An erroring request is consumed, the others kept.
-    pub(crate) fn test_at(&mut self, index: usize) -> Result<Option<(usize, Completion)>> {
+    /// targeted wakeup named that index): its outcome if that consumed
+    /// it, `None` if it is still pending (handed back in place).
+    pub(crate) fn test_at(&mut self, index: usize) -> Option<(usize, Result<Completion>)> {
         if index >= self.requests.len() {
-            return Ok(None);
+            return None;
         }
-        let req = self.requests.remove(index);
-        match req.test() {
-            Ok(TestOutcome::Ready(c)) => Ok(Some((index, c))),
-            Ok(TestOutcome::Pending(r)) => {
-                self.requests.insert(index, r);
-                Ok(None)
+        match self.requests.remove(index).settle() {
+            Ok(outcome) => Some((index, outcome)),
+            Err(pending) => {
+                self.requests.insert(index, pending);
+                None
             }
-            Err(e) => Err(e),
         }
-    }
-
-    /// The first request in the set, if any.
-    pub(crate) fn first(&self) -> Option<&Request<'a>> {
-        self.requests.first()
-    }
-
-    /// Iterates the pending requests in insertion order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &Request<'a>> {
-        self.requests.iter()
     }
 
     /// Blocks until *one* request completes (mirrors `MPI_Waitany`),
     /// removing it from the set. Returns the completed request's index
     /// *at call time* together with its completion, or `None` if the set
     /// is empty. Remaining requests shift down by one, as after
-    /// `Vec::remove`.
+    /// `Vec::remove`. If a request errors (peer failure, revocation),
+    /// that request is consumed but every other one stays in the set, so
+    /// fault-tolerant callers can keep waiting on the survivors.
     ///
     /// Fully event-driven: after one test sweep the thread parks with a
     /// waiter registered on every pending source, and the first
@@ -559,13 +521,25 @@ impl<'a> RequestSet<'a> {
     /// [`crate::completion`]). The seed's sweep-and-yield loop survives
     /// as [`crate::completion::reference::wait_any`].
     pub fn wait_any(&mut self) -> Result<Option<(usize, Completion)>> {
+        flatten(self.complete_any(true))
+    }
+
+    /// [`wait_any`](Self::wait_any) for callers that keep per-request
+    /// state beside the set (the binding layer's request pools): the
+    /// request this call removed is reported with its index at call
+    /// time **whether it completed or failed** — as `MPI_Waitany` sets
+    /// `index` even when it returns an error — so the caller can retire
+    /// its own entry for it. With `block` false the call never parks
+    /// (`MPI_Testany`): `None` then also means "nothing is complete
+    /// yet".
+    pub fn complete_any(&mut self, block: bool) -> Option<(usize, Result<Completion>)> {
         let _sp = crate::trace::span(
             crate::trace::cat::WAIT,
             "wait_any",
             self.requests.len() as u64,
             0,
         );
-        crate::completion::wait_any(self)
+        crate::completion::complete_any(self, block)
     }
 
     /// Blocks until *at least one* request completes (mirrors
@@ -584,10 +558,14 @@ impl<'a> RequestSet<'a> {
     }
 }
 
+/// `wait_any`'s return shape from a per-request outcome.
+fn flatten(hit: Option<(usize, Result<Completion>)>) -> Result<Option<(usize, Completion)>> {
+    hit.map(|(i, outcome)| outcome.map(|c| (i, c))).transpose()
+}
+
 impl Drop for RequestSet<'_> {
-    /// Dropping a set with standing registrations
-    /// (`crate::completion::ParkSession`) must remove them from the
-    /// mailbox's posted queue — abandoned sets (e.g. the
+    /// Dropping a set with a live session must remove its standing
+    /// registrations from the mailbox — abandoned sets (e.g. the
     /// wait-for-fastest pattern that drops the losers) would otherwise
     /// accumulate dead entries for the communicator's lifetime.
     fn drop(&mut self) {

@@ -584,66 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn revoked_while_parked_pool_session_wakes() {
-        // Same race for the caller-managed standing registrations
-        // (`PoolSession`, the request-pool fast path): a session parked
-        // in `next_signalled` must come back `Interrupted` when the
-        // communicator is revoked, and the pooled receives must then
-        // surface `Revoked`.
-        use crate::completion::{PoolSession, PoolStep};
-        use crate::request::TestOutcome;
-        with_deadline(240, || {
-            for i in 0..200u32 {
-                Universe::run(2, move |comm| {
-                    let dup = comm.dup().unwrap();
-                    if comm.rank() == 1 {
-                        if i % 2 == 0 {
-                            std::thread::sleep(std::time::Duration::from_micros(50));
-                        }
-                        dup.revoke();
-                    } else {
-                        // The build protocol: capture the epoch, re-check
-                        // by sweeping, only then park — a revocation
-                        // landing before the capture is seen by the
-                        // sweep, one landing after it bumps the epoch.
-                        let reqs = vec![dup.irecv(1, 5), dup.irecv(1, 6)];
-                        let epoch = crate::completion::park_epoch(&reqs[0]);
-                        let mut kept = Vec::new();
-                        let mut revoked = false;
-                        for r in reqs {
-                            match r.test() {
-                                Ok(TestOutcome::Pending(r)) => kept.push(r),
-                                Ok(TestOutcome::Ready(_)) => {
-                                    panic!("iteration {i}: nothing was sent")
-                                }
-                                Err(e) => {
-                                    assert_eq!(e, MpiError::Revoked, "iteration {i}");
-                                    revoked = true;
-                                }
-                            }
-                        }
-                        if !revoked {
-                            let entries: Vec<(usize, &crate::Request<'_>)> =
-                                kept.iter().enumerate().collect();
-                            let mut sess =
-                                PoolSession::build(&entries, epoch).expect("all plain receives");
-                            match sess.next_signalled() {
-                                PoolStep::Interrupted => {}
-                                PoolStep::Signalled(id) => {
-                                    panic!("iteration {i}: spurious signal for {id}")
-                                }
-                            }
-                        }
-                        for r in kept {
-                            assert_eq!(r.wait().unwrap_err(), MpiError::Revoked, "iteration {i}");
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
     fn shrink_inherits_parent_coll_tuning() {
         // Recovery must not forget performance decisions: `CollTuning`
         // is per-communicator and collectively agreed, so the shrunken

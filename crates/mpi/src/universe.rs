@@ -82,7 +82,9 @@ pub struct WorldState {
     pub(crate) snap_slots: Vec<Arc<trace::SnapshotSlot>>,
     pub(crate) agreements: AgreementTable,
     /// The universe's fault-injection state (see [`crate::fault`]); a
-    /// zero-sized no-op without the `fault` feature.
+    /// zero-sized no-op (which nothing reads) without the `fault`
+    /// feature.
+    #[cfg_attr(not(feature = "fault"), allow(dead_code))]
     pub(crate) faults: fault::WorldFaults,
 }
 
@@ -351,30 +353,11 @@ impl Universe {
         })
     }
 
-    /// Number of planned crashes the universe's fault plan has fired so
-    /// far (always 0 without the `fault` feature or without a plan).
-    pub fn fault_crashes_fired(world: &WorldState) -> u64 {
-        world.faults.crashes_fired()
-    }
-
-    /// Collected per-rank call counters after a run. Only meaningful if
-    /// the caller kept the `Arc<WorldState>` alive; exposed primarily for
-    /// the binding layer's tests via [`Comm::call_counts`](crate::Comm::call_counts).
-    pub fn collect_counts(world: &WorldState) -> Vec<CallCounts> {
-        world.counters.iter().map(|m| m.lock().clone()).collect()
-    }
-
-    /// Collected per-rank copy statistics after a run (the
-    /// [`CopyStats`] analogue of [`Universe::collect_counts`]).
-    pub fn collect_copy_stats(world: &WorldState) -> Vec<CopyStats> {
-        world.copy_stats.iter().map(|m| *m.lock()).collect()
-    }
-
     /// Collected per-rank run statistics after a run: the copy bill
     /// plus each rank's matching-engine diagnostics (max unexpected-
     /// queue depth = matching pressure; targeted wakeups = envelopes
     /// delivered straight to a posted waiter).
-    pub fn collect_run_stats(world: &WorldState) -> Vec<RankStats> {
+    fn collect_run_stats(world: &WorldState) -> Vec<RankStats> {
         world
             .copy_stats
             .iter()
@@ -390,20 +373,11 @@ impl Universe {
             .collect()
     }
 
-    /// Collected per-rank traces after a run (the [`crate::trace`]
-    /// analogue of [`Universe::collect_counts`]).
-    pub fn collect_trace(world: &WorldState) -> TraceData {
+    /// Collected per-rank traces after a run.
+    fn collect_trace(world: &WorldState) -> TraceData {
         TraceData {
             ranks: world.traces.iter().map(|m| m.lock().clone()).collect(),
         }
-    }
-
-    /// Text profile of a finished run: per-rank event counts, span
-    /// latency quantiles and queue-depth gauges (see
-    /// [`TraceData::report`]). Degrades gracefully without the `trace`
-    /// feature.
-    pub fn trace_report(world: &WorldState) -> String {
-        Self::collect_trace(world).report()
     }
 
     /// Snapshots every rank's trace ring **while the universe is still

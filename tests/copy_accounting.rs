@@ -545,3 +545,60 @@ fn bcast_root_sends_its_buffer_before_it_copies_it() {
         assert_eq!(data, vec![comm.rank() as u64; N], "rank {}", comm.rank());
     });
 }
+
+/// A pool discards what its operations carry, so a pooled receive must
+/// not decode a payload it is about to drop: draining a pool of
+/// `irecv::<u64>` — by `wait_all` or by `wait_any` — bills the receiver
+/// nothing, and a `recv_count` the message does not meet still surfaces
+/// as `Truncated` from the pool (the check reads the status).
+#[test]
+fn pooled_receives_are_discarded_undecoded() {
+    const N: usize = 1 << 10;
+    const K: usize = 6;
+    Universe::run(2, |comm| {
+        let comm = Communicator::new(comm);
+        for one_by_one in [false, true] {
+            if comm.rank() == 0 {
+                let mut pool = RequestPool::new();
+                for k in 0..K as i32 {
+                    let args = (source(1), tag(k), recv_count(N));
+                    pool.submit_recv(comm.irecv::<u64, _>(args).unwrap());
+                }
+                let before = metrics::snapshot();
+                if one_by_one {
+                    while pool.wait_any().unwrap().is_some() {}
+                } else {
+                    pool.wait_all().unwrap();
+                }
+                let delta = metrics::snapshot().since(&before);
+                assert_eq!(delta.bytes_copied, 0, "one_by_one: {one_by_one}");
+            } else {
+                for k in 0..K as i32 {
+                    let data = vec![k as u64; N];
+                    comm.send((send_buf(&data), destination(0), tag(k)))
+                        .unwrap();
+                }
+            }
+        }
+        for one_by_one in [false, true] {
+            if comm.rank() == 0 {
+                let mut pool = RequestPool::new();
+                let args = (source(1), recv_count(N + 1));
+                pool.submit_recv(comm.irecv::<u64, _>(args).unwrap());
+                let drained = if one_by_one {
+                    pool.wait_any().map(drop)
+                } else {
+                    pool.wait_all()
+                };
+                let truncated = kamping_repro::kamping::MpiError::Truncated {
+                    message_bytes: 8 * N,
+                    buffer_bytes: 8 * (N + 1),
+                };
+                assert_eq!(drained, Err(truncated), "one_by_one: {one_by_one}");
+            } else {
+                comm.send((send_buf(&vec![1u64; N]), destination(0)))
+                    .unwrap();
+            }
+        }
+    });
+}

@@ -146,3 +146,86 @@ fn plain_panic_is_reported_as_panic_not_failure() {
     assert_eq!(out[0], RankOutcome::Completed(true));
     assert!(matches!(out[1], RankOutcome::Panicked(ref m) if m.contains("application bug")));
 }
+
+/// Watchdog for liveness assertions: a hang's only observable signature
+/// is "never returns". On timeout the worker thread is leaked — the
+/// test is failing anyway.
+fn with_deadline<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+        Ok(v) => v,
+        Err(_) => panic!("liveness deadline of {secs}s exceeded: a survivor is hung"),
+    }
+}
+
+/// A request pool parked in `wait_any` on two receives nobody will ever
+/// satisfy must come back with `Revoked` when the communicator is
+/// revoked under it — whether the revocation lands before the pool's
+/// sweep, between its registrations, or once it sleeps — and each
+/// pooled receive surfaces the revocation exactly once.
+#[test]
+fn revoked_while_parked_pool_wakes() {
+    with_deadline(240, || {
+        for i in 0..200u32 {
+            Universe::run(2, move |comm| {
+                let dup = Communicator::new(comm).dup().unwrap();
+                if dup.rank() == 1 {
+                    if i % 2 == 0 {
+                        // Let the pool reach the parked state.
+                        std::thread::sleep(std::time::Duration::from_micros(50));
+                    }
+                    dup.revoke();
+                } else {
+                    let mut pool = RequestPool::new();
+                    pool.submit_recv(dup.irecv::<u32, _>((source(1), tag(5))).unwrap());
+                    pool.submit_recv(dup.irecv::<u32, _>((source(1), tag(6))).unwrap());
+                    for left in [1, 0] {
+                        assert_eq!(pool.wait_any(), Err(MpiError::Revoked), "iteration {i}");
+                        assert_eq!(pool.len(), left, "iteration {i}");
+                    }
+                    assert_eq!(pool.wait_any(), Ok(None), "iteration {i}");
+                }
+            });
+        }
+    });
+}
+
+/// The survivor case: one pooled receive names a rank that fails, the
+/// other a live one. `wait_any` reports the failure once, retiring that
+/// entry *and its own bookkeeping* — the survivor then completes at
+/// index 0 under its own `recv_count`, not the dead entry's.
+#[test]
+fn pool_survives_a_failed_peer() {
+    let out = with_deadline(60, || {
+        Universe::run_with(Config::new(3), |comm| {
+            let comm = Communicator::new(comm);
+            match comm.rank() {
+                0 => {
+                    let mut pool = RequestPool::new();
+                    pool.submit_recv(comm.irecv::<u32, _>((source(1), recv_count(3))).unwrap());
+                    pool.submit_recv(comm.irecv::<u32, _>((source(2), recv_count(1))).unwrap());
+                    let (mut failures, mut completed) = (0, Vec::new());
+                    while !pool.is_empty() {
+                        match pool.wait_any() {
+                            Ok(Some(index)) => completed.push(index),
+                            Err(MpiError::ProcessFailed { world_rank: 1 }) => failures += 1,
+                            other => panic!("unexpected outcome: {other:?}"),
+                        }
+                    }
+                    (failures, completed) == (1, vec![0])
+                }
+                1 => comm.fail_now(),
+                _ => {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    comm.send((send_buf(&[7u32]), destination(0))).unwrap();
+                    true
+                }
+            }
+        })
+    });
+    assert_eq!(out[0], RankOutcome::Completed(true));
+    assert_eq!(out[1], RankOutcome::Failed);
+}
