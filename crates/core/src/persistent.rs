@@ -261,10 +261,9 @@ where
     SC: ProvidedCounts,
 {
     fn run<'c>(self, comm: &'c Communicator) -> Result<Persistent<'c, T>> {
-        let counts = self
-            .send_counts
-            .provided()
-            .expect("send_counts is required");
+        // `ProvidedCounts` guarantees the counts; an empty layout would
+        // fail the substrate's check like any other wrong one.
+        let counts = self.send_counts.provided().unwrap_or_default();
         let req = comm
             .raw()
             .alltoallv_init(self.send_buf.send_slice(), counts)?;

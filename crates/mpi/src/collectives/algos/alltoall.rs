@@ -172,13 +172,14 @@ impl Rounds for BruckAlltoall {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::nonblocking::drive_blocks;
+    use crate::collectives::nonblocking::{drive_blocks, RoundEngine};
     use crate::plain::bytes_from_slice;
     use crate::Universe;
 
     /// The blocking driver over the one definition.
     fn run_bruck<T: crate::Plain>(comm: &Comm, send: &[T]) -> Vec<Bytes> {
-        drive_blocks(comm, BruckAlltoall::new(comm), bytes_from_slice(send)).unwrap()
+        let engine = RoundEngine::new(BruckAlltoall::new(comm));
+        drive_blocks(comm, engine, bytes_from_slice(send)).unwrap()
     }
 
     #[test]

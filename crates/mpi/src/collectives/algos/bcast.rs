@@ -1,8 +1,9 @@
-//! Large-message broadcast: scatter + ring allgather (van de Geijn).
+//! Large-message broadcast: scatter + allgather (van de Geijn).
 //!
 //! The root splits the payload into `p` near-equal chunks (byte
 //! granularity, so any element size works), sends chunk `i` to rank `i`,
-//! and all ranks ring-allgather the chunks. Wire volume is
+//! and all ranks allgather the chunks (the `allgather/ring` row of
+//! [`table`](super::table)). Wire volume is
 //! `~2s·(p-1)/p` on the critical path instead of the binomial tree's
 //! `s·log2 p`, which wins for large payloads; chunks are shared
 //! [`Bytes`], so forwarding stays refcount cloning and the per-rank copy
@@ -10,7 +11,8 @@
 
 use bytes::Bytes;
 
-use crate::collectives::{allgather_blocks, recv_internal, root_without_data, send_internal};
+use crate::collectives::nonblocking::drive_blocks;
+use crate::collectives::{recv_internal, root_without_data, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::plain::element_count;
@@ -133,10 +135,8 @@ pub(crate) fn scatter_allgather(
 
     if rank == root {
         let Some(payload) = payload else {
-            // The peers go on to the ring; stay tag-aligned with them.
-            if p > 1 {
-                comm.next_internal_tag();
-            }
+            // The peers go on to the allgather; stay tag-aligned with them.
+            comm.next_internal_tag();
             return Err(root_without_data("bcast"));
         };
         let chunk = |r: usize| {
@@ -145,16 +145,16 @@ pub(crate) fn scatter_allgather(
         for r in (0..p).filter(|&r| r != root) {
             send_internal(comm, r, scatter_tag, chunk(r))?;
         }
-        // The ring below circulates chunks the root already has; it
-        // returns the original payload untouched.
-        allgather_blocks_discard(comm, chunk(rank))?;
+        // The allgather circulates chunks the root already has: take
+        // part, drop them, return the original payload untouched.
+        drive_blocks(comm, comm.allgather_flat(), chunk(rank))?;
         return Ok(BcastParts::Whole(payload));
     }
     let chunk = recv_internal(comm, root, scatter_tag)?;
     let received = chunk.len();
     // Communicate first, fail alone after: a rank that left before the
-    // ring would strand its neighbours in it.
-    let blocks = allgather_blocks(comm, chunk)?;
+    // allgather would strand its peers in it.
+    let blocks = drive_blocks(comm, comm.allgather_flat(), chunk)?;
     let expected = chunk_bound(size, p, rank + 1) - chunk_bound(size, p, rank);
     if received != expected {
         return Err(MpiError::Truncated {
@@ -163,13 +163,6 @@ pub(crate) fn scatter_allgather(
         });
     }
     Ok(BcastParts::Chunks(blocks))
-}
-
-/// Root side of the ring: participate (so the ring closes) but drop the
-/// gathered blocks.
-fn allgather_blocks_discard(comm: &Comm, own: Bytes) -> Result<()> {
-    let _ = allgather_blocks(comm, own)?;
-    Ok(())
 }
 
 #[cfg(test)]

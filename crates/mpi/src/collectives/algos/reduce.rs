@@ -183,7 +183,7 @@ impl<T: Plain, O: ReduceOp<T>> Rounds for TreeReduce<T, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::nonblocking::drive;
+    use crate::collectives::nonblocking::{drive, RoundEngine};
     use crate::op::Sum;
     use crate::Universe;
 
@@ -197,7 +197,10 @@ mod tests {
                     let after = AfterTreeReduce::Done;
                     let tree =
                         TreeReduce::new(&comm, tag, Own::Data((&mine).into()), Sum, root, after);
-                    let (_, tree) = drive(&comm, tree, Bytes::new()).unwrap();
+                    let tree = drive(&comm, RoundEngine::new(tree), Bytes::new())
+                        .unwrap()
+                        .1
+                        .algo;
                     if comm.rank() == root {
                         let total = (p * (p + 1) / 2) as u64;
                         assert_eq!(tree.acc.unwrap(), vec![total, p as u64]);

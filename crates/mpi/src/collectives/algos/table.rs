@@ -14,15 +14,21 @@
 //! | `allreduce/rabenseifner` | reduce-scatter + ring allgather | log2 p + p | ~2s | — | `p >= 4`, `s >=` [`CollTuning::rabenseifner_min_bytes`] | blocking |
 //! | **`bcast/binomial`** | binomial tree, refcount forwarding; every rank sends to its largest subtree first, so the critical path is ceil(log2 p) hops | <= log2 p | root s, other r | — | otherwise (and always where non-roots do not know `s`) | blocking, `ibcast`, `bcast_init` |
 //! | `bcast/scatter_allgather` | van de Geijn: scatter + ring allgather | ~2p | root s, other r | `s > 0`, known on every rank | `p >= 4`, `s >=` [`CollTuning::bcast_scatter_min_bytes`] | blocking |
-//! | **`allgather/ring`** | block forwarding; as an engine, the flat eager fan-out | p-1 | s + r | — | otherwise | blocking, `iallgather`, `allgather_init` |
+//! | **`allgather/ring`** | eager fan-out: the own block to every peer as a refcount clone, all posted before the first receive (the name is the row's, kept from the forwarding ring) | p-1 | s + r | — | otherwise | blocking (`allgatherv` always), `iallgather(v)`, `allgather_init` |
 //! | `allgather/recursive_doubling` | packed doubling rounds | log2 p | s·(p-2) + r | `p >= 2`, a power of two | `p >= 4`, `s <=` [`CollTuning::allgather_rd_max_bytes`] | blocking, `iallgather` |
 //! | `allgather/bruck` | rotated packed rounds | ceil(log2 p) | <= s·(p-2) + r | `p >= 2` | `p >= 4` not a power of two, `s <=` [`CollTuning::allgather_bruck_max_bytes`] | blocking, `iallgather` |
-//! | **`alltoall/pairwise`** | one message per peer, pack-once + slice | p-1 | s + r | — | otherwise | blocking, `ialltoall`, `alltoallv_init` |
+//! | **`alltoall/pairwise`** | one message per peer in the rotation `rank + 1, rank + 2, …`, pack-once + slice, all posted before the first receive | p-1 | s + r | — | otherwise | blocking (`alltoallv/w` always), `ialltoall(v)`, `alltoallv_init` |
 //! | `alltoall/bruck` | packed log-round forwarding | ceil(log2 p) | s + r + s·ceil(log2 p)/2 | `p >= 2` | `p >= 4`, `b <=` [`CollTuning::bruck_max_block_bytes`] | blocking, `ialltoall` |
 //! | `reduce/binomial_tree` | binomial tree, in-place folds | <= log2 p | leaf s, inner 0, root r | a commutative op | blocking `reduce` | blocking, `ireduce`, `iallreduce` |
-//! | **`reduce/flat_gather`** | gather + strictly rank-ordered fold | 1 (root p-1) | s (root: + r) | — | otherwise | blocking, `ireduce`, `iallreduce`, `allreduce_init` |
-//! | **`neighborhood/sparse`** | one message per declared edge | d | s + r | — | otherwise | blocking (`ineighbor_*` / `neighbor_*_init` always run it, unselected) |
-//! | `neighborhood/dense` | one message per rank, zero-filled | p-1 | s + r | duplicate-free neighbor lists | `p >= 2`, `d >=` [`CollTuning::neighborhood_dense_min_degree_pct`] % of `p-1` | blocking |
+//! | **`reduce/flat_gather`** | one send to the root, which folds the collected blocks in place, strictly in rank order | 1 (root p-1) | s (root: + r) | — | otherwise | blocking (`allreduce` of a non-commutative op: + binomial bcast), `ireduce`, `iallreduce`, `allreduce_init` |
+//! | **`neighborhood/sparse`** | one message per declared edge, all posted before the first receive | d | s + r | — | otherwise | blocking, `ineighbor_*`, `neighbor_*_init` (the last two always, unselected) |
+//! | `neighborhood/dense` | one message per rank, self included, an empty filler for a non-neighbor | p-1 | s + r | duplicate-free neighbor lists | `p >= 2`, `d >=` [`CollTuning::neighborhood_dense_min_degree_pct`] % of `p-1` | blocking |
+//!
+//! Every row but the two `allreduce/*` rows and
+//! `bcast/scatter_allgather` (plain blocking loops) is one engine of
+//! `collectives/nonblocking.rs` in each lifecycle it runs as: the eager
+//! rows (ring, pairwise, flat gather, both neighborhood rows) the flat
+//! `Exchange`, the log-round rows a `Rounds` description.
 //!
 //! A row is everything the substrate knows about its algorithm: the
 //! enum variant that names it in a [`CollTuning`] slot, its
@@ -331,7 +337,7 @@ impl Algo for NeighborhoodAlgo {
             needs: |_, call| call.duplicate_free,
             auto: |t, p, d| p >= 2 && d * 100 >= t.neighborhood_dense_min_degree_pct * (p - 1),
             features: |p, _, _| ((p as f64 - 1.0).max(1.0), 0.0),
-            rounds: Rounds::Blocking,
+            rounds: Rounds::One,
         },
     ];
 }

@@ -1,72 +1,38 @@
 //! Allgather and allgatherv.
 //!
-//! Equal-block allgathers are tunable (see [`super::algos`]): the ring
-//! with block forwarding stays the bandwidth default, recursive
-//! doubling takes the small-message latency regime on power-of-two
-//! communicators, and Bruck covers that regime on every other
-//! communicator size. `allgatherv`'s variable blocks always travel the
-//! ring (the packed rounds of both latency algorithms need one agreed
-//! block size).
+//! Equal-block allgathers are tunable — the `allgather/*` rows of
+//! [`algos::table`](super::algos::table) are the menu — and every row is
+//! an engine this file drives on the stack. `allgatherv`'s variable
+//! blocks always run the `allgather/ring` row (the packed rounds of both
+//! latency algorithms need one agreed block size).
 
 use bytes::Bytes;
 
 use super::algos::allgather::{BruckAllgather, RecursiveDoubling};
 use super::algos::table::{tuned, Call, Site};
 use super::algos::AllgatherAlgo;
-use super::nonblocking::drive_blocks;
-use super::{
-    block_counts, check_layout, concat_blocks, place_blocks, place_blocks_at, recv_internal,
-    send_internal,
-};
+use super::nonblocking::{drive_blocks, RoundEngine};
+use super::{block_counts, check_layout, concat_blocks, place_blocks, place_blocks_at};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::plain::{bytes_from_slice, copy_bytes_into};
 use crate::Plain;
-
-/// Ring primitive on shared payloads: each rank contributes `own` and
-/// receives every other rank's block, returned **by origin rank**. At
-/// every step the block received in the previous step is forwarded as
-/// the *same* [`Bytes`] (a refcount clone) — a payload is serialized
-/// exactly once, at its origin, no matter how many hops it travels.
-pub(crate) fn allgather_blocks(comm: &Comm, own: Bytes) -> Result<Vec<Bytes>> {
-    let p = comm.size();
-    let rank = comm.rank();
-    let mut blocks: Vec<Option<Bytes>> = (0..p).map(|_| None).collect();
-    blocks[rank] = Some(own);
-    if p > 1 {
-        let right = (rank + 1) % p;
-        let left = (rank + p - 1) % p;
-        let tag = comm.next_internal_tag();
-        for step in 0..p - 1 {
-            // Forward the block that originated at (rank - step) % p; the
-            // incoming block originated one rank further left.
-            let outgoing_origin = (rank + p - step) % p;
-            let outgoing = blocks[outgoing_origin]
-                .clone()
-                .expect("block arrived in a previous step");
-            send_internal(comm, right, tag, outgoing)?;
-            let incoming_origin = (rank + p - 1 - step) % p;
-            blocks[incoming_origin] = Some(recv_internal(comm, left, tag)?);
-        }
-    }
-    Ok(blocks
-        .into_iter()
-        .map(|b| b.expect("ring delivered all blocks"))
-        .collect())
-}
 
 /// Equal-block primitive with algorithm selection: every rank
 /// contributes the same number of bytes (the `MPI_Allgather` contract),
 /// so all ranks resolve the same [`AllgatherAlgo`] from the shared
 /// tuning and the agreed block size.
 pub(crate) fn allgather_blocks_tuned(comm: &Comm, own: Bytes) -> Result<Vec<Bytes>> {
-    // The two latency algorithms are the engines `iallgather` resumes,
-    // driven to completion here.
+    // The engines `iallgather` resumes, driven to completion here.
     let call = Call::sized(own.len());
     tuned(comm, Site::BLOCKING, call, |algo| match algo {
-        AllgatherAlgo::RecursiveDoubling => drive_blocks(comm, RecursiveDoubling::new(comm), own),
-        AllgatherAlgo::Bruck => drive_blocks(comm, BruckAllgather::new(comm), own),
-        AllgatherAlgo::Ring => allgather_blocks(comm, own),
+        AllgatherAlgo::RecursiveDoubling => {
+            drive_blocks(comm, RoundEngine::new(RecursiveDoubling::new(comm)), own)
+        }
+        AllgatherAlgo::Bruck => {
+            drive_blocks(comm, RoundEngine::new(BruckAllgather::new(comm)), own)
+        }
+        AllgatherAlgo::Ring => drive_blocks(comm, comm.allgather_flat(), own),
     })
 }
 
@@ -166,13 +132,12 @@ impl Comm {
     /// spends a separate `allgather` to learn them.
     pub fn allgatherv_blocks(&self, own: Bytes) -> Result<Vec<Bytes>> {
         self.count_op("allgatherv");
-        allgather_blocks(self, own)
+        drive_blocks(self, self.allgather_flat(), own)
     }
 }
 
-/// Ring allgatherv: forwards shared blocks around the ring (no per-hop
-/// re-serialization), then verifies and places each rank's block at its
-/// displacement exactly once.
+/// The counted allgatherv: the flat exchange, then each rank's block
+/// verified and placed at its displacement exactly once.
 pub(crate) fn allgatherv_internal<T: Plain>(
     comm: &Comm,
     send: &[T],
@@ -191,7 +156,7 @@ pub(crate) fn allgatherv_internal<T: Plain>(
             counts[rank]
         )));
     }
-    let blocks = allgather_blocks(comm, bytes_from_slice(send))?;
+    let blocks = drive_blocks(comm, comm.allgather_flat(), bytes_from_slice(send))?;
     place_blocks(blocks, recv, counts, displs)
 }
 

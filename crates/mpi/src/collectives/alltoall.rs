@@ -1,18 +1,18 @@
 //! Alltoall, alltoallv and a byte-level alltoallw.
 //!
-//! The v/w exchanges run the pairwise algorithm; the equal-block
-//! `alltoall` dispatches between pairwise and Bruck through the
-//! communicator's [`CollTuning`](super::algos::CollTuning).
+//! The v/w exchanges run the `alltoall/pairwise` row of
+//! [`algos::table`](super::algos::table); the equal-block `alltoall`
+//! selects among the `alltoall/*` rows. Either way this file drives the
+//! row's engine on the stack.
+
+use std::ops::Range;
 
 use bytes::Bytes;
 
 use super::algos::table::{tuned, Call, Site};
 use super::algos::{self, AlltoallAlgo};
-use super::nonblocking::drive_blocks;
-use super::{
-    check_layout, displacements_from_counts, place_blocks, place_blocks_at, recv_internal,
-    send_internal,
-};
+use super::nonblocking::{drive_blocks, RoundEngine};
+use super::{byte_ranges, check_layout, displacements_from_counts, place_blocks, place_blocks_at};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::plain::bytes_from_slice;
@@ -53,15 +53,14 @@ impl Comm {
         let n = send.len() / p;
         let call = Call::sized(n * std::mem::size_of::<T>());
         tuned(self, Site::BLOCKING, call, |algo| match algo {
-            // The engine `ialltoall` resumes, driven to completion.
+            // The engines `ialltoall` resumes, driven to completion.
             AlltoallAlgo::Bruck => {
-                let engine = algos::alltoall::BruckAlltoall::new(self);
+                let engine = RoundEngine::new(algos::alltoall::BruckAlltoall::new(self));
                 drive_blocks(self, engine, bytes_from_slice(send))
             }
-            // In units of one block: every peer gets one, at its rank.
             AlltoallAlgo::Pairwise => {
-                let (packed, displs) = (bytes_from_slice(send), (0..p).collect::<Vec<_>>());
-                pairwise_blocks(self, packed, call.size, &vec![1; p], &displs)
+                let ranges = (0..p).map(|r| r * call.size..(r + 1) * call.size);
+                exchange(self, bytes_from_slice(send), ranges.collect())
             }
         })
     }
@@ -104,8 +103,8 @@ impl Comm {
         self.count_op("alltoallv");
         let p = self.size();
         check_layout("alltoallv(send)", send_counts, send_displs, send.len(), p)?;
-        let elem = std::mem::size_of::<T>();
-        pairwise_blocks(self, bytes_from_slice(send), elem, send_counts, send_displs)
+        let ranges = byte_ranges::<T>(send_counts, send_displs);
+        exchange(self, bytes_from_slice(send), ranges)
     }
 
     /// Byte-level [`alltoallv_blocks`](Self::alltoallv_blocks) over an
@@ -126,7 +125,7 @@ impl Comm {
             packed.len(),
             self.size(),
         )?;
-        pairwise_blocks(self, packed, 1, byte_counts, &displs)
+        exchange(self, packed, byte_ranges::<u8>(byte_counts, &displs))
     }
 
     /// Byte-level alltoallw: counts and displacements are in bytes, so
@@ -163,7 +162,7 @@ impl Comm {
     }
 }
 
-/// The counted exchange: [`pairwise_blocks`] + verify-and-place.
+/// The counted exchange: [`exchange`] + verify-and-place.
 pub(crate) fn alltoallv_internal<T: Plain>(
     comm: &Comm,
     send: &[T],
@@ -184,37 +183,20 @@ pub(crate) fn alltoallv_internal<T: Plain>(
             send_counts[rank], recv_counts[rank]
         )));
     }
-    let elem = std::mem::size_of::<T>();
-    let blocks = pairwise_blocks(comm, bytes_from_slice(send), elem, send_counts, send_displs)?;
+    let ranges = byte_ranges::<T>(send_counts, send_displs);
+    let blocks = exchange(comm, bytes_from_slice(send), ranges)?;
     place_blocks(blocks, recv, recv_counts, recv_displs)
 }
 
-/// The one pairwise loop behind every `alltoallv` form. `packed` is the
-/// whole send buffer as one shared payload; per-peer blocks (`counts` /
-/// `displs` in units of `elem` bytes, already validated) are carved out
-/// of it by refcount slicing — one serialization pass total instead of
-/// one allocation + copy per peer, the own block included. A message is
-/// sent for every peer, zero-sized blocks too (dense-exchange
-/// semantics). Returns the delivered blocks by source rank.
-fn pairwise_blocks(
-    comm: &Comm,
-    packed: Bytes,
-    elem: usize,
-    counts: &[usize],
-    displs: &[usize],
-) -> Result<Vec<Bytes>> {
-    let (p, rank) = (comm.size(), comm.rank());
-    let tag = comm.next_internal_tag();
-    let block = |r: usize| packed.slice(displs[r] * elem..(displs[r] + counts[r]) * elem);
-    let mut blocks = vec![Bytes::new(); p];
-    blocks[rank] = block(rank);
-    for step in 1..p {
-        let to = (rank + step) % p;
-        let from = (rank + p - step) % p;
-        send_internal(comm, to, tag, block(to))?;
-        blocks[from] = recv_internal(comm, from, tag)?;
-    }
-    Ok(blocks)
+/// The one exchange behind every `alltoallv` form: `packed` is the
+/// whole send buffer as one shared payload, `packed[ranges[r]]` goes to
+/// rank `r` — one serialization pass total instead of one allocation +
+/// copy per peer, the own block included. A message is sent for every
+/// peer, zero-sized blocks too (dense-exchange semantics). Returns the
+/// delivered blocks by source rank.
+fn exchange(comm: &Comm, packed: Bytes, ranges: Vec<Range<usize>>) -> Result<Vec<Bytes>> {
+    let engine = comm.alltoallv_flat("alltoallv", comm.next_internal_tag(), &ranges);
+    drive_blocks(comm, engine, packed)
 }
 
 #[cfg(test)]

@@ -20,11 +20,11 @@ struct Dissemination {
 }
 
 impl Dissemination {
-    fn new(comm: &Comm) -> Self {
-        Dissemination {
+    fn engine(comm: &Comm) -> RoundEngine<Self> {
+        RoundEngine::new(Dissemination {
             tag: comm.next_internal_tag(),
             rounds: comm.size().next_power_of_two().trailing_zeros() as usize,
-        }
+        })
     }
 }
 
@@ -63,7 +63,7 @@ pub(crate) fn barrier_internal(comm: &Comm) -> Result<()> {
         0,
         p as u64,
     );
-    drive(comm, Dissemination::new(comm), Bytes::new()).map(drop)
+    drive(comm, Dissemination::engine(comm), Bytes::new()).map(drop)
 }
 
 impl Comm {
@@ -80,8 +80,7 @@ impl Comm {
     /// returns and the rest driven by test/wait.
     pub fn ibarrier(&self) -> Result<Request<'_>> {
         self.count_op("ibarrier");
-        let engine = RoundEngine::new(Dissemination::new(self));
-        self.icoll(Box::new(engine), Bytes::new())
+        self.icoll(Box::new(Dissemination::engine(self)), Bytes::new())
     }
 }
 

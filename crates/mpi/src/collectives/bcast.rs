@@ -5,6 +5,7 @@ use bytes::Bytes;
 
 use super::algos::table::{select, tuned, Call, Lifecycle, Site, Tuned};
 use super::algos::{self, BcastAlgo, BcastParts};
+use super::nonblocking::{message_completion, Rounds};
 use super::{recv_internal, root_without_data, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
@@ -12,7 +13,8 @@ use crate::plain::{
     as_bytes, as_bytes_mut, bytes_from_slice, bytes_from_vec, bytes_into_vec, bytes_to_vec,
     extend_vec_from_bytes,
 };
-use crate::{Plain, Rank};
+use crate::request::Completion;
+use crate::{Plain, Rank, Tag};
 
 /// Broadcasts `payload` (significant at root) down a binomial tree over
 /// virtual ranks `vrank = (rank - root) mod p`; returns the payload on
@@ -75,8 +77,67 @@ fn vchildren(v: usize, p: usize) -> impl Iterator<Item = usize> {
 /// Forwards `data` to this rank's children in the binomial tree rooted
 /// at `root`. Shared by the blocking broadcast and the `ibcast` /
 /// `iallreduce` engines.
-pub(crate) fn bcast_forward(comm: &Comm, root: Rank, tag: crate::Tag, data: &Bytes) -> Result<()> {
+pub(crate) fn bcast_forward(comm: &Comm, root: Rank, tag: Tag, data: &Bytes) -> Result<()> {
     bcast_children(comm, root).try_for_each(|child| send_internal(comm, child, tag, data.clone()))
+}
+
+/// The binomial broadcast as a round description (`ibcast`,
+/// `bcast_init`): the root has no round — it forwards and completes
+/// inside `start` — every other rank has one, from its parent, and
+/// forwards on receipt. With `up` set a non-root first contributes
+/// there: the non-root side of the flat `iallreduce`, whose gather
+/// phase is that one send.
+pub(crate) struct BinomialBcast {
+    tag: Tag,
+    root: Rank,
+    parent: Option<Rank>,
+    up: Option<(Rank, Tag)>,
+    payload: Option<Bytes>,
+}
+
+impl BinomialBcast {
+    pub(crate) fn new(comm: &Comm, tag: Tag, root: Rank, up: Option<(Rank, Tag)>) -> Self {
+        BinomialBcast {
+            tag,
+            root,
+            parent: (comm.rank() != root).then(|| bcast_parent(comm, root)),
+            up,
+            payload: None,
+        }
+    }
+}
+
+impl Rounds for BinomialBcast {
+    fn seed(&mut self, _comm: &Comm, payload: Bytes) {
+        self.payload = Some(payload);
+    }
+
+    fn rounds(&self) -> usize {
+        usize::from(self.parent.is_some())
+    }
+
+    fn peer(&self, _comm: &Comm, _k: usize) -> (Rank, Tag) {
+        (self.parent.expect("the root has no round"), self.tag)
+    }
+
+    fn post(&mut self, comm: &Comm, _k: usize) -> Result<()> {
+        // A non-root's seed is its contribution there, or a placeholder.
+        match (self.up, self.payload.take()) {
+            (Some((dest, tag)), Some(own)) => send_internal(comm, dest, tag, own),
+            _ => Ok(()),
+        }
+    }
+
+    fn absorb(&mut self, _comm: &Comm, _k: usize, payload: Bytes) -> Result<()> {
+        self.payload = Some(payload);
+        Ok(())
+    }
+
+    fn finish(&mut self, comm: &Comm) -> Result<Completion> {
+        let payload = self.payload.take().expect("seeded or received");
+        bcast_forward(comm, self.root, self.tag, &payload)?;
+        Ok(message_completion(self.root, self.tag, payload))
+    }
 }
 
 /// Sized broadcast: `size` (bytes) is known and identical on every rank

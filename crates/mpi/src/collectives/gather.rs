@@ -173,11 +173,7 @@ fn gather_place<T: Plain>(
 /// Root side of a counts-discovering gatherv: collects one shared payload
 /// per rank and writes every block **straight into the final buffer** —
 /// no intermediate per-rank vectors.
-pub(crate) fn gather_assemble<T: Plain>(
-    comm: &Comm,
-    tag: Tag,
-    own: &[T],
-) -> Result<(Vec<T>, Vec<usize>)> {
+fn gather_assemble<T: Plain>(comm: &Comm, tag: Tag, own: &[T]) -> Result<(Vec<T>, Vec<usize>)> {
     let blocks = gather_blocks(comm, tag, as_bytes(own))?;
     let counts = block_counts::<T, _>(&blocks)?;
     Ok((concat_blocks(blocks, &counts), counts))

@@ -25,8 +25,8 @@
 //! |------------------|----------------------------------------|---------------------|----------------------|
 //! | `barrier`        | dissemination                          | ceil(log2 p)        | 0                    |
 //! | `gather/scatter` | flat tree (linear at root)             | 1 (root: p-1)       | root: s + r; other: s + r |
-//! | `allgatherv`     | ring, block forwarding                 | p-1                 | s + r                |
-//! | `alltoall(v/w)`  | pairwise exchange, pack-once + slice   | p-1                 | s + r                |
+//! | `allgatherv`     | the `allgather/ring` row: eager fan-out of refcount clones | p-1 | s + r                |
+//! | `alltoall(v/w)`  | the `alltoall/pairwise` row: one message per peer, pack-once + slice | p-1 | s + r      |
 //! | `scan/exscan`    | rank-ordered recursive doubling, in-place folds | <= ceil(log2 p) | <= s·ceil(log2 p) + s |
 //!
 //! Every non-reducing collective is bounded by `s + r` (+ Bruck's
@@ -38,7 +38,7 @@
 //!
 //! Every irregular exchange (`alltoallv`, `allgatherv`, `gatherv`,
 //! `neighbor_alltoallv`, `neighbor_allgatherv`) comes in two forms over
-//! **one** pairwise / ring / gather / sparse loop. The self-sizing
+//! **one** exchange. The self-sizing
 //! `*_blocks` form returns the delivered payloads; messages carry their
 //! own length, so the block lengths *are* the receive counts
 //! ([`block_counts`]) and no count collective precedes the payload. The
@@ -57,17 +57,20 @@
 //! an owned accumulator, which the `*_vec` forms (`allreduce_vec`,
 //! `reduce_vec`, `scan_vec`, `exscan_vec`) move out.
 //!
-//! The third axis is the lifecycle. Every round-structured algorithm —
-//! the dissemination barrier, recursive-doubling and Bruck `allgather`,
-//! Bruck `alltoall`, the binomial `reduce` tree, the doubling `scan` /
-//! `exscan` — is defined exactly
-//! once, as a resumable engine (a `Rounds` description under the one
-//! round loop of `collectives/nonblocking.rs`). The blocking calls build that
-//! engine on their stack and drive it to completion; `i*` boxes it into
-//! a [`Request`](crate::Request) that `test`/`wait` resume; `*_init`
-//! builds a flat engine once and restarts it every cycle. The remaining
-//! rows (ring, recursive-doubling allreduce, Rabenseifner, van de Geijn,
-//! pairwise, flat gather/scatter) are blocking-only loops.
+//! The third axis is the lifecycle. Every algorithm but three is
+//! defined exactly once, as one of the two resumable engines of
+//! `collectives/nonblocking.rs`: a `Rounds` description under the one
+//! round loop (the dissemination barrier, recursive-doubling and Bruck
+//! `allgather`, Bruck `alltoall`, the binomial `reduce` tree, the
+//! doubling `scan` / `exscan`) or the flat `Exchange` (every eager one:
+//! ring, pairwise, flat gather + fold, both neighborhood rows). The
+//! blocking calls build that engine on their stack and drive it to
+//! completion; `i*` boxes it into a [`Request`](crate::Request) that
+//! `test`/`wait` resume; `*_init` builds a flat engine once and restarts
+//! it every cycle. Recursive-doubling allreduce, Rabenseifner and van de
+//! Geijn remain blocking-only loops; the blocking `bcast` and the typed
+//! blocking `gather*` / `scatter*` keep short bodies of their own (the
+//! latter read the root's buffer in place).
 //!
 //! The table's `Auto` rules are the *static* policy — the warm-up
 //! fallback. With [`CollTuning::self_tuning`] enabled, `Auto` is
@@ -109,7 +112,7 @@ pub use algos::{
     ClassStat, CollTuning, ModelConfig, ModelSnapshot, NeighborhoodAlgo, ReduceAlgo, Select,
     TuningStats,
 };
-pub(crate) use allgather::{allgather_blocks, allgather_internal};
+pub(crate) use allgather::allgather_internal;
 pub(crate) use alltoall::alltoallv_internal;
 pub(crate) use bcast::{
     bcast_bytes_internal, bcast_children, bcast_forward, bcast_one_internal, bcast_parent,
@@ -134,6 +137,18 @@ use crate::{Plain, Rank, Tag};
 #[inline]
 pub(crate) fn send_internal(comm: &Comm, dest: Rank, tag: Tag, payload: Bytes) -> Result<()> {
     comm.deliver_bytes(dest, tag, payload, None)
+}
+
+/// Sends `payload[range]` to each `(destination, range)`: refcount
+/// slices, so a packed payload is scattered without a copy.
+pub(crate) fn send_slices(
+    comm: &Comm,
+    tag: Tag,
+    payload: &Bytes,
+    parts: impl IntoIterator<Item = (Rank, Range<usize>)>,
+) -> Result<()> {
+    let mut parts = parts.into_iter();
+    parts.try_for_each(|(dest, range)| send_internal(comm, dest, tag, payload.slice(range)))
 }
 
 /// Sends a typed slice on an internal tag (one counted copy into the
@@ -188,6 +203,14 @@ pub(crate) fn check_layout(
         }
     }
     Ok(())
+}
+
+/// The byte range of each peer's block in a send buffer (`counts` /
+/// `displs` in elements of `T`, already validated).
+pub(crate) fn byte_ranges<T>(counts: &[usize], displs: &[usize]) -> Vec<Range<usize>> {
+    let elem = std::mem::size_of::<T>();
+    let range = |(&d, &c): (&usize, &usize)| d * elem..(d + c) * elem;
+    displs.iter().zip(counts).map(range).collect()
 }
 
 /// The one send-layout check of the packed exchanges (`iscatterv`,

@@ -15,23 +15,25 @@
 //! [`topology`](crate::topology) module doc for the degree-vs-p cost
 //! model.
 //!
-//! Zero-copy discipline matches the dense engines: each call packs (or
-//! adopts) its payload once, per-destination fan-out is a refcount
-//! clone or `Bytes::slice`, and received blocks materialize once at
-//! their destination — `s + r` copied bytes per rank, independent of
-//! degree.
+//! Both rows — `neighborhood/sparse` and `neighborhood/dense` of
+//! [`algos::table`](super::algos::table) — are the flat `Exchange`
+//! engine of `collectives/nonblocking.rs` over different edge lists,
+//! in every lifecycle. Its zero-copy discipline is the dense
+//! collectives': each call packs (or adopts) its payload once,
+//! per-destination fan-out is a refcount clone or `Bytes::slice`, and
+//! received blocks materialize once at their destination — `s + r`
+//! copied bytes per rank, independent of degree.
 //!
 //! All exchanges on one communicator share a per-call internal tag;
 //! messages between a `(source, destination)` pair form a FIFO stream,
 //! so duplicate neighbors (legal, e.g. a periodic cartesian dimension
-//! of extent 2) resolve by arrival order — the receive engine fills
-//! duplicate slots strictly first-declared-first.
+//! of extent 2) resolve by arrival order — the engine fills duplicate
+//! slots strictly first-declared-first.
 //!
 //! The [`CollTuning::neighborhood`](crate::CollTuning) slot routes the
-//! *blocking* exchanges to a dense all-pairs path on near-complete
-//! graphs (where sparsity saves nothing); nonblocking and persistent
-//! variants always run the sparse schedule — their value is the
-//! minimal frozen envelope set.
+//! *blocking* exchanges to the dense row on near-complete graphs (where
+//! sparsity saves nothing); nonblocking and persistent variants always
+//! run the sparse row — their value is the minimal frozen envelope set.
 
 use std::ops::Range;
 
@@ -39,161 +41,38 @@ use bytes::Bytes;
 
 use super::algos::table::{tuned, Call, Site};
 use super::algos::NeighborhoodAlgo;
-use super::nonblocking::{check_frozen_total, recv_one, CollEngine};
-use super::{packed_ranges, place_blocks, send_internal};
-use crate::comm::Comm;
+use super::nonblocking::{drive_blocks, Exchange, Finish, Post};
+use super::{byte_ranges, concat_blocks, packed_ranges, place_blocks};
 use crate::error::{MpiError, Result};
 use crate::persistent::PersistentRequest;
-use crate::plain::{bytes_from_slice, bytes_to_vec};
-use crate::request::{Completion, Request};
+use crate::plain::{as_bytes, bytes_from_slice, bytes_from_vec, bytes_to_vec};
+use crate::request::Request;
 use crate::topology::Neighborhood;
 use crate::trace;
-use crate::{Plain, Rank, Tag};
+use crate::{Plain, Tag};
 
-/// Receives one message per entry of a frozen source list (the sparse
-/// sibling of the dense engines' `RecvFromEach`): `blocks[i]` comes
-/// from `sources[i]`. Duplicate sources are filled in declaration
-/// order — slot `i` must receive before a later slot of the same
-/// source, because both ride the same FIFO `(source, tag)` stream.
-pub(crate) struct NeighborRecv {
+/// The sparse exchange as an engine, in every lifecycle: `start` fans
+/// the payload out along the frozen out-edge list — `payload[ranges[k]]`
+/// to `destinations()[k]`, or with `None` the whole payload to each (an
+/// allgather's refcount clones) — and one block per in-neighbor comes
+/// back, [`Completion::Blocks`](crate::request::Completion::Blocks) in
+/// declaration order.
+fn sparse<N: Neighborhood + ?Sized>(
+    n: &N,
+    what: &'static str,
     tag: Tag,
-    sources: Vec<Rank>,
-    blocks: Vec<Option<Bytes>>,
-    missing: usize,
-}
-
-impl NeighborRecv {
-    pub(crate) fn new(tag: Tag, sources: Vec<Rank>) -> Self {
-        let n = sources.len();
-        NeighborRecv {
-            tag,
-            sources,
-            blocks: (0..n).map(|_| None).collect(),
-            missing: n,
-        }
-    }
-
-    /// Re-arms for another round on the same frozen edge list (the
-    /// persistent-cycle reset; no allocation).
-    fn reset(&mut self) {
-        self.missing = self.blocks.len();
-        for b in &mut self.blocks {
-            *b = None;
-        }
-    }
-
-    /// Drains matching envelopes; `Ok(true)` once every slot is filled.
-    fn advance(&mut self, comm: &Comm, block: bool) -> Result<bool> {
-        // Sources whose earliest unfilled slot did not complete this
-        // pass: later duplicate slots must not steal their stream's
-        // next message. Degrees are small; linear scan beats a set.
-        let mut stalled: Vec<Rank> = Vec::new();
-        for i in 0..self.blocks.len() {
-            if self.blocks[i].is_some() {
-                continue;
-            }
-            let src = self.sources[i];
-            if stalled.contains(&src) {
-                continue;
-            }
-            match recv_one(comm, src, self.tag, block)? {
-                Some(payload) => {
-                    self.blocks[i] = Some(payload);
-                    self.missing -= 1;
-                }
-                None => stalled.push(src),
-            }
-        }
-        Ok(self.missing == 0)
-    }
-
-    fn take_blocks(&mut self) -> Vec<Bytes> {
-        self.blocks
-            .iter_mut()
-            .map(|b| b.take().expect("all blocks received"))
-            .collect()
-    }
-
-    fn sources(&self, out: &mut Vec<(Rank, Tag)>) {
-        for (i, b) in self.blocks.iter().enumerate() {
-            if b.is_none() {
-                out.push((self.sources[i], self.tag));
-            }
-        }
-    }
-
-    fn all_sources(&self, out: &mut Vec<(Rank, Tag)>) {
-        for &s in &self.sources {
-            out.push((s, self.tag));
-        }
-    }
-}
-
-/// [`CollEngine`] over a [`NeighborRecv`] — `ineighbor_allgatherv` /
-/// `ineighbor_alltoallv` and the persistent neighbor plans: `start`
-/// fans the payload out along the frozen out-edge list, the receives
-/// collect one block per in-neighbor. Completes with
-/// [`Completion::Blocks`] in declaration order.
-struct NeighborBlocksEngine {
-    recv: NeighborRecv,
-    dests: Vec<Rank>,
-    /// `payload[ranges[k]]` goes to `dests[k]` (alltoallv: contiguous
-    /// destination-ordered slices); `None` sends every destination the
-    /// whole payload (allgather: refcount clones).
     ranges: Option<Vec<Range<usize>>>,
-}
-
-impl NeighborBlocksEngine {
-    fn boxed<N: Neighborhood + ?Sized>(
-        n: &N,
-        tag: Tag,
-        ranges: Option<Vec<Range<usize>>>,
-    ) -> Box<dyn CollEngine> {
-        Box::new(NeighborBlocksEngine {
-            recv: NeighborRecv::new(tag, n.sources().to_vec()),
-            dests: n.destinations().to_vec(),
-            ranges,
-        })
-    }
-}
-
-impl CollEngine for NeighborBlocksEngine {
-    fn start(&mut self, comm: &Comm, payload: Bytes) -> Result<()> {
-        for (k, &d) in self.dests.iter().enumerate() {
-            let block = match &self.ranges {
-                Some(ranges) => payload.slice(ranges[k].clone()),
-                None => payload.clone(),
-            };
-            send_internal(comm, d, self.recv.tag, block)?;
-        }
-        // No home slot to seed: self-edges travel through the mailbox
-        // like every other edge.
-        self.recv.reset();
-        Ok(())
-    }
-
-    fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
-        if self.recv.advance(comm, block)? {
-            Ok(Some(Completion::Blocks(self.recv.take_blocks())))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn sources(&self, _comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        self.recv.sources(out);
-    }
-
-    fn all_sources(&self, _comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        self.recv.all_sources(out);
-    }
-
-    fn check_payload(&self, payload: &Bytes) -> Result<()> {
-        match &self.ranges {
-            Some(ranges) => check_frozen_total(ranges, payload),
-            None => Ok(()),
-        }
-    }
+) -> Exchange {
+    let dests = n.destinations();
+    let post = match ranges {
+        Some(ranges) => Post::Sliced {
+            parts: dests.iter().copied().zip(ranges).collect(),
+            keep: 0..0,
+        },
+        None => Post::Whole(dests.to_vec()),
+    };
+    let edges = (n.sources().to_vec(), None);
+    Exchange::new(what, tag, post, edges, Finish::Blocks)
 }
 
 /// Validates a per-neighbor counts/displacements layout.
@@ -226,74 +105,46 @@ fn check_neighbor_layout(
     Ok(())
 }
 
-/// The sparse blocking exchange: `payloads[k]` to `destinations()[k]`,
-/// one received block per `sources()[j]`, `out_degree` envelopes posted.
-fn sparse_exchange<N: Neighborhood + ?Sized>(
-    n: &N,
-    tag: Tag,
-    payloads: Vec<Bytes>,
-) -> Result<Vec<Bytes>> {
-    let comm = n.comm();
-    debug_assert_eq!(payloads.len(), n.destinations().len());
-    for (payload, &d) in payloads.into_iter().zip(n.destinations()) {
-        send_internal(comm, d, tag, payload)?;
-    }
-    let mut recv = NeighborRecv::new(tag, n.sources().to_vec());
-    recv.advance(comm, true)?;
-    Ok(recv.take_blocks())
-}
-
-/// The dense fallback for near-complete graphs: one message to *every*
-/// rank (the declared block for neighbors, an empty filler otherwise),
-/// one receive from every rank. Same wire shape as the dense pairwise
-/// `alltoallv`; requires duplicate-free neighbor lists
-/// ([`Neighborhood::dense_eligible`]) so the per-rank slot is unique.
-fn dense_exchange<N: Neighborhood + ?Sized>(
-    n: &N,
-    tag: Tag,
-    payloads: Vec<Bytes>,
-) -> Result<Vec<Bytes>> {
-    let comm = n.comm();
-    let p = comm.size();
-    debug_assert!(n.dense_eligible());
-    let mut per_rank: Vec<Bytes> = vec![Bytes::new(); p];
-    for (payload, &d) in payloads.into_iter().zip(n.destinations()) {
-        per_rank[d] = payload;
-    }
-    for (r, payload) in per_rank.into_iter().enumerate() {
-        send_internal(comm, r, tag, payload)?;
-    }
-    let mut recv = NeighborRecv::new(tag, (0..p).collect());
-    recv.advance(comm, true)?;
-    let blocks = recv.take_blocks();
-    Ok(n.sources().iter().map(|&s| blocks[s].clone()).collect())
-}
-
-/// Algorithm selection + dispatch for the blocking exchanges. The
-/// choice consults only collectively-agreed inputs (`p`, `max_degree`,
-/// `dense_eligible`, the communicator's tuning), so every rank takes
-/// the same path — the wire-protocol invariant every tuning decision
-/// obeys.
+/// Algorithm selection + dispatch for the blocking exchanges (`ranges`
+/// as for [`sparse`], over `payload`). The choice consults only
+/// collectively-agreed inputs (`p`, `max_degree`, `dense_eligible`, the
+/// communicator's tuning), so every rank takes the same path — the
+/// wire-protocol invariant every tuning decision obeys.
 fn exchange<N: Neighborhood + ?Sized>(
     n: &N,
     name: &'static str,
     tag: Tag,
-    payloads: Vec<Bytes>,
+    payload: Bytes,
+    ranges: Option<Vec<Range<usize>>>,
 ) -> Result<Vec<Bytes>> {
-    let comm = n.comm();
-    let total: usize = payloads.iter().map(Bytes::len).sum();
+    let (comm, total) = (n.comm(), payload.len() as u64);
     let call = Call {
         duplicate_free: n.dense_eligible(),
         ..Call::sized(n.max_degree())
     };
     tuned(comm, Site::BLOCKING, call, |algo| match algo {
         NeighborhoodAlgo::Sparse => {
-            trace::instant(trace::cat::COLL, name, total as u64, n.max_degree() as u64);
-            sparse_exchange(n, tag, payloads)
+            trace::instant(trace::cat::COLL, name, total, n.max_degree() as u64);
+            drive_blocks(comm, sparse(n, name, tag, ranges), payload)
         }
+        // The dense route for near-complete graphs: one message to
+        // *every* rank, self included (the declared block for a
+        // neighbor, an empty filler otherwise), one from every rank —
+        // the wire shape of the dense `alltoallv`. Duplicate-free
+        // neighbor lists ([`Neighborhood::dense_eligible`]) make the
+        // per-rank slot unique.
         NeighborhoodAlgo::Dense => {
-            trace::instant(trace::cat::COLL, name, total as u64, comm.size() as u64);
-            dense_exchange(n, tag, payloads)
+            let p = comm.size();
+            trace::instant(trace::cat::COLL, name, total, p as u64);
+            let mut parts: Vec<_> = (0..p).map(|r| (r, 0..0)).collect();
+            for (k, &d) in n.destinations().iter().enumerate() {
+                parts[d].1 = ranges.as_ref().map_or(0..payload.len(), |r| r[k].clone());
+            }
+            let post = Post::Sliced { parts, keep: 0..0 };
+            let every = ((0..p).collect(), None);
+            let engine = Exchange::new(name, tag, post, every, Finish::Blocks);
+            let blocks = drive_blocks(comm, engine, payload)?;
+            Ok(n.sources().iter().map(|&s| blocks[s].clone()).collect())
         }
     })
 }
@@ -308,8 +159,7 @@ fn allgather_exchange<N: Neighborhood + ?Sized, T: Plain>(
     let comm = n.comm();
     comm.count_op(name);
     let tag = comm.next_internal_tag();
-    let payloads = vec![bytes_from_slice(data); n.destinations().len()];
-    exchange(n, name, tag, payloads)
+    exchange(n, name, tag, bytes_from_slice(data), None)
 }
 
 /// The neighborhood collectives, blanket-implemented for every
@@ -374,15 +224,13 @@ pub trait NeighborhoodColl: Neighborhood {
         let comm = self.comm();
         comm.count_op("neighbor_alltoall");
         let tag = comm.next_internal_tag();
-        if sends.len() != self.destinations().len() {
-            return Err(MpiError::InvalidLayout(format!(
-                "neighbor_alltoall: {} send blocks for {} destination neighbors",
-                sends.len(),
-                self.destinations().len()
-            )));
-        }
-        let payloads: Vec<Bytes> = sends.iter().map(|v| bytes_from_slice(v)).collect();
-        let blocks = exchange(self, "neighbor_alltoall", tag, payloads)?;
+        // Pack once, slice a refcount per neighbor.
+        let (name, degree) = ("neighbor_alltoall", self.destinations().len());
+        let counts: Vec<usize> = sends.iter().map(Vec::len).collect();
+        let packed = concat_blocks::<T, _>(sends.iter().map(|v| as_bytes(v)).collect(), &counts);
+        let elem = std::mem::size_of::<T>();
+        let ranges = packed_ranges(name, &counts, elem, packed.len(), degree)?;
+        let blocks = exchange(self, name, tag, bytes_from_vec(packed), Some(ranges))?;
         Ok(blocks.iter().map(|b| bytes_to_vec(b)).collect())
     }
 
@@ -410,12 +258,14 @@ pub trait NeighborhoodColl: Neighborhood {
             send.len(),
             self.destinations().len(),
         )?;
-        let elem = std::mem::size_of::<T>();
-        let packed = bytes_from_slice(send);
-        let payloads = (send_displs.iter().zip(send_counts))
-            .map(|(&d, &c)| packed.slice(d * elem..(d + c) * elem))
-            .collect();
-        exchange(self, "neighbor_alltoallv", tag, payloads)
+        let ranges = Some(byte_ranges::<T>(send_counts, send_displs));
+        exchange(
+            self,
+            "neighbor_alltoallv",
+            tag,
+            bytes_from_slice(send),
+            ranges,
+        )
     }
 
     /// Counted [`neighbor_alltoallv_blocks`](Self::neighbor_alltoallv_blocks)
@@ -450,7 +300,7 @@ pub trait NeighborhoodColl: Neighborhood {
 
     /// Nonblocking [`neighbor_allgather_vecs`](Self::neighbor_allgather_vecs):
     /// all `out_degree` sends are posted eagerly before the call
-    /// returns; the [`Request`] completes with [`Completion::Blocks`],
+    /// returns; the [`Request`] completes with [`Completion::Blocks`](crate::request::Completion::Blocks),
     /// one block per in-neighbor in declaration order. Parks in mixed
     /// [`RequestSet`](crate::RequestSet)s through the engine's
     /// `sources()` hook like every other `i*` collective.
@@ -464,14 +314,14 @@ pub trait NeighborhoodColl: Neighborhood {
             std::mem::size_of_val(data) as u64,
             self.max_degree() as u64,
         );
-        let engine = NeighborBlocksEngine::boxed(self, tag, None);
-        comm.icoll(engine, bytes_from_slice(data))
+        let engine = sparse(self, "ineighbor_allgather", tag, None);
+        comm.icoll(Box::new(engine), bytes_from_slice(data))
     }
 
     /// Nonblocking counted neighborhood exchange: `data` holds the
     /// per-destination blocks contiguously in declaration order,
     /// `counts[k]` elements for `destinations()[k]`. Packs once, slices
-    /// a refcount per neighbor; completes with [`Completion::Blocks`]
+    /// a refcount per neighbor; completes with [`Completion::Blocks`](crate::request::Completion::Blocks)
     /// in source declaration order.
     fn ineighbor_alltoallv<'c, T: Plain>(
         &'c self,
@@ -490,8 +340,8 @@ pub trait NeighborhoodColl: Neighborhood {
             std::mem::size_of_val(data) as u64,
             self.max_degree() as u64,
         );
-        let engine = NeighborBlocksEngine::boxed(self, tag, Some(ranges));
-        comm.icoll(engine, bytes_from_slice(data))
+        let engine = sparse(self, "ineighbor_alltoallv", tag, Some(ranges));
+        comm.icoll(Box::new(engine), bytes_from_slice(data))
     }
 
     /// Persistent [`ineighbor_allgatherv`](Self::ineighbor_allgatherv)
@@ -513,8 +363,8 @@ pub trait NeighborhoodColl: Neighborhood {
             std::mem::size_of_val(data) as u64,
             self.max_degree() as u64,
         );
-        let engine = NeighborBlocksEngine::boxed(self, tag, None);
-        comm.persistent_coll(engine, Some(bytes_from_slice(data)))
+        let engine = sparse(self, "neighbor_allgather_init", tag, None);
+        comm.persistent_coll(Box::new(engine), Some(bytes_from_slice(data)))
     }
 
     /// Persistent [`ineighbor_alltoallv`](Self::ineighbor_alltoallv)
@@ -540,8 +390,8 @@ pub trait NeighborhoodColl: Neighborhood {
             std::mem::size_of_val(data) as u64,
             self.max_degree() as u64,
         );
-        let engine = NeighborBlocksEngine::boxed(self, tag, Some(ranges));
-        comm.persistent_coll(engine, Some(bytes_from_slice(data)))
+        let engine = sparse(self, "neighbor_alltoallv_init", tag, Some(ranges));
+        comm.persistent_coll(Box::new(engine), Some(bytes_from_slice(data)))
     }
 }
 
@@ -815,6 +665,30 @@ mod tests {
             req.start().unwrap();
             let blocks = req.wait().unwrap().into_blocks().unwrap();
             assert_eq!(bytes_to_vec::<u32>(&blocks[0]), vec![1, 2]);
+        });
+    }
+
+    /// A payload that breaks the frozen total is reported under the
+    /// name of the plan that froze it (both used to say "persistent
+    /// alltoallv").
+    #[test]
+    fn frozen_total_error_names_the_plan() {
+        Universe::run(2, |comm| {
+            let peer = 1 - comm.rank();
+            let g = comm.create_dist_graph_adjacent(&[peer], &[peer]).unwrap();
+            let mut sparse = g.neighbor_alltoallv_init(&[1u32, 2], &[2]).unwrap();
+            let mut dense = comm.alltoallv_init(&[1u32, 2], &[1, 1]).unwrap();
+            for (plan, name) in [
+                (&mut sparse, "neighbor_alltoallv_init"),
+                (&mut dense, "alltoallv_init"),
+            ] {
+                match plan.set_data(&[1u32]).unwrap_err() {
+                    MpiError::InvalidLayout(text) => {
+                        assert!(text.starts_with(&format!("{name}: payload holds 4 bytes")))
+                    }
+                    other => panic!("{name}: {other:?}"),
+                }
+            }
         });
     }
 

@@ -1,5 +1,6 @@
 //! Non-blocking collectives: resumable state machines behind [`Request`]
-//! — and the one definition of every round-structured algorithm.
+//! — and the one definition of every round-structured and every flat
+//! algorithm.
 //!
 //! A collective here is a [`CollEngine`]: `start` posts everything that
 //! depends on no receive, `advance` drains receives (posting each later
@@ -25,28 +26,32 @@
 //! Every payload is serialized at most once at its origin and
 //! materialized once per destination; forwarding and fan-out are
 //! refcount clones, and the `*_bytes` entry points adopt owned buffers
-//! with **zero** call-time copies. The tunable operations
-//! (`iallgather`, `ialltoall`, `ireduce`, `iallreduce`) select among
-//! the rows of [`algos::table`](super::algos::table) — its "runs as"
-//! column names the engines an initiation may get — the rest run one
-//! engine ("also runs" names the other lifecycles driving it):
+//! with **zero** call-time copies. Which algorithm an operation runs,
+//! its startups and its copy bill are the rows of
+//! [`algos::table`](super::algos::table) (the tunable operations select
+//! among them) and of the [`collectives`](super) module table. There are
+//! two engines:
 //!
-//! | operation            | algorithm                         | startups      | copies per rank    | also runs |
-//! |----------------------|-----------------------------------|---------------|--------------------|-----------|
-//! | `ibarrier`           | dissemination                     | ceil(log2 p)  | 0                  | blocking `barrier` |
-//! | `ibcast`             | binomial tree, forward on poll, largest subtree first: critical path ceil(log2 p) hops | <= log2 p | root: <= s; other: r | `bcast_init` |
-//! | `igather(v)`         | flat tree (linear at root)        | 1 (root: p-1) | s + r              | — |
-//! | `iscatter(v)`        | flat tree (eager, pack-once root) | p-1 (other: 1)| root: s; other: r  | — |
-//! | `iallgatherv`        | flat dissemination                | p-1           | <= s, + r at wait  | `allgather_init` |
-//! | `ialltoallv`         | pairwise eager, pack-once + slice | p-1           | <= s, + r at wait  | `alltoallv_init` |
+//! - **rounds** — [`RoundEngine`], the one round loop over a [`Rounds`]
+//!   description (index arithmetic only, in [`super::algos`],
+//!   [`super::barrier`], `bcast.rs` and `scan.rs`): the log-round rows
+//!   of the table, the dissemination barrier, the doubling `scan` /
+//!   `exscan`, and the binomial broadcast — zero rounds at the root,
+//!   one everywhere else;
+//! - **flat exchange** — [`Exchange`]: everything this rank sends is
+//!   posted at `start` (nothing, the whole payload, or frozen slices of
+//!   it, to a frozen destination list), one message per entry of a
+//!   frozen source list is collected, and the completion is `Done`, the
+//!   one message, the blocks, or their rank-ordered fold. Gather,
+//!   scatter, `allgather/ring`, `alltoall/pairwise`,
+//!   `reduce/flat_gather` and both neighborhood rows are this engine.
 //!
-//! The five log-round rows of the table, the barrier and the doubling
-//! `scan` / `exscan` are [`Rounds`] descriptions — index arithmetic
-//! only, in [`super::algos`], [`super::barrier`] and `scan.rs` — run by
-//! the one round loop of [`RoundEngine`].
-//! The blocking-only algorithms (ring, recursive-doubling allreduce,
-//! Rabenseifner, van de Geijn, pairwise, flat gather/scatter) have no
-//! engine form.
+//! Three algorithms remain blocking-only loops with no engine form:
+//! recursive-doubling allreduce, Rabenseifner and van de Geijn's
+//! broadcast (whose allgather phase is the flat exchange). The typed
+//! blocking `gather*` / `scatter*` calls keep their own bodies: they
+//! read the root's contribution in place and accept arrivals in any
+//! order, which an engine over shared payloads cannot.
 //!
 //! The flat algorithms trade the blocking collectives' latency-optimal
 //! trees for *immediacy*: every byte a rank contributes is on the wire
@@ -80,7 +85,8 @@ use super::algos::alltoall::BruckAlltoall;
 use super::algos::reduce::{AfterTreeReduce, Own, TreeReduce};
 use super::algos::table::{tuned, Call, Site};
 use super::algos::{fold_bytes_right, AllgatherAlgo, AlltoallAlgo, ReduceAlgo};
-use super::{bcast_forward, bcast_parent, packed_ranges, root_without_data, send_internal};
+use super::bcast::BinomialBcast;
+use super::{bcast_forward, packed_ranges, root_without_data, send_internal, send_slices};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::message::{Src, Status, TagSel};
@@ -187,7 +193,7 @@ pub(crate) trait Rounds {
 /// The one round loop: drives any [`Rounds`] description as a
 /// [`CollEngine`].
 pub(crate) struct RoundEngine<A> {
-    algo: A,
+    pub(crate) algo: A,
     /// The round whose receive is outstanding.
     round: usize,
     /// An algorithm with no round to wait for finishes inside `start`,
@@ -250,378 +256,262 @@ impl<A: Rounds> CollEngine for RoundEngine<A> {
 
 /// The blocking driver: the engine lives on the caller's stack — no
 /// `Box`, no [`Request`], no async trace span — and is driven straight
-/// to completion. Hands the algorithm back for results it keeps typed.
-pub(crate) fn drive<A: Rounds>(comm: &Comm, algo: A, payload: Bytes) -> Result<(Completion, A)> {
-    let mut engine = RoundEngine::new(algo);
+/// to completion. Hands the engine back for results it keeps typed.
+pub(crate) fn drive<E: CollEngine>(
+    comm: &Comm,
+    mut engine: E,
+    payload: Bytes,
+) -> Result<(Completion, E)> {
     engine.start(comm, payload)?;
     let done = engine.advance(comm, true)?;
     Ok((
         done.expect("a blocking advance completes the collective"),
-        engine.algo,
+        engine,
     ))
 }
 
-/// [`drive`] for the algorithms that complete with one block per rank.
-pub(crate) fn drive_blocks<A: Rounds>(comm: &Comm, algo: A, payload: Bytes) -> Result<Vec<Bytes>> {
-    let (done, _) = drive(comm, algo, payload)?;
+/// [`drive`] for the engines that complete with one block per source.
+pub(crate) fn drive_blocks(
+    comm: &Comm,
+    engine: impl CollEngine,
+    payload: Bytes,
+) -> Result<Vec<Bytes>> {
+    let (done, _) = drive(comm, engine, payload)?;
     Ok(done
         .into_blocks()
-        .expect("the algorithm completes with blocks"))
+        .expect("the engine completes with blocks"))
 }
 
 // ---------------------------------------------------------------------------
-// Flat collectors
+// The flat exchange
 // ---------------------------------------------------------------------------
 
-/// Receives one message from every peer rank, collecting payloads in
-/// rank order around this rank's own pre-filled slot.
-struct RecvFromEach {
+/// What an [`Exchange`] posts at `start`, to destinations frozen when it
+/// was built.
+pub(crate) enum Post {
+    /// Nothing: a root that only collects.
+    Nothing,
+    /// The whole payload to every destination (refcount clones).
+    Whole(Vec<Rank>),
+    /// `payload[range]` to each destination ([`send_slices`]); `keep`
+    /// stays in this rank's own slot.
+    Sliced {
+        parts: Vec<(Rank, Range<usize>)>,
+        keep: Range<usize>,
+    },
+}
+
+/// What an [`Exchange`] completes with once every slot is filled.
+pub(crate) enum Finish {
+    /// [`Completion::Done`]: a rank whose whole part is its sends.
+    Done,
+    /// The one collected block, as [`Completion::Message`].
+    Message,
+    /// [`Completion::Blocks`] in source-list order.
+    Blocks,
+    /// The blocks folded ([`ordered_fold`]), the result sent down the
+    /// binomial tree on `bcast` first when this is rank 0 of an
+    /// allreduce. `FnMut`, so a persistent plan reuses it every cycle.
+    Fold {
+        fold: Box<dyn FnMut(Vec<Bytes>) -> Result<Bytes>>,
+        bcast: Option<Tag>,
+    },
+}
+
+/// The one flat, eager engine: `start` posts everything this rank sends
+/// ([`Post`]), `advance` collects one message per entry of a frozen
+/// source list and completes as [`Finish`] says. Every flat collective
+/// in every lifecycle is one of these: gather, scatter, the flat
+/// allgather / alltoall(v) / reduce (+ broadcast) and the neighborhood
+/// exchanges.
+pub(crate) struct Exchange {
+    /// Names the operation in rank-local errors.
+    what: &'static str,
     tag: Tag,
+    post: Post,
+    /// `blocks[i]` comes from `sources[i]`. Duplicate sources (legal on
+    /// a neighborhood) are filled in declaration order — slot `i` must
+    /// receive before a later slot of the same source, because both
+    /// ride the same FIFO `(source, tag)` stream.
+    sources: Vec<Rank>,
+    /// The slot that is this rank itself: filled at `start` with what
+    /// [`Post`] keeps, never received. Without one, a self-edge travels
+    /// through the mailbox like every other edge.
+    own: Option<usize>,
+    /// Reused across cycles (no allocation in a persistent steady
+    /// state).
     blocks: Vec<Option<Bytes>>,
-    missing: usize,
-    /// This rank's slot.
-    home: usize,
+    finish: Finish,
 }
 
-impl RecvFromEach {
-    fn new(comm: &Comm, tag: Tag) -> Self {
-        RecvFromEach {
+impl Exchange {
+    pub(crate) fn new(
+        what: &'static str,
+        tag: Tag,
+        post: Post,
+        (sources, own): (Vec<Rank>, Option<usize>),
+        finish: Finish,
+    ) -> Self {
+        let blocks = vec![None; sources.len()];
+        Exchange {
+            what,
             tag,
-            blocks: vec![None; comm.size()],
-            missing: 0,
-            home: comm.rank(),
+            post,
+            sources,
+            own,
+            blocks,
+            finish,
         }
     }
 
-    /// Arms a cycle of receives around `own`, reusing the slot vector
-    /// (no allocation in a persistent steady state).
-    fn reset(&mut self, own: Bytes) {
-        self.blocks.fill(None);
-        self.blocks[self.home] = Some(own);
-        self.missing = self.blocks.len() - 1;
-    }
-
-    /// Drains matching envelopes; `Ok(true)` once every slot is filled.
-    fn advance(&mut self, comm: &Comm, block: bool) -> Result<bool> {
-        for r in 0..self.blocks.len() {
-            if self.blocks[r].is_some() {
-                continue;
-            }
-            if let Some(payload) = recv_one(comm, r, self.tag, block)? {
-                self.blocks[r] = Some(payload);
-                self.missing -= 1;
-            }
-        }
-        Ok(self.missing == 0)
-    }
-
-    fn take_blocks(&mut self) -> Vec<Bytes> {
-        self.blocks
-            .iter_mut()
-            .map(|b| b.take().expect("all blocks received"))
-            .collect()
-    }
-
-    /// Every unfilled slot is a source whose arrival makes progress.
-    fn sources(&self, out: &mut Vec<(Rank, Tag)>) {
-        for (r, b) in self.blocks.iter().enumerate() {
-            if b.is_none() {
-                out.push((r, self.tag));
-            }
-        }
-    }
-
-    /// Every peer slot, filled or not — the frozen per-cycle source set
-    /// a persistent registration covers.
-    fn all_sources(&self, out: &mut Vec<(Rank, Tag)>) {
-        for r in 0..self.blocks.len() {
-            if r != self.home {
-                out.push((r, self.tag));
+    /// Appends the `(source, tag)` pair of every slot that is received
+    /// (`pending_only`: and still empty).
+    fn push_sources(&self, pending_only: bool, out: &mut Vec<(Rank, Tag)>) {
+        for (i, &src) in self.sources.iter().enumerate() {
+            if Some(i) != self.own && !(pending_only && self.blocks[i].is_some()) {
+                out.push((src, self.tag));
             }
         }
     }
 }
 
-/// Sends `payload[ranges[r]]` to every rank `r` but this one and
-/// returns this rank's own slice (refcount slices: the packed payload
-/// is scattered without a copy).
-fn scatter_slices(
-    comm: &Comm,
-    tag: Tag,
-    payload: &Bytes,
-    ranges: &[Range<usize>],
-) -> Result<Bytes> {
-    for (r, range) in ranges.iter().enumerate() {
-        if r != comm.rank() {
-            send_internal(comm, r, tag, payload.slice(range.clone()))?;
-        }
+/// One slot per rank, this rank's own among them.
+fn every_rank(comm: &Comm) -> (Vec<Rank>, Option<usize>) {
+    ((0..comm.size()).collect(), Some(comm.rank()))
+}
+
+/// Every other rank in the pairwise rotation `rank + 1, rank + 2, …`:
+/// no two ranks open on the same destination.
+fn rotation(comm: &Comm) -> impl Iterator<Item = Rank> {
+    let (p, rank) = (comm.size(), comm.rank());
+    (1..p).map(move |step| (rank + step) % p)
+}
+
+/// The packed payload's `ranges[r]` to every other rank `r`, this
+/// rank's own range kept.
+fn sliced_by_rank(comm: &Comm, ranges: &[Range<usize>]) -> Post {
+    Post::Sliced {
+        parts: rotation(comm).map(|r| (r, ranges[r].clone())).collect(),
+        keep: ranges[comm.rank()].clone(),
     }
-    Ok(payload.slice(ranges[comm.rank()].clone()))
 }
 
-/// The `check_payload` of engines that slice by frozen ranges: the new
-/// payload must be exactly as long as the counts frozen at init say.
-pub(crate) fn check_frozen_total(ranges: &[Range<usize>], payload: &Bytes) -> Result<()> {
-    let total = ranges.last().map_or(0, |r| r.end);
-    if payload.len() != total {
-        return Err(MpiError::InvalidLayout(format!(
-            "persistent alltoallv: payload holds {} bytes but the \
-             frozen counts sum to {total} bytes",
-            payload.len()
-        )));
-    }
-    Ok(())
-}
-
-/// What a [`BlocksEngine`] posts at `start`.
-enum FanOut {
-    /// Nothing: the root of a gather only collects.
-    None,
-    /// The whole payload to every peer (allgather).
-    All,
-    /// `payload[ranges[r]]` to each rank `r` (alltoallv), the ranges
-    /// frozen at build time.
-    Sliced(Vec<Range<usize>>),
-}
-
-/// Collects one block per rank and completes with
-/// [`Completion::Blocks`]: the root side of `igather(v)` and every rank
-/// of the flat `iallgather(v)` / `ialltoall(v)` and their persistent
-/// plans.
-struct BlocksEngine {
-    recv: RecvFromEach,
-    fan: FanOut,
-}
-
-impl CollEngine for BlocksEngine {
+impl CollEngine for Exchange {
     fn start(&mut self, comm: &Comm, payload: Bytes) -> Result<()> {
-        let own = match &self.fan {
-            FanOut::None => payload,
-            FanOut::All => {
-                for r in (0..comm.size()).filter(|&r| r != comm.rank()) {
-                    send_internal(comm, r, self.recv.tag, payload.clone())?;
+        let keep = match &self.post {
+            Post::Nothing => payload,
+            Post::Whole(dests) => {
+                for &dest in dests {
+                    send_internal(comm, dest, self.tag, payload.clone())?;
                 }
                 payload
             }
-            FanOut::Sliced(ranges) => scatter_slices(comm, self.recv.tag, &payload, ranges)?,
+            Post::Sliced { parts, keep } => {
+                send_slices(comm, self.tag, &payload, parts.iter().cloned())?;
+                payload.slice(keep.clone())
+            }
         };
-        self.recv.reset(own);
+        self.blocks.fill(None);
+        if let Some(slot) = self.own {
+            self.blocks[slot] = Some(keep);
+        }
         Ok(())
     }
 
     fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
-        if self.recv.advance(comm, block)? {
-            Ok(Some(Completion::Blocks(self.recv.take_blocks())))
-        } else {
-            Ok(None)
+        // Sources whose earliest empty slot did not fill this pass: a
+        // later slot of the same source must not steal its stream's
+        // next message. Lists are short; a linear scan beats a set.
+        let mut stalled: Vec<Rank> = Vec::new();
+        for (slot, &src) in self.blocks.iter_mut().zip(&self.sources) {
+            if slot.is_some() || stalled.contains(&src) {
+                continue;
+            }
+            match recv_one(comm, src, self.tag, block)? {
+                Some(payload) => *slot = Some(payload),
+                None => stalled.push(src),
+            }
         }
+        if !stalled.is_empty() {
+            return Ok(None);
+        }
+        let mut blocks = self.blocks.iter_mut().map(|b| b.take().expect("filled"));
+        Ok(Some(match &mut self.finish {
+            Finish::Done => Completion::Done,
+            Finish::Message => {
+                let block = blocks.next().expect("one source");
+                message_completion(self.sources[0], self.tag, block)
+            }
+            Finish::Blocks => Completion::Blocks(blocks.collect()),
+            Finish::Fold { fold, bcast } => {
+                let folded = fold(blocks.collect())?;
+                if let Some(bcast_tag) = *bcast {
+                    bcast_forward(comm, comm.rank(), bcast_tag, &folded)?;
+                }
+                message_completion(comm.rank(), bcast.unwrap_or(self.tag), folded)
+            }
+        }))
     }
 
     fn sources(&self, _comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        self.recv.sources(out);
+        self.push_sources(true, out);
     }
 
     fn all_sources(&self, _comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        self.recv.all_sources(out);
+        self.push_sources(false, out);
     }
 
     fn check_payload(&self, payload: &Bytes) -> Result<()> {
-        match &self.fan {
-            FanOut::Sliced(ranges) => check_frozen_total(ranges, payload),
-            _ => Ok(()),
-        }
-    }
-}
-
-/// A rank whose whole part is one eager send: the non-root side of a
-/// flat gather or reduce.
-struct SendEngine {
-    dest: Rank,
-    tag: Tag,
-}
-
-impl CollEngine for SendEngine {
-    fn start(&mut self, comm: &Comm, payload: Bytes) -> Result<()> {
-        send_internal(comm, self.dest, self.tag, payload)
-    }
-
-    fn advance(&mut self, _comm: &Comm, _block: bool) -> Result<Option<Completion>> {
-        Ok(Some(Completion::Done))
-    }
-
-    fn sources(&self, _comm: &Comm, _out: &mut Vec<(Rank, Tag)>) {
-        // Complete at `start`: nothing to park on.
-    }
-
-    fn all_sources(&self, _comm: &Comm, _out: &mut Vec<(Rank, Tag)>) {}
-}
-
-/// The root of a binomial broadcast: forwards down the tree at `start`
-/// and completes with the payload it sent.
-struct BcastRootEngine {
-    tag: Tag,
-    root: Rank,
-    payload: Bytes,
-}
-
-impl CollEngine for BcastRootEngine {
-    fn start(&mut self, comm: &Comm, payload: Bytes) -> Result<()> {
-        bcast_forward(comm, self.root, self.tag, &payload)?;
-        self.payload = payload;
-        Ok(())
-    }
-
-    fn advance(&mut self, _comm: &Comm, _block: bool) -> Result<Option<Completion>> {
-        let payload = std::mem::take(&mut self.payload);
-        Ok(Some(message_completion(self.root, self.tag, payload)))
-    }
-
-    fn sources(&self, _comm: &Comm, _out: &mut Vec<(Rank, Tag)>) {}
-
-    fn all_sources(&self, _comm: &Comm, _out: &mut Vec<(Rank, Tag)>) {}
-}
-
-/// Every other rank of a binomial broadcast: waits for the parent and
-/// forwards to its children on receipt. With `up` set it first
-/// contributes there — the non-root side of a flat `iallreduce`, whose
-/// gather phase is that one send.
-struct BcastRecvEngine {
-    tag: Tag,
-    root: Rank,
-    up: Option<(Rank, Tag)>,
-}
-
-impl CollEngine for BcastRecvEngine {
-    fn start(&mut self, comm: &Comm, payload: Bytes) -> Result<()> {
-        match self.up {
-            Some((dest, tag)) => send_internal(comm, dest, tag, payload),
-            None => Ok(()),
-        }
-    }
-
-    fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
-        let parent = bcast_parent(comm, self.root);
-        let Some(payload) = recv_one(comm, parent, self.tag, block)? else {
-            return Ok(None);
+        let Post::Sliced { parts, keep } = &self.post else {
+            return Ok(());
         };
-        bcast_forward(comm, self.root, self.tag, &payload)?;
-        Ok(Some(message_completion(self.root, self.tag, payload)))
-    }
-
-    fn sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        out.push((bcast_parent(comm, self.root), self.tag));
-    }
-
-    fn all_sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        self.sources(comm, out);
-    }
-}
-
-/// Both sides of `iscatter(v)`: the root slices the packed payload by
-/// the ranges frozen at build time and completes with its own block;
-/// every other rank receives its block from the root.
-struct ScatterEngine {
-    tag: Tag,
-    root: Rank,
-    /// At the root: each rank's byte range of the packed payload.
-    ranges: Vec<Range<usize>>,
-    own: Bytes,
-}
-
-impl CollEngine for ScatterEngine {
-    fn start(&mut self, comm: &Comm, payload: Bytes) -> Result<()> {
-        if comm.rank() == self.root {
-            self.own = scatter_slices(comm, self.tag, &payload, &self.ranges)?;
+        // The slices lie back to back: the furthest end is their sum.
+        let total = parts.iter().map(|(_, r)| r.end).fold(keep.end, usize::max);
+        if payload.len() != total {
+            return Err(MpiError::InvalidLayout(format!(
+                "{}: payload holds {} bytes but the frozen counts sum to {total} bytes",
+                self.what,
+                payload.len()
+            )));
         }
         Ok(())
     }
+}
 
-    fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
-        let block = if comm.rank() == self.root {
-            Some(std::mem::take(&mut self.own))
-        } else {
-            recv_one(comm, self.root, self.tag, block)?
-        };
-        Ok(block.map(|b| message_completion(self.root, self.tag, b)))
-    }
-
-    fn sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        if comm.rank() != self.root {
-            out.push((self.root, self.tag));
+/// Folds one block per rank strictly in rank order — correct for
+/// non-commutative operations by construction. `what` names the
+/// operation when a block has the wrong length.
+pub(crate) fn fold_ordered<T: Plain, O: ReduceOp<T>>(
+    what: &str,
+    blocks: Vec<Bytes>,
+    op: &O,
+) -> Result<Vec<T>> {
+    // Rank 0's block materializes the accumulator; every other block
+    // folds in place from the delivered bytes.
+    let mut iter = blocks.into_iter();
+    let first = iter.next().expect("at least one block");
+    let mut acc: Vec<T> = bytes_into_vec(first);
+    for (r, block) in iter.enumerate() {
+        if block.len() != std::mem::size_of_val(acc.as_slice()) {
+            return Err(MpiError::InvalidLayout(format!(
+                "{what}: rank {} contributed {} payload bytes, expected {}",
+                r + 1,
+                block.len(),
+                std::mem::size_of_val(acc.as_slice())
+            )));
         }
+        fold_bytes_right(&mut acc, &block, op)?;
     }
-
-    fn all_sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        self.sources(comm, out);
-    }
+    Ok(acc)
 }
 
-/// The root of a flat reduction: gathers one block per rank, folds them
-/// strictly in rank order (correct for non-commutative operations by
-/// construction) and completes with the result — after sending it down
-/// the binomial tree on `bcast`, when this is rank 0 of an allreduce.
-struct FoldRootEngine {
-    recv: RecvFromEach,
-    /// `FnMut`, so a persistent plan reuses it every cycle.
-    fold: Box<dyn FnMut(Vec<Bytes>) -> Result<Bytes>>,
-    root: Rank,
-    bcast: Option<Tag>,
-}
-
-impl CollEngine for FoldRootEngine {
-    fn start(&mut self, _comm: &Comm, payload: Bytes) -> Result<()> {
-        self.recv.reset(payload);
-        Ok(())
-    }
-
-    fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
-        if !self.recv.advance(comm, block)? {
-            return Ok(None);
-        }
-        let folded = (self.fold)(self.recv.take_blocks())?;
-        let tag = match self.bcast {
-            Some(bcast_tag) => {
-                bcast_forward(comm, self.root, bcast_tag, &folded)?;
-                bcast_tag
-            }
-            None => self.recv.tag,
-        };
-        Ok(Some(message_completion(self.root, tag, folded)))
-    }
-
-    fn sources(&self, _comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        self.recv.sources(out);
-    }
-
-    fn all_sources(&self, _comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        self.recv.all_sources(out);
-    }
-}
-
+/// [`fold_ordered`] as a [`Finish::Fold`]: the result moves into the
+/// completion payload without a serialization copy.
 fn ordered_fold<T: Plain, O: ReduceOp<T> + 'static>(
+    what: &'static str,
     op: O,
 ) -> Box<dyn FnMut(Vec<Bytes>) -> Result<Bytes>> {
-    Box::new(move |blocks: Vec<Bytes>| {
-        // Rank 0's block materializes the accumulator (zero-copy for
-        // byte-shaped payloads); every other block folds in place from
-        // the delivered bytes, and the result moves back out without a
-        // serialization copy.
-        let mut iter = blocks.into_iter();
-        let first = iter.next().expect("at least one block");
-        let mut acc: Vec<T> = bytes_into_vec(first);
-        for (r, block) in iter.enumerate() {
-            if block.len() != std::mem::size_of_val(acc.as_slice()) {
-                return Err(MpiError::InvalidLayout(format!(
-                    "ireduce: rank {} contributed {} payload bytes, expected {}",
-                    r + 1,
-                    block.len(),
-                    std::mem::size_of_val(acc.as_slice())
-                )));
-            }
-            fold_bytes_right(&mut acc, &block, &op)?;
-        }
-        Ok(bytes_from_vec(acc))
-    })
+    Box::new(move |blocks| fold_ordered::<T, O>(what, blocks, &op).map(bytes_from_vec))
 }
 
 // ---------------------------------------------------------------------------
@@ -652,37 +542,27 @@ impl Comm {
     ) -> Result<Box<dyn CollEngine>> {
         self.check_rank(root)?;
         let tag = self.next_internal_tag();
-        Ok(if self.rank() != root {
-            Box::new(BcastRecvEngine {
-                tag,
-                root,
-                up: None,
-            })
-        } else if root_has_data {
-            Box::new(BcastRootEngine {
-                tag,
-                root,
-                payload: Bytes::new(),
-            })
-        } else {
+        if self.rank() == root && !root_has_data {
             return Err(root_without_data(what));
-        })
+        }
+        let tree = BinomialBcast::new(self, tag, root, None);
+        Ok(Box::new(RoundEngine::new(tree)))
     }
 
-    /// Flat allgather: own block to every peer, one block back from
-    /// each (`iallgather(v)`, `allgather_init`).
-    pub(crate) fn allgather_flat(&self) -> Box<dyn CollEngine> {
-        Box::new(BlocksEngine {
-            recv: RecvFromEach::new(self, self.next_internal_tag()),
-            fan: FanOut::All,
-        })
+    /// Flat allgather, the `allgather/ring` row in every lifecycle: own
+    /// block to every peer, one block back from each (`allgather(v)`,
+    /// `iallgather(v)`, `allgather_init`).
+    pub(crate) fn allgather_flat(&self) -> Exchange {
+        let tag = self.next_internal_tag();
+        let post = Post::Whole(rotation(self).collect());
+        Exchange::new("allgather", tag, post, every_rank(self), Finish::Blocks)
     }
 
     /// The equal-block allgather engine of `algo` (`iallgather`,
-    /// `allgather_init`); the ring row's engine is the flat fan-out.
+    /// `allgather_init`).
     pub(crate) fn allgather_engine(&self, algo: AllgatherAlgo) -> Box<dyn CollEngine> {
         match algo {
-            AllgatherAlgo::Ring => self.allgather_flat(),
+            AllgatherAlgo::Ring => Box::new(self.allgather_flat()),
             AllgatherAlgo::RecursiveDoubling => {
                 Box::new(RoundEngine::new(RecursiveDoubling::new(self)))
             }
@@ -690,42 +570,56 @@ impl Comm {
         }
     }
 
-    /// Flat pairwise alltoallv over a packed payload of `packed_len`
-    /// bytes, `byte_counts[r]` of them for rank `r` (`ialltoall(v)`,
-    /// `alltoallv_init`).
+    /// Flat pairwise alltoallv, the `alltoall/pairwise` row in every
+    /// lifecycle: the payload's byte range `ranges[r]` goes to rank `r`
+    /// (`alltoall(v)`, `ialltoall(v)`, `alltoallv_init`). The caller
+    /// takes `tag` before it checks its layout.
     pub(crate) fn alltoallv_flat(
         &self,
-        what: &str,
-        packed_len: usize,
-        byte_counts: &[usize],
-    ) -> Result<Box<dyn CollEngine>> {
-        let recv = RecvFromEach::new(self, self.next_internal_tag());
-        let ranges = packed_ranges(what, byte_counts, 1, packed_len, self.size())?;
-        let fan = FanOut::Sliced(ranges);
-        Ok(Box::new(BlocksEngine { recv, fan }))
+        what: &'static str,
+        tag: Tag,
+        ranges: &[Range<usize>],
+    ) -> Exchange {
+        let post = sliced_by_rank(self, ranges);
+        Exchange::new(what, tag, post, every_rank(self), Finish::Blocks)
+    }
+
+    /// Flat gather to `root` on `tag`: one send everywhere else, one
+    /// block per rank collected at the root, which completes as
+    /// `at_root` says — with the blocks (`igather(v)`, the blocking flat
+    /// `reduce`) or their rank-ordered fold, the `reduce/flat_gather` row
+    /// of `ireduce`, `iallreduce` and `allreduce_init`.
+    pub(crate) fn gather_flat(
+        &self,
+        what: &'static str,
+        tag: Tag,
+        root: Rank,
+        at_root: Finish,
+    ) -> Exchange {
+        if self.rank() == root {
+            Exchange::new(what, tag, Post::Nothing, every_rank(self), at_root)
+        } else {
+            let post = Post::Whole(vec![root]);
+            Exchange::new(what, tag, post, (Vec::new(), None), Finish::Done)
+        }
     }
 
     /// Flat allreduce: gather to rank 0, rank-ordered fold, binomial
     /// broadcast of the result (`iallreduce`, `allreduce_init`).
     pub(crate) fn allreduce_flat<T: Plain, O: ReduceOp<T> + 'static>(
         &self,
+        what: &'static str,
         op: O,
     ) -> Box<dyn CollEngine> {
         let gather_tag = self.next_internal_tag();
         let bcast_tag = self.next_internal_tag();
         if self.rank() == 0 {
-            Box::new(FoldRootEngine {
-                recv: RecvFromEach::new(self, gather_tag),
-                fold: ordered_fold::<T, O>(op),
-                root: 0,
-                bcast: Some(bcast_tag),
-            })
+            let fold = ordered_fold::<T, O>(what, op);
+            let bcast = Some(bcast_tag);
+            Box::new(self.gather_flat(what, gather_tag, 0, Finish::Fold { fold, bcast }))
         } else {
-            Box::new(BcastRecvEngine {
-                tag: bcast_tag,
-                root: 0,
-                up: Some((0, gather_tag)),
-            })
+            let up = Some((0, gather_tag));
+            Box::new(RoundEngine::new(BinomialBcast::new(self, bcast_tag, 0, up)))
         }
     }
 
@@ -765,15 +659,8 @@ impl Comm {
     fn igather_impl<T: Plain>(&self, send: &[T], root: Rank) -> Result<Request<'_>> {
         self.check_rank(root)?;
         let tag = self.next_internal_tag();
-        let engine: Box<dyn CollEngine> = if self.rank() == root {
-            Box::new(BlocksEngine {
-                recv: RecvFromEach::new(self, tag),
-                fan: FanOut::None,
-            })
-        } else {
-            Box::new(SendEngine { dest: root, tag })
-        };
-        self.icoll(engine, bytes_from_slice(send))
+        let engine = self.gather_flat("igather", tag, root, Finish::Blocks);
+        self.icoll(Box::new(engine), bytes_from_slice(send))
     }
 
     /// Starts a non-blocking scatter of variable-size blocks from `root`
@@ -815,7 +702,7 @@ impl Comm {
 
     fn iscatter_impl<T: Plain>(
         &self,
-        what: &str,
+        what: &'static str,
         send: Option<(&[T], &[usize])>,
         root: Rank,
     ) -> Result<Request<'_>> {
@@ -823,21 +710,21 @@ impl Comm {
         // erroring before the tag is fine there.
         self.check_rank(root)?;
         let tag = self.next_internal_tag();
-        let (ranges, packed) = if self.rank() == root {
+        let (post, own, packed) = if self.rank() == root {
             let (data, counts) = send.ok_or_else(|| root_without_data(what))?;
             let elem = std::mem::size_of::<T>();
             let ranges = packed_ranges(what, counts, elem, data.len(), self.size())?;
             // Pack once, slice per destination (refcount clones).
-            (ranges, bytes_from_slice(data))
+            (
+                sliced_by_rank(self, &ranges),
+                Some(0),
+                bytes_from_slice(data),
+            )
         } else {
-            (Vec::new(), Bytes::new())
+            (Post::Nothing, None, Bytes::new())
         };
-        let engine = ScatterEngine {
-            tag,
-            root,
-            ranges,
-            own: Bytes::new(),
-        };
+        // Every rank completes with the one block it has from the root.
+        let engine = Exchange::new(what, tag, post, (vec![root], own), Finish::Message);
         self.icoll(Box::new(engine), packed)
     }
 
@@ -854,7 +741,7 @@ impl Comm {
     /// transport without any copy.
     pub fn iallgatherv_bytes(&self, own: Bytes) -> Result<Request<'_>> {
         self.count_op("iallgatherv");
-        self.icoll(self.allgather_flat(), own)
+        self.icoll(Box::new(self.allgather_flat()), own)
     }
 
     /// Equal-block flavour of [`Comm::iallgatherv`] (mirrors
@@ -892,8 +779,10 @@ impl Comm {
     /// buffer is scattered to all peers without a single copy.
     pub fn ialltoallv_bytes(&self, packed: Bytes, byte_counts: &[usize]) -> Result<Request<'_>> {
         self.count_op("ialltoallv");
-        let engine = self.alltoallv_flat("ialltoallv", packed.len(), byte_counts)?;
-        self.icoll(engine, packed)
+        let tag = self.next_internal_tag();
+        let ranges = packed_ranges("ialltoallv", byte_counts, 1, packed.len(), self.size())?;
+        let engine = self.alltoallv_flat("ialltoallv", tag, &ranges);
+        self.icoll(Box::new(engine), packed)
     }
 
     /// Equal-block flavour of [`Comm::ialltoallv`] (mirrors
@@ -923,7 +812,9 @@ impl Comm {
             let engine: Box<dyn CollEngine> = match algo {
                 AlltoallAlgo::Bruck => Box::new(RoundEngine::new(BruckAlltoall::new(self))),
                 AlltoallAlgo::Pairwise => {
-                    self.alltoallv_flat("ialltoall", p * block_bytes, &vec![block_bytes; p])?
+                    let ranges = (0..p).map(|r| r * block_bytes..(r + 1) * block_bytes);
+                    let (tag, ranges) = (self.next_internal_tag(), ranges.collect::<Vec<_>>());
+                    Box::new(self.alltoallv_flat("ialltoall", tag, &ranges))
                 }
             };
             self.icoll(engine, bytes_from_slice(send))
@@ -949,26 +840,23 @@ impl Comm {
         let call = Call::reduction(std::mem::size_of_val(send), op.is_commutative());
         tuned(self, Site::IMMEDIATE, call, |algo| {
             let tag = self.next_internal_tag();
-            let at_root = self.rank() == root;
-            let engine: Box<dyn CollEngine> = match algo {
+            match algo {
                 ReduceAlgo::BinomialTree => {
-                    let after = if at_root {
+                    let after = if self.rank() == root {
                         AfterTreeReduce::Complete
                     } else {
                         AfterTreeReduce::Done
                     };
                     let tree = TreeReduce::new(self, tag, Own::Data(send.into()), op, root, after);
-                    return self.icoll(Box::new(RoundEngine::new(tree)), Bytes::new());
+                    self.icoll(Box::new(RoundEngine::new(tree)), Bytes::new())
                 }
-                ReduceAlgo::FlatGather if at_root => Box::new(FoldRootEngine {
-                    recv: RecvFromEach::new(self, tag),
-                    fold: ordered_fold::<T, O>(op),
-                    root,
-                    bcast: None,
-                }),
-                ReduceAlgo::FlatGather => Box::new(SendEngine { dest: root, tag }),
-            };
-            self.icoll(engine, bytes_from_slice(send))
+                ReduceAlgo::FlatGather => {
+                    let fold = ordered_fold::<T, O>("ireduce", op);
+                    let finish = Finish::Fold { fold, bcast: None };
+                    let engine = self.gather_flat("ireduce", tag, root, finish);
+                    self.icoll(Box::new(engine), bytes_from_slice(send))
+                }
+            }
         })
     }
 
@@ -997,7 +885,9 @@ impl Comm {
         self.count_op("iallreduce");
         let call = Call::reduction(own.len(), op.is_commutative());
         tuned(self, Site::IALLREDUCE, call, |algo| match algo {
-            ReduceAlgo::FlatGather => self.icoll(self.allreduce_flat::<T, O>(op), own),
+            ReduceAlgo::FlatGather => {
+                self.icoll(self.allreduce_flat::<T, O>("iallreduce", op), own)
+            }
             ReduceAlgo::BinomialTree => {
                 let gather_tag = self.next_internal_tag();
                 let bcast_tag = self.next_internal_tag();
@@ -1203,6 +1093,32 @@ mod tests {
                 assert_eq!(got, vec![(p * (p + 1) / 2) as u64], "p = {p}");
             });
         }
+    }
+
+    /// A contribution of the wrong length is the folding rank's error,
+    /// named after the call that failed (every one used to say
+    /// "ireduce"; `algo_equivalence` covers `reduce` and `ireduce`).
+    #[test]
+    fn fold_errors_name_the_operation() {
+        use crate::MpiError;
+        Universe::run(3, |comm| {
+            let mine = vec![1u64; 1 + comm.rank() / 2];
+            let req = comm.iallreduce(&mine, Sum).unwrap();
+            let mut plan = comm.allreduce_init(&mine, Sum).unwrap();
+            plan.start().unwrap();
+            // Ranks 1 and 2 only contribute: the result can never reach
+            // them, and dropping the pending operation is their way out.
+            if comm.rank() == 0 {
+                for (done, call) in [(req.wait(), "iallreduce"), (plan.wait(), "allreduce_init")] {
+                    match done {
+                        Err(MpiError::InvalidLayout(text)) => {
+                            assert!(text.starts_with(&format!("{call}: rank 2")), "{text}")
+                        }
+                        other => panic!("{call}: {:?}", other.map(drop)),
+                    }
+                }
+            }
+        });
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Reduce and allreduce.
 //!
-//! Commutative operations run the tree algorithms selected by the
-//! communicator's [`CollTuning`](super::algos::CollTuning): binomial
-//! reduce with in-place folds, and recursive doubling or Rabenseifner
-//! for allreduce (see [`super::algos`]). Non-commutative operations fall
-//! back to gather + ordered local fold (+ broadcast), which preserves
-//! strict rank order for any `p`.
+//! Commutative operations run the algorithm the communicator's
+//! [`CollTuning`](super::algos::CollTuning) selects among the `reduce/*`
+//! and `allreduce/*` rows of [`algos::table`](super::algos::table).
+//! Non-commutative operations fall back to the `reduce/flat_gather` row
+//! (+ broadcast), whose fold preserves strict rank order for any `p`.
 
 use std::borrow::Cow;
 
@@ -14,20 +13,12 @@ use bytes::Bytes;
 use super::algos::reduce::{AfterTreeReduce, Own, TreeReduce};
 use super::algos::table::{tuned, Call, Site};
 use super::algos::{self, ReduceAlgo};
-use super::nonblocking::drive;
-use super::send_internal;
+use super::nonblocking::{drive, fold_ordered, Finish, RoundEngine};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::op::ReduceOp;
+use crate::plain::{bytes_from_cow, bytes_from_vec};
 use crate::{Plain, Rank};
-
-/// Elementwise combine; `low` must come from the lower-ranked block.
-fn combine<T: Plain, O: ReduceOp<T>>(low: &mut [T], high: &[T], op: &O) {
-    debug_assert_eq!(low.len(), high.len());
-    for (a, b) in low.iter_mut().zip(high) {
-        *a = op.apply(a, b);
-    }
-}
 
 /// The one definition behind every allreduce entry point. `send` is the
 /// rank's contribution as the caller holds it: an owned vector becomes
@@ -42,44 +33,31 @@ pub(crate) fn allreduce_internal<T: Plain, O: ReduceOp<T>>(
         return Ok(send.into_owned());
     }
     if !op.is_commutative() {
-        // Gather + ordered fold + broadcast keeps strict rank order; the
-        // folded result moves into the broadcast payload (no copy).
-        let payload = gather_fold(comm, send, op, 0)?.map(crate::plain::bytes_from_vec);
+        // Flat reduce + broadcast keeps strict rank order; the folded
+        // result moves into the broadcast payload (no copy).
+        let payload = flat_reduce(comm, "allreduce", send, op, 0)?.map(bytes_from_vec);
         let bytes = super::bcast_bytes_internal(comm, payload, 0)?;
         return Ok(crate::plain::bytes_into_vec(bytes));
     }
     algos::allreduce::dispatch(comm, send, op)
 }
 
-/// Flat reduction to `root`: every other rank's contribution goes to the
-/// wire (an owned one unserialized), the root folds the gathered blocks
-/// strictly in rank order — safe for non-commutative operations.
-fn gather_fold<T: Plain, O: ReduceOp<T>>(
+/// Flat reduction to `root`, the `reduce/flat_gather` row: the flat
+/// gather driven on the stack (every other rank's contribution goes to
+/// the wire, an owned one unserialized), then the root folds what it
+/// collected strictly in rank order — safe for non-commutative
+/// operations — into an accumulator that stays typed.
+fn flat_reduce<T: Plain, O: ReduceOp<T>>(
     comm: &Comm,
+    what: &'static str,
     send: Cow<'_, [T]>,
     op: &O,
     root: Rank,
 ) -> Result<Option<Vec<T>>> {
-    let tag = comm.next_internal_tag();
-    if comm.rank() != root {
-        send_internal(comm, root, tag, crate::plain::bytes_from_cow(send))?;
-        return Ok(None);
-    }
-    let (data, counts) = super::gather::gather_assemble(comm, tag, &send)?;
-    Ok(Some(fold_blocks(&data, &counts, op)))
-}
-
-fn fold_blocks<T: Plain, O: ReduceOp<T>>(data: &[T], counts: &[usize], op: &O) -> Vec<T> {
-    let n = counts[0];
-    debug_assert!(
-        counts.iter().all(|&c| c == n),
-        "reduce blocks must be equal-sized"
-    );
-    let mut acc = data[..n].to_vec();
-    for r in 1..counts.len() {
-        combine(&mut acc, &data[r * n..(r + 1) * n], op);
-    }
-    acc
+    let engine = comm.gather_flat(what, comm.next_internal_tag(), root, Finish::Blocks);
+    let (done, _) = drive(comm, engine, bytes_from_cow(send))?;
+    let blocks = done.into_blocks();
+    blocks.map(|b| fold_ordered(what, b, op)).transpose()
 }
 
 impl Comm {
@@ -124,14 +102,15 @@ impl Comm {
         let bytes = std::mem::size_of_val(&*send);
         let call = Call::reduction(bytes, op.is_commutative());
         tuned(self, Site::BLOCKING, call, |algo| match algo {
-            ReduceAlgo::FlatGather => gather_fold(self, send, &op, root),
+            ReduceAlgo::FlatGather => flat_reduce(self, "reduce", send, &op, root),
             ReduceAlgo::BinomialTree => {
                 // The tree `ireduce` resumes, driven to completion; the
                 // root's accumulator stays typed and moves out.
                 let tag = self.next_internal_tag();
                 let after = AfterTreeReduce::Done;
                 let tree = TreeReduce::new(self, tag, Own::Data(send), op, root, after);
-                Ok(drive(self, tree, Bytes::new())?.1.acc)
+                let (_, engine) = drive(self, RoundEngine::new(tree), Bytes::new())?;
+                Ok(engine.algo.acc)
             }
         })
     }

@@ -17,7 +17,7 @@ use std::borrow::Cow;
 use bytes::Bytes;
 
 use super::algos::fold_bytes_to_vec;
-use super::nonblocking::{drive, Rounds};
+use super::nonblocking::{drive, RoundEngine, Rounds};
 use super::{send_internal, send_slice_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
@@ -50,7 +50,7 @@ impl<'a, T: Plain, O: ReduceOp<T>> DoublingScan<'a, T, O> {
             excl: None,
             exclusive,
         };
-        Ok(drive(comm, scan, Bytes::new())?.1)
+        Ok(drive(comm, RoundEngine::new(scan), Bytes::new())?.1.algo)
     }
 }
 

@@ -6,15 +6,15 @@
 
 use bytes::Bytes;
 
-use super::{check_layout, recv_internal, root_without_data, send_internal};
+use super::{check_layout, recv_internal, root_without_data, send_slices};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::plain::{bytes_from_slice, bytes_into_vec, copy_bytes_into, copy_slice};
 use crate::{Plain, Rank};
 
 /// Packs `send` once and sends `counts[r]`-element blocks at
-/// `displs[r]` to every rank except the root; returns the root's own
-/// block as a shared slice.
+/// `displs[r]` to every rank except the root — the slice-and-send of the
+/// `iscatter` engine; returns the root's own block as a shared slice.
 fn scatter_blocks<T: Plain>(
     comm: &Comm,
     tag: crate::Tag,
@@ -25,17 +25,10 @@ fn scatter_blocks<T: Plain>(
 ) -> Result<Bytes> {
     let elem = std::mem::size_of::<T>();
     let packed = bytes_from_slice(send);
-    let mut own = Bytes::new();
-    for r in 0..comm.size() {
-        let start = displs[r] * elem;
-        let block = packed.slice(start..start + counts[r] * elem);
-        if r == root {
-            own = block;
-        } else {
-            send_internal(comm, r, tag, block)?;
-        }
-    }
-    Ok(own)
+    let block = |r: usize| displs[r] * elem..(displs[r] + counts[r]) * elem;
+    let others = (0..comm.size()).filter(|&r| r != root);
+    send_slices(comm, tag, &packed, others.map(|r| (r, block(r))))?;
+    Ok(packed.slice(block(root)))
 }
 
 impl Comm {

@@ -78,6 +78,7 @@ use bytes::Bytes;
 use crate::collectives::algos::table::{tuned, Call, Site};
 use crate::collectives::algos::{AlltoallAlgo, BcastAlgo, ReduceAlgo};
 use crate::collectives::nonblocking::CollEngine;
+use crate::collectives::packed_ranges;
 use crate::comm::Comm;
 use crate::completion::Waiter;
 use crate::error::{MpiError, Result};
@@ -597,7 +598,7 @@ impl Comm {
         self.count_op("allreduce_init");
         let own = bytes_from_slice(data);
         tuned(self, Site::INIT, Call::sized(own.len()), |_: ReduceAlgo| {
-            self.persistent_coll(self.allreduce_flat::<T, O>(op), Some(own))
+            self.persistent_coll(self.allreduce_flat::<T, O>("allreduce_init", op), Some(own))
         })
     }
 
@@ -644,8 +645,11 @@ impl Comm {
         self.count_op("alltoallv_init");
         let call = Call::sized(packed.len());
         tuned(self, Site::INIT, call, |_: AlltoallAlgo| {
-            let engine = self.alltoallv_flat("alltoallv_init", packed.len(), byte_counts)?;
-            self.persistent_coll(engine, Some(packed))
+            let tag = self.next_internal_tag();
+            let ranges =
+                packed_ranges("alltoallv_init", byte_counts, 1, packed.len(), self.size())?;
+            let engine = self.alltoallv_flat("alltoallv_init", tag, &ranges);
+            self.persistent_coll(Box::new(engine), Some(packed))
         })
     }
 }

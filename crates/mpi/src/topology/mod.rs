@@ -145,7 +145,7 @@ impl Comm {
     /// derived communicators inside other operations).
     pub(crate) fn dup_uncounted(&self) -> Result<Comm> {
         let base = if self.rank() == 0 {
-            self.world.alloc_contexts(1)
+            self.world.alloc_private_dup(self.context)
         } else {
             0
         };

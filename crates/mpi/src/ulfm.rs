@@ -537,6 +537,29 @@ mod tests {
         }
     }
 
+    /// A topology's private communicator is revoked with the one it was
+    /// built from: a rank parked in a neighborhood exchange whose peer
+    /// bailed out before joining is reachable by the recovery
+    /// protocol's `revoke`. (It was not: a single-crash sweep of
+    /// `chaos_neighborhood_round` hung at p = 4.)
+    #[test]
+    fn revoking_the_parent_reaches_a_rank_parked_in_a_topology_exchange() {
+        use crate::NeighborhoodColl;
+        with_deadline(60, || {
+            Universe::run(2, |comm| {
+                let parent = comm.dup().unwrap();
+                let peer = 1 - comm.rank();
+                let g = parent.create_dist_graph_adjacent(&[peer], &[peer]).unwrap();
+                if comm.rank() == 0 {
+                    let err = g.neighbor_allgather_vecs(&[0u8]).unwrap_err();
+                    assert_eq!(err, MpiError::Revoked);
+                } else {
+                    parent.revoke();
+                }
+            });
+        });
+    }
+
     #[test]
     fn revoked_while_parked_request_sets_wake() {
         // A `RequestSet` parked on the matching engine must wake with

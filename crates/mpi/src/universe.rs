@@ -63,6 +63,11 @@ pub struct WorldState {
     pub(crate) mailboxes: Vec<Mailbox>,
     pub(crate) failed: Vec<AtomicBool>,
     pub(crate) revoked: Mutex<HashSet<u64>>,
+    /// `(parent, child)` contexts of the library's private duplicates (a
+    /// topology's communicator), in creation order: revoking the parent
+    /// revokes the child, so the recovery protocol's `revoke` reaches a
+    /// rank parked in an exchange on it whose peer bailed out earlier.
+    private_dups: Mutex<Vec<(u64, u64)>>,
     next_context: AtomicU64,
     pub(crate) cost: CostModel,
     pub(crate) counters: Vec<Mutex<CallCounts>>,
@@ -99,6 +104,7 @@ impl WorldState {
             mailboxes: (0..config.size).map(|_| Mailbox::new()).collect(),
             failed: (0..config.size).map(|_| AtomicBool::new(false)).collect(),
             revoked: Mutex::new(HashSet::new()),
+            private_dups: Mutex::new(Vec::new()),
             // Context 0 is the world communicator.
             next_context: AtomicU64::new(1),
             cost: config.cost,
@@ -147,8 +153,23 @@ impl WorldState {
     }
 
     pub(crate) fn revoke(&self, context: u64) {
-        self.revoked.lock().insert(context);
+        let mut revoked = self.revoked.lock();
+        revoked.insert(context);
+        for &(parent, child) in self.private_dups.lock().iter() {
+            if revoked.contains(&parent) {
+                revoked.insert(child);
+            }
+        }
+        drop(revoked);
         self.interrupt_all();
+    }
+
+    /// Allocates the context of a private duplicate of `parent` (see
+    /// `private_dups`).
+    pub(crate) fn alloc_private_dup(&self, parent: u64) -> u64 {
+        let child = self.alloc_contexts(1);
+        self.private_dups.lock().push((parent, child));
+        child
     }
 
     pub(crate) fn interrupt_all(&self) {

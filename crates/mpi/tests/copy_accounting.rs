@@ -473,7 +473,7 @@ fn scatter_root_packs_once() {
 #[test]
 fn blocking_and_nonblocking_lifecycles_pay_the_same_bill() {
     use kmp_mpi::op::Sum;
-    use kmp_mpi::{AllgatherAlgo, AlltoallAlgo, CopyStats, ReduceAlgo};
+    use kmp_mpi::{AllgatherAlgo, AlltoallAlgo, CopyStats, NeighborhoodColl, ReduceAlgo};
     const N: usize = 512; // u64 elements per block
     fn bill(f: impl FnOnce()) -> CopyStats {
         let before = metrics::snapshot();
@@ -513,6 +513,44 @@ fn blocking_and_nonblocking_lifecycles_pay_the_same_bill() {
             let nonblocking = bill(|| drop(comm.ibarrier().unwrap().wait().unwrap()));
             assert_eq!(blocking, nonblocking, "rank {rank} p={p} barrier");
             assert_eq!(blocking, CopyStats::default(), "a barrier moves no payload");
+
+            // The flat rows: one `Exchange` under both drivers.
+            comm.set_tuning(CollTuning::default().allgather(AllgatherAlgo::Ring));
+            let own = || kmp_mpi::bytes_from_vec(mine.clone());
+            let (a, b) = (own(), own());
+            let blocking = bill(|| drop(comm.allgather_blocks(a).unwrap()));
+            let nonblocking = bill(|| drop(comm.iallgather_bytes(b).unwrap().wait().unwrap()));
+            assert_eq!(blocking, nonblocking, "rank {rank} p={p} allgather ring");
+            let (a, b) = (own(), own());
+            let blocking = bill(|| drop(comm.allgatherv_blocks(a).unwrap()));
+            let nonblocking = bill(|| drop(comm.iallgatherv_bytes(b).unwrap().wait().unwrap()));
+            assert_eq!(blocking, nonblocking, "rank {rank} p={p} allgatherv");
+
+            let packed = || kmp_mpi::bytes_from_vec(send.clone());
+            let (a, b, counts) = (packed(), packed(), vec![N * 8; p]);
+            let blocking = bill(|| drop(comm.alltoallv_blocks_bytes(a, &counts).unwrap()));
+            let nonblocking =
+                bill(|| drop(comm.ialltoallv_bytes(b, &counts).unwrap().wait().unwrap()));
+            assert_eq!(blocking, nonblocking, "rank {rank} p={p} alltoallv");
+
+            comm.set_tuning(CollTuning::default().reduce(ReduceAlgo::FlatGather));
+            let blocking = bill(|| drop(comm.reduce_vec(&mine, Sum, 1).unwrap()));
+            let nonblocking = bill(|| drop(comm.ireduce(&mine, Sum, 1).unwrap().wait().unwrap()));
+            assert_eq!(blocking, nonblocking, "rank {rank} p={p} flat reduce");
+
+            let next = [(rank + 1) % p, (rank + 2) % p];
+            let prev = [(rank + p - 1) % p, (rank + p - 2) % p];
+            let g = comm.create_dist_graph_adjacent(&prev, &next).unwrap();
+            let blocking =
+                bill(|| drop(g.neighbor_alltoallv_blocks(&mine, &[N / 2; 2], &[0, N / 2])));
+            let nonblocking = bill(|| {
+                let req = g.ineighbor_alltoallv(&mine, &[N / 2; 2]).unwrap();
+                drop(req.wait().unwrap())
+            });
+            assert_eq!(
+                blocking, nonblocking,
+                "rank {rank} p={p} sparse neighborhood"
+            );
         });
     }
 }

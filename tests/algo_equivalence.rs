@@ -586,8 +586,8 @@ fn dup_inherits_model_and_reset_restarts_warmup() {
 mod lifecycles {
     use kamping_repro::mpi::request::{Completion, TestOutcome};
     use kamping_repro::mpi::{
-        bytes_to_vec, AllgatherAlgo, AlltoallAlgo, CollTuning, Comm, MpiError, PersistentRequest,
-        ReduceAlgo, Request, RequestSet, Universe,
+        bytes_to_vec, non_commutative, AllgatherAlgo, AlltoallAlgo, CollTuning, Comm, MpiError,
+        NeighborhoodColl, PersistentRequest, ReduceAlgo, ReduceOp, Request, RequestSet, Universe,
     };
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -671,7 +671,7 @@ mod lifecycles {
     }
 
     #[test]
-    fn allgather_rd_and_bruck() {
+    fn allgather_ring_rd_and_bruck() {
         on_grid(|p, n| {
             Universe::run(p, move |comm| {
                 let mine =
@@ -681,9 +681,14 @@ mod lifecycles {
                         .flat_map(|r| (0..n).map(move |i| val(r, i, c)))
                         .collect()
                 };
-                // Forced RD resolves to the ring / flat engine off
-                // powers of two in every lifecycle alike.
-                for algo in [AllgatherAlgo::RecursiveDoubling, AllgatherAlgo::Bruck] {
+                // Forced RD resolves to the ring row off powers of two
+                // in every lifecycle alike.
+                let rows = [
+                    AllgatherAlgo::Ring,
+                    AllgatherAlgo::RecursiveDoubling,
+                    AllgatherAlgo::Bruck,
+                ];
+                for algo in rows {
                     comm.set_tuning(CollTuning::default().allgather(algo));
                     let what = format!("{algo:?} p={p} n={n}");
                     assert_eq!(comm.allgather_vec(&mine(0)).unwrap(), expected(0), "{what}");
@@ -704,7 +709,7 @@ mod lifecycles {
     }
 
     #[test]
-    fn alltoall_bruck() {
+    fn alltoall_pairwise_and_bruck() {
         on_grid(|p, n| {
             Universe::run(p, move |comm| {
                 let me = comm.rank();
@@ -719,19 +724,23 @@ mod lifecycles {
                         .flat_map(|s| (0..n).map(move |i| val(s * p + me, i, c)))
                         .collect()
                 };
-                comm.set_tuning(CollTuning::default().alltoall(AlltoallAlgo::Bruck));
-                let what = format!("p={p} n={n}");
-                let mut recv = vec![0u64; p * n];
-                comm.alltoall_into(&send(0), &mut recv).unwrap();
-                assert_eq!(recv, expected(0), "{what}");
-                for how in FINISHES {
-                    let req = comm.ialltoall(&send(0)).unwrap();
-                    assert_eq!(
-                        concat(finish(&comm, req, how)),
-                        expected(0),
-                        "{what} {how:?}"
-                    );
+                for algo in [AlltoallAlgo::Pairwise, AlltoallAlgo::Bruck] {
+                    comm.set_tuning(CollTuning::default().alltoall(algo));
+                    let what = format!("{algo:?} p={p} n={n}");
+                    let mut recv = vec![0u64; p * n];
+                    comm.alltoall_into(&send(0), &mut recv).unwrap();
+                    assert_eq!(recv, expected(0), "{what}");
+                    for how in FINISHES {
+                        let req = comm.ialltoall(&send(0)).unwrap();
+                        assert_eq!(
+                            concat(finish(&comm, req, how)),
+                            expected(0),
+                            "{what} {how:?}"
+                        );
+                    }
                 }
+                // A plan freezes the pairwise row, whatever is forced.
+                let what = format!("p={p} n={n}");
                 let plan = comm.alltoallv_init(&send(0), &vec![n; p]).unwrap();
                 cycles(plan, send, |c, done| {
                     assert_eq!(concat(done), expected(c), "{what} cycle {c}")
@@ -741,7 +750,7 @@ mod lifecycles {
     }
 
     #[test]
-    fn binomial_reduce_and_the_tree_phase_of_iallreduce() {
+    fn flat_and_binomial_reduce_and_the_reduce_phase_of_iallreduce() {
         on_grid(|p, n| {
             Universe::run(p, move |comm| {
                 let mine =
@@ -751,32 +760,39 @@ mod lifecycles {
                         .map(|i| (0..p).fold(0u64, |acc, r| acc.wrapping_add(val(r, i, c))))
                         .collect()
                 };
-                comm.set_tuning(CollTuning::default().reduce(ReduceAlgo::BinomialTree));
                 let root = p / 2;
-                let what = format!("p={p} n={n}");
-                let folded = comm.reduce_vec(mine(0), wrapping_sum, root).unwrap();
-                assert_eq!(folded, (comm.rank() == root).then(|| expected(0)), "{what}");
-                for how in FINISHES {
-                    let req = comm.ireduce(&mine(0), wrapping_sum, root).unwrap();
-                    let done = finish(&comm, req, how).into_vec::<u64>();
-                    let folded = done.map(|(v, _)| v);
+                for algo in [ReduceAlgo::FlatGather, ReduceAlgo::BinomialTree] {
+                    comm.set_tuning(CollTuning::default().reduce(algo));
+                    let what = format!("{algo:?} p={p} n={n}");
+                    let folded = comm.reduce_vec(mine(0), wrapping_sum, root).unwrap();
+                    assert_eq!(folded, (comm.rank() == root).then(|| expected(0)), "{what}");
+                    for how in FINISHES {
+                        let req = comm.ireduce(&mine(0), wrapping_sum, root).unwrap();
+                        let done = finish(&comm, req, how).into_vec::<u64>();
+                        let folded = done.map(|(v, _)| v);
+                        assert_eq!(
+                            folded,
+                            (comm.rank() == root).then(|| expected(0)),
+                            "{what} {how:?}"
+                        );
+                    }
+                    // The blocking allreduce has its own algorithms; it
+                    // is the operation's oracle twin here.
                     assert_eq!(
-                        folded,
-                        (comm.rank() == root).then(|| expected(0)),
-                        "{what} {how:?}"
+                        comm.allreduce_vec(mine(0), wrapping_sum).unwrap(),
+                        expected(0)
                     );
+                    for how in FINISHES {
+                        let req = comm.iallreduce(&mine(0), wrapping_sum).unwrap();
+                        let (sum, _) = finish(&comm, req, how).into_vec::<u64>().unwrap();
+                        assert_eq!(sum, expected(0), "{what} {how:?}");
+                    }
                 }
-                // The blocking allreduce has its own algorithms; it is
-                // the operation's oracle twin here.
-                assert_eq!(
-                    comm.allreduce_vec(mine(0), wrapping_sum).unwrap(),
-                    expected(0)
-                );
-                for how in FINISHES {
-                    let req = comm.iallreduce(&mine(0), wrapping_sum).unwrap();
-                    let (sum, _) = finish(&comm, req, how).into_vec::<u64>().unwrap();
-                    assert_eq!(sum, expected(0), "{what} {how:?}");
-                }
+                // An operation declared non-commutative takes the flat
+                // row (+ broadcast) in the blocking allreduce too.
+                let ordered = non_commutative(wrapping_sum);
+                assert_eq!(comm.allreduce_vec(mine(0), ordered).unwrap(), expected(0));
+                let what = format!("p={p} n={n}");
                 let plan = comm.allreduce_init(&mine(0), wrapping_sum).unwrap();
                 cycles(plan, mine, |c, done| {
                     assert_eq!(
@@ -784,6 +800,50 @@ mod lifecycles {
                         expected(c),
                         "{what} cycle {c}"
                     )
+                });
+            });
+        });
+    }
+
+    /// The sparse neighborhood row: every rank sends to its next two
+    /// ranks — a self-edge and a duplicate edge at p = 1, a self-edge at
+    /// p = 2 — block `k` of rank `r` keyed by `(r, k)`.
+    #[test]
+    fn sparse_neighborhood() {
+        on_grid(|p, n| {
+            Universe::run(p, move |comm| {
+                let me = comm.rank();
+                let dests = [(me + 1) % p, (me + 2) % p];
+                let srcs = [(me + p - 1) % p, (me + 2 * p - 2) % p];
+                let g = comm.create_dist_graph_adjacent(&srcs, &dests).unwrap();
+                let send = |c: usize| -> Vec<u64> {
+                    (0..2)
+                        .flat_map(|k| (0..n).map(move |i| val(2 * me + k, i, c)))
+                        .collect()
+                };
+                // Source `j` lists this rank as its `j`-th destination.
+                let expected = |c: usize| -> Vec<u64> {
+                    (0..2)
+                        .flat_map(|j| (0..n).map(move |i| val(2 * srcs[j] + j, i, c)))
+                        .collect()
+                };
+                let what = format!("p={p} n={n}");
+                let blocks = g.neighbor_alltoallv_blocks(&send(0), &[n, n], &[0, n]);
+                let got: Vec<u64> = (blocks.unwrap().iter())
+                    .flat_map(|b| bytes_to_vec::<u64>(b))
+                    .collect();
+                assert_eq!(got, expected(0), "{what}");
+                for how in FINISHES {
+                    let req = g.ineighbor_alltoallv(&send(0), &[n, n]).unwrap();
+                    assert_eq!(
+                        concat(finish(&comm, req, how)),
+                        expected(0),
+                        "{what} {how:?}"
+                    );
+                }
+                let plan = g.neighbor_alltoallv_init(&send(0), &[n, n]).unwrap();
+                cycles(plan, send, |c, done| {
+                    assert_eq!(concat(done), expected(c), "{what} cycle {c}")
                 });
             });
         });
@@ -833,6 +893,39 @@ mod lifecycles {
                     }
                 });
             }
+        }
+        // The flat reduce row — taken by a non-commutative operation, or
+        // forced: the one fold reports the odd block at the root (the
+        // blocking form used to panic there), named after the call; the
+        // other ranks' part was their send, and the communicator is
+        // clean afterwards.
+        fn flat_row<O: ReduceOp<u64> + Copy + 'static>(comm: &Comm, op: O) {
+            let (p, root) = (comm.size(), 1);
+            let mine = vec![7u64; if comm.rank() == p - 1 { 2 } else { 1 }];
+            let check = |folded: Result<bool, MpiError>, call: &str| match folded {
+                Ok(folded) => assert!(!folded && comm.rank() != root, "{call} p={p}"),
+                Err(MpiError::InvalidLayout(text)) => {
+                    assert!(comm.rank() == root, "{call} p={p}");
+                    assert!(text.starts_with(&format!("{call}: rank")), "{text}")
+                }
+                Err(other) => panic!("{call} p={p}: {other:?}"),
+            };
+            let blocking = comm.reduce_vec(&mine, op, root);
+            check(blocking.map(|folded| folded.is_some()), "reduce");
+            let nonblocking = comm.ireduce(&mine, op, root).unwrap().wait();
+            check(
+                nonblocking.map(|done| done.into_vec::<u64>().is_some()),
+                "ireduce",
+            );
+            let ranks = comm.allreduce_vec(&[1u64], wrapping_sum).unwrap();
+            assert_eq!(ranks, [p as u64], "the next collective, p={p}");
+        }
+        for p in [3usize, 4] {
+            Universe::run(p, |comm| {
+                flat_row(&comm, non_commutative(wrapping_sum));
+                comm.set_tuning(CollTuning::default().reduce(ReduceAlgo::FlatGather));
+                flat_row(&comm, wrapping_sum);
+            });
         }
     }
 }

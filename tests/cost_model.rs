@@ -361,3 +361,55 @@ fn linear_collectives_are_pinned_at_p_minus_one_startups() {
         }
     }
 }
+
+/// One engine, one schedule: a flat collective costs the same modelled
+/// time whether the blocking call drives it or `i*` + `wait` does —
+/// every send is posted before the first receive either way. (The
+/// blocking ring and pairwise loops used to serialise their `p - 1`
+/// hops: each send waited for the receive before it.)
+#[test]
+fn flat_collectives_cost_the_same_in_both_lifecycles() {
+    use kamping_repro::mpi::{bytes_from_vec, AllgatherAlgo, AlltoallAlgo, CollTuning};
+    for p in [4usize, 16] {
+        for bytes in [8usize, 64 * 1024] {
+            let times = timed_ops(p, CostModel::cluster(), |comm, run| {
+                let flat = CollTuning::default()
+                    .allgather(AllgatherAlgo::Ring)
+                    .alltoall(AlltoallAlgo::Pairwise);
+                comm.set_tuning(flat);
+                let own = || bytes_from_vec(vec![comm.rank() as u8; bytes]);
+                let (send, counts) = (vec![1u8; p * bytes], vec![bytes; p]);
+                let packed = || bytes_from_vec(send.clone());
+                run("allgather", &mut || {
+                    comm.allgather_blocks(own()).unwrap();
+                });
+                run("iallgather", &mut || {
+                    comm.iallgather_bytes(own()).unwrap().wait().unwrap();
+                });
+                run("allgatherv", &mut || {
+                    comm.allgatherv_blocks(own()).unwrap();
+                });
+                run("iallgatherv", &mut || {
+                    comm.iallgatherv_bytes(own()).unwrap().wait().unwrap();
+                });
+                run("alltoall", &mut || {
+                    comm.alltoall_blocks(&send).unwrap();
+                });
+                run("ialltoall", &mut || {
+                    comm.ialltoall(&send).unwrap().wait().unwrap();
+                });
+                run("alltoallv", &mut || {
+                    comm.alltoallv_blocks_bytes(packed(), &counts).unwrap();
+                });
+                run("ialltoallv", &mut || {
+                    let req = comm.ialltoallv_bytes(packed(), &counts).unwrap();
+                    req.wait().unwrap();
+                });
+            });
+            for pair in times.chunks(2) {
+                let ((blocking, t), (immediate, ti)) = (pair[0], pair[1]);
+                assert_eq!(t, ti, "p = {p}, {bytes} B: {blocking} vs {immediate}");
+            }
+        }
+    }
+}
