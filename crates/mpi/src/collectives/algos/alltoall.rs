@@ -178,8 +178,8 @@ mod tests {
 
     /// The blocking driver over the one definition.
     fn run_bruck<T: crate::Plain>(comm: &Comm, send: &[T]) -> Vec<Bytes> {
-        let engine = RoundEngine::new(BruckAlltoall::new(comm));
-        drive_blocks(comm, engine, bytes_from_slice(send)).unwrap()
+        let mut engine = RoundEngine::new(BruckAlltoall::new(comm));
+        drive_blocks(comm, &mut engine, bytes_from_slice(send)).unwrap()
     }
 
     #[test]

@@ -147,14 +147,14 @@ pub(crate) fn scatter_allgather(
         }
         // The allgather circulates chunks the root already has: take
         // part, drop them, return the original payload untouched.
-        drive_blocks(comm, comm.allgather_flat(), chunk(rank))?;
+        drive_blocks(comm, &mut comm.allgather_flat(), chunk(rank))?;
         return Ok(BcastParts::Whole(payload));
     }
     let chunk = recv_internal(comm, root, scatter_tag)?;
     let received = chunk.len();
     // Communicate first, fail alone after: a rank that left before the
     // allgather would strand its peers in it.
-    let blocks = drive_blocks(comm, comm.allgather_flat(), chunk)?;
+    let blocks = drive_blocks(comm, &mut comm.allgather_flat(), chunk)?;
     let expected = chunk_bound(size, p, rank + 1) - chunk_bound(size, p, rank);
     if received != expected {
         return Err(MpiError::Truncated {

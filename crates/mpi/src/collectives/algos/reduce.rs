@@ -197,10 +197,9 @@ mod tests {
                     let after = AfterTreeReduce::Done;
                     let tree =
                         TreeReduce::new(&comm, tag, Own::Data((&mine).into()), Sum, root, after);
-                    let tree = drive(&comm, RoundEngine::new(tree), Bytes::new())
-                        .unwrap()
-                        .1
-                        .algo;
+                    let mut engine = RoundEngine::new(tree);
+                    drive(&comm, &mut engine, Bytes::new()).unwrap();
+                    let tree = engine.algo;
                     if comm.rank() == root {
                         let total = (p * (p + 1) / 2) as u64;
                         assert_eq!(tree.acc.unwrap(), vec![total, p as u64]);

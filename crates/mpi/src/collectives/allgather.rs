@@ -1,17 +1,16 @@
 //! Allgather and allgatherv.
 //!
 //! Equal-block allgathers are tunable — the `allgather/*` rows of
-//! [`algos::table`](super::algos::table) are the menu — and every row is
-//! an engine this file drives on the stack. `allgatherv`'s variable
-//! blocks always run the `allgather/ring` row (the packed rounds of both
-//! latency algorithms need one agreed block size).
+//! [`algos::table`](super::algos::table) are the menu — and every form
+//! drives the one allgather plan (`Comm::allgather_plan`) on its stack.
+//! `allgatherv`'s variable blocks always run the `allgather/ring` row
+//! (the packed rounds of both latency algorithms need one agreed block
+//! size).
 
 use bytes::Bytes;
 
-use super::algos::allgather::{BruckAllgather, RecursiveDoubling};
-use super::algos::table::{tuned, Call, Site};
-use super::algos::AllgatherAlgo;
-use super::nonblocking::{drive_blocks, RoundEngine};
+use super::algos::table::Site;
+use super::nonblocking::{check_divisible, drive_blocks};
 use super::{block_counts, check_layout, concat_blocks, place_blocks, place_blocks_at};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
@@ -20,20 +19,10 @@ use crate::Plain;
 
 /// Equal-block primitive with algorithm selection: every rank
 /// contributes the same number of bytes (the `MPI_Allgather` contract),
-/// so all ranks resolve the same [`AllgatherAlgo`] from the shared
-/// tuning and the agreed block size.
+/// so all ranks resolve the same row from the shared tuning and the
+/// agreed block size. The plan `iallgather` starts, driven here.
 pub(crate) fn allgather_blocks_tuned(comm: &Comm, own: Bytes) -> Result<Vec<Bytes>> {
-    // The engines `iallgather` resumes, driven to completion here.
-    let call = Call::sized(own.len());
-    tuned(comm, Site::BLOCKING, call, |algo| match algo {
-        AllgatherAlgo::RecursiveDoubling => {
-            drive_blocks(comm, RoundEngine::new(RecursiveDoubling::new(comm)), own)
-        }
-        AllgatherAlgo::Bruck => {
-            drive_blocks(comm, RoundEngine::new(BruckAllgather::new(comm)), own)
-        }
-        AllgatherAlgo::Ring => drive_blocks(comm, comm.allgather_flat(), own),
-    })
+    comm.allgather_plan(Site::BLOCKING, own, drive_blocks)
 }
 
 /// Allgather of equal-size contributions; returns the concatenation
@@ -87,12 +76,7 @@ impl Comm {
     pub fn allgather_in_place<T: Plain>(&self, buf: &mut [T]) -> Result<()> {
         self.count_op("allgather");
         let p = self.size();
-        if !buf.len().is_multiple_of(p) {
-            return Err(MpiError::InvalidLayout(format!(
-                "allgather in place: buffer length {} not divisible by {p}",
-                buf.len()
-            )));
-        }
+        check_divisible("allgather in place", buf.len(), p)?;
         let n = buf.len() / p;
         let own = &buf[self.rank() * n..(self.rank() + 1) * n];
         let blocks = allgather_blocks_tuned(self, bytes_from_slice(own))?;
@@ -132,7 +116,7 @@ impl Comm {
     /// spends a separate `allgather` to learn them.
     pub fn allgatherv_blocks(&self, own: Bytes) -> Result<Vec<Bytes>> {
         self.count_op("allgatherv");
-        drive_blocks(self, self.allgather_flat(), own)
+        drive_blocks(self, &mut self.allgather_flat(), own)
     }
 }
 
@@ -156,7 +140,7 @@ pub(crate) fn allgatherv_internal<T: Plain>(
             counts[rank]
         )));
     }
-    let blocks = drive_blocks(comm, comm.allgather_flat(), bytes_from_slice(send))?;
+    let blocks = drive_blocks(comm, &mut comm.allgather_flat(), bytes_from_slice(send))?;
     place_blocks(blocks, recv, counts, displs)
 }
 

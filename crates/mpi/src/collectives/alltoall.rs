@@ -3,16 +3,17 @@
 //! The v/w exchanges run the `alltoall/pairwise` row of
 //! [`algos::table`](super::algos::table); the equal-block `alltoall`
 //! selects among the `alltoall/*` rows. Either way this file drives the
-//! row's engine on the stack.
+//! row's engine on the stack — for `alltoall` and the packed
+//! `alltoallv_blocks_bytes`, the plan their `i*` / `*_init` twins start
+//! (`Comm::alltoall_plan`, `Comm::alltoallv_plan`).
 
 use std::ops::Range;
 
 use bytes::Bytes;
 
-use super::algos::table::{tuned, Call, Site};
-use super::algos::{self, AlltoallAlgo};
-use super::nonblocking::{drive_blocks, RoundEngine};
-use super::{byte_ranges, check_layout, displacements_from_counts, place_blocks, place_blocks_at};
+use super::algos::table::Site;
+use super::nonblocking::drive_blocks;
+use super::{byte_ranges, check_layout, place_blocks, place_blocks_at};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::plain::bytes_from_slice;
@@ -43,26 +44,7 @@ impl Comm {
     /// selection: what a caller that builds its own result needs.
     pub fn alltoall_blocks<T: Plain>(&self, send: &[T]) -> Result<Vec<Bytes>> {
         self.count_op("alltoall");
-        let p = self.size();
-        if !send.len().is_multiple_of(p) {
-            return Err(MpiError::InvalidLayout(format!(
-                "alltoall: send length {} not divisible by {p}",
-                send.len()
-            )));
-        }
-        let n = send.len() / p;
-        let call = Call::sized(n * std::mem::size_of::<T>());
-        tuned(self, Site::BLOCKING, call, |algo| match algo {
-            // The engines `ialltoall` resumes, driven to completion.
-            AlltoallAlgo::Bruck => {
-                let engine = RoundEngine::new(algos::alltoall::BruckAlltoall::new(self));
-                drive_blocks(self, engine, bytes_from_slice(send))
-            }
-            AlltoallAlgo::Pairwise => {
-                let ranges = (0..p).map(|r| r * call.size..(r + 1) * call.size);
-                exchange(self, bytes_from_slice(send), ranges.collect())
-            }
-        })
+        self.alltoall_plan(Site::BLOCKING, "alltoall", send, drive_blocks)
     }
 
     /// Personalized all-to-all with per-destination counts and
@@ -109,23 +91,17 @@ impl Comm {
 
     /// Byte-level [`alltoallv_blocks`](Self::alltoallv_blocks) over an
     /// adopted payload: `packed` holds the per-peer blocks contiguously
-    /// in rank order, `byte_counts[r]` bytes each, and is scattered by
-    /// refcount slicing — not one copy on the send side.
+    /// in rank order, `byte_counts[r]` bytes each — exactly, as for
+    /// [`ialltoallv_bytes`](Self::ialltoallv_bytes): a payload longer
+    /// than its counts is [`MpiError::InvalidLayout`] — and is scattered
+    /// by refcount slicing, not one copy on the send side.
     pub fn alltoallv_blocks_bytes(
         &self,
         packed: Bytes,
         byte_counts: &[usize],
     ) -> Result<Vec<Bytes>> {
         self.count_op("alltoallv");
-        let displs = displacements_from_counts(byte_counts);
-        check_layout(
-            "alltoallv(send)",
-            byte_counts,
-            &displs,
-            packed.len(),
-            self.size(),
-        )?;
-        exchange(self, packed, byte_ranges::<u8>(byte_counts, &displs))
+        self.alltoallv_plan("alltoallv", packed, byte_counts, drive_blocks)
     }
 
     /// Byte-level alltoallw: counts and displacements are in bytes, so
@@ -188,15 +164,16 @@ pub(crate) fn alltoallv_internal<T: Plain>(
     place_blocks(blocks, recv, recv_counts, recv_displs)
 }
 
-/// The one exchange behind every `alltoallv` form: `packed` is the
+/// The exchange behind the displaced `alltoallv` forms (the packed one
+/// is `Comm::alltoallv_plan`'s): `packed` is the
 /// whole send buffer as one shared payload, `packed[ranges[r]]` goes to
 /// rank `r` — one serialization pass total instead of one allocation +
 /// copy per peer, the own block included. A message is sent for every
 /// peer, zero-sized blocks too (dense-exchange semantics). Returns the
 /// delivered blocks by source rank.
 fn exchange(comm: &Comm, packed: Bytes, ranges: Vec<Range<usize>>) -> Result<Vec<Bytes>> {
-    let engine = comm.alltoallv_flat("alltoallv", comm.next_internal_tag(), &ranges);
-    drive_blocks(comm, engine, packed)
+    let mut engine = comm.alltoallv_flat("alltoallv", comm.next_internal_tag(), &ranges);
+    drive_blocks(comm, &mut engine, packed)
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@ pub(crate) fn barrier_internal(comm: &Comm) -> Result<()> {
         0,
         p as u64,
     );
-    drive(comm, Dissemination::engine(comm), Bytes::new()).map(drop)
+    drive(comm, &mut Dissemination::engine(comm), Bytes::new()).map(drop)
 }
 
 impl Comm {

@@ -5,8 +5,8 @@ use bytes::Bytes;
 
 use super::algos::table::{select, tuned, Call, Lifecycle, Site, Tuned};
 use super::algos::{self, BcastAlgo, BcastParts};
-use super::nonblocking::{message_completion, Rounds};
-use super::{recv_internal, root_without_data, send_internal};
+use super::nonblocking::{drive_message, message_completion, Rounds};
+use super::{root_without_data, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::plain::{
@@ -17,22 +17,15 @@ use crate::request::Completion;
 use crate::{Plain, Rank, Tag};
 
 /// Broadcasts `payload` (significant at root) down a binomial tree over
-/// virtual ranks `vrank = (rank - root) mod p`; returns the payload on
-/// every rank.
+/// virtual ranks `vrank = (rank - root) mod p` — the broadcast plan
+/// `ibcast` / `bcast_init` start, driven on this stack; returns the
+/// payload on every rank.
 pub(crate) fn bcast_bytes_internal(
     comm: &Comm,
     payload: Option<Bytes>,
     root: Rank,
 ) -> Result<Bytes> {
-    comm.check_rank(root)?;
-    let tag = comm.next_internal_tag();
-    let data = if comm.rank() == root {
-        payload.ok_or_else(|| root_without_data("bcast"))?
-    } else {
-        recv_internal(comm, bcast_parent(comm, root), tag)?
-    };
-    bcast_forward(comm, root, tag, &data)?;
-    Ok(data)
+    comm.bcast_plan("bcast", payload, root, drive_message)
 }
 
 /// This rank's position in the binomial tree rooted at `root`.
@@ -75,18 +68,18 @@ fn vchildren(v: usize, p: usize) -> impl Iterator<Item = usize> {
 }
 
 /// Forwards `data` to this rank's children in the binomial tree rooted
-/// at `root`. Shared by the blocking broadcast and the `ibcast` /
+/// at `root`. Shared by [`BinomialBcast`] and the result phases of the
 /// `iallreduce` engines.
 pub(crate) fn bcast_forward(comm: &Comm, root: Rank, tag: Tag, data: &Bytes) -> Result<()> {
     bcast_children(comm, root).try_for_each(|child| send_internal(comm, child, tag, data.clone()))
 }
 
-/// The binomial broadcast as a round description (`ibcast`,
-/// `bcast_init`): the root has no round — it forwards and completes
-/// inside `start` — every other rank has one, from its parent, and
-/// forwards on receipt. With `up` set a non-root first contributes
-/// there: the non-root side of the flat `iallreduce`, whose gather
-/// phase is that one send.
+/// The binomial broadcast as a round description — the broadcast
+/// plan's engine in every lifecycle: the root has no round — it
+/// forwards and completes inside `start` — every other rank has one,
+/// from its parent, and forwards on receipt. With `up` set a non-root
+/// first contributes there: the non-root side of the flat `iallreduce`,
+/// whose gather phase is that one send.
 pub(crate) struct BinomialBcast {
     tag: Tag,
     root: Rank,

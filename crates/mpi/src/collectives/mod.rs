@@ -63,14 +63,17 @@
 //! round loop (the dissemination barrier, recursive-doubling and Bruck
 //! `allgather`, Bruck `alltoall`, the binomial `reduce` tree, the
 //! doubling `scan` / `exscan`) or the flat `Exchange` (every eager one:
-//! ring, pairwise, flat gather + fold, both neighborhood rows). The
-//! blocking calls build that engine on their stack and drive it to
-//! completion; `i*` boxes it into a [`Request`](crate::Request) that
-//! `test`/`wait` resume; `*_init` builds a flat engine once and restarts
-//! it every cycle. Recursive-doubling allreduce, Rabenseifner and van de
-//! Geijn remain blocking-only loops; the blocking `bcast` and the typed
-//! blocking `gather*` / `scatter*` keep short bodies of their own (the
-//! latter read the root's buffer in place).
+//! ring, pairwise, flat gather + fold, scatter, both neighborhood rows).
+//! Every operation with more than one lifecycle builds its engine in
+//! **one plan** — its internal tags, then its rank-local checks, its
+//! row, its engine — that the lifecycles drive differently: the blocking
+//! call drives the engine to completion on its stack, `i*` boxes it into
+//! a [`Request`](crate::Request) that `test`/`wait` resume, `*_init`
+//! builds it once and restarts it every cycle. Recursive-doubling
+//! allreduce, Rabenseifner and van de Geijn remain blocking-only loops;
+//! the blocking `gather*` and the typed reductions keep short bodies of
+//! their own (the former read the root's buffer in place, the latter
+//! keep a typed accumulator).
 //!
 //! The table's `Auto` rules are the *static* policy — the warm-up
 //! fallback. With [`CollTuning::self_tuning`] enabled, `Auto` is

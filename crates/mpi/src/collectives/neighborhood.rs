@@ -33,7 +33,8 @@
 //! The [`CollTuning::neighborhood`](crate::CollTuning) slot routes the
 //! *blocking* exchanges to the dense row on near-complete graphs (where
 //! sparsity saves nothing); nonblocking and persistent variants always
-//! run the sparse row — their value is the minimal frozen envelope set.
+//! run the sparse row — their value is the minimal frozen envelope set —
+//! and are one plan (`sparse_plan`) under the `i*` or `*_init` driver.
 
 use std::ops::Range;
 
@@ -41,8 +42,9 @@ use bytes::Bytes;
 
 use super::algos::table::{tuned, Call, Site};
 use super::algos::NeighborhoodAlgo;
-use super::nonblocking::{drive_blocks, Exchange, Finish, Post};
+use super::nonblocking::{drive_blocks, CollEngine, Exchange, Finish, Post};
 use super::{byte_ranges, concat_blocks, packed_ranges, place_blocks};
+use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::persistent::PersistentRequest;
 use crate::plain::{as_bytes, bytes_from_slice, bytes_from_vec, bytes_to_vec};
@@ -73,6 +75,31 @@ fn sparse<N: Neighborhood + ?Sized>(
     };
     let edges = (n.sources().to_vec(), None);
     Exchange::new(what, tag, post, edges, Finish::Blocks)
+}
+
+/// The plan of the unselected forms (`ineighbor_*`, `neighbor_*_init`):
+/// the call counted and its tag taken under `what`, the packed layout of
+/// `data` checked when `counts` are given (one block per out-neighbor,
+/// back to back; else the whole of `data` to each), the op-named trace
+/// instant, and the [`sparse`] engine with this call's payload handed
+/// to the caller's driver.
+fn sparse_plan<'c, N: Neighborhood + ?Sized, T: Plain, R>(
+    n: &'c N,
+    what: &'static str,
+    data: &[T],
+    counts: Option<&[usize]>,
+    run: impl FnOnce(&'c Comm, Box<dyn CollEngine>, Bytes) -> Result<R>,
+) -> Result<R> {
+    let comm = n.comm();
+    comm.count_op(what);
+    let tag = comm.next_internal_tag();
+    let (elem, degree) = (std::mem::size_of::<T>(), n.destinations().len());
+    let layout = |c| packed_ranges(what, c, elem, data.len(), degree);
+    let ranges = counts.map(layout).transpose()?;
+    let bytes = std::mem::size_of_val(data) as u64;
+    trace::instant(trace::cat::COLL, what, bytes, n.max_degree() as u64);
+    let engine = sparse(n, what, tag, ranges);
+    run(comm, Box::new(engine), bytes_from_slice(data))
 }
 
 /// Validates a per-neighbor counts/displacements layout.
@@ -125,7 +152,7 @@ fn exchange<N: Neighborhood + ?Sized>(
     tuned(comm, Site::BLOCKING, call, |algo| match algo {
         NeighborhoodAlgo::Sparse => {
             trace::instant(trace::cat::COLL, name, total, n.max_degree() as u64);
-            drive_blocks(comm, sparse(n, name, tag, ranges), payload)
+            drive_blocks(comm, &mut sparse(n, name, tag, ranges), payload)
         }
         // The dense route for near-complete graphs: one message to
         // *every* rank, self included (the declared block for a
@@ -142,8 +169,8 @@ fn exchange<N: Neighborhood + ?Sized>(
             }
             let post = Post::Sliced { parts, keep: 0..0 };
             let every = ((0..p).collect(), None);
-            let engine = Exchange::new(name, tag, post, every, Finish::Blocks);
-            let blocks = drive_blocks(comm, engine, payload)?;
+            let mut engine = Exchange::new(name, tag, post, every, Finish::Blocks);
+            let blocks = drive_blocks(comm, &mut engine, payload)?;
             Ok(n.sources().iter().map(|&s| blocks[s].clone()).collect())
         }
     })
@@ -305,17 +332,7 @@ pub trait NeighborhoodColl: Neighborhood {
     /// [`RequestSet`](crate::RequestSet)s through the engine's
     /// `sources()` hook like every other `i*` collective.
     fn ineighbor_allgatherv<'c, T: Plain>(&'c self, data: &[T]) -> Result<Request<'c>> {
-        let comm = self.comm();
-        comm.count_op("ineighbor_allgather");
-        let tag = comm.next_internal_tag();
-        trace::instant(
-            trace::cat::COLL,
-            "ineighbor_allgather",
-            std::mem::size_of_val(data) as u64,
-            self.max_degree() as u64,
-        );
-        let engine = sparse(self, "ineighbor_allgather", tag, None);
-        comm.icoll(Box::new(engine), bytes_from_slice(data))
+        sparse_plan(self, "ineighbor_allgather", data, None, Comm::icoll)
     }
 
     /// Nonblocking counted neighborhood exchange: `data` holds the
@@ -328,20 +345,7 @@ pub trait NeighborhoodColl: Neighborhood {
         data: &[T],
         counts: &[usize],
     ) -> Result<Request<'c>> {
-        let comm = self.comm();
-        comm.count_op("ineighbor_alltoallv");
-        let tag = comm.next_internal_tag();
-        let elem = std::mem::size_of::<T>();
-        let degree = self.destinations().len();
-        let ranges = packed_ranges("ineighbor_alltoallv", counts, elem, data.len(), degree)?;
-        trace::instant(
-            trace::cat::COLL,
-            "ineighbor_alltoallv",
-            std::mem::size_of_val(data) as u64,
-            self.max_degree() as u64,
-        );
-        let engine = sparse(self, "ineighbor_alltoallv", tag, Some(ranges));
-        comm.icoll(Box::new(engine), bytes_from_slice(data))
+        sparse_plan(self, "ineighbor_alltoallv", data, Some(counts), Comm::icoll)
     }
 
     /// Persistent [`ineighbor_allgatherv`](Self::ineighbor_allgatherv)
@@ -354,17 +358,8 @@ pub trait NeighborhoodColl: Neighborhood {
         &'c self,
         data: &[T],
     ) -> Result<PersistentRequest<'c>> {
-        let comm = self.comm();
-        comm.count_op("neighbor_allgather_init");
-        let tag = comm.next_internal_tag();
-        trace::instant(
-            trace::cat::COLL,
-            "neighbor_allgather_init",
-            std::mem::size_of_val(data) as u64,
-            self.max_degree() as u64,
-        );
-        let engine = sparse(self, "neighbor_allgather_init", tag, None);
-        comm.persistent_coll(Box::new(engine), Some(bytes_from_slice(data)))
+        let run = Comm::persistent_coll;
+        sparse_plan(self, "neighbor_allgather_init", data, None, run)
     }
 
     /// Persistent [`ineighbor_alltoallv`](Self::ineighbor_alltoallv)
@@ -378,20 +373,8 @@ pub trait NeighborhoodColl: Neighborhood {
         data: &[T],
         counts: &[usize],
     ) -> Result<PersistentRequest<'c>> {
-        let comm = self.comm();
-        comm.count_op("neighbor_alltoallv_init");
-        let tag = comm.next_internal_tag();
-        let elem = std::mem::size_of::<T>();
-        let degree = self.destinations().len();
-        let ranges = packed_ranges("neighbor_alltoallv_init", counts, elem, data.len(), degree)?;
-        trace::instant(
-            trace::cat::COLL,
-            "neighbor_alltoallv_init",
-            std::mem::size_of_val(data) as u64,
-            self.max_degree() as u64,
-        );
-        let engine = sparse(self, "neighbor_alltoallv_init", tag, Some(ranges));
-        comm.persistent_coll(Box::new(engine), Some(bytes_from_slice(data)))
+        let run = Comm::persistent_coll;
+        sparse_plan(self, "neighbor_alltoallv_init", data, Some(counts), run)
     }
 }
 

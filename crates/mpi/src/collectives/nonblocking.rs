@@ -8,10 +8,28 @@
 //! lifecycles are three drivers of that one machine:
 //!
 //! ```text
-//!   blocking   build on the stack, start, advance(block = true)   [drive]
+//!   blocking   build, start, advance(block = true)                [drive]
 //!   i*         build, start, box into a Request; test/wait advance it
 //!   *_init     build once; every PersistentRequest::start calls start
 //! ```
+//!
+//! **One plan per operation, three drivers.** What a call builds is
+//! decided once per operation, by its plan — a `Comm::*_plan` method
+//! (`bcast`, `scatter`, `allgather`, `alltoall`, packed `alltoallv`,
+//! the reduce phase of `iallreduce` / `allreduce_init`; the
+//! neighborhood module's `sparse_plan`): it takes the operation's
+//! internal tag(s), runs the rank-local checks *after* them, selects
+//! the row under [`tuned`] where the operation is tunable, and hands
+//! the built engine plus this call's payload to the caller's driver —
+//! [`drive`] for a blocking call, [`Comm::icoll`] for `i*`,
+//! `Comm::persistent_coll` for `*_init`. A check therefore fails the
+//! same way, at the same point of the tag sequence, in every
+//! lifecycle, and an erroring rank stays tag-aligned with peers whose
+//! part was fine. Only `gather*` and the typed reductions (`reduce`,
+//! `allreduce`, `scan`) keep blocking bodies of their own: the first
+//! read the root's buffer in place and accept arrivals in any order,
+//! the others keep a typed accumulator that a `Bytes` completion would
+//! copy. They still drive the same engines.
 //!
 //! Each `i*` collective allocates its internal tag(s) at call time (so
 //! ranks must start non-blocking collectives in the same order, the MPI
@@ -48,10 +66,7 @@
 //!
 //! Three algorithms remain blocking-only loops with no engine form:
 //! recursive-doubling allreduce, Rabenseifner and van de Geijn's
-//! broadcast (whose allgather phase is the flat exchange). The typed
-//! blocking `gather*` / `scatter*` calls keep their own bodies: they
-//! read the root's contribution in place and accept arrivals in any
-//! order, which an engine over shared payloads cannot.
+//! broadcast (whose allgather phase is the flat exchange).
 //!
 //! The flat algorithms trade the blocking collectives' latency-optimal
 //! trees for *immediacy*: every byte a rank contributes is on the wire
@@ -76,7 +91,7 @@
 //! derives receive counts from the block lengths without any extra
 //! count exchange.
 
-use std::ops::Range;
+use std::ops::{DerefMut, Range};
 
 use bytes::Bytes;
 
@@ -86,6 +101,7 @@ use super::algos::reduce::{AfterTreeReduce, Own, TreeReduce};
 use super::algos::table::{tuned, Call, Site};
 use super::algos::{fold_bytes_right, AllgatherAlgo, AlltoallAlgo, ReduceAlgo};
 use super::bcast::BinomialBcast;
+use super::scatter::equal_blocks;
 use super::{bcast_forward, packed_ranges, root_without_data, send_internal, send_slices};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
@@ -254,32 +270,38 @@ impl<A: Rounds> CollEngine for RoundEngine<A> {
     }
 }
 
-/// The blocking driver: the engine lives on the caller's stack — no
-/// `Box`, no [`Request`], no async trace span — and is driven straight
-/// to completion. Hands the engine back for results it keeps typed.
-pub(crate) fn drive<E: CollEngine>(
+/// The blocking driver: the engine — `&mut` one on the caller's stack,
+/// or a plan's boxed one — is driven straight to completion, with no
+/// [`Request`] and no async trace span. A caller that lends its engine
+/// keeps it, for results it holds typed.
+pub(crate) fn drive<E: CollEngine + ?Sized>(
     comm: &Comm,
-    mut engine: E,
+    mut engine: impl DerefMut<Target = E>,
     payload: Bytes,
-) -> Result<(Completion, E)> {
+) -> Result<Completion> {
     engine.start(comm, payload)?;
     let done = engine.advance(comm, true)?;
-    Ok((
-        done.expect("a blocking advance completes the collective"),
-        engine,
-    ))
+    Ok(done.expect("a blocking advance completes the collective"))
 }
 
 /// [`drive`] for the engines that complete with one block per source.
-pub(crate) fn drive_blocks(
+pub(crate) fn drive_blocks<E: CollEngine + ?Sized>(
     comm: &Comm,
-    engine: impl CollEngine,
+    engine: impl DerefMut<Target = E>,
     payload: Bytes,
 ) -> Result<Vec<Bytes>> {
-    let (done, _) = drive(comm, engine, payload)?;
-    Ok(done
-        .into_blocks()
-        .expect("the engine completes with blocks"))
+    let blocks = drive(comm, engine, payload)?.into_blocks();
+    Ok(blocks.expect("the engine completes with blocks"))
+}
+
+/// [`drive`] for the engines that complete with one message.
+pub(crate) fn drive_message<E: CollEngine + ?Sized>(
+    comm: &Comm,
+    engine: impl DerefMut<Target = E>,
+    payload: Bytes,
+) -> Result<Bytes> {
+    let message = drive(comm, engine, payload)?.into_bytes();
+    Ok(message.expect("the engine completes with a message").0)
 }
 
 // ---------------------------------------------------------------------------
@@ -515,11 +537,28 @@ fn ordered_fold<T: Plain, O: ReduceOp<T> + 'static>(
 }
 
 // ---------------------------------------------------------------------------
-// Build functions — one per (operation, algorithm), shared by `i*` and
-// `*_init` (see `crate::persistent`) — and the `i*` entry points. Every
-// build function takes its internal tag(s) first and runs its rank-local
-// checks after, so an erroring rank stays tag-aligned with its peers.
+// Plans — one per operation, shared by its blocking, `i*` and `*_init`
+// forms (see the module doc) — the engine builders they use, and the
+// `i*` entry points. Every plan takes its internal tag(s) first and runs
+// its rank-local checks after, so an erroring rank stays tag-aligned
+// with its peers in every lifecycle.
 // ---------------------------------------------------------------------------
+
+/// `p` equal blocks of `block` bytes, back to back in rank order.
+pub(crate) fn equal_ranges(p: usize, block: usize) -> Vec<Range<usize>> {
+    (0..p).map(|r| r * block..(r + 1) * block).collect()
+}
+
+/// The rank-local check of the equal-block collectives: a buffer of
+/// `len` elements must split into `p` equal blocks.
+pub(crate) fn check_divisible(what: &str, len: usize, p: usize) -> Result<()> {
+    if !len.is_multiple_of(p) {
+        return Err(MpiError::InvalidLayout(format!(
+            "{what}: buffer length {len} not divisible by {p}"
+        )));
+    }
+    Ok(())
+}
 
 impl Comm {
     /// The `i*` driver: `start` the engine, hand it out as a
@@ -533,20 +572,49 @@ impl Comm {
         Ok(Request::collective(self, engine))
     }
 
-    /// Binomial-tree broadcast from `root` (`ibcast`, `bcast_init`).
-    pub(crate) fn bcast_binomial(
-        &self,
+    /// The broadcast plan (`bcast*`, `ibcast`, `bcast_init`): the
+    /// binomial tree from `root`, over the root's payload.
+    pub(crate) fn bcast_plan<'c, R>(
+        &'c self,
         what: &str,
-        root_has_data: bool,
+        payload: Option<Bytes>,
         root: Rank,
-    ) -> Result<Box<dyn CollEngine>> {
+        run: impl FnOnce(&'c Comm, Box<dyn CollEngine>, Bytes) -> Result<R>,
+    ) -> Result<R> {
         self.check_rank(root)?;
         let tag = self.next_internal_tag();
-        if self.rank() == root && !root_has_data {
+        if self.rank() == root && payload.is_none() {
             return Err(root_without_data(what));
         }
-        let tree = BinomialBcast::new(self, tag, root, None);
-        Ok(Box::new(RoundEngine::new(tree)))
+        let tree = RoundEngine::new(BinomialBcast::new(self, tag, root, None));
+        run(self, Box::new(tree), payload.unwrap_or_default())
+    }
+
+    /// The scatter plan (`scatter*`, `iscatter(v)`): `layout` runs at
+    /// the root only, once the tag is taken, and names the buffer to
+    /// pack and each rank's byte range in it. Every rank completes with
+    /// the one block it has from the root.
+    pub(crate) fn scatter_plan<'c, 's, T: Plain, R>(
+        &'c self,
+        what: &'static str,
+        root: Rank,
+        layout: impl FnOnce() -> Result<(&'s [T], Vec<Range<usize>>)>,
+        run: impl FnOnce(&'c Comm, Box<dyn CollEngine>, Bytes) -> Result<R>,
+    ) -> Result<R> {
+        // `check_rank` is symmetric (every rank sees the same root), so
+        // erroring before the tag is fine there.
+        self.check_rank(root)?;
+        let tag = self.next_internal_tag();
+        let (post, own, packed) = if self.rank() == root {
+            let (data, ranges) = layout()?;
+            // Pack once, slice per destination (refcount clones).
+            let post = sliced_by_rank(self, &ranges);
+            (post, Some(0), bytes_from_slice(data))
+        } else {
+            (Post::Nothing, None, Bytes::new())
+        };
+        let engine = Exchange::new(what, tag, post, (vec![root], own), Finish::Message);
+        run(self, Box::new(engine), packed)
     }
 
     /// Flat allgather, the `allgather/ring` row in every lifecycle: own
@@ -558,16 +626,70 @@ impl Comm {
         Exchange::new("allgather", tag, post, every_rank(self), Finish::Blocks)
     }
 
-    /// The equal-block allgather engine of `algo` (`iallgather`,
-    /// `allgather_init`).
-    pub(crate) fn allgather_engine(&self, algo: AllgatherAlgo) -> Box<dyn CollEngine> {
-        match algo {
-            AllgatherAlgo::Ring => Box::new(self.allgather_flat()),
-            AllgatherAlgo::RecursiveDoubling => {
-                Box::new(RoundEngine::new(RecursiveDoubling::new(self)))
-            }
-            AllgatherAlgo::Bruck => Box::new(RoundEngine::new(BruckAllgather::new(self))),
-        }
+    /// The equal-block allgather plan (`allgather*`, `iallgather`,
+    /// `allgather_init`): the `allgather/*` row selected at `site`.
+    pub(crate) fn allgather_plan<'c, R>(
+        &'c self,
+        site: Site,
+        own: Bytes,
+        run: impl FnOnce(&'c Comm, Box<dyn CollEngine>, Bytes) -> Result<R>,
+    ) -> Result<R> {
+        tuned(self, site, Call::sized(own.len()), |algo| {
+            let engine: Box<dyn CollEngine> = match algo {
+                AllgatherAlgo::Ring => Box::new(self.allgather_flat()),
+                AllgatherAlgo::RecursiveDoubling => {
+                    Box::new(RoundEngine::new(RecursiveDoubling::new(self)))
+                }
+                AllgatherAlgo::Bruck => Box::new(RoundEngine::new(BruckAllgather::new(self))),
+            };
+            run(self, engine, own)
+        })
+    }
+
+    /// The equal-block alltoall plan (`alltoall*`, `ialltoall`): the
+    /// `alltoall/*` row selected at `site` and its tags, then the
+    /// rank-local check that `send` splits into `p` blocks.
+    pub(crate) fn alltoall_plan<'c, T: Plain, R>(
+        &'c self,
+        site: Site,
+        what: &'static str,
+        send: &[T],
+        run: impl FnOnce(&'c Comm, Box<dyn CollEngine>, Bytes) -> Result<R>,
+    ) -> Result<R> {
+        let p = self.size();
+        let block = send.len() / p * std::mem::size_of::<T>();
+        // The eager pairwise engine stays the static `Auto` choice of an
+        // initiation: its call-time sends are what make overlap
+        // effective. Bruck engages when forced, or when the warm model
+        // predicts it wins even after the per-round overlap charge.
+        tuned(self, site, Call::sized(block), |algo| {
+            let engine: Box<dyn CollEngine> = match algo {
+                AlltoallAlgo::Bruck => Box::new(RoundEngine::new(BruckAlltoall::new(self))),
+                AlltoallAlgo::Pairwise => {
+                    let tag = self.next_internal_tag();
+                    Box::new(self.alltoallv_flat(what, tag, &equal_ranges(p, block)))
+                }
+            };
+            check_divisible(what, send.len(), p)?;
+            run(self, engine, bytes_from_slice(send))
+        })
+    }
+
+    /// The packed alltoallv plan (`alltoallv_blocks_bytes`,
+    /// `ialltoallv`, `alltoallv_init`), with one layout rule: `packed`
+    /// holds the per-peer blocks back to back in rank order,
+    /// `byte_counts[r]` bytes each, and nothing else ([`packed_ranges`]).
+    pub(crate) fn alltoallv_plan<'c, R>(
+        &'c self,
+        what: &'static str,
+        packed: Bytes,
+        byte_counts: &[usize],
+        run: impl FnOnce(&'c Comm, Box<dyn CollEngine>, Bytes) -> Result<R>,
+    ) -> Result<R> {
+        let tag = self.next_internal_tag();
+        let ranges = packed_ranges(what, byte_counts, 1, packed.len(), self.size())?;
+        let engine = self.alltoallv_flat(what, tag, &ranges);
+        run(self, Box::new(engine), packed)
     }
 
     /// Flat pairwise alltoallv, the `alltoall/pairwise` row in every
@@ -604,23 +726,47 @@ impl Comm {
         }
     }
 
-    /// Flat allreduce: gather to rank 0, rank-ordered fold, binomial
-    /// broadcast of the result (`iallreduce`, `allreduce_init`).
-    pub(crate) fn allreduce_flat<T: Plain, O: ReduceOp<T> + 'static>(
-        &self,
+    /// The reduce phase of an allreduce (`iallreduce`, `allreduce_init`)
+    /// selected among the `reduce/*` rows at `site`, then a binomial
+    /// broadcast of the result from rank 0: the flat gather + ordered
+    /// fold (rank 0 folds, everyone else contributes one send and
+    /// receives the result), or the binomial reduce tree.
+    pub(crate) fn allreduce_plan<'c, T: Plain, O: ReduceOp<T> + 'static, R>(
+        &'c self,
+        site: Site,
         what: &'static str,
+        own: Bytes,
         op: O,
-    ) -> Box<dyn CollEngine> {
-        let gather_tag = self.next_internal_tag();
-        let bcast_tag = self.next_internal_tag();
-        if self.rank() == 0 {
-            let fold = ordered_fold::<T, O>(what, op);
-            let bcast = Some(bcast_tag);
-            Box::new(self.gather_flat(what, gather_tag, 0, Finish::Fold { fold, bcast }))
-        } else {
-            let up = Some((0, gather_tag));
-            Box::new(RoundEngine::new(BinomialBcast::new(self, bcast_tag, 0, up)))
-        }
+        run: impl FnOnce(&'c Comm, Box<dyn CollEngine>, Bytes) -> Result<R>,
+    ) -> Result<R> {
+        let call = Call::reduction(own.len(), op.is_commutative());
+        tuned(self, site, call, |algo| {
+            let gather_tag = self.next_internal_tag();
+            let bcast_tag = self.next_internal_tag();
+            let root = self.rank() == 0;
+            match algo {
+                ReduceAlgo::FlatGather if root => {
+                    let (fold, bcast) = (ordered_fold::<T, O>(what, op), Some(bcast_tag));
+                    let engine =
+                        self.gather_flat(what, gather_tag, 0, Finish::Fold { fold, bcast });
+                    run(self, Box::new(engine), own)
+                }
+                ReduceAlgo::FlatGather => {
+                    let up = Some((0, gather_tag));
+                    let tree = BinomialBcast::new(self, bcast_tag, 0, up);
+                    run(self, Box::new(RoundEngine::new(tree)), own)
+                }
+                ReduceAlgo::BinomialTree => {
+                    let after = if root {
+                        AfterTreeReduce::BcastSend(bcast_tag)
+                    } else {
+                        AfterTreeReduce::BcastRecv(bcast_tag)
+                    };
+                    let tree = TreeReduce::new(self, gather_tag, Own::Payload(own), op, 0, after);
+                    run(self, Box::new(RoundEngine::new(tree)), Bytes::new())
+                }
+            }
+        })
     }
 
     /// Starts a non-blocking broadcast (mirrors `MPI_Ibcast`). The root
@@ -636,8 +782,7 @@ impl Comm {
     /// the tree clones refcounts).
     pub fn ibcast_bytes(&self, payload: Option<Bytes>, root: Rank) -> Result<Request<'_>> {
         self.count_op("ibcast");
-        let engine = self.bcast_binomial("ibcast", payload.is_some(), root)?;
-        self.icoll(engine, payload.unwrap_or_default())
+        self.bcast_plan("ibcast", payload, root, Comm::icoll)
     }
 
     /// Starts a non-blocking gather of per-rank blocks to `root` (mirrors
@@ -673,59 +818,21 @@ impl Comm {
         root: Rank,
     ) -> Result<Request<'_>> {
         self.count_op("iscatterv");
-        self.iscatter_impl("iscatterv", send, root)
+        let layout = || {
+            let (data, counts) = send.ok_or_else(|| root_without_data("iscatterv"))?;
+            let elem = std::mem::size_of::<T>();
+            let ranges = packed_ranges("iscatterv", counts, elem, data.len(), self.size())?;
+            Ok((data, ranges))
+        };
+        self.scatter_plan("iscatterv", root, layout, Comm::icoll)
     }
 
     /// Equal-block flavour of [`Comm::iscatterv`] (mirrors
     /// `MPI_Iscatter`): the root's buffer splits into `p` equal blocks.
     pub fn iscatter<T: Plain>(&self, send: Option<&[T]>, root: Rank) -> Result<Request<'_>> {
         self.count_op("iscatter");
-        let p = self.size();
-        match send.filter(|_| self.rank() == root) {
-            Some(data) if !data.len().is_multiple_of(p) => {
-                // Burn this operation's tag before erroring: peers (who
-                // cannot see the root's buffer length) have already
-                // allocated theirs, and the per-rank tag counters must
-                // stay aligned for every *subsequent* collective.
-                self.next_internal_tag();
-                Err(MpiError::InvalidLayout(format!(
-                    "iscatter: buffer length {} not divisible by {p}",
-                    data.len()
-                )))
-            }
-            Some(data) => {
-                self.iscatter_impl("iscatter", Some((data, &vec![data.len() / p; p])), root)
-            }
-            None => self.iscatter_impl::<T>("iscatter", None, root),
-        }
-    }
-
-    fn iscatter_impl<T: Plain>(
-        &self,
-        what: &'static str,
-        send: Option<(&[T], &[usize])>,
-        root: Rank,
-    ) -> Result<Request<'_>> {
-        // `check_rank` is symmetric (every rank sees the same root), so
-        // erroring before the tag is fine there.
-        self.check_rank(root)?;
-        let tag = self.next_internal_tag();
-        let (post, own, packed) = if self.rank() == root {
-            let (data, counts) = send.ok_or_else(|| root_without_data(what))?;
-            let elem = std::mem::size_of::<T>();
-            let ranges = packed_ranges(what, counts, elem, data.len(), self.size())?;
-            // Pack once, slice per destination (refcount clones).
-            (
-                sliced_by_rank(self, &ranges),
-                Some(0),
-                bytes_from_slice(data),
-            )
-        } else {
-            (Post::Nothing, None, Bytes::new())
-        };
-        // Every rank completes with the one block it has from the root.
-        let engine = Exchange::new(what, tag, post, (vec![root], own), Finish::Message);
-        self.icoll(Box::new(engine), packed)
+        let layout = || equal_blocks("iscatter", self.size(), send);
+        self.scatter_plan("iscatter", root, layout, Comm::icoll)
     }
 
     /// Starts a non-blocking allgather of variable-size blocks (mirrors
@@ -757,9 +864,7 @@ impl Comm {
     /// Byte-level [`Comm::iallgather`].
     pub fn iallgather_bytes(&self, own: Bytes) -> Result<Request<'_>> {
         self.count_op("iallgather");
-        tuned(self, Site::IMMEDIATE, Call::sized(own.len()), |algo| {
-            self.icoll(self.allgather_engine(algo), own)
-        })
+        self.allgather_plan(Site::IMMEDIATE, own, Comm::icoll)
     }
 
     /// Starts a non-blocking personalized all-to-all with per-destination
@@ -779,10 +884,7 @@ impl Comm {
     /// buffer is scattered to all peers without a single copy.
     pub fn ialltoallv_bytes(&self, packed: Bytes, byte_counts: &[usize]) -> Result<Request<'_>> {
         self.count_op("ialltoallv");
-        let tag = self.next_internal_tag();
-        let ranges = packed_ranges("ialltoallv", byte_counts, 1, packed.len(), self.size())?;
-        let engine = self.alltoallv_flat("ialltoallv", tag, &ranges);
-        self.icoll(Box::new(engine), packed)
+        self.alltoallv_plan("ialltoallv", packed, byte_counts, Comm::icoll)
     }
 
     /// Equal-block flavour of [`Comm::ialltoallv`] (mirrors
@@ -792,33 +894,7 @@ impl Comm {
     /// rounds instead of `p-1` eager sends).
     pub fn ialltoall<T: Plain>(&self, send: &[T]) -> Result<Request<'_>> {
         self.count_op("ialltoall");
-        let p = self.size();
-        if !send.len().is_multiple_of(p) {
-            // Rank-local error: keep the tag counters aligned with the
-            // peers that proceeded (see `iscatter`).
-            self.next_internal_tag();
-            return Err(MpiError::InvalidLayout(format!(
-                "ialltoall: buffer length {} not divisible by {p}",
-                send.len()
-            )));
-        }
-        let elem = std::mem::size_of::<T>();
-        let block_bytes = send.len() / p * elem;
-        // The eager pairwise engine stays the static `Auto` choice: its
-        // call-time sends are what make overlap effective. Bruck engages
-        // when forced, or when the warm model predicts it wins even
-        // after the per-round overlap charge.
-        tuned(self, Site::IMMEDIATE, Call::sized(block_bytes), |algo| {
-            let engine: Box<dyn CollEngine> = match algo {
-                AlltoallAlgo::Bruck => Box::new(RoundEngine::new(BruckAlltoall::new(self))),
-                AlltoallAlgo::Pairwise => {
-                    let ranges = (0..p).map(|r| r * block_bytes..(r + 1) * block_bytes);
-                    let (tag, ranges) = (self.next_internal_tag(), ranges.collect::<Vec<_>>());
-                    Box::new(self.alltoallv_flat("ialltoall", tag, &ranges))
-                }
-            };
-            self.icoll(engine, bytes_from_slice(send))
-        })
+        self.alltoall_plan(Site::IMMEDIATE, "ialltoall", send, Comm::icoll)
     }
 
     /// Starts a non-blocking reduction to `root` (mirrors `MPI_Ireduce`).
@@ -883,23 +959,7 @@ impl Comm {
         op: O,
     ) -> Result<Request<'_>> {
         self.count_op("iallreduce");
-        let call = Call::reduction(own.len(), op.is_commutative());
-        tuned(self, Site::IALLREDUCE, call, |algo| match algo {
-            ReduceAlgo::FlatGather => {
-                self.icoll(self.allreduce_flat::<T, O>("iallreduce", op), own)
-            }
-            ReduceAlgo::BinomialTree => {
-                let gather_tag = self.next_internal_tag();
-                let bcast_tag = self.next_internal_tag();
-                let after = if self.rank() == 0 {
-                    AfterTreeReduce::BcastSend(bcast_tag)
-                } else {
-                    AfterTreeReduce::BcastRecv(bcast_tag)
-                };
-                let tree = TreeReduce::new(self, gather_tag, Own::Payload(own), op, 0, after);
-                self.icoll(Box::new(RoundEngine::new(tree)), Bytes::new())
-            }
-        })
+        self.allreduce_plan(Site::IALLREDUCE, "iallreduce", own, op, Comm::icoll)
     }
 }
 

@@ -54,9 +54,8 @@ fn flat_reduce<T: Plain, O: ReduceOp<T>>(
     op: &O,
     root: Rank,
 ) -> Result<Option<Vec<T>>> {
-    let engine = comm.gather_flat(what, comm.next_internal_tag(), root, Finish::Blocks);
-    let (done, _) = drive(comm, engine, bytes_from_cow(send))?;
-    let blocks = done.into_blocks();
+    let mut engine = comm.gather_flat(what, comm.next_internal_tag(), root, Finish::Blocks);
+    let blocks = drive(comm, &mut engine, bytes_from_cow(send))?.into_blocks();
     blocks.map(|b| fold_ordered(what, b, op)).transpose()
 }
 
@@ -109,7 +108,8 @@ impl Comm {
                 let tag = self.next_internal_tag();
                 let after = AfterTreeReduce::Done;
                 let tree = TreeReduce::new(self, tag, Own::Data(send), op, root, after);
-                let (_, engine) = drive(self, RoundEngine::new(tree), Bytes::new())?;
+                let mut engine = RoundEngine::new(tree);
+                drive(self, &mut engine, Bytes::new())?;
                 Ok(engine.algo.acc)
             }
         })

@@ -42,15 +42,16 @@ struct DoublingScan<'a, T: Plain, O: ReduceOp<T>> {
 
 impl<'a, T: Plain, O: ReduceOp<T>> DoublingScan<'a, T, O> {
     fn run(comm: &Comm, send: Cow<'a, [T]>, op: O, exclusive: bool) -> Result<Self> {
-        let scan = DoublingScan {
+        let mut engine = RoundEngine::new(DoublingScan {
             tag: comm.next_internal_tag(),
             op,
             rounds: (usize::BITS - comm.rank().leading_zeros()) as usize,
             incl: send,
             excl: None,
             exclusive,
-        };
-        Ok(drive(comm, RoundEngine::new(scan), Bytes::new())?.1.algo)
+        });
+        drive(comm, &mut engine, Bytes::new())?;
+        Ok(engine.algo)
     }
 }
 

@@ -1,34 +1,45 @@
 //! Scatter and scatterv (flat tree, pack-once at the root).
 //!
-//! The root serializes its send buffer into **one** shared payload and
-//! carves per-destination blocks out of it by refcount slicing — one
-//! copy and one allocation total, instead of one of each per peer.
+//! Every form — the four blocking calls here and `iscatter(v)` — is the
+//! one scatter plan ([`Comm::scatter_plan`]) under its lifecycle's
+//! driver: the root serializes its send buffer into **one** shared
+//! payload and the flat `Exchange` carves per-destination blocks out of
+//! it by refcount slicing — one copy and one allocation total, instead
+//! of one of each per peer. The blocking forms drive it on their stack
+//! and place the one block they get, the root's own included, through
+//! one checked placement ([`place_message`]): a block that does not
+//! fit the receive buffer is [`MpiError::Truncated`] on that rank.
 
-use bytes::Bytes;
+use std::ops::Range;
 
-use super::{check_layout, recv_internal, root_without_data, send_slices};
+use super::nonblocking::{check_divisible, drive_message, equal_ranges};
+use super::{byte_ranges, check_layout, root_without_data};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::plain::{bytes_from_slice, bytes_into_vec, copy_bytes_into, copy_slice};
+use crate::p2p::place_message;
+use crate::plain::bytes_into_vec;
 use crate::{Plain, Rank};
 
-/// Packs `send` once and sends `counts[r]`-element blocks at
-/// `displs[r]` to every rank except the root — the slice-and-send of the
-/// `iscatter` engine; returns the root's own block as a shared slice.
-fn scatter_blocks<T: Plain>(
-    comm: &Comm,
-    tag: crate::Tag,
-    send: &[T],
-    counts: &[usize],
-    displs: &[usize],
-    root: Rank,
-) -> Result<Bytes> {
-    let elem = std::mem::size_of::<T>();
-    let packed = bytes_from_slice(send);
-    let block = |r: usize| displs[r] * elem..(displs[r] + counts[r]) * elem;
-    let others = (0..comm.size()).filter(|&r| r != root);
-    send_slices(comm, tag, &packed, others.map(|r| (r, block(r))))?;
-    Ok(packed.slice(block(root)))
+/// The root layout of the equal-block scatters (`scatter_vec`,
+/// `iscatter`): the whole buffer, split into `p` equal blocks.
+pub(super) fn equal_blocks<'s, T: Plain>(
+    what: &str,
+    p: usize,
+    send: Option<&'s [T]>,
+) -> Result<(&'s [T], Vec<Range<usize>>)> {
+    let data = send.ok_or_else(|| root_without_data(what))?;
+    check_divisible(what, data.len(), p)?;
+    Ok((data, equal_ranges(p, std::mem::size_of_val(data) / p)))
+}
+
+/// The root layout of `scatterv_*`: `counts[r]` elements at `displs[r]`.
+fn displaced_blocks<'s, T: Plain>(
+    p: usize,
+    send: Option<(&'s [T], &[usize], &[usize])>,
+) -> Result<(&'s [T], Vec<Range<usize>>)> {
+    let (data, counts, displs) = send.ok_or_else(|| root_without_data("scatterv"))?;
+    check_layout("scatterv", counts, displs, data.len(), p)?;
+    Ok((data, byte_ranges::<T>(counts, displs)))
 }
 
 impl Comm {
@@ -37,11 +48,8 @@ impl Comm {
     /// must hold `p * recv.len()` elements there.
     pub fn scatter_into<T: Plain>(&self, send: &[T], recv: &mut [T], root: Rank) -> Result<()> {
         self.count_op("scatter");
-        let p = self.size();
-        self.check_rank(root)?;
-        let tag = self.next_internal_tag();
-        let n = recv.len();
-        if self.rank() == root {
+        let (p, n, bytes) = (self.size(), recv.len(), std::mem::size_of_val(recv));
+        let layout = || {
             if send.len() < p * n {
                 return Err(MpiError::InvalidLayout(format!(
                     "scatter: send buffer holds {} elements, need {}",
@@ -49,22 +57,16 @@ impl Comm {
                     p * n
                 )));
             }
-            let counts = vec![n; p];
-            let displs: Vec<usize> = (0..p).map(|r| r * n).collect();
-            scatter_blocks(self, tag, &send[..p * n], &counts, &displs, root)?;
-            copy_slice(&send[root * n..(root + 1) * n], recv);
-            Ok(())
-        } else {
-            let bytes = recv_internal(self, root, tag)?;
-            let written = copy_bytes_into(&bytes, recv);
-            if written != n {
-                return Err(MpiError::Truncated {
-                    message_bytes: bytes.len(),
-                    buffer_bytes: std::mem::size_of_val(recv),
-                });
-            }
-            Ok(())
+            Ok((&send[..p * n], equal_ranges(p, bytes)))
+        };
+        let block = self.scatter_plan("scatter", root, layout, drive_message)?;
+        if place_message(&block, recv)? != n {
+            return Err(MpiError::Truncated {
+                message_bytes: block.len(),
+                buffer_bytes: bytes,
+            });
         }
+        Ok(())
     }
 
     /// Scatters variable-sized blocks described by `counts`/`displs`
@@ -78,26 +80,9 @@ impl Comm {
         root: Rank,
     ) -> Result<()> {
         self.count_op("scatterv");
-        let p = self.size();
-        self.check_rank(root)?;
-        let tag = self.next_internal_tag();
-        if self.rank() == root {
-            check_layout("scatterv", counts, displs, send.len(), p)?;
-            scatter_blocks(self, tag, send, counts, displs, root)?;
-            let own = &send[displs[root]..displs[root] + counts[root]];
-            if recv.len() < own.len() {
-                return Err(MpiError::Truncated {
-                    message_bytes: std::mem::size_of_val(own),
-                    buffer_bytes: std::mem::size_of_val(recv),
-                });
-            }
-            copy_slice(own, &mut recv[..own.len()]);
-            Ok(())
-        } else {
-            let bytes = recv_internal(self, root, tag)?;
-            copy_bytes_into(&bytes, recv);
-            Ok(())
-        }
+        let layout = || displaced_blocks(self.size(), Some((send, counts, displs)));
+        let block = self.scatter_plan("scatterv", root, layout, drive_message)?;
+        place_message(&block, recv).map(drop)
     }
 
     /// Scatters equal-sized blocks, returning each rank's block as a
@@ -105,26 +90,9 @@ impl Comm {
     /// non-root ranks need not know it in advance.
     pub fn scatter_vec<T: Plain>(&self, send: Option<&[T]>, root: Rank) -> Result<Vec<T>> {
         self.count_op("scatter");
-        let p = self.size();
-        self.check_rank(root)?;
-        let tag = self.next_internal_tag();
-        if self.rank() == root {
-            let data = send.ok_or_else(|| root_without_data("scatter"))?;
-            if !data.len().is_multiple_of(p) {
-                return Err(MpiError::InvalidLayout(format!(
-                    "scatter: send length {} not divisible by {p}",
-                    data.len()
-                )));
-            }
-            let n = data.len() / p;
-            let counts = vec![n; p];
-            let displs: Vec<usize> = (0..p).map(|r| r * n).collect();
-            let own = scatter_blocks(self, tag, data, &counts, &displs, root)?;
-            Ok(bytes_into_vec(own))
-        } else {
-            let bytes = recv_internal(self, root, tag)?;
-            Ok(bytes_into_vec(bytes))
-        }
+        let layout = || equal_blocks("scatter", self.size(), send);
+        let block = self.scatter_plan("scatter", root, layout, drive_message)?;
+        Ok(bytes_into_vec(block))
     }
 
     /// Scatters variable-sized blocks, returning each rank's block as a
@@ -135,18 +103,9 @@ impl Comm {
         root: Rank,
     ) -> Result<Vec<T>> {
         self.count_op("scatterv");
-        let p = self.size();
-        self.check_rank(root)?;
-        let tag = self.next_internal_tag();
-        if self.rank() == root {
-            let (data, counts, displs) = send.ok_or_else(|| root_without_data("scatterv"))?;
-            check_layout("scatterv", counts, displs, data.len(), p)?;
-            let own = scatter_blocks(self, tag, data, counts, displs, root)?;
-            Ok(bytes_into_vec(own))
-        } else {
-            let bytes = recv_internal(self, root, tag)?;
-            Ok(bytes_into_vec(bytes))
-        }
+        let layout = || displaced_blocks(self.size(), send);
+        let block = self.scatter_plan("scatterv", root, layout, drive_message)?;
+        Ok(bytes_into_vec(block))
     }
 }
 
@@ -238,5 +197,40 @@ mod tests {
             }
             // rank 1 does not participate: root errors before sending.
         });
+    }
+
+    /// A non-root whose receive buffer is shorter than its block gets
+    /// `Truncated` (both forms used to panic there); the root is served,
+    /// and the communicator is clean for the next collective.
+    #[test]
+    fn undersized_receive_buffer_is_truncated_not_a_panic() {
+        use crate::op::Sum;
+        use crate::MpiError;
+        for p in [2usize, 3] {
+            Universe::run(p, move |comm| {
+                let root = p - 1;
+                let send: Vec<u32> = (0..2 * p as u32).collect();
+                let truncated = |r: crate::Result<()>| {
+                    let want = MpiError::Truncated {
+                        message_bytes: 8,
+                        buffer_bytes: 4,
+                    };
+                    let want = if comm.rank() == root {
+                        Ok(())
+                    } else {
+                        Err(want)
+                    };
+                    assert_eq!(r, want, "p = {p}");
+                };
+                // The root receives its full block; every other rank
+                // holds room for one element of its two.
+                let n = if comm.rank() == root { 2 } else { 1 };
+                truncated(comm.scatter_into(&send, &mut vec![0u32; n], root));
+                let (counts, displs) = (vec![2; p], (0..p).map(|r| 2 * r).collect::<Vec<_>>());
+                let mut recv = vec![0u32; n];
+                truncated(comm.scatterv_into(&send, &counts, &displs, &mut recv, root));
+                assert_eq!(comm.allreduce_one(1u64, Sum).unwrap(), p as u64);
+            });
+        }
     }
 }

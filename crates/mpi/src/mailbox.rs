@@ -905,32 +905,6 @@ impl Mailbox {
         self.len() == 0
     }
 
-    /// High-water mark of the unexpected-queue depth.
-    pub fn max_unexpected_depth(&self) -> usize {
-        self.max_depth.load(Ordering::Relaxed)
-    }
-
-    /// Number of envelopes delivered directly into a posted waiter's
-    /// slot (each delivery wakes exactly one waiter).
-    pub fn targeted_wakeups(&self) -> u64 {
-        self.wakeups.load(Ordering::Relaxed)
-    }
-
-    /// Number of pushes that claimed a parked multi-source waiter.
-    pub fn multi_wakeups(&self) -> u64 {
-        self.multi_wakeups.load(Ordering::Relaxed)
-    }
-
-    /// Number of parked wakeups that carried no completion claim.
-    pub fn spurious_wakeups(&self) -> u64 {
-        self.spurious.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of concurrently parked completion waiters.
-    pub fn max_parked(&self) -> usize {
-        self.max_parked.load(Ordering::Relaxed)
-    }
-
     /// Reclaims the shard of a freed derived context
     /// ([`crate::Comm::free`]). Messages still queued on the context
     /// (none, after a correct collective free) leave the global gauge
@@ -974,40 +948,19 @@ impl Mailbox {
         }
     }
 
-    /// Total waiter registrations ever inserted (notify + standing).
-    /// Steady-state persistent/pool cycles must hold this flat — the
-    /// zero-re-registration pin.
-    pub fn notify_registrations(&self) -> u64 {
-        self.registrations.load(Ordering::Relaxed)
-    }
-
-    /// Live per-context shards, including the world shard. Grows on
-    /// first use per context; [`crate::Comm::free`] reclaims a derived
-    /// context's shard collectively.
-    pub fn shard_count(&self) -> usize {
-        self.shards.read().len() + 1
-    }
-
-    /// Total envelopes ever pushed into this engine, whether delivered
-    /// straight to a waiter or queued unexpected. This is the per-rank
-    /// message-count meter the neighborhood-collective bench pins
-    /// (degree envelopes per round, vs p-1 for a dense exchange).
-    pub fn envelopes_posted(&self) -> u64 {
-        self.envelopes.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the engine's diagnostics.
+    /// Snapshot of the engine's diagnostics — the one reader of its
+    /// counters (each field is documented on [`MailboxStats`]).
     pub fn stats(&self) -> MailboxStats {
         MailboxStats {
             queued: self.len(),
-            max_unexpected_depth: self.max_unexpected_depth(),
-            targeted_wakeups: self.targeted_wakeups(),
-            multi_wakeups: self.multi_wakeups(),
-            spurious_wakeups: self.spurious_wakeups(),
-            max_parked: self.max_parked(),
-            notify_registrations: self.notify_registrations(),
-            shard_count: self.shard_count(),
-            envelopes_posted: self.envelopes_posted(),
+            max_unexpected_depth: self.max_depth.load(Ordering::Relaxed),
+            targeted_wakeups: self.wakeups.load(Ordering::Relaxed),
+            multi_wakeups: self.multi_wakeups.load(Ordering::Relaxed),
+            spurious_wakeups: self.spurious.load(Ordering::Relaxed),
+            max_parked: self.max_parked.load(Ordering::Relaxed),
+            notify_registrations: self.registrations.load(Ordering::Relaxed),
+            shard_count: self.shards.read().len() + 1,
+            envelopes_posted: self.envelopes.load(Ordering::Relaxed),
         }
     }
 }
@@ -1261,9 +1214,9 @@ mod tests {
         h.join().unwrap();
         // The matching envelope was handed straight to the waiter: only
         // the noise is queued, and exactly one targeted wakeup fired.
-        assert_eq!(mb.targeted_wakeups(), 1);
+        assert_eq!(mb.stats().targeted_wakeups, 1);
         assert_eq!(mb.len(), 3);
-        assert_eq!(mb.max_unexpected_depth(), 3);
+        assert_eq!(mb.stats().max_unexpected_depth, 3);
     }
 
     #[test]
@@ -1301,7 +1254,7 @@ mod tests {
         }
         std::thread::sleep(std::time::Duration::from_millis(10));
         assert_eq!(done.load(Ordering::SeqCst), 1);
-        assert_eq!(mb.targeted_wakeups(), 1);
+        assert_eq!(mb.stats().targeted_wakeups, 1);
         assert!(mb.is_empty(), "the envelope went straight to its waiter");
         for t in 0..N {
             if t != 3 {
@@ -1311,7 +1264,7 @@ mod tests {
         let mut tags: Vec<i32> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         tags.sort_unstable();
         assert_eq!(tags, (0..N).collect::<Vec<_>>());
-        assert_eq!(mb.targeted_wakeups(), N as u64);
+        assert_eq!(mb.stats().targeted_wakeups, N as u64);
     }
 
     #[test]
@@ -1461,7 +1414,7 @@ mod tests {
         {
             std::thread::yield_now();
         }
-        assert_eq!(mb.max_parked(), N as usize);
+        assert_eq!(mb.stats().max_parked, N as usize);
         mb.push(env(1, 1, 3, 9));
         while woken.load(Ordering::SeqCst) == 0 {
             std::thread::yield_now();
@@ -1470,7 +1423,7 @@ mod tests {
         // Exactly one waiter woke (tag 3, via its source-1 slot); the
         // envelope was NOT consumed — notify registrations only point.
         assert_eq!(woken.load(Ordering::SeqCst), 1);
-        assert_eq!(mb.multi_wakeups(), 1);
+        assert_eq!(mb.stats().multi_wakeups, 1);
         assert_eq!(mb.len(), 1, "notify never consumes the envelope");
         for t in 0..N {
             if t != 3 {
@@ -1484,8 +1437,8 @@ mod tests {
             // rank 0 (slot 0): the claim names the source that fired.
             assert_eq!(slot, usize::from(t == 3), "tag {t}");
         }
-        assert_eq!(mb.multi_wakeups(), N as u64);
-        assert_eq!(mb.spurious_wakeups(), 0);
+        assert_eq!(mb.stats().multi_wakeups, N as u64);
+        assert_eq!(mb.stats().spurious_wakeups, 0);
         assert_eq!(mb.len(), N as usize, "all envelopes still queued");
     }
 
@@ -1571,13 +1524,13 @@ mod tests {
             mb.push(env(0, 1, k, 1));
         }
         assert_eq!(mb.len(), 5);
-        assert_eq!(mb.max_unexpected_depth(), 5);
+        assert_eq!(mb.stats().max_unexpected_depth, 5);
         for k in 0..5 {
             mb.try_match(1, Src::Rank(0), TagSel::Is(k)).unwrap();
         }
         assert!(mb.is_empty());
         // The high-water mark survives the drain.
-        assert_eq!(mb.max_unexpected_depth(), 5);
+        assert_eq!(mb.stats().max_unexpected_depth, 5);
         assert_eq!(
             mb.stats(),
             MailboxStats {
@@ -1655,7 +1608,7 @@ mod tests {
         let mb = Mailbox::new();
         let w = fresh_waiter();
         assert!(!mb.register_standing(1, Src::Rank(0), TagSel::Is(7), &w, 4, false));
-        assert_eq!(mb.notify_registrations(), 1);
+        assert_eq!(mb.stats().notify_registrations, 1);
         for k in 0..5u64 {
             mb.push(env(0, 1, 7, 1));
             let mut st = w.state.lock();
@@ -1668,7 +1621,7 @@ mod tests {
         }
         // The envelopes were never consumed; the entry is still posted.
         assert_eq!(mb.len(), 5);
-        assert_eq!(mb.notify_registrations(), 1, "zero re-registration");
+        assert_eq!(mb.stats().notify_registrations, 1, "zero re-registration");
         // Registering again reports the queued backlog.
         let w2 = fresh_waiter();
         assert!(mb.register_standing(1, Src::Rank(0), TagSel::Is(7), &w2, 0, false));

@@ -5,8 +5,25 @@ use bytes::Bytes;
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::message::{Src, Status, TagSel};
-use crate::plain::{bytes_from_slice, bytes_from_vec, bytes_into_vec, copy_bytes_into};
+use crate::plain::{
+    bytes_from_slice, bytes_from_vec, bytes_into_vec, copy_bytes_into, whole_elements,
+};
 use crate::{Plain, Rank, Tag};
+
+/// The one checked placement of a received message (`recv_into`,
+/// `sendrecv`, the blocking scatters): `bytes` lands in the prefix of
+/// `dst` and the element count is returned. A message that is not whole
+/// elements, or does not fit, is the sender's doing and reports
+/// [`MpiError::Truncated`] — never the copy helper's panic.
+pub(crate) fn place_message<T: Plain>(bytes: &[u8], dst: &mut [T]) -> Result<usize> {
+    if whole_elements::<T>(bytes.len())? > dst.len() {
+        return Err(MpiError::Truncated {
+            message_bytes: bytes.len(),
+            buffer_bytes: std::mem::size_of_val(dst),
+        });
+    }
+    Ok(copy_bytes_into(bytes, dst))
+}
 
 impl Comm {
     /// Sends a typed slice (mirrors `MPI_Send`). The transport is an eager
@@ -62,13 +79,7 @@ impl Comm {
             tag: env.tag,
             bytes: env.payload.len(),
         };
-        if env.payload.len() > std::mem::size_of_val(buf) {
-            return Err(MpiError::Truncated {
-                message_bytes: env.payload.len(),
-                buffer_bytes: std::mem::size_of_val(buf),
-            });
-        }
-        copy_bytes_into(&env.payload, buf);
+        place_message(&env.payload, buf)?;
         Ok(status)
     }
 
@@ -141,13 +152,7 @@ impl Comm {
             tag: env.tag,
             bytes: env.payload.len(),
         };
-        if env.payload.len() > std::mem::size_of_val(recv_buf) {
-            return Err(MpiError::Truncated {
-                message_bytes: env.payload.len(),
-                buffer_bytes: std::mem::size_of_val(recv_buf),
-            });
-        }
-        copy_bytes_into(&env.payload, recv_buf);
+        place_message(&env.payload, recv_buf)?;
         Ok(status)
     }
 
@@ -267,6 +272,28 @@ mod tests {
                     }
                 ));
             }
+        });
+    }
+
+    /// A payload that is not whole elements of the receive type is the
+    /// sender's doing: `Truncated` by the `whole_elements` rule, from
+    /// both receives that place into a buffer (both used to panic).
+    #[test]
+    fn partial_element_payload_is_truncated_not_a_panic() {
+        Universe::run(2, |comm| {
+            let peer = 1 - comm.rank();
+            let want = MpiError::Truncated {
+                message_bytes: 3,
+                buffer_bytes: 0,
+            };
+            let mut buf = [0u64; 4];
+            if comm.rank() == 0 {
+                comm.send(&[1u8, 2, 3], peer, 0).unwrap();
+            } else {
+                assert_eq!(comm.recv_into(&mut buf, peer, 0).unwrap_err(), want);
+            }
+            let got = comm.sendrecv(&[1u8, 2, 3], peer, 1, &mut buf, peer, 1);
+            assert_eq!(got.unwrap_err(), want);
         });
     }
 

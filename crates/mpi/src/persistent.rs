@@ -18,7 +18,7 @@
 //!   `*_init` is called collectively in the same order on every rank)
 //!   and reused by every cycle,
 //! - the collective **algorithm is selected once** and its engine built
-//!   once, by the same build function the `i*` form calls on every
+//!   once, by the same plan the blocking and `i*` forms run on every
 //!   call; each cycle only calls the engine's `start`
 //!   (`CollEngine::start` in `crate::collectives::nonblocking`), which
 //!   re-arms the receive state in place and posts the cycle's sends,
@@ -76,9 +76,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use crate::collectives::algos::table::{tuned, Call, Site};
-use crate::collectives::algos::{AlltoallAlgo, BcastAlgo, ReduceAlgo};
+use crate::collectives::algos::{AlltoallAlgo, BcastAlgo};
 use crate::collectives::nonblocking::CollEngine;
-use crate::collectives::packed_ranges;
 use crate::comm::Comm;
 use crate::completion::Waiter;
 use crate::error::{MpiError, Result};
@@ -468,16 +467,17 @@ impl<'a> PersistentSet<'a> {
 }
 
 impl Comm {
-    /// Installs standing registrations for every source the engine can
-    /// ever receive from, then hands the request out.
+    /// The `*_init` driver of a plan: installs standing registrations
+    /// for every source the engine can ever receive from, then hands the
+    /// request out, holding `payload` for the first cycle.
     pub(crate) fn persistent_coll(
         &self,
         engine: Box<dyn CollEngine>,
-        payload: Option<Bytes>,
+        payload: Bytes,
     ) -> Result<PersistentRequest<'_>> {
         let mut pairs: Vec<(Rank, Tag)> = Vec::new();
         engine.all_sources(self, &mut pairs);
-        let mut req = PersistentRequest::new(self, PlanKind::Coll(engine), payload);
+        let mut req = PersistentRequest::new(self, PlanKind::Coll(engine), Some(payload));
         for (slot, (r, t)) in pairs.iter().enumerate() {
             // A message already queued is fine: `wait` always attempts
             // completion before parking, so pre-registration arrivals
@@ -581,8 +581,7 @@ impl Comm {
         // however the model's estimates move afterwards.
         let size = payload.as_ref().map_or(0, Bytes::len);
         tuned(self, Site::INIT, Call::sized(size), |_: BcastAlgo| {
-            let engine = self.bcast_binomial("bcast_init", payload.is_some(), root)?;
-            self.persistent_coll(engine, payload)
+            self.bcast_plan("bcast_init", payload, root, Comm::persistent_coll)
         })
     }
 
@@ -597,9 +596,7 @@ impl Comm {
     ) -> Result<PersistentRequest<'_>> {
         self.count_op("allreduce_init");
         let own = bytes_from_slice(data);
-        tuned(self, Site::INIT, Call::sized(own.len()), |_: ReduceAlgo| {
-            self.persistent_coll(self.allreduce_flat::<T, O>("allreduce_init", op), Some(own))
-        })
+        self.allreduce_plan(Site::INIT, "allreduce_init", own, op, Comm::persistent_coll)
     }
 
     /// Creates a persistent allgather (mirrors `MPI_Allgather_init`):
@@ -614,9 +611,7 @@ impl Comm {
     /// Byte-level [`Comm::allgather_init`].
     pub fn allgather_init_bytes(&self, own: Bytes) -> Result<PersistentRequest<'_>> {
         self.count_op("allgather_init");
-        tuned(self, Site::INIT, Call::sized(own.len()), |algo| {
-            self.persistent_coll(self.allgather_engine(algo), Some(own))
-        })
+        self.allgather_plan(Site::INIT, own, Comm::persistent_coll)
     }
 
     /// Creates a persistent personalized all-to-all with per-destination
@@ -643,13 +638,9 @@ impl Comm {
         byte_counts: &[usize],
     ) -> Result<PersistentRequest<'_>> {
         self.count_op("alltoallv_init");
-        let call = Call::sized(packed.len());
+        let (call, run) = (Call::sized(packed.len()), Comm::persistent_coll);
         tuned(self, Site::INIT, call, |_: AlltoallAlgo| {
-            let tag = self.next_internal_tag();
-            let ranges =
-                packed_ranges("alltoallv_init", byte_counts, 1, packed.len(), self.size())?;
-            let engine = self.alltoallv_flat("alltoallv_init", tag, &ranges);
-            self.persistent_coll(Box::new(engine), Some(packed))
+            self.alltoallv_plan("alltoallv_init", packed, byte_counts, run)
         })
     }
 }

@@ -551,6 +551,33 @@ fn blocking_and_nonblocking_lifecycles_pay_the_same_bill() {
                 blocking, nonblocking,
                 "rank {rank} p={p} sparse neighborhood"
             );
+
+            // The scatter and broadcast plans: the blocking forms drive
+            // what `i*` starts. Scatter: root `s + r`, everyone else `r`.
+            let all = vec![rank as u64; p * N];
+            let root_data = (rank == 1).then_some(&all[..]);
+            let blocking = bill(|| drop(comm.scatter_vec(root_data, 1).unwrap()));
+            let nonblocking = bill(|| {
+                let req = comm.iscatter(root_data, 1).unwrap();
+                drop(req.wait().unwrap().into_vec::<u64>())
+            });
+            assert_eq!(blocking, nonblocking, "rank {rank} p={p} scatter");
+            let s = if rank == 1 { p * N * 8 } else { 0 };
+            assert_eq!(
+                blocking.bytes_copied,
+                (s + N * 8) as u64,
+                "rank {rank} p={p}"
+            );
+            let own = || (rank == 1).then(|| kmp_mpi::bytes_from_vec(mine.clone()));
+            let (a, b) = (own(), own());
+            let blocking = bill(|| drop(comm.bcast_bytes(a, 1).unwrap()));
+            let nonblocking = bill(|| drop(comm.ibcast_bytes(b, 1).unwrap().wait().unwrap()));
+            assert_eq!(blocking, nonblocking, "rank {rank} p={p} bcast");
+            assert_eq!(
+                blocking,
+                CopyStats::default(),
+                "an adopted bcast copies nothing"
+            );
         });
     }
 }

@@ -849,6 +849,110 @@ mod lifecycles {
         });
     }
 
+    /// The scatter row: one plan under the blocking driver (`scatter_into`,
+    /// `scatter_vec`, `scatterv_vec`) and the `i*` one (`iscatter`,
+    /// `iscatterv`). Rank `r`'s `scatterv` block holds `r % 3 · n`
+    /// elements, so some blocks are empty.
+    #[test]
+    fn flat_scatter() {
+        use kamping_repro::mpi::collectives::displacements_from_counts;
+        on_grid(|p, n| {
+            Universe::run(p, move |comm| {
+                let (me, root) = (comm.rank(), p / 2);
+                let block =
+                    |r: usize, len: usize| -> Vec<u64> { (0..len).map(|i| val(r, i, 0)).collect() };
+                let counts: Vec<usize> = (0..p).map(|r| r % 3 * n).collect();
+                let displs = displacements_from_counts(&counts);
+                let equal: Vec<u64> = (0..p).flat_map(|r| block(r, n)).collect();
+                let varied: Vec<u64> = (0..p).flat_map(|r| block(r, counts[r])).collect();
+                let (mine, my_share) = (block(me, n), block(me, counts[me]));
+                let at_root = me == root;
+                let what = format!("p={p} n={n}");
+                let mut recv = vec![0u64; n];
+                comm.scatter_into(&equal, &mut recv, root).unwrap();
+                assert_eq!(recv, mine, "{what}");
+                let got = comm
+                    .scatter_vec(at_root.then_some(&equal[..]), root)
+                    .unwrap();
+                assert_eq!(got, mine, "{what}");
+                let send = at_root.then_some((&varied[..], &counts[..], &displs[..]));
+                assert_eq!(comm.scatterv_vec(send, root).unwrap(), my_share, "{what}");
+                for how in FINISHES {
+                    let req = comm.iscatter(at_root.then_some(&equal[..]), root).unwrap();
+                    let (got, _) = finish(&comm, req, how).into_vec::<u64>().unwrap();
+                    assert_eq!(got, mine, "{what} {how:?}");
+                    let send = at_root.then_some((&varied[..], &counts[..]));
+                    let req = comm.iscatterv(send, root).unwrap();
+                    let (got, _) = finish(&comm, req, how).into_vec::<u64>().unwrap();
+                    assert_eq!(got, my_share, "{what} {how:?}");
+                }
+            });
+        });
+    }
+
+    /// The broadcast row: the binomial tree under all three drivers —
+    /// `bcast_bytes` / `bcast_into`, `ibcast`, `bcast_init`.
+    #[test]
+    fn binomial_broadcast() {
+        use kamping_repro::mpi::bytes_from_vec;
+        on_grid(|p, n| {
+            Universe::run(p, move |comm| {
+                let root = p - 1;
+                let data = |c: usize| -> Vec<u64> { (0..n).map(|i| val(root, i, c)).collect() };
+                let at_root = |c: usize| (comm.rank() == root).then(|| data(c));
+                let what = format!("p={p} n={n}");
+                let got = comm.bcast_bytes(at_root(0).map(bytes_from_vec), root);
+                assert_eq!(bytes_to_vec::<u64>(&got.unwrap()), data(0), "{what}");
+                let mut buf = at_root(0).unwrap_or_else(|| vec![0; n]);
+                comm.bcast_into(&mut buf, root).unwrap();
+                assert_eq!(buf, data(0), "{what}");
+                for how in FINISHES {
+                    let req = comm.ibcast(at_root(0).as_deref(), root).unwrap();
+                    let (got, _) = finish(&comm, req, how).into_vec::<u64>().unwrap();
+                    assert_eq!(got, data(0), "{what} {how:?}");
+                }
+                let plan = comm.bcast_init(at_root(0).as_deref(), root).unwrap();
+                cycles(plan, data, |c, done| {
+                    let (got, _) = done.into_vec::<u64>().unwrap();
+                    assert_eq!(got, data(c), "{what} cycle {c}")
+                });
+            });
+        });
+    }
+
+    /// One packed `alltoallv` layout rule in every lifecycle: a payload
+    /// longer than its counts is `InvalidLayout` on every rank, from the
+    /// blocking substrate and binding forms (which used to send the
+    /// counted prefix and drop the rest) as from `ialltoallv`.
+    #[test]
+    fn packed_alltoallv_rejects_a_payload_longer_than_its_counts() {
+        use kamping_repro::kamping::prelude::*;
+        use kamping_repro::mpi::bytes_from_vec;
+        for p in [2usize, 3] {
+            Universe::run(p, move |comm| {
+                let comm = Communicator::new(comm);
+                let raw = comm.raw();
+                let (send, counts) = (vec![7u64; p + 1], vec![1usize; p]);
+                let invalid = |r: Result<(), MpiError>, call: &str| {
+                    assert!(
+                        matches!(r, Err(MpiError::InvalidLayout(_))),
+                        "{call} p={p}: {r:?}"
+                    )
+                };
+                let packed = bytes_from_vec(send.clone());
+                let blocks = raw.alltoallv_blocks_bytes(packed, &[8; 3][..p]);
+                invalid(blocks.map(drop), "alltoallv_blocks_bytes");
+                let data = comm.alltoallv::<u64, _>((send_buf(&send), send_counts(&counts)));
+                invalid(data.map(drop), "kamping alltoallv");
+                invalid(raw.ialltoallv(&send, &counts).map(drop), "ialltoallv");
+                let fut = comm.ialltoallv((send_buf(send.clone()), send_counts(&counts)));
+                invalid(fut.map(drop), "kamping ialltoallv");
+                let ranks = raw.allreduce_vec(&[1u64], wrapping_sum).unwrap();
+                assert_eq!(ranks, [p as u64], "the next collective, p={p}");
+            });
+        }
+    }
+
     #[test]
     fn dissemination_barrier() {
         for p in GRID_P {
