@@ -3,27 +3,40 @@
 //!
 //! PR 4 gave single blocking receives a targeted wakeup: a waiter parks
 //! on a private condvar and the matching push wakes exactly that
-//! thread. This module is that wakeup generalized to every other wait
-//! in the substrate — request sets
-//! ([`RequestSet::wait_any`](crate::RequestSet::wait_any) /
-//! [`wait_some`](crate::RequestSet::wait_some), and through them the
-//! binding layer's request pools), synchronous-mode sends, persistent
-//! and partitioned requests: a `Waiter` registered against *N*
-//! pending sources at once, where the **first** completion claims the
-//! waiter, records which source fired, and wakes exactly that thread.
-//! Three pieces, each defined once:
+//! thread. This module is that wakeup generalized to every wait in the
+//! substrate: a `Waiter` registered against *N* pending sources at
+//! once, where the **first** completion claims the waiter, records
+//! which source fired, and wakes exactly that thread. Three pieces,
+//! each defined once:
 //!
 //! - **the claim** — `Waiter::claim`: the first completion sets
 //!   `claimed` / `fired` and wakes the thread; completions landing
 //!   while that claim is outstanding are appended to `missed` and wake
-//!   nobody;
+//!   nobody. A posted receive's or probe's direct delivery is a claim
+//!   that also writes the slot (`Waiter::claim_delivering`);
 //! - **the park** — `Waiter::park`: under the waiter's lock, consume an
 //!   outstanding claim (→ fired id + missed ids), else notice that the
 //!   interruption epoch moved (→ interrupted), else sleep on the
-//!   private condvar. Every parked wait named above is a loop around
-//!   this one function;
+//!   private condvar. It is the only sleep on a `Waiter`, and every
+//!   parked wait is a loop around it:
+//!   - the blocking receive and probe (the mailbox's posted wait behind
+//!     [`Mailbox::wait_match`] / [`Mailbox::wait_peek`]);
+//!   - request sets ([`RequestSet::wait_any`] /
+//!     [`wait_some`](crate::RequestSet::wait_some), and through them the
+//!     binding layer's request pools) and synchronous-mode sends;
+//!   - persistent and partitioned requests (`Waiter::armed_park`);
+//!   - the agreement behind [`Comm::agree_and`] and
+//!     [`Comm::shrink`];
 //! - **the session** — `Session`: the standing registrations a
 //!   [`RequestSet`] of plain receives keeps across `wait_any` calls.
+//!
+//! **The one interrupt rule.** `park` lists its waiter on the mailbox's
+//! watcher list for the whole sleep, and [`Mailbox::interrupt`] bumps
+//! the mailbox's one epoch, then wakes every watcher. A parked thread
+//! therefore wakes only by a claim or by that watcher loop. A parker
+//! listed before the interrupter walks the list is woken under its
+//! lock, after the bump; one listed later reads the bumped epoch under
+//! its lock before it would sleep.
 //!
 //! # The protocol
 //!
@@ -38,7 +51,7 @@
 //!   3. REGISTER: for each source the operations are blocked on,
 //!      atomically {check "already available?" ; else enqueue waiter}
 //!        available?    -> skip the park, go to 5
-//!   4. PARK (`Waiter::park`) on the waiter's private condvar until
+//!   4. PARK (`Waiter::park`), watched, on the private condvar until
 //!        claimed (fired = source id)             -> targeted wakeup
 //!        or epoch != captured                    -> interrupt, re-check
 //!   5. re-test the fired id only; on an interrupt deregister
@@ -133,6 +146,7 @@
 //! [`mailbox::reference`](crate::mailbox::reference).
 
 use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -205,7 +219,19 @@ impl Waiter {
     /// A claim never carries a message: whatever fired stays queued for
     /// the owner's re-test.
     pub(crate) fn claim(&self, slot: usize) -> bool {
+        self.claim_delivering(slot, |_| {})
+    }
+
+    /// [`claim`](Waiter::claim) for a direct delivery: `deliver` writes
+    /// the matched envelope or probe status into the slot under the
+    /// same lock the claim is taken under, so the woken owner finds it.
+    pub(crate) fn claim_delivering(
+        &self,
+        slot: usize,
+        deliver: impl FnOnce(&mut WaiterSlot),
+    ) -> bool {
         let mut st = self.state.lock();
+        deliver(&mut st);
         if st.claimed {
             st.missed.push(slot);
             return false;
@@ -219,32 +245,58 @@ impl Waiter {
     /// The one parked wait (step 4 of the [module protocol](self)):
     /// sleeps until a completion claims this waiter or `mb`'s
     /// interruption epoch differs from `seen_epoch`, which the caller
-    /// captured **before** its last non-blocking re-check. The claim is
-    /// consumed: its fired and missed ids come back in the [`Wake`] and
-    /// the waiter can be claimed again.
-    pub(crate) fn park(&self, mb: &Mailbox, seen_epoch: u64) -> Wake {
+    /// captured **before** its last non-blocking re-check. The waiter
+    /// is on `mb`'s watcher list for the whole sleep, listed before the
+    /// waiter lock is taken — the order [`Mailbox::interrupt`] locks
+    /// in. The claim is consumed: its fired and missed ids come back in
+    /// the [`Wake`] and the waiter can be claimed again.
+    pub(crate) fn park(self: &Arc<Self>, mb: &Mailbox, seen_epoch: u64) -> Wake {
+        mb.watch(self);
         let mut st = self.state.lock();
         let mut slept = false;
-        loop {
-            if st.claimed {
-                st.claimed = false;
-                return Wake {
-                    fired: st.fired.take(),
-                    missed: std::mem::take(&mut st.missed),
-                    slept,
-                };
-            }
-            if mb.epoch() != seen_epoch {
-                mb.record_spurious();
-                return Wake {
-                    fired: None,
-                    missed: Vec::new(),
-                    slept,
-                };
-            }
+        while !st.claimed && mb.epoch() == seen_epoch {
             slept = true;
             self.cond.wait(&mut st);
         }
+        // Unclaimed means the epoch moved; `fired` and `missed` are
+        // then empty (only a claim fills them).
+        if !std::mem::take(&mut st.claimed) {
+            mb.record_spurious();
+        }
+        let (fired, missed) = (st.fired.take(), std::mem::take(&mut st.missed));
+        drop(st);
+        mb.unwatch(self);
+        Wake {
+            fired,
+            missed,
+            slept,
+        }
+    }
+
+    /// The wait step of a *wake-only* owner ([`crate::persistent`],
+    /// [`crate::partitioned`]): arm, `retest`, and — still pending —
+    /// park until the first wakeup; then disarm. Returns the re-test's
+    /// completion (`None`: woken by a claim or an interrupt; re-test)
+    /// and whether the thread actually slept.
+    ///
+    /// Arm, then re-test before parking: the store precedes the
+    /// re-test's shard-lock acquisition, so a push that enqueues after
+    /// the re-test observes the flag and claims — no arrival can fall
+    /// between re-test and park. A claim left over from an earlier
+    /// attempt (claims never carry messages) costs one early return.
+    pub(crate) fn armed_park<T>(
+        self: &Arc<Self>,
+        mb: &Mailbox,
+        retest: impl FnOnce() -> Result<Option<T>>,
+    ) -> Result<(Option<T>, bool)> {
+        self.armed.store(true, Ordering::SeqCst);
+        let epoch = mb.epoch();
+        let attempt = retest().map(|done| match done {
+            Some(c) => (Some(c), false),
+            None => (None, self.park(mb, epoch).slept),
+        });
+        self.armed.store(false, Ordering::SeqCst);
+        attempt
     }
 }
 
@@ -285,27 +337,6 @@ pub(crate) enum ParkSource<'a> {
     Mailbox { context: u64, src: Src, tag: TagSel },
     /// A synchronous-mode send's receiver-matched acknowledgement.
     Ack(&'a Arc<AckSlot>),
-}
-
-/// [`Waiter::park`] for the waits of this module: their waiter is
-/// listed as a watcher for the duration, so an interrupt reaches it
-/// even when it holds no posted entry (a lone ack registration) and the
-/// parked-waiter gauges count it.
-fn park_watched(
-    waiter: &Arc<Waiter>,
-    mb: &Mailbox,
-    seen_epoch: u64,
-    span: &'static str,
-    arg: u64,
-) -> Wake {
-    crate::fault::point("completion/park");
-    mb.watch(waiter);
-    let wake = {
-        let _sp = trace::span(trace::cat::PARK, span, arg, 0);
-        waiter.park(mb, seen_epoch)
-    };
-    mb.unwatch(waiter);
-    wake
 }
 
 /// The transient park: registers one waiter against every source
@@ -353,8 +384,11 @@ fn park_any(requests: &[Request<'_>], seen_epoch: u64) -> Option<usize> {
             break;
         }
     }
-    let fired = ready
-        .or_else(|| park_watched(&waiter, mb, seen_epoch, "park_any", requests.len() as u64).fired);
+    let fired = ready.or_else(|| {
+        crate::fault::point("completion/park");
+        let _sp = trace::span(trace::cat::PARK, "park_any", requests.len() as u64, 0);
+        waiter.park(mb, seen_epoch).fired
+    });
     // A completion racing this deregistration is harmless: claims never
     // carry a message, so whatever fired is still queued and the
     // caller's re-test finds it.
@@ -487,8 +521,11 @@ pub(crate) fn complete_any(
             }
             crate::fault::point("completion/claim");
             let sess = set.session.as_mut().expect("checked above");
-            let live = sess.ids.len() as u64;
-            let wake = park_watched(&sess.waiter, mb, sess.seen_epoch, "park_session", live);
+            crate::fault::point("completion/park");
+            let wake = {
+                let _sp = trace::span(trace::cat::PARK, "park_session", sess.ids.len() as u64, 0);
+                sess.waiter.park(mb, sess.seen_epoch)
+            };
             match wake.fired {
                 Some(id) => {
                     sess.pending.push_back(id);
@@ -556,7 +593,9 @@ pub(crate) fn wait_sync_send(comm: &Comm, ack: &Arc<AckSlot>, dest: Rank) -> Res
         }
         let waiter = fresh_waiter();
         if !ack.register_notify(&waiter, 0) {
-            park_watched(&waiter, mb, seen_epoch, "park_sync_send", dest as u64);
+            crate::fault::point("completion/park");
+            let _sp = trace::span(trace::cat::PARK, "park_sync_send", dest as u64, 0);
+            waiter.park(mb, seen_epoch);
         }
         ack.deregister_notify(&waiter);
     }

@@ -55,26 +55,17 @@
 //! anything: matching never crosses contexts, and stamps are only ever
 //! compared within one shard.
 //!
-//! # Blocking waits: targeted wakeups, no polling
+//! # Blocking waits: direct delivery
 //!
-//! A blocking receive first scans the UMQ; on a miss it registers a
-//! waiter in the PRQ and sleeps on its *private* condvar until a push
-//! fulfills it. There is no timed-poll safety net: the 50 ms bounded
-//! wait of the previous linear-scan mailbox (a latency floor whenever a
-//! wakeup was missed) is retired. Interruption (ULFM failure injection
-//! and communicator revocation, see [`crate::ulfm`]) instead uses an
-//! epoch protocol: [`Mailbox::interrupt`] bumps the mailbox epoch
-//! *before* waking every posted waiter while holding its lock, and a
-//! waiter re-reads the epoch under its own lock before every sleep.
-//! Since the interrupting thread raises its condition before bumping the
-//! epoch, and the waiter captures the epoch before its final
-//! pre-registration interruption check, every interleaving either makes
-//! the condition visible to a check or makes the epochs differ — a
-//! waiter can never sleep through an interrupt. A waiter that observes
-//! an interruption deregisters under the shard lock and *re-checks its
-//! delivery slot*: a push that matched it concurrently wins, so an
-//! already-matched message is delivered, never dropped (MPI completes
-//! operations that already matched).
+//! A blocking receive or probe first scans the UMQ; on a miss it posts
+//! a waiter in the PRQ and parks in the one park of
+//! [`crate::completion`], which also owns the interrupt rule. A
+//! matching push writes the envelope (or the probe's status) into the
+//! waiter's slot and claims the waiter under the same lock. A waiter
+//! that observes an interruption deregisters under the shard lock and
+//! *re-checks its delivery slot*: a push that matched it concurrently
+//! wins, so an already-matched message is delivered, never dropped (MPI
+//! completes operations that already matched).
 //!
 //! # Multi-waiter registrations (the completion subsystem's hook)
 //!
@@ -99,12 +90,8 @@
 //! interleavings against the oracle to check that registrations are
 //! *transparent* to matching order.
 //!
-//! Interrupts reach parked multi-waiters through the same epoch
-//! protocol as posted receives: [`Mailbox::interrupt`] bumps the epoch,
-//! then wakes every posted entry *and* every watcher registered via
-//! `Mailbox::watch` (a multi-waiter with only non-mailbox sources —
-//! e.g. a synchronous-send acknowledgement — still needs failure and
-//! revocation wakeups).
+//! Interrupts reach every parked waiter through the watcher list (see
+//! [`crate::completion`]).
 //!
 //! The seed implementation — one coarse `Mutex<VecDeque>` with O(n)
 //! scans and broadcast wakeups — is preserved verbatim in
@@ -330,10 +317,13 @@ pub struct MailboxStats {
     /// silent.
     pub multi_wakeups: u64,
     /// Wakeups of parked waiters that delivered no completion claim
-    /// (interruption-epoch re-checks). Bounded by the number of
-    /// interruption events — there is no timer to wake anybody.
+    /// (interruption-epoch re-checks), over every park: completion
+    /// waits, blocking receives and probes, and agreements. Bounded by
+    /// the number of interruption events — there is no timer to wake
+    /// anybody.
     pub spurious_wakeups: u64,
-    /// High-water mark of concurrently parked completion waiters.
+    /// High-water mark of concurrently parked waiters, over every park:
+    /// completion waits, blocking receives and probes, and agreements.
     pub max_parked: usize,
     /// Total waiter registrations inserted into posted queues (notify +
     /// standing): the zero-re-registration pin for persistent and pool
@@ -371,12 +361,11 @@ pub struct Mailbox {
     multi_wakeups: AtomicU64,
     /// Parked wakeups that carried no claim (epoch re-checks).
     spurious: AtomicU64,
-    /// Parked completion waiters right now, and the high-water mark.
+    /// Parked waiters right now, and the high-water mark.
     parked_now: AtomicUsize,
     max_parked: AtomicUsize,
-    /// Parked completion waiters to wake on [`Mailbox::interrupt`]
-    /// (multi-waiters are not per-shard: one park may span contexts and
-    /// non-mailbox sources).
+    /// Every waiter parked on this mailbox ([`Waiter::park`]): the one
+    /// list [`Mailbox::interrupt`] wakes.
     watchers: Mutex<Vec<Arc<Waiter>>>,
     /// Interruption epoch; bumped by [`Mailbox::interrupt`].
     epoch: AtomicU64,
@@ -472,22 +461,17 @@ impl Mailbox {
             let p = st.posted.remove(i).expect("index in bounds");
             match p.kind {
                 PostKind::Peek => {
-                    let mut w = p.waiter.state.lock();
-                    w.status = Some(Status {
+                    let status = Status {
                         source: env.src,
                         tag: env.tag,
                         bytes: env.payload.len(),
-                    });
-                    p.waiter.cond.notify_one();
-                    drop(w);
+                    };
+                    p.waiter.claim_delivering(0, |w| w.status = Some(status));
                     self.wakeups.fetch_add(1, Ordering::Relaxed);
                 }
                 PostKind::Recv => {
                     trace::instant(trace::cat::MATCH, "targeted_wakeup", seq, env.src as u64);
-                    let mut w = p.waiter.state.lock();
-                    w.env = Some(env);
-                    p.waiter.cond.notify_one();
-                    drop(w);
+                    p.waiter.claim_delivering(0, |w| w.env = Some(env));
                     self.wakeups.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
@@ -524,33 +508,15 @@ impl Mailbox {
         }
     }
 
-    /// Wakes all posted waiters without delivering anything, so they can
-    /// re-check interruption conditions (failure / revocation). The
-    /// epoch is bumped *before* any waiter is woken, and each wakeup is
-    /// issued while holding that waiter's lock — together with the
-    /// waiters' capture-epoch-then-check protocol this guarantees no
-    /// waiter misses the interrupt (see the module docs).
+    /// Bumps the interruption epoch, then wakes every watcher — every
+    /// thread parked on this mailbox — without delivering anything, so
+    /// it re-checks interruption conditions (failure / revocation).
+    /// Each wakeup is issued while holding that waiter's lock; with the
+    /// parkers' capture-epoch-then-check protocol this guarantees no
+    /// waiter misses the interrupt (see [`crate::completion`]).
     pub fn interrupt(&self) {
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         trace::instant(trace::cat::ULFM, "epoch_bump", epoch, 0);
-        let mut shards: Vec<Arc<Shard>> = self.shards.read().values().cloned().collect();
-        shards.push(Arc::clone(&self.world_shard));
-        for shard in shards {
-            let st = shard.state.lock();
-            for p in &st.posted {
-                let _w = p.waiter.state.lock();
-                p.waiter.cond.notify_one();
-            }
-            for regs in st.standing_idx.values() {
-                for r in regs {
-                    let _w = r.waiter.state.lock();
-                    r.waiter.cond.notify_one();
-                }
-            }
-        }
-        // Parked completion waiters may have no posted entry at all
-        // (e.g. waiting only on a synchronous-send acknowledgement);
-        // the watcher list reaches every one of them.
         for w in self.watchers.lock().iter() {
             let _g = w.state.lock();
             w.cond.notify_one();
@@ -716,8 +682,8 @@ impl Mailbox {
         }
     }
 
-    /// Adds a parked completion waiter to the interrupt watcher list
-    /// and maintains the parked-waiter gauges.
+    /// Adds a parking waiter ([`Waiter::park`]) to the interrupt watcher
+    /// list and maintains the parked-waiter gauges.
     pub(crate) fn watch(&self, waiter: &Arc<Waiter>) {
         self.watchers.lock().push(Arc::clone(waiter));
         let now = self.parked_now.fetch_add(1, Ordering::Relaxed) + 1;
@@ -730,10 +696,13 @@ impl Mailbox {
         self.parked_now.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Counts a parked wakeup that carried no completion claim.
+    /// Counts a parked wakeup that carried no completion claim. Such a
+    /// wakeup may record no event of its own, so it also answers any
+    /// pending live-snapshot request.
     pub(crate) fn record_spurious(&self) {
         self.spurious.fetch_add(1, Ordering::Relaxed);
         trace::instant(trace::cat::COMPLETION, "spurious_wakeup", 0, 0);
+        trace::poll_publish();
     }
 
     /// Removes and returns the first matching envelope, if any.
@@ -766,60 +735,17 @@ impl Mailbox {
         context: u64,
         src: Src,
         tag: TagSel,
-        mut interrupted: impl FnMut() -> Option<MpiError>,
+        interrupted: impl FnMut() -> Option<MpiError>,
     ) -> Result<Envelope> {
         crate::fault::point("mailbox/match");
-        let shard = self.shard(context);
-        // The epoch must be captured before the interruption check: an
-        // interrupt bumps the epoch before waking, so a condition raised
-        // after this load is caught by the epoch comparison below, and
-        // one raised before it is caught by `interrupted()`.
-        let mut seen_epoch = self.epoch.load(Ordering::SeqCst);
-        let waiter = {
-            let mut st = shard.state.lock();
-            if let Some((seq, env)) = st.pop_match(src, tag) {
-                self.queued.fetch_sub(1, Ordering::Relaxed);
-                trace::instant(trace::cat::MATCH, "umq_match", seq, env.src as u64);
-                return Ok(env);
-            }
-            if let Some(err) = interrupted() {
-                return Err(err);
-            }
-            let waiter = fresh_waiter();
-            st.posted.push_back(Posted {
-                src,
-                tag,
-                kind: PostKind::Recv,
-                waiter: Arc::clone(&waiter),
-            });
-            waiter
+        let scan = |st: &mut ShardState| {
+            let (seq, env) = st.pop_match(src, tag)?;
+            self.queued.fetch_sub(1, Ordering::Relaxed);
+            trace::instant(trace::cat::MATCH, "umq_match", seq, env.src as u64);
+            Some(env)
         };
-        loop {
-            let mut w = waiter.state.lock();
-            loop {
-                if let Some(env) = w.env.take() {
-                    return Ok(env);
-                }
-                let now = self.epoch.load(Ordering::SeqCst);
-                if now != seen_epoch {
-                    seen_epoch = now;
-                    // This wakeup records no event of its own; answer
-                    // any pending live-snapshot request explicitly.
-                    trace::poll_publish();
-                    break;
-                }
-                waiter.cond.wait(&mut w);
-            }
-            drop(w);
-            if let Some(err) = interrupted() {
-                // Deregister — but a concurrent push may have fulfilled
-                // the waiter already; the delivery slot decides.
-                return match self.cancel(&shard, &waiter) {
-                    Some(w) => Ok(w.env.expect("receive waiter fulfilled with an envelope")),
-                    None => Err(err),
-                };
-            }
-        }
+        let post = (src, tag, PostKind::Recv);
+        self.posted_wait(context, post, interrupted, scan, |w| w.env.take())
     }
 
     /// Blocks until a matching envelope arrives; returns its status and
@@ -829,14 +755,36 @@ impl Mailbox {
         context: u64,
         src: Src,
         tag: TagSel,
-        mut interrupted: impl FnMut() -> Option<MpiError>,
+        interrupted: impl FnMut() -> Option<MpiError>,
     ) -> Result<Status> {
+        let scan = |st: &mut ShardState| st.peek_match(src, tag);
+        let post = (src, tag, PostKind::Peek);
+        self.posted_wait(context, post, interrupted, scan, |w| w.status.take())
+    }
+
+    /// The one posted wait behind [`Mailbox::wait_match`] and
+    /// [`Mailbox::wait_peek`]: `scan` the queue under the shard lock;
+    /// on a miss post the `(src, tag, kind)` entry and [`Waiter::park`]
+    /// until a push's direct delivery claims the waiter (`take` reads
+    /// the slot) or an interrupt makes `interrupted` report an error.
+    fn posted_wait<T>(
+        &self,
+        context: u64,
+        (src, tag, kind): (Src, TagSel, PostKind),
+        mut interrupted: impl FnMut() -> Option<MpiError>,
+        scan: impl FnOnce(&mut ShardState) -> Option<T>,
+        take: impl Fn(&mut WaiterSlot) -> Option<T>,
+    ) -> Result<T> {
         let shard = self.shard(context);
-        let mut seen_epoch = self.epoch.load(Ordering::SeqCst);
+        // The epoch must be captured before the interruption check: an
+        // interrupt bumps the epoch before waking, so a condition raised
+        // after this load is caught by `park`'s epoch comparison, and
+        // one raised before it is caught by `interrupted()`.
+        let mut seen_epoch = self.epoch();
         let waiter = {
             let mut st = shard.state.lock();
-            if let Some(status) = st.peek_match(src, tag) {
-                return Ok(status);
+            if let Some(hit) = scan(&mut st) {
+                return Ok(hit);
             }
             if let Some(err) = interrupted() {
                 return Err(err);
@@ -845,53 +793,41 @@ impl Mailbox {
             st.posted.push_back(Posted {
                 src,
                 tag,
-                kind: PostKind::Peek,
+                kind,
                 waiter: Arc::clone(&waiter),
             });
             waiter
         };
+        let delivered = || take(&mut waiter.state.lock()).expect("claimed by its direct delivery");
         loop {
-            let mut w = waiter.state.lock();
-            loop {
-                if let Some(status) = w.status.take() {
-                    return Ok(status);
-                }
-                let now = self.epoch.load(Ordering::SeqCst);
-                if now != seen_epoch {
-                    seen_epoch = now;
-                    // This wakeup records no event of its own; answer
-                    // any pending live-snapshot request explicitly.
-                    trace::poll_publish();
-                    break;
-                }
-                waiter.cond.wait(&mut w);
+            if waiter.park(self, seen_epoch).fired.is_some() {
+                return Ok(delivered());
             }
-            drop(w);
+            seen_epoch = self.epoch();
             if let Some(err) = interrupted() {
-                return match self.cancel(&shard, &waiter) {
-                    Some(w) => Ok(w.status.expect("probe waiter fulfilled with a status")),
-                    None => Err(err),
+                // Deregister — but a concurrent push may have fulfilled
+                // the waiter already; the delivery slot decides.
+                return if self.cancel(&shard, &waiter) {
+                    Err(err)
+                } else {
+                    Ok(delivered())
                 };
             }
         }
     }
 
-    /// Deregisters a waiter. Returns `None` if the entry was still
-    /// posted (nothing was delivered; removing it cannot lose a
-    /// message), or the fulfilled slot if a push got there first.
-    fn cancel(&self, shard: &Shard, waiter: &Arc<Waiter>) -> Option<WaiterSlot> {
+    /// Deregisters a posted waiter. Returns `true` if the entry was
+    /// still posted (nothing was delivered; removing it cannot lose a
+    /// message), `false` if a push got there first — its delivery is
+    /// then already in the slot, written under the shard lock this
+    /// call just took.
+    fn cancel(&self, shard: &Shard, waiter: &Arc<Waiter>) -> bool {
         let mut st = shard.state.lock();
-        if let Some(pos) = st
+        let pos = st
             .posted
             .iter()
-            .position(|p| Arc::ptr_eq(&p.waiter, waiter))
-        {
-            st.posted.remove(pos);
-            return None;
-        }
-        // Already removed by a push: take the delivery.
-        let mut w = waiter.state.lock();
-        (w.env.is_some() || w.status.is_some()).then(|| std::mem::take(&mut *w))
+            .position(|p| Arc::ptr_eq(&p.waiter, waiter));
+        pos.and_then(|pos| st.posted.remove(pos)).is_some()
     }
 
     /// Number of unexpected (queued) messages across all contexts. O(1):

@@ -78,7 +78,6 @@ impl From<Tag> for TagSel {
 #[derive(Debug, Default)]
 pub struct AckSlot {
     state: parking_lot::Mutex<AckState>,
-    cond: parking_lot::Condvar,
 }
 
 #[derive(Default)]
@@ -108,7 +107,6 @@ impl AckSlot {
     pub fn complete(&self) {
         let mut st = self.state.lock();
         st.done = true;
-        self.cond.notify_all();
         let watcher = st.watcher.take();
         drop(st);
         if let Some((waiter, slot)) = watcher {
@@ -119,14 +117,6 @@ impl AckSlot {
     /// Non-blocking completion check.
     pub fn is_complete(&self) -> bool {
         self.state.lock().done
-    }
-
-    /// Blocks until the receiver matches the message.
-    pub fn wait(&self) {
-        let mut st = self.state.lock();
-        while !st.done {
-            self.cond.wait(&mut st);
-        }
     }
 
     /// Registers a completion waiter to be claimed when the ack fires.
@@ -255,17 +245,26 @@ mod tests {
         assert!(!ack.is_complete());
         ack.complete();
         assert!(ack.is_complete());
-        ack.wait(); // must not block after completion
+        // A waiter registering after completion is told so, not parked.
+        let waiter = Arc::new(crate::completion::Waiter::default());
+        assert!(ack.register_notify(&waiter, 0));
     }
 
     #[test]
     fn ack_slot_cross_thread() {
-        let ack = AckSlot::new();
+        // The receiver's match on another thread claims the waiter
+        // parked on the ack, naming its registered slot.
+        let (ack, mb) = (AckSlot::new(), crate::mailbox::Mailbox::new());
+        let waiter = Arc::new(crate::completion::Waiter::default());
+        assert!(!ack.register_notify(&waiter, 3));
         let a2 = ack.clone();
-        let h = std::thread::spawn(move || a2.wait());
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        ack.complete();
+        let h = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            a2.complete();
+        });
+        assert_eq!(waiter.park(&mb, mb.epoch()).fired, Some(3));
         h.join().unwrap();
+        assert!(ack.is_complete());
     }
 
     #[test]

@@ -301,6 +301,8 @@ pub struct PartitionedRecv<'a, T> {
     got: usize,
     active: bool,
     cycles: u64,
+    /// The error that ended a cycle; every later `start` returns it.
+    poisoned: Option<MpiError>,
     _ty: PhantomData<fn() -> T>,
 }
 
@@ -308,6 +310,9 @@ impl<'a, T: Plain> PartitionedRecv<'a, T> {
     /// Arms one receive cycle.
     pub fn start(&mut self) -> Result<()> {
         self.comm.count_op("start");
+        if let Some(e) = &self.poisoned {
+            return Err(e.clone());
+        }
         if self.active {
             return Err(MpiError::RequestActive);
         }
@@ -326,57 +331,38 @@ impl<'a, T: Plain> PartitionedRecv<'a, T> {
     /// Steady state: arrivals claim the standing registration installed
     /// at init — no re-registration, like
     /// [`PersistentRequest::wait`](crate::persistent::PersistentRequest::wait).
+    /// An error ends the cycle, and every later `start` returns it, like
+    /// [`PersistentRequest`](crate::persistent::PersistentRequest).
     pub fn wait(&mut self) -> Result<Vec<T>> {
         if !self.active {
             return Ok(Vec::new());
         }
         let _sp = trace::span(trace::cat::WAIT, "wait_partitioned", 0, 0);
-        let mb = self.comm.mailbox();
-        // Arm the wake-only standing registration: publishes claim this
-        // waiter only from here until the cycle resolves. The store
-        // precedes the drain passes' shard-lock acquisitions, so a
-        // partition that lands after a drain observes the flag and
-        // claims — nothing can fall between drain and park.
-        self.waiter
-            .armed
-            .store(true, std::sync::atomic::Ordering::SeqCst);
-        let result = loop {
-            let epoch = mb.epoch();
-            let mut failed = None;
-            while self.got < self.partitions {
-                match self
-                    .comm
-                    .try_recv_envelope(Src::Rank(self.src), TagSel::Is(self.tag))
-                {
-                    Some(env) => {
-                        if let Err(e) = self.place(env.payload) {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                    None => break,
+        let (waiter, mb) = (Arc::clone(&self.waiter), self.comm.mailbox());
+        loop {
+            // Wake-only: publishes claim the waiter only while an
+            // attempt is armed (`Waiter::armed_park`).
+            let attempt = waiter.armed_park(mb, || {
+                self.place_queued()?;
+                if self.got == self.partitions {
+                    return Ok(Some(crate::plain::bytes_to_vec::<T>(&self.buf)));
+                }
+                self.comm
+                    .wait_interrupted(Src::Rank(self.src))
+                    .map_or(Ok(None), Err)
+            });
+            match attempt {
+                Ok((Some(out), _)) => {
+                    self.finish_cycle();
+                    return Ok(out);
+                }
+                Ok((None, _)) => {}
+                Err(e) => {
+                    self.active = false;
+                    self.poisoned = Some(e.clone());
+                    return Err(e);
                 }
             }
-            if let Some(e) = failed {
-                break Err(e);
-            }
-            if self.got == self.partitions {
-                break Ok(crate::plain::bytes_to_vec::<T>(&self.buf));
-            }
-            if let Some(e) = self.comm.wait_interrupted(Src::Rank(self.src)) {
-                break Err(e);
-            }
-            self.waiter.park(mb, epoch);
-        };
-        self.waiter
-            .armed
-            .store(false, std::sync::atomic::Ordering::SeqCst);
-        match result {
-            Ok(out) => {
-                self.finish_cycle();
-                Ok(out)
-            }
-            Err(e) => Err(e),
         }
     }
 
@@ -397,16 +383,21 @@ impl<'a, T: Plain> PartitionedRecv<'a, T> {
         if !self.active {
             return Ok(true);
         }
-        while !self.received[partition] {
-            match self
-                .comm
-                .try_recv_envelope(Src::Rank(self.src), TagSel::Is(self.tag))
-            {
-                Some(env) => self.place(env.payload)?,
-                None => break,
-            }
-        }
+        self.place_queued()?;
         Ok(self.received[partition])
+    }
+
+    /// Places every partition envelope already delivered, up to the
+    /// cycle's count (the next cycle's stay queued).
+    fn place_queued(&mut self) -> Result<()> {
+        while self.got < self.partitions {
+            let (src, tag) = (Src::Rank(self.src), TagSel::Is(self.tag));
+            let Some(env) = self.comm.try_recv_envelope(src, tag) else {
+                break;
+            };
+            self.place(env.payload)?;
+        }
+        Ok(())
     }
 
     /// Copies one arrived partition's elements out of the reassembly
@@ -540,6 +531,7 @@ impl Comm {
             got: 0,
             active: false,
             cycles: 0,
+            poisoned: None,
             _ty: PhantomData,
         };
         // Wake-only: `wait` drains the queue itself on every pass and

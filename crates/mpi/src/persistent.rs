@@ -70,7 +70,6 @@
 //! collectives perform is exactly one of the costs `*_init` is meant to
 //! hoist out of the loop.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -227,7 +226,7 @@ impl<'a> PersistentRequest<'a> {
         let _sp = trace::span(trace::cat::WAIT, "wait_persistent", 0, 0);
         // Fast path: the cycle already completed — the armed flag is
         // never raised and no push ever locked this waiter.
-        let mut attempt = self.try_complete();
+        let mut attempt = self.kind.try_complete(self.comm);
         loop {
             match attempt {
                 Ok(Some(c)) => {
@@ -240,26 +239,12 @@ impl<'a> PersistentRequest<'a> {
         }
     }
 
-    /// One armed completion attempt: arm, re-test, and — still pending —
-    /// park ([`Waiter::park`]) until the first wakeup. Returns the
-    /// completion (`None`: woken by a claim or an interrupt; re-test)
-    /// and whether the thread actually slept.
-    ///
-    /// Arm, then re-test before parking: the store precedes the
-    /// re-test's shard-lock acquisition, so a push that enqueues after
-    /// the re-test observes the flag and claims — no arrival can fall
-    /// between re-test and park. A claim left over from an earlier
-    /// attempt (claims never carry messages) costs one early return.
+    /// One armed completion attempt ([`Waiter::armed_park`]) against
+    /// the frozen plan.
     fn armed_attempt(&mut self) -> Result<(Option<Completion>, bool)> {
-        let mb = self.comm.mailbox();
-        self.waiter.armed.store(true, Ordering::SeqCst);
-        let epoch = mb.epoch();
-        let attempt = self.try_complete().map(|done| match done {
-            Some(c) => (Some(c), false),
-            None => (None, self.waiter.park(mb, epoch).slept),
-        });
-        self.waiter.armed.store(false, Ordering::SeqCst);
-        attempt
+        let comm = self.comm;
+        self.waiter
+            .armed_park(comm.mailbox(), || self.kind.try_complete(comm))
     }
 
     /// Non-blocking completion check (mirrors `MPI_Test` on a
@@ -269,7 +254,7 @@ impl<'a> PersistentRequest<'a> {
         if !self.active {
             return Ok(Some(Completion::Done));
         }
-        match self.try_complete() {
+        match self.kind.try_complete(self.comm) {
             Ok(Some(c)) => {
                 self.finish_cycle();
                 Ok(Some(c))
@@ -301,12 +286,14 @@ impl<'a> PersistentRequest<'a> {
     fn trace_id(&self) -> u64 {
         Arc::as_ptr(&self.waiter) as u64 ^ self.cycles.rotate_left(48)
     }
+}
 
+impl PlanKind {
     /// One non-blocking completion attempt against the frozen plan.
-    fn try_complete(&mut self) -> Result<Option<Completion>> {
-        match &mut self.kind {
+    fn try_complete(&mut self, comm: &Comm) -> Result<Option<Completion>> {
+        match self {
             PlanKind::Send { .. } => Ok(Some(Completion::Done)),
-            PlanKind::Recv { src, tag } => match self.comm.try_recv_envelope(*src, *tag) {
+            PlanKind::Recv { src, tag } => match comm.try_recv_envelope(*src, *tag) {
                 Some(env) => {
                     let st = Status {
                         source: env.src,
@@ -315,12 +302,12 @@ impl<'a> PersistentRequest<'a> {
                     };
                     Ok(Some(Completion::Message(env.payload, st)))
                 }
-                None => match self.comm.wait_interrupted(*src) {
+                None => match comm.wait_interrupted(*src) {
                     Some(e) => Err(e),
                     None => Ok(None),
                 },
             },
-            PlanKind::Coll(engine) => engine.advance(self.comm, false),
+            PlanKind::Coll(engine) => engine.advance(comm, false),
         }
     }
 }
@@ -436,7 +423,7 @@ impl<'a> PersistentSet<'a> {
             let mut still = Vec::with_capacity(pending.len());
             for &i in &pending {
                 let req = &mut self.requests[i];
-                match req.try_complete()? {
+                match req.kind.try_complete(req.comm)? {
                     Some(c) => {
                         req.finish_cycle();
                         out[i] = Some(c);

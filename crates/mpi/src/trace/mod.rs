@@ -62,7 +62,7 @@
 //! | `coll` | one span per collective, named `op/algorithm-actually-selected` (e.g. `allreduce/rabenseifner`) from [`CollTuning`](crate::CollTuning) |
 //! | `match` | `umq_enqueue` (unexpected message indexed; carries the per-shard arrival seq + queue depth), `umq_match` (unexpected-queue hit), `targeted_wakeup` (envelope handed straight to a posted receiver) |
 //! | `completion` | `park_any`/`park_session`/`park_sync_send` spans, `claim` / `missed_completion` / `spurious_wakeup` instants |
-//! | `ulfm` | `epoch_bump` (mailbox interrupt), `ulfm_epoch_bump` (agreement-table interrupt), `ulfm/detect` (failure mark), `ulfm/agree` / `ulfm/shrink` spans, and — with the `fault` feature — `fault/crash` / `fault/drop` / `fault/delay` / `fault/dup` injection instants, so a chaos run's timeline shows the crash and every survivor's wakeup |
+//! | `ulfm` | `epoch_bump` (mailbox interrupt, the one interrupt of every park), `ulfm/detect` (failure mark), `ulfm/agree` / `ulfm/shrink` spans, and — with the `fault` feature — `fault/crash` / `fault/drop` / `fault/delay` / `fault/dup` injection instants, so a chaos run's timeline shows the crash and every survivor's wakeup |
 //! | `user` | spans opened through the binding layer (`kamping::trace_span`) |
 //! | `async_op` | Chrome async `"b"`/`"e"` pairs spanning each non-blocking request's initiate→complete lifetime (`isend`, `issend`, `irecv`, and `icoll` for every engine-backed request, `ibarrier` included) |
 //! | `persist` | async `"b"`/`"e"` pairs spanning each persistent `start`→completion cycle |

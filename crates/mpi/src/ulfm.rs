@@ -41,9 +41,9 @@
 //!    `epoch == e`.
 //! 3. An interruption (failure mark or revocation) first updates the
 //!    condition (failed flag / revoked set), then **bumps the epoch, then
-//!    wakes** every parked waiter — each wake taken under that waiter's
-//!    lock ([`Mailbox::interrupt`](crate::mailbox::Mailbox),
-//!    `AgreementTable::interrupt`).
+//!    wakes** every parked waiter — each listed on its mailbox's watcher
+//!    list by the one park, each wake taken under that waiter's lock
+//!    ([`Mailbox::interrupt`](crate::mailbox::Mailbox::interrupt)).
 //!
 //! Case split on when the failure happens relative to the waiter's
 //! epoch capture: (a) *before* — the waiter's predicate check already
@@ -106,7 +106,6 @@
 //! failure-detection latency and shrink-and-continue recovery time.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -130,49 +129,23 @@ struct AgreeEntry {
     /// rank claims and wakes exactly these waiters — other agreements'
     /// waiters never hear about it (no table-wide herd), and there is
     /// no timed re-check: interruption reaches parked waiters through
-    /// the table epoch ([`AgreementTable::interrupt`]).
+    /// their mailbox's epoch ([`Mailbox::interrupt`](crate::mailbox::Mailbox::interrupt)).
     waiters: Vec<Arc<Waiter>>,
 }
 
 /// Shared table of in-flight agreements, keyed by
 /// `(context id, per-communicator call sequence)`.
 ///
-/// Waiting is event-driven via the completion protocol
-/// ([`crate::completion`]): a participant that cannot freeze the
-/// agreement yet registers a waiter on the entry and parks; the freezer
-/// wakes exactly that entry's waiters, and interruption (process
-/// failure — which can change the freeze condition) bumps the table
-/// epoch before waking everyone, so no interleaving can strand a
-/// waiter. The 50 ms timed re-check the seed used — the substrate's
-/// last poll loop — is gone.
+/// Waiting is the one park of [`crate::completion`]: a participant that
+/// cannot freeze the agreement yet registers a waiter on the entry and
+/// parks on its rank's mailbox; the freezer claims exactly that entry's
+/// waiters, and interruption (process failure — which can change the
+/// freeze condition) bumps every mailbox's epoch before waking its
+/// watchers, so no interleaving can strand a waiter. The 50 ms timed
+/// re-check the seed used — the substrate's last poll loop — is gone.
 #[derive(Default)]
 pub struct AgreementTable {
     entries: Mutex<HashMap<(u64, i32), AgreeEntry>>,
-    /// Interruption epoch; captured by waiters before their freeze
-    /// checks, bumped (then published by waking) by `interrupt`.
-    epoch: AtomicU64,
-}
-
-impl AgreementTable {
-    pub(crate) fn new() -> Self {
-        AgreementTable::default()
-    }
-
-    /// Wakes all waiters so they can re-examine failure flags. The
-    /// epoch is bumped *before* any waiter is woken: a waiter that
-    /// captured the old epoch either sees the new failure flags in its
-    /// checks or observes the epoch difference and re-checks.
-    pub(crate) fn interrupt(&self) {
-        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        crate::trace::instant(crate::trace::cat::ULFM, "ulfm_epoch_bump", epoch, 0);
-        let entries = self.entries.lock();
-        for entry in entries.values() {
-            for w in &entry.waiters {
-                let _g = w.state.lock();
-                w.cond.notify_one();
-            }
-        }
-    }
 }
 
 impl Comm {
@@ -274,10 +247,12 @@ impl Comm {
         let table = &self.world.agreements;
 
         // The epoch must be captured before the first freeze check: a
-        // failure raised after this load is caught by the epoch
-        // comparison in the park loop (`interrupt` bumps before
-        // waking), one raised before it by the `is_failed` reads below.
-        let mut seen_epoch = table.epoch.load(Ordering::SeqCst);
+        // failure raised after this load is caught by `park`'s epoch
+        // comparison (every failure bumps this rank's mailbox epoch
+        // before waking), one raised before it by the `is_failed` reads
+        // below.
+        let mb = self.mailbox();
+        let mut seen_epoch = mb.epoch();
         let mut entries = table.entries.lock();
         let entry = entries.entry(key).or_insert_with(|| AgreeEntry {
             contributions: HashMap::new(),
@@ -337,20 +312,8 @@ impl Comm {
             let waiter = fresh_waiter();
             entry.waiters.push(Arc::clone(&waiter));
             drop(entries);
-            {
-                let mut st = waiter.state.lock();
-                loop {
-                    if st.fired.is_some() {
-                        break;
-                    }
-                    let now = table.epoch.load(Ordering::SeqCst);
-                    if now != seen_epoch {
-                        seen_epoch = now;
-                        break;
-                    }
-                    waiter.cond.wait(&mut st);
-                }
-            }
+            waiter.park(mb, seen_epoch);
+            seen_epoch = mb.epoch();
             entries = table.entries.lock();
             if let Some(e) = entries.get_mut(&key) {
                 e.waiters.retain(|w| !Arc::ptr_eq(w, &waiter));
@@ -791,6 +754,10 @@ mod tests {
                     rx.start().unwrap();
                     let err = rx.wait().unwrap_err();
                     assert_eq!(err, MpiError::ProcessFailed { world_rank: 0 });
+                    assert_eq!(
+                        rx.start().unwrap_err(),
+                        MpiError::ProcessFailed { world_rank: 0 }
+                    );
                     true
                 } else {
                     let mut tx = comm.psend_init::<u64>(2, 1, 1, 9).unwrap();
@@ -805,6 +772,110 @@ mod tests {
                 }
             });
             assert!(matches!(out[1], RankOutcome::Completed(true)));
+        });
+    }
+
+    /// Every kind of parked wait wakes on an interrupt: rank 0 parks in
+    /// each in turn while rank 1 revokes the communicator or dies, and
+    /// the wait must end in `Revoked` / `ProcessFailed` before the
+    /// deadline — no park may sleep through the watcher list.
+    #[test]
+    fn every_parked_wait_wakes_on_an_interrupt() {
+        use crate::{Comm, PersistentSet, RequestSet, Result};
+        type Park = fn(&Comm) -> Result<()>;
+        let parks: [(&str, Park); 9] = [
+            ("recv", |c| c.recv_vec::<u8>(1, 0).map(drop)),
+            ("probe", |c| c.probe(1, 0).map(drop)),
+            ("issend", |c| c.issend(&[1u8], 1, 0)?.wait().map(drop)),
+            ("wait_any on receives", |c| {
+                let mut set = RequestSet::new();
+                set.push(c.irecv(1, 0));
+                set.push(c.irecv(1, 1));
+                set.wait_any().map(drop)
+            }),
+            ("wait_any on a mixed set", |c| {
+                let mut set = RequestSet::new();
+                set.push(c.issend(&[1u8], 1, 0)?);
+                set.push(c.irecv(1, 1));
+                set.wait_any().map(drop)
+            }),
+            ("wait_some", |c| {
+                let mut set = RequestSet::new();
+                set.push(c.irecv(1, 0));
+                set.wait_some().map(drop)
+            }),
+            ("persistent wait", |c| {
+                let mut rx = c.recv_init(1, 0)?;
+                rx.start()?;
+                rx.wait().map(drop)
+            }),
+            ("persistent wait_all", |c| {
+                let mut set = PersistentSet::new();
+                set.push(c.recv_init(1, 0)?);
+                set.push(c.recv_init(1, 1)?);
+                set.start_all()?;
+                set.wait_all().map(drop)
+            }),
+            ("partitioned wait", |c| {
+                let mut rx = c.precv_init::<u8>(2, 1, 1, 0)?;
+                rx.start()?;
+                rx.wait().map(drop)
+            }),
+        ];
+        with_deadline(120, move || {
+            for (name, park) in parks {
+                for revoke in [true, false] {
+                    let out = Universe::run_with(Config::new(2), move |comm| {
+                        if comm.rank() == 0 {
+                            return Some(park(&comm).unwrap_err());
+                        }
+                        // Interrupt only once rank 0 is parked: its first
+                        // park is the wait under test.
+                        while comm.world.mailboxes[0].stats().max_parked == 0 {
+                            std::thread::yield_now();
+                        }
+                        if revoke {
+                            comm.revoke();
+                            return None;
+                        }
+                        comm.fail_here();
+                    });
+                    let want = match revoke {
+                        true => MpiError::Revoked,
+                        false => MpiError::ProcessFailed { world_rank: 1 },
+                    };
+                    let got = &out[0];
+                    assert_eq!(
+                        *got,
+                        RankOutcome::Completed(Some(want)),
+                        "{name}, revoke {revoke}"
+                    );
+                }
+            }
+        });
+    }
+
+    /// Agreement parks on its rank's mailbox and is woken by the
+    /// failure's epoch bump: rank 2 dies after an iteration-dependent
+    /// spin while ranks 0 and 1 agree, and in every schedule both
+    /// survivors return the same value before the deadline.
+    #[test]
+    fn agreement_park_races_a_failure() {
+        with_deadline(240, || {
+            for i in 0..200u32 {
+                let out = Universe::run_with(Config::new(3), move |comm| {
+                    if comm.rank() == 2 {
+                        for _ in 0..(i % 25) * 400 {
+                            std::hint::spin_loop();
+                        }
+                        comm.fail_here();
+                    }
+                    comm.agree_and(comm.rank() == 0 || i % 2 == 0).unwrap()
+                });
+                assert_eq!(out[2], RankOutcome::Failed, "iteration {i}");
+                assert_eq!(out[0], out[1], "iteration {i}: the survivors disagree");
+                assert_eq!(out[0], RankOutcome::Completed(i % 2 == 0), "iteration {i}");
+            }
         });
     }
 

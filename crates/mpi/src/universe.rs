@@ -121,7 +121,7 @@ impl WorldState {
                 .map(|_| Mutex::new(trace::RankTrace::default()))
                 .collect(),
             snap_slots: (0..config.size).map(|_| Arc::default()).collect(),
-            agreements: AgreementTable::new(),
+            agreements: AgreementTable::default(),
             faults: fault::WorldFaults::new(plan, config.size),
         })
     }
@@ -176,7 +176,6 @@ impl WorldState {
         for mb in &self.mailboxes {
             mb.interrupt();
         }
-        self.agreements.interrupt();
     }
 
     /// Number of ranks in the world communicator.
@@ -423,8 +422,8 @@ impl Universe {
         if trace::COMPILED {
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
             loop {
-                // Wake parked ranks; each wakeup path either records a
-                // spurious-wakeup event or polls the publish hook.
+                // Wake parked ranks; the one park's interrupt wakeup
+                // polls the publish hook.
                 world.interrupt_all();
                 let pending = world
                     .snap_slots
