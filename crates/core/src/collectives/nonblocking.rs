@@ -49,9 +49,18 @@ use crate::params::{Absent, OpParam, SendBuf, SendRecvBuf};
 /// Decodes a completed collective: each delivered block is copied
 /// **once**, straight into the final vector, and released as soon as it
 /// is copied — a block is a view of its sender's buffer, which that
-/// sender may be about to take back. `counts` collects the per-rank
-/// element counts for the callers that want them.
+/// sender may be about to take back. A single message (the allreduce
+/// result, which only this rank holds) is taken back without a copy
+/// where it can be. `counts` collects the per-rank element counts for
+/// the callers that want them.
 fn decode<T: Plain>(completion: Completion, mut counts: Option<&mut Vec<usize>>) -> Vec<T> {
+    if let Completion::Message(..) = completion {
+        let (data, _) = completion.into_vec::<T>().expect("a message");
+        if let Some(counts) = counts {
+            counts.push(data.len());
+        }
+        return data;
+    }
     let blocks = completion.into_blocks().unwrap_or_default();
     let mut data = Vec::with_capacity(
         blocks.iter().map(|b| b.len()).sum::<usize>() / std::mem::size_of::<T>().max(1),

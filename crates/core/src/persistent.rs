@@ -39,13 +39,14 @@ use crate::params::slots::{ProvidedCounts, ProvidesOp, ProvidesSendData};
 use crate::params::{Absent, Meta, OpParam, SendBuf, SendRecvBuf};
 
 /// Decodes a cycle's completion uniformly: sends yield nothing,
-/// single-message completions one block, v-collectives one block per
-/// rank (each copied once, straight into the result vector).
+/// single-message completions one block (taken back without a copy when
+/// this rank holds its only view), v-collectives one block per rank
+/// (each copied once, straight into the result vector).
 fn decode<T: Plain>(completion: Completion) -> (Vec<T>, Vec<usize>) {
     match completion {
         Completion::Done => (Vec::new(), Vec::new()),
-        Completion::Message(bytes, _) => {
-            let data: Vec<T> = kmp_mpi::bytes_to_vec(&bytes);
+        message @ Completion::Message(..) => {
+            let (data, _) = message.into_vec::<T>().expect("a message");
             let n = data.len();
             (data, vec![n])
         }
@@ -225,12 +226,11 @@ where
     }
 }
 
-/// Valid argument sets for [`Communicator::allgather_init`]: `send_buf`
-/// (required). Blocks may differ in length across ranks (the substrate
-/// plan doubles as `MPI_Allgatherv_init`).
+/// Valid argument sets for [`Communicator::allgather_init`] and
+/// [`Communicator::allgatherv_init`]: `send_buf` (required).
 pub trait AllgatherInitArgs<T: Plain> {
-    /// Freezes the plan.
-    fn run<'c>(self, comm: &'c Communicator) -> Result<Persistent<'c, T>>;
+    /// This rank's contribution.
+    fn contribution(&self) -> &[T];
 }
 
 impl<T, B> AllgatherInitArgs<T>
@@ -239,9 +239,8 @@ where
     T: Plain,
     SendBuf<B>: ProvidesSendData<T>,
 {
-    fn run<'c>(self, comm: &'c Communicator) -> Result<Persistent<'c, T>> {
-        let req = comm.raw().allgather_init(self.send_buf.send_slice())?;
-        Ok(Persistent::wrap(req))
+    fn contribution(&self) -> &[T] {
+        self.send_buf.send_slice()
     }
 }
 
@@ -347,16 +346,34 @@ impl Communicator {
         args.into_args().run(self)
     }
 
-    /// Creates a persistent allgather (wraps `MPI_Allgather_init`; block
-    /// lengths may differ per rank, so it covers `MPI_Allgatherv_init`
-    /// too). `wait_with_counts()` also returns the per-rank counts.
+    /// Creates a persistent allgather (wraps `MPI_Allgather_init`).
+    /// Every rank contributes the same length: the plan runs the
+    /// algorithm the blocking `allgather` would pick for it. Use
+    /// [`allgatherv_init`](Self::allgatherv_init) for lengths that
+    /// differ across ranks.
     pub fn allgather_init<T, A>(&self, args: A) -> Result<Persistent<'_, T>>
     where
         T: Plain,
         A: IntoArgs,
         A::Out: AllgatherInitArgs<T>,
     {
-        args.into_args().run(self)
+        let req = self.raw().allgather_init(args.into_args().contribution())?;
+        Ok(Persistent::wrap(req))
+    }
+
+    /// Creates a persistent allgather whose contributions may differ in
+    /// length across ranks (wraps `MPI_Allgatherv_init`).
+    /// `wait_with_counts()` also returns the per-rank counts.
+    pub fn allgatherv_init<T, A>(&self, args: A) -> Result<Persistent<'_, T>>
+    where
+        T: Plain,
+        A: IntoArgs,
+        A::Out: AllgatherInitArgs<T>,
+    {
+        let req = self
+            .raw()
+            .allgatherv_init(args.into_args().contribution())?;
+        Ok(Persistent::wrap(req))
     }
 
     /// Creates a persistent personalized all-to-all (wraps
@@ -453,12 +470,32 @@ mod tests {
         Universe::run(3, |comm| {
             let comm = Communicator::new(comm);
             let mine = vec![comm.rank() as u16; comm.rank() + 1];
-            let mut ag = comm.allgather_init(send_buf(&mine)).unwrap();
+            let mut ag = comm.allgatherv_init(send_buf(&mine)).unwrap();
             for _ in 0..2 {
                 ag.start().unwrap();
                 let (all, counts) = ag.wait_with_counts().unwrap();
                 assert_eq!(all, vec![0, 1, 1, 2, 2, 2]);
                 assert_eq!(counts, vec![1, 2, 3]);
+            }
+        });
+    }
+
+    /// Contributions on both sides of the 8 KiB log-round ceiling at
+    /// p = 4: every rank freezes the same ring, and each cycle delivers
+    /// every block with its own length.
+    #[test]
+    fn persistent_allgatherv_mixes_sizes_across_the_log_round_ceiling() {
+        Universe::run(4, |comm| {
+            let comm = Communicator::new(comm);
+            let len = |r: usize| if r.is_multiple_of(2) { 2 } else { 2048 }; // u64: 16 B, 16 KiB
+            let mine = vec![comm.rank() as u64; len(comm.rank())];
+            let mut ag = comm.allgatherv_init(send_buf(&mine)).unwrap();
+            let want: Vec<u64> = (0..4).flat_map(|r| vec![r as u64; len(r)]).collect();
+            for _ in 0..3 {
+                ag.start().unwrap();
+                let (all, counts) = ag.wait_with_counts().unwrap();
+                assert_eq!(counts, (0..4).map(len).collect::<Vec<_>>());
+                assert_eq!(all, want);
             }
         });
     }

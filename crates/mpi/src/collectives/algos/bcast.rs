@@ -1,22 +1,23 @@
 //! Large-message broadcast: scatter + allgather (van de Geijn).
 //!
 //! The root splits the payload into `p` near-equal chunks (byte
-//! granularity, so any element size works), sends chunk `i` to rank `i`,
-//! and all ranks allgather the chunks (the `allgather/ring` row of
-//! [`table`](super::table)). Wire volume is
+//! granularity, so any element size works) and sends chunk `i` to rank
+//! `i`; every rank then posts its chunk to all others at once, as the
+//! `allgather/ring` row of [`table`](super::table) does. Wire volume is
 //! `~2s·(p-1)/p` on the critical path instead of the binomial tree's
 //! `s·log2 p`, which wins for large payloads; chunks are shared
-//! [`Bytes`], so forwarding stays refcount cloning and the per-rank copy
-//! bill is identical to the binomial tree (root `s`, non-root `r`).
+//! [`Bytes`], so the copy bill is the binomial tree's (root `s`,
+//! non-root `r`).
 
 use bytes::Bytes;
 
-use crate::collectives::nonblocking::drive_blocks;
-use crate::collectives::{recv_internal, root_without_data, send_internal};
+use crate::collectives::nonblocking::{drive, message_completion, RoundEngine, Rounds};
+use crate::collectives::{root_without_data, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::plain::element_count;
-use crate::{Plain, Rank};
+use crate::plain::{vec_with_capacity, whole_elements};
+use crate::request::Completion;
+use crate::{Plain, Rank, Tag};
 
 /// The delivery of a sized broadcast: either the whole payload (binomial
 /// tree, or the root's own buffer) or the rank-ordered chunks of the
@@ -34,10 +35,7 @@ pub enum BcastParts {
 impl BcastParts {
     /// Total payload length in bytes.
     pub fn len(&self) -> usize {
-        match self {
-            BcastParts::Whole(b) => b.len(),
-            BcastParts::Chunks(c) => c.iter().map(|b| b.len()).sum(),
-        }
+        self.parts().iter().map(Bytes::len).sum()
     }
 
     /// True when the payload is empty.
@@ -76,18 +74,12 @@ impl BcastParts {
     ///
     /// Panics if the total length is not a multiple of the element size.
     pub fn into_vec<T: Plain>(self) -> Vec<T> {
+        let total = self.len();
         match self {
             BcastParts::Whole(b) => crate::plain::bytes_into_vec(b),
             BcastParts::Chunks(chunks) => {
-                let total = chunks.iter().map(|b| b.len()).sum::<usize>();
-                let n = element_count::<T>(total);
-                assert!(
-                    std::mem::size_of::<T>() == 0 || total == n * std::mem::size_of::<T>(),
-                    "byte length {total} is not a multiple of element size {}",
-                    std::mem::size_of::<T>()
-                );
-                crate::metrics::record_alloc();
-                let mut out = Vec::<T>::with_capacity(n);
+                let n = whole_elements::<T>(total).expect("a whole number of elements");
+                let mut out = vec_with_capacity::<T>(n);
                 let mut offset = 0usize;
                 for chunk in &chunks {
                     crate::metrics::record_copy(chunk.len());
@@ -111,58 +103,127 @@ impl BcastParts {
     }
 }
 
-/// Chunk boundary `i` in bytes for a `len`-byte payload over `p` ranks.
-#[inline]
-fn chunk_bound(len: usize, p: usize, i: usize) -> usize {
-    len * i / p
+/// Van de Geijn's broadcast of `size` bytes (agreed on every rank). A
+/// non-root's round 0 receives its chunk from the root and posts it to
+/// everyone; later rounds collect the others' in rank order. The root
+/// skips round 0: it posts the scatter and its own chunk, then drains
+/// what it already has, and returns its payload whole. A root payload
+/// of the wrong size is split as it is; the non-roots report
+/// [`MpiError::Truncated`] after the exchange.
+pub(crate) struct ScatterAllgather {
+    root: Rank,
+    size: usize,
+    /// Scatter and allgather tags.
+    tags: [Tag; 2],
+    /// `p - 1` at the root, `p` elsewhere.
+    rounds: usize,
+    /// The root's payload; elsewhere the chunks by rank.
+    parts: Vec<Bytes>,
 }
 
-/// Van de Geijn broadcast. `size` must be identical on every rank (the
-/// caller's contract: it comes from a buffer length all ranks agree on,
-/// like `MPI_Bcast`'s count). The root returns its own payload whole;
-/// non-roots return the gathered chunks. A root whose payload is not
-/// `size` bytes long splits what it has; every rank still completes the
-/// exchange, and the non-roots then report [`MpiError::Truncated`].
-pub(crate) fn scatter_allgather(
-    comm: &Comm,
-    payload: Option<Bytes>,
-    size: usize,
-    root: Rank,
-) -> Result<BcastParts> {
-    let p = comm.size();
-    let rank = comm.rank();
-    let scatter_tag = comm.next_internal_tag();
-
-    if rank == root {
-        let Some(payload) = payload else {
-            // The peers go on to the allgather; stay tag-aligned with them.
-            comm.next_internal_tag();
+impl ScatterAllgather {
+    pub(crate) fn run(
+        comm: &Comm,
+        payload: Option<Bytes>,
+        size: usize,
+        root: Rank,
+    ) -> Result<BcastParts> {
+        let tags = [comm.next_internal_tag(), comm.next_internal_tag()];
+        if comm.rank() == root && payload.is_none() {
             return Err(root_without_data("bcast"));
-        };
-        let chunk = |r: usize| {
-            payload.slice(chunk_bound(payload.len(), p, r)..chunk_bound(payload.len(), p, r + 1))
-        };
-        for r in (0..p).filter(|&r| r != root) {
-            send_internal(comm, r, scatter_tag, chunk(r))?;
         }
-        // The allgather circulates chunks the root already has: take
-        // part, drop them, return the original payload untouched.
-        drive_blocks(comm, &mut comm.allgather_flat(), chunk(rank))?;
-        return Ok(BcastParts::Whole(payload));
-    }
-    let chunk = recv_internal(comm, root, scatter_tag)?;
-    let received = chunk.len();
-    // Communicate first, fail alone after: a rank that left before the
-    // allgather would strand its peers in it.
-    let blocks = drive_blocks(comm, &mut comm.allgather_flat(), chunk)?;
-    let expected = chunk_bound(size, p, rank + 1) - chunk_bound(size, p, rank);
-    if received != expected {
-        return Err(MpiError::Truncated {
-            message_bytes: received,
-            buffer_bytes: expected,
+        let mut engine = RoundEngine::new(ScatterAllgather {
+            root,
+            size,
+            tags,
+            rounds: comm.size() - usize::from(comm.rank() == root),
+            parts: Vec::new(),
         });
+        let done = drive(comm, &mut engine, payload.unwrap_or_default())?;
+        Ok(match done {
+            Completion::Blocks(chunks) => BcastParts::Chunks(chunks),
+            root => BcastParts::Whole(root.into_bytes().expect("the root's payload").0),
+        })
     }
-    Ok(BcastParts::Chunks(blocks))
+
+    /// Round `k` as a non-root counts it.
+    fn round(&self, comm: &Comm, k: usize) -> usize {
+        k + usize::from(comm.rank() == self.root)
+    }
+
+    /// Posts `chunk` to every other rank, in the pairwise rotation.
+    fn fan_out(&self, comm: &Comm, chunk: &Bytes) -> Result<()> {
+        let (p, rank) = (comm.size(), comm.rank());
+        (1..p).try_for_each(|i| send_internal(comm, (rank + i) % p, self.tags[1], chunk.clone()))
+    }
+}
+
+impl Rounds for ScatterAllgather {
+    fn seed(&mut self, comm: &Comm, payload: Bytes) {
+        self.parts = if comm.rank() == self.root {
+            vec![payload]
+        } else {
+            vec![Bytes::new(); comm.size()]
+        };
+    }
+
+    fn rounds(&self) -> usize {
+        self.rounds
+    }
+
+    fn peer(&self, comm: &Comm, k: usize) -> (Rank, Tag) {
+        match self.round(comm, k) {
+            0 => (self.root, self.tags[0]),
+            k => (k - 1 + usize::from(k > comm.rank()), self.tags[1]),
+        }
+    }
+
+    fn post(&mut self, comm: &Comm, k: usize) -> Result<()> {
+        let (p, rank) = (comm.size(), comm.rank());
+        if self.round(comm, k) != 1 {
+            return Ok(());
+        }
+        if rank != self.root {
+            return self.fan_out(comm, &self.parts[rank]);
+        }
+        let payload = &self.parts[0];
+        let bound = |r: usize| payload.len() * r / p;
+        let chunk = |r: usize| payload.slice(bound(r)..bound(r + 1));
+        for r in (0..p).filter(|&r| r != rank) {
+            send_internal(comm, r, self.tags[0], chunk(r))?;
+        }
+        self.fan_out(comm, &chunk(rank))
+    }
+
+    fn absorb(&mut self, comm: &Comm, k: usize, chunk: Bytes) -> Result<()> {
+        // The root's rounds return chunks it already has; a non-root's
+        // round 0 brings its own.
+        let rank = comm.rank();
+        if rank != self.root {
+            let from = if k == 0 { rank } else { self.peer(comm, k).0 };
+            self.parts[from] = chunk;
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self, comm: &Comm) -> Result<Completion> {
+        let (p, rank) = (comm.size(), comm.rank());
+        let mut parts = std::mem::take(&mut self.parts);
+        if rank == self.root {
+            return Ok(message_completion(rank, self.tags[0], parts.remove(0)));
+        }
+        // Communicate first, fail alone after: a rank that left before
+        // the allgather would strand its peers in it.
+        let expected = self.size * (rank + 1) / p - self.size * rank / p;
+        let received = parts[rank].len();
+        if received != expected {
+            return Err(MpiError::Truncated {
+                message_bytes: received,
+                buffer_bytes: expected,
+            });
+        }
+        Ok(Completion::Blocks(parts))
+    }
 }
 
 #[cfg(test)]
@@ -178,7 +239,7 @@ mod tests {
                 Universe::run(p, move |comm| {
                     let data: Vec<u8> = (0..1031u32).map(|i| (i % 251) as u8).collect();
                     let payload = (comm.rank() == root).then(|| bytes_from_slice(&data));
-                    let parts = scatter_allgather(&comm, payload, data.len(), root).unwrap();
+                    let parts = ScatterAllgather::run(&comm, payload, data.len(), root).unwrap();
                     let got: Vec<u8> = parts.into_vec();
                     assert_eq!(got, data, "p = {p}, root = {root}");
                 });
@@ -203,7 +264,7 @@ mod tests {
         let data = [7u64, 8, 9];
         let bytes = bytes_from_slice(&data);
         let chunks: Vec<Bytes> = (0..4)
-            .map(|i| bytes.slice(chunk_bound(24, 4, i)..chunk_bound(24, 4, i + 1)))
+            .map(|i| bytes.slice(24 * i / 4..24 * (i + 1) / 4))
             .collect();
         let parts = BcastParts::Chunks(chunks);
         assert_eq!(parts.len(), 24);

@@ -48,6 +48,7 @@ use std::borrow::Cow;
 use self::table::{static_pick, Algo, Call, Lifecycle};
 use crate::error::{MpiError, Result};
 use crate::op::ReduceOp;
+use crate::plain::{vec_with_capacity, whole_elements};
 use crate::Plain;
 
 /// An algorithm slot of [`CollTuning`]: either the size-thresholded
@@ -68,7 +69,7 @@ pub enum AllreduceAlgo {
     /// Latency-optimal: log2 p rounds exchanging the full vector.
     RecursiveDoubling,
     /// Bandwidth-optimal: recursive-halving reduce-scatter followed by a
-    /// ring allgather of the reduced chunks (~2s copied per rank).
+    /// ring allgather of the reduced chunks.
     Rabenseifner,
 }
 
@@ -130,7 +131,7 @@ pub enum NeighborhoodAlgo {
     Dense,
 }
 
-/// Reduce algorithm (also selects the reduction phase of `iallreduce`).
+/// Reduce algorithm (`reduce`, `ireduce`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReduceAlgo {
     /// Binomial tree with in-place folds over delivered payloads.
@@ -149,7 +150,8 @@ pub enum ReduceAlgo {
 /// the wire protocol, exactly like an MPI info hint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CollTuning {
-    /// Allreduce algorithm slot.
+    /// Allreduce algorithm slot (commutative operations; every
+    /// lifecycle).
     pub allreduce: Select<AllreduceAlgo>,
     /// Broadcast algorithm slot (sized paths only; unsized broadcasts
     /// always run the binomial tree, because non-roots cannot agree on
@@ -160,10 +162,12 @@ pub struct CollTuning {
     pub allgather: Select<AllgatherAlgo>,
     /// All-to-all algorithm slot (equal-block exchanges only).
     pub alltoall: Select<AlltoallAlgo>,
-    /// Reduce algorithm slot. Blocking `reduce` defaults to the
-    /// binomial tree; the non-blocking `ireduce`/`iallreduce` default to
-    /// the flat gather (whose eager sends are what makes overlap work)
-    /// and switch to the tree only when forced.
+    /// Reduce algorithm slot (`reduce`, `ireduce`). Blocking `reduce`
+    /// defaults to the binomial tree; `ireduce` defaults to the flat
+    /// gather (whose eager sends are what makes overlap work) and
+    /// switches to the tree only when forced. The allreduce family —
+    /// blocking, `iallreduce`, `allreduce_init` — reads the
+    /// [`allreduce`](Self::allreduce) slot instead.
     pub reduce: Select<ReduceAlgo>,
     /// Neighborhood-exchange algorithm slot (topology communicators).
     pub neighborhood: Select<NeighborhoodAlgo>,
@@ -370,20 +374,6 @@ impl CollTuning {
     pub fn neighborhood_algo(&self, p: usize, max_degree: usize) -> NeighborhoodAlgo {
         self.static_algo(p, max_degree)
     }
-
-    /// Selects the reduce algorithm. `auto` is the caller's default —
-    /// the binomial tree of a blocking reduce, the flat gather of the
-    /// non-blocking engines, i.e. its lifecycle; non-commutative
-    /// operations always fold in strict rank order via the flat gather.
-    pub fn reduce_algo(&self, commutative: bool, auto: ReduceAlgo) -> ReduceAlgo {
-        let lifecycle = match auto {
-            ReduceAlgo::BinomialTree => Lifecycle::Blocking,
-            ReduceAlgo::FlatGather => Lifecycle::Overlap,
-        };
-        // No reduce row's needs depend on `p`.
-        let call = Call::reduction(0, commutative);
-        static_pick(self, lifecycle, 2, &call).0.algo
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -391,40 +381,64 @@ impl CollTuning {
 // ---------------------------------------------------------------------------
 
 /// Checks that a delivered payload matches the accumulator's byte size.
-fn check_fold_len<T: Plain>(what: &str, acc: &[T], bytes: &[u8]) -> Result<()> {
-    if bytes.len() != std::mem::size_of_val(acc) {
+fn check_fold_len(what: &str, acc_bytes: usize, bytes: &[u8]) -> Result<()> {
+    if bytes.len() != acc_bytes {
         return Err(MpiError::InvalidLayout(format!(
-            "{what}: received {} payload bytes for a {}-byte accumulator",
+            "{what}: received {} payload bytes for a {acc_bytes}-byte accumulator",
             bytes.len(),
-            std::mem::size_of_val(acc)
         )));
     }
     Ok(())
 }
 
+/// The plain values of a delivered payload, read in place (unaligned
+/// reads; `T: Plain` accepts any byte pattern). Trailing bytes short of
+/// a whole value are not read.
+fn elements<T: Plain>(bytes: &[u8]) -> impl Iterator<Item = T> + '_ {
+    bytes
+        .chunks_exact(std::mem::size_of::<T>().max(1))
+        .map(|c| {
+            // SAFETY: `c` holds `size_of::<T>()` bytes (a zero-sized `T`
+            // reads none), and `T: Plain` permits unaligned reads of
+            // arbitrary byte patterns.
+            unsafe { c.as_ptr().cast::<T>().read_unaligned() }
+        })
+}
+
 /// Elementwise `acc[i] = op(acc[i], bytes[i])`, reading the delivered
-/// payload in place (unaligned reads; `T: Plain` accepts any pattern).
-/// The received block is the *right* (higher-ranked) operand. This is
-/// compute, not a payload copy — the reductions' former
-/// `O(s log p)` materialization bill becomes zero.
+/// payload in place. The received block is the *right* (higher-ranked)
+/// operand. This is compute, not a payload copy — the reductions'
+/// former `O(s log p)` materialization bill becomes zero.
 pub(crate) fn fold_bytes_right<T: Plain, O: ReduceOp<T>>(
     acc: &mut [T],
     bytes: &[u8],
     op: &O,
 ) -> Result<()> {
-    check_fold_len("reduce fold", acc, bytes)?;
-    let base = bytes.as_ptr();
-    for (i, a) in acc.iter_mut().enumerate() {
-        // SAFETY: bounds checked above; `T: Plain` permits unaligned
-        // reads of arbitrary byte patterns.
-        let b = unsafe {
-            base.add(i * std::mem::size_of::<T>())
-                .cast::<T>()
-                .read_unaligned()
-        };
+    check_fold_len("reduce fold", std::mem::size_of_val(acc), bytes)?;
+    for (a, b) in acc.iter_mut().zip(elements::<T>(bytes)) {
         *a = op.apply(a, &b);
     }
     Ok(())
+}
+
+/// `out[i] = op(a[i], b[i])` over two delivered payloads, both read in
+/// place — the fold of the allreduce engines, whose accumulators travel
+/// as refcount payloads. `out` is `into` when it has the right length
+/// (a vector no peer reads), else a fresh vector.
+pub(crate) fn fold_payloads<T: Plain, O: ReduceOp<T>>(
+    a: &[u8],
+    b: &[u8],
+    op: &O,
+    into: Option<Vec<T>>,
+) -> Result<Vec<T>> {
+    check_fold_len("allreduce fold", a.len(), b)?;
+    let n = whole_elements::<T>(a.len())?;
+    let mut out = into
+        .filter(|v| v.len() == n)
+        .unwrap_or_else(|| vec_with_capacity(n));
+    out.clear();
+    out.extend(elements(a).zip(elements(b)).map(|(x, y)| op.apply(&x, &y)));
+    Ok(out)
 }
 
 /// `out[i] = op(prefix[i], send[i])` where `prefix` is a delivered
@@ -437,26 +451,16 @@ pub(crate) fn fold_bytes_to_vec<T: Plain, O: ReduceOp<T>>(
     send: Cow<'_, [T]>,
     op: &O,
 ) -> Result<Vec<T>> {
-    check_fold_len("scan fold", &send, prefix)?;
-    let base = prefix.as_ptr();
-    // SAFETY: `prefix` holds exactly `send.len()` elements (checked
-    // above) and `pre` is only called with indices of `send`; `T: Plain`
-    // permits unaligned reads of arbitrary byte patterns.
-    let pre = |i: usize| unsafe {
-        base.add(i * std::mem::size_of::<T>())
-            .cast::<T>()
-            .read_unaligned()
-    };
+    check_fold_len("scan fold", std::mem::size_of_val(&*send), prefix)?;
+    let pre = elements::<T>(prefix);
     Ok(match send {
         Cow::Owned(mut acc) => {
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a = op.apply(&pre(i), a);
+            for (a, p) in acc.iter_mut().zip(pre) {
+                *a = op.apply(&p, a);
             }
             acc
         }
-        Cow::Borrowed(send) => (send.iter().enumerate())
-            .map(|(i, s)| op.apply(&pre(i), s))
-            .collect(),
+        Cow::Borrowed(send) => pre.zip(send).map(|(p, s)| op.apply(&p, s)).collect(),
     })
 }
 
@@ -551,23 +555,20 @@ mod tests {
         assert_eq!(t.allreduce_algo(2, 1), AllreduceAlgo::Rabenseifner);
         assert_eq!(t.bcast_algo(2, 1), BcastAlgo::ScatterAllgather);
         assert_eq!(t.alltoall_algo(2, 1 << 20), AlltoallAlgo::Bruck);
-        assert_eq!(
-            t.reduce_algo(true, ReduceAlgo::BinomialTree),
-            ReduceAlgo::FlatGather
-        );
+        assert_eq!(reduce_pick(&t, true), ReduceAlgo::FlatGather);
+    }
+
+    /// The blocking `reduce` pick for a commutative op, or not.
+    fn reduce_pick(t: &CollTuning, commutative: bool) -> ReduceAlgo {
+        let call = Call::reduction(0, commutative);
+        static_pick(t, Lifecycle::Blocking, 2, &call).0.algo
     }
 
     #[test]
     fn non_commutative_reduce_never_uses_the_tree() {
         let t = CollTuning::default().reduce(ReduceAlgo::BinomialTree);
-        assert_eq!(
-            t.reduce_algo(false, ReduceAlgo::BinomialTree),
-            ReduceAlgo::FlatGather
-        );
-        assert_eq!(
-            t.reduce_algo(true, ReduceAlgo::BinomialTree),
-            ReduceAlgo::BinomialTree
-        );
+        assert_eq!(reduce_pick(&t, false), ReduceAlgo::FlatGather);
+        assert_eq!(reduce_pick(&t, true), ReduceAlgo::BinomialTree);
     }
 
     #[test]
@@ -583,6 +584,24 @@ mod tests {
         let mut acc = vec![1u64];
         assert!(fold_bytes_right(&mut acc, &[0u8; 4], &Sum).is_err());
         assert!(fold_bytes_to_vec(&[0u8; 4], Cow::Borrowed(&[1u64][..]), &Sum).is_err());
+        assert!(fold_payloads::<u64, _>(&[0u8; 8], &[0u8; 4], &Sum, None).is_err());
+        assert!(fold_payloads::<u64, _>(&[0u8; 4], &[0u8; 4], &Sum, None).is_err());
+    }
+
+    #[test]
+    fn fold_payloads_reads_misaligned_operands_into_a_given_or_fresh_vector() {
+        let (a, b) = ([1u64, 2, 3], [10u64, 20, 30]);
+        // One byte in: neither operand is aligned for `u64`.
+        let mut shifted = vec![0u8];
+        shifted.extend_from_slice(as_bytes(&a));
+        let got: Vec<u64> = fold_payloads(&shifted[1..], as_bytes(&b), &Sum, None).unwrap();
+        assert_eq!(got, vec![11, 22, 33]);
+        let spare = vec![0u64; 3];
+        let ptr = spare.as_ptr();
+        let got = fold_payloads(&shifted[1..], as_bytes(&b), &Sum, Some(spare)).unwrap();
+        assert_eq!((got.as_ptr(), &got[..]), (ptr, &[11, 22, 33][..]));
+        let short = fold_payloads(as_bytes(&a), as_bytes(&b), &Sum, Some(vec![0u64; 2]));
+        assert_eq!(short.unwrap(), vec![11, 22, 33]);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //!
 //! The tree is written once, as the round description ([`Rounds`]) the
 //! shared driver runs: the blocking `reduce` drives it to completion on
-//! the stack, `ireduce` and the tree phase of `iallreduce` resume it on
-//! `test`/`wait`.
+//! the stack, `ireduce` resumes it on `test`/`wait`.
 
 use std::borrow::Cow;
 
@@ -17,37 +16,13 @@ use bytes::Bytes;
 
 use super::fold_bytes_right;
 use crate::collectives::nonblocking::{message_completion, Rounds};
-use crate::collectives::{bcast_children, bcast_forward, bcast_parent, send_internal};
+use crate::collectives::{bcast_children, bcast_parent, send_internal};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::op::ReduceOp;
-use crate::plain::{bytes_from_cow, bytes_from_vec, bytes_into_vec};
+use crate::plain::{bytes_from_cow, bytes_from_vec};
 use crate::request::Completion;
 use crate::{Plain, Rank, Tag};
-
-/// A rank's contribution as its caller holds it: typed data, borrowed
-/// or owned (blocking `reduce`, `ireduce`), or an adopted payload
-/// (`iallreduce_bytes`).
-pub(crate) enum Own<'a, T: Plain> {
-    Data(Cow<'a, [T]>),
-    Payload(Bytes),
-}
-
-/// What a [`TreeReduce`] does once its subtree is folded.
-pub(crate) enum AfterTreeReduce {
-    /// Forward to the parent and complete with [`Completion::Done`]; a
-    /// root keeps its accumulator in [`TreeReduce::acc`] (blocking
-    /// `reduce` on every rank, `ireduce` non-roots).
-    Done,
-    /// `ireduce` root: complete with the folded payload.
-    Complete,
-    /// `iallreduce` rank 0: forward the result down the binomial
-    /// broadcast tree on this tag, then complete with it.
-    BcastSend(Tag),
-    /// `iallreduce` elsewhere: forward to the parent, then one more
-    /// round receives (and forwards) the broadcast result on this tag.
-    BcastRecv(Tag),
-}
 
 /// Binomial-tree reduction over virtual ranks (commutative operations
 /// only: the tree combines blocks out of rank order): round `k` folds
@@ -66,33 +41,31 @@ pub(crate) struct TreeReduce<T: Plain, O: ReduceOp<T>> {
     /// A rank with nothing to fold forwards its contribution untouched.
     own: Option<Bytes>,
     pub(crate) acc: Option<Vec<T>>,
-    after: AfterTreeReduce,
-    /// The broadcast result of [`AfterTreeReduce::BcastRecv`].
-    result: Option<Bytes>,
+    /// The root completes with its folded payload (`ireduce`); else it
+    /// keeps it in `acc`, and every rank completes with
+    /// [`Completion::Done`].
+    deliver: bool,
 }
 
 impl<T: Plain, O: ReduceOp<T>> TreeReduce<T, O> {
     pub(crate) fn new(
         comm: &Comm,
         tag: Tag,
-        own: Own<'_, T>,
+        own: Cow<'_, [T]>,
         op: O,
         root: Rank,
-        after: AfterTreeReduce,
+        deliver: bool,
     ) -> Self {
         let mut children: Vec<Rank> = bcast_children(comm, root).collect();
         children.reverse();
         let parent = (comm.rank() != root).then(|| bcast_parent(comm, root));
-        let (own, acc) = match own {
-            // A leaf's contribution goes to the wire (an owned one
-            // unserialized); elsewhere it becomes the accumulator
-            // (an owned one as is).
-            Own::Data(d) if children.is_empty() && parent.is_some() => {
-                (Some(bytes_from_cow(d)), None)
-            }
-            Own::Data(d) => (None, Some(d.into_owned())),
-            Own::Payload(b) if children.is_empty() => (Some(b), None),
-            Own::Payload(b) => (None, Some(bytes_into_vec(b))),
+        // A leaf's contribution goes to the wire (an owned one
+        // unserialized); elsewhere it becomes the accumulator (an owned
+        // one as is).
+        let (own, acc) = if children.is_empty() && parent.is_some() {
+            (Some(bytes_from_cow(own)), None)
+        } else {
+            (None, Some(own.into_owned()))
         };
         TreeReduce {
             tag,
@@ -102,8 +75,7 @@ impl<T: Plain, O: ReduceOp<T>> TreeReduce<T, O> {
             parent,
             own,
             acc,
-            after,
-            result: None,
+            deliver,
         }
     }
 
@@ -116,67 +88,36 @@ impl<T: Plain, O: ReduceOp<T>> TreeReduce<T, O> {
             None => self.own.take().expect("payload taken once"),
         }
     }
-
-    fn send_up(&mut self, comm: &Comm) -> Result<()> {
-        match self.parent {
-            Some(parent) => send_internal(comm, parent, self.tag, self.take_payload()),
-            None => Ok(()),
-        }
-    }
 }
 
 impl<T: Plain, O: ReduceOp<T>> Rounds for TreeReduce<T, O> {
     fn rounds(&self) -> usize {
-        self.children.len() + usize::from(matches!(self.after, AfterTreeReduce::BcastRecv(_)))
+        self.children.len()
     }
 
-    fn peer(&self, comm: &Comm, k: usize) -> (Rank, Tag) {
-        match (self.children.get(k), &self.after) {
-            (Some(&child), _) => (child, self.tag),
-            (None, AfterTreeReduce::BcastRecv(bcast_tag)) => (bcast_parent(comm, 0), *bcast_tag),
-            (None, _) => unreachable!("only the broadcast round follows the children"),
-        }
+    fn peer(&self, _comm: &Comm, k: usize) -> (Rank, Tag) {
+        (self.children[k], self.tag)
     }
 
-    fn post(&mut self, comm: &Comm, k: usize) -> Result<()> {
-        // Rounds below `children.len()` only receive; the broadcast
-        // round is preceded by this subtree's result going up.
-        if k == self.children.len() {
-            self.send_up(comm)?;
-        }
+    /// Every round only receives.
+    fn post(&mut self, _comm: &Comm, _k: usize) -> Result<()> {
         Ok(())
     }
 
-    fn absorb(&mut self, comm: &Comm, k: usize, theirs: Bytes) -> Result<()> {
-        if k < self.children.len() {
-            let acc = self.acc.as_mut().expect("a rank with children folds");
-            return fold_bytes_right(acc, &theirs, &self.op);
-        }
-        let (_, bcast_tag) = self.peer(comm, k);
-        bcast_forward(comm, 0, bcast_tag, &theirs)?;
-        self.result = Some(theirs);
-        Ok(())
+    fn absorb(&mut self, _comm: &Comm, _k: usize, theirs: Bytes) -> Result<()> {
+        let acc = self.acc.as_mut().expect("a rank with children folds");
+        fold_bytes_right(acc, &theirs, &self.op)
     }
 
     fn finish(&mut self, comm: &Comm) -> Result<Completion> {
-        match self.after {
-            AfterTreeReduce::Done => {
-                self.send_up(comm)?;
-                Ok(Completion::Done)
+        match self.parent {
+            Some(parent) => send_internal(comm, parent, self.tag, self.take_payload())?,
+            None if self.deliver => {
+                return Ok(message_completion(self.root, self.tag, self.take_payload()));
             }
-            AfterTreeReduce::Complete => {
-                Ok(message_completion(self.root, self.tag, self.take_payload()))
-            }
-            AfterTreeReduce::BcastSend(bcast_tag) => {
-                let payload = self.take_payload();
-                bcast_forward(comm, 0, bcast_tag, &payload)?;
-                Ok(message_completion(0, bcast_tag, payload))
-            }
-            AfterTreeReduce::BcastRecv(bcast_tag) => {
-                let result = self.result.take().expect("broadcast round absorbed");
-                Ok(message_completion(0, bcast_tag, result))
-            }
+            None => {}
         }
+        Ok(Completion::Done)
     }
 }
 
@@ -194,9 +135,7 @@ mod tests {
                 Universe::run(p, move |comm| {
                     let tag = comm.next_internal_tag();
                     let mine = [comm.rank() as u64 + 1, 1];
-                    let after = AfterTreeReduce::Done;
-                    let tree =
-                        TreeReduce::new(&comm, tag, Own::Data((&mine).into()), Sum, root, after);
+                    let tree = TreeReduce::new(&comm, tag, (&mine).into(), Sum, root, false);
                     let mut engine = RoundEngine::new(tree);
                     drive(&comm, &mut engine, Bytes::new()).unwrap();
                     let tree = engine.algo;

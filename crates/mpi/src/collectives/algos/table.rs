@@ -10,25 +10,27 @@
 //!
 //! | row ([`AlgoClass::name`]) | algorithm | startups | copies per rank | needs | static `Auto` picks it when | runs as |
 //! |---|---|---|---|---|---|---|
-//! | **`allreduce/recursive_doubling`** | in-place folds, full vector per round | log2 p (+2 off powers of two) | s·log2 p | — | otherwise | blocking |
-//! | `allreduce/rabenseifner` | reduce-scatter + ring allgather | log2 p + p | ~2s | — | `p >= 4`, `s >=` [`CollTuning::rabenseifner_min_bytes`] | blocking |
+//! | **`allreduce/recursive_doubling`** | round 0 sends a copy the partner folds into; later rounds send the accumulator as a refcount payload, and the last folds into the contribution | log2 p (+2 off powers of two) | s + r (+ r handing the result back off powers of two) | — | otherwise | blocking, `iallreduce`, `allreduce_init` |
+//! | `allreduce/rabenseifner` | reduce-scatter folding into fresh shrinking halves + ring allgather of refcount chunks | log2 p + p | s + r (+ r handing the result back off powers of two) | — | `p >= 4`, `s >=` [`CollTuning::rabenseifner_min_bytes`] | blocking, `iallreduce`, `allreduce_init` |
 //! | **`bcast/binomial`** | binomial tree, refcount forwarding; every rank sends to its largest subtree first, so the critical path is ceil(log2 p) hops | <= log2 p | root s, other r | — | otherwise (and always where non-roots do not know `s`) | blocking, `ibcast`, `bcast_init` |
-//! | `bcast/scatter_allgather` | van de Geijn: scatter + ring allgather | ~2p | root s, other r | `s > 0`, known on every rank | `p >= 4`, `s >=` [`CollTuning::bcast_scatter_min_bytes`] | blocking |
+//! | `bcast/scatter_allgather` | van de Geijn: scatter + eager allgather of the chunks | ~2p | root s, other r | `s > 0`, known on every rank | `p >= 4`, `s >=` [`CollTuning::bcast_scatter_min_bytes`] | blocking (the sized `bcast*`) |
 //! | **`allgather/ring`** | eager fan-out: the own block to every peer as a refcount clone, all posted before the first receive (the name is the row's, kept from the forwarding ring) | p-1 | s + r | — | otherwise | blocking (`allgatherv` always), `iallgather(v)`, `allgather_init` |
-//! | `allgather/recursive_doubling` | packed doubling rounds | log2 p | s·(p-2) + r | `p >= 2`, a power of two | `p >= 4`, `s <=` [`CollTuning::allgather_rd_max_bytes`] | blocking, `iallgather` |
-//! | `allgather/bruck` | rotated packed rounds | ceil(log2 p) | <= s·(p-2) + r | `p >= 2` | `p >= 4` not a power of two, `s <=` [`CollTuning::allgather_bruck_max_bytes`] | blocking, `iallgather` |
+//! | `allgather/recursive_doubling` | packed doubling rounds | log2 p | s·(p-2) + r | `p >= 2`, a power of two | `p >= 4`, `s <=` [`CollTuning::allgather_rd_max_bytes`] | blocking, `iallgather`, `allgather_init` |
+//! | `allgather/bruck` | rotated packed rounds | ceil(log2 p) | <= s·(p-2) + r | `p >= 2` | `p >= 4` not a power of two, `s <=` [`CollTuning::allgather_bruck_max_bytes`] | blocking, `iallgather`, `allgather_init` |
 //! | **`alltoall/pairwise`** | one message per peer in the rotation `rank + 1, rank + 2, …`, pack-once + slice, all posted before the first receive | p-1 | s + r | — | otherwise | blocking (`alltoallv/w` always), `ialltoall(v)`, `alltoallv_init` |
-//! | `alltoall/bruck` | packed log-round forwarding | ceil(log2 p) | s + r + s·ceil(log2 p)/2 | `p >= 2` | `p >= 4`, `b <=` [`CollTuning::bruck_max_block_bytes`] | blocking, `ialltoall` |
-//! | `reduce/binomial_tree` | binomial tree, in-place folds | <= log2 p | leaf s, inner 0, root r | a commutative op | blocking `reduce` | blocking, `ireduce`, `iallreduce` |
-//! | **`reduce/flat_gather`** | one send to the root, which folds the collected blocks in place, strictly in rank order | 1 (root p-1) | s (root: + r) | — | otherwise | blocking (`allreduce` of a non-commutative op: + binomial bcast), `ireduce`, `iallreduce`, `allreduce_init` |
+//! | `alltoall/bruck` | packed log-round forwarding | ceil(log2 p) | s + r + s·ceil(log2 p)/2 | `p >= 2`, equal blocks | `p >= 4`, `b <=` [`CollTuning::bruck_max_block_bytes`] | blocking, `ialltoall` |
+//! | `reduce/binomial_tree` | binomial tree, in-place folds | <= log2 p | leaf s, inner 0, root r | a commutative op | blocking `reduce` | blocking, `ireduce` |
+//! | **`reduce/flat_gather`** | one send to the root, which folds the collected blocks in place, strictly in rank order | 1 (root p-1) | s (root: + r) | — | otherwise | blocking, `ireduce`; with a binomial broadcast, the allreduce of a non-commutative op in every lifecycle (unselected) |
 //! | **`neighborhood/sparse`** | one message per declared edge, all posted before the first receive | d | s + r | — | otherwise | blocking, `ineighbor_*`, `neighbor_*_init` (the last two always, unselected) |
 //! | `neighborhood/dense` | one message per rank, self included, an empty filler for a non-neighbor | p-1 | s + r | duplicate-free neighbor lists | `p >= 2`, `d >=` [`CollTuning::neighborhood_dense_min_degree_pct`] % of `p-1` | blocking |
 //!
-//! Every row but the two `allreduce/*` rows and
-//! `bcast/scatter_allgather` (plain blocking loops) is one engine of
-//! `collectives/nonblocking.rs` in each lifecycle it runs as: the eager
-//! rows (ring, pairwise, flat gather, both neighborhood rows) the flat
-//! `Exchange`, the log-round rows a `Rounds` description.
+//! Every row is one engine of `collectives/nonblocking.rs` in each
+//! lifecycle it runs as: the eager rows (ring, pairwise, flat gather,
+//! both neighborhood rows) the flat `Exchange`, the others a `Rounds`
+//! description. A row's static `Auto` rule is the same in every
+//! lifecycle, so an `i*` or a `*_init` runs the schedule its blocking
+//! twin runs; only the reduce tree's rule names one (an `ireduce` keeps
+//! the eager flat gather).
 //!
 //! A row is everything the substrate knows about its algorithm: the
 //! enum variant that names it in a [`CollTuning`] slot, its
@@ -36,7 +38,7 @@
 //! [`TuningStats::selections`](super::TuningStats)), its trace names,
 //! its static `Auto` rule, what a call must satisfy for it to be
 //! correct, its alpha–beta workload features, and how many serialized
-//! rounds its resumable engine adds. Three things are derived from the
+//! rounds its engine runs. Three things are derived from the
 //! rows and written nowhere else:
 //!
 //! - `select` — the one selection function. Blocking calls, `i*`
@@ -69,6 +71,11 @@ pub(crate) struct Call {
     pub commutative: bool,
     /// The topology's neighbor lists are duplicate-free.
     pub duplicate_free: bool,
+    /// Every rank knows `size`, and the payload splits into equal
+    /// blocks: not so for a persistent broadcast (its non-roots do not
+    /// know the size) or variable blocks. Only the fallback rows serve
+    /// an irregular call.
+    pub regular: bool,
 }
 
 impl Call {
@@ -78,6 +85,16 @@ impl Call {
             size,
             commutative: true,
             duplicate_free: true,
+            regular: true,
+        }
+    }
+
+    /// A call of `size` on some rank whose blocks may differ in size,
+    /// or whose size not every rank knows.
+    pub(crate) fn irregular(size: usize) -> Call {
+        Call {
+            regular: false,
+            ..Call::sized(size)
         }
     }
 
@@ -91,30 +108,27 @@ impl Call {
     }
 }
 
-/// Serialized rounds of a row's resumable engine — rounds whose sends
+/// Serialized rounds over `(p, ceil(log2 p))`: the rounds whose sends
 /// wait on the previous round's receive, each charged
 /// [`ModelConfig::overlap_alpha_pct`] in the overlap lifecycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Rounds {
-    /// Everything is posted at the call (the flat, eager engines).
-    One,
-    /// `ceil(log2 p)` rounds.
-    Log,
-    /// No resumable engine: a blocking-only loop.
-    Blocking,
-}
+type RoundCount = fn(usize, f64) -> f64;
 
-/// Which of the three drivers of an algorithm is selecting.
+/// Everything is posted at the call (the flat, eager engines).
+const ONE_ROUND: RoundCount = |_, _| 1.0;
+/// `ceil(log2 p)` rounds.
+const LOG_ROUNDS: RoundCount = |_, l| l;
+
+/// Which of the three drivers of an algorithm is selecting: all pick by
+/// one static rule, and differ in what the model may do after it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Lifecycle {
     /// A blocking call: statically picked until warm, then the model
     /// may explore and override.
     Blocking,
-    /// An `i*` initiation: the eager row unless forced; snapshot-only
-    /// (an initiation must complete locally), biased per serialized
-    /// round.
+    /// An `i*` initiation: snapshot-only (an initiation must complete
+    /// locally), biased per serialized round.
     Overlap,
-    /// A `*_init`: the eager row, frozen for every later `start`.
+    /// A `*_init`: the static pick, frozen for every later `start`.
     Persistent,
 }
 
@@ -127,8 +141,6 @@ impl Site {
     pub(crate) const BLOCKING: Site = Site(Lifecycle::Blocking, 0);
     pub(crate) const IMMEDIATE: Site = Site(Lifecycle::Overlap, 1);
     pub(crate) const INIT: Site = Site(Lifecycle::Persistent, 2);
-    /// `iallreduce` selects its reduction phase among the `reduce` rows.
-    pub(crate) const IALLREDUCE: Site = Site(Lifecycle::Overlap, 3);
 }
 
 /// One algorithm (see the module doc).
@@ -141,17 +153,17 @@ pub(crate) struct Row<A: 'static> {
     /// The eligibility column: what `(p, call)` must satisfy for the
     /// row to be correct ([`ALWAYS`] on every fallback row).
     pub needs: fn(usize, &Call) -> bool,
-    /// The static `Auto` rule of blocking calls, over `(tuning, p,
-    /// size)`: the first row whose rule holds is picked, the fallback
-    /// row when none does.
-    pub auto: fn(&CollTuning, usize, usize) -> bool,
+    /// The static `Auto` rule, over `(tuning, lifecycle, p, size)`: the
+    /// first row whose rule holds is picked, the fallback row when none
+    /// does.
+    pub auto: fn(&CollTuning, Lifecycle, usize, usize) -> bool,
     /// Coarse workload features `(startups, bytes)` over `(p,
     /// ceil(log2 p), size)`: messages on the critical path and payload
     /// moved (wire + packing). The scale only needs to be consistent
     /// *within* a row across workloads — rows are compared through
     /// their fitted costs — so the formulas stay deliberately simple.
     pub features: fn(usize, f64, f64) -> (f64, f64),
-    pub rounds: Rounds,
+    pub rounds: RoundCount,
 }
 
 /// `<site>/<algorithm>` for each site, as `'static` names.
@@ -159,7 +171,7 @@ macro_rules! names {
     ($algo:literal: $($site:literal),+) => { &[$(concat!($site, "/", $algo)),+] };
 }
 
-const NEVER: fn(&CollTuning, usize, usize) -> bool = |_, _, _| false;
+const NEVER: fn(&CollTuning, Lifecycle, usize, usize) -> bool = |_, _, _, _| false;
 const ALWAYS: fn(usize, &Call) -> bool = |_, _| true;
 
 /// A collective's algorithm enum: its rows and its [`CollTuning`] slot.
@@ -167,8 +179,7 @@ pub(crate) trait Algo: Copy + PartialEq + 'static {
     /// This collective's rows, in [`AlgoClass`] order.
     const ROWS: &'static [Row<Self>];
     /// Index of the fallback row: correct for every call, so where an
-    /// ineligible pick resolves — and the eager engine, so the static
-    /// pick of the overlap and persistent lifecycles.
+    /// ineligible pick resolves.
     const FALLBACK: usize = 0;
 
     const SLOT: fn(&CollTuning) -> Select<Self>;
@@ -185,23 +196,24 @@ impl Algo for AllreduceAlgo {
         Row {
             algo: AllreduceAlgo::RecursiveDoubling,
             class: AlgoClass::AllreduceRd,
-            names: names!("recursive_doubling": "allreduce"),
+            names: names!("recursive_doubling": "allreduce", "iallreduce", "allreduce_init"),
             needs: ALWAYS,
             auto: NEVER,
             features: |p, l, s| {
                 let fix = if p.is_power_of_two() { 0.0 } else { 2.0 };
                 (l + fix, s * l + fix * s)
             },
-            rounds: Rounds::Blocking,
+            rounds: |p, l| l + if p.is_power_of_two() { 0.0 } else { 2.0 },
         },
         Row {
             algo: AllreduceAlgo::Rabenseifner,
             class: AlgoClass::AllreduceRabenseifner,
-            names: names!("rabenseifner": "allreduce"),
+            names: names!("rabenseifner": "allreduce", "iallreduce", "allreduce_init"),
             needs: ALWAYS,
-            auto: |t, p, s| p >= 4 && s >= t.rabenseifner_min_bytes,
+            auto: |t, _, p, s| p >= 4 && s >= t.rabenseifner_min_bytes,
             features: |p, l, s| (l + p as f64 - 1.0, 2.0 * s),
-            rounds: Rounds::Blocking,
+            // The ring allgather is serialized hop by hop.
+            rounds: |p, l| l + p as f64 - 1.0,
         },
     ];
 }
@@ -216,7 +228,7 @@ impl Algo for BcastAlgo {
             needs: ALWAYS,
             auto: NEVER,
             features: |_, l, s| (l, s * l),
-            rounds: Rounds::Log,
+            rounds: LOG_ROUNDS,
         },
         Row {
             algo: BcastAlgo::ScatterAllgather,
@@ -224,10 +236,11 @@ impl Algo for BcastAlgo {
             names: names!("scatter_allgather": "bcast", "ibcast", "bcast_init"),
             // Zero-length chunks cannot tell `bcast_vec`'s non-roots a
             // header-only message from a fused one.
-            needs: |_, call| call.size > 0,
-            auto: |t, p, s| p >= 4 && s >= t.bcast_scatter_min_bytes,
+            needs: |_, call| call.regular && call.size > 0,
+            auto: |t, _, p, s| p >= 4 && s >= t.bcast_scatter_min_bytes,
             features: |p, _, s| (2.0 * (p as f64 - 1.0), 2.0 * s),
-            rounds: Rounds::Blocking,
+            // The scatter, then one eager allgather.
+            rounds: |_, _| 2.0,
         },
     ];
 }
@@ -242,25 +255,25 @@ impl Algo for AllgatherAlgo {
             needs: ALWAYS,
             auto: NEVER,
             features: |p, _, s| (p as f64 - 1.0, (p as f64 - 1.0) * s),
-            rounds: Rounds::One,
+            rounds: ONE_ROUND,
         },
         Row {
             algo: AllgatherAlgo::RecursiveDoubling,
             class: AlgoClass::AllgatherRd,
             names: names!("recursive_doubling": "allgather", "iallgather", "allgather_init"),
-            needs: |p, _| p >= 2 && p.is_power_of_two(),
-            auto: |t, p, s| p >= 4 && s <= t.allgather_rd_max_bytes && p.is_power_of_two(),
+            needs: |p, call| p >= 2 && p.is_power_of_two() && call.regular,
+            auto: |t, _, p, s| p >= 4 && s <= t.allgather_rd_max_bytes && p.is_power_of_two(),
             features: |p, l, s| (l, (2.0 * p as f64 - 3.0).max(1.0) * s),
-            rounds: Rounds::Log,
+            rounds: LOG_ROUNDS,
         },
         Row {
             algo: AllgatherAlgo::Bruck,
             class: AlgoClass::AllgatherBruck,
             names: names!("bruck": "allgather", "iallgather", "allgather_init"),
-            needs: |p, _| p >= 2,
-            auto: |t, p, s| p >= 4 && s <= t.allgather_bruck_max_bytes && !p.is_power_of_two(),
+            needs: |p, call| p >= 2 && call.regular,
+            auto: |t, _, p, s| p >= 4 && s <= t.allgather_bruck_max_bytes && !p.is_power_of_two(),
             features: |p, l, s| (l, (2.0 * p as f64 - 3.0).max(1.0) * s),
-            rounds: Rounds::Log,
+            rounds: LOG_ROUNDS,
         },
     ];
 }
@@ -275,16 +288,16 @@ impl Algo for AlltoallAlgo {
             needs: ALWAYS,
             auto: NEVER,
             features: |p, _, s| (p as f64 - 1.0, (p as f64 - 1.0) * s),
-            rounds: Rounds::One,
+            rounds: ONE_ROUND,
         },
         Row {
             algo: AlltoallAlgo::Bruck,
             class: AlgoClass::AlltoallBruck,
             names: names!("bruck": "alltoall", "ialltoall", "alltoallv_init"),
-            needs: |p, _| p >= 2,
-            auto: |t, p, s| p >= 4 && s <= t.bruck_max_block_bytes,
+            needs: |p, call| p >= 2 && call.regular,
+            auto: |t, _, p, s| p >= 4 && s <= t.bruck_max_block_bytes,
             features: |p, l, s| (l, l * (p as f64 / 2.0) * s),
-            rounds: Rounds::Log,
+            rounds: LOG_ROUNDS,
         },
     ];
 }
@@ -296,20 +309,22 @@ impl Algo for ReduceAlgo {
         Row {
             algo: ReduceAlgo::BinomialTree,
             class: AlgoClass::ReduceBinomial,
-            names: names!("binomial_tree": "reduce", "ireduce", "allreduce_init", "iallreduce"),
+            names: names!("binomial_tree": "reduce", "ireduce"),
             needs: |_, call| call.commutative,
-            auto: |_, _, _| true,
+            // An `ireduce` keeps the eager flat gather: every
+            // contribution is on the wire when the call returns.
+            auto: |_, lifecycle, _, _| lifecycle == Lifecycle::Blocking,
             features: |_, l, s| (l, s * l),
-            rounds: Rounds::Log,
+            rounds: LOG_ROUNDS,
         },
         Row {
             algo: ReduceAlgo::FlatGather,
             class: AlgoClass::ReduceFlat,
-            names: names!("flat_gather": "reduce", "ireduce", "allreduce_init", "iallreduce"),
+            names: names!("flat_gather": "reduce", "ireduce"),
             needs: ALWAYS,
             auto: NEVER,
             features: |p, _, s| (p as f64 - 1.0, (p as f64 - 1.0) * s),
-            rounds: Rounds::One,
+            rounds: ONE_ROUND,
         },
     ];
 }
@@ -328,16 +343,16 @@ impl Algo for NeighborhoodAlgo {
             needs: ALWAYS,
             auto: NEVER,
             features: |_, _, d| (d.max(1.0), 0.0),
-            rounds: Rounds::One,
+            rounds: ONE_ROUND,
         },
         Row {
             algo: NeighborhoodAlgo::Dense,
             class: AlgoClass::NeighborhoodDense,
             names: names!("dense": "neighborhood"),
             needs: |_, call| call.duplicate_free,
-            auto: |t, p, d| p >= 2 && d * 100 >= t.neighborhood_dense_min_degree_pct * (p - 1),
+            auto: |t, _, p, d| p >= 2 && d * 100 >= t.neighborhood_dense_min_degree_pct * (p - 1),
             features: |p, _, _| ((p as f64 - 1.0).max(1.0), 0.0),
-            rounds: Rounds::One,
+            rounds: ONE_ROUND,
         },
     ];
 }
@@ -381,11 +396,11 @@ fn ceil_log2(p: usize) -> f64 {
     f64::from(usize::BITS - p.saturating_sub(1).leading_zeros())
 }
 
-/// The static pick of `lifecycle`, before the model is asked — and
-/// what [`CollTuning`]'s `*_algo` queries answer: the eager fallback
-/// row for a persistent plan; else the forced slot; else the first row
-/// whose `Auto` rule holds (blocking) or the eager fallback row
-/// (overlap) — resolved through the eligibility column.
+/// The static pick, before the model is asked — and what
+/// [`CollTuning`]'s `*_algo` queries answer: the forced slot, else the
+/// first row whose `Auto` rule holds in `lifecycle`, else the fallback
+/// row — resolved through the eligibility column. A persistent plan
+/// freezes it.
 pub(super) fn static_pick<A: Algo>(
     tuning: &CollTuning,
     lifecycle: Lifecycle,
@@ -393,20 +408,22 @@ pub(super) fn static_pick<A: Algo>(
     call: &Call,
 ) -> (&'static Row<A>, Pick) {
     let fallback = &A::ROWS[A::FALLBACK];
-    let (row, pick) = match (lifecycle, (A::SLOT)(tuning)) {
-        (Lifecycle::Persistent, _) => (fallback, Pick::Frozen),
-        (_, Select::Force(algo)) => (algo.row(), Pick::Forced),
-        (Lifecycle::Blocking, Select::Auto) => {
-            let auto = A::ROWS.iter().find(|r| (r.auto)(tuning, p, call.size));
+    let (row, pick) = match (A::SLOT)(tuning) {
+        Select::Force(algo) => (algo.row(), Pick::Forced),
+        Select::Auto => {
+            let auto = A::ROWS
+                .iter()
+                .find(|r| (r.auto)(tuning, lifecycle, p, call.size));
             (auto.unwrap_or(fallback), Pick::Static)
         }
-        (_, Select::Auto) => (fallback, Pick::Static),
     };
-    if (row.needs)(p, call) {
+    let (row, pick) = if (row.needs)(p, call) {
         (row, pick)
     } else {
         (fallback, Pick::Static)
-    }
+    };
+    let frozen = lifecycle == Lifecycle::Persistent;
+    (row, if frozen { Pick::Frozen } else { pick })
 }
 
 /// Predicted cost of `row` at `(p, size)`, every serialized round of
@@ -414,8 +431,7 @@ pub(super) fn static_pick<A: Algo>(
 fn cost<A>(snap: &ModelSnapshot, row: &Row<A>, (p, size): (usize, usize), round_bias: f64) -> f64 {
     let (est, l) = (snap.class(row.class), ceil_log2(p));
     let (startups, bytes) = (row.features)(p, l, size as f64);
-    let rounds = if row.rounds == Rounds::One { 1.0 } else { l };
-    est.predict_ns(startups, bytes) + rounds * est.alpha_ns * round_bias
+    est.predict_ns(startups, bytes) + (row.rounds)(p, l) * est.alpha_ns * round_bias
 }
 
 /// The model's choice among the candidate rows `cands` at `(p, size)`
@@ -474,18 +490,17 @@ fn choose<A>(
 
 /// The one selection function: which row of `A` serves this call.
 ///
-/// 1. A persistent plan freezes the collective's eager fallback row
-///    (counted `frozen`); nothing is consulted again at `start`.
-/// 2. Otherwise the static pick is the forced slot, else the `Auto`
-///    rule (blocking) or the eager fallback row (overlap).
-/// 3. **One fallback rule:** a pick — forced or `Auto` — whose
+/// 1. The static pick is the forced slot, else the row's `Auto` rule —
+///    one rule for all three lifecycles.
+/// 2. **One fallback rule:** a pick — forced or `Auto` — whose
 ///    `needs` the call does not meet resolves to the fallback row,
 ///    which is correct for every call, and is counted once, as a
 ///    `static` pick of the row it resolved to.
+/// 3. A persistent plan freezes the static pick (counted `frozen`);
+///    nothing is consulted again at `start`.
 /// 4. A forced slot is final (an eligible one is counted `forced`): the
 ///    model never overrides `Select::Force`.
-/// 5. With the model driving, `p >= 2` and at least two eligible rows
-///    (to an initiation, a row without an engine is not eligible),
+/// 5. With the model driving, `p >= 2` and at least two eligible rows,
 ///    [`choose`] decides among them from the published snapshot —
 ///    identical on every rank, like every other input here.
 ///
@@ -496,17 +511,14 @@ pub(crate) fn select<A: Algo>(comm: &Comm, lifecycle: Lifecycle, call: Call) -> 
     let open = pick == Pick::Static && (A::SLOT)(&tuning) == Select::Auto;
     if open && tuning.model.drive && p >= 2 {
         let (mut cands, mut n) = ([row; MAX_ROWS], 0);
-        for r in A::ROWS {
-            let engine = lifecycle != Lifecycle::Overlap || r.rounds != Rounds::Blocking;
-            if engine && (r.needs)(p, &call) {
-                (cands[n], n) = (r, n + 1);
-            }
+        for r in A::ROWS.iter().filter(|r| (r.needs)(p, &call)) {
+            (cands[n], n) = (r, n + 1);
         }
         let cands = &mut cands[..n];
         if n >= 2 {
             let mut static_i = (cands.iter().position(|r| r.class == row.class)).unwrap_or(0);
             if lifecycle == Lifecycle::Overlap {
-                // The eager row leads, so a tie stays eager.
+                // The static pick leads, so a tie stays static.
                 cands[..=static_i].rotate_right(1);
                 static_i = 0;
             }
@@ -704,6 +716,7 @@ mod tests {
             size: 0,
             commutative: false,
             duplicate_free: false,
+            regular: false,
         };
         assert!((A::ROWS[A::FALLBACK].needs)(1, &worst));
     }
@@ -835,10 +848,28 @@ mod tests {
                 let want = (NeighborhoodAlgo::Sparse, STATIC);
                 assert_eq!(pick(&comm, forced, Lifecycle::Blocking, dup), want);
                 assert_eq!(pick(&comm, base, Lifecycle::Blocking, dup), want);
-                // A plan freezes the eager row, whatever is forced.
+                // A plan freezes the static pick, forced or `Auto`.
+                let forced = base.allgather(AllgatherAlgo::Bruck);
+                let want = if p >= 2 {
+                    (AllgatherAlgo::Bruck, FROZEN)
+                } else {
+                    (AllgatherAlgo::Ring, FROZEN)
+                };
+                assert_eq!(pick(&comm, forced, Lifecycle::Persistent, sized), want);
+                let want = match p {
+                    4.. => (AllgatherAlgo::Bruck, FROZEN),
+                    _ => (AllgatherAlgo::Ring, FROZEN),
+                };
+                let small = Call::sized(64);
+                assert_eq!(pick(&comm, base, Lifecycle::Persistent, small), want);
+                // What is not regular splits nothing.
+                let forced = base.alltoall(AlltoallAlgo::Bruck);
+                let want = (AlltoallAlgo::Pairwise, FROZEN);
+                let varied = Call::irregular(64);
+                assert_eq!(pick(&comm, forced, Lifecycle::Persistent, varied), want);
                 let forced = base.allgather(AllgatherAlgo::Bruck);
                 let want = (AllgatherAlgo::Ring, FROZEN);
-                assert_eq!(pick(&comm, forced, Lifecycle::Persistent, sized), want);
+                assert_eq!(pick(&comm, forced, Lifecycle::Persistent, varied), want);
             });
         }
     }

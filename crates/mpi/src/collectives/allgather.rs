@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 
-use super::algos::table::Site;
+use super::algos::table::{Call, Site};
 use super::nonblocking::{check_divisible, drive_blocks};
 use super::{block_counts, check_layout, concat_blocks, place_blocks, place_blocks_at};
 use crate::comm::Comm;
@@ -22,7 +22,7 @@ use crate::Plain;
 /// so all ranks resolve the same row from the shared tuning and the
 /// agreed block size. The plan `iallgather` starts, driven here.
 pub(crate) fn allgather_blocks_tuned(comm: &Comm, own: Bytes) -> Result<Vec<Bytes>> {
-    comm.allgather_plan(Site::BLOCKING, own, drive_blocks)
+    comm.allgather_plan(Site::BLOCKING, Call::sized(own.len()), own, drive_blocks)
 }
 
 /// Allgather of equal-size contributions; returns the concatenation

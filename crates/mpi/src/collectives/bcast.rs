@@ -3,8 +3,9 @@
 
 use bytes::Bytes;
 
+use super::algos::bcast::ScatterAllgather;
 use super::algos::table::{select, tuned, Call, Lifecycle, Site, Tuned};
-use super::algos::{self, BcastAlgo, BcastParts};
+use super::algos::{BcastAlgo, BcastParts};
 use super::nonblocking::{drive_message, message_completion, Rounds};
 use super::{root_without_data, send_internal};
 use crate::comm::Comm;
@@ -68,8 +69,8 @@ fn vchildren(v: usize, p: usize) -> impl Iterator<Item = usize> {
 }
 
 /// Forwards `data` to this rank's children in the binomial tree rooted
-/// at `root`. Shared by [`BinomialBcast`] and the result phases of the
-/// `iallreduce` engines.
+/// at `root`. Shared by [`BinomialBcast`] and the ordered allreduce's
+/// rank 0, which folds the result it then sends down the tree.
 pub(crate) fn bcast_forward(comm: &Comm, root: Rank, tag: Tag, data: &Bytes) -> Result<()> {
     bcast_children(comm, root).try_for_each(|child| send_internal(comm, child, tag, data.clone()))
 }
@@ -78,7 +79,7 @@ pub(crate) fn bcast_forward(comm: &Comm, root: Rank, tag: Tag, data: &Bytes) -> 
 /// plan's engine in every lifecycle: the root has no round — it
 /// forwards and completes inside `start` — every other rank has one,
 /// from its parent, and forwards on receipt. With `up` set a non-root
-/// first contributes there: the non-root side of the flat `iallreduce`,
+/// first contributes there: the non-root side of the ordered allreduce,
 /// whose gather phase is that one send.
 pub(crate) struct BinomialBcast {
     tag: Tag,
@@ -142,16 +143,10 @@ pub(crate) fn bcast_parts_internal(
     size: usize,
     root: Rank,
 ) -> Result<BcastParts> {
-    let p = comm.size();
-    if root >= p {
-        return Err(MpiError::InvalidRank {
-            rank: root,
-            comm_size: p,
-        });
-    }
+    comm.check_rank(root)?;
     tuned(comm, Site::BLOCKING, Call::sized(size), |algo| match algo {
         BcastAlgo::Binomial => bcast_bytes_internal(comm, payload, root).map(BcastParts::Whole),
-        BcastAlgo::ScatterAllgather => algos::bcast::scatter_allgather(comm, payload, size, root),
+        BcastAlgo::ScatterAllgather => ScatterAllgather::run(comm, payload, size, root),
     })
 }
 
@@ -227,13 +222,7 @@ impl Comm {
     /// conveyed purely by message shape — non-roots never re-select.
     pub fn bcast_vec<T: Plain>(&self, data: Option<&[T]>, root: Rank) -> Result<Vec<T>> {
         self.count_op("bcast");
-        let p = self.size();
-        if root >= p {
-            return Err(MpiError::InvalidRank {
-                rank: root,
-                comm_size: p,
-            });
-        }
+        self.check_rank(root)?;
         let step = Tuned::begin(self, Site::BLOCKING)?;
         if self.rank() == root {
             let Some(data) = data else {
@@ -258,7 +247,7 @@ impl Comm {
                 BcastAlgo::ScatterAllgather => {
                     bcast_bytes_internal(self, Some(bytes_from_slice(&[size as u64])), root)?;
                     let payload = Some(bytes_from_slice(data));
-                    let parts = algos::bcast::scatter_allgather(self, payload, size, root)?;
+                    let parts = ScatterAllgather::run(self, payload, size, root)?;
                     Ok(parts.into_vec())
                 }
             })
@@ -287,7 +276,7 @@ impl Comm {
             step.finish(algo, size, || match algo {
                 BcastAlgo::Binomial => Ok(bytes_to_vec(&msg[8..])),
                 BcastAlgo::ScatterAllgather => {
-                    Ok(algos::bcast::scatter_allgather(self, None, size, root)?.into_vec())
+                    Ok(ScatterAllgather::run(self, None, size, root)?.into_vec())
                 }
             })
         }

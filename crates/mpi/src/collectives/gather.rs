@@ -122,14 +122,12 @@ impl Comm {
         root: Rank,
     ) -> Result<Option<(Vec<T>, Vec<usize>)>> {
         self.count_op("gatherv");
-        self.check_rank(root)?;
-        let tag = self.next_internal_tag();
-        if self.rank() == root {
-            gather_assemble(self, tag, send).map(Some)
-        } else {
-            send_slice_internal(self, root, tag, send)?;
-            Ok(None)
-        }
+        let Some(blocks) = self.gather_blocks_uncounted(send, root)? else {
+            return Ok(None);
+        };
+        // Every block is written straight into the final buffer.
+        let counts = block_counts::<T, _>(&blocks)?;
+        Ok(Some((concat_blocks(blocks, &counts), counts)))
     }
 }
 
@@ -168,15 +166,6 @@ fn gather_place<T: Plain>(
     }
     fits(recv.len())?;
     place_blocks_at(gather_blocks(comm, tag, as_bytes(send))?, recv, slot)
-}
-
-/// Root side of a counts-discovering gatherv: collects one shared payload
-/// per rank and writes every block **straight into the final buffer** —
-/// no intermediate per-rank vectors.
-fn gather_assemble<T: Plain>(comm: &Comm, tag: Tag, own: &[T]) -> Result<(Vec<T>, Vec<usize>)> {
-    let blocks = gather_blocks(comm, tag, as_bytes(own))?;
-    let counts = block_counts::<T, _>(&blocks)?;
-    Ok((concat_blocks(blocks, &counts), counts))
 }
 
 #[cfg(test)]

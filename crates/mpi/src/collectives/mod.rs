@@ -57,23 +57,24 @@
 //! an owned accumulator, which the `*_vec` forms (`allreduce_vec`,
 //! `reduce_vec`, `scan_vec`, `exscan_vec`) move out.
 //!
-//! The third axis is the lifecycle. Every algorithm but three is
-//! defined exactly once, as one of the two resumable engines of
+//! The third axis is the lifecycle. Every algorithm is defined exactly
+//! once, as one of the two resumable engines of
 //! `collectives/nonblocking.rs`: a `Rounds` description under the one
-//! round loop (the dissemination barrier, recursive-doubling and Bruck
-//! `allgather`, Bruck `alltoall`, the binomial `reduce` tree, the
-//! doubling `scan` / `exscan`) or the flat `Exchange` (every eager one:
-//! ring, pairwise, flat gather + fold, scatter, both neighborhood rows).
-//! Every operation with more than one lifecycle builds its engine in
-//! **one plan** — its internal tags, then its rank-local checks, its
-//! row, its engine — that the lifecycles drive differently: the blocking
-//! call drives the engine to completion on its stack, `i*` boxes it into
-//! a [`Request`](crate::Request) that `test`/`wait` resume, `*_init`
-//! builds it once and restarts it every cycle. Recursive-doubling
-//! allreduce, Rabenseifner and van de Geijn remain blocking-only loops;
-//! the blocking `gather*` and the typed reductions keep short bodies of
-//! their own (the former read the root's buffer in place, the latter
-//! keep a typed accumulator).
+//! round loop (the dissemination barrier, both `allreduce` rows,
+//! recursive-doubling and Bruck `allgather`, Bruck `alltoall`, the
+//! binomial and van de Geijn broadcasts, the binomial `reduce` tree,
+//! the doubling `scan` / `exscan`) or the flat `Exchange` (every eager
+//! one: ring, pairwise, flat gather + fold, scatter, both neighborhood
+//! rows). Every operation with more than one lifecycle builds its
+//! engine in **one plan** — its internal tags, then its rank-local
+//! checks, its row, its engine — that the lifecycles drive differently:
+//! the blocking call drives the engine to completion on its stack, `i*`
+//! boxes it into a [`Request`](crate::Request) that `test`/`wait`
+//! resume, `*_init` builds it once and restarts it every cycle — and
+//! one static `Auto` rule picks the row for all three. The blocking
+//! `gather*`, `reduce` and `scan` keep short bodies of their own (the
+//! first read the root's buffer in place, the others keep a typed
+//! accumulator).
 //!
 //! The table's `Auto` rules are the *static* policy — the warm-up
 //! fallback. With [`CollTuning::self_tuning`] enabled, `Auto` is
@@ -129,7 +130,6 @@ use bytes::Bytes;
 
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::message::{Src, TagSel};
 use crate::plain::{
     bytes_from_slice, copy_bytes_into, extend_vec_from_bytes, vec_with_capacity, whole_elements,
 };
@@ -164,14 +164,6 @@ pub(crate) fn send_slice_internal<T: Plain>(
     data: &[T],
 ) -> Result<()> {
     send_internal(comm, dest, tag, bytes_from_slice(data))
-}
-
-/// Receives raw bytes from an exact source on an internal tag (the
-/// payload is moved out of the envelope — no copy).
-#[inline]
-pub(crate) fn recv_internal(comm: &Comm, src: Rank, tag: Tag) -> Result<Bytes> {
-    let env = comm.recv_envelope(Src::Rank(src), TagSel::Is(tag))?;
-    Ok(env.payload)
 }
 
 /// Validates a counts/displacements layout against a buffer length.

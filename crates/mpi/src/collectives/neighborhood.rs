@@ -64,7 +64,7 @@ fn sparse<N: Neighborhood + ?Sized>(
     what: &'static str,
     tag: Tag,
     ranges: Option<Vec<Range<usize>>>,
-) -> Exchange {
+) -> Exchange<'static> {
     let dests = n.destinations();
     let post = match ranges {
         Some(ranges) => Post::Sliced {

@@ -16,20 +16,20 @@
 //! **One plan per operation, three drivers.** What a call builds is
 //! decided once per operation, by its plan — a `Comm::*_plan` method
 //! (`bcast`, `scatter`, `allgather`, `alltoall`, packed `alltoallv`,
-//! the reduce phase of `iallreduce` / `allreduce_init`; the
-//! neighborhood module's `sparse_plan`): it takes the operation's
-//! internal tag(s), runs the rank-local checks *after* them, selects
-//! the row under [`tuned`] where the operation is tunable, and hands
+//! `allreduce`; the neighborhood module's `sparse_plan`): it takes the
+//! operation's internal tag(s), runs the rank-local checks *after*
+//! them, selects the row under [`tuned`] — one static `Auto` rule for
+//! all three lifecycles — where the operation is tunable, and hands
 //! the built engine plus this call's payload to the caller's driver —
 //! [`drive`] for a blocking call, [`Comm::icoll`] for `i*`,
 //! `Comm::persistent_coll` for `*_init`. A check therefore fails the
 //! same way, at the same point of the tag sequence, in every
 //! lifecycle, and an erroring rank stays tag-aligned with peers whose
-//! part was fine. Only `gather*` and the typed reductions (`reduce`,
-//! `allreduce`, `scan`) keep blocking bodies of their own: the first
-//! read the root's buffer in place and accept arrivals in any order,
-//! the others keep a typed accumulator that a `Bytes` completion would
-//! copy. They still drive the same engines.
+//! part was fine. Only `gather*`, `reduce` and `scan` keep blocking
+//! bodies of their own: the first read the root's buffer in place and
+//! accept arrivals in any order, the others keep a typed accumulator
+//! that a `Bytes` completion would copy. They still drive the same
+//! engines.
 //!
 //! Each `i*` collective allocates its internal tag(s) at call time (so
 //! ranks must start non-blocking collectives in the same order, the MPI
@@ -52,8 +52,8 @@
 //!
 //! - **rounds** — [`RoundEngine`], the one round loop over a [`Rounds`]
 //!   description (index arithmetic only, in [`super::algos`],
-//!   [`super::barrier`], `bcast.rs` and `scan.rs`): the log-round rows
-//!   of the table, the dissemination barrier, the doubling `scan` /
+//!   [`super::barrier`], `bcast.rs` and `scan.rs`): every other row of
+//!   the table, the dissemination barrier, the doubling `scan` /
 //!   `exscan`, and the binomial broadcast — zero rounds at the root,
 //!   one everywhere else;
 //! - **flat exchange** — [`Exchange`]: everything this rank sends is
@@ -64,21 +64,11 @@
 //!   scatter, `allgather/ring`, `alltoall/pairwise`,
 //!   `reduce/flat_gather` and both neighborhood rows are this engine.
 //!
-//! Three algorithms remain blocking-only loops with no engine form:
-//! recursive-doubling allreduce, Rabenseifner and van de Geijn's
-//! broadcast (whose allgather phase is the flat exchange).
-//!
-//! The flat algorithms trade the blocking collectives' latency-optimal
-//! trees for *immediacy*: every byte a rank contributes is on the wire
-//! before the call returns, which is what makes communication/computation
-//! overlap (§III-E of the paper, extended to collectives) effective.
-//! They therefore stay the *static* `Auto` choice of the communicator's
-//! [`CollTuning`](super::algos::CollTuning); the tree/Bruck/doubling
-//! engines engage when the tuning *forces* them — or, with
-//! [`CollTuning::self_tuning`](super::algos::CollTuning::self_tuning)
-//! enabled, when the warm measured cost model predicts that the round
-//! structure wins even after charging every round one extra startup for
-//! lost overlap (the overlap bias of
+//! So an `i*` or a `*_init` runs the schedule its blocking twin runs.
+//! With [`CollTuning::self_tuning`](super::algos::CollTuning::self_tuning)
+//! enabled, the warm measured cost model may override the static pick
+//! of an initiation, after charging every serialized round one extra
+//! startup for lost overlap (the overlap bias of
 //! [`ModelConfig::overlap_alpha_pct`](super::algos::ModelConfig)).
 //! Selection at initiation reads only the last *published* model
 //! snapshot — it never synchronizes, because a non-blocking initiation
@@ -96,8 +86,9 @@ use std::ops::{DerefMut, Range};
 use bytes::Bytes;
 
 use super::algos::allgather::{BruckAllgather, RecursiveDoubling};
+use super::algos::allreduce::Allreduce;
 use super::algos::alltoall::BruckAlltoall;
-use super::algos::reduce::{AfterTreeReduce, Own, TreeReduce};
+use super::algos::reduce::TreeReduce;
 use super::algos::table::{tuned, Call, Site};
 use super::algos::{fold_bytes_right, AllgatherAlgo, AlltoallAlgo, ReduceAlgo};
 use super::bcast::BinomialBcast;
@@ -324,7 +315,7 @@ pub(crate) enum Post {
 }
 
 /// What an [`Exchange`] completes with once every slot is filled.
-pub(crate) enum Finish {
+pub(crate) enum Finish<'o> {
     /// [`Completion::Done`]: a rank whose whole part is its sends.
     Done,
     /// The one collected block, as [`Completion::Message`].
@@ -335,7 +326,7 @@ pub(crate) enum Finish {
     /// binomial tree on `bcast` first when this is rank 0 of an
     /// allreduce. `FnMut`, so a persistent plan reuses it every cycle.
     Fold {
-        fold: Box<dyn FnMut(Vec<Bytes>) -> Result<Bytes>>,
+        fold: Box<dyn FnMut(Vec<Bytes>) -> Result<Bytes> + 'o>,
         bcast: Option<Tag>,
     },
 }
@@ -345,16 +336,18 @@ pub(crate) enum Finish {
 /// source list and completes as [`Finish`] says. Every flat collective
 /// in every lifecycle is one of these: gather, scatter, the flat
 /// allgather / alltoall(v) / reduce (+ broadcast) and the neighborhood
-/// exchanges.
-pub(crate) struct Exchange {
+/// exchanges. `'o` bounds the operation a fold holds (`'static` but
+/// for a blocking allreduce).
+pub(crate) struct Exchange<'o> {
     /// Names the operation in rank-local errors.
     what: &'static str,
     tag: Tag,
     post: Post,
-    /// `blocks[i]` comes from `sources[i]`. Duplicate sources (legal on
-    /// a neighborhood) are filled in declaration order — slot `i` must
-    /// receive before a later slot of the same source, because both
-    /// ride the same FIFO `(source, tag)` stream.
+    /// `blocks[i]` comes from `sources[i]`. Slots fill strictly in
+    /// order, in every lifecycle: the receives complete — and are
+    /// charged to the virtual clock — in one sequence whichever driver
+    /// runs, and duplicate sources (legal on a neighborhood) take their
+    /// FIFO `(source, tag)` stream in declaration order.
     sources: Vec<Rank>,
     /// The slot that is this rank itself: filled at `start` with what
     /// [`Post`] keeps, never received. Without one, a self-edge travels
@@ -363,16 +356,16 @@ pub(crate) struct Exchange {
     /// Reused across cycles (no allocation in a persistent steady
     /// state).
     blocks: Vec<Option<Bytes>>,
-    finish: Finish,
+    finish: Finish<'o>,
 }
 
-impl Exchange {
+impl<'o> Exchange<'o> {
     pub(crate) fn new(
         what: &'static str,
         tag: Tag,
         post: Post,
         (sources, own): (Vec<Rank>, Option<usize>),
-        finish: Finish,
+        finish: Finish<'o>,
     ) -> Self {
         let blocks = vec![None; sources.len()];
         Exchange {
@@ -383,16 +376,6 @@ impl Exchange {
             own,
             blocks,
             finish,
-        }
-    }
-
-    /// Appends the `(source, tag)` pair of every slot that is received
-    /// (`pending_only`: and still empty).
-    fn push_sources(&self, pending_only: bool, out: &mut Vec<(Rank, Tag)>) {
-        for (i, &src) in self.sources.iter().enumerate() {
-            if Some(i) != self.own && !(pending_only && self.blocks[i].is_some()) {
-                out.push((src, self.tag));
-            }
         }
     }
 }
@@ -418,7 +401,7 @@ fn sliced_by_rank(comm: &Comm, ranges: &[Range<usize>]) -> Post {
     }
 }
 
-impl CollEngine for Exchange {
+impl CollEngine for Exchange<'_> {
     fn start(&mut self, comm: &Comm, payload: Bytes) -> Result<()> {
         let keep = match &self.post {
             Post::Nothing => payload,
@@ -441,21 +424,13 @@ impl CollEngine for Exchange {
     }
 
     fn advance(&mut self, comm: &Comm, block: bool) -> Result<Option<Completion>> {
-        // Sources whose earliest empty slot did not fill this pass: a
-        // later slot of the same source must not steal its stream's
-        // next message. Lists are short; a linear scan beats a set.
-        let mut stalled: Vec<Rank> = Vec::new();
         for (slot, &src) in self.blocks.iter_mut().zip(&self.sources) {
-            if slot.is_some() || stalled.contains(&src) {
-                continue;
+            if slot.is_none() {
+                match recv_one(comm, src, self.tag, block)? {
+                    Some(payload) => *slot = Some(payload),
+                    None => return Ok(None),
+                }
             }
-            match recv_one(comm, src, self.tag, block)? {
-                Some(payload) => *slot = Some(payload),
-                None => stalled.push(src),
-            }
-        }
-        if !stalled.is_empty() {
-            return Ok(None);
         }
         let mut blocks = self.blocks.iter_mut().map(|b| b.take().expect("filled"));
         Ok(Some(match &mut self.finish {
@@ -476,11 +451,15 @@ impl CollEngine for Exchange {
     }
 
     fn sources(&self, _comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        self.push_sources(true, out);
+        // Only the first empty slot can fill next.
+        if let Some(i) = self.blocks.iter().position(Option::is_none) {
+            out.push((self.sources[i], self.tag));
+        }
     }
 
     fn all_sources(&self, _comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        self.push_sources(false, out);
+        let received = (0..self.sources.len()).filter(|&i| Some(i) != self.own);
+        out.extend(received.map(|i| (self.sources[i], self.tag)));
     }
 
     fn check_payload(&self, payload: &Bytes) -> Result<()> {
@@ -529,10 +508,10 @@ pub(crate) fn fold_ordered<T: Plain, O: ReduceOp<T>>(
 
 /// [`fold_ordered`] as a [`Finish::Fold`]: the result moves into the
 /// completion payload without a serialization copy.
-fn ordered_fold<T: Plain, O: ReduceOp<T> + 'static>(
+fn ordered_fold<'o, T: Plain, O: ReduceOp<T> + 'o>(
     what: &'static str,
     op: O,
-) -> Box<dyn FnMut(Vec<Bytes>) -> Result<Bytes>> {
+) -> Box<dyn FnMut(Vec<Bytes>) -> Result<Bytes> + 'o> {
     Box::new(move |blocks| fold_ordered::<T, O>(what, blocks, &op).map(bytes_from_vec))
 }
 
@@ -620,21 +599,23 @@ impl Comm {
     /// Flat allgather, the `allgather/ring` row in every lifecycle: own
     /// block to every peer, one block back from each (`allgather(v)`,
     /// `iallgather(v)`, `allgather_init`).
-    pub(crate) fn allgather_flat(&self) -> Exchange {
+    pub(crate) fn allgather_flat(&self) -> Exchange<'static> {
         let tag = self.next_internal_tag();
         let post = Post::Whole(rotation(self).collect());
         Exchange::new("allgather", tag, post, every_rank(self), Finish::Blocks)
     }
 
-    /// The equal-block allgather plan (`allgather*`, `iallgather`,
-    /// `allgather_init`): the `allgather/*` row selected at `site`.
+    /// The allgather plan (`allgather*`, `iallgather`, `allgather_init`,
+    /// `allgatherv_init`): the `allgather/*` row selected at `site` —
+    /// the ring for an irregular `call`, whose blocks may differ.
     pub(crate) fn allgather_plan<'c, R>(
         &'c self,
         site: Site,
+        call: Call,
         own: Bytes,
         run: impl FnOnce(&'c Comm, Box<dyn CollEngine>, Bytes) -> Result<R>,
     ) -> Result<R> {
-        tuned(self, site, Call::sized(own.len()), |algo| {
+        tuned(self, site, call, |algo| {
             let engine: Box<dyn CollEngine> = match algo {
                 AllgatherAlgo::Ring => Box::new(self.allgather_flat()),
                 AllgatherAlgo::RecursiveDoubling => {
@@ -658,10 +639,6 @@ impl Comm {
     ) -> Result<R> {
         let p = self.size();
         let block = send.len() / p * std::mem::size_of::<T>();
-        // The eager pairwise engine stays the static `Auto` choice of an
-        // initiation: its call-time sends are what make overlap
-        // effective. Bruck engages when forced, or when the warm model
-        // predicts it wins even after the per-round overlap charge.
         tuned(self, site, Call::sized(block), |algo| {
             let engine: Box<dyn CollEngine> = match algo {
                 AlltoallAlgo::Bruck => Box::new(RoundEngine::new(BruckAlltoall::new(self))),
@@ -701,7 +678,7 @@ impl Comm {
         what: &'static str,
         tag: Tag,
         ranges: &[Range<usize>],
-    ) -> Exchange {
+    ) -> Exchange<'static> {
         let post = sliced_by_rank(self, ranges);
         Exchange::new(what, tag, post, every_rank(self), Finish::Blocks)
     }
@@ -710,14 +687,14 @@ impl Comm {
     /// block per rank collected at the root, which completes as
     /// `at_root` says — with the blocks (`igather(v)`, the blocking flat
     /// `reduce`) or their rank-ordered fold, the `reduce/flat_gather` row
-    /// of `ireduce`, `iallreduce` and `allreduce_init`.
-    pub(crate) fn gather_flat(
+    /// of `ireduce` and of the ordered allreduce.
+    pub(crate) fn gather_flat<'o>(
         &self,
         what: &'static str,
         tag: Tag,
         root: Rank,
-        at_root: Finish,
-    ) -> Exchange {
+        at_root: Finish<'o>,
+    ) -> Exchange<'o> {
         if self.rank() == root {
             Exchange::new(what, tag, Post::Nothing, every_rank(self), at_root)
         } else {
@@ -726,47 +703,36 @@ impl Comm {
         }
     }
 
-    /// The reduce phase of an allreduce (`iallreduce`, `allreduce_init`)
-    /// selected among the `reduce/*` rows at `site`, then a binomial
-    /// broadcast of the result from rank 0: the flat gather + ordered
-    /// fold (rank 0 folds, everyone else contributes one send and
-    /// receives the result), or the binomial reduce tree.
-    pub(crate) fn allreduce_plan<'c, T: Plain, O: ReduceOp<T> + 'static, R>(
+    /// The allreduce plan (`allreduce*`, `iallreduce`,
+    /// `allreduce_init`): a commutative operation runs the
+    /// `allreduce/*` row selected at `site`; a non-commutative one keeps
+    /// strict rank order — the flat gather to rank 0, its ordered fold,
+    /// and a binomial broadcast of the result — and selects nothing.
+    /// `'o` bounds the operation: `'static` but for a blocking call,
+    /// which drives the engine before it returns.
+    pub(crate) fn allreduce_plan<'c, 'o, T: Plain, O: ReduceOp<T> + 'o, R>(
         &'c self,
         site: Site,
         what: &'static str,
         own: Bytes,
         op: O,
-        run: impl FnOnce(&'c Comm, Box<dyn CollEngine>, Bytes) -> Result<R>,
+        run: impl FnOnce(&'c Comm, Box<dyn CollEngine + 'o>, Bytes) -> Result<R>,
     ) -> Result<R> {
-        let call = Call::reduction(own.len(), op.is_commutative());
-        tuned(self, site, call, |algo| {
-            let gather_tag = self.next_internal_tag();
-            let bcast_tag = self.next_internal_tag();
-            let root = self.rank() == 0;
-            match algo {
-                ReduceAlgo::FlatGather if root => {
-                    let (fold, bcast) = (ordered_fold::<T, O>(what, op), Some(bcast_tag));
-                    let engine =
-                        self.gather_flat(what, gather_tag, 0, Finish::Fold { fold, bcast });
-                    run(self, Box::new(engine), own)
-                }
-                ReduceAlgo::FlatGather => {
-                    let up = Some((0, gather_tag));
-                    let tree = BinomialBcast::new(self, bcast_tag, 0, up);
-                    run(self, Box::new(RoundEngine::new(tree)), own)
-                }
-                ReduceAlgo::BinomialTree => {
-                    let after = if root {
-                        AfterTreeReduce::BcastSend(bcast_tag)
-                    } else {
-                        AfterTreeReduce::BcastRecv(bcast_tag)
-                    };
-                    let tree = TreeReduce::new(self, gather_tag, Own::Payload(own), op, 0, after);
-                    run(self, Box::new(RoundEngine::new(tree)), Bytes::new())
-                }
-            }
-        })
+        if op.is_commutative() {
+            return tuned(self, site, Call::sized(own.len()), |algo| {
+                let engine = RoundEngine::new(Allreduce::<T, O>::new(self, op, algo));
+                run(self, Box::new(engine), own)
+            });
+        }
+        let (gather_tag, bcast_tag) = (self.next_internal_tag(), self.next_internal_tag());
+        let engine: Box<dyn CollEngine + 'o> = if self.rank() == 0 {
+            let (fold, bcast) = (ordered_fold::<T, O>(what, op), Some(bcast_tag));
+            Box::new(self.gather_flat(what, gather_tag, 0, Finish::Fold { fold, bcast }))
+        } else {
+            let tree = BinomialBcast::new(self, bcast_tag, 0, Some((0, gather_tag)));
+            Box::new(RoundEngine::new(tree))
+        };
+        run(self, engine, own)
     }
 
     /// Starts a non-blocking broadcast (mirrors `MPI_Ibcast`). The root
@@ -864,7 +830,7 @@ impl Comm {
     /// Byte-level [`Comm::iallgather`].
     pub fn iallgather_bytes(&self, own: Bytes) -> Result<Request<'_>> {
         self.count_op("iallgather");
-        self.allgather_plan(Site::IMMEDIATE, own, Comm::icoll)
+        self.allgather_plan(Site::IMMEDIATE, Call::sized(own.len()), own, Comm::icoll)
     }
 
     /// Starts a non-blocking personalized all-to-all with per-destination
@@ -918,12 +884,7 @@ impl Comm {
             let tag = self.next_internal_tag();
             match algo {
                 ReduceAlgo::BinomialTree => {
-                    let after = if self.rank() == root {
-                        AfterTreeReduce::Complete
-                    } else {
-                        AfterTreeReduce::Done
-                    };
-                    let tree = TreeReduce::new(self, tag, Own::Data(send.into()), op, root, after);
+                    let tree = TreeReduce::new(self, tag, send.into(), op, root, true);
                     self.icoll(Box::new(RoundEngine::new(tree)), Bytes::new())
                 }
                 ReduceAlgo::FlatGather => {
@@ -936,9 +897,12 @@ impl Comm {
         })
     }
 
-    /// Starts a non-blocking all-reduce (mirrors `MPI_Iallreduce`): flat
-    /// gather to rank 0, rank-ordered fold, binomial broadcast of the
-    /// result. Every rank completes with the reduced vector.
+    /// Starts a non-blocking all-reduce (mirrors `MPI_Iallreduce`): the
+    /// allreduce plan the blocking call drives — a commutative operation
+    /// runs the `allreduce` row its size selects, a non-commutative one
+    /// the ordered flat gather + broadcast. Every rank completes with the
+    /// reduced vector, one [`Completion::Message`] that
+    /// [`Completion::into_vec`] takes back without a copy.
     pub fn iallreduce<T: Plain, O: ReduceOp<T> + 'static>(
         &self,
         send: &[T],
@@ -948,18 +912,16 @@ impl Comm {
     }
 
     /// Byte-level [`Comm::iallreduce`]: the contribution enters the
-    /// transport as-is (zero-copy for adopted owned buffers). `own` must
-    /// encode a `[T]` slice. Forcing
-    /// [`ReduceAlgo::BinomialTree`](super::algos::ReduceAlgo) replaces
-    /// the flat gather phase with the resumable binomial-tree reduction
-    /// (commutative operations only).
+    /// transport as-is (zero-copy for adopted owned buffers) and is
+    /// copied at most once, as recursive doubling's first message. `own`
+    /// must encode a `[T]` slice.
     pub fn iallreduce_bytes<T: Plain, O: ReduceOp<T> + 'static>(
         &self,
         own: Bytes,
         op: O,
     ) -> Result<Request<'_>> {
         self.count_op("iallreduce");
-        self.allreduce_plan(Site::IALLREDUCE, "iallreduce", own, op, Comm::icoll)
+        self.allreduce_plan(Site::IMMEDIATE, "iallreduce", own, op, Comm::icoll)
     }
 }
 
@@ -1155,7 +1117,7 @@ mod tests {
         }
     }
 
-    /// A contribution of the wrong length is the folding rank's error,
+    /// A contribution of the wrong length is the ordered fold's error,
     /// named after the call that failed (every one used to say
     /// "ireduce"; `algo_equivalence` covers `reduce` and `ireduce`).
     #[test]
@@ -1163,8 +1125,9 @@ mod tests {
         use crate::MpiError;
         Universe::run(3, |comm| {
             let mine = vec![1u64; 1 + comm.rank() / 2];
-            let req = comm.iallreduce(&mine, Sum).unwrap();
-            let mut plan = comm.allreduce_init(&mine, Sum).unwrap();
+            let op = || non_commutative(|a: &u64, b: &u64| a + b);
+            let req = comm.iallreduce(&mine, op()).unwrap();
+            let mut plan = comm.allreduce_init(&mine, op()).unwrap();
             plan.start().unwrap();
             // Ranks 1 and 2 only contribute: the result can never reach
             // them, and dropping the pending operation is their way out.

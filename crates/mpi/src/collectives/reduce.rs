@@ -10,36 +10,35 @@ use std::borrow::Cow;
 
 use bytes::Bytes;
 
-use super::algos::reduce::{AfterTreeReduce, Own, TreeReduce};
+use super::algos::reduce::TreeReduce;
 use super::algos::table::{tuned, Call, Site};
-use super::algos::{self, ReduceAlgo};
+use super::algos::ReduceAlgo;
 use super::nonblocking::{drive, fold_ordered, Finish, RoundEngine};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::op::ReduceOp;
-use crate::plain::{bytes_from_cow, bytes_from_vec};
+use crate::plain::bytes_from_cow;
 use crate::{Plain, Rank};
 
-/// The one definition behind every allreduce entry point. `send` is the
-/// rank's contribution as the caller holds it: an owned vector becomes
-/// the accumulator (or the wire payload) as is, a borrowed slice is
-/// copied exactly where an accumulator is needed.
+/// The one definition behind every allreduce entry point: the allreduce
+/// plan `iallreduce` and `allreduce_init` start, driven on this stack.
+/// `send` is the rank's contribution as the caller holds it: an owned
+/// vector enters the transport as is — and, under recursive doubling,
+/// comes back holding the result — a borrowed slice is serialized
+/// once.
 pub(crate) fn allreduce_internal<T: Plain, O: ReduceOp<T>>(
     comm: &Comm,
     send: Cow<'_, [T]>,
-    op: &O,
+    op: O,
 ) -> Result<Vec<T>> {
     if comm.size() == 1 {
         return Ok(send.into_owned());
     }
-    if !op.is_commutative() {
-        // Flat reduce + broadcast keeps strict rank order; the folded
-        // result moves into the broadcast payload (no copy).
-        let payload = flat_reduce(comm, "allreduce", send, op, 0)?.map(bytes_from_vec);
-        let bytes = super::bcast_bytes_internal(comm, payload, 0)?;
-        return Ok(crate::plain::bytes_into_vec(bytes));
-    }
-    algos::allreduce::dispatch(comm, send, op)
+    let own = bytes_from_cow(send);
+    comm.allreduce_plan(Site::BLOCKING, "allreduce", own, op, |comm, engine, own| {
+        let done = drive(comm, engine, own)?;
+        Ok(done.into_vec().expect("the reduced vector").0)
+    })
 }
 
 /// Flat reduction to `root`, the `reduce/flat_gather` row: the flat
@@ -106,8 +105,7 @@ impl Comm {
                 // The tree `ireduce` resumes, driven to completion; the
                 // root's accumulator stays typed and moves out.
                 let tag = self.next_internal_tag();
-                let after = AfterTreeReduce::Done;
-                let tree = TreeReduce::new(self, tag, Own::Data(send), op, root, after);
+                let tree = TreeReduce::new(self, tag, send, op, root, false);
                 let mut engine = RoundEngine::new(tree);
                 drive(self, &mut engine, Bytes::new())?;
                 Ok(engine.algo.acc)
@@ -130,29 +128,29 @@ impl Comm {
                 recv.len()
             )));
         }
-        let out = allreduce_internal(self, send.into(), &op)?;
+        let out = allreduce_internal(self, send.into(), op)?;
         crate::plain::copy_slice(&out, recv);
         Ok(())
     }
 
-    /// Elementwise reduction to all ranks; the algorithm's accumulator
-    /// moves out (no receive-buffer copy). `send` is a borrowed slice or
-    /// an owned `Vec<T>`: an owned contribution is consumed and *is* the
-    /// accumulator (under recursive doubling the result is the moved-in
-    /// allocation), a borrowed one is copied into a fresh one.
+    /// Elementwise reduction to all ranks; the result is materialized
+    /// once (no receive-buffer copy). `send` is a borrowed slice or an
+    /// owned `Vec<T>`: an owned contribution is consumed — it enters the
+    /// transport without a copy — where a borrowed one is serialized
+    /// once.
     pub fn allreduce_vec<'a, T: Plain, O: ReduceOp<T>>(
         &self,
         send: impl Into<Cow<'a, [T]>>,
         op: O,
     ) -> Result<Vec<T>> {
         self.count_op("allreduce");
-        allreduce_internal(self, send.into(), &op)
+        allreduce_internal(self, send.into(), op)
     }
 
     /// Reduces a single value to all ranks.
     pub fn allreduce_one<T: Plain, O: ReduceOp<T>>(&self, value: T, op: O) -> Result<T> {
         self.count_op("allreduce");
-        let out = allreduce_internal(self, std::slice::from_ref(&value).into(), &op)?;
+        let out = allreduce_internal(self, std::slice::from_ref(&value).into(), op)?;
         Ok(out[0])
     }
 }

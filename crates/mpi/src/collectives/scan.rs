@@ -20,7 +20,7 @@ use super::algos::fold_bytes_to_vec;
 use super::nonblocking::{drive, RoundEngine, Rounds};
 use super::{send_internal, send_slice_internal};
 use crate::comm::Comm;
-use crate::error::{MpiError, Result};
+use crate::error::Result;
 use crate::op::ReduceOp;
 use crate::plain::{bytes_from_cow, bytes_from_slice, bytes_into_vec};
 use crate::request::Completion;
@@ -112,31 +112,12 @@ impl Comm {
     /// Inclusive prefix reduction (mirrors `MPI_Scan`): rank `r` receives
     /// the elementwise reduction over ranks `0..=r`. Rank order is always
     /// preserved, so non-commutative operations are safe; the operation
-    /// must be associative (partial prefixes are combined). This is
-    /// [`Comm::scan_vec`] plus the copy into `recv` — one allocation and
-    /// `s` copied bytes more; prefer `scan_vec`.
-    pub fn scan_into<T: Plain, O: ReduceOp<T>>(
-        &self,
-        send: &[T],
-        recv: &mut [T],
-        op: O,
-    ) -> Result<()> {
-        if send.len() != recv.len() {
-            return Err(MpiError::InvalidLayout(format!(
-                "scan: send has {} elements, recv has {}",
-                send.len(),
-                recv.len()
-            )));
-        }
-        crate::plain::copy_slice(&self.scan_vec(send, op)?, recv);
-        Ok(())
-    }
-
-    /// Inclusive prefix reduction whose accumulator moves out (no
-    /// zero-fill, no receive-buffer copy). `send` is a borrowed slice or
-    /// an owned `Vec<T>`; an owned contribution is consumed and folded
-    /// in place — the result is the moved-in allocation — where a
-    /// borrowed one folds into a fresh vector.
+    /// must be associative (partial prefixes are combined). The
+    /// accumulator moves out (no zero-fill, no receive-buffer copy).
+    /// `send` is a borrowed slice or an owned `Vec<T>`; an owned
+    /// contribution is consumed and folded in place — the result is the
+    /// moved-in allocation — where a borrowed one folds into a fresh
+    /// vector.
     pub fn scan_vec<'a, T: Plain, O: ReduceOp<T>>(
         &self,
         send: impl Into<Cow<'a, [T]>>,
@@ -176,10 +157,9 @@ mod tests {
     fn scan_running_sums() {
         Universe::run(5, |comm| {
             let mine = [comm.rank() as u64 + 1];
-            let mut out = [0u64];
-            comm.scan_into(&mine, &mut out, Sum).unwrap();
+            let out = comm.scan_vec(&mine, Sum).unwrap();
             let r = comm.rank() as u64 + 1;
-            assert_eq!(out[0], r * (r + 1) / 2);
+            assert_eq!(out, [r * (r + 1) / 2]);
         });
     }
 
@@ -190,10 +170,9 @@ mod tests {
             // rejects 0): non-commutative, associative.
             let op = non_commutative(|a: &u64, b: &u64| a * 10u64.pow(b.ilog10() + 1) + b);
             let mine = [comm.rank() as u64 + 1];
-            let mut out = [0u64];
-            comm.scan_into(&mine, &mut out, op).unwrap();
+            let out = comm.scan_vec(&mine, op).unwrap();
             let expected = (1..=comm.rank() as u64 + 1).fold(0, |acc, d| acc * 10 + d);
-            assert_eq!(out[0], expected);
+            assert_eq!(out, [expected]);
         });
     }
 
@@ -216,8 +195,7 @@ mod tests {
     fn scan_elementwise() {
         Universe::run(3, |comm| {
             let mine = [1u32, comm.rank() as u32];
-            let mut out = [0u32; 2];
-            comm.scan_into(&mine, &mut out, Sum).unwrap();
+            let out = comm.scan_vec(&mine, Sum).unwrap();
             assert_eq!(out[0], comm.rank() as u32 + 1);
             let r = comm.rank() as u32;
             assert_eq!(out[1], r * (r + 1) / 2);
@@ -227,9 +205,7 @@ mod tests {
     #[test]
     fn scan_single_rank() {
         Universe::run(1, |comm| {
-            let mut out = [0u8];
-            comm.scan_into(&[9u8], &mut out, Sum).unwrap();
-            assert_eq!(out[0], 9);
+            assert_eq!(comm.scan_vec(&[9u8], Sum).unwrap(), [9]);
             assert!(comm.exscan_vec(&[9u8], Sum).unwrap().is_none());
         });
     }

@@ -563,19 +563,22 @@ impl Comm {
         root: Rank,
     ) -> Result<PersistentRequest<'_>> {
         self.count_op("bcast_init");
-        // A plan freezes its collective's eager row (`select`): the
-        // engine is built once, here, and never re-selected at `start`,
-        // however the model's estimates move afterwards.
+        // A plan freezes its pick (`select`): the engine is built once,
+        // here, and never re-selected at `start`, however the model's
+        // estimates move afterwards. Non-roots do not know the size, so
+        // the call is not regular: the binomial tree.
         let size = payload.as_ref().map_or(0, Bytes::len);
-        tuned(self, Site::INIT, Call::sized(size), |_: BcastAlgo| {
+        tuned(self, Site::INIT, Call::irregular(size), |_: BcastAlgo| {
             self.bcast_plan("bcast_init", payload, root, Comm::persistent_coll)
         })
     }
 
     /// Creates a persistent allreduce (mirrors `MPI_Allreduce_init`):
-    /// flat gather to rank 0, rank-ordered fold, binomial broadcast of
-    /// the result — selected once, engine built once, both tags frozen.
-    /// Every rank's completion carries the folded vector.
+    /// the allreduce plan of [`Comm::iallreduce`] — the row the blocking
+    /// `allreduce` would pick for this size, or for a non-commutative
+    /// operation the ordered flat gather + broadcast — selected once,
+    /// engine built once, its tags frozen. Every rank's completion is
+    /// the reduced vector, one [`Completion::Message`].
     pub fn allreduce_init<T: Plain, O: ReduceOp<T> + 'static>(
         &self,
         data: &[T],
@@ -586,11 +589,13 @@ impl Comm {
         self.allreduce_plan(Site::INIT, "allreduce_init", own, op, Comm::persistent_coll)
     }
 
-    /// Creates a persistent allgather (mirrors `MPI_Allgather_init`):
-    /// each cycle posts this rank's current payload to every peer and
-    /// completes with [`Completion::Blocks`] in rank order. Blocks may
-    /// differ in size (the substrate never enforces equal lengths, so
-    /// this doubles as `MPI_Allgatherv_init`).
+    /// Creates a persistent allgather (mirrors `MPI_Allgather_init`)
+    /// under the row the blocking `allgather` would pick — the eager
+    /// fan-out, or recursive doubling / Bruck for small contributions —
+    /// completing each cycle with [`Completion::Blocks`] in rank order.
+    /// Every rank must contribute the same length, as to `allgather`:
+    /// the size selects the row. Lengths that differ across ranks take
+    /// [`Comm::allgatherv_init`].
     pub fn allgather_init<T: Plain>(&self, data: &[T]) -> Result<PersistentRequest<'_>> {
         self.allgather_init_bytes(bytes_from_slice(data))
     }
@@ -598,7 +603,24 @@ impl Comm {
     /// Byte-level [`Comm::allgather_init`].
     pub fn allgather_init_bytes(&self, own: Bytes) -> Result<PersistentRequest<'_>> {
         self.count_op("allgather_init");
-        self.allgather_plan(Site::INIT, own, Comm::persistent_coll)
+        let call = Call::sized(own.len());
+        self.allgather_plan(Site::INIT, call, own, Comm::persistent_coll)
+    }
+
+    /// Creates a persistent allgather whose blocks may differ in length
+    /// across ranks (mirrors `MPI_Allgatherv_init`): the eager fan-out,
+    /// frozen whatever the sizes, completing each cycle with
+    /// [`Completion::Blocks`] in rank order — the per-rank counts are
+    /// the block lengths.
+    pub fn allgatherv_init<T: Plain>(&self, data: &[T]) -> Result<PersistentRequest<'_>> {
+        self.allgatherv_init_bytes(bytes_from_slice(data))
+    }
+
+    /// Byte-level [`Comm::allgatherv_init`].
+    pub fn allgatherv_init_bytes(&self, own: Bytes) -> Result<PersistentRequest<'_>> {
+        self.count_op("allgatherv_init");
+        let call = Call::irregular(own.len());
+        self.allgather_plan(Site::INIT, call, own, Comm::persistent_coll)
     }
 
     /// Creates a persistent personalized all-to-all with per-destination
@@ -625,7 +647,8 @@ impl Comm {
         byte_counts: &[usize],
     ) -> Result<PersistentRequest<'_>> {
         self.count_op("alltoallv_init");
-        let (call, run) = (Call::sized(packed.len()), Comm::persistent_coll);
+        // Variable blocks: pairwise.
+        let (call, run) = (Call::irregular(packed.len()), Comm::persistent_coll);
         tuned(self, Site::INIT, call, |_: AlltoallAlgo| {
             self.alltoallv_plan("alltoallv_init", packed, byte_counts, run)
         })

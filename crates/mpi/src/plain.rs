@@ -227,12 +227,12 @@ pub fn extend_vec_from_bytes<T: Plain>(dst: &mut Vec<T>, bytes: &[u8]) -> usize 
 // ---------------------------------------------------------------------------
 
 /// Copies a typed slice into a fresh [`Bytes`] payload (the borrowed send
-/// path: one counted copy).
+/// path: one counted copy) — a vector [`reclaim_vec`] can take back.
 #[inline]
 pub fn bytes_from_slice<T: Plain>(s: &[T]) -> Bytes {
     metrics::record_alloc();
     metrics::record_copy(std::mem::size_of_val(s));
-    Bytes::copy_from_slice(as_bytes(s))
+    bytes_from_vec(s.to_vec())
 }
 
 /// A contribution on its way to the wire: an owned vector is adopted
@@ -280,18 +280,30 @@ pub fn bytes_from_vec<T: Plain>(v: Vec<T>) -> Bytes {
 ///
 /// Panics if the byte length is not a multiple of the element size.
 pub fn bytes_into_vec<T: Plain>(b: Bytes) -> Vec<T> {
-    if TypeId::of::<T>() == TypeId::of::<u8>() {
-        let v: Vec<u8> = match b.try_into_vec() {
-            Ok(v) => v,
-            Err(b) => bytes_to_vec::<u8>(&b),
-        };
-        // SAFETY: T is u8 (checked above).
-        return unsafe {
-            let mut v = std::mem::ManuallyDrop::new(v);
-            Vec::from_raw_parts(v.as_mut_ptr().cast::<T>(), v.len(), v.capacity())
-        };
+    if TypeId::of::<T>() != TypeId::of::<u8>() {
+        return bytes_to_vec(&b);
     }
-    bytes_to_vec(&b)
+    reclaim_vec(b).unwrap_or_else(|b| bytes_to_vec(&b))
+}
+
+/// Takes back the vector behind a payload **without copying**: succeeds
+/// when the payload is the one whole view of a vector adopted by
+/// [`bytes_from_vec`] (or a unique byte buffer, for `u8`), else hands
+/// the payload back. Deterministic where nobody else can hold a view —
+/// a moved-in message, or an allreduce result.
+pub fn reclaim_vec<T: Plain>(b: Bytes) -> Result<Vec<T>, Bytes> {
+    let b = match b.try_into_owner::<PlainVec<T>>() {
+        Ok(v) => return Ok(v.0),
+        Err(b) if TypeId::of::<T>() == TypeId::of::<u8>() => b,
+        Err(b) => return Err(b),
+    };
+    let v = b.try_into_vec()?;
+    // SAFETY: T is u8 (checked above), so this is a no-op transmute of
+    // the vector's type parameter.
+    Ok(unsafe {
+        let mut v = std::mem::ManuallyDrop::new(v);
+        Vec::from_raw_parts(v.as_mut_ptr().cast::<T>(), v.len(), v.capacity())
+    })
 }
 
 /// An owned send container moved into the transport (§III-E): the
@@ -529,6 +541,25 @@ mod tests {
         let back: Vec<u8> = bytes_into_vec(b);
         assert_eq!(back, vec![1, 2, 3]);
         assert_eq!(&*keep, &[1, 2, 3], "the shared view stays valid");
+    }
+
+    #[test]
+    fn reclaim_takes_back_a_unique_whole_vector_only() {
+        let v = vec![1u64, 2, 3];
+        let ptr = v.as_ptr();
+        let b = bytes_from_vec(v);
+        let shared = b.clone();
+        let b = reclaim_vec::<u64>(b).expect_err("shared");
+        drop(shared);
+        assert!(reclaim_vec::<u64>(b.slice(8..)).is_err(), "sliced");
+        let b = reclaim_vec::<u32>(b).expect_err("another element type");
+        let back = reclaim_vec::<u64>(b).unwrap();
+        assert_eq!((back.as_ptr(), &back[..]), (ptr, &[1, 2, 3][..]));
+        let bytes = vec![7u8; 4];
+        let ptr = bytes.as_ptr();
+        let back = reclaim_vec::<u8>(bytes_from_vec(bytes)).unwrap();
+        assert_eq!(back.as_ptr(), ptr);
+        assert_eq!(reclaim_vec::<u64>(bytes_from_slice(&[5u64])).unwrap(), [5]);
     }
 
     #[test]

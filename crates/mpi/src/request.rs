@@ -83,11 +83,17 @@ pub enum Completion {
 }
 
 impl Completion {
-    /// The payload of a completed receive, decoded as `Vec<T>`.
+    /// The payload of a completed receive, decoded as `Vec<T>`: the
+    /// vector behind it, without a copy, when this rank holds its only
+    /// view (every allreduce result of a commutative operation); else
+    /// one counted copy.
     pub fn into_vec<T: Plain>(self) -> Option<(Vec<T>, Status)> {
         match self {
             Completion::Done | Completion::Blocks(_) => None,
-            Completion::Message(b, st) => Some((crate::plain::bytes_to_vec(&b), st)),
+            Completion::Message(b, st) => {
+                let v = crate::plain::reclaim_vec(b).unwrap_or_else(|b| crate::bytes_to_vec(&b));
+                Some((v, st))
+            }
         }
     }
 

@@ -71,7 +71,7 @@ impl Comm {
         let any_mismatch = crate::collectives::allreduce_internal(
             self,
             (&[u8::from(local_mismatch.is_some())]).into(),
-            &crate::op::LogicalOr,
+            crate::op::LogicalOr,
         )?[0];
         if any_mismatch != 0 {
             return Err(MpiError::InvalidLayout(match local_mismatch {

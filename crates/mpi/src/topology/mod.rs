@@ -119,13 +119,13 @@ pub(crate) fn finish_topology(
     crate::fault::point("topology/build");
     let local_max = sources.len().max(destinations.len()) as u64;
     let max_degree =
-        crate::collectives::allreduce_internal(parent, (&[local_max]).into(), &crate::op::Max)?[0]
+        crate::collectives::allreduce_internal(parent, (&[local_max]).into(), crate::op::Max)?[0]
             as usize;
     let local_dup = u8::from(has_duplicates(sources) || has_duplicates(destinations));
     let any_dup = crate::collectives::allreduce_internal(
         parent,
         (&[local_dup]).into(),
-        &crate::op::LogicalOr,
+        crate::op::LogicalOr,
     )?[0];
     Ok(TopologyBase {
         comm: parent.dup_uncounted()?,

@@ -273,13 +273,15 @@ fn iallgatherv_bytes_fan_out_is_copy_free() {
     });
 }
 
-/// Rabenseifner allreduce copies ~2s per rank — `s·(1 - 1/p)` of
-/// reduce-scatter serialization, `s/p` packing the rank's reduced
-/// chunk, and `s` assembling the result — where recursive doubling
-/// serializes the full vector every round (`s·log2 p`). This is the
-/// O(s log p) → ~2s reduction-bill drop of the tunable-algorithm
-/// engine; the in-place folds make the former per-round
-/// materialization free on both algorithms.
+/// Neither allreduce engine serializes an accumulator every round: it
+/// travels as a refcount payload (Rabenseifner: slices of one). A rank
+/// copies its contribution when it is borrowed (`s`), and `s` once more
+/// — recursive doubling the copy its first round sends, Rabenseifner
+/// the assembly of its chunks — where the blocking loops serialized the
+/// full vector every doubling round (`s·log2 p`) and packed
+/// Rabenseifner's halves and own chunk (`~2s`). Doubling's last round
+/// folds into the contribution, so an owned one comes back as the
+/// result.
 #[test]
 fn rabenseifner_allreduce_copies_two_s_per_rank() {
     const ELEMS: usize = 128 * 1024; // u64 -> s = 1 MiB, divisible by p
@@ -287,31 +289,98 @@ fn rabenseifner_allreduce_copies_two_s_per_rank() {
     let s = (ELEMS * 8) as u64;
     Universe::run(p, move |comm| {
         let mine = vec![comm.rank() as u64 + 1; ELEMS];
-
-        comm.set_tuning(CollTuning::default().allreduce(AllreduceAlgo::Rabenseifner));
-        let before = metrics::snapshot();
-        let fast = comm.allreduce_vec(&mine, kmp_mpi::op::Sum).unwrap();
-        let rab = metrics::snapshot().since(&before);
-        assert_eq!(fast[0], (p * (p + 1) / 2) as u64);
-        assert_eq!(
-            rab.bytes_copied,
-            2 * s,
-            "rank {}: Rabenseifner must copy exactly 2s",
-            comm.rank()
-        );
-
-        comm.set_tuning(CollTuning::default().allreduce(AllreduceAlgo::RecursiveDoubling));
-        let before = metrics::snapshot();
-        let slow = comm.allreduce_vec(&mine, kmp_mpi::op::Sum).unwrap();
-        let rd = metrics::snapshot().since(&before);
-        assert_eq!(slow, fast);
-        assert_eq!(
-            rd.bytes_copied,
-            3 * s, // log2(8) rounds, one serialization of s each
-            "rank {}: recursive doubling serializes s per round",
-            comm.rank()
-        );
+        let sum = (p * (p + 1) / 2) as u64;
+        for algo in [
+            AllreduceAlgo::Rabenseifner,
+            AllreduceAlgo::RecursiveDoubling,
+        ] {
+            comm.set_tuning(CollTuning::default().allreduce(algo));
+            let before = metrics::snapshot();
+            let borrowed = comm.allreduce_vec(&mine, kmp_mpi::op::Sum).unwrap();
+            let delta = metrics::snapshot().since(&before);
+            assert_eq!(borrowed, vec![sum; ELEMS]);
+            let rank = comm.rank();
+            assert_eq!(delta.bytes_copied, 2 * s, "rank {rank}, {algo:?}, borrowed");
+            let owned = mine.clone();
+            let at = owned.as_ptr();
+            let before = metrics::snapshot();
+            let result = comm.allreduce_vec(owned, kmp_mpi::op::Sum).unwrap();
+            let delta = metrics::snapshot().since(&before);
+            assert_eq!(result, borrowed);
+            assert_eq!(delta.bytes_copied, s, "rank {rank}, {algo:?}, owned");
+            if algo == AllreduceAlgo::RecursiveDoubling {
+                assert_eq!(result.as_ptr(), at, "rank {rank}");
+            }
+        }
     });
+}
+
+/// The allreduce plan's bill in the overlap and persistent lifecycles,
+/// exact per rank and read back the way a caller reads it (`into_vec`,
+/// which takes the result back without a copy): one copy of `s` — the
+/// doubling's first message, or Rabenseifner's assembled chunks — plus
+/// the serialization of a borrowed contribution (`iallreduce(&[T])`,
+/// or `set_data` before a persistent cycle). Under both rows that is
+/// `s` owned and `2s` borrowed per rank — below the flat gather +
+/// broadcast they replace (`1.25 s` / `2.25 s` per rank at p = 4). Off
+/// powers of two a low rank also copies the result it hands back, and
+/// its high partner copies nothing: still `s` per rank on average.
+#[test]
+fn iallreduce_and_allreduce_init_copy_the_result_once() {
+    use kmp_mpi::request::Completion;
+    fn read(done: Completion) -> Vec<u64> {
+        done.into_vec().expect("one message").0
+    }
+    for p in [4usize, 6] {
+        // Recursive doubling and, from `rabenseifner_min_bytes`, Rabenseifner.
+        for elems in [128usize, 32 * 1024] {
+            let s = (elems * 8) as u64;
+            Universe::run(p, move |comm| {
+                let mine = vec![comm.rank() as u64; elems];
+                let expected = vec![(p * (p - 1) / 2) as u64; elems];
+                let bill = |run: &mut dyn FnMut() -> Vec<u64>| {
+                    let before = metrics::snapshot();
+                    assert_eq!(run(), expected);
+                    metrics::snapshot().since(&before).bytes_copied
+                };
+                let sum = kmp_mpi::op::Sum;
+                let owned = bill(&mut || {
+                    let own = kmp_mpi::bytes_from_vec(mine.clone());
+                    read(
+                        comm.iallreduce_bytes::<u64, _>(own, sum)
+                            .unwrap()
+                            .wait()
+                            .unwrap(),
+                    )
+                });
+                let borrowed =
+                    bill(&mut || read(comm.iallreduce(&mine, sum).unwrap().wait().unwrap()));
+                let mut plan = comm.allreduce_init(&mine, sum).unwrap();
+                let replay = bill(&mut || {
+                    plan.start().unwrap();
+                    read(plan.wait().unwrap())
+                });
+                let refreshed = bill(&mut || {
+                    plan.set_data(&mine).unwrap();
+                    plan.start().unwrap();
+                    read(plan.wait().unwrap())
+                });
+                // p2 = 4, the largest power of two <= p, for both p.
+                let own = match comm.rank() {
+                    r if r + 4 < p => 2 * s,
+                    r if r >= 4 => 0,
+                    _ => s,
+                };
+                let want = [own, own + s, own, own + s];
+                let rank = comm.rank();
+                assert_eq!(
+                    [owned, borrowed, replay, refreshed],
+                    want,
+                    "rank {rank}, p = {p}"
+                );
+            });
+        }
+    }
 }
 
 /// The default thresholds select by size: small payloads stay on
@@ -381,10 +450,9 @@ fn inplace_binomial_reduce_halves_the_bill() {
 /// partner together (the finished prefix is one shared payload —
 /// `exscan` moves it out instead) — at most `s·ceil(log2 p)`. On top
 /// of that come the seeds: rank 0 of `scan` copies a borrowed
-/// contribution into its result, every other rank of `exscan`
-/// materializes its first received prefix, and `scan_into` copies the
-/// result into `recv`. An owned contribution is folded in place and
-/// seeds nothing.
+/// contribution into its result and every other rank of `exscan`
+/// materializes its first received prefix. An owned contribution is
+/// folded in place and seeds nothing.
 #[test]
 fn scan_and_exscan_copy_one_prefix_per_sending_round() {
     const ELEMS: usize = 4 * 1024; // u64 -> s = 32 KiB
@@ -406,16 +474,10 @@ fn scan_and_exscan_copy_one_prefix_per_sending_round() {
             };
             let sum = kmp_mpi::op::Sum;
 
-            let mut out = vec![0u64; ELEMS];
-            let into = copied(&mut || comm.scan_into(&mine, &mut out, sum).unwrap());
-            assert_eq!(
-                into,
-                growing + finished + first + 1,
-                "scan_into, rank {rank}"
-            );
             let r = rank as u64 + 1;
-            assert_eq!(out[0], r * (r + 1) / 2);
-            let borrowed = copied(&mut || drop(comm.scan_vec(&mine, sum).unwrap()));
+            let borrowed = copied(&mut || {
+                assert_eq!(comm.scan_vec(&mine, sum).unwrap()[0], r * (r + 1) / 2);
+            });
             assert_eq!(
                 borrowed,
                 growing + finished + first,

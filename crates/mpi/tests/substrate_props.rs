@@ -269,8 +269,7 @@ proptest! {
         let values = &values;
         let out = Universe::run(p, move |comm| {
             let mine = [values[comm.rank()] as u64];
-            let mut inc = [0u64];
-            comm.scan_into(&mine, &mut inc, op::Sum).unwrap();
+            let inc = comm.scan_vec(&mine, op::Sum).unwrap();
             let total = comm.allreduce_one(mine[0], op::Sum).unwrap();
             (inc[0], total)
         });

@@ -265,23 +265,23 @@ fn tuning_parameter_overrides_one_call() {
 }
 
 /// The per-call override must reach the *non-blocking* engine
-/// selection too: forcing the binomial tree changes the message
-/// pattern of `iallreduce`, which the deterministic virtual clock
-/// observes (results stay identical).
+/// selection too: forcing Rabenseifner changes the message pattern of
+/// `iallreduce`, which the deterministic virtual clock observes
+/// (results stay identical).
 #[test]
 fn tuning_parameter_reaches_nonblocking_engines() {
     use kamping_repro::mpi::{Config, CostModel};
-    let vtime = |force_tree: bool| -> u64 {
+    let vtime = |force: bool| -> u64 {
         Universe::run_with(Config::new(8).cost(CostModel::cluster()), move |comm| {
             let comm = Communicator::new(comm);
             comm.barrier().unwrap();
             comm.raw().clock_reset();
             let mine = vec![comm.rank() as u64; 8192];
-            let fut = if force_tree {
+            let fut = if force {
                 comm.iallreduce((
                     send_buf(mine),
                     op(ops::Sum),
-                    tuning(CollTuning::default().reduce(ReduceAlgo::BinomialTree)),
+                    tuning(CollTuning::default().allreduce(AllreduceAlgo::Rabenseifner)),
                 ))
                 .unwrap()
             } else {
@@ -304,8 +304,8 @@ fn tuning_parameter_reaches_nonblocking_engines() {
     assert_ne!(
         vtime(false),
         vtime(true),
-        "forcing ReduceAlgo::BinomialTree through tuning(...) must change the \
-         iallreduce engine (flat gather vs tree message patterns differ)"
+        "forcing AllreduceAlgo::Rabenseifner through tuning(...) must change the \
+         iallreduce engine (doubling vs reduce-scatter message patterns differ)"
     );
 }
 
@@ -376,11 +376,9 @@ fn scan_datapath_preserves_rank_order() {
     Universe::run(5, |comm| {
         let concat = |a: &u64, b: &u64| a * 10u64.pow(b.ilog10() + 1) + b;
         let op = kamping_repro::mpi::non_commutative(concat);
-        let mut out = [0u64];
-        comm.scan_into(&[comm.rank() as u64 + 1], &mut out, op)
-            .unwrap();
+        let out = comm.scan_vec(&[comm.rank() as u64 + 1], op).unwrap();
         let expected = (1..=comm.rank() as u64 + 1).fold(0, |acc, d| acc * 10 + d);
-        assert_eq!(out[0], expected);
+        assert_eq!(out, [expected]);
     });
 }
 
@@ -397,7 +395,7 @@ fn compose(f: &u64, g: &u64) -> u64 {
 /// fold over ranks `0..=r` (`0..r` for exscan) — on the whole grid:
 /// p in 1..=17 x {empty, 1, odd, 4096 elements} x {`Sum`, a
 /// non-commutative op} x {borrowed, owned send buffer}, through the
-/// substrate's `_into` / `_vec` forms and the binding. An owned
+/// substrate's `_vec` forms and the binding. An owned
 /// contribution to `scan` is folded in place (the result is the
 /// moved-in allocation); rank 0's `exscan` is `None` at the substrate
 /// and zeroed library storage through the binding.
@@ -423,9 +421,6 @@ fn scan_and_exscan_match_the_sequential_oracle_on_the_grid() {
         let excl = (rank > 0).then(|| prefix(rank));
         let what = format!("p = {}, rank {rank}, n = {n}", comm.size());
 
-        let mut into = vec![0u64; n];
-        raw.scan_into(&mine, &mut into, fold).unwrap();
-        assert_eq!(into, incl, "scan_into, {what}");
         assert_eq!(raw.scan_vec(&mine, fold).unwrap(), incl, "scan_vec, {what}");
         let owned = mine.clone();
         let moved_in = owned.as_ptr();
@@ -586,8 +581,9 @@ fn dup_inherits_model_and_reset_restarts_warmup() {
 mod lifecycles {
     use kamping_repro::mpi::request::{Completion, TestOutcome};
     use kamping_repro::mpi::{
-        bytes_to_vec, non_commutative, AllgatherAlgo, AlltoallAlgo, CollTuning, Comm, MpiError,
-        NeighborhoodColl, PersistentRequest, ReduceAlgo, ReduceOp, Request, RequestSet, Universe,
+        bytes_to_vec, non_commutative, AlgoClass, AllgatherAlgo, AlltoallAlgo, CollTuning, Comm,
+        MpiError, NeighborhoodColl, PersistentRequest, ReduceAlgo, ReduceOp, Request, RequestSet,
+        Universe,
     };
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -750,7 +746,7 @@ mod lifecycles {
     }
 
     #[test]
-    fn flat_and_binomial_reduce_and_the_reduce_phase_of_iallreduce() {
+    fn flat_and_binomial_reduce() {
         on_grid(|p, n| {
             Universe::run(p, move |comm| {
                 let mine =
@@ -776,33 +772,173 @@ mod lifecycles {
                             "{what} {how:?}"
                         );
                     }
-                    // The blocking allreduce has its own algorithms; it
-                    // is the operation's oracle twin here.
-                    assert_eq!(
-                        comm.allreduce_vec(mine(0), wrapping_sum).unwrap(),
-                        expected(0)
-                    );
-                    for how in FINISHES {
-                        let req = comm.iallreduce(&mine(0), wrapping_sum).unwrap();
-                        let (sum, _) = finish(&comm, req, how).into_vec::<u64>().unwrap();
-                        assert_eq!(sum, expected(0), "{what} {how:?}");
-                    }
                 }
-                // An operation declared non-commutative takes the flat
-                // row (+ broadcast) in the blocking allreduce too.
-                let ordered = non_commutative(wrapping_sum);
-                assert_eq!(comm.allreduce_vec(mine(0), ordered).unwrap(), expected(0));
-                let what = format!("p={p} n={n}");
-                let plan = comm.allreduce_init(&mine(0), wrapping_sum).unwrap();
-                cycles(plan, mine, |c, done| {
-                    assert_eq!(
-                        done.into_vec::<u64>().unwrap().0,
-                        expected(c),
-                        "{what} cycle {c}"
-                    )
-                });
             });
         });
+    }
+
+    /// The sizes of the allreduce and van de Geijn grids: vectors
+    /// shorter than `p`, and every non-power-of-two fix-up.
+    const SMALL_P: std::ops::RangeInclusive<usize> = 1..=9;
+    const SMALL_N: [usize; 5] = [1, 2, 3, 7, 64];
+
+    /// The row `call` selected, by `selections` delta (`None`: no
+    /// decision was taken).
+    fn picked(comm: &Comm, call: impl FnOnce()) -> Option<AlgoClass> {
+        let before = comm.tuning_stats().selections;
+        call();
+        let after = comm.tuning_stats().selections;
+        AlgoClass::ALL
+            .into_iter()
+            .find(|c| after[c.index()] > before[c.index()])
+    }
+
+    /// One allreduce in all three lifecycles against the sequential
+    /// fold: blocking (`allreduce_vec`, borrowed and owned), `i*`
+    /// (`iallreduce` under every finish, `iallreduce_bytes` owned) and
+    /// `*_init` (three cycles with `set_data` between them, then one
+    /// that replays the plan's own payload). Returns the row the
+    /// blocking call selected.
+    fn allreduce_lifecycles<O: ReduceOp<u64> + 'static>(
+        comm: &Comm,
+        n: usize,
+        op: impl Fn() -> O,
+        what: &str,
+    ) -> Option<AlgoClass> {
+        use kamping_repro::mpi::bytes_from_vec;
+        let p = comm.size();
+        let mine = |c: usize| -> Vec<u64> { (0..n).map(|i| val(comm.rank(), i, c)).collect() };
+        let expected = |c: usize| -> Vec<u64> {
+            let all = |i| (0..p).fold(0u64, |acc, r| acc.wrapping_add(val(r, i, c)));
+            (0..n).map(all).collect()
+        };
+        let row = picked(comm, || {
+            let got = comm.allreduce_vec(&mine(0)[..], op()).unwrap();
+            assert_eq!(got, expected(0), "{what}, borrowed");
+        });
+        let got = comm.allreduce_vec(mine(0), op()).unwrap();
+        assert_eq!(got, expected(0), "{what}, owned");
+        for how in FINISHES {
+            let req = comm.iallreduce(&mine(0), op()).unwrap();
+            assert_eq!(
+                concat(finish(comm, req, how)),
+                expected(0),
+                "{what} {how:?}"
+            );
+        }
+        let own = bytes_from_vec(mine(0));
+        let req = comm.iallreduce_bytes::<u64, _>(own, op()).unwrap();
+        assert_eq!(concat(req.wait().unwrap()), expected(0), "{what}, owned i*");
+        let mut plan = comm.allreduce_init(&mine(0), op()).unwrap();
+        for cycle in 0..CYCLES {
+            plan.set_data(&mine(cycle)).unwrap();
+            plan.start().unwrap();
+            let done = concat(plan.wait().unwrap());
+            assert_eq!(done, expected(cycle), "{what} cycle {cycle}");
+        }
+        plan.start().unwrap();
+        let done = concat(plan.wait().unwrap());
+        assert_eq!(done, expected(CYCLES - 1), "{what}, replayed");
+        row
+    }
+
+    /// Both allreduce rows — forced, and picked by `Auto` on either
+    /// side of its size rule — and the ordered flat path of an
+    /// operation declared non-commutative, in every lifecycle.
+    #[test]
+    fn allreduce_rows_in_every_lifecycle() {
+        use kamping_repro::mpi::AllreduceAlgo;
+        let (rd, rab) = (AlgoClass::AllreduceRd, AlgoClass::AllreduceRabenseifner);
+        let base = CollTuning::default();
+        for p in SMALL_P {
+            for n in SMALL_N {
+                Universe::run(p, move |comm| {
+                    // Above the rule's 16 bytes at p >= 4, `Auto` picks
+                    // Rabenseifner.
+                    let eager = p >= 4 && n >= 2;
+                    let rows = [
+                        ("auto", base, rd),
+                        (
+                            "auto, small rule",
+                            base.rabenseifner_min_bytes(16),
+                            if eager { rab } else { rd },
+                        ),
+                        (
+                            "doubling",
+                            base.allreduce(AllreduceAlgo::RecursiveDoubling),
+                            rd,
+                        ),
+                        (
+                            "Rabenseifner",
+                            base.allreduce(AllreduceAlgo::Rabenseifner),
+                            rab,
+                        ),
+                    ];
+                    for (name, tuning, row) in rows {
+                        comm.set_tuning(tuning);
+                        let what = format!("{name} p={p} n={n}");
+                        let got = allreduce_lifecycles(&comm, n, || wrapping_sum, &what);
+                        // A single rank returns its contribution unselected.
+                        assert_eq!(got, (p > 1).then_some(row), "{what}");
+                    }
+                    comm.set_tuning(base);
+                    let what = format!("non-commutative p={p} n={n}");
+                    let ordered = || non_commutative(wrapping_sum);
+                    assert_eq!(allreduce_lifecycles(&comm, n, ordered, &what), None);
+                });
+            }
+        }
+    }
+
+    /// Van de Geijn's broadcast — forced, and picked by `Auto` — against
+    /// the root's data in every lifecycle. The sized blocking forms run
+    /// it (`bcast_into` borrowed, `bcast_parts` owned, `bcast_vec`
+    /// behind its header); `ibcast`, `ibcast_bytes` and `bcast_init`,
+    /// whose non-roots pass no size, keep the binomial tree. Chunks hold
+    /// zero elements where `n < p` and split elements where the byte
+    /// bounds fall inside one.
+    #[test]
+    fn scatter_allgather_broadcast_in_every_lifecycle() {
+        use kamping_repro::mpi::{bytes_from_vec, BcastAlgo};
+        let base = CollTuning::default();
+        for p in SMALL_P {
+            for n in SMALL_N {
+                Universe::run(p, move |comm| {
+                    let root = p / 2;
+                    let data = |c: usize| -> Vec<u64> { (0..n).map(|i| val(root, i, c)).collect() };
+                    let at_root = |c: usize| (comm.rank() == root).then(|| data(c));
+                    let vdg = AlgoClass::BcastScatterAllgather;
+                    let rows = [
+                        ("forced", base.bcast(BcastAlgo::ScatterAllgather), true),
+                        ("auto", base.bcast_scatter_min_bytes(8), p >= 4),
+                    ];
+                    for (name, tuning, runs_vdg) in rows {
+                        comm.set_tuning(tuning);
+                        let what = format!("{name} p={p} n={n}");
+                        let mut buf = at_root(0).unwrap_or_else(|| vec![0; n]);
+                        let row = picked(&comm, || comm.bcast_into(&mut buf, root).unwrap());
+                        assert_eq!(buf, data(0), "{what}");
+                        assert_eq!(row == Some(vdg), runs_vdg, "{what}");
+                        let own = at_root(0).map(bytes_from_vec);
+                        let parts = comm.bcast_parts(own, n * 8, root).unwrap();
+                        assert_eq!(parts.into_vec::<u64>(), data(0), "{what}, owned");
+                        let got = comm.bcast_vec(at_root(0).as_deref(), root).unwrap();
+                        assert_eq!(got, data(0), "{what}, bcast_vec");
+                        for how in FINISHES {
+                            let req = comm.ibcast(at_root(0).as_deref(), root).unwrap();
+                            assert_eq!(concat(finish(&comm, req, how)), data(0), "{what} {how:?}");
+                        }
+                        let own = at_root(0).map(bytes_from_vec);
+                        let req = comm.ibcast_bytes(own, root).unwrap();
+                        assert_eq!(concat(req.wait().unwrap()), data(0), "{what}, owned i*");
+                        let plan = comm.bcast_init(at_root(0).as_deref(), root).unwrap();
+                        cycles(plan, data, |c, done| {
+                            assert_eq!(concat(done), data(c), "{what} cycle {c}")
+                        });
+                    }
+                });
+            }
+        }
     }
 
     /// The sparse neighborhood row: every rank sends to its next two

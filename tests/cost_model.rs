@@ -362,54 +362,123 @@ fn linear_collectives_are_pinned_at_p_minus_one_startups() {
     }
 }
 
-/// One engine, one schedule: a flat collective costs the same modelled
-/// time whether the blocking call drives it or `i*` + `wait` does —
-/// every send is posted before the first receive either way. (The
-/// blocking ring and pairwise loops used to serialise their `p - 1`
-/// hops: each send waited for the receive before it.)
+/// One engine, one schedule: every row of `allreduce` and `allgather`
+/// — forced, and as `Auto` picks it — and the flat `allgatherv`,
+/// `alltoall(v)` cost the same modelled time whether the blocking call
+/// drives the engine, `i*` + `wait` does, or a persistent plan's
+/// `start` + `wait` does. (The blocking ring and pairwise loops used to
+/// serialise their `p - 1` hops; until the allreduce rows and the
+/// static `Auto` rule served every lifecycle, `iallreduce` /
+/// `allreduce_init` ran a flat gather + broadcast and `iallgather` /
+/// `allgather_init` the ring wherever the blocking call ran a log-round
+/// row.)
 #[test]
-fn flat_collectives_cost_the_same_in_both_lifecycles() {
-    use kamping_repro::mpi::{bytes_from_vec, AllgatherAlgo, AlltoallAlgo, CollTuning};
-    for p in [4usize, 16] {
+fn collectives_cost_the_same_in_every_lifecycle() {
+    use kamping_repro::mpi::op::Sum;
+    use kamping_repro::mpi::{bytes_from_vec, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo};
+    use kamping_repro::mpi::{CollTuning, PersistentRequest};
+    const GROUPS: [&[&str]; 5] = [
+        &["allreduce", "iallreduce", "allreduce_init"],
+        &["allgather", "iallgather", "allgather_init"],
+        &["allgatherv", "iallgatherv"],
+        &["alltoall", "ialltoall"],
+        &["alltoallv", "ialltoallv", "alltoallv_init"],
+    ];
+    let base = CollTuning::default();
+    let tunings = [
+        base,
+        base.allreduce(AllreduceAlgo::RecursiveDoubling)
+            .allgather(AllgatherAlgo::Ring)
+            .alltoall(AlltoallAlgo::Pairwise),
+        base.allreduce(AllreduceAlgo::Rabenseifner)
+            .allgather(AllgatherAlgo::RecursiveDoubling),
+        base.allgather(AllgatherAlgo::Bruck),
+    ];
+    for p in [4usize, 6, 16] {
         for bytes in [8usize, 64 * 1024] {
-            let times = timed_ops(p, CostModel::cluster(), |comm, run| {
-                let flat = CollTuning::default()
-                    .allgather(AllgatherAlgo::Ring)
-                    .alltoall(AlltoallAlgo::Pairwise);
-                comm.set_tuning(flat);
-                let own = || bytes_from_vec(vec![comm.rank() as u8; bytes]);
-                let (send, counts) = (vec![1u8; p * bytes], vec![bytes; p]);
-                let packed = || bytes_from_vec(send.clone());
-                run("allgather", &mut || {
-                    comm.allgather_blocks(own()).unwrap();
+            for tuning in tunings {
+                let times = timed_ops(p, CostModel::cluster(), |comm, run| {
+                    comm.set_tuning(tuning);
+                    let mine = vec![comm.rank() as u64; bytes / 8];
+                    let own = || bytes_from_vec(vec![comm.rank() as u8; bytes]);
+                    let (send, counts) = (vec![1u8; p * bytes], vec![bytes; p]);
+                    let packed = || bytes_from_vec(send.clone());
+                    let cycle = |plan: &mut PersistentRequest<'_>| {
+                        plan.start().unwrap();
+                        plan.wait().unwrap();
+                    };
+                    run("allreduce", &mut || {
+                        comm.allreduce_vec(&mine, Sum).unwrap();
+                    });
+                    run("iallreduce", &mut || {
+                        comm.iallreduce(&mine, Sum).unwrap().wait().unwrap();
+                    });
+                    let mut plan = comm.allreduce_init(&mine, Sum).unwrap();
+                    run("allreduce_init", &mut || cycle(&mut plan));
+                    run("allgather", &mut || {
+                        comm.allgather_blocks(own()).unwrap();
+                    });
+                    run("iallgather", &mut || {
+                        comm.iallgather_bytes(own()).unwrap().wait().unwrap();
+                    });
+                    let mut plan = comm.allgather_init_bytes(own()).unwrap();
+                    run("allgather_init", &mut || cycle(&mut plan));
+                    run("allgatherv", &mut || {
+                        comm.allgatherv_blocks(own()).unwrap();
+                    });
+                    run("iallgatherv", &mut || {
+                        comm.iallgatherv_bytes(own()).unwrap().wait().unwrap();
+                    });
+                    run("alltoall", &mut || {
+                        comm.alltoall_blocks(&send).unwrap();
+                    });
+                    run("ialltoall", &mut || {
+                        comm.ialltoall(&send).unwrap().wait().unwrap();
+                    });
+                    run("alltoallv", &mut || {
+                        comm.alltoallv_blocks_bytes(packed(), &counts).unwrap();
+                    });
+                    run("ialltoallv", &mut || {
+                        let req = comm.ialltoallv_bytes(packed(), &counts).unwrap();
+                        req.wait().unwrap();
+                    });
+                    let mut plan = comm.alltoallv_init_bytes(packed(), &counts).unwrap();
+                    run("alltoallv_init", &mut || cycle(&mut plan));
                 });
-                run("iallgather", &mut || {
-                    comm.iallgather_bytes(own()).unwrap().wait().unwrap();
-                });
-                run("allgatherv", &mut || {
-                    comm.allgatherv_blocks(own()).unwrap();
-                });
-                run("iallgatherv", &mut || {
-                    comm.iallgatherv_bytes(own()).unwrap().wait().unwrap();
-                });
-                run("alltoall", &mut || {
-                    comm.alltoall_blocks(&send).unwrap();
-                });
-                run("ialltoall", &mut || {
-                    comm.ialltoall(&send).unwrap().wait().unwrap();
-                });
-                run("alltoallv", &mut || {
-                    comm.alltoallv_blocks_bytes(packed(), &counts).unwrap();
-                });
-                run("ialltoallv", &mut || {
-                    let req = comm.ialltoallv_bytes(packed(), &counts).unwrap();
-                    req.wait().unwrap();
-                });
-            });
-            for pair in times.chunks(2) {
-                let ((blocking, t), (immediate, ti)) = (pair[0], pair[1]);
-                assert_eq!(t, ti, "p = {p}, {bytes} B: {blocking} vs {immediate}");
+                let ns = |name: &str| times.iter().find(|(n, _)| *n == name).unwrap().1;
+                for group in GROUPS {
+                    for name in &group[1..] {
+                        let at = format!("p = {p}, {bytes} B, {tuning:?}");
+                        assert_eq!(ns(group[0]), ns(name), "{} vs {name}, {at}", group[0]);
+                    }
+                }
             }
         }
     }
+}
+
+/// The blocking `allreduce` cells of the benchmark's p = 16 model run
+/// (`coll_blocking`'s `Scale::Model` sizes), pinned to the 0.1 us:
+/// recursive doubling at 1 KiB and 64 KiB, Rabenseifner at 256 KiB.
+/// The lifecycle test above holds `iallreduce` and `allreduce_init` to
+/// the same numbers.
+#[test]
+fn blocking_allreduce_model_time_at_p16_is_pinned() {
+    use kamping_repro::mpi::op::Sum;
+    let times = timed_ops(16, CostModel::cluster(), |comm, run| {
+        for (name, bytes) in [
+            ("1 KiB", 1 << 10),
+            ("64 KiB", 64 << 10),
+            ("256 KiB", 256 << 10),
+        ] {
+            let mine = vec![comm.rank() as u64; bytes / 8];
+            run(name, &mut || {
+                comm.allreduce_vec(&mine, Sum).unwrap();
+            });
+        }
+    });
+    let us: Vec<f64> = (times.iter())
+        .map(|(_, ns)| (*ns as f64 / 100.0).round() / 10.0)
+        .collect();
+    assert_eq!(us, [7.6, 33.4, 83.3], "{times:?}");
 }
