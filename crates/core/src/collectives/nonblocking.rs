@@ -11,7 +11,7 @@
 //!   before it, so neither §III-E hazard (mutating an in-flight send
 //!   buffer, reading an incomplete receive buffer) can be expressed. The
 //!   handle of an owned send buffer is a
-//!   [`SharedPayload`]: Fig. 6's `v = r1.wait()`
+//!   [`SharedPayload`](kmp_mpi::SharedPayload): Fig. 6's `v = r1.wait()`
 //!   reads `v = r1.wait()?.1.take()` here. The transport *aliases* a
 //!   moved-in vector instead of copying it, so the vector comes home
 //!   when its last reader — possibly a peer that has not decoded its
@@ -30,6 +30,22 @@
 //! them back for free. The blocking v-collectives read omitted counts
 //! off the delivered blocks the same way.
 //!
+//! **One declaration, two drivers.** Each operation here is declared
+//! once, by its argument trait ([`IallgatherArgs`], [`IalltoallvArgs`],
+//! [`IbcastArgs`], [`IallreduceArgs`]), for its `i*` form and its
+//! `*_init` twin alike. The trait's one method resolves the slots — the
+//! payload (an owned buffer moves in, a borrowed one is copied once),
+//! the handle of a moved-in buffer, root / op / byte counts, and the
+//! `tuning` guard — and hands them to one of two drivers, as the
+//! substrate's `icoll` / `persistent_coll` drive its plans: the
+//! immediate driver issues the `i*` request, which becomes the future;
+//! the persistent one freezes the plan, which keeps the payload, so the
+//! handle goes ([`crate::persistent`]). Every completion of either is
+//! decoded by one function: a lone message (the allreduce result) is
+//! taken back without a copy where it can be, each block is copied once
+//! and released as soon as it is copied, and per-rank counts are built
+//! only for `wait_with_counts()`.
+//!
 //! All futures compose with [`RequestPool`](crate::p2p::RequestPool) and
 //! [`BoundedRequestPool`](crate::p2p::BoundedRequestPool) via
 //! `submit_collective` / `submit_bcast`.
@@ -37,72 +53,38 @@
 use std::marker::PhantomData;
 
 use bytes::Bytes;
-use kmp_mpi::request::Completion;
-use kmp_mpi::{MpiError, Plain, Result, SharedPayload};
+use kmp_mpi::plain::bytes_from_vec;
+use kmp_mpi::{Comm, MpiError, Plain, Result};
 
 use crate::communicator::Communicator;
-use crate::p2p::InFlight;
+use crate::p2p::{Immediate, InFlight, Lifecycle};
 use crate::params::argset::{ArgSet, IntoArgs};
 use crate::params::slots::{CountsSlot, ProvidedCounts, ProvidesOp, SendToTransport};
 use crate::params::{Absent, OpParam, SendBuf, SendRecvBuf};
 
-/// Decodes a completed collective: each delivered block is copied
-/// **once**, straight into the final vector, and released as soon as it
-/// is copied — a block is a view of its sender's buffer, which that
-/// sender may be about to take back. A single message (the allreduce
-/// result, which only this rank holds) is taken back without a copy
-/// where it can be. `counts` collects the per-rank element counts for
-/// the callers that want them.
-fn decode<T: Plain>(completion: Completion, mut counts: Option<&mut Vec<usize>>) -> Vec<T> {
-    if let Completion::Message(..) = completion {
-        let (data, _) = completion.into_vec::<T>().expect("a message");
-        if let Some(counts) = counts {
-            counts.push(data.len());
-        }
-        return data;
-    }
-    let blocks = completion.into_blocks().unwrap_or_default();
-    let mut data = Vec::with_capacity(
-        blocks.iter().map(|b| b.len()).sum::<usize>() / std::mem::size_of::<T>().max(1),
-    );
-    for block in blocks {
-        let n = kmp_mpi::plain::extend_vec_from_bytes(&mut data, &block);
-        if let Some(counts) = counts.as_deref_mut() {
-            counts.push(n);
-        }
-    }
-    data
-}
-
 /// A non-blocking collective in flight. An owned send container has
 /// **moved into the transport** (the wire payload aliases its
 /// allocation — zero call-time copies); `H` is the handle that comes
-/// back with the completion ([`SharedPayload<T>`] for an owned send
-/// buffer, `()` for a borrowed one), and the received data is produced
-/// by `wait()`.
+/// back with the completion ([`SharedPayload<T>`](kmp_mpi::SharedPayload)
+/// for an owned send buffer, `()` for a borrowed one), and the received
+/// data is produced by `wait()`.
 #[must_use = "non-blocking operations must be completed with wait() or test()"]
 pub struct NonBlockingCollective<'a, T: Plain, H>(pub(crate) InFlight<'a, H>, PhantomData<T>);
 
 impl<'a, T: Plain, H> NonBlockingCollective<'a, T, H> {
-    fn new(op: InFlight<'a, H>) -> Self {
-        NonBlockingCollective(op, PhantomData)
-    }
-
     /// Blocks until the collective completes; returns the received data
     /// and the handle of the moved-in send buffer (free to read or drop;
     /// `take()` it to get the vector back).
     pub fn wait(self) -> Result<(Vec<T>, H)> {
-        let (completion, hold) = self.0.wait()?;
-        Ok((decode(completion, None), hold))
+        self.0.wait(None)
     }
 
     /// Like [`NonBlockingCollective::wait`], additionally returning the
     /// per-rank element counts (the v-collectives' receive counts,
     /// discovered from the messages — no extra communication).
     pub fn wait_with_counts(self) -> Result<(Vec<T>, Vec<usize>, H)> {
-        let (completion, hold) = self.0.wait()?;
         let mut counts = Vec::new();
-        let data = decode(completion, Some(&mut counts));
+        let (data, hold) = self.0.wait(Some(&mut counts))?;
         Ok((data, counts, hold))
     }
 
@@ -110,48 +92,29 @@ impl<'a, T: Plain, H> NonBlockingCollective<'a, T, H> {
     /// `Ok(Err(self))` when still pending.
     #[allow(clippy::type_complexity)]
     pub fn test(self) -> Result<std::result::Result<(Vec<T>, H), Self>> {
-        let polled = self.0.test()?.map_err(Self::new);
-        Ok(polled.map(|(completion, hold)| (decode(completion, None), hold)))
+        self.0.test(|op| NonBlockingCollective(op, PhantomData))
     }
 }
 
 /// A non-blocking broadcast in flight: the root's moved-in buffer is
-/// the wire payload itself (zero call-time copies), reclaimed and
-/// handed back by `wait()`.
+/// the wire payload itself (zero call-time copies), and `wait()` hands
+/// the content back on every rank — on the root the moved-in vector
+/// itself, without a copy once the children are done with it.
 #[must_use = "non-blocking operations must be completed with wait() or test()"]
-pub struct NonBlockingBcast<'a, T: Plain>(
-    /// The handle is the root's moved-in buffer, aliased by the
-    /// in-flight payload.
-    pub(crate) InFlight<'a, Option<SharedPayload<T>>>,
-);
-
-/// The broadcast content — on the root the moved-in vector itself: its
-/// buffer *is* its result, so it is taken back, after the engine's view
-/// of the payload is released (which keeps the handback zero-copy once
-/// the children are done).
-fn bcast_content<T: Plain>(
-    (completion, root_buf): (Completion, Option<SharedPayload<T>>),
-) -> Vec<T> {
-    match root_buf {
-        Some(buf) => {
-            drop(completion);
-            buf.take()
-        }
-        None => decode(completion, None),
-    }
-}
+pub struct NonBlockingBcast<'a, T: Plain>(pub(crate) InFlight<'a, ()>, PhantomData<T>);
 
 impl<'a, T: Plain> NonBlockingBcast<'a, T> {
     /// Blocks until the broadcast completes; returns the broadcast
     /// content (on the root: the moved-in vector itself).
     pub fn wait(self) -> Result<Vec<T>> {
-        self.0.wait().map(bcast_content)
+        self.0.wait(None).map(|(data, ())| data)
     }
 
     /// Completion test: `Ok(Ok(content))` when complete, `Ok(Err(self))`
     /// when still pending.
     pub fn test(self) -> Result<std::result::Result<Vec<T>, Self>> {
-        Ok(self.0.test()?.map(bcast_content).map_err(NonBlockingBcast))
+        let polled = self.0.test(|op| NonBlockingBcast(op, PhantomData))?;
+        Ok(polled.map(|(data, ())| data))
     }
 }
 
@@ -160,20 +123,20 @@ impl<'a, T: Plain> NonBlockingBcast<'a, T> {
 // ---------------------------------------------------------------------------
 
 /// Valid argument sets for [`Communicator::iallgatherv`] /
-/// [`Communicator::iallgather`]: `send_buf` only — receive storage is
-/// produced by the completion (§III-E: results by value), and receive
-/// counts are discovered, not exchanged.
+/// [`Communicator::iallgather`] and their `*_init` twins: `send_buf`
+/// only — receive storage is produced by the completion (§III-E: results
+/// by value), and receive counts are discovered, not exchanged.
 pub trait IallgatherArgs<T: Plain> {
     /// What `wait()` returns beside the data: the handle of a moved-in
     /// send container, `()` for borrowed buffers.
     type Hold;
-    /// Starts the operation (`equal_blocks` selects allgather vs
-    /// allgatherv call counting).
-    fn run<'c>(
+    /// Resolves the slots and drives the call into lifecycle `L`
+    /// (`equal_blocks` selects allgather over allgatherv).
+    fn run<'c, L: Lifecycle<'c>>(
         self,
         comm: &'c Communicator,
         equal_blocks: bool,
-    ) -> Result<NonBlockingCollective<'c, T, Self::Hold>>;
+    ) -> Result<L::Out<T, Self::Hold>>;
 }
 
 impl<T, B> IallgatherArgs<T>
@@ -184,32 +147,32 @@ where
 {
     type Hold = <SendBuf<B> as SendToTransport<T>>::Hold;
 
-    fn run<'c>(
+    fn run<'c, L: Lifecycle<'c>>(
         self,
         comm: &'c Communicator,
         equal_blocks: bool,
-    ) -> Result<NonBlockingCollective<'c, T, Self::Hold>> {
+    ) -> Result<L::Out<T, Self::Hold>> {
         let _tuning = comm.raw().tuning_guard(self.meta.tuning);
         // Owned buffers move into the transport: zero call-time copies.
         let (payload, hold) = self.send_buf.into_payload();
-        let req = if equal_blocks {
-            comm.raw().iallgather_bytes(payload)?
-        } else {
-            comm.raw().iallgatherv_bytes(payload)?
+        let (now, plan): (fn(_, _) -> _, fn(_, _) -> _) = match equal_blocks {
+            true => (Comm::iallgather_bytes, Comm::allgather_init_bytes),
+            false => (Comm::iallgatherv_bytes, Comm::allgatherv_init_bytes),
         };
-        Ok(NonBlockingCollective::new(InFlight::new(req, hold)))
+        L::drive(comm.raw(), (payload, hold, None), now, plan)
     }
 }
 
-/// Valid argument sets for [`Communicator::ialltoallv`]: `send_buf` and
-/// `send_counts` (required), `send_displs` (optional; omitted means the
-/// send buffer is packed contiguously in rank order).
+/// Valid argument sets for [`Communicator::ialltoallv`] and
+/// [`Communicator::alltoallv_init`]: `send_buf` and `send_counts`
+/// (required), `send_displs` (optional, `ialltoallv` only; omitted means
+/// the send buffer is packed contiguously in rank order).
 pub trait IalltoallvArgs<T: Plain> {
     /// What `wait()` returns beside the data: the handle of a moved-in
     /// send container, `()` for borrowed buffers.
     type Hold;
-    /// Starts the operation.
-    fn run<'c>(self, comm: &'c Communicator) -> Result<NonBlockingCollective<'c, T, Self::Hold>>;
+    /// Resolves the slots and drives the call into lifecycle `L`.
+    fn run<'c, L: Lifecycle<'c>>(self, comm: &'c Communicator) -> Result<L::Out<T, Self::Hold>>;
 }
 
 impl<T, B, SC, SD> IalltoallvArgs<T>
@@ -222,13 +185,12 @@ where
 {
     type Hold = <SendBuf<B> as SendToTransport<T>>::Hold;
 
-    fn run<'c>(self, comm: &'c Communicator) -> Result<NonBlockingCollective<'c, T, Self::Hold>> {
+    fn run<'c, L: Lifecycle<'c>>(self, comm: &'c Communicator) -> Result<L::Out<T, Self::Hold>> {
         let _tuning = comm.raw().tuning_guard(self.meta.tuning);
         // `ProvidedCounts` guarantees the counts; an empty layout would
         // fail the substrate's check like any other wrong one.
         let counts = self.send_counts.provided().unwrap_or_default();
-        let elem = std::mem::size_of::<T>();
-        let byte_counts: Vec<usize> = counts.iter().map(|&c| c * elem).collect();
+        let byte_counts: Vec<usize> = counts.iter().map(|&c| c * size_of::<T>()).collect();
         let packed = match self.send_displs.provided() {
             // Contiguous rank order: the buffer is the wire payload
             // (zero copies for owned containers); per-peer blocks are
@@ -241,16 +203,37 @@ where
                 .send_buf
                 .into_packed(|send| pack_by_displs(send, counts, displs)),
         };
-        let (payload, hold) = packed.inspect_err(|_| {
-            // The layout error is rank-local: peers whose layouts are
-            // fine have taken this operation's tag. An empty layout never
-            // passes the substrate's check, which runs after it takes the
-            // tag — so this rank stays aligned with them.
-            let _ = comm.raw().ialltoallv_bytes(Bytes::new(), &[]);
-        })?;
-        let req = comm.raw().ialltoallv_bytes(payload, &byte_counts)?;
-        Ok(NonBlockingCollective::new(InFlight::new(req, hold)))
+        let now = |c: &'c Comm, (p, n): (Bytes, Vec<usize>)| c.ialltoallv_bytes(p, &n);
+        let plan = |c: &'c Comm, (p, n): (Bytes, Vec<usize>)| c.alltoallv_init_bytes(p, &n);
+        match packed {
+            Ok((payload, hold)) => {
+                L::drive(comm.raw(), ((payload, byte_counts), hold, None), now, plan)
+            }
+            Err(e) => {
+                // The layout error is rank-local: peers whose layouts
+                // are fine have taken this operation's tag. An empty
+                // layout never passes the substrate's check, which runs
+                // after it takes the tag — so this rank stays aligned
+                // with them.
+                let empty = ((Bytes::new(), Vec::new()), (), None);
+                let _: Result<L::Out<T, ()>> = L::drive(comm.raw(), empty, now, plan);
+                Err(e)
+            }
+        }
     }
+}
+
+/// The argument sets [`Communicator::alltoallv_init`] takes: its plan
+/// freezes packed send counts and `set_data` refreshes a packed buffer,
+/// so `send_displs` would mean nothing there.
+pub(crate) mod packed {
+    #[diagnostic::on_unimplemented(message = "`alltoallv_init` takes no `send_displs`")]
+    pub trait Packed {}
+}
+
+impl<B, SC> packed::Packed
+    for ArgSet<SendBuf<B>, Absent, Absent, SC, Absent, Absent, Absent, Absent>
+{
 }
 
 /// `send[displs[r]..][..counts[r]]` for every rank `r`, back to back.
@@ -276,13 +259,15 @@ fn pack_by_displs<T: Plain>(send: &[T], counts: &[usize], displs: &[usize]) -> R
     Ok(packed)
 }
 
-/// Valid argument sets for [`Communicator::ibcast`]: an **owned**
-/// `send_recv_buf(Vec<T>)` plus optional `root`. Borrowed buffers do not
-/// compile — while the broadcast is in flight nothing may read or write
-/// the buffer (§III-E), which ownership transfer enforces for free.
+/// Valid argument sets for [`Communicator::ibcast`] and
+/// [`Communicator::bcast_init`]: an **owned** `send_recv_buf(Vec<T>)`
+/// (the root's content; other ranks pass an empty vector) plus optional
+/// `root`. Borrowed buffers do not compile — while the broadcast is in
+/// flight nothing may read or write the buffer (§III-E), which
+/// ownership transfer enforces for free.
 pub trait IbcastArgs<T: Plain> {
-    /// Starts the operation.
-    fn run(self, comm: &Communicator) -> Result<NonBlockingBcast<'_, T>>;
+    /// Resolves the slots and drives the call into lifecycle `L`.
+    fn run<'c, L: Lifecycle<'c>>(self, comm: &'c Communicator) -> Result<L::Out<T, ()>>;
 }
 
 impl<T> IbcastArgs<T>
@@ -290,32 +275,32 @@ impl<T> IbcastArgs<T>
 where
     T: Plain,
 {
-    fn run(self, comm: &Communicator) -> Result<NonBlockingBcast<'_, T>> {
+    fn run<'c, L: Lifecycle<'c>>(self, comm: &'c Communicator) -> Result<L::Out<T, ()>> {
         let root = self.meta.root.unwrap_or(0);
         crate::assertions::check_same_root(comm, root)?;
         let _tuning = comm.raw().tuning_guard(self.meta.tuning);
-        let buf = self.send_recv_buf.0;
         // At the root the moved-in vector is the wire payload (zero
-        // call-time copies); it is reclaimed and handed back by `wait()`.
-        let (hold, payload) = if comm.rank() == root {
-            let (hold, payload) = SharedPayload::new(buf);
-            (Some(hold), Some(payload))
-        } else {
-            (None, None)
-        };
-        let req = comm.raw().ibcast_bytes(payload, root)?;
-        Ok(NonBlockingBcast(InFlight::new(req, hold)))
+        // call-time copies), and the completion that hands the content
+        // back is that same vector.
+        let payload = (comm.rank() == root).then(|| bytes_from_vec(self.send_recv_buf.0));
+        L::drive(
+            comm.raw(),
+            (payload, (), None),
+            |c, p| c.ibcast_bytes(p, root),
+            |c, p| c.bcast_init_bytes(p, root),
+        )
     }
 }
 
-/// Valid argument sets for [`Communicator::iallreduce`]: `send_buf` and
-/// `op` (both required).
+/// Valid argument sets for [`Communicator::iallreduce`] and
+/// [`Communicator::allreduce_init`]: `send_buf` and `op` (both
+/// required).
 pub trait IallreduceArgs<T: Plain> {
     /// What `wait()` returns beside the data: the handle of a moved-in
     /// send container, `()` for borrowed buffers.
     type Hold;
-    /// Starts the operation.
-    fn run<'c>(self, comm: &'c Communicator) -> Result<NonBlockingCollective<'c, T, Self::Hold>>;
+    /// Resolves the slots and drives the call into lifecycle `L`.
+    fn run<'c, L: Lifecycle<'c>>(self, comm: &'c Communicator) -> Result<L::Out<T, Self::Hold>>;
 }
 
 impl<T, B, O> IallreduceArgs<T>
@@ -328,15 +313,19 @@ where
 {
     type Hold = <SendBuf<B> as SendToTransport<T>>::Hold;
 
-    fn run<'c>(self, comm: &'c Communicator) -> Result<NonBlockingCollective<'c, T, Self::Hold>> {
-        // The algorithm is selected at call time, so the guard-scoped
-        // override covers engine construction (e.g. a forced
-        // `ReduceAlgo::BinomialTree` engages the tree engine).
+    fn run<'c, L: Lifecycle<'c>>(self, comm: &'c Communicator) -> Result<L::Out<T, Self::Hold>> {
+        // The algorithm is selected when the call is issued or frozen,
+        // so the guard-scoped override covers engine construction (e.g.
+        // a forced `AllreduceAlgo::Rabenseifner`).
         let _tuning = comm.raw().tuning_guard(self.meta.tuning);
         let op = self.op.into_op();
         let (payload, hold) = self.send_buf.into_payload();
-        let req = comm.raw().iallreduce_bytes::<T, _>(payload, op)?;
-        Ok(NonBlockingCollective::new(InFlight::new(req, hold)))
+        L::drive(
+            comm.raw(),
+            ((payload, op), hold, None),
+            |c, (own, op)| c.iallreduce_bytes::<T, _>(own, op),
+            |c, (own, op)| c.allreduce_init_bytes::<T, _>(own, op),
+        )
     }
 }
 
@@ -376,7 +365,8 @@ impl Communicator {
         A: IntoArgs,
         A::Out: IallgatherArgs<T>,
     {
-        args.into_args().run(self, false)
+        let op = args.into_args().run::<Immediate>(self, false)?;
+        Ok(NonBlockingCollective(op, PhantomData))
     }
 
     /// Starts a non-blocking allgather of equal-size blocks (wraps
@@ -391,7 +381,8 @@ impl Communicator {
         A: IntoArgs,
         A::Out: IallgatherArgs<T>,
     {
-        args.into_args().run(self, true)
+        let op = args.into_args().run::<Immediate>(self, true)?;
+        Ok(NonBlockingCollective(op, PhantomData))
     }
 
     /// Starts a non-blocking personalized all-to-all (wraps
@@ -411,7 +402,8 @@ impl Communicator {
         A: IntoArgs,
         A::Out: IalltoallvArgs<T>,
     {
-        args.into_args().run(self)
+        let op = args.into_args().run::<Immediate>(self)?;
+        Ok(NonBlockingCollective(op, PhantomData))
     }
 
     /// Starts a non-blocking broadcast (wraps `MPI_Ibcast`).
@@ -425,7 +417,8 @@ impl Communicator {
         A: IntoArgs,
         A::Out: IbcastArgs<T>,
     {
-        args.into_args().run(self)
+        let op = args.into_args().run::<Immediate>(self)?;
+        Ok(NonBlockingBcast(op, PhantomData))
     }
 
     /// Starts a non-blocking all-reduce (wraps `MPI_Iallreduce`).
@@ -443,7 +436,8 @@ impl Communicator {
         A: IntoArgs,
         A::Out: IallreduceArgs<T>,
     {
-        args.into_args().run(self)
+        let op = args.into_args().run::<Immediate>(self)?;
+        Ok(NonBlockingCollective(op, PhantomData))
     }
 }
 

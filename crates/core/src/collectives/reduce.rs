@@ -1,6 +1,6 @@
 //! `reduce` / `allreduce` / `scan` / `exscan` with named parameters.
 
-use kmp_mpi::{Plain, Result};
+use kmp_mpi::{MpiError, Plain, Result};
 
 use crate::communicator::Communicator;
 use crate::params::argset::{ArgSet, IntoArgs};
@@ -149,13 +149,18 @@ where
 
     fn run(self, comm: &Communicator) -> Result<T> {
         let send = self.send_buf.send_slice();
-        assert_eq!(
-            send.len(),
-            1,
-            "allreduce_single requires exactly one element"
-        );
         let op = self.op.into_op();
-        comm.raw().allreduce_one(send[0], op)
+        // A wrong length is this rank's error alone: it still takes part
+        // (with its first element, or a zeroed one) so its peers finish.
+        let one = send.first().copied().unwrap_or_else(kmp_mpi::plain::zeroed);
+        let reduced = comm.raw().allreduce_one(one, op)?;
+        if send.len() != 1 {
+            return Err(MpiError::InvalidLayout(format!(
+                "allreduce_single: send_buf holds {} elements, expected exactly 1",
+                send.len()
+            )));
+        }
+        Ok(reduced)
     }
 }
 
@@ -190,7 +195,10 @@ impl Communicator {
     }
 
     /// Reduces a single element to all ranks, returning the bare value
-    /// (the `allreduce_single` of Fig. 9).
+    /// (the `allreduce_single` of Fig. 9). A `send_buf` that does not
+    /// hold exactly one element is [`MpiError::InvalidLayout`] on that
+    /// rank; the rank still contributes (its first element, or a zeroed
+    /// one), so its peers complete.
     pub fn allreduce_single<T, A>(
         &self,
         args: A,

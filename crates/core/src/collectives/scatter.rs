@@ -65,30 +65,17 @@ where
 
     fn run(self, comm: &Communicator) -> Result<Self::Output> {
         let root = self.meta.root.unwrap_or(0);
-        let is_root = comm.rank() == root;
         let send = self.send_buf.send_slice();
-        let counts = self.send_counts.provided();
-        assert!(
-            !is_root || counts.is_some(),
-            "scatterv: the root must provide `send_counts`"
-        );
+        // Significant at the root only.
+        let counts = self.send_counts.provided().filter(|_| comm.rank() == root);
+        let computed_sd: Option<Vec<usize>> =
+            (!SD::PROVIDED).then(|| counts.map(displacements_from_counts).unwrap_or_default());
+        let send_displs = self.send_displs.provided().or(computed_sd.as_deref());
 
-        let computed_sd: Option<Vec<usize>> = if SD::PROVIDED {
-            None
-        } else if is_root {
-            Some(displacements_from_counts(counts.expect("checked above")))
-        } else {
-            Some(Vec::new())
-        };
-        let send_displs: &[usize] = match self.send_displs.provided() {
-            Some(d) => d,
-            None => computed_sd.as_deref().expect("computed when not provided"),
-        };
-
-        let block = comm.raw().scatterv_vec(
-            is_root.then(|| (send, counts.expect("checked above"), send_displs)),
-            root,
-        )?;
+        // A root without `send_counts` passes no layout: the scatter
+        // plan reports it there and still serves every peer.
+        let layout = counts.map(|counts| (send, counts, send_displs.unwrap_or_default()));
+        let block = comm.raw().scatterv_vec(layout, root)?;
         let rb_out = self.recv_buf.accept(block)?;
 
         let acc = ();

@@ -165,6 +165,33 @@
 //! }
 //! ```
 //!
+//! `bcast_init` shares `ibcast`'s declaration, and with it the rule: the
+//! root's buffer moves into the plan, so a borrowed one does not
+//! compile either:
+//!
+//! ```compile_fail
+//! use kamping::prelude::*;
+//! fn bcast_init_borrowed(comm: &Communicator) {
+//!     let mut v = vec![1u32, 2, 3];
+//!     let _ = comm.bcast_init((send_recv_buf(&mut v),)).unwrap();
+//! }
+//! ```
+//!
+//! ## Packed counts for `alltoallv_init`
+//!
+//! `alltoallv_init` shares `ialltoallv`'s declaration but not its
+//! `send_displs`: the plan freezes packed send counts, and `set_data`
+//! refreshes a packed buffer:
+//!
+//! ```compile_fail
+//! use kamping::prelude::*;
+//! fn alltoallv_init_with_displs(comm: &Communicator, data: &Vec<u64>) {
+//!     let (counts, displs) = (vec![1usize; 2], vec![0usize, 1]);
+//!     let args = (send_buf(data), send_counts(&counts), send_displs(&displs));
+//!     let _ = comm.alltoallv_init(args).unwrap();
+//! }
+//! ```
+//!
 //! ## Received data inaccessible before completion (§III-E)
 //!
 //! The result of a non-blocking collective is *produced by* `wait()`;
@@ -212,6 +239,19 @@
 //!     let fut = comm.ibcast((send_recv_buf(vec![1u32]),)).unwrap();
 //!     let _data = fut.wait().unwrap();
 //!     let _sum: Vec<u32> = comm.allreduce((send_buf(vec![1u32]), op(ops::Sum))).unwrap();
+//! }
+//! ```
+//!
+//! Positive control for the persistent twins (owned buffers move into
+//! the plan; `alltoallv_init` with packed counts):
+//!
+//! ```no_run
+//! use kamping::prelude::*;
+//! fn positive_control_persistent(comm: &Communicator, data: &Vec<u64>) {
+//!     let _ = comm.bcast_init((send_recv_buf(vec![1u32]),)).unwrap();
+//!     let _ = comm.allreduce_init((send_buf(data.clone()), op(ops::Sum))).unwrap();
+//!     let counts = vec![1usize; 2];
+//!     let _ = comm.alltoallv_init((send_buf(data), send_counts(&counts))).unwrap();
 //! }
 //! ```
 

@@ -10,9 +10,19 @@
 //! completion, so no send buffer can be mutated and no receive buffer
 //! read while an operation is in flight (the guarantee the paper notes
 //! only rsmpi's ownership model otherwise provides).
+//!
+//! `isend` / `send_init` and `irecv` / `recv_init` are each declared
+//! once, by [`IsendArgs`] and [`IrecvArgs`]: the trait's one method
+//! resolves the slots and hands them to the immediate driver (here) or
+//! the persistent one ([`crate::persistent`]), and every completion of
+//! either — of every future and every persistent cycle in this crate —
+//! is decoded by one function, which also applies `recv_count`.
+
+use std::marker::PhantomData;
 
 use kmp_mpi::request::{Completion, TestOutcome};
-use kmp_mpi::{MpiError, Plain, Request, RequestSet, Result, Src, TagSel};
+use kmp_mpi::{Comm, MpiError, PersistentRequest, Plain, Rank, Request, RequestSet, Result};
+use kmp_mpi::{Src, Tag, TagSel};
 
 use crate::communicator::Communicator;
 use crate::params::argset::{ArgSet, IntoArgs};
@@ -20,11 +30,9 @@ use crate::params::output::{FinalOf, Finalize, Push1, PushComponent};
 use crate::params::slots::{ProvidesSendData, RecvBufSpec, SendToTransport};
 use crate::params::{Absent, Meta, SendBuf};
 
-pub(crate) fn send_meta(meta: &Meta) -> (usize, i32) {
-    let dest = meta
-        .destination
-        .expect("missing required parameter `destination` (pass destination(rank))");
-    (dest, meta.tag.unwrap_or(0))
+pub(crate) fn send_meta(meta: &Meta) -> Result<(Rank, Tag)> {
+    let missing = || MpiError::InvalidLayout("missing required parameter `destination`".into());
+    Ok((meta.destination.ok_or_else(missing)?, meta.tag.unwrap_or(0)))
 }
 
 fn recv_meta(meta: &Meta) -> (Src, TagSel) {
@@ -57,7 +65,7 @@ macro_rules! plain_send_impls {
             SendBuf<$container>: ProvidesSendData<T>,
         {
             fn run(self, comm: &Communicator) -> Result<()> {
-                let (dest, tag) = send_meta(&self.meta);
+                let (dest, tag) = send_meta(&self.meta)?;
                 comm.raw().send(self.send_buf.send_slice(), dest, tag)
             }
         }
@@ -77,43 +85,54 @@ impl<T: Plain> SendArgs<T>
     for ArgSet<SendBuf<Vec<T>>, Absent, Absent, Absent, Absent, Absent, Absent, Absent>
 {
     fn run(self, comm: &Communicator) -> Result<()> {
-        let (dest, tag) = send_meta(&self.meta);
+        let (dest, tag) = send_meta(&self.meta)?;
         comm.raw().send_vec(self.send_buf.0, dest, tag)
     }
 }
 
-macro_rules! plain_isend_impls {
-    ($([$($gen:tt)*] $container:ty),+ $(,)?) => {$(
-        impl<$($gen)* T: Plain> IsendArgs<T>
-            for ArgSet<SendBuf<$container>, Absent, Absent, Absent, Absent, Absent, Absent, Absent>
-        where
-            SendBuf<$container>: SendToTransport<T>,
-        {
-            type Hold = <SendBuf<$container> as SendToTransport<T>>::Hold;
-
-            fn run<'c>(self, comm: &'c Communicator) -> Result<NonBlockingSend<'c, Self::Hold>> {
-                let (dest, tag) = send_meta(&self.meta);
-                let (payload, hold) = self.send_buf.into_payload();
-                let req = comm.raw().isend_bytes(payload, dest, tag)?;
-                Ok(NonBlockingSend(InFlight::new(req, hold)))
-            }
-
-            fn run_sync<'c>(self, comm: &'c Communicator) -> Result<NonBlockingSend<'c, Self::Hold>> {
-                let (dest, tag) = send_meta(&self.meta);
-                let (payload, hold) = self.send_buf.into_payload();
-                let req = comm.raw().issend_bytes(payload, dest, tag)?;
-                Ok(NonBlockingSend(InFlight::new(req, hold)))
-            }
-        }
-    )+};
+/// Valid argument sets for [`Communicator::isend`], `issend` and
+/// [`Communicator::send_init`]: `send_buf` and `destination` (required),
+/// `tag` (default 0).
+pub trait IsendArgs<M> {
+    /// What `wait()` returns: the handle of a moved-in send container,
+    /// `()` for borrowed buffers.
+    type Hold;
+    /// Resolves the slots and drives the send into lifecycle `L`; `sync`
+    /// selects the synchronous mode, which only `issend` has.
+    fn run<'c, L: Lifecycle<'c>>(
+        self,
+        comm: &'c Communicator,
+        sync: bool,
+    ) -> Result<L::Out<M, Self::Hold>>;
 }
 
-plain_isend_impls!(
-    ['a,] &'a Vec<T>,
-    [] Vec<T>,
-    ['a,] &'a [T],
-    ['a, const N: usize,] &'a [T; N],
-);
+impl<T, B> IsendArgs<T>
+    for ArgSet<SendBuf<B>, Absent, Absent, Absent, Absent, Absent, Absent, Absent>
+where
+    T: Plain,
+    SendBuf<B>: SendToTransport<T>,
+{
+    type Hold = <SendBuf<B> as SendToTransport<T>>::Hold;
+
+    fn run<'c, L: Lifecycle<'c>>(
+        self,
+        comm: &'c Communicator,
+        sync: bool,
+    ) -> Result<L::Out<T, Self::Hold>> {
+        let (dest, tag) = send_meta(&self.meta)?;
+        // Owned buffers move into the transport: zero call-time copies.
+        let (payload, hold) = self.send_buf.into_payload();
+        L::drive(
+            comm.raw(),
+            (payload, hold, None),
+            |c, p| match sync {
+                true => c.issend_bytes(p, dest, tag),
+                false => c.isend_bytes(p, dest, tag),
+            },
+            |c, p| c.send_init_bytes(p, dest, tag),
+        )
+    }
+}
 
 /// Valid argument sets for [`Communicator::recv`].
 pub trait RecvArgs<M> {
@@ -167,13 +186,60 @@ plain_recv_impls!(
 // Non-blocking results
 // ---------------------------------------------------------------------------
 
+/// The two drivers of one declaration, as the substrate's `icoll` /
+/// `persistent_coll` are the drivers of one plan.
+pub(crate) mod lifecycle {
+    use kmp_mpi::{Comm, PersistentRequest, Request, Result};
+
+    /// Drives an operation's one declaration — its `I*Args` trait, whose
+    /// method resolves the slots once — into a lifecycle: the resolved
+    /// arguments `A` go to the substrate's `i*` form (`now`) or to its
+    /// `*_init` form (`plan`), beside the handle `H` of whatever the
+    /// caller moved in and `recv_count` in bytes.
+    pub trait Lifecycle<'c> {
+        /// The driven call: the operation in flight, or the frozen plan.
+        type Out<T, H>;
+
+        /// Runs the resolved call.
+        fn drive<T, H, A>(
+            comm: &'c Comm,
+            call: (A, H, Option<usize>),
+            now: impl FnOnce(&'c Comm, A) -> Result<Request<'c>>,
+            plan: impl FnOnce(&'c Comm, A) -> Result<PersistentRequest<'c>>,
+        ) -> Result<Self::Out<T, H>>;
+    }
+}
+
+pub(crate) use lifecycle::Lifecycle;
+
+/// The immediate driver: the `i*` request, held with the handle until
+/// its future completes.
+pub(crate) struct Immediate;
+
+impl<'c> Lifecycle<'c> for Immediate {
+    type Out<T, H> = InFlight<'c, H>;
+
+    fn drive<T, H, A>(
+        comm: &'c Comm,
+        (args, hold, expected_bytes): (A, H, Option<usize>),
+        now: impl FnOnce(&'c Comm, A) -> Result<Request<'c>>,
+        _: impl FnOnce(&'c Comm, A) -> Result<PersistentRequest<'c>>,
+    ) -> Result<InFlight<'c, H>> {
+        Ok(InFlight {
+            req: now(comm, args)?,
+            hold,
+            expected_bytes,
+        })
+    }
+}
+
 /// The operation in flight behind every non-blocking future of this
 /// crate ([`NonBlockingSend`], [`NonBlockingRecv`],
 /// [`NonBlockingCollective`](crate::collectives::NonBlockingCollective),
 /// [`NonBlockingBcast`](crate::collectives::NonBlockingBcast)): the
 /// substrate request, the handle `H` of whatever the caller moved into
 /// the call, and a receive's `recv_count` assertion. The futures are
-/// typed views of it — each adds only how its completion decodes.
+/// typed views of it.
 pub(crate) struct InFlight<'a, H> {
     req: Request<'a>,
     hold: H,
@@ -183,31 +249,24 @@ pub(crate) struct InFlight<'a, H> {
 }
 
 impl<'a, H> InFlight<'a, H> {
-    pub(crate) fn new(req: Request<'a>, hold: H) -> Self {
-        InFlight {
-            req,
-            hold,
-            expected_bytes: None,
-        }
+    /// Blocks until the operation completes: its data ([`decode`];
+    /// `counts` collects the per-block counts where asked) and the
+    /// handle.
+    pub(crate) fn wait<T: Plain>(self, counts: Option<&mut Vec<usize>>) -> Result<(Vec<T>, H)> {
+        let data = decode(self.req.wait()?, self.expected_bytes, counts)?;
+        Ok((data, self.hold))
     }
 
-    /// Blocks until the operation completes: its (length-checked)
-    /// completion and the handle.
-    pub(crate) fn wait(self) -> Result<(Completion, H)> {
-        let completion = self.req.wait()?;
-        check_bytes(&completion, self.expected_bytes)?;
-        Ok((completion, self.hold))
-    }
-
-    /// One poll: the completion and the handle, or the operation back.
+    /// One poll: the data and the handle, or the operation back, as the
+    /// future `pending` makes of it.
     #[allow(clippy::type_complexity)]
-    pub(crate) fn test(self) -> Result<std::result::Result<(Completion, H), Self>> {
+    pub(crate) fn test<T: Plain, F>(
+        self,
+        pending: impl FnOnce(Self) -> F,
+    ) -> Result<std::result::Result<(Vec<T>, H), F>> {
         Ok(match self.req.test()? {
-            TestOutcome::Ready(completion) => {
-                check_bytes(&completion, self.expected_bytes)?;
-                Ok((completion, self.hold))
-            }
-            TestOutcome::Pending(req) => Err(InFlight { req, ..self }),
+            TestOutcome::Ready(done) => Ok((decode(done, self.expected_bytes, None)?, self.hold)),
+            TestOutcome::Pending(req) => Err(pending(InFlight { req, ..self })),
         })
     }
 
@@ -239,6 +298,40 @@ fn check_bytes(completion: &Completion, expected_bytes: Option<usize>) -> Result
     }
 }
 
+/// The one completion decoder, of every future and every persistent
+/// cycle: applies `recv_count` ([`check_bytes`]), takes a lone message
+/// back without a copy where [`Completion::into_vec`] can (the allreduce
+/// result, which only this rank holds), and copies each block once,
+/// straight into the result, releasing it as soon as it is copied — a
+/// block is a view of its sender's buffer, which that sender may be
+/// about to take back. `counts` collects the per-block element counts
+/// for the callers that ask; a send decodes to nothing.
+pub(crate) fn decode<T: Plain>(
+    completion: Completion,
+    expected_bytes: Option<usize>,
+    mut counts: Option<&mut Vec<usize>>,
+) -> Result<Vec<T>> {
+    check_bytes(&completion, expected_bytes)?;
+    let blocks = match completion {
+        Completion::Done => Vec::new(),
+        Completion::Blocks(blocks) => blocks,
+        message => {
+            let (data, _) = message.into_vec::<T>().expect("a message");
+            counts
+                .into_iter()
+                .for_each(|counts| counts.push(data.len()));
+            return Ok(data);
+        }
+    };
+    let bytes: usize = blocks.iter().map(|b| b.len()).sum();
+    let mut data = Vec::with_capacity(bytes / std::mem::size_of::<T>().max(1));
+    for block in blocks {
+        let n = kmp_mpi::plain::extend_vec_from_bytes(&mut data, &block);
+        counts.iter_mut().for_each(|counts| counts.push(n));
+    }
+    Ok(data)
+}
+
 /// A non-blocking send in flight. An owned send buffer has **moved into
 /// the transport** (zero-copy: the payload aliases its allocation);
 /// [`NonBlockingSend::wait`] completes the request and returns its
@@ -253,13 +346,14 @@ impl<'a, H> NonBlockingSend<'a, H> {
     /// Blocks until the send completes, returning the handle of the
     /// moved-in buffer.
     pub fn wait(self) -> Result<H> {
-        self.0.wait().map(|(_, hold)| hold)
+        // A send completes with nothing to decode.
+        self.0.wait::<u8>(None).map(|(_, hold)| hold)
     }
 
     /// Completion test: `Ok(Ok(handle))` when complete, `Ok(Err(self))`
     /// when still pending.
     pub fn test(self) -> Result<std::result::Result<H, Self>> {
-        let polled = self.0.test()?.map_err(NonBlockingSend);
+        let polled = self.0.test::<u8, _>(NonBlockingSend)?;
         Ok(polled.map(|(_, hold)| hold))
     }
 }
@@ -268,39 +362,21 @@ impl<'a, H> NonBlockingSend<'a, H> {
 /// [`NonBlockingRecv::wait`] / [`NonBlockingRecv::test`] (§III-E: no read
 /// of incomplete receive buffers).
 #[must_use = "non-blocking operations must be completed with wait() or test()"]
-pub struct NonBlockingRecv<'a, T>(InFlight<'a, ()>, std::marker::PhantomData<T>);
+pub struct NonBlockingRecv<'a, T>(InFlight<'a, ()>, PhantomData<T>);
 
 impl<'a, T: Plain> NonBlockingRecv<'a, T> {
-    fn decode((completion, ()): (Completion, ())) -> Vec<T> {
-        let (data, _) = completion
-            .into_vec::<T>()
-            .expect("receive requests complete with a payload");
-        data
-    }
-
     /// Blocks until a message arrives and returns it.
     pub fn wait(self) -> Result<Vec<T>> {
-        self.0.wait().map(Self::decode)
+        self.0.wait(None).map(|(data, ())| data)
     }
 
     /// Completion test, mirroring the paper's `test()` returning
     /// `std::optional`: `Ok(Ok(Some(data)))` when complete,
     /// `Ok(Err(self))` when pending.
     pub fn test(self) -> Result<std::result::Result<Vec<T>, Self>> {
-        let polled = self.0.test()?.map_err(|op| NonBlockingRecv(op, self.1));
-        Ok(polled.map(Self::decode))
+        let polled = self.0.test(|op| NonBlockingRecv(op, PhantomData))?;
+        Ok(polled.map(|(data, ())| data))
     }
-}
-
-/// Valid argument sets for [`Communicator::isend`] / `issend`.
-pub trait IsendArgs<M> {
-    /// What `wait()` returns: the handle of a moved-in send container,
-    /// `()` for borrowed buffers.
-    type Hold;
-    /// Starts the (standard-mode) send.
-    fn run<'c>(self, comm: &'c Communicator) -> Result<NonBlockingSend<'c, Self::Hold>>;
-    /// Starts the synchronous-mode send (completes on receiver match).
-    fn run_sync<'c>(self, comm: &'c Communicator) -> Result<NonBlockingSend<'c, Self::Hold>>;
 }
 
 // ---------------------------------------------------------------------------
@@ -551,7 +627,8 @@ impl Communicator {
         A: IntoArgs,
         A::Out: IsendArgs<M>,
     {
-        args.into_args().run(self)
+        let op = args.into_args().run::<Immediate>(self, false)?;
+        Ok(NonBlockingSend(op))
     }
 
     /// Non-blocking synchronous-mode send (wraps `MPI_Issend`): completes
@@ -565,7 +642,8 @@ impl Communicator {
         A: IntoArgs,
         A::Out: IsendArgs<M>,
     {
-        args.into_args().run_sync(self)
+        let op = args.into_args().run::<Immediate>(self, true)?;
+        Ok(NonBlockingSend(op))
     }
 
     /// Non-blocking receive (wraps `MPI_Irecv`). Parameters: `source`
@@ -576,24 +654,38 @@ impl Communicator {
         A: IntoArgs,
         A::Out: IrecvArgs,
     {
-        let args = args.into_args().into_meta();
-        let (src, tag) = recv_meta(&args);
-        let mut op = InFlight::new(self.raw().irecv(src, tag), ());
-        op.expected_bytes = args.recv_count.map(|n| n * std::mem::size_of::<T>());
-        Ok(NonBlockingRecv(op, std::marker::PhantomData))
+        let op = args.into_args().run::<T, Immediate>(self)?;
+        Ok(NonBlockingRecv(op, PhantomData))
     }
 }
 
-/// Argument sets valid for `irecv`: scalar parameters only (the receive
-/// buffer is always produced by the completion).
+/// Argument sets valid for [`Communicator::irecv`] and
+/// [`Communicator::recv_init`]: scalar parameters only (the receive
+/// buffer is always produced by the completion) — `source`, `tag`,
+/// `recv_count`.
 pub trait IrecvArgs {
-    /// Extracts the scalar parameters.
-    fn into_meta(self) -> Meta;
+    /// Resolves the envelope and `recv_count` and drives the receive
+    /// into lifecycle `L`.
+    fn run<'c, T, L: Lifecycle<'c>>(self, comm: &'c Communicator) -> Result<L::Out<T, ()>>;
 }
 
 impl IrecvArgs for ArgSet<Absent, Absent, Absent, Absent, Absent, Absent, Absent, Absent> {
-    fn into_meta(self) -> Meta {
-        self.meta
+    fn run<'c, T, L: Lifecycle<'c>>(self, comm: &'c Communicator) -> Result<L::Out<T, ()>> {
+        let (src, tag) = recv_meta(&self.meta);
+        let expected_bytes = self.meta.recv_count.map(|n| n * std::mem::size_of::<T>());
+        L::drive(
+            comm.raw(),
+            ((), (), expected_bytes),
+            |c, ()| Ok(c.irecv(src, tag)),
+            // A plan registers on one concrete stream: tag 0 by default,
+            // and a wildcard source cannot be frozen.
+            |c, ()| match src {
+                Src::Rank(src) => c.recv_init(src, self.meta.tag.unwrap_or(0)),
+                Src::Any => Err(MpiError::InvalidLayout(
+                    "recv_init needs source(rank)".into(),
+                )),
+            },
+        )
     }
 }
 
@@ -922,12 +1014,22 @@ mod tests {
         });
     }
 
+    /// A send without `destination` is a typed error in every form that
+    /// takes one — blocking (plain and serialized), `isend`, `issend`
+    /// and `send_init` — not a panic.
     #[test]
-    #[should_panic(expected = "missing required parameter `destination`")]
-    fn send_without_destination_panics() {
+    fn send_without_destination_is_an_error() {
         Universe::run(1, |comm| {
             let comm = Communicator::new(comm);
-            let _ = comm.send((send_buf(&vec![1u8]),));
+            let missing = |r: Result<(), crate::MpiError>| match r {
+                Err(crate::MpiError::InvalidLayout(text)) => assert!(text.contains("destination")),
+                other => panic!("{other:?}"),
+            };
+            missing(comm.send((send_buf(&vec![1u8]),)));
+            missing(comm.send((send_buf(as_serialized(&1u8)),)));
+            missing(comm.isend((send_buf(vec![1u8]),)).map(drop));
+            missing(comm.issend((send_buf(&[1u8][..]),)).map(drop));
+            missing(comm.send_init((send_buf(&vec![1u8]),)).map(drop));
         });
     }
 }

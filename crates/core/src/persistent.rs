@@ -24,44 +24,34 @@
 //! });
 //! ```
 //!
-//! The payload of a frozen plan is refreshed *between* cycles with
+//! **One declaration, two drivers.** A `*_init` takes the argument
+//! trait of its `i*` twin — `send_init` / `isend`, `recv_init` /
+//! `irecv`, `bcast_init` / `ibcast`, `allreduce_init` / `iallreduce`,
+//! `allgather(v)_init` / `iallgather(v)`, `alltoallv_init` /
+//! `ialltoallv` — whose one method resolves the slots, `tuning` and
+//! `recv_count` included, and hands them to the persistent driver
+//! instead of the immediate one: the substrate freezes a plan where it
+//! would have issued a request. Each cycle's completion is decoded by
+//! the function that decodes the futures', `recv_count` checked the
+//! same way. What does not carry over: `issend` has no persistent form,
+//! and `alltoallv_init` takes no `send_displs`.
+//!
+//! An owned buffer — `send_buf(vec)`, or a root's `send_recv_buf(vec)`
+//! — moves into the plan: init copies 0 bytes, and the plan keeps the
+//! vector as the payload of every cycle, so no handle comes back. The
+//! payload is refreshed *between* cycles with
 //! [`Persistent::set_data`]; the plan itself (peers, counts, algorithm)
 //! never changes — create a new handle for a new shape.
 
 use std::marker::PhantomData;
 
-use kmp_mpi::request::Completion;
-use kmp_mpi::{Plain, Result, Src};
+use kmp_mpi::{Comm, PersistentRequest, Plain, Request, Result};
 
+use crate::collectives::nonblocking::packed::Packed;
+use crate::collectives::{IallgatherArgs, IallreduceArgs, IalltoallvArgs, IbcastArgs};
 use crate::communicator::Communicator;
-use crate::params::argset::{ArgSet, IntoArgs};
-use crate::params::slots::{ProvidedCounts, ProvidesOp, ProvidesSendData};
-use crate::params::{Absent, Meta, OpParam, SendBuf, SendRecvBuf};
-
-/// Decodes a cycle's completion uniformly: sends yield nothing,
-/// single-message completions one block (taken back without a copy when
-/// this rank holds its only view), v-collectives one block per rank
-/// (each copied once, straight into the result vector).
-fn decode<T: Plain>(completion: Completion) -> (Vec<T>, Vec<usize>) {
-    match completion {
-        Completion::Done => (Vec::new(), Vec::new()),
-        message @ Completion::Message(..) => {
-            let (data, _) = message.into_vec::<T>().expect("a message");
-            let n = data.len();
-            (data, vec![n])
-        }
-        Completion::Blocks(blocks) => {
-            let mut data = Vec::with_capacity(
-                blocks.iter().map(|b| b.len()).sum::<usize>() / std::mem::size_of::<T>().max(1),
-            );
-            let mut counts = Vec::with_capacity(blocks.len());
-            for b in &blocks {
-                counts.push(kmp_mpi::plain::extend_vec_from_bytes(&mut data, b));
-            }
-            (data, counts)
-        }
-    }
-}
+use crate::p2p::{decode, IrecvArgs, IsendArgs, Lifecycle};
+use crate::params::argset::IntoArgs;
 
 /// A typed persistent operation: the frozen plan plus this rank's
 /// current payload. Created by the `Communicator::*_init` methods;
@@ -74,19 +64,36 @@ fn decode<T: Plain>(completion: Completion) -> (Vec<T>, Vec<usize>) {
 /// *inactive* state instead of consuming it, mirroring MPI's fourth
 /// request lifecycle (inactive → started → complete → restartable).
 #[must_use = "a persistent operation does nothing until start() is called"]
-pub struct Persistent<'a, T: Plain> {
-    req: kmp_mpi::PersistentRequest<'a>,
+pub struct Persistent<'a, T> {
+    req: PersistentRequest<'a>,
+    /// `recv_count` in bytes: each cycle's message must be exactly this
+    /// long.
+    expected_bytes: Option<usize>,
     _elem: PhantomData<T>,
 }
 
-impl<'a, T: Plain> Persistent<'a, T> {
-    fn wrap(req: kmp_mpi::PersistentRequest<'a>) -> Self {
-        Persistent {
-            req,
-            _elem: PhantomData,
-        }
-    }
+/// The persistent driver: the `*_init` plan, which keeps the payload
+/// (a moved-in buffer included), so the handle goes.
+struct Frozen;
 
+impl<'c> Lifecycle<'c> for Frozen {
+    type Out<T, H> = Persistent<'c, T>;
+
+    fn drive<T, H, A>(
+        comm: &'c Comm,
+        (args, _hold, expected_bytes): (A, H, Option<usize>),
+        _: impl FnOnce(&'c Comm, A) -> Result<Request<'c>>,
+        plan: impl FnOnce(&'c Comm, A) -> Result<PersistentRequest<'c>>,
+    ) -> Result<Persistent<'c, T>> {
+        Ok(Persistent {
+            req: plan(comm, args)?,
+            expected_bytes,
+            _elem: PhantomData,
+        })
+    }
+}
+
+impl<'a, T: Plain> Persistent<'a, T> {
     /// Starts one cycle (mirrors `MPI_Start`): O(messages posted), no
     /// per-call setup. Errors if the previous cycle is still active.
     pub fn start(&mut self) -> Result<()> {
@@ -97,20 +104,24 @@ impl<'a, T: Plain> Persistent<'a, T> {
     /// (empty for sends). The handle is inactive and restartable
     /// afterwards.
     pub fn wait(&mut self) -> Result<Vec<T>> {
-        Ok(decode::<T>(self.req.wait()?).0)
+        decode(self.req.wait()?, self.expected_bytes, None)
     }
 
     /// Like [`wait`](Persistent::wait), additionally returning per-rank
     /// element counts for block-structured completions (allgather /
     /// alltoallv plans).
     pub fn wait_with_counts(&mut self) -> Result<(Vec<T>, Vec<usize>)> {
-        Ok(decode::<T>(self.req.wait()?))
+        let mut counts = Vec::new();
+        let data = decode(self.req.wait()?, self.expected_bytes, Some(&mut counts))?;
+        Ok((data, counts))
     }
 
     /// Non-blocking completion check: `Ok(Some(data))` finishes the
     /// cycle, `Ok(None)` leaves it active.
     pub fn test(&mut self) -> Result<Option<Vec<T>>> {
-        Ok(self.req.test()?.map(|c| decode::<T>(c).0))
+        let done = self.req.test()?;
+        done.map(|c| decode(c, self.expected_bytes, None))
+            .transpose()
     }
 
     /// Replaces the data the next cycle sends (rejected while a cycle
@@ -131,219 +142,75 @@ impl<'a, T: Plain> Persistent<'a, T> {
 
     /// The substrate request, for interoperability (e.g.
     /// [`kmp_mpi::start_all`] over a mixed batch).
-    pub fn raw_mut(&mut self) -> &mut kmp_mpi::PersistentRequest<'a> {
+    pub fn raw_mut(&mut self) -> &mut PersistentRequest<'a> {
         &mut self.req
     }
 }
 
-// ---------------------------------------------------------------------------
-// Argument traits
-// ---------------------------------------------------------------------------
-
-/// Valid argument sets for [`Communicator::send_init`]: `send_buf` and
-/// `destination` (required), `tag` (default 0). The buffer is captured
-/// into the frozen plan; refresh it per cycle with
-/// [`Persistent::set_data`].
-pub trait SendInitArgs<T: Plain> {
-    /// Freezes the plan.
-    fn run<'c>(self, comm: &'c Communicator) -> Result<Persistent<'c, T>>;
-}
-
-impl<T, B> SendInitArgs<T>
-    for ArgSet<SendBuf<B>, Absent, Absent, Absent, Absent, Absent, Absent, Absent>
-where
-    T: Plain,
-    SendBuf<B>: ProvidesSendData<T>,
-{
-    fn run<'c>(self, comm: &'c Communicator) -> Result<Persistent<'c, T>> {
-        let (dest, tag) = crate::p2p::send_meta(&self.meta);
-        let req = comm
-            .raw()
-            .send_init(self.send_buf.send_slice(), dest, tag)?;
-        Ok(Persistent::wrap(req))
-    }
-}
-
-/// Valid argument sets for [`Communicator::recv_init`]: `source`
-/// (required and concrete — a wildcard cannot be frozen into a standing
-/// registration) and `tag` (default 0).
-pub trait RecvInitArgs {
-    /// Extracts the scalar parameters.
-    fn into_meta(self) -> Meta;
-}
-
-impl RecvInitArgs for ArgSet<Absent, Absent, Absent, Absent, Absent, Absent, Absent, Absent> {
-    fn into_meta(self) -> Meta {
-        self.meta
-    }
-}
-
-/// Valid argument sets for [`Communicator::bcast_init`]: `send_recv_buf`
-/// holding an owned `Vec<T>` (the root's broadcast content; other ranks
-/// pass an empty vector) plus optional `root` (default 0).
-pub trait BcastInitArgs<T: Plain> {
-    /// Freezes the plan.
-    fn run<'c>(self, comm: &'c Communicator) -> Result<Persistent<'c, T>>;
-}
-
-impl<T> BcastInitArgs<T>
-    for ArgSet<Absent, SendRecvBuf<Vec<T>>, Absent, Absent, Absent, Absent, Absent, Absent>
-where
-    T: Plain,
-{
-    fn run<'c>(self, comm: &'c Communicator) -> Result<Persistent<'c, T>> {
-        let root = self.meta.root.unwrap_or(0);
-        crate::assertions::check_same_root(comm, root)?;
-        let buf = self.send_recv_buf.0;
-        let req = if comm.rank() == root {
-            comm.raw().bcast_init(Some(&buf), root)?
-        } else {
-            comm.raw().bcast_init::<T>(None, root)?
-        };
-        Ok(Persistent::wrap(req))
-    }
-}
-
-/// Valid argument sets for [`Communicator::allreduce_init`]: `send_buf`
-/// and `op` (both required).
-pub trait AllreduceInitArgs<T: Plain> {
-    /// Freezes the plan.
-    fn run<'c>(self, comm: &'c Communicator) -> Result<Persistent<'c, T>>;
-}
-
-impl<T, B, O> AllreduceInitArgs<T>
-    for ArgSet<SendBuf<B>, Absent, Absent, Absent, Absent, Absent, Absent, OpParam<O>>
-where
-    T: Plain,
-    SendBuf<B>: ProvidesSendData<T>,
-    OpParam<O>: ProvidesOp<T>,
-    <OpParam<O> as ProvidesOp<T>>::Op: 'static,
-{
-    fn run<'c>(self, comm: &'c Communicator) -> Result<Persistent<'c, T>> {
-        let op = self.op.into_op();
-        let req = comm.raw().allreduce_init(self.send_buf.send_slice(), op)?;
-        Ok(Persistent::wrap(req))
-    }
-}
-
-/// Valid argument sets for [`Communicator::allgather_init`] and
-/// [`Communicator::allgatherv_init`]: `send_buf` (required).
-pub trait AllgatherInitArgs<T: Plain> {
-    /// This rank's contribution.
-    fn contribution(&self) -> &[T];
-}
-
-impl<T, B> AllgatherInitArgs<T>
-    for ArgSet<SendBuf<B>, Absent, Absent, Absent, Absent, Absent, Absent, Absent>
-where
-    T: Plain,
-    SendBuf<B>: ProvidesSendData<T>,
-{
-    fn contribution(&self) -> &[T] {
-        self.send_buf.send_slice()
-    }
-}
-
-/// Valid argument sets for [`Communicator::alltoallv_init`]: `send_buf`
-/// and `send_counts` (both required; the counts — and with them every
-/// per-peer byte range — are frozen into the plan).
-pub trait AlltoallvInitArgs<T: Plain> {
-    /// Freezes the plan.
-    fn run<'c>(self, comm: &'c Communicator) -> Result<Persistent<'c, T>>;
-}
-
-impl<T, B, SC> AlltoallvInitArgs<T>
-    for ArgSet<SendBuf<B>, Absent, Absent, SC, Absent, Absent, Absent, Absent>
-where
-    T: Plain,
-    SendBuf<B>: ProvidesSendData<T>,
-    SC: ProvidedCounts,
-{
-    fn run<'c>(self, comm: &'c Communicator) -> Result<Persistent<'c, T>> {
-        // `ProvidedCounts` guarantees the counts; an empty layout would
-        // fail the substrate's check like any other wrong one.
-        let counts = self.send_counts.provided().unwrap_or_default();
-        let req = comm
-            .raw()
-            .alltoallv_init(self.send_buf.send_slice(), counts)?;
-        Ok(Persistent::wrap(req))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Communicator methods
-// ---------------------------------------------------------------------------
-
 impl Communicator {
     /// Creates a persistent send (wraps `MPI_Send_init`).
     ///
-    /// Parameters: `send_buf` and `destination` (required), `tag`
-    /// (default 0). Each [`Persistent::start`] posts the current
-    /// payload; [`Persistent::set_data`] refreshes it between cycles.
+    /// Parameters: those of [`isend`](Self::isend) — `send_buf` and
+    /// `destination` (required), `tag` (default 0). Each
+    /// [`Persistent::start`] posts the current payload;
+    /// [`Persistent::set_data`] refreshes it between cycles.
     pub fn send_init<T, A>(&self, args: A) -> Result<Persistent<'_, T>>
     where
         T: Plain,
         A: IntoArgs,
-        A::Out: SendInitArgs<T>,
+        A::Out: IsendArgs<T>,
     {
-        args.into_args().run(self)
+        args.into_args().run::<Frozen>(self, false)
     }
 
     /// Creates a persistent receive (wraps `MPI_Recv_init`).
     ///
-    /// Parameters: `source` (required, concrete rank) and `tag`
-    /// (default 0). The standing completion registration installed here
-    /// serves every future cycle — the steady state re-registers
-    /// nothing.
+    /// Parameters: those of [`irecv`](Self::irecv), with `source`
+    /// required and concrete (a wildcard cannot be frozen into a
+    /// standing registration) and `tag` defaulting to 0; `recv_count`
+    /// checks every cycle's message. The standing completion
+    /// registration installed here serves every future cycle — the
+    /// steady state re-registers nothing.
     pub fn recv_init<T, A>(&self, args: A) -> Result<Persistent<'_, T>>
     where
         T: Plain,
         A: IntoArgs,
-        A::Out: RecvInitArgs,
+        A::Out: IrecvArgs,
     {
-        let meta = args.into_args().into_meta();
-        let src = match meta.source {
-            Some(Src::Rank(r)) => r,
-            _ => {
-                return Err(kmp_mpi::MpiError::InvalidLayout(
-                    "recv_init requires a concrete source(rank): a wildcard cannot be \
-                     frozen into a persistent plan"
-                        .into(),
-                ))
-            }
-        };
-        let req = self.raw().recv_init(src, meta.tag.unwrap_or(0))?;
-        Ok(Persistent::wrap(req))
+        args.into_args().run::<T, Frozen>(self)
     }
 
     /// Creates a persistent broadcast (wraps `MPI_Bcast_init`).
     ///
-    /// Parameters: `send_recv_buf` holding an owned `Vec<T>` (content on
-    /// the root, empty elsewhere), `root` (default 0). The binomial
-    /// tree, its internal tag, and the receivers' standing parent
-    /// registration are frozen once; every rank's `wait()` returns the
-    /// cycle's content.
+    /// Parameters: those of [`ibcast`](Self::ibcast) — `send_recv_buf`
+    /// holding an owned `Vec<T>` (content on the root, moved into the
+    /// plan; empty elsewhere), `root` (default 0). The binomial tree,
+    /// its internal tag, and the receivers' standing parent registration
+    /// are frozen once; every rank's `wait()` returns the cycle's
+    /// content.
     pub fn bcast_init<T, A>(&self, args: A) -> Result<Persistent<'_, T>>
     where
         T: Plain,
         A: IntoArgs,
-        A::Out: BcastInitArgs<T>,
+        A::Out: IbcastArgs<T>,
     {
-        args.into_args().run(self)
+        args.into_args().run::<Frozen>(self)
     }
 
     /// Creates a persistent all-reduce (wraps `MPI_Allreduce_init`).
     ///
-    /// Parameters: `send_buf` and `op` (required). The reduction runs in
-    /// strict rank order (safe for non-commutative operations); the
-    /// algorithm is selected and its engine built once, at init.
+    /// Parameters: those of [`iallreduce`](Self::iallreduce) —
+    /// `send_buf` and `op` (required). The reduction runs in strict rank
+    /// order for a non-commutative operation; the algorithm — the row
+    /// `tuning(..)` forces, or the one the blocking call would pick — is
+    /// selected and its engine built once, at init.
     pub fn allreduce_init<T, A>(&self, args: A) -> Result<Persistent<'_, T>>
     where
         T: Plain,
         A: IntoArgs,
-        A::Out: AllreduceInitArgs<T>,
+        A::Out: IallreduceArgs<T>,
     {
-        args.into_args().run(self)
+        args.into_args().run::<Frozen>(self)
     }
 
     /// Creates a persistent allgather (wraps `MPI_Allgather_init`).
@@ -355,10 +222,9 @@ impl Communicator {
     where
         T: Plain,
         A: IntoArgs,
-        A::Out: AllgatherInitArgs<T>,
+        A::Out: IallgatherArgs<T>,
     {
-        let req = self.raw().allgather_init(args.into_args().contribution())?;
-        Ok(Persistent::wrap(req))
+        args.into_args().run::<Frozen>(self, true)
     }
 
     /// Creates a persistent allgather whose contributions may differ in
@@ -368,25 +234,23 @@ impl Communicator {
     where
         T: Plain,
         A: IntoArgs,
-        A::Out: AllgatherInitArgs<T>,
+        A::Out: IallgatherArgs<T>,
     {
-        let req = self
-            .raw()
-            .allgatherv_init(args.into_args().contribution())?;
-        Ok(Persistent::wrap(req))
+        args.into_args().run::<Frozen>(self, false)
     }
 
     /// Creates a persistent personalized all-to-all (wraps
     /// `MPI_Alltoallv_init`). Parameters: `send_buf` and `send_counts`
-    /// (required). The counts are frozen; `set_data` must keep the
+    /// (required); unlike [`ialltoallv`](Self::ialltoallv), no
+    /// `send_displs`. The counts are frozen; `set_data` must keep the
     /// packed total.
     pub fn alltoallv_init<T, A>(&self, args: A) -> Result<Persistent<'_, T>>
     where
         T: Plain,
         A: IntoArgs,
-        A::Out: AlltoallvInitArgs<T>,
+        A::Out: IalltoallvArgs<T> + Packed,
     {
-        args.into_args().run(self)
+        args.into_args().run::<Frozen>(self)
     }
 }
 
@@ -424,6 +288,57 @@ mod tests {
         Universe::run(1, |comm| {
             let comm = Communicator::new(comm);
             assert!(comm.recv_init::<u8, _>((any_source(),)).is_err());
+        });
+    }
+
+    /// `recv_count` holds in every cycle of a persistent receive, as it
+    /// does for `irecv`: a 3-element message against `recv_count(2)` is
+    /// `Truncated`, and the next cycle still runs.
+    #[test]
+    fn recv_init_checks_recv_count_every_cycle() {
+        Universe::run(2, |comm| {
+            let comm = Communicator::new(comm);
+            if comm.rank() == 0 {
+                for data in [vec![1u32, 2, 3], vec![4, 5]] {
+                    comm.send((send_buf(&data), destination(1))).unwrap();
+                }
+            } else {
+                let mut recv = comm
+                    .recv_init::<u32, _>((source(0), recv_count(2)))
+                    .unwrap();
+                recv.start().unwrap();
+                let truncated = crate::MpiError::Truncated {
+                    message_bytes: 12,
+                    buffer_bytes: 8,
+                };
+                assert_eq!(recv.wait(), Err(truncated));
+                recv.start().unwrap();
+                assert_eq!(recv.wait().unwrap(), vec![4, 5]);
+            }
+        });
+    }
+
+    /// `tuning(..)` reaches the plan: a Rabenseifner forced at
+    /// `allreduce_init` is the row frozen into it (counted `frozen`,
+    /// under the row it resolved to), where the static rule picks
+    /// recursive doubling for 64 elements.
+    #[test]
+    fn allreduce_init_honours_tuning() {
+        use crate::{AlgoClass, AllreduceAlgo, CollTuning};
+        Universe::run(4, |comm| {
+            let comm = Communicator::new(comm);
+            let rabenseifner = AlgoClass::AllreduceRabenseifner.index();
+            let forced = tuning(CollTuning::default().allreduce(AllreduceAlgo::Rabenseifner));
+            let before = comm.raw().tuning_stats();
+            let mut sum = comm
+                .allreduce_init((send_buf(vec![1u64; 64]), op(ops::Sum), forced))
+                .unwrap();
+            let after = comm.raw().tuning_stats();
+            assert_eq!(after.frozen_picks - before.frozen_picks, 1);
+            let picked = after.selections[rabenseifner] - before.selections[rabenseifner];
+            assert_eq!(picked, 1, "the forced row is frozen");
+            sum.start().unwrap();
+            assert_eq!(sum.wait().unwrap(), vec![4; 64]);
         });
     }
 

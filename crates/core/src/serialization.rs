@@ -95,11 +95,7 @@ impl<'a, T: Serialize> SendArgs<SerialMode>
     for ArgSet<SendBuf<Serialized<'a, T>>, Absent, Absent, Absent, Absent, Absent, Absent, Absent>
 {
     fn run(self, comm: &Communicator) -> Result<()> {
-        let dest = self
-            .meta
-            .destination
-            .expect("missing required parameter `destination` (pass destination(rank))");
-        let tag = self.meta.tag.unwrap_or(0);
+        let (dest, tag) = crate::p2p::send_meta(&self.meta)?;
         let bytes = kmp_serialize::to_bytes(self.send_buf.0 .0).map_err(ser_err)?;
         // The serialized buffer moves into the transport (no second copy).
         comm.raw().send_vec(bytes, dest, tag)

@@ -572,7 +572,9 @@ impl Comm {
     /// The scatter plan (`scatter*`, `iscatter(v)`): `layout` runs at
     /// the root only, once the tag is taken, and names the buffer to
     /// pack and each rank's byte range in it. Every rank completes with
-    /// the one block it has from the root.
+    /// the one block it has from the root. A layout error is the root's
+    /// alone: it still serves every peer an empty block, so none is left
+    /// waiting, and returns the error once its driver has run.
     pub(crate) fn scatter_plan<'c, 's, T: Plain, R>(
         &'c self,
         what: &'static str,
@@ -584,16 +586,20 @@ impl Comm {
         // erroring before the tag is fine there.
         self.check_rank(root)?;
         let tag = self.next_internal_tag();
-        let (post, own, packed) = if self.rank() == root {
-            let (data, ranges) = layout()?;
+        let (post, own, packed, failed) = if self.rank() == root {
+            let ((data, ranges), failed) = match layout() {
+                Ok(layout) => (layout, None),
+                Err(e) => ((&[][..], vec![0..0; self.size()]), Some(e)),
+            };
             // Pack once, slice per destination (refcount clones).
             let post = sliced_by_rank(self, &ranges);
-            (post, Some(0), bytes_from_slice(data))
+            (post, Some(0), bytes_from_slice(data), failed)
         } else {
-            (Post::Nothing, None, Bytes::new())
+            (Post::Nothing, None, Bytes::new(), None)
         };
         let engine = Exchange::new(what, tag, post, (vec![root], own), Finish::Message);
-        run(self, Box::new(engine), packed)
+        let done = run(self, Box::new(engine), packed);
+        failed.map_or(done, Err)
     }
 
     /// Flat allgather, the `allgather/ring` row in every lifecycle: own
@@ -1219,9 +1225,9 @@ mod tests {
             if comm.rank() == 0 {
                 assert!(comm.iscatter(Some(&[1u8; 7][..]), 0).is_err());
             } else {
-                // The operation can never complete (the root bailed);
-                // dropping the pending request is the recovery path.
-                let _pending = comm.iscatter::<u8>(None, 0).unwrap();
+                // The root still serves every peer: an empty block.
+                let done = comm.iscatter::<u8>(None, 0).unwrap().wait().unwrap();
+                assert_eq!(done.into_vec::<u8>().unwrap().0, Vec::<u8>::new());
             }
             still_aligned();
             // A root that passes no data is a typed error, not a panic,
@@ -1243,8 +1249,8 @@ mod tests {
             }
             still_aligned();
             // Blocking forms: the peers burn the operation's one tag
-            // with the non-blocking twin (the blocking call would wait
-            // for the root forever).
+            // with the non-blocking twin (a blocking broadcast would
+            // wait for the root forever).
             if comm.rank() == 0 {
                 no_data(comm.bcast_vec::<u8>(None, 0).map(drop));
                 no_data(comm.bcast_bytes(None, 0).map(drop));

@@ -195,7 +195,8 @@ mod tests {
                 let mut mine = [0u32; 2];
                 assert!(comm.scatter_into(&send, &mut mine, 0).is_err());
             }
-            // rank 1 does not participate: root errors before sending.
+            // rank 1 does not participate: the empty block the erroring
+            // root still sends it stays queued.
         });
     }
 

@@ -1,11 +1,17 @@
 //! Error types.
 //!
 //! MPI reports both *failures* (process death, resource exhaustion) and
-//! *usage errors* through return codes. Mirroring §III-G of the paper, the
-//! substrate distinguishes the two: recoverable failures are reported as
-//! [`MpiError`] values (the binding layer turns them into rich results);
-//! usage errors (type mismatches, buffer overruns) panic, which is the
-//! Rust analogue of a failed assertion.
+//! *usage errors* through return codes, and so does this crate: both
+//! are [`MpiError`] values, which the binding layer passes on as rich
+//! results. A usage error that depends on runtime input — a missing
+//! `destination`, counts that do not describe the buffer, a missing
+//! root buffer, a message longer than `recv_count` — is a typed error
+//! on the rank that made it, reported after the operation's internal
+//! tags are taken, so that its peers still complete (§III-G catches the
+//! rest at compile time). A panic is meant for a broken internal
+//! invariant only; the ones input can still reach are documented where
+//! they remain (e.g. a zero-capacity request pool, or a typed decode
+//! of a message that is not a whole number of elements).
 
 use crate::Rank;
 

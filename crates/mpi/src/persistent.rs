@@ -584,8 +584,18 @@ impl Comm {
         data: &[T],
         op: O,
     ) -> Result<PersistentRequest<'_>> {
+        self.allreduce_init_bytes(bytes_from_slice(data), op)
+    }
+
+    /// Byte-level [`Comm::allreduce_init`]: `own` (which must encode a
+    /// `[T]` slice) is the first cycle's payload as-is — zero-copy for
+    /// adopted owned buffers.
+    pub fn allreduce_init_bytes<T: Plain, O: ReduceOp<T> + 'static>(
+        &self,
+        own: Bytes,
+        op: O,
+    ) -> Result<PersistentRequest<'_>> {
         self.count_op("allreduce_init");
-        let own = bytes_from_slice(data);
         self.allreduce_plan(Site::INIT, "allreduce_init", own, op, Comm::persistent_coll)
     }
 

@@ -229,3 +229,67 @@ fn pool_survives_a_failed_peer() {
     assert_eq!(out[0], RankOutcome::Completed(true));
     assert_eq!(out[1], RankOutcome::Failed);
 }
+
+/// A layout error only the root can see is `InvalidLayout` there, in
+/// every lifecycle of the scatter plan, and costs its peers nothing:
+/// each returns (with a typed result, here the empty block the root
+/// still sends), nothing stays queued, and the next collective lines
+/// up. The calls: counts with no entries (`scatterv_vec`, `iscatterv`),
+/// four elements that do not split into three blocks (`scatter_vec`),
+/// and the binding's `scatterv` on a root without `send_counts`.
+#[test]
+fn root_layout_error_in_a_scatter_leaves_no_peer_waiting() {
+    with_deadline(60, || {
+        for call in 0..4 {
+            Universe::run(3, move |comm| {
+                let comm = Communicator::new(comm);
+                let (raw, root) = (comm.raw(), comm.rank() == 0);
+                let (data, no_counts) = ([1u64, 2, 3, 4], &[][..]);
+                let got: Result<Vec<u64>, MpiError> = match call {
+                    0 => raw.scatterv_vec(root.then_some((&data[..], no_counts, no_counts)), 0),
+                    1 => raw
+                        .iscatterv(root.then_some((&data[..], no_counts)), 0)
+                        .and_then(|req| req.wait())
+                        .map(|done| done.into_vec().map(|(v, _)| v).unwrap_or_default()),
+                    2 => raw.scatter_vec(root.then_some(&data[..]), 0),
+                    _ => comm.scatterv(send_buf(&data)),
+                };
+                match got {
+                    Err(MpiError::InvalidLayout(_)) if root => {}
+                    // Returning at all is the point here.
+                    _ if !root => {}
+                    other => panic!("call {call}, root: {other:?}"),
+                }
+                let sum = comm.allreduce_single((send_buf(&[1u64]), op(ops::Sum)));
+                assert_eq!(sum, Ok(3), "call {call}: the next collective lines up");
+                comm.barrier().unwrap();
+                assert_eq!(raw.mailbox_stats().queued, 0, "call {call}: nothing queued");
+            });
+        }
+    });
+}
+
+/// `allreduce_single` with a buffer that does not hold exactly one
+/// element is `InvalidLayout` on that rank, not a panic; the rank still
+/// takes part, so its peers complete and the communicator stays usable.
+#[test]
+fn allreduce_single_of_the_wrong_length_is_an_error_and_peers_complete() {
+    let out = with_deadline(60, || {
+        Universe::run(3, |comm| {
+            let comm = Communicator::new(comm);
+            let mine = vec![1u64; comm.rank()]; // 0, 1 and 2 elements
+            let got = comm.allreduce_single((send_buf(&mine), op(ops::Sum)));
+            let next = comm.allreduce_single((send_buf(&[1u64]), op(ops::Sum)));
+            (
+                got.map_err(|e| matches!(e, MpiError::InvalidLayout(_))),
+                next,
+            )
+        })
+    });
+    assert!(out[0].0 == Err(true) && out[2].0 == Err(true), "{out:?}");
+    assert!(
+        out[1].0.is_ok(),
+        "the rank with one element completes: {out:?}"
+    );
+    assert!(out.iter().all(|(_, next)| *next == Ok(3)), "{out:?}");
+}

@@ -477,6 +477,50 @@ proptest! {
             let handle = sent.wait().unwrap();
             assert_eq!(owned, borrowed, "isend");
             assert_eq!(&handle[..], &v[..], "isend: the handle reads as v");
+
+            // The persistent twins take the same owned or borrowed buffer
+            // as the first cycle's data; fresh data is set before each
+            // later one. Every cycle equals the blocking call on its data.
+            let fresh = |base: &[u64], k: u64| -> Vec<u64> {
+                base.iter().map(|x| x.wrapping_add(k * 7919)).collect()
+            };
+            let forced = CollTuning::default().allreduce(AllreduceAlgo::Rabenseifner);
+            macro_rules! same_persistent {
+                ($init:ident / $blocking:ident, $base:expr, ($($arg:expr),*)) => {{
+                    let base: &Vec<u64> = $base;
+                    let borrowed = comm.$init((send_buf(base), $($arg),*)).unwrap();
+                    let owned = comm.$init((send_buf(base.clone()), $($arg),*)).unwrap();
+                    for (shape, mut plan) in [("borrowed", borrowed), ("owned", owned)] {
+                        for k in 0..3 {
+                            let data = fresh(base, k);
+                            if k > 0 {
+                                plan.set_data(&data).unwrap();
+                            }
+                            let want: Vec<u64> =
+                                comm.$blocking((send_buf(&data), $($arg),*)).unwrap();
+                            plan.start().unwrap();
+                            let got = plan.wait().unwrap();
+                            assert_eq!(got, want, "{} ({shape}), cycle {k}", stringify!($init));
+                        }
+                    }
+                }};
+            }
+            same_persistent!(allreduce_init / allreduce, &v, (op(ops::Sum)));
+            same_persistent!(allreduce_init / allreduce, &v, (op(compose())));
+            same_persistent!(allreduce_init / allreduce, &v, (op(ops::Sum), tuning(forced)));
+            same_persistent!(allgather_init / allgather, &v, ());
+            same_persistent!(allgatherv_init / allgatherv, &v, ());
+            same_persistent!(alltoallv_init / alltoallv, &to_each, (send_counts(&counts)));
+            let mut plan = comm.bcast_init((send_recv_buf(at(at_root)), root(at_root))).unwrap();
+            for k in 0..3 {
+                let mut want = if rank == at_root { fresh(&v, k) } else { Vec::new() };
+                if k > 0 && rank == at_root {
+                    plan.set_data(&want).unwrap();
+                }
+                comm.bcast((send_recv_buf(&mut want), root(at_root))).unwrap();
+                plan.start().unwrap();
+                assert_eq!(plan.wait().unwrap(), want, "bcast_init, cycle {k}");
+            }
         });
     }
 
