@@ -36,11 +36,19 @@ where
 
     fn run(self, comm: &Communicator) -> Result<Self::Output> {
         // An owned send buffer moves into the transport; a borrowed one
-        // is serialized once. Omitted counts are read off the delivered
-        // blocks, omitted displacements are their prefix sums; all
-        // resolved at compile time from the slots.
+        // is serialized once. Supplied counts go down as the agreed
+        // layout, which selects the schedule; omitted counts are read
+        // off the delivered blocks, omitted displacements are their
+        // prefix sums; all resolved at compile time from the slots.
+        // Counts that describe no layout (not one per rank, or past
+        // `usize::MAX` bytes) leave the exchange self-sizing, and
+        // `receive_v` reports them after it, like any other mismatch.
         let (own, _) = self.send_buf.into_payload();
-        let blocks = comm.raw().allgatherv_blocks(own)?;
+        let elem = std::mem::size_of::<T>();
+        let byte_counts: Option<Vec<usize>> = (self.recv_counts.provided())
+            .filter(|counts| counts.len() == comm.size())
+            .and_then(|counts| counts.iter().map(|&c| c.checked_mul(elem)).collect());
+        let blocks = comm.raw().allgatherv_blocks(own, byte_counts.as_deref())?;
         let (rb_out, rc_out, rd_out) = receive_v(
             self.recv_buf,
             self.recv_counts,
@@ -119,7 +127,12 @@ impl Communicator {
     /// `recv_counts`/`recv_counts_out`, `recv_displs`/`recv_displs_out`.
     /// Omitted receive counts are read off the delivered messages — no
     /// extra communication (Fig. 2 spends an `allgather` on them; the
-    /// substrate's messages are self-describing).
+    /// substrate's messages are self-describing) — over the eager
+    /// fan-out. Supplied `recv_counts` are the layout every rank agrees
+    /// on, so they also select the schedule, as `MPI_Allgatherv`'s do:
+    /// recursive doubling or Bruck (`ceil(log2 p)` rounds) while their
+    /// total stays within the allgather ceilings of
+    /// [`CollTuning`](kmp_mpi::CollTuning), the fan-out above.
     ///
     /// ```
     /// use kamping::prelude::*;

@@ -24,7 +24,15 @@
 //! regime ([`CollTuning::allgather_bruck_max_bytes`](super::CollTuning)).
 //!
 //! In both algorithms incoming groups are carved into per-origin blocks
-//! by refcount slicing, copy-free.
+//! by refcount slicing, copy-free, along one agreed byte [`Layout`]:
+//! `[s; p]` for an equal-block `allgather`, the counts of a counted
+//! `allgatherv`. So one engine serves both; a counted call packs the
+//! bytes of the blocks its groups hold.
+//!
+//! A group of a length the layout does not predict (unequal
+//! contributions, counts that disagree) does not abort the schedule:
+//! the engine posts every later round — its partners wait on them —
+//! and reports the error from `finish`.
 //!
 //! Each algorithm is written once, as the round description
 //! ([`Rounds`]) the shared driver runs: the blocking `allgather`
@@ -60,47 +68,112 @@ fn group_message(group: &[Bytes]) -> Bytes {
     bytes_from_vec(packed)
 }
 
-/// Carves a received group of `cnt` blocks of `s` bytes into per-origin
-/// refcount sub-views (copy-free). A group of any other size means the
-/// ranks did not contribute equally (MPI's equal-count contract for
-/// `MPI_Allgather`).
-fn carve<'a>(
-    what: &str,
-    k: usize,
-    incoming: &'a Bytes,
-    cnt: usize,
-    s: usize,
-) -> Result<impl Iterator<Item = Bytes> + 'a> {
-    if incoming.len() != cnt * s {
-        return Err(MpiError::InvalidLayout(format!(
-            "allgather ({what}): round {k} delivered {} bytes, expected {} \
-             ({cnt} blocks of {s}) — unequal contributions?",
-            incoming.len(),
-            cnt * s
-        )));
-    }
-    Ok((0..cnt).map(move |i| incoming.slice(i * s..(i + 1) * s)))
+/// What every rank knows of an allgather's block sizes, in bytes: what
+/// its plan selects the row on.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum BlockSizes<'a> {
+    /// Every rank contributes as much as this one (`MPI_Allgather`).
+    Equal,
+    /// The agreed bytes of each origin's block, one entry per rank (a
+    /// counted `allgatherv`).
+    Counted(&'a [usize]),
+    /// Nothing: each block's length travels with it (the self-sizing
+    /// `allgatherv`s), so only the ring serves.
+    Unknown,
 }
 
-/// Equal-block recursive-doubling allgather: round `k` exchanges the
-/// accumulated `2^k`-block group with `rank ^ 2^k`. Requires
-/// `comm.size()` to be a power of two (the selection engine guarantees
-/// this); completes with one block per origin rank.
+/// The agreed bytes of every origin's block, which both engines carve
+/// received groups by, and the cycle's first layout error.
+struct Layout {
+    bytes: Vec<usize>,
+    /// `[s; p]`, `s` re-read from each cycle's own contribution (the
+    /// `MPI_Allgather` contract: every rank contributes as much).
+    equal: bool,
+    /// A group of a length the layout did not predict.
+    failed: Option<MpiError>,
+}
+
+impl Layout {
+    /// Equal blocks for `None`, else the agreed bytes of each origin's
+    /// block (one entry per rank).
+    fn new(p: usize, counts: Option<Vec<usize>>) -> Self {
+        Layout {
+            equal: counts.is_none(),
+            bytes: counts.unwrap_or_else(|| vec![0; p]),
+            failed: None,
+        }
+    }
+
+    fn seed(&mut self, own: &Bytes) {
+        if self.equal {
+            self.bytes.fill(own.len());
+        }
+        self.failed = None;
+    }
+
+    /// Carves `incoming`, round `k`'s group of the blocks of `origins`,
+    /// into per-origin refcount sub-views handed to `put` in order. A
+    /// group of any other length means the ranks disagree on the layout
+    /// (MPI's contract for both calls): the first such group is
+    /// recorded, and the rounds go on with the whole group as its first
+    /// origin's block. What this rank forwards then still holds every
+    /// byte it received, so a partner that agrees with the group's true
+    /// sizes carves it right and one that does not finds a mismatch —
+    /// never a short group that happens to fit.
+    fn carve(
+        &mut self,
+        what: &str,
+        k: usize,
+        incoming: &Bytes,
+        origins: impl Iterator<Item = Rank> + Clone,
+        mut put: impl FnMut(Rank, Bytes),
+    ) {
+        let expected: usize = origins.clone().map(|o| self.bytes[o]).sum();
+        if incoming.len() != expected {
+            let got = incoming.len();
+            self.failed.get_or_insert_with(|| {
+                MpiError::InvalidLayout(format!(
+                    "allgather ({what}): round {k} delivered {got} bytes, expected {expected} \
+                     — unequal contributions, or counts that differ across ranks?"
+                ))
+            });
+            let mut whole = Some(incoming.clone());
+            origins.for_each(|o| put(o, whole.take().unwrap_or_default()));
+            return;
+        }
+        let mut at = 0;
+        for o in origins {
+            put(o, incoming.slice(at..at + self.bytes[o]));
+            at += self.bytes[o];
+        }
+    }
+
+    /// The cycle's layout error, once every round has been posted.
+    fn finish(&mut self) -> Result<()> {
+        self.failed.take().map_or(Ok(()), Err)
+    }
+}
+
+/// Recursive-doubling allgather: round `k` exchanges the accumulated
+/// `2^k`-block group with `rank ^ 2^k`. Requires `comm.size()` to be a
+/// power of two (the selection engine guarantees this); completes with
+/// one block per origin rank.
 pub(crate) struct RecursiveDoubling {
     tags: Vec<Tag>,
     /// By origin rank; empty until that origin's group arrived.
     blocks: Vec<Bytes>,
-    block_bytes: usize,
+    layout: Layout,
 }
 
 impl RecursiveDoubling {
-    pub(crate) fn new(comm: &Comm) -> Self {
+    /// Over the agreed bytes per origin, `None` for equal blocks.
+    pub(crate) fn new(comm: &Comm, counts: Option<Vec<usize>>) -> Self {
         let p = comm.size();
         debug_assert!(p.is_power_of_two(), "selection gates RD to power-of-two p");
         RecursiveDoubling {
             tags: round_tags(comm, p.trailing_zeros()),
             blocks: vec![Bytes::new(); p],
-            block_bytes: 0,
+            layout: Layout::new(p, counts),
         }
     }
 
@@ -114,7 +187,7 @@ impl RecursiveDoubling {
 
 impl Rounds for RecursiveDoubling {
     fn seed(&mut self, comm: &Comm, own: Bytes) {
-        self.block_bytes = own.len();
+        self.layout.seed(&own);
         self.blocks[comm.rank()] = own;
     }
 
@@ -134,39 +207,39 @@ impl Rounds for RecursiveDoubling {
 
     fn absorb(&mut self, comm: &Comm, k: usize, incoming: Bytes) -> Result<()> {
         let (partner, _, group) = Self::group(comm.rank(), k);
-        let partner_base = Self::group(partner, k).1;
-        let carved = carve("recursive doubling", k, &incoming, group, self.block_bytes)?;
-        for (slot, block) in self.blocks[partner_base..].iter_mut().zip(carved) {
-            *slot = block;
-        }
+        let base = Self::group(partner, k).1;
+        let origins = base..base + group;
+        let put = |o: Rank, b| self.blocks[o] = b;
+        self.layout
+            .carve("recursive doubling", k, &incoming, origins, put);
         Ok(())
     }
 
     fn finish(&mut self, _comm: &Comm) -> Result<Completion> {
-        Ok(Completion::Blocks(
-            self.blocks.iter_mut().map(std::mem::take).collect(),
-        ))
+        let blocks = self.blocks.iter_mut().map(std::mem::take).collect();
+        self.layout.finish()?;
+        Ok(Completion::Blocks(blocks))
     }
 }
 
-/// Equal-block Bruck allgather (any `p`): local index `i` accumulates
-/// the block of origin `(rank + i) % p`; round `k` sends the first
-/// `min(2^k, p - 2^k)` accumulated blocks to `rank - 2^k` and appends
-/// the same count from `rank + 2^k`. Completion rotates back into rank
-/// order.
+/// Bruck allgather (any `p`): local index `i` accumulates the block of
+/// origin `(rank + i) % p`; round `k` sends the first `min(2^k, p -
+/// 2^k)` accumulated blocks to `rank - 2^k` and appends the same count
+/// from `rank + 2^k`. Completion rotates back into rank order.
 pub(crate) struct BruckAllgather {
     tags: Vec<Tag>,
     local: Vec<Bytes>,
-    block_bytes: usize,
+    layout: Layout,
 }
 
 impl BruckAllgather {
-    pub(crate) fn new(comm: &Comm) -> Self {
+    /// Over the agreed bytes per origin, `None` for equal blocks.
+    pub(crate) fn new(comm: &Comm, counts: Option<Vec<usize>>) -> Self {
         let p = comm.size();
         BruckAllgather {
             tags: round_tags(comm, p.next_power_of_two().trailing_zeros()),
             local: Vec::with_capacity(p),
-            block_bytes: 0,
+            layout: Layout::new(p, counts),
         }
     }
 
@@ -179,7 +252,7 @@ impl BruckAllgather {
 
 impl Rounds for BruckAllgather {
     fn seed(&mut self, _comm: &Comm, own: Bytes) {
-        self.block_bytes = own.len();
+        self.layout.seed(&own);
         self.local.clear();
         self.local.push(own);
     }
@@ -200,15 +273,19 @@ impl Rounds for BruckAllgather {
     }
 
     fn absorb(&mut self, comm: &Comm, k: usize, incoming: Bytes) -> Result<()> {
-        let (_, cnt) = Self::step(comm.size(), k);
-        let carved = carve("Bruck", k, &incoming, cnt, self.block_bytes)?;
-        self.local.extend(carved);
+        let (p, rank) = (comm.size(), comm.rank());
+        let (step, cnt) = Self::step(p, k);
+        // The sender's first `cnt` blocks: origins `rank + step + i`.
+        let origins = (0..cnt).map(move |i| (rank + step + i) % p);
+        let put = |_, b| self.local.push(b);
+        self.layout.carve("Bruck", k, &incoming, origins, put);
         Ok(())
     }
 
     fn finish(&mut self, comm: &Comm) -> Result<Completion> {
         let (p, rank) = (comm.size(), comm.rank());
         debug_assert_eq!(self.local.len(), p, "Bruck rounds deliver every block");
+        self.layout.finish()?;
         // Inverse rotation: origin `o`'s block sits at local index
         // `(o - rank) mod p`.
         Ok(Completion::Blocks(

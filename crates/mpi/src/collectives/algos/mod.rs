@@ -84,7 +84,8 @@ pub enum BcastAlgo {
     ScatterAllgather,
 }
 
-/// Allgather algorithm (equal-sized blocks; `allgatherv` always rings).
+/// Allgather algorithm (equal-sized blocks and the counted `allgatherv`;
+/// the self-sizing `allgatherv` forms always ring).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AllgatherAlgo {
     /// `p-1` rounds forwarding one block per step as a refcount clone —
@@ -157,8 +158,9 @@ pub struct CollTuning {
     /// always run the binomial tree, because non-roots cannot agree on
     /// a size they do not know).
     pub bcast: Select<BcastAlgo>,
-    /// Allgather algorithm slot (equal-block exchanges only;
-    /// `allgatherv`'s variable blocks always travel the ring).
+    /// Allgather algorithm slot (equal-block exchanges and the counted
+    /// `allgatherv`; the self-sizing `allgatherv` forms, whose block
+    /// sizes no rank knows up front, always travel the ring).
     pub allgather: Select<AllgatherAlgo>,
     /// All-to-all algorithm slot (equal-block exchanges only).
     pub alltoall: Select<AlltoallAlgo>,
@@ -187,11 +189,14 @@ pub struct CollTuning {
     pub bruck_max_block_bytes: usize,
     /// `Auto` switches allgather to recursive doubling at or below this
     /// many contribution bytes per rank (and `p >= 4`, power of two).
+    /// A counted `allgatherv`'s variable blocks are compared by their
+    /// total instead (MPICH's `tot_bytes` rule).
     pub allgather_rd_max_bytes: usize,
     /// `Auto` switches allgather to Bruck at or below this many
     /// contribution bytes per rank on non-power-of-two communicators
     /// (`p >= 4`) — the latency regime recursive doubling cannot serve
-    /// there.
+    /// there. A counted `allgatherv`'s variable blocks are compared by
+    /// their total instead.
     pub allgather_bruck_max_bytes: usize,
     /// Online measured cost model configuration (see [`model`]). With
     /// [`ModelConfig::drive`] off (the default) every `Auto` selection

@@ -1,7 +1,8 @@
 //! The algorithm table: every tunable collective algorithm is declared
 //! here once, as one `Row` — and this rustdoc is the one place the
 //! menu is written down (`s` = bytes a rank contributes, `r` = bytes of
-//! its result, `b` = bytes of one all-to-all block, `d` = the agreed
+//! its result, `t` = the agreed total of a counted `allgatherv`'s
+//! counts, `b` = bytes of one all-to-all block, `d` = the agreed
 //! maximum degree, `p` = communicator size). "Copies per rank" is the
 //! payload-byte memcpy bill on the shared-`Bytes` datapath; folds that
 //! combine a received payload into an accumulator *in place* are
@@ -14,9 +15,9 @@
 //! | `allreduce/rabenseifner` | reduce-scatter folding into fresh shrinking halves + ring allgather of refcount chunks | log2 p + p | s + r (+ r handing the result back off powers of two) | — | `p >= 4`, `s >=` [`CollTuning::rabenseifner_min_bytes`] | blocking, `iallreduce`, `allreduce_init` |
 //! | **`bcast/binomial`** | binomial tree, refcount forwarding; every rank sends to its largest subtree first, so the critical path is ceil(log2 p) hops | <= log2 p | root s, other r | — | otherwise (and always where non-roots do not know `s`) | blocking, `ibcast`, `bcast_init` |
 //! | `bcast/scatter_allgather` | van de Geijn: scatter + eager allgather of the chunks | ~2p | root s, other r | `s > 0`, known on every rank | `p >= 4`, `s >=` [`CollTuning::bcast_scatter_min_bytes`] | blocking (the sized `bcast*`) |
-//! | **`allgather/ring`** | eager fan-out: the own block to every peer as a refcount clone, all posted before the first receive (the name is the row's, kept from the forwarding ring) | p-1 | s + r | — | otherwise | blocking (`allgatherv` always), `iallgather(v)`, `allgather_init` |
-//! | `allgather/recursive_doubling` | packed doubling rounds | log2 p | s·(p-2) + r | `p >= 2`, a power of two | `p >= 4`, `s <=` [`CollTuning::allgather_rd_max_bytes`] | blocking, `iallgather`, `allgather_init` |
-//! | `allgather/bruck` | rotated packed rounds | ceil(log2 p) | <= s·(p-2) + r | `p >= 2` | `p >= 4` not a power of two, `s <=` [`CollTuning::allgather_bruck_max_bytes`] | blocking, `iallgather`, `allgather_init` |
+//! | **`allgather/ring`** | eager fan-out: the own block to every peer as a refcount clone, all posted before the first receive (the name is the row's, kept from the forwarding ring) | p-1 | s + r | — | otherwise | blocking (the self-sizing `allgatherv` always), `iallgather(v)`, `allgather(v)_init` |
+//! | `allgather/recursive_doubling` | packed doubling rounds, carved by the agreed block sizes | log2 p | s·(p-2) + r (counted: the bytes of the blocks it packs) | `p >= 2`, a power of two, block sizes every rank knows | `p >= 4`, `s <=` [`CollTuning::allgather_rd_max_bytes`]; for a counted `allgatherv`, `t <=` it | blocking `allgather` and counted `allgatherv`, `iallgather`, `allgather_init` |
+//! | `allgather/bruck` | rotated packed rounds, carved by the agreed block sizes | ceil(log2 p) | <= s·(p-2) + r (counted: the bytes of the blocks it packs) | `p >= 2`, block sizes every rank knows | `p >= 4` not a power of two, `s <=` [`CollTuning::allgather_bruck_max_bytes`]; for a counted `allgatherv`, `t <=` it | blocking `allgather` and counted `allgatherv`, `iallgather`, `allgather_init` |
 //! | **`alltoall/pairwise`** | one message per peer in the rotation `rank + 1, rank + 2, …`, pack-once + slice, all posted before the first receive | p-1 | s + r | — | otherwise | blocking (`alltoallv/w` always), `ialltoall(v)`, `alltoallv_init` |
 //! | `alltoall/bruck` | packed log-round forwarding | ceil(log2 p) | s + r + s·ceil(log2 p)/2 | `p >= 2`, equal blocks | `p >= 4`, `b <=` [`CollTuning::bruck_max_block_bytes`] | blocking, `ialltoall` |
 //! | `reduce/binomial_tree` | binomial tree, in-place folds | <= log2 p | leaf s, inner 0, root r | a commutative op | blocking `reduce` | blocking, `ireduce` |
@@ -65,17 +66,22 @@ use crate::trace;
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Call {
     /// Contribution bytes; block bytes for alltoall; the agreed maximum
-    /// degree for neighborhood exchanges.
+    /// degree for neighborhood exchanges; the agreed total of a counted
+    /// `allgatherv` (see [`Call::total`]).
     pub size: usize,
     /// The reduction operation is commutative.
     pub commutative: bool,
     /// The topology's neighbor lists are duplicate-free.
     pub duplicate_free: bool,
-    /// Every rank knows `size`, and the payload splits into equal
-    /// blocks: not so for a persistent broadcast (its non-roots do not
-    /// know the size) or variable blocks. Only the fallback rows serve
-    /// an irregular call.
+    /// Every rank knows `size` and how the payload splits into blocks
+    /// (equal, or by agreed counts): not so for a persistent broadcast
+    /// (its non-roots do not know the size) or self-sizing variable
+    /// blocks. Only the fallback rows serve an irregular call.
     pub regular: bool,
+    /// `size` is the agreed total of every rank's block, not one rank's
+    /// contribution: the static rules compare the total (MPICH's
+    /// `tot_bytes` rule), the cost model reads its mean per rank.
+    pub total: bool,
 }
 
 impl Call {
@@ -86,6 +92,25 @@ impl Call {
             commutative: true,
             duplicate_free: true,
             regular: true,
+            total: false,
+        }
+    }
+
+    /// A counted `allgatherv`: every rank knows every block's size, and
+    /// they sum to `total` bytes.
+    pub(crate) fn counted(total: usize) -> Call {
+        Call {
+            total: true,
+            ..Call::sized(total)
+        }
+    }
+
+    /// The bytes per rank the cost model's features read.
+    fn volume(&self, p: usize) -> usize {
+        if self.total {
+            self.size / p.max(1)
+        } else {
+            self.size
         }
     }
 
@@ -526,7 +551,7 @@ pub(crate) fn select<A: Algo>(comm: &Comm, lifecycle: Lifecycle, call: Call) -> 
                 let m = comm.model_state_mut();
                 (m.snapshot(), m.seq())
             };
-            let at = (p, call.size);
+            let at = (p, call.volume(p));
             let (i, by) = choose(&snap, &tuning.model, cands, at, static_i, lifecycle, seq);
             (row, pick) = (cands[i], by);
         }
@@ -595,7 +620,7 @@ pub(crate) fn tuned<A: Algo, R>(
 ) -> Result<R> {
     let step = Tuned::begin(comm, site)?;
     let algo = select::<A>(comm, site.0, call);
-    step.finish(algo, call.size, || run(algo))
+    step.finish(algo, call.volume(comm.size()), || run(algo))
 }
 
 #[cfg(test)]
@@ -717,6 +742,7 @@ mod tests {
             commutative: false,
             duplicate_free: false,
             regular: false,
+            total: false,
         };
         assert!((A::ROWS[A::FALLBACK].needs)(1, &worst));
     }

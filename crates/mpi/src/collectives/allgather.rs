@@ -1,15 +1,19 @@
 //! Allgather and allgatherv.
 //!
-//! Equal-block allgathers are tunable — the `allgather/*` rows of
+//! Both are tunable — the `allgather/*` rows of
 //! [`algos::table`](super::algos::table) are the menu — and every form
 //! drives the one allgather plan (`Comm::allgather_plan`) on its stack.
-//! `allgatherv`'s variable blocks always run the `allgather/ring` row
-//! (the packed rounds of both latency algorithms need one agreed block
-//! size).
+//! The latency rows carve their packed rounds by a block layout every
+//! rank agrees on: equal blocks select by the contribution, a counted
+//! `allgatherv` (`allgatherv_into`, or `allgatherv_blocks` given byte
+//! counts) by the total of its counts. The self-sizing `allgatherv`
+//! forms, whose sizes no rank knows up front, run the `allgather/ring`
+//! row.
 
 use bytes::Bytes;
 
-use super::algos::table::{Call, Site};
+use super::algos::allgather::BlockSizes;
+use super::algos::table::Site;
 use super::nonblocking::{check_divisible, drive_blocks};
 use super::{block_counts, check_layout, concat_blocks, place_blocks, place_blocks_at};
 use crate::comm::Comm;
@@ -22,7 +26,7 @@ use crate::Plain;
 /// so all ranks resolve the same row from the shared tuning and the
 /// agreed block size. The plan `iallgather` starts, driven here.
 pub(crate) fn allgather_blocks_tuned(comm: &Comm, own: Bytes) -> Result<Vec<Bytes>> {
-    comm.allgather_plan(Site::BLOCKING, Call::sized(own.len()), own, drive_blocks)
+    comm.allgather_plan(Site::BLOCKING, BlockSizes::Equal, own, drive_blocks)
 }
 
 /// Allgather of equal-size contributions; returns the concatenation
@@ -98,7 +102,12 @@ impl Comm {
 
     /// Gathers variable-sized contributions from all ranks to all ranks
     /// (mirrors `MPI_Allgatherv`). All ranks must pass identical
-    /// `counts`/`displs`.
+    /// `counts`/`displs`: their total selects the row as
+    /// `MPI_Allgatherv`'s `tot_bytes` does in MPICH — recursive doubling
+    /// or Bruck at or below the allgather ceilings of [`CollTuning`],
+    /// the eager fan-out above them.
+    ///
+    /// [`CollTuning`]: crate::CollTuning
     pub fn allgatherv_into<T: Plain>(
         &self,
         send: &[T],
@@ -110,17 +119,30 @@ impl Comm {
         allgatherv_internal(self, send, recv, counts, displs)
     }
 
-    /// Self-sizing `allgatherv` over an adopted payload: returns every
-    /// rank's block by origin rank. The block lengths *are* the receive
-    /// counts ([`block_counts`]) — read off the messages, where Fig. 2
-    /// spends a separate `allgather` to learn them.
-    pub fn allgatherv_blocks(&self, own: Bytes) -> Result<Vec<Bytes>> {
+    /// `allgatherv` over an adopted payload: returns every rank's block
+    /// by origin rank.
+    ///
+    /// Without `byte_counts` it is self-sizing: the block lengths *are*
+    /// the receive counts ([`block_counts`]) — read off the messages,
+    /// where Fig. 2 spends a separate `allgather` to learn them — and it
+    /// runs the eager fan-out. With them (the bytes of every rank's
+    /// block, identical on every rank) it is scheduled like
+    /// [`allgatherv_into`](Self::allgatherv_into), and every block is
+    /// carved to its count.
+    pub fn allgatherv_blocks(
+        &self,
+        own: Bytes,
+        byte_counts: Option<&[usize]>,
+    ) -> Result<Vec<Bytes>> {
         self.count_op("allgatherv");
-        drive_blocks(self, &mut self.allgather_flat(), own)
+        match byte_counts {
+            Some(counts) => allgatherv_counted(self, own, counts),
+            None => drive_blocks(self, &mut self.allgather_flat(), own),
+        }
     }
 }
 
-/// The counted allgatherv: the flat exchange, then each rank's block
+/// The counted allgatherv: the counted exchange, then each rank's block
 /// verified and placed at its displacement exactly once.
 pub(crate) fn allgatherv_internal<T: Plain>(
     comm: &Comm,
@@ -129,19 +151,44 @@ pub(crate) fn allgatherv_internal<T: Plain>(
     counts: &[usize],
     displs: &[usize],
 ) -> Result<()> {
-    let rank = comm.rank();
     check_layout("allgatherv", counts, displs, recv.len(), comm.size())?;
-    // Checked before anything is sent: a rank that disagrees with
-    // itself must not leave its peers waiting.
-    if send.len() != counts[rank] {
+    let elem = std::mem::size_of::<T>();
+    let byte_counts: Vec<usize> = counts.iter().map(|&c| c * elem).collect();
+    let blocks = allgatherv_counted(comm, bytes_from_slice(send), &byte_counts)?;
+    place_blocks(blocks, recv, counts, displs)
+}
+
+/// The allgather plan over agreed byte counts. This rank's own block is
+/// checked against its count like every delivered block — after the
+/// exchange, as [`MpiError::Truncated`] — so a rank that disagrees with
+/// itself leaves no peer waiting; its peers find the mismatch in the
+/// block it sent.
+fn allgatherv_counted(comm: &Comm, own: Bytes, byte_counts: &[usize]) -> Result<Vec<Bytes>> {
+    let (p, rank, sent) = (comm.size(), comm.rank(), own.len());
+    if byte_counts.len() != p {
         return Err(MpiError::InvalidLayout(format!(
-            "allgatherv: rank {rank} sends {} elements but counts[{rank}] = {}",
-            send.len(),
-            counts[rank]
+            "allgatherv: {} counts for a communicator of size {p}",
+            byte_counts.len()
         )));
     }
-    let blocks = drive_blocks(comm, &mut comm.allgather_flat(), bytes_from_slice(send))?;
-    place_blocks(blocks, recv, counts, displs)
+    // The total selects the row; the engines sum its parts.
+    if (byte_counts.iter())
+        .try_fold(0usize, |total, &c| total.checked_add(c))
+        .is_none()
+    {
+        return Err(MpiError::InvalidLayout(
+            "allgatherv: the counts sum past usize::MAX".into(),
+        ));
+    }
+    let sizes = BlockSizes::Counted(byte_counts);
+    let blocks = comm.allgather_plan(Site::BLOCKING, sizes, own, drive_blocks);
+    if sent != byte_counts[rank] {
+        return Err(MpiError::Truncated {
+            message_bytes: sent,
+            buffer_bytes: byte_counts[rank],
+        });
+    }
+    blocks
 }
 
 #[cfg(test)]
@@ -216,15 +263,28 @@ mod tests {
     #[test]
     fn allgatherv_wrong_count_errors() {
         Universe::run(2, |comm| {
-            if comm.rank() == 0 {
-                // counts say rank 0 sends 2 but it sends 1.
-                let counts = [2usize, 1];
-                let displs = [0usize, 2];
-                let mut recv = vec![0u8; 3];
-                assert!(comm
-                    .allgatherv_into(&[1u8], &mut recv, &counts, &displs)
-                    .is_err());
-            }
+            // counts say rank 0 sends 2 but it sends 1: rank 0 reports
+            // its own mismatch, rank 1 the short block it received, and
+            // neither waits on the other.
+            let counts = [2usize, 1];
+            let displs = [0usize, 2];
+            let mut recv = vec![0u8; 3];
+            assert!(comm
+                .allgatherv_into(&[1u8], &mut recv, &counts, &displs)
+                .is_err());
+            let all = comm.allgather_vec(&[comm.rank() as u8]).unwrap();
+            assert_eq!(all, [0, 1]);
+        });
+    }
+
+    #[test]
+    fn counts_that_cannot_be_summed_are_refused_before_the_exchange() {
+        Universe::run(2, |comm| {
+            let own = crate::bytes_from_vec(vec![1u8]);
+            let err = comm.allgatherv_blocks(own, Some(&[usize::MAX, 1]));
+            assert!(matches!(err, Err(crate::MpiError::InvalidLayout(_))));
+            let all = comm.allgather_vec(&[comm.rank() as u8]).unwrap();
+            assert_eq!(all, [0, 1]);
         });
     }
 

@@ -11,8 +11,9 @@
 //! re-serialization, and in-place folds over delivered payloads are
 //! compute, not copies; see [`crate::metrics`]).
 //!
-//! The hot collectives — `allreduce`, `bcast`, `allgather`, `alltoall`,
-//! `reduce`, the neighborhood exchanges — are **tunable**: a
+//! The hot collectives — `allreduce`, `bcast`, `allgather` (and the
+//! counted `allgatherv`), `alltoall`, `reduce`, the neighborhood
+//! exchanges — are **tunable**: a
 //! per-communicator [`CollTuning`] policy selects the algorithm at call
 //! time, by default switching at size thresholds chosen so the default
 //! is never slower under the cluster cost model than the former
@@ -25,7 +26,7 @@
 //! |------------------|----------------------------------------|---------------------|----------------------|
 //! | `barrier`        | dissemination                          | ceil(log2 p)        | 0                    |
 //! | `gather/scatter` | flat tree (linear at root)             | 1 (root: p-1)       | root: s + r; other: s + r |
-//! | `allgatherv`     | the `allgather/ring` row: eager fan-out of refcount clones | p-1 | s + r                |
+//! | `allgatherv` (self-sizing) | the `allgather/ring` row: eager fan-out of refcount clones | p-1 | s + r      |
 //! | `alltoall(v/w)`  | the `alltoall/pairwise` row: one message per peer, pack-once + slice | p-1 | s + r      |
 //! | `scan/exscan`    | rank-ordered recursive doubling, in-place folds | <= ceil(log2 p) | <= s·ceil(log2 p) + s |
 //!
@@ -45,7 +46,10 @@
 //! counted `*_into` form is the same exchange followed by
 //! verify-and-place ([`place_blocks`]): a block that disagrees with its
 //! declared count reports [`MpiError::Truncated`] after the exchange has
-//! completed, leaving no message of the call queued.
+//! completed, leaving no message of the call queued. `allgatherv` is the
+//! one exception to "same exchange": its counted form selects an
+//! `allgather/*` row by the counts' total, and its log-round rows carve
+//! every block to its count.
 //!
 //! The equal-block collectives follow the same split, so that a caller
 //! building its own result writes every received byte once:

@@ -85,7 +85,7 @@ use std::ops::{DerefMut, Range};
 
 use bytes::Bytes;
 
-use super::algos::allgather::{BruckAllgather, RecursiveDoubling};
+use super::algos::allgather::{BlockSizes, BruckAllgather, RecursiveDoubling};
 use super::algos::allreduce::Allreduce;
 use super::algos::alltoall::BruckAlltoall;
 use super::algos::reduce::TreeReduce;
@@ -612,22 +612,32 @@ impl Comm {
     }
 
     /// The allgather plan (`allgather*`, `iallgather`, `allgather_init`,
-    /// `allgatherv_init`): the `allgather/*` row selected at `site` —
-    /// the ring for an irregular `call`, whose blocks may differ.
+    /// the counted `allgatherv`, `allgatherv_init`): the `allgather/*`
+    /// row selected at `site` for `sizes` — by the contribution for
+    /// equal blocks, by the agreed total for counted ones, and the ring
+    /// where no rank knows the sizes.
     pub(crate) fn allgather_plan<'c, R>(
         &'c self,
         site: Site,
-        call: Call,
+        sizes: BlockSizes<'_>,
         own: Bytes,
         run: impl FnOnce(&'c Comm, Box<dyn CollEngine>, Bytes) -> Result<R>,
     ) -> Result<R> {
+        let (call, counts) = match sizes {
+            BlockSizes::Equal => (Call::sized(own.len()), None),
+            BlockSizes::Counted(counts) => (Call::counted(counts.iter().sum()), Some(counts)),
+            BlockSizes::Unknown => (Call::irregular(own.len()), None),
+        };
+        let layout = || counts.map(<[usize]>::to_vec);
         tuned(self, site, call, |algo| {
             let engine: Box<dyn CollEngine> = match algo {
                 AllgatherAlgo::Ring => Box::new(self.allgather_flat()),
                 AllgatherAlgo::RecursiveDoubling => {
-                    Box::new(RoundEngine::new(RecursiveDoubling::new(self)))
+                    Box::new(RoundEngine::new(RecursiveDoubling::new(self, layout())))
                 }
-                AllgatherAlgo::Bruck => Box::new(RoundEngine::new(BruckAllgather::new(self))),
+                AllgatherAlgo::Bruck => {
+                    Box::new(RoundEngine::new(BruckAllgather::new(self, layout())))
+                }
             };
             run(self, engine, own)
         })
@@ -836,7 +846,7 @@ impl Comm {
     /// Byte-level [`Comm::iallgather`].
     pub fn iallgather_bytes(&self, own: Bytes) -> Result<Request<'_>> {
         self.count_op("iallgather");
-        self.allgather_plan(Site::IMMEDIATE, Call::sized(own.len()), own, Comm::icoll)
+        self.allgather_plan(Site::IMMEDIATE, BlockSizes::Equal, own, Comm::icoll)
     }
 
     /// Starts a non-blocking personalized all-to-all with per-destination

@@ -74,6 +74,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
+use crate::collectives::algos::allgather::BlockSizes;
 use crate::collectives::algos::table::{tuned, Call, Site};
 use crate::collectives::algos::{AlltoallAlgo, BcastAlgo};
 use crate::collectives::nonblocking::CollEngine;
@@ -613,8 +614,7 @@ impl Comm {
     /// Byte-level [`Comm::allgather_init`].
     pub fn allgather_init_bytes(&self, own: Bytes) -> Result<PersistentRequest<'_>> {
         self.count_op("allgather_init");
-        let call = Call::sized(own.len());
-        self.allgather_plan(Site::INIT, call, own, Comm::persistent_coll)
+        self.allgather_plan(Site::INIT, BlockSizes::Equal, own, Comm::persistent_coll)
     }
 
     /// Creates a persistent allgather whose blocks may differ in length
@@ -629,8 +629,7 @@ impl Comm {
     /// Byte-level [`Comm::allgatherv_init`].
     pub fn allgatherv_init_bytes(&self, own: Bytes) -> Result<PersistentRequest<'_>> {
         self.count_op("allgatherv_init");
-        let call = Call::irregular(own.len());
-        self.allgather_plan(Site::INIT, call, own, Comm::persistent_coll)
+        self.allgather_plan(Site::INIT, BlockSizes::Unknown, own, Comm::persistent_coll)
     }
 
     /// Creates a persistent personalized all-to-all with per-destination

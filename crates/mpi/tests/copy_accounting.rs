@@ -584,7 +584,7 @@ fn blocking_and_nonblocking_lifecycles_pay_the_same_bill() {
             let nonblocking = bill(|| drop(comm.iallgather_bytes(b).unwrap().wait().unwrap()));
             assert_eq!(blocking, nonblocking, "rank {rank} p={p} allgather ring");
             let (a, b) = (own(), own());
-            let blocking = bill(|| drop(comm.allgatherv_blocks(a).unwrap()));
+            let blocking = bill(|| drop(comm.allgatherv_blocks(a, None).unwrap()));
             let nonblocking = bill(|| drop(comm.iallgatherv_bytes(b).unwrap().wait().unwrap()));
             assert_eq!(blocking, nonblocking, "rank {rank} p={p} allgatherv");
 

@@ -11,7 +11,10 @@
 //! static `Auto` rule came to serve every lifecycle: the `iallreduce`,
 //! `allreduce_init` (now under the allreduce slot), `iallgather`,
 //! `allgather_init` and `ialltoall` lines read like their blocking
-//! twins.
+//! twins. The counted `allgatherv` lines were added when its counts'
+//! total came to select the `allgather/*` row (the self-sizing forms
+//! still select nothing); their ladder is that total, and they read like
+//! the equal-block `allgather`'s.
 //!
 //! One line per (call, tuning); one group per `p ∈ P`; one character
 //! per rung of the call's size ladder: the selected class's
@@ -19,6 +22,7 @@
 //! decision. Set `SELECTION_GRID_PRINT=1` to print the grid instead of
 //! checking it.
 
+use kmp_mpi::collectives::displacements_from_counts;
 use kmp_mpi::{
     non_commutative, AlgoClass, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, CollTuning,
     Comm, NeighborhoodAlgo, NeighborhoodColl, ReduceAlgo, Universe,
@@ -204,6 +208,19 @@ fn sized_calls() -> Vec<(Call, Vec<usize>, Tunings)> {
                 c.allgather_init(&vec![1u8; s]).unwrap();
             }),
             vec![1, 8 << 10],
+            allgather_slot.clone(),
+        ),
+        (
+            // `s` is the total of uneven counts, which selects the row.
+            ("allgatherv(counted)", |c, s| {
+                let p = c.size();
+                let counts: Vec<usize> = (0..p).map(|r| s / p + usize::from(r < s % p)).collect();
+                let displs = displacements_from_counts(&counts);
+                let mine = vec![1u8; counts[c.rank()]];
+                c.allgatherv_into(&mine, &mut vec![0u8; s], &counts, &displs)
+                    .unwrap();
+            }),
+            ladder(8 << 10),
             allgather_slot,
         ),
         (
@@ -424,6 +441,11 @@ const GOLDEN: &[&str] = &[
     "allgather_init ring | 4,4 4,4 4,4 4,4 4,4 4,4 4,4",
     "allgather_init recursive_doubling | 4,4 5,5 4,4 5,5 4,4 5,5 5,5",
     "allgather_init bruck | 4,4 6,6 6,6 6,6 6,6 6,6 6,6",
+    "allgatherv(counted) default | 4,4,4,4 4,4,4,4 4,4,4,4 5,5,5,4 6,6,6,4 5,5,5,4 5,5,5,4",
+    "allgatherv(counted) driven_cold | 4,4,4,4 4,4,4,4 4,4,4,4 5,5,5,4 6,6,6,4 5,5,5,4 5,5,5,4",
+    "allgatherv(counted) ring | 4,4,4,4 4,4,4,4 4,4,4,4 4,4,4,4 4,4,4,4 4,4,4,4 4,4,4,4",
+    "allgatherv(counted) recursive_doubling | 4,4,4,4 5,5,5,5 4,4,4,4 5,5,5,5 4,4,4,4 5,5,5,5 5,5,5,5",
+    "allgatherv(counted) bruck | 4,4,4,4 6,6,6,6 6,6,6,6 6,6,6,6 6,6,6,6 6,6,6,6 6,6,6,6",
     "alltoall default | 7,7,7,7 7,7,7,7 7,7,7,7 8,8,8,7 8,8,8,7 8,8,8,7 8,8,8,7",
     "alltoall driven_cold | 7,7,7,7 7,7,7,7 7,7,7,7 8,8,8,7 8,8,8,7 8,8,8,7 8,8,8,7",
     "alltoall pairwise | 7,7,7,7 7,7,7,7 7,7,7,7 7,7,7,7 7,7,7,7 7,7,7,7 7,7,7,7",

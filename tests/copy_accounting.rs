@@ -171,6 +171,32 @@ fn allgatherv_binding_copies_s_plus_r() {
     });
 }
 
+/// Supplied receive counts select the row by their total, and the copy
+/// bill follows the row. At p = 4, 512 B per rank (2 KiB in all) runs
+/// recursive doubling and pays equal-block doubling's bill: `s`
+/// serialized, `2s` packed for the second round, `r = 4s` assembled —
+/// 7s. 4 KiB per rank (16 KiB in all) stays on the eager fan-out at
+/// `s + r` = 5s. The counts travel in no header.
+#[test]
+fn counted_allgatherv_binding_copy_bill_follows_its_row() {
+    let p = 4usize;
+    Universe::run(p, move |comm| {
+        let comm = Communicator::new(comm);
+        for (s, bill) in [(512usize, 7), (4096, 5)] {
+            let mine = vec![comm.rank() as u64; s / 8];
+            let counts = vec![s / 8; p];
+            let before = metrics::snapshot();
+            let all: Vec<u64> = comm
+                .allgatherv((send_buf(&mine), recv_counts(&counts)))
+                .unwrap();
+            let delta = metrics::snapshot().since(&before);
+            assert_eq!(all.len(), p * s / 8);
+            let at = format!("rank {}, {s} B per rank", comm.rank());
+            assert_eq!(delta.bytes_copied, (bill * s) as u64, "{at}");
+        }
+    });
+}
+
 /// Receive counts omitted: the self-sizing exchange serializes the send
 /// buffer once (s) and copies every delivered block once, straight into
 /// the exactly-sized result (r) — no count exchange, no zero-fill, and

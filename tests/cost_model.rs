@@ -242,7 +242,7 @@ fn small_message_collectives_finish_in_log_p_message_times() {
         let tree = log * hop;
         let packed = log * (hop + model.transfer_ns(8 * p));
         let limit = |name: &str| match name {
-            "allgather_vec" | "alltoall_into" => packed,
+            "allgather_vec" | "allgatherv_into" | "alltoall_into" => packed,
             "allreduce_vec" if !p.is_power_of_two() => tree + hop,
             "split" => 2 * packed,
             _ => tree,
@@ -272,6 +272,11 @@ fn small_message_collectives_finish_in_log_p_message_times() {
             });
             run("allgather_vec", &mut || {
                 comm.allgather_vec(&mine).unwrap();
+            });
+            run("allgatherv_into", &mut || {
+                let (ones, displs) = (vec![1usize; p], (0..p).collect::<Vec<_>>());
+                comm.allgatherv_into(&mine, &mut vec![0u64; p], &ones, &displs)
+                    .unwrap()
             });
             run("alltoall_into", &mut || {
                 comm.alltoall_into(&vec![1u64; p], &mut vec![0u64; p])
@@ -312,7 +317,9 @@ fn small_message_collectives_finish_in_log_p_message_times() {
 /// which fixes one has to edit this table. Their log-round forms trade
 /// startups for packed copies or forwarded bytes and need a size rule
 /// (`scatter`/`gatherv`: a binomial tree forwards up to `s·p/2` per
-/// inner rank; `allgatherv`/`alltoallv`: Bruck packs every round).
+/// inner rank; `alltoallv`: Bruck packs every round). The counted
+/// `allgatherv` left this table when its total came to select the
+/// latency rows (see the audit above).
 /// Under `alpha = 1000, o = 1` the critical path reads as
 /// `1000·startups + receive completions`.
 #[test]
@@ -338,10 +345,6 @@ fn linear_collectives_are_pinned_at_p_minus_one_startups() {
                     comm.gatherv_vec(&mine, root).unwrap();
                 });
             }
-            run("allgatherv_into", &mut || {
-                comm.allgatherv_into(&mine, &mut vec![0u64; p], &ones, &displs)
-                    .unwrap()
-            });
             run("alltoallv_into", &mut || {
                 let mut recv = vec![0u64; p];
                 comm.alltoallv_into(&vec![1u64; p], &ones, &displs, &mut recv, &ones, &displs)
@@ -424,7 +427,7 @@ fn collectives_cost_the_same_in_every_lifecycle() {
                     let mut plan = comm.allgather_init_bytes(own()).unwrap();
                     run("allgather_init", &mut || cycle(&mut plan));
                     run("allgatherv", &mut || {
-                        comm.allgatherv_blocks(own()).unwrap();
+                        comm.allgatherv_blocks(own(), None).unwrap();
                     });
                     run("iallgatherv", &mut || {
                         comm.iallgatherv_bytes(own()).unwrap().wait().unwrap();
@@ -481,4 +484,30 @@ fn blocking_allreduce_model_time_at_p16_is_pinned() {
         .map(|(_, ns)| (*ns as f64 / 100.0).round() / 10.0)
         .collect();
     assert_eq!(us, [7.6, 33.4, 83.3], "{times:?}");
+}
+
+/// The counted `allgatherv` rungs of the benchmark's `call_rate` ladder
+/// at p = 16, through the binding's `allgatherv((send_buf, recv_counts))`,
+/// pinned to the 0.01 us: the totals of 8, 64 and 512 bytes per rank
+/// (128 B to 8 KiB) are within the recursive-doubling ceiling and take
+/// four rounds; 4 KiB per rank (64 KiB in total) stays on the eager
+/// fan-out (p - 1 startups).
+#[test]
+fn counted_allgatherv_model_time_at_p16_is_pinned() {
+    let times = timed_ops(16, CostModel::cluster(), |comm, run| {
+        let kc = Communicator::new(comm.dup().unwrap());
+        for (name, bytes) in [("8 B", 8), ("64 B", 64), ("512 B", 512), ("4 KiB", 4096)] {
+            let mine = vec![kc.rank() as u64; bytes / 8];
+            let counts = vec![bytes / 8; kc.size()];
+            run(name, &mut || {
+                let _: Vec<u64> = kc
+                    .allgatherv((send_buf(&mine), recv_counts(&counts)))
+                    .unwrap();
+            });
+        }
+    });
+    let us: Vec<f64> = (times.iter())
+        .map(|(_, ns)| (*ns as f64 / 10.0).round() / 100.0)
+        .collect();
+    assert_eq!(us, [7.21, 7.29, 7.97, 27.41], "{times:?}");
 }
