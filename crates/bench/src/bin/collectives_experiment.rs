@@ -14,7 +14,7 @@
 //! Model-driven `Auto` is not measured here: `tuning_experiment` /
 //! `BENCH_tuning.json` owns it.
 //!
-//! Per-rank copy bills come from `Universe::run_stats` — the
+//! Per-rank copy bills come from `Universe::run_report` — the
 //! universe-level aggregation, no snapshot threading in the closures.
 //!
 //! Usage: `collectives_experiment [--smoke] [--out PATH]`; writes
@@ -61,8 +61,8 @@ fn measure<F>(p: usize, reps: usize, tuning: CollTuning, op: F) -> Measurement
 where
     F: Fn(&Comm) + Sync,
 {
-    let (outcomes, stats) =
-        Universe::run_stats(Config::new(p).cost(CostModel::cluster()), |comm| {
+    let (outcomes, report) =
+        Universe::run_report(Config::new(p).cost(CostModel::cluster()), |comm| {
             comm.set_tuning(tuning);
             comm.barrier().unwrap();
             op(&comm); // warm-up, excluded from wall-clock medians
@@ -84,7 +84,8 @@ where
     let wall_us = per_rank.iter().map(|&(_, w)| w).max().unwrap() as f64 / 1e3;
     // Totals cover warm-up + reps; normalize to one op (barriers and
     // clock bookkeeping copy nothing).
-    let copied = stats
+    let copied = report
+        .stats
         .iter()
         .map(|s| s.copy.bytes_copied / (reps as u64 + 1))
         .max()

@@ -82,7 +82,7 @@ fn wait_any_fanin(strategy: Strategy, p: usize, total: usize, work_us: u64) -> (
         Strategy::Event => set.wait_any(),
         Strategy::Sweep => reference::wait_any(set),
     };
-    let (outcomes, stats) = Universe::run_stats(Config::new(p), move |world| {
+    let (outcomes, report) = Universe::run_report(Config::new(p), move |world| {
         // Collectives and applications overwhelmingly run on derived
         // communicators; the fan-in does too (its receives resolve
         // their context through the shard map, like any dup'd-comm
@@ -138,7 +138,7 @@ fn wait_any_fanin(strategy: Strategy, p: usize, total: usize, work_us: u64) -> (
     (
         (p - 1) * rounds,
         lat_ns as f64 / 1e9,
-        stats[0].mailbox.multi_wakeups,
+        report.stats[0].mailbox.multi_wakeups,
     )
 }
 
@@ -152,7 +152,7 @@ fn bounded_pipeline(
     work_us: u64,
 ) -> (usize, f64, u64) {
     let started = std::time::Instant::now();
-    let (_, stats) = Universe::run_stats(Config::new(p), move |comm| {
+    let (_, report) = Universe::run_report(Config::new(p), move |comm| {
         let peers = comm.size() - 1;
         if comm.rank() == 0 {
             let capacity = 2 * peers;
@@ -192,7 +192,7 @@ fn bounded_pipeline(
         }
     });
     let elapsed = started.elapsed().as_secs_f64();
-    (messages, elapsed, stats[0].mailbox.multi_wakeups)
+    (messages, elapsed, report.stats[0].mailbox.multi_wakeups)
 }
 
 #[derive(Clone, Debug)]

@@ -156,7 +156,7 @@ fn hook_overhead(p: usize, reps: usize) -> (f64, f64) {
     for r in 0..p {
         plan = plan.crash(r, u64::MAX);
     }
-    let out = Universe::run_with_faults(Config::new(p), &plan, |comm: Comm| {
+    let out = Universe::run_with(Config::new(p).faults(plan), |comm: Comm| {
         let p = comm.size();
         let me = comm.rank();
         let next = (me + 1) % p;

@@ -28,7 +28,7 @@
 //! `BENCH_trace.json` stays self-asserting on every CI run.
 //!
 //! Part 2 — **export**: a p = 8 BFS (GNM graph, kamping dense
-//! exchange) runs under [`Universe::run_traced`](kmp_mpi::Universe::run_traced); the collected
+//! exchange) runs under [`Universe::run_report`](kmp_mpi::Universe::run_report); the collected
 //! [`TraceData`](kmp_mpi::TraceData) is exported as Chrome trace-event JSON, validated
 //! against the exporter schema (`validate_chrome`), and written next to
 //! the stats JSON (`--trace-out`, default `trace_bfs_p8.json`) — load
@@ -297,7 +297,7 @@ fn bfs_trace(p: usize) -> (String, usize, usize) {
     let n = 512 * p;
     let parts: Vec<DistGraph> = (0..p).map(|r| gnm(n, 8 * n, 7, r, p)).collect();
     let parts = &parts;
-    let (outcomes, data) = Universe::run_traced(kmp_mpi::Config::new(p), move |comm| {
+    let (outcomes, report) = Universe::run_report(kmp_mpi::Config::new(p), move |comm| {
         let kc = kamping::Communicator::new(comm);
         bfs_with_exchange(&parts[kc.rank()], 0, &kc, Exchange::Kamping).unwrap()
     });
@@ -307,7 +307,7 @@ fn bfs_trace(p: usize) -> (String, usize, usize) {
             "BFS rank {rank} did not complete"
         );
     }
-    let json = data.to_chrome_json();
+    let json = report.trace.to_chrome_json();
     let summary = kmp_mpi::trace::export::validate_chrome(&json)
         .unwrap_or_else(|e| panic!("exported BFS trace failed schema validation: {e}"));
     assert_eq!(
@@ -317,7 +317,7 @@ fn bfs_trace(p: usize) -> (String, usize, usize) {
         summary.pids
     );
     assert!(summary.spans > 0, "BFS trace recorded no spans");
-    println!("{}", data.report());
+    println!("{}", report.trace.report());
     (json, summary.spans, summary.instants)
 }
 

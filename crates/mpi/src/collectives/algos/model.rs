@@ -418,8 +418,7 @@ impl ModelState {
 // ---------------------------------------------------------------------------
 
 /// Per-class slice of [`TuningStats`]: the published estimate in
-/// integer units (so the whole stats struct stays `Copy + Eq` inside
-/// [`RankStats`](crate::RankStats)).
+/// integer units (so the whole stats struct stays `Copy + Eq`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ClassStat {
     /// Published alpha, nanoseconds (rounded).
@@ -433,8 +432,8 @@ pub struct ClassStat {
 
 /// Per-rank tuning diagnostics: why selections happened. Collected per
 /// thread (like the copy bill) and surfaced in
-/// [`RankStats::tuning`](crate::RankStats) via
-/// [`Universe::run_stats`](crate::Universe::run_stats), or live via
+/// [`RankStats::tuning`](crate::RankStats::tuning) via
+/// [`Universe::run_report`](crate::Universe::run_report), or live via
 /// [`Comm::tuning_stats`](crate::Comm::tuning_stats).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct TuningStats {

@@ -90,7 +90,7 @@
 //! `dup`/`split`, resettable ([`Comm::reset_model`]), frozen into
 //! persistent plans at `*_init`, and never overrides `Select::Force`.
 //! Decision counters are exposed per rank via [`Comm::tuning_stats`]
-//! and `RankStats::tuning`.
+//! and, whole-run, `RankStats::tuning` in a `RunReport`.
 //!
 //! This matters for the reproduction: the paper's §V-A compares all-to-all
 //! strategies whose distinguishing property is *how many messages* they

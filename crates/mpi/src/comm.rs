@@ -192,7 +192,7 @@ impl Comm {
     /// Snapshot of this rank's tuning diagnostics (selection counts,
     /// model observations, published estimates). Whole-run per-rank
     /// values are available without in-closure snapshotting via
-    /// [`crate::Universe::run_stats`].
+    /// [`crate::Universe::run_report`].
     pub fn tuning_stats(&self) -> TuningStats {
         crate::collectives::algos::model::stats_snapshot()
     }
@@ -212,7 +212,7 @@ impl Comm {
     /// Snapshot of this rank's payload copy counters (convenience
     /// mirror of [`crate::metrics::snapshot`]; per-rank totals of a
     /// whole run are available without any in-closure snapshotting via
-    /// [`crate::Universe::run_stats`]).
+    /// [`crate::Universe::run_report`]).
     pub fn copy_stats(&self) -> crate::metrics::CopyStats {
         crate::metrics::snapshot()
     }
@@ -221,7 +221,7 @@ impl Comm {
     /// high-water unexpected-queue depth (how far senders ran ahead of
     /// this rank's receives) and the number of targeted deliveries.
     /// Whole-run per-rank values are available without in-closure
-    /// snapshotting via [`crate::Universe::run_stats`].
+    /// snapshotting via [`crate::Universe::run_report`].
     pub fn mailbox_stats(&self) -> crate::mailbox::MailboxStats {
         self.world.mailboxes[self.world_rank()].stats()
     }

@@ -963,7 +963,7 @@ mod tests {
     #[test]
     fn sync_send_wait_parks_on_ack() {
         for attempt in 0..5 {
-            let (outcomes, stats) = Universe::run_stats(crate::Config::new(2), |comm| {
+            let (outcomes, report) = Universe::run_report(crate::Config::new(2), |comm| {
                 if comm.rank() == 0 {
                     let req = comm.issend(&[1u8, 2, 3], 1, 0).unwrap();
                     req.wait().unwrap();
@@ -974,7 +974,7 @@ mod tests {
                 }
             });
             assert!(outcomes.into_iter().all(|o| o.completed().is_some()));
-            if stats[0].mailbox.max_parked >= 1 {
+            if report.stats[0].mailbox.max_parked >= 1 {
                 return;
             }
             eprintln!("attempt {attempt}: the receive outran the park; retrying");

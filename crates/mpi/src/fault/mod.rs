@@ -50,11 +50,14 @@
 //!
 //! # Using it
 //!
-//! ```ignore
+//! ```no_run
+//! use kmp_mpi::{op, Config, FaultPlan, Universe};
+//!
 //! let plan = FaultPlan::new().crash_at(1, "coll/phase", 3);
-//! let out = Universe::run_with_faults(Config::new(4), &plan, |comm| {
+//! let out = Universe::run_with(Config::new(4).faults(plan), |comm| {
 //!     // rank 1 dies inside its 3rd collective phase step; survivors
 //!     // observe ProcessFailed, revoke, shrink, and continue.
+//!     comm.allreduce_one(1u64, op::Sum)
 //! });
 //! ```
 
@@ -518,7 +521,7 @@ mod tests {
     #[test]
     fn crash_at_named_point_kills_victim_survivors_recover() {
         let plan = FaultPlan::new().crash_at(2, "mailbox/match", 2);
-        let out = Universe::run_with_faults(Config::new(4), &plan, |comm| {
+        let out = Universe::run_with(Config::new(4).faults(plan), |comm| {
             let mut active = comm.dup().unwrap();
             let mut sum = 0u64;
             let mut rounds = 0;
@@ -566,7 +569,7 @@ mod tests {
         assert_eq!(victims.len(), 1);
         assert!(victims[0] >= 1 && victims[0] < 4);
         let run = |plan: &FaultPlan| {
-            Universe::run_with_faults(Config::new(4), plan, |comm| {
+            Universe::run_with(Config::new(4).faults(plan.clone()), |comm| {
                 let mut active = comm.dup().unwrap();
                 for _ in 0..40 {
                     let r = active.allreduce_one(1u64, op::Sum);
@@ -595,7 +598,7 @@ mod tests {
         let plain = Universe::run(3, |comm| {
             comm.allreduce_one(comm.rank() as u64 + 1, op::Sum).unwrap()
         });
-        let faulted = Universe::run_with_faults(Config::new(3), &FaultPlan::new(), |comm| {
+        let faulted = Universe::run_with(Config::new(3).faults(FaultPlan::new()), |comm| {
             comm.allreduce_one(comm.rank() as u64 + 1, op::Sum).unwrap()
         })
         .into_iter()
@@ -609,7 +612,7 @@ mod tests {
     #[test]
     fn drop_rule_discards_exactly_the_matched_message() {
         let plan = FaultPlan::new().drop_message(0, 1, Some(7), 1);
-        let out = Universe::run_with_faults(Config::new(2), &plan, |comm| {
+        let out = Universe::run_with(Config::new(2).faults(plan), |comm| {
             if comm.rank() == 0 {
                 comm.send(&[1u32], 1, 7).unwrap();
                 comm.send(&[2u32], 1, 8).unwrap();
@@ -630,7 +633,7 @@ mod tests {
     #[test]
     fn duplicate_rule_delivers_twice() {
         let plan = FaultPlan::new().duplicate_message(0, 1, Some(7), 1);
-        Universe::run_with_faults(Config::new(2), &plan, |comm| {
+        Universe::run_with(Config::new(2).faults(plan), |comm| {
             if comm.rank() == 0 {
                 comm.send(&[9u32], 1, 7).unwrap();
             } else {
@@ -651,7 +654,7 @@ mod tests {
     #[test]
     fn delay_rule_reorders_past_later_traffic() {
         let plan = FaultPlan::new().delay_message(0, 1, Some(7), 1, 1);
-        Universe::run_with_faults(Config::new(2), &plan, |comm| {
+        Universe::run_with(Config::new(2).faults(plan), |comm| {
             if comm.rank() == 0 {
                 comm.send(&[1u32], 1, 7).unwrap();
                 comm.send(&[2u32], 1, 8).unwrap();
@@ -676,7 +679,7 @@ mod tests {
     #[test]
     fn crashed_sender_surfaces_process_failed() {
         let plan = FaultPlan::new().crash_at(0, "mailbox/push", 1);
-        let out = Universe::run_with_faults(Config::new(2), &plan, |comm| {
+        let out = Universe::run_with(Config::new(2).faults(plan), |comm| {
             if comm.rank() == 0 {
                 // Dies inside this send's mailbox push.
                 comm.send(&[1u32], 1, 7).unwrap();
@@ -706,7 +709,7 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let plan = FaultPlan::new().crash_at(1, "ulfm/contribute", 1);
-            let out = Universe::run_with_faults(Config::new(3), &plan, |comm| {
+            let out = Universe::run_with(Config::new(3).faults(plan), |comm| {
                 comm.agree_and(true).unwrap()
             });
             let _ = tx.send(out);
@@ -728,7 +731,7 @@ mod tests {
         let plan = FaultPlan::new()
             .crash_at(1, "no/such/point", 1)
             .crash(0, u64::MAX);
-        let out = Universe::run_with_faults(Config::new(2), &plan, |comm| {
+        let out = Universe::run_with(Config::new(2).faults(plan), |comm| {
             if comm.rank() == 1 {
                 comm.send(&[1u32], 0, 3).unwrap();
             } else {

@@ -31,10 +31,14 @@
 //!   feature `fault`, default off and compiled to no-op ZSTs): seeded
 //!   [`FaultPlan`]s crash a rank at its k-th injection point — inside a
 //!   collective phase, a matching wait, or an agreement — or
-//!   drop/delay/duplicate matching messages, driven by
-//!   [`Universe::run_with_faults`] and the chaos suite.
+//!   drop/delay/duplicate matching messages, installed with
+//!   [`Config::faults`] and driven by the chaos suite.
 //! - A PMPI-style call counter ([`Comm::call_counts`]) used by the binding
 //!   tests to assert that *only* the expected MPI calls are issued.
+//! - One run report: [`Universe::run_report`] returns each rank's
+//!   whole-run counters ([`RankStats`]: copy bill, matching-engine
+//!   diagnostics, call counts, tuning stats) and its final trace
+//!   ([`TraceData`], feature `trace`) in one [`RunReport`].
 //!
 //! ## Example
 //!
@@ -95,7 +99,7 @@ pub use plain::{
 pub use request::{Request, RequestSet};
 pub use topology::{CartComm, DistGraphComm, Neighborhood};
 pub use trace::{LatencyHist, RankTrace, TraceData, TraceStats};
-pub use universe::{Config, RankOutcome, RankStats, Universe};
+pub use universe::{Config, RankOutcome, RankStats, RunReport, Universe};
 
 /// A rank identifier within a communicator (also used for world ranks).
 pub type Rank = usize;

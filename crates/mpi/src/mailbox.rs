@@ -298,9 +298,10 @@ struct Shard {
     state: Mutex<ShardState>,
 }
 
-/// Post-run diagnostics of one rank's matching engine (see
-/// [`crate::Comm::mailbox_stats`] and
-/// [`crate::Universe::run_stats`]).
+/// Diagnostics of one rank's matching engine: live through
+/// [`crate::Comm::mailbox_stats`], whole-run in
+/// [`RankStats::mailbox`](crate::RankStats::mailbox) of
+/// [`crate::Universe::run_report`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MailboxStats {
     /// Messages currently queued as unexpected (all contexts).
@@ -1490,7 +1491,7 @@ mod tests {
         // communicators holds shard_count flat instead of growing one
         // shard per context forever.
         use crate::universe::{Config, Universe};
-        let (outcomes, stats) = Universe::run_stats(Config::new(2), |comm| {
+        let (outcomes, report) = Universe::run_report(Config::new(2), |comm| {
             assert_eq!(
                 comm.mailbox_stats().shard_count,
                 1,
@@ -1526,7 +1527,7 @@ mod tests {
             }
         });
         assert!(outcomes.into_iter().all(|o| o.completed().is_some()));
-        for (rank, s) in stats.iter().enumerate() {
+        for (rank, s) in report.stats.iter().enumerate() {
             assert_eq!(
                 s.mailbox.shard_count, 1,
                 "rank {rank}: 8 dup/split/free rounds held the gauge flat: {:?}",

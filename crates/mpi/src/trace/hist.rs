@@ -5,7 +5,7 @@
 //! 2^48 ns ≈ 3.3 days — far beyond any span this substrate records —
 //! at a fixed 400-byte footprint, so histograms can live in
 //! [`TraceStats`](super::TraceStats) (and therefore in every
-//! [`RankStats`](crate::RankStats)) by value, with recording cost of a
+//! [`RunReport`](crate::RunReport)) by value, with recording cost of a
 //! `leading_zeros` and two adds. Quantiles are resolved to bucket
 //! upper bounds: relative error is bounded by 2x, which is the right
 //! trade for a profile whose job is to separate "100 ns" from "10 µs",

@@ -15,9 +15,9 @@
 //!   a bounded event ring plus per-category latency histograms. No
 //!   atomics, no locks, no sharing on the record path — the only
 //!   synchronization is a single relaxed load of the global
-//!   enable flag. When a rank thread exits, [`Universe::run_on`]
-//!   (see `universe.rs`) moves the thread's data into the
-//!   [`WorldState`](crate::universe::WorldState), exactly like the
+//!   enable flag. When a rank thread exits, [`Universe`] (see
+//!   `universe.rs`) moves the thread's data into its snapshot slot in
+//!   the [`WorldState`](crate::universe::WorldState), beside the
 //!   [`crate::metrics`] copy counters.
 //! - **Bounded ring, overwrite-oldest.** The ring holds a fixed number
 //!   of [`Event`]s (default 65 536/rank ≈ 3 MiB; see
@@ -74,13 +74,16 @@
 //!
 //! # Using it
 //!
-//! ```ignore
-//! let (out, trace) = Universe::run_traced(Config::new(8), |comm| { ... });
-//! println!("{}", trace.report());                     // text profile
-//! std::fs::write("trace.json", trace.to_chrome_json())?; // open in ui.perfetto.dev
+//! ```no_run
+//! use kmp_mpi::{Config, Universe};
+//!
+//! let (out, report) = Universe::run_report(Config::new(8), |comm| comm.barrier());
+//! println!("{}", report.trace.report()); // text profile
+//! std::fs::write("trace.json", report.trace.to_chrome_json())?; // open in ui.perfetto.dev
+//! # Ok::<(), std::io::Error>(())
 //! ```
 //!
-//! [`Universe::run_on`]: crate::Universe
+//! [`Universe`]: crate::Universe
 //! [`Comm::deliver_bytes`]: crate::Comm
 
 mod hist;
@@ -183,7 +186,7 @@ pub struct Event {
 }
 
 /// Aggregated per-rank trace statistics. Always present (zeroed when
-/// the `trace` feature is off) so [`RankStats`](crate::RankStats) has
+/// the `trace` feature is off) so a [`RunReport`](crate::RunReport) has
 /// one shape in every build.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceStats {
@@ -222,7 +225,7 @@ pub struct RankTrace {
 }
 
 /// All ranks' traces from one run (see
-/// [`Universe::run_traced`](crate::Universe::run_traced)).
+/// [`RunReport::trace`](crate::RunReport::trace)).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceData {
     /// Per-rank traces, in rank order.

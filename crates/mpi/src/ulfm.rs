@@ -603,7 +603,7 @@ mod tests {
         // payloads for the rest of the run. The survivors' `shrink`
         // purges it: afterwards only the world shard remains and the
         // unexpected-queue gauge reads zero.
-        let (out, stats) = Universe::run_stats(Config::new(3), |comm| {
+        let (out, report) = Universe::run_report(Config::new(3), |comm| {
             let dup = comm.dup().unwrap();
             if comm.rank() == 1 {
                 // Carry traffic on the dup context so this rank's
@@ -629,15 +629,14 @@ mod tests {
         });
         let survivors: Vec<u64> = out.into_iter().filter_map(|o| o.completed()).collect();
         assert_eq!(survivors, vec![2, 2]);
+        let dead = &report.stats[1].mailbox;
         assert_eq!(
-            stats[1].mailbox.shard_count, 1,
-            "shrink must reclaim the dead rank's derived shards: {:?}",
-            stats[1].mailbox
+            dead.shard_count, 1,
+            "shrink must reclaim the dead rank's derived shards: {dead:?}"
         );
         assert_eq!(
-            stats[1].mailbox.queued, 0,
-            "shrink must drain the dead rank's unexpected queues: {:?}",
-            stats[1].mailbox
+            dead.queued, 0,
+            "shrink must drain the dead rank's unexpected queues: {dead:?}"
         );
     }
 

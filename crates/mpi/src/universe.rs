@@ -6,6 +6,8 @@
 //! [`Comm::fail_here`](crate::Comm::fail_here)) is marked *failed* so that
 //! peers blocked on it observe `MpiError::ProcessFailed` instead of
 //! hanging — the substrate behaviour ULFM (§V-B) builds on.
+//! [`Universe::run_report`] additionally returns everything the run
+//! observed, in one [`RunReport`].
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -21,7 +23,7 @@ use crate::counter::CallCounts;
 use crate::fault::{self, FaultPlan};
 use crate::mailbox::{Mailbox, MailboxStats};
 use crate::metrics::{self, CopyStats};
-use crate::trace::{self, TraceData, TraceStats};
+use crate::trace::{self, TraceData};
 use crate::ulfm::AgreementTable;
 use crate::Rank;
 
@@ -29,15 +31,17 @@ use crate::Rank;
 /// simulate a process crash.
 pub(crate) struct RankFailure;
 
-/// Configuration for a universe.
-#[derive(Clone, Copy, Debug)]
+/// Stack size per rank thread, in bytes.
+const RANK_STACK_BYTES: usize = 8 << 20;
+
+/// The description of one run: rank count, cost model and fault plan.
+#[derive(Clone, Debug)]
 pub struct Config {
     /// Number of ranks to spawn.
     pub size: usize,
     /// Message cost model for the virtual clock.
     pub cost: CostModel,
-    /// Stack size per rank thread, in bytes.
-    pub stack_size: usize,
+    faults: FaultPlan,
 }
 
 impl Config {
@@ -45,13 +49,24 @@ impl Config {
         Config {
             size,
             cost: CostModel::disabled(),
-            stack_size: 8 << 20,
+            faults: FaultPlan::new(),
         }
     }
 
     /// Sets the message cost model.
     pub fn cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
+        self
+    }
+
+    /// Runs under a deterministic [`FaultPlan`] (see [`crate::fault`]):
+    /// planned crashes unwind the victim exactly like
+    /// [`Comm::fail_here`](crate::Comm::fail_here) (outcome
+    /// [`RankOutcome::Failed`]), and message rules drop / delay /
+    /// duplicate matching envelopes at delivery. Without the `fault`
+    /// feature the plan is inert.
+    pub fn faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = plan;
         self
     }
 }
@@ -71,19 +86,12 @@ pub struct WorldState {
     next_context: AtomicU64,
     pub(crate) cost: CostModel,
     pub(crate) counters: Vec<Mutex<CallCounts>>,
-    /// Final per-rank copy statistics, written when each rank's thread
-    /// finishes (the thread-local counters die with the thread).
-    pub(crate) copy_stats: Vec<Mutex<CopyStats>>,
-    /// Final per-rank self-tuning counters (decisions, picks by kind,
-    /// observations folded, snapshot publishes), harvested like the
-    /// copy bill when each rank's thread finishes.
-    pub(crate) tuning_stats: Vec<Mutex<TuningStats>>,
-    /// Final per-rank traces, written when each rank's thread finishes
-    /// (the thread-local rings die with the thread). Empty without the
-    /// `trace` feature.
-    pub(crate) traces: Vec<Mutex<trace::RankTrace>>,
+    /// Each rank's thread-local counters — copy bill and self-tuning
+    /// stats — harvested as its thread exits (they die with it).
+    finals: Vec<Mutex<(CopyStats, TuningStats)>>,
     /// Live-snapshot slots each running rank publishes its ring into
-    /// on request (see [`Universe::trace_snapshot`]).
+    /// on request (see [`Universe::trace_snapshot`]); an exited rank's
+    /// slot holds its final trace.
     pub(crate) snap_slots: Vec<Arc<trace::SnapshotSlot>>,
     pub(crate) agreements: AgreementTable,
     /// The universe's fault-injection state (see [`crate::fault`]); a
@@ -95,10 +103,6 @@ pub struct WorldState {
 
 impl WorldState {
     pub(crate) fn new(config: &Config) -> Arc<Self> {
-        Self::new_faulted(config, &FaultPlan::default())
-    }
-
-    pub(crate) fn new_faulted(config: &Config, plan: &FaultPlan) -> Arc<Self> {
         Arc::new(WorldState {
             size: config.size,
             mailboxes: (0..config.size).map(|_| Mailbox::new()).collect(),
@@ -108,21 +112,11 @@ impl WorldState {
             // Context 0 is the world communicator.
             next_context: AtomicU64::new(1),
             cost: config.cost,
-            counters: (0..config.size)
-                .map(|_| Mutex::new(CallCounts::new()))
-                .collect(),
-            copy_stats: (0..config.size)
-                .map(|_| Mutex::new(CopyStats::default()))
-                .collect(),
-            tuning_stats: (0..config.size)
-                .map(|_| Mutex::new(TuningStats::default()))
-                .collect(),
-            traces: (0..config.size)
-                .map(|_| Mutex::new(trace::RankTrace::default()))
-                .collect(),
-            snap_slots: (0..config.size).map(|_| Arc::default()).collect(),
+            counters: (0..config.size).map(|_| Default::default()).collect(),
+            finals: (0..config.size).map(|_| Default::default()).collect(),
+            snap_slots: (0..config.size).map(|_| Default::default()).collect(),
             agreements: AgreementTable::default(),
-            faults: fault::WorldFaults::new(plan, config.size),
+            faults: fault::WorldFaults::new(&config.faults, config.size),
         })
     }
 
@@ -182,10 +176,32 @@ impl WorldState {
     pub fn size(&self) -> usize {
         self.size
     }
+
+    /// Everything the world observed, read after every rank has exited.
+    fn report(&self) -> RunReport {
+        let stats = (0..self.size)
+            .map(|rank| {
+                let (copy, tuning) = *self.finals[rank].lock();
+                RankStats {
+                    copy,
+                    mailbox: self.mailboxes[rank].stats(),
+                    calls: self.counters[rank].lock().clone(),
+                    tuning,
+                }
+            })
+            .collect();
+        let ranks = self.snap_slots.iter().map(|s| s.data.lock().clone());
+        RunReport {
+            stats,
+            trace: TraceData {
+                ranks: ranks.collect(),
+            },
+        }
+    }
 }
 
 /// Outcome of a single rank's execution under
-/// [`Universe::run_with`].
+/// [`Universe::run_with`] or [`Universe::run_report`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RankOutcome<R> {
     /// The rank ran to completion.
@@ -241,89 +257,39 @@ impl Universe {
     /// Runs `f` on `config.size` ranks, returning each rank's outcome.
     /// Panics and simulated failures are contained per-rank.
     pub fn run_with<R: Send, F: Fn(Comm) -> R + Sync>(config: Config, f: F) -> Vec<RankOutcome<R>> {
-        let world = WorldState::new(&config);
-        Self::run_on(&config, &world, f)
+        Self::run_on(config, f).0
     }
 
-    /// Runs `f` on `config.size` ranks under a deterministic
-    /// [`FaultPlan`] (see [`crate::fault`]): planned crashes unwind the
-    /// victim exactly like [`Comm::fail_here`](crate::Comm::fail_here)
-    /// (outcome [`RankOutcome::Failed`]), and message rules
-    /// drop/delay/duplicate matching envelopes at delivery. Without the
-    /// `fault` feature the plan is inert and this is
-    /// [`Universe::run_with`].
-    pub fn run_with_faults<R: Send, F: Fn(Comm) -> R + Sync>(
-        config: Config,
-        plan: &FaultPlan,
-        f: F,
-    ) -> Vec<RankOutcome<R>> {
-        let world = WorldState::new_faulted(&config, plan);
-        Self::run_on(&config, &world, f)
-    }
-
-    /// Runs `f` on `config.size` ranks and additionally returns each
-    /// rank's total [`RankStats`] — copy bill plus matching-engine
-    /// diagnostics — the universe-level aggregation that lets benches
-    /// read per-rank statistics without threading snapshots through
-    /// their closures (the per-operation diffing of
-    /// [`crate::metrics::snapshot`] remains available inside the
-    /// closure).
-    pub fn run_stats<R: Send, F: Fn(Comm) -> R + Sync>(
+    /// Runs `f` like [`Universe::run_with`] and also returns the
+    /// [`RunReport`]: each rank's whole-run counters and its final trace
+    /// (empty but well-formed without the `trace` feature). Under a
+    /// [`Config::faults`] plan the trace puts a whole crash-and-recover
+    /// story on one timeline — the injected crash (`fault/crash`), its
+    /// detection (`ulfm/detect`), and the survivors' recovery
+    /// (`ulfm/agree`, `ulfm/shrink` spans).
+    pub fn run_report<R: Send, F: Fn(Comm) -> R + Sync>(
         config: Config,
         f: F,
-    ) -> (Vec<RankOutcome<R>>, Vec<RankStats>) {
-        let world = WorldState::new(&config);
-        let outcomes = Self::run_on(&config, &world, f);
-        let stats = Self::collect_run_stats(&world);
-        (outcomes, stats)
-    }
-
-    /// Runs `f` on `config.size` ranks and additionally returns the
-    /// collected per-rank traces (event timelines + aggregates; see
-    /// [`crate::trace`]). Without the `trace` feature the returned
-    /// [`TraceData`] is empty but well-formed —
-    /// [`TraceData::report`] says so instead of failing.
-    pub fn run_traced<R: Send, F: Fn(Comm) -> R + Sync>(
-        config: Config,
-        f: F,
-    ) -> (Vec<RankOutcome<R>>, TraceData) {
-        let world = WorldState::new(&config);
-        let outcomes = Self::run_on(&config, &world, f);
-        let data = Self::collect_trace(&world);
-        (outcomes, data)
-    }
-
-    /// Runs `f` under a deterministic [`FaultPlan`] and additionally
-    /// returns the collected per-rank traces: the combination that puts
-    /// a whole crash-and-recover story on one timeline — the injected
-    /// crash (`fault/crash`), its detection (`ulfm/detect`), and the
-    /// survivors' recovery (`ulfm/agree`, `ulfm/shrink` spans).
-    pub fn run_traced_faulted<R: Send, F: Fn(Comm) -> R + Sync>(
-        config: Config,
-        plan: &FaultPlan,
-        f: F,
-    ) -> (Vec<RankOutcome<R>>, TraceData) {
-        let world = WorldState::new_faulted(&config, plan);
-        let outcomes = Self::run_on(&config, &world, f);
-        let data = Self::collect_trace(&world);
-        (outcomes, data)
+    ) -> (Vec<RankOutcome<R>>, RunReport) {
+        let (outcomes, world) = Self::run_on(config, f);
+        (outcomes, world.report())
     }
 
     fn run_on<R: Send, F: Fn(Comm) -> R + Sync>(
-        config: &Config,
-        world: &Arc<WorldState>,
+        config: Config,
         f: F,
-    ) -> Vec<RankOutcome<R>> {
+    ) -> (Vec<RankOutcome<R>>, Arc<WorldState>) {
         assert!(config.size > 0, "universe needs at least one rank");
+        let world = WorldState::new(&config);
         let f = &f;
 
-        std::thread::scope(|scope| {
+        let outcomes = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..config.size)
                 .map(|rank| {
-                    let world = Arc::clone(world);
+                    let world = Arc::clone(&world);
                     std::thread::Builder::new()
                         .name(format!("rank-{rank}"))
-                        .stack_size(config.stack_size)
+                        .stack_size(RANK_STACK_BYTES)
                         .spawn_scoped(scope, move || {
                             trace::register_snapshot_slot(Arc::clone(&world.snap_slots[rank]));
                             fault::register_rank_thread(&world, rank);
@@ -337,19 +303,15 @@ impl Universe {
                                 // instead of a discarded thread-local.
                                 world.mark_failed(rank);
                             }
-                            // Preserve the rank's copy counters and trace
-                            // before the thread (and its thread-locals)
-                            // exits.
-                            *world.copy_stats[rank].lock() = metrics::snapshot();
-                            *world.tuning_stats[rank].lock() = tuning_model::stats_snapshot();
-                            let t = trace::take_thread();
-                            // Exited ranks answer every future snapshot
-                            // with their final trace.
-                            *world.snap_slots[rank].data.lock() = t.clone();
-                            world.snap_slots[rank]
-                                .gen
-                                .store(u64::MAX, Ordering::Release);
-                            *world.traces[rank].lock() = t;
+                            // Preserve the rank's thread-local counters
+                            // and trace before the thread exits. The
+                            // snapshot slot keeps the final trace: exited
+                            // ranks answer every later snapshot with it.
+                            *world.finals[rank].lock() =
+                                (metrics::snapshot(), tuning_model::stats_snapshot());
+                            let slot = &world.snap_slots[rank];
+                            *slot.data.lock() = trace::take_thread();
+                            slot.gen.store(u64::MAX, Ordering::Release);
                             match result {
                                 Ok(r) => RankOutcome::Completed(r),
                                 Err(payload) => {
@@ -370,34 +332,8 @@ impl Universe {
                 .into_iter()
                 .map(|h| h.join().expect("rank thread join failed"))
                 .collect()
-        })
-    }
-
-    /// Collected per-rank run statistics after a run: the copy bill
-    /// plus each rank's matching-engine diagnostics (max unexpected-
-    /// queue depth = matching pressure; targeted wakeups = envelopes
-    /// delivered straight to a posted waiter).
-    fn collect_run_stats(world: &WorldState) -> Vec<RankStats> {
-        world
-            .copy_stats
-            .iter()
-            .zip(&world.mailboxes)
-            .zip(&world.traces)
-            .zip(&world.tuning_stats)
-            .map(|(((m, mb), t), tu)| RankStats {
-                copy: *m.lock(),
-                mailbox: mb.stats(),
-                trace: t.lock().stats,
-                tuning: *tu.lock(),
-            })
-            .collect()
-    }
-
-    /// Collected per-rank traces after a run.
-    fn collect_trace(world: &WorldState) -> TraceData {
-        TraceData {
-            ranks: world.traces.iter().map(|m| m.lock().clone()).collect(),
-        }
+        });
+        (outcomes, world)
     }
 
     /// Snapshots every rank's trace ring **while the universe is still
@@ -446,20 +382,29 @@ impl Universe {
     }
 }
 
-/// Per-rank whole-run statistics returned by [`Universe::run_stats`]:
-/// the unified report folding the copy bill, the matching-engine
-/// diagnostics, and the trace aggregates (zeros without the `trace`
-/// feature) into one shape per rank.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Everything one run observed, returned by [`Universe::run_report`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RunReport {
+    /// Each rank's whole-run counters, in rank order.
+    pub stats: Vec<RankStats>,
+    /// Each rank's final trace: event timeline plus the aggregates —
+    /// event counts, span latency histograms, and the unexpected-queue
+    /// depth gauge (see [`crate::trace`]).
+    pub trace: TraceData,
+}
+
+/// One rank's whole-run counters in a [`RunReport`], each counter group
+/// once (the trace aggregates live in [`RunReport::trace`]). A rank that
+/// died reports what it recorded before it died.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RankStats {
     /// Payload copy/allocation counters (see [`crate::metrics`]).
     pub copy: CopyStats,
     /// Matching-engine diagnostics, including the max unexpected-queue
     /// depth — the matching pressure a bench put on this rank.
     pub mailbox: MailboxStats,
-    /// Trace aggregates: event counts, span latency histograms, and
-    /// the unexpected-queue depth gauge (see [`crate::trace`]).
-    pub trace: TraceStats,
+    /// PMPI-style per-operation call counts (see [`crate::counter`]).
+    pub calls: CallCounts,
     /// Self-tuning counters: how many algorithm decisions this rank
     /// made, how they were decided (static threshold / exploration /
     /// model prediction / forced / frozen plan), and how many
@@ -536,7 +481,7 @@ mod tests {
     #[test]
     #[cfg(feature = "copy-metrics")]
     fn run_stats_aggregates_per_rank_copy_bills() {
-        let (outcomes, stats) = Universe::run_stats(Config::new(3), |comm| {
+        let (outcomes, report) = Universe::run_report(Config::new(3), |comm| {
             // Rank r sends r+1 bytes to the next rank; serialization
             // copies are charged to the sender.
             let next = (comm.rank() + 1) % comm.size();
@@ -545,7 +490,7 @@ mod tests {
             let (_got, _) = comm.recv_vec::<u8>((comm.rank() + 2) % 3, 0).unwrap();
         });
         assert!(outcomes.into_iter().all(|o| o.completed().is_some()));
-        for (rank, s) in stats.iter().enumerate() {
+        for (rank, s) in report.stats.iter().enumerate() {
             assert!(
                 s.copy.bytes_copied >= (rank + 1) as u64,
                 "rank {rank} must have charged its send serialization: {s:?}"
@@ -555,7 +500,7 @@ mod tests {
 
     #[test]
     fn run_stats_reports_matching_pressure() {
-        let (_, stats) = Universe::run_stats(Config::new(2), |comm| {
+        let (_, RunReport { stats, .. }) = Universe::run_report(Config::new(2), |comm| {
             if comm.rank() == 0 {
                 // Run ahead of the receiver: the unexpected queue on
                 // rank 1 must grow to (at least briefly) hold the burst.
@@ -618,9 +563,7 @@ mod tests {
     #[cfg(feature = "trace")]
     #[test]
     fn trace_snapshot_after_exit_returns_final_traces() {
-        let world = WorldState::new(&Config::new(2));
-        let config = Config::new(2);
-        let out = Universe::run_on(&config, &world, |comm| {
+        let (out, world) = Universe::run_on(Config::new(2), |comm| {
             comm.barrier().unwrap();
             comm.rank()
         });
@@ -629,7 +572,67 @@ mod tests {
         for rt in &snap.ranks {
             assert!(rt.stats.events > 0);
         }
-        assert_eq!(snap.ranks, Universe::collect_trace(&world).ranks);
+        assert_eq!(snap.ranks, world.report().trace.ranks);
+    }
+
+    /// A rank that dies — by a panic or by `fail_here` — is harvested
+    /// like one that returns: the report holds exactly the copy bill,
+    /// call counts and tuning stats it recorded before it died, and
+    /// (with `trace`) its final events, the detection instant included.
+    #[test]
+    fn dead_ranks_report_what_they_recorded() {
+        let before_death: Vec<Mutex<Option<RankStats>>> =
+            (0..3).map(|_| Mutex::new(None)).collect();
+        let (out, report) = Universe::run_report(Config::new(3), |comm| {
+            let next = (comm.rank() + 1) % 3;
+            comm.send(&[comm.rank() as u8; 64], next, 0).unwrap();
+            let _ = comm.recv_vec::<u8>((comm.rank() + 2) % 3, 0).unwrap();
+            comm.allreduce_one(1u64, crate::op::Sum).unwrap();
+            comm.barrier().unwrap();
+            if comm.rank() > 0 {
+                *before_death[comm.rank()].lock() = Some(RankStats {
+                    copy: comm.copy_stats(),
+                    mailbox: MailboxStats::default(),
+                    calls: comm.call_counts(),
+                    tuning: comm.tuning_stats(),
+                });
+            }
+            match comm.rank() {
+                1 => panic!("rank 1 dies"),
+                2 => comm.fail_here(),
+                _ => {}
+            }
+        });
+        assert!(matches!(out[0], RankOutcome::Completed(())));
+        assert!(matches!(&out[1], RankOutcome::Panicked(m) if m.contains("rank 1 dies")));
+        assert!(matches!(out[2], RankOutcome::Failed));
+        for (rank, recorded) in before_death.into_iter().enumerate().skip(1) {
+            let recorded = recorded.into_inner().expect("recorded before death");
+            let got = &report.stats[rank];
+            assert_eq!(got.copy, recorded.copy, "rank {rank} copy bill");
+            assert_eq!(got.calls, recorded.calls, "rank {rank} call counts");
+            assert_eq!(got.tuning, recorded.tuning, "rank {rank} tuning stats");
+            assert!(got.calls.get("allreduce") >= 1 && got.tuning.decisions >= 1);
+            #[cfg(feature = "copy-metrics")]
+            assert!(got.copy.bytes_copied >= 64, "rank {rank}: {:?}", got.copy);
+            if trace::COMPILED {
+                let names: Vec<_> = report.trace.ranks[rank]
+                    .events
+                    .iter()
+                    .map(|e| e.name)
+                    .collect();
+                for needle in ["send", "ulfm/detect"] {
+                    assert!(
+                        names.contains(&needle),
+                        "rank {rank} trace lacks {needle}: {names:?}"
+                    );
+                }
+                assert!(
+                    names.iter().any(|n| n.starts_with("allreduce/")),
+                    "rank {rank}: {names:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ where
 {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let _ = tx.send(Universe::run_with_faults(Config::new(p), &plan, f));
+        let _ = tx.send(Universe::run_with(Config::new(p).faults(plan), f));
     });
     rx.recv_timeout(std::time::Duration::from_secs(DEADLINE_SECS))
         .expect("liveness violated: a survivor did not return within the deadline")

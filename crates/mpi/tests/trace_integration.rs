@@ -69,8 +69,9 @@ fn disabled_build_records_nothing_and_degrades_gracefully() {
     assert!(!trace::enabled());
     trace::set_ring_capacity(8);
 
-    let (outcomes, data) = Universe::run_traced(Config::new(4), |comm| workload(&comm));
+    let (outcomes, report) = Universe::run_report(Config::new(4), |comm| workload(&comm));
     assert_completed(&outcomes);
+    let data = &report.trace;
     assert_eq!(data.ranks.len(), 4);
     for rt in &data.ranks {
         assert_eq!(
@@ -82,20 +83,19 @@ fn disabled_build_records_nothing_and_degrades_gracefully() {
         // Not just empty: no ring storage was ever allocated.
         assert_eq!(rt.events.capacity(), 0);
     }
-    let report = data.report();
-    assert!(report.contains("feature disabled"), "got: {report}");
-    assert!(report.contains("--features trace"), "got: {report}");
+    let profile = data.report();
+    assert!(profile.contains("feature disabled"), "got: {profile}");
+    assert!(profile.contains("--features trace"), "got: {profile}");
 
-    // The unified per-rank stats carry a zeroed trace block.
-    let (outcomes, stats) = Universe::run_stats(Config::new(2), |comm| workload(&comm));
-    assert_completed(&outcomes);
-    for s in &stats {
-        assert_eq!(s.trace, trace::TraceStats::default());
+    // The same report still carries every rank's counters.
+    for s in &report.stats {
+        assert_eq!(s.calls.get("allreduce"), 1);
+        assert_eq!(s.calls.get("barrier"), 1);
     }
 }
 
 /// With tracing compiled in: a universe run records events on every
-/// rank, folds aggregates into `RankStats`, exports a schema-valid
+/// rank beside its counters in one `RunReport`, exports a schema-valid
 /// Chrome trace with one pid per rank, and the runtime toggle drops
 /// the whole run to zero events. One test function: the enable flag is
 /// process-global, so the phases must not interleave with each other.
@@ -107,8 +107,9 @@ fn enabled_build_records_aggregates_exports_and_toggles() {
 
     // --- enabled run: every layer shows up ---------------------------
     trace::set_enabled(true);
-    let (outcomes, data) = Universe::run_traced(Config::new(p), |comm| workload(&comm));
+    let (outcomes, report) = Universe::run_report(Config::new(p), |comm| workload(&comm));
     assert_completed(&outcomes);
+    let data = &report.trace;
     assert_eq!(data.ranks.len(), p);
     for (rank, rt) in data.ranks.iter().enumerate() {
         assert!(!rt.events.is_empty(), "rank {rank} recorded no events");
@@ -126,11 +127,17 @@ fn enabled_build_records_aggregates_exports_and_toggles() {
         );
     }
 
-    // Aggregates also surface through the unified RankStats.
-    let (outcomes, stats) = Universe::run_stats(Config::new(p), |comm| workload(&comm));
-    assert_completed(&outcomes);
-    for (rank, s) in stats.iter().enumerate() {
-        assert!(s.trace.events > 0, "rank {rank} stats.trace is empty");
+    // The trace aggregates and the counters describe the same run:
+    // every counted `send` left at least one send span (collective
+    // rounds add more), and the one counted `allreduce` one coll span.
+    for (rank, (rt, s)) in data.ranks.iter().zip(&report.stats).enumerate() {
+        let sends = rt.stats.spans[trace::cat::SEND as usize].count;
+        assert!(
+            s.calls.get("send") >= 1 && sends >= s.calls.get("send"),
+            "rank {rank}: {sends} send spans for {} counted sends",
+            s.calls.get("send")
+        );
+        assert_eq!(s.calls.get("allreduce"), 1, "rank {rank}");
     }
 
     // --- export: schema-valid, one pid per rank ----------------------
@@ -139,18 +146,18 @@ fn enabled_build_records_aggregates_exports_and_toggles() {
     assert_eq!(summary.pids, (0..p as u64).collect::<Vec<_>>());
     assert!(summary.spans > 0);
     assert!(summary.instants > 0);
-    let report = data.report();
+    let profile = data.report();
     assert!(
-        report.contains("rank 0") && report.contains("coll"),
-        "got: {report}"
+        profile.contains("rank 0") && profile.contains("coll"),
+        "got: {profile}"
     );
 
     // --- runtime toggle: disabled runs record nothing ----------------
     trace::set_enabled(false);
-    let (outcomes, quiet) = Universe::run_traced(Config::new(p), |comm| workload(&comm));
+    let (outcomes, quiet) = Universe::run_report(Config::new(p), |comm| workload(&comm));
     trace::set_enabled(true);
     assert_completed(&outcomes);
-    for (rank, rt) in quiet.ranks.iter().enumerate() {
+    for (rank, rt) in quiet.trace.ranks.iter().enumerate() {
         assert_eq!(rt.stats.events, 0, "rank {rank} recorded while disabled");
         assert!(rt.events.is_empty());
     }
@@ -170,7 +177,7 @@ fn fault_injection_and_recovery_land_on_the_timeline() {
     let _toggle = TRACE_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
     trace::set_enabled(true);
     let plan = FaultPlan::new().crash_at(1, "mailbox/match", 1);
-    let (out, data) = Universe::run_traced_faulted(Config::new(3), &plan, |comm| {
+    let (out, report) = Universe::run_report(Config::new(3).faults(plan), |comm| {
         let mut active = comm;
         let mut rounds = 0;
         while rounds < 3 {
@@ -190,7 +197,7 @@ fn fault_injection_and_recovery_land_on_the_timeline() {
     assert!(matches!(out[0], RankOutcome::Completed(2)));
     assert!(matches!(out[2], RankOutcome::Completed(2)));
 
-    let json = data.to_chrome_json();
+    let json = report.trace.to_chrome_json();
     trace::export::validate_chrome(&json).expect("faulted trace must validate");
     for needle in ["fault/crash", "ulfm/detect", "ulfm/agree", "ulfm/shrink"] {
         assert!(json.contains(needle), "timeline lacks {needle}: {json}");
@@ -209,7 +216,7 @@ fn model_driven_run_names_every_explored_algorithm() {
 
     let _toggle = TRACE_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
     trace::set_enabled(true);
-    let (outcomes, data) = Universe::run_traced(Config::new(4), |comm| {
+    let (outcomes, report) = Universe::run_report(Config::new(4), |comm| {
         comm.set_tuning(
             CollTuning::default().model(
                 ModelConfig::default()
@@ -231,7 +238,7 @@ fn model_driven_run_names_every_explored_algorithm() {
         );
     });
     assert_completed(&outcomes);
-    for (rank, rt) in data.ranks.iter().enumerate() {
+    for (rank, rt) in report.trace.ranks.iter().enumerate() {
         for name in ["allreduce/recursive_doubling", "allreduce/rabenseifner"] {
             assert!(
                 rt.events
@@ -269,7 +276,7 @@ fn initiation_instants_are_named_from_the_selected_row() {
 
     let _toggle = TRACE_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
     trace::set_enabled(true);
-    let (outcomes, data) = Universe::run_traced(Config::new(4), |comm| {
+    let (outcomes, report) = Universe::run_report(Config::new(4), |comm| {
         let forced = CollTuning::default()
             .allgather(AllgatherAlgo::Bruck)
             .alltoall(AlltoallAlgo::Bruck)
@@ -322,7 +329,7 @@ fn initiation_instants_are_named_from_the_selected_row() {
         }
         expected
     });
-    for (rt, outcome) in data.ranks.iter().zip(outcomes) {
+    for (rt, outcome) in report.trace.ranks.iter().zip(outcomes) {
         let kmp_mpi::RankOutcome::Completed(expected) = outcome else {
             panic!("a rank did not complete");
         };
