@@ -127,12 +127,14 @@ impl Communicator {
     /// `recv_counts`/`recv_counts_out`, `recv_displs`/`recv_displs_out`.
     /// Omitted receive counts are read off the delivered messages — no
     /// extra communication (Fig. 2 spends an `allgather` on them; the
-    /// substrate's messages are self-describing) — over the eager
-    /// fan-out. Supplied `recv_counts` are the layout every rank agrees
-    /// on, so they also select the schedule, as `MPI_Allgatherv`'s do:
-    /// recursive doubling or Bruck (`ceil(log2 p)` rounds) while their
-    /// total stays within the allgather ceilings of
-    /// [`CollTuning`](kmp_mpi::CollTuning), the fan-out above.
+    /// substrate's messages are self-describing): from `p = 4`
+    /// recursive doubling or Bruck carry every block's length in their
+    /// rounds, with the blocks small enough to ride along. Supplied
+    /// `recv_counts` are the layout every rank agrees on, so they also
+    /// select the schedule, as `MPI_Allgatherv`'s do: recursive doubling
+    /// or Bruck (`ceil(log2 p)` rounds) while their total stays within
+    /// the allgather ceilings of [`CollTuning`](kmp_mpi::CollTuning),
+    /// the fan-out above.
     ///
     /// ```
     /// use kamping::prelude::*;

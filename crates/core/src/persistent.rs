@@ -396,8 +396,9 @@ mod tests {
     }
 
     /// Contributions on both sides of the 8 KiB log-round ceiling at
-    /// p = 4: every rank freezes the same ring, and each cycle delivers
-    /// every block with its own length.
+    /// p = 4: every rank freezes the same recursive doubling, whose
+    /// rounds carry the small blocks while the large ones go direct, and
+    /// each cycle delivers every block with its own length.
     #[test]
     fn persistent_allgatherv_mixes_sizes_across_the_log_round_ceiling() {
         Universe::run(4, |comm| {

@@ -13,11 +13,12 @@
 //! rank assembles once.
 //!
 //! A fold writes only into a vector no peer reads. A vector given away
-//! — a high rank's, or the copy doubling's first step sends — is folded
-//! into by its receiver. Otherwise the accumulator travels as a
-//! refcount payload (Rabenseifner: slices of one) and the fold writes a
-//! fresh vector, except doubling's last step, which writes into the
-//! contribution: an owned one comes back as the result. Every rank
+//! — a high rank's, or the copy doubling's first step sends when it is
+//! not also the last — is folded into by its receiver. Otherwise the
+//! accumulator travels as a refcount payload (Rabenseifner: slices of
+//! one) and the fold writes a fresh vector, except doubling's last step,
+//! which writes into the contribution once no peer reads it: an owned
+//! one comes back as the result from `p2 = 4` on. Every rank
 //! completes with one message only it holds, which [`reclaim_vec`]
 //! takes back without a copy.
 
@@ -129,6 +130,13 @@ impl<T: Plain, O: ReduceOp<T>> Allreduce<T, O> {
         Some(j.checked_sub(self.steps()).map_or(Ok(j), Err))
     }
 
+    /// Whether doubling's first step sends a copy its partner folds into:
+    /// not at `p2 = 2`, where that step is also the last, which folds
+    /// into the spare (or a fresh vector) anyway.
+    fn gives_copy(&self) -> bool {
+        !self.halving && self.steps() > 1
+    }
+
     /// A copy of an accumulator to give away (a malformed payload travels as it
     /// is, for the receiving fold to reject).
     fn moved_copy(acc: &Bytes) -> Bytes {
@@ -198,7 +206,7 @@ impl<T: Plain, O: ReduceOp<T>> Rounds for Allreduce<T, O> {
             (_, Some(Ok(j))) => {
                 let (partner, _, give) = self.halves(rank, j);
                 let msg = match j {
-                    0 if !self.halving => Self::moved_copy(&self.acc),
+                    0 if self.gives_copy() => Self::moved_copy(&self.acc),
                     _ => self.acc.slice(self.in_acc(give)),
                 };
                 send_internal(comm, partner, step_tag, msg)
@@ -223,7 +231,7 @@ impl<T: Plain, O: ReduceOp<T>> Rounds for Allreduce<T, O> {
             (Fixup::High(_), _) => self.acc = theirs,
             (_, Some(Err(hop))) => self.chunks[(rank + self.p2 - 1 - hop) % self.p2] = theirs,
             (_, None) => self.fold_into_received(theirs)?,
-            (_, Some(Ok(0))) if !self.halving => self.fold_into_received(theirs)?,
+            (_, Some(Ok(0))) if self.gives_copy() => self.fold_into_received(theirs)?,
             (_, Some(Ok(j))) => {
                 let keep = self.halves(rank, j).1;
                 let last = !self.halving && j + 1 == self.steps();

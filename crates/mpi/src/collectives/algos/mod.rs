@@ -84,8 +84,9 @@ pub enum BcastAlgo {
     ScatterAllgather,
 }
 
-/// Allgather algorithm (equal-sized blocks and the counted `allgatherv`;
-/// the self-sizing `allgatherv` forms always ring).
+/// Allgather algorithm (equal-sized blocks, the counted `allgatherv`,
+/// and the self-sizing one, whose latency rows learn the block sizes in
+/// their rounds).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AllgatherAlgo {
     /// `p-1` rounds forwarding one block per step as a refcount clone —
@@ -158,9 +159,10 @@ pub struct CollTuning {
     /// always run the binomial tree, because non-roots cannot agree on
     /// a size they do not know).
     pub bcast: Select<BcastAlgo>,
-    /// Allgather algorithm slot (equal-block exchanges and the counted
-    /// `allgatherv`; the self-sizing `allgatherv` forms, whose block
-    /// sizes no rank knows up front, always travel the ring).
+    /// Allgather algorithm slot (equal-block exchanges, the counted
+    /// `allgatherv`, and the self-sizing `allgatherv` forms, whose block
+    /// sizes no rank knows up front: `Auto` runs the latency rows for
+    /// them from `p >= 4` whatever the sizes).
     pub allgather: Select<AllgatherAlgo>,
     /// All-to-all algorithm slot (equal-block exchanges only).
     pub alltoall: Select<AlltoallAlgo>,
@@ -190,13 +192,17 @@ pub struct CollTuning {
     /// `Auto` switches allgather to recursive doubling at or below this
     /// many contribution bytes per rank (and `p >= 4`, power of two).
     /// A counted `allgatherv`'s variable blocks are compared by their
-    /// total instead (MPICH's `tot_bytes` rule).
+    /// total instead (MPICH's `tot_bytes` rule); a self-sizing
+    /// `allgatherv` applies that rule per block: a block rides in the
+    /// rounds iff `p` times its length is within this ceiling, and
+    /// travels direct otherwise.
     pub allgather_rd_max_bytes: usize,
     /// `Auto` switches allgather to Bruck at or below this many
     /// contribution bytes per rank on non-power-of-two communicators
     /// (`p >= 4`) — the latency regime recursive doubling cannot serve
     /// there. A counted `allgatherv`'s variable blocks are compared by
-    /// their total instead.
+    /// their total instead, a self-sizing one's per block (see
+    /// [`allgather_rd_max_bytes`](Self::allgather_rd_max_bytes)).
     pub allgather_bruck_max_bytes: usize,
     /// Online measured cost model configuration (see [`model`]). With
     /// [`ModelConfig::drive`] off (the default) every `Auto` selection

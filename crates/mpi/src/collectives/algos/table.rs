@@ -2,7 +2,10 @@
 //! here once, as one `Row` — and this rustdoc is the one place the
 //! menu is written down (`s` = bytes a rank contributes, `r` = bytes of
 //! its result, `t` = the agreed total of a counted `allgatherv`'s
-//! counts, `b` = bytes of one all-to-all block, `d` = the agreed
+//! counts, `len` = one block of a self-sizing `allgatherv`, whose
+//! lengths are learned in the rounds (a block rides in them iff
+//! `p·len` is within the row's ceiling, else its origin sends it
+//! direct), `b` = bytes of one all-to-all block, `d` = the agreed
 //! maximum degree, `p` = communicator size). "Copies per rank" is the
 //! payload-byte memcpy bill on the shared-`Bytes` datapath; folds that
 //! combine a received payload into an accumulator *in place* are
@@ -15,9 +18,9 @@
 //! | `allreduce/rabenseifner` | reduce-scatter folding into fresh shrinking halves + ring allgather of refcount chunks | log2 p + p | s + r (+ r handing the result back off powers of two) | — | `p >= 4`, `s >=` [`CollTuning::rabenseifner_min_bytes`] | blocking, `iallreduce`, `allreduce_init` |
 //! | **`bcast/binomial`** | binomial tree, refcount forwarding; every rank sends to its largest subtree first, so the critical path is ceil(log2 p) hops | <= log2 p | root s, other r | — | otherwise (and always where non-roots do not know `s`) | blocking, `ibcast`, `bcast_init` |
 //! | `bcast/scatter_allgather` | van de Geijn: scatter + eager allgather of the chunks | ~2p | root s, other r | `s > 0`, known on every rank | `p >= 4`, `s >=` [`CollTuning::bcast_scatter_min_bytes`] | blocking (the sized `bcast*`) |
-//! | **`allgather/ring`** | eager fan-out: the own block to every peer as a refcount clone, all posted before the first receive (the name is the row's, kept from the forwarding ring) | p-1 | s + r | — | otherwise | blocking (the self-sizing `allgatherv` always), `iallgather(v)`, `allgather(v)_init` |
-//! | `allgather/recursive_doubling` | packed doubling rounds, carved by the agreed block sizes | log2 p | s·(p-2) + r (counted: the bytes of the blocks it packs) | `p >= 2`, a power of two, block sizes every rank knows | `p >= 4`, `s <=` [`CollTuning::allgather_rd_max_bytes`]; for a counted `allgatherv`, `t <=` it | blocking `allgather` and counted `allgatherv`, `iallgather`, `allgather_init` |
-//! | `allgather/bruck` | rotated packed rounds, carved by the agreed block sizes | ceil(log2 p) | <= s·(p-2) + r (counted: the bytes of the blocks it packs) | `p >= 2`, block sizes every rank knows | `p >= 4` not a power of two, `s <=` [`CollTuning::allgather_bruck_max_bytes`]; for a counted `allgatherv`, `t <=` it | blocking `allgather` and counted `allgatherv`, `iallgather`, `allgather_init` |
+//! | **`allgather/ring`** | eager fan-out: the own block to every peer as a refcount clone, all posted before the first receive (the name is the row's, kept from the forwarding ring) | p-1 | s + r | — | otherwise | blocking, `iallgather(v)`, `allgather(v)_init` |
+//! | `allgather/recursive_doubling` | packed doubling rounds, carved by the agreed or learned block sizes | log2 p (self-sizing: + one direct receive per large block) | s·(p-2) + r (counted, self-sizing: the bytes of the inline blocks it packs) | `p >= 2`, a power of two, block sizes every rank knows or learns in the rounds | `p >= 4`, `s <=` [`CollTuning::allgather_rd_max_bytes`]; for a counted `allgatherv`, `t <=` it; for a self-sizing one always | blocking `allgather(v)`, `iallgather(v)`, `allgather(v)_init` |
+//! | `allgather/bruck` | rotated packed rounds, carved by the agreed or learned block sizes | ceil(log2 p) (self-sizing: + one direct receive per large block) | <= s·(p-2) + r (counted, self-sizing: the bytes of the inline blocks it packs) | `p >= 2`, block sizes every rank knows or learns in the rounds | `p >= 4` not a power of two, `s <=` [`CollTuning::allgather_bruck_max_bytes`]; for a counted `allgatherv`, `t <=` it; for a self-sizing one always | blocking `allgather(v)`, `iallgather(v)`, `allgather(v)_init` |
 //! | **`alltoall/pairwise`** | one message per peer in the rotation `rank + 1, rank + 2, …`, pack-once + slice, all posted before the first receive | p-1 | s + r | — | otherwise | blocking (`alltoallv/w` always), `ialltoall(v)`, `alltoallv_init` |
 //! | `alltoall/bruck` | packed log-round forwarding | ceil(log2 p) | s + r + s·ceil(log2 p)/2 | `p >= 2`, equal blocks | `p >= 4`, `b <=` [`CollTuning::bruck_max_block_bytes`] | blocking, `ialltoall` |
 //! | `reduce/binomial_tree` | binomial tree, in-place folds | <= log2 p | leaf s, inner 0, root r | a commutative op | blocking `reduce` | blocking, `ireduce` |
@@ -74,9 +77,11 @@ pub(crate) struct Call {
     /// The topology's neighbor lists are duplicate-free.
     pub duplicate_free: bool,
     /// Every rank knows `size` and how the payload splits into blocks
-    /// (equal, or by agreed counts): not so for a persistent broadcast
-    /// (its non-roots do not know the size) or self-sizing variable
-    /// blocks. Only the fallback rows serve an irregular call.
+    /// (equal, or by agreed counts — or, for a self-sizing `allgatherv`,
+    /// learned in the rounds, with `size` 0): not so for a persistent
+    /// broadcast (its non-roots do not know the size) or variable
+    /// `alltoallv` blocks. Only the fallback rows serve an irregular
+    /// call.
     pub regular: bool,
     /// `size` is the agreed total of every rank's block, not one rank's
     /// contribution: the static rules compare the total (MPICH's

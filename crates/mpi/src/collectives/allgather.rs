@@ -3,12 +3,14 @@
 //! Both are tunable — the `allgather/*` rows of
 //! [`algos::table`](super::algos::table) are the menu — and every form
 //! drives the one allgather plan (`Comm::allgather_plan`) on its stack.
-//! The latency rows carve their packed rounds by a block layout every
-//! rank agrees on: equal blocks select by the contribution, a counted
-//! `allgatherv` (`allgatherv_into`, or `allgatherv_blocks` given byte
-//! counts) by the total of its counts. The self-sizing `allgatherv`
-//! forms, whose sizes no rank knows up front, run the `allgather/ring`
-//! row.
+//! The latency rows carve their packed rounds by a block layout: equal
+//! blocks select by the contribution, a counted `allgatherv`
+//! (`allgatherv_into`, or `allgatherv_blocks` given byte counts) by the
+//! total of its counts. The self-sizing forms (`allgatherv_vec`,
+//! `allgatherv_blocks` without counts), whose sizes no rank knows up
+//! front, learn the layout in the rounds themselves: from `p = 4` they
+//! run recursive doubling or Bruck whatever the sizes, and a block too
+//! large to ride in the rounds goes straight to every rank.
 
 use bytes::Bytes;
 
@@ -119,16 +121,31 @@ impl Comm {
         allgatherv_internal(self, send, recv, counts, displs)
     }
 
+    /// Self-sizing `allgatherv`: every rank's contribution, of any
+    /// length, concatenated in rank order — scheduled like
+    /// [`allgatherv_blocks`](Self::allgatherv_blocks) without counts.
+    pub fn allgatherv_vec<T: Plain>(&self, send: &[T]) -> Result<Vec<T>> {
+        let blocks = self.allgatherv_blocks(bytes_from_slice(send), None)?;
+        let counts = block_counts::<T, _>(&blocks)?;
+        Ok(concat_blocks(blocks, &counts))
+    }
+
     /// `allgatherv` over an adopted payload: returns every rank's block
     /// by origin rank.
     ///
     /// Without `byte_counts` it is self-sizing: the block lengths *are*
     /// the receive counts ([`block_counts`]) — read off the messages,
-    /// where Fig. 2 spends a separate `allgather` to learn them — and it
-    /// runs the eager fan-out. With them (the bytes of every rank's
-    /// block, identical on every rank) it is scheduled like
+    /// where Fig. 2 spends a separate `allgather` to learn them. From
+    /// `p = 4` it runs recursive doubling or Bruck: round 0 carries the
+    /// bare block, every later round its group's lengths and the blocks
+    /// whose `p`-fold stays within the row's ceiling of
+    /// [`CollTuning`]; a larger block goes straight from its origin to
+    /// every rank. With `byte_counts` (the bytes of every rank's block,
+    /// identical on every rank) it is scheduled like
     /// [`allgatherv_into`](Self::allgatherv_into), and every block is
     /// carved to its count.
+    ///
+    /// [`CollTuning`]: crate::CollTuning
     pub fn allgatherv_blocks(
         &self,
         own: Bytes,
@@ -137,7 +154,7 @@ impl Comm {
         self.count_op("allgatherv");
         match byte_counts {
             Some(counts) => allgatherv_counted(self, own, counts),
-            None => drive_blocks(self, &mut self.allgather_flat(), own),
+            None => self.allgather_plan(Site::BLOCKING, BlockSizes::Learned, own, drive_blocks),
         }
     }
 }

@@ -26,7 +26,6 @@
 //! |------------------|----------------------------------------|---------------------|----------------------|
 //! | `barrier`        | dissemination                          | ceil(log2 p)        | 0                    |
 //! | `gather/scatter` | flat tree (linear at root)             | 1 (root: p-1)       | root: s + r; other: s + r |
-//! | `allgatherv` (self-sizing) | the `allgather/ring` row: eager fan-out of refcount clones | p-1 | s + r      |
 //! | `alltoall(v/w)`  | the `alltoall/pairwise` row: one message per peer, pack-once + slice | p-1 | s + r      |
 //! | `scan/exscan`    | rank-ordered recursive doubling, in-place folds | <= ceil(log2 p) | <= s·ceil(log2 p) + s |
 //!
@@ -49,7 +48,9 @@
 //! completed, leaving no message of the call queued. `allgatherv` is the
 //! one exception to "same exchange": its counted form selects an
 //! `allgather/*` row by the counts' total, and its log-round rows carve
-//! every block to its count.
+//! every block to its count. Its self-sizing form runs those rows too,
+//! from `p = 4` whatever the sizes: their rounds carry each block's
+//! length and the blocks small enough to ride along.
 //!
 //! The equal-block collectives follow the same split, so that a caller
 //! building its own result writes every received byte once:

@@ -185,7 +185,9 @@ pub(crate) trait Rounds {
     /// and the reduce tree, whose typed contribution is fixed when it is
     /// built.
     fn seed(&mut self, _comm: &Comm, _payload: Bytes) {}
-    /// Number of receive rounds (fixed once built).
+    /// Number of receive rounds: fixed once built, except that a
+    /// learned allgather adds one per block that travels outside the
+    /// rounds, once the last of them is absorbed.
     fn rounds(&self) -> usize;
     /// Whom round `k` receives from, and on which tag.
     fn peer(&self, comm: &Comm, k: usize) -> (Rank, Tag);
@@ -195,6 +197,11 @@ pub(crate) trait Rounds {
     fn absorb(&mut self, comm: &Comm, k: usize, payload: Bytes) -> Result<()>;
     /// Runs once every round is absorbed: closing sends and the result.
     fn finish(&mut self, comm: &Comm) -> Result<Completion>;
+    /// Every `(source, tag)` a cycle may receive on: each round's peer,
+    /// unless the algorithm learns further rounds while it runs.
+    fn all_peers(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
+        out.extend((0..self.rounds()).map(|k| self.peer(comm, k)));
+    }
 }
 
 /// The one round loop: drives any [`Rounds`] description as a
@@ -257,7 +264,7 @@ impl<A: Rounds> CollEngine for RoundEngine<A> {
     }
 
     fn all_sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
-        out.extend((0..self.algo.rounds()).map(|k| self.algo.peer(comm, k)));
+        self.algo.all_peers(comm, out);
     }
 }
 
@@ -602,20 +609,20 @@ impl Comm {
         failed.map_or(done, Err)
     }
 
-    /// Flat allgather, the `allgather/ring` row in every lifecycle: own
-    /// block to every peer, one block back from each (`allgather(v)`,
-    /// `iallgather(v)`, `allgather_init`).
-    pub(crate) fn allgather_flat(&self) -> Exchange<'static> {
+    /// Flat allgather, the plan's `allgather/ring` row: own block to
+    /// every peer, one block back from each.
+    fn allgather_flat(&self) -> Exchange<'static> {
         let tag = self.next_internal_tag();
         let post = Post::Whole(rotation(self).collect());
         Exchange::new("allgather", tag, post, every_rank(self), Finish::Blocks)
     }
 
-    /// The allgather plan (`allgather*`, `iallgather`, `allgather_init`,
-    /// the counted `allgatherv`, `allgatherv_init`): the `allgather/*`
-    /// row selected at `site` for `sizes` — by the contribution for
-    /// equal blocks, by the agreed total for counted ones, and the ring
-    /// where no rank knows the sizes.
+    /// The allgather plan (`allgather*`, `allgatherv*`, `iallgather(v)`,
+    /// `allgather(v)_init`): the `allgather/*` row selected at `site`
+    /// for `sizes` — by the contribution for equal blocks, by the agreed
+    /// total for counted ones. Learned sizes agree on nothing, so the
+    /// rules see an empty call: the latency rows from `p = 4`, which
+    /// send what is too large to ride in their rounds direct.
     pub(crate) fn allgather_plan<'c, R>(
         &'c self,
         site: Site,
@@ -623,20 +630,19 @@ impl Comm {
         own: Bytes,
         run: impl FnOnce(&'c Comm, Box<dyn CollEngine>, Bytes) -> Result<R>,
     ) -> Result<R> {
-        let (call, counts) = match sizes {
-            BlockSizes::Equal => (Call::sized(own.len()), None),
-            BlockSizes::Counted(counts) => (Call::counted(counts.iter().sum()), Some(counts)),
-            BlockSizes::Unknown => (Call::irregular(own.len()), None),
+        let call = match sizes {
+            BlockSizes::Equal => Call::sized(own.len()),
+            BlockSizes::Counted(counts) => Call::counted(counts.iter().sum()),
+            BlockSizes::Learned => Call::sized(0),
         };
-        let layout = || counts.map(<[usize]>::to_vec);
         tuned(self, site, call, |algo| {
             let engine: Box<dyn CollEngine> = match algo {
                 AllgatherAlgo::Ring => Box::new(self.allgather_flat()),
                 AllgatherAlgo::RecursiveDoubling => {
-                    Box::new(RoundEngine::new(RecursiveDoubling::new(self, layout())))
+                    Box::new(RoundEngine::new(RecursiveDoubling::new(self, sizes)))
                 }
                 AllgatherAlgo::Bruck => {
-                    Box::new(RoundEngine::new(BruckAllgather::new(self, layout())))
+                    Box::new(RoundEngine::new(BruckAllgather::new(self, sizes)))
                 }
             };
             run(self, engine, own)
@@ -818,19 +824,24 @@ impl Comm {
     }
 
     /// Starts a non-blocking allgather of variable-size blocks (mirrors
-    /// `MPI_Iallgatherv`). No counts are needed: every rank's block is
-    /// posted eagerly and the lengths travel with the messages.
-    /// Completion yields [`Completion::Blocks`] in rank order.
+    /// `MPI_Iallgatherv`). No counts are needed: the lengths travel with
+    /// the messages. Completion yields [`Completion::Blocks`] in rank
+    /// order.
     pub fn iallgatherv<T: Plain>(&self, send: &[T]) -> Result<Request<'_>> {
         self.iallgatherv_bytes(bytes_from_slice(send))
     }
 
-    /// Byte-level [`Comm::iallgatherv`]: the payload is posted to every
-    /// peer as a refcount clone — an adopted owned buffer enters the
-    /// transport without any copy.
+    /// Byte-level [`Comm::iallgatherv`], the self-sizing allgather plan
+    /// of the blocking [`allgatherv_blocks`](Comm::allgatherv_blocks)
+    /// without counts: from `p = 4` recursive doubling or Bruck, whose
+    /// rounds carry the block lengths and the blocks small enough to
+    /// ride along (a larger block goes straight to every rank at the
+    /// call), below that the eager fan-out. The payload enters the
+    /// transport as a refcount clone — an adopted owned buffer without
+    /// any copy.
     pub fn iallgatherv_bytes(&self, own: Bytes) -> Result<Request<'_>> {
         self.count_op("iallgatherv");
-        self.icoll(Box::new(self.allgather_flat()), own)
+        self.allgather_plan(Site::IMMEDIATE, BlockSizes::Learned, own, Comm::icoll)
     }
 
     /// Equal-block flavour of [`Comm::iallgatherv`] (mirrors

@@ -1,5 +1,6 @@
 //! Deterministic fault injection: crash a rank at its k-th injection
-//! point, or drop / delay / duplicate a matching message — reproducibly.
+//! point, or drop / delay / duplicate / truncate a matching message —
+//! reproducibly.
 //!
 //! The ULFM reproduction (see [`crate::ulfm`]) is only as trustworthy as
 //! the failures it has been tested against. A voluntary
@@ -11,9 +12,9 @@
 //!
 //! - A [`FaultPlan`] names the faults up front: *crash rank `r` at its
 //!   `k`-th injection point* (optionally restricted to one named point)
-//!   and/or *drop / delay / duplicate the `n`-th message matching a
-//!   `(source, tag)` predicate*. The plan is plain data; the same plan
-//!   against the same workload replays the same failure.
+//!   and/or *drop / delay / duplicate / truncate the `n`-th message
+//!   matching a `(source, tag)` predicate*. The plan is plain data; the
+//!   same plan against the same workload replays the same failure.
 //! - `point` hooks are threaded through the substrate's hot paths —
 //!   the **injection-point catalog**:
 //!
@@ -38,7 +39,8 @@
 //!   (`Comm::deliver_bytes` and the partitioned producer push): `Drop`
 //!   discards the envelope, `Duplicate` pushes it twice, `Delay(n)`
 //!   holds it until `n` further deliveries to the same destination have
-//!   happened (a deterministic reordering, not a timer).
+//!   happened (a deterministic reordering, not a timer), `Truncate(n)`
+//!   delivers only the payload's first `n` bytes.
 //!
 //! # Zero-cost when compiled out
 //!
@@ -77,6 +79,9 @@ pub enum MsgAction {
     Delay(u64),
     /// Deliver the envelope twice.
     Duplicate,
+    /// Deliver only the first `n` bytes of the payload (a message cut
+    /// short on the wire).
+    Truncate(usize),
 }
 
 /// A message-fault predicate: act on the `nth` (1-based) message from
@@ -189,6 +194,24 @@ impl FaultPlan {
             tag,
             nth,
             action: MsgAction::Duplicate,
+        })
+    }
+
+    /// Cut the `nth` matching message to its first `keep` bytes.
+    pub fn truncate_message(
+        self,
+        from: Rank,
+        to: Rank,
+        tag: Option<Tag>,
+        nth: u64,
+        keep: usize,
+    ) -> Self {
+        self.message(MsgRule {
+            from,
+            to,
+            tag,
+            nth,
+            action: MsgAction::Truncate(keep),
         })
     }
 
@@ -334,6 +357,17 @@ mod imp {
                 Some(MsgAction::Duplicate) => {
                     trace::instant(trace::cat::ULFM, "fault/dup", env.src_world as u64, now);
                     push(env.clone());
+                    push(env);
+                }
+                Some(MsgAction::Truncate(keep)) => {
+                    trace::instant(
+                        trace::cat::ULFM,
+                        "fault/truncate",
+                        env.src_world as u64,
+                        now,
+                    );
+                    let mut env = env;
+                    env.payload = env.payload.slice(..keep.min(env.payload.len()));
                     push(env);
                 }
                 None => push(env),

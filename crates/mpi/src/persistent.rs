@@ -618,10 +618,12 @@ impl Comm {
     }
 
     /// Creates a persistent allgather whose blocks may differ in length
-    /// across ranks (mirrors `MPI_Allgatherv_init`): the eager fan-out,
-    /// frozen whatever the sizes, completing each cycle with
-    /// [`Completion::Blocks`] in rank order — the per-rank counts are
-    /// the block lengths.
+    /// across ranks and between cycles (mirrors `MPI_Allgatherv_init`):
+    /// the self-sizing plan of [`Comm::allgatherv_blocks`] without
+    /// counts — from `p = 4` recursive doubling or Bruck, which learn
+    /// every cycle's lengths in their rounds, else the eager fan-out —
+    /// frozen at init, completing each cycle with [`Completion::Blocks`]
+    /// in rank order; the per-rank counts are the block lengths.
     pub fn allgatherv_init<T: Plain>(&self, data: &[T]) -> Result<PersistentRequest<'_>> {
         self.allgatherv_init_bytes(bytes_from_slice(data))
     }
@@ -629,7 +631,7 @@ impl Comm {
     /// Byte-level [`Comm::allgatherv_init`].
     pub fn allgatherv_init_bytes(&self, own: Bytes) -> Result<PersistentRequest<'_>> {
         self.count_op("allgatherv_init");
-        self.allgather_plan(Site::INIT, BlockSizes::Unknown, own, Comm::persistent_coll)
+        self.allgather_plan(Site::INIT, BlockSizes::Learned, own, Comm::persistent_coll)
     }
 
     /// Creates a persistent personalized all-to-all with per-destination

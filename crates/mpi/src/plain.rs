@@ -272,17 +272,15 @@ pub fn bytes_from_vec<T: Plain>(v: Vec<T>) -> Bytes {
 }
 
 /// Converts a received payload into a typed vector with at most one copy —
-/// and **zero** copies for `Vec<u8>`-shaped targets when the payload is
-/// the unique view of its allocation (the common case for a delivered
+/// and **zero** copies when [`reclaim_vec`] can take the vector back:
+/// the payload is the unique whole view of a vector adopted as `Vec<T>`,
+/// or of any byte buffer for `T = u8` (the common case for a delivered
 /// point-to-point message).
 ///
 /// # Panics
 ///
 /// Panics if the byte length is not a multiple of the element size.
 pub fn bytes_into_vec<T: Plain>(b: Bytes) -> Vec<T> {
-    if TypeId::of::<T>() != TypeId::of::<u8>() {
-        return bytes_to_vec(&b);
-    }
     reclaim_vec(b).unwrap_or_else(|b| bytes_to_vec(&b))
 }
 

@@ -193,24 +193,31 @@ fn owned_send_and_byte_recv_are_zero_copy_end_to_end() {
     });
 }
 
-/// Typed (non-u8) receives pay exactly one copy — materializing into the
-/// caller's element type — never two.
+/// A typed (non-u8) receive takes a delivered vector of its own element
+/// type back without a copy — the sender's moved-in `Vec<u64>`, or the
+/// one its borrowed send serialized — and copies anything else exactly
+/// once, here `u64`s sent as bytes.
 #[test]
-fn typed_recv_pays_exactly_one_copy() {
+fn typed_recv_reclaims_its_own_element_type_and_copies_anything_else_once() {
     const N: usize = 128 * 1024;
     Universe::run(2, |comm| {
+        let data: Vec<u64> = (0..N as u64 / 8).collect();
         if comm.rank() == 0 {
-            let data: Vec<u64> = (0..N as u64 / 8).collect();
             let before = metrics::snapshot();
-            comm.send_vec(data, 1, 0).unwrap();
+            comm.send_vec(data.clone(), 1, 0).unwrap();
             let delta = metrics::snapshot().since(&before);
             assert_eq!(delta.bytes_copied, 0, "owned typed send must not copy");
+            comm.send(&data, 1, 0).unwrap();
+            comm.send_vec(kmp_mpi::plain::as_bytes(&data).to_vec(), 1, 0)
+                .unwrap();
         } else {
-            let before = metrics::snapshot();
-            let (got, _) = comm.recv_vec::<u64>(0, 0).unwrap();
-            let delta = metrics::snapshot().since(&before);
-            assert_eq!(got.len(), N / 8);
-            assert_eq!(delta.bytes_copied, N as u64);
+            for (what, copied) in [("owned", 0), ("borrowed", 0), ("as bytes", N as u64)] {
+                let before = metrics::snapshot();
+                let (got, _) = comm.recv_vec::<u64>(0, 0).unwrap();
+                let delta = metrics::snapshot().since(&before);
+                assert_eq!(got, data, "{what}");
+                assert_eq!(delta.bytes_copied, copied, "{what}");
+            }
         }
     });
 }
@@ -313,6 +320,37 @@ fn rabenseifner_allreduce_copies_two_s_per_rank() {
             }
         }
     });
+}
+
+/// Recursive doubling on two or three ranks (`p2 = 2`) runs one step,
+/// which is its first and its last: it sends the accumulator as a
+/// refcount payload and folds into the spare or a fresh vector, so no
+/// rank copies a message for its partner to fold into. A borrowed
+/// contribution costs its serialization (`s`), an owned one nothing —
+/// but the low rank of the fix-up (rank 0 at p = 3) also copies the
+/// result it hands back to rank 2.
+#[test]
+fn doubling_allreduce_on_two_or_three_ranks_copies_no_step_message() {
+    const ELEMS: usize = 1024; // u64 -> s = 8 KiB
+    let s = (ELEMS * 8) as u64;
+    for p in [2usize, 3] {
+        Universe::run(p, move |comm| {
+            comm.set_tuning(CollTuning::default().allreduce(AllreduceAlgo::RecursiveDoubling));
+            let rank = comm.rank();
+            let mine = vec![rank as u64 + 1; ELEMS];
+            let sum = vec![(p * (p + 1) / 2) as u64; ELEMS];
+            let bill = |run: &mut dyn FnMut() -> Vec<u64>| {
+                let before = metrics::snapshot();
+                assert_eq!(run(), sum, "rank {rank}, p = {p}");
+                metrics::snapshot().since(&before).bytes_copied
+            };
+            let borrowed = bill(&mut || comm.allreduce_vec(&mine, kmp_mpi::op::Sum).unwrap());
+            let owned = bill(&mut || comm.allreduce_vec(mine.clone(), kmp_mpi::op::Sum).unwrap());
+            let handback = if p == 3 && rank == 0 { s } else { 0 };
+            let want = [s + handback, handback];
+            assert_eq!([borrowed, owned], want, "rank {rank}, p = {p}");
+        });
+    }
 }
 
 /// The allreduce plan's bill in the overlap and persistent lifecycles,
@@ -449,10 +487,14 @@ fn inplace_binomial_reduce_halves_the_bill() {
 /// right one (`rank + 2^k < p`), plus `s` once for every later right
 /// partner together (the finished prefix is one shared payload —
 /// `exscan` moves it out instead) — at most `s·ceil(log2 p)`. On top
-/// of that come the seeds: rank 0 of `scan` copies a borrowed
-/// contribution into its result and every other rank of `exscan`
-/// materializes its first received prefix. An owned contribution is
-/// folded in place and seeds nothing.
+/// of that rank 0 of `scan` copies a borrowed contribution into its
+/// result. Every other rank of `exscan` seeds its result with the first
+/// prefix it receives and takes it back without a copy where it is the
+/// one view of its vector: the serialized prefix of rank `r - 1 >= 1`,
+/// or rank 0's finished prefix at `p = 2`. From `p = 3` rank 1 shares
+/// that payload with rank 0's other right partners, and copies it
+/// unless they have released it first. An owned contribution is folded
+/// in place and seeds nothing.
 #[test]
 fn scan_and_exscan_copy_one_prefix_per_sending_round() {
     const ELEMS: usize = 4 * 1024; // u64 -> s = 32 KiB
@@ -486,10 +528,18 @@ fn scan_and_exscan_copy_one_prefix_per_sending_round() {
             let owned = copied(&mut || drop(comm.scan_vec(mine.clone(), sum).unwrap()));
             assert_eq!(owned, growing + finished, "owned scan_vec, rank {rank}");
 
+            // Rank 1's seed, a view rank 0's other right partners share.
+            let shared = u64::from(rank == 1 && p > 2);
+            let exscan = |got: u64, bill: u64, what: &str| {
+                assert!(
+                    (bill..=bill + shared).contains(&got),
+                    "{what}, rank {rank}: {got}"
+                );
+            };
             let borrowed = copied(&mut || drop(comm.exscan_vec(&mine, sum).unwrap()));
-            assert_eq!(borrowed, growing + first * finished + (1 - first), "exscan");
+            exscan(borrowed, growing + first * finished, "exscan");
             let owned = copied(&mut || drop(comm.exscan_vec(mine.clone(), sum).unwrap()));
-            assert_eq!(owned, growing + (1 - first), "owned exscan, rank {rank}");
+            exscan(owned, growing, "owned exscan");
         });
     }
 }

@@ -12,9 +12,12 @@
 //! `allreduce_init` (now under the allreduce slot), `iallgather`,
 //! `allgather_init` and `ialltoall` lines read like their blocking
 //! twins. The counted `allgatherv` lines were added when its counts'
-//! total came to select the `allgather/*` row (the self-sizing forms
-//! still select nothing); their ladder is that total, and they read like
-//! the equal-block `allgather`'s.
+//! total came to select the `allgather/*` row; their ladder is that
+//! total, and they read like
+//! the equal-block `allgather`'s. The self-sizing lines (`allgatherv`
+//! without counts, `iallgatherv`, `allgatherv_init`) were added when
+//! those forms came to learn their layout in the latency rows' rounds:
+//! no rank knows the sizes, so their rows read the same on every rung.
 //!
 //! One line per (call, tuning); one group per `p ∈ P`; one character
 //! per rung of the call's size ladder: the selected class's
@@ -221,6 +224,30 @@ fn sized_calls() -> Vec<(Call, Vec<usize>, Tunings)> {
                     .unwrap();
             }),
             ladder(8 << 10),
+            allgather_slot.clone(),
+        ),
+        (
+            // Self-sizing: rank `r` contributes `s + r` bytes, a size no
+            // other rank knows, so the row cannot depend on it.
+            ("allgatherv(self-sizing)", |c, s| {
+                c.allgatherv_vec(&vec![1u8; s + c.rank()]).unwrap();
+            }),
+            ladder(8 << 10),
+            allgather_slot.clone(),
+        ),
+        (
+            ("iallgatherv", |c, s| {
+                let req = c.iallgatherv(&vec![1u8; s + c.rank()]).unwrap();
+                req.wait().unwrap();
+            }),
+            ladder(8 << 10),
+            allgather_slot.clone(),
+        ),
+        (
+            ("allgatherv_init", |c, s| {
+                c.allgatherv_init(&vec![1u8; s + c.rank()]).unwrap();
+            }),
+            vec![1, 8 << 10],
             allgather_slot,
         ),
         (
@@ -446,6 +473,21 @@ const GOLDEN: &[&str] = &[
     "allgatherv(counted) ring | 4,4,4,4 4,4,4,4 4,4,4,4 4,4,4,4 4,4,4,4 4,4,4,4 4,4,4,4",
     "allgatherv(counted) recursive_doubling | 4,4,4,4 5,5,5,5 4,4,4,4 5,5,5,5 4,4,4,4 5,5,5,5 5,5,5,5",
     "allgatherv(counted) bruck | 4,4,4,4 6,6,6,6 6,6,6,6 6,6,6,6 6,6,6,6 6,6,6,6 6,6,6,6",
+    "allgatherv(self-sizing) default | 4,4,4,4 4,4,4,4 4,4,4,4 5,5,5,5 6,6,6,6 5,5,5,5 5,5,5,5",
+    "allgatherv(self-sizing) driven_cold | 4,4,4,4 4,4,4,4 4,4,4,4 5,5,5,5 6,6,6,6 5,5,5,5 5,5,5,5",
+    "allgatherv(self-sizing) ring | 4,4,4,4 4,4,4,4 4,4,4,4 4,4,4,4 4,4,4,4 4,4,4,4 4,4,4,4",
+    "allgatherv(self-sizing) recursive_doubling | 4,4,4,4 5,5,5,5 4,4,4,4 5,5,5,5 4,4,4,4 5,5,5,5 5,5,5,5",
+    "allgatherv(self-sizing) bruck | 4,4,4,4 6,6,6,6 6,6,6,6 6,6,6,6 6,6,6,6 6,6,6,6 6,6,6,6",
+    "iallgatherv default | 4,4,4,4 4,4,4,4 4,4,4,4 5,5,5,5 6,6,6,6 5,5,5,5 5,5,5,5",
+    "iallgatherv driven_cold | 4,4,4,4 4,4,4,4 4,4,4,4 5,5,5,5 6,6,6,6 5,5,5,5 5,5,5,5",
+    "iallgatherv ring | 4,4,4,4 4,4,4,4 4,4,4,4 4,4,4,4 4,4,4,4 4,4,4,4 4,4,4,4",
+    "iallgatherv recursive_doubling | 4,4,4,4 5,5,5,5 4,4,4,4 5,5,5,5 4,4,4,4 5,5,5,5 5,5,5,5",
+    "iallgatherv bruck | 4,4,4,4 6,6,6,6 6,6,6,6 6,6,6,6 6,6,6,6 6,6,6,6 6,6,6,6",
+    "allgatherv_init default | 4,4 4,4 4,4 5,5 6,6 5,5 5,5",
+    "allgatherv_init driven_cold | 4,4 4,4 4,4 5,5 6,6 5,5 5,5",
+    "allgatherv_init ring | 4,4 4,4 4,4 4,4 4,4 4,4 4,4",
+    "allgatherv_init recursive_doubling | 4,4 5,5 4,4 5,5 4,4 5,5 5,5",
+    "allgatherv_init bruck | 4,4 6,6 6,6 6,6 6,6 6,6 6,6",
     "alltoall default | 7,7,7,7 7,7,7,7 7,7,7,7 8,8,8,7 8,8,8,7 8,8,8,7 8,8,8,7",
     "alltoall driven_cold | 7,7,7,7 7,7,7,7 7,7,7,7 8,8,8,7 8,8,8,7 8,8,8,7 8,8,8,7",
     "alltoall pairwise | 7,7,7,7 7,7,7,7 7,7,7,7 7,7,7,7 7,7,7,7 7,7,7,7 7,7,7,7",

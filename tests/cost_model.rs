@@ -226,11 +226,12 @@ const AUDIT_SIZES: [usize; 18] = [
 ];
 
 /// Every 8-byte collective that can finish in `ceil(log2 p)` message
-/// times does, from every root: one message time is `alpha + 8 beta +
-/// o` under `CostModel::cluster()`. The allowances are the documented
-/// ones — the bytes a packed Bruck / doubling round carries beyond its
-/// own 8, and recursive-doubling allreduce's fold-in and hand-back hops
-/// off powers of two. `--nocapture` prints the table.
+/// times does, from every root, in every lifecycle the self-sizing
+/// `allgatherv` has: one message time is `alpha + 8 beta + o` under
+/// `CostModel::cluster()`. The allowances are the documented ones — the
+/// bytes a packed Bruck / doubling round carries beyond its own 8, and
+/// recursive-doubling allreduce's fold-in and hand-back hops off powers
+/// of two. `--nocapture` prints the table.
 #[test]
 fn small_message_collectives_finish_in_log_p_message_times() {
     use kamping_repro::mpi::op::Sum;
@@ -243,6 +244,8 @@ fn small_message_collectives_finish_in_log_p_message_times() {
         let packed = log * (hop + model.transfer_ns(8 * p));
         let limit = |name: &str| match name {
             "allgather_vec" | "allgatherv_into" | "alltoall_into" => packed,
+            // A learned round also carries one 8-byte length per block.
+            "allgatherv_vec" | "iallgatherv" | "allgatherv_init" => packed,
             "allreduce_vec" if !p.is_power_of_two() => tree + hop,
             "split" => 2 * packed,
             _ => tree,
@@ -277,6 +280,17 @@ fn small_message_collectives_finish_in_log_p_message_times() {
                 let (ones, displs) = (vec![1usize; p], (0..p).collect::<Vec<_>>());
                 comm.allgatherv_into(&mine, &mut vec![0u64; p], &ones, &displs)
                     .unwrap()
+            });
+            run("allgatherv_vec", &mut || {
+                comm.allgatherv_vec(&mine).unwrap();
+            });
+            run("iallgatherv", &mut || {
+                comm.iallgatherv(&mine).unwrap().wait().unwrap();
+            });
+            let mut plan = comm.allgatherv_init(&mine).unwrap();
+            run("allgatherv_init", &mut || {
+                plan.start().unwrap();
+                plan.wait().unwrap();
             });
             run("alltoall_into", &mut || {
                 comm.alltoall_into(&vec![1u64; p], &mut vec![0u64; p])
@@ -365,8 +379,8 @@ fn linear_collectives_are_pinned_at_p_minus_one_startups() {
     }
 }
 
-/// One engine, one schedule: every row of `allreduce` and `allgather`
-/// — forced, and as `Auto` picks it — and the flat `allgatherv`,
+/// One engine, one schedule: every row of `allreduce`, `allgather` and
+/// the self-sizing `allgatherv` — forced, and as `Auto` picks it — and
 /// `alltoall(v)` cost the same modelled time whether the blocking call
 /// drives the engine, `i*` + `wait` does, or a persistent plan's
 /// `start` + `wait` does. (The blocking ring and pairwise loops used to
@@ -383,7 +397,7 @@ fn collectives_cost_the_same_in_every_lifecycle() {
     const GROUPS: [&[&str]; 5] = [
         &["allreduce", "iallreduce", "allreduce_init"],
         &["allgather", "iallgather", "allgather_init"],
-        &["allgatherv", "iallgatherv"],
+        &["allgatherv", "iallgatherv", "allgatherv_init"],
         &["alltoall", "ialltoall"],
         &["alltoallv", "ialltoallv", "alltoallv_init"],
     ];
@@ -432,6 +446,8 @@ fn collectives_cost_the_same_in_every_lifecycle() {
                     run("iallgatherv", &mut || {
                         comm.iallgatherv_bytes(own()).unwrap().wait().unwrap();
                     });
+                    let mut plan = comm.allgatherv_init_bytes(own()).unwrap();
+                    run("allgatherv_init", &mut || cycle(&mut plan));
                     run("alltoall", &mut || {
                         comm.alltoall_blocks(&send).unwrap();
                     });
@@ -510,4 +526,29 @@ fn counted_allgatherv_model_time_at_p16_is_pinned() {
         .map(|(_, ns)| (*ns as f64 / 10.0).round() / 100.0)
         .collect();
     assert_eq!(us, [7.21, 7.29, 7.97, 27.41], "{times:?}");
+}
+
+/// The self-sizing rungs of the same ladder, through the binding's
+/// `allgatherv(send_buf)`, pinned to the 0.01 us. The lengths ride in
+/// the four doubling rounds, so 8, 64 and 512 bytes per rank (whose
+/// 16-fold is within the 8 KiB ceiling) cost what their counted twins
+/// cost plus one length per block and round. A 4 KiB block is too large
+/// to ride: each origin sends it to the 14 ranks that did not get it in
+/// round 0 when the call starts, ahead of rounds that carry lengths
+/// only, and every rank receives those blocks once its rounds are done.
+#[test]
+fn self_sizing_allgatherv_model_time_at_p16_is_pinned() {
+    let times = timed_ops(16, CostModel::cluster(), |comm, run| {
+        let kc = Communicator::new(comm.dup().unwrap());
+        for (name, bytes) in [("8 B", 8), ("64 B", 64), ("512 B", 512), ("4 KiB", 4096)] {
+            let mine = vec![kc.rank() as u64; bytes / 8];
+            run(name, &mut || {
+                let _: Vec<u64> = kc.allgatherv(send_buf(&mine)).unwrap();
+            });
+        }
+    });
+    let us: Vec<f64> = (times.iter())
+        .map(|(_, ns)| (*ns as f64 / 10.0).round() / 100.0)
+        .collect();
+    assert_eq!(us, [7.22, 7.31, 7.98, 32.41], "{times:?}");
 }
