@@ -24,7 +24,8 @@
 //!   - request sets ([`RequestSet::wait_any`] /
 //!     [`wait_some`](crate::RequestSet::wait_some), and through them the
 //!     binding layer's request pools) and synchronous-mode sends;
-//!   - persistent and partitioned requests (`Waiter::armed_park`);
+//!   - persistent requests, partitioned receives and persistent sets
+//!     (`Waiter::armed_park`, behind `PersistentRequest::wait`);
 //!   - the agreement behind [`Comm::agree_and`] and
 //!     [`Comm::shrink`];
 //! - **the session** — `Session`: the standing registrations a
@@ -101,11 +102,16 @@
 //!   the epoch it compares against was captured before the sweep that
 //!   preceded its build, so "unchanged" proves no failure or
 //!   revocation has happened since everything was last re-checked.
-//! - **Standing, wake-only** ([`crate::persistent`],
-//!   [`crate::partitioned`]): registered once at `*_init`; pushes claim
-//!   only while the owner has raised `Waiter::armed` inside its wait,
-//!   because the owner re-tests its queues on every pass and never
-//!   reads claims as completion records.
+//! - **Standing, wake-only** ([`crate::persistent`]): registered once
+//!   at `*_init`, one entry per source the plan can ever receive from,
+//!   on a waiter the persistent request owns — for a posted receive, a
+//!   collective engine and a partitioned receive alike, since all three
+//!   are plans of one request. Pushes claim only while the owner has
+//!   raised `Waiter::armed` inside its wait, because each pass re-runs
+//!   the plan's non-blocking completion step, which re-tests the
+//!   queues, and never reads claims as completion records. A
+//!   [`PersistentSet`](crate::PersistentSet) arms only the member it
+//!   parks on.
 //!
 //! Three properties make this safe:
 //!
@@ -273,9 +279,9 @@ impl Waiter {
         }
     }
 
-    /// The wait step of a *wake-only* owner ([`crate::persistent`],
-    /// [`crate::partitioned`]): arm, `retest`, and — still pending —
-    /// park until the first wakeup; then disarm. Returns the re-test's
+    /// The wait step of a *wake-only* owner ([`crate::persistent`]):
+    /// arm, `retest`, and — still pending — park until the first
+    /// wakeup; then disarm. Returns the re-test's
     /// completion (`None`: woken by a claim or an interrupt; re-test)
     /// and whether the thread actually slept.
     ///

@@ -26,7 +26,7 @@
 //!   | `completion/park` | waiter about to block on its condvar |
 //!   | `completion/claim` | parked session claiming a standing completion |
 //!   | `coll/phase` | every engine phase step (each collective round's recv) |
-//!   | `persistent/start` | persistent plan `start()` |
+//!   | `persistent/start` | persistent plan `start()`, a partitioned receive's included |
 //!   | `partitioned/pready` | partitioned producer marking a partition ready |
 //!   | `topology/build` | Cart/DistGraph constructor collectives |
 //!   | `ulfm/contribute` | agreement contribution (crashes a freezer mid-freeze) |

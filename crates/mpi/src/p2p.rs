@@ -55,14 +55,6 @@ impl Comm {
         self.deliver_bytes(dest, tag, bytes_from_slice(data), None)
     }
 
-    /// Sends an already-shared payload without copying (zero-copy path
-    /// for the serialization layer and for relaying received payloads).
-    pub fn send_shared(&self, data: Bytes, dest: Rank, tag: Tag) -> Result<()> {
-        self.count_op("send");
-        self.check_tag(tag)?;
-        self.deliver_bytes(dest, tag, data, None)
-    }
-
     /// Receives into a caller-provided buffer (mirrors `MPI_Recv`).
     /// Errors with [`MpiError::Truncated`] if the matched message does not
     /// fit; like MPI, the message is consumed either way.

@@ -14,10 +14,12 @@
 //!
 //! Like the [`persistent`](crate::persistent) operations this builds
 //! on, all shape-dependent work happens once at `*_init`: envelope
-//! validation, the frozen `(dest, tag)` stream, and — on the receiver —
-//! a standing, wake-only completion registration (see
-//! [`crate::completion`]) that serves every cycle's wakeups without
-//! re-registration.
+//! validation and the frozen `(dest, tag)` stream. The receive *is* a
+//! persistent request: [`PartitionedRecv`] is a typed view of a
+//! [`PersistentRequest`] whose plan reassembles one cycle's partitions,
+//! so its `start` checks, its standing, wake-only completion
+//! registration (see [`crate::completion`]), its park and the poisoning
+//! of a failed cycle are the persistent request's own.
 //!
 //! # Wire format and cycle alignment
 //!
@@ -36,11 +38,16 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
+use crate::collectives::nonblocking::message_completion;
 use crate::comm::Comm;
-use crate::completion::Waiter;
 use crate::error::{MpiError, Result};
 use crate::message::{Envelope, Src, TagSel};
-use crate::plain::as_bytes;
+use crate::persistent::PersistentRequest;
+use crate::plain::{
+    as_bytes, as_bytes_mut, bytes_from_vec, bytes_to_vec, copy_slice, extend_vec_from_bytes,
+    vec_with_capacity, zeroed_vec,
+};
+use crate::request::{Completion, OpState};
 use crate::trace;
 use crate::universe::WorldState;
 use crate::{Plain, Rank, Tag};
@@ -225,9 +232,9 @@ impl<T: Plain> PartitionWriter<T> {
         // check and the envelope hitting the FIFO are one atomic step,
         // so a racing duplicate can never slip an extra envelope into
         // the stream and shear the receiver's cycle alignment.
-        let mut payload = Vec::with_capacity(4 + self.part_bytes);
+        let mut payload = vec_with_capacity::<u8>(4 + self.part_bytes);
         payload.extend_from_slice(&(partition as u32).to_le_bytes());
-        payload.extend_from_slice(as_bytes(data));
+        extend_vec_from_bytes(&mut payload, as_bytes(data));
         let env = Envelope {
             src: self.src,
             src_world: self.src_world,
@@ -282,137 +289,79 @@ impl<T: Plain> PartitionWriter<T> {
     }
 }
 
-/// A persistent partitioned receive (mirrors `MPI_Precv_init`): one
-/// standing completion registration installed at init serves every
-/// cycle; each cycle reassembles `partitions` indexed envelopes into
-/// one contiguous vector.
-pub struct PartitionedRecv<'a, T> {
-    comm: &'a Comm,
+/// The plan of a partitioned receive: one cycle's `partitions` indexed
+/// envelopes on the frozen `(source, tag)` stream, reassembled in
+/// partition order — one more [`OpState`] a [`PersistentRequest`]
+/// cycles through.
+pub(crate) struct Reassembly {
     src: Rank,
     tag: Tag,
-    partitions: usize,
     part_bytes: usize,
-    waiter: Arc<Waiter>,
-    /// Reassembly buffer, `partitions * part_bytes` long, reused every
-    /// cycle.
-    buf: Vec<u8>,
+    /// This cycle's reassembly buffer, typed by the receive's element
+    /// so that the completion hands it out whole.
+    buf: Box<dyn PartBuf>,
     /// Which partitions have landed this cycle (duplicate detection).
     received: Vec<bool>,
     got: usize,
-    active: bool,
-    cycles: u64,
-    /// The error that ended a cycle; every later `start` returns it.
-    poisoned: Option<MpiError>,
-    _ty: PhantomData<fn() -> T>,
 }
 
-impl<'a, T: Plain> PartitionedRecv<'a, T> {
-    /// Arms one receive cycle.
-    pub fn start(&mut self) -> Result<()> {
-        self.comm.count_op("start");
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        if self.active {
-            return Err(MpiError::RequestActive);
-        }
-        if self.comm.world.is_revoked(self.comm.context) {
-            return Err(MpiError::Revoked);
-        }
-        trace::async_begin(trace::cat::PERSIST, "partitioned_cycle", self.trace_id());
-        self.received.iter_mut().for_each(|r| *r = false);
+/// A typed reassembly buffer, seen as bytes.
+trait PartBuf {
+    fn bytes(&self) -> &[u8];
+    fn bytes_mut(&mut self) -> &mut [u8];
+    /// Hands the filled buffer out as the cycle's payload and leaves a
+    /// fresh one of the same length for the next cycle.
+    fn hand_out(&mut self) -> Bytes;
+}
+
+impl<T: Plain> PartBuf for Vec<T> {
+    fn bytes(&self) -> &[u8] {
+        as_bytes(self)
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        as_bytes_mut(self)
+    }
+
+    fn hand_out(&mut self) -> Bytes {
+        bytes_from_vec(std::mem::replace(self, zeroed_vec(self.len())))
+    }
+}
+
+impl Reassembly {
+    /// Re-arms the plan for one cycle.
+    pub(crate) fn start(&mut self) {
+        self.received.fill(false);
         self.got = 0;
-        self.active = true;
-        Ok(())
     }
 
-    /// Blocks until all `partitions` partitions of the cycle have
-    /// arrived, returning the reassembled message in partition order.
-    /// Steady state: arrivals claim the standing registration installed
-    /// at init — no re-registration, like
-    /// [`PersistentRequest::wait`](crate::persistent::PersistentRequest::wait).
-    /// An error ends the cycle, and every later `start` returns it, like
-    /// [`PersistentRequest`](crate::persistent::PersistentRequest).
-    pub fn wait(&mut self) -> Result<Vec<T>> {
-        if !self.active {
-            return Ok(Vec::new());
+    /// The plan's completion step: places every partition already
+    /// delivered; once all have landed, the reassembled message.
+    pub(crate) fn try_complete(&mut self, comm: &Comm) -> Result<Option<Completion>> {
+        self.place_queued(comm)?;
+        if self.got < self.received.len() {
+            return comm
+                .wait_interrupted(Src::Rank(self.src))
+                .map_or(Ok(None), Err);
         }
-        let _sp = trace::span(trace::cat::WAIT, "wait_partitioned", 0, 0);
-        let (waiter, mb) = (Arc::clone(&self.waiter), self.comm.mailbox());
-        loop {
-            // Wake-only: publishes claim the waiter only while an
-            // attempt is armed (`Waiter::armed_park`).
-            let attempt = waiter.armed_park(mb, || {
-                self.place_queued()?;
-                if self.got == self.partitions {
-                    return Ok(Some(crate::plain::bytes_to_vec::<T>(&self.buf)));
-                }
-                self.comm
-                    .wait_interrupted(Src::Rank(self.src))
-                    .map_or(Ok(None), Err)
-            });
-            match attempt {
-                Ok((Some(out), _)) => {
-                    self.finish_cycle();
-                    return Ok(out);
-                }
-                Ok((None, _)) => {}
-                Err(e) => {
-                    self.active = false;
-                    self.poisoned = Some(e.clone());
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// Non-blocking per-partition arrival check (mirrors
-    /// `MPI_Parrived`): drains any partition envelopes already
-    /// delivered, then reports whether `partition` has landed this
-    /// cycle. Lets a consumer process early partitions while producers
-    /// are still computing later ones — the receive-side half of the
-    /// overlap that `pready` gives the send side. On an inactive
-    /// request this returns `true`, like the MPI call.
-    pub fn parrived(&mut self, partition: usize) -> Result<bool> {
-        if partition >= self.partitions {
-            return Err(MpiError::InvalidLayout(format!(
-                "parrived: partition {partition} out of range (plan has {})",
-                self.partitions
-            )));
-        }
-        if !self.active {
-            return Ok(true);
-        }
-        self.place_queued()?;
-        Ok(self.received[partition])
+        Ok(Some(message_completion(
+            self.src,
+            self.tag,
+            self.buf.hand_out(),
+        )))
     }
 
     /// Places every partition envelope already delivered, up to the
     /// cycle's count (the next cycle's stay queued).
-    fn place_queued(&mut self) -> Result<()> {
-        while self.got < self.partitions {
+    fn place_queued(&mut self, comm: &Comm) -> Result<()> {
+        while self.got < self.received.len() {
             let (src, tag) = (Src::Rank(self.src), TagSel::Is(self.tag));
-            let Some(env) = self.comm.try_recv_envelope(src, tag) else {
+            let Some(env) = comm.try_recv_envelope(src, tag) else {
                 break;
             };
             self.place(env.payload)?;
         }
         Ok(())
-    }
-
-    /// Copies one arrived partition's elements out of the reassembly
-    /// buffer, or `None` if it has not arrived this cycle (use
-    /// [`parrived`](Self::parrived) to drain and check). The full
-    /// message is still returned by [`wait`](Self::wait) once every
-    /// partition has landed.
-    pub fn partition(&self, partition: usize) -> Option<Vec<T>> {
-        if !self.active || !self.received.get(partition).copied().unwrap_or(false) {
-            return None;
-        }
-        let at = partition * self.part_bytes;
-        Some(crate::plain::bytes_to_vec::<T>(
-            &self.buf[at..at + self.part_bytes],
-        ))
     }
 
     /// Decodes one partition envelope into the reassembly buffer.
@@ -425,10 +374,10 @@ impl<'a, T: Plain> PartitionedRecv<'a, T> {
             )));
         }
         let idx = u32::from_le_bytes(payload[..4].try_into().expect("length checked")) as usize;
-        if idx >= self.partitions {
+        if idx >= self.received.len() {
             return Err(MpiError::InvalidLayout(format!(
                 "precv: partition index {idx} out of range (plan has {})",
-                self.partitions
+                self.received.len()
             )));
         }
         if self.received[idx] {
@@ -437,33 +386,99 @@ impl<'a, T: Plain> PartitionedRecv<'a, T> {
             )));
         }
         let at = idx * self.part_bytes;
-        self.buf[at..at + self.part_bytes].copy_from_slice(&payload[4..]);
+        copy_slice(
+            &payload[4..],
+            &mut self.buf.bytes_mut()[at..at + self.part_bytes],
+        );
         self.received[idx] = true;
         self.got += 1;
         Ok(())
     }
+}
 
-    fn finish_cycle(&mut self) {
-        trace::async_end(trace::cat::PERSIST, "partitioned_cycle", self.trace_id());
-        self.active = false;
-        self.cycles += 1;
+/// A persistent partitioned receive (mirrors `MPI_Precv_init`): a typed
+/// view of a [`PersistentRequest`] whose plan reassembles `partitions`
+/// indexed envelopes into one contiguous vector each cycle. Its
+/// `start` / `wait` are the persistent request's — one standing
+/// completion registration installed at init serves every cycle, and a
+/// cycle that fails poisons every later `start`.
+pub struct PartitionedRecv<'a, T> {
+    req: PersistentRequest<'a>,
+    _ty: PhantomData<fn() -> T>,
+}
+
+impl<'a, T: Plain> PartitionedRecv<'a, T> {
+    /// Arms one receive cycle (see [`PersistentRequest::start`]).
+    pub fn start(&mut self) -> Result<()> {
+        self.req.start()
     }
 
-    fn trace_id(&self) -> u64 {
-        Arc::as_ptr(&self.waiter) as u64 ^ self.cycles.rotate_left(48)
+    /// Blocks until all `partitions` partitions of the cycle have
+    /// arrived, returning the reassembled message in partition order —
+    /// the reassembly buffer itself, not a copy of it (see
+    /// [`PersistentRequest::wait`]). An inactive request returns an
+    /// empty vector.
+    pub fn wait(&mut self) -> Result<Vec<T>> {
+        let done = self.req.wait()?.into_vec();
+        Ok(done.map_or_else(Vec::new, |(v, _)| v))
+    }
+
+    /// Non-blocking per-partition arrival check (mirrors
+    /// `MPI_Parrived`): drains any partition envelopes already
+    /// delivered, then reports whether `partition` has landed this
+    /// cycle. Lets a consumer process early partitions while producers
+    /// are still computing later ones — the receive-side half of the
+    /// overlap that `pready` gives the send side. On an inactive
+    /// request this returns `true`, like the MPI call.
+    pub fn parrived(&mut self, partition: usize) -> Result<bool> {
+        let (comm, active) = (self.req.comm, self.req.is_active());
+        let plan = self.plan_mut();
+        if partition >= plan.received.len() {
+            return Err(MpiError::InvalidLayout(format!(
+                "parrived: partition {partition} out of range (plan has {})",
+                plan.received.len()
+            )));
+        }
+        if !active {
+            return Ok(true);
+        }
+        plan.place_queued(comm)?;
+        Ok(plan.received[partition])
+    }
+
+    /// Copies one arrived partition's elements out of the reassembly
+    /// buffer, or `None` if it has not arrived this cycle (use
+    /// [`parrived`](Self::parrived) to drain and check). The full
+    /// message is still returned by [`wait`](Self::wait) once every
+    /// partition has landed.
+    pub fn partition(&self, partition: usize) -> Option<Vec<T>> {
+        let plan = self.plan();
+        if !self.req.is_active() || !plan.received.get(partition).copied().unwrap_or(false) {
+            return None;
+        }
+        let at = partition * plan.part_bytes;
+        Some(bytes_to_vec::<T>(
+            &plan.buf.bytes()[at..at + plan.part_bytes],
+        ))
+    }
+
+    fn plan(&self) -> &Reassembly {
+        let OpState::Partitioned(plan) = &self.req.state else {
+            unreachable!("a partitioned receive holds a partitioned plan");
+        };
+        plan
+    }
+
+    fn plan_mut(&mut self) -> &mut Reassembly {
+        let OpState::Partitioned(plan) = &mut self.req.state else {
+            unreachable!("a partitioned receive holds a partitioned plan");
+        };
+        plan
     }
 
     /// Completed cycles so far.
     pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-}
-
-impl<T> Drop for PartitionedRecv<'_, T> {
-    fn drop(&mut self) {
-        self.comm
-            .mailbox()
-            .deregister_notify(self.comm.context, &self.waiter);
+        self.req.cycles()
     }
 }
 
@@ -518,34 +533,19 @@ impl Comm {
         self.check_tag(tag)?;
         self.check_rank(src)?;
         check_partitions(partitions)?;
-        let part_bytes = part_elems * std::mem::size_of::<T>();
-        let req = PartitionedRecv {
-            comm: self,
+        let plan = Reassembly {
             src,
             tag,
-            partitions,
-            part_bytes,
-            waiter: Arc::new(Waiter::default()),
-            buf: vec![0u8; partitions * part_bytes],
+            part_bytes: part_elems * std::mem::size_of::<T>(),
+            buf: Box::new(zeroed_vec::<T>(partitions * part_elems)),
             received: vec![false; partitions],
             got: 0,
-            active: false,
-            cycles: 0,
-            poisoned: None,
-            _ty: PhantomData,
         };
-        // Wake-only: `wait` drains the queue itself on every pass and
-        // never reads claims as records, so publishes claim the waiter
-        // only while the receiver is armed inside `wait`.
-        self.mailbox().register_standing(
-            self.context,
-            Src::Rank(src),
-            TagSel::Is(tag),
-            &req.waiter,
-            0,
-            true,
-        );
-        Ok(req)
+        let state = OpState::Partitioned(Box::new(plan));
+        Ok(PartitionedRecv {
+            req: PersistentRequest::new(self, state, None, &[(src, tag)]),
+            _ty: PhantomData,
+        })
     }
 }
 

@@ -52,23 +52,33 @@
 //! travel on the same `(source, tag)` streams, per-stream FIFO keeps
 //! cycles in order, and a fixed number of messages per cycle per stream
 //! keeps them aligned. `start` on a revoked communicator is poisoned
-//! with [`MpiError::Revoked`] before any message moves.
+//! with [`MpiError::Revoked`] before any message moves. A cycle that
+//! ends in a peer failure or a revocation poisons the request: `wait`
+//! returns the error, and so does every later `start` — for a lone
+//! request, a [`PersistentSet`] member and a partitioned receive alike,
+//! because all of them retire a cycle through one function.
 //!
-//! # The plan is the engine
+//! # The plan is the operation state
 //!
-//! A persistent collective holds nothing but the engine its `i*` twin
-//! would have built for one call — tags, peers and slice ranges frozen
-//! inside it — plus the payload of the next cycle. `start` hands that
-//! payload to the engine's `start`; `wait`/`test` advance it. There is
-//! no separate description of a plan's sends: what a cycle posts is
-//! what the engine posts.
+//! A plan is the pending-operation state a one-shot
+//! [`Request`](crate::Request) carries from its call to its completion
+//! (`OpState` in [`crate::request`]) — an eager send, a posted receive,
+//! a collective engine, or a partitioned receive's reassembly
+//! ([`crate::partitioned`]) — kept across cycles, plus the payload of
+//! the next cycle. `start` re-arms it (a collective: hands the payload
+//! to the engine's `start`); `wait`/`test` run the one non-blocking
+//! completion step a one-shot `test` runs. There is no separate
+//! description of a plan's sends: what a cycle posts is what the
+//! engine posts.
 //!
-//! Persistent collectives freeze the flat, eager engines:
-//! binomial-tree broadcast, flat-gather + ordered-fold allreduce, and
-//! eager pairwise alltoallv/allgather. The per-call
-//! [`CollTuning`](crate::CollTuning) consultation that regular
-//! collectives perform is exactly one of the costs `*_init` is meant to
-//! hoist out of the loop.
+//! A persistent collective selects its algorithm where its blocking and
+//! `i*` twins do — the one selection over the algorithm table, in its
+//! persistent column, consulting [`CollTuning`](crate::CollTuning)
+//! once, at init, so a frozen plan runs the row its blocking twin would
+//! pick for the same size. Calls that are not regular on every rank
+//! take the fallback row: `bcast_init` (non-roots do not know the size)
+//! the binomial tree, `alltoallv_init` (variable blocks) the pairwise
+//! exchange. `start` never re-selects.
 
 use std::sync::Arc;
 
@@ -81,22 +91,11 @@ use crate::collectives::nonblocking::CollEngine;
 use crate::comm::Comm;
 use crate::completion::Waiter;
 use crate::error::{MpiError, Result};
-use crate::message::{Src, Status, TagSel};
+use crate::message::{Src, TagSel};
 use crate::plain::bytes_from_slice;
-use crate::request::Completion;
+use crate::request::{Completion, OpState};
 use crate::trace;
 use crate::{Plain, Rank, ReduceOp, Tag};
-
-/// The plan a persistent request executes every cycle.
-enum PlanKind {
-    /// Eager send: complete at `start`.
-    Send { dest: Rank, tag: Tag },
-    /// Posted receive on frozen selectors.
-    Recv { src: Src, tag: TagSel },
-    /// A collective cycle: the engine its `i*` twin builds per call,
-    /// built once.
-    Coll(Box<dyn CollEngine>),
-}
 
 /// A persistent request (mirrors the inactive `MPI_Request` returned by
 /// `MPI_Send_init` and friends): the communication *plan* — envelope,
@@ -105,8 +104,10 @@ enum PlanKind {
 /// [`wait`](PersistentRequest::wait) cycles reuse all of it and touch
 /// only payload bytes.
 pub struct PersistentRequest<'a> {
-    comm: &'a Comm,
-    kind: PlanKind,
+    pub(crate) comm: &'a Comm,
+    /// The frozen plan: the pending-operation state a one-shot
+    /// [`Request`](crate::Request) carries, re-armed by every `start`.
+    pub(crate) state: OpState,
     /// This cycle's payload (sends and contributing collectives);
     /// replaced between cycles via
     /// [`set_payload`](PersistentRequest::set_payload).
@@ -128,13 +129,34 @@ pub struct PersistentRequest<'a> {
 }
 
 impl<'a> PersistentRequest<'a> {
-    fn new(comm: &'a Comm, kind: PlanKind, payload: Option<Bytes>) -> Self {
+    /// Freezes `state` as a plan holding `payload` for its first cycle,
+    /// with one standing, wake-only registration per `(source, tag)`
+    /// the plan can ever receive from. A message already queued is
+    /// fine: every completion attempt re-tests the queues before it
+    /// parks, so pre-registration arrivals are found without a claim.
+    pub(crate) fn new(
+        comm: &'a Comm,
+        state: OpState,
+        payload: Option<Bytes>,
+        sources: &[(Rank, Tag)],
+    ) -> Self {
+        let waiter = Arc::new(Waiter::default());
+        for (slot, &(r, t)) in sources.iter().enumerate() {
+            comm.mailbox().register_standing(
+                comm.context,
+                Src::Rank(r),
+                TagSel::Is(t),
+                &waiter,
+                slot,
+                true,
+            );
+        }
         PersistentRequest {
             comm,
-            kind,
+            state,
             payload,
-            waiter: Arc::new(Waiter::default()),
-            registered: false,
+            waiter,
+            registered: !sources.is_empty(),
             active: false,
             poisoned: None,
             cycles: 0,
@@ -159,7 +181,7 @@ impl<'a> PersistentRequest<'a> {
         if self.active {
             return Err(MpiError::RequestActive);
         }
-        if let PlanKind::Coll(engine) = &self.kind {
+        if let OpState::Coll(engine) = &self.state {
             engine.check_payload(&payload)?;
         }
         self.payload = Some(payload);
@@ -191,20 +213,21 @@ impl<'a> PersistentRequest<'a> {
         // Send plans skip the standalone revocation probe: their
         // `deliver_bytes` below performs the same check before any
         // message moves, and the probe is a lock on the hot path.
-        if !matches!(self.kind, PlanKind::Send { .. })
+        if !matches!(self.state, OpState::Send { .. })
             && self.comm.world.is_revoked(self.comm.context)
         {
             return Err(MpiError::Revoked);
         }
         trace::async_begin(trace::cat::PERSIST, "persistent_cycle", self.trace_id());
         let payload = self.payload.clone();
-        match &mut self.kind {
-            PlanKind::Send { dest, tag } => {
+        match &mut self.state {
+            OpState::Send { dest, tag } => {
                 let payload = payload.expect("send plans hold a payload");
                 self.comm.deliver_bytes(*dest, *tag, payload, None)?;
             }
-            PlanKind::Recv { .. } => {}
-            PlanKind::Coll(engine) => engine.start(self.comm, payload.unwrap_or_default())?,
+            OpState::Coll(engine) => engine.start(self.comm, payload.unwrap_or_default())?,
+            OpState::Partitioned(plan) => plan.start(),
+            OpState::Recv { .. } | OpState::SyncSend { .. } => {}
         }
         self.active = true;
         Ok(())
@@ -216,10 +239,10 @@ impl<'a> PersistentRequest<'a> {
     /// at init claim the dedicated waiter directly — no registration,
     /// no deregistration, no sweep of unrelated sources. The
     /// registrations are *wake-only*: pushes claim the waiter only
-    /// while an armed attempt below is under way, so cycles whose
-    /// messages have already arrived cost the senders nothing at all.
-    /// Waiting on an inactive request returns [`Completion::Done`]
-    /// immediately (MPI's null-status convention).
+    /// while an armed attempt is under way, so cycles whose messages
+    /// have already arrived cost the senders nothing at all. Waiting on
+    /// an inactive request returns [`Completion::Done`] immediately
+    /// (MPI's null-status convention).
     pub fn wait(&mut self) -> Result<Completion> {
         if !self.active {
             return Ok(Completion::Done);
@@ -227,25 +250,13 @@ impl<'a> PersistentRequest<'a> {
         let _sp = trace::span(trace::cat::WAIT, "wait_persistent", 0, 0);
         // Fast path: the cycle already completed — the armed flag is
         // never raised and no push ever locked this waiter.
-        let mut attempt = self.kind.try_complete(self.comm);
+        let mut park = false;
         loop {
-            match attempt {
-                Ok(Some(c)) => {
-                    self.finish_cycle();
-                    return Ok(c);
-                }
-                Ok(None) => attempt = self.armed_attempt().map(|(c, _)| c),
-                Err(e) => return Err(self.poison(e)),
+            if let (Some(c), _) = self.retire(park)? {
+                return Ok(c);
             }
+            park = true;
         }
-    }
-
-    /// One armed completion attempt ([`Waiter::armed_park`]) against
-    /// the frozen plan.
-    fn armed_attempt(&mut self) -> Result<(Option<Completion>, bool)> {
-        let comm = self.comm;
-        self.waiter
-            .armed_park(comm.mailbox(), || self.kind.try_complete(comm))
     }
 
     /// Non-blocking completion check (mirrors `MPI_Test` on a
@@ -255,61 +266,46 @@ impl<'a> PersistentRequest<'a> {
         if !self.active {
             return Ok(Some(Completion::Done));
         }
-        match self.kind.try_complete(self.comm) {
-            Ok(Some(c)) => {
-                self.finish_cycle();
-                Ok(Some(c))
+        self.retire(false).map(|(c, _)| c)
+    }
+
+    /// One completion attempt on the started cycle — with `park`, an
+    /// armed one ([`Waiter::armed_park`]) that sleeps until the first
+    /// wakeup if the cycle is still pending. A completion retires the
+    /// cycle; an error ends it and poisons the request: every later
+    /// `start` re-surfaces the error (the plan's peers are frozen, so
+    /// "this cycle failed" means "every cycle fails"). Returns the
+    /// completion, if any, and whether the thread slept.
+    fn retire(&mut self, park: bool) -> Result<(Option<Completion>, bool)> {
+        let comm = self.comm;
+        let attempt = match park {
+            true => self
+                .waiter
+                .armed_park(comm.mailbox(), || self.state.try_complete(comm)),
+            false => self.state.try_complete(comm).map(|c| (c, false)),
+        };
+        match attempt {
+            Ok((Some(c), slept)) => {
+                // The end event must carry the same id the cycle's
+                // `start` emitted, so it fires before the cycle counter
+                // advances.
+                trace::async_end(trace::cat::PERSIST, "persistent_cycle", self.trace_id());
+                self.active = false;
+                self.cycles += 1;
+                Ok((Some(c), slept))
             }
-            Ok(None) => Ok(None),
-            Err(e) => Err(self.poison(e)),
+            Ok(pending) => Ok(pending),
+            Err(e) => {
+                self.active = false;
+                self.poisoned = Some(e.clone());
+                Err(e)
+            }
         }
-    }
-
-    /// Ends the cycle on a ULFM error: the request goes inactive and
-    /// every later `start` re-surfaces the error (the plan's peers are
-    /// frozen, so "this cycle failed" means "every cycle fails").
-    fn poison(&mut self, e: MpiError) -> MpiError {
-        self.active = false;
-        self.poisoned = Some(e.clone());
-        e
-    }
-
-    /// Cycle bookkeeping shared by `wait` and `test`.
-    fn finish_cycle(&mut self) {
-        // The end event must carry the same id the cycle's `start`
-        // emitted, so it fires before the cycle counter advances.
-        trace::async_end(trace::cat::PERSIST, "persistent_cycle", self.trace_id());
-        self.active = false;
-        self.cycles += 1;
     }
 
     /// Stable id correlating this request's async trace spans.
     fn trace_id(&self) -> u64 {
         Arc::as_ptr(&self.waiter) as u64 ^ self.cycles.rotate_left(48)
-    }
-}
-
-impl PlanKind {
-    /// One non-blocking completion attempt against the frozen plan.
-    fn try_complete(&mut self, comm: &Comm) -> Result<Option<Completion>> {
-        match self {
-            PlanKind::Send { .. } => Ok(Some(Completion::Done)),
-            PlanKind::Recv { src, tag } => match comm.try_recv_envelope(*src, *tag) {
-                Some(env) => {
-                    let st = Status {
-                        source: env.src,
-                        tag: env.tag,
-                        bytes: env.payload.len(),
-                    };
-                    Ok(Some(Completion::Message(env.payload, st)))
-                }
-                None => match comm.wait_interrupted(*src) {
-                    Some(e) => Err(e),
-                    None => Ok(None),
-                },
-            },
-            PlanKind::Coll(engine) => engine.advance(comm, false),
-        }
     }
 }
 
@@ -409,42 +405,27 @@ impl<'a> PersistentSet<'a> {
     /// re-sweep, so messages that arrived for *other* members while
     /// this one slept are collected without further waits.
     pub fn wait_all(&mut self) -> Result<Vec<Completion>> {
-        let n = self.requests.len();
-        let mut out: Vec<Option<Completion>> = (0..n).map(|_| None).collect();
-        let mut pending: Vec<usize> = Vec::with_capacity(n);
-        for (i, req) in self.requests.iter_mut().enumerate() {
-            if !req.active {
-                out[i] = Some(Completion::Done);
-            } else {
-                pending.push(i);
-            }
-        }
-        while !pending.is_empty() {
+        let mut out: Vec<Option<Completion>> = self
+            .requests
+            .iter()
+            .map(|req| (!req.active).then_some(Completion::Done))
+            .collect();
+        loop {
             // Full non-blocking sweep: retire everything already done.
-            let mut still = Vec::with_capacity(pending.len());
-            for &i in &pending {
-                let req = &mut self.requests[i];
-                match req.kind.try_complete(req.comm)? {
-                    Some(c) => {
-                        req.finish_cycle();
-                        out[i] = Some(c);
-                    }
-                    None => still.push(i),
+            for (req, done) in self.requests.iter_mut().zip(&mut out) {
+                if done.is_none() {
+                    *done = req.retire(false)?.0;
                 }
             }
-            pending = still;
-            let Some(&first) = pending.first() else { break };
+            let Some(first) = out.iter().position(Option::is_none) else {
+                break;
+            };
             // Park on the first unfinished member only; its standing
             // registrations (installed at init) claim the armed waiter.
             // The other members' waiters stay un-armed — their arrivals
             // queue silently and the re-sweep finds them.
-            let req = &mut self.requests[first];
-            let (done, slept) = req.armed_attempt()?;
-            if let Some(c) = done {
-                req.finish_cycle();
-                out[first] = Some(c);
-                pending.remove(0);
-            }
+            let (done, slept) = self.requests[first].retire(true)?;
+            out[first] = done;
             self.parks += u64::from(slept);
         }
         Ok(out
@@ -465,23 +446,8 @@ impl Comm {
     ) -> Result<PersistentRequest<'_>> {
         let mut pairs: Vec<(Rank, Tag)> = Vec::new();
         engine.all_sources(self, &mut pairs);
-        let mut req = PersistentRequest::new(self, PlanKind::Coll(engine), Some(payload));
-        for (slot, (r, t)) in pairs.iter().enumerate() {
-            // A message already queued is fine: `wait` always attempts
-            // completion before parking, so pre-registration arrivals
-            // are found without a claim. Wake-only: claims fire only
-            // while `wait` is armed (see there).
-            self.mailbox().register_standing(
-                self.context,
-                Src::Rank(*r),
-                TagSel::Is(*t),
-                &req.waiter,
-                slot,
-                true,
-            );
-            req.registered = true;
-        }
-        Ok(req)
+        let state = OpState::Coll(engine);
+        Ok(PersistentRequest::new(self, state, Some(payload), &pairs))
     }
 
     /// Creates a persistent send to `dest` on `tag` (mirrors
@@ -508,11 +474,8 @@ impl Comm {
         self.count_op("send_init");
         self.check_tag(tag)?;
         self.check_rank(dest)?;
-        Ok(PersistentRequest::new(
-            self,
-            PlanKind::Send { dest, tag },
-            Some(payload),
-        ))
+        let state = OpState::Send { dest, tag };
+        Ok(PersistentRequest::new(self, state, Some(payload), &[]))
     }
 
     /// Creates a persistent receive from `src` on `tag` (mirrors
@@ -522,24 +485,11 @@ impl Comm {
         self.count_op("recv_init");
         self.check_tag(tag)?;
         self.check_rank(src)?;
-        let mut req = PersistentRequest::new(
-            self,
-            PlanKind::Recv {
-                src: Src::Rank(src),
-                tag: TagSel::Is(tag),
-            },
-            None,
-        );
-        self.mailbox().register_standing(
-            self.context,
-            Src::Rank(src),
-            TagSel::Is(tag),
-            &req.waiter,
-            0,
-            true,
-        );
-        req.registered = true;
-        Ok(req)
+        let state = OpState::Recv {
+            src: Src::Rank(src),
+            tag: TagSel::Is(tag),
+        };
+        Ok(PersistentRequest::new(self, state, None, &[(src, tag)]))
     }
 
     /// Creates a persistent broadcast from `root` (mirrors

@@ -35,23 +35,31 @@
 //!
 //! # Request lifecycles
 //!
-//! A one-shot [`Request`] is born started and dies at its first
-//! observed completion. Persistent requests
-//! ([`crate::persistent::PersistentRequest`]) add the *inactive* and
-//! *restartable* states around that core — the same plan cycles
-//! through started → complete → restartable without re-doing any
-//! setup:
+//! Every pending operation is one `OpState` — an eager send, a
+//! synchronous-mode send, a posted receive, a collective engine, or a
+//! partitioned receive's reassembly — with one non-blocking completion
+//! step, `OpState::try_complete`. A one-shot [`Request`] carries an
+//! `OpState` from its call to its first observed completion; a
+//! persistent request ([`crate::persistent::PersistentRequest`]) keeps
+//! one as its frozen plan and cycles it through started → complete →
+//! restartable without re-doing any setup. `test` on either, and a
+//! [`PersistentSet`](crate::PersistentSet)'s sweep, are that one step;
+//! only the blocking strategies differ:
 //!
 //! ```text
 //!   one-shot:    [started] ──wait/test──> [complete]      (consumed)
-//!                (a collective: engine built and `start`ed by the call)
+//!                (a collective: engine built and `start`ed by the call;
+//!                 `wait` parks in the receive's, the ack's or the
+//!                 engine's own blocking path)
 //!
-//!   persistent:  *_init  (a collective: the same engine, built once;
-//!                         every `start` below is the engine's `start`)
+//!   persistent:  *_init  (the same OpState, built once; every `start`
+//!                         re-arms it — a collective: the engine's `start`)
 //!              ─────────> [inactive] ──start──> [started]
 //!                             ^                     │ wait/test
 //!                             │    restartable      v
 //!                             └───────────────  [complete]
+//!                (`wait` parks on the standing registrations; a failed
+//!                 cycle poisons every later `start`)
 //! ```
 //!
 //! Both lifetimes are visible in traces as async `"b"`/`"e"` span
@@ -61,9 +69,11 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
+use crate::collectives::nonblocking::{message_completion, CollEngine};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::message::{AckSlot, Src, Status, TagSel};
+use crate::partitioned::Reassembly;
 use crate::plain::bytes_from_slice;
 use crate::{Plain, Rank, Tag};
 
@@ -125,23 +135,76 @@ pub enum TestOutcome<'a> {
     Pending(Request<'a>),
 }
 
-enum ReqState {
-    /// Eagerly-buffered send: complete on creation.
-    SendDone,
+/// The one definition of a pending operation: what a one-shot
+/// [`Request`] carries from its call to its completion, and the plan a
+/// persistent request ([`crate::persistent::PersistentRequest`])
+/// re-runs every cycle. Its [`try_complete`](OpState::try_complete) is
+/// the one non-blocking completion step of both.
+pub(crate) enum OpState {
+    /// Eager send: the payload is buffered when the send is posted (at
+    /// the call, or at each persistent `start`), so it is complete from
+    /// then on.
+    Send { dest: Rank, tag: Tag },
     /// Synchronous-mode send: completes when the receiver matches.
     SyncSend { ack: Arc<AckSlot>, dest: Rank },
     /// Posted receive: matches lazily in test/wait.
     Recv { src: Src, tag: TagSel },
     /// Non-blocking collective engine
     /// (see [`crate::collectives::nonblocking`]).
-    Coll(Box<dyn crate::collectives::nonblocking::CollEngine>),
+    Coll(Box<dyn CollEngine>),
+    /// Partitioned receive: one cycle's indexed partitions reassembled
+    /// (persistent only, see [`crate::partitioned`]).
+    Partitioned(Box<Reassembly>),
+}
+
+impl OpState {
+    /// The one non-blocking completion attempt: the completion, `None`
+    /// while pending, or the peer failure / revocation that ended it.
+    pub(crate) fn try_complete(&mut self, comm: &Comm) -> Result<Option<Completion>> {
+        match self {
+            OpState::Send { .. } => Ok(Some(Completion::Done)),
+            OpState::SyncSend { ack, dest } => {
+                if ack.is_complete() {
+                    return Ok(Some(Completion::Done));
+                }
+                let dest_world = comm.translate_to_world(*dest)?;
+                if comm.world.is_revoked(comm.context) {
+                    return Err(MpiError::Revoked);
+                }
+                if comm.world.is_failed(dest_world) {
+                    return Err(MpiError::ProcessFailed {
+                        world_rank: dest_world,
+                    });
+                }
+                Ok(None)
+            }
+            OpState::Recv { src, tag } => match comm.try_recv_envelope(*src, *tag) {
+                Some(env) => Ok(Some(message_completion(env.src, env.tag, env.payload))),
+                None => comm.wait_interrupted(*src).map_or(Ok(None), Err),
+            },
+            OpState::Coll(engine) => engine.advance(comm, false),
+            OpState::Partitioned(plan) => plan.try_complete(comm),
+        }
+    }
+
+    /// The static name shared by a one-shot request's async begin/end
+    /// events.
+    fn name(&self) -> &'static str {
+        match self {
+            OpState::Send { .. } => "isend",
+            OpState::SyncSend { .. } => "issend",
+            OpState::Recv { .. } => "irecv",
+            OpState::Coll(_) => "icoll",
+            OpState::Partitioned(_) => "precv",
+        }
+    }
 }
 
 /// A handle to an in-flight non-blocking operation
 /// (mirrors `MPI_Request`).
 pub struct Request<'a> {
     comm: &'a Comm,
-    state: ReqState,
+    state: OpState,
     /// Async-trace correlation id: the constructor's `"b"` event and
     /// the completing wait/test's `"e"` event share it, so the
     /// operation's whole initiate→complete lifetime renders as one
@@ -151,60 +214,42 @@ pub struct Request<'a> {
 
 impl<'a> Request<'a> {
     /// Allocates the request and opens its async trace span.
-    fn new(comm: &'a Comm, state: ReqState) -> Self {
+    fn new(comm: &'a Comm, state: OpState) -> Self {
         let req = Request {
             comm,
             state,
             id: crate::trace::next_async_id(),
         };
-        crate::trace::async_begin(crate::trace::cat::ASYNC, req.op_name(), req.id);
+        crate::trace::async_begin(crate::trace::cat::ASYNC, req.state.name(), req.id);
         req
     }
 
     /// Wraps a non-blocking collective engine (crate-internal; users
     /// obtain these from the `Comm::i*` collectives).
-    pub(crate) fn collective(
-        comm: &'a Comm,
-        engine: Box<dyn crate::collectives::nonblocking::CollEngine>,
-    ) -> Self {
-        Request::new(comm, ReqState::Coll(engine))
-    }
-
-    /// The static name shared by this request's async begin/end events.
-    fn op_name(&self) -> &'static str {
-        match &self.state {
-            ReqState::SendDone => "isend",
-            ReqState::SyncSend { .. } => "issend",
-            ReqState::Recv { .. } => "irecv",
-            ReqState::Coll(_) => "icoll",
-        }
+    pub(crate) fn collective(comm: &'a Comm, engine: Box<dyn CollEngine>) -> Self {
+        Request::new(comm, OpState::Coll(engine))
     }
 
     /// Blocks until the operation completes (mirrors `MPI_Wait`).
     pub fn wait(self) -> Result<Completion> {
         let _sp = crate::trace::span(crate::trace::cat::WAIT, "wait", 0, 0);
         let comm = self.comm;
-        let (id, name) = (self.id, self.op_name());
+        let (id, name) = (self.id, self.state.name());
         let result = match self.state {
-            ReqState::SendDone => Ok(Completion::Done),
-            ReqState::SyncSend { ack, dest } => {
+            OpState::Send { .. } => Ok(Completion::Done),
+            OpState::SyncSend { ack, dest } => {
                 // Event-driven: parks on the acknowledgement slot; the
                 // receiver's match (or an interrupt epoch bump) wakes it.
                 crate::completion::wait_sync_send(comm, &ack, dest)
             }
-            ReqState::Recv { src, tag } => {
-                let env = comm.recv_envelope(src, tag)?;
-                let st = Status {
-                    source: env.src,
-                    tag: env.tag,
-                    bytes: env.payload.len(),
-                };
-                Ok(Completion::Message(env.payload, st))
-            }
-            ReqState::Coll(mut engine) => {
+            OpState::Recv { src, tag } => comm
+                .recv_envelope(src, tag)
+                .map(|env| message_completion(env.src, env.tag, env.payload)),
+            OpState::Coll(mut engine) => {
                 let c = engine.advance(comm, true)?;
                 Ok(c.expect("blocking advance completes the collective"))
             }
+            OpState::Partitioned(_) => unreachable!("partitioned receives are persistent"),
         };
         if result.is_ok() {
             crate::trace::async_end(crate::trace::cat::ASYNC, name, id);
@@ -215,63 +260,14 @@ impl<'a> Request<'a> {
     /// Non-blocking completion check (mirrors `MPI_Test`). Returns
     /// [`TestOutcome::Pending`] with the request handed back if the
     /// operation has not completed yet.
-    pub fn test(self) -> Result<TestOutcome<'a>> {
-        let comm = self.comm;
-        let (id, name) = (self.id, self.op_name());
-        let outcome = match self.state {
-            ReqState::SendDone => Ok(TestOutcome::Ready(Completion::Done)),
-            ReqState::SyncSend { ack, dest } => {
-                if ack.is_complete() {
-                    return Ok(TestOutcome::Ready(Completion::Done));
-                }
-                let dest_world = comm.translate_to_world(dest)?;
-                if comm.world.is_revoked(comm.context) {
-                    return Err(MpiError::Revoked);
-                }
-                if comm.world.is_failed(dest_world) {
-                    return Err(MpiError::ProcessFailed {
-                        world_rank: dest_world,
-                    });
-                }
-                Ok(TestOutcome::Pending(Request {
-                    comm,
-                    state: ReqState::SyncSend { ack, dest },
-                    id,
-                }))
+    pub fn test(mut self) -> Result<TestOutcome<'a>> {
+        Ok(match self.state.try_complete(self.comm)? {
+            Some(c) => {
+                crate::trace::async_end(crate::trace::cat::ASYNC, self.state.name(), self.id);
+                TestOutcome::Ready(c)
             }
-            ReqState::Recv { src, tag } => match comm.try_recv_envelope(src, tag) {
-                Some(env) => {
-                    let st = Status {
-                        source: env.src,
-                        tag: env.tag,
-                        bytes: env.payload.len(),
-                    };
-                    Ok(TestOutcome::Ready(Completion::Message(env.payload, st)))
-                }
-                None => {
-                    if let Some(err) = comm.wait_interrupted(src) {
-                        return Err(err);
-                    }
-                    Ok(TestOutcome::Pending(Request {
-                        comm,
-                        state: ReqState::Recv { src, tag },
-                        id,
-                    }))
-                }
-            },
-            ReqState::Coll(mut engine) => match engine.advance(comm, false)? {
-                Some(c) => Ok(TestOutcome::Ready(c)),
-                None => Ok(TestOutcome::Pending(Request {
-                    comm,
-                    state: ReqState::Coll(engine),
-                    id,
-                })),
-            },
-        };
-        if let Ok(TestOutcome::Ready(_)) = &outcome {
-            crate::trace::async_end(crate::trace::cat::ASYNC, name, id);
-        }
-        outcome
+            None => TestOutcome::Pending(self),
+        })
     }
 
     /// [`test`](Request::test) as request sets book it: the outcome
@@ -296,7 +292,7 @@ impl<'a> Request<'a> {
     /// (`crate::completion::Session`).
     pub(crate) fn recv_selectors(&self) -> Option<(u64, Src, TagSel)> {
         match &self.state {
-            ReqState::Recv { src, tag } => Some((self.comm.context, *src, *tag)),
+            OpState::Recv { src, tag } => Some((self.comm.context, *src, *tag)),
             _ => None,
         }
     }
@@ -317,12 +313,12 @@ impl<'a> Request<'a> {
     ) -> bool {
         use crate::completion::ParkSource;
         match &self.state {
-            ReqState::SendDone => true,
-            ReqState::SyncSend { ack, .. } => {
+            OpState::Send { .. } => true,
+            OpState::SyncSend { ack, .. } => {
                 out.push(ParkSource::Ack(ack));
                 false
             }
-            ReqState::Recv { src, tag } => {
+            OpState::Recv { src, tag } => {
                 out.push(ParkSource::Mailbox {
                     context: self.comm.context,
                     src: *src,
@@ -330,7 +326,7 @@ impl<'a> Request<'a> {
                 });
                 false
             }
-            ReqState::Coll(engine) => {
+            OpState::Coll(engine) => {
                 let before = out.len();
                 let mut pairs: Vec<(Rank, Tag)> = Vec::new();
                 engine.sources(self.comm, &mut pairs);
@@ -341,6 +337,7 @@ impl<'a> Request<'a> {
                 }));
                 out.len() == before
             }
+            OpState::Partitioned(_) => unreachable!("partitioned receives are persistent"),
         }
     }
 }
@@ -360,7 +357,7 @@ impl Comm {
         self.count_op("isend");
         self.check_tag(tag)?;
         self.deliver_bytes(dest, tag, payload, None)?;
-        Ok(Request::new(self, ReqState::SendDone))
+        Ok(Request::new(self, OpState::Send { dest, tag }))
     }
 
     /// Starts a non-blocking *synchronous-mode* send (mirrors
@@ -377,7 +374,7 @@ impl Comm {
         self.check_tag(tag)?;
         let ack = AckSlot::new();
         self.deliver_bytes(dest, tag, payload, Some(ack.clone()))?;
-        Ok(Request::new(self, ReqState::SyncSend { ack, dest }))
+        Ok(Request::new(self, OpState::SyncSend { ack, dest }))
     }
 
     /// Posts a non-blocking receive (mirrors `MPI_Irecv`). The payload is
@@ -386,7 +383,7 @@ impl Comm {
         self.count_op("irecv");
         Request::new(
             self,
-            ReqState::Recv {
+            OpState::Recv {
                 src: src.into(),
                 tag: tag.into(),
             },

@@ -854,6 +854,145 @@ mod tests {
         });
     }
 
+    /// Every restartable request ends a failed cycle the same way: the
+    /// interrupted `wait` returns the error, and the next `start`
+    /// returns it again — the frozen plan names a peer that can no
+    /// longer answer. Rank 0 parks in each row's wait while rank 1
+    /// revokes the communicator or dies.
+    #[test]
+    fn every_restartable_request_replays_its_failed_cycle_at_restart() {
+        use crate::{op::Sum, Comm, PersistentSet, Result};
+        type Cycle = fn(&Comm) -> Result<[Result<()>; 2]>;
+        let rows: [(&str, Cycle); 4] = [
+            ("recv_init", |c| {
+                let mut rx = c.recv_init(1, 0)?;
+                rx.start()?;
+                Ok([rx.wait().map(drop), rx.start()])
+            }),
+            ("PersistentSet of two", |c| {
+                let mut set = PersistentSet::new();
+                set.push(c.recv_init(1, 0)?);
+                set.push(c.recv_init(1, 1)?);
+                set.start_all()?;
+                Ok([set.wait_all().map(drop), set.start_all()])
+            }),
+            ("allreduce_init", |c| {
+                let mut sum = c.allreduce_init(&[1u64], Sum)?;
+                sum.start()?;
+                Ok([sum.wait().map(drop), sum.start()])
+            }),
+            ("precv_init", |c| {
+                let mut rx = c.precv_init::<u8>(2, 1, 1, 0)?;
+                rx.start()?;
+                Ok([rx.wait().map(drop), rx.start()])
+            }),
+        ];
+        with_deadline(120, move || {
+            for (name, cycle) in rows {
+                for revoke in [true, false] {
+                    let out = Universe::run_with(Config::new(2), move |comm| {
+                        if comm.rank() == 0 {
+                            return Some(cycle(&comm));
+                        }
+                        while comm.world.mailboxes[0].stats().max_parked == 0 {
+                            std::thread::yield_now();
+                        }
+                        if revoke {
+                            comm.revoke();
+                            return None;
+                        }
+                        comm.fail_here();
+                    });
+                    let want = match revoke {
+                        true => MpiError::Revoked,
+                        false => MpiError::ProcessFailed { world_rank: 1 },
+                    };
+                    assert_eq!(
+                        out[0],
+                        RankOutcome::Completed(Some(Ok([Err(want.clone()), Err(want)]))),
+                        "{name}, revoke {revoke}"
+                    );
+                }
+            }
+        });
+    }
+
+    /// A `PersistentSet` member whose cycle fails is poisoned like a lone
+    /// request: member 0's message lands, member 1's sender dies, and
+    /// after `wait_all` returns the failure, `start_all` restarts member
+    /// 0 and stops at member 1 with the same error (not `RequestActive`:
+    /// the failed cycle is over).
+    #[test]
+    fn persistent_set_poisons_the_member_whose_cycle_failed() {
+        use crate::PersistentSet;
+        with_deadline(60, || {
+            let out = Universe::run_with(Config::new(2), |comm| {
+                if comm.rank() == 1 {
+                    comm.send(&[7u8], 0, 0).unwrap();
+                    comm.fail_here();
+                }
+                let mut set = PersistentSet::new();
+                set.push(comm.recv_init(1, 0).unwrap());
+                set.push(comm.recv_init(1, 1).unwrap());
+                set.start_all().unwrap();
+                let failed = MpiError::ProcessFailed { world_rank: 1 };
+                assert_eq!(set.wait_all().unwrap_err(), failed);
+                assert_eq!(set.start_all().unwrap_err(), failed);
+                assert!(set.requests_mut()[0].is_active(), "member 0 restarted");
+                true
+            });
+            assert_eq!(out[0], RankOutcome::Completed(true));
+        });
+    }
+
+    /// The healthy half of the table: one stream read through a one-shot
+    /// receive, a persistent receive, a `PersistentSet` member and a
+    /// partitioned receive yields the same bytes every cycle.
+    #[test]
+    fn every_receive_form_reads_the_same_stream() {
+        use crate::PersistentSet;
+        const N: usize = 8;
+        let payload = |cycle: u8| -> Vec<u8> { (0..N as u8).map(|i| i * 3 + cycle).collect() };
+        Universe::run(2, move |comm| {
+            if comm.rank() == 1 {
+                let mut tx = comm.psend_init::<u8>(2, N / 2, 0, 3).unwrap();
+                let w = tx.writer();
+                for cycle in 0..3 {
+                    let data = payload(cycle);
+                    for tag in 0..3 {
+                        comm.send(&data, 0, tag).unwrap();
+                    }
+                    tx.start().unwrap();
+                    for (p, part) in data.chunks(N / 2).enumerate().rev() {
+                        w.pready(p, part).unwrap();
+                    }
+                    tx.wait().unwrap();
+                }
+                return;
+            }
+            let mut rx = comm.recv_init(1, 1).unwrap();
+            let mut set = PersistentSet::new();
+            set.push(comm.recv_init(1, 2).unwrap());
+            let mut prx = comm.precv_init::<u8>(2, N / 2, 1, 3).unwrap();
+            for cycle in 0..3 {
+                let read = |c: crate::request::Completion| c.into_vec::<u8>().unwrap().0;
+                rx.start().unwrap();
+                set.start_all().unwrap();
+                prx.start().unwrap();
+                let got = [
+                    read(comm.irecv(1, 0).wait().unwrap()),
+                    read(rx.wait().unwrap()),
+                    read(set.wait_all().unwrap().remove(0)),
+                    prx.wait().unwrap(),
+                ];
+                assert!(
+                    got.iter().all(|g| *g == payload(cycle)),
+                    "cycle {cycle}: {got:?}"
+                );
+            }
+        });
+    }
+
     /// Agreement parks on its rank's mailbox and is woken by the
     /// failure's epoch bump: rank 2 dies after an iteration-dependent
     /// spin while ranks 0 and 1 agree, and in every schedule both

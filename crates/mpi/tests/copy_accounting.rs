@@ -693,3 +693,53 @@ fn blocking_and_nonblocking_lifecycles_pay_the_same_bill() {
         });
     }
 }
+
+/// A partitioned cycle's exact bill. The sender's `pready` serializes
+/// each partition into one fresh envelope: one allocation and
+/// `part_bytes` copied per partition. The receiver copies each
+/// partition into its reassembly buffer once and hands that buffer out
+/// as the cycle's result, so `wait` copies nothing; the one allocation
+/// is the next cycle's buffer.
+#[test]
+fn partitioned_cycle_copies_each_partition_once_per_side() {
+    use kmp_mpi::CopyStats;
+    const PARTS: usize = 2;
+    const ELEMS: usize = 4;
+    const BYTES: u64 = (PARTS * ELEMS * 8) as u64;
+    let data =
+        |cycle: u64| -> Vec<u64> { (0..(PARTS * ELEMS) as u64).map(|i| i + cycle).collect() };
+    Universe::run(2, move |comm| {
+        if comm.rank() == 0 {
+            let mut send = comm.psend_init::<u64>(PARTS, ELEMS, 1, 4).unwrap();
+            let w = send.writer();
+            for cycle in 0..3 {
+                send.start().unwrap();
+                let before = metrics::snapshot();
+                for (p, part) in data(cycle).chunks(ELEMS).enumerate() {
+                    w.pready(p, part).unwrap();
+                }
+                let bill = metrics::snapshot().since(&before);
+                send.wait().unwrap();
+                let want = CopyStats {
+                    bytes_copied: BYTES,
+                    allocations: PARTS as u64,
+                };
+                assert_eq!(bill, want, "sender, cycle {cycle}");
+            }
+        } else {
+            let mut recv = comm.precv_init::<u64>(PARTS, ELEMS, 0, 4).unwrap();
+            for cycle in 0..3 {
+                let before = metrics::snapshot();
+                recv.start().unwrap();
+                let got = recv.wait().unwrap();
+                let bill = metrics::snapshot().since(&before);
+                assert_eq!(got, data(cycle));
+                let want = CopyStats {
+                    bytes_copied: BYTES,
+                    allocations: 1,
+                };
+                assert_eq!(bill, want, "receiver, cycle {cycle}");
+            }
+        }
+    });
+}

@@ -161,6 +161,45 @@ fn with_deadline<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 's
     }
 }
 
+/// The binding's row of the substrate's restartable-request table
+/// (`kmp_mpi::ulfm`'s
+/// `every_restartable_request_replays_its_failed_cycle_at_restart`): a
+/// `Persistent` receive whose cycle is revoked, or whose sender dies,
+/// returns that error from `wait` and again from the next `start`.
+#[test]
+fn binding_persistent_replays_its_failed_cycle_at_restart() {
+    for revoke in [true, false] {
+        let out = with_deadline(60, move || {
+            Universe::run_with(Config::new(2), move |comm| {
+                let comm = Communicator::new(comm);
+                let dup = comm.dup().unwrap();
+                if comm.rank() == 1 {
+                    // Interrupt only once rank 0's cycle is started.
+                    comm.recv::<u8, _>((source(0),)).unwrap();
+                    if revoke {
+                        dup.revoke();
+                        return None;
+                    }
+                    comm.fail_now();
+                }
+                let mut rx = dup.recv_init::<u8, _>((source(1), tag(4))).unwrap();
+                rx.start().unwrap();
+                comm.send((send_buf(&[1u8]), destination(1))).unwrap();
+                Some([rx.wait().map(drop), rx.start()])
+            })
+        });
+        let want = match revoke {
+            true => MpiError::Revoked,
+            false => MpiError::ProcessFailed { world_rank: 1 },
+        };
+        assert_eq!(
+            out[0],
+            RankOutcome::Completed(Some([Err(want.clone()), Err(want)])),
+            "revoke {revoke}"
+        );
+    }
+}
+
 /// A request pool parked in `wait_any` on two receives nobody will ever
 /// satisfy must come back with `Revoked` when the communicator is
 /// revoked under it — whether the revocation lands before the pool's
