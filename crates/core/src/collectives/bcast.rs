@@ -1,12 +1,13 @@
 //! `bcast` with named parameters.
 
+use kmp_mpi::collectives::BcastParts;
 use kmp_mpi::{Plain, Rank, Result};
 
 use crate::communicator::Communicator;
 use crate::params::argset::{ArgSet, IntoArgs};
 use crate::params::output::{FinalOf, Finalize, Push1, PushComponent};
-use crate::params::slots::SendRecvBufSpec;
-use crate::params::{Absent, SendRecvBuf};
+use crate::params::slots::{Delivered, Layout, RecvBufSpec, SendRecvBufSpec};
+use crate::params::{recv_buf, Absent, SendRecvBuf};
 
 /// Valid argument sets for [`Communicator::bcast`].
 pub trait BcastArgs<T: Plain> {
@@ -56,36 +57,21 @@ where
                 *buf = hold.take();
                 return sent;
             }
-            let Some(size) = size else {
-                // Adopt the delivered payload straight into the buffer:
-                // a single copy, no intermediate vector. The broadcast
-                // length is dictated by the root (bcast has no
-                // independent receive sizing).
-                let incoming = raw.bcast_bytes(None, root)?;
-                buf.clear();
-                kmp_mpi::plain::extend_vec_from_bytes(buf, &incoming);
-                return Ok(());
+            // A non-root's buffer is a `resize_to_fit` receive of the
+            // payload the root dictates. With `recv_count`, the lowering
+            // holds the payload to this rank's claim — under either
+            // algorithm, though scatter+allgather enforces it on the
+            // wire already.
+            let delivered = match size {
+                None => Delivered::lone(raw.bcast_bytes(None, root)?),
+                Some(size) => match raw.bcast_parts(None, size, root)? {
+                    BcastParts::Whole(payload) => Delivered::lone(payload),
+                    BcastParts::Chunks(chunks) => Delivered::Message(chunks),
+                },
             };
-            let parts = raw.bcast_parts(None, size, root)?;
-            // The root dictates the payload; it must match this rank's
-            // recv_count claim (the scatter+allgather branch enforces
-            // this on the wire already — keep the binomial branch equally
-            // strict).
-            if parts.len() != size {
-                return Err(kmp_mpi::MpiError::Truncated {
-                    message_bytes: parts.len(),
-                    buffer_bytes: size,
-                });
-            }
-            // One copy of `r`, whichever shape was delivered — into the
-            // caller's storage when it is already correctly sized, else
-            // into one fresh allocation.
-            if std::mem::size_of_val(&buf[..]) == size {
-                parts.write_into(kmp_mpi::plain::as_bytes_mut(&mut buf[..]))
-            } else {
-                *buf = parts.into_vec();
-                Ok(())
-            }
+            recv_buf(buf)
+                .resize_to_fit()
+                .lower(delivered, Layout::each(recv_count))
         })?;
         Ok(out.push_component(()).finalize())
     }

@@ -28,14 +28,16 @@
 //! The receive buffer is implicitly returned by value unless storage was
 //! passed by reference; `*_out()` parameters append further components to
 //! the returned tuple. An omitted `recv_buf` costs what a hand-written
-//! `*_vec` call costs (§III-B): storage is never prepared before the
-//! bytes exist and the result is never built twice — block-delivered
-//! operations assemble the delivered blocks, accumulator-delivered ones
-//! hand the substrate's vector over ([`RecvBufSpec`] names the
-//! lowerings). Provided storage is prepared under its resize policy
-//! *after* the exchange: a result shorter than the buffer fills its
-//! prefix, and an undersized `no_resize` buffer reports
-//! [`MpiError::Truncated`] on that rank alone, its peers unaffected.
+//! `*_vec` call costs (§III-B): every receive here — the blocks of the
+//! self-sizing exchanges, the substrate's accumulator or scattered
+//! block, a non-root's broadcast payload (a `resize_to_fit` receive),
+//! `exscan`'s undefined rank 0 — ends in the one lowering,
+//! [`RecvBufSpec::lower`], which writes each delivered byte once and
+//! hands an owned vector over as the result. Provided storage is sized
+//! under its resize policy *after* the exchange: a result shorter than
+//! the buffer fills its prefix, and an undersized `no_resize` buffer
+//! reports [`MpiError::Truncated`](kmp_mpi::MpiError::Truncated) on
+//! that rank alone, its peers unaffected.
 //!
 //! **Owned means moved**: a buffer the caller gave away is never copied
 //! on the caller's critical path. Owned `send_buf(vec)` payloads of
@@ -58,11 +60,10 @@ pub mod nonblocking;
 mod reduce;
 mod scatter;
 
-use kmp_mpi::collectives::{block_counts, displacements_from_counts};
-use kmp_mpi::{MpiError, Plain, Result};
+use kmp_mpi::collectives::displacements_from_counts;
+use kmp_mpi::{Plain, Result};
 
-use crate::params::slots::{CountsSlot, RecvBufSpec};
-use crate::params::{Absent, RecvCounts};
+use crate::params::slots::{Counts, CountsSlot, Delivered, Layout, RecvBufSpec};
 
 pub use allgather::{AllgatherArgs, AllgatherInPlaceArgs, AllgathervArgs};
 pub use alltoall::{AlltoallArgs, AlltoallvArgs};
@@ -76,13 +77,14 @@ pub use nonblocking::{
 pub use reduce::{AllreduceArgs, AllreduceSingleArgs, ExscanArgs, ReduceArgs, ScanArgs};
 pub use scatter::{ScatterArgs, ScattervArgs};
 
-/// The receive side shared by the blocking v-collectives: assembles the
-/// blocks delivered by the substrate's self-sizing exchange (`None`
-/// where the receive side is not significant — non-roots of `gatherv` —
-/// and any supplied layout is ignored). The block lengths are the
-/// receive counts; counts the user supplied are verified against them —
-/// after the exchange, so a mismatch leaves no message queued. Returns
-/// the three finished output components.
+/// The receive side shared by the blocking v-collectives: lowers the
+/// blocks delivered by the substrate's self-sizing exchange into the
+/// receive slot (`None` where the receive side is not significant —
+/// non-roots of `gatherv` — and any supplied layout is ignored). The
+/// block lengths are the receive counts; counts the user supplied are
+/// verified against them by the lowering — after the exchange, so a
+/// mismatch leaves no message queued. Returns the three finished output
+/// components.
 pub(crate) fn receive_v<T, RB, RC, RD, B>(
     recv_buf: RB,
     recv_counts: RC,
@@ -97,13 +99,15 @@ where
     B: AsRef<[u8]>,
 {
     let significant = blocks.is_some();
-    let blocks = blocks.unwrap_or_default();
-    let counts = block_counts::<T, B>(&blocks)?;
-    if let Some(declared) = recv_counts.provided().filter(|_| significant) {
-        check_declared_counts::<T>(declared, &counts)?;
-    }
-    let displs = recv_displs.provided().filter(|_| significant);
-    let rb_out = recv_buf.assemble(blocks, &counts, displs)?;
+    let mut counts = Vec::new();
+    let layout = Layout {
+        counts: (recv_counts.provided().filter(|_| significant))
+            .map_or(Counts::Any, Counts::Listed),
+        displs: recv_displs.provided().filter(|_| significant),
+        counts_out: (RC::REQUESTED || RD::REQUESTED).then_some(&mut counts),
+        ..Layout::default()
+    };
+    let rb_out = recv_buf.lower(Delivered::Blocks(blocks.unwrap_or_default()), layout)?;
     let computed_rd = RD::REQUESTED.then(|| displacements_from_counts(&counts));
     Ok((
         rb_out,
@@ -113,9 +117,10 @@ where
 }
 
 /// The receive side of the equal-block collectives (`allgather`,
-/// `gather`, `alltoall`): the v-collectives' path with the contract —
-/// every block holds `n` elements — as the declared counts, so a peer
-/// that broke it reports [`MpiError::Truncated`] after the exchange.
+/// `gather`, `alltoall`): the contract — every block holds `n` elements
+/// — is the declared count, so a peer that broke it reports
+/// [`MpiError::Truncated`](kmp_mpi::MpiError::Truncated) after the
+/// exchange.
 pub(crate) fn receive_equal<T, RB, B>(
     recv_buf: RB,
     n: usize,
@@ -126,29 +131,8 @@ where
     RB: RecvBufSpec<T>,
     B: AsRef<[u8]>,
 {
-    let declared = RecvCounts(vec![n; blocks.as_ref().map_or(0, Vec::len)]);
-    receive_v(recv_buf, declared, Absent, blocks).map(|(out, (), ())| out)
-}
-
-/// User-supplied receive counts must be what was delivered.
-fn check_declared_counts<T>(declared: &[usize], delivered: &[usize]) -> Result<()> {
-    if declared.len() != delivered.len() {
-        return Err(MpiError::InvalidLayout(format!(
-            "{} receive counts for {} delivered blocks",
-            declared.len(),
-            delivered.len()
-        )));
-    }
-    let elem = std::mem::size_of::<T>();
-    match declared
-        .iter()
-        .zip(delivered)
-        .find(|(want, got)| want != got)
-    {
-        Some((&want, &got)) => Err(MpiError::Truncated {
-            message_bytes: got * elem,
-            buffer_bytes: want * elem,
-        }),
-        None => Ok(()),
-    }
+    recv_buf.lower(
+        Delivered::Blocks(blocks.unwrap_or_default()),
+        Layout::each(Some(n)),
+    )
 }

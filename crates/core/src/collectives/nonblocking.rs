@@ -40,10 +40,13 @@
 //! substrate's `icoll` / `persistent_coll` drive its plans: the
 //! immediate driver issues the `i*` request, which becomes the future;
 //! the persistent one freezes the plan, which keeps the payload, so the
-//! handle goes ([`crate::persistent`]). Every completion of either is
-//! decoded by one function: a lone message (the allreduce result) is
+//! handle goes ([`crate::persistent`]). Every completion of either goes
+//! through the blocking calls' receive lowering
+//! ([`RecvBufSpec::lower`](crate::params::slots::RecvBufSpec::lower))
+//! with the `Absent` slot: a lone message (the allreduce result) is
 //! taken back without a copy where it can be, each block is copied once
-//! and released as soon as it is copied, and per-rank counts are built
+//! and released as soon as it is copied, a block that is not whole
+//! elements is [`MpiError::Truncated`], and per-rank counts are built
 //! only for `wait_with_counts()`.
 //!
 //! All futures compose with [`RequestPool`](crate::p2p::RequestPool) and

@@ -1,12 +1,15 @@
 //! `reduce` / `allreduce` / `scan` / `exscan` with named parameters.
 
+use kmp_mpi::op::ReduceOp;
 use kmp_mpi::{MpiError, Plain, Result};
 
 use crate::communicator::Communicator;
 use crate::params::argset::{ArgSet, IntoArgs};
 use crate::params::output::{FinalOf, Finalize, Push1, PushComponent};
-use crate::params::slots::{ProvidesOp, ProvidesSendData, RecvBufSpec, SendToTransport};
-use crate::params::{Absent, OpParam, SendBuf};
+use crate::params::slots::{
+    Delivered, Layout, ProvidesOp, ProvidesSendData, RecvBufSpec, SendToTransport,
+};
+use crate::params::{Absent, Meta, OpParam, SendBuf};
 
 macro_rules! reduction_family {
     ($(#[$doc:meta])* $trait_name:ident, $runner:ident) => {
@@ -31,82 +34,71 @@ macro_rules! reduction_family {
             type Output = FinalOf<Push1<RB::Out>>;
 
             fn run(self, comm: &Communicator) -> Result<Self::Output> {
-                let rb_out = $runner(comm, self)?;
+                let _tuning = comm.raw().tuning_guard(self.meta.tuning);
+                let op = self.op.into_op();
+                let delivered = $runner(comm, &self.meta, self.send_buf, op)?;
+                let rb_out = self.recv_buf.lower(delivered, Layout::default())?;
                 Ok(rb_out.push_component(()).finalize())
             }
         }
     };
 }
 
-fn run_reduce<T, B, RB, O>(
+fn run_reduce<T: Plain, B>(
     comm: &Communicator,
-    args: ArgSet<SendBuf<B>, Absent, RB, Absent, Absent, Absent, Absent, OpParam<O>>,
-) -> Result<RB::Out>
+    meta: &Meta,
+    send: SendBuf<B>,
+    op: impl ReduceOp<T>,
+) -> Result<Delivered<T>>
 where
-    T: Plain,
     SendBuf<B>: SendToTransport<T>,
-    RB: RecvBufSpec<T>,
-    OpParam<O>: ProvidesOp<T>,
 {
-    let _tuning = comm.raw().tuning_guard(args.meta.tuning);
-    let root = args.meta.root.unwrap_or(0);
-    let op = args.op.into_op();
     // The root's accumulator is the result; elsewhere it is empty.
-    let folded = (args.send_buf).lend(|send| comm.raw().reduce_vec(send, op, root))?;
-    args.recv_buf.accept(folded.unwrap_or_default())
+    let root = meta.root.unwrap_or(0);
+    let folded = send.lend(|send| comm.raw().reduce_vec(send, op, root))?;
+    Ok(Delivered::Vec(folded.unwrap_or_default()))
 }
 
-fn run_allreduce<T, B, RB, O>(
+fn run_allreduce<T: Plain, B>(
     comm: &Communicator,
-    args: ArgSet<SendBuf<B>, Absent, RB, Absent, Absent, Absent, Absent, OpParam<O>>,
-) -> Result<RB::Out>
+    _: &Meta,
+    send: SendBuf<B>,
+    op: impl ReduceOp<T>,
+) -> Result<Delivered<T>>
 where
-    T: Plain,
     SendBuf<B>: SendToTransport<T>,
-    RB: RecvBufSpec<T>,
-    OpParam<O>: ProvidesOp<T>,
 {
-    let _tuning = comm.raw().tuning_guard(args.meta.tuning);
-    let op = args.op.into_op();
-    let reduced = (args.send_buf).lend(|send| comm.raw().allreduce_vec(send, op))?;
-    args.recv_buf.accept(reduced)
+    send.lend(|send| comm.raw().allreduce_vec(send, op))
+        .map(Delivered::Vec)
 }
 
-fn run_scan<T, B, RB, O>(
+fn run_scan<T: Plain, B>(
     comm: &Communicator,
-    args: ArgSet<SendBuf<B>, Absent, RB, Absent, Absent, Absent, Absent, OpParam<O>>,
-) -> Result<RB::Out>
+    _: &Meta,
+    send: SendBuf<B>,
+    op: impl ReduceOp<T>,
+) -> Result<Delivered<T>>
 where
-    T: Plain,
     SendBuf<B>: SendToTransport<T>,
-    RB: RecvBufSpec<T>,
-    OpParam<O>: ProvidesOp<T>,
 {
-    let _tuning = comm.raw().tuning_guard(args.meta.tuning);
-    let op = args.op.into_op();
-    let prefix = (args.send_buf).lend(|send| comm.raw().scan_vec(send, op))?;
-    args.recv_buf.accept(prefix)
+    send.lend(|send| comm.raw().scan_vec(send, op))
+        .map(Delivered::Vec)
 }
 
-fn run_exscan<T, B, RB, O>(
+fn run_exscan<T: Plain, B>(
     comm: &Communicator,
-    args: ArgSet<SendBuf<B>, Absent, RB, Absent, Absent, Absent, Absent, OpParam<O>>,
-) -> Result<RB::Out>
+    _: &Meta,
+    send: SendBuf<B>,
+    op: impl ReduceOp<T>,
+) -> Result<Delivered<T>>
 where
-    T: Plain,
     SendBuf<B>: SendToTransport<T>,
-    RB: RecvBufSpec<T>,
-    OpParam<O>: ProvidesOp<T>,
 {
-    let _tuning = comm.raw().tuning_guard(args.meta.tuning);
-    let n = args.send_buf.send_slice().len();
-    let op = args.op.into_op();
-    match (args.send_buf).lend(|send| comm.raw().exscan_vec(send, op))? {
-        Some(prefix) => args.recv_buf.accept(prefix),
-        // MPI leaves rank 0 undefined: the whole result is a gap, so
-        // library storage is zeroed and provided storage is left as is.
-        None => args.recv_buf.apply(n, |_| Ok(())).map(|((), out)| out),
-    }
+    let n = send.send_slice().len();
+    // MPI leaves rank 0 undefined: the whole result is a gap, so
+    // library storage is zeroed and provided storage is left as is.
+    let prefix = send.lend(|send| comm.raw().exscan_vec(send, op))?;
+    Ok(prefix.map_or(Delivered::Gap(n), Delivered::Vec))
 }
 
 reduction_family!(

@@ -6,7 +6,7 @@ use kmp_mpi::{Plain, Result};
 use crate::communicator::Communicator;
 use crate::params::argset::{ArgSet, IntoArgs};
 use crate::params::output::{FinalOf, Finalize, Push1, Push2, PushComponent};
-use crate::params::slots::{CountsSlot, ProvidesSendData, RecvBufSpec};
+use crate::params::slots::{CountsSlot, Delivered, Layout, ProvidesSendData, RecvBufSpec};
 use crate::params::{Absent, SendBuf};
 
 /// Valid argument sets for [`Communicator::scatter`].
@@ -36,7 +36,9 @@ where
         let block = comm
             .raw()
             .scatter_vec((comm.rank() == root).then_some(send), root)?;
-        let rb_out = self.recv_buf.accept(block)?;
+        let rb_out = self
+            .recv_buf
+            .lower(Delivered::<T>::Vec(block), Layout::default())?;
         Ok(rb_out.push_component(()).finalize())
     }
 }
@@ -76,7 +78,9 @@ where
         // plan reports it there and still serves every peer.
         let layout = counts.map(|counts| (send, counts, send_displs.unwrap_or_default()));
         let block = comm.raw().scatterv_vec(layout, root)?;
-        let rb_out = self.recv_buf.accept(block)?;
+        let rb_out = self
+            .recv_buf
+            .lower(Delivered::<T>::Vec(block), Layout::default())?;
 
         let acc = ();
         let acc = rb_out.push_component(acc);

@@ -14,9 +14,12 @@
 //! `isend` / `send_init` and `irecv` / `recv_init` are each declared
 //! once, by [`IsendArgs`] and [`IrecvArgs`]: the trait's one method
 //! resolves the slots and hands them to the immediate driver (here) or
-//! the persistent one ([`crate::persistent`]), and every completion of
-//! either — of every future and every persistent cycle in this crate —
-//! is decoded by one function, which also applies `recv_count`.
+//! the persistent one ([`crate::persistent`]). Every receive of either,
+//! and the blocking [`Communicator::recv`], ends in the receive slot's
+//! one lowering ([`RecvBufSpec::lower`]; the futures and persistent
+//! cycles use the `Absent` slot), which applies `recv_count` and reports
+//! a message that is not whole elements as
+//! [`MpiError::Truncated`] in every lifecycle.
 
 use std::marker::PhantomData;
 
@@ -27,7 +30,9 @@ use kmp_mpi::{Src, Tag, TagSel};
 use crate::communicator::Communicator;
 use crate::params::argset::{ArgSet, IntoArgs};
 use crate::params::output::{FinalOf, Finalize, Push1, PushComponent};
-use crate::params::slots::{ProvidesSendData, RecvBufSpec, SendToTransport};
+use crate::params::slots::{
+    counted, Delivered, Layout, ProvidesSendData, RecvBufSpec, SendToTransport,
+};
 use crate::params::{Absent, Meta, SendBuf};
 
 pub(crate) fn send_meta(meta: &Meta) -> Result<(Rank, Tag)> {
@@ -158,18 +163,9 @@ macro_rules! plain_recv_impls {
 
             fn run(self, comm: &Communicator) -> Result<Self::Output> {
                 let (src, tag) = recv_meta(&self.meta);
-                let (bytes, status) = comm.raw().recv_bytes(src, tag)?;
-                if let Some(expected) = self.meta.recv_count {
-                    if expected != status.count::<T>() {
-                        return Err(MpiError::Truncated {
-                            message_bytes: status.bytes,
-                            buffer_bytes: expected * std::mem::size_of::<T>(),
-                        });
-                    }
-                }
-                // Adopt the delivered payload: one copy into prepared
-                // buffers, zero for library-allocated byte targets.
-                let rb_out = self.recv_buf.adopt(bytes)?;
+                let (payload, _) = comm.raw().recv_bytes(src, tag)?;
+                let layout = Layout::each(self.meta.recv_count);
+                let rb_out = self.recv_buf.lower(Delivered::lone(payload), layout)?;
                 Ok(rb_out.push_component(()).finalize())
             }
         }
@@ -249,11 +245,11 @@ pub(crate) struct InFlight<'a, H> {
 }
 
 impl<'a, H> InFlight<'a, H> {
-    /// Blocks until the operation completes: its data ([`decode`];
+    /// Blocks until the operation completes: its data ([`lowered`];
     /// `counts` collects the per-block counts where asked) and the
     /// handle.
     pub(crate) fn wait<T: Plain>(self, counts: Option<&mut Vec<usize>>) -> Result<(Vec<T>, H)> {
-        let data = decode(self.req.wait()?, self.expected_bytes, counts)?;
+        let data = lowered(self.req.wait()?, self.expected_bytes, counts)?;
         Ok((data, self.hold))
     }
 
@@ -265,7 +261,7 @@ impl<'a, H> InFlight<'a, H> {
         pending: impl FnOnce(Self) -> F,
     ) -> Result<std::result::Result<(Vec<T>, H), F>> {
         Ok(match self.req.test()? {
-            TestOutcome::Ready(done) => Ok((decode(done, self.expected_bytes, None)?, self.hold)),
+            TestOutcome::Ready(done) => Ok((lowered(done, self.expected_bytes, None)?, self.hold)),
             TestOutcome::Pending(req) => Err(pending(InFlight { req, ..self })),
         })
     }
@@ -284,52 +280,29 @@ impl<'a, H> InFlight<'a, H> {
     }
 }
 
-/// `recv_count` against the delivered length — read off the status, so
-/// a caller that discards the payload never decodes it.
-fn check_bytes(completion: &Completion, expected_bytes: Option<usize>) -> Result<()> {
-    match (completion, expected_bytes) {
-        (Completion::Message(_, status), Some(expected)) if status.bytes != expected => {
-            Err(MpiError::Truncated {
-                message_bytes: status.bytes,
-                buffer_bytes: expected,
-            })
-        }
-        _ => Ok(()),
-    }
-}
-
-/// The one completion decoder, of every future and every persistent
-/// cycle: applies `recv_count` ([`check_bytes`]), takes a lone message
-/// back without a copy where [`Completion::into_vec`] can (the allreduce
-/// result, which only this rank holds), and copies each block once,
-/// straight into the result, releasing it as soon as it is copied — a
-/// block is a view of its sender's buffer, which that sender may be
-/// about to take back. `counts` collects the per-block element counts
-/// for the callers that ask; a send decodes to nothing.
-pub(crate) fn decode<T: Plain>(
+/// The completion of every future and every persistent cycle, handed to
+/// the `Absent` slot's [`lower`](RecvBufSpec::lower) — which checks
+/// `recv_count` (held here in bytes) and whole `T`s — as what it is: a
+/// lone message, which the lowering takes back without a copy where it
+/// can (the allreduce result, which only this rank holds), or blocks by
+/// source; a send completes with an empty vector.
+pub(crate) fn lowered<T: Plain>(
     completion: Completion,
     expected_bytes: Option<usize>,
-    mut counts: Option<&mut Vec<usize>>,
+    counts_out: Option<&mut Vec<usize>>,
 ) -> Result<Vec<T>> {
-    check_bytes(&completion, expected_bytes)?;
-    let blocks = match completion {
-        Completion::Done => Vec::new(),
-        Completion::Blocks(blocks) => blocks,
-        message => {
-            let (data, _) = message.into_vec::<T>().expect("a message");
-            counts
-                .into_iter()
-                .for_each(|counts| counts.push(data.len()));
-            return Ok(data);
-        }
+    let delivered = match completion {
+        Completion::Done => Delivered::Vec(Vec::new()),
+        Completion::Message(payload, _) => Delivered::lone(payload),
+        Completion::Blocks(blocks) => Delivered::Blocks(blocks),
     };
-    let bytes: usize = blocks.iter().map(|b| b.len()).sum();
-    let mut data = Vec::with_capacity(bytes / std::mem::size_of::<T>().max(1));
-    for block in blocks {
-        let n = kmp_mpi::plain::extend_vec_from_bytes(&mut data, &block);
-        counts.iter_mut().for_each(|counts| counts.push(n));
-    }
-    Ok(data)
+    let recv_count = expected_bytes.map(|bytes| bytes / std::mem::size_of::<T>().max(1));
+    let layout = Layout {
+        counts_out,
+        uncounted: true,
+        ..Layout::each(recv_count)
+    };
+    Absent.lower(delivered, layout)
 }
 
 /// A non-blocking send in flight. An owned send buffer has **moved into
@@ -346,7 +319,7 @@ impl<'a, H> NonBlockingSend<'a, H> {
     /// Blocks until the send completes, returning the handle of the
     /// moved-in buffer.
     pub fn wait(self) -> Result<H> {
-        // A send completes with nothing to decode.
+        // A send completes with nothing to lower.
         self.0.wait::<u8>(None).map(|(_, hold)| hold)
     }
 
@@ -396,8 +369,13 @@ struct Finisher<'a> {
 }
 
 impl Finisher<'_> {
+    /// `recv_count` against the delivered length, read off the status:
+    /// the payload is dropped undecoded.
     fn finish(self, completion: &Completion) -> Result<()> {
-        check_bytes(completion, self.expected_bytes)
+        if let Completion::Message(_, status) = completion {
+            counted::<u8>(status.bytes, self.expected_bytes)?;
+        }
+        Ok(())
     }
 }
 

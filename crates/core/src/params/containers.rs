@@ -65,14 +65,16 @@ impl<T, const N: usize> AsSliceMut<T> for [T; N] {
 /// A buffer resize policy (§III-C). Chosen *at compile time* per
 /// parameter; only the selected policy's code is instantiated.
 pub trait ResizePolicy {
-    /// Prepares `buf` to hold `needed` elements according to the policy.
+    /// The length storage of `len` elements is given to receive `needed`
+    /// elements under this policy; the receive writes the result into
+    /// its prefix and leaves the rest as it was.
     ///
     /// `NoResize` reports an undersized buffer as
     /// [`MpiError::Truncated`](kmp_mpi::MpiError::Truncated) — the Rust
     /// rendering of KaMPIng's "no checking, assume capacity is large
     /// enough" default, upgraded from undefined behaviour to a
     /// recoverable error.
-    fn prepare<T: Plain>(buf: &mut Vec<T>, needed: usize) -> kmp_mpi::Result<()>;
+    fn resized_len<T: Plain>(len: usize, needed: usize) -> kmp_mpi::Result<usize>;
 
     /// Human-readable policy name (used in diagnostics).
     const NAME: &'static str;
@@ -91,34 +93,28 @@ pub struct ResizeToFit;
 pub struct GrowOnly;
 
 impl ResizePolicy for NoResize {
-    fn prepare<T: Plain>(buf: &mut Vec<T>, needed: usize) -> kmp_mpi::Result<()> {
-        if buf.len() < needed {
+    fn resized_len<T: Plain>(len: usize, needed: usize) -> kmp_mpi::Result<usize> {
+        if len < needed {
             return Err(kmp_mpi::MpiError::Truncated {
                 message_bytes: needed * std::mem::size_of::<T>(),
-                buffer_bytes: std::mem::size_of_val(buf.as_slice()),
+                buffer_bytes: len * std::mem::size_of::<T>(),
             });
         }
-        Ok(())
+        Ok(len)
     }
     const NAME: &'static str = "no_resize";
 }
 
 impl ResizePolicy for ResizeToFit {
-    fn prepare<T: Plain>(buf: &mut Vec<T>, needed: usize) -> kmp_mpi::Result<()> {
-        // `T: Plain` guarantees the zero pattern is a valid value.
-        buf.clear();
-        buf.resize_with(needed, || kmp_mpi::plain::zeroed::<T>());
-        Ok(())
+    fn resized_len<T: Plain>(_len: usize, needed: usize) -> kmp_mpi::Result<usize> {
+        Ok(needed)
     }
     const NAME: &'static str = "resize_to_fit";
 }
 
 impl ResizePolicy for GrowOnly {
-    fn prepare<T: Plain>(buf: &mut Vec<T>, needed: usize) -> kmp_mpi::Result<()> {
-        if buf.len() < needed {
-            buf.resize_with(needed, || kmp_mpi::plain::zeroed::<T>());
-        }
-        Ok(())
+    fn resized_len<T: Plain>(len: usize, needed: usize) -> kmp_mpi::Result<usize> {
+        Ok(len.max(needed))
     }
     const NAME: &'static str = "grow_only";
 }
@@ -148,34 +144,25 @@ mod tests {
 
     #[test]
     fn resize_to_fit_always_matches() {
-        let mut v = vec![5u32; 10];
-        ResizeToFit::prepare(&mut v, 3).unwrap();
-        assert_eq!(v.len(), 3);
-        ResizeToFit::prepare(&mut v, 8).unwrap();
-        assert_eq!(v.len(), 8);
+        assert_eq!(ResizeToFit::resized_len::<u32>(10, 3), Ok(3));
+        assert_eq!(ResizeToFit::resized_len::<u32>(3, 8), Ok(8));
     }
 
     #[test]
     fn grow_only_never_shrinks() {
-        let mut v = vec![5u32; 10];
-        GrowOnly::prepare(&mut v, 3).unwrap();
-        assert_eq!(v.len(), 10);
-        GrowOnly::prepare(&mut v, 20).unwrap();
-        assert_eq!(v.len(), 20);
-        assert_eq!(&v[..10], &[5; 10]);
+        assert_eq!(GrowOnly::resized_len::<u32>(10, 3), Ok(10));
+        assert_eq!(GrowOnly::resized_len::<u32>(10, 20), Ok(20));
     }
 
     #[test]
     fn no_resize_accepts_fitting_buffer() {
-        let mut v = vec![0u8; 4];
-        NoResize::prepare(&mut v, 4).unwrap();
-        assert_eq!(v.len(), 4);
+        assert_eq!(NoResize::resized_len::<u8>(4, 4), Ok(4));
+        assert_eq!(NoResize::resized_len::<u8>(6, 4), Ok(6));
     }
 
     #[test]
     fn no_resize_errors_when_too_small() {
-        let mut v = vec![0u8; 2];
-        let err = NoResize::prepare(&mut v, 4).unwrap_err();
+        let err = NoResize::resized_len::<u8>(2, 4).unwrap_err();
         assert!(
             matches!(
                 err,

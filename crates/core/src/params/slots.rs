@@ -10,12 +10,15 @@
 //! compile errors).
 
 use std::borrow::Cow;
+use std::iter::once;
 
 use bytes::Bytes;
-use kmp_mpi::collectives::{concat_blocks, displacements_from_counts, place_blocks};
 use kmp_mpi::op::ReduceOp;
-use kmp_mpi::plain::{as_bytes, bytes_from_slice, bytes_into_vec, whole_elements, SharedPayload};
-use kmp_mpi::{MpiError, Plain};
+use kmp_mpi::plain::{
+    as_bytes, as_bytes_mut, bytes_from_slice, copy_bytes_into, copy_slice, extend_vec_from_bytes,
+    reclaim_vec, vec_with_capacity, whole_elements, zeroed, SharedPayload,
+};
+use kmp_mpi::{MpiError, Plain, Result};
 
 use super::containers::{AsSlice, ResizePolicy};
 use super::{
@@ -73,10 +76,7 @@ pub trait SendToTransport<T: Plain>: ProvidesSendData<T> {
     /// Like [`SendToTransport::into_payload`], but the wire payload is a
     /// repacked copy produced by `pack` (used when displacements reorder
     /// the buffer); the original container is still handed back.
-    fn into_packed(
-        self,
-        pack: impl FnOnce(&[T]) -> kmp_mpi::Result<Vec<T>>,
-    ) -> kmp_mpi::Result<(Bytes, Self::Hold)>;
+    fn into_packed(self, pack: impl FnOnce(&[T]) -> Result<Vec<T>>) -> Result<(Bytes, Self::Hold)>;
 
     /// Passes the data on as a reduction's contribution: an owned
     /// `Vec<T>` moves, every other shape lends its slice.
@@ -95,8 +95,8 @@ impl<T: Plain> SendToTransport<T> for SendBuf<Vec<T>> {
     #[inline]
     fn into_packed(
         self,
-        pack: impl FnOnce(&[T]) -> kmp_mpi::Result<Vec<T>>,
-    ) -> kmp_mpi::Result<(Bytes, SharedPayload<T>)> {
+        pack: impl FnOnce(&[T]) -> Result<Vec<T>>,
+    ) -> Result<(Bytes, SharedPayload<T>)> {
         let packed = pack(&self.0)?;
         Ok((
             kmp_mpi::plain::bytes_from_vec(packed),
@@ -126,8 +126,8 @@ macro_rules! borrowed_send_to_transport {
             #[inline]
             fn into_packed(
                 self,
-                pack: impl FnOnce(&[T]) -> kmp_mpi::Result<Vec<T>>,
-            ) -> kmp_mpi::Result<(Bytes, ())> {
+                pack: impl FnOnce(&[T]) -> Result<Vec<T>>,
+            ) -> Result<(Bytes, ())> {
                 Ok((kmp_mpi::plain::bytes_from_vec(pack(self.send_slice())?), ()))
             }
 
@@ -156,33 +156,30 @@ borrowed_send_to_transport!(
 /// `recv_buf(&mut v)` (written in place, nothing returned) and
 /// `recv_buf(v)` (moved in, reused, returned by value).
 ///
-/// One rule picks the lowering: **storage is never prepared before the
-/// bytes exist, and the result is never built twice.** What the
-/// substrate hands over decides the method:
+/// Every receive of the crate — blocking calls, `i*` futures and
+/// persistent cycles alike — ends in the one method,
+/// [`lower`](RecvBufSpec::lower): what the substrate delivered, and the
+/// ownership of the slot, decide who allocates and what is copied; the
+/// lifecycle does not. One rule: **storage is never prepared before the
+/// bytes exist, and each delivered byte is written once.**
 ///
-/// | the substrate delivers | method | `Absent` pays | provided storage pays |
-/// |---|---|---|---|
-/// | one payload (`recv`) | [`adopt`] | at most 1 copy | prepare + 1 copy |
-/// | blocks by source (`allgather`, `gather`, `alltoall`, every v-collective) | [`assemble`] | 1 allocation + 1 copy | prepare + 1 copy |
-/// | an owned vector (the accumulator of `allreduce` / `reduce` / `scan` / `exscan`, a `scatter` block) | [`accept`] | nothing — the vector is the result | prepare + 1 copy |
-/// | nothing: it writes through a `&mut [T]` | [`apply`] | 1 allocation + a **zero-fill** | prepare |
+/// | the substrate delivers | `Absent` pays | provided storage pays |
+/// |---|---|---|
+/// | [`Delivered::Vec`]: a reduction's accumulator, a `scatter` block, a lone message taken back | nothing — the vector is the result | 1 copy |
+/// | [`Delivered::Message`]: a lone message it could not take back, a sized `bcast`'s chunks | 1 allocation + 1 copy | 1 copy |
+/// | [`Delivered::Blocks`], packed (`allgather`, `gather`, `alltoall`, every v-collective and its `i*` / `*_init` form) | 1 allocation + 1 copy | 1 copy |
+/// | [`Delivered::Blocks`] at user displacements | 1 allocation + a **zero-fill** + 1 copy | a zero-fill of what grew + 1 copy |
+/// | [`Delivered::Gap`]: `exscan` on rank 0 | 1 allocation + a **zero-fill** | a zero-fill of what grew |
 ///
-/// [`apply`]'s zero-fill — a pass over the whole result that `CopyStats`
-/// does not see — is the price of handing out initialised memory. It is
-/// right for layouts with gaps (user displacements, `exscan` on rank 0)
-/// and for substrate routines that fold in place, and wrong wherever one
-/// of the other three fits: every byte would be written twice.
+/// Only a layout with gaps is zero-filled: a packed result is written
+/// over the storage's prefix, or extended into storage that has to grow
+/// — never zero-filled first and then overwritten.
 ///
-/// Provided storage is prepared under its resize policy only once the
+/// Provided storage is sized under its resize policy only once the
 /// bytes exist, i.e. after the exchange: an undersized `no_resize`
 /// buffer fails on that rank alone and leaves no peer waiting. A result
 /// shorter than the storage fills its prefix; the tail is left as it
 /// was.
-///
-/// [`adopt`]: RecvBufSpec::adopt
-/// [`assemble`]: RecvBufSpec::assemble
-/// [`accept`]: RecvBufSpec::accept
-/// [`apply`]: RecvBufSpec::apply
 #[diagnostic::on_unimplemented(
     message = "invalid `recv_buf` parameter for element type `{T}`",
     note = "pass `recv_buf(&mut my_vec)`, `recv_buf(my_vec)`, or omit the parameter to receive by value"
@@ -191,149 +188,214 @@ pub trait RecvBufSpec<T: Plain> {
     /// The output component this slot contributes (`Vec<T>` or `()`).
     type Out;
 
-    /// Prepares storage of (at least) `needed` elements, lets `fill`
-    /// write into it, and produces the output component.
-    fn apply<R>(
+    /// Turns what the substrate delivered into the slot's output. The
+    /// delivery is checked against `layout` first — the declared
+    /// counts, whole `T`s in every block, displacements that fit — so a
+    /// message a peer got wrong is an [`MpiError::Truncated`] or
+    /// [`MpiError::InvalidLayout`] on this rank, never a panic, and
+    /// leaves provided storage untouched. Each block is released as soon
+    /// as it is copied: it may be a view of a sender's buffer that the
+    /// sender is about to take back.
+    fn lower<B: AsRef<[u8]>>(
         self,
-        needed: usize,
-        fill: impl FnOnce(&mut [T]) -> kmp_mpi::Result<R>,
-    ) -> kmp_mpi::Result<(R, Self::Out)>;
+        delivered: Delivered<T, B>,
+        layout: Layout<'_>,
+    ) -> Result<Self::Out>;
+}
 
-    /// Adopts a delivered payload directly into the slot's storage: a
-    /// single copy into prepared buffers — and **zero** copies when the
-    /// slot allocates its own `Vec<u8>`-shaped result and the payload is
-    /// the unique view of its allocation. A payload that is not whole
-    /// `T`s reports [`MpiError::Truncated`].
-    fn adopt(self, payload: Bytes) -> kmp_mpi::Result<Self::Out>;
+/// What the substrate delivered to a receive: the input of
+/// [`RecvBufSpec::lower`].
+pub enum Delivered<T, B = Bytes> {
+    /// A vector the substrate built — a reduction's accumulator, a
+    /// scattered block — or a lone message taken back without a copy.
+    Vec(Vec<T>),
+    /// One message, in pieces that need not split at element boundaries
+    /// (a sized broadcast's chunks); only the whole is checked for whole
+    /// `T`s.
+    Message(Vec<B>),
+    /// Blocks by source, in order; each must be a whole number of `T`s.
+    Blocks(Vec<B>),
+    /// Nothing, where this many elements go: `exscan` on rank 0, which
+    /// MPI leaves undefined.
+    Gap(usize),
+}
 
-    /// Accepts a result the substrate built as an owned vector (a
-    /// reduction's accumulator, a scattered block). `Absent` returns it
-    /// as is — no copy, no second allocation; provided storage is
-    /// prepared for `result.len()` elements under its resize policy and
-    /// receives one copy into its prefix.
-    fn accept(self, result: Vec<T>) -> kmp_mpi::Result<Self::Out>;
+/// What the caller declared about a receive, checked by
+/// [`RecvBufSpec::lower`] against what was delivered.
+#[derive(Default)]
+pub struct Layout<'a> {
+    /// The element count every block must hold.
+    pub(crate) counts: Counts<'a>,
+    /// Where block `j` of [`Delivered::Blocks`] lands; packed in block
+    /// order when `None`.
+    pub(crate) displs: Option<&'a [usize]>,
+    /// Collects each block's element count, for callers that return
+    /// them.
+    pub(crate) counts_out: Option<&'a mut Vec<usize>>,
+    /// Leaves the allocation of `Absent`'s packed [`Delivered::Blocks`]
+    /// result out of `CopyStats`. The blocking calls count it, as the
+    /// substrate's `*_vec` calls they are measured against do; a future
+    /// does not, as a hand-written completion of the substrate's `i*`
+    /// request does not.
+    pub(crate) uncounted: bool,
+}
 
-    /// Assembles the delivered blocks of a self-sizing exchange into the
-    /// slot's storage, each byte copied once and each block released as
-    /// soon as it is copied. `counts` are the
-    /// blocks' element counts
-    /// ([`block_counts`](kmp_mpi::collectives::block_counts)); block `j`
-    /// lands at `displs[j]`, or packed in block order when the user gave
-    /// no displacements. Resize policies apply exactly as in
-    /// [`RecvBufSpec::apply`].
-    fn assemble<B: AsRef<[u8]>>(
-        self,
-        blocks: Vec<B>,
-        counts: &[usize],
-        displs: Option<&[usize]>,
-    ) -> kmp_mpi::Result<Self::Out>
-    where
-        Self: Sized,
-    {
-        match displs {
-            Some(displs) => place_via_apply(self, blocks, counts, displs),
-            None => place_via_apply(self, blocks, counts, &displacements_from_counts(counts)),
+/// Declared element counts of the delivered blocks (a message is one
+/// block).
+#[derive(Clone, Copy, Default)]
+pub enum Counts<'a> {
+    /// Nothing declared: the blocks say how long they are.
+    #[default]
+    Any,
+    /// Every block holds this many elements (`recv_count`, the
+    /// equal-block collectives).
+    Each(usize),
+    /// Block `j` holds `counts[j]` elements (`recv_counts`).
+    Listed(&'a [usize]),
+}
+
+impl<T: Plain> Delivered<T> {
+    /// A lone message: the vector behind it, taken back without a copy
+    /// where this rank holds its only view, else the payload itself.
+    pub(crate) fn lone(payload: Bytes) -> Self {
+        reclaim_vec(payload)
+            .map_or_else(|payload| Delivered::Message(vec![payload]), Delivered::Vec)
+    }
+}
+
+impl<T: Plain, B: AsRef<[u8]>> Delivered<T, B> {
+    /// Checks the delivery against `layout` and returns how many
+    /// elements the result spans — the one place a receive is checked.
+    fn extent(&self, layout: &mut Layout<'_>) -> Result<usize> {
+        let len = |piece: &B| piece.as_ref().len();
+        match self {
+            Delivered::Vec(v) => layout.check::<T>(once(as_bytes(v).len())),
+            Delivered::Message(pieces) => layout.check::<T>(once(pieces.iter().map(len).sum())),
+            Delivered::Blocks(blocks) => layout.check::<T>(blocks.iter().map(len)),
+            Delivered::Gap(n) => Ok(*n),
+        }
+    }
+
+    /// Writes the checked delivery as the first `extent` elements of
+    /// `buf`, which is given `len` elements. A layout with gaps grows
+    /// `buf` zero-filled and copies block `j` to `displs[j]`, releasing
+    /// each block once it is copied.
+    fn write(self, buf: &mut Vec<T>, extent: usize, len: usize, displs: Option<&[usize]>) {
+        match (self, displs) {
+            (Delivered::Vec(v), _) => write_packed(buf, extent, len, [as_bytes(&v)]),
+            (Delivered::Message(pieces), _) | (Delivered::Blocks(pieces), None) => {
+                write_packed(buf, extent, len, pieces)
+            }
+            (Delivered::Blocks(blocks), Some(displs)) => {
+                buf.resize_with(len, zeroed);
+                for (block, &at) in blocks.into_iter().zip(displs) {
+                    copy_bytes_into(block.as_ref(), &mut buf[at..]);
+                }
+            }
+            (Delivered::Gap(_), _) => buf.resize_with(len, zeroed),
         }
     }
 }
 
-/// Elements a receive buffer must hold for `counts` placed at `displs`
-/// (one past the furthest block end), validating the pair on the way.
-fn layout_extent(counts: &[usize], displs: &[usize]) -> kmp_mpi::Result<usize> {
-    if counts.len() != displs.len() {
-        return Err(MpiError::InvalidLayout(format!(
-            "{} receive displacements for {} receive counts",
-            displs.len(),
-            counts.len()
-        )));
+impl<'a> Layout<'a> {
+    /// Every block — a message is one — declared to hold `n` elements,
+    /// where `n` is given.
+    pub(crate) fn each(n: Option<usize>) -> Self {
+        Layout {
+            counts: n.map_or(Counts::Any, Counts::Each),
+            ..Layout::default()
+        }
     }
-    let mut extent = 0usize;
-    for (&d, &c) in displs.iter().zip(counts) {
-        let end = d
-            .checked_add(c)
-            .ok_or_else(|| MpiError::InvalidLayout(format!("receive block {d} + {c} overflows")))?;
-        extent = extent.max(end);
+
+    /// Checks blocks of `lens` bytes: one declared count and one
+    /// displacement per block, each block its declared count (or else a
+    /// whole number) of `T`s, and a layout whose extent does not
+    /// overflow. Returns the extent.
+    fn check<T: Plain>(&mut self, lens: impl ExactSizeIterator<Item = usize>) -> Result<usize> {
+        let blocks = lens.len();
+        let listed = match self.counts {
+            Counts::Listed(counts) => counts.len(),
+            _ => blocks,
+        };
+        let displs = self.displs.map_or(blocks, <[usize]>::len);
+        if (listed, displs) != (blocks, blocks) {
+            return Err(MpiError::InvalidLayout(format!(
+                "{listed} receive counts and {displs} displacements for {blocks} delivered blocks"
+            )));
+        }
+        let mut extent = 0usize;
+        for (j, bytes) in lens.enumerate() {
+            let n = counted::<T>(
+                bytes,
+                match self.counts {
+                    Counts::Any => None,
+                    Counts::Each(n) => Some(n),
+                    Counts::Listed(counts) => Some(counts[j]),
+                },
+            )?;
+            self.counts_out.iter_mut().for_each(|out| out.push(n));
+            extent = match self.displs {
+                None => extent + n,
+                Some(displs) => extent.max(displs[j].checked_add(n).ok_or_else(|| {
+                    MpiError::InvalidLayout(format!("receive block {} + {n} overflows", displs[j]))
+                })?),
+            };
+        }
+        Ok(extent)
     }
-    Ok(extent)
 }
 
-/// Verify-and-place through [`RecvBufSpec::apply`]: storage is prepared
-/// for the layout's extent under the slot's policy, then every block is
-/// copied to its displacement.
-fn place_via_apply<T: Plain, S: RecvBufSpec<T>, B: AsRef<[u8]>>(
-    spec: S,
-    blocks: Vec<B>,
-    counts: &[usize],
-    displs: &[usize],
-) -> kmp_mpi::Result<S::Out> {
-    let extent = layout_extent(counts, displs)?;
-    let fill = |storage: &mut [T]| place_blocks(blocks, storage, counts, displs);
-    spec.apply(extent, fill).map(|((), out)| out)
+/// The elements in a delivered block of `bytes`: the declared count
+/// `want`, which the block must match exactly, or — nothing declared —
+/// however many whole `T`s it holds. Anything else is the sender's doing
+/// and reports [`MpiError::Truncated`].
+pub(crate) fn counted<T: Plain>(bytes: usize, want: Option<usize>) -> Result<usize> {
+    let declared = want.map(|want| (want, want.saturating_mul(std::mem::size_of::<T>())));
+    match declared {
+        None => whole_elements::<T>(bytes),
+        Some((want, declared)) if declared == bytes => Ok(want),
+        Some((_, declared)) => Err(MpiError::Truncated {
+            message_bytes: bytes,
+            buffer_bytes: declared,
+        }),
+    }
 }
 
 impl<T: Plain> RecvBufSpec<T> for Absent {
     type Out = Vec<T>;
 
-    #[inline]
-    fn apply<R>(
+    fn lower<B: AsRef<[u8]>>(
         self,
-        needed: usize,
-        fill: impl FnOnce(&mut [T]) -> kmp_mpi::Result<R>,
-    ) -> kmp_mpi::Result<(R, Vec<T>)> {
-        let mut v = kmp_mpi::plain::zeroed_vec::<T>(needed);
-        let r = fill(&mut v)?;
-        Ok((r, v))
-    }
-
-    #[inline]
-    fn adopt(self, payload: Bytes) -> kmp_mpi::Result<Vec<T>> {
-        whole_elements::<T>(payload.len())?;
-        Ok(bytes_into_vec(payload))
-    }
-
-    #[inline]
-    fn accept(self, result: Vec<T>) -> kmp_mpi::Result<Vec<T>> {
-        Ok(result)
-    }
-
-    #[inline]
-    fn assemble<B: AsRef<[u8]>>(
-        self,
-        blocks: Vec<B>,
-        counts: &[usize],
-        displs: Option<&[usize]>,
-    ) -> kmp_mpi::Result<Vec<T>> {
-        match displs {
-            // Packed result: exactly sized, extended block by block —
-            // no zero-fill of bytes that are about to be overwritten.
-            None => Ok(concat_blocks(blocks, counts)),
-            Some(displs) => place_via_apply(self, blocks, counts, displs),
-        }
+        delivered: Delivered<T, B>,
+        mut layout: Layout<'_>,
+    ) -> Result<Vec<T>> {
+        let extent = delivered.extent(&mut layout)?;
+        // One exactly sized allocation, or none: the substrate's vector
+        // is the result.
+        let mut out = match delivered {
+            Delivered::Vec(v) => return Ok(v),
+            Delivered::Blocks(_) if layout.uncounted => Vec::with_capacity(extent),
+            _ => vec_with_capacity(extent),
+        };
+        delivered.write(&mut out, extent, extent, layout.displs);
+        Ok(out)
     }
 }
 
 impl<T: Plain, P: ResizePolicy> RecvBufSpec<T> for RecvBuf<&mut Vec<T>, P> {
     type Out = ();
 
-    #[inline]
-    fn apply<R>(
+    /// Checked, given the length policy `P` grants the result, then
+    /// written.
+    fn lower<B: AsRef<[u8]>>(
         self,
-        needed: usize,
-        fill: impl FnOnce(&mut [T]) -> kmp_mpi::Result<R>,
-    ) -> kmp_mpi::Result<(R, ())> {
-        P::prepare(self.buf, needed)?;
-        let r = fill(self.buf)?;
-        Ok((r, ()))
-    }
-
-    #[inline]
-    fn adopt(self, payload: Bytes) -> kmp_mpi::Result<()> {
-        adopt_into::<T, P>(self.buf, &payload)
-    }
-
-    #[inline]
-    fn accept(self, result: Vec<T>) -> kmp_mpi::Result<()> {
-        adopt_into::<T, P>(self.buf, as_bytes(&result))
+        delivered: Delivered<T, B>,
+        mut layout: Layout<'_>,
+    ) -> Result<()> {
+        let extent = delivered.extent(&mut layout)?;
+        let len = P::resized_len::<T>(self.buf.len(), extent)?;
+        delivered.write(self.buf, extent, len, layout.displs);
+        Ok(())
     }
 }
 
@@ -341,36 +403,64 @@ impl<T: Plain, P: ResizePolicy> RecvBufSpec<T> for RecvBuf<Vec<T>, P> {
     type Out = Vec<T>;
 
     #[inline]
-    fn apply<R>(
-        mut self,
-        needed: usize,
-        fill: impl FnOnce(&mut [T]) -> kmp_mpi::Result<R>,
-    ) -> kmp_mpi::Result<(R, Vec<T>)> {
-        P::prepare(&mut self.buf, needed)?;
-        let r = fill(&mut self.buf)?;
-        Ok((r, self.buf))
-    }
-
-    #[inline]
-    fn adopt(mut self, payload: Bytes) -> kmp_mpi::Result<Vec<T>> {
-        adopt_into::<T, P>(&mut self.buf, &payload)?;
-        Ok(self.buf)
-    }
-
-    #[inline]
-    fn accept(mut self, result: Vec<T>) -> kmp_mpi::Result<Vec<T>> {
-        adopt_into::<T, P>(&mut self.buf, as_bytes(&result))?;
-        Ok(self.buf)
+    fn lower<B: AsRef<[u8]>>(
+        self,
+        delivered: Delivered<T, B>,
+        layout: Layout<'_>,
+    ) -> Result<Vec<T>> {
+        let RecvBuf { mut buf, _policy } = self;
+        RecvBuf {
+            buf: &mut buf,
+            _policy,
+        }
+        .lower(delivered, layout)?;
+        Ok(buf)
     }
 }
 
-/// Prepares `buf` under policy `P` for the payload's element count and
-/// copies the payload into its prefix (one copy).
-fn adopt_into<T: Plain, P: ResizePolicy>(buf: &mut Vec<T>, payload: &[u8]) -> kmp_mpi::Result<()> {
-    let n = whole_elements::<T>(payload.len())?;
-    P::prepare(buf, n)?;
-    kmp_mpi::plain::copy_bytes_into(payload, &mut buf[..n]);
-    Ok(())
+/// Writes the pieces, back to back, as the first `extent` elements of
+/// `buf`, which its policy sizes to `len`: over the prefix when `buf` is
+/// long enough — the tail left as it was — else by extending the
+/// emptied buffer. Nothing is zero-filled first.
+fn write_packed<T: Plain, B: AsRef<[u8]>>(
+    buf: &mut Vec<T>,
+    extent: usize,
+    len: usize,
+    pieces: impl IntoIterator<Item = B>,
+) {
+    if buf.len() < extent {
+        buf.clear();
+        buf.reserve_exact(extent);
+        return extend(buf, pieces);
+    }
+    let mut dst = as_bytes_mut(&mut buf[..extent]);
+    for piece in pieces {
+        let (head, rest) = std::mem::take(&mut dst).split_at_mut(piece.as_ref().len());
+        copy_slice(piece.as_ref(), head);
+        dst = rest;
+    }
+    buf.truncate(len);
+}
+
+/// Appends the pieces, back to back, to `buf` with one counted copy of
+/// each byte. Pieces need not split at element boundaries (a sized
+/// broadcast splits its payload at byte offsets): an element that
+/// straddles two is gathered whole before it is appended.
+fn extend<T: Plain, B: AsRef<[u8]>>(buf: &mut Vec<T>, pieces: impl IntoIterator<Item = B>) {
+    let elem = std::mem::size_of::<T>().max(1);
+    let mut split = Vec::new(); // the leading bytes of an element a piece boundary cut
+    for piece in pieces {
+        let bytes = piece.as_ref();
+        let (head, bytes) = bytes.split_at(((elem - split.len()) % elem).min(bytes.len()));
+        split.extend_from_slice(head);
+        if split.len() == elem {
+            extend_vec_from_bytes(buf, &split);
+            split.clear();
+        }
+        let (whole, tail) = bytes.split_at(bytes.len() - bytes.len() % elem);
+        extend_vec_from_bytes(buf, whole);
+        split.extend_from_slice(tail);
+    }
 }
 
 /// Like [`RecvBufSpec`], for the in-place `send_recv_buf` slot.
@@ -384,20 +474,14 @@ pub trait SendRecvBufSpec<T: Plain> {
 
     /// Grants mutable access to the in-place buffer and produces the
     /// output component.
-    fn apply<R>(
-        self,
-        work: impl FnOnce(&mut Vec<T>) -> kmp_mpi::Result<R>,
-    ) -> kmp_mpi::Result<(R, Self::Out)>;
+    fn apply<R>(self, work: impl FnOnce(&mut Vec<T>) -> Result<R>) -> Result<(R, Self::Out)>;
 }
 
 impl<T: Plain> SendRecvBufSpec<T> for SendRecvBuf<&mut Vec<T>> {
     type Out = ();
 
     #[inline]
-    fn apply<R>(
-        self,
-        work: impl FnOnce(&mut Vec<T>) -> kmp_mpi::Result<R>,
-    ) -> kmp_mpi::Result<(R, ())> {
+    fn apply<R>(self, work: impl FnOnce(&mut Vec<T>) -> Result<R>) -> Result<(R, ())> {
         let r = work(self.0)?;
         Ok((r, ()))
     }
@@ -407,10 +491,7 @@ impl<T: Plain> SendRecvBufSpec<T> for SendRecvBuf<Vec<T>> {
     type Out = Vec<T>;
 
     #[inline]
-    fn apply<R>(
-        mut self,
-        work: impl FnOnce(&mut Vec<T>) -> kmp_mpi::Result<R>,
-    ) -> kmp_mpi::Result<(R, Vec<T>)> {
+    fn apply<R>(mut self, work: impl FnOnce(&mut Vec<T>) -> Result<R>) -> Result<(R, Vec<T>)> {
         let r = work(&mut self.0)?;
         Ok((r, self.0))
     }
@@ -560,66 +641,165 @@ mod tests {
         assert!(send_buf(v).lend(|c| matches!(c, Cow::Owned(o) if o.as_ptr() == ptr)));
     }
 
+    /// Blocks as a rank delivers them: `u16` 1, 2 from rank 0, nothing
+    /// from rank 1, 3 from rank 2.
+    fn blocks() -> Delivered<u16, Vec<u8>> {
+        Delivered::Blocks(vec![vec![1u8, 0, 2, 0], vec![], vec![3u8, 0]])
+    }
+
+    fn at(displs: &[usize]) -> Layout<'_> {
+        Layout {
+            displs: Some(displs),
+            ..Layout::default()
+        }
+    }
+
     #[test]
     fn absent_recv_allocates() {
-        let (n, out): (usize, Vec<u16>) = RecvBufSpec::<u16>::apply(Absent, 4, |s| {
-            s[1] = 9;
-            Ok(s.len())
-        })
-        .unwrap();
-        assert_eq!(n, 4);
-        assert_eq!(out, vec![0, 9, 0, 0]);
+        // A vector the substrate built is the result, not a copy of it.
+        let v = vec![7u16, 8];
+        let ptr = v.as_ptr();
+        let out = Absent
+            .lower(Delivered::<u16>::Vec(v), Layout::default())
+            .unwrap();
+        assert_eq!(out.as_ptr(), ptr);
+        // A message it could not take back: one exactly sized copy.
+        let out = Absent
+            .lower(
+                Delivered::<u16, _>::Message(vec![[5u8, 0]]),
+                Layout::default(),
+            )
+            .unwrap();
+        assert_eq!((out.as_slice(), out.capacity()), (&[5][..], 1));
+        // A gap: zeroed library storage.
+        let out = Absent
+            .lower(Delivered::<u16>::Gap(3), Layout::default())
+            .unwrap();
+        assert_eq!(out, vec![0; 3]);
     }
 
     #[test]
     fn borrowed_recv_writes_in_place() {
-        let mut storage = vec![0u8; 3];
-        let p = recv_buf(&mut storage);
-        let ((), ()) = p
-            .apply(3, |s| {
-                s[0] = 7;
-                Ok(())
-            })
+        // A shorter result fills the prefix; the tail is left as it was.
+        let mut storage = vec![9u16; 5];
+        recv_buf(&mut storage)
+            .lower(blocks(), Layout::default())
             .unwrap();
-        assert_eq!(storage, vec![7, 0, 0]);
+        assert_eq!(storage, vec![1, 2, 3, 9, 9]);
+        // A gap leaves provided storage as it is.
+        recv_buf(&mut storage)
+            .lower(Delivered::<u16>::Gap(2), Layout::default())
+            .unwrap();
+        assert_eq!(storage, vec![1, 2, 3, 9, 9]);
     }
 
     #[test]
     fn owned_recv_moves_through() {
-        let p = recv_buf(vec![0u32; 1]).resize_to_fit();
-        let ((), out) = p
-            .apply(2, |s| {
-                s[1] = 5;
-                Ok(())
-            })
+        let out = recv_buf(vec![0u32; 1])
+            .resize_to_fit()
+            .lower(Delivered::<u32>::Vec(vec![4, 5]), Layout::default())
             .unwrap();
-        assert_eq!(out, vec![0, 5]);
+        assert_eq!(out, vec![4, 5]);
+        // `resize_to_fit` cuts oversized storage to the result.
+        let out = recv_buf(vec![9u16; 5])
+            .resize_to_fit()
+            .lower(blocks(), Layout::default())
+            .unwrap();
+        assert_eq!(out, vec![1, 2, 3]);
     }
 
     #[test]
     fn assemble_places_blocks_packed_or_at_user_displacements() {
-        let blocks = || vec![vec![1u8, 0, 2, 0], vec![], vec![3u8, 0]];
-        let counts = [2usize, 0, 1];
         // Library-allocated, no displacements: packed, exactly sized.
-        let out: Vec<u16> = Absent.assemble(blocks(), &counts, None).unwrap();
+        let out: Vec<u16> = Absent.lower(blocks(), Layout::default()).unwrap();
         assert_eq!((out.as_slice(), out.capacity()), (&[1, 2, 3][..], 3));
-        // User displacements (reordered, with a gap) size the storage.
-        let out: Vec<u16> = Absent
-            .assemble(blocks(), &counts, Some(&[2, 0, 0]))
-            .unwrap();
+        // User displacements (reordered, with a gap) size the storage;
+        // the gap in library storage is zeroed.
+        let out = Absent.lower(blocks(), at(&[2, 0, 0])).unwrap();
         assert_eq!(out, vec![3, 0, 1, 2]);
-        // Provided storage: the resize policy decides, as in `apply`.
-        let mut storage = vec![9u16; 5];
+        // Provided storage: the resize policy decides. Under `grow_only`
+        // what no block covers keeps its content, what grew is zeroed.
+        let mut storage = vec![9u16; 2];
         recv_buf(&mut storage)
             .grow_only()
-            .assemble(blocks(), &counts, Some(&[3, 0, 0]))
+            .lower(blocks(), at(&[3, 0, 0]))
             .unwrap();
-        assert_eq!(storage, vec![3, 9, 9, 1, 2]);
+        assert_eq!(storage, vec![3, 9, 0, 1, 2]);
+        // An undersized `no_resize` buffer is `Truncated`, and untouched.
         let mut small = vec![9u16; 2];
-        let err = recv_buf(&mut small).assemble(blocks(), &counts, None);
-        assert!(matches!(err, Err(MpiError::Truncated { .. })));
-        let err = RecvBufSpec::<u16>::assemble(Absent, blocks(), &counts, Some(&[0]));
-        assert!(matches!(err, Err(MpiError::InvalidLayout(_))));
+        let err = recv_buf(&mut small).lower(blocks(), Layout::default());
+        assert!(matches!(err, Err(MpiError::Truncated { .. })), "{err:?}");
+        assert_eq!(small, vec![9, 9]);
+        // Displacements that do not match the blocks are `InvalidLayout`.
+        let err = Absent.lower(blocks(), at(&[0]));
+        assert!(matches!(err, Err(MpiError::InvalidLayout(_))), "{err:?}");
+        let err = Absent.lower(blocks(), at(&[0, 0, usize::MAX]));
+        assert!(matches!(err, Err(MpiError::InvalidLayout(_))), "{err:?}");
+    }
+
+    #[test]
+    fn grow_only_and_declared_counts() {
+        // grow_only: grows to the result, keeps an oversized tail.
+        let mut grow = vec![9u16; 1];
+        recv_buf(&mut grow)
+            .grow_only()
+            .lower(blocks(), Layout::default())
+            .unwrap();
+        assert_eq!(grow, vec![1, 2, 3]);
+        let mut grow = vec![9u16; 4];
+        recv_buf(&mut grow)
+            .grow_only()
+            .lower(blocks(), Layout::default())
+            .unwrap();
+        assert_eq!(grow, vec![1, 2, 3, 9]);
+        // Declared counts: checked per block, listed or equal.
+        let counts = |counts| Layout {
+            counts,
+            ..Layout::default()
+        };
+        let listed = Absent.lower(blocks(), counts(Counts::Listed(&[2, 0, 1])));
+        assert_eq!(listed, Ok(vec![1, 2, 3]));
+        let err = Absent.lower(blocks(), counts(Counts::Listed(&[2, 1, 1])));
+        assert!(matches!(err, Err(MpiError::Truncated { .. })), "{err:?}");
+        let err = Absent.lower(blocks(), counts(Counts::Listed(&[2, 0])));
+        assert!(matches!(err, Err(MpiError::InvalidLayout(_))), "{err:?}");
+        let err = Absent.lower(blocks(), counts(Counts::Each(2)));
+        assert!(matches!(err, Err(MpiError::Truncated { .. })), "{err:?}");
+        // A block that is not whole `T`s is `Truncated`, not a panic.
+        let odd = Delivered::<u16, Vec<u8>>::Blocks(vec![vec![1, 0, 2]]);
+        let err = Absent.lower(odd, Layout::default());
+        let want = MpiError::Truncated {
+            message_bytes: 3,
+            buffer_bytes: 2,
+        };
+        assert_eq!(err, Err(want));
+    }
+
+    /// A `resize_to_fit` buffer that has to grow gets exactly what
+    /// library storage gets, and is never zero-filled first: it is
+    /// emptied, reserved once to the exact result — where growth through
+    /// a fill would have doubled its capacity — and extended with one
+    /// copy of each delivered byte. A message split at byte offsets (a
+    /// sized broadcast's chunks) lands the same way.
+    #[test]
+    fn grown_resize_to_fit_buffer_is_extended_not_filled() {
+        let want: Vec<u16> = Absent.lower(blocks(), Layout::default()).unwrap();
+        let mut storage = Vec::with_capacity(2);
+        storage.extend([9u16, 9]);
+        let before = kmp_mpi::metrics::snapshot();
+        recv_buf(&mut storage)
+            .resize_to_fit()
+            .lower(blocks(), Layout::default())
+            .unwrap();
+        assert_eq!(kmp_mpi::metrics::snapshot().since(&before).bytes_copied, 6);
+        assert_eq!((&storage, storage.capacity()), (&want, 3));
+        let chunks = vec![vec![1u8, 0, 2], vec![0, 3], vec![0]];
+        let mut storage = vec![9u16; 1];
+        recv_buf(&mut storage)
+            .resize_to_fit()
+            .lower(Delivered::Message(chunks), Layout::each(Some(3)))
+            .unwrap();
+        assert_eq!(storage, want);
     }
 
     #[test]

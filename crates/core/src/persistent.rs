@@ -31,8 +31,10 @@
 //! `ialltoallv` — whose one method resolves the slots, `tuning` and
 //! `recv_count` included, and hands them to the persistent driver
 //! instead of the immediate one: the substrate freezes a plan where it
-//! would have issued a request. Each cycle's completion is decoded by
-//! the function that decodes the futures', `recv_count` checked the
+//! would have issued a request. Each cycle's completion goes through the
+//! futures' receive lowering
+//! ([`RecvBufSpec::lower`](crate::params::slots::RecvBufSpec::lower)
+//! with the `Absent` slot), `recv_count` and whole elements checked the
 //! same way. What does not carry over: `issend` has no persistent form,
 //! and `alltoallv_init` takes no `send_displs`.
 //!
@@ -50,7 +52,7 @@ use kmp_mpi::{Comm, PersistentRequest, Plain, Request, Result};
 use crate::collectives::nonblocking::packed::Packed;
 use crate::collectives::{IallgatherArgs, IallreduceArgs, IalltoallvArgs, IbcastArgs};
 use crate::communicator::Communicator;
-use crate::p2p::{decode, IrecvArgs, IsendArgs, Lifecycle};
+use crate::p2p::{lowered, IrecvArgs, IsendArgs, Lifecycle};
 use crate::params::argset::IntoArgs;
 
 /// A typed persistent operation: the frozen plan plus this rank's
@@ -104,7 +106,7 @@ impl<'a, T: Plain> Persistent<'a, T> {
     /// (empty for sends). The handle is inactive and restartable
     /// afterwards.
     pub fn wait(&mut self) -> Result<Vec<T>> {
-        decode(self.req.wait()?, self.expected_bytes, None)
+        lowered(self.req.wait()?, self.expected_bytes, None)
     }
 
     /// Like [`wait`](Persistent::wait), additionally returning per-rank
@@ -112,7 +114,7 @@ impl<'a, T: Plain> Persistent<'a, T> {
     /// alltoallv plans).
     pub fn wait_with_counts(&mut self) -> Result<(Vec<T>, Vec<usize>)> {
         let mut counts = Vec::new();
-        let data = decode(self.req.wait()?, self.expected_bytes, Some(&mut counts))?;
+        let data = lowered(self.req.wait()?, self.expected_bytes, Some(&mut counts))?;
         Ok((data, counts))
     }
 
@@ -120,7 +122,7 @@ impl<'a, T: Plain> Persistent<'a, T> {
     /// cycle, `Ok(None)` leaves it active.
     pub fn test(&mut self) -> Result<Option<Vec<T>>> {
         let done = self.req.test()?;
-        done.map(|c| decode(c, self.expected_bytes, None))
+        done.map(|c| lowered(c, self.expected_bytes, None))
             .transpose()
     }
 

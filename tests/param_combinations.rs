@@ -374,16 +374,36 @@ fn wrong_supplied_recv_counts_are_truncated_after_the_exchange() {
 
 /// A delivered message that is not whole elements of the receive type is
 /// a typed error, not a panic — in point-to-point receives and in the
-/// assembled blocks of a collective alike.
+/// assembled blocks of a collective alike, in every lifecycle: blocking,
+/// `i*` and `*_init`, and at a broadcast's non-root. The failing rank's
+/// next collective succeeds, and a persistent plan runs its next cycle.
 #[test]
 fn element_size_mismatch_is_truncated_not_a_panic() {
-    use kamping_repro::mpi::MpiError;
+    use kamping_repro::mpi::{MpiError, Result};
+    fn truncated<T: std::fmt::Debug>(res: Result<T>) {
+        assert!(
+            matches!(
+                res,
+                Err(MpiError::Truncated {
+                    message_bytes: 3,
+                    ..
+                })
+            ),
+            "{res:?}"
+        );
+    }
     Universe::run(2, |comm| {
         let comm = Communicator::new(comm);
+        let next_collective = || {
+            let all: Vec<u32> = comm.allgather(send_buf(&[comm.rank() as u32])).unwrap();
+            assert_eq!(all, vec![0, 1]);
+        };
         if comm.rank() == 0 {
-            comm.send((send_buf(&[1u8, 2, 3][..]), destination(1)))
-                .unwrap();
-            comm.send((send_buf(&[4u8, 5, 6][..]), destination(1)))
+            for _ in 0..4 {
+                comm.send((send_buf(&[1u8, 2, 3][..]), destination(1)))
+                    .unwrap();
+            }
+            comm.send((send_buf(&[4u8, 0, 0, 0][..]), destination(1)))
                 .unwrap();
         } else {
             let err = comm.recv::<u32, _>((source(0),)).unwrap_err();
@@ -395,35 +415,91 @@ fn element_size_mismatch_is_truncated_not_a_panic() {
                 }
             );
             let mut out = vec![0u16; 4];
-            let err = comm
-                .recv::<u16, _>((source(0), recv_buf(&mut out).resize_to_fit()))
-                .unwrap_err();
-            assert!(matches!(
-                err,
-                MpiError::Truncated {
-                    message_bytes: 3,
-                    ..
-                }
-            ));
+            truncated(comm.recv::<u16, _>((source(0), recv_buf(&mut out).resize_to_fit())));
+            assert_eq!(
+                out,
+                vec![0; 4],
+                "a rejected message leaves the buffer as it was"
+            );
+            truncated(comm.irecv::<u32, _>(source(0)).unwrap().wait());
+            let mut plan = comm.recv_init::<u32, _>(source(0)).unwrap();
+            plan.start().unwrap();
+            truncated(plan.wait());
+            plan.start().unwrap();
+            assert_eq!(plan.wait().unwrap(), vec![4]);
         }
+        next_collective();
+        // A broadcast of three bytes, which a `u32` non-root cannot take.
+        if comm.rank() == 0 {
+            comm.bcast((send_recv_buf(&mut vec![1u8, 2, 3]),)).unwrap();
+        } else {
+            let mut data = vec![9u32];
+            truncated(comm.bcast((send_recv_buf(&mut data),)));
+            assert_eq!(data, vec![9]);
+        }
+        next_collective();
         // Ranks disagreeing on the element type: rank 0 contributes three
         // bytes, which rank 1 cannot assemble into u16s.
         if comm.rank() == 0 {
-            let all: Vec<u8> = comm.allgatherv(send_buf(&[7u8, 8, 9][..])).unwrap();
+            let mine = [7u8, 8, 9];
+            let all: Vec<u8> = comm.allgatherv(send_buf(&mine[..])).unwrap();
             assert_eq!((&all[..3], all.len()), (&[7, 8, 9][..], 5));
+            let (all, ()) = comm
+                .iallgatherv(send_buf(&mine[..]))
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(all.len(), 5);
+            let mut plan = comm.allgatherv_init(send_buf(&mine[..])).unwrap();
+            for data in [&mine[..], &mine[..2]] {
+                plan.set_data(data).unwrap();
+                plan.start().unwrap();
+                assert_eq!(plan.wait().unwrap().len(), data.len() + 2);
+            }
+            // Three bytes to rank 1, one to itself.
+            let (send, counts) = ([1u8, 2, 3, 4], [1usize, 3]);
+            let all: Vec<u8> = comm
+                .alltoallv((send_buf(&send), send_counts(&counts)))
+                .unwrap();
+            assert_eq!(all.len(), 3);
+            let fut = comm.ialltoallv((send_buf(&send), send_counts(&counts)));
+            assert_eq!(fut.unwrap().wait().unwrap().0.len(), 3);
+            let mut plan = comm
+                .alltoallv_init((send_buf(&send), send_counts(&counts)))
+                .unwrap();
+            for _ in 0..2 {
+                plan.start().unwrap();
+                assert_eq!(plan.wait().unwrap().len(), 3);
+            }
         } else {
-            let err = comm
-                .allgatherv::<u16, _>(send_buf(&[1u16][..]))
-                .unwrap_err();
-            assert!(matches!(
-                err,
-                MpiError::Truncated {
-                    message_bytes: 3,
-                    ..
-                }
-            ));
+            let mine = [1u16];
+            truncated(comm.allgatherv::<u16, _>(send_buf(&mine[..])));
+            truncated(comm.iallgatherv(send_buf(&mine[..])).unwrap().wait());
+            let mut plan = comm.allgatherv_init(send_buf(&mine[..])).unwrap();
+            plan.start().unwrap();
+            truncated(plan.wait());
+            plan.start().unwrap();
+            assert_eq!(
+                plan.wait().unwrap(),
+                vec![0x0807, 1],
+                "the next cycle is whole"
+            );
+            let (send, counts) = ([5u16, 6], [1usize, 1]);
+            truncated(comm.alltoallv::<u16, _>((send_buf(&send), send_counts(&counts))));
+            truncated(
+                comm.ialltoallv((send_buf(&send), send_counts(&counts)))
+                    .unwrap()
+                    .wait(),
+            );
+            let mut plan = comm
+                .alltoallv_init((send_buf(&send), send_counts(&counts)))
+                .unwrap();
+            for _ in 0..2 {
+                plan.start().unwrap();
+                truncated(plan.wait());
+            }
         }
-        comm.barrier().unwrap();
+        next_collective();
     });
 }
 
