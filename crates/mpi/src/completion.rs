@@ -10,15 +10,16 @@
 //! each defined once:
 //!
 //! - **the claim** — `Waiter::claim`: the first completion sets
-//!   `claimed` / `fired` and wakes the thread; completions landing
-//!   while that claim is outstanding are appended to `missed` and wake
-//!   nobody. A posted receive's or probe's direct delivery is a claim
-//!   that also writes the slot (`Waiter::claim_delivering`);
-//! - **the park** — `Waiter::park`: under the waiter's lock, consume an
-//!   outstanding claim (→ fired id + missed ids), else notice that the
-//!   interruption epoch moved (→ interrupted), else sleep on the
-//!   private condvar. It is the only sleep on a `Waiter`, and every
-//!   parked wait is a loop around it:
+//!   `claimed` / `fired` and wakes the thread if it is asleep;
+//!   completions landing while that claim is outstanding are appended
+//!   to `missed` and wake nobody. A posted receive's or probe's direct
+//!   delivery is a claim that also writes the slot
+//!   (`Waiter::claim_delivering`);
+//! - **the park** — `Waiter::park`: yield the core once, then, under
+//!   the waiter's lock, consume an outstanding claim (→ fired id +
+//!   missed ids), else notice that the interruption epoch moved (→
+//!   interrupted), else sleep on the private condvar. It is the only
+//!   sleep on a `Waiter`, and every parked wait is a loop around it:
 //!   - the blocking receive and probe (the mailbox's posted wait behind
 //!     [`Mailbox::wait_match`] / [`Mailbox::wait_peek`]);
 //!   - request sets ([`RequestSet::wait_any`] /
@@ -37,7 +38,8 @@
 //! therefore wakes only by a claim or by that watcher loop. A parker
 //! listed before the interrupter walks the list is woken under its
 //! lock, after the bump; one listed later reads the bumped epoch under
-//! its lock before it would sleep.
+//! its lock before it would sleep. A park that finds a claim or a moved
+//! epoch after its yield is never listed, and never sleeps.
 //!
 //! # The protocol
 //!
@@ -52,7 +54,10 @@
 //!   3. REGISTER: for each source the operations are blocked on,
 //!      atomically {check "already available?" ; else enqueue waiter}
 //!        available?    -> skip the park, go to 5
-//!   4. PARK (`Waiter::park`), watched, on the private condvar until
+//!   4. PARK (`Waiter::park`): unclaimed and epoch unmoved?
+//!        yield the core once (never more: one yield is not a poll)
+//!      re-check: claimed or epoch moved?         -> consume, unlisted
+//!      else list, then sleep on the private condvar, watched, until
 //!        claimed (fired = source id)             -> targeted wakeup
 //!        or epoch != captured                    -> interrupt, re-check
 //!   5. re-test the fired id only; on an interrupt deregister
@@ -130,8 +135,11 @@
 //!   same shard lock pushes take, so a message arriving before the
 //!   registration is seen by the check and one arriving after is seen by
 //!   the push's registration lookup. A claim that lands before the owner
-//!   reaches step 4 is still there when it does: `park` tests `claimed`
-//!   under the lock the claim was written under, before it ever sleeps.
+//!   reaches step 4, or during its yield, is still there when it looks:
+//!   `park` tests `claimed` under the lock the claim was written under,
+//!   before it ever sleeps, and marks itself `sleeping` under that lock
+//!   in the same critical section — so a claim skips the notify only
+//!   when the owner has yet to make that test.
 //!   Interrupts (failure, revocation) bump the epoch *before* waking,
 //!   and the epoch was captured in step 1 *before* the sweep's
 //!   interruption checks — every interleaving either makes the condition
@@ -152,7 +160,7 @@
 //! [`mailbox::reference`](crate::mailbox::reference).
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -177,14 +185,14 @@ pub(crate) struct WaiterSlot {
     pub(crate) status: Option<Status>,
     /// Which registered source fired (multi-source waits).
     pub(crate) fired: Option<usize>,
-    /// Set by the first completion; later completions of other sources
-    /// see the claim and leave the waiter alone (one completion wakes
-    /// exactly one waiter, exactly once).
-    pub(crate) claimed: bool,
     /// Sources that completed *while* the waiter was claimed: the owner
     /// receives them with the claim from its next [`Waiter::park`] — no
     /// additional wakeups, no re-scan.
     pub(crate) missed: Vec<usize>,
+    /// Whether the owner is inside the condvar wait right now: set and
+    /// cleared around it by [`Waiter::park`], so a claim notifies only
+    /// an owner that is asleep.
+    pub(crate) sleeping: bool,
 }
 
 /// One parked thread: a private delivery slot and a private condvar, so
@@ -193,6 +201,16 @@ pub(crate) struct WaiterSlot {
 pub(crate) struct Waiter {
     pub(crate) state: Mutex<WaiterSlot>,
     pub(crate) cond: Condvar,
+    /// Set by the first completion; later completions of other sources
+    /// see the claim and leave the waiter alone (one completion wakes
+    /// exactly one waiter, exactly once). Written only under `state`'s
+    /// lock, so `park`'s check-then-sleep under that lock cannot miss
+    /// it; `park` also reads it lock-free to skip its yield and the
+    /// watcher list when a claim is already there. `Relaxed` suffices:
+    /// the flag publishes nothing — whoever acts on a `true` takes
+    /// `state`'s lock before touching the slot, and only the owner
+    /// clears it.
+    pub(crate) claimed: AtomicBool,
     /// Armed flag for *wake-only* standing registrations
     /// ([`crate::mailbox::Mailbox::register_standing`]): set by the
     /// owner just before it starts waiting, cleared when the wait ends.
@@ -202,7 +220,7 @@ pub(crate) struct Waiter {
     /// store happens before the owner's post-arm queue re-test (which
     /// takes the shard lock pushes hold), so a push that enqueues after
     /// that re-test is guaranteed to observe the flag.
-    pub(crate) armed: std::sync::atomic::AtomicBool,
+    pub(crate) armed: AtomicBool,
 }
 
 /// How a [`Waiter::park`] ended.
@@ -231,6 +249,9 @@ impl Waiter {
     /// [`claim`](Waiter::claim) for a direct delivery: `deliver` writes
     /// the matched envelope or probe status into the slot under the
     /// same lock the claim is taken under, so the woken owner finds it.
+    /// The condvar is notified only when the owner is asleep on it: an
+    /// owner that is not has yet to test `claimed` under this lock, and
+    /// will find the claim without a wake.
     pub(crate) fn claim_delivering(
         &self,
         slot: usize,
@@ -238,40 +259,62 @@ impl Waiter {
     ) -> bool {
         let mut st = self.state.lock();
         deliver(&mut st);
-        if st.claimed {
+        if self.claimed.load(Ordering::Relaxed) {
             st.missed.push(slot);
             return false;
         }
-        st.claimed = true;
+        self.claimed.store(true, Ordering::Relaxed);
         st.fired = Some(slot);
-        self.cond.notify_one();
+        if st.sleeping {
+            self.cond.notify_one();
+        }
         true
     }
 
     /// The one parked wait (step 4 of the [module protocol](self)):
     /// sleeps until a completion claims this waiter or `mb`'s
     /// interruption epoch differs from `seen_epoch`, which the caller
-    /// captured **before** its last non-blocking re-check. The waiter
-    /// is on `mb`'s watcher list for the whole sleep, listed before the
-    /// waiter lock is taken — the order [`Mailbox::interrupt`] locks
-    /// in. The claim is consumed: its fired and missed ids come back in
-    /// the [`Wake`] and the waiter can be claimed again.
+    /// captured **before** its last non-blocking re-check.
+    ///
+    /// With neither in sight it first yields its core once: on an
+    /// oversubscribed host the peer it waits for is often the thread
+    /// that runs next, and a claim that lands meanwhile is consumed
+    /// without a sleep, a wake or the watcher list. Then, still
+    /// unclaimed and uninterrupted, the waiter is on `mb`'s watcher
+    /// list for the whole sleep, listed before the waiter lock is
+    /// taken — the order [`Mailbox::interrupt`] locks in. The claim is
+    /// consumed: its fired and missed ids come back in the [`Wake`] and
+    /// the waiter can be claimed again.
     pub(crate) fn park(self: &Arc<Self>, mb: &Mailbox, seen_epoch: u64) -> Wake {
-        mb.watch(self);
+        // Only the owner clears `claimed` and the epoch only grows, so
+        // once this is false it stays false until the park ends: an
+        // unlisted owner never reaches the sleep.
+        let must_wait = || !self.claimed.load(Ordering::Relaxed) && mb.epoch() == seen_epoch;
+        if must_wait() {
+            std::thread::yield_now();
+        }
+        let listed = must_wait();
+        if listed {
+            mb.watch(self);
+        }
         let mut st = self.state.lock();
         let mut slept = false;
-        while !st.claimed && mb.epoch() == seen_epoch {
+        while must_wait() {
             slept = true;
+            st.sleeping = true;
             self.cond.wait(&mut st);
+            st.sleeping = false;
         }
         // Unclaimed means the epoch moved; `fired` and `missed` are
         // then empty (only a claim fills them).
-        if !std::mem::take(&mut st.claimed) {
+        if !self.claimed.swap(false, Ordering::Relaxed) {
             mb.record_spurious();
         }
         let (fired, missed) = (st.fired.take(), std::mem::take(&mut st.missed));
         drop(st);
-        mb.unwatch(self);
+        if listed {
+            mb.unwatch(self);
+        }
         Wake {
             fired,
             missed,
@@ -325,7 +368,10 @@ pub(crate) fn fresh_waiter() -> Arc<Waiter> {
         let mut slot = cache.borrow_mut();
         if let Some(w) = slot.as_ref() {
             if Arc::strong_count(w) == 1 {
-                *w.state.lock() = WaiterSlot::default();
+                let mut st = w.state.lock();
+                *st = WaiterSlot::default();
+                w.claimed.store(false, Ordering::Relaxed);
+                drop(st);
                 return Arc::clone(w);
             }
         }
@@ -795,7 +841,7 @@ mod tests {
             for (w, n_slots) in &waiters {
                 let st = w.state.lock();
                 if let Some(fired) = st.fired {
-                    prop_assert!(st.claimed);
+                    prop_assert!(w.claimed.load(Ordering::Relaxed));
                     prop_assert!(fired < *n_slots, "claimed slot out of range");
                 }
             }
@@ -959,6 +1005,105 @@ mod tests {
                 comm.send(&[2u8], 0, 5).unwrap();
             }
         });
+    }
+
+    /// The window `park`'s yield opens: one owner parks while a claimer
+    /// fires at a drawn point — before the park, racing its yield and
+    /// re-check, or once the owner sleeps — sometimes followed or
+    /// replaced by an interrupt. Every park must end, under a deadline,
+    /// with the claimed slot or an epoch wake; a claim that lands while
+    /// the owner is not asleep is consumed without a sleep; and only an
+    /// interrupt with no claim counts as a spurious wakeup.
+    #[test]
+    fn park_consumes_a_claim_racing_its_yield_and_never_hangs() {
+        const ITERS: u64 = 10_000;
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let mb = Mailbox::new();
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+            let mut lone_interrupts = 0;
+            for i in 0..ITERS {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                // 0: before the park; 1: racing it; 2: once asleep.
+                let point = rng % 3;
+                let spins = (rng >> 8) % 1024;
+                let (claim, interrupt) = match (rng >> 16) % 16 {
+                    0 => (false, true),
+                    1 => (true, true),
+                    _ => (true, false),
+                };
+                lone_interrupts += u64::from(!claim);
+                let slot = (i % 5) as usize;
+                let w = Arc::new(Waiter::default());
+                let epoch = mb.epoch();
+                // Fires the drawn events; returns whether the owner was
+                // asleep when the claim landed.
+                let fire = || {
+                    let mut asleep = false;
+                    if claim {
+                        w.claim_delivering(slot, |st| asleep = st.sleeping);
+                    }
+                    if interrupt {
+                        mb.interrupt();
+                    }
+                    asleep
+                };
+                let start = std::sync::Barrier::new(2);
+                let (wake, asleep) = if point == 0 {
+                    let asleep = fire();
+                    (w.park(&mb, epoch), asleep)
+                } else {
+                    std::thread::scope(|s| {
+                        let claimer = s.spawn(|| {
+                            if point == 1 {
+                                start.wait();
+                                (0..spins).for_each(|_| std::hint::spin_loop());
+                            } else {
+                                while !w.state.lock().sleeping {
+                                    std::thread::yield_now();
+                                }
+                            }
+                            fire()
+                        });
+                        if point == 1 {
+                            start.wait();
+                        }
+                        let wake = w.park(&mb, epoch);
+                        (wake, claimer.join().expect("claimer"))
+                    })
+                };
+                let at =
+                    format!("iteration {i}: point {point}, claim {claim}, interrupt {interrupt}");
+                if claim {
+                    assert_eq!(wake.fired, Some(slot), "{at}");
+                    assert_eq!(
+                        wake.slept, asleep,
+                        "{at}: slept iff the claim found it asleep"
+                    );
+                } else {
+                    assert_eq!(wake.fired, None, "{at}");
+                    match point {
+                        0 => assert!(!wake.slept, "{at}: the epoch moved before the park"),
+                        2 => assert!(wake.slept, "{at}"),
+                        _ => {}
+                    }
+                }
+                assert!(wake.missed.is_empty(), "{at}");
+                assert!(!w.claimed.load(Ordering::Relaxed), "{at}: claim consumed");
+            }
+            let stats = mb.stats();
+            assert_eq!(stats.spurious_wakeups, lone_interrupts);
+            assert!(stats.max_parked <= 1);
+            done.send(()).expect("the test thread waits for this");
+        });
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+            finished.recv_timeout(std::time::Duration::from_secs(120))
+        {
+            panic!("a park hung: a claim or an interrupt was lost");
+        }
+        worker.join().expect("every park ended as drawn");
     }
 
     /// `wait` on a lone synchronous-mode send parks on the ack (no

@@ -310,12 +310,13 @@ pub struct MailboxStats {
     /// pressure: how far senders ran ahead of this rank's receives.
     pub max_unexpected_depth: usize,
     /// Number of envelopes delivered straight into a posted waiter's
-    /// slot (each such delivery wakes exactly that one waiter).
+    /// slot (each such delivery wakes that one waiter if it is asleep,
+    /// and nobody else).
     pub targeted_wakeups: u64,
     /// Number of pushes that claimed a parked multi-source waiter
-    /// ([`crate::completion`]): each claim wakes exactly that one
-    /// waiter, exactly once — the waiter's remaining registrations go
-    /// silent.
+    /// ([`crate::completion`]): each claim wakes that one waiter, if
+    /// it is asleep, exactly once — the waiter's remaining
+    /// registrations go silent.
     pub multi_wakeups: u64,
     /// Wakeups of parked waiters that delivered no completion claim
     /// (interruption-epoch re-checks), over every park: completion
@@ -1323,32 +1324,20 @@ mod tests {
                 let woken = woken.clone();
                 std::thread::spawn(move || {
                     let w = fresh_waiter();
-                    mb.watch(&w);
+                    let epoch = mb.epoch();
                     assert!(!mb.register_notify(1, Src::Rank(0), TagSel::Is(t), &w, 0));
                     assert!(!mb.register_notify(1, Src::Rank(1), TagSel::Is(t), &w, 1));
-                    let fired = {
-                        let mut st = w.state.lock();
-                        loop {
-                            if let Some(slot) = st.fired {
-                                break slot;
-                            }
-                            w.cond.wait(&mut st);
-                        }
-                    };
+                    let wake = w.park(&mb, epoch);
+                    let fired = wake.fired.expect("only a claim ends this park");
                     mb.deregister_notify(1, &w);
-                    mb.unwatch(&w);
                     woken.fetch_add(1, Ordering::SeqCst);
                     (t, fired)
                 })
             })
             .collect();
-        // Wait until all 2N registrations are posted.
-        while mb
-            .shards
-            .read()
-            .get(&1)
-            .is_none_or(|s| s.state.lock().posted.len() < 2 * N as usize)
-        {
+        // Wait until all N waiters are listed: each registers, then
+        // yields once inside `park` before it lists itself.
+        while mb.stats().max_parked < N as usize {
             std::thread::yield_now();
         }
         assert_eq!(mb.stats().max_parked, N as usize);
@@ -1439,7 +1428,7 @@ mod tests {
                 .unwrap_or_else(|| panic!("iteration {i}: message lost"));
             assert_eq!(e.payload.len(), 5);
             let st = w.state.lock();
-            if st.claimed {
+            if w.claimed.load(Ordering::Relaxed) {
                 assert_eq!(st.fired, Some(3), "iteration {i}: claim names the slot");
             }
             drop(st);
@@ -1549,10 +1538,13 @@ mod tests {
         for k in 0..5u64 {
             mb.push(env(0, 1, 7, 1));
             let mut st = w.state.lock();
-            assert!(st.claimed, "push {k} claims through the standing entry");
+            assert!(
+                w.claimed.load(Ordering::Relaxed),
+                "push {k} claims through the standing entry"
+            );
             assert_eq!(st.fired, Some(4));
             // Re-arm like a persistent wait does.
-            st.claimed = false;
+            w.claimed.store(false, Ordering::Relaxed);
             st.fired = None;
             st.missed.clear();
         }
@@ -1570,12 +1562,12 @@ mod tests {
             Some(4),
             "entry with slot 4 still live"
         );
-        w.state.lock().claimed = false;
+        w.claimed.store(false, Ordering::Relaxed);
         w.state.lock().fired = None;
         mb.deregister_slot(1, &w, 4);
         mb.push(env(0, 1, 7, 1));
         assert!(
-            !w.state.lock().claimed,
+            !w.claimed.load(Ordering::Relaxed),
             "deregistered entry no longer claims"
         );
     }
@@ -1592,22 +1584,28 @@ mod tests {
         let w = fresh_waiter();
         mb.register_standing(1, Src::Rank(0), TagSel::Is(7), &w, 4, true);
         mb.push(env(0, 1, 7, 1));
-        assert!(!w.state.lock().claimed, "unarmed: push must not claim");
+        assert!(
+            !w.claimed.load(Ordering::Relaxed),
+            "unarmed: push must not claim"
+        );
         assert_eq!(mb.len(), 1, "the envelope queued regardless");
         w.armed.store(true, Ordering::SeqCst);
         mb.push(env(0, 1, 7, 1));
         {
             let st = w.state.lock();
-            assert!(st.claimed, "armed: push claims through the index");
+            assert!(
+                w.claimed.load(Ordering::Relaxed),
+                "armed: push claims through the index"
+            );
             assert_eq!(st.fired, Some(4));
         }
         // Deregistration removes the indexed entry like any other.
-        w.state.lock().claimed = false;
+        w.claimed.store(false, Ordering::Relaxed);
         w.state.lock().fired = None;
         mb.deregister_slot(1, &w, 4);
         mb.push(env(0, 1, 7, 1));
         assert!(
-            !w.state.lock().claimed,
+            !w.claimed.load(Ordering::Relaxed),
             "deregistered entry no longer claims"
         );
     }
