@@ -26,6 +26,11 @@
 //! paper's who-wins comparisons: dense exchanges pay `p` startups, the
 //! grid all-to-all pays `O(sqrt(p))` startups for `2x` volume, and sparse
 //! exchanges pay only for actual communication partners.
+//!
+//! [`Universe::dry_run`](crate::Universe::dry_run) prices a schedule on
+//! one thread: each rank's clock lives in its own `Comm`, so one thread
+//! can sweep every rank's `i*` request to completion and reach the
+//! threaded run's times exactly.
 
 use crate::sys::thread_cpu_ns;
 

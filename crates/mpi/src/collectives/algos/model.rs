@@ -2,14 +2,14 @@
 //! evidence instead of compile-time thresholds.
 //!
 //! Every static threshold in [`CollTuning`](super::CollTuning) was
-//! hand-set above one cluster cost model's crossovers; on a different
-//! machine or message mix they are wrong (the committed
-//! `BENCH_collectives.json` showed `auto` riding the slower wall-clock
-//! algorithm in whole regimes). This module replaces guessing with
-//! measuring: a per-communicator **alpha–beta estimator** maintains
-//! `(alpha, beta)` — per-startup and per-byte cost in nanoseconds — for
-//! every *algorithm class* (one per row of the algorithm
-//! [`table`], i.e. per concrete algorithm), fitted by
+//! hand-set above one cluster cost model's crossovers (which
+//! `tests/cost_model.rs` checks by dry run); on a different machine or
+//! message mix they are wrong (wall-clock crossover runs showed `auto`
+//! riding the slower algorithm in whole regimes). This module replaces
+//! guessing with measuring: a per-communicator **alpha–beta
+//! estimator** maintains `(alpha, beta)` — per-startup and per-byte
+//! cost in nanoseconds — for every *algorithm class* (one per row of
+//! the algorithm [`table`], i.e. per concrete algorithm), fitted by
 //! EWMA from wall-clock measurements of the calls that actually ran.
 //! At call time each candidate row's cost is predicted as
 //! `startups·alpha + bytes·beta` — the row's workload features — and

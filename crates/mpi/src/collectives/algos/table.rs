@@ -6,16 +6,16 @@
 //! lengths are learned in the rounds (a block rides in them iff
 //! `p·len` is within the row's ceiling, else its origin sends it
 //! direct), `b` = bytes of one all-to-all block, `d` = the agreed
-//! maximum degree, `p` = communicator size). "Copies per rank" is the
-//! payload-byte memcpy bill on the shared-`Bytes` datapath; folds that
-//! combine a received payload into an accumulator *in place* are
-//! compute, not copies. Rows appear in row order, the fallback row of
-//! each collective in **bold**:
+//! maximum degree, `p` = communicator size, `p'` = the largest power of
+//! two `<= p`). "Copies per rank" is the payload-byte memcpy bill on the
+//! shared-`Bytes` datapath; folds that combine a received payload into
+//! an accumulator *in place* are compute, not copies. Rows appear in
+//! row order, the fallback row of each collective in **bold**:
 //!
 //! | row ([`AlgoClass::name`]) | algorithm | startups | copies per rank | needs | static `Auto` picks it when | runs as |
 //! |---|---|---|---|---|---|---|
-//! | **`allreduce/recursive_doubling`** | round 0 sends a copy the partner folds into; later rounds send the accumulator as a refcount payload, and the last folds into the contribution | log2 p (+2 off powers of two) | s + r (+ r handing the result back off powers of two) | — | otherwise | blocking, `iallreduce`, `allreduce_init` |
-//! | `allreduce/rabenseifner` | reduce-scatter folding into fresh shrinking halves + ring allgather of refcount chunks | log2 p + p | s + r (+ r handing the result back off powers of two) | — | `p >= 4`, `s >=` [`CollTuning::rabenseifner_min_bytes`] | blocking, `iallreduce`, `allreduce_init` |
+//! | **`allreduce/recursive_doubling`** | round 0 sends a copy the partner folds into; later rounds send the accumulator as a refcount payload, and the last folds into the contribution | log2 p' (+2 off powers of two) | s + r (+ r handing the result back off powers of two) | — | otherwise | blocking, `iallreduce`, `allreduce_init` |
+//! | `allreduce/rabenseifner` | reduce-scatter folding into fresh shrinking halves + ring allgather of refcount chunks | log2 p' + p' - 1 (+2 off powers of two) | s + r (+ r handing the result back off powers of two) | — | `p >= 4`, `s >=` [`CollTuning::rabenseifner_min_bytes`] | blocking, `iallreduce`, `allreduce_init` |
 //! | **`bcast/binomial`** | binomial tree, refcount forwarding; every rank sends to its largest subtree first, so the critical path is ceil(log2 p) hops | <= log2 p | root s, other r | — | otherwise (and always where non-roots do not know `s`) | blocking, `ibcast`, `bcast_init` |
 //! | `bcast/scatter_allgather` | van de Geijn: scatter + eager allgather of the chunks | ~2p | root s, other r | `s > 0`, known on every rank | `p >= 4`, `s >=` [`CollTuning::bcast_scatter_min_bytes`] | blocking (the sized `bcast*`) |
 //! | **`allgather/ring`** | eager fan-out: the own block to every peer as a refcount clone, all posted before the first receive (the name is the row's, kept from the forwarding ring) | p-1 | s + r | — | otherwise | blocking, `iallgather(v)`, `allgather(v)_init` |
@@ -52,6 +52,15 @@
 //!   (`Tuned::begin` / `Tuned::finish` for the one caller that
 //!   learns the algorithm from the wire).
 //! - [`CLASS_COUNT`], [`AlgoClass::ALL`] and [`AlgoClass::name`].
+//!
+//! The startups `features` claim, and the menu's startups column, are
+//! audited, not restated: the test `every_row_runs_the_startups_it_claims`
+//! forces each row that has an `i*` form and dry-runs its engine
+//! ([`Universe::dry_run`](crate::Universe::dry_run)) at every `p` in
+//! 2..=17, 32 and 64, and for the log-round rows at powers of two up to
+//! 2^12 (2^10 for allgather and all-to-all, whose `p²` result blocks
+//! one thread holds). The claim must equal the longer of the critical
+//! path and the busiest rank's receives.
 
 use std::time::Instant;
 
@@ -220,6 +229,17 @@ pub(crate) trait Algo: Copy + PartialEq + 'static {
     }
 }
 
+/// Recursive doubling's hops: `log2 p'` steps over the largest power of
+/// two `p' <= p`, and off powers of two the fold-in and the hand-back.
+fn doubling_hops(p: usize) -> f64 {
+    f64::from(p.ilog2()) + if p.is_power_of_two() { 0.0 } else { 2.0 }
+}
+
+/// Rabenseifner's: doubling's, plus the ring allgather's `p' - 1`.
+fn rabenseifner_hops(p: usize) -> f64 {
+    doubling_hops(p) + ((1 << p.ilog2()) - 1) as f64
+}
+
 impl Algo for AllreduceAlgo {
     const SLOT: fn(&CollTuning) -> Select<Self> = |t| t.allreduce;
     const ROWS: &'static [Row<Self>] = &[
@@ -229,11 +249,8 @@ impl Algo for AllreduceAlgo {
             names: names!("recursive_doubling": "allreduce", "iallreduce", "allreduce_init"),
             needs: ALWAYS,
             auto: NEVER,
-            features: |p, l, s| {
-                let fix = if p.is_power_of_two() { 0.0 } else { 2.0 };
-                (l + fix, s * l + fix * s)
-            },
-            rounds: |p, l| l + if p.is_power_of_two() { 0.0 } else { 2.0 },
+            features: |p, _, s| (doubling_hops(p), s * doubling_hops(p)),
+            rounds: |p, _| doubling_hops(p),
         },
         Row {
             algo: AllreduceAlgo::Rabenseifner,
@@ -241,9 +258,9 @@ impl Algo for AllreduceAlgo {
             names: names!("rabenseifner": "allreduce", "iallreduce", "allreduce_init"),
             needs: ALWAYS,
             auto: |t, _, p, s| p >= 4 && s >= t.rabenseifner_min_bytes,
-            features: |p, l, s| (l + p as f64 - 1.0, 2.0 * s),
+            features: |p, _, s| (rabenseifner_hops(p), 2.0 * s),
             // The ring allgather is serialized hop by hop.
-            rounds: |p, l| l + p as f64 - 1.0,
+            rounds: |p, _| rabenseifner_hops(p),
         },
     ];
 }
@@ -778,6 +795,75 @@ mod tests {
         for (i, class) in AlgoClass::ALL.iter().enumerate() {
             assert_eq!(class.index(), i);
         }
+    }
+
+    type Start = for<'c> fn(&'c Comm) -> Result<crate::Request<'c>>;
+
+    /// Audits every row of `A` but `skip`: forced, its engine must run
+    /// the startups `features` claim — the longer of the critical path
+    /// (hops, every send costing 1) and the busiest rank's receives
+    /// (every receive costing 1), by dry run — at every `p` it serves in
+    /// 2..=17, 32 and 64, and, for the rows claiming log-round startups,
+    /// at every power of two up to `2^top`. Returns the cells that
+    /// disagree.
+    fn audit<A: Algo + std::fmt::Debug>(
+        force: fn(CollTuning, A) -> CollTuning,
+        start: Start,
+        skip: &[A],
+        top: u32,
+    ) -> Vec<String> {
+        let mut off = Vec::new();
+        for row in A::ROWS.iter().filter(|r| !skip.contains(&r.algo)) {
+            let tuning = force(CollTuning::default(), row.algo);
+            let count = |p, alpha_ns, recv_overhead_ns| {
+                let cost = crate::CostModel {
+                    alpha_ns,
+                    recv_overhead_ns,
+                    ..Default::default()
+                };
+                let config = crate::Config::new(p).cost(cost);
+                let finish = crate::Universe::dry_run(config, |comm| {
+                    comm.set_tuning(tuning);
+                    start(comm)
+                });
+                finish.unwrap().into_iter().max().unwrap()
+            };
+            let logarithmic = (row.features)(1 << 12, 12.0, 1.0).0 <= 14.0;
+            let large = (7..=top).map(|k| 1 << k).filter(|_| logarithmic);
+            let ps = (2..=17).chain([32, 64]).chain(large);
+            for p in ps.filter(|&p| (row.needs)(p, &Call::sized(1))) {
+                let (hops, recvs) = (count(p, 1, 0), count(p, 0, 1));
+                let claimed = (row.features)(p, ceil_log2(p), 1.0).0;
+                if claimed != hops.max(recvs) as f64 {
+                    let algo = row.algo;
+                    off.push(format!(
+                        "{algo:?} p = {p}: {claimed} vs {hops} hops, {recvs} receives"
+                    ));
+                }
+            }
+        }
+        off
+    }
+
+    /// The menu's startups column, audited instead of restated: every
+    /// row with an `i*` form (all but van de Geijn's broadcast and the
+    /// neighborhood rows). The allgather and all-to-all rows stop at
+    /// `2^10`: one thread holds their `p²` result blocks.
+    #[test]
+    fn every_row_runs_the_startups_it_claims() {
+        use crate::op::Sum;
+        let allreduce: Start = |c| c.iallreduce(&[1u64; 64], Sum);
+        let bcast: Start = |c| c.ibcast(Some(&[1u8][..]), 0);
+        let alltoall: Start = |c| c.ialltoall(&vec![1u8; c.size()]);
+        let off = [
+            audit(CollTuning::allreduce, allreduce, &[], 12),
+            audit(CollTuning::bcast, bcast, &[BcastAlgo::ScatterAllgather], 12),
+            audit(CollTuning::allgather, |c| c.iallgather(&[1u8]), &[], 10),
+            audit(CollTuning::alltoall, alltoall, &[], 10),
+            audit(CollTuning::reduce, |c| c.ireduce(&[1u64], Sum, 0), &[], 12),
+        ];
+        let off = off.concat();
+        assert!(off.is_empty(), "cells disagree:\n{}", off.join("\n"));
     }
 
     /// What `select` returned, and how the decision was counted:

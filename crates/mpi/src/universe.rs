@@ -20,9 +20,11 @@ use crate::clock::CostModel;
 use crate::collectives::algos::model::{self as tuning_model, TuningStats};
 use crate::comm::Comm;
 use crate::counter::CallCounts;
+use crate::error::{MpiError, Result};
 use crate::fault::{self, FaultPlan};
 use crate::mailbox::{Mailbox, MailboxStats};
 use crate::metrics::{self, CopyStats};
+use crate::request::{Request, TestOutcome};
 use crate::trace::{self, TraceData};
 use crate::ulfm::AgreementTable;
 use crate::Rank;
@@ -336,6 +338,62 @@ impl Universe {
         (outcomes, world)
     }
 
+    /// Prices one non-blocking operation on the calling thread: starts
+    /// `f`'s request on every rank of a fresh world, then sweeps
+    /// [`Request::test`] until all are ready. Returns each rank's virtual
+    /// finish time under `config.cost`, which the threaded run reaches
+    /// exactly. `alpha = 1` alone counts the hops on the critical path,
+    /// `recv_overhead_ns = 1` alone the receives at each rank.
+    ///
+    /// A sweep that completes nothing and moves no message (the ranks
+    /// started mismatched operations) ends in [`MpiError::InvalidLayout`];
+    /// so does a fault plan, whose points are per thread. Copy, tuning
+    /// and trace counters are thread-local: the calling thread's collect
+    /// every rank's entries, and a CPU-measuring model charges its CPU
+    /// time to every rank.
+    #[doc(hidden)]
+    pub fn dry_run<F>(config: Config, f: F) -> Result<Vec<u64>>
+    where
+        F: for<'c> Fn(&'c Comm) -> Result<Request<'c>>,
+    {
+        if !config.faults.is_empty() {
+            let why = "a dry run cannot inject faults: fault points are per thread";
+            return Err(MpiError::InvalidLayout(why.into()));
+        }
+        let world = WorldState::new(&config);
+        let comms: Vec<Comm> = (0..config.size)
+            .map(|rank| Comm::world(Arc::clone(&world), rank))
+            .collect();
+        let mut pending = (comms.iter().map(|c| f(c).map(Some))).collect::<Result<Vec<_>>>()?;
+        let mut finish = vec![0; config.size];
+        // Envelopes ever posted and still queued: unchanged over a sweep
+        // iff no message was sent or consumed.
+        let traffic = || {
+            (world.mailboxes.iter().map(|m| m.stats())).fold((0, 0), |(sent, queued), s| {
+                (sent + s.envelopes_posted, queued + s.queued)
+            })
+        };
+        while pending.iter().any(Option::is_some) {
+            let (before, mut completed) = (traffic(), false);
+            for (rank, slot) in pending.iter_mut().enumerate() {
+                let Some(req) = slot.take() else { continue };
+                match req.test()? {
+                    TestOutcome::Ready(_) => {
+                        finish[rank] = comms[rank].clock_now_ns();
+                        completed = true;
+                    }
+                    TestOutcome::Pending(req) => *slot = Some(req),
+                }
+            }
+            if !completed && traffic() == before {
+                let stuck = pending.iter().filter(|r| r.is_some()).count();
+                let why = format!("dry run stalled with {stuck} ranks pending");
+                return Err(MpiError::InvalidLayout(why));
+            }
+        }
+        Ok(finish)
+    }
+
     /// Snapshots every rank's trace ring **while the universe is still
     /// running** — no thread exit required (callable from a rank
     /// thread via [`Comm::trace_snapshot`](crate::Comm::trace_snapshot)
@@ -633,6 +691,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Ranks that disagree on the root start two different broadcasts:
+    /// each waits for a message nobody sends. The sweep that moves
+    /// nothing ends the run instead of spinning.
+    #[test]
+    fn dry_run_reports_a_stall_instead_of_spinning() {
+        let config = Config::new(4).cost(CostModel::cluster());
+        let got = Universe::dry_run(config, |comm| {
+            let root = usize::from(comm.rank() >= 2);
+            comm.ibcast(Some(&[7u8][..]), root)
+        });
+        assert!(
+            matches!(&got, Err(MpiError::InvalidLayout(why)) if why.contains("stalled")),
+            "{got:?}"
+        );
+    }
+
+    #[test]
+    fn dry_run_refuses_a_fault_plan() {
+        let config = Config::new(2).faults(FaultPlan::new().crash(1, 1));
+        let got = Universe::dry_run(config, |comm| comm.ibarrier());
+        assert!(
+            matches!(&got, Err(MpiError::InvalidLayout(why)) if why.contains("fault")),
+            "{got:?}"
+        );
     }
 
     #[test]

@@ -2,12 +2,16 @@
 //! behind the paper's Fig. 8/10 findings must be visible in the model:
 //! sparse exchanges beat dense ones on sparse patterns, the grid
 //! all-to-all beats dense at scale, rebuilding topologies per round does
-//! not scale, and the alltoallw (MPL) path is more expensive.
+//! not scale, and the alltoallw (MPL) path is more expensive — plus the
+//! crossovers the static `Auto` rules stand on and the critical-path
+//! audits. `i*` schedules are priced by `Universe::dry_run` on one
+//! thread, which the lifecycle test holds to the threaded run.
 
 use std::collections::HashMap;
 
 use kamping_repro::kamping::prelude::*;
-use kamping_repro::mpi::{Comm, Config, CostModel, Universe};
+use kamping_repro::mpi::op::Sum;
+use kamping_repro::mpi::{Comm, Config, CostModel, Request, Result as MpiResult, Universe};
 
 /// Max-over-ranks virtual time (ns) of one run of `f` under the cluster
 /// cost model.
@@ -22,6 +26,30 @@ fn vtime<F: Fn(&Comm) + Sync>(p: usize, f: F) -> u64 {
     .map(|o| o.unwrap())
     .max()
     .unwrap()
+}
+
+/// Max-over-ranks virtual time (ns) of the request `start` makes on
+/// every rank, priced by a one-thread dry run under `model`.
+fn dry<F>(p: usize, model: CostModel, start: F) -> u64
+where
+    F: for<'c> Fn(&'c Comm) -> MpiResult<Request<'c>>,
+{
+    let finish = Universe::dry_run(Config::new(p).cost(model), start).unwrap();
+    finish.into_iter().max().unwrap()
+}
+
+/// `(hops on the critical path, most receives at one rank)` of the
+/// schedule `start` runs at `p` ranks.
+fn counts<F>(p: usize, start: F) -> (u64, u64)
+where
+    F: for<'c> Fn(&'c Comm) -> MpiResult<Request<'c>>,
+{
+    let only = |alpha_ns, recv_overhead_ns| CostModel {
+        alpha_ns,
+        recv_overhead_ns,
+        ..CostModel::disabled()
+    };
+    (dry(p, only(1, 0), &start), dry(p, only(0, 1), &start))
 }
 
 #[test]
@@ -188,6 +216,63 @@ fn weak_scaling_of_dense_exchange_is_superlinear_in_p() {
     );
 }
 
+/// The crossovers the static `Auto` rules stand on, at p = 4 and 8 over
+/// the ladders they were drawn from (contribution bytes; block bytes
+/// for alltoall): Rabenseifner beats recursive doubling and van de
+/// Geijn's broadcast beats the binomial tree at the top rung, Bruck
+/// beats pairwise at the bottom one, and `Auto` is never slower than
+/// the former single-algorithm default on any rung. The broadcast row
+/// is blocking-only, so it runs threaded.
+#[test]
+fn auto_stands_on_the_crossovers() {
+    use kamping_repro::mpi::AllreduceAlgo::{Rabenseifner, RecursiveDoubling};
+    use kamping_repro::mpi::AlltoallAlgo::{Bruck, Pairwise};
+    use kamping_repro::mpi::BcastAlgo::{Binomial, ScatterAllgather};
+    use kamping_repro::mpi::CollTuning;
+    let (auto, model) = (CollTuning::default(), CostModel::cluster());
+    let ladder = [16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20];
+    let blocks = [16, 256, 1 << 10, 16 << 10, 64 << 10];
+    for p in [4usize, 8] {
+        let allreduce = |tuning, bytes: usize| {
+            let mine = vec![1u64; bytes / 8];
+            dry(p, model, |c| {
+                c.set_tuning(tuning);
+                c.iallreduce(&mine, Sum)
+            })
+        };
+        let bcast = |tuning, bytes| {
+            vtime(p, |c| {
+                c.set_tuning(tuning);
+                c.bcast_into(&mut vec![1u8; bytes], 0).unwrap();
+            })
+        };
+        let alltoall = |tuning, bytes: usize| {
+            let send = vec![1u8; bytes * p];
+            dry(p, model, |c| {
+                c.set_tuning(tuning);
+                c.ialltoall(&send)
+            })
+        };
+        let [rd, rab] =
+            [RecursiveDoubling, Rabenseifner].map(|a| allreduce(auto.allreduce(a), 4 << 20));
+        assert!(rab < rd, "p = {p}: Rabenseifner {rab} ns, doubling {rd} ns");
+        let [tree, vdg] = [Binomial, ScatterAllgather].map(|a| bcast(auto.bcast(a), 4 << 20));
+        assert!(vdg < tree, "p = {p}: vdG {vdg} ns, binomial {tree} ns");
+        let [pw, bruck] = [Pairwise, Bruck].map(|a| alltoall(auto.alltoall(a), 16));
+        assert!(bruck < pw, "p = {p}: Bruck {bruck} ns, pairwise {pw} ns");
+        for bytes in ladder {
+            let old = allreduce(auto.allreduce(RecursiveDoubling), bytes);
+            assert!(allreduce(auto, bytes) <= old, "p = {p}, {bytes} B");
+            let old = bcast(auto.bcast(Binomial), bytes);
+            assert!(bcast(auto, bytes) <= old, "p = {p}, {bytes} B");
+        }
+        for bytes in blocks {
+            let old = alltoall(auto.alltoall(Pairwise), bytes);
+            assert!(alltoall(auto, bytes) <= old, "p = {p}, {bytes} B");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The critical-path audit: what a small-message collective costs in
 // message times, per operation, communicator size and root.
@@ -231,10 +316,9 @@ const AUDIT_SIZES: [usize; 18] = [
 /// `CostModel::cluster()`. The allowances are the documented ones — the
 /// bytes a packed Bruck / doubling round carries beyond its own 8, and
 /// recursive-doubling allreduce's fold-in and hand-back hops off powers
-/// of two. `--nocapture` prints the table.
+/// of two. The `i*` forms are dry-run. `--nocapture` prints the table.
 #[test]
 fn small_message_collectives_finish_in_log_p_message_times() {
-    use kamping_repro::mpi::op::Sum;
     let model = CostModel::cluster();
     let hop = model.alpha_ns + model.transfer_ns(8) + model.recv_overhead_ns;
     let mut over = Vec::new();
@@ -250,16 +334,13 @@ fn small_message_collectives_finish_in_log_p_message_times() {
             "split" => 2 * packed,
             _ => tree,
         };
-        let times = timed_ops(p, model, |comm, run| {
+        let mut times = timed_ops(p, model, |comm, run| {
             let mine = [comm.rank() as u64];
             run("barrier", &mut || comm.barrier().unwrap());
             for root in 0..p {
                 let data = (comm.rank() == root).then_some(&mine[..]);
                 run("bcast_into", &mut || {
                     comm.bcast_into(&mut [root as u64], root).unwrap()
-                });
-                run("ibcast", &mut || {
-                    comm.ibcast(data, root).unwrap().wait().unwrap();
                 });
                 let mut plan = comm.bcast_init(data, root).unwrap();
                 run("bcast_init", &mut || {
@@ -284,9 +365,6 @@ fn small_message_collectives_finish_in_log_p_message_times() {
             run("allgatherv_vec", &mut || {
                 comm.allgatherv_vec(&mine).unwrap();
             });
-            run("iallgatherv", &mut || {
-                comm.iallgatherv(&mine).unwrap().wait().unwrap();
-            });
             let mut plan = comm.allgatherv_init(&mine).unwrap();
             run("allgatherv_init", &mut || {
                 plan.start().unwrap();
@@ -307,6 +385,10 @@ fn small_message_collectives_finish_in_log_p_message_times() {
                 comm.split(Some(comm.rank() as u64 % 2), 0).unwrap();
             });
         });
+        let ibcast = (0..p).map(|root| dry(p, model, |c| c.ibcast(Some(&[1u64][..]), root)));
+        times.push(("ibcast", ibcast.max().unwrap()));
+        let iallgatherv = dry(p, model, |c| c.iallgatherv(&[c.rank() as u64]));
+        times.push(("iallgatherv", iallgatherv));
         let row: Vec<String> = (times.iter())
             .map(|(name, t)| format!("{name} {:.1}", *t as f64 / 1e3))
             .collect();
@@ -333,90 +415,98 @@ fn small_message_collectives_finish_in_log_p_message_times() {
 /// (`scatter`/`gatherv`: a binomial tree forwards up to `s·p/2` per
 /// inner rank; `alltoallv`: Bruck packs every round). The counted
 /// `allgatherv` left this table when its total came to select the
-/// latency rows (see the audit above).
-/// Under `alpha = 1000, o = 1` the critical path reads as
-/// `1000·startups + receive completions`.
+/// latency rows (see the audit above). Each pin is `(hops on the
+/// critical path, most receives at one rank)`: a scatter root posts
+/// p - 1 sends, a gather root completes p - 1 receives, and every rank
+/// of an `alltoallv` does both. The lifecycle test holds the blocking
+/// forms to these schedules.
 #[test]
 fn linear_collectives_are_pinned_at_p_minus_one_startups() {
-    let model = CostModel {
-        alpha_ns: 1_000,
-        beta_ns_per_byte: 0.0,
-        recv_overhead_ns: 1,
-        measure_cpu: false,
-    };
     for p in AUDIT_SIZES {
-        let n = p as u64 - 1;
-        let times = timed_ops(p, model, |comm, run| {
-            let mine = [comm.rank() as u64];
-            let (ones, displs) = (vec![1usize; p], (0..p).collect::<Vec<_>>());
-            for root in [0, p - 1] {
-                let all = vec![7u64; p];
-                run("scatter_vec", &mut || {
-                    let send = (comm.rank() == root).then_some(&all[..]);
-                    comm.scatter_vec(send, root).unwrap();
-                });
-                run("gatherv_vec", &mut || {
-                    comm.gatherv_vec(&mine, root).unwrap();
-                });
-            }
-            run("alltoallv_into", &mut || {
-                let mut recv = vec![0u64; p];
-                comm.alltoallv_into(&vec![1u64; p], &ones, &displs, &mut recv, &ones, &displs)
-                    .unwrap()
-            });
-        });
-        for (name, t) in times {
-            let pinned = match name {
-                // The root posts p - 1 sends; the last leaf completes one receive.
-                "scatter_vec" => 1_000 * n + 1,
-                // Every leaf posts one send; the root completes p - 1 receives.
-                "gatherv_vec" => 1_000 + n,
-                // p - 1 ring rounds / pairwise steps of one send and one receive.
-                _ => 1_001 * n,
-            };
-            assert_eq!(t, pinned, "p = {p}: {name}");
+        let (n, all, ones) = (p as u64 - 1, vec![7u64; p], vec![1usize; p]);
+        for root in [0, p - 1] {
+            let scatter = counts(p, |c| c.iscatter(Some(&all), root));
+            assert_eq!(scatter, (n, 1), "p = {p}, root {root}: scatter");
+            let gatherv = counts(p, |c| c.igatherv(&[c.rank() as u64], root));
+            assert_eq!(gatherv, (1, n), "p = {p}, root {root}: gatherv");
         }
+        let alltoallv = counts(p, |c| c.ialltoallv(&all, &ones));
+        assert_eq!(alltoallv, (n, n), "p = {p}: alltoallv");
     }
 }
 
+/// Every substrate `i*` collective, started on `v` — `p` copies of it
+/// where the root's buffer or an all-to-all send holds one block per
+/// rank; rooted ones at rank 0.
+type Start = for<'c> fn(&'c Comm, &[u64]) -> MpiResult<Request<'c>>;
+const I_OPS: [(&str, Start); 12] = [
+    ("ibarrier", |c, _| c.ibarrier()),
+    ("ibcast", |c, v| c.ibcast(Some(v), 0)),
+    ("ireduce", |c, v| c.ireduce(v, Sum, 0)),
+    ("iallreduce", |c, v| c.iallreduce(v, Sum)),
+    ("iallgather", |c, v| c.iallgather(v)),
+    ("iallgatherv", |c, v| c.iallgatherv(v)),
+    ("ialltoall", |c, v| c.ialltoall(&v.repeat(c.size()))),
+    ("ialltoallv", |c, v| {
+        c.ialltoallv(&v.repeat(c.size()), &vec![v.len(); c.size()])
+    }),
+    ("iscatter", |c, v| c.iscatter(Some(&v.repeat(c.size())), 0)),
+    ("iscatterv", |c, v| {
+        let counts = vec![v.len(); c.size()];
+        c.iscatterv(Some((&v.repeat(c.size()), &counts)), 0)
+    }),
+    ("igather", |c, v| c.igather(v, 0)),
+    ("igatherv", |c, v| c.igatherv(v, 0)),
+];
+
 /// One engine, one schedule: every row of `allreduce`, `allgather` and
 /// the self-sizing `allgatherv` — forced, and as `Auto` picks it — and
-/// `alltoall(v)` cost the same modelled time whether the blocking call
-/// drives the engine, `i*` + `wait` does, or a persistent plan's
-/// `start` + `wait` does. (The blocking ring and pairwise loops used to
-/// serialise their `p - 1` hops; until the allreduce rows and the
-/// static `Auto` rule served every lifecycle, `iallreduce` /
-/// `allreduce_init` ran a flat gather + broadcast and `iallgather` /
-/// `allgather_init` the ring wherever the blocking call ran a log-round
-/// row.)
+/// `alltoall(v)`, `scatter`, `gatherv` and `barrier` cost the same
+/// modelled time whether the blocking call drives the engine, `i*` +
+/// `wait` does, or a persistent plan's `start` + `wait` does; so do
+/// `bcast` on the binomial row and `reduce` on either forced row (under
+/// `Auto`, `ireduce` keeps the flat gather by design). And every `i*`
+/// form costs what `Universe::dry_run` prices on one thread: the dry
+/// run is an oracle for all three lifecycles. (The blocking ring and
+/// pairwise loops used to serialise their `p - 1` hops; until the
+/// allreduce rows and the static `Auto` rule served every lifecycle,
+/// `iallreduce` / `allreduce_init` ran a flat gather + broadcast and
+/// `iallgather` / `allgather_init` the ring wherever the blocking call
+/// ran a log-round row.)
 #[test]
 fn collectives_cost_the_same_in_every_lifecycle() {
-    use kamping_repro::mpi::op::Sum;
     use kamping_repro::mpi::{bytes_from_vec, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo};
-    use kamping_repro::mpi::{CollTuning, PersistentRequest};
-    const GROUPS: [&[&str]; 5] = [
+    use kamping_repro::mpi::{BcastAlgo, CollTuning, PersistentRequest, ReduceAlgo, Select};
+    const GROUPS: [&[&str]; 8] = [
         &["allreduce", "iallreduce", "allreduce_init"],
         &["allgather", "iallgather", "allgather_init"],
         &["allgatherv", "iallgatherv", "allgatherv_init"],
         &["alltoall", "ialltoall"],
         &["alltoallv", "ialltoallv", "alltoallv_init"],
+        &["scatter", "iscatter"],
+        &["gatherv", "igatherv"],
+        &["barrier", "ibarrier"],
     ];
     let base = CollTuning::default();
     let tunings = [
         base,
         base.allreduce(AllreduceAlgo::RecursiveDoubling)
             .allgather(AllgatherAlgo::Ring)
-            .alltoall(AlltoallAlgo::Pairwise),
+            .alltoall(AlltoallAlgo::Pairwise)
+            .bcast(BcastAlgo::Binomial)
+            .reduce(ReduceAlgo::BinomialTree),
         base.allreduce(AllreduceAlgo::Rabenseifner)
-            .allgather(AllgatherAlgo::RecursiveDoubling),
+            .allgather(AllgatherAlgo::RecursiveDoubling)
+            .reduce(ReduceAlgo::FlatGather),
         base.allgather(AllgatherAlgo::Bruck),
     ];
-    for p in [4usize, 6, 16] {
+    let model = CostModel::cluster();
+    for p in [2usize, 4, 6, 7, 16] {
         for bytes in [8usize, 64 * 1024] {
             for tuning in tunings {
-                let times = timed_ops(p, CostModel::cluster(), |comm, run| {
+                let mine = vec![1u64; bytes / 8];
+                let times = timed_ops(p, model, |comm, run| {
                     comm.set_tuning(tuning);
-                    let mine = vec![comm.rank() as u64; bytes / 8];
                     let own = || bytes_from_vec(vec![comm.rank() as u8; bytes]);
                     let (send, counts) = (vec![1u8; p * bytes], vec![bytes; p]);
                     let packed = || bytes_from_vec(send.clone());
@@ -424,52 +514,72 @@ fn collectives_cost_the_same_in_every_lifecycle() {
                         plan.start().unwrap();
                         plan.wait().unwrap();
                     };
+                    for (name, start) in I_OPS {
+                        run(name, &mut || {
+                            drop(start(comm, &mine).unwrap().wait().unwrap())
+                        });
+                    }
                     run("allreduce", &mut || {
                         comm.allreduce_vec(&mine, Sum).unwrap();
-                    });
-                    run("iallreduce", &mut || {
-                        comm.iallreduce(&mine, Sum).unwrap().wait().unwrap();
                     });
                     let mut plan = comm.allreduce_init(&mine, Sum).unwrap();
                     run("allreduce_init", &mut || cycle(&mut plan));
                     run("allgather", &mut || {
                         comm.allgather_blocks(own()).unwrap();
                     });
-                    run("iallgather", &mut || {
-                        comm.iallgather_bytes(own()).unwrap().wait().unwrap();
-                    });
                     let mut plan = comm.allgather_init_bytes(own()).unwrap();
                     run("allgather_init", &mut || cycle(&mut plan));
                     run("allgatherv", &mut || {
                         comm.allgatherv_blocks(own(), None).unwrap();
-                    });
-                    run("iallgatherv", &mut || {
-                        comm.iallgatherv_bytes(own()).unwrap().wait().unwrap();
                     });
                     let mut plan = comm.allgatherv_init_bytes(own()).unwrap();
                     run("allgatherv_init", &mut || cycle(&mut plan));
                     run("alltoall", &mut || {
                         comm.alltoall_blocks(&send).unwrap();
                     });
-                    run("ialltoall", &mut || {
-                        comm.ialltoall(&send).unwrap().wait().unwrap();
-                    });
                     run("alltoallv", &mut || {
                         comm.alltoallv_blocks_bytes(packed(), &counts).unwrap();
                     });
-                    run("ialltoallv", &mut || {
-                        let req = comm.ialltoallv_bytes(packed(), &counts).unwrap();
-                        req.wait().unwrap();
-                    });
                     let mut plan = comm.alltoallv_init_bytes(packed(), &counts).unwrap();
                     run("alltoallv_init", &mut || cycle(&mut plan));
+                    let (root, all) = (0, mine.repeat(p));
+                    run("scatter", &mut || {
+                        comm.scatter_vec(Some(&all), root).unwrap();
+                    });
+                    run("gatherv", &mut || {
+                        comm.gatherv_vec(&mine, root).unwrap();
+                    });
+                    run("barrier", &mut || comm.barrier().unwrap());
+                    run("bcast", &mut || {
+                        comm.bcast_into(&mut mine.clone(), root).unwrap();
+                    });
+                    let data = (comm.rank() == root).then_some(&mine[..]);
+                    let mut plan = comm.bcast_init(data, root).unwrap();
+                    run("bcast_init", &mut || cycle(&mut plan));
+                    run("reduce", &mut || {
+                        comm.reduce_vec(&mine, Sum, root).unwrap();
+                    });
                 });
                 let ns = |name: &str| times.iter().find(|(n, _)| *n == name).unwrap().1;
-                for group in GROUPS {
+                let at = format!("p = {p}, {bytes} B, {tuning:?}");
+                let mut groups = GROUPS.to_vec();
+                if tuning.bcast == Select::Force(BcastAlgo::Binomial) {
+                    groups.push(&["bcast", "ibcast", "bcast_init"]);
+                }
+                if tuning.reduce != Select::Auto {
+                    groups.push(&["reduce", "ireduce"]);
+                }
+                for group in groups {
                     for name in &group[1..] {
-                        let at = format!("p = {p}, {bytes} B, {tuning:?}");
                         assert_eq!(ns(group[0]), ns(name), "{} vs {name}, {at}", group[0]);
                     }
+                }
+                for (name, start) in I_OPS {
+                    let priced = dry(p, model, |c| {
+                        c.set_tuning(tuning);
+                        start(c, &mine)
+                    });
+                    assert_eq!(priced, ns(name), "dry run vs threaded {name}, {at}");
                 }
             }
         }
@@ -483,7 +593,6 @@ fn collectives_cost_the_same_in_every_lifecycle() {
 /// the same numbers.
 #[test]
 fn blocking_allreduce_model_time_at_p16_is_pinned() {
-    use kamping_repro::mpi::op::Sum;
     let times = timed_ops(16, CostModel::cluster(), |comm, run| {
         for (name, bytes) in [
             ("1 KiB", 1 << 10),
