@@ -1,6 +1,7 @@
 //! `bcast` with named parameters.
 
-use kmp_mpi::collectives::BcastParts;
+use bytes::Bytes;
+use kmp_mpi::request::Completion;
 use kmp_mpi::{Plain, Rank, Result};
 
 use crate::communicator::Communicator;
@@ -35,11 +36,10 @@ where
         let raw = comm.raw();
         let is_root = comm.rank() == root;
         let ((), out) = self.send_recv_buf.apply(|buf| {
-            // Sized broadcast: `recv_count(n)` tells every rank the
-            // payload size up front, which lets the substrate's tuning
-            // select the large-message algorithm — without it, non-roots
-            // cannot agree on a size they have not received yet and the
-            // binomial tree is the only safe choice.
+            // `recv_count(n)` tells every rank the payload size, so every
+            // rank selects the row; without it the broadcast is
+            // self-sizing — the root selects and the others learn its
+            // pick from the wire. Either way every row is open.
             let size = recv_count.map(|n| n * std::mem::size_of::<T>());
             if is_root {
                 // The buffer goes on the wire as it is: the children's
@@ -50,24 +50,18 @@ where
                 // holds something else than `recv_count` elements still
                 // broadcasts (the substrate reports it afterwards).
                 let (hold, payload) = kmp_mpi::SharedPayload::new(std::mem::take(buf));
-                let sent = match size {
-                    Some(size) => raw.bcast_parts(Some(payload), size, root).map(drop),
-                    None => raw.bcast_bytes(Some(payload), root).map(drop),
-                };
+                let sent = raw.bcast_parts(Some(payload), size, root).map(drop);
                 *buf = hold.take();
                 return sent;
             }
             // A non-root's buffer is a `resize_to_fit` receive of the
-            // payload the root dictates. With `recv_count`, the lowering
-            // holds the payload to this rank's claim — under either
-            // algorithm, though scatter+allgather enforces it on the
-            // wire already.
-            let delivered = match size {
-                None => Delivered::lone(raw.bcast_bytes(None, root)?),
-                Some(size) => match raw.bcast_parts(None, size, root)? {
-                    BcastParts::Whole(payload) => Delivered::lone(payload),
-                    BcastParts::Chunks(chunks) => Delivered::Message(chunks),
-                },
+            // payload the root dictates, whole or in van de Geijn's
+            // chunks. With `recv_count`, the lowering holds the payload
+            // to this rank's claim — under either row, though
+            // scatter+allgather enforces it on the wire already.
+            let delivered = match raw.bcast_parts(None, size, root)? {
+                Completion::Blocks(chunks) => Delivered::Message(chunks),
+                done => Delivered::lone(done.into_bytes().map_or_else(Bytes::new, |(b, _)| b)),
             };
             recv_buf(buf)
                 .resize_to_fit()
@@ -84,9 +78,12 @@ impl Communicator {
     /// the root, overwritten elsewhere — following the paper's unified
     /// in-place semantics (§III-G). Parameters: `send_recv_buf`
     /// (required), `root` (default 0), `recv_count` (optional: declares
-    /// the element count on every rank, enabling size-based algorithm
-    /// selection for large messages), `tuning` (optional per-call
-    /// algorithm override).
+    /// the element count on every rank, which then selects the row
+    /// itself and checks what arrives), `tuning` (optional per-call
+    /// algorithm override). `recv_count` does not gate the large-message
+    /// row: without it the root selects — the binomial tree, or van de
+    /// Geijn's scatter + allgather for a large payload — and the other
+    /// ranks learn its pick from the wire.
     ///
     /// The root's buffer is not serialized: it goes on the wire as it is
     /// (the children's messages are views of it) and is taken back once

@@ -60,7 +60,7 @@ use kmp_mpi::plain::bytes_from_vec;
 use kmp_mpi::{Comm, MpiError, Plain, Result};
 
 use crate::communicator::Communicator;
-use crate::p2p::{Immediate, InFlight, Lifecycle};
+use crate::p2p::{Expect, Immediate, InFlight, Lifecycle};
 use crate::params::argset::{ArgSet, IntoArgs};
 use crate::params::slots::{CountsSlot, ProvidedCounts, ProvidesOp, SendToTransport};
 use crate::params::{Absent, OpParam, SendBuf, SendRecvBuf};
@@ -162,7 +162,7 @@ where
             true => (Comm::iallgather_bytes, Comm::allgather_init_bytes),
             false => (Comm::iallgatherv_bytes, Comm::allgatherv_init_bytes),
         };
-        L::drive(comm.raw(), (payload, hold, None), now, plan)
+        L::drive(comm.raw(), (payload, hold, Expect::default()), now, plan)
     }
 }
 
@@ -210,7 +210,8 @@ where
         let plan = |c: &'c Comm, (p, n): (Bytes, Vec<usize>)| c.alltoallv_init_bytes(p, &n);
         match packed {
             Ok((payload, hold)) => {
-                L::drive(comm.raw(), ((payload, byte_counts), hold, None), now, plan)
+                let call = ((payload, byte_counts), hold, Expect::default());
+                L::drive(comm.raw(), call, now, plan)
             }
             Err(e) => {
                 // The layout error is rank-local: peers whose layouts
@@ -218,7 +219,7 @@ where
                 // layout never passes the substrate's check, which runs
                 // after it takes the tag — so this rank stays aligned
                 // with them.
-                let empty = ((Bytes::new(), Vec::new()), (), None);
+                let empty = ((Bytes::new(), Vec::new()), (), Expect::default());
                 let _: Result<L::Out<T, ()>> = L::drive(comm.raw(), empty, now, plan);
                 Err(e)
             }
@@ -286,9 +287,14 @@ where
         // call-time copies), and the completion that hands the content
         // back is that same vector.
         let payload = (comm.rank() == root).then(|| bytes_from_vec(self.send_recv_buf.0));
+        // A non-root on van de Geijn's row completes with the chunks.
+        let pieces = Expect {
+            pieces: true,
+            ..Expect::default()
+        };
         L::drive(
             comm.raw(),
-            (payload, (), None),
+            (payload, (), pieces),
             |c, p| c.ibcast_bytes(p, root),
             |c, p| c.bcast_init_bytes(p, root),
         )
@@ -325,7 +331,7 @@ where
         let (payload, hold) = self.send_buf.into_payload();
         L::drive(
             comm.raw(),
-            ((payload, op), hold, None),
+            ((payload, op), hold, Expect::default()),
             |c, (own, op)| c.iallreduce_bytes::<T, _>(own, op),
             |c, (own, op)| c.allreduce_init_bytes::<T, _>(own, op),
         )

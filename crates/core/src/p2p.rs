@@ -129,7 +129,7 @@ where
         let (payload, hold) = self.send_buf.into_payload();
         L::drive(
             comm.raw(),
-            (payload, hold, None),
+            (payload, hold, Expect::default()),
             |c, p| match sync {
                 true => c.issend_bytes(p, dest, tag),
                 false => c.isend_bytes(p, dest, tag),
@@ -187,11 +187,23 @@ plain_recv_impls!(
 pub(crate) mod lifecycle {
     use kmp_mpi::{Comm, PersistentRequest, Request, Result};
 
+    /// What the completions of a driven call are lowered against.
+    #[derive(Clone, Copy, Default)]
+    pub struct Expect {
+        /// `recv_count` in bytes: a completing message must be exactly
+        /// this long.
+        pub(crate) bytes: Option<usize>,
+        /// Blocks are the pieces of one message — a broadcast's van de
+        /// Geijn chunks, which need not split at element boundaries —
+        /// not one block per rank.
+        pub(crate) pieces: bool,
+    }
+
     /// Drives an operation's one declaration — its `I*Args` trait, whose
     /// method resolves the slots once — into a lifecycle: the resolved
     /// arguments `A` go to the substrate's `i*` form (`now`) or to its
     /// `*_init` form (`plan`), beside the handle `H` of whatever the
-    /// caller moved in and `recv_count` in bytes.
+    /// caller moved in and what its completions must hold.
     pub trait Lifecycle<'c> {
         /// The driven call: the operation in flight, or the frozen plan.
         type Out<T, H>;
@@ -199,14 +211,14 @@ pub(crate) mod lifecycle {
         /// Runs the resolved call.
         fn drive<T, H, A>(
             comm: &'c Comm,
-            call: (A, H, Option<usize>),
+            call: (A, H, Expect),
             now: impl FnOnce(&'c Comm, A) -> Result<Request<'c>>,
             plan: impl FnOnce(&'c Comm, A) -> Result<PersistentRequest<'c>>,
         ) -> Result<Self::Out<T, H>>;
     }
 }
 
-pub(crate) use lifecycle::Lifecycle;
+pub(crate) use lifecycle::{Expect, Lifecycle};
 
 /// The immediate driver: the `i*` request, held with the handle until
 /// its future completes.
@@ -217,14 +229,14 @@ impl<'c> Lifecycle<'c> for Immediate {
 
     fn drive<T, H, A>(
         comm: &'c Comm,
-        (args, hold, expected_bytes): (A, H, Option<usize>),
+        (args, hold, expect): (A, H, Expect),
         now: impl FnOnce(&'c Comm, A) -> Result<Request<'c>>,
         _: impl FnOnce(&'c Comm, A) -> Result<PersistentRequest<'c>>,
     ) -> Result<InFlight<'c, H>> {
         Ok(InFlight {
             req: now(comm, args)?,
             hold,
-            expected_bytes,
+            expect,
         })
     }
 }
@@ -234,14 +246,12 @@ impl<'c> Lifecycle<'c> for Immediate {
 /// [`NonBlockingCollective`](crate::collectives::NonBlockingCollective),
 /// [`NonBlockingBcast`](crate::collectives::NonBlockingBcast)): the
 /// substrate request, the handle `H` of whatever the caller moved into
-/// the call, and a receive's `recv_count` assertion. The futures are
-/// typed views of it.
+/// the call, and what its completion must hold. The futures are typed
+/// views of it.
 pub(crate) struct InFlight<'a, H> {
     req: Request<'a>,
     hold: H,
-    /// `recv_count` in bytes: the completing message must be exactly
-    /// this long.
-    expected_bytes: Option<usize>,
+    expect: Expect,
 }
 
 impl<'a, H> InFlight<'a, H> {
@@ -249,7 +259,7 @@ impl<'a, H> InFlight<'a, H> {
     /// `counts` collects the per-block counts where asked) and the
     /// handle.
     pub(crate) fn wait<T: Plain>(self, counts: Option<&mut Vec<usize>>) -> Result<(Vec<T>, H)> {
-        let data = lowered(self.req.wait()?, self.expected_bytes, counts)?;
+        let data = lowered(self.req.wait()?, self.expect, counts)?;
         Ok((data, self.hold))
     }
 
@@ -261,7 +271,7 @@ impl<'a, H> InFlight<'a, H> {
         pending: impl FnOnce(Self) -> F,
     ) -> Result<std::result::Result<(Vec<T>, H), F>> {
         Ok(match self.req.test()? {
-            TestOutcome::Ready(done) => Ok((lowered(done, self.expected_bytes, None)?, self.hold)),
+            TestOutcome::Ready(done) => Ok((lowered(done, self.expect, None)?, self.hold)),
             TestOutcome::Pending(req) => Err(pending(InFlight { req, ..self })),
         })
     }
@@ -273,7 +283,7 @@ impl<'a, H> InFlight<'a, H> {
         H: 'a,
     {
         let finisher = Finisher {
-            expected_bytes: self.expected_bytes,
+            expected_bytes: self.expect.bytes,
             _hold: Box::new(self.hold),
         };
         (self.req, finisher)
@@ -284,19 +294,23 @@ impl<'a, H> InFlight<'a, H> {
 /// the `Absent` slot's [`lower`](RecvBufSpec::lower) — which checks
 /// `recv_count` (held here in bytes) and whole `T`s — as what it is: a
 /// lone message, which the lowering takes back without a copy where it
-/// can (the allreduce result, which only this rank holds), or blocks by
-/// source; a send completes with an empty vector.
+/// can (the allreduce result, which only this rank holds), blocks by
+/// source, or the pieces of one message; a send completes with an empty
+/// vector.
 pub(crate) fn lowered<T: Plain>(
     completion: Completion,
-    expected_bytes: Option<usize>,
+    expect: Expect,
     counts_out: Option<&mut Vec<usize>>,
 ) -> Result<Vec<T>> {
     let delivered = match completion {
         Completion::Done => Delivered::Vec(Vec::new()),
         Completion::Message(payload, _) => Delivered::lone(payload),
+        Completion::Blocks(pieces) if expect.pieces => Delivered::Message(pieces),
         Completion::Blocks(blocks) => Delivered::Blocks(blocks),
     };
-    let recv_count = expected_bytes.map(|bytes| bytes / std::mem::size_of::<T>().max(1));
+    let recv_count = expect
+        .bytes
+        .map(|bytes| bytes / std::mem::size_of::<T>().max(1));
     let layout = Layout {
         counts_out,
         uncounted: true,
@@ -650,10 +664,14 @@ pub trait IrecvArgs {
 impl IrecvArgs for ArgSet<Absent, Absent, Absent, Absent, Absent, Absent, Absent, Absent> {
     fn run<'c, T, L: Lifecycle<'c>>(self, comm: &'c Communicator) -> Result<L::Out<T, ()>> {
         let (src, tag) = recv_meta(&self.meta);
-        let expected_bytes = self.meta.recv_count.map(|n| n * std::mem::size_of::<T>());
+        let bytes = self.meta.recv_count.map(|n| n * std::mem::size_of::<T>());
+        let expect = Expect {
+            bytes,
+            ..Expect::default()
+        };
         L::drive(
             comm.raw(),
-            ((), (), expected_bytes),
+            ((), (), expect),
             |c, ()| Ok(c.irecv(src, tag)),
             // A plan registers on one concrete stream: tag 0 by default,
             // and a wildcard source cannot be frozen.

@@ -52,7 +52,7 @@ use kmp_mpi::{Comm, PersistentRequest, Plain, Request, Result};
 use crate::collectives::nonblocking::packed::Packed;
 use crate::collectives::{IallgatherArgs, IallreduceArgs, IalltoallvArgs, IbcastArgs};
 use crate::communicator::Communicator;
-use crate::p2p::{lowered, IrecvArgs, IsendArgs, Lifecycle};
+use crate::p2p::{lowered, Expect, IrecvArgs, IsendArgs, Lifecycle};
 use crate::params::argset::IntoArgs;
 
 /// A typed persistent operation: the frozen plan plus this rank's
@@ -68,9 +68,8 @@ use crate::params::argset::IntoArgs;
 #[must_use = "a persistent operation does nothing until start() is called"]
 pub struct Persistent<'a, T> {
     req: PersistentRequest<'a>,
-    /// `recv_count` in bytes: each cycle's message must be exactly this
-    /// long.
-    expected_bytes: Option<usize>,
+    /// What each cycle's completion must hold.
+    expect: Expect,
     _elem: PhantomData<T>,
 }
 
@@ -83,13 +82,13 @@ impl<'c> Lifecycle<'c> for Frozen {
 
     fn drive<T, H, A>(
         comm: &'c Comm,
-        (args, _hold, expected_bytes): (A, H, Option<usize>),
+        (args, _hold, expect): (A, H, Expect),
         _: impl FnOnce(&'c Comm, A) -> Result<Request<'c>>,
         plan: impl FnOnce(&'c Comm, A) -> Result<PersistentRequest<'c>>,
     ) -> Result<Persistent<'c, T>> {
         Ok(Persistent {
             req: plan(comm, args)?,
-            expected_bytes,
+            expect,
             _elem: PhantomData,
         })
     }
@@ -106,7 +105,7 @@ impl<'a, T: Plain> Persistent<'a, T> {
     /// (empty for sends). The handle is inactive and restartable
     /// afterwards.
     pub fn wait(&mut self) -> Result<Vec<T>> {
-        lowered(self.req.wait()?, self.expected_bytes, None)
+        lowered(self.req.wait()?, self.expect, None)
     }
 
     /// Like [`wait`](Persistent::wait), additionally returning per-rank
@@ -114,7 +113,7 @@ impl<'a, T: Plain> Persistent<'a, T> {
     /// alltoallv plans).
     pub fn wait_with_counts(&mut self) -> Result<(Vec<T>, Vec<usize>)> {
         let mut counts = Vec::new();
-        let data = lowered(self.req.wait()?, self.expected_bytes, Some(&mut counts))?;
+        let data = lowered(self.req.wait()?, self.expect, Some(&mut counts))?;
         Ok((data, counts))
     }
 
@@ -122,8 +121,7 @@ impl<'a, T: Plain> Persistent<'a, T> {
     /// cycle, `Ok(None)` leaves it active.
     pub fn test(&mut self) -> Result<Option<Vec<T>>> {
         let done = self.req.test()?;
-        done.map(|c| lowered(c, self.expected_bytes, None))
-            .transpose()
+        done.map(|c| lowered(c, self.expect, None)).transpose()
     }
 
     /// Replaces the data the next cycle sends (rejected while a cycle
@@ -186,9 +184,11 @@ impl Communicator {
     ///
     /// Parameters: those of [`ibcast`](Self::ibcast) — `send_recv_buf`
     /// holding an owned `Vec<T>` (content on the root, moved into the
-    /// plan; empty elsewhere), `root` (default 0). The binomial tree,
-    /// its internal tag, and the receivers' standing parent registration
-    /// are frozen once; every rank's `wait()` returns the cycle's
+    /// plan; empty elsewhere), `root` (default 0). The plan, its tags
+    /// and the standing registrations are frozen once; the root picks
+    /// each cycle's row by the rule frozen with them — van de Geijn from
+    /// its threshold up, the binomial tree below — and the other ranks
+    /// learn it from the wire. Every rank's `wait()` returns the cycle's
     /// content.
     pub fn bcast_init<T, A>(&self, args: A) -> Result<Persistent<'_, T>>
     where

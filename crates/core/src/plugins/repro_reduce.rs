@@ -14,7 +14,7 @@
 //! exactly the tree in Fig. 13).
 
 use kmp_mpi::op::ReduceOp;
-use kmp_mpi::{Plain, Rank, Result, Tag};
+use kmp_mpi::{MpiError, Plain, Rank, Result, Tag};
 
 use crate::communicator::Communicator;
 
@@ -26,7 +26,8 @@ pub trait ReproducibleReduce {
     /// Reduces the distributed array (this rank holds `local`, the
     /// global layout is contiguous blocks in rank order) to a single
     /// value with a distribution-independent evaluation order. Every rank
-    /// receives the result.
+    /// receives the result. An array empty on every rank has no value:
+    /// every rank returns [`MpiError::InvalidLayout`].
     ///
     /// The operation must be associative for the result to be meaningful;
     /// it need **not** be commutative, and for floating-point addition
@@ -46,7 +47,13 @@ impl ReproducibleReduce for Communicator {
         }
         starts.push(acc);
         let n = acc;
-        assert!(n > 0, "reproducible_reduce needs at least one element");
+        // `n` is the allgathered total, the same on every rank: all of
+        // them return here, and none is left waiting in the tree.
+        if n == 0 {
+            return Err(MpiError::InvalidLayout(
+                "reproducible_reduce: no rank holds an element".into(),
+            ));
+        }
 
         let ctx = TreeCtx {
             comm: self,
@@ -279,6 +286,23 @@ mod tests {
             let total = comm.reproducible_reduce(&local, ops::Sum).unwrap();
             assert_eq!(total, 4 * (1 + 2 + 3));
         });
+    }
+
+    /// Nothing anywhere is a typed error on every rank, not a panic,
+    /// and the communicator stays usable.
+    #[test]
+    fn empty_on_every_rank_is_an_error_everywhere() {
+        for p in [1usize, 4] {
+            Universe::run(p, |comm| {
+                let comm = Communicator::new(comm);
+                let err = comm
+                    .reproducible_reduce::<f64, _>(&[], ops::Sum)
+                    .unwrap_err();
+                assert!(matches!(err, MpiError::InvalidLayout(_)), "{err:?}");
+                let total = comm.reproducible_reduce(&[1u64], ops::Sum).unwrap();
+                assert_eq!(total, p as u64);
+            });
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
+use kmp_mpi::plain::bytes_from_vec;
 use kmp_mpi::{MpiError, Result};
 
 use crate::communicator::Communicator;
@@ -170,11 +171,13 @@ impl<'a, T: Serialize + DeserializeOwned> BcastSerializedArgs<T>
         let root = self.meta.root.unwrap_or(0);
         let raw = comm.raw();
         let target = self.send_recv_buf.0 .0;
+        // The encoder's output goes on the wire as it is, and a non-root
+        // decodes the payload where it was delivered.
         if comm.rank() == root {
             let bytes = kmp_serialize::to_bytes(&*target).map_err(ser_err)?;
-            raw.bcast_vec(Some(&bytes), root)?;
+            raw.bcast_bytes(Some(bytes_from_vec(bytes)), root)?;
         } else {
-            let bytes: Vec<u8> = raw.bcast_vec(None, root)?;
+            let bytes = raw.bcast_bytes(None, root)?;
             *target = kmp_serialize::from_bytes(&bytes).map_err(de_err)?;
         }
         Ok(())

@@ -1,236 +1,348 @@
-//! Large-message broadcast: scatter + allgather (van de Geijn).
+//! The broadcast plan's engine: both `bcast/*` rows in one `Rounds`
+//! description, driven by every lifecycle.
 //!
-//! The root splits the payload into `p` near-equal chunks (byte
-//! granularity, so any element size works) and sends chunk `i` to rank
-//! `i`; every rank then posts its chunk to all others at once, as the
-//! `allgather/ring` row of [`table`](super::table) does. Wire volume is
-//! `~2s·(p-1)/p` on the critical path instead of the binomial tree's
-//! `s·log2 p`, which wins for large payloads; chunks are shared
-//! [`Bytes`], so the copy bill is the binomial tree's (root `s`,
-//! non-root `r`).
+//! Van de Geijn's scatter + allgather: the root splits the payload into
+//! `p` near-equal chunks (byte granularity, so any element size works)
+//! and sends chunk `i` to rank `i`; every rank then posts its chunk to
+//! all others at once, as the `allgather/ring` row of
+//! [`table`](super::table) does. Wire volume is `~2s·(p-1)/p` on the
+//! critical path instead of the binomial tree's `s·log2 p`, which wins
+//! for large payloads; chunks are shared [`Bytes`], so the copy bill is
+//! the tree's (root `s`, non-root `r`).
+//!
+//! Where only the root knows the size (a self-sizing call), it names
+//! its row in each non-root's first message from its tree parent: the
+//! tree's payload on the tree tag, or on the scatter tag an 8-byte
+//! announcement of the size, which the non-root forwards down the tree
+//! before it joins the exchange. The root announces before it scatters,
+//! so its children find their chunk behind the announcement on the same
+//! stream.
 
 use bytes::Bytes;
 
-use crate::collectives::nonblocking::{drive, message_completion, RoundEngine, Rounds};
-use crate::collectives::{root_without_data, send_internal};
+use super::table::{frozen_pick, Call};
+use super::{BcastAlgo, CollTuning};
+use crate::collectives::nonblocking::{message_completion, recv_first, recv_one, Rounds};
+use crate::collectives::{bcast_forward, bcast_parent, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::plain::{vec_with_capacity, whole_elements};
+use crate::plain::bytes_from_vec;
 use crate::request::Completion;
-use crate::{Plain, Rank, Tag};
+use crate::{Rank, Tag};
 
-/// The delivery of a sized broadcast: either the whole payload (binomial
-/// tree, or the root's own buffer) or the rank-ordered chunks of the
-/// scatter+allgather algorithm. Both shapes write into the caller's
-/// buffer with one copy of `r` total.
-#[derive(Debug)]
-pub enum BcastParts {
-    /// The payload in one piece.
-    Whole(Bytes),
-    /// The payload split into rank-ordered chunks (chunk `i` covers
-    /// bytes `[i*len/p, (i+1)*len/p)` of the payload).
-    Chunks(Vec<Bytes>),
+/// How a rank knows a broadcast cycle's row.
+#[derive(Clone, Copy)]
+pub(crate) enum Rule {
+    /// Selected at the call: by every rank of a sized call, by the root
+    /// of a self-sizing `bcast*` or `ibcast`.
+    Picked(BcastAlgo),
+    /// The static rule under the tuning frozen at `bcast_init`, applied
+    /// by the root to each cycle's size.
+    Frozen(CollTuning),
+    /// From the wire: a self-sizing call's non-root.
+    Learned,
 }
 
-impl BcastParts {
-    /// Total payload length in bytes.
-    pub fn len(&self) -> usize {
-        self.parts().iter().map(Bytes::len).sum()
-    }
-
-    /// True when the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The payload as a sequence of byte parts.
-    fn parts(&self) -> &[Bytes] {
-        match self {
-            BcastParts::Whole(b) => std::slice::from_ref(b),
-            BcastParts::Chunks(c) => c.as_slice(),
-        }
-    }
-
-    /// Writes the payload into `dst` (one counted copy of `r`).
-    pub fn write_into(&self, dst: &mut [u8]) -> Result<()> {
-        if self.len() != dst.len() {
-            return Err(MpiError::Truncated {
-                message_bytes: self.len(),
-                buffer_bytes: dst.len(),
-            });
-        }
-        let mut offset = 0usize;
-        for part in self.parts() {
-            crate::plain::copy_slice(part, &mut dst[offset..offset + part.len()]);
-            offset += part.len();
-        }
-        Ok(())
-    }
-
-    /// Materializes the payload as a typed vector (at most one copy;
-    /// zero for a unique `Vec<u8>`-backed whole payload).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the total length is not a multiple of the element size.
-    pub fn into_vec<T: Plain>(self) -> Vec<T> {
-        let total = self.len();
-        match self {
-            BcastParts::Whole(b) => crate::plain::bytes_into_vec(b),
-            BcastParts::Chunks(chunks) => {
-                let n = whole_elements::<T>(total).expect("a whole number of elements");
-                let mut out = vec_with_capacity::<T>(n);
-                let mut offset = 0usize;
-                for chunk in &chunks {
-                    crate::metrics::record_copy(chunk.len());
-                    // SAFETY: total capacity reserved above; chunks are
-                    // written back to back and `T: Plain` accepts any
-                    // bytes.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            chunk.as_ptr(),
-                            out.as_mut_ptr().cast::<u8>().add(offset),
-                            chunk.len(),
-                        );
-                    }
-                    offset += chunk.len();
-                }
-                // SAFETY: all `total` bytes initialized above.
-                unsafe { out.set_len(n) };
-                out
-            }
-        }
-    }
-}
-
-/// Van de Geijn's broadcast of `size` bytes (agreed on every rank). A
-/// non-root's round 0 receives its chunk from the root and posts it to
-/// everyone; later rounds collect the others' in rank order. The root
-/// skips round 0: it posts the scatter and its own chunk, then drains
-/// what it already has, and returns its payload whole. A root payload
-/// of the wrong size is split as it is; the non-roots report
-/// [`MpiError::Truncated`] after the exchange.
-pub(crate) struct ScatterAllgather {
+/// The binomial tree or van de Geijn, as [`Rule`] says (see the module
+/// doc). A tree's non-root has one round, from its parent; van de
+/// Geijn's receives its chunk from the root, then the others' in rank
+/// order, and completes with them ([`Completion::Blocks`], pieces of
+/// one payload), while its root drains the chunks it already has and
+/// completes with its payload, as the tree's ranks do. A chunk that
+/// does not fit the size — a root payload of another size than a sized
+/// call's non-roots were given, a message cut short — is
+/// [`MpiError::Truncated`] on the rank holding it, and an announcement
+/// that is not a size [`MpiError::InvalidLayout`], reported once the
+/// exchange is done.
+pub(crate) struct BcastEngine {
     root: Rank,
+    parent: Option<Rank>,
+    /// Tree, scatter (which the announcement shares) and allgather tags.
+    tags: [Tag; 3],
+    rule: Rule,
+    /// Only the root knows the size: van de Geijn announces it.
+    announced: bool,
+    /// Van de Geijn's rounds: `p - 1` at the root, `p` elsewhere.
+    exchange: usize,
+    /// This cycle's row, once picked or learned.
+    row: Option<BcastAlgo>,
+    /// The payload's size at a non-root: agreed, or announced.
     size: usize,
-    /// Scatter and allgather tags.
-    tags: [Tag; 2],
-    /// `p - 1` at the root, `p` elsewhere.
-    rounds: usize,
-    /// The root's payload; elsewhere the chunks by rank.
+    /// The payload; a van de Geijn non-root's chunks by rank.
     parts: Vec<Bytes>,
+    /// This cycle's announcement, forwarded as it came.
+    announcement: Bytes,
+    damaged: Option<MpiError>,
+    /// Where a tree's non-root first sends its seed: the non-root side
+    /// of the ordered allreduce, whose gather phase is that one send.
+    up: Option<(Rank, Tag)>,
 }
 
-impl ScatterAllgather {
-    pub(crate) fn run(
+/// Where chunk `r` of a `total`-byte payload split over `p` ranks
+/// begins. `total` may be a peer's announcement: the product is formed
+/// wide, and the quotient is at most `total`.
+fn bound(total: usize, p: usize, r: usize) -> usize {
+    (total as u128 * r as u128 / p as u128) as usize
+}
+
+impl BcastEngine {
+    /// The engine on `tags` for a payload of `size` bytes, `None` where
+    /// only the root knows it.
+    pub(crate) fn new(
         comm: &Comm,
-        payload: Option<Bytes>,
-        size: usize,
+        tags: [Tag; 3],
         root: Rank,
-    ) -> Result<BcastParts> {
-        let tags = [comm.next_internal_tag(), comm.next_internal_tag()];
-        if comm.rank() == root && payload.is_none() {
-            return Err(root_without_data("bcast"));
-        }
-        let mut engine = RoundEngine::new(ScatterAllgather {
+        size: Option<usize>,
+        rule: Rule,
+    ) -> Self {
+        let is_root = comm.rank() == root;
+        BcastEngine {
             root,
-            size,
+            parent: (!is_root).then(|| bcast_parent(comm, root)),
             tags,
-            rounds: comm.size() - usize::from(comm.rank() == root),
+            rule,
+            announced: size.is_none(),
+            exchange: comm.size() - usize::from(is_root),
+            row: None,
+            size: size.unwrap_or(0),
             parts: Vec::new(),
-        });
-        let done = drive(comm, &mut engine, payload.unwrap_or_default())?;
-        Ok(match done {
-            Completion::Blocks(chunks) => BcastParts::Chunks(chunks),
-            root => BcastParts::Whole(root.into_bytes().expect("the root's payload").0),
-        })
+            announcement: Bytes::new(),
+            damaged: None,
+            up: None,
+        }
     }
 
-    /// Round `k` as a non-root counts it.
-    fn round(&self, comm: &Comm, k: usize) -> usize {
-        k + usize::from(comm.rank() == self.root)
+    /// The binomial tree alone, on `tag`, selecting nothing: the
+    /// substrate's own broadcasts, and the ordered allreduce's (whose
+    /// non-roots first contribute to `up`).
+    pub(crate) fn tree(comm: &Comm, tag: Tag, root: Rank, up: Option<(Rank, Tag)>) -> Self {
+        let rule = Rule::Picked(BcastAlgo::Binomial);
+        let tree = BcastEngine::new(comm, [tag; 3], root, Some(0), rule);
+        BcastEngine { up, ..tree }
+    }
+
+    /// Rounds ahead of the row's own: the receive that learns it.
+    fn learning(&self) -> usize {
+        usize::from(matches!(self.rule, Rule::Learned))
+    }
+
+    fn vdg(&self) -> bool {
+        self.row == Some(BcastAlgo::ScatterAllgather)
+    }
+
+    /// Van de Geijn's step at round `k`, as a non-root counts it: step 0
+    /// receives its chunk, step `j > 0` rank `j - 1`'s (itself skipped).
+    fn step(&self, comm: &Comm, k: usize) -> usize {
+        k + usize::from(comm.rank() == self.root) - self.learning()
     }
 
     /// Posts `chunk` to every other rank, in the pairwise rotation.
     fn fan_out(&self, comm: &Comm, chunk: &Bytes) -> Result<()> {
         let (p, rank) = (comm.size(), comm.rank());
-        (1..p).try_for_each(|i| send_internal(comm, (rank + i) % p, self.tags[1], chunk.clone()))
+        (1..p).try_for_each(|i| send_internal(comm, (rank + i) % p, self.tags[2], chunk.clone()))
+    }
+
+    /// Takes in the announcement: the size every chunk is checked
+    /// against. One that is not a size still goes down the tree as it
+    /// came, and the rank still joins the exchange, so no peer is left
+    /// waiting.
+    fn learn(&mut self, comm: &Comm, announcement: Bytes) {
+        self.parts = vec![Bytes::new(); comm.size()];
+        let size = <[u8; 8]>::try_from(&announcement[..]).map(u64::from_le_bytes);
+        match size.ok().and_then(|size| usize::try_from(size).ok()) {
+            Some(size) => self.size = size,
+            None => {
+                let len = announcement.len();
+                let err = format!("bcast: a size announcement of {len} bytes, not 8");
+                self.damaged = Some(MpiError::InvalidLayout(err));
+            }
+        }
+        self.announcement = announcement;
     }
 }
 
-impl Rounds for ScatterAllgather {
+impl Rounds for BcastEngine {
     fn seed(&mut self, comm: &Comm, payload: Bytes) {
-        self.parts = if comm.rank() == self.root {
-            vec![payload]
-        } else {
-            vec![Bytes::new(); comm.size()]
+        let (p, size) = (comm.size(), payload.len());
+        self.row = match self.rule {
+            Rule::Picked(algo) => Some(algo),
+            Rule::Frozen(tuning) => Some(frozen_pick(&tuning, p, &Call::sized(size))),
+            Rule::Learned => None,
+        };
+        self.damaged = None;
+        if self.vdg() && self.announced {
+            self.announcement = bytes_from_vec((size as u64).to_le_bytes().to_vec());
+        }
+        self.parts = match self.vdg() && self.parent.is_some() {
+            true => vec![Bytes::new(); p],
+            false => vec![payload],
         };
     }
 
     fn rounds(&self) -> usize {
-        self.rounds
+        match self.row {
+            Some(BcastAlgo::ScatterAllgather) => self.learning() + self.exchange,
+            Some(BcastAlgo::Binomial) => usize::from(self.parent.is_some()),
+            None => 1,
+        }
     }
 
     fn peer(&self, comm: &Comm, k: usize) -> (Rank, Tag) {
-        match self.round(comm, k) {
-            0 => (self.root, self.tags[0]),
-            k => (k - 1 + usize::from(k > comm.rank()), self.tags[1]),
+        if !self.vdg() || k < self.learning() {
+            return (
+                self.parent.expect("the root has no tree round"),
+                self.tags[0],
+            );
+        }
+        match self.step(comm, k) {
+            0 => (self.root, self.tags[1]),
+            j => (j - 1 + usize::from(j > comm.rank()), self.tags[2]),
+        }
+    }
+
+    fn receive(&mut self, comm: &Comm, k: usize, block: bool) -> Result<Option<Bytes>> {
+        let (src, tag) = self.peer(comm, k);
+        if k >= self.learning() {
+            return recv_one(comm, src, tag, block);
+        }
+        let first = recv_first(comm, src, [tag, self.tags[1]], block)?;
+        Ok(first.map(|(stream, message)| {
+            self.row = Some([BcastAlgo::Binomial, BcastAlgo::ScatterAllgather][stream]);
+            message
+        }))
+    }
+
+    fn waits_on(&self, comm: &Comm, k: usize, out: &mut Vec<(Rank, Tag)>) {
+        let (src, tag) = self.peer(comm, k);
+        out.push((src, tag));
+        if k < self.learning() {
+            out.push((src, self.tags[1]));
         }
     }
 
     fn post(&mut self, comm: &Comm, k: usize) -> Result<()> {
+        if !self.vdg() || k < self.learning() {
+            return match self.up {
+                Some((dest, tag)) => {
+                    send_internal(comm, dest, tag, std::mem::take(&mut self.parts[0]))
+                }
+                None => Ok(()),
+            };
+        }
+        if k == self.learning() && self.announced {
+            bcast_forward(comm, self.root, self.tags[1], &self.announcement)?;
+        }
         let (p, rank) = (comm.size(), comm.rank());
-        if self.round(comm, k) != 1 {
+        if self.step(comm, k) != 1 {
             return Ok(());
         }
         if rank != self.root {
             return self.fan_out(comm, &self.parts[rank]);
         }
         let payload = &self.parts[0];
-        let bound = |r: usize| payload.len() * r / p;
-        let chunk = |r: usize| payload.slice(bound(r)..bound(r + 1));
+        let chunk = |r| payload.slice(bound(payload.len(), p, r)..bound(payload.len(), p, r + 1));
         for r in (0..p).filter(|&r| r != rank) {
-            send_internal(comm, r, self.tags[0], chunk(r))?;
+            send_internal(comm, r, self.tags[1], chunk(r))?;
         }
         self.fan_out(comm, &chunk(rank))
     }
 
-    fn absorb(&mut self, comm: &Comm, k: usize, chunk: Bytes) -> Result<()> {
-        // The root's rounds return chunks it already has; a non-root's
-        // round 0 brings its own.
-        let rank = comm.rank();
+    fn absorb(&mut self, comm: &Comm, k: usize, payload: Bytes) -> Result<()> {
+        if !self.vdg() {
+            self.parts[0] = payload;
+            return Ok(());
+        }
+        if k < self.learning() {
+            self.learn(comm, payload);
+            return Ok(());
+        }
+        // The root's rounds return chunks it split from its own payload.
+        let (p, rank) = (comm.size(), comm.rank());
+        let from = match self.step(comm, k) {
+            0 => rank,
+            _ => self.peer(comm, k).0,
+        };
+        let total = if rank == self.root {
+            self.parts[0].len()
+        } else {
+            self.size
+        };
+        let expected = bound(total, p, from + 1) - bound(total, p, from);
+        if payload.len() != expected && self.damaged.is_none() {
+            let message_bytes = payload.len();
+            self.damaged = Some(MpiError::Truncated {
+                message_bytes,
+                buffer_bytes: expected,
+            });
+        }
         if rank != self.root {
-            let from = if k == 0 { rank } else { self.peer(comm, k).0 };
-            self.parts[from] = chunk;
+            self.parts[from] = payload;
         }
         Ok(())
     }
 
     fn finish(&mut self, comm: &Comm) -> Result<Completion> {
-        let (p, rank) = (comm.size(), comm.rank());
         let mut parts = std::mem::take(&mut self.parts);
-        if rank == self.root {
-            return Ok(message_completion(rank, self.tags[0], parts.remove(0)));
+        if !self.vdg() {
+            let payload = parts.swap_remove(0);
+            bcast_forward(comm, self.root, self.tags[0], &payload)?;
+            return Ok(message_completion(self.root, self.tags[0], payload));
         }
-        // Communicate first, fail alone after: a rank that left before
-        // the allgather would strand its peers in it.
-        let expected = self.size * (rank + 1) / p - self.size * rank / p;
-        let received = parts[rank].len();
-        if received != expected {
-            return Err(MpiError::Truncated {
-                message_bytes: received,
-                buffer_bytes: expected,
-            });
+        // Communicate first, fail after: a rank that left before the
+        // allgather would strand its peers in it.
+        if let Some(err) = self.damaged.take() {
+            return Err(err);
         }
-        Ok(Completion::Blocks(parts))
+        Ok(match comm.rank() == self.root {
+            true => message_completion(self.root, self.tags[1], parts.swap_remove(0)),
+            false => Completion::Blocks(parts),
+        })
+    }
+
+    fn all_peers(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
+        // Either row's sources: a non-root's parent on both of its
+        // streams, the root's scatter, and every rank's allgather.
+        let rank = comm.rank();
+        if let Some(parent) = self.parent {
+            out.extend([(parent, self.tags[0]), (parent, self.tags[1])]);
+            if parent != self.root {
+                out.push((self.root, self.tags[1]));
+            }
+        }
+        out.extend(
+            (0..comm.size())
+                .filter(|&r| r != rank)
+                .map(|r| (r, self.tags[2])),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::nonblocking::{drive, RoundEngine};
     use crate::plain::bytes_from_slice;
     use crate::Universe;
+
+    /// Van de Geijn driven on this stack, every rank passing `size`.
+    fn run(comm: &Comm, payload: Option<Bytes>, size: usize, root: Rank) -> Result<Completion> {
+        let tags = [(); 3].map(|()| comm.next_internal_tag());
+        let rule = Rule::Picked(BcastAlgo::ScatterAllgather);
+        let engine = BcastEngine::new(comm, tags, root, Some(size), rule);
+        drive(
+            comm,
+            &mut RoundEngine::new(engine),
+            payload.unwrap_or_default(),
+        )
+    }
+
+    fn joined(done: Completion) -> Vec<u8> {
+        done.into_blocks()
+            .unwrap()
+            .iter()
+            .flat_map(|b| b.to_vec())
+            .collect()
+    }
 
     #[test]
     fn scatter_allgather_delivers_everywhere() {
@@ -239,36 +351,26 @@ mod tests {
                 Universe::run(p, move |comm| {
                     let data: Vec<u8> = (0..1031u32).map(|i| (i % 251) as u8).collect();
                     let payload = (comm.rank() == root).then(|| bytes_from_slice(&data));
-                    let parts = ScatterAllgather::run(&comm, payload, data.len(), root).unwrap();
-                    let got: Vec<u8> = parts.into_vec();
-                    assert_eq!(got, data, "p = {p}, root = {root}");
+                    let done = run(&comm, payload, data.len(), root).unwrap();
+                    assert_eq!(joined(done), data, "p = {p}, root = {root}");
                 });
             }
         }
     }
 
+    /// A root payload shorter than the size the non-roots were given is
+    /// split as it is: every non-root holds short chunks and reports
+    /// them after the exchange, while the root's own chunks come back
+    /// as it split them.
     #[test]
-    fn parts_write_into_checks_length() {
-        let parts = BcastParts::Whole(bytes_from_slice(&[1u8, 2, 3]));
-        let mut small = [0u8; 2];
-        assert!(parts.write_into(&mut small).is_err());
-        let mut exact = [0u8; 3];
-        parts.write_into(&mut exact).unwrap();
-        assert_eq!(exact, [1, 2, 3]);
-    }
-
-    #[test]
-    fn chunked_parts_reassemble_typed() {
-        // Chunk boundaries deliberately misaligned with the element
-        // size: 3 u64 over 4 parts splits at bytes 6/12/18.
-        let data = [7u64, 8, 9];
-        let bytes = bytes_from_slice(&data);
-        let chunks: Vec<Bytes> = (0..4)
-            .map(|i| bytes.slice(24 * i / 4..24 * (i + 1) / 4))
-            .collect();
-        let parts = BcastParts::Chunks(chunks);
-        assert_eq!(parts.len(), 24);
-        let back: Vec<u64> = parts.into_vec();
-        assert_eq!(back, vec![7, 8, 9]);
+    fn chunks_of_the_wrong_length_are_truncation_on_the_ranks_holding_them() {
+        Universe::run(4, |comm| {
+            let payload = (comm.rank() == 0).then(|| bytes_from_slice(&[7u8; 40]));
+            let done = run(&comm, payload, 48, 0);
+            match comm.rank() {
+                0 => assert_eq!(joined(done.unwrap()), [7; 40]),
+                _ => assert!(matches!(done, Err(MpiError::Truncated { .. })), "{done:?}"),
+            }
+        });
     }
 }

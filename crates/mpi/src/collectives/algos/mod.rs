@@ -38,7 +38,6 @@ pub mod model;
 pub(crate) mod reduce;
 pub mod table;
 
-pub use bcast::BcastParts;
 pub use model::{
     AlgoClass, ClassEstimate, ClassStat, ModelConfig, ModelSnapshot, TuningStats, CLASS_COUNT,
 };

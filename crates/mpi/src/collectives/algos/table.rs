@@ -16,8 +16,8 @@
 //! |---|---|---|---|---|---|---|
 //! | **`allreduce/recursive_doubling`** | round 0 sends a copy the partner folds into; later rounds send the accumulator as a refcount payload, and the last folds into the contribution | log2 p' (+2 off powers of two) | s + r (+ r handing the result back off powers of two) | — | otherwise | blocking, `iallreduce`, `allreduce_init` |
 //! | `allreduce/rabenseifner` | reduce-scatter folding into fresh shrinking halves + ring allgather of refcount chunks | log2 p' + p' - 1 (+2 off powers of two) | s + r (+ r handing the result back off powers of two) | — | `p >= 4`, `s >=` [`CollTuning::rabenseifner_min_bytes`] | blocking, `iallreduce`, `allreduce_init` |
-//! | **`bcast/binomial`** | binomial tree, refcount forwarding; every rank sends to its largest subtree first, so the critical path is ceil(log2 p) hops | <= log2 p | root s, other r | — | otherwise (and always where non-roots do not know `s`) | blocking, `ibcast`, `bcast_init` |
-//! | `bcast/scatter_allgather` | van de Geijn: scatter + eager allgather of the chunks | ~2p | root s, other r | `s > 0`, known on every rank | `p >= 4`, `s >=` [`CollTuning::bcast_scatter_min_bytes`] | blocking (the sized `bcast*`) |
+//! | **`bcast/binomial`** | binomial tree, refcount forwarding; every rank sends to its largest subtree first, so the critical path is ceil(log2 p) hops | <= log2 p | root s, other r | — | otherwise | blocking, `ibcast`, `bcast_init` |
+//! | `bcast/scatter_allgather` | van de Geijn: scatter + eager allgather of the chunks; where only the root knows `s` (self-sizing), the root first announces `s` down the tree | 2(p-1) + ceil(log2 p) (sized: 2(p-1)) | root s, other r | `s > 0` | `p >= 4`, `s >=` [`CollTuning::bcast_scatter_min_bytes`] | blocking, `ibcast`, `bcast_init` |
 //! | **`allgather/ring`** | eager fan-out: the own block to every peer as a refcount clone, all posted before the first receive (the name is the row's, kept from the forwarding ring) | p-1 | s + r | — | otherwise | blocking, `iallgather(v)`, `allgather(v)_init` |
 //! | `allgather/recursive_doubling` | packed doubling rounds, carved by the agreed or learned block sizes | log2 p (self-sizing: + one direct receive per large block) | s·(p-2) + r (counted, self-sizing: the bytes of the inline blocks it packs) | `p >= 2`, a power of two, block sizes every rank knows or learns in the rounds | `p >= 4`, `s <=` [`CollTuning::allgather_rd_max_bytes`]; for a counted `allgatherv`, `t <=` it; for a self-sizing one always | blocking `allgather(v)`, `iallgather(v)`, `allgather(v)_init` |
 //! | `allgather/bruck` | rotated packed rounds, carved by the agreed or learned block sizes | ceil(log2 p) (self-sizing: + one direct receive per large block) | <= s·(p-2) + r (counted, self-sizing: the bytes of the inline blocks it packs) | `p >= 2`, block sizes every rank knows or learns in the rounds | `p >= 4` not a power of two, `s <=` [`CollTuning::allgather_bruck_max_bytes`]; for a counted `allgatherv`, `t <=` it; for a self-sizing one always | blocking `allgather(v)`, `iallgather(v)`, `allgather(v)_init` |
@@ -50,7 +50,8 @@
 //! - `tuned` — the one dispatch sequence: model sync point → `select`
 //!   → span or instant named from the row → measure → run → observe
 //!   (`Tuned::begin` / `Tuned::finish` for the one caller that
-//!   learns the algorithm from the wire).
+//!   learns the algorithm from the wire: a self-sizing broadcast's
+//!   blocking non-root, whose root selects).
 //! - [`CLASS_COUNT`], [`AlgoClass::ALL`] and [`AlgoClass::name`].
 //!
 //! The startups `features` claim, and the menu's startups column, are
@@ -87,8 +88,7 @@ pub(crate) struct Call {
     pub duplicate_free: bool,
     /// Every rank knows `size` and how the payload splits into blocks
     /// (equal, or by agreed counts — or, for a self-sizing `allgatherv`,
-    /// learned in the rounds, with `size` 0): not so for a persistent
-    /// broadcast (its non-roots do not know the size) or variable
+    /// learned in the rounds, with `size` 0): not so for variable
     /// `alltoallv` blocks. Only the fallback rows serve an irregular
     /// call.
     pub regular: bool,
@@ -180,6 +180,10 @@ impl Site {
     pub(crate) const BLOCKING: Site = Site(Lifecycle::Blocking, 0);
     pub(crate) const IMMEDIATE: Site = Site(Lifecycle::Overlap, 1);
     pub(crate) const INIT: Site = Site(Lifecycle::Persistent, 2);
+
+    pub(crate) fn lifecycle(self) -> Lifecycle {
+        self.0
+    }
 }
 
 /// One algorithm (see the module doc).
@@ -281,13 +285,15 @@ impl Algo for BcastAlgo {
             algo: BcastAlgo::ScatterAllgather,
             class: AlgoClass::BcastScatterAllgather,
             names: names!("scatter_allgather": "bcast", "ibcast", "bcast_init"),
-            // Zero-length chunks cannot tell `bcast_vec`'s non-roots a
-            // header-only message from a fused one.
-            needs: |_, call| call.regular && call.size > 0,
+            // An empty payload has nothing to split.
+            needs: |_, call| call.size > 0,
             auto: |t, _, p, s| p >= 4 && s >= t.bcast_scatter_min_bytes,
-            features: |p, _, s| (2.0 * (p as f64 - 1.0), 2.0 * s),
-            // The scatter, then one eager allgather.
-            rounds: |_, _| 2.0,
+            // The self-sizing form's: the root announces the size to its
+            // `ceil(log2 p)` children first (a sized call skips that).
+            features: |p, l, s| (2.0 * (p as f64 - 1.0) + l, 2.0 * s),
+            // The announcement down the tree, the scatter, then one eager
+            // allgather.
+            rounds: |_, l| l + 2.0,
         },
     ];
 }
@@ -473,6 +479,14 @@ pub(super) fn static_pick<A: Algo>(
     (row, if frozen { Pick::Frozen } else { pick })
 }
 
+/// A persistent plan's pick for `call`, counted nowhere: the rule a
+/// self-sizing `bcast_init` root applies to each cycle's size.
+pub(crate) fn frozen_pick<A: Algo>(tuning: &CollTuning, p: usize, call: &Call) -> A {
+    static_pick::<A>(tuning, Lifecycle::Persistent, p, call)
+        .0
+        .algo
+}
+
 /// Predicted cost of `row` at `(p, size)`, every serialized round of
 /// its engine charged `round_bias` extra startups.
 fn cost<A>(snap: &ModelSnapshot, row: &Row<A>, (p, size): (usize, usize), round_bias: f64) -> f64 {
@@ -583,8 +597,8 @@ pub(crate) fn select<A: Algo>(comm: &Comm, lifecycle: Lifecycle, call: Call) -> 
 }
 
 /// The two-step form of [`tuned`], for a caller that learns the
-/// algorithm after the sync point (`bcast_vec`'s non-roots read it off
-/// the root's message).
+/// algorithm after the sync point (a self-sizing broadcast's non-roots
+/// read it off the root's first message).
 pub(crate) struct Tuned<'c> {
     comm: &'c Comm,
     site: Site,
@@ -799,7 +813,7 @@ mod tests {
 
     type Start = for<'c> fn(&'c Comm) -> Result<crate::Request<'c>>;
 
-    /// Audits every row of `A` but `skip`: forced, its engine must run
+    /// Audits every row of `A`: forced, its engine must run
     /// the startups `features` claim — the longer of the critical path
     /// (hops, every send costing 1) and the busiest rank's receives
     /// (every receive costing 1), by dry run — at every `p` it serves in
@@ -809,11 +823,10 @@ mod tests {
     fn audit<A: Algo + std::fmt::Debug>(
         force: fn(CollTuning, A) -> CollTuning,
         start: Start,
-        skip: &[A],
         top: u32,
     ) -> Vec<String> {
         let mut off = Vec::new();
-        for row in A::ROWS.iter().filter(|r| !skip.contains(&r.algo)) {
+        for row in A::ROWS {
             let tuning = force(CollTuning::default(), row.algo);
             let count = |p, alpha_ns, recv_overhead_ns| {
                 let cost = crate::CostModel {
@@ -846,9 +859,9 @@ mod tests {
     }
 
     /// The menu's startups column, audited instead of restated: every
-    /// row with an `i*` form (all but van de Geijn's broadcast and the
-    /// neighborhood rows). The allgather and all-to-all rows stop at
-    /// `2^10`: one thread holds their `p²` result blocks.
+    /// row with an `i*` form (all but the neighborhood rows). The
+    /// allgather and all-to-all rows stop at `2^10`: one thread holds
+    /// their `p²` result blocks.
     #[test]
     fn every_row_runs_the_startups_it_claims() {
         use crate::op::Sum;
@@ -856,11 +869,11 @@ mod tests {
         let bcast: Start = |c| c.ibcast(Some(&[1u8][..]), 0);
         let alltoall: Start = |c| c.ialltoall(&vec![1u8; c.size()]);
         let off = [
-            audit(CollTuning::allreduce, allreduce, &[], 12),
-            audit(CollTuning::bcast, bcast, &[BcastAlgo::ScatterAllgather], 12),
-            audit(CollTuning::allgather, |c| c.iallgather(&[1u8]), &[], 10),
-            audit(CollTuning::alltoall, alltoall, &[], 10),
-            audit(CollTuning::reduce, |c| c.ireduce(&[1u64], Sum, 0), &[], 12),
+            audit(CollTuning::allreduce, allreduce, 12),
+            audit(CollTuning::bcast, bcast, 12),
+            audit(CollTuning::allgather, |c| c.iallgather(&[1u8]), 10),
+            audit(CollTuning::alltoall, alltoall, 10),
+            audit(CollTuning::reduce, |c| c.ireduce(&[1u64], Sum, 0), 12),
         ];
         let off = off.concat();
         assert!(off.is_empty(), "cells disagree:\n{}", off.join("\n"));

@@ -1,32 +1,47 @@
-//! Broadcast: binomial tree, plus the size-dispatched large-message
-//! algorithm for paths where every rank knows the payload size.
+//! Broadcast: the binomial tree's shape, and the blocking entry points
+//! of the one broadcast plan (`Comm::bcast_plan`, whose engine is
+//! [`BcastEngine`]).
+//!
+//! A **sized** call (`bcast_into`, `bcast_parts` with a size, the
+//! binding's `bcast` with `recv_count`) gives every rank the payload
+//! size, so every rank selects the row and runs it as it is. A
+//! **self-sizing** call — `bcast_bytes`, `bcast_vec`, `bcast_parts`
+//! without a size, every `ibcast` and `bcast_init`, the binding's
+//! `bcast` without `recv_count` — lets the root select, and the others
+//! learn its row from the wire: the tree's messages, byte for byte, or
+//! van de Geijn's behind one tree pass of an 8-byte size announcement.
 
 use bytes::Bytes;
 
-use super::algos::bcast::ScatterAllgather;
-use super::algos::table::{select, tuned, Call, Lifecycle, Site, Tuned};
-use super::algos::{BcastAlgo, BcastParts};
-use super::nonblocking::{drive_message, message_completion, Rounds};
-use super::{root_without_data, send_internal};
+use super::algos::bcast::BcastEngine;
+use super::algos::table::{Site, Tuned};
+use super::algos::BcastAlgo;
+use super::nonblocking::{drive, drive_message, RoundEngine};
+use super::send_internal;
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::plain::{
-    as_bytes, as_bytes_mut, bytes_from_slice, bytes_from_vec, bytes_into_vec, bytes_to_vec,
-    extend_vec_from_bytes,
+    as_bytes_mut, bytes_from_slice, bytes_from_vec, bytes_into_vec, copy_slice, vec_with_capacity,
+    whole_elements,
 };
 use crate::request::Completion;
 use crate::{Plain, Rank, Tag};
 
-/// Broadcasts `payload` (significant at root) down a binomial tree over
-/// virtual ranks `vrank = (rank - root) mod p` — the broadcast plan
-/// `ibcast` / `bcast_init` start, driven on this stack; returns the
-/// payload on every rank.
+/// Broadcasts the root's `payload` down the binomial tree, selecting
+/// nothing: the substrate's own broadcasts (context ids, the cost
+/// model's snapshot at its sync point) run on it.
 pub(crate) fn bcast_bytes_internal(
     comm: &Comm,
     payload: Option<Bytes>,
     root: Rank,
 ) -> Result<Bytes> {
-    comm.bcast_plan("bcast", payload, root, drive_message)
+    comm.check_rank(root)?;
+    let tree = BcastEngine::tree(comm, comm.next_internal_tag(), root, None);
+    drive_message(
+        comm,
+        &mut RoundEngine::new(tree),
+        payload.unwrap_or_default(),
+    )
 }
 
 /// This rank's position in the binomial tree rooted at `root`.
@@ -69,217 +84,181 @@ fn vchildren(v: usize, p: usize) -> impl Iterator<Item = usize> {
 }
 
 /// Forwards `data` to this rank's children in the binomial tree rooted
-/// at `root`. Shared by [`BinomialBcast`] and the ordered allreduce's
+/// at `root`. Shared by [`BcastEngine`] and the ordered allreduce's
 /// rank 0, which folds the result it then sends down the tree.
 pub(crate) fn bcast_forward(comm: &Comm, root: Rank, tag: Tag, data: &Bytes) -> Result<()> {
     bcast_children(comm, root).try_for_each(|child| send_internal(comm, child, tag, data.clone()))
 }
 
-/// The binomial broadcast as a round description — the broadcast
-/// plan's engine in every lifecycle: the root has no round — it
-/// forwards and completes inside `start` — every other rank has one,
-/// from its parent, and forwards on receipt. With `up` set a non-root
-/// first contributes there: the non-root side of the ordered allreduce,
-/// whose gather phase is that one send.
-pub(crate) struct BinomialBcast {
-    tag: Tag,
-    root: Rank,
-    parent: Option<Rank>,
-    up: Option<(Rank, Tag)>,
-    payload: Option<Bytes>,
-}
-
-impl BinomialBcast {
-    pub(crate) fn new(comm: &Comm, tag: Tag, root: Rank, up: Option<(Rank, Tag)>) -> Self {
-        BinomialBcast {
-            tag,
-            root,
-            parent: (comm.rank() != root).then(|| bcast_parent(comm, root)),
-            up,
-            payload: None,
-        }
-    }
-}
-
-impl Rounds for BinomialBcast {
-    fn seed(&mut self, _comm: &Comm, payload: Bytes) {
-        self.payload = Some(payload);
-    }
-
-    fn rounds(&self) -> usize {
-        usize::from(self.parent.is_some())
-    }
-
-    fn peer(&self, _comm: &Comm, _k: usize) -> (Rank, Tag) {
-        (self.parent.expect("the root has no round"), self.tag)
-    }
-
-    fn post(&mut self, comm: &Comm, _k: usize) -> Result<()> {
-        // A non-root's seed is its contribution there, or a placeholder.
-        match (self.up, self.payload.take()) {
-            (Some((dest, tag)), Some(own)) => send_internal(comm, dest, tag, own),
-            _ => Ok(()),
-        }
-    }
-
-    fn absorb(&mut self, _comm: &Comm, _k: usize, payload: Bytes) -> Result<()> {
-        self.payload = Some(payload);
-        Ok(())
-    }
-
-    fn finish(&mut self, comm: &Comm) -> Result<Completion> {
-        let payload = self.payload.take().expect("seeded or received");
-        bcast_forward(comm, self.root, self.tag, &payload)?;
-        Ok(message_completion(self.root, self.tag, payload))
-    }
-}
-
-/// Sized broadcast: `size` (bytes) is known and identical on every rank
-/// (as `MPI_Bcast`'s count is), which lets the tuning pick the
-/// large-message algorithm. Returns the payload as [`BcastParts`].
-pub(crate) fn bcast_parts_internal(
+/// The blocking driver of the broadcast plan. A self-sizing non-root
+/// learns the root's row from the wire, so it names and observes the
+/// row — [`Tuned`]'s second step — once the row has run; every other
+/// rank's plan selects under `tuned`.
+pub(crate) fn bcast_internal(
     comm: &Comm,
     payload: Option<Bytes>,
-    size: usize,
+    size: Option<usize>,
     root: Rank,
-) -> Result<BcastParts> {
+) -> Result<Completion> {
     comm.check_rank(root)?;
-    tuned(comm, Site::BLOCKING, Call::sized(size), |algo| match algo {
-        BcastAlgo::Binomial => bcast_bytes_internal(comm, payload, root).map(BcastParts::Whole),
-        BcastAlgo::ScatterAllgather => ScatterAllgather::run(comm, payload, size, root),
+    if size.is_some() || comm.rank() == root {
+        return comm.bcast_plan(Site::BLOCKING, "bcast", payload, size, root, drive);
+    }
+    let step = Tuned::begin(comm, Site::BLOCKING)?;
+    let done = comm.bcast_plan(Site::BLOCKING, "bcast", None, None, root, drive)?;
+    let row = match &done {
+        Completion::Blocks(_) => BcastAlgo::ScatterAllgather,
+        _ => BcastAlgo::Binomial,
+    };
+    let len = pieces(&done).iter().map(Bytes::len).sum();
+    step.finish(row, len, || Ok(done))
+}
+
+/// A broadcast's delivery in payload order: the whole payload, or van
+/// de Geijn's chunks, which need not split at element boundaries.
+fn pieces(done: &Completion) -> &[Bytes] {
+    match done {
+        Completion::Message(payload, _) => std::slice::from_ref(payload),
+        Completion::Blocks(chunks) => chunks,
+        Completion::Done => &[],
+    }
+}
+
+/// `pieces`, `n` elements of `T` in all, back to back in a fresh vector
+/// (one counted copy).
+fn concat<T: Plain>(pieces: &[Bytes], n: usize) -> Vec<T> {
+    let mut out = vec_with_capacity::<T>(n);
+    let dst = out.as_mut_ptr().cast::<u8>();
+    let mut at = 0;
+    for piece in pieces {
+        crate::metrics::record_copy(piece.len());
+        // SAFETY: the pieces hold the bytes of `n` elements, reserved
+        // above, and `T: Plain` accepts any bytes.
+        unsafe { std::ptr::copy_nonoverlapping(piece.as_ptr(), dst.add(at), piece.len()) };
+        at += piece.len();
+    }
+    // SAFETY: all `n` elements were written above.
+    unsafe { out.set_len(n) };
+    out
+}
+
+/// A broadcast's delivery as a typed vector: the payload's own vector
+/// where this rank holds its only view, else one counted copy. A
+/// delivery that is not whole elements is [`MpiError::Truncated`].
+fn into_typed<T: Plain>(done: Completion) -> Result<Vec<T>> {
+    let n = whole_elements::<T>(pieces(&done).iter().map(Bytes::len).sum())?;
+    Ok(match done {
+        Completion::Message(payload, _) => bytes_into_vec(payload),
+        _ if n == 0 => Vec::new(),
+        done => concat(pieces(&done), n),
     })
 }
 
-/// Broadcasts a single plain value (used internally for context ids).
+/// Copies `pieces` back to back into `dst`, which they must fill
+/// exactly (one counted copy).
+fn write_pieces(pieces: &[Bytes], dst: &mut [u8]) -> Result<()> {
+    let len = pieces.iter().map(Bytes::len).sum();
+    if len != dst.len() {
+        return Err(MpiError::Truncated {
+            message_bytes: len,
+            buffer_bytes: dst.len(),
+        });
+    }
+    let mut rest = dst;
+    for piece in pieces {
+        let (head, tail) = rest.split_at_mut(piece.len());
+        copy_slice(piece, head);
+        rest = tail;
+    }
+    Ok(())
+}
+
+/// Broadcasts a single plain value (used internally for context ids). A
+/// message that is not one `T` is [`MpiError::Truncated`].
 pub(crate) fn bcast_one_internal<T: Plain>(comm: &Comm, value: T, root: Rank) -> Result<T> {
     let payload = (comm.rank() == root).then(|| bytes_from_slice(std::slice::from_ref(&value)));
     let bytes = bcast_bytes_internal(comm, payload, root)?;
-    let v: Vec<T> = bytes_into_vec(bytes);
-    Ok(v[0])
+    let (message_bytes, buffer_bytes) = (bytes.len(), std::mem::size_of::<T>());
+    let truncated = MpiError::Truncated {
+        message_bytes,
+        buffer_bytes,
+    };
+    if message_bytes != buffer_bytes {
+        return Err(truncated);
+    }
+    let value: Vec<T> = bytes_into_vec(bytes);
+    value.first().copied().ok_or(truncated)
 }
 
 impl Comm {
-    /// Broadcasts a raw payload from the root down the binomial tree,
-    /// returning the shared payload on every rank (zero-copy transport:
+    /// Broadcasts a raw payload only the root sizes, returning it on
+    /// every rank. Self-sizing: the root selects — the binomial tree, or
+    /// for a large payload van de Geijn's scatter + allgather — and the
+    /// non-roots learn its pick from the wire. Zero-copy on the tree:
     /// forwarding clones a refcount, and the returned [`Bytes`] aliases
-    /// the delivered message). The binding layer adopts the payload
-    /// directly into the caller's buffer with a single copy.
+    /// the delivered message; a non-root joins van de Geijn's chunks
+    /// with one copy.
     pub fn bcast_bytes(&self, payload: Option<Bytes>, root: Rank) -> Result<Bytes> {
         self.count_op("bcast");
-        bcast_bytes_internal(self, payload, root)
+        Ok(match bcast_internal(self, payload, None, root)? {
+            Completion::Message(payload, _) => payload,
+            done => {
+                let len = pieces(&done).iter().map(Bytes::len).sum();
+                bytes_from_vec(concat::<u8>(pieces(&done), len))
+            }
+        })
     }
 
     /// Broadcasts the root's buffer contents into every rank's buffer
-    /// (mirrors `MPI_Bcast`). All ranks must pass buffers of equal
-    /// length — which is what lets the tuning switch to the
-    /// large-message algorithm on this path.
+    /// (mirrors `MPI_Bcast`). All ranks pass buffers of equal length —
+    /// a sized broadcast, so every rank selects the row itself.
     pub fn bcast_into<T: Plain>(&self, buf: &mut [T], root: Rank) -> Result<()> {
         self.count_op("bcast");
         let size = std::mem::size_of_val(buf);
         let payload = (self.rank() == root).then(|| bytes_from_slice(buf));
-        let parts = bcast_parts_internal(self, payload, size, root)?;
+        let done = bcast_internal(self, payload, Some(size), root)?;
         if self.rank() != root {
-            parts.write_into(as_bytes_mut(buf))?;
+            write_pieces(pieces(&done), as_bytes_mut(buf))?;
         }
         Ok(())
     }
 
-    /// Sized byte-level broadcast: every rank passes the payload size
-    /// (so the tuning may pick the large-message algorithm, which the
-    /// size-discovering [`Comm::bcast_bytes`] cannot). The root's
-    /// payload length must equal `size`; a root that breaks this still
-    /// broadcasts what it has — its peers must not be left waiting — and
-    /// reports [`MpiError::InvalidLayout`] afterwards, while they see a
-    /// payload of the wrong length.
+    /// Byte-level broadcast that hands the delivery back as it came:
+    /// the whole payload as [`Completion::Message`], or on a non-root
+    /// van de Geijn's chunks in rank order as [`Completion::Blocks`] —
+    /// pieces of one payload that need not split at element boundaries.
+    /// With `size`, every rank passes the payload size (as `MPI_Bcast`'s
+    /// count) and selects the row itself; without it the broadcast is
+    /// self-sizing, like [`Comm::bcast_bytes`]. A root whose payload
+    /// breaks `size` still broadcasts what it has — its peers must not
+    /// be left waiting — and reports [`MpiError::InvalidLayout`]
+    /// afterwards, while they see a payload of the wrong length.
     pub fn bcast_parts(
         &self,
         payload: Option<Bytes>,
-        size: usize,
+        size: Option<usize>,
         root: Rank,
-    ) -> Result<BcastParts> {
+    ) -> Result<Completion> {
         self.count_op("bcast");
-        let held = payload.as_ref().map_or(size, Bytes::len);
-        let parts = bcast_parts_internal(self, payload, size, root)?;
-        if held != size {
-            return Err(MpiError::InvalidLayout(format!(
+        let held = payload.as_ref().map(Bytes::len);
+        let done = bcast_internal(self, payload, size, root)?;
+        match (held, size) {
+            (Some(held), Some(size)) if held != size => Err(MpiError::InvalidLayout(format!(
                 "bcast: root payload holds {held} bytes but size says {size}"
-            )));
+            ))),
+            _ => Ok(done),
         }
-        Ok(parts)
     }
 
     /// Broadcasts a vector from the root; non-root ranks receive a fresh
     /// vector of whatever length the root sent (a convenience the C API
-    /// lacks: the length travels with the message).
-    ///
-    /// Header-first sized protocol: the root prepends an 8-byte length
-    /// header, so the sized tuning — including the large-message
-    /// scatter+allgather algorithm — applies even though only the root
-    /// knows the payload size up front. Under the binomial pick the
-    /// header rides fused with the payload in a single message; under
-    /// scatter+allgather an 8-byte header-only broadcast goes first and
-    /// every rank then joins the chunked exchange. The root's choice is
-    /// conveyed purely by message shape — non-roots never re-select.
+    /// lacks). Self-sizing, like [`Comm::bcast_bytes`]: no rank but the
+    /// root passes the length, and every row stays open to the root's
+    /// pick.
     pub fn bcast_vec<T: Plain>(&self, data: Option<&[T]>, root: Rank) -> Result<Vec<T>> {
         self.count_op("bcast");
-        self.check_rank(root)?;
-        let step = Tuned::begin(self, Site::BLOCKING)?;
-        if self.rank() == root {
-            let Some(data) = data else {
-                // Every non-root's first step is the one-tag header
-                // receive; burn that tag so this rank stays aligned.
-                self.next_internal_tag();
-                return Err(root_without_data("bcast"));
-            };
-            let size = std::mem::size_of_val(data);
-            // An empty payload always fuses: scatter+allgather needs
-            // one (see its row), so the selection resolves to binomial.
-            let algo = select(self, Lifecycle::Blocking, Call::sized(size));
-            step.finish(algo, size, || match algo {
-                BcastAlgo::Binomial => {
-                    let mut fused: Vec<u8> = Vec::with_capacity(8 + size);
-                    crate::metrics::record_alloc();
-                    fused.extend_from_slice(&(size as u64).to_le_bytes());
-                    extend_vec_from_bytes(&mut fused, as_bytes(data));
-                    bcast_bytes_internal(self, Some(bytes_from_vec(fused)), root)?;
-                    Ok(bytes_to_vec(as_bytes(data)))
-                }
-                BcastAlgo::ScatterAllgather => {
-                    bcast_bytes_internal(self, Some(bytes_from_slice(&[size as u64])), root)?;
-                    let payload = Some(bytes_from_slice(data));
-                    let parts = ScatterAllgather::run(self, payload, size, root)?;
-                    Ok(parts.into_vec())
-                }
-            })
-        } else {
-            let msg = bcast_bytes_internal(self, None, root)?;
-            if msg.len() < 8 {
-                return Err(MpiError::InvalidLayout(format!(
-                    "bcast_vec: malformed size header ({} bytes)",
-                    msg.len()
-                )));
-            }
-            let size = u64::from_le_bytes(msg[..8].try_into().expect("8-byte header")) as usize;
-            // The message's shape names the root's pick: header fused
-            // with the payload is binomial, header only is
-            // scatter+allgather, which this rank now joins.
-            let algo = if msg.len() == 8 + size {
-                BcastAlgo::Binomial
-            } else if msg.len() == 8 {
-                BcastAlgo::ScatterAllgather
-            } else {
-                return Err(MpiError::InvalidLayout(format!(
-                    "bcast_vec: header says {size} bytes but message carries {}",
-                    msg.len() - 8
-                )));
-            };
-            step.finish(algo, size, || match algo {
-                BcastAlgo::Binomial => Ok(bytes_to_vec(&msg[8..])),
-                BcastAlgo::ScatterAllgather => {
-                    Ok(ScatterAllgather::run(self, None, size, root)?.into_vec())
-                }
-            })
-        }
+        let payload = data.filter(|_| self.rank() == root).map(bytes_from_slice);
+        into_typed(bcast_internal(self, payload, None, root)?)
     }
 
     /// Broadcasts one plain value from the root.
@@ -440,8 +419,8 @@ mod tests {
 
     #[test]
     fn bcast_vec_large_payload_joins_scatter_allgather() {
-        // 512 KiB at p = 4 crosses `bcast_scatter_min_bytes`: the
-        // header-first protocol lets non-roots join van de Geijn without
+        // 512 KiB at p = 4 crosses `bcast_scatter_min_bytes`: the root's
+        // announcement lets non-roots join van de Geijn without
         // supplying the length up front (no recv_count required).
         Universe::run(4, |comm| {
             let data: Vec<u64> = (0..65_536u64).map(|i| i.wrapping_mul(3) + 1).collect();
@@ -460,9 +439,9 @@ mod tests {
     }
 
     #[test]
-    fn bcast_vec_forced_scatter_allgather_via_header() {
-        // A forced large-message algorithm engages on the sized vec path
-        // even for small payloads; non-roots follow the header-only shape.
+    fn bcast_vec_forced_scatter_allgather_via_announcement() {
+        // A forced large-message algorithm engages on the self-sizing vec
+        // path even for small payloads; non-roots follow the announcement.
         Universe::run(5, |comm| {
             comm.set_tuning(
                 crate::collectives::CollTuning::default()
@@ -485,7 +464,7 @@ mod tests {
 
     #[test]
     fn bcast_vec_empty_payload() {
-        // Zero-length payloads always fuse into the binomial header.
+        // A zero-length payload always takes the tree: empty, no header.
         Universe::run(4, |comm| {
             let empty: [u32; 0] = [];
             let got: Vec<u32> = comm

@@ -117,9 +117,8 @@ mod scan;
 mod scatter;
 
 pub use algos::{
-    AlgoClass, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, BcastParts, ClassEstimate,
-    ClassStat, CollTuning, ModelConfig, ModelSnapshot, NeighborhoodAlgo, ReduceAlgo, Select,
-    TuningStats,
+    AlgoClass, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, ClassEstimate, ClassStat,
+    CollTuning, ModelConfig, ModelSnapshot, NeighborhoodAlgo, ReduceAlgo, Select, TuningStats,
 };
 pub(crate) use allgather::allgather_internal;
 pub(crate) use alltoall::alltoallv_internal;

@@ -52,10 +52,10 @@
 //!
 //! - **rounds** — [`RoundEngine`], the one round loop over a [`Rounds`]
 //!   description (index arithmetic only, in [`super::algos`],
-//!   [`super::barrier`], `bcast.rs` and `scan.rs`): every other row of
-//!   the table, the dissemination barrier, the doubling `scan` /
-//!   `exscan`, and the binomial broadcast — zero rounds at the root,
-//!   one everywhere else;
+//!   [`super::barrier`] and `scan.rs`): every other row of the table —
+//!   both broadcast rows in one engine, whose self-sizing non-roots
+//!   learn which row their root picked — the dissemination barrier and
+//!   the doubling `scan` / `exscan`;
 //! - **flat exchange** — [`Exchange`]: everything this rank sends is
 //!   posted at `start` (nothing, the whole payload, or frozen slices of
 //!   it, to a frozen destination list), one message per entry of a
@@ -88,10 +88,10 @@ use bytes::Bytes;
 use super::algos::allgather::{BlockSizes, BruckAllgather, RecursiveDoubling};
 use super::algos::allreduce::Allreduce;
 use super::algos::alltoall::BruckAlltoall;
+use super::algos::bcast::{BcastEngine, Rule};
 use super::algos::reduce::TreeReduce;
-use super::algos::table::{tuned, Call, Site};
+use super::algos::table::{tuned, Call, Lifecycle, Site};
 use super::algos::{fold_bytes_right, AllgatherAlgo, AlltoallAlgo, ReduceAlgo};
-use super::bcast::BinomialBcast;
 use super::scatter::equal_blocks;
 use super::{bcast_forward, packed_ranges, root_without_data, send_internal, send_slices};
 use crate::comm::Comm;
@@ -162,6 +162,43 @@ pub(crate) fn recv_one(comm: &Comm, src: Rank, tag: Tag, block: bool) -> Result<
     }
 }
 
+/// The first message from `src` on either of two streams, and which one
+/// carried it — the receive of an engine that learns from the stream
+/// what its peer sends. A sender's messages reach the mailbox in the
+/// order it sent them, and `tags[1]` is looked at before `tags[0]`: a
+/// message on `tags[1]` is taken only when none on `tags[0]` was sent
+/// before it, so a persistent plan's next cycle never overtakes its
+/// current one. Blocking, a message on `tags[0]` is handed over as a
+/// blocking receive gets it; one on `tags[1]` ends the wait and is
+/// taken here.
+pub(crate) fn recv_first(
+    comm: &Comm,
+    src: Rank,
+    tags: [Tag; 2],
+    block: bool,
+) -> Result<Option<(usize, Bytes)>> {
+    crate::fault::point("coll/phase");
+    if block {
+        if let Some(env) = comm.recv_envelope_or_queued(src, tags)? {
+            return Ok(Some((0, env.payload)));
+        }
+    }
+    let [first, second] = tags.map(TagSel::Is);
+    let later = comm.try_peek_envelope(Src::Rank(src), second).is_some();
+    let hit = (comm
+        .try_recv_envelope(Src::Rank(src), first)
+        .map(|env| (0, env)))
+    .or_else(|| {
+        later
+            .then(|| comm.try_recv_envelope(Src::Rank(src), second))?
+            .map(|env| (1, env))
+    });
+    match hit {
+        Some((i, env)) => Ok(Some((i, env.payload))),
+        None => comm.wait_interrupted(Src::Rank(src)).map_or(Ok(None), Err),
+    }
+}
+
 pub(crate) fn message_completion(source: Rank, tag: Tag, payload: Bytes) -> Completion {
     let status = Status {
         source,
@@ -195,6 +232,17 @@ pub(crate) trait Rounds {
     fn post(&mut self, comm: &Comm, k: usize) -> Result<()>;
     /// Takes in round `k`'s message.
     fn absorb(&mut self, comm: &Comm, k: usize, payload: Bytes) -> Result<()>;
+    /// Round `k`'s receive: one message from `peer(k)`, unless the
+    /// algorithm learns which of several streams carries it.
+    fn receive(&mut self, comm: &Comm, k: usize, block: bool) -> Result<Option<Bytes>> {
+        let (src, tag) = self.peer(comm, k);
+        recv_one(comm, src, tag, block)
+    }
+    /// Every `(source, tag)` whose arrival could complete round `k`'s
+    /// receive.
+    fn waits_on(&self, comm: &Comm, k: usize, out: &mut Vec<(Rank, Tag)>) {
+        out.push(self.peer(comm, k));
+    }
     /// Runs once every round is absorbed: closing sends and the result.
     fn finish(&mut self, comm: &Comm) -> Result<Completion>;
     /// Every `(source, tag)` a cycle may receive on: each round's peer,
@@ -242,8 +290,7 @@ impl<A: Rounds> CollEngine for RoundEngine<A> {
             return Ok(Some(done));
         }
         while self.round < self.algo.rounds() {
-            let (src, tag) = self.algo.peer(comm, self.round);
-            let Some(payload) = recv_one(comm, src, tag, block)? else {
+            let Some(payload) = self.algo.receive(comm, self.round, block)? else {
                 return Ok(None);
             };
             self.algo.absorb(comm, self.round, payload)?;
@@ -257,9 +304,9 @@ impl<A: Rounds> CollEngine for RoundEngine<A> {
 
     fn sources(&self, comm: &Comm, out: &mut Vec<(Rank, Tag)>) {
         // Rounds are received strictly in order, so the current round's
-        // peer is the one source whose arrival unblocks the engine.
+        // sources are the only ones whose arrival unblocks the engine.
         if self.round < self.algo.rounds() {
-            out.push(self.algo.peer(comm, self.round));
+            self.algo.waits_on(comm, self.round, out);
         }
     }
 
@@ -559,21 +606,42 @@ impl Comm {
     }
 
     /// The broadcast plan (`bcast*`, `ibcast`, `bcast_init`): the
-    /// binomial tree from `root`, over the root's payload.
+    /// `bcast/*` row selected at `site`, by every rank where every rank
+    /// passes `size`, else by the root, whose pick the others learn from
+    /// the wire ([`BcastEngine`]).
     pub(crate) fn bcast_plan<'c, R>(
         &'c self,
+        site: Site,
         what: &str,
         payload: Option<Bytes>,
+        size: Option<usize>,
         root: Rank,
         run: impl FnOnce(&'c Comm, Box<dyn CollEngine>, Bytes) -> Result<R>,
     ) -> Result<R> {
         self.check_rank(root)?;
-        let tag = self.next_internal_tag();
-        if self.rank() == root && payload.is_none() {
-            return Err(root_without_data(what));
-        }
-        let tree = RoundEngine::new(BinomialBcast::new(self, tag, root, None));
-        run(self, Box::new(tree), payload.unwrap_or_default())
+        let is_root = self.rank() == root;
+        let selects = size.or(is_root.then(|| payload.as_ref().map_or(0, Bytes::len)));
+        let build = |rule| {
+            let tags = [(); 3].map(|()| self.next_internal_tag());
+            let engine = BcastEngine::new(self, tags, root, size, rule);
+            if is_root && payload.is_none() {
+                return Err(root_without_data(what));
+            }
+            run(
+                self,
+                Box::new(RoundEngine::new(engine)),
+                payload.unwrap_or_default(),
+            )
+        };
+        let Some(selected) = selects else {
+            return build(Rule::Learned);
+        };
+        tuned(self, site, Call::sized(selected), |algo| {
+            match site.lifecycle() {
+                Lifecycle::Persistent if size.is_none() => build(Rule::Frozen(self.tuning())),
+                _ => build(Rule::Picked(algo)),
+            }
+        })
     }
 
     /// The scatter plan (`scatter*`, `iscatter(v)`): `layout` runs at
@@ -751,15 +819,20 @@ impl Comm {
             let (fold, bcast) = (ordered_fold::<T, O>(what, op), Some(bcast_tag));
             Box::new(self.gather_flat(what, gather_tag, 0, Finish::Fold { fold, bcast }))
         } else {
-            let tree = BinomialBcast::new(self, bcast_tag, 0, Some((0, gather_tag)));
+            let tree = BcastEngine::tree(self, bcast_tag, 0, Some((0, gather_tag)));
             Box::new(RoundEngine::new(tree))
         };
         run(self, engine, own)
     }
 
     /// Starts a non-blocking broadcast (mirrors `MPI_Ibcast`). The root
-    /// passes `Some(data)`; completion yields the payload on every rank
-    /// ([`Completion::Message`]).
+    /// passes `Some(data)`. Self-sizing: the root selects the row its
+    /// blocking twin would — van de Geijn's scatter + allgather for a
+    /// large payload — and the other ranks learn it from the wire. The
+    /// completion is the payload ([`Completion::Message`]), or at a
+    /// non-root on van de Geijn's row its chunks in rank order
+    /// ([`Completion::Blocks`]: pieces of one payload, which need not
+    /// split at element boundaries).
     pub fn ibcast<T: Plain>(&self, data: Option<&[T]>, root: Rank) -> Result<Request<'_>> {
         let payload = data.filter(|_| self.rank() == root).map(bytes_from_slice);
         self.ibcast_bytes(payload, root)
@@ -767,10 +840,10 @@ impl Comm {
 
     /// Byte-level [`Comm::ibcast`]: the root's payload enters the
     /// transport as-is (zero-copy for adopted vectors; forwarding down
-    /// the tree clones refcounts).
+    /// the tree and slicing chunks clone refcounts).
     pub fn ibcast_bytes(&self, payload: Option<Bytes>, root: Rank) -> Result<Request<'_>> {
         self.count_op("ibcast");
-        self.bcast_plan("ibcast", payload, root, Comm::icoll)
+        self.bcast_plan(Site::IMMEDIATE, "ibcast", payload, None, root, Comm::icoll)
     }
 
     /// Starts a non-blocking gather of per-rank blocks to `root` (mirrors

@@ -353,6 +353,27 @@ impl Comm {
         Ok(env)
     }
 
+    /// [`Comm::recv_envelope`] over two streams of `src`: the envelope
+    /// on `tags[0]`, or `None` once one on `tags[1]` is queued (see
+    /// [`Mailbox::wait_match_or_queued`](crate::mailbox::Mailbox::wait_match_or_queued)).
+    pub(crate) fn recv_envelope_or_queued(
+        &self,
+        src: Rank,
+        tags: [Tag; 2],
+    ) -> Result<Option<Envelope>> {
+        let from = Src::Rank(src);
+        let _sp = trace::span(trace::cat::RECV, "recv", src_code(from), 0);
+        self.clock.borrow_mut().absorb_cpu();
+        let mb = &self.world.mailboxes[self.world_rank()];
+        let tags = tags.map(TagSel::Is);
+        let env =
+            mb.wait_match_or_queued(self.context, from, tags, || self.wait_interrupted(from))?;
+        if let Some(env) = &env {
+            self.complete_envelope(env);
+        }
+        Ok(env)
+    }
+
     /// Core non-blocking receive at envelope level.
     pub(crate) fn try_recv_envelope(&self, src: Src, tag: TagSel) -> Option<Envelope> {
         self.clock.borrow_mut().absorb_cpu();

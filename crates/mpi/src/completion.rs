@@ -21,7 +21,8 @@
 //!   interrupted), else sleep on the private condvar. It is the only
 //!   sleep on a `Waiter`, and every parked wait is a loop around it:
 //!   - the blocking receive and probe (the mailbox's posted wait behind
-//!     [`Mailbox::wait_match`] / [`Mailbox::wait_peek`]);
+//!     [`Mailbox::wait_match`] / [`Mailbox::wait_peek`], and the
+//!     two-stream receive `Mailbox::wait_match_or_queued`);
 //!   - request sets ([`RequestSet::wait_any`] /
 //!     [`wait_some`](crate::RequestSet::wait_some), and through them the
 //!     binding layer's request pools) and synchronous-mode sends;

@@ -79,9 +79,8 @@ pub mod universe;
 pub use clock::{Clock, CostModel};
 pub use collectives::neighborhood::NeighborhoodColl;
 pub use collectives::{
-    AlgoClass, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, BcastParts, ClassEstimate,
-    ClassStat, CollTuning, ModelConfig, ModelSnapshot, NeighborhoodAlgo, ReduceAlgo, Select,
-    TuningStats,
+    AlgoClass, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, ClassEstimate, ClassStat,
+    CollTuning, ModelConfig, ModelSnapshot, NeighborhoodAlgo, ReduceAlgo, Select, TuningStats,
 };
 pub use comm::{Comm, TuningGuard};
 pub use counter::CallCounts;

@@ -750,6 +750,79 @@ impl Mailbox {
         self.posted_wait(context, post, interrupted, scan, |w| w.env.take())
     }
 
+    /// Blocks until a message matching `(src, tags[0])` arrives — taken
+    /// as [`Mailbox::wait_match`] takes it, by direct delivery — or one
+    /// matching `(src, tags[1])` is queued, which stays queued for the
+    /// caller (`None`). The blocking receive of an engine that learns
+    /// from the stream what its peer sends, where only one of the two
+    /// ever carries the message.
+    pub(crate) fn wait_match_or_queued(
+        &self,
+        context: u64,
+        src: Src,
+        tags: [TagSel; 2],
+        mut interrupted: impl FnMut() -> Option<MpiError>,
+    ) -> Result<Option<Envelope>> {
+        crate::fault::point("mailbox/match");
+        let shard = self.shard(context);
+        let mut seen_epoch = self.epoch();
+        let waiter = {
+            let mut st = shard.state.lock();
+            if let Some((seq, env)) = st.pop_match(src, tags[0]) {
+                self.queued.fetch_sub(1, Ordering::Relaxed);
+                trace::instant(trace::cat::MATCH, "umq_match", seq, env.src as u64);
+                return Ok(Some(env));
+            }
+            if st.peek_match(src, tags[1]).is_some() {
+                return Ok(None);
+            }
+            if let Some(err) = interrupted() {
+                return Err(err);
+            }
+            let waiter = fresh_waiter();
+            let post = |tag, kind| Posted {
+                src,
+                tag,
+                kind,
+                waiter: Arc::clone(&waiter),
+            };
+            st.posted.push_back(post(tags[0], PostKind::Recv));
+            st.posted.push_back(post(tags[1], PostKind::Notify(1)));
+            self.registrations.fetch_add(1, Ordering::Relaxed);
+            waiter
+        };
+        loop {
+            let wake = waiter.park(self, seen_epoch);
+            let err = match wake.fired {
+                Some(_) => None,
+                None => match interrupted() {
+                    None => {
+                        seen_epoch = self.epoch();
+                        continue;
+                    }
+                    err => err,
+                },
+            };
+            // Withdraw both entries. A receive entry no longer posted
+            // was consumed by a push, which delivered its envelope.
+            let received = {
+                let mut st = shard.state.lock();
+                let mine = |p: &Posted| Arc::ptr_eq(&p.waiter, &waiter);
+                let posted = st
+                    .posted
+                    .iter()
+                    .any(|p| mine(p) && p.kind == PostKind::Recv);
+                st.posted.retain(|p| !mine(p));
+                !posted
+            };
+            return match (received, err) {
+                (true, _) => Ok(waiter.state.lock().env.take()),
+                (false, Some(err)) => Err(err),
+                (false, None) => Ok(None),
+            };
+        }
+    }
+
     /// Blocks until a matching envelope arrives; returns its status and
     /// leaves the message queued (blocking probe).
     pub fn wait_peek(
@@ -1155,6 +1228,44 @@ mod tests {
         assert_eq!(mb.stats().targeted_wakeups, 1);
         assert_eq!(mb.len(), 3);
         assert_eq!(mb.stats().max_unexpected_depth, 3);
+    }
+
+    /// The two-stream wait: a message on the first tag is delivered
+    /// straight to the waiter, one on the second ends the wait and stays
+    /// queued — posted before the wait or pushed during it — and either
+    /// way no entry of the waiter is left posted.
+    #[test]
+    fn a_two_stream_wait_takes_the_first_and_leaves_the_second_queued() {
+        let tags = [TagSel::Is(1), TagSel::Is(2)];
+        let posted = |mb: &Mailbox| {
+            mb.shards
+                .read()
+                .get(&1)
+                .map_or(0, |s| s.state.lock().posted.len())
+        };
+        for (tag, first) in [(1, true), (2, false)] {
+            let mb = std::sync::Arc::new(Mailbox::new());
+            mb.push(env(0, 1, tag, 8));
+            let got = mb
+                .wait_match_or_queued(1, Src::Rank(0), tags, || None)
+                .unwrap();
+            assert_eq!(got.is_some(), first);
+            assert_eq!(mb.len(), usize::from(!first));
+            assert!(first || mb.try_match(1, Src::Rank(0), tags[1]).is_some());
+            let mb2 = mb.clone();
+            let h = std::thread::spawn(move || {
+                mb2.wait_match_or_queued(1, Src::Rank(0), tags, || None)
+                    .unwrap()
+            });
+            while posted(&mb) == 0 {
+                std::thread::yield_now();
+            }
+            mb.push(env(0, 1, tag, 4));
+            let got = h.join().unwrap();
+            assert_eq!(got.map(|e| e.payload.len()), first.then_some(4));
+            assert_eq!(mb.len(), usize::from(!first));
+            assert_eq!(posted(&mb), 0);
+        }
     }
 
     #[test]

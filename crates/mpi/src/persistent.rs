@@ -76,9 +76,11 @@
 //! persistent column, consulting [`CollTuning`](crate::CollTuning)
 //! once, at init, so a frozen plan runs the row its blocking twin would
 //! pick for the same size. Calls that are not regular on every rank
-//! take the fallback row: `bcast_init` (non-roots do not know the size)
-//! the binomial tree, `alltoallv_init` (variable blocks) the pairwise
-//! exchange. `start` never re-selects.
+//! take the fallback row: `alltoallv_init` (variable blocks) the
+//! pairwise exchange. `start` never re-selects. `bcast_init`, whose
+//! non-roots do not know the size, freezes the rule instead: its root
+//! applies it to each cycle's size, without counting a decision, and
+//! names the row to the others on the wire.
 
 use std::sync::Arc;
 
@@ -86,7 +88,7 @@ use bytes::Bytes;
 
 use crate::collectives::algos::allgather::BlockSizes;
 use crate::collectives::algos::table::{tuned, Call, Site};
-use crate::collectives::algos::{AlltoallAlgo, BcastAlgo};
+use crate::collectives::algos::AlltoallAlgo;
 use crate::collectives::nonblocking::CollEngine;
 use crate::comm::Comm;
 use crate::completion::Waiter;
@@ -496,8 +498,12 @@ impl Comm {
     /// `MPI_Bcast_init`). The root supplies `Some(data)` (refreshable
     /// per cycle via [`set_data`](PersistentRequest::set_data)); other
     /// ranks pass `None` and receive each cycle's payload as their
-    /// completion. The binomial tree, its internal tag, and the
-    /// receivers' standing parent registration are all frozen here.
+    /// completion. The broadcast plan's self-sizing engine, its three
+    /// internal tags, the root's rule — the static rule under the tuning
+    /// of this call, applied to each cycle's size, so a root that
+    /// crosses van de Geijn's threshold between cycles switches rows and
+    /// the others follow — and every rank's standing registrations are
+    /// all frozen here.
     pub fn bcast_init<T: Plain>(
         &self,
         data: Option<&[T]>,
@@ -514,14 +520,14 @@ impl Comm {
         root: Rank,
     ) -> Result<PersistentRequest<'_>> {
         self.count_op("bcast_init");
-        // A plan freezes its pick (`select`): the engine is built once,
-        // here, and never re-selected at `start`, however the model's
-        // estimates move afterwards. Non-roots do not know the size, so
-        // the call is not regular: the binomial tree.
-        let size = payload.as_ref().map_or(0, Bytes::len);
-        tuned(self, Site::INIT, Call::irregular(size), |_: BcastAlgo| {
-            self.bcast_plan("bcast_init", payload, root, Comm::persistent_coll)
-        })
+        self.bcast_plan(
+            Site::INIT,
+            "bcast_init",
+            payload,
+            None,
+            root,
+            Comm::persistent_coll,
+        )
     }
 
     /// Creates a persistent allreduce (mirrors `MPI_Allreduce_init`):

@@ -251,25 +251,27 @@ fn model_driven_run_names_every_explored_algorithm() {
 }
 
 /// An initiation's instant is named from the row it selected: for the
-/// four `i*` and the four `*_init` sites — under the default tuning and
+/// five `i*` and the four `*_init` sites — under the default tuning and
 /// with every slot forced off its eager row — the instant's suffix is
 /// the algorithm name of the class whose `selections` counter the call
 /// bumped, so a plan's name, its `frozen_picks` class and
-/// `AlgoClass::name()` cannot drift apart.
+/// `AlgoClass::name()` cannot drift apart. The broadcasts are
+/// self-sizing: their root selects and names an instant, the other
+/// ranks learn the row from the wire and do neither.
 #[cfg(feature = "trace")]
 #[test]
 fn initiation_instants_are_named_from_the_selected_row() {
     use kmp_mpi::{AlgoClass, AllgatherAlgo, AlltoallAlgo, CollTuning, Comm, ReduceAlgo};
 
     /// The class `call` selected, by `selections` delta.
-    fn selected(comm: &Comm, call: impl FnOnce()) -> AlgoClass {
+    fn selected(comm: &Comm, call: impl FnOnce()) -> Option<AlgoClass> {
         let before = comm.tuning_stats().selections;
         call();
         let after = comm.tuning_stats().selections;
         let mut picked = AlgoClass::ALL
             .into_iter()
             .filter(|c| after[c.index()] > before[c.index()]);
-        let class = picked.next().expect("the site takes a decision");
+        let class = picked.next();
         assert!(picked.next().is_none(), "one decision per call");
         class
     }
@@ -289,7 +291,11 @@ fn initiation_instants_are_named_from_the_selected_row() {
             comm.set_tuning(tuning);
             let comm = &comm;
             type Site<'a> = (&'static str, Box<dyn FnOnce() + 'a>);
-            let sites: [Site<'_>; 8] = [
+            let sites: [Site<'_>; 9] = [
+                (
+                    "ibcast",
+                    Box::new(|| drop(comm.ibcast(root, 0).unwrap().wait())),
+                ),
                 (
                     "iallgather",
                     Box::new(|| drop(comm.iallgather(&mine).unwrap().wait())),
@@ -324,7 +330,10 @@ fn initiation_instants_are_named_from_the_selected_row() {
                 ),
             ];
             for (site, call) in sites {
-                expected.push((site, selected(comm, call)));
+                let class = selected(comm, call);
+                let learns = site.contains("bcast") && comm.rank() != 0;
+                assert_eq!(class.is_none(), learns, "{site}: only the root selects");
+                expected.extend(class.map(|class| (site, class)));
             }
         }
         expected

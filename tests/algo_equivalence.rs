@@ -509,9 +509,11 @@ fn force_is_never_overridden_by_a_warm_model() {
 }
 
 /// Persistent plans freeze their selection at `*_init` (counted as one
-/// frozen pick) and the steady-state `start`/`wait` cycles never
-/// re-enter the selection engine: the decision counter is pinned flat
-/// across every cycle, even with the model driving.
+/// frozen pick — on the root alone for a self-sizing broadcast, whose
+/// other ranks learn the row from the wire) and the steady-state
+/// `start`/`wait` cycles never re-enter the selection engine: the
+/// decision counter is pinned flat across every cycle, even with the
+/// model driving.
 #[test]
 fn persistent_plans_freeze_selection_and_never_reselect() {
     Universe::run(4, |comm| {
@@ -523,7 +525,8 @@ fn persistent_plans_freeze_selection_and_never_reselect() {
             comm.bcast_init::<u64>(None, root).unwrap()
         };
         let init = comm.tuning_stats();
-        assert_eq!(init.frozen_picks, 1);
+        let frozen = u64::from(comm.rank() == root);
+        assert_eq!(init.frozen_picks, frozen);
         for cycle in 0..5u64 {
             if comm.rank() == root {
                 req.set_data(&[cycle * 7]).unwrap();
@@ -537,7 +540,7 @@ fn persistent_plans_freeze_selection_and_never_reselect() {
             after.decisions, init.decisions,
             "steady-state persistent cycles must not re-select"
         );
-        assert_eq!(after.frozen_picks, 1);
+        assert_eq!(after.frozen_picks, frozen);
         assert_eq!(after.observations, init.observations);
     });
 }
@@ -642,6 +645,13 @@ mod lifecycles {
             plan.start().unwrap();
             check(cycle, plan.wait().unwrap());
         }
+    }
+
+    /// A broadcast's pieces, which need not split at element bounds.
+    fn joined(done: Completion) -> Vec<u64> {
+        let pieces = done.into_blocks().expect("a data-carrying completion");
+        let bytes: Vec<u8> = pieces.iter().flat_map(|b| b.iter().copied()).collect();
+        bytes_to_vec(&bytes)
     }
 
     fn concat(done: Completion) -> Vec<u64> {
@@ -890,54 +900,123 @@ mod lifecycles {
         }
     }
 
-    /// Van de Geijn's broadcast — forced, and picked by `Auto` — against
-    /// the root's data in every lifecycle. The sized blocking forms run
-    /// it (`bcast_into` borrowed, `bcast_parts` owned, `bcast_vec`
-    /// behind its header); `ibcast`, `ibcast_bytes` and `bcast_init`,
-    /// whose non-roots pass no size, keep the binomial tree. Chunks hold
-    /// zero elements where `n < p` and split elements where the byte
-    /// bounds fall inside one.
+    /// Van de Geijn's broadcast — forced, picked by `Auto`, and ruled
+    /// out by a forced tree — against the root's data in every lifecycle
+    /// and every form, empty payloads and `p < 4` included. The sized
+    /// forms (`bcast_into` borrowed, `bcast_parts` with a size) select
+    /// on every rank; the self-sizing ones (`bcast_parts` without a
+    /// size, `bcast_bytes`, `bcast_vec`, `ibcast` under every finish,
+    /// `ibcast_bytes` owned, `bcast_init`) on the root alone, which names
+    /// its row to the others on the wire — the pick is read back on the
+    /// root, and no other rank takes a decision. Chunks hold zero
+    /// elements where `n < p` and split elements where the byte bounds
+    /// fall inside one.
     #[test]
     fn scatter_allgather_broadcast_in_every_lifecycle() {
         use kamping_repro::mpi::{bytes_from_vec, BcastAlgo};
         let base = CollTuning::default();
         for p in SMALL_P {
-            for n in SMALL_N {
+            for n in [0].into_iter().chain(SMALL_N) {
                 Universe::run(p, move |comm| {
                     let root = p / 2;
                     let data = |c: usize| -> Vec<u64> { (0..n).map(|i| val(root, i, c)).collect() };
                     let at_root = |c: usize| (comm.rank() == root).then(|| data(c));
                     let vdg = AlgoClass::BcastScatterAllgather;
                     let rows = [
-                        ("forced", base.bcast(BcastAlgo::ScatterAllgather), true),
-                        ("auto", base.bcast_scatter_min_bytes(8), p >= 4),
+                        ("forced", base.bcast(BcastAlgo::ScatterAllgather), n > 0),
+                        ("auto", base.bcast_scatter_min_bytes(8), p >= 4 && n > 0),
+                        ("tree", base.bcast(BcastAlgo::Binomial), false),
                     ];
                     for (name, tuning, runs_vdg) in rows {
                         comm.set_tuning(tuning);
                         let what = format!("{name} p={p} n={n}");
+                        // Sized: every rank selects.
                         let mut buf = at_root(0).unwrap_or_else(|| vec![0; n]);
                         let row = picked(&comm, || comm.bcast_into(&mut buf, root).unwrap());
                         assert_eq!(buf, data(0), "{what}");
                         assert_eq!(row == Some(vdg), runs_vdg, "{what}");
                         let own = at_root(0).map(bytes_from_vec);
-                        let parts = comm.bcast_parts(own, n * 8, root).unwrap();
-                        assert_eq!(parts.into_vec::<u64>(), data(0), "{what}, owned");
-                        let got = comm.bcast_vec(at_root(0).as_deref(), root).unwrap();
-                        assert_eq!(got, data(0), "{what}, bcast_vec");
+                        let done = comm.bcast_parts(own, Some(n * 8), root).unwrap();
+                        assert_eq!(joined(done), data(0), "{what}, sized bcast_parts");
+                        // Self-sizing: the root selects, the others learn.
+                        let root_picks = |row: Option<AlgoClass>, form: &str| {
+                            if comm.rank() == root {
+                                assert_eq!(row == Some(vdg), runs_vdg, "{what}, {form}");
+                                assert!(row.is_some(), "{what}, {form}: the root selects");
+                            } else {
+                                assert_eq!(row, None, "{what}, {form}: a non-root learns");
+                            }
+                        };
+                        let own = at_root(0).map(bytes_from_vec);
+                        let row = picked(&comm, || {
+                            let done = comm.bcast_parts(own, None, root).unwrap();
+                            assert_eq!(joined(done), data(0), "{what}, bcast_parts");
+                        });
+                        root_picks(row, "bcast_parts");
+                        let own = at_root(0).map(bytes_from_vec);
+                        let row = picked(&comm, || {
+                            let got = comm.bcast_bytes(own, root).unwrap();
+                            assert_eq!(bytes_to_vec::<u64>(&got), data(0), "{what}, bcast_bytes");
+                        });
+                        root_picks(row, "bcast_bytes");
+                        let row = picked(&comm, || {
+                            let got = comm.bcast_vec(at_root(0).as_deref(), root).unwrap();
+                            assert_eq!(got, data(0), "{what}, bcast_vec");
+                        });
+                        root_picks(row, "bcast_vec");
                         for how in FINISHES {
-                            let req = comm.ibcast(at_root(0).as_deref(), root).unwrap();
-                            assert_eq!(concat(finish(&comm, req, how)), data(0), "{what} {how:?}");
+                            let row = picked(&comm, || {
+                                let req = comm.ibcast(at_root(0).as_deref(), root).unwrap();
+                                let got = joined(finish(&comm, req, how));
+                                assert_eq!(got, data(0), "{what} {how:?}");
+                            });
+                            root_picks(row, "ibcast");
                         }
                         let own = at_root(0).map(bytes_from_vec);
-                        let req = comm.ibcast_bytes(own, root).unwrap();
-                        assert_eq!(concat(req.wait().unwrap()), data(0), "{what}, owned i*");
-                        let plan = comm.bcast_init(at_root(0).as_deref(), root).unwrap();
-                        cycles(plan, data, |c, done| {
-                            assert_eq!(concat(done), data(c), "{what} cycle {c}")
+                        let row = picked(&comm, || {
+                            let req = comm.ibcast_bytes(own, root).unwrap();
+                            assert_eq!(joined(req.wait().unwrap()), data(0), "{what}, owned i*");
+                        });
+                        root_picks(row, "ibcast_bytes");
+                        let mut plan = None;
+                        let row = picked(&comm, || {
+                            plan = Some(comm.bcast_init(at_root(0).as_deref(), root).unwrap());
+                        });
+                        root_picks(row, "bcast_init");
+                        cycles(plan.unwrap(), data, |c, done| {
+                            assert_eq!(joined(done), data(c), "{what} cycle {c}")
                         });
                     }
                 });
             }
+        }
+    }
+
+    /// A `bcast_init` whose root crosses van de Geijn's threshold between
+    /// cycles: the root re-applies the rule frozen at init to each
+    /// cycle's size, and the non-roots learn the row anew each cycle —
+    /// tree, van de Geijn, empty, tree, van de Geijn. Every cycle starts
+    /// the moment the last one is done on this rank, so a fast rank's
+    /// next cycle meets a slow rank's current one on the wire.
+    #[test]
+    fn a_persistent_broadcast_follows_its_root_across_the_threshold() {
+        let lens = [3usize, 64, 0, 5, 40];
+        for p in [2, 3, 4, 5, 8] {
+            Universe::run(p, move |comm| {
+                let root = p - 1;
+                comm.set_tuning(CollTuning::default().bcast_scatter_min_bytes(32 * 8));
+                let data =
+                    |c: usize| -> Vec<u64> { (0..lens[c]).map(|i| val(root, i, c)).collect() };
+                let mine = (comm.rank() == root).then(|| data(0));
+                let mut plan = comm.bcast_init(mine.as_deref(), root).unwrap();
+                for (c, _) in lens.iter().enumerate() {
+                    if comm.rank() == root {
+                        plan.set_data(&data(c)).unwrap();
+                    }
+                    plan.start().unwrap();
+                    assert_eq!(joined(plan.wait().unwrap()), data(c), "p = {p}, cycle {c}");
+                }
+            });
         }
     }
 

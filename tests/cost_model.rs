@@ -586,6 +586,81 @@ fn collectives_cost_the_same_in_every_lifecycle() {
     }
 }
 
+/// The inferred-size tax. A broadcast whose non-roots pass no size —
+/// the substrate's `bcast_bytes`, `ibcast` and `bcast_init`, the
+/// binding's `bcast`, `ibcast` and `bcast_init` without `recv_count` —
+/// lets its root select and name its row on the wire, so from van de
+/// Geijn's threshold up it costs at most 1.15x the sized `bcast_into`
+/// (the root announces the size down the tree first), and below it
+/// exactly what `bcast_into` costs: the tree's messages, byte for byte.
+/// `ibcast` is priced by a dry run, every other form threaded.
+/// `--nocapture` prints the table.
+#[test]
+fn self_sizing_broadcasts_cost_at_most_the_announcement() {
+    use kamping_repro::mpi::{bytes_from_vec, CollTuning};
+    let model = CostModel::cluster();
+    let threshold = CollTuning::default().bcast_scatter_min_bytes;
+    let mut over = Vec::new();
+    for p in [4usize, 16, 64] {
+        for bytes in [1 << 10, 64 << 10, 256 << 10, 1 << 20] {
+            let data = vec![7u64; bytes / 8];
+            let mut times = timed_ops(p, model, |comm, run| {
+                let kc = Communicator::new(comm.dup().unwrap());
+                let mine = || (comm.rank() == 0).then(|| data.clone());
+                let owned = || mine().unwrap_or_default();
+                run("bcast_into", &mut || {
+                    comm.bcast_into(&mut data.clone(), 0).unwrap();
+                });
+                run("bcast_bytes", &mut || {
+                    comm.bcast_bytes(mine().map(bytes_from_vec), 0).unwrap();
+                });
+                let mut plan = comm.bcast_init(mine().as_deref(), 0).unwrap();
+                run("bcast_init", &mut || {
+                    plan.start().unwrap();
+                    plan.wait().unwrap();
+                });
+                run("kamping bcast", &mut || {
+                    kc.bcast((send_recv_buf(&mut owned()),)).unwrap();
+                });
+                run("kamping ibcast", &mut || {
+                    kc.ibcast((send_recv_buf(owned()),))
+                        .unwrap()
+                        .wait()
+                        .unwrap();
+                });
+                let mut plan = kc.bcast_init((send_recv_buf(owned()),)).unwrap();
+                run("kamping bcast_init", &mut || {
+                    plan.start().unwrap();
+                    plan.wait().unwrap();
+                });
+            });
+            let root_data = |c: &Comm| (c.rank() == 0).then_some(&data[..]);
+            times.push(("ibcast", dry(p, model, |c| c.ibcast(root_data(c), 0))));
+            let sized = times[0].1;
+            let row: Vec<String> = (times.iter())
+                .map(|(name, t)| format!("{name} {:.1}", *t as f64 / 1e3))
+                .collect();
+            println!("p = {p}, {bytes} B: {} us", row.join(", "));
+            for &(name, t) in &times[1..] {
+                let fits = match bytes >= threshold {
+                    true => t as f64 <= 1.15 * sized as f64,
+                    false => t == sized,
+                };
+                if !fits {
+                    over.push(format!(
+                        "p = {p}, {bytes} B: {name} {t} ns, bcast_into {sized} ns"
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "self-sizing broadcasts off the sized one:\n{}",
+        over.join("\n")
+    );
+}
+
 /// The blocking `allreduce` cells of the benchmark's p = 16 model run
 /// (`coll_blocking`'s `Scale::Model` sizes), pinned to the 0.1 us:
 /// recursive doubling at 1 KiB and 64 KiB, Rabenseifner at 256 KiB.

@@ -332,3 +332,89 @@ fn allreduce_single_of_the_wrong_length_is_an_error_and_peers_complete() {
     );
     assert!(out.iter().all(|(_, next)| *next == Ok(3)), "{out:?}");
 }
+
+/// A self-sizing broadcast on van de Geijn's row with a message cut
+/// short on its way, in every lifecycle: the size announcement each
+/// non-root gets from its tree parent, or the chunk the root scatters
+/// to it. A rank that cannot read the size, or holds a chunk that does
+/// not fit it, still forwards what it has and joins the exchange, then
+/// returns a typed error — a cut announcement on every non-root, a cut
+/// chunk (which every rank receives in the allgather) on every rank —
+/// before the deadline, and the next broadcast succeeds.
+#[cfg(feature = "fault")]
+#[test]
+fn a_cut_announcement_or_chunk_fails_every_rank_holding_it() {
+    use kamping_repro::mpi::{bytes_from_vec, BcastAlgo, CollTuning, FaultPlan};
+    const FORMS: [&str; 4] = ["bcast_bytes", "ibcast", "bcast_init", "kamping bcast"];
+    let parent = |r: usize| r & (r - 1);
+    for p in [4usize, 5, 8] {
+        for cut_chunk in [false, true] {
+            for form in FORMS {
+                let plan = (1..p).fold(FaultPlan::new(), |plan, r| match cut_chunk {
+                    // The root's children find their chunk behind the
+                    // announcement; the others get it first.
+                    true => plan.truncate_message(0, r, None, 1 + u64::from(parent(r) == 0), 99),
+                    false => plan.truncate_message(parent(r), r, None, 1, 3),
+                });
+                let at = format!("p = {p}, {form}, chunk cut: {cut_chunk}");
+                with_deadline(60, move || {
+                    let outcomes = Universe::run_with(Config::new(p).faults(plan), |comm| {
+                        let comm = Communicator::new(comm);
+                        let raw = comm.raw();
+                        raw.set_tuning(CollTuning::default().bcast(BcastAlgo::ScatterAllgather));
+                        let data = vec![5u8; 1000];
+                        let mine = (comm.rank() == 0).then(|| data.clone());
+                        let got: Result<Vec<u8>, MpiError> = match form {
+                            "bcast_bytes" => raw
+                                .bcast_bytes(mine.clone().map(bytes_from_vec), 0)
+                                .map(|b| b.to_vec()),
+                            "ibcast" => raw
+                                .ibcast(mine.as_deref(), 0)
+                                .and_then(|req| req.wait())
+                                .map(|done| done.into_vec().map(|(v, _)| v).unwrap_or_default()),
+                            "bcast_init" => {
+                                raw.bcast_init(mine.as_deref(), 0).and_then(|mut plan| {
+                                    plan.start()?;
+                                    let done = plan.wait()?;
+                                    Ok(done.into_vec().map(|(v, _)| v).unwrap_or_default())
+                                })
+                            }
+                            _ => comm.bcast((send_recv_buf(mine.clone().unwrap_or_default()),)),
+                        };
+                        let next = raw
+                            .bcast_bytes(mine.map(bytes_from_vec), 0)
+                            .map(|b| b.to_vec());
+                        comm.barrier().unwrap();
+                        (got, next, raw.mailbox_stats().queued)
+                    });
+                    for (rank, outcome) in outcomes.into_iter().enumerate() {
+                        let (got, next, queued) = outcome.unwrap();
+                        match (got, cut_chunk) {
+                            (Ok(v), false) if rank == 0 => assert_eq!(v, vec![5; 1000], "{at}"),
+                            (Err(MpiError::InvalidLayout(_)), false) => {}
+                            (Err(MpiError::Truncated { .. }), true) => {}
+                            other => panic!("{at}, rank {rank}: {other:?}"),
+                        }
+                        assert_eq!(next, Ok(vec![5; 1000]), "{at}, rank {rank}: the next one");
+                        assert_eq!(queued, 0, "{at}, rank {rank}: nothing left queued");
+                    }
+                });
+            }
+        }
+    }
+}
+
+/// `bcast_one` of a value cut short on its way is `Truncated` on the
+/// rank that got it, not a panic; the root completes.
+#[cfg(feature = "fault")]
+#[test]
+fn a_cut_bcast_one_value_is_truncated_not_a_panic() {
+    use kamping_repro::mpi::FaultPlan;
+    let outcomes = with_deadline(60, || {
+        let plan = FaultPlan::new().truncate_message(0, 1, None, 1, 3);
+        Universe::run_with(Config::new(2).faults(plan), |comm| comm.bcast_one(7u64, 0))
+    });
+    let got: Vec<_> = outcomes.into_iter().map(|o| o.unwrap()).collect();
+    assert_eq!(got[0], Ok(7));
+    assert!(matches!(got[1], Err(MpiError::Truncated { .. })), "{got:?}");
+}

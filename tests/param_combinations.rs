@@ -954,6 +954,86 @@ fn bcast_owned_and_borrowed_roundtrip() {
     });
 }
 
+/// The binding's `bcast`, `ibcast` and `bcast_init` without
+/// `recv_count` are self-sizing: the root selects — van de Geijn forced,
+/// or by `Auto` from its threshold up — and names its row on the wire,
+/// and the other ranks learn it. The pick is read back on the root (its
+/// `selections`; no other rank takes a decision), the data on every
+/// rank, for 3-byte elements whose bytes the chunk bounds split, with
+/// empty payloads and `p < 4` in the grid. `bcast_init` runs two cycles.
+#[test]
+fn bcast_without_recv_count_runs_the_root_s_row_in_every_lifecycle() {
+    use kamping_repro::mpi::{AlgoClass, BcastAlgo, CollTuning};
+    for p in [1usize, 2, 3, 4, 5, 8] {
+        Universe::run(p, move |comm| {
+            let comm = Communicator::new(comm);
+            let (raw, top) = (comm.raw(), p - 1);
+            let base = CollTuning::default();
+            let picked = |call: &mut dyn FnMut()| {
+                let before = raw.tuning_stats().selections;
+                call();
+                let after = raw.tuning_stats().selections;
+                AlgoClass::ALL
+                    .into_iter()
+                    .find(|c| after[c.index()] > before[c.index()])
+            };
+            for n in [0usize, 1, 7, 100] {
+                let data: Vec<[u8; 3]> =
+                    (0..n).map(|i| [i as u8, (i * 7) as u8, p as u8]).collect();
+                let mine = || {
+                    if comm.rank() == top {
+                        data.clone()
+                    } else {
+                        Vec::new()
+                    }
+                };
+                let rows = [
+                    ("forced", base.bcast(BcastAlgo::ScatterAllgather), n > 0),
+                    (
+                        "auto",
+                        base.bcast_scatter_min_bytes(16),
+                        p >= 4 && 3 * n >= 16,
+                    ),
+                    ("default", base, false),
+                ];
+                for (name, tuning, vdg) in rows {
+                    raw.set_tuning(tuning);
+                    let at = format!("{name}, p = {p}, n = {n}");
+                    let read_back = |row: Option<AlgoClass>, form: &str| {
+                        let want = match (comm.rank() == top, vdg) {
+                            (false, _) => None,
+                            (true, true) => Some(AlgoClass::BcastScatterAllgather),
+                            (true, false) => Some(AlgoClass::BcastBinomial),
+                        };
+                        assert_eq!(row, want, "{at}, {form}");
+                    };
+                    let row = picked(&mut || {
+                        let mut buf = mine();
+                        comm.bcast((send_recv_buf(&mut buf), root(top))).unwrap();
+                        assert_eq!(buf, data, "{at}, bcast");
+                    });
+                    read_back(row, "bcast");
+                    let row = picked(&mut || {
+                        let fut = comm.ibcast((send_recv_buf(mine()), root(top))).unwrap();
+                        assert_eq!(fut.wait().unwrap(), data, "{at}, ibcast");
+                    });
+                    read_back(row, "ibcast");
+                    let mut plan = None;
+                    let row = picked(&mut || {
+                        plan = Some(comm.bcast_init((send_recv_buf(mine()), root(top))).unwrap());
+                    });
+                    read_back(row, "bcast_init");
+                    let mut plan = plan.unwrap();
+                    for cycle in 0..2 {
+                        plan.start().unwrap();
+                        assert_eq!(plan.wait().unwrap(), data, "{at}, bcast_init cycle {cycle}");
+                    }
+                }
+            }
+        });
+    }
+}
+
 #[test]
 fn in_place_allgather_owned_matches_borrowed() {
     Universe::run(3, |comm| {
