@@ -11,7 +11,8 @@
 //!   (layout validation, size consistency) with no extra communication;
 //! - [`AssertionLevel::Heavy`] — additionally verifies *cross-rank*
 //!   invariants by communicating: all ranks of a rooted collective named
-//!   the same root, and the send-count matrix of an `alltoallv` is
+//!   the same root, every rank of a counted `allgatherv` passed the same
+//!   receive counts, and the send-count matrix of an `alltoallv` is
 //!   consistent with what receivers expect.
 //!
 //! The level is a process-global setting (like KaMPIng's compile-time
@@ -22,6 +23,7 @@
 //! set_assertion_level(AssertionLevel::Light);
 //! ```
 
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use kmp_mpi::{MpiError, Result};
@@ -71,8 +73,7 @@ pub(crate) fn check_same_root(comm: &Communicator, root: usize) -> Result<()> {
     if !assertions_enabled(AssertionLevel::Heavy) {
         return Ok(());
     }
-    let lo = comm.raw().allreduce_one(root as u64, kmp_mpi::op::Min)?;
-    let hi = comm.raw().allreduce_one(root as u64, kmp_mpi::op::Max)?;
+    let (lo, hi) = extremes(comm, root as u64)?;
     if lo != hi {
         return Err(MpiError::InvalidLayout(format!(
             "heavy assertion failed: ranks disagree on the collective's root \
@@ -80,6 +81,34 @@ pub(crate) fn check_same_root(comm: &Communicator, root: usize) -> Result<()> {
         )));
     }
     Ok(())
+}
+
+/// Heavy (communicating) check: every rank of a counted `allgatherv`
+/// must have passed the same `recv_counts`. Their total selects the
+/// exchange's row, so counts whose totals straddle a row ceiling would
+/// run different schedules on different ranks and hang. Costs one
+/// `allreduce` pair over a 64-bit hash of the counts when enabled.
+pub(crate) fn check_same_counts(comm: &Communicator, counts: &[usize]) -> Result<()> {
+    if !assertions_enabled(AssertionLevel::Heavy) {
+        return Ok(());
+    }
+    let mut hasher = std::hash::DefaultHasher::new();
+    counts.hash(&mut hasher);
+    let (lo, hi) = extremes(comm, hasher.finish())?;
+    if lo != hi {
+        return Err(MpiError::InvalidLayout(
+            "heavy assertion failed: ranks disagree on allgatherv's recv_counts".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// The least and the greatest `value` over all ranks: one Min/Max
+/// `allreduce` pair, so every rank reaches the same verdict.
+fn extremes(comm: &Communicator, value: u64) -> Result<(u64, u64)> {
+    let lo = comm.raw().allreduce_one(value, kmp_mpi::op::Min)?;
+    let hi = comm.raw().allreduce_one(value, kmp_mpi::op::Max)?;
+    Ok((lo, hi))
 }
 
 /// Heavy (communicating) check: the transposed send counts of an

@@ -35,6 +35,9 @@ where
     type Output = FinalOf<Push3<RB::Out, RC::Out, RD::Out>>;
 
     fn run(self, comm: &Communicator) -> Result<Self::Output> {
+        if let Some(counts) = self.recv_counts.provided() {
+            crate::assertions::check_same_counts(comm, counts)?;
+        }
         // An owned send buffer moves into the transport; a borrowed one
         // is serialized once. Supplied counts go down as the agreed
         // layout, which selects the schedule; omitted counts are read
@@ -356,5 +359,61 @@ mod tests {
             let all: Vec<u32> = comm.allgatherv(send_buf(&vec![1u32, 2])).unwrap();
             assert_eq!(all, vec![1, 2]);
         });
+    }
+
+    /// Counts that disagree across ranks, with totals that straddle the
+    /// allgather ceiling: ranks 1 and 2 would run the eager ring, ranks
+    /// 0 and 3 recursive doubling, and wait on each other forever. At
+    /// `Heavy` every rank refuses them before the exchange, within a
+    /// deadline, and the next collective works; below `Heavy` the check
+    /// costs no call.
+    #[test]
+    fn heavy_refuses_counts_that_straddle_a_row_ceiling_on_every_rank() {
+        use crate::assertions::{assertion_level, set_assertion_level, AssertionLevel};
+        use kmp_mpi::{CollTuning, MpiError};
+        let _g = crate::assertions::LEVEL_GUARD.lock().unwrap();
+        let prev = assertion_level();
+        // One `u16` per rank; 8 bytes in all sits at the ceiling.
+        let tuning = CollTuning::default()
+            .allgather_rd_max_bytes(8)
+            .allgather_bruck_max_bytes(8);
+        set_assertion_level(AssertionLevel::Light);
+        Universe::run(4, move |comm| {
+            let comm = Communicator::new(comm);
+            comm.raw().set_tuning(tuning);
+            let before = comm.call_counts();
+            let all: Vec<u16> = comm
+                .allgatherv((send_buf(&[comm.rank() as u16][..]), recv_counts(&[1; 4])))
+                .unwrap();
+            assert_eq!(all, vec![0, 1, 2, 3]);
+            let delta = comm.call_counts().since(&before);
+            assert_eq!(delta.total(), 1, "below Heavy no check runs: {delta}");
+        });
+        set_assertion_level(AssertionLevel::Heavy);
+        let (done, deadline) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            Universe::run(4, move |comm| {
+                let comm = Communicator::new(comm);
+                comm.raw().set_tuning(tuning);
+                let counts = match comm.rank() {
+                    1 | 2 => [1, 1, 2, 1],
+                    _ => [1; 4],
+                };
+                let got: kmp_mpi::Result<Vec<u16>> =
+                    comm.allgatherv((send_buf(&[comm.rank() as u16][..]), recv_counts(&counts)));
+                assert!(matches!(got, Err(MpiError::InvalidLayout(_))), "{got:?}");
+                let all: Vec<u16> = comm
+                    .allgatherv((send_buf(&[comm.rank() as u16][..]), recv_counts(&[1; 4])))
+                    .unwrap();
+                assert_eq!(all, vec![0, 1, 2, 3], "the next collective works");
+            });
+            let _ = done.send(());
+        });
+        let waited = deadline.recv_timeout(std::time::Duration::from_secs(30));
+        set_assertion_level(prev);
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = waited {
+            panic!("a rank is still waiting on its peers");
+        }
+        worker.join().expect("every rank refused the counts");
     }
 }

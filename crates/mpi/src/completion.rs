@@ -15,11 +15,12 @@
 //!   to `missed` and wake nobody. A posted receive's or probe's direct
 //!   delivery is a claim that also writes the slot
 //!   (`Waiter::claim_delivering`);
-//! - **the park** — `Waiter::park`: yield the core once, then, under
-//!   the waiter's lock, consume an outstanding claim (→ fired id +
-//!   missed ids), else notice that the interruption epoch moved (→
-//!   interrupted), else sleep on the private condvar. It is the only
-//!   sleep on a `Waiter`, and every parked wait is a loop around it:
+//! - **the park** — `Waiter::park`: yield the core up to the waiter's
+//!   adaptive budget times, then, under the waiter's lock, consume an
+//!   outstanding claim (→ fired id + missed ids), else notice that the
+//!   interruption epoch moved (→ interrupted), else sleep on the
+//!   private condvar. It is the only sleep on a `Waiter`, and every
+//!   parked wait is a loop around it:
 //!   - the blocking receive and probe (the mailbox's posted wait behind
 //!     [`Mailbox::wait_match`] / [`Mailbox::wait_peek`], and the
 //!     two-stream receive `Mailbox::wait_match_or_queued`);
@@ -40,7 +41,7 @@
 //! listed before the interrupter walks the list is woken under its
 //! lock, after the bump; one listed later reads the bumped epoch under
 //! its lock before it would sleep. A park that finds a claim or a moved
-//! epoch after its yield is never listed, and never sleeps.
+//! epoch after any of its yields is never listed, and never sleeps.
 //!
 //! # The protocol
 //!
@@ -55,12 +56,15 @@
 //!   3. REGISTER: for each source the operations are blocked on,
 //!      atomically {check "already available?" ; else enqueue waiter}
 //!        available?    -> skip the park, go to 5
-//!   4. PARK (`Waiter::park`): unclaimed and epoch unmoved?
-//!        yield the core once (never more: one yield is not a poll)
+//!   4. PARK (`Waiter::park`): up to budget times (1..=16):
+//!        claimed or epoch moved?                 -> consume, unlisted
+//!        else yield the core
 //!      re-check: claimed or epoch moved?         -> consume, unlisted
 //!      else list, then sleep on the private condvar, watched, until
 //!        claimed (fired = source id)             -> targeted wakeup
 //!        or epoch != captured                    -> interrupt, re-check
+//!      slept? halve the budget (down to 1); else yielded? double it
+//!      (up to `MAX_PARK_YIELDS`)
 //!   5. re-test the fired id only; on an interrupt deregister
 //!      everything and go to 1
 //! ```
@@ -136,7 +140,7 @@
 //!   same shard lock pushes take, so a message arriving before the
 //!   registration is seen by the check and one arriving after is seen by
 //!   the push's registration lookup. A claim that lands before the owner
-//!   reaches step 4, or during its yield, is still there when it looks:
+//!   reaches step 4, or during its yields, is still there when it looks:
 //!   `park` tests `claimed` under the lock the claim was written under,
 //!   before it ever sleeps, and marks itself `sleeping` under that lock
 //!   in the same critical section — so a claim skips the notify only
@@ -161,7 +165,7 @@
 //! [`mailbox::reference`](crate::mailbox::reference).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -196,9 +200,21 @@ pub(crate) struct WaiterSlot {
     pub(crate) sleeping: bool,
 }
 
+/// Most times a [`Waiter::park`] yields its core before it sleeps: the
+/// cap of the adaptive yield budget.
+///
+/// Competitive spinning (Karlin, Li, Manasse & Owicki, SOSP 1991): a
+/// waiter that polls for at most as long as one block plus wake costs
+/// never pays more than twice what the better of the two would have
+/// paid. On a 2-core x86-64 host an uncontended `sched_yield` costs
+/// 0.29–0.46 µs, and one futex block plus its wake about half of a
+/// park/unpark round trip between two threads (`ref.park_rtt_us`,
+/// 13–17 µs), so 6.5–8.5 µs: 16 yields, 4.6–7.4 µs, cost about one
+/// block plus wake.
+pub(crate) const MAX_PARK_YIELDS: u32 = 16;
+
 /// One parked thread: a private delivery slot and a private condvar, so
 /// a completion wakes exactly this thread and nobody else.
-#[derive(Default)]
 pub(crate) struct Waiter {
     pub(crate) state: Mutex<WaiterSlot>,
     pub(crate) cond: Condvar,
@@ -206,7 +222,7 @@ pub(crate) struct Waiter {
     /// see the claim and leave the waiter alone (one completion wakes
     /// exactly one waiter, exactly once). Written only under `state`'s
     /// lock, so `park`'s check-then-sleep under that lock cannot miss
-    /// it; `park` also reads it lock-free to skip its yield and the
+    /// it; `park` also reads it lock-free to end its yields and skip the
     /// watcher list when a claim is already there. `Relaxed` suffices:
     /// the flag publishes nothing — whoever acts on a `true` takes
     /// `state`'s lock before touching the slot, and only the owner
@@ -222,6 +238,25 @@ pub(crate) struct Waiter {
     /// takes the shard lock pushes hold), so a push that enqueues after
     /// that re-test is guaranteed to observe the flag.
     pub(crate) armed: AtomicBool,
+    /// How many times the next [`park`](Waiter::park) may yield before
+    /// it sleeps, 1 ..= [`MAX_PARK_YIELDS`]. Owner-only: only the
+    /// thread that parks reads or writes it, so `Relaxed` is exact. It
+    /// survives [`fresh_waiter`]'s reset, so a thread's cached waiter —
+    /// and a persistent plan's own — carries what its recent parks saw
+    /// from wait to wait.
+    yield_budget: AtomicU32,
+}
+
+impl Default for Waiter {
+    fn default() -> Self {
+        Waiter {
+            state: Mutex::default(),
+            cond: Condvar::default(),
+            claimed: AtomicBool::default(),
+            armed: AtomicBool::default(),
+            yield_budget: AtomicU32::new(1),
+        }
+    }
 }
 
 /// How a [`Waiter::park`] ended.
@@ -277,22 +312,36 @@ impl Waiter {
     /// interruption epoch differs from `seen_epoch`, which the caller
     /// captured **before** its last non-blocking re-check.
     ///
-    /// With neither in sight it first yields its core once: on an
-    /// oversubscribed host the peer it waits for is often the thread
-    /// that runs next, and a claim that lands meanwhile is consumed
-    /// without a sleep, a wake or the watcher list. Then, still
-    /// unclaimed and uninterrupted, the waiter is on `mb`'s watcher
-    /// list for the whole sleep, listed before the waiter lock is
-    /// taken — the order [`Mailbox::interrupt`] locks in. The claim is
-    /// consumed: its fired and missed ids come back in the [`Wake`] and
-    /// the waiter can be claimed again.
+    /// With neither in sight it first yields its core, up to its yield
+    /// budget times, re-checking the claim and the epoch lock-free
+    /// after every yield: on an oversubscribed host the peer it waits
+    /// for is often the thread that runs next, and a claim that lands
+    /// meanwhile is consumed without a sleep, a wake or the watcher
+    /// list. The budget adapts to what the yields bought. A park that
+    /// yielded and then found its claim or interrupt without sleeping
+    /// doubles it, up to [`MAX_PARK_YIELDS`]: about one futex block
+    /// plus wake worth of yields, the competitive bound. A park that
+    /// slept anyway halves it, down to 1. A rank whose peer answers
+    /// within a few yields therefore stops sleeping, and one whose peer
+    /// is slow soon spends one yield a park. Then, still unclaimed
+    /// and uninterrupted, the waiter is on `mb`'s watcher list for the
+    /// whole sleep, listed before the waiter lock is taken — the order
+    /// [`Mailbox::interrupt`] locks in. The claim is consumed: its
+    /// fired and missed ids come back in the [`Wake`] and the waiter
+    /// can be claimed again.
     pub(crate) fn park(self: &Arc<Self>, mb: &Mailbox, seen_epoch: u64) -> Wake {
         // Only the owner clears `claimed` and the epoch only grows, so
         // once this is false it stays false until the park ends: an
         // unlisted owner never reaches the sleep.
         let must_wait = || !self.claimed.load(Ordering::Relaxed) && mb.epoch() == seen_epoch;
-        if must_wait() {
+        let budget = self.yield_budget.load(Ordering::Relaxed);
+        let mut yielded = false;
+        for _ in 0..budget {
+            if !must_wait() {
+                break;
+            }
             std::thread::yield_now();
+            yielded = true;
         }
         let listed = must_wait();
         if listed {
@@ -316,6 +365,13 @@ impl Waiter {
         if listed {
             mb.unwatch(self);
         }
+        // A park that found its wake before yielding learned nothing.
+        let next = match (slept, yielded) {
+            (true, _) => (budget / 2).max(1),
+            (false, true) => (budget * 2).min(MAX_PARK_YIELDS),
+            (false, false) => budget,
+        };
+        self.yield_budget.store(next, Ordering::Relaxed);
         Wake {
             fired,
             missed,
@@ -347,6 +403,19 @@ impl Waiter {
         });
         self.armed.store(false, Ordering::SeqCst);
         attempt
+    }
+}
+
+#[cfg(test)]
+impl Waiter {
+    /// The yield budget the next [`park`](Waiter::park) starts from.
+    pub(crate) fn yield_budget(&self) -> u32 {
+        self.yield_budget.load(Ordering::Relaxed)
+    }
+
+    /// Starts the next park from `budget` yields.
+    pub(crate) fn set_yield_budget(&self, budget: u32) {
+        self.yield_budget.store(budget, Ordering::Relaxed);
     }
 }
 
@@ -1008,13 +1077,16 @@ mod tests {
         });
     }
 
-    /// The window `park`'s yield opens: one owner parks while a claimer
-    /// fires at a drawn point — before the park, racing its yield and
-    /// re-check, or once the owner sleeps — sometimes followed or
-    /// replaced by an interrupt. Every park must end, under a deadline,
-    /// with the claimed slot or an epoch wake; a claim that lands while
-    /// the owner is not asleep is consumed without a sleep; and only an
-    /// interrupt with no claim counts as a spurious wakeup.
+    /// The window `park`'s yield loop opens: one owner parks, from a
+    /// drawn starting budget (1, half the cap, the cap), while a
+    /// claimer fires at a drawn point — before the park, racing the
+    /// loop after 0 ..= budget yields of its own and a drawn spin, or
+    /// once the owner sleeps — sometimes followed or replaced by an
+    /// interrupt. Every park must end, under a deadline, with the
+    /// claimed slot or an epoch wake; a claim that lands while the
+    /// owner is not asleep is consumed without a sleep; only an
+    /// interrupt with no claim counts as a spurious wakeup; and the
+    /// budget halves after a sleep and otherwise stays or doubles.
     #[test]
     fn park_consumes_a_claim_racing_its_yield_and_never_hangs() {
         const ITERS: u64 = 10_000;
@@ -1035,9 +1107,12 @@ mod tests {
                     1 => (true, true),
                     _ => (true, false),
                 };
+                let budget = [1, MAX_PARK_YIELDS / 2, MAX_PARK_YIELDS][(rng >> 24) as usize % 3];
+                let yields = (rng >> 32) % u64::from(budget + 1);
                 lone_interrupts += u64::from(!claim);
                 let slot = (i % 5) as usize;
                 let w = Arc::new(Waiter::default());
+                w.set_yield_budget(budget);
                 let epoch = mb.epoch();
                 // Fires the drawn events; returns whether the owner was
                 // asleep when the claim landed.
@@ -1060,6 +1135,7 @@ mod tests {
                         let claimer = s.spawn(|| {
                             if point == 1 {
                                 start.wait();
+                                (0..yields).for_each(|_| std::thread::yield_now());
                                 (0..spins).for_each(|_| std::hint::spin_loop());
                             } else {
                                 while !w.state.lock().sleeping {
@@ -1075,8 +1151,10 @@ mod tests {
                         (wake, claimer.join().expect("claimer"))
                     })
                 };
-                let at =
-                    format!("iteration {i}: point {point}, claim {claim}, interrupt {interrupt}");
+                let at = format!(
+                    "iteration {i}: point {point}, budget {budget}, claim {claim}, \
+                     interrupt {interrupt}"
+                );
                 if claim {
                     assert_eq!(wake.fired, Some(slot), "{at}");
                     assert_eq!(
@@ -1093,6 +1171,15 @@ mod tests {
                 }
                 assert!(wake.missed.is_empty(), "{at}");
                 assert!(!w.claimed.load(Ordering::Relaxed), "{at}: claim consumed");
+                let after = w.yield_budget();
+                if wake.slept {
+                    assert_eq!(after, (budget / 2).max(1), "{at}: a sleep halves");
+                } else if point == 0 {
+                    assert_eq!(after, budget, "{at}: no yield, nothing learned");
+                } else {
+                    let grown = (budget * 2).min(MAX_PARK_YIELDS);
+                    assert!(after == budget || after == grown, "{at}: {after}");
+                }
             }
             let stats = mb.stats();
             assert_eq!(stats.spurious_wakeups, lone_interrupts);
@@ -1105,6 +1192,93 @@ mod tests {
             panic!("a park hung: a claim or an interrupt was lost");
         }
         worker.join().expect("every park ended as drawn");
+    }
+
+    /// Parks that all sleep walk the budget down from the cap, halving
+    /// each time, and leave it at 1 — one yield a park, the least a
+    /// waiter whose peers are slow ever spends.
+    #[test]
+    fn parks_that_sleep_halve_the_budget_down_to_one() {
+        let mb = Mailbox::new();
+        let w = Arc::new(Waiter::default());
+        w.set_yield_budget(MAX_PARK_YIELDS);
+        let mut expect = MAX_PARK_YIELDS;
+        for k in 0..8 {
+            let wake = std::thread::scope(|s| {
+                s.spawn(|| {
+                    while !w.state.lock().sleeping {
+                        std::thread::yield_now();
+                    }
+                    assert!(w.claim(k));
+                });
+                w.park(&mb, mb.epoch())
+            });
+            assert!(wake.slept && wake.fired == Some(k), "park {k}");
+            expect = (expect / 2).max(1);
+            assert_eq!(w.yield_budget(), expect, "park {k}");
+        }
+        assert_eq!(w.yield_budget(), 1);
+    }
+
+    /// A ping-pong whose peer is awake and answers within a few yields:
+    /// each round the owner hands the peer its turn and parks, and the
+    /// peer's claim lands inside the owner's yield loop, so the budget
+    /// grows from 1 to the cap.
+    #[test]
+    fn a_ping_pong_answered_inside_the_yields_grows_the_budget_to_the_cap() {
+        let mb = Mailbox::new();
+        let w = Arc::new(Waiter::default());
+        let turn = AtomicBool::new(false);
+        const ROUNDS: usize = 2_000;
+        let budgets: Vec<u32> = std::thread::scope(|s| {
+            s.spawn(|| {
+                for k in 0..ROUNDS {
+                    while !turn.swap(false, Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    assert!(w.claim(k));
+                }
+            });
+            (0..ROUNDS)
+                .map(|k| {
+                    turn.store(true, Ordering::Release);
+                    assert_eq!(w.park(&mb, mb.epoch()).fired, Some(k));
+                    w.yield_budget()
+                })
+                .collect()
+        });
+        assert_eq!(budgets.iter().max(), Some(&MAX_PARK_YIELDS), "{budgets:?}");
+    }
+
+    /// The bound on the burn: a rank parked for 500 ms on a source that
+    /// never sends — its budget at the cap, the most it can spend — is
+    /// woken by a revocation and has used under 5 % of that time in
+    /// thread CPU. 500 ms keeps a 10 ms scheduler tick from deciding it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_long_park_burns_under_five_percent_of_its_wait() {
+        use std::time::{Duration, Instant};
+        Universe::run(2, |comm| {
+            if comm.rank() == 1 {
+                std::thread::sleep(Duration::from_millis(500));
+                comm.revoke();
+                return;
+            }
+            fresh_waiter().set_yield_budget(MAX_PARK_YIELDS);
+            let (t, cpu) = (Instant::now(), crate::sys::thread_cpu_ns());
+            let got = comm.recv_vec::<u8>(1, 0);
+            let cpu_ns = crate::sys::thread_cpu_ns() - cpu;
+            let wall_ns = t.elapsed().as_nanos() as u64;
+            assert!(matches!(got, Err(MpiError::Revoked)), "{got:?}");
+            assert!(wall_ns >= 400_000_000, "parked {wall_ns} ns");
+            assert!(
+                cpu_ns * 20 < wall_ns,
+                "parked {wall_ns} ns, burned {cpu_ns} ns of thread CPU"
+            );
+            // The receive parked on the thread's cached waiter, carrying
+            // the budget in, and its sleep halved it.
+            assert_eq!(fresh_waiter().yield_budget(), MAX_PARK_YIELDS / 2);
+        });
     }
 
     /// `wait` on a lone synchronous-mode send parks on the ack (no
