@@ -8,9 +8,13 @@
 //! last. In between, step `j` exchanges with a partner and folds —
 //! recursive doubling the whole vector with `rank ^ 2^j`, Rabenseifner's
 //! recursive-halving reduce-scatter the half of its working range it
-//! gives up with `rank ^ (p2 >> (j + 1))`, until it holds chunk `rank`,
-//! which a ring allgather over `p2 - 1` hops then circulates and each
-//! rank assembles once.
+//! gives up with `rank ^ (p2 >> (j + 1))`, until it holds chunk `rank`.
+//! The allgather is one eager exchange: each rank posts its chunk to the
+//! other `p2 - 1` at once, as refcount clones in the pairwise rotation
+//! `rank + 1, rank + 2, …`, receives each chunk straight from its
+//! origin in the order that rotation delivers them, and assembles them
+//! once. Its `p2 - 1` receives are one round on the critical path, not
+//! `p2 - 1` dependent hops.
 //!
 //! A fold writes only into a vector no peer reads. A vector given away
 //! — a high rank's, or the copy doubling's first step sends when it is
@@ -28,7 +32,7 @@ use bytes::Bytes;
 
 use super::{fold_bytes_right, fold_payloads, AllreduceAlgo};
 use crate::collectives::nonblocking::{message_completion, Rounds};
-use crate::collectives::{block_counts, concat_blocks, send_internal};
+use crate::collectives::{block_counts, concat_blocks, fan_out, send_internal};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::op::ReduceOp;
@@ -47,10 +51,10 @@ enum Fixup {
 
 /// Both `allreduce/*` rows (see the module doc).
 pub(crate) struct Allreduce<T, O> {
-    /// Rabenseifner's halving and ring, else recursive doubling.
+    /// Rabenseifner's halving and allgather, else recursive doubling.
     halving: bool,
-    /// Fix-up, main-phase, ring and result tags (recursive doubling
-    /// uses one for all).
+    /// Fix-up, main-phase, allgather and result tags (recursive
+    /// doubling uses one for all).
     tags: [Tag; 4],
     op: O,
     p2: usize,
@@ -65,8 +69,8 @@ pub(crate) struct Allreduce<T, O> {
     /// A vector of `n` elements no peer reads, for the last doubling
     /// step to fold into: the contribution, once read for the last time.
     spare: Option<Vec<T>>,
-    /// The reduced chunks by index, filled by the ring (this rank's own
-    /// is `acc` until `finish`).
+    /// The reduced chunks by index, filled by the allgather (this rank's
+    /// own is `acc` until `finish`).
     chunks: Vec<Bytes>,
 }
 
@@ -124,10 +128,18 @@ impl<T: Plain, O: ReduceOp<T>> Allreduce<T, O> {
     }
 
     /// Where round `k` of a low rank falls: the fold-in (`None`), step
-    /// `Ok(j)` or ring hop `Err(h)`.
+    /// `Ok(j)` or the allgather's `h`-th receive `Err(h)`.
     fn phase(&self, k: usize) -> Option<std::result::Result<usize, usize>> {
         let j = k.checked_sub(usize::from(matches!(self.fixup, Fixup::Low(_))))?;
         Some(j.checked_sub(self.steps()).map_or(Ok(j), Err))
+    }
+
+    /// The origin of the chunk allgather round `k` receives: the `h`-th
+    /// of the last `p2 - 1` rounds takes the chunk of `rank - 1 - h`,
+    /// whose rotation reaches this rank with its `h`-th send.
+    fn origin(&self, rank: Rank, k: usize) -> Rank {
+        let h = k + self.p2 - 1 - self.rounds();
+        (rank + self.p2 - 1 - h) % self.p2
     }
 
     /// Whether doubling's first step sends a copy its partner folds into:
@@ -177,32 +189,32 @@ impl<T: Plain, O: ReduceOp<T>> Rounds for Allreduce<T, O> {
     }
 
     fn rounds(&self) -> usize {
-        let ring = if self.halving { self.p2 - 1 } else { 0 };
+        let gather = if self.halving { self.p2 - 1 } else { 0 };
         match self.fixup {
             Fixup::High(_) => 1,
-            Fixup::Low(_) => 1 + self.steps() + ring,
-            Fixup::None => self.steps() + ring,
+            Fixup::Low(_) => 1 + self.steps() + gather,
+            Fixup::None => self.steps() + gather,
         }
     }
 
     fn peer(&self, comm: &Comm, k: usize) -> (Rank, Tag) {
-        let [fixup_tag, step_tag, ring_tag, result_tag] = self.tags;
+        let [fixup_tag, step_tag, gather_tag, result_tag] = self.tags;
         match (self.fixup, self.phase(k)) {
             (Fixup::High(low), _) => (low, result_tag),
             (Fixup::Low(high), None) => (high, fixup_tag),
             (_, Some(Ok(j))) => (self.halves(comm.rank(), j).0, step_tag),
-            _ => ((comm.rank() + self.p2 - 1) % self.p2, ring_tag),
+            _ => (self.origin(comm.rank(), k), gather_tag),
         }
     }
 
     fn post(&mut self, comm: &Comm, k: usize) -> Result<()> {
-        let [fixup_tag, step_tag, ring_tag, _] = self.tags;
+        let [fixup_tag, step_tag, gather_tag, _] = self.tags;
         let rank = comm.rank();
         match (self.fixup, self.phase(k)) {
             (Fixup::High(low), _) => {
                 send_internal(comm, low, fixup_tag, std::mem::take(&mut self.acc))
             }
-            (_, None) => Ok(()),
+            (_, None) | (_, Some(Err(1..))) => Ok(()),
             (_, Some(Ok(j))) => {
                 let (partner, _, give) = self.halves(rank, j);
                 let msg = match j {
@@ -211,17 +223,7 @@ impl<T: Plain, O: ReduceOp<T>> Rounds for Allreduce<T, O> {
                 };
                 send_internal(comm, partner, step_tag, msg)
             }
-            (_, Some(Err(hop))) => {
-                // Hop `h` forwards the chunk that arrived on hop `h - 1`
-                // (on hop 0, this rank's own).
-                let origin = (rank + self.p2 - hop) % self.p2;
-                let chunk = if origin == rank {
-                    self.acc.clone()
-                } else {
-                    self.chunks[origin].clone()
-                };
-                send_internal(comm, (rank + 1) % self.p2, ring_tag, chunk)
-            }
+            (_, Some(Err(0))) => fan_out(comm, self.p2, gather_tag, &self.acc),
         }
     }
 
@@ -229,7 +231,10 @@ impl<T: Plain, O: ReduceOp<T>> Rounds for Allreduce<T, O> {
         let rank = comm.rank();
         match (self.fixup, self.phase(k)) {
             (Fixup::High(_), _) => self.acc = theirs,
-            (_, Some(Err(hop))) => self.chunks[(rank + self.p2 - 1 - hop) % self.p2] = theirs,
+            (_, Some(Err(_))) => {
+                let origin = self.origin(rank, k);
+                self.chunks[origin] = theirs;
+            }
             (_, None) => self.fold_into_received(theirs)?,
             (_, Some(Ok(0))) if self.gives_copy() => self.fold_into_received(theirs)?,
             (_, Some(Ok(j))) => {

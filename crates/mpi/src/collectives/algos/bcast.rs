@@ -23,7 +23,7 @@ use bytes::Bytes;
 use super::table::{frozen_pick, Call};
 use super::{BcastAlgo, CollTuning};
 use crate::collectives::nonblocking::{message_completion, recv_first, recv_one, Rounds};
-use crate::collectives::{bcast_forward, bcast_parent, send_internal};
+use crate::collectives::{bcast_forward, bcast_parent, fan_out, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::plain::bytes_from_vec;
@@ -136,12 +136,6 @@ impl BcastEngine {
         k + usize::from(comm.rank() == self.root) - self.learning()
     }
 
-    /// Posts `chunk` to every other rank, in the pairwise rotation.
-    fn fan_out(&self, comm: &Comm, chunk: &Bytes) -> Result<()> {
-        let (p, rank) = (comm.size(), comm.rank());
-        (1..p).try_for_each(|i| send_internal(comm, (rank + i) % p, self.tags[2], chunk.clone()))
-    }
-
     /// Takes in the announcement: the size every chunk is checked
     /// against. One that is not a size still goes down the tree as it
     /// came, and the rank still joins the exchange, so no peer is left
@@ -237,14 +231,14 @@ impl Rounds for BcastEngine {
             return Ok(());
         }
         if rank != self.root {
-            return self.fan_out(comm, &self.parts[rank]);
+            return fan_out(comm, p, self.tags[2], &self.parts[rank]);
         }
         let payload = &self.parts[0];
         let chunk = |r| payload.slice(bound(payload.len(), p, r)..bound(payload.len(), p, r + 1));
         for r in (0..p).filter(|&r| r != rank) {
             send_internal(comm, r, self.tags[1], chunk(r))?;
         }
-        self.fan_out(comm, &chunk(rank))
+        fan_out(comm, p, self.tags[2], &chunk(rank))
     }
 
     fn absorb(&mut self, comm: &Comm, k: usize, payload: Bytes) -> Result<()> {

@@ -67,8 +67,9 @@ pub enum Select<A> {
 pub enum AllreduceAlgo {
     /// Latency-optimal: log2 p rounds exchanging the full vector.
     RecursiveDoubling,
-    /// Bandwidth-optimal: recursive-halving reduce-scatter followed by a
-    /// ring allgather of the reduced chunks.
+    /// Bandwidth-optimal: recursive-halving reduce-scatter followed by an
+    /// eager allgather of the reduced chunks (every chunk posted to every
+    /// peer at once).
     Rabenseifner,
 }
 
@@ -78,8 +79,8 @@ pub enum BcastAlgo {
     /// Latency-optimal binomial tree (forwarding is refcount cloning).
     Binomial,
     /// Bandwidth-optimal van de Geijn: scatter chunks from the root,
-    /// then ring-allgather them. Requires the payload size to be known
-    /// on every rank (the sized bcast paths).
+    /// then allgather them in one eager exchange. Requires the payload
+    /// size to be known on every rank (the sized bcast paths).
     ScatterAllgather,
 }
 
@@ -223,11 +224,18 @@ impl Default for CollTuning {
             // sparse path gives up the dense engine's single shared
             // internal tag; near-complete graphs go dense.
             neighborhood_dense_min_degree_pct: 90,
-            // Crossover points measured with the cluster cost model
-            // (alpha = 1.5 us, beta = 0.1 ns/B): the bandwidth-optimal
-            // algorithms overtake at ~100-180 KiB for p in {4, 8}, so
-            // the defaults sit just above — Auto never picks an
-            // algorithm into its losing regime.
+            // Crossover points from dry runs under the cluster cost
+            // model (alpha = 1.5 us, beta = 0.1 ns/B). Rabenseifner,
+            // whose allgather is one eager round, overtakes recursive
+            // doubling at ~49, 61, 89, 137 and 221 KiB for p = 4, 8,
+            // 16, 32 and 64 (109 KiB at p = 12); at p in {5, 6} the
+            // fix-up's full-vector hand-back dominates and it stays
+            // 4-5 us behind doubling at every size. 128 KiB lies in
+            // its winning regime for p in {4, 8, 16}, and costs at most
+            // 3 us at p = 32; p = 64 (137 against 89 us) and p in
+            // {5, 6} are known gaps.
+            // The broadcast crossover is ~100-180 KiB for p in {4, 8},
+            // so its default sits just above.
             rabenseifner_min_bytes: 128 * 1024,
             bcast_scatter_min_bytes: 256 * 1024,
             bruck_max_block_bytes: 1024,

@@ -111,11 +111,11 @@ pub use super::table::CLASS_COUNT;
 pub enum AlgoClass {
     /// Recursive-doubling allreduce.
     AllreduceRd = 0,
-    /// Rabenseifner allreduce (reduce-scatter + ring allgather).
+    /// Rabenseifner allreduce (reduce-scatter + eager allgather).
     AllreduceRabenseifner = 1,
     /// Binomial-tree broadcast.
     BcastBinomial = 2,
-    /// Van de Geijn broadcast (scatter + ring allgather).
+    /// Van de Geijn broadcast (scatter + eager allgather).
     BcastScatterAllgather = 3,
     /// Ring allgather (also the proxy class for the flat eager
     /// `iallgather` fan-out: same startup count and volume, no packing).

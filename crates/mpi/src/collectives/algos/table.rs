@@ -15,7 +15,7 @@
 //! | row ([`AlgoClass::name`]) | algorithm | startups | copies per rank | needs | static `Auto` picks it when | runs as |
 //! |---|---|---|---|---|---|---|
 //! | **`allreduce/recursive_doubling`** | round 0 sends a copy the partner folds into; later rounds send the accumulator as a refcount payload, and the last folds into the contribution | log2 p' (+2 off powers of two) | s + r (+ r handing the result back off powers of two) | — | otherwise | blocking, `iallreduce`, `allreduce_init` |
-//! | `allreduce/rabenseifner` | reduce-scatter folding into fresh shrinking halves + ring allgather of refcount chunks | log2 p' + p' - 1 (+2 off powers of two) | s + r (+ r handing the result back off powers of two) | — | `p >= 4`, `s >=` [`CollTuning::rabenseifner_min_bytes`] | blocking, `iallreduce`, `allreduce_init` |
+//! | `allreduce/rabenseifner` | reduce-scatter folding into fresh shrinking halves + eager allgather: each rank's reduced chunk to the other `p' - 1` as refcount clones, all posted before its first receive | log2 p' + p' - 1 (+2 off powers of two): the busiest rank's receives; the critical path is log2 p' + 1 hops | s + r (+ r handing the result back off powers of two) | — | `p >= 4`, `s >=` [`CollTuning::rabenseifner_min_bytes`] | blocking, `iallreduce`, `allreduce_init` |
 //! | **`bcast/binomial`** | binomial tree, refcount forwarding; every rank sends to its largest subtree first, so the critical path is ceil(log2 p) hops | <= log2 p | root s, other r | — | otherwise | blocking, `ibcast`, `bcast_init` |
 //! | `bcast/scatter_allgather` | van de Geijn: scatter + eager allgather of the chunks; where only the root knows `s` (self-sizing), the root first announces `s` down the tree | 2(p-1) + ceil(log2 p) (sized: 2(p-1)) | root s, other r | `s > 0` | `p >= 4`, `s >=` [`CollTuning::bcast_scatter_min_bytes`] | blocking, `ibcast`, `bcast_init` |
 //! | **`allgather/ring`** | eager fan-out: the own block to every peer as a refcount clone, all posted before the first receive (the name is the row's, kept from the forwarding ring) | p-1 | s + r | — | otherwise | blocking, `iallgather(v)`, `allgather(v)_init` |
@@ -239,7 +239,9 @@ fn doubling_hops(p: usize) -> f64 {
     f64::from(p.ilog2()) + if p.is_power_of_two() { 0.0 } else { 2.0 }
 }
 
-/// Rabenseifner's: doubling's, plus the ring allgather's `p' - 1`.
+/// Rabenseifner's startups: doubling's, plus the `p' - 1` chunks every
+/// rank of the eager allgather receives (its sends leave together, so
+/// they add one hop to the critical path, not `p' - 1`).
 fn rabenseifner_hops(p: usize) -> f64 {
     doubling_hops(p) + ((1 << p.ilog2()) - 1) as f64
 }
@@ -263,8 +265,9 @@ impl Algo for AllreduceAlgo {
             needs: ALWAYS,
             auto: |t, _, p, s| p >= 4 && s >= t.rabenseifner_min_bytes,
             features: |p, _, s| (rabenseifner_hops(p), 2.0 * s),
-            // The ring allgather is serialized hop by hop.
-            rounds: |p, _| rabenseifner_hops(p),
+            // The reduce-scatter's steps, then one eager allgather, as
+            // `bcast/scatter_allgather` counts its own.
+            rounds: |p, _| doubling_hops(p) + 1.0,
         },
     ];
 }

@@ -158,6 +158,15 @@ pub(crate) fn send_slices(
     parts.try_for_each(|(dest, range)| send_internal(comm, dest, tag, payload.slice(range)))
 }
 
+/// Posts `chunk` to every other rank of `0..p` (this rank among them)
+/// as a refcount clone, in the pairwise rotation `rank + 1, rank + 2,
+/// …`: the eager allgathers of van de Geijn's broadcast and of
+/// Rabenseifner's allreduce.
+pub(crate) fn fan_out(comm: &Comm, p: usize, tag: Tag, chunk: &Bytes) -> Result<()> {
+    let rank = comm.rank();
+    (1..p).try_for_each(|i| send_internal(comm, (rank + i) % p, tag, chunk.clone()))
+}
+
 /// Sends a typed slice on an internal tag (one counted copy into the
 /// transport).
 #[inline]

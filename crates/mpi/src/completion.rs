@@ -63,8 +63,8 @@
 //!      else list, then sleep on the private condvar, watched, until
 //!        claimed (fired = source id)             -> targeted wakeup
 //!        or epoch != captured                    -> interrupt, re-check
-//!      slept? halve the budget (down to 1); else yielded? double it
-//!      (up to `MAX_PARK_YIELDS`)
+//!      slept? count it (`parks_slept`) and halve the budget (down to
+//!      1); else yielded? double it (up to `MAX_PARK_YIELDS`)
 //!   5. re-test the fired id only; on an interrupt deregister
 //!      everything and go to 1
 //! ```
@@ -354,6 +354,9 @@ impl Waiter {
             st.sleeping = true;
             self.cond.wait(&mut st);
             st.sleeping = false;
+        }
+        if slept {
+            mb.record_sleep();
         }
         // Unclaimed means the epoch moved; `fired` and `missed` are
         // then empty (only a claim fills them).
@@ -1094,7 +1097,7 @@ mod tests {
         let worker = std::thread::spawn(move || {
             let mb = Mailbox::new();
             let mut rng = 0x9E37_79B9_7F4A_7C15u64;
-            let mut lone_interrupts = 0;
+            let (mut lone_interrupts, mut sleeps) = (0, 0);
             for i in 0..ITERS {
                 rng ^= rng << 13;
                 rng ^= rng >> 7;
@@ -1171,6 +1174,7 @@ mod tests {
                 }
                 assert!(wake.missed.is_empty(), "{at}");
                 assert!(!w.claimed.load(Ordering::Relaxed), "{at}: claim consumed");
+                sleeps += u64::from(wake.slept);
                 let after = w.yield_budget();
                 if wake.slept {
                     assert_eq!(after, (budget / 2).max(1), "{at}: a sleep halves");
@@ -1183,6 +1187,7 @@ mod tests {
             }
             let stats = mb.stats();
             assert_eq!(stats.spurious_wakeups, lone_interrupts);
+            assert_eq!(stats.parks_slept, sleeps);
             assert!(stats.max_parked <= 1);
             done.send(()).expect("the test thread waits for this");
         });
@@ -1220,17 +1225,42 @@ mod tests {
         assert_eq!(w.yield_budget(), 1);
     }
 
+    /// `parks_slept` counts the parks that went to sleep, once each: a
+    /// park whose claim was already there counts nothing, one the claim
+    /// found asleep counts 1 (a claim landing inside the yields, which
+    /// counts nothing too, is the ping-pong's below).
+    #[test]
+    fn parks_slept_counts_each_sleeping_park_once() {
+        let mb = Mailbox::new();
+        let w = Arc::new(Waiter::default());
+        assert!(w.claim(0));
+        assert!(!w.park(&mb, mb.epoch()).slept);
+        assert_eq!(mb.stats().parks_slept, 0, "claimed before the park");
+        let wake = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !w.state.lock().sleeping {
+                    std::thread::yield_now();
+                }
+                assert!(w.claim(1));
+            });
+            w.park(&mb, mb.epoch())
+        });
+        assert!(wake.slept && wake.fired == Some(1));
+        assert_eq!(mb.stats().parks_slept, 1, "claimed asleep");
+    }
+
     /// A ping-pong whose peer is awake and answers within a few yields:
     /// each round the owner hands the peer its turn and parks, and the
     /// peer's claim lands inside the owner's yield loop, so the budget
-    /// grows from 1 to the cap.
+    /// grows from 1 to the cap. `parks_slept` counts only the parks the
+    /// claim missed.
     #[test]
     fn a_ping_pong_answered_inside_the_yields_grows_the_budget_to_the_cap() {
         let mb = Mailbox::new();
         let w = Arc::new(Waiter::default());
         let turn = AtomicBool::new(false);
         const ROUNDS: usize = 2_000;
-        let budgets: Vec<u32> = std::thread::scope(|s| {
+        let parks: Vec<(u32, bool)> = std::thread::scope(|s| {
             s.spawn(|| {
                 for k in 0..ROUNDS {
                     while !turn.swap(false, Ordering::Acquire) {
@@ -1242,12 +1272,16 @@ mod tests {
             (0..ROUNDS)
                 .map(|k| {
                     turn.store(true, Ordering::Release);
-                    assert_eq!(w.park(&mb, mb.epoch()).fired, Some(k));
-                    w.yield_budget()
+                    let wake = w.park(&mb, mb.epoch());
+                    assert_eq!(wake.fired, Some(k));
+                    (w.yield_budget(), wake.slept)
                 })
                 .collect()
         });
+        let slept = parks.iter().filter(|(_, slept)| *slept).count();
+        let budgets: Vec<u32> = parks.into_iter().map(|(budget, _)| budget).collect();
         assert_eq!(budgets.iter().max(), Some(&MAX_PARK_YIELDS), "{budgets:?}");
+        assert_eq!(mb.stats().parks_slept, slept as u64);
     }
 
     /// The bound on the burn: a rank parked for 500 ms on a source that

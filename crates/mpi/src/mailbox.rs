@@ -324,6 +324,11 @@ pub struct MailboxStats {
     /// the number of interruption events — there is no timer to wake
     /// anybody.
     pub spurious_wakeups: u64,
+    /// Parks that went to sleep on their condvar (the futex sleep), over
+    /// every park; one whose yields found its claim or interrupt does
+    /// not count. Each such sleep ends in one wake, by a claim or an
+    /// interrupt.
+    pub parks_slept: u64,
     /// High-water mark of concurrently parked waiters, over every park:
     /// completion waits, blocking receives and probes, and agreements.
     pub max_parked: usize,
@@ -363,6 +368,8 @@ pub struct Mailbox {
     multi_wakeups: AtomicU64,
     /// Parked wakeups that carried no claim (epoch re-checks).
     spurious: AtomicU64,
+    /// Parks that slept.
+    slept: AtomicU64,
     /// Parked waiters right now, and the high-water mark.
     parked_now: AtomicUsize,
     max_parked: AtomicUsize,
@@ -698,6 +705,11 @@ impl Mailbox {
         self.parked_now.fetch_sub(1, Ordering::Relaxed);
     }
 
+    /// Counts a park that went to sleep.
+    pub(crate) fn record_sleep(&self) {
+        self.slept.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Counts a parked wakeup that carried no completion claim. Such a
     /// wakeup may record no event of its own, so it also answers any
     /// pending live-snapshot request.
@@ -968,6 +980,7 @@ impl Mailbox {
             targeted_wakeups: self.wakeups.load(Ordering::Relaxed),
             multi_wakeups: self.multi_wakeups.load(Ordering::Relaxed),
             spurious_wakeups: self.spurious.load(Ordering::Relaxed),
+            parks_slept: self.slept.load(Ordering::Relaxed),
             max_parked: self.max_parked.load(Ordering::Relaxed),
             notify_registrations: self.registrations.load(Ordering::Relaxed),
             shard_count: self.shards.read().len() + 1,
@@ -1576,6 +1589,7 @@ mod tests {
                 targeted_wakeups: 0,
                 multi_wakeups: 0,
                 spurious_wakeups: 0,
+                parks_slept: 0,
                 max_parked: 0,
                 notify_registrations: 0,
                 // Pushes targeted context 1: its shard plus the world's.

@@ -900,6 +900,29 @@ mod lifecycles {
         }
     }
 
+    /// Forced Rabenseifner against the sequential fold in every
+    /// lifecycle, on powers of two and off them (p = 12 has four
+    /// fix-up pairs around an eight-rank core), every rank checked: the
+    /// high ranks that hand their vector in and take the result back,
+    /// and the low ranks whose eager allgather receives each chunk
+    /// straight from its origin. Vectors shorter than `p'` leave some
+    /// chunks empty; 1000 elements split unevenly over eight chunks.
+    #[test]
+    fn rabenseifner_matches_the_oracle_in_every_lifecycle() {
+        use kamping_repro::mpi::AllreduceAlgo;
+        let forced = CollTuning::default().allreduce(AllreduceAlgo::Rabenseifner);
+        for p in [4, 5, 6, 8, 12] {
+            for n in [1, 5, 64, 1000] {
+                Universe::run(p, move |comm| {
+                    comm.set_tuning(forced);
+                    let what = format!("Rabenseifner p={p} n={n}");
+                    let row = allreduce_lifecycles(&comm, n, || wrapping_sum, &what);
+                    assert_eq!(row, Some(AlgoClass::AllreduceRabenseifner), "{what}");
+                });
+            }
+        }
+    }
+
     /// Van de Geijn's broadcast — forced, picked by `Auto`, and ruled
     /// out by a forced tree — against the root's data in every lifecycle
     /// and every form, empty payloads and `p < 4` included. The sized

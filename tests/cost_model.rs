@@ -683,7 +683,43 @@ fn blocking_allreduce_model_time_at_p16_is_pinned() {
     let us: Vec<f64> = (times.iter())
         .map(|(_, ns)| (*ns as f64 / 100.0).round() / 10.0)
         .collect();
-    assert_eq!(us, [7.6, 33.4, 83.3], "{times:?}");
+    assert_eq!(us, [7.6, 33.4, 58.8], "{times:?}");
+}
+
+/// Rabenseifner against recursive doubling at the large rungs, dry-run
+/// `iallreduce` under the cluster model. Its allgather posts every
+/// chunk before the first receive, so the phase is one round on the
+/// critical path whatever `p'`: Rabenseifner wins every cell from
+/// p = 4 to 64 at 256 KiB and 1 MiB, and the static `Auto` pick (which
+/// takes it from 128 KiB at `p >= 4`) is the cheaper row at p = 64,
+/// 256 KiB.
+#[test]
+fn rabenseifner_beats_doubling_at_the_large_rungs() {
+    use kamping_repro::mpi::AllreduceAlgo::{Rabenseifner, RecursiveDoubling};
+    use kamping_repro::mpi::CollTuning;
+    let auto = CollTuning::default();
+    let allreduce = |p, tuning, bytes: usize| {
+        let mine = vec![1u64; bytes / 8];
+        dry(p, CostModel::cluster(), |c| {
+            c.set_tuning(tuning);
+            c.iallreduce(&mine, Sum)
+        })
+    };
+    let mut lost = Vec::new();
+    for p in [4usize, 8, 16, 32, 64] {
+        for bytes in [256 << 10, 1 << 20] {
+            let [rd, rab] =
+                [RecursiveDoubling, Rabenseifner].map(|a| allreduce(p, auto.allreduce(a), bytes));
+            if rab >= rd {
+                lost.push(format!("p = {p}, {bytes} B: {rab} ns against {rd} ns"));
+            }
+        }
+    }
+    assert!(lost.is_empty(), "Rabenseifner lost:\n{}", lost.join("\n"));
+    let [rd, picked] =
+        [auto.allreduce(RecursiveDoubling), auto].map(|t| allreduce(64, t, 256 << 10));
+    assert_eq!(auto.allreduce_algo(64, 256 << 10), Rabenseifner);
+    assert!(picked < rd, "Auto {picked} ns, doubling {rd} ns");
 }
 
 /// The counted `allgatherv` rungs of the benchmark's `call_rate` ladder
