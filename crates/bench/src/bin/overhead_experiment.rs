@@ -254,12 +254,13 @@ fn allreduce(bytes: usize, p: usize, reps: usize) -> Row {
 
 /// What a hand-written substrate caller does with a block completion.
 fn concat(done: kmp_mpi::request::Completion) -> Vec<u64> {
-    let blocks = done.into_blocks().unwrap_or_default();
-    let mut out = Vec::with_capacity(blocks.iter().map(|b| b.len()).sum::<usize>() / 8);
-    for b in &blocks {
-        kmp_mpi::plain::extend_vec_from_bytes(&mut out, b);
-    }
-    out
+    use kmp_mpi::lower::{Delivered, Layout};
+    let blocks = Delivered::Blocks(done.into_blocks().unwrap_or_default());
+    let uncounted = Layout {
+        uncounted: true,
+        ..Layout::default()
+    };
+    blocks.into_vec(uncounted).unwrap()
 }
 
 /// The owned rows: the caller gives its buffer away on both sides — the

@@ -1,7 +1,5 @@
 //! `bcast` with named parameters.
 
-use bytes::Bytes;
-use kmp_mpi::request::Completion;
 use kmp_mpi::{Plain, Rank, Result};
 
 use crate::communicator::Communicator;
@@ -59,10 +57,7 @@ where
             // chunks. With `recv_count`, the lowering holds the payload
             // to this rank's claim — under either row, though
             // scatter+allgather enforces it on the wire already.
-            let delivered = match raw.bcast_parts(None, size, root)? {
-                Completion::Blocks(chunks) => Delivered::Message(chunks),
-                done => Delivered::lone(done.into_bytes().map_or_else(Bytes::new, |(b, _)| b)),
-            };
+            let delivered = Delivered::message(raw.bcast_parts(None, size, root)?);
             recv_buf(buf)
                 .resize_to_fit()
                 .lower(delivered, Layout::each(recv_count))

@@ -23,6 +23,7 @@
 
 use std::marker::PhantomData;
 
+use kmp_mpi::lower::counted;
 use kmp_mpi::request::{Completion, TestOutcome};
 use kmp_mpi::{Comm, MpiError, PersistentRequest, Plain, Rank, Request, RequestSet, Result};
 use kmp_mpi::{Src, Tag, TagSel};
@@ -30,9 +31,7 @@ use kmp_mpi::{Src, Tag, TagSel};
 use crate::communicator::Communicator;
 use crate::params::argset::{ArgSet, IntoArgs};
 use crate::params::output::{FinalOf, Finalize, Push1, PushComponent};
-use crate::params::slots::{
-    counted, Delivered, Layout, ProvidesSendData, RecvBufSpec, SendToTransport,
-};
+use crate::params::slots::{Delivered, Layout, ProvidesSendData, RecvBufSpec, SendToTransport};
 use crate::params::{Absent, Meta, SendBuf};
 
 pub(crate) fn send_meta(meta: &Meta) -> Result<(Rank, Tag)> {
@@ -303,10 +302,8 @@ pub(crate) fn lowered<T: Plain>(
     counts_out: Option<&mut Vec<usize>>,
 ) -> Result<Vec<T>> {
     let delivered = match completion {
-        Completion::Done => Delivered::Vec(Vec::new()),
-        Completion::Message(payload, _) => Delivered::lone(payload),
-        Completion::Blocks(pieces) if expect.pieces => Delivered::Message(pieces),
-        Completion::Blocks(blocks) => Delivered::Blocks(blocks),
+        Completion::Blocks(blocks) if !expect.pieces => Delivered::Blocks(blocks),
+        completion => Delivered::message(completion),
     };
     let recv_count = expect
         .bytes

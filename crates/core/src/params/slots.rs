@@ -10,15 +10,13 @@
 //! compile errors).
 
 use std::borrow::Cow;
-use std::iter::once;
 
 use bytes::Bytes;
 use kmp_mpi::op::ReduceOp;
-use kmp_mpi::plain::{
-    as_bytes, as_bytes_mut, bytes_from_slice, copy_bytes_into, copy_slice, extend_vec_from_bytes,
-    reclaim_vec, vec_with_capacity, whole_elements, zeroed, SharedPayload,
-};
-use kmp_mpi::{MpiError, Plain, Result};
+use kmp_mpi::plain::{bytes_from_slice, SharedPayload};
+use kmp_mpi::{Plain, Result};
+
+pub use kmp_mpi::lower::{Counts, Delivered, Layout};
 
 use super::containers::{AsSlice, ResizePolicy};
 use super::{
@@ -160,13 +158,16 @@ borrowed_send_to_transport!(
 /// persistent cycles alike — ends in the one method,
 /// [`lower`](RecvBufSpec::lower): what the substrate delivered, and the
 /// ownership of the slot, decide who allocates and what is copied; the
-/// lifecycle does not. One rule: **storage is never prepared before the
-/// bytes exist, and each delivered byte is written once.**
+/// lifecycle does not. Each shape is a thin policy over the substrate's
+/// own receive lowering ([`kmp_mpi::lower`]), which its `*_into` and
+/// `*_vec` forms run too. One rule: **storage is never prepared before
+/// the bytes exist, and each delivered byte is written once.**
 ///
 /// | the substrate delivers | `Absent` pays | provided storage pays |
 /// |---|---|---|
 /// | [`Delivered::Vec`]: a reduction's accumulator, a `scatter` block, a lone message taken back | nothing — the vector is the result | 1 copy |
-/// | [`Delivered::Message`]: a lone message it could not take back, a sized `bcast`'s chunks | 1 allocation + 1 copy | 1 copy |
+/// | [`Delivered::Message`]: a lone message it could not take back | 1 allocation + 1 copy | 1 copy |
+/// | [`Delivered::Pieces`]: a `bcast`'s van de Geijn chunks | 1 allocation + 1 copy | 1 copy |
 /// | [`Delivered::Blocks`], packed (`allgather`, `gather`, `alltoall`, every v-collective and its `i*` / `*_init` form) | 1 allocation + 1 copy | 1 copy |
 /// | [`Delivered::Blocks`] at user displacements | 1 allocation + a **zero-fill** + 1 copy | a zero-fill of what grew + 1 copy |
 /// | [`Delivered::Gap`]: `exscan` on rank 0 | 1 allocation + a **zero-fill** | a zero-fill of what grew |
@@ -191,11 +192,12 @@ pub trait RecvBufSpec<T: Plain> {
     /// Turns what the substrate delivered into the slot's output. The
     /// delivery is checked against `layout` first — the declared
     /// counts, whole `T`s in every block, displacements that fit — so a
-    /// message a peer got wrong is an [`MpiError::Truncated`] or
-    /// [`MpiError::InvalidLayout`] on this rank, never a panic, and
-    /// leaves provided storage untouched. Each block is released as soon
-    /// as it is copied: it may be a view of a sender's buffer that the
-    /// sender is about to take back.
+    /// message a peer got wrong is an
+    /// [`MpiError::Truncated`](kmp_mpi::MpiError::Truncated) or
+    /// [`MpiError::InvalidLayout`](kmp_mpi::MpiError::InvalidLayout) on
+    /// this rank, never a panic, and leaves provided storage untouched.
+    /// Each block is released as soon as it is copied: it may be a view
+    /// of a sender's buffer that the sender is about to take back.
     fn lower<B: AsRef<[u8]>>(
         self,
         delivered: Delivered<T, B>,
@@ -203,182 +205,17 @@ pub trait RecvBufSpec<T: Plain> {
     ) -> Result<Self::Out>;
 }
 
-/// What the substrate delivered to a receive: the input of
-/// [`RecvBufSpec::lower`].
-pub enum Delivered<T, B = Bytes> {
-    /// A vector the substrate built — a reduction's accumulator, a
-    /// scattered block — or a lone message taken back without a copy.
-    Vec(Vec<T>),
-    /// One message, in pieces that need not split at element boundaries
-    /// (a sized broadcast's chunks); only the whole is checked for whole
-    /// `T`s.
-    Message(Vec<B>),
-    /// Blocks by source, in order; each must be a whole number of `T`s.
-    Blocks(Vec<B>),
-    /// Nothing, where this many elements go: `exscan` on rank 0, which
-    /// MPI leaves undefined.
-    Gap(usize),
-}
-
-/// What the caller declared about a receive, checked by
-/// [`RecvBufSpec::lower`] against what was delivered.
-#[derive(Default)]
-pub struct Layout<'a> {
-    /// The element count every block must hold.
-    pub(crate) counts: Counts<'a>,
-    /// Where block `j` of [`Delivered::Blocks`] lands; packed in block
-    /// order when `None`.
-    pub(crate) displs: Option<&'a [usize]>,
-    /// Collects each block's element count, for callers that return
-    /// them.
-    pub(crate) counts_out: Option<&'a mut Vec<usize>>,
-    /// Leaves the allocation of `Absent`'s packed [`Delivered::Blocks`]
-    /// result out of `CopyStats`. The blocking calls count it, as the
-    /// substrate's `*_vec` calls they are measured against do; a future
-    /// does not, as a hand-written completion of the substrate's `i*`
-    /// request does not.
-    pub(crate) uncounted: bool,
-}
-
-/// Declared element counts of the delivered blocks (a message is one
-/// block).
-#[derive(Clone, Copy, Default)]
-pub enum Counts<'a> {
-    /// Nothing declared: the blocks say how long they are.
-    #[default]
-    Any,
-    /// Every block holds this many elements (`recv_count`, the
-    /// equal-block collectives).
-    Each(usize),
-    /// Block `j` holds `counts[j]` elements (`recv_counts`).
-    Listed(&'a [usize]),
-}
-
-impl<T: Plain> Delivered<T> {
-    /// A lone message: the vector behind it, taken back without a copy
-    /// where this rank holds its only view, else the payload itself.
-    pub(crate) fn lone(payload: Bytes) -> Self {
-        reclaim_vec(payload)
-            .map_or_else(|payload| Delivered::Message(vec![payload]), Delivered::Vec)
-    }
-}
-
-impl<T: Plain, B: AsRef<[u8]>> Delivered<T, B> {
-    /// Checks the delivery against `layout` and returns how many
-    /// elements the result spans — the one place a receive is checked.
-    fn extent(&self, layout: &mut Layout<'_>) -> Result<usize> {
-        let len = |piece: &B| piece.as_ref().len();
-        match self {
-            Delivered::Vec(v) => layout.check::<T>(once(as_bytes(v).len())),
-            Delivered::Message(pieces) => layout.check::<T>(once(pieces.iter().map(len).sum())),
-            Delivered::Blocks(blocks) => layout.check::<T>(blocks.iter().map(len)),
-            Delivered::Gap(n) => Ok(*n),
-        }
-    }
-
-    /// Writes the checked delivery as the first `extent` elements of
-    /// `buf`, which is given `len` elements. A layout with gaps grows
-    /// `buf` zero-filled and copies block `j` to `displs[j]`, releasing
-    /// each block once it is copied.
-    fn write(self, buf: &mut Vec<T>, extent: usize, len: usize, displs: Option<&[usize]>) {
-        match (self, displs) {
-            (Delivered::Vec(v), _) => write_packed(buf, extent, len, [as_bytes(&v)]),
-            (Delivered::Message(pieces), _) | (Delivered::Blocks(pieces), None) => {
-                write_packed(buf, extent, len, pieces)
-            }
-            (Delivered::Blocks(blocks), Some(displs)) => {
-                buf.resize_with(len, zeroed);
-                for (block, &at) in blocks.into_iter().zip(displs) {
-                    copy_bytes_into(block.as_ref(), &mut buf[at..]);
-                }
-            }
-            (Delivered::Gap(_), _) => buf.resize_with(len, zeroed),
-        }
-    }
-}
-
-impl<'a> Layout<'a> {
-    /// Every block — a message is one — declared to hold `n` elements,
-    /// where `n` is given.
-    pub(crate) fn each(n: Option<usize>) -> Self {
-        Layout {
-            counts: n.map_or(Counts::Any, Counts::Each),
-            ..Layout::default()
-        }
-    }
-
-    /// Checks blocks of `lens` bytes: one declared count and one
-    /// displacement per block, each block its declared count (or else a
-    /// whole number) of `T`s, and a layout whose extent does not
-    /// overflow. Returns the extent.
-    fn check<T: Plain>(&mut self, lens: impl ExactSizeIterator<Item = usize>) -> Result<usize> {
-        let blocks = lens.len();
-        let listed = match self.counts {
-            Counts::Listed(counts) => counts.len(),
-            _ => blocks,
-        };
-        let displs = self.displs.map_or(blocks, <[usize]>::len);
-        if (listed, displs) != (blocks, blocks) {
-            return Err(MpiError::InvalidLayout(format!(
-                "{listed} receive counts and {displs} displacements for {blocks} delivered blocks"
-            )));
-        }
-        let mut extent = 0usize;
-        for (j, bytes) in lens.enumerate() {
-            let n = counted::<T>(
-                bytes,
-                match self.counts {
-                    Counts::Any => None,
-                    Counts::Each(n) => Some(n),
-                    Counts::Listed(counts) => Some(counts[j]),
-                },
-            )?;
-            self.counts_out.iter_mut().for_each(|out| out.push(n));
-            extent = match self.displs {
-                None => extent + n,
-                Some(displs) => extent.max(displs[j].checked_add(n).ok_or_else(|| {
-                    MpiError::InvalidLayout(format!("receive block {} + {n} overflows", displs[j]))
-                })?),
-            };
-        }
-        Ok(extent)
-    }
-}
-
-/// The elements in a delivered block of `bytes`: the declared count
-/// `want`, which the block must match exactly, or — nothing declared —
-/// however many whole `T`s it holds. Anything else is the sender's doing
-/// and reports [`MpiError::Truncated`].
-pub(crate) fn counted<T: Plain>(bytes: usize, want: Option<usize>) -> Result<usize> {
-    let declared = want.map(|want| (want, want.saturating_mul(std::mem::size_of::<T>())));
-    match declared {
-        None => whole_elements::<T>(bytes),
-        Some((want, declared)) if declared == bytes => Ok(want),
-        Some((_, declared)) => Err(MpiError::Truncated {
-            message_bytes: bytes,
-            buffer_bytes: declared,
-        }),
-    }
-}
-
 impl<T: Plain> RecvBufSpec<T> for Absent {
     type Out = Vec<T>;
 
+    /// One exactly sized allocation, or none: the substrate's vector is
+    /// the result.
     fn lower<B: AsRef<[u8]>>(
         self,
         delivered: Delivered<T, B>,
-        mut layout: Layout<'_>,
+        layout: Layout<'_>,
     ) -> Result<Vec<T>> {
-        let extent = delivered.extent(&mut layout)?;
-        // One exactly sized allocation, or none: the substrate's vector
-        // is the result.
-        let mut out = match delivered {
-            Delivered::Vec(v) => return Ok(v),
-            Delivered::Blocks(_) if layout.uncounted => Vec::with_capacity(extent),
-            _ => vec_with_capacity(extent),
-        };
-        delivered.write(&mut out, extent, extent, layout.displs);
-        Ok(out)
+        delivered.into_vec(layout)
     }
 }
 
@@ -415,51 +252,6 @@ impl<T: Plain, P: ResizePolicy> RecvBufSpec<T> for RecvBuf<Vec<T>, P> {
         }
         .lower(delivered, layout)?;
         Ok(buf)
-    }
-}
-
-/// Writes the pieces, back to back, as the first `extent` elements of
-/// `buf`, which its policy sizes to `len`: over the prefix when `buf` is
-/// long enough — the tail left as it was — else by extending the
-/// emptied buffer. Nothing is zero-filled first.
-fn write_packed<T: Plain, B: AsRef<[u8]>>(
-    buf: &mut Vec<T>,
-    extent: usize,
-    len: usize,
-    pieces: impl IntoIterator<Item = B>,
-) {
-    if buf.len() < extent {
-        buf.clear();
-        buf.reserve_exact(extent);
-        return extend(buf, pieces);
-    }
-    let mut dst = as_bytes_mut(&mut buf[..extent]);
-    for piece in pieces {
-        let (head, rest) = std::mem::take(&mut dst).split_at_mut(piece.as_ref().len());
-        copy_slice(piece.as_ref(), head);
-        dst = rest;
-    }
-    buf.truncate(len);
-}
-
-/// Appends the pieces, back to back, to `buf` with one counted copy of
-/// each byte. Pieces need not split at element boundaries (a sized
-/// broadcast splits its payload at byte offsets): an element that
-/// straddles two is gathered whole before it is appended.
-fn extend<T: Plain, B: AsRef<[u8]>>(buf: &mut Vec<T>, pieces: impl IntoIterator<Item = B>) {
-    let elem = std::mem::size_of::<T>().max(1);
-    let mut split = Vec::new(); // the leading bytes of an element a piece boundary cut
-    for piece in pieces {
-        let bytes = piece.as_ref();
-        let (head, bytes) = bytes.split_at(((elem - split.len()) % elem).min(bytes.len()));
-        split.extend_from_slice(head);
-        if split.len() == elem {
-            extend_vec_from_bytes(buf, &split);
-            split.clear();
-        }
-        let (whole, tail) = bytes.split_at(bytes.len() - bytes.len() % elem);
-        extend_vec_from_bytes(buf, whole);
-        split.extend_from_slice(tail);
     }
 }
 
@@ -622,6 +414,7 @@ impl<T, O: ReduceOp<T>> ProvidesOp<T> for OpParam<O> {
 mod tests {
     use super::*;
     use crate::params::{recv_buf, recv_counts, recv_counts_out, send_buf, send_recv_buf};
+    use kmp_mpi::MpiError;
 
     #[test]
     fn send_data_views() {
@@ -665,10 +458,7 @@ mod tests {
         assert_eq!(out.as_ptr(), ptr);
         // A message it could not take back: one exactly sized copy.
         let out = Absent
-            .lower(
-                Delivered::<u16, _>::Message(vec![[5u8, 0]]),
-                Layout::default(),
-            )
+            .lower(Delivered::<u16, _>::Message([5u8, 0]), Layout::default())
             .unwrap();
         assert_eq!((out.as_slice(), out.capacity()), (&[5][..], 1));
         // A gap: zeroed library storage.
@@ -797,7 +587,7 @@ mod tests {
         let mut storage = vec![9u16; 1];
         recv_buf(&mut storage)
             .resize_to_fit()
-            .lower(Delivered::Message(chunks), Layout::each(Some(3)))
+            .lower(Delivered::Pieces(chunks), Layout::each(Some(3)))
             .unwrap();
         assert_eq!(storage, want);
     }

@@ -15,6 +15,7 @@
 
 use bytes::Bytes;
 use kmp_mpi::collectives::displacements_from_counts;
+use kmp_mpi::lower::{Delivered, Layout};
 use kmp_mpi::plain::{
     as_bytes, bytes_from_vec, bytes_to_vec, extend_vec_from_bytes, vec_with_capacity,
     whole_elements,
@@ -221,12 +222,8 @@ impl GridCommunicator {
     pub fn alltoallv<T: Plain>(&self, send: &[T], counts: &[usize]) -> Result<Vec<T>> {
         let from_col = self.route(send, counts)?;
         let records = self.delivered::<T>(&from_col)?;
-        let bytes: usize = records.iter().map(|r| r.payload.len()).sum();
-        let mut out = vec_with_capacity(bytes / std::mem::size_of::<T>().max(1));
-        for r in &records {
-            extend_vec_from_bytes(&mut out, r.payload);
-        }
-        Ok(out)
+        let blocks = records.iter().map(|r| r.payload).collect();
+        Delivered::<T, &[u8]>::Blocks(blocks).into_vec(Layout::default())
     }
 }
 

@@ -32,9 +32,10 @@ use bytes::Bytes;
 
 use super::{fold_bytes_right, fold_payloads, AllreduceAlgo};
 use crate::collectives::nonblocking::{message_completion, Rounds};
-use crate::collectives::{block_counts, concat_blocks, fan_out, send_internal};
+use crate::collectives::{fan_out, send_internal};
 use crate::comm::Comm;
 use crate::error::Result;
+use crate::lower::{Delivered, Layout};
 use crate::op::ReduceOp;
 use crate::plain::{bytes_from_vec, bytes_to_vec, reclaim_vec, whole_elements};
 use crate::request::Completion;
@@ -259,8 +260,7 @@ impl<T: Plain, O: ReduceOp<T>> Rounds for Allreduce<T, O> {
         if self.halving {
             self.chunks[rank] = result;
             let chunks = std::mem::take(&mut self.chunks);
-            let counts = block_counts::<T, _>(&chunks)?;
-            result = bytes_from_vec(concat_blocks::<T, _>(chunks, &counts));
+            result = bytes_from_vec(Delivered::<T>::Blocks(chunks).into_vec(Layout::default())?);
         }
         if let Fixup::Low(high) = self.fixup {
             send_internal(comm, high, result_tag, Self::moved_copy(&result))?;

@@ -47,7 +47,7 @@ use std::borrow::Cow;
 use self::table::{static_pick, Algo, Call, Lifecycle};
 use crate::error::{MpiError, Result};
 use crate::op::ReduceOp;
-use crate::plain::{vec_with_capacity, whole_elements};
+use crate::plain::{read_elements, vec_with_capacity, whole_elements};
 use crate::Plain;
 
 /// An algorithm slot of [`CollTuning`]: either the size-thresholded
@@ -79,8 +79,10 @@ pub enum BcastAlgo {
     /// Latency-optimal binomial tree (forwarding is refcount cloning).
     Binomial,
     /// Bandwidth-optimal van de Geijn: scatter chunks from the root,
-    /// then allgather them in one eager exchange. Requires the payload
-    /// size to be known on every rank (the sized bcast paths).
+    /// then allgather them in one eager exchange. Runs in every
+    /// broadcast: a sized one selects it on every rank; in a self-sizing
+    /// one the root selects and first announces the payload size down
+    /// the tree.
     ScatterAllgather,
 }
 
@@ -89,8 +91,10 @@ pub enum BcastAlgo {
 /// their rounds).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AllgatherAlgo {
-    /// `p-1` rounds forwarding one block per step as a refcount clone —
-    /// bandwidth-friendly (no repacking) but `p-1` startups.
+    /// Eager fan-out: the own block to every peer as a refcount clone,
+    /// all posted before the first receive — no repacking, `p-1`
+    /// startups. (The name is kept from the forwarding ring it
+    /// replaced.)
     Ring,
     /// log2 p rounds exchanging doubling-size packed block groups.
     /// Latency-optimal for small blocks; requires a power-of-two
@@ -155,9 +159,9 @@ pub struct CollTuning {
     /// Allreduce algorithm slot (commutative operations; every
     /// lifecycle).
     pub allreduce: Select<AllreduceAlgo>,
-    /// Broadcast algorithm slot (sized paths only; unsized broadcasts
-    /// always run the binomial tree, because non-roots cannot agree on
-    /// a size they do not know).
+    /// Broadcast algorithm slot (every broadcast: a sized one applies it
+    /// on every rank, a self-sizing one on the root, whose pick the
+    /// other ranks learn from the wire).
     pub bcast: Select<BcastAlgo>,
     /// Allgather algorithm slot (equal-block exchanges, the counted
     /// `allgatherv`, and the self-sizing `allgatherv` forms, whose block
@@ -409,20 +413,6 @@ fn check_fold_len(what: &str, acc_bytes: usize, bytes: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// The plain values of a delivered payload, read in place (unaligned
-/// reads; `T: Plain` accepts any byte pattern). Trailing bytes short of
-/// a whole value are not read.
-fn elements<T: Plain>(bytes: &[u8]) -> impl Iterator<Item = T> + '_ {
-    bytes
-        .chunks_exact(std::mem::size_of::<T>().max(1))
-        .map(|c| {
-            // SAFETY: `c` holds `size_of::<T>()` bytes (a zero-sized `T`
-            // reads none), and `T: Plain` permits unaligned reads of
-            // arbitrary byte patterns.
-            unsafe { c.as_ptr().cast::<T>().read_unaligned() }
-        })
-}
-
 /// Elementwise `acc[i] = op(acc[i], bytes[i])`, reading the delivered
 /// payload in place. The received block is the *right* (higher-ranked)
 /// operand. This is compute, not a payload copy — the reductions'
@@ -433,7 +423,7 @@ pub(crate) fn fold_bytes_right<T: Plain, O: ReduceOp<T>>(
     op: &O,
 ) -> Result<()> {
     check_fold_len("reduce fold", std::mem::size_of_val(acc), bytes)?;
-    for (a, b) in acc.iter_mut().zip(elements::<T>(bytes)) {
+    for (a, b) in acc.iter_mut().zip(read_elements::<T>(bytes)) {
         *a = op.apply(a, &b);
     }
     Ok(())
@@ -455,7 +445,8 @@ pub(crate) fn fold_payloads<T: Plain, O: ReduceOp<T>>(
         .filter(|v| v.len() == n)
         .unwrap_or_else(|| vec_with_capacity(n));
     out.clear();
-    out.extend(elements(a).zip(elements(b)).map(|(x, y)| op.apply(&x, &y)));
+    let pairs = read_elements(a).zip(read_elements(b));
+    out.extend(pairs.map(|(x, y)| op.apply(&x, &y)));
     Ok(out)
 }
 
@@ -470,7 +461,7 @@ pub(crate) fn fold_bytes_to_vec<T: Plain, O: ReduceOp<T>>(
     op: &O,
 ) -> Result<Vec<T>> {
     check_fold_len("scan fold", std::mem::size_of_val(&*send), prefix)?;
-    let pre = elements::<T>(prefix);
+    let pre = read_elements::<T>(prefix);
     Ok(match send {
         Cow::Owned(mut acc) => {
             for (a, p) in acc.iter_mut().zip(pre) {

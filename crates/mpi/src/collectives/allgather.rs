@@ -16,11 +16,12 @@ use bytes::Bytes;
 
 use super::algos::allgather::BlockSizes;
 use super::algos::table::Site;
+use super::check_layout;
 use super::nonblocking::{check_divisible, drive_blocks};
-use super::{block_counts, check_layout, concat_blocks, place_blocks, place_blocks_at};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::plain::{bytes_from_slice, copy_bytes_into};
+use crate::lower::{Delivered, Layout};
+use crate::plain::bytes_from_slice;
 use crate::Plain;
 
 /// Equal-block primitive with algorithm selection: every rank
@@ -35,8 +36,7 @@ pub(crate) fn allgather_blocks_tuned(comm: &Comm, own: Bytes) -> Result<Vec<Byte
 /// in rank order. Used internally (e.g. by `split`) without counting.
 pub(crate) fn allgather_internal<T: Plain>(comm: &Comm, send: &[T]) -> Result<Vec<T>> {
     let blocks = allgather_blocks_tuned(comm, bytes_from_slice(send))?;
-    let counts = block_counts::<T, _>(&blocks)?;
-    Ok(concat_blocks(blocks, &counts))
+    Delivered::Blocks(blocks).into_vec(Layout::default())
 }
 
 impl Comm {
@@ -56,7 +56,7 @@ impl Comm {
             )));
         }
         let blocks = allgather_blocks_tuned(self, bytes_from_slice(send))?;
-        place_blocks_at(blocks, recv, |origin| (origin * n, n))
+        Delivered::Blocks(blocks).into_slice(recv, Layout::each(Some(n)))
     }
 
     /// Gathers equal-sized contributions into a fresh vector.
@@ -85,21 +85,13 @@ impl Comm {
         check_divisible("allgather in place", buf.len(), p)?;
         let n = buf.len() / p;
         let own = &buf[self.rank() * n..(self.rank() + 1) * n];
-        let blocks = allgather_blocks_tuned(self, bytes_from_slice(own))?;
-        for (origin, bytes) in blocks.iter().enumerate() {
-            if origin == self.rank() {
-                continue; // own block is already in place
-            }
-            let dst = &mut buf[origin * n..(origin + 1) * n];
-            if bytes.len() != std::mem::size_of_val(dst) {
-                return Err(MpiError::Truncated {
-                    message_bytes: bytes.len(),
-                    buffer_bytes: std::mem::size_of_val(dst),
-                });
-            }
-            copy_bytes_into(bytes, dst);
-        }
-        Ok(())
+        let mut before = allgather_blocks_tuned(self, bytes_from_slice(own))?;
+        // The own block is already in place; the others land around it.
+        let after = before.split_off(self.rank() + 1);
+        before.pop();
+        let (head, tail) = buf.split_at_mut(self.rank() * n);
+        Delivered::Blocks(before).into_slice(head, Layout::each(Some(n)))?;
+        Delivered::Blocks(after).into_slice(&mut tail[n..], Layout::each(Some(n)))
     }
 
     /// Gathers variable-sized contributions from all ranks to all ranks
@@ -126,15 +118,14 @@ impl Comm {
     /// [`allgatherv_blocks`](Self::allgatherv_blocks) without counts.
     pub fn allgatherv_vec<T: Plain>(&self, send: &[T]) -> Result<Vec<T>> {
         let blocks = self.allgatherv_blocks(bytes_from_slice(send), None)?;
-        let counts = block_counts::<T, _>(&blocks)?;
-        Ok(concat_blocks(blocks, &counts))
+        Delivered::Blocks(blocks).into_vec(Layout::default())
     }
 
     /// `allgatherv` over an adopted payload: returns every rank's block
     /// by origin rank.
     ///
     /// Without `byte_counts` it is self-sizing: the block lengths *are*
-    /// the receive counts ([`block_counts`]) — read off the messages,
+    /// the receive counts — read off the messages,
     /// where Fig. 2 spends a separate `allgather` to learn them. From
     /// `p = 4` it runs recursive doubling or Bruck: round 0 carries the
     /// bare block, every later round its group's lengths and the blocks
@@ -172,7 +163,7 @@ pub(crate) fn allgatherv_internal<T: Plain>(
     let elem = std::mem::size_of::<T>();
     let byte_counts: Vec<usize> = counts.iter().map(|&c| c * elem).collect();
     let blocks = allgatherv_counted(comm, bytes_from_slice(send), &byte_counts)?;
-    place_blocks(blocks, recv, counts, displs)
+    Delivered::Blocks(blocks).into_slice(recv, Layout::placed(counts, displs))
 }
 
 /// The allgather plan over agreed byte counts. This rank's own block is

@@ -13,9 +13,10 @@ use bytes::Bytes;
 
 use super::algos::table::Site;
 use super::nonblocking::drive_blocks;
-use super::{byte_ranges, check_layout, place_blocks, place_blocks_at};
+use super::{byte_ranges, check_layout};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
+use crate::lower::{Delivered, Layout};
 use crate::plain::bytes_from_slice;
 use crate::Plain;
 
@@ -36,7 +37,7 @@ impl Comm {
             )));
         }
         let n = send.len() / self.size();
-        place_blocks_at(self.alltoall_blocks(send)?, recv, |src| (src * n, n))
+        Delivered::Blocks(self.alltoall_blocks(send)?).into_slice(recv, Layout::each(Some(n)))
     }
 
     /// The exchange of [`alltoall_into`](Self::alltoall_into) as
@@ -73,9 +74,8 @@ impl Comm {
     /// Self-sizing `alltoallv`: the send side of
     /// [`alltoallv_into`](Self::alltoallv_into) with no receive counts at
     /// all. Returns the delivered blocks by source rank; their lengths
-    /// *are* the receive counts
-    /// ([`block_counts`](super::block_counts)), read off the messages
-    /// instead of a preceding count `alltoall`.
+    /// *are* the receive counts, read off the messages instead of a
+    /// preceding count `alltoall`.
     pub fn alltoallv_blocks<T: Plain>(
         &self,
         send: &[T],
@@ -161,7 +161,7 @@ pub(crate) fn alltoallv_internal<T: Plain>(
     }
     let ranges = byte_ranges::<T>(send_counts, send_displs);
     let blocks = exchange(comm, bytes_from_slice(send), ranges)?;
-    place_blocks(blocks, recv, recv_counts, recv_displs)
+    Delivered::Blocks(blocks).into_slice(recv, Layout::placed(recv_counts, recv_displs))
 }
 
 /// The exchange behind the displaced `alltoallv` forms (the packed one

@@ -20,10 +20,8 @@ use super::nonblocking::{drive, drive_message, RoundEngine};
 use super::send_internal;
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::plain::{
-    as_bytes_mut, bytes_from_slice, bytes_from_vec, bytes_into_vec, copy_slice, vec_with_capacity,
-    whole_elements,
-};
+use crate::lower::{Delivered, Layout};
+use crate::plain::{bytes_from_slice, bytes_from_vec, bytes_into_vec};
 use crate::request::Completion;
 use crate::{Plain, Rank, Tag};
 
@@ -106,71 +104,15 @@ pub(crate) fn bcast_internal(
     }
     let step = Tuned::begin(comm, Site::BLOCKING)?;
     let done = comm.bcast_plan(Site::BLOCKING, "bcast", None, None, root, drive)?;
-    let row = match &done {
-        Completion::Blocks(_) => BcastAlgo::ScatterAllgather,
-        _ => BcastAlgo::Binomial,
+    let (row, len) = match &done {
+        Completion::Blocks(chunks) => {
+            let len = chunks.iter().map(Bytes::len).sum();
+            (BcastAlgo::ScatterAllgather, len)
+        }
+        Completion::Message(payload, _) => (BcastAlgo::Binomial, payload.len()),
+        Completion::Done => (BcastAlgo::Binomial, 0),
     };
-    let len = pieces(&done).iter().map(Bytes::len).sum();
     step.finish(row, len, || Ok(done))
-}
-
-/// A broadcast's delivery in payload order: the whole payload, or van
-/// de Geijn's chunks, which need not split at element boundaries.
-fn pieces(done: &Completion) -> &[Bytes] {
-    match done {
-        Completion::Message(payload, _) => std::slice::from_ref(payload),
-        Completion::Blocks(chunks) => chunks,
-        Completion::Done => &[],
-    }
-}
-
-/// `pieces`, `n` elements of `T` in all, back to back in a fresh vector
-/// (one counted copy).
-fn concat<T: Plain>(pieces: &[Bytes], n: usize) -> Vec<T> {
-    let mut out = vec_with_capacity::<T>(n);
-    let dst = out.as_mut_ptr().cast::<u8>();
-    let mut at = 0;
-    for piece in pieces {
-        crate::metrics::record_copy(piece.len());
-        // SAFETY: the pieces hold the bytes of `n` elements, reserved
-        // above, and `T: Plain` accepts any bytes.
-        unsafe { std::ptr::copy_nonoverlapping(piece.as_ptr(), dst.add(at), piece.len()) };
-        at += piece.len();
-    }
-    // SAFETY: all `n` elements were written above.
-    unsafe { out.set_len(n) };
-    out
-}
-
-/// A broadcast's delivery as a typed vector: the payload's own vector
-/// where this rank holds its only view, else one counted copy. A
-/// delivery that is not whole elements is [`MpiError::Truncated`].
-fn into_typed<T: Plain>(done: Completion) -> Result<Vec<T>> {
-    let n = whole_elements::<T>(pieces(&done).iter().map(Bytes::len).sum())?;
-    Ok(match done {
-        Completion::Message(payload, _) => bytes_into_vec(payload),
-        _ if n == 0 => Vec::new(),
-        done => concat(pieces(&done), n),
-    })
-}
-
-/// Copies `pieces` back to back into `dst`, which they must fill
-/// exactly (one counted copy).
-fn write_pieces(pieces: &[Bytes], dst: &mut [u8]) -> Result<()> {
-    let len = pieces.iter().map(Bytes::len).sum();
-    if len != dst.len() {
-        return Err(MpiError::Truncated {
-            message_bytes: len,
-            buffer_bytes: dst.len(),
-        });
-    }
-    let mut rest = dst;
-    for piece in pieces {
-        let (head, tail) = rest.split_at_mut(piece.len());
-        copy_slice(piece, head);
-        rest = tail;
-    }
-    Ok(())
 }
 
 /// Broadcasts a single plain value (used internally for context ids). A
@@ -202,10 +144,7 @@ impl Comm {
         self.count_op("bcast");
         Ok(match bcast_internal(self, payload, None, root)? {
             Completion::Message(payload, _) => payload,
-            done => {
-                let len = pieces(&done).iter().map(Bytes::len).sum();
-                bytes_from_vec(concat::<u8>(pieces(&done), len))
-            }
+            done => bytes_from_vec(Delivered::<u8>::message(done).into_vec(Layout::default())?),
         })
     }
 
@@ -217,10 +156,10 @@ impl Comm {
         let size = std::mem::size_of_val(buf);
         let payload = (self.rank() == root).then(|| bytes_from_slice(buf));
         let done = bcast_internal(self, payload, Some(size), root)?;
-        if self.rank() != root {
-            write_pieces(pieces(&done), as_bytes_mut(buf))?;
+        if self.rank() == root {
+            return Ok(());
         }
-        Ok(())
+        Delivered::message(done).into_slice(buf, Layout::each(Some(buf.len())))
     }
 
     /// Byte-level broadcast that hands the delivery back as it came:
@@ -258,7 +197,7 @@ impl Comm {
     pub fn bcast_vec<T: Plain>(&self, data: Option<&[T]>, root: Rank) -> Result<Vec<T>> {
         self.count_op("bcast");
         let payload = data.filter(|_| self.rank() == root).map(bytes_from_slice);
-        into_typed(bcast_internal(self, payload, None, root)?)
+        Delivered::message(bcast_internal(self, payload, None, root)?).into_vec(Layout::default())
     }
 
     /// Broadcasts one plain value from the root.

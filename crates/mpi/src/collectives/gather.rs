@@ -2,9 +2,10 @@
 
 use bytes::Bytes;
 
-use super::{block_counts, check_layout, concat_blocks, place_blocks_at, send_slice_internal};
+use super::{check_layout, send_slice_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
+use crate::lower::{Delivered, Layout};
 use crate::message::{Src, TagSel};
 use crate::plain::as_bytes;
 use crate::{Plain, Rank, Tag};
@@ -43,7 +44,7 @@ impl Comm {
             }
             Ok(())
         };
-        gather_place(self, send, recv, root, fits, |src| (src * n, n))
+        gather_place(self, send, recv, root, fits, Layout::each(Some(n)))
     }
 
     /// Gathers variable-sized contributions to the root
@@ -69,9 +70,7 @@ impl Comm {
             }
             Ok(())
         };
-        gather_place(self, send, recv, root, fits, |src| {
-            (displs[src], counts[src])
-        })
+        gather_place(self, send, recv, root, fits, Layout::placed(counts, displs))
     }
 
     /// Self-sizing `gatherv`: `Some(blocks)` by source rank at the root,
@@ -126,8 +125,13 @@ impl Comm {
             return Ok(None);
         };
         // Every block is written straight into the final buffer.
-        let counts = block_counts::<T, _>(&blocks)?;
-        Ok(Some((concat_blocks(blocks, &counts), counts)))
+        let mut counts = Vec::new();
+        let layout = Layout {
+            counts_out: Some(&mut counts),
+            ..Layout::default()
+        };
+        let data = Delivered::Blocks(blocks).into_vec(layout)?;
+        Ok(Some((data, counts)))
     }
 }
 
@@ -148,16 +152,15 @@ fn gather_blocks<'a>(comm: &Comm, tag: Tag, own: &'a [u8]) -> Result<Vec<GatherB
 }
 
 /// The counted gathers: non-roots send; the root validates its layout
-/// against the receive buffer's length (`fits`), gathers, then verifies
-/// and places every block — its own included — at `slot(source)` =
-/// (displacement, count).
+/// against the receive buffer's length (`fits`), gathers, then lowers
+/// every block — its own included — into `recv` under `layout`.
 fn gather_place<T: Plain>(
     comm: &Comm,
     send: &[T],
     recv: &mut [T],
     root: Rank,
     fits: impl FnOnce(usize) -> Result<()>,
-    slot: impl Fn(Rank) -> (usize, usize),
+    layout: Layout<'_>,
 ) -> Result<()> {
     comm.check_rank(root)?;
     let tag = comm.next_internal_tag();
@@ -165,7 +168,7 @@ fn gather_place<T: Plain>(
         return send_slice_internal(comm, root, tag, send);
     }
     fits(recv.len())?;
-    place_blocks_at(gather_blocks(comm, tag, as_bytes(send))?, recv, slot)
+    Delivered::Blocks(gather_blocks(comm, tag, as_bytes(send))?).into_slice(recv, layout)
 }
 
 #[cfg(test)]

@@ -40,12 +40,13 @@
 //! `neighbor_alltoallv`, `neighbor_allgatherv`) comes in two forms over
 //! **one** exchange. The self-sizing
 //! `*_blocks` form returns the delivered payloads; messages carry their
-//! own length, so the block lengths *are* the receive counts
-//! ([`block_counts`]) and no count collective precedes the payload. The
-//! counted `*_into` form is the same exchange followed by
-//! verify-and-place ([`place_blocks`]): a block that disagrees with its
-//! declared count reports [`MpiError::Truncated`] after the exchange has
-//! completed, leaving no message of the call queued. `allgatherv` is the
+//! own length, so the block lengths *are* the receive counts and no
+//! count collective precedes the payload. The counted `*_into` form is
+//! the same exchange followed by the receive lowering of
+//! [`crate::lower`]: a block that disagrees with its declared count
+//! reports [`MpiError::Truncated`] after the exchange has completed,
+//! leaving no message of the call queued and `recv` untouched; every
+//! other block is copied to its displacement once. `allgatherv` is the
 //! one exception to "same exchange": its counted form selects an
 //! `allgather/*` row by the counts' total, and its log-round rows carve
 //! every block to its count. Its self-sizing form runs those rows too,
@@ -58,9 +59,13 @@
 //! Bruck alike end in per-source slices) and [`Comm::gather_blocks`]
 //! return the delivered payloads under the usual algorithm selection,
 //! and `allgather_into` / `alltoall_into` / `gather_into` are that
-//! exchange plus a placement straight into `recv`. The reductions end in
-//! an owned accumulator, which the `*_vec` forms (`allreduce_vec`,
-//! `reduce_vec`, `scan_vec`, `exscan_vec`) move out.
+//! exchange lowered straight into `recv`. The `*_vec` forms lower the
+//! same blocks into one exactly sized vector, and a broadcast joins van
+//! de Geijn's chunks through the same lowering — the binding's
+//! `RecvBufSpec::lower` is that lowering too, under its resize
+//! policies. The reductions end in an owned accumulator, which the
+//! `*_vec` forms (`allreduce_vec`, `reduce_vec`, `scan_vec`,
+//! `exscan_vec`) move out.
 //!
 //! The third axis is the lifecycle. Every algorithm is defined exactly
 //! once, as one of the two resumable engines of
@@ -134,9 +139,7 @@ use bytes::Bytes;
 
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::plain::{
-    bytes_from_slice, copy_bytes_into, extend_vec_from_bytes, vec_with_capacity, whole_elements,
-};
+use crate::plain::bytes_from_slice;
 use crate::{Plain, Rank, Tag};
 
 /// Sends raw bytes on an internal (negative) tag. Passing a clone of an
@@ -279,101 +282,9 @@ pub fn displacements_from_counts(counts: &[usize]) -> Vec<usize> {
     displs
 }
 
-/// Element counts of delivered blocks: `counts[j]` whole `T`s arrived in
-/// `blocks[j]`. This is how an exchange with receive counts omitted
-/// learns them — the messages are self-describing, so no count exchange
-/// precedes the payload. A block that does not divide into elements
-/// reports [`MpiError::Truncated`].
-pub fn block_counts<T: Plain, B: AsRef<[u8]>>(blocks: &[B]) -> Result<Vec<usize>> {
-    blocks
-        .iter()
-        .map(|b| whole_elements::<T>(b.as_ref().len()))
-        .collect()
-}
-
-/// Concatenates delivered blocks, in order, into one exactly-sized
-/// vector: one allocation, every byte copied once, no zero-fill, and
-/// each block released as soon as it is copied. `counts` must be
-/// [`block_counts`] of `blocks`.
-pub fn concat_blocks<T: Plain, B: AsRef<[u8]>>(blocks: Vec<B>, counts: &[usize]) -> Vec<T> {
-    let mut data = vec_with_capacity(counts.iter().sum());
-    for block in blocks {
-        extend_vec_from_bytes(&mut data, block.as_ref());
-    }
-    data
-}
-
-/// Verify-and-place, the receive half of every counted exchange: block
-/// `j` is copied to `recv[displs[j]..][..counts[j]]` and released. A
-/// block whose size differs from its declared count reports
-/// [`MpiError::Truncated`] — after the exchange has completed, so no
-/// message of the call is left queued.
-///
-/// # Panics
-///
-/// Panics if the layout does not fit `recv` or has fewer entries than
-/// there are blocks; callers validate it first.
-pub fn place_blocks<T: Plain, B: AsRef<[u8]>>(
-    blocks: Vec<B>,
-    recv: &mut [T],
-    counts: &[usize],
-    displs: &[usize],
-) -> Result<()> {
-    place_blocks_at(blocks, recv, |j| (displs[j], counts[j]))
-}
-
-/// [`place_blocks`] over a computed layout: `slot(j)` is block `j`'s
-/// (displacement, count), so a regular layout needs no vectors.
-pub(crate) fn place_blocks_at<T: Plain, B: AsRef<[u8]>>(
-    blocks: Vec<B>,
-    recv: &mut [T],
-    slot: impl Fn(usize) -> (usize, usize),
-) -> Result<()> {
-    for (j, block) in blocks.into_iter().enumerate() {
-        let (at, count) = slot(j);
-        let dst = &mut recv[at..at + count];
-        if block.as_ref().len() != std::mem::size_of_val(dst) {
-            return Err(MpiError::Truncated {
-                message_bytes: block.as_ref().len(),
-                buffer_bytes: std::mem::size_of_val(dst),
-            });
-        }
-        copy_bytes_into(block.as_ref(), dst);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn blocks_are_counted_concatenated_and_placed() {
-        let blocks = vec![vec![1u8, 0, 2, 0], vec![], vec![3u8, 0]];
-        let counts = block_counts::<u16, _>(&blocks).unwrap();
-        assert_eq!(counts, vec![2, 0, 1]);
-        assert_eq!(concat_blocks::<u16, _>(blocks.clone(), &counts), [1, 2, 3]);
-        let mut recv = [9u16; 5];
-        place_blocks(blocks.clone(), &mut recv, &counts, &[3, 0, 0]).unwrap();
-        assert_eq!(recv, [3, 9, 9, 1, 2]);
-        // A declared count the block does not match, and a block that is
-        // not whole elements, are typed errors.
-        let err = place_blocks(blocks, &mut recv, &[2, 0, 2], &[0, 0, 2]).unwrap_err();
-        assert_eq!(
-            err,
-            MpiError::Truncated {
-                message_bytes: 2,
-                buffer_bytes: 4
-            }
-        );
-        assert!(matches!(
-            block_counts::<u32, _>(&[vec![0u8; 6]]),
-            Err(MpiError::Truncated {
-                message_bytes: 6,
-                buffer_bytes: 4
-            })
-        ));
-    }
 
     #[test]
     fn displacement_computation() {

@@ -43,11 +43,12 @@ use bytes::Bytes;
 use super::algos::table::{tuned, Call, Site};
 use super::algos::NeighborhoodAlgo;
 use super::nonblocking::{drive_blocks, CollEngine, Exchange, Finish, Post};
-use super::{byte_ranges, concat_blocks, packed_ranges, place_blocks};
+use super::{byte_ranges, packed_ranges};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
+use crate::lower::{Delivered, Layout};
 use crate::persistent::PersistentRequest;
-use crate::plain::{as_bytes, bytes_from_slice, bytes_from_vec, bytes_to_vec};
+use crate::plain::{as_bytes, bytes_from_slice, bytes_from_vec};
 use crate::request::Request;
 use crate::topology::Neighborhood;
 use crate::trace;
@@ -203,13 +204,13 @@ pub trait NeighborhoodColl: Neighborhood {
     /// copied bytes: one serialization regardless of out-degree.
     fn neighbor_allgather_vecs<T: Plain>(&self, data: &[T]) -> Result<Vec<Vec<T>>> {
         let blocks = allgather_exchange(self, "neighbor_allgather", data)?;
-        Ok(blocks.iter().map(|b| bytes_to_vec(b)).collect())
+        let block = |b| Delivered::Message(b).into_vec(Layout::default());
+        blocks.into_iter().map(block).collect()
     }
 
     /// Self-sizing `neighbor_allgatherv`: one delivered block per
     /// in-neighbor in declaration order. The block lengths *are* the
-    /// receive counts ([`block_counts`](super::block_counts)) — no count
-    /// travels ahead of the payload.
+    /// receive counts — no count travels ahead of the payload.
     fn neighbor_allgatherv_blocks<T: Plain>(&self, data: &[T]) -> Result<Vec<Bytes>> {
         allgather_exchange(self, "neighbor_allgatherv", data)
     }
@@ -241,7 +242,7 @@ pub trait NeighborhoodColl: Neighborhood {
             recv.len(),
             degree,
         )?;
-        place_blocks(blocks, recv, recv_counts, recv_displs)
+        Delivered::Blocks(blocks).into_slice(recv, Layout::placed(recv_counts, recv_displs))
     }
 
     /// Sends `sends[k]` to `destinations()[k]` and returns one received
@@ -254,11 +255,13 @@ pub trait NeighborhoodColl: Neighborhood {
         // Pack once, slice a refcount per neighbor.
         let (name, degree) = ("neighbor_alltoall", self.destinations().len());
         let counts: Vec<usize> = sends.iter().map(Vec::len).collect();
-        let packed = concat_blocks::<T, _>(sends.iter().map(|v| as_bytes(v)).collect(), &counts);
+        let blocks = sends.iter().map(|v| as_bytes(v)).collect();
+        let packed = Delivered::<T, _>::Blocks(blocks).into_vec(Layout::default())?;
         let elem = std::mem::size_of::<T>();
         let ranges = packed_ranges(name, &counts, elem, packed.len(), degree)?;
         let blocks = exchange(self, name, tag, bytes_from_vec(packed), Some(ranges))?;
-        Ok(blocks.iter().map(|b| bytes_to_vec(b)).collect())
+        let block = |b| Delivered::Message(b).into_vec(Layout::default());
+        blocks.into_iter().map(block).collect()
     }
 
     /// Self-sizing `neighbor_alltoallv`: sends
@@ -322,7 +325,7 @@ pub trait NeighborhoodColl: Neighborhood {
             recv.len(),
             degree,
         )?;
-        place_blocks(blocks, recv, recv_counts, recv_displs)
+        Delivered::Blocks(blocks).into_slice(recv, Layout::placed(recv_counts, recv_displs))
     }
 
     /// Nonblocking [`neighbor_allgather_vecs`](Self::neighbor_allgather_vecs):
@@ -383,6 +386,7 @@ impl<N: Neighborhood + ?Sized> NeighborhoodColl for N {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plain::bytes_to_vec;
     use crate::{RequestSet, Universe};
 
     /// The headline claim, pinned by the envelope meter: K rounds on a

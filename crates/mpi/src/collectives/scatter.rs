@@ -7,8 +7,8 @@
 //! it by refcount slicing — one copy and one allocation total, instead
 //! of one of each per peer. The blocking forms drive it on their stack
 //! and place the one block they get, the root's own included, through
-//! one checked placement ([`place_message`]): a block that does not
-//! fit the receive buffer is [`MpiError::Truncated`] on that rank.
+//! the receive lowering ([`crate::lower`]): a block that does not fit
+//! the receive buffer is [`MpiError::Truncated`] on that rank.
 
 use std::ops::Range;
 
@@ -16,8 +16,7 @@ use super::nonblocking::{check_divisible, drive_message, equal_ranges};
 use super::{byte_ranges, check_layout, root_without_data};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::p2p::place_message;
-use crate::plain::bytes_into_vec;
+use crate::lower::{Delivered, Layout};
 use crate::{Plain, Rank};
 
 /// The root layout of the equal-block scatters (`scatter_vec`,
@@ -60,13 +59,7 @@ impl Comm {
             Ok((&send[..p * n], equal_ranges(p, bytes)))
         };
         let block = self.scatter_plan("scatter", root, layout, drive_message)?;
-        if place_message(&block, recv)? != n {
-            return Err(MpiError::Truncated {
-                message_bytes: block.len(),
-                buffer_bytes: bytes,
-            });
-        }
-        Ok(())
+        Delivered::Message(block).into_slice(recv, Layout::each(Some(n)))
     }
 
     /// Scatters variable-sized blocks described by `counts`/`displs`
@@ -82,7 +75,7 @@ impl Comm {
         self.count_op("scatterv");
         let layout = || displaced_blocks(self.size(), Some((send, counts, displs)));
         let block = self.scatter_plan("scatterv", root, layout, drive_message)?;
-        place_message(&block, recv).map(drop)
+        Delivered::Message(block).into_slice(recv, Layout::default())
     }
 
     /// Scatters equal-sized blocks, returning each rank's block as a
@@ -92,7 +85,7 @@ impl Comm {
         self.count_op("scatter");
         let layout = || equal_blocks("scatter", self.size(), send);
         let block = self.scatter_plan("scatter", root, layout, drive_message)?;
-        Ok(bytes_into_vec(block))
+        Delivered::lone(block).into_vec(Layout::default())
     }
 
     /// Scatters variable-sized blocks, returning each rank's block as a
@@ -105,7 +98,7 @@ impl Comm {
         self.count_op("scatterv");
         let layout = || displaced_blocks(self.size(), send);
         let block = self.scatter_plan("scatterv", root, layout, drive_message)?;
-        Ok(bytes_into_vec(block))
+        Delivered::lone(block).into_vec(Layout::default())
     }
 }
 

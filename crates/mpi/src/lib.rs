@@ -61,6 +61,7 @@ pub mod completion;
 pub mod counter;
 pub mod error;
 pub mod fault;
+pub mod lower;
 pub mod mailbox;
 pub mod message;
 pub mod metrics;

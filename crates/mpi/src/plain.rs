@@ -403,6 +403,21 @@ pub fn whole_elements<T: Plain>(bytes: usize) -> crate::Result<usize> {
     Ok(bytes / size)
 }
 
+/// The plain values of a byte buffer, read in place — a delivered
+/// payload folded without copying it out. Unaligned reads; trailing
+/// bytes short of a whole value are not read.
+#[inline]
+pub(crate) fn read_elements<T: Plain>(bytes: &[u8]) -> impl Iterator<Item = T> + '_ {
+    bytes
+        .chunks_exact(std::mem::size_of::<T>().max(1))
+        .map(|c| {
+            // SAFETY: `c` holds `size_of::<T>()` bytes (a zero-sized `T`
+            // reads none), and `T: Plain` permits unaligned reads of
+            // arbitrary byte patterns.
+            unsafe { c.as_ptr().cast::<T>().read_unaligned() }
+        })
+}
+
 /// Number of `T` elements encoded by a byte count.
 #[inline]
 pub fn element_count<T: Plain>(bytes: usize) -> usize {

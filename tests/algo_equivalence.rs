@@ -804,11 +804,11 @@ mod lifecycles {
     }
 
     /// One allreduce in all three lifecycles against the sequential
-    /// fold: blocking (`allreduce_vec`, borrowed and owned), `i*`
-    /// (`iallreduce` under every finish, `iallreduce_bytes` owned) and
-    /// `*_init` (three cycles with `set_data` between them, then one
-    /// that replays the plan's own payload). Returns the row the
-    /// blocking call selected.
+    /// left fold over ranks `0..p`: blocking (`allreduce_vec`, borrowed
+    /// and owned), `i*` (`iallreduce` under every finish,
+    /// `iallreduce_bytes` owned) and `*_init` (three cycles with
+    /// `set_data` between them, then one that replays the plan's own
+    /// payload). Returns the row the blocking call selected.
     fn allreduce_lifecycles<O: ReduceOp<u64> + 'static>(
         comm: &Comm,
         n: usize,
@@ -818,8 +818,9 @@ mod lifecycles {
         use kamping_repro::mpi::bytes_from_vec;
         let p = comm.size();
         let mine = |c: usize| -> Vec<u64> { (0..n).map(|i| val(comm.rank(), i, c)).collect() };
+        let fold = op();
         let expected = |c: usize| -> Vec<u64> {
-            let all = |i| (0..p).fold(0u64, |acc, r| acc.wrapping_add(val(r, i, c)));
+            let all = |i| (1..p).fold(val(0, i, c), |acc, r| fold.apply(&acc, &val(r, i, c)));
             (0..n).map(all).collect()
         };
         let row = picked(comm, || {
@@ -897,6 +898,23 @@ mod lifecycles {
                     assert_eq!(allreduce_lifecycles(&comm, n, ordered, &what), None);
                 });
             }
+        }
+    }
+
+    /// The ordered path keeps rank order in every lifecycle: `compose`
+    /// (affine maps, associative and non-commutative) declared
+    /// non-commutative, against the left fold for p in 1..=17 — past
+    /// the p = 3 where a commuting op last told the orders apart.
+    #[test]
+    fn ordered_allreduce_keeps_rank_order_in_every_lifecycle() {
+        for p in 1..=17 {
+            Universe::run(p, move |comm| {
+                for n in [1, 7, 64] {
+                    let what = format!("ordered compose p={p} n={n}");
+                    let ordered = || non_commutative(super::compose);
+                    assert_eq!(allreduce_lifecycles(&comm, n, ordered, &what), None);
+                }
+            });
         }
     }
 

@@ -687,3 +687,89 @@ fn owned_buffers_move_into_persistent_plans_without_a_copy() {
         assert_eq!(plan.wait().unwrap(), vec![2u64; N]);
     });
 }
+
+/// Van de Geijn's chunks split a payload at byte offsets: 13 `u64`s
+/// over p = 5 break at bytes 20, 41, 62 and 83, so every non-root joins
+/// elements cut in two. Every receive shape — the substrate's
+/// `bcast_vec`, `bcast_into` and `bcast_bytes`; the binding's `bcast`
+/// into a borrowed and into an owned vector, each with and without
+/// `recv_count`; `ibcast`; `bcast_init` — lands the root's values with
+/// one counted copy of the payload `r` on each non-root, and allocates
+/// only where the library owns the result.
+#[test]
+fn chunks_cut_mid_element_land_once_in_every_receive_shape() {
+    use kamping_repro::mpi::request::Completion;
+    use kamping_repro::mpi::{bytes_from_slice, BcastAlgo, CollTuning};
+    const N: usize = 13;
+    const ROOT: usize = 2;
+    Universe::run(5, |comm| {
+        let comm = Communicator::new(comm);
+        comm.set_tuning(CollTuning::default().bcast(BcastAlgo::ScatterAllgather));
+        let want: Vec<u64> = (1..=N as u64).map(|i| i * 0x0102_0304_0506_0708).collect();
+        let (raw, rank, r) = (comm.raw(), comm.rank(), 8 * N as u64);
+        let is_root = rank == ROOT;
+        let mine = || if is_root { want.clone() } else { Vec::new() };
+        let check = |what: &str, allocations: u64, run: &mut dyn FnMut() -> Vec<u64>| {
+            let before = metrics::snapshot();
+            let got = run();
+            let delta = metrics::snapshot().since(&before);
+            assert_eq!(got, want, "{what}, rank {rank}");
+            if !is_root {
+                let bill = (delta.bytes_copied, delta.allocations);
+                assert_eq!(bill, (r, allocations), "{what}, rank {rank}");
+            }
+        };
+        let data = is_root.then_some(&want[..]);
+        let parts = raw.bcast_parts(data.map(bytes_from_slice), None, ROOT);
+        let chunked = matches!(parts.unwrap(), Completion::Blocks(_));
+        assert!(
+            is_root || chunked,
+            "rank {rank} joins van de Geijn's chunks"
+        );
+        check("bcast_vec", 1, &mut || raw.bcast_vec(data, ROOT).unwrap());
+        check("bcast_into", 0, &mut || {
+            let mut buf = if is_root { want.clone() } else { vec![0; N] };
+            raw.bcast_into(&mut buf, ROOT).unwrap();
+            buf
+        });
+        let payload = is_root.then(|| bytes_from_slice(&want));
+        let mut payload = Some(payload);
+        check("bcast_bytes", 1, &mut || {
+            let got = raw.bcast_bytes(payload.take().unwrap(), ROOT).unwrap();
+            let word = |c: &[u8]| u64::from_ne_bytes(c.try_into().unwrap());
+            got.chunks_exact(8).map(word).collect()
+        });
+        for sized in [false, true] {
+            let what = |shape| format!("bcast {shape}, recv_count: {sized}");
+            check(&what("&mut Vec"), 0, &mut || {
+                let mut buf = mine();
+                let args = (send_recv_buf(&mut buf), root(ROOT));
+                if sized {
+                    comm.bcast((args.0, args.1, recv_count(N))).unwrap();
+                } else {
+                    comm.bcast(args).unwrap();
+                }
+                buf
+            });
+            check(&what("Vec"), 0, &mut || {
+                let args = (send_recv_buf(mine()), root(ROOT));
+                if sized {
+                    comm.bcast((args.0, args.1, recv_count(N))).unwrap()
+                } else {
+                    comm.bcast(args).unwrap()
+                }
+            });
+        }
+        check("ibcast", 1, &mut || {
+            let fut = comm.ibcast((send_recv_buf(mine()), root(ROOT))).unwrap();
+            fut.wait().unwrap()
+        });
+        let mut plan = comm
+            .bcast_init((send_recv_buf(mine()), root(ROOT)))
+            .unwrap();
+        check("bcast_init", 1, &mut || {
+            plan.start().unwrap();
+            plan.wait().unwrap()
+        });
+    });
+}
