@@ -95,6 +95,7 @@ fn env(src: usize, context: u64, tag: i32, payload: &Bytes) -> Envelope {
         context,
         tag,
         payload: payload.clone(), // refcount clone: the bench measures matching, not memcpy
+        more: None,
         arrival_ns: 0,
         ack: None,
     }

@@ -205,6 +205,9 @@ mod tests {
 
     #[test]
     fn alltoallv_provided_recv_counts_skips_exchange() {
+        // A `Heavy` level set by a concurrent test would add its count
+        // check's `alltoall`.
+        let _g = crate::assertions::LEVEL_GUARD.lock().unwrap();
         Universe::run(2, |comm| {
             let comm = Communicator::new(comm);
             let send = vec![comm.rank() as u16; 2];

@@ -13,6 +13,8 @@
 //! near-square grids; primes degenerate to `1 x p`, i.e. direct
 //! exchange).
 
+use std::ops::Range;
+
 use bytes::Bytes;
 use kmp_mpi::collectives::displacements_from_counts;
 use kmp_mpi::lower::{Delivered, Layout};
@@ -89,8 +91,19 @@ const HEADER_BYTES: usize = 3 * 8;
 struct Record<'a> {
     dest: Rank,
     origin: Rank,
-    header: &'a [u8],
     payload: &'a [u8],
+    /// The buffer the record was delivered in, and the record's bytes
+    /// in it, header and payload.
+    buffer: &'a Bytes,
+    span: Range<usize>,
+}
+
+impl Record<'_> {
+    /// The whole record as a refcount view of its buffer: what the
+    /// column hop forwards.
+    fn view(&self) -> Bytes {
+        self.buffer.slice(self.span.clone())
+    }
 }
 
 /// Parses the records of delivered hop buffers in place — no allocation
@@ -99,8 +112,9 @@ struct Record<'a> {
 fn records(blocks: &[Bytes]) -> Result<Vec<Record<'_>>> {
     let mut out = Vec::new();
     for block in blocks {
-        let mut rest: &[u8] = block;
-        while !rest.is_empty() {
+        let mut at = 0;
+        while at < block.len() {
+            let rest = &block[at..];
             let truncated = MpiError::Truncated {
                 message_bytes: rest.len(),
                 buffer_bytes: HEADER_BYTES,
@@ -112,24 +126,26 @@ fn records(blocks: &[Bytes]) -> Result<Vec<Record<'_>>> {
                 u64::from_ne_bytes(header[8 * i..8 * i + 8].try_into().expect("eight bytes"))
                     as usize
             };
-            let Some((payload, tail)) = body.split_at_checked(word(2)) else {
+            let Some(payload) = body.get(..word(2)) else {
                 return Err(truncated);
             };
+            let end = at + HEADER_BYTES + payload.len();
             out.push(Record {
                 dest: word(0),
                 origin: word(1),
-                header,
                 payload,
+                buffer: block,
+                span: at..end,
             });
-            rest = tail;
+            at = end;
         }
     }
     Ok(out)
 }
 
-/// Packs `(bucket, header, payload)` items, sorted by bucket, into one
-/// exactly pre-sized hop buffer (each byte copied once); returns it with
-/// the byte count per bucket.
+/// Packs the row hop's `(bucket, header, payload)` items, sorted by
+/// bucket, into one exactly pre-sized buffer (each byte copied once);
+/// returns it with the byte count per bucket.
 fn pack_hop(buckets: usize, items: &[(usize, &[u8], &[u8])]) -> (Bytes, Vec<usize>) {
     let mut counts = vec![0usize; buckets];
     for &(bucket, header, payload) in items {
@@ -150,10 +166,12 @@ impl GridCommunicator {
     }
 
     /// Routes the send blocks over both hops and returns the column
-    /// hop's delivered buffers. Each hop packs once into an adopted
-    /// buffer and is one self-sizing block exchange — `(c-1) + (r-1)`
-    /// startups in total, no count exchange ahead of either hop — so a
-    /// payload byte is copied twice on the way (pack, re-bucket).
+    /// hop's delivered pieces. The row hop packs once into an adopted
+    /// buffer; the column hop forwards each record it delivered, as a
+    /// refcount view, in one message per destination row. Each hop is
+    /// one self-sizing block exchange — `(c-1) + (r-1)` startups in
+    /// total, no count exchange ahead of either — so a payload byte is
+    /// copied once on the way (the pack).
     fn route<T: Plain>(&self, send: &[T], counts: &[usize]) -> Result<Vec<Bytes>> {
         assert_eq!(counts.len(), self.p, "one send count per rank");
         let displs = displacements_from_counts(counts);
@@ -177,14 +195,13 @@ impl GridCommunicator {
         let (row_data, row_counts) = pack_hop(self.cols, &items);
         let from_row = (self.row_comm.raw()).alltoallv_blocks_bytes(row_data, &row_counts)?;
 
-        // Hop 2 (column exchange): re-bucket per destination *row*.
-        let records = records(&from_row)?;
-        let mut items: Vec<_> = (records.iter())
-            .map(|r| (r.dest / self.cols, r.header, r.payload))
-            .collect();
-        items.sort_by_key(|&(row, ..)| row);
-        let (col_data, col_counts) = pack_hop(self.rows, &items);
-        (self.col_comm.raw()).alltoallv_blocks_bytes(col_data, &col_counts)
+        // Hop 2 (column exchange): each record, in delivery order, is
+        // one part of its destination *row*'s message.
+        let mut parts = vec![Vec::new(); self.rows];
+        for r in records(&from_row)? {
+            parts[r.dest / self.cols].push(r.view());
+        }
+        (self.col_comm.raw()).alltoallv_parts(parts)
     }
 
     /// The records delivered to this rank, origin-sorted, each checked
@@ -218,7 +235,8 @@ impl GridCommunicator {
     /// Like [`GridCommunicator::alltoallv_sparse`], but returns only the
     /// concatenated data (origin-sorted) — a drop-in for the dense
     /// `alltoallv` in exchange loops. Unpacks straight into one exactly
-    /// pre-sized vector: three copies per payload byte end to end.
+    /// pre-sized vector: two copies per payload byte end to end (the row
+    /// hop's pack and the unpack).
     pub fn alltoallv<T: Plain>(&self, send: &[T], counts: &[usize]) -> Result<Vec<T>> {
         let from_col = self.route(send, counts)?;
         let records = self.delivered::<T>(&from_col)?;

@@ -5,10 +5,11 @@
 //! the pair exchanges the `2^k` origin blocks each side has accumulated
 //! so far, so after `log2 p` rounds every rank holds all `p` blocks.
 //! Compared to the ring this trades `p-1` startups for `log2 p` at the
-//! same total volume — but rounds past the first must *pack* their
-//! block group into one contiguous message (`s·(p-2)` bytes memcpy'd
-//! per rank), which is why the `Auto` selection keeps it to small
-//! contributions (see
+//! same total volume. A round's message is the block group itself: its
+//! blocks travel as the parts of one message (refcount views of the
+//! blocks this rank holds, never packed), and the `Auto` selection
+//! keeps the algorithm to small contributions for the rounds' volume
+//! alone (see
 //! [`CollTuning::allgather_rd_max_bytes`](super::CollTuning)).
 //!
 //! **Bruck:** the same `ceil(log2 p)` startup count without the
@@ -17,26 +18,25 @@
 //! `min(2^k, p - 2^k)` blocks to rank `rank - 2^k` and appends the same
 //! count received from rank `rank + 2^k`. After the rounds, local index
 //! `i` holds the block that originated at rank `(rank + i) mod p` — one
-//! index rotation puts everything in rank order. Rounds sending a
-//! single block forward it as a refcount clone; multi-block rounds pack
-//! (`s·(p - 1 - #single-block rounds)` memcpy'd per rank, e.g. `2s` at
-//! `p = 5`), so like recursive doubling it is gated to the latency
-//! regime ([`CollTuning::allgather_bruck_max_bytes`](super::CollTuning)).
+//! index rotation puts everything in rank order. Every round forwards
+//! its blocks as the parts of one message, like recursive doubling, and
+//! it is gated to the latency regime the same way
+//! ([`CollTuning::allgather_bruck_max_bytes`](super::CollTuning)).
 //!
 //! In both algorithms incoming groups are carved into per-origin blocks
 //! by refcount slicing, copy-free, along one byte [`Layout`]. An agreed
 //! layout is `[s; p]` for an equal-block `allgather` and the counts of
-//! a counted `allgatherv`; a counted call packs the bytes of the blocks
-//! its groups hold. The self-sizing `allgatherv` *learns* its layout in
-//! the rounds: round 0's message is the bare own block, so its length
-//! is the message's, and every later message leads with one `u64`
-//! length per origin of its group. A block rides in the rounds iff `p`
-//! times its length is within the row's ceiling — the counted call's
-//! total rule, applied per origin, so every rank decides alike from the
-//! lengths it learns. A larger block travels in the rounds as its
-//! length only: its origin sends it straight to every rank but its
-//! round-0 partner when the cycle starts, on round 0's tag, and each
-//! rank receives those blocks once its rounds are done.
+//! a counted `allgatherv`. The self-sizing `allgatherv` *learns* its
+//! layout in the rounds: round 0's message is the bare own block, so
+//! its length is the message's, and every later message leads with one
+//! `u64` length per origin of its group, a small part of its own. A
+//! block rides in the rounds iff `p` times its length is within the
+//! row's ceiling — the counted call's total rule, applied per origin,
+//! so every rank decides alike from the lengths it learns. A larger
+//! block travels in the rounds as its length only: its origin sends it
+//! straight to every rank but its round-0 partner when the cycle
+//! starts, on round 0's tag, and each rank receives those blocks once
+//! its rounds are done.
 //!
 //! A group of a length the layout does not predict (unequal
 //! contributions, counts that disagree, a header that disagrees with
@@ -57,27 +57,13 @@ use crate::collectives::nonblocking::Rounds;
 use crate::collectives::send_internal;
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::plain::{bytes_from_vec, extend_vec_from_bytes};
+use crate::message::{Cursor, Parts};
 use crate::request::Completion;
 use crate::{Rank, Tag};
 
 /// One tag per round, allocated in the same order on every rank.
 fn round_tags(comm: &Comm, rounds: u32) -> Vec<Tag> {
     (0..rounds).map(|_| comm.next_internal_tag()).collect()
-}
-
-/// The message carrying a block group: a single block travels as a
-/// refcount clone, several are packed in order into one buffer (the
-/// counted copy both algorithms trade for their startup win).
-fn group_message(group: &[Bytes]) -> Bytes {
-    if let [block] = group {
-        return block.clone();
-    }
-    let mut packed: Vec<u8> = Vec::with_capacity(group.iter().map(Bytes::len).sum());
-    for block in group {
-        extend_vec_from_bytes(&mut packed, block);
-    }
-    bytes_from_vec(packed)
 }
 
 /// Bytes of one block length in a learned group's header.
@@ -163,28 +149,26 @@ impl Layout {
     }
 
     /// Round `k`'s message of the blocks of `origins`, held in `blocks`:
-    /// [`group_message`], except that a learned group past round 0
-    /// leads with its lengths and packs only its inline blocks — or,
-    /// once this rank has failed, is empty.
-    fn message(&self, k: usize, origins: impl Iterator<Item = Rank>, blocks: &[Bytes]) -> Bytes {
+    /// the blocks as its parts, in order, except that a learned group
+    /// past round 0 leads with its lengths (a part of their own) and
+    /// carries only its inline blocks — or, once this rank has failed,
+    /// is empty.
+    fn message(&self, k: usize, origins: impl Iterator<Item = Rank>, blocks: &[Bytes]) -> Parts {
         if !self.learned() || k == 0 {
-            return group_message(blocks);
+            return Parts::of(blocks.iter().cloned());
         }
         if self.failed.is_some() {
-            return Bytes::new();
+            return Parts::default();
         }
         let lens: Vec<usize> = origins.map(|o| self.bytes[o]).collect();
-        let body: usize = lens.iter().filter(|&&len| self.inline(len)).sum();
-        let mut packed: Vec<u8> = Vec::with_capacity(LEN * lens.len() + body);
+        let mut header: Vec<u8> = Vec::with_capacity(LEN * lens.len());
         for &len in &lens {
-            packed.extend_from_slice(&(len as u64).to_le_bytes());
+            header.extend_from_slice(&(len as u64).to_le_bytes());
         }
-        for (block, &len) in blocks.iter().zip(&lens) {
-            if self.inline(len) {
-                extend_vec_from_bytes(&mut packed, block);
-            }
-        }
-        bytes_from_vec(packed)
+        let inline = (blocks.iter().zip(&lens))
+            .filter(|&(_, &len)| self.inline(len))
+            .map(|(block, _)| block.clone());
+        Parts::of(std::iter::once(Bytes::from(header)).chain(inline))
     }
 
     /// Carves `incoming`, round `k`'s group of the blocks of `origins`,
@@ -201,7 +185,7 @@ impl Layout {
         &mut self,
         what: &str,
         k: usize,
-        incoming: &Bytes,
+        incoming: Parts,
         origins: impl Iterator<Item = Rank> + Clone,
         mut put: impl FnMut(Rank, Bytes),
     ) {
@@ -217,14 +201,13 @@ impl Layout {
                      — unequal contributions, or counts that differ across ranks?"
                 ))
             });
-            let mut whole = Some(incoming.clone());
+            let mut whole = Some(incoming.into_bytes());
             origins.for_each(|o| put(o, whole.take().unwrap_or_default()));
             return;
         }
-        let mut at = 0;
+        let mut blocks = incoming.cursor();
         for o in origins {
-            put(o, incoming.slice(at..at + self.bytes[o]));
-            at += self.bytes[o];
+            put(o, blocks.take(self.bytes[o]));
         }
     }
 
@@ -236,18 +219,20 @@ impl Layout {
         &mut self,
         what: &str,
         k: usize,
-        incoming: &Bytes,
+        incoming: Parts,
         origins: impl Iterator<Item = Rank> + Clone,
         mut put: impl FnMut(Rank, Bytes),
     ) {
         if k == 0 {
+            let block = incoming.into_bytes();
             for o in origins {
-                self.bytes[o] = incoming.len();
-                put(o, incoming.clone());
+                self.bytes[o] = block.len();
+                put(o, block.clone());
             }
             return;
         }
-        let lens = match self.header(incoming, origins.clone().count()) {
+        let mut blocks = incoming.cursor();
+        let lens = match self.header(&mut blocks, incoming.len(), origins.clone().count()) {
             Ok(lens) => lens,
             Err(detail) => {
                 self.failed.get_or_insert_with(|| {
@@ -257,28 +242,31 @@ impl Layout {
                 return;
             }
         };
-        let mut at = LEN * lens.len();
         for (o, len) in origins.zip(lens) {
             self.bytes[o] = len;
             if self.inline(len) {
-                put(o, incoming.slice(at..at + len));
-                at += len;
+                put(o, blocks.take(len));
             } else {
                 put(o, Bytes::new());
             }
         }
     }
 
-    /// The `n` lengths a learned group leads with, checked against the
-    /// inline bytes that follow them.
-    fn header(&self, incoming: &Bytes, n: usize) -> std::result::Result<Vec<usize>, String> {
-        let (got, head) = (incoming.len(), LEN * n);
+    /// The `n` lengths a learned group of `got` bytes leads with, taken
+    /// from `blocks` and checked against the inline bytes that follow.
+    fn header(
+        &self,
+        blocks: &mut Cursor<'_>,
+        got: usize,
+        n: usize,
+    ) -> std::result::Result<Vec<usize>, String> {
+        let head = LEN * n;
         if got < head {
             return Err(format!(
                 "delivered {got} bytes, too few for the lengths of its {n} blocks"
             ));
         }
-        let lens: Vec<usize> = (incoming[..head].chunks_exact(LEN))
+        let lens: Vec<usize> = (blocks.take(head).chunks_exact(LEN))
             .map(|len| u64::from_le_bytes(len.try_into().expect("LEN bytes")))
             .map(|len| usize::try_from(len).unwrap_or(usize::MAX))
             .collect();
@@ -428,10 +416,10 @@ impl Rounds for RecursiveDoubling {
         Ok(())
     }
 
-    fn absorb(&mut self, comm: &Comm, k: usize, incoming: Bytes) -> Result<()> {
+    fn absorb(&mut self, comm: &Comm, k: usize, incoming: Parts) -> Result<()> {
         let what = "recursive doubling";
         if let Some(j) = k.checked_sub(self.tags.len()) {
-            let (origin, block) = self.layout.direct_block(what, j, incoming);
+            let (origin, block) = self.layout.direct_block(what, j, incoming.into_bytes());
             self.blocks[origin] = block;
             return Ok(());
         }
@@ -439,7 +427,7 @@ impl Rounds for RecursiveDoubling {
         let base = Self::group(partner, k).1;
         let origins = base..base + group;
         let put = |o: Rank, b| self.blocks[o] = b;
-        self.layout.carve(what, k, &incoming, origins, put);
+        self.layout.carve(what, k, incoming, origins, put);
         if k + 1 == self.tags.len() {
             self.layout.plan_direct(comm.rank(), comm.rank() ^ 1);
         }
@@ -520,10 +508,10 @@ impl Rounds for BruckAllgather {
         Ok(())
     }
 
-    fn absorb(&mut self, comm: &Comm, k: usize, incoming: Bytes) -> Result<()> {
+    fn absorb(&mut self, comm: &Comm, k: usize, incoming: Parts) -> Result<()> {
         let (p, rank) = (comm.size(), comm.rank());
         if let Some(j) = k.checked_sub(self.tags.len()) {
-            let (origin, block) = self.layout.direct_block("Bruck", j, incoming);
+            let (origin, block) = self.layout.direct_block("Bruck", j, incoming.into_bytes());
             self.local[(origin + p - rank) % p] = block;
             return Ok(());
         }
@@ -531,7 +519,7 @@ impl Rounds for BruckAllgather {
         // The sender's first `cnt` blocks: origins `rank + step + i`.
         let origins = (0..cnt).map(move |i| (rank + step + i) % p);
         let put = |_, b| self.local.push(b);
-        self.layout.carve("Bruck", k, &incoming, origins, put);
+        self.layout.carve("Bruck", k, incoming, origins, put);
         if k + 1 == self.tags.len() {
             self.layout.plan_direct(rank, (rank + 1) % p);
         }
@@ -569,8 +557,8 @@ mod tests {
         let mut layout = Layout::new(4, BlockSizes::Learned, 64);
         layout.seed(0, &Bytes::from(vec![1u8]));
         let mut got = Vec::new();
-        let incoming = Bytes::from(msg);
-        layout.carve("test", 1, &incoming, [2, 3].into_iter(), |o, b| {
+        let incoming = Parts::from(Bytes::from(msg));
+        layout.carve("test", 1, incoming, [2, 3].into_iter(), |o, b| {
             got.push((o, b))
         });
         (layout, got)

@@ -36,6 +36,7 @@ use crate::collectives::{fan_out, send_internal};
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::lower::{Delivered, Layout};
+use crate::message::Parts;
 use crate::op::ReduceOp;
 use crate::plain::{bytes_from_vec, bytes_to_vec, reclaim_vec, whole_elements};
 use crate::request::Completion;
@@ -228,8 +229,8 @@ impl<T: Plain, O: ReduceOp<T>> Rounds for Allreduce<T, O> {
         }
     }
 
-    fn absorb(&mut self, comm: &Comm, k: usize, theirs: Bytes) -> Result<()> {
-        let rank = comm.rank();
+    fn absorb(&mut self, comm: &Comm, k: usize, theirs: Parts) -> Result<()> {
+        let (rank, theirs) = (comm.rank(), theirs.into_bytes());
         match (self.fixup, self.phase(k)) {
             (Fixup::High(_), _) => self.acc = theirs,
             (_, Some(Err(_))) => {

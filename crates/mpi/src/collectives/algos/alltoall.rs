@@ -2,17 +2,21 @@
 //!
 //! The pairwise exchange sends `p-1` messages per rank; for small blocks
 //! that cost is pure startup latency. Bruck routes every block through
-//! `ceil(log2 p)` rounds instead: in round `k` each rank packs all
-//! blocks whose (rotated) index has bit `k` set into **one** message to
+//! `ceil(log2 p)` rounds instead: in round `k` each rank sends all
+//! blocks whose (rotated) index has bit `k` set as **one** message to
 //! rank `rank + 2^k`. A block destined `i` ranks ahead travels exactly
 //! the set bits of `i`, so after the rounds plus a final inverse
 //! rotation every block is home. Works for any `p` (not just powers of
 //! two).
 //!
-//! Copy bill: `s` (initial pack) `+ r` (final placement) `+` the
-//! per-round repacks (`~s/2` each, `ceil(log2 p)` rounds) — a deliberate
-//! bandwidth-for-latency trade that only pays off for small blocks,
-//! which is exactly when [`CollTuning::alltoall_algo`] selects it.
+//! A round's message is the parts it forwards — refcount views of the
+//! send buffer or of earlier rounds' messages — never a repack, and the
+//! receiver carves it back into blocks by refcount. Copy bill: `s`
+//! (initial pack) `+ r` (final placement), the pairwise exchange's. The
+//! trade is bandwidth for latency: every block crosses the wire once
+//! per set bit of its distance (`~s/2` per round, `ceil(log2 p)`
+//! rounds), which only pays off for small blocks — exactly when
+//! [`CollTuning::alltoall_algo`] selects it.
 //!
 //! [`CollTuning::alltoall_algo`]: super::CollTuning::alltoall_algo
 
@@ -22,15 +26,15 @@ use crate::collectives::nonblocking::Rounds;
 use crate::collectives::send_internal;
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::plain::{bytes_from_vec, extend_vec_from_bytes};
+use crate::message::Parts;
 use crate::request::Completion;
 use crate::{Rank, Tag};
 
 /// One Bruck round: the peers and the (rotated) block indices exchanged.
 struct BruckRound {
-    /// Destination of this rank's packed message.
+    /// Destination of this rank's round message.
     dest: Rank,
-    /// Source of the packed message this rank receives.
+    /// Source of the round message this rank receives.
     src: Rank,
     /// Block indices (into the rotated block array) sent and replaced,
     /// in ascending order.
@@ -65,24 +69,12 @@ fn bruck_rotate(packed: &Bytes, rank: Rank, p: usize, block_bytes: usize) -> Vec
         .collect()
 }
 
-/// Packs the blocks of one round into a single message (one counted
-/// repack; the message adopts the fresh buffer without another copy).
-fn bruck_pack(blocks: &[Bytes], indices: &[usize]) -> Bytes {
-    let total: usize = indices.iter().map(|&i| blocks[i].len()).sum();
-    let mut packed: Vec<u8> = Vec::with_capacity(total);
-    crate::metrics::record_alloc();
-    for &i in indices {
-        extend_vec_from_bytes(&mut packed, &blocks[i]);
-    }
-    bytes_from_vec(packed)
-}
-
-/// Unpacks a received round message back into the block array (refcount
+/// Carves a received round message back into the block array (refcount
 /// slices, no copies).
 fn bruck_unpack(
     blocks: &mut [Bytes],
     indices: &[usize],
-    payload: &Bytes,
+    payload: &Parts,
     block_bytes: usize,
 ) -> Result<()> {
     if payload.len() != indices.len() * block_bytes {
@@ -91,8 +83,9 @@ fn bruck_unpack(
             buffer_bytes: indices.len() * block_bytes,
         });
     }
-    for (j, &i) in indices.iter().enumerate() {
-        blocks[i] = payload.slice(j * block_bytes..(j + 1) * block_bytes);
+    let mut parts = payload.cursor();
+    for &i in indices {
+        blocks[i] = parts.take(block_bytes);
     }
     Ok(())
 }
@@ -108,7 +101,7 @@ fn bruck_source_index(rank: Rank, j: usize, p: usize) -> usize {
 /// shared driver runs ([`Rounds`]): the blocking `alltoall` drives it to
 /// completion on the stack, `ialltoall` resumes it on `test`/`wait`.
 /// Seeded with the packed send buffer; completes with the delivered
-/// blocks by source rank (refcount slices of the round messages).
+/// blocks by source rank (refcount views of the round messages' parts).
 pub(crate) struct BruckAlltoall {
     rounds: Vec<BruckRound>,
     /// One tag per round, allocated in the same order on every rank.
@@ -146,11 +139,15 @@ impl Rounds for BruckAlltoall {
     }
 
     fn post(&mut self, comm: &Comm, k: usize) -> Result<()> {
-        let msg = bruck_pack(&self.blocks, &self.rounds[k].indices);
-        send_internal(comm, self.rounds[k].dest, self.tags[k], msg)
+        // The round's blocks as parts, in index order.
+        let blocks = self.rounds[k]
+            .indices
+            .iter()
+            .map(|&i| self.blocks[i].clone());
+        send_internal(comm, self.rounds[k].dest, self.tags[k], Parts::of(blocks))
     }
 
-    fn absorb(&mut self, _comm: &Comm, k: usize, payload: Bytes) -> Result<()> {
+    fn absorb(&mut self, _comm: &Comm, k: usize, payload: Parts) -> Result<()> {
         bruck_unpack(
             &mut self.blocks,
             &self.rounds[k].indices,

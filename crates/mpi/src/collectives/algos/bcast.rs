@@ -26,6 +26,7 @@ use crate::collectives::nonblocking::{message_completion, recv_first, recv_one, 
 use crate::collectives::{bcast_forward, bcast_parent, fan_out, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
+use crate::message::Parts;
 use crate::plain::bytes_from_vec;
 use crate::request::Completion;
 use crate::{Rank, Tag};
@@ -194,7 +195,7 @@ impl Rounds for BcastEngine {
         }
     }
 
-    fn receive(&mut self, comm: &Comm, k: usize, block: bool) -> Result<Option<Bytes>> {
+    fn receive(&mut self, comm: &Comm, k: usize, block: bool) -> Result<Option<Parts>> {
         let (src, tag) = self.peer(comm, k);
         if k >= self.learning() {
             return recv_one(comm, src, tag, block);
@@ -241,7 +242,8 @@ impl Rounds for BcastEngine {
         fan_out(comm, p, self.tags[2], &chunk(rank))
     }
 
-    fn absorb(&mut self, comm: &Comm, k: usize, payload: Bytes) -> Result<()> {
+    fn absorb(&mut self, comm: &Comm, k: usize, payload: Parts) -> Result<()> {
+        let payload = payload.into_bytes();
         if !self.vdg() {
             self.parts[0] = payload;
             return Ok(());

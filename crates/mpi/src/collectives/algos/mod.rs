@@ -96,16 +96,16 @@ pub enum AllgatherAlgo {
     /// startups. (The name is kept from the forwarding ring it
     /// replaced.)
     Ring,
-    /// log2 p rounds exchanging doubling-size packed block groups.
+    /// log2 p rounds exchanging doubling-size block groups, each group
+    /// the parts of one message (refcount views, no packing copy).
     /// Latency-optimal for small blocks; requires a power-of-two
-    /// communicator (falls back to the ring otherwise) and pays
-    /// `s·(p-2)` packing copies per rank.
+    /// communicator (falls back to the ring otherwise).
     RecursiveDoubling,
     /// ceil(log2 p) rounds of rotated block-group forwarding — the same
     /// startup count as recursive doubling with **no power-of-two
-    /// restriction**. Latency-optimal for small blocks on any
-    /// communicator size; single-block rounds forward refcount clones,
-    /// multi-block rounds pack (at most `s·(p-2)` copies per rank).
+    /// restriction**, and like it forwarding each group as the parts of
+    /// one message. Latency-optimal for small blocks on any
+    /// communicator size.
     Bruck,
 }
 
@@ -114,8 +114,8 @@ pub enum AllgatherAlgo {
 pub enum AlltoallAlgo {
     /// One message per peer; bandwidth-optimal.
     Pairwise,
-    /// ceil(log2 p) rounds of packed block forwarding; latency-optimal
-    /// for small blocks.
+    /// ceil(log2 p) rounds of block forwarding, each round's blocks the
+    /// parts of one message; latency-optimal for small blocks.
     Bruck,
 }
 
@@ -242,15 +242,23 @@ impl Default for CollTuning {
             // so its default sits just above.
             rabenseifner_min_bytes: 128 * 1024,
             bcast_scatter_min_bytes: 256 * 1024,
+            // Bruck moves every block once per set bit of its distance
+            // (~s/2 per round) to save startups; its rounds forward
+            // parts and copy nothing, so the ceiling rests on round
+            // volume alone. It keeps the value set when each round
+            // repacked until ROADMAP direction 2 (c) re-derives it.
             bruck_max_block_bytes: 1024,
             // In alpha-beta terms recursive doubling never loses to the
             // ring on a power-of-two communicator (log2 p vs p-1
-            // startups, same volume), but its packed rounds memcpy
-            // s·(p-2) bytes the ring forwards for free — so Auto keeps
-            // it in the latency regime where packing cost is noise.
+            // startups, same volume), and since its rounds forward block
+            // groups as parts it copies what the ring copies. The
+            // ceiling was set when those rounds memcpy'd s·(p-2) bytes;
+            // it now rests on round volume alone (a round's message
+            // waits on the whole group) and keeps its value until
+            // ROADMAP direction 2 (c) re-derives it.
             allgather_rd_max_bytes: 8 * 1024,
-            // Bruck has the same startup/packing trade on any p; the
-            // same latency-regime ceiling applies off powers of two.
+            // Bruck has the same startup/volume trade on any p; the
+            // same ceiling applies off powers of two, on the same terms.
             allgather_bruck_max_bytes: 8 * 1024,
             model: ModelConfig::default(),
         }

@@ -19,6 +19,7 @@ use crate::collectives::nonblocking::{message_completion, Rounds};
 use crate::collectives::{bcast_children, bcast_parent, send_internal};
 use crate::comm::Comm;
 use crate::error::Result;
+use crate::message::Parts;
 use crate::op::ReduceOp;
 use crate::plain::{bytes_from_cow, bytes_from_vec};
 use crate::request::Completion;
@@ -104,7 +105,8 @@ impl<T: Plain, O: ReduceOp<T>> Rounds for TreeReduce<T, O> {
         Ok(())
     }
 
-    fn absorb(&mut self, _comm: &Comm, _k: usize, theirs: Bytes) -> Result<()> {
+    fn absorb(&mut self, _comm: &Comm, _k: usize, theirs: Parts) -> Result<()> {
+        let theirs = theirs.into_bytes();
         let acc = self.acc.as_mut().expect("a rank with children folds");
         fold_bytes_right(acc, &theirs, &self.op)
     }

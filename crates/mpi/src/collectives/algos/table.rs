@@ -19,10 +19,10 @@
 //! | **`bcast/binomial`** | binomial tree, refcount forwarding; every rank sends to its largest subtree first, so the critical path is ceil(log2 p) hops | <= log2 p | root s, other r | — | otherwise | blocking, `ibcast`, `bcast_init` |
 //! | `bcast/scatter_allgather` | van de Geijn: scatter + eager allgather of the chunks; where only the root knows `s` (self-sizing), the root first announces `s` down the tree | 2(p-1) + ceil(log2 p) (sized: 2(p-1)) | root s, other r | `s > 0` | `p >= 4`, `s >=` [`CollTuning::bcast_scatter_min_bytes`] | blocking, `ibcast`, `bcast_init` |
 //! | **`allgather/ring`** | eager fan-out: the own block to every peer as a refcount clone, all posted before the first receive (the name is the row's, kept from the forwarding ring) | p-1 | s + r | — | otherwise | blocking, `iallgather(v)`, `allgather(v)_init` |
-//! | `allgather/recursive_doubling` | packed doubling rounds, carved by the agreed or learned block sizes | log2 p (self-sizing: + one direct receive per large block) | s·(p-2) + r (counted, self-sizing: the bytes of the inline blocks it packs) | `p >= 2`, a power of two, block sizes every rank knows or learns in the rounds | `p >= 4`, `s <=` [`CollTuning::allgather_rd_max_bytes`]; for a counted `allgatherv`, `t <=` it; for a self-sizing one always | blocking `allgather(v)`, `iallgather(v)`, `allgather(v)_init` |
-//! | `allgather/bruck` | rotated packed rounds, carved by the agreed or learned block sizes | ceil(log2 p) (self-sizing: + one direct receive per large block) | <= s·(p-2) + r (counted, self-sizing: the bytes of the inline blocks it packs) | `p >= 2`, block sizes every rank knows or learns in the rounds | `p >= 4` not a power of two, `s <=` [`CollTuning::allgather_bruck_max_bytes`]; for a counted `allgatherv`, `t <=` it; for a self-sizing one always | blocking `allgather(v)`, `iallgather(v)`, `allgather(v)_init` |
+//! | `allgather/recursive_doubling` | doubling rounds, each block group forwarded as the parts of one message (refcount views, no pack) and carved by the agreed or learned block sizes | log2 p (self-sizing: + one direct receive per large block) | s + r | `p >= 2`, a power of two, block sizes every rank knows or learns in the rounds | `p >= 4`, `s <=` [`CollTuning::allgather_rd_max_bytes`]; for a counted `allgatherv`, `t <=` it; for a self-sizing one always | blocking `allgather(v)`, `iallgather(v)`, `allgather(v)_init` |
+//! | `allgather/bruck` | rotated rounds, each block group forwarded as the parts of one message (refcount views, no pack) and carved by the agreed or learned block sizes | ceil(log2 p) (self-sizing: + one direct receive per large block) | s + r | `p >= 2`, block sizes every rank knows or learns in the rounds | `p >= 4` not a power of two, `s <=` [`CollTuning::allgather_bruck_max_bytes`]; for a counted `allgatherv`, `t <=` it; for a self-sizing one always | blocking `allgather(v)`, `iallgather(v)`, `allgather(v)_init` |
 //! | **`alltoall/pairwise`** | one message per peer in the rotation `rank + 1, rank + 2, …`, pack-once + slice, all posted before the first receive | p-1 | s + r | — | otherwise | blocking (`alltoallv/w` always), `ialltoall(v)`, `alltoallv_init` |
-//! | `alltoall/bruck` | packed log-round forwarding | ceil(log2 p) | s + r + s·ceil(log2 p)/2 | `p >= 2`, equal blocks | `p >= 4`, `b <=` [`CollTuning::bruck_max_block_bytes`] | blocking, `ialltoall` |
+//! | `alltoall/bruck` | log-round forwarding, each round's blocks the parts of one message (refcount views, no repack) | ceil(log2 p) | s + r | `p >= 2`, equal blocks | `p >= 4`, `b <=` [`CollTuning::bruck_max_block_bytes`] | blocking, `ialltoall` |
 //! | `reduce/binomial_tree` | binomial tree, in-place folds | <= log2 p | leaf s, inner 0, root r | a commutative op | blocking `reduce` | blocking, `ireduce` |
 //! | **`reduce/flat_gather`** | one send to the root, which folds the collected blocks in place, strictly in rank order | 1 (root p-1) | s (root: + r) | — | otherwise | blocking, `ireduce`; with a binomial broadcast, the allreduce of a non-commutative op in every lifecycle (unselected) |
 //! | **`neighborhood/sparse`** | one message per declared edge, all posted before the first receive | d | s + r | — | otherwise | blocking, `ineighbor_*`, `neighbor_*_init` (the last two always, unselected) |
@@ -319,7 +319,7 @@ impl Algo for AllgatherAlgo {
             names: names!("recursive_doubling": "allgather", "iallgather", "allgather_init"),
             needs: |p, call| p >= 2 && p.is_power_of_two() && call.regular,
             auto: |t, _, p, s| p >= 4 && s <= t.allgather_rd_max_bytes && p.is_power_of_two(),
-            features: |p, l, s| (l, (2.0 * p as f64 - 3.0).max(1.0) * s),
+            features: |p, l, s| (l, (p as f64 - 1.0) * s),
             rounds: LOG_ROUNDS,
         },
         Row {
@@ -328,7 +328,7 @@ impl Algo for AllgatherAlgo {
             names: names!("bruck": "allgather", "iallgather", "allgather_init"),
             needs: |p, call| p >= 2 && call.regular,
             auto: |t, _, p, s| p >= 4 && s <= t.allgather_bruck_max_bytes && !p.is_power_of_two(),
-            features: |p, l, s| (l, (2.0 * p as f64 - 3.0).max(1.0) * s),
+            features: |p, l, s| (l, (p as f64 - 1.0) * s),
             rounds: LOG_ROUNDS,
         },
     ];

@@ -3,7 +3,7 @@
 //! Both are tunable — the `allgather/*` rows of
 //! [`algos::table`](super::algos::table) are the menu — and every form
 //! drives the one allgather plan (`Comm::allgather_plan`) on its stack.
-//! The latency rows carve their packed rounds by a block layout: equal
+//! The latency rows carve their rounds' messages by a block layout: equal
 //! blocks select by the contribution, a counted `allgatherv`
 //! (`allgatherv_into`, or `allgatherv_blocks` given byte counts) by the
 //! total of its counts. The self-sizing forms (`allgatherv_vec`,

@@ -26,7 +26,8 @@ impl Comm {
     /// `recv` comes from rank `j`. The tuning selects pairwise exchange
     /// (`p-1` messages per rank, sent even when a block is empty — the
     /// dense-exchange behaviour the sparse/grid plugins of §V-A improve
-    /// on) or Bruck (`ceil(log2 p)` packed messages) for small blocks.
+    /// on) or Bruck (`ceil(log2 p)` messages, each forwarding its blocks
+    /// as parts) for small blocks.
     pub fn alltoall_into<T: Plain>(&self, send: &[T], recv: &mut [T]) -> Result<()> {
         if recv.len() < send.len() {
             self.count_op("alltoall");
@@ -104,6 +105,29 @@ impl Comm {
         self.alltoallv_plan("alltoallv", packed, byte_counts, drive_blocks)
     }
 
+    /// [`alltoallv_blocks_bytes`](Self::alltoallv_blocks_bytes) for a
+    /// caller that forwards blocks it already holds: `parts[r]` goes to
+    /// rank `r` as **one** message of those parts — refcount views,
+    /// never packed — charged, matched and counted like one buffer of
+    /// their total bytes, in the same pairwise rotation (an empty list
+    /// is an empty message). Returns every part delivered, by source
+    /// rank and in the order it was sent, this rank's own in its place:
+    /// pieces the caller knows how to parse, not one block per source.
+    /// `parts` holds one list per rank, else [`MpiError::InvalidLayout`].
+    pub fn alltoallv_parts(&self, parts: Vec<Vec<Bytes>>) -> Result<Vec<Bytes>> {
+        self.count_op("alltoallv");
+        let tag = self.next_internal_tag();
+        if parts.len() != self.size() {
+            return Err(MpiError::InvalidLayout(format!(
+                "alltoallv_parts: {} part lists for {} ranks",
+                parts.len(),
+                self.size()
+            )));
+        }
+        let mut engine = self.alltoallv_forward(tag, parts);
+        drive_blocks(self, &mut engine, Bytes::new())
+    }
+
     /// Byte-level alltoallw: counts and displacements are in bytes, so
     /// each destination may receive a differently-typed payload.
     ///
@@ -178,6 +202,7 @@ fn exchange(comm: &Comm, packed: Bytes, ranges: Vec<Range<usize>>) -> Result<Vec
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::Universe;
 
     #[test]
@@ -282,6 +307,33 @@ mod tests {
             let mut recv = vec![0u16; 2];
             comm.alltoall_into(&send, &mut recv).unwrap();
             assert_eq!(recv, vec![5, 6]);
+        });
+    }
+
+    /// Every part arrives as the view it was sent, by source rank and
+    /// in send order, one message per peer (an empty list included);
+    /// a part list per rank short is a typed error.
+    #[test]
+    fn alltoallv_parts_delivers_every_part_in_order() {
+        Universe::run(3, |comm| {
+            let (p, me) = (comm.size(), comm.rank() as u8);
+            let part = |d: usize, j: u8| Bytes::from(vec![me, d as u8, j]);
+            // Rank r sends rank d the parts 0..d.
+            let parts = (0..p).map(|d| (0..d as u8).map(|j| part(d, j)).collect());
+            let before = crate::metrics::snapshot();
+            let got = comm.alltoallv_parts(parts.collect()).unwrap();
+            assert_eq!(crate::metrics::snapshot().since(&before).bytes_copied, 0);
+            let d = comm.rank();
+            let want: Vec<Bytes> = (0..p as u8)
+                .flat_map(|src| (0..d as u8).map(move |j| Bytes::from(vec![src, d as u8, j])))
+                .collect();
+            // An empty list travels as one empty part.
+            let got: Vec<Bytes> = got.into_iter().filter(|b| !b.is_empty()).collect();
+            assert_eq!(got, want);
+            assert!(matches!(
+                comm.alltoallv_parts(vec![Vec::new(); p - 1]),
+                Err(MpiError::InvalidLayout(_))
+            ));
         });
     }
 }

@@ -6,6 +6,7 @@ use super::nonblocking::{drive, RoundEngine, Rounds};
 use super::send_internal;
 use crate::comm::Comm;
 use crate::error::Result;
+use crate::message::Parts;
 use crate::request::{Completion, Request};
 use crate::{Rank, Tag};
 
@@ -43,7 +44,7 @@ impl Rounds for Dissemination {
         send_internal(comm, to, self.tag, Bytes::new())
     }
 
-    fn absorb(&mut self, _comm: &Comm, _k: usize, _signal: Bytes) -> Result<()> {
+    fn absorb(&mut self, _comm: &Comm, _k: usize, _signal: Parts) -> Result<()> {
         Ok(())
     }
 

@@ -29,10 +29,11 @@
 //! | `alltoall(v/w)`  | the `alltoall/pairwise` row: one message per peer, pack-once + slice | p-1 | s + r      |
 //! | `scan/exscan`    | rank-ordered recursive doubling, in-place folds | <= ceil(log2 p) | <= s·ceil(log2 p) + s |
 //!
-//! Every non-reducing collective is bounded by `s + r` (+ Bruck's
-//! deliberate repack trade): each payload byte is serialized once at its
-//! origin and materialized once at each destination, independent of hop
-//! count or child count. The reductions' former `O(s log p)`
+//! Every non-reducing collective is bounded by `s + r`: each payload
+//! byte is serialized once at its origin and materialized once at each
+//! destination, independent of hop count or child count — the log-round
+//! allgathers and Bruck's alltoall forward the blocks they hold as the
+//! parts of one message, never repacked. The reductions' former `O(s log p)`
 //! materialization bill is gone: combining steps fold the delivered
 //! payload into the accumulator in place.
 //!
@@ -143,9 +144,15 @@ use crate::plain::bytes_from_slice;
 use crate::{Plain, Rank, Tag};
 
 /// Sends raw bytes on an internal (negative) tag. Passing a clone of an
-/// already-shared payload costs a refcount bump, not a copy.
+/// already-shared payload costs a refcount bump, not a copy; so does
+/// every part of a message sent in [`Parts`](crate::message::Parts).
 #[inline]
-pub(crate) fn send_internal(comm: &Comm, dest: Rank, tag: Tag, payload: Bytes) -> Result<()> {
+pub(crate) fn send_internal(
+    comm: &Comm,
+    dest: Rank,
+    tag: Tag,
+    payload: impl Into<crate::message::Parts>,
+) -> Result<()> {
     comm.deliver_bytes(dest, tag, payload, None)
 }
 

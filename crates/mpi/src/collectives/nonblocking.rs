@@ -96,7 +96,7 @@ use super::scatter::equal_blocks;
 use super::{bcast_forward, packed_ranges, root_without_data, send_internal, send_slices};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
-use crate::message::{Src, Status, TagSel};
+use crate::message::{Parts, Src, Status, TagSel};
 use crate::op::ReduceOp;
 use crate::plain::{bytes_from_slice, bytes_from_vec, bytes_into_vec};
 use crate::request::{Completion, Request};
@@ -145,16 +145,16 @@ pub(crate) trait CollEngine {
 /// poll is an O(1) `(source, tag)` index hit and the blocking wait a
 /// targeted per-waiter wakeup, so drain loops stay cheap even when
 /// other collectives' traffic is piled up at the rank.
-pub(crate) fn recv_one(comm: &Comm, src: Rank, tag: Tag, block: bool) -> Result<Option<Bytes>> {
+pub(crate) fn recv_one(comm: &Comm, src: Rank, tag: Tag, block: bool) -> Result<Option<Parts>> {
     // Every collective engine phase funnels through here, so a planned
     // crash can land inside any algorithm round (e.g. mid-Bruck).
     crate::fault::point("coll/phase");
     if block {
         let env = comm.recv_envelope(Src::Rank(src), TagSel::Is(tag))?;
-        return Ok(Some(env.payload));
+        return Ok(Some(env.into_parts()));
     }
     match comm.try_recv_envelope(Src::Rank(src), TagSel::Is(tag)) {
-        Some(env) => Ok(Some(env.payload)),
+        Some(env) => Ok(Some(env.into_parts())),
         None => match comm.wait_interrupted(Src::Rank(src)) {
             Some(err) => Err(err),
             None => Ok(None),
@@ -176,11 +176,11 @@ pub(crate) fn recv_first(
     src: Rank,
     tags: [Tag; 2],
     block: bool,
-) -> Result<Option<(usize, Bytes)>> {
+) -> Result<Option<(usize, Parts)>> {
     crate::fault::point("coll/phase");
     if block {
         if let Some(env) = comm.recv_envelope_or_queued(src, tags)? {
-            return Ok(Some((0, env.payload)));
+            return Ok(Some((0, env.into_parts())));
         }
     }
     let [first, second] = tags.map(TagSel::Is);
@@ -194,7 +194,7 @@ pub(crate) fn recv_first(
             .map(|env| (1, env))
     });
     match hit {
-        Some((i, env)) => Ok(Some((i, env.payload))),
+        Some((i, env)) => Ok(Some((i, env.into_parts()))),
         None => comm.wait_interrupted(Src::Rank(src)).map_or(Ok(None), Err),
     }
 }
@@ -230,11 +230,13 @@ pub(crate) trait Rounds {
     fn peer(&self, comm: &Comm, k: usize) -> (Rank, Tag);
     /// Posts round `k`'s sends; called once rounds `< k` are absorbed.
     fn post(&mut self, comm: &Comm, k: usize) -> Result<()>;
-    /// Takes in round `k`'s message.
-    fn absorb(&mut self, comm: &Comm, k: usize, payload: Bytes) -> Result<()>;
+    /// Takes in round `k`'s message, in the parts its sender sent:
+    /// an algorithm that forwards blocks carves them out by refcount,
+    /// one that expects one buffer takes [`Parts::into_bytes`].
+    fn absorb(&mut self, comm: &Comm, k: usize, payload: Parts) -> Result<()>;
     /// Round `k`'s receive: one message from `peer(k)`, unless the
     /// algorithm learns which of several streams carries it.
-    fn receive(&mut self, comm: &Comm, k: usize, block: bool) -> Result<Option<Bytes>> {
+    fn receive(&mut self, comm: &Comm, k: usize, block: bool) -> Result<Option<Parts>> {
         let (src, tag) = self.peer(comm, k);
         recv_one(comm, src, tag, block)
     }
@@ -366,6 +368,13 @@ pub(crate) enum Post {
         parts: Vec<(Rank, Range<usize>)>,
         keep: Range<usize>,
     },
+    /// Each destination's message as the parts the caller holds, moved
+    /// out at `start` (one cycle: the blocking [`Comm::alltoallv_parts`]);
+    /// `keep` stays in this rank's own slot.
+    Parts {
+        sends: Vec<(Rank, Parts)>,
+        keep: Parts,
+    },
 }
 
 /// What an [`Exchange`] completes with once every slot is filled.
@@ -374,7 +383,10 @@ pub(crate) enum Finish<'o> {
     Done,
     /// The one collected block, as [`Completion::Message`].
     Message,
-    /// [`Completion::Blocks`] in source-list order.
+    /// [`Completion::Blocks`]: every part of every slot, in source-list
+    /// order and each message's part order — one block per source, but
+    /// where a caller exchanged [`Post::Parts`], which reads them without
+    /// a join.
     Blocks,
     /// The blocks folded ([`ordered_fold`]), the result sent down the
     /// binomial tree on `bcast` first when this is rank 0 of an
@@ -409,7 +421,7 @@ pub(crate) struct Exchange<'o> {
     own: Option<usize>,
     /// Reused across cycles (no allocation in a persistent steady
     /// state).
-    blocks: Vec<Option<Bytes>>,
+    blocks: Vec<Option<Parts>>,
     finish: Finish<'o>,
 }
 
@@ -457,17 +469,23 @@ fn sliced_by_rank(comm: &Comm, ranges: &[Range<usize>]) -> Post {
 
 impl CollEngine for Exchange<'_> {
     fn start(&mut self, comm: &Comm, payload: Bytes) -> Result<()> {
-        let keep = match &self.post {
-            Post::Nothing => payload,
+        let keep = match &mut self.post {
+            Post::Nothing => payload.into(),
             Post::Whole(dests) => {
-                for &dest in dests {
+                for &dest in &*dests {
                     send_internal(comm, dest, self.tag, payload.clone())?;
                 }
-                payload
+                payload.into()
             }
             Post::Sliced { parts, keep } => {
                 send_slices(comm, self.tag, &payload, parts.iter().cloned())?;
-                payload.slice(keep.clone())
+                payload.slice(keep.clone()).into()
+            }
+            Post::Parts { sends, keep } => {
+                for (dest, parts) in sends.iter_mut() {
+                    send_internal(comm, *dest, self.tag, std::mem::take(parts))?;
+                }
+                std::mem::take(keep)
             }
         };
         self.blocks.fill(None);
@@ -486,16 +504,22 @@ impl CollEngine for Exchange<'_> {
                 }
             }
         }
-        let mut blocks = self.blocks.iter_mut().map(|b| b.take().expect("filled"));
+        let mut messages = self.blocks.iter_mut().map(|b| b.take().expect("filled"));
         Ok(Some(match &mut self.finish {
             Finish::Done => Completion::Done,
             Finish::Message => {
-                let block = blocks.next().expect("one source");
+                let block = messages.next().expect("one source").into_bytes();
                 message_completion(self.sources[0], self.tag, block)
             }
-            Finish::Blocks => Completion::Blocks(blocks.collect()),
+            Finish::Blocks => {
+                // Sized for one part per source: no regrowth but for
+                // messages sent in parts.
+                let mut blocks = Vec::with_capacity(self.sources.len());
+                blocks.extend(messages.flatten());
+                Completion::Blocks(blocks)
+            }
             Finish::Fold { fold, bcast } => {
-                let folded = fold(blocks.collect())?;
+                let folded = fold(messages.map(Parts::into_bytes).collect())?;
                 if let Some(bcast_tag) = *bcast {
                     bcast_forward(comm, comm.rank(), bcast_tag, &folded)?;
                 }
@@ -773,6 +797,22 @@ impl Comm {
         Exchange::new(what, tag, post, every_rank(self), Finish::Blocks)
     }
 
+    /// [`alltoallv_flat`](Self::alltoallv_flat) over messages the caller
+    /// holds in parts: `parts[r]` to rank `r` in the same rotation,
+    /// this rank's own kept, and every part delivered handed back
+    /// ([`Finish::Blocks`]). `parts` holds one list per rank.
+    pub(crate) fn alltoallv_forward(
+        &self,
+        tag: Tag,
+        mut parts: Vec<Vec<Bytes>>,
+    ) -> Exchange<'static> {
+        let mut message = |r: Rank| Parts::of(std::mem::take(&mut parts[r]));
+        let sends = rotation(self).map(|r| (r, message(r))).collect();
+        let keep = message(self.rank());
+        let post = Post::Parts { sends, keep };
+        Exchange::new("alltoallv", tag, post, every_rank(self), Finish::Blocks)
+    }
+
     /// Flat gather to `root` on `tag`: one send everywhere else, one
     /// block per rank collected at the root, which completes as
     /// `at_root` says — with the blocks (`igather(v)`, the blocking flat
@@ -956,8 +996,8 @@ impl Comm {
     /// Equal-block flavour of [`Comm::ialltoallv`] (mirrors
     /// `MPI_Ialltoall`). Forcing
     /// [`AlltoallAlgo::Bruck`](super::algos::AlltoallAlgo) in the tuning
-    /// switches to the resumable Bruck engine (`ceil(log2 p)` packed
-    /// rounds instead of `p-1` eager sends).
+    /// switches to the resumable Bruck engine (`ceil(log2 p)` rounds
+    /// instead of `p-1` eager sends).
     pub fn ialltoall<T: Plain>(&self, send: &[T]) -> Result<Request<'_>> {
         self.count_op("ialltoall");
         self.alltoall_plan(Site::IMMEDIATE, "ialltoall", send, Comm::icoll)

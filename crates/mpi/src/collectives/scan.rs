@@ -21,6 +21,7 @@ use super::nonblocking::{drive, RoundEngine, Rounds};
 use super::{send_internal, send_slice_internal};
 use crate::comm::Comm;
 use crate::error::Result;
+use crate::message::Parts;
 use crate::op::ReduceOp;
 use crate::plain::{bytes_from_cow, bytes_from_slice, bytes_into_vec};
 use crate::request::Completion;
@@ -76,7 +77,8 @@ impl<T: Plain, O: ReduceOp<T>> Rounds for DoublingScan<'_, T, O> {
         }
     }
 
-    fn absorb(&mut self, comm: &Comm, k: usize, theirs: Bytes) -> Result<()> {
+    fn absorb(&mut self, comm: &Comm, k: usize, theirs: Parts) -> Result<()> {
+        let theirs = theirs.into_bytes();
         // `exscan` only ever sends the inclusive prefix: it stays
         // current while a later round still has someone to send it to.
         if !self.exclusive || right(comm, k + 1).is_some() {

@@ -10,15 +10,13 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use bytes::Bytes;
-
 use crate::clock::Clock;
 use crate::collectives::algos::model::{ModelSnapshot, ModelState, TuningStats};
 use crate::collectives::CollTuning;
 use crate::counter::CallCounts;
 use crate::error::{MpiError, Result};
 use crate::fault;
-use crate::message::{AckSlot, Envelope, Src, Status, TagSel};
+use crate::message::{AckSlot, Envelope, Parts, Src, Status, TagSel};
 use crate::trace;
 use crate::universe::WorldState;
 use crate::{Rank, Tag};
@@ -278,30 +276,36 @@ impl Comm {
 
     /// Core send: stamps the virtual clock, wraps the payload in an
     /// envelope and pushes it to the destination mailbox. Sending to a
-    /// failed rank succeeds (as a buffered MPI send may).
+    /// failed rank succeeds (as a buffered MPI send may). A payload in
+    /// [`Parts`] is one message — one startup, its total bytes — whose
+    /// parts travel as the refcount views they are.
     pub(crate) fn deliver_bytes(
         &self,
         dest: Rank,
         tag: Tag,
-        payload: Bytes,
+        payload: impl Into<Parts>,
         ack: Option<Arc<AckSlot>>,
     ) -> Result<()> {
         let dest_world = self.translate_to_world(dest)?;
         if self.world.is_revoked(self.context) {
             return Err(MpiError::Revoked);
         }
-        let _sp = trace::span(trace::cat::SEND, "send", dest as u64, payload.len() as u64);
+        let payload: Parts = payload.into();
+        let bytes = payload.len();
+        let _sp = trace::span(trace::cat::SEND, "send", dest as u64, bytes as u64);
         let arrival_ns = {
             let mut clock = self.clock.borrow_mut();
             clock.absorb_cpu();
-            clock.on_send(payload.len())
+            clock.on_send(bytes)
         };
+        let (payload, more) = payload.split();
         let env = Envelope {
             src: self.rank,
             src_world: self.world_rank(),
             context: self.context,
             tag,
             payload,
+            more,
             arrival_ns,
             ack,
         };

@@ -802,6 +802,7 @@ mod tests {
             context,
             tag,
             payload: Bytes::from(id.to_le_bytes().to_vec()),
+            more: None,
             arrival_ns: 0,
             ack: None,
         }

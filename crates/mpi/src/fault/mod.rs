@@ -40,7 +40,10 @@
 //!   discards the envelope, `Duplicate` pushes it twice, `Delay(n)`
 //!   holds it until `n` further deliveries to the same destination have
 //!   happened (a deterministic reordering, not a timer), `Truncate(n)`
-//!   delivers only the payload's first `n` bytes.
+//!   delivers only the payload's first `n` bytes. A message an engine
+//!   sent in parts is one message here too: `Duplicate` pushes its
+//!   parts twice (refcount views), `Truncate(n)` cuts the part `n`
+//!   falls inside and drops the parts after it.
 //!
 //! # Zero-cost when compiled out
 //!
@@ -79,8 +82,8 @@ pub enum MsgAction {
     Delay(u64),
     /// Deliver the envelope twice.
     Duplicate,
-    /// Deliver only the first `n` bytes of the payload (a message cut
-    /// short on the wire).
+    /// Deliver only the first `n` bytes of the payload, over all its
+    /// parts (a message cut short on the wire).
     Truncate(usize),
 }
 
@@ -367,7 +370,7 @@ mod imp {
                         now,
                     );
                     let mut env = env;
-                    env.payload = env.payload.slice(..keep.min(env.payload.len()));
+                    env.truncate(keep);
                     push(env);
                 }
                 None => push(env),

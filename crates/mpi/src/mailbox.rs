@@ -288,7 +288,7 @@ impl ShardState {
         Some(Status {
             source: env.src,
             tag: env.tag,
-            bytes: env.payload.len(),
+            bytes: env.len(),
         })
     }
 }
@@ -473,7 +473,7 @@ impl Mailbox {
                     let status = Status {
                         source: env.src,
                         tag: env.tag,
-                        bytes: env.payload.len(),
+                        bytes: env.len(),
                     };
                     p.waiter.claim_delivering(0, |w| w.status = Some(status));
                     self.wakeups.fetch_add(1, Ordering::Relaxed);
@@ -1048,7 +1048,7 @@ pub mod reference {
                 .map(|e| Status {
                     source: e.src,
                     tag: e.tag,
-                    bytes: e.payload.len(),
+                    bytes: e.len(),
                 })
         }
 
@@ -1090,7 +1090,7 @@ pub mod reference {
                     return Ok(Status {
                         source: e.src,
                         tag: e.tag,
-                        bytes: e.payload.len(),
+                        bytes: e.len(),
                     });
                 }
                 if let Some(err) = interrupted() {
@@ -1125,6 +1125,7 @@ mod tests {
             context,
             tag,
             payload: Bytes::from(vec![0u8; bytes]),
+            more: None,
             arrival_ns: 0,
             ack: None,
         }

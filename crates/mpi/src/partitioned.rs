@@ -241,6 +241,7 @@ impl<T: Plain> PartitionWriter<T> {
             context: self.context,
             tag: self.tag,
             payload: Bytes::from(payload),
+            more: None,
             // Producer threads have no virtual clock; partitions arrive
             // at clock zero (they are overlapped with compute by
             // construction).

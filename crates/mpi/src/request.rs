@@ -72,6 +72,7 @@ use bytes::Bytes;
 use crate::collectives::nonblocking::{message_completion, CollEngine};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
+use crate::lower::{Delivered, Layout};
 use crate::message::{AckSlot, Src, Status, TagSel};
 use crate::partitioned::Reassembly;
 use crate::plain::bytes_from_slice;
@@ -97,11 +98,18 @@ impl Completion {
     /// vector behind it, without a copy, when this rank holds its only
     /// view (every allreduce result of a commutative operation); else
     /// one counted copy.
+    ///
+    /// `None` for a completion without one payload (`Done`, `Blocks`),
+    /// and for a payload that is not a whole number of `T`s — a peer
+    /// sent another type, or a message was cut short. To have that case
+    /// reported, take the typed route: [`into_bytes`](Self::into_bytes),
+    /// then [`Delivered::lone`]`(payload).into_vec(..)`, which returns
+    /// [`MpiError::Truncated`].
     pub fn into_vec<T: Plain>(self) -> Option<(Vec<T>, Status)> {
         match self {
             Completion::Done | Completion::Blocks(_) => None,
             Completion::Message(b, st) => {
-                let v = crate::plain::reclaim_vec(b).unwrap_or_else(|b| crate::bytes_to_vec(&b));
+                let v = Delivered::lone(b).into_vec(Layout::default()).ok()?;
                 Some((v, st))
             }
         }
@@ -580,6 +588,20 @@ impl Drop for RequestSet<'_> {
 mod tests {
     use super::*;
     use crate::Universe;
+
+    /// A payload that is not a whole number of `T`s decodes to `None`,
+    /// not a panic that takes the universe down.
+    #[test]
+    fn into_vec_of_a_payload_of_partial_elements_is_none() {
+        Universe::run(2, |comm| {
+            if comm.rank() == 0 {
+                comm.send(&[1u8, 2, 3], 1, 0).unwrap();
+                return;
+            }
+            let done = comm.irecv(Src::Rank(0), TagSel::Is(0)).wait().unwrap();
+            assert!(done.into_vec::<u64>().is_none());
+        });
+    }
 
     #[test]
     fn isend_irecv_roundtrip() {

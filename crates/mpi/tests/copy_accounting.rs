@@ -55,26 +55,23 @@ fn allgather_ring_forwards_blocks_without_reserialization() {
     });
 }
 
-/// Recursive-doubling allgather pays for its latency win in packing
-/// copies: rounds past the first memcpy their accumulated block group
-/// into one message. The bill is exact: own serialization `s`, packing
-/// `s·(p-2)` (round 0 forwards the own block as a refcount clone),
-/// assembly `r = p·s` — `s·(p-1) + r` total, vs the ring's `s + r`.
+/// Recursive-doubling allgather wins its latency without packing: each
+/// round's block group travels as the parts of one message, so the bill
+/// is the ring's, exactly — own serialization `s` and assembly
+/// `r = p·s`, nothing per round.
 #[test]
-fn allgather_recursive_doubling_packing_bill_is_exact() {
+fn allgather_recursive_doubling_copies_what_the_ring_copies() {
     use kmp_mpi::AllgatherAlgo;
     const N: usize = 1024; // bytes per rank, under the 8 KiB RD ceiling
     for p in [4usize, 8] {
         Universe::run(p, move |comm| {
             let mine = vec![comm.rank() as u8; N];
-            for (algo, bound) in [
-                (AllgatherAlgo::Ring, (N + p * N) as u64),
-                (
-                    AllgatherAlgo::RecursiveDoubling,
-                    (N * (p - 1) + p * N) as u64,
-                ),
-            ] {
-                comm.set_tuning(CollTuning::default().allgather(algo));
+            let bound = (N + p * N) as u64;
+            // Auto resolves to RD here (power of two, small blocks).
+            let forced = [AllgatherAlgo::Ring, AllgatherAlgo::RecursiveDoubling];
+            let tunings = forced.map(|algo| CollTuning::default().allgather(algo));
+            for tuning in tunings.into_iter().chain([CollTuning::default()]) {
+                comm.set_tuning(tuning);
                 let before = metrics::snapshot();
                 let all = comm.allgather_vec(&mine).unwrap();
                 let delta = metrics::snapshot().since(&before);
@@ -82,45 +79,50 @@ fn allgather_recursive_doubling_packing_bill_is_exact() {
                 assert_eq!(
                     delta.bytes_copied,
                     bound,
-                    "rank {} p={p} {algo:?}: exact copy bill",
-                    comm.rank()
+                    "rank {} p={p} {:?}: exact copy bill s + r",
+                    comm.rank(),
+                    tuning.allgather
                 );
             }
-            // Auto resolves to RD here (power of two, small blocks):
-            // same bill as the forced RD run.
-            comm.set_tuning(CollTuning::default());
-            let before = metrics::snapshot();
-            comm.allgather_vec(&mine).unwrap();
-            let delta = metrics::snapshot().since(&before);
-            assert_eq!(delta.bytes_copied, (N * (p - 1) + p * N) as u64);
         });
     }
 }
 
-/// The Bruck allgather's bill is exact too: own serialization `s`,
-/// packing `cnt·s` for every round that sends more than one block
-/// (single-block rounds — round 0 and the short tail rounds of
-/// non-power-of-two sizes — forward refcount clones), assembly
-/// `r = p·s`. At p = 5 the rounds send 1/2/1 blocks, so packing is
-/// exactly `2s`; at p = 6 (1/2/2) it is `4s`.
+/// Bruck `alltoall` forwards each round's blocks as the parts of one
+/// message, never repacking them: the exchange copies only the send
+/// buffer's serialization, `s`, what the pairwise exchange copies.
 #[test]
-fn allgather_bruck_packing_bill_is_exact() {
+fn alltoall_bruck_copies_what_pairwise_copies() {
+    use kmp_mpi::AlltoallAlgo;
+    const N: usize = 64; // bytes per block, under the 1 KiB Bruck ceiling
+    for p in [3usize, 4, 5, 8] {
+        Universe::run(p, move |comm| {
+            let send = vec![comm.rank() as u8; p * N];
+            for algo in [AlltoallAlgo::Pairwise, AlltoallAlgo::Bruck] {
+                comm.set_tuning(CollTuning::default().alltoall(algo));
+                let before = metrics::snapshot();
+                let blocks = comm.alltoall_blocks(&send).unwrap();
+                let delta = metrics::snapshot().since(&before);
+                assert!(blocks.iter().all(|b| b.len() == N));
+                let at = format!("rank {} p={p} {algo:?}", comm.rank());
+                assert_eq!(delta.bytes_copied, (p * N) as u64, "{at}");
+                assert_eq!(delta.allocations, 1, "{at}: the serialization only");
+            }
+        });
+    }
+}
+
+/// The Bruck allgather forwards every round's blocks as parts too, the
+/// multi-block rounds of non-power-of-two sizes included: own
+/// serialization `s` and assembly `r = p·s`, exactly, at every `p`.
+#[test]
+fn allgather_bruck_copies_what_the_ring_copies() {
     use kmp_mpi::AllgatherAlgo;
     const N: usize = 1024; // bytes per rank, under the 8 KiB Bruck ceiling
     for p in [3usize, 5, 6, 8] {
         Universe::run(p, move |comm| {
             let mine = vec![comm.rank() as u8; N];
-            // Rounds sending cnt > 1 blocks pack cnt blocks each.
-            let mut step = 1usize;
-            let mut packed_blocks = 0usize;
-            while step < p {
-                let cnt = step.min(p - step);
-                if cnt > 1 {
-                    packed_blocks += cnt;
-                }
-                step <<= 1;
-            }
-            let bound = (N + packed_blocks * N + p * N) as u64;
+            let bound = (N + p * N) as u64;
             comm.set_tuning(CollTuning::default().allgather(AllgatherAlgo::Bruck));
             let before = metrics::snapshot();
             let all = comm.allgather_vec(&mine).unwrap();
@@ -129,7 +131,7 @@ fn allgather_bruck_packing_bill_is_exact() {
             assert_eq!(
                 delta.bytes_copied,
                 bound,
-                "rank {} p={p} Bruck: exact copy bill (s + {packed_blocks}s packing + r)",
+                "rank {} p={p} Bruck: exact copy bill s + r",
                 comm.rank()
             );
             // Auto resolves to Bruck on small non-power-of-two

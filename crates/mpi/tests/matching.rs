@@ -64,6 +64,7 @@ fn env(src: usize, context: u64, tag: i32, id: u64) -> Envelope {
         context,
         tag,
         payload: Bytes::from(id.to_le_bytes().to_vec()),
+        more: None,
         arrival_ns: 0,
         ack: None,
     }

@@ -174,15 +174,16 @@ fn allgatherv_binding_copies_s_plus_r() {
 /// Supplied receive counts select the row by their total, and the copy
 /// bill follows the row. At p = 4, 512 B per rank (2 KiB in all) runs
 /// recursive doubling and pays equal-block doubling's bill: `s`
-/// serialized, `2s` packed for the second round, `r = 4s` assembled —
-/// 7s. 4 KiB per rank (16 KiB in all) stays on the eager fan-out at
-/// `s + r` = 5s. The counts travel in no header.
+/// serialized and `r = 4s` assembled — 5s, the second round's two
+/// blocks travelling as the parts of one message, unpacked. 4 KiB per
+/// rank (16 KiB in all) stays on the eager fan-out at `s + r` = 5s too.
+/// The counts travel in no header.
 #[test]
 fn counted_allgatherv_binding_copy_bill_follows_its_row() {
     let p = 4usize;
     Universe::run(p, move |comm| {
         let comm = Communicator::new(comm);
-        for (s, bill) in [(512usize, 7), (4096, 5)] {
+        for (s, bill) in [(512usize, 5), (4096, 5)] {
             let mine = vec![comm.rank() as u64; s / 8];
             let counts = vec![s / 8; p];
             let before = metrics::snapshot();
@@ -223,13 +224,14 @@ fn alltoallv_counts_absent_copies_s_plus_r_into_one_allocation() {
     });
 }
 
-/// One grid exchange on a 2 x 2 grid: a payload byte is copied three
-/// times end to end (pack for the row hop, re-bucket for the column
-/// hop, unpack into the result) and its 24-byte routing header twice;
-/// both hops move an adopted buffer, so the exchanges themselves copy
-/// nothing. Three allocations: the two hop buffers and the result.
+/// One grid exchange on a 2 x 2 grid: a payload byte is copied twice
+/// end to end (pack for the row hop, unpack into the result) and its
+/// 24-byte routing header once (the pack); the row hop moves an adopted
+/// buffer and the column hop forwards each record it delivered as a
+/// refcount part, so the exchanges themselves copy nothing. Two
+/// allocations: the row hop's buffer and the result.
 #[test]
-fn grid_exchange_copies_each_payload_byte_three_times() {
+fn grid_exchange_copies_each_payload_byte_twice() {
     const PER_PEER: usize = 1 << 10; // u32 elements
     let p = 4usize;
     Universe::run(p, move |comm| {
@@ -245,8 +247,8 @@ fn grid_exchange_copies_each_payload_byte_three_times() {
         // Uniform traffic: p blocks leave on the row hop, p blocks (this
         // column's, from both rows) on the column hop, p blocks arrive.
         let (payload, header) = ((4 * p * PER_PEER) as u64, 24 * p as u64);
-        assert_eq!(delta.bytes_copied, 3 * payload + 2 * header);
-        assert_eq!(delta.allocations, 3);
+        assert_eq!(delta.bytes_copied, 2 * payload + header);
+        assert_eq!(delta.allocations, 2);
     });
 }
 

@@ -411,9 +411,9 @@ fn small_message_collectives_finish_in_log_p_message_times() {
 
 /// What stays at `p - 1` startups, pinned exactly so that a change
 /// which fixes one has to edit this table. Their log-round forms trade
-/// startups for packed copies or forwarded bytes and need a size rule
+/// startups for forwarded bytes and need a size rule
 /// (`scatter`/`gatherv`: a binomial tree forwards up to `s·p/2` per
-/// inner rank; `alltoallv`: Bruck packs every round). The counted
+/// inner rank; `alltoallv`: Bruck moves `~s/2` every round). The counted
 /// `allgatherv` left this table when its total came to select the
 /// latency rows (see the audit above). Each pin is `(hops on the
 /// critical path, most receives at one rank)`: a scatter root posts
@@ -771,4 +771,63 @@ fn self_sizing_allgatherv_model_time_at_p16_is_pinned() {
         .map(|(_, ns)| (*ns as f64 / 10.0).round() / 100.0)
         .collect();
     assert_eq!(us, [7.22, 7.31, 7.98, 32.41], "{times:?}");
+}
+
+/// Every rank's finish time (virtual ns) of one call at `p = 16` under
+/// `CostModel::cluster()`: the `i*` forms dry-run, the counted
+/// `allgatherv` — which has no `i*` form — threaded, from a
+/// synchronized zero (the lifecycle test holds the two to the same
+/// numbers).
+fn finish_times_at_p16() -> Vec<(String, Vec<u64>)> {
+    use kamping_repro::mpi::{bytes_from_vec, AlltoallAlgo};
+    let (p, model) = (16, CostModel::cluster());
+    let mut out = Vec::new();
+    for bytes in [8usize, 512, 4096] {
+        let counted = Universe::run_with(Config::new(p).cost(model), |comm| {
+            let own = bytes_from_vec(vec![comm.rank() as u8; bytes]);
+            comm.barrier().unwrap();
+            comm.clock_reset();
+            comm.allgatherv_blocks(own, Some(&vec![bytes; p])).unwrap();
+            comm.clock_now_ns()
+        });
+        let counted = counted.into_iter().map(|t| t.unwrap()).collect();
+        out.push((format!("counted allgatherv {bytes} B"), counted));
+        let mine = vec![7u8; bytes];
+        let learned = Universe::dry_run(Config::new(p).cost(model), |c| c.iallgatherv(&mine));
+        out.push((format!("iallgatherv {bytes} B"), learned.unwrap()));
+    }
+    let bruck = Universe::dry_run(Config::new(p).cost(model), |c| {
+        c.set_tuning(c.tuning().alltoall(AlltoallAlgo::Bruck));
+        c.ialltoall(&vec![c.rank() as u8; 64 * c.size()])
+    });
+    out.push(("Bruck ialltoall 64 B".into(), bruck.unwrap()));
+    out
+}
+
+/// Sending a round's blocks as the parts of one message instead of one
+/// packed buffer moves no modelled time: the p = 16 finish times of the
+/// counted and the self-sizing `allgatherv` rungs that run recursive
+/// doubling (8 and 512 B per rank; the counted 4 KiB rung runs the ring,
+/// the self-sizing one doubling with direct blocks) and of Bruck
+/// `ialltoall`, every rank to the nanosecond, as recorded with packed
+/// rounds. A part is charged as bytes of its message: same envelopes,
+/// same bytes, same send order.
+#[test]
+fn forwarded_parts_cost_what_packed_rounds_cost_at_p16() {
+    let edge = [27409, 27109].into_iter().chain([27000; 13]).chain([27409]);
+    let want: [(&str, Vec<u64>); 7] = [
+        ("counted allgatherv 8 B", vec![7210; 16]),
+        ("iallgatherv 8 B", vec![7221; 16]),
+        ("counted allgatherv 512 B", vec![7966; 16]),
+        ("iallgatherv 512 B", vec![7979; 16]),
+        ("counted allgatherv 4096 B", edge.collect()),
+        ("iallgatherv 4096 B", vec![32410; 16]),
+        ("Bruck ialltoall 64 B", vec![7404; 16]),
+    ];
+    let got = finish_times_at_p16();
+    assert_eq!(got.len(), want.len());
+    for ((name, times), (want_name, want_times)) in got.iter().zip(&want) {
+        assert_eq!(name, want_name);
+        assert_eq!(times, want_times, "{name}");
+    }
 }

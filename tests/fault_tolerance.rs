@@ -418,3 +418,117 @@ fn a_cut_bcast_one_value_is_truncated_not_a_panic() {
     assert_eq!(got[0], Ok(7));
     assert!(matches!(got[1], Err(MpiError::Truncated { .. })), "{got:?}");
 }
+
+/// A fault on a message an engine sent in parts: `Truncate(n)` with `n`
+/// inside its second part, or `Duplicate`.
+#[cfg(feature = "fault")]
+#[derive(Clone, Copy, Debug)]
+enum PartsFault {
+    Cut(usize),
+    Twice,
+}
+
+#[cfg(feature = "fault")]
+impl PartsFault {
+    fn plan(self, from: usize, to: usize, tag: Option<i32>) -> kamping_repro::mpi::FaultPlan {
+        let plan = kamping_repro::mpi::FaultPlan::new();
+        match self {
+            PartsFault::Cut(keep) => plan.truncate_message(from, to, tag, 1, keep),
+            PartsFault::Twice => plan.duplicate_message(from, to, tag, 1),
+        }
+    }
+}
+
+/// Round 1 of recursive doubling at p = 4 is the first message from
+/// rank 0 to rank 2 (its partner `0 ^ 2`), two 64-byte blocks sent as
+/// parts — behind a 16-byte length header for the self-sizing
+/// `allgatherv`. Cut inside its second part, rank 2 alone returns
+/// `InvalidLayout`; duplicated, every rank completes and the copy stays
+/// queued on a tag no later call takes. Either way every rank is back
+/// before the deadline, nothing panics, and the next collective on the
+/// communicator succeeds.
+#[cfg(feature = "fault")]
+#[test]
+fn a_cut_or_duplicated_doubling_round_in_parts_fails_only_its_receiver() {
+    use kamping_repro::mpi::bytes_from_vec;
+    const S: usize = 64;
+    for counted in [true, false] {
+        let header = if counted { 0 } else { 16 };
+        for fault in [PartsFault::Cut(header + S + S / 2), PartsFault::Twice] {
+            let at = format!("counted: {counted}, {fault:?}");
+            let plan = fault.plan(0, 2, None);
+            let outcomes = with_deadline(60, move || {
+                Universe::run_with(Config::new(4).faults(plan), move |comm| {
+                    let own = bytes_from_vec(vec![comm.rank() as u8; S]);
+                    let counts = [S; 4];
+                    let got = comm.allgatherv_blocks(own, counted.then_some(&counts[..]));
+                    let next = comm.allreduce_vec(&[1u64], kamping_repro::mpi::op::Sum);
+                    (
+                        got.map(|blocks| {
+                            blocks.iter().flat_map(|b| b.to_vec()).collect::<Vec<u8>>()
+                        }),
+                        next,
+                    )
+                })
+            });
+            let whole: Vec<u8> = (0..4u8).flat_map(|r| [r; S]).collect();
+            for (rank, outcome) in outcomes.into_iter().enumerate() {
+                let (got, next) = outcome.unwrap();
+                match (fault, rank) {
+                    (PartsFault::Cut(_), 2) => {
+                        assert!(
+                            matches!(got, Err(MpiError::InvalidLayout(_))),
+                            "{at}: {got:?}"
+                        )
+                    }
+                    _ => assert_eq!(got, Ok(whole.clone()), "{at}, rank {rank}"),
+                }
+                assert_eq!(next, Ok(vec![4]), "{at}, rank {rank}: the next collective");
+            }
+        }
+    }
+}
+
+/// The grid's column hop on a 2 x 2 grid forwards each record of the
+/// row hop as one part: rank 0 sends rank 2 its own record for rank 2,
+/// then rank 1's, each a 24-byte header and 32 payload bytes. Cut inside
+/// the second record, rank 2 returns `Truncated`; duplicated, every rank
+/// completes. Either way every rank is back before the deadline,
+/// nothing panics, and the next exchange on the grid succeeds.
+#[cfg(feature = "fault")]
+#[test]
+fn a_cut_or_duplicated_grid_column_hop_fails_only_its_receiver() {
+    const RECORD: usize = 24 + 32;
+    for fault in [PartsFault::Cut(RECORD + 24 + 16), PartsFault::Twice] {
+        // The column communicator's first internal tag.
+        let plan = fault.plan(0, 2, Some(-1));
+        let outcomes = with_deadline(60, move || {
+            Universe::run_with(Config::new(4).faults(plan), move |comm| {
+                let comm = Communicator::new(comm);
+                let grid = comm.make_grid().unwrap();
+                let send = vec![comm.rank() as u64; 4 * 4];
+                let got = grid.alltoallv(&send, &[4; 4]);
+                let next = grid.alltoallv(&send, &[4; 4]);
+                (got, next)
+            })
+        });
+        let whole: Vec<u64> = (0..4u64).flat_map(|r| [r; 4]).collect();
+        for (rank, outcome) in outcomes.into_iter().enumerate() {
+            let (got, next) = outcome.unwrap();
+            match (fault, rank) {
+                (PartsFault::Cut(_), 2) => {
+                    assert!(
+                        matches!(got, Err(MpiError::Truncated { .. })),
+                        "{fault:?}: {got:?}"
+                    )
+                }
+                _ => assert_eq!(got, Ok(whole.clone()), "{fault:?}, rank {rank}"),
+            }
+            assert_eq!(
+                next,
+                Ok(whole.clone()),
+                "{fault:?}, rank {rank}: the next exchange"
+            );
+        }
+    }
+}
