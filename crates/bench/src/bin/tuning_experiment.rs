@@ -6,17 +6,21 @@
 //! least one cell** (in-process, the thresholds were hand-set above a
 //! *cluster* model's crossovers — the machine underneath disagrees):
 //!
-//! - `rabenseifner_min_bytes` (128 KiB) parks the 64 KiB allreduce on
+//! - `rabenseifner_min_bytes` (64 KiB on powers of two) asks twice the
+//!   size off them, which parks the 64 KiB allreduce at p = 6 on
 //!   recursive doubling; Rabenseifner's reduce-scatter folds 1/p of the
-//!   vector per rank and wins wall time at every p,
+//!   vector per rank and wins wall time at 64 KiB at every p (the
+//!   power-of-two 64 KiB cells, which the rule now gives Rabenseifner,
+//!   are controls),
 //! - `bcast_scatter_min_bytes` (256 KiB) fires early: the
 //!   refcount-forwarding binomial tree still wins at 256 KiB
 //!   (van de Geijn's chunk pipeline only breaks even near 512 KiB),
 //! - `bruck_max_block_bytes` caps Bruck at 1 KiB blocks, but in-process
 //!   its log(p) rounds beat pairwise's p-1 mailbox rendezvous well past
 //!   the cap,
-//! - the allgather RD/Bruck caps route small blocks to the packing
-//!   algorithms where the refcount ring (or plain RD) wins.
+//! - the allgather ceiling (12 KiB per rank, one for both log-round
+//!   rows) routes small blocks to the rounds where the refcount ring
+//!   (or plain RD) wins.
 //!
 //! Per cell the harness measures every forced candidate, derives the
 //! measured-best algorithm, then runs static `Auto` and model-driven
@@ -398,12 +402,15 @@ fn main() {
     // right. (Near-crossover designed cells may still measure as ties
     // on a noisy run — the mix membership never moves with the noise.)
     let cells: Vec<(&'static str, usize, usize, bool)> = vec![
-        // rabenseifner_min_bytes = 128 KiB: 64 KiB rides recursive
-        // doubling, whose p*log(p) full-vector traffic loses to
-        // Rabenseifner's fold-1/p-per-rank at every p (~2x at p = 16).
-        ("allreduce", 4, 64 * 1024, true),
-        ("allreduce", 8, 64 * 1024, true),
-        ("allreduce", 16, 64 * 1024, true),
+        // rabenseifner_min_bytes = 64 KiB, twice that off powers of
+        // two: 64 KiB rides recursive doubling at p = 6, whose
+        // p*log(p) full-vector traffic loses to Rabenseifner's
+        // fold-1/p-per-rank at every p (~2x at p = 16). On powers of two
+        // the rule now picks Rabenseifner there: controls.
+        ("allreduce", 6, 64 * 1024, true),
+        ("allreduce", 4, 64 * 1024, false),
+        ("allreduce", 8, 64 * 1024, false),
+        ("allreduce", 16, 64 * 1024, false),
         ("allreduce", 4, 512 * 1024, false), // control: static already picks Rabenseifner
         // bcast_scatter_min_bytes = 256 KiB: the threshold fires
         // early — refcount-forwarding binomial still clearly wins at
@@ -420,10 +427,10 @@ fn main() {
         ("alltoall", 16, 2048, true),
         ("alltoall", 8, 4096, true),
         ("alltoall", 4, 16 * 1024, false), // control: pairwise, correctly
-        // allgather_rd_max_bytes = 8 KiB routes small power-of-two
-        // gathers to RD's packing copies (the ring wins in-process);
-        // allgather_bruck_max_bytes does the same on non-power-of-two
-        // communicators where RD/ring win.
+        // allgather_max_bytes = 12 KiB per rank routes small
+        // power-of-two gathers to RD's rounds (the ring wins
+        // in-process), and does the same for Bruck on
+        // non-power-of-two communicators where RD/ring win.
         ("allgather", 4, 2 * 1024, true),
         ("allgather", 6, 4 * 1024, true),
         ("allgather", 6, 8 * 1024, true),
@@ -433,9 +440,8 @@ fn main() {
         // The widest-gap adversarial cell(s) per threshold plus one
         // control per collective, so every assert still runs.
         let keep: &[(&str, usize, usize)] = &[
+            ("allreduce", 6, 64 * 1024),
             ("allreduce", 4, 64 * 1024),
-            ("allreduce", 8, 64 * 1024),
-            ("allreduce", 16, 64 * 1024),
             ("allreduce", 4, 512 * 1024),
             ("bcast", 4, 256 * 1024),
             ("bcast", 4, 16 * 1024),

@@ -250,6 +250,8 @@ mod tests {
 
     #[test]
     fn allgatherv_with_provided_counts_issues_no_extra_allgather() {
+        // Counts calls: a concurrent `Heavy` check would add its own.
+        let _g = crate::assertions::LEVEL_GUARD.lock().unwrap();
         Universe::run(3, |comm| {
             let comm = Communicator::new(comm);
             let mine = vec![comm.rank() as u8; 2];
@@ -269,6 +271,8 @@ mod tests {
 
     #[test]
     fn allgatherv_omitted_counts_is_one_call() {
+        // Counts calls: a concurrent `Heavy` check would add its own.
+        let _g = crate::assertions::LEVEL_GUARD.lock().unwrap();
         Universe::run(3, |comm| {
             let comm = Communicator::new(comm);
             let mine = vec![1u8; comm.rank()];
@@ -373,10 +377,9 @@ mod tests {
         use kmp_mpi::{CollTuning, MpiError};
         let _g = crate::assertions::LEVEL_GUARD.lock().unwrap();
         let prev = assertion_level();
-        // One `u16` per rank; 8 bytes in all sits at the ceiling.
-        let tuning = CollTuning::default()
-            .allgather_rd_max_bytes(8)
-            .allgather_bruck_max_bytes(8);
+        // One `u16` per rank: a mean block of 2 bytes sits at the
+        // ceiling, the straddling counts' 2.5 above it.
+        let tuning = CollTuning::default().allgather_max_bytes(2);
         set_assertion_level(AssertionLevel::Light);
         Universe::run(4, move |comm| {
             let comm = Communicator::new(comm);

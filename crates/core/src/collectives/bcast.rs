@@ -158,6 +158,8 @@ mod tests {
 
     #[test]
     fn bcast_counts_one_op() {
+        // Counts calls: a concurrent `Heavy` check would add its own.
+        let _g = crate::assertions::LEVEL_GUARD.lock().unwrap();
         Universe::run(2, |comm| {
             let comm = Communicator::new(comm);
             let mut data = vec![comm.rank() as u8];

@@ -152,6 +152,8 @@ mod tests {
 
     #[test]
     fn gatherv_omitted_counts_is_one_call() {
+        // Counts calls: a concurrent `Heavy` check would add its own.
+        let _g = crate::assertions::LEVEL_GUARD.lock().unwrap();
         Universe::run(2, |comm| {
             let comm = Communicator::new(comm);
             let mine = vec![1u8; comm.rank() + 1];

@@ -482,6 +482,8 @@ mod tests {
 
     #[test]
     fn iallgatherv_counts_discovered_without_exchange() {
+        // Counts calls: a concurrent `Heavy` check would add its own.
+        let _g = crate::assertions::LEVEL_GUARD.lock().unwrap();
         Universe::run(3, |comm| {
             let comm = Communicator::new(comm);
             let mine = vec![9u16; comm.rank()];

@@ -362,6 +362,8 @@ mod tests {
 
     #[test]
     fn persistent_allreduce_steady_state_issues_only_start() {
+        // Counts calls: a concurrent `Heavy` check would add its own.
+        let _g = crate::assertions::LEVEL_GUARD.lock().unwrap();
         Universe::run(4, |comm| {
             let comm = Communicator::new(comm);
             let mut sum = comm
@@ -397,7 +399,7 @@ mod tests {
         });
     }
 
-    /// Contributions on both sides of the 8 KiB log-round ceiling at
+    /// Contributions on both sides of the 12 KiB log-round ceiling at
     /// p = 4: every rank freezes the same recursive doubling, whose
     /// rounds carry the small blocks while the large ones go direct, and
     /// each cycle delivers every block with its own length.

@@ -8,9 +8,12 @@
 //! same total volume. A round's message is the block group itself: its
 //! blocks travel as the parts of one message (refcount views of the
 //! blocks this rank holds, never packed), and the `Auto` selection
-//! keeps the algorithm to small contributions for the rounds' volume
-//! alone (see
-//! [`CollTuning::allgather_rd_max_bytes`](super::CollTuning)).
+//! keeps the algorithm to blocks within one per-rank ceiling, where the
+//! startups it saves outweigh the rounds' serialized volume (see
+//! [`CollTuning::allgather_max_bytes`](super::CollTuning)). The same
+//! engine, over ranks `0..p` on one tag, is the allgather phase of
+//! Rabenseifner's allreduce when its chunks are within that ceiling
+//! ([`RecursiveDoubling::chunks`]).
 //!
 //! **Bruck:** the same `ceil(log2 p)` startup count without the
 //! power-of-two restriction. Every rank keeps its accumulated blocks
@@ -20,8 +23,7 @@
 //! `i` holds the block that originated at rank `(rank + i) mod p` — one
 //! index rotation puts everything in rank order. Every round forwards
 //! its blocks as the parts of one message, like recursive doubling, and
-//! it is gated to the latency regime the same way
-//! ([`CollTuning::allgather_bruck_max_bytes`](super::CollTuning)).
+//! it is gated to the latency regime by the same ceiling.
 //!
 //! In both algorithms incoming groups are carved into per-origin blocks
 //! by refcount slicing, copy-free, along one byte [`Layout`]. An agreed
@@ -30,9 +32,9 @@
 //! layout in the rounds: round 0's message is the bare own block, so
 //! its length is the message's, and every later message leads with one
 //! `u64` length per origin of its group, a small part of its own. A
-//! block rides in the rounds iff `p` times its length is within the
-//! row's ceiling — the counted call's total rule, applied per origin,
-//! so every rank decides alike from the lengths it learns. A larger
+//! block rides in the rounds iff its length is within the per-rank
+//! ceiling — the rule every allgather form applies to its bytes per
+//! rank, so every rank decides alike from the lengths it learns. A larger
 //! block travels in the rounds as its length only: its origin sends it
 //! straight to every rank but its round-0 partner when the cycle
 //! starts, on round 0's tag, and each rank receives those blocks once
@@ -51,6 +53,8 @@
 //! drives it to completion on the stack, `iallgather` resumes it on
 //! `test`/`wait`.
 
+use std::borrow::Cow;
+
 use bytes::Bytes;
 
 use crate::collectives::nonblocking::Rounds;
@@ -61,9 +65,52 @@ use crate::message::{Cursor, Parts};
 use crate::request::Completion;
 use crate::{Rank, Tag};
 
-/// One tag per round, allocated in the same order on every rank.
-fn round_tags(comm: &Comm, rounds: u32) -> Vec<Tag> {
-    (0..rounds).map(|_| comm.next_internal_tag()).collect()
+/// The rounds' tags: round `k`'s is the internal tag `k · stride`
+/// allocations after `first` — a fresh tag per round (stride 1), or one
+/// tag for every round (stride 0). A call allocates none.
+#[derive(Clone, Copy)]
+struct RoundTags {
+    first: Tag,
+    len: usize,
+    stride: usize,
+}
+
+impl RoundTags {
+    /// One fresh tag per round, allocated in the same order on every
+    /// rank.
+    fn fresh(comm: &Comm, rounds: u32) -> Self {
+        let mut tags = (0..rounds).map(|_| comm.next_internal_tag());
+        let first = tags.next().unwrap_or_default();
+        tags.for_each(drop);
+        RoundTags {
+            first,
+            len: rounds as usize,
+            stride: 1,
+        }
+    }
+
+    /// `tag` for every one of `rounds` rounds.
+    fn same(tag: Tag, rounds: u32) -> Self {
+        RoundTags {
+            first: tag,
+            len: rounds as usize,
+            stride: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Round `k`'s tag, if there is a round `k`.
+    fn get(&self, k: usize) -> Option<Tag> {
+        (k < self.len).then(|| Comm::internal_tag_after(self.first, k * self.stride))
+    }
+
+    /// Round `k`'s tag, of a round that exists.
+    fn at(&self, k: usize) -> Tag {
+        self.get(k).expect("the engine has round `k`")
+    }
 }
 
 /// Bytes of one block length in a learned group's header.
@@ -71,13 +118,13 @@ const LEN: usize = std::mem::size_of::<u64>();
 
 /// What every rank knows of an allgather's block sizes, in bytes: what
 /// its plan selects the row on.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub(crate) enum BlockSizes<'a> {
     /// Every rank contributes as much as this one (`MPI_Allgather`).
     Equal,
     /// The agreed bytes of each origin's block, one entry per rank (a
-    /// counted `allgatherv`).
-    Counted(&'a [usize]),
+    /// counted `allgatherv`); owned ones become the engine's layout.
+    Counted(Cow<'a, [usize]>),
     /// Nothing but its own (the self-sizing `allgatherv`s): the
     /// latency rows learn the others' lengths in their rounds.
     Learned,
@@ -92,8 +139,11 @@ enum Kind {
     /// The agreed counts.
     Counted,
     /// Read off this cycle's messages; a block rides in the rounds iff
-    /// `p · len <= ceiling`, the row's ceiling.
+    /// `len <= ceiling`, the per-rank ceiling.
     Learned { ceiling: usize },
+    /// The agreed split of one payload (an allgather phase's chunks): a
+    /// group of another length is a message cut short.
+    Chunks,
 }
 
 /// The bytes of every origin's block, which both engines carve received
@@ -113,7 +163,7 @@ impl Layout {
     fn new(p: usize, sizes: BlockSizes<'_>, ceiling: usize) -> Self {
         let (bytes, kind) = match sizes {
             BlockSizes::Equal => (vec![0; p], Kind::Equal),
-            BlockSizes::Counted(counts) => (counts.to_vec(), Kind::Counted),
+            BlockSizes::Counted(counts) => (counts.into_owned(), Kind::Counted),
             BlockSizes::Learned => (vec![0; p], Kind::Learned { ceiling }),
         };
         Layout {
@@ -124,10 +174,20 @@ impl Layout {
         }
     }
 
+    /// An allgather phase's chunks of `bytes[r]` bytes each.
+    fn chunks(bytes: Vec<usize>) -> Self {
+        Layout {
+            bytes,
+            kind: Kind::Chunks,
+            direct: Vec::new(),
+            failed: None,
+        }
+    }
+
     fn seed(&mut self, rank: Rank, own: &Bytes) {
         match self.kind {
             Kind::Equal => self.bytes.fill(own.len()),
-            Kind::Counted => {}
+            Kind::Counted | Kind::Chunks => {}
             Kind::Learned { .. } => self.bytes[rank] = own.len(),
         }
         self.direct.clear();
@@ -141,10 +201,8 @@ impl Layout {
     /// Whether a block of `len` bytes rides in the rounds' messages.
     fn inline(&self, len: usize) -> bool {
         match self.kind {
-            Kind::Learned { ceiling } => {
-                (len.checked_mul(self.bytes.len())).is_some_and(|total| total <= ceiling)
-            }
-            Kind::Equal | Kind::Counted => true,
+            Kind::Learned { ceiling } => len <= ceiling,
+            Kind::Equal | Kind::Counted | Kind::Chunks => true,
         }
     }
 
@@ -175,7 +233,8 @@ impl Layout {
     /// into per-origin refcount sub-views handed to `put` in order (an
     /// empty one for a block that travels direct). A group of any other
     /// length means the ranks disagree on the layout (MPI's contract for
-    /// both agreed calls): the first such group is recorded, and the
+    /// both agreed calls), or, for chunks, that a message was cut short:
+    /// the first such group is recorded, and the
     /// rounds go on with the whole group as its first origin's block.
     /// What this rank forwards then still holds every byte it received,
     /// so a partner that agrees with the group's true sizes carves it
@@ -195,7 +254,14 @@ impl Layout {
         let expected: usize = origins.clone().map(|o| self.bytes[o]).sum();
         if incoming.len() != expected {
             let got = incoming.len();
+            let cut = matches!(self.kind, Kind::Chunks);
             self.failed.get_or_insert_with(|| {
+                if cut {
+                    return MpiError::Truncated {
+                        message_bytes: got,
+                        buffer_bytes: expected,
+                    };
+                }
                 MpiError::InvalidLayout(format!(
                     "allgather ({what}): round {k} delivered {got} bytes, expected {expected} \
                      — unequal contributions, or counts that differ across ranks?"
@@ -270,8 +336,10 @@ impl Layout {
             .map(|len| u64::from_le_bytes(len.try_into().expect("LEN bytes")))
             .map(|len| usize::try_from(len).unwrap_or(usize::MAX))
             .collect();
-        // Each inline length is at most `ceiling / p`: the sum fits.
-        let body: usize = lens.iter().filter(|&&len| self.inline(len)).sum();
+        // The lengths come off the wire: a sum past `usize::MAX`
+        // saturates, and cannot match what the group carries.
+        let inline = lens.iter().filter(|&&len| self.inline(len));
+        let body = inline.fold(0usize, |sum, &len| sum.saturating_add(len));
         if got - head != body {
             return Err(format!(
                 "carries {} block bytes, but its header announces {body}",
@@ -330,7 +398,7 @@ impl Layout {
     fn all_peers(
         &self,
         comm: &Comm,
-        tags: &[Tag],
+        tags: &RoundTags,
         peer: impl Fn(usize) -> (Rank, Tag),
         out: &mut Vec<(Rank, Tag)>,
     ) {
@@ -338,7 +406,7 @@ impl Layout {
         if !self.learned() {
             return out.extend((0..tags.len()).map(peer));
         }
-        out.extend((1..p).map(|d| ((rank + d) % p, tags[0])));
+        out.extend((1..p).map(|d| ((rank + d) % p, tags.at(0))));
         out.extend((1..tags.len()).map(peer));
     }
 
@@ -353,8 +421,9 @@ impl Layout {
 /// power of two (the selection engine guarantees this); completes with
 /// one block per origin rank.
 pub(crate) struct RecursiveDoubling {
-    tags: Vec<Tag>,
-    /// By origin rank; empty until that origin's group arrived.
+    tags: RoundTags,
+    /// By origin rank; empty until that origin's group arrived. Handed
+    /// out whole by `finish`, and made again by the next `seed`.
     blocks: Vec<Bytes>,
     layout: Layout,
 }
@@ -363,12 +432,38 @@ impl RecursiveDoubling {
     pub(crate) fn new(comm: &Comm, sizes: BlockSizes<'_>) -> Self {
         let p = comm.size();
         debug_assert!(p.is_power_of_two(), "selection gates RD to power-of-two p");
-        let ceiling = comm.tuning().allgather_rd_max_bytes;
+        let ceiling = comm.tuning().allgather_max_bytes;
         RecursiveDoubling {
-            tags: round_tags(comm, p.trailing_zeros()),
-            blocks: vec![Bytes::new(); p],
+            tags: RoundTags::fresh(comm, p.trailing_zeros()),
+            blocks: Vec::new(),
             layout: Layout::new(p, sizes, ceiling),
         }
+    }
+
+    /// The allgather phase of Rabenseifner's allreduce: ranks `0..p`,
+    /// `p = bytes.len()` a power of two, each seed chunk `rank` of
+    /// `bytes[rank]` bytes, and every round runs on `tag` (its partners
+    /// differ). It is the reverse of the halving: round `k` pairs
+    /// `rank ^ 2^k`. A chunk of another length is
+    /// [`MpiError::Truncated`] on every rank it reaches: the rank that
+    /// received it cut short, and every rank it forwards the chunk to,
+    /// directly or through later rounds.
+    pub(crate) fn chunks(tag: Tag, bytes: Vec<usize>) -> Self {
+        let p = bytes.len();
+        debug_assert!(p.is_power_of_two(), "a phase doubles over a power of two");
+        RecursiveDoubling {
+            tags: RoundTags::same(tag, p.trailing_zeros()),
+            blocks: Vec::new(),
+            layout: Layout::chunks(bytes),
+        }
+    }
+
+    /// Every origin's block, once the rounds are absorbed, or the
+    /// cycle's layout error.
+    pub(crate) fn gathered(&mut self) -> Result<Vec<Bytes>> {
+        let blocks = std::mem::take(&mut self.blocks);
+        self.layout.finish()?;
+        Ok(blocks)
     }
 
     /// Round `k`'s partner, and the first origin of the `2^k`-aligned
@@ -382,6 +477,7 @@ impl RecursiveDoubling {
 impl Rounds for RecursiveDoubling {
     fn seed(&mut self, comm: &Comm, own: Bytes) {
         self.layout.seed(comm.rank(), &own);
+        self.blocks = vec![Bytes::new(); self.layout.bytes.len()];
         self.blocks[comm.rank()] = own;
     }
 
@@ -391,8 +487,8 @@ impl Rounds for RecursiveDoubling {
 
     fn peer(&self, comm: &Comm, k: usize) -> (Rank, Tag) {
         match k.checked_sub(self.tags.len()) {
-            None => (Self::group(comm.rank(), k).0, self.tags[k]),
-            Some(j) => (self.layout.direct[j], self.tags[0]),
+            None => (Self::group(comm.rank(), k).0, self.tags.at(k)),
+            Some(j) => (self.layout.direct[j], self.tags.at(0)),
         }
     }
 
@@ -402,7 +498,7 @@ impl Rounds for RecursiveDoubling {
     }
 
     fn post(&mut self, comm: &Comm, k: usize) -> Result<()> {
-        let Some(&tag) = self.tags.get(k) else {
+        let Some(tag) = self.tags.get(k) else {
             return Ok(()); // a direct block: its origin sent it at round 0
         };
         let (partner, base, group) = Self::group(comm.rank(), k);
@@ -435,9 +531,7 @@ impl Rounds for RecursiveDoubling {
     }
 
     fn finish(&mut self, _comm: &Comm) -> Result<Completion> {
-        let blocks = self.blocks.iter_mut().map(std::mem::take).collect();
-        self.layout.finish()?;
-        Ok(Completion::Blocks(blocks))
+        self.gathered().map(Completion::Blocks)
     }
 }
 
@@ -446,7 +540,8 @@ impl Rounds for RecursiveDoubling {
 /// 2^k)` accumulated blocks to `rank - 2^k` and appends the same count
 /// from `rank + 2^k`. Completion rotates back into rank order.
 pub(crate) struct BruckAllgather {
-    tags: Vec<Tag>,
+    tags: RoundTags,
+    /// Handed out whole by `finish`, and made again by the next `seed`.
     local: Vec<Bytes>,
     layout: Layout,
 }
@@ -454,10 +549,10 @@ pub(crate) struct BruckAllgather {
 impl BruckAllgather {
     pub(crate) fn new(comm: &Comm, sizes: BlockSizes<'_>) -> Self {
         let p = comm.size();
-        let ceiling = comm.tuning().allgather_bruck_max_bytes;
+        let ceiling = comm.tuning().allgather_max_bytes;
         BruckAllgather {
-            tags: round_tags(comm, p.next_power_of_two().trailing_zeros()),
-            local: Vec::with_capacity(p),
+            tags: RoundTags::fresh(comm, p.next_power_of_two().trailing_zeros()),
+            local: Vec::new(),
             layout: Layout::new(p, sizes, ceiling),
         }
     }
@@ -472,7 +567,7 @@ impl BruckAllgather {
 impl Rounds for BruckAllgather {
     fn seed(&mut self, comm: &Comm, own: Bytes) {
         self.layout.seed(comm.rank(), &own);
-        self.local.clear();
+        self.local = Vec::with_capacity(comm.size());
         self.local.push(own);
     }
 
@@ -482,8 +577,8 @@ impl Rounds for BruckAllgather {
 
     fn peer(&self, comm: &Comm, k: usize) -> (Rank, Tag) {
         match k.checked_sub(self.tags.len()) {
-            None => ((comm.rank() + (1usize << k)) % comm.size(), self.tags[k]),
-            Some(j) => (self.layout.direct[j], self.tags[0]),
+            None => ((comm.rank() + (1usize << k)) % comm.size(), self.tags.at(k)),
+            Some(j) => (self.layout.direct[j], self.tags.at(0)),
         }
     }
 
@@ -493,7 +588,7 @@ impl Rounds for BruckAllgather {
     }
 
     fn post(&mut self, comm: &Comm, k: usize) -> Result<()> {
-        let Some(&tag) = self.tags.get(k) else {
+        let Some(tag) = self.tags.get(k) else {
             return Ok(()); // a direct block: its origin sent it at round 0
         };
         let (p, rank) = (comm.size(), comm.rank());
@@ -532,11 +627,9 @@ impl Rounds for BruckAllgather {
         self.layout.finish()?;
         // Inverse rotation: origin `o`'s block sits at local index
         // `(o - rank) mod p`.
-        Ok(Completion::Blocks(
-            (0..p)
-                .map(|origin| self.local[(origin + p - rank) % p].clone())
-                .collect(),
-        ))
+        let mut blocks = std::mem::take(&mut self.local);
+        blocks.rotate_right(rank);
+        Ok(Completion::Blocks(blocks))
     }
 }
 
@@ -544,9 +637,9 @@ impl Rounds for BruckAllgather {
 mod tests {
     use super::*;
 
-    /// Round 1 of a learned exchange at p = 4 under a 64-byte ceiling
-    /// (inline iff `len <= 16`): the group of origins 2 and 3, lengths
-    /// 3 (inline) and 100 (direct), then the 3 inline bytes.
+    /// Round 1 of a learned exchange at p = 4 under a 16-byte ceiling:
+    /// the group of origins 2 and 3, lengths 3 (inline) and 100
+    /// (direct), then the 3 inline bytes.
     fn group() -> Vec<u8> {
         let mut msg: Vec<u8> = [3u64, 100].iter().flat_map(|l| l.to_le_bytes()).collect();
         msg.extend([7, 8, 9]);
@@ -554,7 +647,7 @@ mod tests {
     }
 
     fn carve(msg: Vec<u8>) -> (Layout, Vec<(Rank, Bytes)>) {
-        let mut layout = Layout::new(4, BlockSizes::Learned, 64);
+        let mut layout = Layout::new(4, BlockSizes::Learned, 16);
         layout.seed(0, &Bytes::from(vec![1u8]));
         let mut got = Vec::new();
         let incoming = Parts::from(Bytes::from(msg));
@@ -562,6 +655,24 @@ mod tests {
             got.push((o, b))
         });
         (layout, got)
+    }
+
+    /// Fresh round tags are the tags allocated in turn, past the wrap
+    /// back to `-1` too; the same tag serves every round.
+    #[test]
+    fn round_tags_are_the_tags_allocated_in_turn() {
+        crate::Universe::run(1, |comm| {
+            let tags = RoundTags::fresh(&comm, 3);
+            let next = comm.next_internal_tag();
+            let want = [-1, -2, -3];
+            assert_eq!([0, 1, 2].map(|k| tags.at(k)), want);
+            assert_eq!((tags.len(), tags.get(3), next), (3, None, -4));
+        });
+        let last = -(i32::MAX - 1);
+        assert_eq!(Comm::internal_tag_after(last, 1), -1);
+        assert_eq!(Comm::internal_tag_after(-2, i32::MAX as usize - 1), -2);
+        let same = RoundTags::same(-7, 2);
+        assert_eq!((same.at(0), same.at(1), same.get(2)), (-7, -7, None));
     }
 
     #[test]

@@ -9,12 +9,18 @@
 //! recursive doubling the whole vector with `rank ^ 2^j`, Rabenseifner's
 //! recursive-halving reduce-scatter the half of its working range it
 //! gives up with `rank ^ (p2 >> (j + 1))`, until it holds chunk `rank`.
-//! The allgather is one eager exchange: each rank posts its chunk to the
-//! other `p2 - 1` at once, as refcount clones in the pairwise rotation
-//! `rank + 1, rank + 2, …`, receives each chunk straight from its
-//! origin in the order that rotation delivers them, and assembles them
-//! once. Its `p2 - 1` receives are one round on the critical path, not
-//! `p2 - 1` dependent hops.
+//! The allgather phase is chosen per cycle by the allgather's own
+//! static rule on the mean chunk `s / p2`
+//! ([`phase_doubles`](super::table::phase_doubles)). Within the ceiling it is
+//! the reverse of the halving: `log2 p2` recursive-doubling rounds with
+//! `rank ^ 2^k`, each group of chunks forwarded as the parts of one
+//! message ([`RecursiveDoubling::chunks`]). Above it, it is one eager
+//! exchange: each rank posts its chunk to the other `p2 - 1` at once,
+//! as refcount clones in the pairwise rotation `rank + 1, rank + 2, …`,
+//! and receives each chunk straight from its origin in the order that
+//! rotation delivers them — `p2 - 1` receives in one round on the
+//! critical path, not `p2 - 1` dependent hops. Either way the chunks
+//! are assembled once.
 //!
 //! A fold writes only into a vector no peer reads. A vector given away
 //! — a high rank's, or the copy doubling's first step sends when it is
@@ -30,6 +36,8 @@ use std::ops::Range;
 
 use bytes::Bytes;
 
+use super::allgather::RecursiveDoubling;
+use super::table::phase_doubles;
 use super::{fold_bytes_right, fold_payloads, AllreduceAlgo};
 use crate::collectives::nonblocking::{message_completion, Rounds};
 use crate::collectives::{fan_out, send_internal};
@@ -71,9 +79,16 @@ pub(crate) struct Allreduce<T, O> {
     /// A vector of `n` elements no peer reads, for the last doubling
     /// step to fold into: the contribution, once read for the last time.
     spare: Option<Vec<T>>,
-    /// The reduced chunks by index, filled by the allgather (this rank's
-    /// own is `acc` until `finish`).
+    /// [`CollTuning::allgather_max_bytes`](super::CollTuning) when the
+    /// engine was built: what the allgather phase is chosen by.
+    ceiling: usize,
+    /// The eager allgather's reduced chunks by index (this rank's own
+    /// is `acc` until `finish`).
     chunks: Vec<Bytes>,
+    /// The doubling allgather phase, when this cycle's chunk is within
+    /// the ceiling (chosen at `seed`; until the first, `all_peers`
+    /// names the eager phase's sources, every rank).
+    doubling: Option<RecursiveDoubling>,
 }
 
 impl<T: Plain, O: ReduceOp<T>> Allreduce<T, O> {
@@ -100,13 +115,41 @@ impl<T: Plain, O: ReduceOp<T>> Allreduce<T, O> {
             range: 0..p2,
             acc: Bytes::new(),
             spare: None,
+            ceiling: comm.tuning().allgather_max_bytes,
             chunks: Vec::new(),
+            doubling: None,
         }
     }
 
     /// Main-phase steps: log2 p2.
     fn steps(&self) -> usize {
         self.p2.trailing_zeros() as usize
+    }
+
+    /// The allgather phase's receives.
+    fn gather_rounds(&self) -> usize {
+        match &self.doubling {
+            _ if !self.halving => 0,
+            None => self.p2 - 1,
+            Some(_) => self.steps(),
+        }
+    }
+
+    /// The allgather phase for this cycle's `n` elements: recursive
+    /// doubling over chunk `i`'s `n·i / p2`-aligned bytes when the mean
+    /// chunk is within the ceiling, else the eager exchange.
+    fn plan_gather(&mut self) {
+        let (n, p2, elem) = (self.n, self.p2, std::mem::size_of::<T>());
+        let doubles = phase_doubles(self.ceiling, p2, n * elem);
+        self.chunks = if doubles {
+            Vec::new()
+        } else {
+            vec![Bytes::new(); p2]
+        };
+        self.doubling = doubles.then(|| {
+            let bytes = (0..p2).map(|i| (n * (i + 1) / p2 - n * i / p2) * elem);
+            RecursiveDoubling::chunks(self.tags[2], bytes.collect())
+        });
     }
 
     /// Step `j`'s partner, and what of the working range this rank keeps
@@ -136,11 +179,10 @@ impl<T: Plain, O: ReduceOp<T>> Allreduce<T, O> {
         Some(j.checked_sub(self.steps()).map_or(Ok(j), Err))
     }
 
-    /// The origin of the chunk allgather round `k` receives: the `h`-th
-    /// of the last `p2 - 1` rounds takes the chunk of `rank - 1 - h`,
-    /// whose rotation reaches this rank with its `h`-th send.
-    fn origin(&self, rank: Rank, k: usize) -> Rank {
-        let h = k + self.p2 - 1 - self.rounds();
+    /// The origin of the chunk the eager allgather's `h`-th receive
+    /// takes: that of `rank - 1 - h`, whose rotation reaches this rank
+    /// with its `h`-th send.
+    fn origin(&self, rank: Rank, h: usize) -> Rank {
         (rank + self.p2 - 1 - h) % self.p2
     }
 
@@ -186,12 +228,12 @@ impl<T: Plain, O: ReduceOp<T>> Rounds for Allreduce<T, O> {
         self.range = 0..self.p2;
         self.acc = payload;
         if self.halving {
-            self.chunks = vec![Bytes::new(); self.p2];
+            self.plan_gather();
         }
     }
 
     fn rounds(&self) -> usize {
-        let gather = if self.halving { self.p2 - 1 } else { 0 };
+        let gather = self.gather_rounds();
         match self.fixup {
             Fixup::High(_) => 1,
             Fixup::Low(_) => 1 + self.steps() + gather,
@@ -205,7 +247,11 @@ impl<T: Plain, O: ReduceOp<T>> Rounds for Allreduce<T, O> {
             (Fixup::High(low), _) => (low, result_tag),
             (Fixup::Low(high), None) => (high, fixup_tag),
             (_, Some(Ok(j))) => (self.halves(comm.rank(), j).0, step_tag),
-            _ => (self.origin(comm.rank(), k), gather_tag),
+            (_, Some(Err(h))) => match &self.doubling {
+                None => (self.origin(comm.rank(), h), gather_tag),
+                Some(rd) => rd.peer(comm, h),
+            },
+            (Fixup::None, None) => unreachable!("only a low rank has a fold-in round"),
         }
     }
 
@@ -216,7 +262,17 @@ impl<T: Plain, O: ReduceOp<T>> Rounds for Allreduce<T, O> {
             (Fixup::High(low), _) => {
                 send_internal(comm, low, fixup_tag, std::mem::take(&mut self.acc))
             }
-            (_, None) | (_, Some(Err(1..))) => Ok(()),
+            (_, None) => Ok(()),
+            (_, Some(Err(h))) => match &mut self.doubling {
+                None if h == 0 => fan_out(comm, self.p2, gather_tag, &self.acc),
+                None => Ok(()),
+                Some(rd) => {
+                    if h == 0 {
+                        rd.seed(comm, self.acc.clone());
+                    }
+                    rd.post(comm, h)
+                }
+            },
             (_, Some(Ok(j))) => {
                 let (partner, _, give) = self.halves(rank, j);
                 let msg = match j {
@@ -225,26 +281,30 @@ impl<T: Plain, O: ReduceOp<T>> Rounds for Allreduce<T, O> {
                 };
                 send_internal(comm, partner, step_tag, msg)
             }
-            (_, Some(Err(0))) => fan_out(comm, self.p2, gather_tag, &self.acc),
         }
     }
 
     fn absorb(&mut self, comm: &Comm, k: usize, theirs: Parts) -> Result<()> {
-        let (rank, theirs) = (comm.rank(), theirs.into_bytes());
+        let rank = comm.rank();
         match (self.fixup, self.phase(k)) {
-            (Fixup::High(_), _) => self.acc = theirs,
-            (_, Some(Err(_))) => {
-                let origin = self.origin(rank, k);
-                self.chunks[origin] = theirs;
+            (Fixup::High(_), _) => self.acc = theirs.into_bytes(),
+            (_, Some(Err(h))) => {
+                let origin = self.origin(rank, h);
+                match &mut self.doubling {
+                    None => self.chunks[origin] = theirs.into_bytes(),
+                    Some(rd) => rd.absorb(comm, h, theirs)?,
+                }
             }
-            (_, None) => self.fold_into_received(theirs)?,
-            (_, Some(Ok(0))) if self.gives_copy() => self.fold_into_received(theirs)?,
+            (_, None) => self.fold_into_received(theirs.into_bytes())?,
+            (_, Some(Ok(0))) if self.gives_copy() => {
+                self.fold_into_received(theirs.into_bytes())?
+            }
             (_, Some(Ok(j))) => {
                 let keep = self.halves(rank, j).1;
                 let last = !self.halving && j + 1 == self.steps();
                 let into = if last { self.spare.take() } else { None };
                 let mine = &self.acc[self.in_acc(keep.clone())];
-                let folded = fold_payloads(mine, &theirs, &self.op, into)?;
+                let folded = fold_payloads(mine, &theirs.into_bytes(), &self.op, into)?;
                 (self.acc, self.range) = (bytes_from_vec(folded), keep);
             }
         }
@@ -259,8 +319,13 @@ impl<T: Plain, O: ReduceOp<T>> Rounds for Allreduce<T, O> {
             return Ok(message_completion(low, result_tag, result));
         }
         if self.halving {
-            self.chunks[rank] = result;
-            let chunks = std::mem::take(&mut self.chunks);
+            let chunks = match &mut self.doubling {
+                None => {
+                    self.chunks[rank] = result;
+                    std::mem::take(&mut self.chunks)
+                }
+                Some(rd) => rd.gathered()?,
+            };
             result = bytes_from_vec(Delivered::<T>::Blocks(chunks).into_vec(Layout::default())?);
         }
         if let Fixup::Low(high) = self.fixup {
@@ -276,7 +341,7 @@ mod tests {
     use crate::collectives::nonblocking::{drive, RoundEngine};
     use crate::op::Sum;
     use crate::plain::bytes_from_slice;
-    use crate::Universe;
+    use crate::{CollTuning, Universe};
 
     /// Both rows agree with the oracle on every communicator size,
     /// including non-powers-of-two and vectors shorter than p, and
@@ -305,6 +370,48 @@ mod tests {
                     }
                 });
             }
+        }
+    }
+
+    /// Rabenseifner's allgather phase either way — a chunk within the
+    /// ceiling doubles, a larger one takes the eager exchange — at p = 4
+    /// and 8, in every lifecycle: blocking, `iallreduce` and two cycles
+    /// of one `allreduce_init`.
+    #[test]
+    fn rabenseifner_gathers_in_either_phase_in_every_lifecycle() {
+        const CEILING: usize = 64;
+        for p in [4usize, 8] {
+            Universe::run(p, move |comm| {
+                let rab = AllreduceAlgo::Rabenseifner;
+                comm.set_tuning(
+                    CollTuning::default()
+                        .allreduce(rab)
+                        .allgather_max_bytes(CEILING),
+                );
+                // 8 elements: chunks of 16 or 8 bytes; 256: 512 or 256.
+                for n in [8usize, 256] {
+                    let rank = comm.rank() as u64;
+                    let mine: Vec<u64> = (0..n as u64).map(|i| rank * 1000 + i).collect();
+                    let expected: Vec<u64> = (0..n as u64)
+                        .map(|i| (0..p as u64).map(|r| r * 1000 + i).sum())
+                        .collect();
+                    let doubling = 8 * n / p <= CEILING;
+                    let mut engine = Allreduce::<u64, _>::new(&comm, Sum, rab);
+                    engine.seed(&comm, bytes_from_slice(&mine));
+                    let at = format!("p = {p}, n = {n}, doubling: {doubling}");
+                    assert_eq!(engine.doubling.is_some(), doubling, "{at}");
+                    let flat = |done: Completion| -> Vec<u64> { done.into_vec().unwrap().0 };
+                    assert_eq!(comm.allreduce_vec(&mine, Sum).unwrap(), expected, "{at}");
+                    let req = comm.iallreduce(&mine, Sum).unwrap();
+                    assert_eq!(flat(req.wait().unwrap()), expected, "{at}, iallreduce");
+                    let mut plan = comm.allreduce_init(&mine, Sum).unwrap();
+                    for cycle in 0..2 {
+                        plan.start().unwrap();
+                        let got = flat(plan.wait().unwrap());
+                        assert_eq!(got, expected, "{at}, allreduce_init cycle {cycle}");
+                    }
+                }
+            });
         }
     }
 }

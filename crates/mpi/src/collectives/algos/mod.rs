@@ -148,6 +148,17 @@ pub enum ReduceAlgo {
     FlatGather,
 }
 
+/// The default [`CollTuning::allgather_max_bytes`]. Both log-round rows
+/// trade the fan-out's `p - 1` startups for `log2 p` serialized rounds
+/// that carry `(p - 1)·s` between them; since they forward parts, they
+/// copy what the fan-out copies, so the ceiling is that trade alone.
+/// Under the cluster model the dry-run crossover is ~9, 12, 14, 15 and
+/// 16 KiB per rank at p = 4, 8, 16, 32 and 64 (the alpha-beta closed
+/// form agrees; [`table`] holds the audited table): 12 KiB stays within
+/// 10 % + 1 us of the fan-out at p = 4 and keeps a 16 KiB block eager at
+/// p = 16.
+pub(crate) const ALLGATHER_MAX_BYTES: usize = 12 * 1024;
+
 /// Per-communicator collective tuning policy.
 ///
 /// Stored on every [`Comm`](crate::Comm) (inherited by `dup`/`split`)
@@ -185,7 +196,8 @@ pub struct CollTuning {
     /// nothing).
     pub neighborhood_dense_min_degree_pct: usize,
     /// `Auto` switches allreduce to Rabenseifner at this many payload
-    /// bytes per rank (and `p >= 4`).
+    /// bytes per rank on a power of two, at twice as many on any other
+    /// `p` (and `p >= 4`).
     pub rabenseifner_min_bytes: usize,
     /// `Auto` switches sized broadcasts to scatter+allgather at this
     /// many payload bytes (and `p >= 4`).
@@ -193,21 +205,18 @@ pub struct CollTuning {
     /// `Auto` switches alltoall to Bruck at or below this many bytes
     /// per block (and `p >= 4`).
     pub bruck_max_block_bytes: usize,
-    /// `Auto` switches allgather to recursive doubling at or below this
-    /// many contribution bytes per rank (and `p >= 4`, power of two).
-    /// A counted `allgatherv`'s variable blocks are compared by their
-    /// total instead (MPICH's `tot_bytes` rule); a self-sizing
-    /// `allgatherv` applies that rule per block: a block rides in the
-    /// rounds iff `p` times its length is within this ceiling, and
-    /// travels direct otherwise.
-    pub allgather_rd_max_bytes: usize,
-    /// `Auto` switches allgather to Bruck at or below this many
-    /// contribution bytes per rank on non-power-of-two communicators
-    /// (`p >= 4`) — the latency regime recursive doubling cannot serve
-    /// there. A counted `allgatherv`'s variable blocks are compared by
-    /// their total instead, a self-sizing one's per block (see
-    /// [`allgather_rd_max_bytes`](Self::allgather_rd_max_bytes)).
-    pub allgather_bruck_max_bytes: usize,
+    /// `Auto` runs the allgather's log-round rows at or below this many
+    /// bytes per rank (and `p >= 4`): recursive doubling on a power of
+    /// two, Bruck on any other `p`; the eager fan-out above it. Every
+    /// form compares bytes per rank: an equal-block allgather its
+    /// contribution, a counted `allgatherv` its mean block (the total
+    /// over `p`), a self-sizing one each block, which rides in the
+    /// rounds iff its length is within this ceiling and travels direct
+    /// otherwise. Rabenseifner's allreduce applies the same rule to its
+    /// mean chunk: within the ceiling its allgather phase is recursive
+    /// doubling, above it the eager exchange. (Van de Geijn's broadcast
+    /// always gathers eagerly.)
+    pub allgather_max_bytes: usize,
     /// Online measured cost model configuration (see [`model`]). With
     /// [`ModelConfig::drive`] off (the default) every `Auto` selection
     /// above is decided purely by the static thresholds and the model
@@ -229,18 +238,19 @@ impl Default for CollTuning {
             // internal tag; near-complete graphs go dense.
             neighborhood_dense_min_degree_pct: 90,
             // Crossover points from dry runs under the cluster cost
-            // model (alpha = 1.5 us, beta = 0.1 ns/B). Rabenseifner,
-            // whose allgather is one eager round, overtakes recursive
-            // doubling at ~49, 61, 89, 137 and 221 KiB for p = 4, 8,
-            // 16, 32 and 64 (109 KiB at p = 12); at p in {5, 6} the
-            // fix-up's full-vector hand-back dominates and it stays
-            // 4-5 us behind doubling at every size. 128 KiB lies in
-            // its winning regime for p in {4, 8, 16}, and costs at most
-            // 3 us at p = 32; p = 64 (137 against 89 us) and p in
-            // {5, 6} are known gaps.
+            // model (alpha = 1.5 us, beta = 0.1 ns/B; the table in
+            // [`table`] is the audited one). Rabenseifner, whose
+            // allgather doubles while its chunk is within
+            // `allgather_max_bytes`, overtakes recursive doubling at
+            // ~49, 43, 34, 29 and 27 KiB for p = 4, 8, 16, 32 and 64:
+            // 64 KiB lies in its winning regime on every power of two.
+            // Off powers of two its rule asks twice that (106 KiB at
+            // p = 12; at p in {5, 6} the fix-up's full-vector hand-back
+            // keeps it a few us behind doubling at every size, inside
+            // the audit's tolerance from 128 KiB).
             // The broadcast crossover is ~100-180 KiB for p in {4, 8},
             // so its default sits just above.
-            rabenseifner_min_bytes: 128 * 1024,
+            rabenseifner_min_bytes: 64 * 1024,
             bcast_scatter_min_bytes: 256 * 1024,
             // Bruck moves every block once per set bit of its distance
             // (~s/2 per round) to save startups; its rounds forward
@@ -248,18 +258,7 @@ impl Default for CollTuning {
             // volume alone. It keeps the value set when each round
             // repacked until ROADMAP direction 2 (c) re-derives it.
             bruck_max_block_bytes: 1024,
-            // In alpha-beta terms recursive doubling never loses to the
-            // ring on a power-of-two communicator (log2 p vs p-1
-            // startups, same volume), and since its rounds forward block
-            // groups as parts it copies what the ring copies. The
-            // ceiling was set when those rounds memcpy'd s·(p-2) bytes;
-            // it now rests on round volume alone (a round's message
-            // waits on the whole group) and keeps its value until
-            // ROADMAP direction 2 (c) re-derives it.
-            allgather_rd_max_bytes: 8 * 1024,
-            // Bruck has the same startup/volume trade on any p; the
-            // same ceiling applies off powers of two, on the same terms.
-            allgather_bruck_max_bytes: 8 * 1024,
+            allgather_max_bytes: ALLGATHER_MAX_BYTES,
             model: ModelConfig::default(),
         }
     }
@@ -329,16 +328,10 @@ impl CollTuning {
         self
     }
 
-    /// Sets the recursive-doubling allgather ceiling (bytes per rank).
-    pub fn allgather_rd_max_bytes(mut self, bytes: usize) -> Self {
-        self.allgather_rd_max_bytes = bytes;
-        self
-    }
-
-    /// Sets the Bruck allgather ceiling (bytes per rank,
-    /// non-power-of-two communicators).
-    pub fn allgather_bruck_max_bytes(mut self, bytes: usize) -> Self {
-        self.allgather_bruck_max_bytes = bytes;
+    /// Sets the allgather's log-round ceiling (bytes per rank; see
+    /// [`allgather_max_bytes`](Self::allgather_max_bytes)).
+    pub fn allgather_max_bytes(mut self, bytes: usize) -> Self {
+        self.allgather_max_bytes = bytes;
         self
     }
 

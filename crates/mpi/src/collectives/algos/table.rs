@@ -3,9 +3,9 @@
 //! menu is written down (`s` = bytes a rank contributes, `r` = bytes of
 //! its result, `t` = the agreed total of a counted `allgatherv`'s
 //! counts, `len` = one block of a self-sizing `allgatherv`, whose
-//! lengths are learned in the rounds (a block rides in them iff
-//! `p·len` is within the row's ceiling, else its origin sends it
-//! direct), `b` = bytes of one all-to-all block, `d` = the agreed
+//! lengths are learned in the rounds (a block rides in them iff `len`
+//! is within the per-rank ceiling, else its origin sends it direct),
+//! `b` = bytes of one all-to-all block, `d` = the agreed
 //! maximum degree, `p` = communicator size, `p'` = the largest power of
 //! two `<= p`). "Copies per rank" is the payload-byte memcpy bill on the
 //! shared-`Bytes` datapath; folds that combine a received payload into
@@ -15,18 +15,40 @@
 //! | row ([`AlgoClass::name`]) | algorithm | startups | copies per rank | needs | static `Auto` picks it when | runs as |
 //! |---|---|---|---|---|---|---|
 //! | **`allreduce/recursive_doubling`** | round 0 sends a copy the partner folds into; later rounds send the accumulator as a refcount payload, and the last folds into the contribution | log2 p' (+2 off powers of two) | s + r (+ r handing the result back off powers of two) | — | otherwise | blocking, `iallreduce`, `allreduce_init` |
-//! | `allreduce/rabenseifner` | reduce-scatter folding into fresh shrinking halves + eager allgather: each rank's reduced chunk to the other `p' - 1` as refcount clones, all posted before its first receive | log2 p' + p' - 1 (+2 off powers of two): the busiest rank's receives; the critical path is log2 p' + 1 hops | s + r (+ r handing the result back off powers of two) | — | `p >= 4`, `s >=` [`CollTuning::rabenseifner_min_bytes`] | blocking, `iallreduce`, `allreduce_init` |
+//! | `allreduce/rabenseifner` | reduce-scatter folding into fresh shrinking halves + an allgather phase: with the mean chunk `s / p'` within [`CollTuning::allgather_max_bytes`], the reverse of the halving (doubling rounds, each group of chunks forwarded as parts); above it eager, each rank's chunk to the other `p' - 1` as refcount clones, all posted before its first receive | 2 log2 p' with a chunk within the ceiling, else log2 p' + p' - 1 (+2 off powers of two): the busiest rank's receives; the eager critical path is log2 p' + 1 hops | s + r (+ r handing the result back off powers of two) | — | `p >= 4`, `s >=` [`CollTuning::rabenseifner_min_bytes`] on a power of two, twice that off one | blocking, `iallreduce`, `allreduce_init` |
 //! | **`bcast/binomial`** | binomial tree, refcount forwarding; every rank sends to its largest subtree first, so the critical path is ceil(log2 p) hops | <= log2 p | root s, other r | — | otherwise | blocking, `ibcast`, `bcast_init` |
 //! | `bcast/scatter_allgather` | van de Geijn: scatter + eager allgather of the chunks; where only the root knows `s` (self-sizing), the root first announces `s` down the tree | 2(p-1) + ceil(log2 p) (sized: 2(p-1)) | root s, other r | `s > 0` | `p >= 4`, `s >=` [`CollTuning::bcast_scatter_min_bytes`] | blocking, `ibcast`, `bcast_init` |
 //! | **`allgather/ring`** | eager fan-out: the own block to every peer as a refcount clone, all posted before the first receive (the name is the row's, kept from the forwarding ring) | p-1 | s + r | — | otherwise | blocking, `iallgather(v)`, `allgather(v)_init` |
-//! | `allgather/recursive_doubling` | doubling rounds, each block group forwarded as the parts of one message (refcount views, no pack) and carved by the agreed or learned block sizes | log2 p (self-sizing: + one direct receive per large block) | s + r | `p >= 2`, a power of two, block sizes every rank knows or learns in the rounds | `p >= 4`, `s <=` [`CollTuning::allgather_rd_max_bytes`]; for a counted `allgatherv`, `t <=` it; for a self-sizing one always | blocking `allgather(v)`, `iallgather(v)`, `allgather(v)_init` |
-//! | `allgather/bruck` | rotated rounds, each block group forwarded as the parts of one message (refcount views, no pack) and carved by the agreed or learned block sizes | ceil(log2 p) (self-sizing: + one direct receive per large block) | s + r | `p >= 2`, block sizes every rank knows or learns in the rounds | `p >= 4` not a power of two, `s <=` [`CollTuning::allgather_bruck_max_bytes`]; for a counted `allgatherv`, `t <=` it; for a self-sizing one always | blocking `allgather(v)`, `iallgather(v)`, `allgather(v)_init` |
+//! | `allgather/recursive_doubling` | doubling rounds, each block group forwarded as the parts of one message (refcount views, no pack) and carved by the agreed or learned block sizes | log2 p (self-sizing: + one direct receive per large block) | s + r | `p >= 2`, a power of two, block sizes every rank knows or learns in the rounds | `p >= 4`, bytes per rank within [`CollTuning::allgather_max_bytes`]: `s`; a counted `allgatherv`'s mean block `t / p`; a self-sizing one always, each block riding iff `len` is | blocking `allgather(v)`, `iallgather(v)`, `allgather(v)_init` |
+//! | `allgather/bruck` | rotated rounds, each block group forwarded as the parts of one message (refcount views, no pack) and carved by the agreed or learned block sizes | ceil(log2 p) (self-sizing: + one direct receive per large block) | s + r | `p >= 2`, block sizes every rank knows or learns in the rounds | `p >= 4` not a power of two, bytes per rank within the same ceiling, read the same way | blocking `allgather(v)`, `iallgather(v)`, `allgather(v)_init` |
 //! | **`alltoall/pairwise`** | one message per peer in the rotation `rank + 1, rank + 2, …`, pack-once + slice, all posted before the first receive | p-1 | s + r | — | otherwise | blocking (`alltoallv/w` always), `ialltoall(v)`, `alltoallv_init` |
 //! | `alltoall/bruck` | log-round forwarding, each round's blocks the parts of one message (refcount views, no repack) | ceil(log2 p) | s + r | `p >= 2`, equal blocks | `p >= 4`, `b <=` [`CollTuning::bruck_max_block_bytes`] | blocking, `ialltoall` |
 //! | `reduce/binomial_tree` | binomial tree, in-place folds | <= log2 p | leaf s, inner 0, root r | a commutative op | blocking `reduce` | blocking, `ireduce` |
 //! | **`reduce/flat_gather`** | one send to the root, which folds the collected blocks in place, strictly in rank order | 1 (root p-1) | s (root: + r) | — | otherwise | blocking, `ireduce`; with a binomial broadcast, the allreduce of a non-commutative op in every lifecycle (unselected) |
 //! | **`neighborhood/sparse`** | one message per declared edge, all posted before the first receive | d | s + r | — | otherwise | blocking, `ineighbor_*`, `neighbor_*_init` (the last two always, unselected) |
 //! | `neighborhood/dense` | one message per rank, self included, an empty filler for a non-neighbor | p-1 | s + r | duplicate-free neighbor lists | `p >= 2`, `d >=` [`CollTuning::neighborhood_dense_min_degree_pct`] % of `p-1` | blocking |
+//!
+//! The static `Auto` rules are read off dry runs under
+//! [`CostModel::cluster`](crate::CostModel::cluster). Its crossovers —
+//! the equal-block size from which the eager fan-out is at least as
+//! fast as the log-round row, and the allreduce size from which
+//! Rabenseifner is at least as fast as recursive doubling ("never": not
+//! up to 1 MiB) — are these, as the test
+//! `auto_is_within_tolerance_of_the_best_row` computes them:
+//!
+//! | `p` | 4 | 5 | 6 | 8 | 12 | 16 | 32 | 64 |
+//! |---|---|---|---|---|---|---|---|---|
+//! | eager fan-out, from (KiB per rank) | 9.0 | 6.0 | 9.0 | 11.8 | 12.5 | 14.0 | 15.2 | 16.2 |
+//! | Rabenseifner, from (KiB) | 49.0 | never | never | 43.0 | 106.0 | 34.0 | 29.0 | 27.0 |
+//!
+//! The same test holds static `Auto` within 10 % + 1 us of the best
+//! forced row in every cell of allgather (equal, counted, self-sizing)
+//! and allreduce × those `p` × 8 B to 1 MiB, but for the gaps it lists
+//! with their reasons. One allgather ceiling of 12 KiB per rank serves
+//! every `p`; Rabenseifner's 64 KiB is above every power-of-two
+//! crossover, and off powers of two its rule asks twice that, since the
+//! fix-up's hand-back moves the crossover up: at `p` in {5, 6} it never
+//! wins, but from 128 KiB it costs less than the tolerance.
 //!
 //! Every row is one engine of `collectives/nonblocking.rs` in each
 //! lifecycle it runs as: the eager rows (ring, pairwise, flat gather,
@@ -93,8 +115,8 @@ pub(crate) struct Call {
     /// call.
     pub regular: bool,
     /// `size` is the agreed total of every rank's block, not one rank's
-    /// contribution: the static rules compare the total (MPICH's
-    /// `tot_bytes` rule), the cost model reads its mean per rank.
+    /// contribution: the static rules and the cost model read its mean
+    /// per rank ([`Call::volume`]).
     pub total: bool,
 }
 
@@ -119,10 +141,12 @@ impl Call {
         }
     }
 
-    /// The bytes per rank the cost model's features read.
+    /// The bytes per rank the static rules compare and the cost model's
+    /// features read: a total's mean block, rounded up, so that a rule
+    /// `volume <= ceiling` holds iff `total <= p · ceiling`.
     fn volume(&self, p: usize) -> usize {
         if self.total {
-            self.size / p.max(1)
+            self.size.div_ceil(p.max(1))
         } else {
             self.size
         }
@@ -147,15 +171,16 @@ impl Call {
     }
 }
 
-/// Serialized rounds over `(p, ceil(log2 p))`: the rounds whose sends
-/// wait on the previous round's receive, each charged
+/// Serialized rounds over `(p, ceil(log2 p), size, ceiling)` (the
+/// arguments of [`Row::features`]): the rounds whose sends wait on the
+/// previous round's receive, each charged
 /// [`ModelConfig::overlap_alpha_pct`] in the overlap lifecycle.
-type RoundCount = fn(usize, f64) -> f64;
+type RoundCount = fn(usize, f64, f64, usize) -> f64;
 
 /// Everything is posted at the call (the flat, eager engines).
-const ONE_ROUND: RoundCount = |_, _| 1.0;
+const ONE_ROUND: RoundCount = |_, _, _, _| 1.0;
 /// `ceil(log2 p)` rounds.
-const LOG_ROUNDS: RoundCount = |_, l| l;
+const LOG_ROUNDS: RoundCount = |_, l, _, _| l;
 
 /// Which of the three drivers of an algorithm is selecting: all pick by
 /// one static rule, and differ in what the model may do after it.
@@ -201,11 +226,13 @@ pub(crate) struct Row<A: 'static> {
     /// does.
     pub auto: fn(&CollTuning, Lifecycle, usize, usize) -> bool,
     /// Coarse workload features `(startups, bytes)` over `(p,
-    /// ceil(log2 p), size)`: messages on the critical path and payload
+    /// ceil(log2 p), size, ceiling)`, `ceiling` being
+    /// [`CollTuning::allgather_max_bytes`] (which picks Rabenseifner's
+    /// allgather phase): messages on the critical path and payload
     /// moved (wire + packing). The scale only needs to be consistent
     /// *within* a row across workloads — rows are compared through
     /// their fitted costs — so the formulas stay deliberately simple.
-    pub features: fn(usize, f64, f64) -> (f64, f64),
+    pub features: fn(usize, f64, f64, usize) -> (f64, f64),
     pub rounds: RoundCount,
 }
 
@@ -239,11 +266,29 @@ fn doubling_hops(p: usize) -> f64 {
     f64::from(p.ilog2()) + if p.is_power_of_two() { 0.0 } else { 2.0 }
 }
 
-/// Rabenseifner's startups: doubling's, plus the `p' - 1` chunks every
-/// rank of the eager allgather receives (its sends leave together, so
-/// they add one hop to the critical path, not `p' - 1`).
-fn rabenseifner_hops(p: usize) -> f64 {
-    doubling_hops(p) + ((1 << p.ilog2()) - 1) as f64
+/// The serialized rounds of Rabenseifner's allgather phase over `p2`
+/// chunks of an `s`-byte payload under `ceiling`: `log2 p2` doubling,
+/// one eager.
+fn gather_rounds(p2: usize, s: f64, ceiling: usize) -> f64 {
+    if phase_doubles(ceiling, p2, s as usize) {
+        f64::from(p2.ilog2())
+    } else {
+        1.0
+    }
+}
+
+/// Rabenseifner's startups: doubling's, plus the allgather phase's
+/// receives — `log2 p'` doubling rounds, or the `p' - 1` chunks of the
+/// eager exchange (whose sends leave together, so they add one hop to
+/// the critical path, not `p' - 1`).
+fn rabenseifner_hops(p: usize, s: f64, ceiling: usize) -> f64 {
+    let p2 = 1usize << p.ilog2();
+    let gather = if phase_doubles(ceiling, p2, s as usize) {
+        p.ilog2() as usize
+    } else {
+        p2 - 1
+    };
+    doubling_hops(p) + gather as f64
 }
 
 impl Algo for AllreduceAlgo {
@@ -255,19 +300,25 @@ impl Algo for AllreduceAlgo {
             names: names!("recursive_doubling": "allreduce", "iallreduce", "allreduce_init"),
             needs: ALWAYS,
             auto: NEVER,
-            features: |p, _, s| (doubling_hops(p), s * doubling_hops(p)),
-            rounds: |p, _| doubling_hops(p),
+            features: |p, _, s, _| (doubling_hops(p), s * doubling_hops(p)),
+            rounds: |p, _, _, _| doubling_hops(p),
         },
         Row {
             algo: AllreduceAlgo::Rabenseifner,
             class: AlgoClass::AllreduceRabenseifner,
             names: names!("rabenseifner": "allreduce", "iallreduce", "allreduce_init"),
             needs: ALWAYS,
-            auto: |t, _, p, s| p >= 4 && s >= t.rabenseifner_min_bytes,
-            features: |p, _, s| (rabenseifner_hops(p), 2.0 * s),
-            // The reduce-scatter's steps, then one eager allgather, as
-            // `bcast/scatter_allgather` counts its own.
-            rounds: |p, _| doubling_hops(p) + 1.0,
+            // Off powers of two from twice the size: the fix-up's
+            // hand-back moves the crossover up (see the crossover table).
+            auto: |t, _, p, s| {
+                let off_power = usize::from(!p.is_power_of_two()) + 1;
+                p >= 4 && s >= t.rabenseifner_min_bytes.saturating_mul(off_power)
+            },
+            features: |p, _, s, ceiling| (rabenseifner_hops(p, s, ceiling), 2.0 * s),
+            // The reduce-scatter's steps, then the doubling rounds, or
+            // one eager exchange as `bcast/scatter_allgather` counts its
+            // own.
+            rounds: |p, _, s, ceiling| doubling_hops(p) + gather_rounds(1 << p.ilog2(), s, ceiling),
         },
     ];
 }
@@ -281,7 +332,7 @@ impl Algo for BcastAlgo {
             names: names!("binomial": "bcast", "ibcast", "bcast_init"),
             needs: ALWAYS,
             auto: NEVER,
-            features: |_, l, s| (l, s * l),
+            features: |_, l, s, _| (l, s * l),
             rounds: LOG_ROUNDS,
         },
         Row {
@@ -293,12 +344,30 @@ impl Algo for BcastAlgo {
             auto: |t, _, p, s| p >= 4 && s >= t.bcast_scatter_min_bytes,
             // The self-sizing form's: the root announces the size to its
             // `ceil(log2 p)` children first (a sized call skips that).
-            features: |p, l, s| (2.0 * (p as f64 - 1.0) + l, 2.0 * s),
+            features: |p, l, s, _| (2.0 * (p as f64 - 1.0) + l, 2.0 * s),
             // The announcement down the tree, the scatter, then one eager
             // allgather.
-            rounds: |_, l| l + 2.0,
+            rounds: |_, l, _, _| l + 2.0,
         },
     ];
+}
+
+/// The allgather's one static rule: whether `p` blocks of `per_rank`
+/// bytes take the log-round rows rather than the eager fan-out — for
+/// every allgather form (an equal block, a counted `allgatherv`'s mean
+/// block, each block of a self-sizing one), `ceiling` being
+/// [`CollTuning::allgather_max_bytes`].
+pub(crate) fn in_rounds(ceiling: usize, p: usize, per_rank: usize) -> bool {
+    p >= 4 && per_rank <= ceiling
+}
+
+/// The same rule for the allgather phase of Rabenseifner's allreduce
+/// over `p2` chunks of a `payload`-byte vector: whether the phase
+/// doubles (a power of two, the mean chunk within the ceiling) or is
+/// the eager exchange. The engine and the model's features both ask
+/// this.
+pub(crate) fn phase_doubles(ceiling: usize, p2: usize, payload: usize) -> bool {
+    p2.is_power_of_two() && in_rounds(ceiling, p2, payload / p2)
 }
 
 impl Algo for AllgatherAlgo {
@@ -310,7 +379,7 @@ impl Algo for AllgatherAlgo {
             names: names!("ring": "allgather", "iallgather", "allgather_init"),
             needs: ALWAYS,
             auto: NEVER,
-            features: |p, _, s| (p as f64 - 1.0, (p as f64 - 1.0) * s),
+            features: |p, _, s, _| (p as f64 - 1.0, (p as f64 - 1.0) * s),
             rounds: ONE_ROUND,
         },
         Row {
@@ -318,8 +387,8 @@ impl Algo for AllgatherAlgo {
             class: AlgoClass::AllgatherRd,
             names: names!("recursive_doubling": "allgather", "iallgather", "allgather_init"),
             needs: |p, call| p >= 2 && p.is_power_of_two() && call.regular,
-            auto: |t, _, p, s| p >= 4 && s <= t.allgather_rd_max_bytes && p.is_power_of_two(),
-            features: |p, l, s| (l, (p as f64 - 1.0) * s),
+            auto: |t, _, p, s| in_rounds(t.allgather_max_bytes, p, s) && p.is_power_of_two(),
+            features: |p, l, s, _| (l, (p as f64 - 1.0) * s),
             rounds: LOG_ROUNDS,
         },
         Row {
@@ -327,8 +396,8 @@ impl Algo for AllgatherAlgo {
             class: AlgoClass::AllgatherBruck,
             names: names!("bruck": "allgather", "iallgather", "allgather_init"),
             needs: |p, call| p >= 2 && call.regular,
-            auto: |t, _, p, s| p >= 4 && s <= t.allgather_bruck_max_bytes && !p.is_power_of_two(),
-            features: |p, l, s| (l, (p as f64 - 1.0) * s),
+            auto: |t, _, p, s| in_rounds(t.allgather_max_bytes, p, s) && !p.is_power_of_two(),
+            features: |p, l, s, _| (l, (p as f64 - 1.0) * s),
             rounds: LOG_ROUNDS,
         },
     ];
@@ -343,7 +412,7 @@ impl Algo for AlltoallAlgo {
             names: names!("pairwise": "alltoall", "ialltoall", "alltoallv_init"),
             needs: ALWAYS,
             auto: NEVER,
-            features: |p, _, s| (p as f64 - 1.0, (p as f64 - 1.0) * s),
+            features: |p, _, s, _| (p as f64 - 1.0, (p as f64 - 1.0) * s),
             rounds: ONE_ROUND,
         },
         Row {
@@ -352,7 +421,7 @@ impl Algo for AlltoallAlgo {
             names: names!("bruck": "alltoall", "ialltoall", "alltoallv_init"),
             needs: |p, call| p >= 2 && call.regular,
             auto: |t, _, p, s| p >= 4 && s <= t.bruck_max_block_bytes,
-            features: |p, l, s| (l, l * (p as f64 / 2.0) * s),
+            features: |p, l, s, _| (l, l * (p as f64 / 2.0) * s),
             rounds: LOG_ROUNDS,
         },
     ];
@@ -370,7 +439,7 @@ impl Algo for ReduceAlgo {
             // An `ireduce` keeps the eager flat gather: every
             // contribution is on the wire when the call returns.
             auto: |_, lifecycle, _, _| lifecycle == Lifecycle::Blocking,
-            features: |_, l, s| (l, s * l),
+            features: |_, l, s, _| (l, s * l),
             rounds: LOG_ROUNDS,
         },
         Row {
@@ -379,7 +448,7 @@ impl Algo for ReduceAlgo {
             names: names!("flat_gather": "reduce", "ireduce"),
             needs: ALWAYS,
             auto: NEVER,
-            features: |p, _, s| (p as f64 - 1.0, (p as f64 - 1.0) * s),
+            features: |p, _, s, _| (p as f64 - 1.0, (p as f64 - 1.0) * s),
             rounds: ONE_ROUND,
         },
     ];
@@ -398,7 +467,7 @@ impl Algo for NeighborhoodAlgo {
             names: names!("sparse": "neighborhood"),
             needs: ALWAYS,
             auto: NEVER,
-            features: |_, _, d| (d.max(1.0), 0.0),
+            features: |_, _, d, _| (d.max(1.0), 0.0),
             rounds: ONE_ROUND,
         },
         Row {
@@ -407,7 +476,7 @@ impl Algo for NeighborhoodAlgo {
             names: names!("dense": "neighborhood"),
             needs: |_, call| call.duplicate_free,
             auto: |t, _, p, d| p >= 2 && d * 100 >= t.neighborhood_dense_min_degree_pct * (p - 1),
-            features: |p, _, _| ((p as f64 - 1.0).max(1.0), 0.0),
+            features: |p, _, _, _| ((p as f64 - 1.0).max(1.0), 0.0),
             rounds: ONE_ROUND,
         },
     ];
@@ -469,7 +538,7 @@ pub(super) fn static_pick<A: Algo>(
         Select::Auto => {
             let auto = A::ROWS
                 .iter()
-                .find(|r| (r.auto)(tuning, lifecycle, p, call.size));
+                .find(|r| (r.auto)(tuning, lifecycle, p, call.volume(p)));
             (auto.unwrap_or(fallback), Pick::Static)
         }
     };
@@ -490,15 +559,19 @@ pub(crate) fn frozen_pick<A: Algo>(tuning: &CollTuning, p: usize, call: &Call) -
         .algo
 }
 
-/// Predicted cost of `row` at `(p, size)`, every serialized round of
-/// its engine charged `round_bias` extra startups.
-fn cost<A>(snap: &ModelSnapshot, row: &Row<A>, (p, size): (usize, usize), round_bias: f64) -> f64 {
-    let (est, l) = (snap.class(row.class), ceil_log2(p));
-    let (startups, bytes) = (row.features)(p, l, size as f64);
-    est.predict_ns(startups, bytes) + (row.rounds)(p, l) * est.alpha_ns * round_bias
+/// Where a call is priced: `(p, size, ceiling)`, the arguments of
+/// [`Row::features`] but `ceil(log2 p)`.
+type At = (usize, usize, usize);
+
+/// Predicted cost of `row` at `(p, size, ceiling)`, every serialized
+/// round of its engine charged `round_bias` extra startups.
+fn cost<A>(snap: &ModelSnapshot, row: &Row<A>, (p, size, ceiling): At, round_bias: f64) -> f64 {
+    let (est, l, s) = (snap.class(row.class), ceil_log2(p), size as f64);
+    let (startups, bytes) = (row.features)(p, l, s, ceiling);
+    est.predict_ns(startups, bytes) + (row.rounds)(p, l, s, ceiling) * est.alpha_ns * round_bias
 }
 
-/// The model's choice among the candidate rows `cands` at `(p, size)`
+/// The model's choice among the candidate rows `cands` at `at`
 /// (`static_i` is the static pick): an index into `cands`.
 ///
 /// Blocking: static until the static class is warm, then explore cold
@@ -515,7 +588,7 @@ fn choose<A>(
     snap: &ModelSnapshot,
     cfg: &ModelConfig,
     cands: &[&Row<A>],
-    at: (usize, usize),
+    at: At,
     static_i: usize,
     lifecycle: Lifecycle,
     seq: u64,
@@ -590,7 +663,7 @@ pub(crate) fn select<A: Algo>(comm: &Comm, lifecycle: Lifecycle, call: Call) -> 
                 let m = comm.model_state_mut();
                 (m.snapshot(), m.seq())
             };
-            let at = (p, call.volume(p));
+            let at = (p, call.volume(p), tuning.allgather_max_bytes);
             let (i, by) = choose(&snap, &tuning.model, cands, at, static_i, lifecycle, seq);
             (row, pick) = (cands[i], by);
         }
@@ -642,7 +715,8 @@ impl<'c> Tuned<'c> {
         };
         let out = run()?;
         if let Some(begun) = self.begun {
-            let features = (row.features)(p, ceil_log2(p), size as f64);
+            let ceiling = self.comm.tuning().allgather_max_bytes;
+            let features = (row.features)(p, ceil_log2(p), size as f64, ceiling);
             model::observe(self.comm, row.class, begun, features);
         }
         Ok(out)
@@ -665,6 +739,7 @@ pub(crate) fn tuned<A: Algo, R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::algos::ALLGATHER_MAX_BYTES;
 
     /// The two rows of `A` as candidates (of alltoall, the second is
     /// charged three serialized rounds at p = 8, the first one).
@@ -672,7 +747,7 @@ mod tests {
         [&A::ROWS[0], &A::ROWS[1]]
     }
 
-    const AT: (usize, usize) = (8, 1024);
+    const AT: At = (8, 1024, ALLGATHER_MAX_BYTES);
 
     fn blocking<A>(
         snap: &ModelSnapshot,
@@ -762,8 +837,8 @@ mod tests {
     fn check_rows<A: Algo + std::fmt::Debug>() {
         for row in A::ROWS {
             // Features are positive and scale with the size.
-            let (s1, v1) = (row.features)(8, 3.0, 1024.0);
-            let (s2, v2) = (row.features)(8, 3.0, 4096.0);
+            let (s1, v1) = (row.features)(8, 3.0, 1024.0, ALLGATHER_MAX_BYTES);
+            let (s2, v2) = (row.features)(8, 3.0, 4096.0, ALLGATHER_MAX_BYTES);
             assert!(s1 >= 1.0, "{:?} startups", row.algo);
             assert!(v1 >= 0.0, "{:?} bytes", row.algo);
             assert!(s2 >= s1 && v2 >= v1, "{:?} monotone in size", row.algo);
@@ -816,21 +891,23 @@ mod tests {
 
     type Start = for<'c> fn(&'c Comm) -> Result<crate::Request<'c>>;
 
-    /// Audits every row of `A`: forced, its engine must run
-    /// the startups `features` claim — the longer of the critical path
-    /// (hops, every send costing 1) and the busiest rank's receives
-    /// (every receive costing 1), by dry run — at every `p` it serves in
-    /// 2..=17, 32 and 64, and, for the rows claiming log-round startups,
-    /// at every power of two up to `2^top`. Returns the cells that
-    /// disagree.
+    /// Audits every row of `A`: forced on `base`, its engine must run
+    /// the startups `features` claim at `size` bytes per rank under
+    /// `base`'s allgather ceiling — the longer of the
+    /// critical path (hops, every send costing 1) and the busiest rank's
+    /// receives (every receive costing 1), by dry run — at every `p` it
+    /// serves in 2..=17, 32 and 64, and, for the rows claiming log-round
+    /// startups, at every power of two up to `2^top`. Returns the cells
+    /// that disagree.
     fn audit<A: Algo + std::fmt::Debug>(
         force: fn(CollTuning, A) -> CollTuning,
         start: Start,
         top: u32,
+        (base, size): (CollTuning, f64),
     ) -> Vec<String> {
         let mut off = Vec::new();
         for row in A::ROWS {
-            let tuning = force(CollTuning::default(), row.algo);
+            let tuning = force(base, row.algo);
             let count = |p, alpha_ns, recv_overhead_ns| {
                 let cost = crate::CostModel {
                     alpha_ns,
@@ -844,12 +921,13 @@ mod tests {
                 });
                 finish.unwrap().into_iter().max().unwrap()
             };
-            let logarithmic = (row.features)(1 << 12, 12.0, 1.0).0 <= 14.0;
+            let logarithmic = (row.features)(1 << 12, 12.0, 1.0, 0).0 <= 14.0;
             let large = (7..=top).map(|k| 1 << k).filter(|_| logarithmic);
             let ps = (2..=17).chain([32, 64]).chain(large);
             for p in ps.filter(|&p| (row.needs)(p, &Call::sized(1))) {
                 let (hops, recvs) = (count(p, 1, 0), count(p, 0, 1));
-                let claimed = (row.features)(p, ceil_log2(p), 1.0).0;
+                let ceiling = base.allgather_max_bytes;
+                let claimed = (row.features)(p, ceil_log2(p), size, ceiling).0;
                 if claimed != hops.max(recvs) as f64 {
                     let algo = row.algo;
                     off.push(format!(
@@ -864,22 +942,216 @@ mod tests {
     /// The menu's startups column, audited instead of restated: every
     /// row with an `i*` form (all but the neighborhood rows). The
     /// allgather and all-to-all rows stop at `2^10`: one thread holds
-    /// their `p²` result blocks.
+    /// their `p²` result blocks. Rabenseifner's allgather phase doubles
+    /// on its 512-byte payload under the default ceiling; under a
+    /// ceiling of 0 the same payload takes the eager exchange up to
+    /// p = 64.
     #[test]
     fn every_row_runs_the_startups_it_claims() {
         use crate::op::Sum;
         let allreduce: Start = |c| c.iallreduce(&[1u64; 64], Sum);
         let bcast: Start = |c| c.ibcast(Some(&[1u8][..]), 0);
         let alltoall: Start = |c| c.ialltoall(&vec![1u8; c.size()]);
+        let (base, eager) = (
+            CollTuning::default(),
+            CollTuning::default().allgather_max_bytes(0),
+        );
         let off = [
-            audit(CollTuning::allreduce, allreduce, 12),
-            audit(CollTuning::bcast, bcast, 12),
-            audit(CollTuning::allgather, |c| c.iallgather(&[1u8]), 10),
-            audit(CollTuning::alltoall, alltoall, 10),
-            audit(CollTuning::reduce, |c| c.ireduce(&[1u64], Sum, 0), 12),
+            audit(CollTuning::allreduce, allreduce, 12, (base, 512.0)),
+            audit(CollTuning::allreduce, allreduce, 6, (eager, 512.0)),
+            audit(CollTuning::bcast, bcast, 12, (base, 1.0)),
+            audit(
+                CollTuning::allgather,
+                |c| c.iallgather(&[1u8]),
+                10,
+                (base, 1.0),
+            ),
+            audit(CollTuning::alltoall, alltoall, 10, (base, 1.0)),
+            audit(
+                CollTuning::reduce,
+                |c| c.ireduce(&[1u64], Sum, 0),
+                12,
+                (base, 8.0),
+            ),
         ];
         let off = off.concat();
         assert!(off.is_empty(), "cells disagree:\n{}", off.join("\n"));
+    }
+
+    /// A collective form of the `Auto` audit.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Form {
+        /// `iallgather` of `s` bytes per rank.
+        Equal,
+        /// A counted `iallgatherv` whose blocks rise linearly from `s/2`
+        /// to `3s/2` bytes over the ranks: a mean block of `s`.
+        Counted,
+        /// The self-sizing `iallgatherv` of `s` bytes per rank.
+        Learned,
+        /// `iallreduce` of `s / 8` `u64`s.
+        Allreduce,
+    }
+
+    impl Form {
+        const ALL: [Form; 4] = [Form::Equal, Form::Counted, Form::Learned, Form::Allreduce];
+
+        /// Every forced row that serves `p`.
+        fn rows(self, p: usize) -> Vec<CollTuning> {
+            let base = CollTuning::default();
+            if self == Form::Allreduce {
+                let rows = [
+                    AllreduceAlgo::RecursiveDoubling,
+                    AllreduceAlgo::Rabenseifner,
+                ];
+                return rows.map(|a| base.allreduce(a)).to_vec();
+            }
+            let mut rows = vec![AllgatherAlgo::Ring, AllgatherAlgo::Bruck];
+            if p.is_power_of_two() {
+                rows.push(AllgatherAlgo::RecursiveDoubling);
+            }
+            rows.into_iter().map(|a| base.allgather(a)).collect()
+        }
+
+        /// Every rank's finish time of one call under `tuning`, by dry
+        /// run under the cluster model: the latest of them.
+        fn time(self, p: usize, s: usize, tuning: CollTuning) -> u64 {
+            use crate::collectives::algos::allgather::BlockSizes;
+            let config = crate::Config::new(p).cost(crate::CostModel::cluster());
+            let finish = crate::Universe::dry_run(config, |c| {
+                c.set_tuning(tuning);
+                match self {
+                    Form::Equal => c.iallgather(&vec![1u8; s]),
+                    Form::Counted => {
+                        let counts: Vec<usize> = (0..p).map(|r| s / 2 + s * r / (p - 1)).collect();
+                        let own = bytes::Bytes::from(vec![1u8; counts[c.rank()]]);
+                        let sizes = BlockSizes::Counted(counts.into());
+                        c.allgather_plan(Site::IMMEDIATE, sizes, own, Comm::icoll)
+                    }
+                    Form::Learned => c.iallgatherv(&vec![1u8; s]),
+                    // The fold's arithmetic costs no model time: where
+                    // 4 KiB elements split into the same chunks as `u64`s,
+                    // they and an operation that keeps one operand spare
+                    // the debug build most of its per-element work.
+                    Form::Allreduce if s.is_multiple_of(4096 << p.ilog2()) => {
+                        let keep = crate::op::commutative(|a: &[u64; 512], _: &[u64; 512]| *a);
+                        c.iallreduce(&vec![[1u64; 512]; s / 4096], keep)
+                    }
+                    Form::Allreduce => c.iallreduce(&vec![1u64; s / 8], crate::op::Sum),
+                }
+            });
+            finish.unwrap().into_iter().max().unwrap()
+        }
+    }
+
+    /// Communicator sizes of the `Auto` audit.
+    const AUDIT_PS: [usize; 8] = [4, 5, 6, 8, 12, 16, 32, 64];
+
+    /// The cells where static `Auto` costs more than the tolerance over
+    /// the best forced row, and why: exactly these, or the audit fails.
+    const KNOWN_GAPS: [(Form, usize, usize, &str); 2] = [
+        (Form::Learned, 5, 16 << 10, LEARNED_GAP),
+        (Form::Learned, 12, 16 << 10, LEARNED_GAP),
+    ];
+
+    /// Why a self-sizing block just above the ceiling loses off powers
+    /// of two.
+    const LEARNED_GAP: &str = "no rank knows a self-sizing call's sizes, so it cannot pick the \
+        fan-out: Bruck's length rounds run, and a block above the ceiling travels direct \
+        behind them (+18-22 % at 16 KiB; ROADMAP 2 (c))";
+
+    /// The smallest multiple of `step` in `lo..=hi` from which
+    /// `wins(s)` holds, by bisection (`wins` is monotone), or `None`.
+    fn from(lo: usize, hi: usize, step: usize, wins: impl Fn(usize) -> bool) -> Option<usize> {
+        if !wins(hi) {
+            return None;
+        }
+        let (mut lo, mut hi) = (lo / step, hi / step);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if wins(mid * step) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Some(lo * step)
+    }
+
+    /// The crossover table of the module doc, as this audit computes
+    /// it: per `p`, the equal-block size from which the eager fan-out
+    /// is at least as fast as the log-round row, and the allreduce size
+    /// from which Rabenseifner is at least as fast as recursive
+    /// doubling.
+    fn crossovers() -> Vec<String> {
+        let ps = [4usize, 5, 6, 8, 12, 16, 32, 64];
+        let kib = |b: Option<usize>| match b {
+            Some(b) => format!("{:.1}", b as f64 / 1024.0),
+            None => "never".to_string(),
+        };
+        let base = CollTuning::default();
+        let fan_out = ps.map(|p| {
+            let log = match p.is_power_of_two() {
+                true => base.allgather(AllgatherAlgo::RecursiveDoubling),
+                false => base.allgather(AllgatherAlgo::Bruck),
+            };
+            let ring = base.allgather(AllgatherAlgo::Ring);
+            let wins = |s| Form::Equal.time(p, s, ring) <= Form::Equal.time(p, s, log);
+            kib(from(1024, 64 << 10, 256, wins))
+        });
+        let rabenseifner = ps.map(|p| {
+            let [rd, rab] = [
+                AllreduceAlgo::RecursiveDoubling,
+                AllreduceAlgo::Rabenseifner,
+            ]
+            .map(|a| base.allreduce(a));
+            let wins = |s| Form::Allreduce.time(p, s, rab) <= Form::Allreduce.time(p, s, rd);
+            kib(from(1024, 1 << 20, 1024, wins))
+        });
+        let row = |name: &str, cells: &[String]| format!("//! | {name} | {} |", cells.join(" | "));
+        vec![
+            row("`p`", &ps.map(|p| p.to_string())),
+            format!("//! |---|{}", "---|".repeat(ps.len())),
+            row("eager fan-out, from (KiB per rank)", &fan_out),
+            row("Rabenseifner, from (KiB)", &rabenseifner),
+        ]
+    }
+
+    /// Static `Auto` against every forced row, by dry run under the
+    /// cluster model: in every cell of allgather (equal, counted,
+    /// self-sizing) and allreduce × `p` in [`AUDIT_PS`] × sizes from
+    /// 8 B to 1 MiB (doubling, capped at 64 MiB over all ranks), `Auto`
+    /// must finish within 10 % + 1 us of the best row, or be one of
+    /// [`KNOWN_GAPS`]. The crossover table of the module doc is the one
+    /// this audit computes: a change to the cost model re-runs it.
+    #[test]
+    fn auto_is_within_tolerance_of_the_best_row() {
+        let mut off = Vec::new();
+        let ladder = (3..=20).map(|k| 1usize << k);
+        for (p, s) in AUDIT_PS
+            .iter()
+            .flat_map(|&p| ladder.clone().map(move |s| (p, s)))
+        {
+            for form in Form::ALL.into_iter().filter(|_| p * s <= 64 << 20) {
+                let auto = form.time(p, s, CollTuning::default());
+                let rows = form.rows(p).into_iter().map(|t| form.time(p, s, t));
+                let best = rows.min().unwrap();
+                if auto as f64 > best as f64 * 1.1 + 1000.0 {
+                    off.push((form, p, s, format!("{auto} ns against {best} ns")));
+                }
+            }
+        }
+        let known = |&(form, p, s, _): &(Form, usize, usize, String)| {
+            KNOWN_GAPS.iter().any(|g| (g.0, g.1, g.2) == (form, p, s))
+        };
+        let unknown: Vec<_> = off.iter().filter(|c| !known(c)).collect();
+        assert!(unknown.is_empty(), "Auto loses:\n{unknown:#?}");
+        assert_eq!(off.len(), KNOWN_GAPS.len(), "a known gap closed: {off:#?}");
+        let doc = include_str!("table.rs");
+        let table = crossovers().join("\n");
+        assert!(
+            doc.contains(&table),
+            "the module doc's crossover table is now:\n{table}"
+        );
     }
 
     /// What `select` returned, and how the decision was counted:

@@ -12,6 +12,8 @@
 //! run recursive doubling or Bruck whatever the sizes, and a block too
 //! large to ride in the rounds goes straight to every rank.
 
+use std::borrow::Cow;
+
 use bytes::Bytes;
 
 use super::algos::allgather::BlockSizes;
@@ -144,7 +146,7 @@ impl Comm {
     ) -> Result<Vec<Bytes>> {
         self.count_op("allgatherv");
         match byte_counts {
-            Some(counts) => allgatherv_counted(self, own, counts),
+            Some(counts) => allgatherv_counted(self, own, counts.into()),
             None => self.allgather_plan(Site::BLOCKING, BlockSizes::Learned, own, drive_blocks),
         }
     }
@@ -162,7 +164,7 @@ pub(crate) fn allgatherv_internal<T: Plain>(
     check_layout("allgatherv", counts, displs, recv.len(), comm.size())?;
     let elem = std::mem::size_of::<T>();
     let byte_counts: Vec<usize> = counts.iter().map(|&c| c * elem).collect();
-    let blocks = allgatherv_counted(comm, bytes_from_slice(send), &byte_counts)?;
+    let blocks = allgatherv_counted(comm, bytes_from_slice(send), byte_counts.into())?;
     Delivered::Blocks(blocks).into_slice(recv, Layout::placed(counts, displs))
 }
 
@@ -171,7 +173,11 @@ pub(crate) fn allgatherv_internal<T: Plain>(
 /// exchange, as [`MpiError::Truncated`] — so a rank that disagrees with
 /// itself leaves no peer waiting; its peers find the mismatch in the
 /// block it sent.
-fn allgatherv_counted(comm: &Comm, own: Bytes, byte_counts: &[usize]) -> Result<Vec<Bytes>> {
+fn allgatherv_counted(
+    comm: &Comm,
+    own: Bytes,
+    byte_counts: Cow<'_, [usize]>,
+) -> Result<Vec<Bytes>> {
     let (p, rank, sent) = (comm.size(), comm.rank(), own.len());
     if byte_counts.len() != p {
         return Err(MpiError::InvalidLayout(format!(
@@ -188,12 +194,13 @@ fn allgatherv_counted(comm: &Comm, own: Bytes, byte_counts: &[usize]) -> Result<
             "allgatherv: the counts sum past usize::MAX".into(),
         ));
     }
+    let expected = byte_counts[rank];
     let sizes = BlockSizes::Counted(byte_counts);
     let blocks = comm.allgather_plan(Site::BLOCKING, sizes, own, drive_blocks);
-    if sent != byte_counts[rank] {
+    if sent != expected {
         return Err(MpiError::Truncated {
             message_bytes: sent,
-            buffer_bytes: byte_counts[rank],
+            buffer_bytes: expected,
         });
     }
     blocks

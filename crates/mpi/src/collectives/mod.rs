@@ -156,18 +156,6 @@ pub(crate) fn send_internal(
     comm.deliver_bytes(dest, tag, payload, None)
 }
 
-/// Sends `payload[range]` to each `(destination, range)`: refcount
-/// slices, so a packed payload is scattered without a copy.
-pub(crate) fn send_slices(
-    comm: &Comm,
-    tag: Tag,
-    payload: &Bytes,
-    parts: impl IntoIterator<Item = (Rank, Range<usize>)>,
-) -> Result<()> {
-    let mut parts = parts.into_iter();
-    parts.try_for_each(|(dest, range)| send_internal(comm, dest, tag, payload.slice(range)))
-}
-
 /// Posts `chunk` to every other rank of `0..p` (this rank among them)
 /// as a refcount clone, in the pairwise rotation `rank + 1, rank + 2,
 /// …`: the eager allgathers of van de Geijn's broadcast and of

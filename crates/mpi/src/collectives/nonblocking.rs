@@ -93,7 +93,7 @@ use super::algos::reduce::TreeReduce;
 use super::algos::table::{tuned, Call, Lifecycle, Site};
 use super::algos::{fold_bytes_right, AllgatherAlgo, AlltoallAlgo, ReduceAlgo};
 use super::scatter::equal_blocks;
-use super::{bcast_forward, packed_ranges, root_without_data, send_internal, send_slices};
+use super::{bcast_forward, packed_ranges, root_without_data, send_internal};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::message::{Parts, Src, Status, TagSel};
@@ -362,7 +362,7 @@ pub(crate) enum Post {
     Nothing,
     /// The whole payload to every destination (refcount clones).
     Whole(Vec<Rank>),
-    /// `payload[range]` to each destination ([`send_slices`]); `keep`
+    /// `payload[range]` to each destination (refcount views); `keep`
     /// stays in this rank's own slot.
     Sliced {
         parts: Vec<(Rank, Range<usize>)>,
@@ -469,17 +469,40 @@ fn sliced_by_rank(comm: &Comm, ranges: &[Range<usize>]) -> Post {
 
 impl CollEngine for Exchange<'_> {
     fn start(&mut self, comm: &Comm, payload: Bytes) -> Result<()> {
+        // Where this rank keeps nothing, its last send takes the payload
+        // itself: no view of it outlives `start` here, so a receiver
+        // that reclaims it (the flat reduce's root, `fold_ordered`) finds
+        // it unique whatever the timing.
+        let kept = self.own.is_some();
         let keep = match &mut self.post {
             Post::Nothing => payload.into(),
             Post::Whole(dests) => {
-                for &dest in &*dests {
+                let (last, rest) = match dests.split_last() {
+                    Some((&last, rest)) if !kept => (Some(last), rest),
+                    _ => (None, &dests[..]),
+                };
+                for &dest in rest {
                     send_internal(comm, dest, self.tag, payload.clone())?;
                 }
-                payload.into()
+                match last {
+                    Some(last) => {
+                        send_internal(comm, last, self.tag, payload)?;
+                        Parts::default()
+                    }
+                    None => payload.into(),
+                }
             }
             Post::Sliced { parts, keep } => {
-                send_slices(comm, self.tag, &payload, parts.iter().cloned())?;
-                payload.slice(keep.clone()).into()
+                let kept = kept.then(|| payload.slice(keep.clone()));
+                if let Some(((last, range), rest)) = parts.split_last() {
+                    for (dest, range) in rest {
+                        send_internal(comm, *dest, self.tag, payload.slice(range.clone()))?;
+                    }
+                    let view = payload.slice(range.clone());
+                    drop(payload);
+                    send_internal(comm, *last, self.tag, view)?;
+                }
+                kept.map(Parts::from).unwrap_or_default()
             }
             Post::Parts { sends, keep } => {
                 for (dest, parts) in sends.iter_mut() {
@@ -722,7 +745,7 @@ impl Comm {
         own: Bytes,
         run: impl FnOnce(&'c Comm, Box<dyn CollEngine>, Bytes) -> Result<R>,
     ) -> Result<R> {
-        let call = match sizes {
+        let call = match &sizes {
             BlockSizes::Equal => Call::sized(own.len()),
             BlockSizes::Counted(counts) => Call::counted(counts.iter().sum()),
             BlockSizes::Learned => Call::sized(0),

@@ -21,6 +21,10 @@ use crate::trace;
 use crate::universe::WorldState;
 use crate::{Rank, Tag};
 
+/// How many internal tags there are: `-1` down to `-(i32::MAX - 1)`,
+/// handed out in turn and then again from `-1`.
+const INTERNAL_TAGS: u64 = i32::MAX as u64 - 1;
+
 /// A rank's handle to a communicator.
 pub struct Comm {
     pub(crate) world: Arc<WorldState>,
@@ -263,7 +267,15 @@ impl Comm {
     pub(crate) fn next_internal_tag(&self) -> Tag {
         let seq = self.coll_seq.get();
         self.coll_seq.set(seq.wrapping_add(1));
-        -1 - ((seq % (i32::MAX as u64 - 1)) as i32)
+        -1 - ((seq % INTERNAL_TAGS) as i32)
+    }
+
+    /// The internal tag [`next_internal_tag`](Self::next_internal_tag)
+    /// returns `k` calls after it returned `tag`: a collective that
+    /// allocates consecutive tags can keep the first alone.
+    pub(crate) fn internal_tag_after(tag: Tag, k: usize) -> Tag {
+        let seq = (-1 - i64::from(tag)) as u64;
+        -1 - ((seq + k as u64 % INTERNAL_TAGS) % INTERNAL_TAGS) as i32
     }
 
     /// Next agreement-instance number on this communicator (see the

@@ -62,7 +62,7 @@ fn allgather_ring_forwards_blocks_without_reserialization() {
 #[test]
 fn allgather_recursive_doubling_copies_what_the_ring_copies() {
     use kmp_mpi::AllgatherAlgo;
-    const N: usize = 1024; // bytes per rank, under the 8 KiB RD ceiling
+    const N: usize = 1024; // bytes per rank, under the 12 KiB allgather ceiling
     for p in [4usize, 8] {
         Universe::run(p, move |comm| {
             let mine = vec![comm.rank() as u8; N];
@@ -118,7 +118,7 @@ fn alltoall_bruck_copies_what_pairwise_copies() {
 #[test]
 fn allgather_bruck_copies_what_the_ring_copies() {
     use kmp_mpi::AllgatherAlgo;
-    const N: usize = 1024; // bytes per rank, under the 8 KiB Bruck ceiling
+    const N: usize = 1024; // bytes per rank, under the 12 KiB allgather ceiling
     for p in [3usize, 5, 6, 8] {
         Universe::run(p, move |comm| {
             let mine = vec![comm.rank() as u8; N];
@@ -651,6 +651,16 @@ fn blocking_and_nonblocking_lifecycles_pay_the_same_bill() {
             let blocking = bill(|| drop(comm.reduce_vec(&mine, Sum, 1).unwrap()));
             let nonblocking = bill(|| drop(comm.ireduce(&mine, Sum, 1).unwrap().wait().unwrap()));
             assert_eq!(blocking, nonblocking, "rank {rank} p={p} flat reduce");
+            if rank == 1 {
+                // The root serializes its own block once and reclaims
+                // rank 0's as the accumulator: rank 0's last send hands
+                // the payload over by move, so no view of it is left.
+                let own = CopyStats {
+                    bytes_copied: N as u64 * 8,
+                    allocations: 1,
+                };
+                assert_eq!(blocking, own, "rank 1 p={p} flat reduce root");
+            }
 
             let next = [(rank + 1) % p, (rank + 2) % p];
             let prev = [(rank + p - 1) % p, (rank + p - 2) % p];

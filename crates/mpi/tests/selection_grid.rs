@@ -22,7 +22,13 @@
 //! self-sizing broadcast came to let its root select (its non-roots
 //! learn the row from the wire and take no decision): they read like
 //! the blocking `bcast_vec` on the root, where `ibcast` used to select
-//! nothing and `bcast_init` always froze the tree.
+//! nothing and `bcast_init` always froze the tree. The ladders were
+//! moved onto the per-rank thresholds when one allgather ceiling of
+//! 12 KiB per rank came to serve every form (the counted `allgatherv`'s
+//! rung is now its mean block) and Rabenseifner's allreduce came to
+//! start at 64 KiB on powers of two: every line reads as before but the
+//! `p = 6` allreduce groups, where the rule asks twice the size off
+//! powers of two, so the 64 KiB rungs stay on recursive doubling.
 //!
 //! One line per (call, tuning); one group per `p ∈ P`; one character
 //! per rung of the call's size ladder: the selected class's
@@ -131,7 +137,7 @@ fn sized_calls() -> Vec<(Call, Vec<usize>, Tunings)> {
             ("allreduce", |c, s| {
                 c.allreduce_vec(vec![1u8; s], sum).unwrap();
             }),
-            ladder(128 << 10),
+            ladder(64 << 10),
             allreduce_slot.clone(),
         ),
         (
@@ -145,7 +151,7 @@ fn sized_calls() -> Vec<(Call, Vec<usize>, Tunings)> {
             ("iallreduce", |c, s| {
                 c.iallreduce(&vec![1u8; s], sum).unwrap().wait().unwrap();
             }),
-            ladder(128 << 10),
+            ladder(64 << 10),
             allreduce_slot.clone(),
         ),
         (
@@ -160,7 +166,7 @@ fn sized_calls() -> Vec<(Call, Vec<usize>, Tunings)> {
             ("allreduce_init", |c, s| {
                 c.allreduce_init(&vec![1u8; s], sum).unwrap();
             }),
-            ladder(128 << 10),
+            ladder(64 << 10),
             allreduce_slot,
         ),
         (
@@ -201,34 +207,40 @@ fn sized_calls() -> Vec<(Call, Vec<usize>, Tunings)> {
             ("allgather", |c, s| {
                 c.allgather_vec(&vec![1u8; s]).unwrap();
             }),
-            ladder(8 << 10),
+            ladder(12 << 10),
             allgather_slot.clone(),
         ),
         (
             ("iallgather", |c, s| {
                 c.iallgather(&vec![1u8; s]).unwrap().wait().unwrap();
             }),
-            ladder(8 << 10),
+            ladder(12 << 10),
             allgather_slot.clone(),
         ),
         (
             ("allgather_init", |c, s| {
                 c.allgather_init(&vec![1u8; s]).unwrap();
             }),
-            vec![1, 8 << 10],
+            vec![1, 12 << 10],
             allgather_slot.clone(),
         ),
         (
-            // `s` is the total of uneven counts, which selects the row.
+            // `s` is the mean block of uneven counts, which selects the
+            // row: pairs of ranks hold `s + 1` and `s - 1`.
             ("allgatherv(counted)", |c, s| {
                 let p = c.size();
-                let counts: Vec<usize> = (0..p).map(|r| s / p + usize::from(r < s % p)).collect();
+                let count = |r: usize| match r % 2 {
+                    0 if r + 1 < p => s + 1,
+                    1 => s - 1,
+                    _ => s,
+                };
+                let counts: Vec<usize> = (0..p).map(count).collect();
                 let displs = displacements_from_counts(&counts);
                 let mine = vec![1u8; counts[c.rank()]];
-                c.allgatherv_into(&mine, &mut vec![0u8; s], &counts, &displs)
+                c.allgatherv_into(&mine, &mut vec![0u8; s * p], &counts, &displs)
                     .unwrap();
             }),
-            ladder(8 << 10),
+            ladder(12 << 10),
             allgather_slot.clone(),
         ),
         (
@@ -237,7 +249,7 @@ fn sized_calls() -> Vec<(Call, Vec<usize>, Tunings)> {
             ("allgatherv(self-sizing)", |c, s| {
                 c.allgatherv_vec(&vec![1u8; s + c.rank()]).unwrap();
             }),
-            ladder(8 << 10),
+            ladder(12 << 10),
             allgather_slot.clone(),
         ),
         (
@@ -245,14 +257,14 @@ fn sized_calls() -> Vec<(Call, Vec<usize>, Tunings)> {
                 let req = c.iallgatherv(&vec![1u8; s + c.rank()]).unwrap();
                 req.wait().unwrap();
             }),
-            ladder(8 << 10),
+            ladder(12 << 10),
             allgather_slot.clone(),
         ),
         (
             ("allgatherv_init", |c, s| {
                 c.allgatherv_init(&vec![1u8; s + c.rank()]).unwrap();
             }),
-            vec![1, 8 << 10],
+            vec![1, 12 << 10],
             allgather_slot,
         ),
         (
@@ -423,24 +435,24 @@ fn golden_selection_grid() {
 
 #[rustfmt::skip]
 const GOLDEN: &[&str] = &[
-    "allreduce default | -,-,-,- 0,0,0,0 0,0,0,0 0,0,1,1 0,0,1,1 0,0,1,1 0,0,1,1",
-    "allreduce driven_cold | -,-,-,- 0,0,0,0 0,0,0,0 0,0,1,1 0,0,1,1 0,0,1,1 0,0,1,1",
+    "allreduce default | -,-,-,- 0,0,0,0 0,0,0,0 0,0,1,1 0,0,0,0 0,0,1,1 0,0,1,1",
+    "allreduce driven_cold | -,-,-,- 0,0,0,0 0,0,0,0 0,0,1,1 0,0,0,0 0,0,1,1 0,0,1,1",
     "allreduce recursive_doubling | -,-,-,- 0,0,0,0 0,0,0,0 0,0,0,0 0,0,0,0 0,0,0,0 0,0,0,0",
     "allreduce rabenseifner | -,-,-,- 1,1,1,1 1,1,1,1 1,1,1,1 1,1,1,1 1,1,1,1 1,1,1,1",
     "allreduce(non-commutative) default | - - - - - - -",
     "allreduce(non-commutative) driven_cold | - - - - - - -",
     "allreduce(non-commutative) recursive_doubling | - - - - - - -",
     "allreduce(non-commutative) rabenseifner | - - - - - - -",
-    "iallreduce default | 0,0,0,0 0,0,0,0 0,0,0,0 0,0,1,1 0,0,1,1 0,0,1,1 0,0,1,1",
-    "iallreduce driven_cold | 0,0,0,0 0,0,0,0 0,0,0,0 0,0,1,1 0,0,1,1 0,0,1,1 0,0,1,1",
+    "iallreduce default | 0,0,0,0 0,0,0,0 0,0,0,0 0,0,1,1 0,0,0,0 0,0,1,1 0,0,1,1",
+    "iallreduce driven_cold | 0,0,0,0 0,0,0,0 0,0,0,0 0,0,1,1 0,0,0,0 0,0,1,1 0,0,1,1",
     "iallreduce recursive_doubling | 0,0,0,0 0,0,0,0 0,0,0,0 0,0,0,0 0,0,0,0 0,0,0,0 0,0,0,0",
     "iallreduce rabenseifner | 1,1,1,1 1,1,1,1 1,1,1,1 1,1,1,1 1,1,1,1 1,1,1,1 1,1,1,1",
     "iallreduce(non-commutative) default | - - - - - - -",
     "iallreduce(non-commutative) driven_cold | - - - - - - -",
     "iallreduce(non-commutative) recursive_doubling | - - - - - - -",
     "iallreduce(non-commutative) rabenseifner | - - - - - - -",
-    "allreduce_init default | 0,0,0,0 0,0,0,0 0,0,0,0 0,0,1,1 0,0,1,1 0,0,1,1 0,0,1,1",
-    "allreduce_init driven_cold | 0,0,0,0 0,0,0,0 0,0,0,0 0,0,1,1 0,0,1,1 0,0,1,1 0,0,1,1",
+    "allreduce_init default | 0,0,0,0 0,0,0,0 0,0,0,0 0,0,1,1 0,0,0,0 0,0,1,1 0,0,1,1",
+    "allreduce_init driven_cold | 0,0,0,0 0,0,0,0 0,0,0,0 0,0,1,1 0,0,0,0 0,0,1,1 0,0,1,1",
     "allreduce_init recursive_doubling | 0,0,0,0 0,0,0,0 0,0,0,0 0,0,0,0 0,0,0,0 0,0,0,0 0,0,0,0",
     "allreduce_init rabenseifner | 1,1,1,1 1,1,1,1 1,1,1,1 1,1,1,1 1,1,1,1 1,1,1,1 1,1,1,1",
     "bcast_into default | 2,2,2,2 2,2,2,2 2,2,2,2 2,2,3,3 2,2,3,3 2,2,3,3 2,2,3,3",

@@ -265,7 +265,8 @@ fn tuning_parameter_overrides_one_call() {
 }
 
 /// The per-call override must reach the *non-blocking* engine
-/// selection too: forcing Rabenseifner changes the message pattern of
+/// selection too: forcing recursive doubling where `Auto` runs
+/// Rabenseifner (64 KiB at p = 8) changes the message pattern of
 /// `iallreduce`, which the deterministic virtual clock observes
 /// (results stay identical).
 #[test]
@@ -281,7 +282,7 @@ fn tuning_parameter_reaches_nonblocking_engines() {
                 comm.iallreduce((
                     send_buf(mine),
                     op(ops::Sum),
-                    tuning(CollTuning::default().allreduce(AllreduceAlgo::Rabenseifner)),
+                    tuning(CollTuning::default().allreduce(AllreduceAlgo::RecursiveDoubling)),
                 ))
                 .unwrap()
             } else {
@@ -304,8 +305,8 @@ fn tuning_parameter_reaches_nonblocking_engines() {
     assert_ne!(
         vtime(false),
         vtime(true),
-        "forcing AllreduceAlgo::Rabenseifner through tuning(...) must change the \
-         iallreduce engine (doubling vs reduce-scatter message patterns differ)"
+        "forcing AllreduceAlgo::RecursiveDoubling through tuning(...) must change the \
+         iallreduce engine (`Auto` runs Rabenseifner at 64 KiB; the message patterns differ)"
     );
 }
 
@@ -864,9 +865,9 @@ mod lifecycles {
         for p in SMALL_P {
             for n in SMALL_N {
                 Universe::run(p, move |comm| {
-                    // Above the rule's 16 bytes at p >= 4, `Auto` picks
-                    // Rabenseifner.
-                    let eager = p >= 4 && n >= 2;
+                    // From the rule's 16 bytes at p >= 4 (32 off powers
+                    // of two), `Auto` picks Rabenseifner.
+                    let eager = p >= 4 && 8 * n >= 16 << usize::from(!p.is_power_of_two());
                     let rows = [
                         ("auto", base, rd),
                         (

@@ -2,9 +2,10 @@
 //! log-round allgathers' error path.
 //!
 //! Counts every rank passes identically are the agreed layout that the
-//! `allgather/*` rows carve their packed rounds by, so their total
-//! selects the row: recursive doubling or Bruck at or below the
-//! allgather ceilings of `CollTuning`, the eager fan-out above them.
+//! `allgather/*` rows carve their rounds by, so their mean block (the
+//! total over `p`) selects the row: recursive doubling or Bruck at or
+//! below the per-rank allgather ceiling of `CollTuning`, the eager
+//! fan-out above it.
 //! The grid checks every row of both entry points — the substrate's
 //! `allgatherv_into` and the binding's `allgatherv` with `recv_counts` —
 //! over uneven counts with zeros and displacements with gaps, and reads
@@ -91,10 +92,10 @@ fn counted_allgatherv_matches_the_oracle_under_every_row() {
                 placed[d..d + counts[r]].copy_from_slice(&contribution(r, counts[r]));
             }
             let base = CollTuning::default();
-            let ceilings = |bytes| {
-                base.allgather_rd_max_bytes(bytes)
-                    .allgather_bruck_max_bytes(bytes)
-            };
+            let ceiling = |bytes| base.allgather_max_bytes(bytes);
+            // The mean block, rounded up: at a ceiling of `mean` the
+            // total is within `p · mean`, at `mean - 1` above it.
+            let mean = total_bytes.div_ceil(p);
             let bruck_row = if p >= 2 {
                 AlgoClass::AllgatherBruck
             } else {
@@ -121,17 +122,13 @@ fn counted_allgatherv_matches_the_oracle_under_every_row() {
                     rd_row,
                 ),
                 ("bruck", base.allgather(AllgatherAlgo::Bruck), bruck_row),
+                ("auto, mean block at the ceiling", ceiling(mean), auto_row),
                 (
-                    "auto, total at the ceiling",
-                    ceilings(total_bytes),
-                    auto_row,
-                ),
-                (
-                    "auto, total above the ceiling",
-                    ceilings(total_bytes - 1),
+                    "auto, mean block above the ceiling",
+                    ceiling(mean - 1),
                     AlgoClass::AllgatherRing,
                 ),
-                ("auto, default ceilings", base, auto_row),
+                ("auto, default ceiling", base, auto_row),
             ];
             for (name, tuning, row) in cases {
                 let at = format!("p = {p}, rank {}, {name}", kc.rank());

@@ -4,7 +4,7 @@
 //! Without receive counts no rank knows another's block size, so the
 //! `allgather/*` latency rows learn the layout in their rounds: round 0
 //! carries the bare block, every later round its group's lengths and
-//! the blocks whose `p`-fold is within the row's ceiling; a larger
+//! the blocks whose length is within the per-rank ceiling; a larger
 //! block goes from its origin straight to every rank that did not get
 //! it in round 0. The grid runs every row — `Auto` and forced recursive
 //! doubling, Bruck and ring — through every self-sizing entry point, at
@@ -16,8 +16,8 @@
 use kamping_repro::kamping::prelude::*;
 use kamping_repro::mpi::{bytes_from_vec, AlgoClass, AllgatherAlgo, CollTuning, Comm, Universe};
 
-/// Bytes per block at the ceilings the grid sets: `p · L`, and one
-/// byte below it.
+/// Bytes per block at the ceilings the grid sets: `L`, and one byte
+/// below it.
 const L: usize = 24;
 
 /// Rank `r`'s contribution of `n` bytes, distinct across ranks.
@@ -26,8 +26,8 @@ fn contribution(r: usize, n: usize) -> Vec<u8> {
 }
 
 /// The block lengths of every mix at `p` ranks: all empty, all inline
-/// (uneven, below `L`), all exactly `L` (at the ceiling `p · L`, one
-/// byte over `p · L - 1`), one large origin (rank 0, then a middle
+/// (uneven, below `L`), all exactly `L` (at the ceiling `L`, one byte
+/// over `L - 1`), one large origin (rank 0, then a middle
 /// rank), a mix of empty, `L` and large, and all large.
 fn mixes(p: usize) -> Vec<(&'static str, Vec<usize>)> {
     let small = |r: usize| (r * 7 + 3) % L;
@@ -61,11 +61,9 @@ fn row_of<R>(comm: &Comm, call: impl FnOnce() -> R) -> (AlgoClass, R) {
 }
 
 /// The tunings of the grid at `p` — `Auto` and each forced row, at the
-/// ceiling `ceiling` for both latency rows — with the row each runs.
+/// per-rank ceiling `ceiling` — with the row each runs.
 fn rows(p: usize, ceiling: usize) -> Vec<(String, CollTuning, AlgoClass)> {
-    let base = CollTuning::default()
-        .allgather_rd_max_bytes(ceiling)
-        .allgather_bruck_max_bytes(ceiling);
+    let base = CollTuning::default().allgather_max_bytes(ceiling);
     let ring = AlgoClass::AllgatherRing;
     let latency = if p.is_power_of_two() {
         AlgoClass::AllgatherRd
@@ -104,7 +102,7 @@ fn self_sizing_allgatherv_matches_the_oracle_under_every_row() {
             let kc = Communicator::new(comm);
             let raw = kc.raw();
             let me = kc.rank();
-            for (name, tuning, row) in [p * L, p * L - 1].into_iter().flat_map(|c| rows(p, c)) {
+            for (name, tuning, row) in [L, L - 1].into_iter().flat_map(|c| rows(p, c)) {
                 raw.set_tuning(tuning);
                 for (mix, lens) in mixes(p) {
                     let at = format!("p = {p}, rank {me}, {name}, {mix}");
@@ -247,8 +245,9 @@ mod cut_short {
             ),
         ];
         // Inline blocks of 3 bytes: round 1 carries 2 lengths and 6
-        // bytes. Large blocks of 9000 bytes travel direct.
-        let cuts = [(3, 2 * 8 + 6 - 1), (3, 4), (9000, 8999)];
+        // bytes. Large blocks of 13000 bytes, over the 12 KiB per-rank
+        // ceiling, travel direct.
+        let cuts = [(3, 2 * 8 + 6 - 1), (3, 4), (13000, 12999)];
         for (p, tuning, row) in cases {
             for (len, keep) in cuts {
                 for lifecycle in LIFECYCLES {
@@ -292,7 +291,7 @@ mod cut_short {
             });
             within_deadline(p, plan, move |comm| {
                 let me = comm.rank();
-                let mut plan = comm.allgatherv_init(&contribution(me, 9000)).unwrap();
+                let mut plan = comm.allgatherv_init(&contribution(me, 13000)).unwrap();
                 plan.start().unwrap();
                 plan.wait().unwrap();
                 plan.set_data(&contribution(me, 3)).unwrap();

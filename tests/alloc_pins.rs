@@ -93,8 +93,8 @@ const PINS: [(&str, f64, f64); 28] = [
     ("allreduce blocking 4 KiB", 7.5, 11.5),
     ("allreduce i* 4 KiB", 7.5, 11.5),
     ("allreduce init 4 KiB", 8.0, 13.0),
-    ("allgatherv blocking 8 B", 10.5, 14.5),
-    ("allgatherv blocking 4 KiB", 8.5, 8.5),
+    ("allgatherv blocking 8 B", 6.5, 8.5),
+    ("allgatherv blocking 4 KiB", 6.5, 8.5),
     ("alltoallv blocking 8 B", 7.5, 7.5),
     ("alltoallv i* 8 B", 9.5, 9.5),
     ("alltoallv init 8 B", 3.0, 7.0),

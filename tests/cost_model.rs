@@ -663,7 +663,10 @@ fn self_sizing_broadcasts_cost_at_most_the_announcement() {
 
 /// The blocking `allreduce` cells of the benchmark's p = 16 model run
 /// (`coll_blocking`'s `Scale::Model` sizes), pinned to the 0.1 us:
-/// recursive doubling at 1 KiB and 64 KiB, Rabenseifner at 256 KiB.
+/// recursive doubling at 1 KiB; Rabenseifner at 64 KiB, its 4 KiB
+/// chunks gathered in doubling rounds (33.4 us on recursive doubling
+/// before the rule moved to 64 KiB), and at 256 KiB, whose 16 KiB
+/// chunks take the eager exchange.
 /// The lifecycle test above holds `iallreduce` and `allreduce_init` to
 /// the same numbers.
 #[test]
@@ -683,7 +686,7 @@ fn blocking_allreduce_model_time_at_p16_is_pinned() {
     let us: Vec<f64> = (times.iter())
         .map(|(_, ns)| (*ns as f64 / 100.0).round() / 10.0)
         .collect();
-    assert_eq!(us, [7.6, 33.4, 58.8], "{times:?}");
+    assert_eq!(us, [7.6, 26.7, 58.8], "{times:?}");
 }
 
 /// Rabenseifner against recursive doubling at the large rungs, dry-run
@@ -691,8 +694,8 @@ fn blocking_allreduce_model_time_at_p16_is_pinned() {
 /// chunk before the first receive, so the phase is one round on the
 /// critical path whatever `p'`: Rabenseifner wins every cell from
 /// p = 4 to 64 at 256 KiB and 1 MiB, and the static `Auto` pick (which
-/// takes it from 128 KiB at `p >= 4`) is the cheaper row at p = 64,
-/// 256 KiB.
+/// takes it from 64 KiB on powers of two `p >= 4`) is the cheaper row
+/// at p = 64, 256 KiB.
 #[test]
 fn rabenseifner_beats_doubling_at_the_large_rungs() {
     use kamping_repro::mpi::AllreduceAlgo::{Rabenseifner, RecursiveDoubling};
@@ -724,10 +727,10 @@ fn rabenseifner_beats_doubling_at_the_large_rungs() {
 
 /// The counted `allgatherv` rungs of the benchmark's `call_rate` ladder
 /// at p = 16, through the binding's `allgatherv((send_buf, recv_counts))`,
-/// pinned to the 0.01 us: the totals of 8, 64 and 512 bytes per rank
-/// (128 B to 8 KiB) are within the recursive-doubling ceiling and take
-/// four rounds; 4 KiB per rank (64 KiB in total) stays on the eager
-/// fan-out (p - 1 startups).
+/// pinned to the 0.01 us: 8, 64, 512 bytes and 4 KiB per rank are all
+/// within the 12 KiB per-rank ceiling and take four doubling rounds
+/// (the 4 KiB rung ran the eager fan-out's p - 1 startups at 27.41 us
+/// under the old 8 KiB total).
 #[test]
 fn counted_allgatherv_model_time_at_p16_is_pinned() {
     let times = timed_ops(16, CostModel::cluster(), |comm, run| {
@@ -745,17 +748,16 @@ fn counted_allgatherv_model_time_at_p16_is_pinned() {
     let us: Vec<f64> = (times.iter())
         .map(|(_, ns)| (*ns as f64 / 10.0).round() / 100.0)
         .collect();
-    assert_eq!(us, [7.21, 7.29, 7.97, 27.41], "{times:?}");
+    assert_eq!(us, [7.21, 7.29, 7.97, 13.34], "{times:?}");
 }
 
 /// The self-sizing rungs of the same ladder, through the binding's
 /// `allgatherv(send_buf)`, pinned to the 0.01 us. The lengths ride in
-/// the four doubling rounds, so 8, 64 and 512 bytes per rank (whose
-/// 16-fold is within the 8 KiB ceiling) cost what their counted twins
-/// cost plus one length per block and round. A 4 KiB block is too large
-/// to ride: each origin sends it to the 14 ranks that did not get it in
-/// round 0 when the call starts, ahead of rounds that carry lengths
-/// only, and every rank receives those blocks once its rounds are done.
+/// the four doubling rounds, and so does every block within the 12 KiB
+/// per-rank ceiling: each rung costs what its counted twin costs plus
+/// one length per block and round. (Under the old rule a 4 KiB block,
+/// whose 16-fold exceeded 8 KiB, went direct to the 14 ranks that did
+/// not get it in round 0, behind rounds of lengths only: 32.41 us.)
 #[test]
 fn self_sizing_allgatherv_model_time_at_p16_is_pinned() {
     let times = timed_ops(16, CostModel::cluster(), |comm, run| {
@@ -770,20 +772,23 @@ fn self_sizing_allgatherv_model_time_at_p16_is_pinned() {
     let us: Vec<f64> = (times.iter())
         .map(|(_, ns)| (*ns as f64 / 10.0).round() / 100.0)
         .collect();
-    assert_eq!(us, [7.22, 7.31, 7.98, 32.41], "{times:?}");
+    assert_eq!(us, [7.22, 7.31, 7.98, 13.35], "{times:?}");
 }
 
 /// Every rank's finish time (virtual ns) of one call at `p = 16` under
 /// `CostModel::cluster()`: the `i*` forms dry-run, the counted
 /// `allgatherv` — which has no `i*` form — threaded, from a
 /// synchronized zero (the lifecycle test holds the two to the same
-/// numbers).
+/// numbers). The allgather ceiling is 512 bytes per rank, the 8 KiB
+/// total these times were recorded under.
 fn finish_times_at_p16() -> Vec<(String, Vec<u64>)> {
-    use kamping_repro::mpi::{bytes_from_vec, AlltoallAlgo};
+    use kamping_repro::mpi::{bytes_from_vec, AlltoallAlgo, CollTuning};
     let (p, model) = (16, CostModel::cluster());
+    let recorded = CollTuning::default().allgather_max_bytes(512);
     let mut out = Vec::new();
     for bytes in [8usize, 512, 4096] {
         let counted = Universe::run_with(Config::new(p).cost(model), |comm| {
+            comm.set_tuning(recorded);
             let own = bytes_from_vec(vec![comm.rank() as u8; bytes]);
             comm.barrier().unwrap();
             comm.clock_reset();
@@ -793,7 +798,10 @@ fn finish_times_at_p16() -> Vec<(String, Vec<u64>)> {
         let counted = counted.into_iter().map(|t| t.unwrap()).collect();
         out.push((format!("counted allgatherv {bytes} B"), counted));
         let mine = vec![7u8; bytes];
-        let learned = Universe::dry_run(Config::new(p).cost(model), |c| c.iallgatherv(&mine));
+        let learned = Universe::dry_run(Config::new(p).cost(model), |c| {
+            c.set_tuning(recorded);
+            c.iallgatherv(&mine)
+        });
         out.push((format!("iallgatherv {bytes} B"), learned.unwrap()));
     }
     let bruck = Universe::dry_run(Config::new(p).cost(model), |c| {
@@ -829,5 +837,75 @@ fn forwarded_parts_cost_what_packed_rounds_cost_at_p16() {
     for ((name, times), (want_name, want_times)) in got.iter().zip(&want) {
         assert_eq!(name, want_name);
         assert_eq!(times, want_times, "{name}");
+    }
+}
+
+/// The model times one allgather ceiling per rank (12 KiB) and
+/// Rabenseifner's doubling allgather phase moved, at p = 16 and 64,
+/// each to the 0.01 us beside its value under the former rules (an
+/// 8 KiB ceiling on a counted call's total and a self-sizing block's
+/// `p`-fold length; Rabenseifner from 128 KiB with an eager allgather
+/// phase). The counted and the
+/// self-sizing `allgatherv` at 4 KiB per rank now ride the doubling
+/// rounds (the eager fan-out, and direct blocks behind length rounds,
+/// before); so do the sorter's `16 log2 p + 1` samples of 24 bytes (a
+/// self-sizing `allgatherv`). `Auto`'s allreduce takes Rabenseifner from 64 KiB
+/// (recursive doubling before), and its allgather phase doubles where
+/// the chunk is within the ceiling: at 128 KiB on both `p`, and at
+/// 64 KiB.
+#[test]
+fn moved_cells_at_p16_and_p64_are_pinned() {
+    let run = |p: usize| {
+        timed_ops(p, CostModel::cluster(), |comm, run| {
+            let kc = Communicator::new(comm.dup().unwrap());
+            let mine = vec![kc.rank() as u64; 512];
+            let counts = vec![512; kc.size()];
+            run("counted allgatherv 4 KiB", &mut || {
+                let _: Vec<u64> = kc
+                    .allgatherv((send_buf(&mine), recv_counts(&counts)))
+                    .unwrap();
+            });
+            run("self-sizing allgatherv 4 KiB", &mut || {
+                let _: Vec<u64> = kc.allgatherv(send_buf(&mine)).unwrap();
+            });
+            let samples = vec![[kc.rank() as u64; 3]; 16 * kc.size().ilog2() as usize + 1];
+            run("sorter samples", &mut || {
+                let _: Vec<[u64; 3]> = kc.allgatherv(send_buf(&samples)).unwrap();
+            });
+            for (name, bytes) in [
+                ("allreduce 64 KiB", 64 << 10),
+                ("allreduce 128 KiB", 128 << 10),
+            ] {
+                let mine = vec![kc.rank() as u64; bytes / 8];
+                run(name, &mut || {
+                    comm.allreduce_vec(&mine, Sum).unwrap();
+                });
+            }
+        })
+    };
+    let us = |times: Vec<(&str, u64)>| -> Vec<f64> {
+        (times.iter())
+            .map(|(_, ns)| (*ns as f64 / 10.0).round() / 100.0)
+            .collect()
+    };
+    // (cell, former rules, now) in us, per p.
+    let p16 = [
+        ("counted allgatherv 4 KiB", 27.41, 13.34),
+        ("self-sizing allgatherv 4 KiB", 32.41, 13.35),
+        ("sorter samples", 32.41, 9.55),
+        ("allreduce 64 KiB", 33.41, 26.68),
+        ("allreduce 128 KiB", 46.49, 38.97),
+    ];
+    let p64 = [
+        ("counted allgatherv 4 KiB", 113.81, 36.6),
+        ("self-sizing allgatherv 4 KiB", 122.45, 36.65),
+        ("sorter samples", 122.45, 25.51),
+        ("allreduce 64 KiB", 50.12, 34.5),
+        ("allreduce 128 KiB", 137.1, 47.4),
+    ];
+    for (p, cells) in [(16, p16), (64, p64)] {
+        let now: Vec<f64> = cells.iter().map(|c| c.2).collect();
+        assert_eq!(us(run(p)), now, "p = {p}: {cells:?}");
+        assert!(cells.iter().all(|c| c.2 < c.1), "p = {p}: every cell fell");
     }
 }

@@ -532,3 +532,72 @@ fn a_cut_or_duplicated_grid_column_hop_fails_only_its_receiver() {
         }
     }
 }
+
+/// Rabenseifner's doubling allgather phase at p = 4 and 8, 64 KiB per
+/// rank, with a message of its first or its last round cut or
+/// duplicated. Rank 0 sends each round's partner two messages: the
+/// halving's step, then the phase's round. Round 0's carries rank 0's
+/// reduced chunk to rank 1; the last round's carries `p / 2` chunks as
+/// parts to rank `p / 2`. A chunk cut short fails every rank it reaches
+/// with `Truncated`: cut in the last round, the receiver alone; cut in
+/// round 0, rank 1 and every rank it forwards chunk 0 to, directly or
+/// through later rounds — the odd ranks. Duplicated, every rank
+/// completes and the copy stays queued on a tag no later call takes.
+/// Either way every rank is back before the deadline, nothing panics,
+/// and the next `allreduce` succeeds. The ceiling is raised so that
+/// p = 4's 16 KiB chunks double too.
+#[cfg(feature = "fault")]
+#[test]
+fn a_cut_rabenseifner_doubling_round_fails_the_ranks_its_chunks_reach() {
+    use kamping_repro::mpi::{AllreduceAlgo, CollTuning, FaultPlan};
+    const N: usize = 8192; // u64 elements: 64 KiB
+    for p in [4usize, 8] {
+        let chunk = N * 8 / p;
+        // (receiver, cut within the message, the ranks a cut fails)
+        type Fails = fn(usize, usize) -> bool;
+        let rounds: [(usize, usize, Fails); 2] = [
+            (1, chunk / 2, |_, rank| rank % 2 == 1),
+            (p / 2, chunk + chunk / 2, |p, rank| rank == p / 2),
+        ];
+        let faults = rounds.into_iter().flat_map(|(to, keep, fails)| {
+            [PartsFault::Cut(keep), PartsFault::Twice].map(|fault| (to, fault, fails))
+        });
+        for (to, fault, fails) in faults {
+            let at = format!("p = {p}, message to rank {to}, {fault:?}");
+            let plan = match fault {
+                PartsFault::Cut(keep) => FaultPlan::new().truncate_message(0, to, None, 2, keep),
+                PartsFault::Twice => FaultPlan::new().duplicate_message(0, to, None, 2),
+            };
+            let outcomes = with_deadline(60, move || {
+                Universe::run_with(Config::new(p).faults(plan), move |comm| {
+                    let tuning = CollTuning::default()
+                        .allreduce(AllreduceAlgo::Rabenseifner)
+                        .allgather_max_bytes(16 << 10);
+                    comm.set_tuning(tuning);
+                    let mine = vec![comm.rank() as u64; N];
+                    let got = comm.allreduce_vec(&mine, kamping_repro::mpi::op::Sum);
+                    let next = comm.allreduce_vec(&[1u64], kamping_repro::mpi::op::Sum);
+                    (got, next)
+                })
+            });
+            let sum = (0..p as u64).sum::<u64>();
+            for (rank, outcome) in outcomes.into_iter().enumerate() {
+                let (got, next) = outcome.unwrap();
+                match (fault, fails(p, rank)) {
+                    (PartsFault::Cut(_), true) => {
+                        assert!(
+                            matches!(got, Err(MpiError::Truncated { .. })),
+                            "{at}, rank {rank}: {got:?}"
+                        )
+                    }
+                    _ => assert_eq!(got, Ok(vec![sum; N]), "{at}, rank {rank}"),
+                }
+                assert_eq!(
+                    next,
+                    Ok(vec![p as u64]),
+                    "{at}, rank {rank}: the next allreduce"
+                );
+            }
+        }
+    }
+}
