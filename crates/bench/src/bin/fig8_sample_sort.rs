@@ -3,7 +3,7 @@
 //! to 256 ranks and finds all bindings indistinguishable except MPL.
 //!
 //! This harness sorts `--n-per-rank` (default 20000) integers per rank on
-//! 1..=`--max-p` (default 32) ranks, reporting virtual time (DESIGN.md).
+//! 1..=`--max-p` (default 32) ranks, reporting virtual time (see the crate doc).
 
 use kmp_apps::sample_sort::*;
 use kmp_bench::{

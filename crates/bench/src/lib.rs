@@ -1,44 +1,60 @@
 //! # kmp-bench — harnesses regenerating the paper's tables and figures
 //!
-//! Binaries (one per artifact; see DESIGN.md's experiment index):
+//! Binaries, one per artifact:
 //!
-//! | binary                    | paper artifact                        |
-//! |---------------------------|---------------------------------------|
-//! | `table1_loc`              | Table I (lines of code)               |
-//! | `fig8_sample_sort`        | Fig. 8 (sample sort weak scaling)     |
-//! | `fig10_bfs`               | Fig. 10 (BFS exchange strategies)     |
-//! | `sa_experiment`           | §IV-A suffix array LoC + parity       |
-//! | `label_prop_experiment`   | §IV-B label propagation LoC + parity  |
-//! | `raxml_proxy`             | §IV-C RAxML-NG integration parity     |
-//! | `repro_reduce_experiment` | §V-C / Fig. 13 reproducible reduce    |
+//! | binary                  | paper artifact                        |
+//! |-------------------------|---------------------------------------|
+//! | `table1_loc`            | Table I (lines of code)               |
+//! | `fig8_sample_sort`      | Fig. 8 (sample sort weak scaling)     |
+//! | `fig10_bfs`             | Fig. 10 (BFS exchange strategies)     |
+//! | `sa_experiment`         | §IV-A suffix array LoC + parity       |
+//! | `label_prop_experiment` | §IV-B label propagation LoC + parity  |
+//! | `raxml_proxy`           | §IV-C RAxML-NG integration parity     |
 //!
-//! Criterion benches (`cargo bench -p kmp-bench`) back the paper's
+//! and `floors`, which measures every subsystem's wall-clock contract
+//! against its in-tree reference in one run (its module doc lists each
+//! floor and its bound).
+//!
+//! Criterion benches (`cargo bench -p kmp_bench`) back the paper's
 //! central "(near) zero overhead" claim and the §III-D4 serialization /
 //! datatype ablations.
 //!
 //! Scaling experiments report **virtual time** (see `kmp_mpi::clock`):
-//! measured thread-CPU time for compute plus an alpha-beta model for
-//! messages, with the maximum over ranks as the figure of merit — the
-//! substitution for the paper's 256-node testbed documented in DESIGN.md.
-
-pub mod harness;
+//! explicitly charged compute plus an alpha-beta model for messages,
+//! with the maximum over ranks as the figure of merit — the substitute
+//! for the paper's 256-node testbed.
 
 use kmp_mpi::{Comm, Config, CostModel, Universe};
 
-/// Runs `f` on `p` ranks `reps` times under the cluster cost model and
-/// returns the median over repetitions of the maximum virtual time over
-/// ranks, in milliseconds.
-pub fn measure_virtual_ms<F>(p: usize, reps: usize, f: F) -> f64
-where
-    F: Fn(&Comm) + Sync,
-{
+/// What a timed closure receives: the substrate [`Comm`] itself, or a
+/// handle built from it once per rank, outside the timed region.
+trait RankHandle: From<Comm> {
+    fn comm(&self) -> &Comm;
+}
+
+impl RankHandle for Comm {
+    fn comm(&self) -> &Comm {
+        self
+    }
+}
+
+impl RankHandle for kamping::Communicator {
+    fn comm(&self) -> &Comm {
+        self.raw()
+    }
+}
+
+/// The timing loop of both entry points below.
+fn measure_virtual<H: RankHandle, F: Fn(&H) + Sync>(p: usize, reps: usize, f: F) -> f64 {
     let per_rank: Vec<Vec<u64>> =
         Universe::run_with(Config::new(p).cost(CostModel::cluster()), |comm| {
+            let handle = H::from(comm);
+            let comm = handle.comm();
             let mut times = Vec::with_capacity(reps);
             for _ in 0..reps {
                 comm.barrier().expect("barrier");
                 comm.clock_reset();
-                f(&comm);
+                f(&handle);
                 times.push(comm.clock_now_ns());
             }
             times
@@ -54,6 +70,16 @@ where
     maxima[maxima.len() / 2] as f64 / 1e6
 }
 
+/// Runs `f` on `p` ranks `reps` times under the cluster cost model and
+/// returns the median over repetitions of the maximum virtual time over
+/// ranks, in milliseconds.
+pub fn measure_virtual_ms<F>(p: usize, reps: usize, f: F) -> f64
+where
+    F: Fn(&Comm) + Sync,
+{
+    measure_virtual(p, reps, f)
+}
+
 /// Like [`measure_virtual_ms`], but hands the closure a kamping
 /// [`Communicator`](kamping::Communicator): the wrap happens once per
 /// rank *outside* the timed region, exactly as an application would hold
@@ -62,27 +88,7 @@ pub fn measure_virtual_kamping_ms<F>(p: usize, reps: usize, f: F) -> f64
 where
     F: Fn(&kamping::Communicator) + Sync,
 {
-    let per_rank: Vec<Vec<u64>> =
-        Universe::run_with(Config::new(p).cost(CostModel::cluster()), |comm| {
-            let kc = kamping::Communicator::new(comm);
-            let mut times = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                kc.barrier().expect("barrier");
-                kc.raw().clock_reset();
-                f(&kc);
-                times.push(kc.raw().clock_now_ns());
-            }
-            times
-        })
-        .into_iter()
-        .map(|o| o.unwrap())
-        .collect();
-
-    let mut maxima: Vec<u64> = (0..reps)
-        .map(|rep| per_rank.iter().map(|t| t[rep]).max().unwrap_or(0))
-        .collect();
-    maxima.sort_unstable();
-    maxima[maxima.len() / 2] as f64 / 1e6
+    measure_virtual(p, reps, f)
 }
 
 /// Formats one scaling row: `label, p, time` aligned for terminal tables.

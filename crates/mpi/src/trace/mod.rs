@@ -51,8 +51,9 @@
 //! tracing [`set_enabled`]`(false)`, every entry point bails after one
 //! relaxed atomic load. Enabled, a span costs two timestamps, one ring
 //! write and one histogram add (~25 ns); an instant costs one of each.
-//! The `trace_experiment` bench measures the end-to-end effect and
-//! `BENCH_trace.json` pins it below 2%.
+//! The `trace` probe of `kmp_bench`'s `floors` binary measures the
+//! end-to-end effect, recorder on against off in one run, and bounds
+//! it at 10 % of summed CPU.
 //!
 //! # What is recorded
 //!

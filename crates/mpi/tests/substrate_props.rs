@@ -139,6 +139,51 @@ fn assert_sparse_matches_masked_dense<N: NeighborhoodColl>(
     }
 }
 
+/// Sparse neighborhood exchange posts exactly `degree` envelopes per
+/// rank per round, forced dense at least `p - 1`, on chord rings
+/// (neighbors at `±1..=h`: degree 4 at p = 8, 8 at p = 16). Each rank
+/// reads its counter at closure end, when every envelope destined to it
+/// has arrived, and a zero-round run of the same program is subtracted.
+#[test]
+fn sparse_exchange_posts_degree_envelopes_on_chord_rings() {
+    use kmp_mpi::{CollTuning, NeighborhoodAlgo};
+    fn envelopes(p: usize, h: usize, rounds: usize, algo: NeighborhoodAlgo) -> Vec<u64> {
+        Universe::run(p, move |comm| {
+            let mut nbrs: Vec<Rank> = (1..=h)
+                .flat_map(|k| [(comm.rank() + k) % p, (comm.rank() + p - k) % p])
+                .collect();
+            nbrs.sort_unstable();
+            nbrs.dedup();
+            let g = comm.create_dist_graph_adjacent(&nbrs, &nbrs).unwrap();
+            let _t = g
+                .comm()
+                .tuning_guard(Some(CollTuning::default().neighborhood(algo)));
+            let sends = vec![vec![comm.rank() as u64; 8]; nbrs.len()];
+            for _ in 0..rounds {
+                g.neighbor_alltoall_vecs(&sends).unwrap();
+            }
+            comm.mailbox_stats().envelopes_posted
+        })
+    }
+    for (p, h) in [(8usize, 2usize), (16, 4)] {
+        for algo in [NeighborhoodAlgo::Sparse, NeighborhoodAlgo::Dense] {
+            let (base, run) = (envelopes(p, h, 0, algo), envelopes(p, h, 5, algo));
+            for (rank, (b, r)) in base.iter().zip(&run).enumerate() {
+                let per_round = (r - b) as f64 / 5.0;
+                match algo {
+                    NeighborhoodAlgo::Sparse => {
+                        assert_eq!(per_round, 2.0 * h as f64, "p={p} rank {rank}")
+                    }
+                    _ => assert!(
+                        per_round >= (p - 1) as f64,
+                        "dense p={p} rank {rank}: {per_round}"
+                    ),
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 

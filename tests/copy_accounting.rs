@@ -145,6 +145,54 @@ fn serialized_send_does_not_recopy_encoder_output() {
     });
 }
 
+/// A binding ping-pong bills no more than the substrate's: an owned send
+/// and a typed default receive one way, the received vector sent back
+/// owned, against `send` / `recv_vec` / `send_vec` (the hand-written
+/// side borrows its first buffer). The slack is the per-operation
+/// metadata allowance, 64 bytes per rank.
+#[test]
+fn binding_ping_pong_copies_no_more_than_the_substrate() {
+    const N: usize = 1 << 13; // u64: 64 KiB
+    let bills = Universe::run(2, |comm| {
+        let comm = Communicator::new(comm);
+        let raw = comm.raw();
+        let bill = |f: &dyn Fn()| {
+            raw.barrier().unwrap();
+            let before = metrics::snapshot();
+            f();
+            metrics::snapshot().since(&before).bytes_copied
+        };
+        let substrate = bill(&|| {
+            if raw.rank() == 0 {
+                raw.send(&vec![1u64; N], 1, 0).unwrap();
+                let (back, _) = raw.recv_vec::<u64>(1, 1).unwrap();
+                assert_eq!(back.len(), N);
+            } else {
+                let (back, _) = raw.recv_vec::<u64>(0, 0).unwrap();
+                raw.send_vec(back, 0, 1).unwrap();
+            }
+        });
+        let binding = bill(&|| {
+            if comm.rank() == 0 {
+                comm.send((send_buf(vec![1u64; N]), destination(1), tag(0)))
+                    .unwrap();
+                let back: Vec<u64> = comm.recv((source(1), tag(1))).unwrap();
+                assert_eq!(back.len(), N);
+            } else {
+                let back: Vec<u64> = comm.recv((source(0), tag(0))).unwrap();
+                comm.send((send_buf(back), destination(0), tag(1))).unwrap();
+            }
+        });
+        (substrate, binding)
+    });
+    for (rank, (substrate, binding)) in bills.into_iter().enumerate() {
+        assert!(
+            binding <= substrate + 64 * 2,
+            "rank {rank}: {binding} B against {substrate} B"
+        );
+    }
+}
+
 /// The blocking allgatherv binding writes every delivered block straight
 /// into the caller's buffer: s + r copies total, through the full
 /// named-parameter path.
@@ -176,14 +224,14 @@ fn allgatherv_binding_copies_s_plus_r() {
 /// recursive doubling and pays equal-block doubling's bill: `s`
 /// serialized and `r = 4s` assembled — 5s, the second round's two
 /// blocks travelling as the parts of one message, unpacked. 4 KiB per
-/// rank (16 KiB in all) stays on the eager fan-out at `s + r` = 5s too.
-/// The counts travel in no header.
+/// rank (16 KiB in all) stays on the eager fan-out at `s + r` = 5s too,
+/// and so does 64 KiB per rank. The counts travel in no header.
 #[test]
 fn counted_allgatherv_binding_copy_bill_follows_its_row() {
     let p = 4usize;
     Universe::run(p, move |comm| {
         let comm = Communicator::new(comm);
-        for (s, bill) in [(512usize, 5), (4096, 5)] {
+        for (s, bill) in [(512usize, 5), (4096, 5), (65536, 5)] {
             let mine = vec![comm.rank() as u64; s / 8];
             let counts = vec![s / 8; p];
             let before = metrics::snapshot();
@@ -308,8 +356,9 @@ fn reduction_bindings_add_no_copies_and_no_allocations() {
     let p = 4usize;
     Universe::run(p, move |comm| {
         let comm = Communicator::new(comm);
-        // 4 KiB: recursive doubling / binomial tree; 1 MiB: Rabenseifner.
-        for n in [1usize << 9, 1 << 17] {
+        // 4 KiB: recursive doubling / binomial tree; 64 KiB and 1 MiB:
+        // Rabenseifner.
+        for n in [1usize << 9, 1 << 13, 1 << 17] {
             let mine = vec![comm.rank() as u64 + 1; n];
 
             let before = metrics::snapshot();

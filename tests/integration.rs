@@ -67,6 +67,41 @@ fn sorter_plugin_sorts_bfs_distances() {
     assert_eq!(all, expected);
 }
 
+/// The reproducible-reduce plugin (§V-C) returns the same bits on every
+/// rank and for every rank count from 1 to 32, on 100 000 values whose
+/// magnitudes span twenty orders (where a plain sum's order shows).
+#[test]
+fn reproducible_reduce_is_bit_identical_from_1_to_32_ranks() {
+    use kamping_repro::kamping::plugins::repro_reduce::ReproducibleReduce;
+    let mut rng = StdRng::seed_from_u64(1234);
+    let values: Vec<f64> = (0..100_000)
+        .map(|_| {
+            let mag = rng.random_range(-10..10);
+            rng.random::<f64>() * 10f64.powi(mag) * if rng.random() { 1.0 } else { -1.0 }
+        })
+        .collect();
+    let values = &values;
+    let bits: Vec<u64> = [1usize, 2, 4, 8, 16, 32]
+        .into_iter()
+        .map(|p| {
+            let out = Universe::run(p, move |comm| {
+                let comm = Communicator::new(comm);
+                let (lo, hi) = (
+                    comm.rank() * values.len() / p,
+                    (comm.rank() + 1) * values.len() / p,
+                );
+                comm.reproducible_reduce(&values[lo..hi], ops::Sum).unwrap()
+            });
+            assert!(
+                out.iter().all(|r| r.to_bits() == out[0].to_bits()),
+                "p = {p}"
+            );
+            out[0].to_bits()
+        })
+        .collect();
+    assert!(bits.iter().all(|&b| b == bits[0]), "{bits:?}");
+}
+
 #[test]
 fn suffix_array_on_dna_like_text() {
     let mut rng = StdRng::seed_from_u64(2024);
