@@ -487,7 +487,7 @@ fn neighbor_exchange(
 /// re-partitioned graph (distances are membership-relative state, so a
 /// level-granular checkpoint would be meaningless across a
 /// re-partition). `on_level` is a per-level hook — the seam where tests
-/// and the `fault_experiment` bench inject crashes
+/// and the `fault` probe of the `floors` bench inject crashes
 /// ([`Comm::fail_here`](kmp_mpi::Comm::fail_here) simply unwinds out of
 /// it).
 ///

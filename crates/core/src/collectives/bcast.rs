@@ -1,5 +1,6 @@
 //! `bcast` with named parameters.
 
+use kmp_mpi::plain::{bytes_from_vec, bytes_to_vec};
 use kmp_mpi::{Plain, Rank, Result};
 
 use crate::communicator::Communicator;
@@ -42,14 +43,13 @@ where
             if is_root {
                 // The buffer goes on the wire as it is: the children's
                 // messages are views of it, so they leave before any
-                // byte is copied. It comes home through `take()` on
-                // every path — the same allocation when the children are
-                // done with it, one counted copy otherwise. A root that
-                // holds something else than `recv_count` elements still
-                // broadcasts (the substrate reports it afterwards).
-                let (hold, payload) = kmp_mpi::SharedPayload::new(std::mem::take(buf));
-                let sent = raw.bcast_parts(Some(payload), size, root).map(drop);
-                *buf = hold.take();
+                // byte is copied; then one counted copy comes back, on
+                // every call, whether or not a child still holds its view.
+                // A root that holds something else than `recv_count`
+                // elements still broadcasts (the substrate reports it).
+                let payload = bytes_from_vec(std::mem::take(buf));
+                let sent = raw.bcast_parts(Some(payload.clone()), size, root).map(drop);
+                *buf = bytes_to_vec(&payload);
                 return sent;
             }
             // A non-root's buffer is a `resize_to_fit` receive of the
@@ -57,7 +57,7 @@ where
             // chunks. With `recv_count`, the lowering holds the payload
             // to this rank's claim — under either row, though
             // scatter+allgather enforces it on the wire already.
-            let delivered = Delivered::message(raw.bcast_parts(None, size, root)?);
+            let delivered = Delivered::broadcast(raw.bcast_parts(None, size, root)?);
             recv_buf(buf)
                 .resize_to_fit()
                 .lower(delivered, Layout::each(recv_count))
@@ -81,12 +81,11 @@ impl Communicator {
     /// ranks learn its pick from the wire.
     ///
     /// The root's buffer is not serialized: it goes on the wire as it is
-    /// (the children's messages are views of it) and is taken back once
-    /// they are sent — the same allocation if the children are done with
-    /// it by then, otherwise one copy made *after* the sends. A root
-    /// `&mut Vec` may therefore come back as a different allocation with
-    /// the same content. With `recv_count(n)`, a root holding another
-    /// number of elements still broadcasts and then reports
+    /// (the children's messages are views of it) and copied back once
+    /// they are sent: one copy, made *after* the sends, on every call. A
+    /// root `&mut Vec` therefore comes back as a new allocation with the
+    /// same content. With `recv_count(n)`, a root holding another number
+    /// of elements still broadcasts and then reports
     /// [`MpiError::InvalidLayout`](kmp_mpi::MpiError::InvalidLayout); its
     /// peers get [`MpiError::Truncated`](kmp_mpi::MpiError::Truncated).
     ///

@@ -101,14 +101,14 @@ impl<'a, T: Plain, H> NonBlockingCollective<'a, T, H> {
 
 /// A non-blocking broadcast in flight: the root's moved-in buffer is
 /// the wire payload itself (zero call-time copies), and `wait()` hands
-/// the content back on every rank — on the root the moved-in vector
-/// itself, without a copy once the children are done with it.
+/// the content back on every rank as one copy — on the root too, since
+/// its children may still hold their views of the moved-in vector.
 #[must_use = "non-blocking operations must be completed with wait() or test()"]
 pub struct NonBlockingBcast<'a, T: Plain>(pub(crate) InFlight<'a, ()>, PhantomData<T>);
 
 impl<'a, T: Plain> NonBlockingBcast<'a, T> {
     /// Blocks until the broadcast completes; returns the broadcast
-    /// content (on the root: the moved-in vector itself).
+    /// content.
     pub fn wait(self) -> Result<Vec<T>> {
         self.0.wait(None).map(|(data, ())| data)
     }
@@ -284,17 +284,17 @@ where
         crate::assertions::check_same_root(comm, root)?;
         let _tuning = comm.raw().tuning_guard(self.meta.tuning);
         // At the root the moved-in vector is the wire payload (zero
-        // call-time copies), and the completion that hands the content
-        // back is that same vector.
+        // call-time copies). Every rank's completion, the root's too, is
+        // a view of it (van de Geijn's chunks on a non-root of that
+        // row), so each rank's content comes back as one copy.
         let payload = (comm.rank() == root).then(|| bytes_from_vec(self.send_recv_buf.0));
-        // A non-root on van de Geijn's row completes with the chunks.
-        let pieces = Expect {
-            pieces: true,
+        let bcast = Expect {
+            bcast: true,
             ..Expect::default()
         };
         L::drive(
             comm.raw(),
-            (payload, (), pieces),
+            (payload, (), bcast),
             |c, p| c.ibcast_bytes(p, root),
             |c, p| c.bcast_init_bytes(p, root),
         )

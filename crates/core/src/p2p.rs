@@ -192,10 +192,11 @@ pub(crate) mod lifecycle {
         /// `recv_count` in bytes: a completing message must be exactly
         /// this long.
         pub(crate) bytes: Option<usize>,
-        /// Blocks are the pieces of one message — a broadcast's van de
-        /// Geijn chunks, which need not split at element boundaries —
-        /// not one block per rank.
-        pub(crate) pieces: bool,
+        /// A broadcast: the completion is one message — whole, or van
+        /// de Geijn's chunks, which need not split at element
+        /// boundaries, not one block per rank — that every rank of the
+        /// tree holds a view of, so it is copied, never taken back.
+        pub(crate) bcast: bool,
     }
 
     /// Drives an operation's one declaration — its `I*Args` trait, whose
@@ -294,16 +295,21 @@ impl<'a, H> InFlight<'a, H> {
 /// `recv_count` (held here in bytes) and whole `T`s — as what it is: a
 /// lone message, which the lowering takes back without a copy where it
 /// can (the allreduce result, which only this rank holds), blocks by
-/// source, or the pieces of one message; a send completes with an empty
-/// vector.
+/// source, or a broadcast's message, whole or in pieces, which it copies;
+/// a send completes with an empty vector.
 pub(crate) fn lowered<T: Plain>(
     completion: Completion,
     expect: Expect,
     counts_out: Option<&mut Vec<usize>>,
 ) -> Result<Vec<T>> {
-    let delivered = match completion {
-        Completion::Blocks(blocks) if !expect.pieces => Delivered::Blocks(blocks),
-        completion => Delivered::message(completion),
+    let delivered = if expect.bcast {
+        Delivered::broadcast(completion)
+    } else {
+        match completion {
+            Completion::Blocks(blocks) => Delivered::Blocks(blocks),
+            Completion::Message(payload, _) => Delivered::lone(payload),
+            Completion::Done => Delivered::Vec(Vec::new()),
+        }
     };
     let recv_count = expect
         .bytes

@@ -21,7 +21,7 @@ use super::send_internal;
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::lower::{Delivered, Layout};
-use crate::plain::{bytes_from_slice, bytes_from_vec, bytes_into_vec};
+use crate::plain::{bytes_from_slice, bytes_from_vec, copy_bytes_into};
 use crate::request::Completion;
 use crate::{Plain, Rank, Tag};
 
@@ -115,21 +115,21 @@ pub(crate) fn bcast_internal(
     step.finish(row, len, || Ok(done))
 }
 
-/// Broadcasts a single plain value (used internally for context ids). A
-/// message that is not one `T` is [`MpiError::Truncated`].
-pub(crate) fn bcast_one_internal<T: Plain>(comm: &Comm, value: T, root: Rank) -> Result<T> {
+/// Broadcasts a single plain value (used internally for context ids),
+/// copied out of the payload the tree shares on every rank. A message
+/// that is not one `T` is [`MpiError::Truncated`].
+pub(crate) fn bcast_one_internal<T: Plain>(comm: &Comm, mut value: T, root: Rank) -> Result<T> {
     let payload = (comm.rank() == root).then(|| bytes_from_slice(std::slice::from_ref(&value)));
     let bytes = bcast_bytes_internal(comm, payload, root)?;
     let (message_bytes, buffer_bytes) = (bytes.len(), std::mem::size_of::<T>());
-    let truncated = MpiError::Truncated {
-        message_bytes,
-        buffer_bytes,
-    };
     if message_bytes != buffer_bytes {
-        return Err(truncated);
+        return Err(MpiError::Truncated {
+            message_bytes,
+            buffer_bytes,
+        });
     }
-    let value: Vec<T> = bytes_into_vec(bytes);
-    value.first().copied().ok_or(truncated)
+    copy_bytes_into(&bytes, std::slice::from_mut(&mut value));
+    Ok(value)
 }
 
 impl Comm {
@@ -144,7 +144,7 @@ impl Comm {
         self.count_op("bcast");
         Ok(match bcast_internal(self, payload, None, root)? {
             Completion::Message(payload, _) => payload,
-            done => bytes_from_vec(Delivered::<u8>::message(done).into_vec(Layout::default())?),
+            done => bytes_from_vec(Delivered::<u8>::broadcast(done).into_vec(Layout::default())?),
         })
     }
 
@@ -159,7 +159,7 @@ impl Comm {
         if self.rank() == root {
             return Ok(());
         }
-        Delivered::message(done).into_slice(buf, Layout::each(Some(buf.len())))
+        Delivered::broadcast(done).into_slice(buf, Layout::each(Some(buf.len())))
     }
 
     /// Byte-level broadcast that hands the delivery back as it came:
@@ -197,7 +197,7 @@ impl Comm {
     pub fn bcast_vec<T: Plain>(&self, data: Option<&[T]>, root: Rank) -> Result<Vec<T>> {
         self.count_op("bcast");
         let payload = data.filter(|_| self.rank() == root).map(bytes_from_slice);
-        Delivered::message(bcast_internal(self, payload, None, root)?).into_vec(Layout::default())
+        Delivered::broadcast(bcast_internal(self, payload, None, root)?).into_vec(Layout::default())
     }
 
     /// Broadcasts one plain value from the root.

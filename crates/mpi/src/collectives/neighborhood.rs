@@ -11,7 +11,9 @@
 //! [`Neighborhood`] communicator; the
 //! per-round envelope saving is algorithmic and shows up directly in
 //! [`MailboxStats::envelopes_posted`](crate::MailboxStats) (pinned by
-//! tests below and by the `neighborhood_experiment` bench). See the
+//! tests below and by `sparse_exchange_posts_degree_envelopes_on_chord_rings`
+//! in `crates/mpi/tests/substrate_props.rs`; the `neighborhood` probe of the
+//! `floors` bench times the exchange). See the
 //! [`topology`](crate::topology) module doc for the degree-vs-p cost
 //! model.
 //!

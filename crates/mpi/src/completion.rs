@@ -161,7 +161,7 @@
 //!
 //! The previous sweep-and-yield implementations are preserved verbatim
 //! in [`reference`](mod@reference) as the differential-testing baseline and the
-//! `completion_experiment` benchmark's baseline, mirroring
+//! baseline of the `completion` probe of the `floors` bench, mirroring
 //! [`mailbox::reference`](crate::mailbox::reference).
 
 use std::collections::VecDeque;
@@ -264,8 +264,6 @@ pub(crate) struct Wake {
     /// The source whose completion claimed the waiter; `None` when the
     /// interruption epoch moved instead (re-check everything).
     pub(crate) fired: Option<usize>,
-    /// Sources that completed while that claim was outstanding.
-    pub(crate) missed: Vec<usize>,
     /// Whether the thread actually slept: a claim or an interrupt that
     /// raced the park is consumed without sleeping.
     pub(crate) slept: bool,
@@ -275,7 +273,8 @@ impl Waiter {
     /// The one claim: the first completion claims the waiter for source
     /// `slot` and wakes it. Returns `false` if another source already
     /// holds the claim — `slot` is then recorded as missed and nobody is
-    /// woken; the owner gets both from its next [`park`](Waiter::park).
+    /// woken; the owner gets both from its next
+    /// [`park_into`](Waiter::park_into).
     /// A claim never carries a message: whatever fired stays queued for
     /// the owner's re-test.
     pub(crate) fn claim(&self, slot: usize) -> bool {
@@ -295,8 +294,14 @@ impl Waiter {
     ) -> bool {
         let mut st = self.state.lock();
         deliver(&mut st);
+        // A source missed again right after itself is listed once: the
+        // owner re-tests it either way, and a wake-only owner whose
+        // re-tests keep finding their completions, so that it seldom
+        // parks, would grow the list by an id per claim.
         if self.claimed.load(Ordering::Relaxed) {
-            st.missed.push(slot);
+            if st.missed.last() != Some(&slot) {
+                st.missed.push(slot);
+            }
             return false;
         }
         self.claimed.store(true, Ordering::Relaxed);
@@ -327,9 +332,25 @@ impl Waiter {
     /// and uninterrupted, the waiter is on `mb`'s watcher list for the
     /// whole sleep, listed before the waiter lock is taken — the order
     /// [`Mailbox::interrupt`] locks in. The claim is consumed: its
-    /// fired and missed ids come back in the [`Wake`] and the waiter
-    /// can be claimed again.
+    /// fired id comes back in the [`Wake`], its missed ids are dropped
+    /// (see [`park_into`](Waiter::park_into)), and the waiter can be
+    /// claimed again.
     pub(crate) fn park(self: &Arc<Self>, mb: &Mailbox, seen_epoch: u64) -> Wake {
+        self.park_into(mb, seen_epoch, None)
+    }
+
+    /// [`park`](Waiter::park) for an owner that serves every completion
+    /// signalled (a request set's session): `signalled` receives the
+    /// fired id, then the missed ones. The missed list keeps its
+    /// capacity, so a claim that finds the waiter claimed allocates
+    /// nothing once the list has grown, however often arrival order
+    /// puts it there.
+    pub(crate) fn park_into(
+        self: &Arc<Self>,
+        mb: &Mailbox,
+        seen_epoch: u64,
+        signalled: Option<&mut VecDeque<usize>>,
+    ) -> Wake {
         // Only the owner clears `claimed` and the epoch only grows, so
         // once this is false it stays false until the park ends: an
         // unlisted owner never reaches the sleep.
@@ -363,7 +384,11 @@ impl Waiter {
         if !self.claimed.swap(false, Ordering::Relaxed) {
             mb.record_spurious();
         }
-        let (fired, missed) = (st.fired.take(), std::mem::take(&mut st.missed));
+        let fired = st.fired.take();
+        match signalled {
+            Some(ids) => ids.extend(fired.into_iter().chain(st.missed.drain(..))),
+            None => st.missed.clear(),
+        }
         drop(st);
         if listed {
             mb.unwatch(self);
@@ -375,11 +400,7 @@ impl Waiter {
             (false, false) => budget,
         };
         self.yield_budget.store(next, Ordering::Relaxed);
-        Wake {
-            fired,
-            missed,
-            slept,
-        }
+        Wake { fired, slept }
     }
 
     /// The wait step of a *wake-only* owner ([`crate::persistent`]):
@@ -649,14 +670,11 @@ pub(crate) fn complete_any(
             crate::fault::point("completion/park");
             let wake = {
                 let _sp = trace::span(trace::cat::PARK, "park_session", sess.ids.len() as u64, 0);
-                sess.waiter.park(mb, sess.seen_epoch)
+                sess.waiter
+                    .park_into(mb, sess.seen_epoch, Some(&mut sess.pending))
             };
             match wake.fired {
-                Some(id) => {
-                    sess.pending.push_back(id);
-                    sess.pending.extend(wake.missed);
-                    continue;
-                }
+                Some(_) => continue,
                 // Interrupted: re-check everything under fresh
                 // interruption checks.
                 None => teardown_session(&set.requests, &mut set.session),
@@ -731,8 +749,8 @@ pub mod reference {
     //! a non-blocking test, `yield_now`, sweep again.
     //!
     //! Kept (verbatim in structure, minus being the only option) for two
-    //! jobs: it is the *baseline* the `completion_experiment` benchmark
-    //! measures the parked path's wakeup latency and CPU burn against,
+    //! jobs: it is the *baseline* the `completion` probe of the `floors`
+    //! bench measures the parked path's latency against,
     //! and the differential-testing partner the request-set tests drive
     //! both paths of — each sweep is trivially correct (it re-derives
     //! readiness from scratch every iteration), so any divergence
@@ -1131,9 +1149,10 @@ mod tests {
                     asleep
                 };
                 let start = std::sync::Barrier::new(2);
+                let mut ids = VecDeque::new();
                 let (wake, asleep) = if point == 0 {
                     let asleep = fire();
-                    (w.park(&mb, epoch), asleep)
+                    (w.park_into(&mb, epoch, Some(&mut ids)), asleep)
                 } else {
                     std::thread::scope(|s| {
                         let claimer = s.spawn(|| {
@@ -1151,7 +1170,7 @@ mod tests {
                         if point == 1 {
                             start.wait();
                         }
-                        let wake = w.park(&mb, epoch);
+                        let wake = w.park_into(&mb, epoch, Some(&mut ids));
                         (wake, claimer.join().expect("claimer"))
                     })
                 };
@@ -1173,7 +1192,10 @@ mod tests {
                         _ => {}
                     }
                 }
-                assert!(wake.missed.is_empty(), "{at}");
+                // A lone claim misses nothing: the session is handed
+                // the fired id alone.
+                let expect: Vec<usize> = wake.fired.into_iter().collect();
+                assert_eq!(Vec::from(ids), expect, "{at}");
                 assert!(!w.claimed.load(Ordering::Relaxed), "{at}: claim consumed");
                 sleeps += u64::from(wake.slept);
                 let after = w.yield_budget();
@@ -1198,6 +1220,32 @@ mod tests {
             panic!("a park hung: a claim or an interrupt was lost");
         }
         worker.join().expect("every park ended as drawn");
+    }
+
+    /// Claims that find the waiter claimed are handed to the session
+    /// after the one that fired, in order, a slot missed twice in a row
+    /// listed once; a plain `park` drops them, so the next session
+    /// starts from the next claim alone.
+    #[test]
+    fn park_into_hands_over_the_fired_id_then_each_miss_once() {
+        let mb = Mailbox::new();
+        let w = Arc::new(Waiter::default());
+        let mut ids = VecDeque::new();
+        assert!(w.claim(3));
+        for slot in [1, 1, 4, 1] {
+            assert!(!w.claim(slot), "the waiter is already claimed");
+        }
+        let wake = w.park_into(&mb, mb.epoch(), Some(&mut ids));
+        assert_eq!((wake.fired, wake.slept), (Some(3), false));
+        assert_eq!(Vec::from(ids), [3, 1, 4, 1]);
+
+        assert!(w.claim(2));
+        assert!(!w.claim(5));
+        assert_eq!(w.park(&mb, mb.epoch()).fired, Some(2));
+        assert!(w.claim(7));
+        let mut ids = VecDeque::new();
+        w.park_into(&mb, mb.epoch(), Some(&mut ids));
+        assert_eq!(Vec::from(ids), [7], "park dropped the earlier miss");
     }
 
     /// Parks that all sleep walk the budget down from the cap, halving

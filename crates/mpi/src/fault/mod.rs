@@ -51,7 +51,8 @@
 //! an empty `#[inline]` function and [`WorldFaults`] is a zero-sized
 //! type (compile-time asserted) — call sites compile to nothing. With
 //! the feature on but no plan installed, a hook is one relaxed atomic
-//! load (the `fault_experiment` bench pins the armed-vs-dormant delta).
+//! load (the `fault` probe of the `floors` bench pins the armed-vs-
+//! dormant delta).
 //!
 //! # Using it
 //!
@@ -268,9 +269,9 @@ mod imp {
     static ENABLED: AtomicBool = AtomicBool::new(true);
 
     /// Runtime switch: `set_enabled(false)` makes every hook bail after
-    /// its fast-path load even with a plan installed (the
-    /// `fault_experiment` bench alternates this to measure the armed
-    /// hook cost by paired differencing).
+    /// its fast-path load even with a plan installed (the `fault` probe
+    /// of the `floors` bench alternates this to measure the armed hook
+    /// cost by paired differencing).
     pub fn set_enabled(on: bool) {
         ENABLED.store(on, Ordering::SeqCst);
     }

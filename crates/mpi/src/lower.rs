@@ -159,12 +159,12 @@ impl<T: Plain> Delivered<T> {
         reclaim_vec(payload).map_or_else(Delivered::Message, Delivered::Vec)
     }
 
-    /// A completion that carries one message: whole (taken back where it
-    /// can be), or in pieces (a broadcast's van de Geijn chunks). A
-    /// completion without a payload is an empty vector.
-    pub fn message(done: Completion) -> Self {
+    /// A broadcast's completion: one message, whole or in van de Geijn's
+    /// pieces, that every rank of the tree holds a view of, so it is
+    /// copied, never taken back. Without a payload, an empty vector.
+    pub fn broadcast(done: Completion) -> Self {
         match done {
-            Completion::Message(payload, _) => Delivered::lone(payload),
+            Completion::Message(payload, _) => Delivered::Message(payload),
             Completion::Blocks(pieces) => Delivered::Pieces(pieces),
             Completion::Done => Delivered::Vec(Vec::new()),
         }
@@ -375,17 +375,20 @@ mod tests {
     }
 
     #[test]
-    fn a_message_is_taken_back_or_copied_once() {
-        let payload = crate::plain::bytes_from_vec(vec![4u32, 5]);
-        let ptr = payload.as_ptr();
+    fn a_lone_message_is_taken_back_and_a_broadcast_is_copied() {
         let status = crate::Status {
             source: 0,
             tag: 0,
             bytes: 8,
         };
-        let taken = Delivered::<u32>::message(Completion::Message(payload, status));
-        let out = taken.into_vec(Layout::default()).unwrap();
-        assert_eq!((out.as_ptr().cast::<u8>(), &out[..]), (ptr, &[4, 5][..]));
+        let payload = crate::plain::bytes_from_vec(vec![4u32, 5]);
+        let ptr = payload.as_ptr();
+        let taken = Delivered::<u32>::lone(payload).into_vec(Layout::default());
+        let taken = taken.unwrap();
+        assert_eq!(
+            (taken.as_ptr().cast::<u8>(), &taken[..]),
+            (ptr, &[4, 5][..])
+        );
         let shared = crate::plain::bytes_from_vec(vec![6u32]);
         let message = Delivered::<u32>::lone(shared.clone());
         assert!(
@@ -393,7 +396,15 @@ mod tests {
             "a shared payload stays a message"
         );
         assert_eq!(message.into_vec(Layout::each(Some(1))), Ok(vec![6]));
-        let none = Delivered::<u32>::message(Completion::Done);
+        // A broadcast is copied even where this rank holds the last view.
+        let payload = crate::plain::bytes_from_vec(vec![4u32, 5]);
+        let ptr = payload.as_ptr();
+        let done = Completion::Message(payload, status);
+        let copied = Delivered::<u32>::broadcast(done).into_vec(Layout::default());
+        let copied = copied.unwrap();
+        assert_eq!(&copied[..], [4, 5]);
+        assert_ne!(copied.as_ptr().cast::<u8>(), ptr);
+        let none = Delivered::<u32>::broadcast(Completion::Done);
         assert_eq!(none.into_vec(Layout::default()), Ok(Vec::new()));
     }
 }

@@ -96,8 +96,9 @@
 //! The seed implementation — one coarse `Mutex<VecDeque>` with O(n)
 //! scans and broadcast wakeups — is preserved verbatim in
 //! [`reference`](mod@reference) as the differential-testing oracle and the benchmark
-//! baseline (`matching_experiment`).
+//! baseline (the `matching` probe of the `floors` bench).
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -205,10 +206,17 @@ struct StandingReg {
 struct ShardState {
     /// Arrival stamp source; assigned under the shard lock.
     next_seq: u64,
-    /// Unexpected-message queue. Invariant: no empty FIFOs (keys are
-    /// removed when drained), so wildcard head-scans touch only live
-    /// `(source, tag)` pairs.
-    umq: FxMap<(Rank, Tag), VecDeque<(u64, Envelope)>>,
+    /// Unexpected-message queue: per live `(source, tag)` key, the
+    /// arrival stamp of its earliest envelope and the slots in `queued`
+    /// of its earliest and latest. Keys are removed when drained, so
+    /// wildcard scans read only live keys' stamps.
+    umq: FxMap<(Rank, Tag), (u64, usize, usize)>,
+    /// The queued envelopes, linked per key, and the free slots, linked
+    /// from `free`. Nothing shrinks, so a message that waits for its
+    /// receive allocates nothing a posted receive does not, however many
+    /// keys collectives burn (a fresh internal tag per call).
+    queued: Vec<Queued>,
+    free: Option<usize>,
     /// Posted receives and probes, in posting order.
     posted: VecDeque<Posted>,
     /// Standing registrations with fully-specific `(source, tag)`
@@ -217,74 +225,82 @@ struct ShardState {
     /// otherwise tax **every** arriving message with a linear scan of
     /// all of them. Wildcard standing registrations stay in `posted`.
     standing_idx: FxMap<(Rank, Tag), Vec<StandingReg>>,
-    /// Retired FIFO allocations, reused for new keys. Collective
-    /// traffic burns one `(source, tag)` key per peer per operation
-    /// (fresh internal tags); without the pool every such key would
-    /// allocate a fresh queue buffer.
-    pool: Vec<VecDeque<(u64, Envelope)>>,
+}
+
+/// A slot of the queue: an unexpected envelope, its arrival stamp and
+/// the slot of the next envelope on its key, or (`env` taken) the next
+/// empty slot.
+struct Queued {
+    seq: u64,
+    env: Option<Envelope>,
+    next: Option<usize>,
 }
 
 impl ShardState {
-    /// Key of the earliest-arrived envelope admitted by the selectors
-    /// (wildcard path: scans per-key FIFO heads only).
-    fn earliest_key(&self, src: Src, tag: TagSel) -> Option<(Rank, Tag)> {
-        let mut best: Option<(u64, (Rank, Tag))> = None;
-        for (&key, q) in &self.umq {
-            if !src.admits(key.0) || !tag.admits(key.1) {
-                continue;
-            }
-            let &(seq, _) = q.front().expect("drained UMQ keys are removed");
-            if best.is_none_or(|(b, _)| seq < b) {
-                best = Some((seq, key));
-            }
+    /// The key whose queue holds the earliest-arrived envelope the
+    /// selectors admit: the one key of a fully specific receive (an
+    /// O(1) index hit), else found by scanning the live keys' heads.
+    fn match_key(&self, src: Src, tag: TagSel) -> Option<(Rank, Tag)> {
+        if let (Src::Rank(r), TagSel::Is(t)) = (src, tag) {
+            return Some((r, t));
         }
-        best.map(|(_, k)| k)
+        let live = self
+            .umq
+            .iter()
+            .filter(|(&(r, t), _)| src.admits(r) && tag.admits(t));
+        live.min_by_key(|(_, span)| span.0).map(|(&key, _)| key)
     }
 
     /// Removes and returns the first matching envelope (tagged with its
     /// arrival seq), if any.
     fn pop_match(&mut self, src: Src, tag: TagSel) -> Option<(u64, Envelope)> {
-        let key = match (src, tag) {
-            // Fully specific: O(1) index hit.
-            (Src::Rank(r), TagSel::Is(t)) => (r, t),
-            _ => self.earliest_key(src, tag)?,
-        };
-        // One hash op for lookup, pop and removal via the entry API.
-        let std::collections::hash_map::Entry::Occupied(mut o) = self.umq.entry(key) else {
+        let Entry::Occupied(mut o) = self.umq.entry(self.match_key(src, tag)?) else {
             return None;
         };
-        let (seq, env) = o
-            .get_mut()
-            .pop_front()
-            .expect("drained UMQ keys are removed");
-        if o.get().is_empty() {
-            let q = o.remove();
-            if self.pool.len() < 64 {
-                self.pool.push(q);
+        let head = o.get().1;
+        let slot = &mut self.queued[head];
+        let (seq, env) = (slot.seq, slot.env.take().expect("a live key's head"));
+        match std::mem::replace(&mut slot.next, self.free.replace(head)) {
+            Some(next) => {
+                let span = o.get_mut();
+                (span.0, span.1) = (self.queued[next].seq, next);
             }
+            None => drop(o.remove()),
         }
         Some((seq, env))
     }
 
-    /// Indexes an unexpected envelope, reusing a pooled FIFO buffer for
-    /// a new key.
+    /// Queues an unexpected envelope behind those its key holds.
     fn enqueue(&mut self, seq: u64, env: Envelope) {
-        let q = match self.umq.entry((env.src, env.tag)) {
-            std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(self.pool.pop().unwrap_or_default())
-            }
+        let key = (env.src, env.tag);
+        let node = Queued {
+            seq,
+            env: Some(env),
+            next: None,
         };
-        q.push_back((seq, env));
+        let slot = self.free.unwrap_or(self.queued.len());
+        match self.queued.get_mut(slot) {
+            Some(empty) => self.free = std::mem::replace(empty, node).next,
+            None => self.queued.push(node),
+        }
+        match self.umq.entry(key) {
+            Entry::Occupied(mut o) => {
+                let tail = std::mem::replace(&mut o.get_mut().2, slot);
+                self.queued[tail].next = Some(slot);
+            }
+            Entry::Vacant(v) => drop(v.insert((seq, slot, slot))),
+        }
+    }
+
+    /// How many envelopes are queued.
+    fn len(&self) -> usize {
+        self.queued.iter().filter(|q| q.env.is_some()).count()
     }
 
     /// Status of the first matching envelope without removing it.
     fn peek_match(&self, src: Src, tag: TagSel) -> Option<Status> {
-        let q = match (src, tag) {
-            (Src::Rank(r), TagSel::Is(t)) => self.umq.get(&(r, t))?,
-            _ => &self.umq[&self.earliest_key(src, tag)?],
-        };
-        let (_, env) = q.front().expect("drained UMQ keys are removed");
+        let head = self.umq.get(&self.match_key(src, tag)?)?.1;
+        let env = self.queued[head].env.as_ref().expect("a live key's head");
         Some(Status {
             source: env.src,
             tag: env.tag,
@@ -681,8 +697,7 @@ impl Mailbox {
             return;
         };
         let mut st = shard.state.lock();
-        if let std::collections::hash_map::Entry::Occupied(mut regs) = st.standing_idx.entry((r, t))
-        {
+        if let Entry::Occupied(mut regs) = st.standing_idx.entry((r, t)) {
             regs.get_mut()
                 .retain(|reg| !(reg.slot == slot && Arc::ptr_eq(&reg.waiter, waiter)));
             if regs.get().is_empty() {
@@ -939,7 +954,7 @@ impl Mailbox {
         let Some(shard) = self.shards.write().remove(&context) else {
             return;
         };
-        let leftover: usize = shard.state.lock().umq.values().map(|q| q.len()).sum();
+        let leftover = shard.state.lock().len();
         if leftover > 0 {
             self.queued.fetch_sub(leftover, Ordering::Relaxed);
         }
@@ -960,8 +975,10 @@ impl Mailbox {
         }
         let drained: usize = {
             let mut st = self.world_shard.state.lock();
-            let n = st.umq.values().map(|q| q.len()).sum();
+            let n = st.len();
             st.umq.clear();
+            st.queued.clear();
+            st.free = None;
             st.posted.clear();
             st.standing_idx.clear();
             n
@@ -998,8 +1015,8 @@ pub mod reference {
     //! push/match interleavings against — the linear scan over one FIFO
     //! is trivially correct for MPI's matching laws, so any divergence
     //! convicts the indexed engine — and it is the *baseline* the
-    //! `matching_experiment` benchmark measures the engine's speedup
-    //! over.
+    //! `matching` probe of the `floors` bench measures the engine's
+    //! speedup over.
 
     use std::collections::VecDeque;
 

@@ -31,7 +31,7 @@
 //!
 //! The seed's sweep-and-yield strategy survives as
 //! [`crate::completion::reference`] — the differential-testing baseline
-//! and the `completion_experiment` benchmark's yardstick.
+//! and the yardstick of the `completion` probe of the `floors` bench.
 //!
 //! # Request lifecycles
 //!

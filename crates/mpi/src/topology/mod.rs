@@ -22,9 +22,9 @@
 //! refcounts per peer — so the whole difference is the envelope count:
 //! `p-1` posted envelopes (and `p-1` matching-engine slots) per rank
 //! per round versus `d_out`. On a degree-8 graph at `p = 1024`, that is
-//! a 127x reduction in per-round messages; the `neighborhood_experiment`
-//! bench pins the counts via
-//! [`MailboxStats::envelopes_posted`](crate::MailboxStats). The flip
+//! a 127x reduction in per-round messages;
+//! `sparse_exchange_posts_degree_envelopes_on_chord_rings` pins the
+//! counts via [`MailboxStats::envelopes_posted`](crate::MailboxStats). The flip
 //! side is setup: topology construction costs `Θ(p)` messages per rank
 //! (a dense consistency/redistribution exchange plus collective
 //! agreement), which is why rebuilding the graph every iteration

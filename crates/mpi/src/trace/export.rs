@@ -91,8 +91,8 @@ pub struct TraceSummary {
     pub async_unclosed: usize,
 }
 
-/// Schema check for the exporter's output (used by tests and by the
-/// `trace_experiment` bench to self-validate the traces it writes):
+/// Schema check for the exporter's output (used by the tests that
+/// write traces, `crates/mpi/tests/trace_integration.rs` among them):
 ///
 /// - the document is a JSON array of one-per-line event objects;
 /// - every event has `name`, `ph`, `ts`, `pid`, `tid`; `ph` is one of

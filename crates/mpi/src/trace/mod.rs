@@ -3,10 +3,10 @@
 //!
 //! The paper's discipline applies to the observability layer itself:
 //! instrumentation must be **strictly zero-cost when compiled out** and
-//! *provably near zero-overhead when enabled* (the `trace_experiment`
-//! bench pins the enabled-vs-disabled delta under 2% on the matching
-//! and completion workloads). The design choices below all serve that
-//! budget.
+//! *provably near zero-overhead when enabled* (the `trace` probe of the
+//! `floors` bench holds the recorder's on-vs-off thread-CPU time within
+//! 10% on its exchange workloads). The design choices below all serve
+//! that budget.
 //!
 //! # Architecture
 //!
@@ -510,7 +510,7 @@ mod imp {
 
     /// Runtime toggle (process-wide). With tracing compiled in but
     /// disabled, every entry point bails after this one relaxed load —
-    /// the configuration `trace_experiment` uses as its baseline.
+    /// the baseline of the `trace` probe of the `floors` bench.
     pub fn set_enabled(on: bool) {
         ENABLED.store(on, Ordering::Relaxed);
     }

@@ -102,7 +102,7 @@
 //! [`FaultPlan`](crate::FaultPlan) can land a crash inside any of them.
 //! The chaos suite (`crates/mpi/tests/chaos.rs`) replays hundreds of
 //! randomized fault schedules against randomized workloads under a hard
-//! liveness deadline; the `fault_experiment` bench pins
+//! liveness deadline; the `fault` probe of the `floors` bench pins
 //! failure-detection latency and shrink-and-continue recovery time.
 
 use std::collections::HashMap;
