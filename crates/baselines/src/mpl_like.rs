@@ -200,7 +200,7 @@ impl<'a> MplComm<'a> {
             kmp_mpi::plain::as_bytes(send),
             &scale(&send_counts, std::mem::size_of::<T>()),
             &scale(&send_displs, std::mem::size_of::<T>()),
-            bytes_of_mut(recv),
+            kmp_mpi::plain::as_bytes_mut(recv),
             &scale(&recv_counts, std::mem::size_of::<T>()),
             &scale(&recv_displs, std::mem::size_of::<T>()),
         )
@@ -227,12 +227,6 @@ fn send_buf_repeated<T: Plain>(block: &[T], times: usize) -> Vec<T> {
         out.extend_from_slice(block);
     }
     out
-}
-
-fn bytes_of_mut<T: Plain>(s: &mut [T]) -> &mut [u8] {
-    // SAFETY: `T: Plain` guarantees no padding and validity for any byte
-    // pattern, making the byte view sound in both directions.
-    unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(s)) }
 }
 
 #[cfg(test)]

@@ -4,14 +4,15 @@
 //! loser in at least one of them (the thresholds were set above a
 //! cluster model's crossovers; in-process the machine disagrees):
 //!
-//! - `rabenseifner_min_bytes` asks twice its 64 KiB off powers of two,
+//! - `RABENSEIFNER_MIN_BYTES` asks twice its 64 KiB off powers of two,
 //!   parking the 64 KiB allreduce at p = 6 on recursive doubling;
-//! - `bcast_scatter_min_bytes` (256 KiB) fires early: the refcount
+//! - `BCAST_SCATTER_MIN_BYTES` (256 KiB) fires early: the refcount
 //!   binomial tree still wins there;
-//! - `bruck_max_block_bytes` caps Bruck at 1 KiB blocks, but in-process
+//! - `BRUCK_MAX_BLOCK_BYTES` caps Bruck at 1 KiB blocks, but in-process
 //!   its log(p) rounds beat pairwise well past the cap;
-//! - the 12 KiB allgather ceiling routes small blocks to the rounds
-//!   where the refcount ring (or plain doubling) wins.
+//! - `ALLGATHER_MAX_BYTES`, the 12 KiB allgather ceiling, routes small
+//!   blocks to the rounds where the refcount ring (or plain doubling)
+//!   wins.
 //!
 //! Per cell the probe measures every forced row, then static `Auto` and
 //! model-driven `Auto` through a warm-up and a steady phase; each

@@ -132,12 +132,13 @@ impl Communicator {
     /// extra communication (Fig. 2 spends an `allgather` on them; the
     /// substrate's messages are self-describing): from `p = 4`
     /// recursive doubling or Bruck carry every block's length in their
-    /// rounds, with the blocks small enough to ride along. Supplied
-    /// `recv_counts` are the layout every rank agrees on, so they also
-    /// select the schedule, as `MPI_Allgatherv`'s do: recursive doubling
-    /// or Bruck (`ceil(log2 p)` rounds) while their total stays within
-    /// the allgather ceilings of [`CollTuning`](kmp_mpi::CollTuning),
-    /// the fan-out above.
+    /// rounds, and every block within
+    /// [`ALLGATHER_MAX_BYTES`](kmp_mpi::collectives::algos::ALLGATHER_MAX_BYTES)
+    /// rides along (a larger one travels direct). Supplied `recv_counts`
+    /// are the layout every rank agrees on, so they also select the
+    /// schedule, as `MPI_Allgatherv`'s do: recursive doubling or Bruck
+    /// (`ceil(log2 p)` rounds) while their mean block stays within that
+    /// ceiling, the fan-out above.
     ///
     /// ```
     /// use kamping::prelude::*;
@@ -374,21 +375,23 @@ mod tests {
     #[test]
     fn heavy_refuses_counts_that_straddle_a_row_ceiling_on_every_rank() {
         use crate::assertions::{assertion_level, set_assertion_level, AssertionLevel};
-        use kmp_mpi::{CollTuning, MpiError};
+        use kmp_mpi::collectives::algos::ALLGATHER_MAX_BYTES;
+        use kmp_mpi::MpiError;
         let _g = crate::assertions::LEVEL_GUARD.lock().unwrap();
         let prev = assertion_level();
-        // One `u16` per rank: a mean block of 2 bytes sits at the
-        // ceiling, the straddling counts' 2.5 above it.
-        let tuning = CollTuning::default().allgather_max_bytes(2);
+        // `n` `u16`s per rank: a mean block at the ceiling; one more
+        // in the straddling counts puts theirs a byte above it.
+        let n = ALLGATHER_MAX_BYTES / 2;
+        let gathered = move || -> Vec<u16> { (0..4).flat_map(|r| vec![r; n]).collect() };
         set_assertion_level(AssertionLevel::Light);
         Universe::run(4, move |comm| {
             let comm = Communicator::new(comm);
-            comm.raw().set_tuning(tuning);
+            let mine = vec![comm.rank() as u16; n];
             let before = comm.call_counts();
             let all: Vec<u16> = comm
-                .allgatherv((send_buf(&[comm.rank() as u16][..]), recv_counts(&[1; 4])))
+                .allgatherv((send_buf(&mine), recv_counts(&[n; 4])))
                 .unwrap();
-            assert_eq!(all, vec![0, 1, 2, 3]);
+            assert_eq!(all, gathered());
             let delta = comm.call_counts().since(&before);
             assert_eq!(delta.total(), 1, "below Heavy no check runs: {delta}");
         });
@@ -397,18 +400,19 @@ mod tests {
         let worker = std::thread::spawn(move || {
             Universe::run(4, move |comm| {
                 let comm = Communicator::new(comm);
-                comm.raw().set_tuning(tuning);
+                let mine = vec![comm.rank() as u16; n];
                 let counts = match comm.rank() {
-                    1 | 2 => [1, 1, 2, 1],
-                    _ => [1; 4],
+                    1 | 2 => [n, n, n + 1, n],
+                    _ => [n; 4],
                 };
                 let got: kmp_mpi::Result<Vec<u16>> =
-                    comm.allgatherv((send_buf(&[comm.rank() as u16][..]), recv_counts(&counts)));
+                    comm.allgatherv((send_buf(&mine), recv_counts(&counts)));
+                let got = got.map(|all| all.len());
                 assert!(matches!(got, Err(MpiError::InvalidLayout(_))), "{got:?}");
                 let all: Vec<u16> = comm
-                    .allgatherv((send_buf(&[comm.rank() as u16][..]), recv_counts(&[1; 4])))
+                    .allgatherv((send_buf(&mine), recv_counts(&[n; 4])))
                     .unwrap();
-                assert_eq!(all, vec![0, 1, 2, 3], "the next collective works");
+                assert_eq!(all, gathered(), "the next collective works");
             });
             let _ = done.send(());
         });

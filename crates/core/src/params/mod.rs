@@ -277,8 +277,8 @@ pub fn tag(value: Tag) -> TagParam {
 pub struct TuningParam(pub(crate) CollTuning);
 
 /// Overrides the communicator's collective-algorithm tuning for this
-/// one call (see [`kmp_mpi::CollTuning`]): force an algorithm or move
-/// the size thresholds, e.g.
+/// one call (see [`kmp_mpi::CollTuning`]): force an algorithm or
+/// configure the cost model, e.g.
 /// `tuning(CollTuning::default().allreduce(AllreduceAlgo::Rabenseifner))`.
 /// The binding stays policy-free — the substrate's selection engine
 /// reads the tuning at call time. Like every collective argument, all

@@ -8,12 +8,11 @@
 //! same total volume. A round's message is the block group itself: its
 //! blocks travel as the parts of one message (refcount views of the
 //! blocks this rank holds, never packed), and the `Auto` selection
-//! keeps the algorithm to blocks within one per-rank ceiling, where the
-//! startups it saves outweigh the rounds' serialized volume (see
-//! [`CollTuning::allgather_max_bytes`](super::CollTuning)). The same
-//! engine, over ranks `0..p` on one tag, is the allgather phase of
-//! Rabenseifner's allreduce when its chunks are within that ceiling
-//! ([`RecursiveDoubling::chunks`]).
+//! keeps the algorithm to blocks within one per-rank ceiling,
+//! [`ALLGATHER_MAX_BYTES`], where the startups it saves outweigh the
+//! rounds' serialized volume. The same engine, over ranks `0..p` on one
+//! tag, is the allgather phase of Rabenseifner's allreduce when its
+//! chunks are within that ceiling ([`RecursiveDoubling::chunks`]).
 //!
 //! **Bruck:** the same `ceil(log2 p)` startup count without the
 //! power-of-two restriction. Every rank keeps its accumulated blocks
@@ -57,6 +56,7 @@ use std::borrow::Cow;
 
 use bytes::Bytes;
 
+use super::ALLGATHER_MAX_BYTES;
 use crate::collectives::nonblocking::Rounds;
 use crate::collectives::send_internal;
 use crate::comm::Comm;
@@ -139,8 +139,8 @@ enum Kind {
     /// The agreed counts.
     Counted,
     /// Read off this cycle's messages; a block rides in the rounds iff
-    /// `len <= ceiling`, the per-rank ceiling.
-    Learned { ceiling: usize },
+    /// `len <=` [`ALLGATHER_MAX_BYTES`], the per-rank ceiling.
+    Learned,
     /// The agreed split of one payload (an allgather phase's chunks): a
     /// group of another length is a message cut short.
     Chunks,
@@ -159,12 +159,12 @@ struct Layout {
 }
 
 impl Layout {
-    /// `sizes` on `p` ranks, under the row's `ceiling`.
-    fn new(p: usize, sizes: BlockSizes<'_>, ceiling: usize) -> Self {
+    /// `sizes` on `p` ranks.
+    fn new(p: usize, sizes: BlockSizes<'_>) -> Self {
         let (bytes, kind) = match sizes {
             BlockSizes::Equal => (vec![0; p], Kind::Equal),
             BlockSizes::Counted(counts) => (counts.into_owned(), Kind::Counted),
-            BlockSizes::Learned => (vec![0; p], Kind::Learned { ceiling }),
+            BlockSizes::Learned => (vec![0; p], Kind::Learned),
         };
         Layout {
             bytes,
@@ -188,20 +188,20 @@ impl Layout {
         match self.kind {
             Kind::Equal => self.bytes.fill(own.len()),
             Kind::Counted | Kind::Chunks => {}
-            Kind::Learned { .. } => self.bytes[rank] = own.len(),
+            Kind::Learned => self.bytes[rank] = own.len(),
         }
         self.direct.clear();
         self.failed = None;
     }
 
     fn learned(&self) -> bool {
-        matches!(self.kind, Kind::Learned { .. })
+        matches!(self.kind, Kind::Learned)
     }
 
     /// Whether a block of `len` bytes rides in the rounds' messages.
     fn inline(&self, len: usize) -> bool {
         match self.kind {
-            Kind::Learned { ceiling } => len <= ceiling,
+            Kind::Learned => len <= ALLGATHER_MAX_BYTES,
             Kind::Equal | Kind::Counted | Kind::Chunks => true,
         }
     }
@@ -248,7 +248,7 @@ impl Layout {
         origins: impl Iterator<Item = Rank> + Clone,
         mut put: impl FnMut(Rank, Bytes),
     ) {
-        if let Kind::Learned { .. } = self.kind {
+        if self.learned() {
             return self.learn(what, k, incoming, origins, put);
         }
         let expected: usize = origins.clone().map(|o| self.bytes[o]).sum();
@@ -432,11 +432,10 @@ impl RecursiveDoubling {
     pub(crate) fn new(comm: &Comm, sizes: BlockSizes<'_>) -> Self {
         let p = comm.size();
         debug_assert!(p.is_power_of_two(), "selection gates RD to power-of-two p");
-        let ceiling = comm.tuning().allgather_max_bytes;
         RecursiveDoubling {
             tags: RoundTags::fresh(comm, p.trailing_zeros()),
             blocks: Vec::new(),
-            layout: Layout::new(p, sizes, ceiling),
+            layout: Layout::new(p, sizes),
         }
     }
 
@@ -549,11 +548,10 @@ pub(crate) struct BruckAllgather {
 impl BruckAllgather {
     pub(crate) fn new(comm: &Comm, sizes: BlockSizes<'_>) -> Self {
         let p = comm.size();
-        let ceiling = comm.tuning().allgather_max_bytes;
         BruckAllgather {
             tags: RoundTags::fresh(comm, p.next_power_of_two().trailing_zeros()),
             local: Vec::new(),
-            layout: Layout::new(p, sizes, ceiling),
+            layout: Layout::new(p, sizes),
         }
     }
 
@@ -637,17 +635,18 @@ impl Rounds for BruckAllgather {
 mod tests {
     use super::*;
 
-    /// Round 1 of a learned exchange at p = 4 under a 16-byte ceiling:
-    /// the group of origins 2 and 3, lengths 3 (inline) and 100
+    /// Round 1 of a learned exchange at p = 4: the group of origins 2
+    /// and 3, lengths 3 (inline) and one byte above the ceiling
     /// (direct), then the 3 inline bytes.
     fn group() -> Vec<u8> {
-        let mut msg: Vec<u8> = [3u64, 100].iter().flat_map(|l| l.to_le_bytes()).collect();
+        let lens = [3, ALLGATHER_MAX_BYTES as u64 + 1];
+        let mut msg: Vec<u8> = lens.iter().flat_map(|l| l.to_le_bytes()).collect();
         msg.extend([7, 8, 9]);
         msg
     }
 
     fn carve(msg: Vec<u8>) -> (Layout, Vec<(Rank, Bytes)>) {
-        let mut layout = Layout::new(4, BlockSizes::Learned, 16);
+        let mut layout = Layout::new(4, BlockSizes::Learned);
         layout.seed(0, &Bytes::from(vec![1u8]));
         let mut got = Vec::new();
         let incoming = Parts::from(Bytes::from(msg));

@@ -79,9 +79,6 @@ pub(crate) struct Allreduce<T, O> {
     /// A vector of `n` elements no peer reads, for the last doubling
     /// step to fold into: the contribution, once read for the last time.
     spare: Option<Vec<T>>,
-    /// [`CollTuning::allgather_max_bytes`](super::CollTuning) when the
-    /// engine was built: what the allgather phase is chosen by.
-    ceiling: usize,
     /// The eager allgather's reduced chunks by index (this rank's own
     /// is `acc` until `finish`).
     chunks: Vec<Bytes>,
@@ -115,7 +112,6 @@ impl<T: Plain, O: ReduceOp<T>> Allreduce<T, O> {
             range: 0..p2,
             acc: Bytes::new(),
             spare: None,
-            ceiling: comm.tuning().allgather_max_bytes,
             chunks: Vec::new(),
             doubling: None,
         }
@@ -140,7 +136,7 @@ impl<T: Plain, O: ReduceOp<T>> Allreduce<T, O> {
     /// chunk is within the ceiling, else the eager exchange.
     fn plan_gather(&mut self) {
         let (n, p2, elem) = (self.n, self.p2, std::mem::size_of::<T>());
-        let doubles = phase_doubles(self.ceiling, p2, n * elem);
+        let doubles = phase_doubles(p2, n * elem);
         self.chunks = if doubles {
             Vec::new()
         } else {
@@ -379,17 +375,14 @@ mod tests {
     /// of one `allreduce_init`.
     #[test]
     fn rabenseifner_gathers_in_either_phase_in_every_lifecycle() {
-        const CEILING: usize = 64;
+        const CEILING: usize = super::super::ALLGATHER_MAX_BYTES;
         for p in [4usize, 8] {
             Universe::run(p, move |comm| {
                 let rab = AllreduceAlgo::Rabenseifner;
-                comm.set_tuning(
-                    CollTuning::default()
-                        .allreduce(rab)
-                        .allgather_max_bytes(CEILING),
-                );
-                // 8 elements: chunks of 16 or 8 bytes; 256: 512 or 256.
-                for n in [8usize, 256] {
+                comm.set_tuning(CollTuning::default().allreduce(rab));
+                // Chunks of exactly the ceiling, then one element more.
+                let fit = CEILING * p / 8;
+                for n in [fit, fit + p] {
                     let rank = comm.rank() as u64;
                     let mine: Vec<u64> = (0..n as u64).map(|i| rank * 1000 + i).collect();
                     let expected: Vec<u64> = (0..n as u64)

@@ -54,7 +54,7 @@ use crate::Plain;
 /// default policy or a forced algorithm.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Select<A> {
-    /// Pick by the tuning's thresholds (the default).
+    /// Pick by the constant size thresholds (the default).
     #[default]
     Auto,
     /// Always use this algorithm (when it is correct for the call; e.g.
@@ -148,24 +148,73 @@ pub enum ReduceAlgo {
     FlatGather,
 }
 
-/// The default [`CollTuning::allgather_max_bytes`]. Both log-round rows
-/// trade the fan-out's `p - 1` startups for `log2 p` serialized rounds
-/// that carry `(p - 1)·s` between them; since they forward parts, they
-/// copy what the fan-out copies, so the ceiling is that trade alone.
-/// Under the cluster model the dry-run crossover is ~9, 12, 14, 15 and
-/// 16 KiB per rank at p = 4, 8, 16, 32 and 64 (the alpha-beta closed
-/// form agrees; [`table`] holds the audited table): 12 KiB stays within
-/// 10 % + 1 us of the fan-out at p = 4 and keeps a 16 KiB block eager at
-/// p = 16.
-pub(crate) const ALLGATHER_MAX_BYTES: usize = 12 * 1024;
+/// Static `Auto` runs the allgather's log-round rows at or below this
+/// many bytes per rank (and `p >= 4`): recursive doubling on a power of
+/// two, Bruck on any other `p`; the eager fan-out above it. Every form
+/// compares bytes per rank: an equal-block allgather its contribution,
+/// a counted `allgatherv` its mean block (the total over `p`), a
+/// self-sizing one each block, which rides in the rounds iff its length
+/// is within this ceiling and travels direct otherwise. Rabenseifner's
+/// allreduce applies the same rule to its mean chunk: within the
+/// ceiling its allgather phase is recursive doubling, above it the
+/// eager exchange. (Van de Geijn's broadcast always gathers eagerly.)
+///
+/// Both log-round rows trade the fan-out's `p - 1` startups for
+/// `log2 p` serialized rounds that carry `(p - 1)·s` between them;
+/// since they forward parts, they copy what the fan-out copies, so the
+/// ceiling is that trade alone. Under the cluster model the dry-run
+/// crossover is ~9, 12, 14, 15 and 16 KiB per rank at p = 4, 8, 16, 32
+/// and 64 (the alpha-beta closed form agrees; [`table`] holds the
+/// audited table): 12 KiB stays within 10 % + 1 us of the fan-out at
+/// p = 4 and keeps a 16 KiB block eager at p = 16.
+pub const ALLGATHER_MAX_BYTES: usize = 12 * 1024;
+
+/// Static `Auto` switches allreduce to Rabenseifner at this many
+/// payload bytes per rank on a power of two, at twice as many on any
+/// other `p` (and `p >= 4`).
+///
+/// Crossover points from dry runs under the cluster cost model
+/// (alpha = 1.5 us, beta = 0.1 ns/B; the table in [`table`] is the
+/// audited one): Rabenseifner, whose allgather doubles while its chunk
+/// is within [`ALLGATHER_MAX_BYTES`], overtakes recursive doubling at
+/// ~49, 43, 34, 29 and 27 KiB for p = 4, 8, 16, 32 and 64, so 64 KiB
+/// lies in its winning regime on every power of two. Off powers of two
+/// its rule asks twice that (106 KiB at p = 12; at p in {5, 6} the
+/// fix-up's full-vector hand-back keeps it a few us behind doubling at
+/// every size, inside the audit's tolerance from 128 KiB).
+pub const RABENSEIFNER_MIN_BYTES: usize = 64 * 1024;
+
+/// Static `Auto` switches sized broadcasts to scatter+allgather at this
+/// many payload bytes (and `p >= 4`). The dry-run crossover is
+/// ~100-180 KiB for p in {4, 8}, so the threshold sits just above.
+pub const BCAST_SCATTER_MIN_BYTES: usize = 256 * 1024;
+
+/// Static `Auto` switches alltoall to Bruck at or below this many bytes
+/// per block (and `p >= 4`). Bruck moves every block once per set bit
+/// of its distance (~s/2 per round) to save startups; its rounds
+/// forward parts and copy nothing, so the ceiling rests on round volume
+/// alone. It keeps the value set when each round repacked until ROADMAP
+/// direction 2 (c) re-derives it.
+pub const BRUCK_MAX_BLOCK_BYTES: usize = 1024;
+
+/// Static `Auto` switches neighborhood exchanges to the dense pairwise
+/// path when the collectively-agreed maximum degree reaches this
+/// percentage of `p - 1` (near-complete graphs, where sparsity saves
+/// nothing). At 90 % of `p - 1` the alpha saving is under 10 % while
+/// the sparse path gives up the dense engine's single shared internal
+/// tag.
+pub const NEIGHBORHOOD_DENSE_MIN_DEGREE_PCT: usize = 90;
 
 /// Per-communicator collective tuning policy.
 ///
 /// Stored on every [`Comm`](crate::Comm) (inherited by `dup`/`split`)
 /// and consulted at each collective call. All ranks of a communicator
 /// must use the same tuning for the same call — the policy is part of
-/// the wire protocol, exactly like an MPI info hint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// the wire protocol, exactly like an MPI info hint. An `Auto` slot
+/// picks by constants every rank shares: [`RABENSEIFNER_MIN_BYTES`],
+/// [`BCAST_SCATTER_MIN_BYTES`], [`ALLGATHER_MAX_BYTES`],
+/// [`BRUCK_MAX_BLOCK_BYTES`] and [`NEIGHBORHOOD_DENSE_MIN_DEGREE_PCT`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CollTuning {
     /// Allreduce algorithm slot (commutative operations; every
     /// lifecycle).
@@ -190,78 +239,11 @@ pub struct CollTuning {
     pub reduce: Select<ReduceAlgo>,
     /// Neighborhood-exchange algorithm slot (topology communicators).
     pub neighborhood: Select<NeighborhoodAlgo>,
-    /// `Auto` switches neighborhood exchanges to the dense pairwise path
-    /// when the collectively-agreed maximum degree reaches this
-    /// percentage of `p - 1` (near-complete graphs, where sparsity saves
-    /// nothing).
-    pub neighborhood_dense_min_degree_pct: usize,
-    /// `Auto` switches allreduce to Rabenseifner at this many payload
-    /// bytes per rank on a power of two, at twice as many on any other
-    /// `p` (and `p >= 4`).
-    pub rabenseifner_min_bytes: usize,
-    /// `Auto` switches sized broadcasts to scatter+allgather at this
-    /// many payload bytes (and `p >= 4`).
-    pub bcast_scatter_min_bytes: usize,
-    /// `Auto` switches alltoall to Bruck at or below this many bytes
-    /// per block (and `p >= 4`).
-    pub bruck_max_block_bytes: usize,
-    /// `Auto` runs the allgather's log-round rows at or below this many
-    /// bytes per rank (and `p >= 4`): recursive doubling on a power of
-    /// two, Bruck on any other `p`; the eager fan-out above it. Every
-    /// form compares bytes per rank: an equal-block allgather its
-    /// contribution, a counted `allgatherv` its mean block (the total
-    /// over `p`), a self-sizing one each block, which rides in the
-    /// rounds iff its length is within this ceiling and travels direct
-    /// otherwise. Rabenseifner's allreduce applies the same rule to its
-    /// mean chunk: within the ceiling its allgather phase is recursive
-    /// doubling, above it the eager exchange. (Van de Geijn's broadcast
-    /// always gathers eagerly.)
-    pub allgather_max_bytes: usize,
     /// Online measured cost model configuration (see [`model`]). With
     /// [`ModelConfig::drive`] off (the default) every `Auto` selection
-    /// above is decided purely by the static thresholds and the model
+    /// above is decided purely by the constant thresholds and the model
     /// neither measures nor synchronizes anything.
     pub model: ModelConfig,
-}
-
-impl Default for CollTuning {
-    fn default() -> Self {
-        CollTuning {
-            allreduce: Select::Auto,
-            bcast: Select::Auto,
-            allgather: Select::Auto,
-            alltoall: Select::Auto,
-            reduce: Select::Auto,
-            neighborhood: Select::Auto,
-            // At 90% of p-1 the alpha saving is under 10% while the
-            // sparse path gives up the dense engine's single shared
-            // internal tag; near-complete graphs go dense.
-            neighborhood_dense_min_degree_pct: 90,
-            // Crossover points from dry runs under the cluster cost
-            // model (alpha = 1.5 us, beta = 0.1 ns/B; the table in
-            // [`table`] is the audited one). Rabenseifner, whose
-            // allgather doubles while its chunk is within
-            // `allgather_max_bytes`, overtakes recursive doubling at
-            // ~49, 43, 34, 29 and 27 KiB for p = 4, 8, 16, 32 and 64:
-            // 64 KiB lies in its winning regime on every power of two.
-            // Off powers of two its rule asks twice that (106 KiB at
-            // p = 12; at p in {5, 6} the fix-up's full-vector hand-back
-            // keeps it a few us behind doubling at every size, inside
-            // the audit's tolerance from 128 KiB).
-            // The broadcast crossover is ~100-180 KiB for p in {4, 8},
-            // so its default sits just above.
-            rabenseifner_min_bytes: 64 * 1024,
-            bcast_scatter_min_bytes: 256 * 1024,
-            // Bruck moves every block once per set bit of its distance
-            // (~s/2 per round) to save startups; its rounds forward
-            // parts and copy nothing, so the ceiling rests on round
-            // volume alone. It keeps the value set when each round
-            // repacked until ROADMAP direction 2 (c) re-derives it.
-            bruck_max_block_bytes: 1024,
-            allgather_max_bytes: ALLGATHER_MAX_BYTES,
-            model: ModelConfig::default(),
-        }
-    }
 }
 
 impl CollTuning {
@@ -304,37 +286,6 @@ impl CollTuning {
         self
     }
 
-    /// Sets the dense switch-over degree ratio (percent of `p - 1`).
-    pub fn neighborhood_dense_min_degree_pct(mut self, pct: usize) -> Self {
-        self.neighborhood_dense_min_degree_pct = pct;
-        self
-    }
-
-    /// Sets the Rabenseifner switch-over size (bytes per rank).
-    pub fn rabenseifner_min_bytes(mut self, bytes: usize) -> Self {
-        self.rabenseifner_min_bytes = bytes;
-        self
-    }
-
-    /// Sets the scatter+allgather broadcast switch-over size (bytes).
-    pub fn bcast_scatter_min_bytes(mut self, bytes: usize) -> Self {
-        self.bcast_scatter_min_bytes = bytes;
-        self
-    }
-
-    /// Sets the Bruck block-size ceiling (bytes per block).
-    pub fn bruck_max_block_bytes(mut self, bytes: usize) -> Self {
-        self.bruck_max_block_bytes = bytes;
-        self
-    }
-
-    /// Sets the allgather's log-round ceiling (bytes per rank; see
-    /// [`allgather_max_bytes`](Self::allgather_max_bytes)).
-    pub fn allgather_max_bytes(mut self, bytes: usize) -> Self {
-        self.allgather_max_bytes = bytes;
-        self
-    }
-
     /// Enables the online measured cost model: `Auto` slots are driven
     /// by runtime wall-clock evidence once warm (see [`model`]), with
     /// the static thresholds governing the warm-up phase. All ranks of
@@ -346,7 +297,7 @@ impl CollTuning {
     }
 
     /// Replaces the model configuration wholesale (cadence, warm-up,
-    /// EWMA weight, overlap bias — see [`ModelConfig`]).
+    /// EWMA weight, re-exploration — see [`ModelConfig`]).
     pub fn model(mut self, model: ModelConfig) -> Self {
         self.model = model;
         self

@@ -77,11 +77,11 @@
 //! *serialized round* an engine adds (a round whose send cannot be
 //! posted until the previous round's payload arrived — flat engines
 //! have one such round, tree/RD/Bruck engines `~log2 p`). Encoding it
-//! as a per-round alpha penalty ([`ModelConfig::overlap_alpha_pct`])
-//! keeps the trade measurable and tunable: in the latency regime the
-//! log-round engines win *despite* the penalty, and the model switches
-//! to them — while a hard-coded "never" can never be right on both
-//! sides of the crossover.
+//! as a per-round alpha penalty ([`OVERLAP_ALPHA_PCT`]) keeps the trade
+//! measurable: in the latency regime the log-round engines win
+//! *despite* the penalty, and the model switches to them — while a
+//! hard-coded "never" can never be right on both sides of the
+//! crossover.
 //!
 //! ## Lifecycle
 //!
@@ -163,10 +163,17 @@ impl AlgoClass {
     }
 }
 
+/// Overlap bias for non-blocking selection: each serialized round of a
+/// candidate engine is charged this percentage of the class's alpha on
+/// top of its predicted cost (see the module docs for why this is a
+/// cost term rather than a hard-coded "flat only").
+pub const OVERLAP_ALPHA_PCT: u32 = 100;
+
 /// Model configuration, carried inside
 /// [`CollTuning`](super::CollTuning) (so it inherits, overrides per
 /// call through `tuning(...)`, and participates in the
-/// same-tuning-on-every-rank wire contract for free).
+/// same-tuning-on-every-rank wire contract for free). The overlap bias
+/// of non-blocking selection is no setting: it is [`OVERLAP_ALPHA_PCT`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ModelConfig {
     /// Master switch: measure, synchronize, and let warm predictions
@@ -181,11 +188,6 @@ pub struct ModelConfig {
     /// EWMA weight of a new observation, in percent (30 ⇒
     /// `new = 0.3·measured + 0.7·old`).
     pub ewma_pct: u32,
-    /// Overlap bias for non-blocking selection: each serialized round
-    /// of a candidate engine is charged this percentage of the class's
-    /// alpha on top of its predicted cost (see the module docs for why
-    /// this is a cost term rather than a hard-coded "flat only").
-    pub overlap_alpha_pct: u32,
     /// Once every this many driven calls, a warm blocking selection
     /// re-measures the candidate with the fewest folded observations
     /// instead of taking the argmin (0 disables). Without this, a
@@ -205,7 +207,6 @@ impl Default for ModelConfig {
             epoch_len: 8,
             warmup_obs: 5,
             ewma_pct: 30,
-            overlap_alpha_pct: 100,
             reexplore_every: 16,
         }
     }
@@ -233,13 +234,6 @@ impl ModelConfig {
     /// Sets the EWMA weight of a new observation (percent, 1..=100).
     pub fn ewma_pct(mut self, pct: u32) -> Self {
         self.ewma_pct = pct.clamp(1, 100);
-        self
-    }
-
-    /// Sets the per-serialized-round overlap penalty (percent of
-    /// alpha).
-    pub fn overlap_alpha_pct(mut self, pct: u32) -> Self {
-        self.overlap_alpha_pct = pct;
         self
     }
 

@@ -4,7 +4,7 @@
 //! its result, `t` = the agreed total of a counted `allgatherv`'s
 //! counts, `len` = one block of a self-sizing `allgatherv`, whose
 //! lengths are learned in the rounds (a block rides in them iff `len`
-//! is within the per-rank ceiling, else its origin sends it direct),
+//! is within [`ALLGATHER_MAX_BYTES`], else its origin sends it direct),
 //! `b` = bytes of one all-to-all block, `d` = the agreed
 //! maximum degree, `p` = communicator size, `p'` = the largest power of
 //! two `<= p`). "Copies per rank" is the payload-byte memcpy bill on the
@@ -15,18 +15,18 @@
 //! | row ([`AlgoClass::name`]) | algorithm | startups | copies per rank | needs | static `Auto` picks it when | runs as |
 //! |---|---|---|---|---|---|---|
 //! | **`allreduce/recursive_doubling`** | round 0 sends a copy the partner folds into; later rounds send the accumulator as a refcount payload, and the last folds into the contribution | log2 p' (+2 off powers of two) | s + r (+ r handing the result back off powers of two) | — | otherwise | blocking, `iallreduce`, `allreduce_init` |
-//! | `allreduce/rabenseifner` | reduce-scatter folding into fresh shrinking halves + an allgather phase: with the mean chunk `s / p'` within [`CollTuning::allgather_max_bytes`], the reverse of the halving (doubling rounds, each group of chunks forwarded as parts); above it eager, each rank's chunk to the other `p' - 1` as refcount clones, all posted before its first receive | 2 log2 p' with a chunk within the ceiling, else log2 p' + p' - 1 (+2 off powers of two): the busiest rank's receives; the eager critical path is log2 p' + 1 hops | s + r (+ r handing the result back off powers of two) | — | `p >= 4`, `s >=` [`CollTuning::rabenseifner_min_bytes`] on a power of two, twice that off one | blocking, `iallreduce`, `allreduce_init` |
+//! | `allreduce/rabenseifner` | reduce-scatter folding into fresh shrinking halves + an allgather phase: with the mean chunk `s / p'` within [`ALLGATHER_MAX_BYTES`], the reverse of the halving (doubling rounds, each group of chunks forwarded as parts); above it eager, each rank's chunk to the other `p' - 1` as refcount clones, all posted before its first receive | 2 log2 p' with a chunk within the ceiling, else log2 p' + p' - 1 (+2 off powers of two): the busiest rank's receives; the eager critical path is log2 p' + 1 hops | s + r (+ r handing the result back off powers of two) | — | `p >= 4`, `s >=` [`RABENSEIFNER_MIN_BYTES`] on a power of two, twice that off one | blocking, `iallreduce`, `allreduce_init` |
 //! | **`bcast/binomial`** | binomial tree, refcount forwarding; every rank sends to its largest subtree first, so the critical path is ceil(log2 p) hops | <= log2 p | root s, other r | — | otherwise | blocking, `ibcast`, `bcast_init` |
-//! | `bcast/scatter_allgather` | van de Geijn: scatter + eager allgather of the chunks; where only the root knows `s` (self-sizing), the root first announces `s` down the tree | 2(p-1) + ceil(log2 p) (sized: 2(p-1)) | root s, other r | `s > 0` | `p >= 4`, `s >=` [`CollTuning::bcast_scatter_min_bytes`] | blocking, `ibcast`, `bcast_init` |
+//! | `bcast/scatter_allgather` | van de Geijn: scatter + eager allgather of the chunks; where only the root knows `s` (self-sizing), the root first announces `s` down the tree | 2(p-1) + ceil(log2 p) (sized: 2(p-1)) | root s, other r | `s > 0` | `p >= 4`, `s >=` [`BCAST_SCATTER_MIN_BYTES`] | blocking, `ibcast`, `bcast_init` |
 //! | **`allgather/ring`** | eager fan-out: the own block to every peer as a refcount clone, all posted before the first receive (the name is the row's, kept from the forwarding ring) | p-1 | s + r | — | otherwise | blocking, `iallgather(v)`, `allgather(v)_init` |
-//! | `allgather/recursive_doubling` | doubling rounds, each block group forwarded as the parts of one message (refcount views, no pack) and carved by the agreed or learned block sizes | log2 p (self-sizing: + one direct receive per large block) | s + r | `p >= 2`, a power of two, block sizes every rank knows or learns in the rounds | `p >= 4`, bytes per rank within [`CollTuning::allgather_max_bytes`]: `s`; a counted `allgatherv`'s mean block `t / p`; a self-sizing one always, each block riding iff `len` is | blocking `allgather(v)`, `iallgather(v)`, `allgather(v)_init` |
+//! | `allgather/recursive_doubling` | doubling rounds, each block group forwarded as the parts of one message (refcount views, no pack) and carved by the agreed or learned block sizes | log2 p (self-sizing: + one direct receive per large block) | s + r | `p >= 2`, a power of two, block sizes every rank knows or learns in the rounds | `p >= 4`, bytes per rank within [`ALLGATHER_MAX_BYTES`]: `s`; a counted `allgatherv`'s mean block `t / p`; a self-sizing one always, each block riding iff `len` is | blocking `allgather(v)`, `iallgather(v)`, `allgather(v)_init` |
 //! | `allgather/bruck` | rotated rounds, each block group forwarded as the parts of one message (refcount views, no pack) and carved by the agreed or learned block sizes | ceil(log2 p) (self-sizing: + one direct receive per large block) | s + r | `p >= 2`, block sizes every rank knows or learns in the rounds | `p >= 4` not a power of two, bytes per rank within the same ceiling, read the same way | blocking `allgather(v)`, `iallgather(v)`, `allgather(v)_init` |
 //! | **`alltoall/pairwise`** | one message per peer in the rotation `rank + 1, rank + 2, …`, pack-once + slice, all posted before the first receive | p-1 | s + r | — | otherwise | blocking (`alltoallv/w` always), `ialltoall(v)`, `alltoallv_init` |
-//! | `alltoall/bruck` | log-round forwarding, each round's blocks the parts of one message (refcount views, no repack) | ceil(log2 p) | s + r | `p >= 2`, equal blocks | `p >= 4`, `b <=` [`CollTuning::bruck_max_block_bytes`] | blocking, `ialltoall` |
+//! | `alltoall/bruck` | log-round forwarding, each round's blocks the parts of one message (refcount views, no repack) | ceil(log2 p) | s + r | `p >= 2`, equal blocks | `p >= 4`, `b <=` [`BRUCK_MAX_BLOCK_BYTES`] | blocking, `ialltoall` |
 //! | `reduce/binomial_tree` | binomial tree, in-place folds | <= log2 p | leaf s, inner 0, root r | a commutative op | blocking `reduce` | blocking, `ireduce` |
 //! | **`reduce/flat_gather`** | one send to the root, which folds the collected blocks in place, strictly in rank order | 1 (root p-1) | s (root: + r) | — | otherwise | blocking, `ireduce`; with a binomial broadcast, the allreduce of a non-commutative op in every lifecycle (unselected) |
 //! | **`neighborhood/sparse`** | one message per declared edge, all posted before the first receive | d | s + r | — | otherwise | blocking, `ineighbor_*`, `neighbor_*_init` (the last two always, unselected) |
-//! | `neighborhood/dense` | one message per rank, self included, an empty filler for a non-neighbor | p-1 | s + r | duplicate-free neighbor lists | `p >= 2`, `d >=` [`CollTuning::neighborhood_dense_min_degree_pct`] % of `p-1` | blocking |
+//! | `neighborhood/dense` | one message per rank, self included, an empty filler for a non-neighbor | p-1 | s + r | duplicate-free neighbor lists | `p >= 2`, `d >=` [`NEIGHBORHOOD_DENSE_MIN_DEGREE_PCT`] % of `p-1` | blocking |
 //!
 //! The static `Auto` rules are read off dry runs under
 //! [`CostModel::cluster`](crate::CostModel::cluster). Its crossovers —
@@ -87,10 +87,11 @@
 
 use std::time::Instant;
 
-use super::model::{self, AlgoClass, ModelConfig, ModelSnapshot, Pick};
+use super::model::{self, AlgoClass, ModelConfig, ModelSnapshot, Pick, OVERLAP_ALPHA_PCT};
 use super::{
     AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, CollTuning, NeighborhoodAlgo,
-    ReduceAlgo, Select,
+    ReduceAlgo, Select, ALLGATHER_MAX_BYTES, BCAST_SCATTER_MIN_BYTES, BRUCK_MAX_BLOCK_BYTES,
+    NEIGHBORHOOD_DENSE_MIN_DEGREE_PCT, RABENSEIFNER_MIN_BYTES,
 };
 use crate::comm::Comm;
 use crate::error::Result;
@@ -171,16 +172,16 @@ impl Call {
     }
 }
 
-/// Serialized rounds over `(p, ceil(log2 p), size, ceiling)` (the
-/// arguments of [`Row::features`]): the rounds whose sends wait on the
-/// previous round's receive, each charged
-/// [`ModelConfig::overlap_alpha_pct`] in the overlap lifecycle.
-type RoundCount = fn(usize, f64, f64, usize) -> f64;
+/// Serialized rounds over `(p, ceil(log2 p), size)` (the arguments of
+/// [`Row::features`]): the rounds whose sends wait on the previous
+/// round's receive, each charged [`OVERLAP_ALPHA_PCT`] in the overlap
+/// lifecycle.
+type RoundCount = fn(usize, f64, f64) -> f64;
 
 /// Everything is posted at the call (the flat, eager engines).
-const ONE_ROUND: RoundCount = |_, _, _, _| 1.0;
+const ONE_ROUND: RoundCount = |_, _, _| 1.0;
 /// `ceil(log2 p)` rounds.
-const LOG_ROUNDS: RoundCount = |_, l, _, _| l;
+const LOG_ROUNDS: RoundCount = |_, l, _| l;
 
 /// Which of the three drivers of an algorithm is selecting: all pick by
 /// one static rule, and differ in what the model may do after it.
@@ -221,18 +222,15 @@ pub(crate) struct Row<A: 'static> {
     /// The eligibility column: what `(p, call)` must satisfy for the
     /// row to be correct ([`ALWAYS`] on every fallback row).
     pub needs: fn(usize, &Call) -> bool,
-    /// The static `Auto` rule, over `(tuning, lifecycle, p, size)`: the
-    /// first row whose rule holds is picked, the fallback row when none
-    /// does.
-    pub auto: fn(&CollTuning, Lifecycle, usize, usize) -> bool,
+    /// The static `Auto` rule, over `(lifecycle, p, size)`: the first
+    /// row whose rule holds is picked, the fallback row when none does.
+    pub auto: fn(Lifecycle, usize, usize) -> bool,
     /// Coarse workload features `(startups, bytes)` over `(p,
-    /// ceil(log2 p), size, ceiling)`, `ceiling` being
-    /// [`CollTuning::allgather_max_bytes`] (which picks Rabenseifner's
-    /// allgather phase): messages on the critical path and payload
+    /// ceil(log2 p), size)`: messages on the critical path and payload
     /// moved (wire + packing). The scale only needs to be consistent
     /// *within* a row across workloads — rows are compared through
     /// their fitted costs — so the formulas stay deliberately simple.
-    pub features: fn(usize, f64, f64, usize) -> (f64, f64),
+    pub features: fn(usize, f64, f64) -> (f64, f64),
     pub rounds: RoundCount,
 }
 
@@ -241,7 +239,7 @@ macro_rules! names {
     ($algo:literal: $($site:literal),+) => { &[$(concat!($site, "/", $algo)),+] };
 }
 
-const NEVER: fn(&CollTuning, Lifecycle, usize, usize) -> bool = |_, _, _, _| false;
+const NEVER: fn(Lifecycle, usize, usize) -> bool = |_, _, _| false;
 const ALWAYS: fn(usize, &Call) -> bool = |_, _| true;
 
 /// A collective's algorithm enum: its rows and its [`CollTuning`] slot.
@@ -267,10 +265,9 @@ fn doubling_hops(p: usize) -> f64 {
 }
 
 /// The serialized rounds of Rabenseifner's allgather phase over `p2`
-/// chunks of an `s`-byte payload under `ceiling`: `log2 p2` doubling,
-/// one eager.
-fn gather_rounds(p2: usize, s: f64, ceiling: usize) -> f64 {
-    if phase_doubles(ceiling, p2, s as usize) {
+/// chunks of an `s`-byte payload: `log2 p2` doubling, one eager.
+fn gather_rounds(p2: usize, s: f64) -> f64 {
+    if phase_doubles(p2, s as usize) {
         f64::from(p2.ilog2())
     } else {
         1.0
@@ -281,9 +278,9 @@ fn gather_rounds(p2: usize, s: f64, ceiling: usize) -> f64 {
 /// receives — `log2 p'` doubling rounds, or the `p' - 1` chunks of the
 /// eager exchange (whose sends leave together, so they add one hop to
 /// the critical path, not `p' - 1`).
-fn rabenseifner_hops(p: usize, s: f64, ceiling: usize) -> f64 {
+fn rabenseifner_hops(p: usize, s: f64) -> f64 {
     let p2 = 1usize << p.ilog2();
-    let gather = if phase_doubles(ceiling, p2, s as usize) {
+    let gather = if phase_doubles(p2, s as usize) {
         p.ilog2() as usize
     } else {
         p2 - 1
@@ -300,8 +297,8 @@ impl Algo for AllreduceAlgo {
             names: names!("recursive_doubling": "allreduce", "iallreduce", "allreduce_init"),
             needs: ALWAYS,
             auto: NEVER,
-            features: |p, _, s, _| (doubling_hops(p), s * doubling_hops(p)),
-            rounds: |p, _, _, _| doubling_hops(p),
+            features: |p, _, s| (doubling_hops(p), s * doubling_hops(p)),
+            rounds: |p, _, _| doubling_hops(p),
         },
         Row {
             algo: AllreduceAlgo::Rabenseifner,
@@ -310,15 +307,15 @@ impl Algo for AllreduceAlgo {
             needs: ALWAYS,
             // Off powers of two from twice the size: the fix-up's
             // hand-back moves the crossover up (see the crossover table).
-            auto: |t, _, p, s| {
+            auto: |_, p, s| {
                 let off_power = usize::from(!p.is_power_of_two()) + 1;
-                p >= 4 && s >= t.rabenseifner_min_bytes.saturating_mul(off_power)
+                p >= 4 && s >= RABENSEIFNER_MIN_BYTES * off_power
             },
-            features: |p, _, s, ceiling| (rabenseifner_hops(p, s, ceiling), 2.0 * s),
+            features: |p, _, s| (rabenseifner_hops(p, s), 2.0 * s),
             // The reduce-scatter's steps, then the doubling rounds, or
             // one eager exchange as `bcast/scatter_allgather` counts its
             // own.
-            rounds: |p, _, s, ceiling| doubling_hops(p) + gather_rounds(1 << p.ilog2(), s, ceiling),
+            rounds: |p, _, s| doubling_hops(p) + gather_rounds(1 << p.ilog2(), s),
         },
     ];
 }
@@ -332,7 +329,7 @@ impl Algo for BcastAlgo {
             names: names!("binomial": "bcast", "ibcast", "bcast_init"),
             needs: ALWAYS,
             auto: NEVER,
-            features: |_, l, s, _| (l, s * l),
+            features: |_, l, s| (l, s * l),
             rounds: LOG_ROUNDS,
         },
         Row {
@@ -341,13 +338,13 @@ impl Algo for BcastAlgo {
             names: names!("scatter_allgather": "bcast", "ibcast", "bcast_init"),
             // An empty payload has nothing to split.
             needs: |_, call| call.size > 0,
-            auto: |t, _, p, s| p >= 4 && s >= t.bcast_scatter_min_bytes,
+            auto: |_, p, s| p >= 4 && s >= BCAST_SCATTER_MIN_BYTES,
             // The self-sizing form's: the root announces the size to its
             // `ceil(log2 p)` children first (a sized call skips that).
-            features: |p, l, s, _| (2.0 * (p as f64 - 1.0) + l, 2.0 * s),
+            features: |p, l, s| (2.0 * (p as f64 - 1.0) + l, 2.0 * s),
             // The announcement down the tree, the scatter, then one eager
             // allgather.
-            rounds: |_, l, _, _| l + 2.0,
+            rounds: |_, l, _| l + 2.0,
         },
     ];
 }
@@ -355,10 +352,10 @@ impl Algo for BcastAlgo {
 /// The allgather's one static rule: whether `p` blocks of `per_rank`
 /// bytes take the log-round rows rather than the eager fan-out — for
 /// every allgather form (an equal block, a counted `allgatherv`'s mean
-/// block, each block of a self-sizing one), `ceiling` being
-/// [`CollTuning::allgather_max_bytes`].
-pub(crate) fn in_rounds(ceiling: usize, p: usize, per_rank: usize) -> bool {
-    p >= 4 && per_rank <= ceiling
+/// block, each block of a self-sizing one), the ceiling being
+/// [`ALLGATHER_MAX_BYTES`].
+pub(crate) fn in_rounds(p: usize, per_rank: usize) -> bool {
+    p >= 4 && per_rank <= ALLGATHER_MAX_BYTES
 }
 
 /// The same rule for the allgather phase of Rabenseifner's allreduce
@@ -366,8 +363,8 @@ pub(crate) fn in_rounds(ceiling: usize, p: usize, per_rank: usize) -> bool {
 /// doubles (a power of two, the mean chunk within the ceiling) or is
 /// the eager exchange. The engine and the model's features both ask
 /// this.
-pub(crate) fn phase_doubles(ceiling: usize, p2: usize, payload: usize) -> bool {
-    p2.is_power_of_two() && in_rounds(ceiling, p2, payload / p2)
+pub(crate) fn phase_doubles(p2: usize, payload: usize) -> bool {
+    p2.is_power_of_two() && in_rounds(p2, payload / p2)
 }
 
 impl Algo for AllgatherAlgo {
@@ -379,7 +376,7 @@ impl Algo for AllgatherAlgo {
             names: names!("ring": "allgather", "iallgather", "allgather_init"),
             needs: ALWAYS,
             auto: NEVER,
-            features: |p, _, s, _| (p as f64 - 1.0, (p as f64 - 1.0) * s),
+            features: |p, _, s| (p as f64 - 1.0, (p as f64 - 1.0) * s),
             rounds: ONE_ROUND,
         },
         Row {
@@ -387,8 +384,8 @@ impl Algo for AllgatherAlgo {
             class: AlgoClass::AllgatherRd,
             names: names!("recursive_doubling": "allgather", "iallgather", "allgather_init"),
             needs: |p, call| p >= 2 && p.is_power_of_two() && call.regular,
-            auto: |t, _, p, s| in_rounds(t.allgather_max_bytes, p, s) && p.is_power_of_two(),
-            features: |p, l, s, _| (l, (p as f64 - 1.0) * s),
+            auto: |_, p, s| in_rounds(p, s) && p.is_power_of_two(),
+            features: |p, l, s| (l, (p as f64 - 1.0) * s),
             rounds: LOG_ROUNDS,
         },
         Row {
@@ -396,8 +393,8 @@ impl Algo for AllgatherAlgo {
             class: AlgoClass::AllgatherBruck,
             names: names!("bruck": "allgather", "iallgather", "allgather_init"),
             needs: |p, call| p >= 2 && call.regular,
-            auto: |t, _, p, s| in_rounds(t.allgather_max_bytes, p, s) && !p.is_power_of_two(),
-            features: |p, l, s, _| (l, (p as f64 - 1.0) * s),
+            auto: |_, p, s| in_rounds(p, s) && !p.is_power_of_two(),
+            features: |p, l, s| (l, (p as f64 - 1.0) * s),
             rounds: LOG_ROUNDS,
         },
     ];
@@ -412,7 +409,7 @@ impl Algo for AlltoallAlgo {
             names: names!("pairwise": "alltoall", "ialltoall", "alltoallv_init"),
             needs: ALWAYS,
             auto: NEVER,
-            features: |p, _, s, _| (p as f64 - 1.0, (p as f64 - 1.0) * s),
+            features: |p, _, s| (p as f64 - 1.0, (p as f64 - 1.0) * s),
             rounds: ONE_ROUND,
         },
         Row {
@@ -420,8 +417,8 @@ impl Algo for AlltoallAlgo {
             class: AlgoClass::AlltoallBruck,
             names: names!("bruck": "alltoall", "ialltoall", "alltoallv_init"),
             needs: |p, call| p >= 2 && call.regular,
-            auto: |t, _, p, s| p >= 4 && s <= t.bruck_max_block_bytes,
-            features: |p, l, s, _| (l, l * (p as f64 / 2.0) * s),
+            auto: |_, p, s| p >= 4 && s <= BRUCK_MAX_BLOCK_BYTES,
+            features: |p, l, s| (l, l * (p as f64 / 2.0) * s),
             rounds: LOG_ROUNDS,
         },
     ];
@@ -438,8 +435,8 @@ impl Algo for ReduceAlgo {
             needs: |_, call| call.commutative,
             // An `ireduce` keeps the eager flat gather: every
             // contribution is on the wire when the call returns.
-            auto: |_, lifecycle, _, _| lifecycle == Lifecycle::Blocking,
-            features: |_, l, s, _| (l, s * l),
+            auto: |lifecycle, _, _| lifecycle == Lifecycle::Blocking,
+            features: |_, l, s| (l, s * l),
             rounds: LOG_ROUNDS,
         },
         Row {
@@ -448,7 +445,7 @@ impl Algo for ReduceAlgo {
             names: names!("flat_gather": "reduce", "ireduce"),
             needs: ALWAYS,
             auto: NEVER,
-            features: |p, _, s, _| (p as f64 - 1.0, (p as f64 - 1.0) * s),
+            features: |p, _, s| (p as f64 - 1.0, (p as f64 - 1.0) * s),
             rounds: ONE_ROUND,
         },
     ];
@@ -467,7 +464,7 @@ impl Algo for NeighborhoodAlgo {
             names: names!("sparse": "neighborhood"),
             needs: ALWAYS,
             auto: NEVER,
-            features: |_, _, d, _| (d.max(1.0), 0.0),
+            features: |_, _, d| (d.max(1.0), 0.0),
             rounds: ONE_ROUND,
         },
         Row {
@@ -475,8 +472,8 @@ impl Algo for NeighborhoodAlgo {
             class: AlgoClass::NeighborhoodDense,
             names: names!("dense": "neighborhood"),
             needs: |_, call| call.duplicate_free,
-            auto: |t, _, p, d| p >= 2 && d * 100 >= t.neighborhood_dense_min_degree_pct * (p - 1),
-            features: |p, _, _, _| ((p as f64 - 1.0).max(1.0), 0.0),
+            auto: |_, p, d| p >= 2 && d * 100 >= NEIGHBORHOOD_DENSE_MIN_DEGREE_PCT * (p - 1),
+            features: |p, _, _| ((p as f64 - 1.0).max(1.0), 0.0),
             rounds: ONE_ROUND,
         },
     ];
@@ -538,7 +535,7 @@ pub(super) fn static_pick<A: Algo>(
         Select::Auto => {
             let auto = A::ROWS
                 .iter()
-                .find(|r| (r.auto)(tuning, lifecycle, p, call.volume(p)));
+                .find(|r| (r.auto)(lifecycle, p, call.volume(p)));
             (auto.unwrap_or(fallback), Pick::Static)
         }
     };
@@ -559,16 +556,16 @@ pub(crate) fn frozen_pick<A: Algo>(tuning: &CollTuning, p: usize, call: &Call) -
         .algo
 }
 
-/// Where a call is priced: `(p, size, ceiling)`, the arguments of
+/// Where a call is priced: `(p, size)`, the arguments of
 /// [`Row::features`] but `ceil(log2 p)`.
-type At = (usize, usize, usize);
+type At = (usize, usize);
 
-/// Predicted cost of `row` at `(p, size, ceiling)`, every serialized
-/// round of its engine charged `round_bias` extra startups.
-fn cost<A>(snap: &ModelSnapshot, row: &Row<A>, (p, size, ceiling): At, round_bias: f64) -> f64 {
+/// Predicted cost of `row` at `(p, size)`, every serialized round of
+/// its engine charged `round_bias` extra startups.
+fn cost<A>(snap: &ModelSnapshot, row: &Row<A>, (p, size): At, round_bias: f64) -> f64 {
     let (est, l, s) = (snap.class(row.class), ceil_log2(p), size as f64);
-    let (startups, bytes) = (row.features)(p, l, s, ceiling);
-    est.predict_ns(startups, bytes) + (row.rounds)(p, l, s, ceiling) * est.alpha_ns * round_bias
+    let (startups, bytes) = (row.features)(p, l, s);
+    est.predict_ns(startups, bytes) + (row.rounds)(p, l, s) * est.alpha_ns * round_bias
 }
 
 /// The model's choice among the candidate rows `cands` at `at`
@@ -581,16 +578,17 @@ fn cost<A>(snap: &ModelSnapshot, row: &Row<A>, (p, size, ceiling): At, round_bia
 /// rank-aligned tick counter) by re-measuring the least-observed
 /// candidate, so stale cold-start estimates cannot lock in a loser.
 ///
-/// Overlap: static until *every* candidate class is warm (the engines
+/// Overlap (`overlap_bias` given: the startups each serialized round is
+/// charged): static until *every* candidate class is warm (the engines
 /// are never measured, so exploration could not warm them anyway), then
-/// the argmin with the per-round overlap penalty.
+/// the argmin with that per-round penalty.
 fn choose<A>(
     snap: &ModelSnapshot,
     cfg: &ModelConfig,
     cands: &[&Row<A>],
     at: At,
     static_i: usize,
-    lifecycle: Lifecycle,
+    overlap_bias: Option<f64>,
     seq: u64,
 ) -> (usize, Pick) {
     let est = |i: usize| snap.class(cands[i].class);
@@ -602,14 +600,11 @@ fn choose<A>(
         };
         (0..cands.len()).min_by(by_cost).unwrap_or(0)
     };
-    if lifecycle == Lifecycle::Overlap {
+    if let Some(bias) = overlap_bias {
         if !(0..cands.len()).all(warm) {
             return (static_i, Pick::Static);
         }
-        return (
-            argmin(f64::from(cfg.overlap_alpha_pct) / 100.0),
-            Pick::Model,
-        );
+        return (argmin(bias), Pick::Model);
     }
     if !warm(static_i) {
         return (static_i, Pick::Static);
@@ -663,8 +658,10 @@ pub(crate) fn select<A: Algo>(comm: &Comm, lifecycle: Lifecycle, call: Call) -> 
                 let m = comm.model_state_mut();
                 (m.snapshot(), m.seq())
             };
-            let at = (p, call.volume(p), tuning.allgather_max_bytes);
-            let (i, by) = choose(&snap, &tuning.model, cands, at, static_i, lifecycle, seq);
+            let overlap = lifecycle == Lifecycle::Overlap;
+            let bias = overlap.then_some(f64::from(OVERLAP_ALPHA_PCT) / 100.0);
+            let at = (p, call.volume(p));
+            let (i, by) = choose(&snap, &tuning.model, cands, at, static_i, bias, seq);
             (row, pick) = (cands[i], by);
         }
     }
@@ -715,8 +712,7 @@ impl<'c> Tuned<'c> {
         };
         let out = run()?;
         if let Some(begun) = self.begun {
-            let ceiling = self.comm.tuning().allgather_max_bytes;
-            let features = (row.features)(p, ceil_log2(p), size as f64, ceiling);
+            let features = (row.features)(p, ceil_log2(p), size as f64);
             model::observe(self.comm, row.class, begun, features);
         }
         Ok(out)
@@ -739,7 +735,6 @@ pub(crate) fn tuned<A: Algo, R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::algos::ALLGATHER_MAX_BYTES;
 
     /// The two rows of `A` as candidates (of alltoall, the second is
     /// charged three serialized rounds at p = 8, the first one).
@@ -747,7 +742,7 @@ mod tests {
         [&A::ROWS[0], &A::ROWS[1]]
     }
 
-    const AT: At = (8, 1024, ALLGATHER_MAX_BYTES);
+    const AT: At = (8, 1024);
 
     fn blocking<A>(
         snap: &ModelSnapshot,
@@ -755,11 +750,17 @@ mod tests {
         cands: &[&Row<A>],
         seq: u64,
     ) -> (usize, Pick) {
-        choose(snap, cfg, cands, AT, 0, Lifecycle::Blocking, seq)
+        choose(snap, cfg, cands, AT, 0, None, seq)
     }
 
-    fn overlap<A>(snap: &ModelSnapshot, cfg: &ModelConfig, cands: &[&Row<A>]) -> (usize, Pick) {
-        choose(snap, cfg, cands, AT, 0, Lifecycle::Overlap, 0)
+    /// Overlap selection, each serialized round charged `bias` startups.
+    fn overlap<A>(
+        snap: &ModelSnapshot,
+        cfg: &ModelConfig,
+        cands: &[&Row<A>],
+        bias: f64,
+    ) -> (usize, Pick) {
+        choose(snap, cfg, cands, AT, 0, Some(bias), 0)
     }
 
     #[test]
@@ -814,7 +815,8 @@ mod tests {
 
         // Partial warmth is not enough for the unmeasured engines.
         snap.classes[AlgoClass::AlltoallPairwise.index()].obs = cfg.warmup_obs;
-        assert_eq!(overlap(&snap, &cfg, &cands), (0, Pick::Static));
+        let bias = f64::from(OVERLAP_ALPHA_PCT) / 100.0;
+        assert_eq!(overlap(&snap, &cfg, &cands, bias), (0, Pick::Static));
 
         // Warm, identical base costs: the per-round alpha penalty makes
         // the 3-round candidate lose.
@@ -827,18 +829,18 @@ mod tests {
         // Equalize the base cost by feature count: pairwise (p-1 = 7
         // startups) vs Bruck (3 startups × ~4096 packed bytes·0) —
         // Bruck's base is cheaper, but crank the round bias to flip it.
-        let heavy = ModelConfig::default().drive(true).overlap_alpha_pct(10_000);
-        assert_eq!(overlap(&snap, &heavy, &cands), (0, Pick::Model));
-        // With no bias, Bruck's fewer startups win.
-        let none = ModelConfig::default().drive(true).overlap_alpha_pct(0);
-        assert_eq!(overlap(&snap, &none, &cands), (1, Pick::Model));
+        assert_eq!(overlap(&snap, &cfg, &cands, 100.0), (0, Pick::Model));
+        // With no bias, or the default one round's alpha, Bruck's fewer
+        // startups win.
+        assert_eq!(overlap(&snap, &cfg, &cands, 0.0), (1, Pick::Model));
+        assert_eq!(overlap(&snap, &cfg, &cands, bias), (1, Pick::Model));
     }
 
     fn check_rows<A: Algo + std::fmt::Debug>() {
         for row in A::ROWS {
             // Features are positive and scale with the size.
-            let (s1, v1) = (row.features)(8, 3.0, 1024.0, ALLGATHER_MAX_BYTES);
-            let (s2, v2) = (row.features)(8, 3.0, 4096.0, ALLGATHER_MAX_BYTES);
+            let (s1, v1) = (row.features)(8, 3.0, 1024.0);
+            let (s2, v2) = (row.features)(8, 3.0, 4096.0);
             assert!(s1 >= 1.0, "{:?} startups", row.algo);
             assert!(v1 >= 0.0, "{:?} bytes", row.algo);
             assert!(s2 >= s1 && v2 >= v1, "{:?} monotone in size", row.algo);
@@ -891,23 +893,22 @@ mod tests {
 
     type Start = for<'c> fn(&'c Comm) -> Result<crate::Request<'c>>;
 
-    /// Audits every row of `A`: forced on `base`, its engine must run
-    /// the startups `features` claim at `size` bytes per rank under
-    /// `base`'s allgather ceiling — the longer of the
-    /// critical path (hops, every send costing 1) and the busiest rank's
-    /// receives (every receive costing 1), by dry run — at every `p` it
-    /// serves in 2..=17, 32 and 64, and, for the rows claiming log-round
-    /// startups, at every power of two up to `2^top`. Returns the cells
-    /// that disagree.
+    /// Audits every row of `A`: forced, its engine must run the
+    /// startups `features` claim at `size` bytes per rank — the longer
+    /// of the critical path (hops, every send costing 1) and the
+    /// busiest rank's receives (every receive costing 1), by dry run —
+    /// at every `p` it serves in 2..=17, 32 and 64, and, for the rows
+    /// claiming log-round startups, at every power of two up to
+    /// `2^top`. Returns the cells that disagree.
     fn audit<A: Algo + std::fmt::Debug>(
         force: fn(CollTuning, A) -> CollTuning,
         start: Start,
         top: u32,
-        (base, size): (CollTuning, f64),
+        size: f64,
     ) -> Vec<String> {
         let mut off = Vec::new();
         for row in A::ROWS {
-            let tuning = force(base, row.algo);
+            let tuning = force(CollTuning::default(), row.algo);
             let count = |p, alpha_ns, recv_overhead_ns| {
                 let cost = crate::CostModel {
                     alpha_ns,
@@ -921,13 +922,12 @@ mod tests {
                 });
                 finish.unwrap().into_iter().max().unwrap()
             };
-            let logarithmic = (row.features)(1 << 12, 12.0, 1.0, 0).0 <= 14.0;
+            let logarithmic = (row.features)(1 << 12, 12.0, 1.0).0 <= 14.0;
             let large = (7..=top).map(|k| 1 << k).filter(|_| logarithmic);
             let ps = (2..=17).chain([32, 64]).chain(large);
             for p in ps.filter(|&p| (row.needs)(p, &Call::sized(1))) {
                 let (hops, recvs) = (count(p, 1, 0), count(p, 0, 1));
-                let ceiling = base.allgather_max_bytes;
-                let claimed = (row.features)(p, ceil_log2(p), size, ceiling).0;
+                let claimed = (row.features)(p, ceil_log2(p), size).0;
                 if claimed != hops.max(recvs) as f64 {
                     let algo = row.algo;
                     off.push(format!(
@@ -943,36 +943,27 @@ mod tests {
     /// row with an `i*` form (all but the neighborhood rows). The
     /// allgather and all-to-all rows stop at `2^10`: one thread holds
     /// their `p²` result blocks. Rabenseifner's allgather phase doubles
-    /// on its 512-byte payload under the default ceiling; under a
-    /// ceiling of 0 the same payload takes the eager exchange up to
-    /// p = 64.
+    /// on a 512-byte payload; on 1 MiB, whose chunks exceed
+    /// [`ALLGATHER_MAX_BYTES`] up to p = 64, it takes the eager exchange
+    /// (4 KiB elements under an operation that keeps one operand spare
+    /// the debug build the fold's per-element work).
     #[test]
     fn every_row_runs_the_startups_it_claims() {
         use crate::op::Sum;
         let allreduce: Start = |c| c.iallreduce(&[1u64; 64], Sum);
+        let eager: Start = |c| {
+            let keep = crate::op::commutative(|a: &[u64; 512], _: &[u64; 512]| *a);
+            c.iallreduce(&vec![[1u64; 512]; 256], keep)
+        };
         let bcast: Start = |c| c.ibcast(Some(&[1u8][..]), 0);
         let alltoall: Start = |c| c.ialltoall(&vec![1u8; c.size()]);
-        let (base, eager) = (
-            CollTuning::default(),
-            CollTuning::default().allgather_max_bytes(0),
-        );
         let off = [
-            audit(CollTuning::allreduce, allreduce, 12, (base, 512.0)),
-            audit(CollTuning::allreduce, allreduce, 6, (eager, 512.0)),
-            audit(CollTuning::bcast, bcast, 12, (base, 1.0)),
-            audit(
-                CollTuning::allgather,
-                |c| c.iallgather(&[1u8]),
-                10,
-                (base, 1.0),
-            ),
-            audit(CollTuning::alltoall, alltoall, 10, (base, 1.0)),
-            audit(
-                CollTuning::reduce,
-                |c| c.ireduce(&[1u64], Sum, 0),
-                12,
-                (base, 8.0),
-            ),
+            audit(CollTuning::allreduce, allreduce, 12, 512.0),
+            audit(CollTuning::allreduce, eager, 6, f64::from(1 << 20)),
+            audit(CollTuning::bcast, bcast, 12, 1.0),
+            audit(CollTuning::allgather, |c| c.iallgather(&[1u8]), 10, 1.0),
+            audit(CollTuning::alltoall, alltoall, 10, 1.0),
+            audit(CollTuning::reduce, |c| c.ireduce(&[1u64], Sum, 0), 12, 8.0),
         ];
         let off = off.concat();
         assert!(off.is_empty(), "cells disagree:\n{}", off.join("\n"));
@@ -1238,11 +1229,7 @@ mod tests {
                     pick(&comm, forced, Lifecycle::Blocking, Call::sized(0)),
                     want
                 );
-                let eager = base.bcast_scatter_min_bytes(0);
-                assert_eq!(
-                    pick(&comm, eager, Lifecycle::Blocking, Call::sized(0)),
-                    want
-                );
+                assert_eq!(pick(&comm, base, Lifecycle::Blocking, Call::sized(0)), want);
                 // Duplicate neighbors have no dense form — forced, or
                 // picked by `Auto` on a complete graph.
                 let dup = Call {

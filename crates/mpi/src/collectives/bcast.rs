@@ -358,7 +358,7 @@ mod tests {
 
     #[test]
     fn bcast_vec_large_payload_joins_scatter_allgather() {
-        // 512 KiB at p = 4 crosses `bcast_scatter_min_bytes`: the root's
+        // 512 KiB at p = 4 crosses `BCAST_SCATTER_MIN_BYTES`: the root's
         // announcement lets non-roots join van de Geijn without
         // supplying the length up front (no recv_count required).
         Universe::run(4, |comm| {

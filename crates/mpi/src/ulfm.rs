@@ -577,9 +577,8 @@ mod tests {
         // resetting to defaults.
         let out = Universe::run_with(Config::new(3), |comm| {
             let dup = comm.dup().unwrap();
-            let mut t = dup.tuning();
-            t.rabenseifner_min_bytes = 4242;
-            dup.set_tuning(t);
+            let forced = dup.tuning().allreduce(crate::AllreduceAlgo::Rabenseifner);
+            dup.set_tuning(forced);
             if comm.rank() == 1 {
                 comm.fail_here();
             }
@@ -589,7 +588,7 @@ mod tests {
                 dup.revoke();
             }
             let shrunk = dup.shrink().unwrap();
-            assert_eq!(shrunk.tuning().rabenseifner_min_bytes, 4242);
+            assert_eq!(shrunk.tuning(), forced);
             shrunk.allreduce_one(1u64, crate::op::Sum).unwrap()
         });
         let survivors: Vec<u64> = out.into_iter().filter_map(|o| o.completed()).collect();

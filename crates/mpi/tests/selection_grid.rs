@@ -547,3 +547,92 @@ const GOLDEN: &[&str] = &[
     "ineighbor_alltoallv dense | -,- -,- -,-,- -,-,-,- -,-,-,- -,-,-,- -,-,-,-,-",
     "neighbor_alltoallv_init dense | -,- -,- -,-,- -,-,-,- -,-,-,- -,-,-,- -,-,-,-,-",
 ];
+
+/// Each pick over `sizes` by its capitals (`RecursiveDoubling` → `RD`,
+/// `Ring` → `R`), space-separated.
+fn picks<A: std::fmt::Debug>(sizes: Vec<usize>, pick: impl Fn(usize) -> A) -> String {
+    let initials = |s| -> String {
+        let name = format!("{:?}", pick(s));
+        name.chars().filter(char::is_ascii_uppercase).collect()
+    };
+    let picks: Vec<String> = sizes.into_iter().map(initials).collect();
+    picks.join(" ")
+}
+
+/// Static `Auto` as the default tuning's `*_algo` queries answer it, a
+/// byte either side of every threshold — 64 and 128 KiB for allreduce
+/// (Rabenseifner's size on and off powers of two), 256 KiB for
+/// broadcast, 12 KiB per rank for allgather, 1 KiB blocks for
+/// all-to-all — and every degree below `p` for neighborhood exchanges,
+/// at communicator sizes on and off powers of two. The lines were
+/// recorded while the thresholds were settable fields of `CollTuning`,
+/// before they became constants; a difference is a moved pick.
+#[test]
+fn static_auto_picks_around_every_threshold() {
+    let t = CollTuning::default();
+    let around = |thresholds: &[usize]| -> Vec<usize> {
+        thresholds.iter().flat_map(|&c| [c - 1, c, c + 1]).collect()
+    };
+    let mut got = Vec::new();
+    for p in [2usize, 3, 4, 5, 8, 12, 16] {
+        let (ar, bc) = (around(&[64 << 10, 128 << 10]), around(&[256 << 10]));
+        let (ag, aa) = (around(&[12 << 10]), around(&[1 << 10]));
+        let lines = [
+            ("allreduce", picks(ar, |s| t.allreduce_algo(p, s))),
+            ("bcast", picks(bc, |s| t.bcast_algo(p, s))),
+            ("allgather", picks(ag, |s| t.allgather_algo(p, s))),
+            ("alltoall", picks(aa, |s| t.alltoall_algo(p, s))),
+            (
+                "neighborhood",
+                picks((0..p).collect(), |d| t.neighborhood_algo(p, d)),
+            ),
+        ];
+        got.extend(lines.map(|(name, picks)| format!("{name} p={p}: {picks}")));
+    }
+    if std::env::var_os("SELECTION_GRID_PRINT").is_some() {
+        for line in &got {
+            println!("    \"{line}\",");
+        }
+        return;
+    }
+    assert_eq!(got, STATIC_AUTO);
+}
+
+#[rustfmt::skip]
+const STATIC_AUTO: &[&str] = &[
+    "allreduce p=2: RD RD RD RD RD RD",
+    "bcast p=2: B B B",
+    "allgather p=2: R R R",
+    "alltoall p=2: P P P",
+    "neighborhood p=2: S D",
+    "allreduce p=3: RD RD RD RD RD RD",
+    "bcast p=3: B B B",
+    "allgather p=3: R R R",
+    "alltoall p=3: P P P",
+    "neighborhood p=3: S S D",
+    "allreduce p=4: RD R R R R R",
+    "bcast p=4: B SA SA",
+    "allgather p=4: RD RD R",
+    "alltoall p=4: B B P",
+    "neighborhood p=4: S S S D",
+    "allreduce p=5: RD RD RD RD R R",
+    "bcast p=5: B SA SA",
+    "allgather p=5: B B R",
+    "alltoall p=5: B B P",
+    "neighborhood p=5: S S S S D",
+    "allreduce p=8: RD R R R R R",
+    "bcast p=8: B SA SA",
+    "allgather p=8: RD RD R",
+    "alltoall p=8: B B P",
+    "neighborhood p=8: S S S S S S S D",
+    "allreduce p=12: RD RD RD RD R R",
+    "bcast p=12: B SA SA",
+    "allgather p=12: B B R",
+    "alltoall p=12: B B P",
+    "neighborhood p=12: S S S S S S S S S S D D",
+    "allreduce p=16: RD R R R R R",
+    "bcast p=16: B SA SA",
+    "allgather p=16: RD RD R",
+    "alltoall p=16: B B P",
+    "neighborhood p=16: S S S S S S S S S S S S S S D D",
+];

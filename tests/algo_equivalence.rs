@@ -859,22 +859,20 @@ mod lifecycles {
     /// operation declared non-commutative, in every lifecycle.
     #[test]
     fn allreduce_rows_in_every_lifecycle() {
+        use kamping_repro::mpi::collectives::algos::RABENSEIFNER_MIN_BYTES;
         use kamping_repro::mpi::AllreduceAlgo;
         let (rd, rab) = (AlgoClass::AllreduceRd, AlgoClass::AllreduceRabenseifner);
         let base = CollTuning::default();
         for p in SMALL_P {
-            for n in SMALL_N {
+            // One `u64` below the rule and at it (twice the size off
+            // powers of two): from there, and p >= 4, `Auto` picks
+            // Rabenseifner.
+            let rule = (RABENSEIFNER_MIN_BYTES / 8) << usize::from(!p.is_power_of_two());
+            for n in SMALL_N.into_iter().chain([rule - 1, rule]) {
                 Universe::run(p, move |comm| {
-                    // From the rule's 16 bytes at p >= 4 (32 off powers
-                    // of two), `Auto` picks Rabenseifner.
-                    let eager = p >= 4 && 8 * n >= 16 << usize::from(!p.is_power_of_two());
+                    let auto = if p >= 4 && n >= rule { rab } else { rd };
                     let rows = [
-                        ("auto", base, rd),
-                        (
-                            "auto, small rule",
-                            base.rabenseifner_min_bytes(16),
-                            if eager { rab } else { rd },
-                        ),
+                        ("auto", base, auto),
                         (
                             "doubling",
                             base.allreduce(AllreduceAlgo::RecursiveDoubling),
@@ -942,23 +940,26 @@ mod lifecycles {
         }
     }
 
-    /// Van de Geijn's broadcast — forced, picked by `Auto`, and ruled
-    /// out by a forced tree — against the root's data in every lifecycle
-    /// and every form, empty payloads and `p < 4` included. The sized
-    /// forms (`bcast_into` borrowed, `bcast_parts` with a size) select
-    /// on every rank; the self-sizing ones (`bcast_parts` without a
-    /// size, `bcast_bytes`, `bcast_vec`, `ibcast` under every finish,
-    /// `ibcast_bytes` owned, `bcast_init`) on the root alone, which names
-    /// its row to the others on the wire — the pick is read back on the
-    /// root, and no other rank takes a decision. Chunks hold zero
-    /// elements where `n < p` and split elements where the byte bounds
-    /// fall inside one.
+    /// Van de Geijn's broadcast — forced, picked by `Auto` either side
+    /// of its threshold, and ruled out by a forced tree — against the
+    /// root's data in every lifecycle and every form, empty payloads
+    /// and `p < 4` included. The sized forms (`bcast_into` borrowed,
+    /// `bcast_parts` with a size) select on every rank; the self-sizing
+    /// ones (`bcast_parts` without a size, `bcast_bytes`, `bcast_vec`,
+    /// `ibcast` under every finish, `ibcast_bytes` owned, `bcast_init`)
+    /// on the root alone, which names its row to the others on the wire
+    /// — the pick is read back on the root, and no other rank takes a
+    /// decision. Chunks hold zero elements where `n < p` and split
+    /// elements where the byte bounds fall inside one.
     #[test]
     fn scatter_allgather_broadcast_in_every_lifecycle() {
+        use kamping_repro::mpi::collectives::algos::BCAST_SCATTER_MIN_BYTES;
         use kamping_repro::mpi::{bytes_from_vec, BcastAlgo};
         let base = CollTuning::default();
+        // One `u64` below the threshold and at it.
+        let rule = BCAST_SCATTER_MIN_BYTES / 8;
         for p in SMALL_P {
-            for n in [0].into_iter().chain(SMALL_N) {
+            for n in [0].into_iter().chain(SMALL_N).chain([rule - 1, rule]) {
                 Universe::run(p, move |comm| {
                     let root = p / 2;
                     let data = |c: usize| -> Vec<u64> { (0..n).map(|i| val(root, i, c)).collect() };
@@ -966,7 +967,7 @@ mod lifecycles {
                     let vdg = AlgoClass::BcastScatterAllgather;
                     let rows = [
                         ("forced", base.bcast(BcastAlgo::ScatterAllgather), n > 0),
-                        ("auto", base.bcast_scatter_min_bytes(8), p >= 4 && n > 0),
+                        ("auto", base, p >= 4 && n >= rule),
                         ("tree", base.bcast(BcastAlgo::Binomial), false),
                     ];
                     for (name, tuning, runs_vdg) in rows {
@@ -1037,16 +1038,18 @@ mod lifecycles {
     /// A `bcast_init` whose root crosses van de Geijn's threshold between
     /// cycles: the root re-applies the rule frozen at init to each
     /// cycle's size, and the non-roots learn the row anew each cycle —
-    /// tree, van de Geijn, empty, tree, van de Geijn. Every cycle starts
-    /// the moment the last one is done on this rank, so a fast rank's
-    /// next cycle meets a slow rank's current one on the wire.
+    /// tree, van de Geijn at the threshold, empty, tree a `u64` below
+    /// it, van de Geijn above it. Every cycle starts the moment the last
+    /// one is done on this rank, so a fast rank's next cycle meets a
+    /// slow rank's current one on the wire.
     #[test]
     fn a_persistent_broadcast_follows_its_root_across_the_threshold() {
-        let lens = [3usize, 64, 0, 5, 40];
+        use kamping_repro::mpi::collectives::algos::BCAST_SCATTER_MIN_BYTES;
+        let rule = BCAST_SCATTER_MIN_BYTES / 8;
+        let lens = [3usize, rule, 0, rule - 1, rule + 5];
         for p in [2, 3, 4, 5, 8] {
             Universe::run(p, move |comm| {
                 let root = p - 1;
-                comm.set_tuning(CollTuning::default().bcast_scatter_min_bytes(32 * 8));
                 let data =
                     |c: usize| -> Vec<u64> { (0..lens[c]).map(|i| val(root, i, c)).collect() };
                 let mine = (comm.rank() == root).then(|| data(0));

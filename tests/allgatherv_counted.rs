@@ -4,8 +4,8 @@
 //! Counts every rank passes identically are the agreed layout that the
 //! `allgather/*` rows carve their rounds by, so their mean block (the
 //! total over `p`) selects the row: recursive doubling or Bruck at or
-//! below the per-rank allgather ceiling of `CollTuning`, the eager
-//! fan-out above it.
+//! below the per-rank allgather ceiling, `ALLGATHER_MAX_BYTES`, the
+//! eager fan-out above it.
 //! The grid checks every row of both entry points — the substrate's
 //! `allgatherv_into` and the binding's `allgatherv` with `recv_counts` —
 //! over uneven counts with zeros and displacements with gaps, and reads
@@ -17,6 +17,7 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 use kamping_repro::kamping::prelude::*;
+use kamping_repro::mpi::collectives::algos::ALLGATHER_MAX_BYTES;
 use kamping_repro::mpi::collectives::displacements_from_counts;
 use kamping_repro::mpi::{AlgoClass, AllgatherAlgo, CollTuning, Comm, MpiError, Universe};
 
@@ -76,26 +77,22 @@ fn latency_row(p: usize) -> AlgoClass {
     }
 }
 
+/// The uneven counts topped up to `total` elements, spread evenly.
+fn scaled_counts(p: usize, total: usize) -> Vec<usize> {
+    let mut counts = uneven_counts(p);
+    let share = (total - counts.iter().sum::<usize>()) / p;
+    counts.iter_mut().for_each(|n| *n += share);
+    counts[p - 1] += total - counts.iter().sum::<usize>();
+    counts
+}
+
 #[test]
 fn counted_allgatherv_matches_the_oracle_under_every_row() {
     for p in (1..=9).chain([16]) {
         Universe::run(p, move |comm| {
             let kc = Communicator::new(comm);
             let raw = kc.raw();
-            let counts = uneven_counts(p);
-            let displs = gapped(&counts);
-            let total_bytes = 2 * counts.iter().sum::<usize>();
-            let mine = contribution(kc.rank(), counts[kc.rank()]);
-            let oracle = concatenation(&counts);
-            let mut placed = vec![u16::MAX; displs[p - 1] + counts[p - 1] + 1];
-            for (r, &d) in displs.iter().enumerate() {
-                placed[d..d + counts[r]].copy_from_slice(&contribution(r, counts[r]));
-            }
             let base = CollTuning::default();
-            let ceiling = |bytes| base.allgather_max_bytes(bytes);
-            // The mean block, rounded up: at a ceiling of `mean` the
-            // total is within `p · mean`, at `mean - 1` above it.
-            let mean = total_bytes.div_ceil(p);
             let bruck_row = if p >= 2 {
                 AlgoClass::AllgatherBruck
             } else {
@@ -110,53 +107,72 @@ fn counted_allgatherv_matches_the_oracle_under_every_row() {
                 2.. if p.is_power_of_two() => AlgoClass::AllgatherRd,
                 _ => AlgoClass::AllgatherRing,
             };
-            let cases = [
+            // `u16` counts whose mean block is the ceiling, and one
+            // element more: the mean, rounded up, is above it.
+            let at_ceiling = p * ALLGATHER_MAX_BYTES / 2;
+            let layouts = [
+                ("uneven", uneven_counts(p), auto_row),
                 (
-                    "ring",
-                    base.allgather(AllgatherAlgo::Ring),
+                    "mean block at the ceiling",
+                    scaled_counts(p, at_ceiling),
+                    auto_row,
+                ),
+                (
+                    "mean block above the ceiling",
+                    scaled_counts(p, at_ceiling + 1),
                     AlgoClass::AllgatherRing,
                 ),
-                (
-                    "rd",
-                    base.allgather(AllgatherAlgo::RecursiveDoubling),
-                    rd_row,
-                ),
-                ("bruck", base.allgather(AllgatherAlgo::Bruck), bruck_row),
-                ("auto, mean block at the ceiling", ceiling(mean), auto_row),
-                (
-                    "auto, mean block above the ceiling",
-                    ceiling(mean - 1),
-                    AlgoClass::AllgatherRing,
-                ),
-                ("auto, default ceiling", base, auto_row),
             ];
-            for (name, tuning, row) in cases {
-                let at = format!("p = {p}, rank {}, {name}", kc.rank());
-                raw.set_tuning(tuning);
-                let mut recv = vec![u16::MAX; placed.len()];
-                let ran = row_of(raw, || {
-                    raw.allgatherv_into(&mine, &mut recv, &counts, &displs)
+            for (layout, counts, auto) in layouts {
+                let displs = gapped(&counts);
+                let mine = contribution(kc.rank(), counts[kc.rank()]);
+                let oracle = concatenation(&counts);
+                let mut placed = vec![u16::MAX; displs[p - 1] + counts[p - 1] + 1];
+                for (r, &d) in displs.iter().enumerate() {
+                    placed[d..d + counts[r]].copy_from_slice(&contribution(r, counts[r]));
+                }
+                let cases = [
+                    (
+                        "ring",
+                        base.allgather(AllgatherAlgo::Ring),
+                        AlgoClass::AllgatherRing,
+                    ),
+                    (
+                        "rd",
+                        base.allgather(AllgatherAlgo::RecursiveDoubling),
+                        rd_row,
+                    ),
+                    ("bruck", base.allgather(AllgatherAlgo::Bruck), bruck_row),
+                    ("auto", base, auto),
+                ];
+                for (name, tuning, row) in cases {
+                    let at = format!("p = {p}, rank {}, {layout}, {name}", kc.rank());
+                    raw.set_tuning(tuning);
+                    let mut recv = vec![u16::MAX; placed.len()];
+                    let ran = row_of(raw, || {
+                        raw.allgatherv_into(&mine, &mut recv, &counts, &displs)
+                            .unwrap()
+                    });
+                    assert_eq!((ran, &recv), (row, &placed), "allgatherv_into, {at}");
+                    let mut got: Vec<u16> = Vec::new();
+                    let ran = row_of(raw, || {
+                        got = kc
+                            .allgatherv((send_buf(&mine), recv_counts(&counts)))
+                            .unwrap();
+                    });
+                    assert_eq!((ran, &got), (row, &oracle), "binding allgatherv, {at}");
+                    let mut recv = vec![u16::MAX; placed.len()];
+                    let ran = row_of(raw, || {
+                        kc.allgatherv((
+                            send_buf(&mine),
+                            recv_counts(&counts),
+                            recv_displs(&displs),
+                            recv_buf(&mut recv),
+                        ))
                         .unwrap()
-                });
-                assert_eq!((ran, &recv), (row, &placed), "allgatherv_into, {at}");
-                let mut got: Vec<u16> = Vec::new();
-                let ran = row_of(raw, || {
-                    got = kc
-                        .allgatherv((send_buf(&mine), recv_counts(&counts)))
-                        .unwrap();
-                });
-                assert_eq!((ran, &got), (row, &oracle), "binding allgatherv, {at}");
-                let mut recv = vec![u16::MAX; placed.len()];
-                let ran = row_of(raw, || {
-                    kc.allgatherv((
-                        send_buf(&mine),
-                        recv_counts(&counts),
-                        recv_displs(&displs),
-                        recv_buf(&mut recv),
-                    ))
-                    .unwrap()
-                });
-                assert_eq!((ran, &recv), (row, &placed), "binding, gaps, {at}");
+                    });
+                    assert_eq!((ran, &recv), (row, &placed), "binding, gaps, {at}");
+                }
             }
         });
     }

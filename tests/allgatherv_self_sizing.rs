@@ -8,17 +8,17 @@
 //! block goes from its origin straight to every rank that did not get
 //! it in round 0. The grid runs every row — `Auto` and forced recursive
 //! doubling, Bruck and ring — through every self-sizing entry point, at
-//! `p` in `1..=9` and 16, over size mixes on both sides of the ceiling,
-//! and reads back which row ran. The no-hang tests (`fault` feature)
+//! `p` in `1..=9` and 16, over size mixes on both sides of the ceiling
+//! ([`ALLGATHER_MAX_BYTES`]), and reads back which row ran. The no-hang tests (`fault` feature)
 //! cut a message short on its way: every rank must return a typed error
 //! before a deadline, and the communicator must stay usable.
 
 use kamping_repro::kamping::prelude::*;
+use kamping_repro::mpi::collectives::algos::ALLGATHER_MAX_BYTES;
 use kamping_repro::mpi::{bytes_from_vec, AlgoClass, AllgatherAlgo, CollTuning, Comm, Universe};
 
-/// Bytes per block at the ceilings the grid sets: `L`, and one byte
-/// below it.
-const L: usize = 24;
+/// Bytes per block at the ceiling.
+const L: usize = ALLGATHER_MAX_BYTES;
 
 /// Rank `r`'s contribution of `n` bytes, distinct across ranks.
 fn contribution(r: usize, n: usize) -> Vec<u8> {
@@ -26,9 +26,9 @@ fn contribution(r: usize, n: usize) -> Vec<u8> {
 }
 
 /// The block lengths of every mix at `p` ranks: all empty, all inline
-/// (uneven, below `L`), all exactly `L` (at the ceiling `L`, one byte
-/// over `L - 1`), one large origin (rank 0, then a middle
-/// rank), a mix of empty, `L` and large, and all large.
+/// (uneven, below `L`), all exactly `L` (inline) and all one byte over
+/// it, one large origin (rank 0, then a middle rank), a mix of empty,
+/// `L` and large, and all large.
 fn mixes(p: usize) -> Vec<(&'static str, Vec<usize>)> {
     let small = |r: usize| (r * 7 + 3) % L;
     let one_large = |big: usize| (0..p).map(move |r| if r == big { 4 * L + 1 } else { small(r) });
@@ -36,6 +36,7 @@ fn mixes(p: usize) -> Vec<(&'static str, Vec<usize>)> {
         ("all empty", vec![0; p]),
         ("all inline", (0..p).map(small).collect()),
         ("all L", vec![L; p]),
+        ("all L + 1", vec![L + 1; p]),
         ("rank 0 large", one_large(0).collect()),
         ("a middle rank large", one_large(p / 2).collect()),
         ("mixed", (0..p).map(|r| [0, L, 3 * L + r][r % 3]).collect()),
@@ -60,10 +61,10 @@ fn row_of<R>(comm: &Comm, call: impl FnOnce() -> R) -> (AlgoClass, R) {
     (picked[0], out)
 }
 
-/// The tunings of the grid at `p` — `Auto` and each forced row, at the
-/// per-rank ceiling `ceiling` — with the row each runs.
-fn rows(p: usize, ceiling: usize) -> Vec<(String, CollTuning, AlgoClass)> {
-    let base = CollTuning::default().allgather_max_bytes(ceiling);
+/// The tunings of the grid at `p` — `Auto` and each forced row — with
+/// the row each runs.
+fn rows(p: usize) -> [(&'static str, CollTuning, AlgoClass); 4] {
+    let base = CollTuning::default();
     let ring = AlgoClass::AllgatherRing;
     let latency = if p.is_power_of_two() {
         AlgoClass::AllgatherRd
@@ -86,9 +87,6 @@ fn rows(p: usize, ceiling: usize) -> Vec<(String, CollTuning, AlgoClass)> {
         ("bruck", base.allgather(AllgatherAlgo::Bruck), bruck),
         ("ring", base.allgather(AllgatherAlgo::Ring), ring),
     ]
-    .into_iter()
-    .map(|(name, tuning, row)| (format!("{name}, ceiling {ceiling}"), tuning, row))
-    .collect()
 }
 
 fn as_vecs<B: AsRef<[u8]>>(blocks: Vec<B>) -> Vec<Vec<u8>> {
@@ -102,7 +100,7 @@ fn self_sizing_allgatherv_matches_the_oracle_under_every_row() {
             let kc = Communicator::new(comm);
             let raw = kc.raw();
             let me = kc.rank();
-            for (name, tuning, row) in [L, L - 1].into_iter().flat_map(|c| rows(p, c)) {
+            for (name, tuning, row) in rows(p) {
                 raw.set_tuning(tuning);
                 for (mix, lens) in mixes(p) {
                     let at = format!("p = {p}, rank {me}, {name}, {mix}");

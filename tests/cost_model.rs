@@ -597,9 +597,9 @@ fn collectives_cost_the_same_in_every_lifecycle() {
 /// `--nocapture` prints the table.
 #[test]
 fn self_sizing_broadcasts_cost_at_most_the_announcement() {
-    use kamping_repro::mpi::{bytes_from_vec, CollTuning};
+    use kamping_repro::mpi::bytes_from_vec;
+    use kamping_repro::mpi::collectives::algos::BCAST_SCATTER_MIN_BYTES;
     let model = CostModel::cluster();
-    let threshold = CollTuning::default().bcast_scatter_min_bytes;
     let mut over = Vec::new();
     for p in [4usize, 16, 64] {
         for bytes in [1 << 10, 64 << 10, 256 << 10, 1 << 20] {
@@ -642,7 +642,7 @@ fn self_sizing_broadcasts_cost_at_most_the_announcement() {
                 .collect();
             println!("p = {p}, {bytes} B: {} us", row.join(", "));
             for &(name, t) in &times[1..] {
-                let fits = match bytes >= threshold {
+                let fits = match bytes >= BCAST_SCATTER_MIN_BYTES {
                     true => t as f64 <= 1.15 * sized as f64,
                     false => t == sized,
                 };
@@ -779,16 +779,13 @@ fn self_sizing_allgatherv_model_time_at_p16_is_pinned() {
 /// `CostModel::cluster()`: the `i*` forms dry-run, the counted
 /// `allgatherv` — which has no `i*` form — threaded, from a
 /// synchronized zero (the lifecycle test holds the two to the same
-/// numbers). The allgather ceiling is 512 bytes per rank, the 8 KiB
-/// total these times were recorded under.
+/// numbers), under the default tuning.
 fn finish_times_at_p16() -> Vec<(String, Vec<u64>)> {
-    use kamping_repro::mpi::{bytes_from_vec, AlltoallAlgo, CollTuning};
+    use kamping_repro::mpi::{bytes_from_vec, AlltoallAlgo};
     let (p, model) = (16, CostModel::cluster());
-    let recorded = CollTuning::default().allgather_max_bytes(512);
     let mut out = Vec::new();
-    for bytes in [8usize, 512, 4096] {
+    for bytes in [8usize, 512, 16 << 10] {
         let counted = Universe::run_with(Config::new(p).cost(model), |comm| {
-            comm.set_tuning(recorded);
             let own = bytes_from_vec(vec![comm.rank() as u8; bytes]);
             comm.barrier().unwrap();
             comm.clock_reset();
@@ -798,10 +795,7 @@ fn finish_times_at_p16() -> Vec<(String, Vec<u64>)> {
         let counted = counted.into_iter().map(|t| t.unwrap()).collect();
         out.push((format!("counted allgatherv {bytes} B"), counted));
         let mine = vec![7u8; bytes];
-        let learned = Universe::dry_run(Config::new(p).cost(model), |c| {
-            c.set_tuning(recorded);
-            c.iallgatherv(&mine)
-        });
+        let learned = Universe::dry_run(Config::new(p).cost(model), |c| c.iallgatherv(&mine));
         out.push((format!("iallgatherv {bytes} B"), learned.unwrap()));
     }
     let bruck = Universe::dry_run(Config::new(p).cost(model), |c| {
@@ -815,21 +809,23 @@ fn finish_times_at_p16() -> Vec<(String, Vec<u64>)> {
 /// Sending a round's blocks as the parts of one message instead of one
 /// packed buffer moves no modelled time: the p = 16 finish times of the
 /// counted and the self-sizing `allgatherv` rungs that run recursive
-/// doubling (8 and 512 B per rank; the counted 4 KiB rung runs the ring,
-/// the self-sizing one doubling with direct blocks) and of Bruck
-/// `ialltoall`, every rank to the nanosecond, as recorded with packed
-/// rounds. A part is charged as bytes of its message: same envelopes,
-/// same bytes, same send order.
+/// doubling (8 and 512 B per rank) and of Bruck `ialltoall`, every rank
+/// to the nanosecond, as recorded with packed rounds. A part is charged
+/// as bytes of its message: same envelopes, same bytes, same send order.
+/// The 16 KiB rung, above the allgather ceiling (the counted call runs
+/// the ring, the self-sizing one doubling with direct blocks), was
+/// recorded with parts; it pins the other side of the ceiling.
 #[test]
 fn forwarded_parts_cost_what_packed_rounds_cost_at_p16() {
-    let edge = [27409, 27109].into_iter().chain([27000; 13]).chain([27409]);
+    let climb = [28638, 28338, 28038, 27738, 27438, 27138];
+    let edge = climb.into_iter().chain([27000; 8]).chain([27138, 28638]);
     let want: [(&str, Vec<u64>); 7] = [
         ("counted allgatherv 8 B", vec![7210; 16]),
         ("iallgatherv 8 B", vec![7221; 16]),
         ("counted allgatherv 512 B", vec![7966; 16]),
         ("iallgatherv 512 B", vec![7979; 16]),
-        ("counted allgatherv 4096 B", edge.collect()),
-        ("iallgatherv 4096 B", vec![32410; 16]),
+        ("counted allgatherv 16384 B", edge.collect()),
+        ("iallgatherv 16384 B", vec![32410; 16]),
         ("Bruck ialltoall 64 B", vec![7404; 16]),
     ];
     let got = finish_times_at_p16();

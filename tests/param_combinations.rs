@@ -963,7 +963,10 @@ fn bcast_owned_and_borrowed_roundtrip() {
 /// empty payloads and `p < 4` in the grid. `bcast_init` runs two cycles.
 #[test]
 fn bcast_without_recv_count_runs_the_root_s_row_in_every_lifecycle() {
+    use kamping_repro::mpi::collectives::algos::BCAST_SCATTER_MIN_BYTES;
     use kamping_repro::mpi::{AlgoClass, BcastAlgo, CollTuning};
+    // The fewest elements at or above the threshold.
+    let rule = BCAST_SCATTER_MIN_BYTES.div_ceil(3);
     for p in [1usize, 2, 3, 4, 5, 8] {
         Universe::run(p, move |comm| {
             let comm = Communicator::new(comm);
@@ -977,7 +980,7 @@ fn bcast_without_recv_count_runs_the_root_s_row_in_every_lifecycle() {
                     .into_iter()
                     .find(|c| after[c.index()] > before[c.index()])
             };
-            for n in [0usize, 1, 7, 100] {
+            for n in [0usize, 1, 7, 100, rule - 1, rule] {
                 let data: Vec<[u8; 3]> =
                     (0..n).map(|i| [i as u8, (i * 7) as u8, p as u8]).collect();
                 let mine = || {
@@ -989,12 +992,7 @@ fn bcast_without_recv_count_runs_the_root_s_row_in_every_lifecycle() {
                 };
                 let rows = [
                     ("forced", base.bcast(BcastAlgo::ScatterAllgather), n > 0),
-                    (
-                        "auto",
-                        base.bcast_scatter_min_bytes(16),
-                        p >= 4 && 3 * n >= 16,
-                    ),
-                    ("default", base, false),
+                    ("auto", base, p >= 4 && n >= rule),
                 ];
                 for (name, tuning, vdg) in rows {
                     raw.set_tuning(tuning);
