@@ -5,11 +5,10 @@
 //! wall-clock cannot exhibit 256-rank network behaviour. Instead, every
 //! rank carries a virtual clock:
 //!
-//! - **Local compute** is charged either from measured *thread CPU time*
-//!   (when the host kernel reports it at fine granularity) or explicitly
-//!   via [`Clock::add_ns`] from single-threaded wall-clock calibrations
-//!   (what the shipped harnesses do; many kernels tick thread CPU time
-//!   at 10 ms).
+//! - **Local compute** is charged explicitly via [`Clock::add_ns`]
+//!   (`Comm::clock_add_ns`), from single-threaded wall-clock calibrations
+//!   in the shipped harnesses: many kernels tick thread CPU time at
+//!   10 ms, far too coarse for microsecond-scale accounting.
 //! - **Each message** advances the sender by `alpha` (startup/overhead) and
 //!   arrives at the receiver at `departure + beta * bytes`; completing a
 //!   receive advances the receiver to at least the arrival time plus a
@@ -32,8 +31,6 @@
 //! can sweep every rank's `i*` request to completion and reach the
 //! threaded run's times exactly.
 
-use crate::sys::thread_cpu_ns;
-
 /// Parameters of the alpha-beta (latency/bandwidth) message cost model.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
@@ -43,36 +40,26 @@ pub struct CostModel {
     pub beta_ns_per_byte: f64,
     /// Per-message matching/completion overhead charged to the receiver.
     pub recv_overhead_ns: u64,
-    /// Whether local compute is charged from measured thread CPU time.
-    pub measure_cpu: bool,
 }
 
 impl CostModel {
-    /// No network costs, no CPU measurement: virtual time stays zero unless
-    /// advanced manually. The default for unit tests.
+    /// No network costs: virtual time stays zero unless advanced
+    /// manually. The default for unit tests.
     pub const fn disabled() -> Self {
         CostModel {
             alpha_ns: 0,
             beta_ns_per_byte: 0.0,
             recv_overhead_ns: 0,
-            measure_cpu: false,
         }
     }
 
     /// A cluster-like configuration loosely modelled on the paper's
     /// testbed (OmniPath, 100 Gbit/s): ~1.5 us startup, ~0.1 ns/byte.
-    ///
-    /// CPU measurement stays off: kernels often report thread CPU time
-    /// at scheduler-tick granularity (10 ms), far too coarse for
-    /// microsecond-scale accounting. The benchmark harnesses instead
-    /// charge compute explicitly from single-threaded wall-clock
-    /// calibrations (see `kmp-bench`).
     pub const fn cluster() -> Self {
         CostModel {
             alpha_ns: 1_500,
             beta_ns_per_byte: 0.1,
             recv_overhead_ns: 300,
-            measure_cpu: false,
         }
     }
 
@@ -85,10 +72,7 @@ impl CostModel {
     /// True if any component of the model is active.
     #[inline]
     pub fn is_active(&self) -> bool {
-        self.alpha_ns != 0
-            || self.beta_ns_per_byte != 0.0
-            || self.recv_overhead_ns != 0
-            || self.measure_cpu
+        self.alpha_ns != 0 || self.beta_ns_per_byte != 0.0 || self.recv_overhead_ns != 0
     }
 }
 
@@ -104,21 +88,11 @@ impl Default for CostModel {
 pub struct Clock {
     model: CostModel,
     vtime_ns: u64,
-    last_cpu_ns: u64,
 }
 
 impl Clock {
     pub fn new(model: CostModel) -> Self {
-        let last_cpu_ns = if model.measure_cpu {
-            thread_cpu_ns()
-        } else {
-            0
-        };
-        Clock {
-            model,
-            vtime_ns: 0,
-            last_cpu_ns,
-        }
+        Clock { model, vtime_ns: 0 }
     }
 
     /// The cost model this clock runs under.
@@ -131,17 +105,6 @@ impl Clock {
     #[inline]
     pub fn now_ns(&self) -> u64 {
         self.vtime_ns
-    }
-
-    /// Charges local compute since the last call using thread CPU time.
-    /// Called on entry to every substrate operation.
-    #[inline]
-    pub fn absorb_cpu(&mut self) {
-        if self.model.measure_cpu {
-            let now = thread_cpu_ns();
-            self.vtime_ns += now.saturating_sub(self.last_cpu_ns);
-            self.last_cpu_ns = now;
-        }
     }
 
     /// Manually advances virtual time (e.g. to model compute that is not
@@ -170,12 +133,8 @@ impl Clock {
     }
 
     /// Resets virtual time to zero (used between benchmark repetitions).
-    /// CPU accounting restarts from the current thread CPU time.
     pub fn reset(&mut self) {
         self.vtime_ns = 0;
-        if self.model.measure_cpu {
-            self.last_cpu_ns = thread_cpu_ns();
-        }
     }
 }
 
@@ -186,7 +145,6 @@ mod tests {
     #[test]
     fn disabled_model_stays_zero() {
         let mut c = Clock::new(CostModel::disabled());
-        c.absorb_cpu();
         let arrival = c.on_send(1024);
         assert_eq!(arrival, 0);
         c.on_recv_complete(arrival);
@@ -199,7 +157,6 @@ mod tests {
             alpha_ns: 100,
             beta_ns_per_byte: 2.0,
             recv_overhead_ns: 10,
-            measure_cpu: false,
         };
         let mut c = Clock::new(model);
         let arrival = c.on_send(50);
@@ -213,7 +170,6 @@ mod tests {
             alpha_ns: 0,
             beta_ns_per_byte: 0.0,
             recv_overhead_ns: 7,
-            measure_cpu: false,
         };
         let mut c = Clock::new(model);
         c.on_recv_complete(1000);
@@ -230,28 +186,5 @@ mod tests {
         assert_eq!(c.now_ns(), 42);
         c.reset();
         assert_eq!(c.now_ns(), 0);
-    }
-
-    #[test]
-    fn cpu_measurement_advances() {
-        // Thread-CPU clocks may tick as coarsely as 10 ms; burn CPU in
-        // rounds until the measuring clock advances.
-        let model = CostModel {
-            measure_cpu: true,
-            ..CostModel::disabled()
-        };
-        let mut c = Clock::new(model);
-        let mut x = 1u64;
-        for round in 0..2_000u64 {
-            for i in 0..1_000_000u64 {
-                x = x.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(i ^ round);
-            }
-            std::hint::black_box(x);
-            c.absorb_cpu();
-            if c.now_ns() > 0 {
-                break;
-            }
-        }
-        assert!(c.now_ns() > 0, "CPU-measuring clock did not advance");
     }
 }

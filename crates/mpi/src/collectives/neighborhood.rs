@@ -684,7 +684,6 @@ mod tests {
     /// The zero-copy bill, pinned (PR 2/3 discipline): one serialization
     /// per call regardless of out-degree, one materialization per
     /// received block — `s + r`, never `s·degree`.
-    #[cfg(feature = "copy-metrics")]
     #[test]
     fn copy_bill_is_s_plus_r_independent_of_degree() {
         Universe::run(4, |comm| {

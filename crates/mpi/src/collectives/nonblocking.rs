@@ -69,7 +69,7 @@
 //! enabled, the warm measured cost model may override the static pick
 //! of an initiation, after charging every serialized round one extra
 //! startup for lost overlap (the overlap bias of
-//! [`ModelConfig::overlap_alpha_pct`](super::algos::ModelConfig)).
+//! [`model::OVERLAP_ALPHA_PCT`](super::algos::model::OVERLAP_ALPHA_PCT)).
 //! Selection at initiation reads only the last *published* model
 //! snapshot — it never synchronizes, because a non-blocking initiation
 //! must complete locally (MPI's local-completion rule).

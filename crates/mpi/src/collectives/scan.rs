@@ -23,7 +23,7 @@ use crate::comm::Comm;
 use crate::error::Result;
 use crate::message::Parts;
 use crate::op::ReduceOp;
-use crate::plain::{bytes_from_cow, bytes_from_slice, bytes_into_vec};
+use crate::plain::{bytes_from_cow, bytes_from_slice, bytes_into_vec, bytes_to_vec};
 use crate::request::Completion;
 use crate::{Plain, Rank, Tag};
 
@@ -88,6 +88,12 @@ impl<T: Plain, O: ReduceOp<T>> Rounds for DoublingScan<'_, T, O> {
         if self.exclusive {
             self.excl = Some(match self.excl.take() {
                 Some(excl) => fold_bytes_to_vec(&theirs, excl.into(), &self.op)?,
+                // The first prefix seeds the result. Rank 1's is rank 0's
+                // finished prefix, one payload for all of rank 0's right
+                // partners (see `finish`): from p = 3 others share it, so
+                // it is copied by rule, not by whether they have released
+                // it yet. Every other seed has this rank as its one reader.
+                None if comm.rank() == 1 && comm.size() > 2 => bytes_to_vec(&theirs),
                 None => bytes_into_vec(theirs),
             });
         }
@@ -95,16 +101,24 @@ impl<T: Plain, O: ReduceOp<T>> Rounds for DoublingScan<'_, T, O> {
     }
 
     /// The rounds past this rank's last receive all send the finished
-    /// prefix: one payload, serialized once (`exscan` moves it out).
+    /// prefix: one payload, serialized once (`exscan` moves it out). The
+    /// last partner gets the payload itself, so a lone one is its only
+    /// reader.
     fn finish(&mut self, comm: &Comm) -> Result<Completion> {
         let mut later = (self.rounds..).map_while(|k| right(comm, k)).peekable();
         if later.peek().is_some() {
-            let payload = if self.exclusive {
+            let mut payload = if self.exclusive {
                 bytes_from_cow(std::mem::take(&mut self.incl))
             } else {
                 bytes_from_slice(&self.incl)
             };
-            later.try_for_each(|to| send_internal(comm, to, self.tag, payload.clone()))?;
+            while let Some(to) = later.next() {
+                let part = match later.peek() {
+                    Some(_) => payload.clone(),
+                    None => std::mem::take(&mut payload),
+                };
+                send_internal(comm, to, self.tag, part)?;
+            }
         }
         Ok(Completion::Done)
     }

@@ -138,7 +138,6 @@ impl Comm {
 
     /// Current virtual time of this rank, in nanoseconds.
     pub fn clock_now_ns(&self) -> u64 {
-        self.clock.borrow_mut().absorb_cpu();
         self.clock.borrow().now_ns()
     }
 
@@ -228,13 +227,6 @@ impl Comm {
         self.world.mailboxes[self.world_rank()].stats()
     }
 
-    /// Snapshots every rank's live trace ring mid-run (see
-    /// [`Universe::trace_snapshot`](crate::Universe::trace_snapshot)):
-    /// lets one rank export a trace of a still-running universe.
-    pub fn trace_snapshot(&self) -> crate::trace::TraceData {
-        crate::Universe::trace_snapshot(&self.world)
-    }
-
     #[inline]
     pub(crate) fn count_op(&self, name: &'static str) {
         self.world.counters[self.world_rank()].lock().inc(name);
@@ -305,11 +297,7 @@ impl Comm {
         let payload: Parts = payload.into();
         let bytes = payload.len();
         let _sp = trace::span(trace::cat::SEND, "send", dest as u64, bytes as u64);
-        let arrival_ns = {
-            let mut clock = self.clock.borrow_mut();
-            clock.absorb_cpu();
-            clock.on_send(bytes)
-        };
+        let arrival_ns = self.clock.borrow_mut().on_send(bytes);
         let (payload, more) = payload.split();
         let env = Envelope {
             src: self.rank,
@@ -362,7 +350,6 @@ impl Comm {
     /// Core blocking receive at envelope level.
     pub(crate) fn recv_envelope(&self, src: Src, tag: TagSel) -> Result<Envelope> {
         let _sp = trace::span(trace::cat::RECV, "recv", src_code(src), 0);
-        self.clock.borrow_mut().absorb_cpu();
         let mb = &self.world.mailboxes[self.world_rank()];
         let env = mb.wait_match(self.context, src, tag, || self.wait_interrupted(src))?;
         self.complete_envelope(&env);
@@ -379,7 +366,6 @@ impl Comm {
     ) -> Result<Option<Envelope>> {
         let from = Src::Rank(src);
         let _sp = trace::span(trace::cat::RECV, "recv", src_code(from), 0);
-        self.clock.borrow_mut().absorb_cpu();
         let mb = &self.world.mailboxes[self.world_rank()];
         let tags = tags.map(TagSel::Is);
         let env =
@@ -392,7 +378,6 @@ impl Comm {
 
     /// Core non-blocking receive at envelope level.
     pub(crate) fn try_recv_envelope(&self, src: Src, tag: TagSel) -> Option<Envelope> {
-        self.clock.borrow_mut().absorb_cpu();
         let mb = &self.world.mailboxes[self.world_rank()];
         let env = mb.try_match(self.context, src, tag)?;
         self.complete_envelope(&env);
@@ -409,7 +394,6 @@ impl Comm {
     /// Blocking probe at envelope level (does not consume the message).
     pub(crate) fn peek_envelope(&self, src: Src, tag: TagSel) -> Result<Status> {
         let _sp = trace::span(trace::cat::RECV, "probe", src_code(src), 0);
-        self.clock.borrow_mut().absorb_cpu();
         let mb = &self.world.mailboxes[self.world_rank()];
         mb.wait_peek(self.context, src, tag, || self.wait_interrupted(src))
     }
@@ -563,6 +547,31 @@ mod tests {
             assert_eq!(comm.world_rank(), comm.rank());
             assert_eq!(comm.is_root(), comm.rank() == 0);
         });
+    }
+
+    /// Local compute is charged only through `clock_add_ns`; the charge
+    /// reaches a receiver through the arrival time of the next message.
+    #[test]
+    fn charged_compute_delays_the_receiver() {
+        let model = crate::CostModel {
+            alpha_ns: 100,
+            beta_ns_per_byte: 0.0,
+            recv_overhead_ns: 10,
+        };
+        let config = crate::Config::new(2).cost(model);
+        let times: Vec<u64> = Universe::run_with(config, |comm| {
+            if comm.rank() == 0 {
+                comm.clock_add_ns(1_000);
+                comm.send(&[1u8], 1, 0).unwrap();
+            } else {
+                comm.recv_vec::<u8>(0, 0).unwrap();
+            }
+            comm.clock_now_ns()
+        })
+        .into_iter()
+        .map(|o| o.unwrap())
+        .collect();
+        assert_eq!(times, vec![1_100, 1_110]);
     }
 
     #[test]

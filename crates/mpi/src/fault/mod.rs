@@ -456,7 +456,7 @@ mod imp {
 
     /// Binds the calling rank thread to its universe's fault plan (a
     /// no-op when the universe has none). Called from
-    /// `Universe::run_on` beside the trace snapshot-slot registration.
+    /// `Universe::run_on` as each rank thread starts.
     pub(crate) fn register_rank_thread(world: &WorldState, rank: Rank) {
         if let Some(inner) = &world.faults.inner {
             CURRENT.with(|c| *c.borrow_mut() = Some((Arc::clone(inner), rank)));

@@ -366,9 +366,7 @@ mod tests {
             let mut grown = vec![7u64];
             pieces().write(&mut grown, 3, 3, None);
             assert_eq!((&grown[..], grown.capacity()), (&want[..], 3));
-            if cfg!(feature = "copy-metrics") {
-                assert_eq!(metrics::snapshot().since(&before).bytes_copied, 3 * 24);
-            }
+            assert_eq!(metrics::snapshot().since(&before).bytes_copied, 3 * 24);
         }
         let cut = Delivered::<u64, _>::Pieces(vec![vec![0u8; 5], vec![0u8; 6]]);
         assert_eq!(cut.into_vec(Layout::default()), Err(truncated(11, 8)));

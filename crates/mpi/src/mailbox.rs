@@ -725,13 +725,10 @@ impl Mailbox {
         self.slept.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts a parked wakeup that carried no completion claim. Such a
-    /// wakeup may record no event of its own, so it also answers any
-    /// pending live-snapshot request.
+    /// Counts a parked wakeup that carried no completion claim.
     pub(crate) fn record_spurious(&self) {
         self.spurious.fetch_add(1, Ordering::Relaxed);
         trace::instant(trace::cat::COMPLETION, "spurious_wakeup", 0, 0);
-        trace::poll_publish();
     }
 
     /// Removes and returns the first matching envelope, if any.

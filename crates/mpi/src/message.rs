@@ -465,8 +465,7 @@ mod tests {
         assert_eq!(&one.into_bytes()[..], &[7]);
         assert_eq!(&msg.clone().into_bytes()[..], &[0, 1, 2, 3, 4, 5]);
         let joined = crate::metrics::snapshot().since(&before).bytes_copied;
-        let counted = if cfg!(feature = "copy-metrics") { 6 } else { 0 };
-        assert_eq!(joined, counted, "only the many-part join copies");
+        assert_eq!(joined, 6, "only the many-part join copies");
         assert_eq!(Parts::of(std::iter::empty()), Parts::default());
     }
 
@@ -490,7 +489,7 @@ mod tests {
         );
         assert_eq!(&bytes.take(4)[..], &[2, 3, 4, 5]);
         let joined = crate::metrics::snapshot().since(&before).bytes_copied;
-        assert_eq!(joined, if cfg!(feature = "copy-metrics") { 4 } else { 0 });
+        assert_eq!(joined, 4);
     }
 
     #[test]

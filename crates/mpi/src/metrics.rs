@@ -12,10 +12,8 @@
 //! Counters are thread-local. The universe runs one OS thread per rank,
 //! so a thread's counters are that rank's counters; snapshot/diff them
 //! inside the rank closure exactly like [`crate::counter::CallCounts`].
-//!
-//! Accounting is feature-gated behind `copy-metrics` (enabled by
-//! default). With the feature disabled the recording functions compile
-//! to nothing and [`snapshot`] reports zeros.
+
+use std::cell::Cell;
 
 /// Per-rank payload copy/allocation counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -37,63 +35,33 @@ impl CopyStats {
     }
 }
 
-#[cfg(feature = "copy-metrics")]
-mod imp {
-    use std::cell::Cell;
-
-    thread_local! {
-        static BYTES_COPIED: Cell<u64> = const { Cell::new(0) };
-        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    #[inline]
-    pub fn record_copy(bytes: usize) {
-        BYTES_COPIED.with(|c| c.set(c.get() + bytes as u64));
-    }
-
-    #[inline]
-    pub fn record_alloc() {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-    }
-
-    pub fn snapshot() -> super::CopyStats {
-        super::CopyStats {
-            bytes_copied: BYTES_COPIED.with(|c| c.get()),
-            allocations: ALLOCATIONS.with(|c| c.get()),
-        }
-    }
-
-    pub fn reset() {
-        BYTES_COPIED.with(|c| c.set(0));
-        ALLOCATIONS.with(|c| c.set(0));
-    }
+thread_local! {
+    static BYTES_COPIED: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-#[cfg(not(feature = "copy-metrics"))]
-mod imp {
-    #[inline]
-    pub fn record_copy(_bytes: usize) {}
-
-    #[inline]
-    pub fn record_alloc() {}
-
-    pub fn snapshot() -> super::CopyStats {
-        super::CopyStats::default()
-    }
-
-    pub fn reset() {}
+#[inline]
+pub(crate) fn record_copy(bytes: usize) {
+    BYTES_COPIED.with(|c| c.set(c.get() + bytes as u64));
 }
 
-pub(crate) use imp::{record_alloc, record_copy};
+#[inline]
+pub(crate) fn record_alloc() {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+}
 
 /// This rank's (thread's) counters.
 pub fn snapshot() -> CopyStats {
-    imp::snapshot()
+    CopyStats {
+        bytes_copied: BYTES_COPIED.with(|c| c.get()),
+        allocations: ALLOCATIONS.with(|c| c.get()),
+    }
 }
 
 /// Resets this rank's (thread's) counters to zero.
 pub fn reset() {
-    imp::reset()
+    BYTES_COPIED.with(|c| c.set(0));
+    ALLOCATIONS.with(|c| c.set(0));
 }
 
 #[cfg(test)]
@@ -120,7 +88,6 @@ mod tests {
         assert_eq!(a.since(&b), CopyStats::default());
     }
 
-    #[cfg(feature = "copy-metrics")]
     #[test]
     fn records_are_thread_local() {
         // Run in a fresh thread so parallel tests on this thread cannot

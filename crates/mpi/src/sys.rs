@@ -1,10 +1,11 @@
-//! Thread-CPU-time access.
+//! Clock reads that need the operating system or the CPU directly.
 //!
-//! The virtual clock (see [`crate::clock`]) charges local compute between
-//! message-passing calls using the calling thread's CPU time, which stays
-//! meaningful even when ranks (threads) heavily oversubscribe the host
-//! cores. On Linux this reads `CLOCK_THREAD_CPUTIME_ID` directly; other
-//! platforms fall back to a monotonic wall clock.
+//! The calling thread's CPU time stays meaningful even when ranks
+//! (threads) heavily oversubscribe the host cores, so the park-path
+//! tests and the `floors` run measure spinning with it. On Linux this
+//! reads `CLOCK_THREAD_CPUTIME_ID` directly; other platforms fall back
+//! to a monotonic wall clock. With the `trace` feature on x86_64,
+//! `rdtsc` is the trace rings' raw timestamp.
 
 #[cfg(target_os = "linux")]
 mod imp {
@@ -50,6 +51,15 @@ mod imp {
 }
 
 pub use imp::thread_cpu_ns;
+
+/// The CPU's time-stamp counter: a few ns per read, invariant and
+/// core-synchronized on every CPU this substrate targets.
+#[cfg(all(feature = "trace", target_arch = "x86_64"))]
+#[inline]
+pub(crate) fn rdtsc() -> u64 {
+    // SAFETY: `rdtsc` is baseline x86_64.
+    unsafe { core::arch::x86_64::_rdtsc() }
+}
 
 #[cfg(test)]
 mod tests {

@@ -16,9 +16,10 @@
 //!   atomics, no locks, no sharing on the record path — the only
 //!   synchronization is a single relaxed load of the global
 //!   enable flag. When a rank thread exits, [`Universe`] (see
-//!   `universe.rs`) moves the thread's data into its snapshot slot in
-//!   the [`WorldState`](crate::universe::WorldState), beside the
-//!   [`crate::metrics`] copy counters.
+//!   `universe.rs`) moves the thread's data into that rank's exit slot
+//!   in the [`WorldState`](crate::universe::WorldState), beside the
+//!   [`crate::metrics`] copy counters, and
+//!   [`RunReport::trace`](crate::RunReport::trace) reads it from there.
 //! - **Bounded ring, overwrite-oldest.** The ring holds a fixed number
 //!   of [`Event`]s (default 65 536/rank ≈ 3 MiB; see
 //!   [`set_ring_capacity`]). When full, the *oldest* event is
@@ -291,24 +292,6 @@ impl TraceData {
     }
 }
 
-/// One rank's live-snapshot mailbox (see
-/// [`Universe::trace_snapshot`](crate::Universe::trace_snapshot)). The
-/// rings are `thread_local!`, so a running rank's trace can only be
-/// read by the rank itself: a snapshot request bumps a global
-/// generation, and each rank *publishes* a copy of its ring here the
-/// next time it records an event (or wakes from a park). The cost on
-/// the record path is one relaxed load and compare — the zero-overhead
-/// budget is preserved.
-#[derive(Default)]
-pub(crate) struct SnapshotSlot {
-    /// Latest snapshot generation this rank has published
-    /// (`u64::MAX` once the rank thread has exited and its final
-    /// trace is in place).
-    pub(crate) gen: std::sync::atomic::AtomicU64,
-    /// The published trace (a clone of the live ring at publish time).
-    pub(crate) data: parking_lot::Mutex<RankTrace>,
-}
-
 /// Formats a nanosecond duration for the text profile.
 fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
@@ -329,16 +312,10 @@ mod imp {
     use std::sync::OnceLock;
     use std::time::Instant;
 
-    use std::sync::atomic::AtomicU64;
-    use std::sync::Arc;
-
-    use super::{cat, Event, LatencyHist, RankTrace, SnapshotSlot, TraceStats};
+    use super::{cat, Event, LatencyHist, RankTrace, TraceStats};
 
     static ENABLED: AtomicBool = AtomicBool::new(true);
     static RING_CAP: AtomicUsize = AtomicUsize::new(1 << 16);
-    /// Live-snapshot generation: bumped by [`request_snapshot`]; each
-    /// recording thread publishes its ring when it notices the bump.
-    static SNAP_GEN: AtomicU64 = AtomicU64::new(0);
 
     /// Raw-timestamp calibration: one `(Instant, raw)` pair taken at
     /// first use; the raw→ns scale is fixed at first conversion, over
@@ -365,9 +342,8 @@ mod imp {
     #[inline]
     fn raw_clock() -> u64 {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `rdtsc` is baseline x86_64.
-        unsafe {
-            core::arch::x86_64::_rdtsc()
+        {
+            crate::sys::rdtsc()
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
@@ -406,11 +382,6 @@ mod imp {
         /// Span durations in raw ticks (converted at collection).
         spans: [LatencyHist; cat::N_SPAN],
         queue_depth: LatencyHist,
-        /// Last snapshot generation this thread has published.
-        seen_gen: u64,
-        /// Where to publish live snapshots (set by the universe for
-        /// rank threads; `None` for plain threads).
-        slot: Option<Arc<SnapshotSlot>>,
     }
 
     impl ThreadTrace {
@@ -423,8 +394,6 @@ mod imp {
                 events: 0,
                 spans: Default::default(),
                 queue_depth: LatencyHist::default(),
-                seen_gen: 0,
-                slot: None,
             }
         }
 
@@ -442,12 +411,6 @@ mod imp {
                 self.dropped += 1;
             } else {
                 self.dropped += 1;
-            }
-            // Live-snapshot hook: one relaxed load per event keeps the
-            // zero-overhead budget; the publish itself is off this path.
-            let gen = SNAP_GEN.load(Ordering::Relaxed);
-            if gen != self.seen_gen {
-                self.publish(gen);
             }
         }
 
@@ -483,17 +446,6 @@ mod imp {
                     spans,
                     queue_depth: self.queue_depth,
                 },
-            }
-        }
-
-        /// Publishes a copy of the live ring to this rank's snapshot
-        /// slot (no-op for unregistered threads) and marks `gen` seen.
-        #[cold]
-        fn publish(&mut self, gen: u64) {
-            self.seen_gen = gen;
-            if let Some(slot) = self.slot.clone() {
-                *slot.data.lock() = self.to_rank_trace();
-                slot.gen.store(gen, Ordering::Release);
             }
         }
     }
@@ -674,40 +626,6 @@ mod imp {
         raw.to_rank_trace()
     }
 
-    /// Registers the calling thread's live-snapshot slot (the universe
-    /// calls this as each rank thread starts).
-    pub fn register_snapshot_slot(slot: Arc<SnapshotSlot>) {
-        TT.with(|t| t.borrow_mut().slot = Some(slot));
-    }
-
-    /// Asks every recording thread to publish its ring; returns the
-    /// generation to poll slots for.
-    pub fn request_snapshot() -> u64 {
-        SNAP_GEN.fetch_add(1, Ordering::SeqCst) + 1
-    }
-
-    /// Park-loop hook: publishes the calling thread's ring if a
-    /// snapshot was requested since it last published. Called on
-    /// epoch-bump wakeups that record no event of their own, so a rank
-    /// blocked in a bare `recv` still answers a snapshot request.
-    #[inline]
-    pub fn poll_publish() {
-        let gen = SNAP_GEN.load(Ordering::Relaxed);
-        TT.with(|t| {
-            let mut t = t.borrow_mut();
-            if gen != t.seen_gen {
-                t.publish(gen);
-            }
-        });
-    }
-
-    /// Unconditionally publishes the calling thread's ring at the
-    /// current generation (the snapshotting rank serves itself).
-    pub fn publish_now() {
-        let gen = SNAP_GEN.load(Ordering::SeqCst);
-        TT.with(|t| t.borrow_mut().publish(gen));
-    }
-
     /// Rescales a tick-valued histogram to nanoseconds by re-recording
     /// each bucket at its representative value (1.5·2^k ticks). The 2x
     /// bucket resolution absorbs the approximation.
@@ -785,28 +703,12 @@ mod imp {
     pub fn take_thread() -> RankTrace {
         RankTrace::default()
     }
-
-    /// No-op without the `trace` feature.
-    pub fn register_snapshot_slot(_slot: std::sync::Arc<super::SnapshotSlot>) {}
-
-    /// Always 0 without the `trace` feature (nothing to poll for).
-    pub fn request_snapshot() -> u64 {
-        0
-    }
-
-    /// No-op without the `trace` feature.
-    #[inline]
-    pub fn poll_publish() {}
-
-    /// No-op without the `trace` feature.
-    pub fn publish_now() {}
 }
 
 pub use imp::{
     async_begin, async_end, enabled, instant, next_async_id, set_enabled, set_ring_capacity, span,
     take_thread, umq_enqueue, SpanGuard,
 };
-pub(crate) use imp::{poll_publish, publish_now, register_snapshot_slot, request_snapshot};
 
 #[cfg(test)]
 mod tests {

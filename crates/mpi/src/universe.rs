@@ -25,7 +25,7 @@ use crate::fault::{self, FaultPlan};
 use crate::mailbox::{Mailbox, MailboxStats};
 use crate::metrics::{self, CopyStats};
 use crate::request::{Request, TestOutcome};
-use crate::trace::{self, TraceData};
+use crate::trace::{self, RankTrace, TraceData};
 use crate::ulfm::AgreementTable;
 use crate::Rank;
 
@@ -88,13 +88,9 @@ pub struct WorldState {
     next_context: AtomicU64,
     pub(crate) cost: CostModel,
     pub(crate) counters: Vec<Mutex<CallCounts>>,
-    /// Each rank's thread-local counters — copy bill and self-tuning
-    /// stats — harvested as its thread exits (they die with it).
-    finals: Vec<Mutex<(CopyStats, TuningStats)>>,
-    /// Live-snapshot slots each running rank publishes its ring into
-    /// on request (see [`Universe::trace_snapshot`]); an exited rank's
-    /// slot holds its final trace.
-    pub(crate) snap_slots: Vec<Arc<trace::SnapshotSlot>>,
+    /// Each rank's thread-local records, harvested as its thread exits
+    /// (they die with it) and taken by [`WorldState::report`].
+    exits: Vec<Mutex<RankExit>>,
     pub(crate) agreements: AgreementTable,
     /// The universe's fault-injection state (see [`crate::fault`]); a
     /// zero-sized no-op (which nothing reads) without the `fault`
@@ -115,8 +111,7 @@ impl WorldState {
             next_context: AtomicU64::new(1),
             cost: config.cost,
             counters: (0..config.size).map(|_| Default::default()).collect(),
-            finals: (0..config.size).map(|_| Default::default()).collect(),
-            snap_slots: (0..config.size).map(|_| Default::default()).collect(),
+            exits: (0..config.size).map(|_| Default::default()).collect(),
             agreements: AgreementTable::default(),
             faults: fault::WorldFaults::new(&config.faults, config.size),
         })
@@ -181,25 +176,32 @@ impl WorldState {
 
     /// Everything the world observed, read after every rank has exited.
     fn report(&self) -> RunReport {
-        let stats = (0..self.size)
+        let (stats, ranks) = (0..self.size)
             .map(|rank| {
-                let (copy, tuning) = *self.finals[rank].lock();
-                RankStats {
-                    copy,
+                let exit = std::mem::take(&mut *self.exits[rank].lock());
+                let stats = RankStats {
+                    copy: exit.copy,
                     mailbox: self.mailboxes[rank].stats(),
                     calls: self.counters[rank].lock().clone(),
-                    tuning,
-                }
+                    tuning: exit.tuning,
+                };
+                (stats, exit.trace)
             })
-            .collect();
-        let ranks = self.snap_slots.iter().map(|s| s.data.lock().clone());
+            .unzip();
         RunReport {
             stats,
-            trace: TraceData {
-                ranks: ranks.collect(),
-            },
+            trace: TraceData { ranks },
         }
     }
+}
+
+/// What one rank's thread-local counters and trace ring held as its
+/// thread exited.
+#[derive(Default)]
+struct RankExit {
+    copy: CopyStats,
+    tuning: TuningStats,
+    trace: RankTrace,
 }
 
 /// Outcome of a single rank's execution under
@@ -293,7 +295,6 @@ impl Universe {
                         .name(format!("rank-{rank}"))
                         .stack_size(RANK_STACK_BYTES)
                         .spawn_scoped(scope, move || {
-                            trace::register_snapshot_slot(Arc::clone(&world.snap_slots[rank]));
                             fault::register_rank_thread(&world, rank);
                             let comm = Comm::world(world.clone(), rank);
                             let result = catch_unwind(AssertUnwindSafe(|| f(comm)));
@@ -306,14 +307,12 @@ impl Universe {
                                 world.mark_failed(rank);
                             }
                             // Preserve the rank's thread-local counters
-                            // and trace before the thread exits. The
-                            // snapshot slot keeps the final trace: exited
-                            // ranks answer every later snapshot with it.
-                            *world.finals[rank].lock() =
-                                (metrics::snapshot(), tuning_model::stats_snapshot());
-                            let slot = &world.snap_slots[rank];
-                            *slot.data.lock() = trace::take_thread();
-                            slot.gen.store(u64::MAX, Ordering::Release);
+                            // and trace before the thread exits.
+                            *world.exits[rank].lock() = RankExit {
+                                copy: metrics::snapshot(),
+                                tuning: tuning_model::stats_snapshot(),
+                                trace: trace::take_thread(),
+                            };
                             match result {
                                 Ok(r) => RankOutcome::Completed(r),
                                 Err(payload) => {
@@ -349,8 +348,7 @@ impl Universe {
     /// started mismatched operations) ends in [`MpiError::InvalidLayout`];
     /// so does a fault plan, whose points are per thread. Copy, tuning
     /// and trace counters are thread-local: the calling thread's collect
-    /// every rank's entries, and a CPU-measuring model charges its CPU
-    /// time to every rank.
+    /// every rank's entries.
     #[doc(hidden)]
     pub fn dry_run<F>(config: Config, f: F) -> Result<Vec<u64>>
     where
@@ -392,51 +390,6 @@ impl Universe {
             }
         }
         Ok(finish)
-    }
-
-    /// Snapshots every rank's trace ring **while the universe is still
-    /// running** — no thread exit required (callable from a rank
-    /// thread via [`Comm::trace_snapshot`](crate::Comm::trace_snapshot)
-    /// or from any observer holding the world).
-    ///
-    /// The rings are thread-local, so the snapshot is cooperative:
-    /// this bumps a global generation and interrupts parked ranks;
-    /// each rank publishes a copy of its ring the next time it records
-    /// an event or wakes from a park (one relaxed load on the record
-    /// path — the tracing stays zero-overhead). Ranks that have
-    /// already exited answer with their final trace. A rank stuck in
-    /// pure computation cannot publish; after a bounded wait its slot's
-    /// last published trace (possibly empty) is returned rather than
-    /// blocking the observer. Without the `trace` feature the result
-    /// is empty but well-formed.
-    pub fn trace_snapshot(world: &WorldState) -> TraceData {
-        let gen = trace::request_snapshot();
-        // The calling thread serves itself (it may be a rank mid-run).
-        trace::publish_now();
-        if trace::COMPILED {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-            loop {
-                // Wake parked ranks; the one park's interrupt wakeup
-                // polls the publish hook.
-                world.interrupt_all();
-                let pending = world
-                    .snap_slots
-                    .iter()
-                    .enumerate()
-                    .any(|(r, s)| !world.is_failed(r) && s.gen.load(Ordering::Acquire) < gen);
-                if !pending || std::time::Instant::now() > deadline {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            }
-        }
-        TraceData {
-            ranks: world
-                .snap_slots
-                .iter()
-                .map(|s| s.data.lock().clone())
-                .collect(),
-        }
     }
 }
 
@@ -537,7 +490,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "copy-metrics")]
     fn run_stats_aggregates_per_rank_copy_bills() {
         let (outcomes, report) = Universe::run_report(Config::new(3), |comm| {
             // Rank r sends r+1 bytes to the next rank; serialization
@@ -583,60 +535,11 @@ mod tests {
         assert_eq!(stats[1].mailbox.queued, 0, "everything was drained");
     }
 
-    /// A snapshot taken while ranks are alive — one of them parked in
-    /// a blocking receive whose message arrives only *after* the
-    /// snapshot — collects every ring and exports a valid Chrome
-    /// trace, without any thread exiting.
-    #[cfg(feature = "trace")]
-    #[test]
-    fn trace_snapshot_collects_running_ranks() {
-        Universe::run(3, |comm| {
-            comm.barrier().unwrap();
-            if comm.rank() == 0 {
-                let snap = comm.trace_snapshot();
-                assert_eq!(snap.ranks.len(), 3);
-                for (r, rt) in snap.ranks.iter().enumerate() {
-                    assert!(
-                        rt.stats.events > 0,
-                        "rank {r} ran a barrier; its published ring must not be empty"
-                    );
-                }
-                let summary = trace::export::validate_chrome(&snap.to_chrome_json())
-                    .expect("snapshot must export a valid Chrome trace");
-                assert!(summary.pids.len() == 3 && summary.spans + summary.instants > 0);
-                // Release the parked peers only after the snapshot: the
-                // collection provably did not depend on rank exit.
-                for peer in 1..comm.size() {
-                    comm.send(&[1u8], peer, 42).unwrap();
-                }
-            } else {
-                // Parks in a bare recv until after the snapshot is done.
-                let (v, _) = comm.recv_vec::<u8>(0, 42).unwrap();
-                assert_eq!(v, vec![1]);
-            }
-        });
-    }
-
-    /// Exited ranks answer later snapshots with their final trace.
-    #[cfg(feature = "trace")]
-    #[test]
-    fn trace_snapshot_after_exit_returns_final_traces() {
-        let (out, world) = Universe::run_on(Config::new(2), |comm| {
-            comm.barrier().unwrap();
-            comm.rank()
-        });
-        assert_eq!(out.len(), 2);
-        let snap = Universe::trace_snapshot(&world);
-        for rt in &snap.ranks {
-            assert!(rt.stats.events > 0);
-        }
-        assert_eq!(snap.ranks, world.report().trace.ranks);
-    }
-
     /// A rank that dies — by a panic or by `fail_here` — is harvested
     /// like one that returns: the report holds exactly the copy bill,
     /// call counts and tuning stats it recorded before it died, and
-    /// (with `trace`) its final events, the detection instant included.
+    /// (with `trace`) its final events, the detection instant included:
+    /// every rank's final ring reaches [`RunReport::trace`].
     #[test]
     fn dead_ranks_report_what_they_recorded() {
         let before_death: Vec<Mutex<Option<RankStats>>> =
@@ -664,6 +567,11 @@ mod tests {
         assert!(matches!(out[0], RankOutcome::Completed(())));
         assert!(matches!(&out[1], RankOutcome::Panicked(m) if m.contains("rank 1 dies")));
         assert!(matches!(out[2], RankOutcome::Failed));
+        assert_eq!(report.trace.ranks.len(), 3);
+        for (rank, rt) in report.trace.ranks.iter().enumerate() {
+            let recorded = rt.stats.events > 0 && !rt.events.is_empty();
+            assert_eq!(recorded, trace::COMPILED, "rank {rank}'s final ring");
+        }
         for (rank, recorded) in before_death.into_iter().enumerate().skip(1) {
             let recorded = recorded.into_inner().expect("recorded before death");
             let got = &report.stats[rank];
@@ -671,7 +579,6 @@ mod tests {
             assert_eq!(got.calls, recorded.calls, "rank {rank} call counts");
             assert_eq!(got.tuning, recorded.tuning, "rank {rank} tuning stats");
             assert!(got.calls.get("allreduce") >= 1 && got.tuning.decisions >= 1);
-            #[cfg(feature = "copy-metrics")]
             assert!(got.copy.bytes_copied >= 64, "rank {rank}: {:?}", got.copy);
             if trace::COMPILED {
                 let names: Vec<_> = report.trace.ranks[rank]

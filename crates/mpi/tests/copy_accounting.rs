@@ -5,8 +5,6 @@
 //! Counters are per-rank (thread-local); every test snapshots/diffs
 //! inside the rank closure, exactly like the PMPI-style call counters.
 
-#![cfg(feature = "copy-metrics")]
-
 use kmp_mpi::{metrics, AllreduceAlgo, CollTuning, Universe};
 
 /// Non-root bcast ranks copy O(N) bytes for an N-byte payload no matter
@@ -494,9 +492,9 @@ fn inplace_binomial_reduce_halves_the_bill() {
 /// prefix it receives and takes it back without a copy where it is the
 /// one view of its vector: the serialized prefix of rank `r - 1 >= 1`,
 /// or rank 0's finished prefix at `p = 2`. From `p = 3` rank 1 shares
-/// that payload with rank 0's other right partners, and copies it
-/// unless they have released it first. An owned contribution is folded
-/// in place and seeds nothing.
+/// that payload with rank 0's other right partners and copies it by
+/// rule, whenever they release it: the bill is exact at every `p`. An
+/// owned contribution is folded in place and seeds nothing.
 #[test]
 fn scan_and_exscan_copy_one_prefix_per_sending_round() {
     const ELEMS: usize = 4 * 1024; // u64 -> s = 32 KiB
@@ -532,16 +530,11 @@ fn scan_and_exscan_copy_one_prefix_per_sending_round() {
 
             // Rank 1's seed, a view rank 0's other right partners share.
             let shared = u64::from(rank == 1 && p > 2);
-            let exscan = |got: u64, bill: u64, what: &str| {
-                assert!(
-                    (bill..=bill + shared).contains(&got),
-                    "{what}, rank {rank}: {got}"
-                );
-            };
             let borrowed = copied(&mut || drop(comm.exscan_vec(&mine, sum).unwrap()));
-            exscan(borrowed, growing + first * finished, "exscan");
+            let bill = growing + first * finished + shared;
+            assert_eq!(borrowed, bill, "exscan, rank {rank}");
             let owned = copied(&mut || drop(comm.exscan_vec(mine.clone(), sum).unwrap()));
-            exscan(owned, growing, "owned exscan");
+            assert_eq!(owned, growing + shared, "owned exscan, rank {rank}");
         });
     }
 }

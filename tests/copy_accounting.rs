@@ -5,8 +5,6 @@
 //! Counters are per-rank (thread-local, see `kmp_mpi::metrics`); deltas
 //! are measured inside the rank closure.
 
-#![cfg(feature = "copy-metrics")]
-
 use kamping_repro::kamping::prelude::*;
 use kamping_repro::mpi::{metrics, Universe};
 
