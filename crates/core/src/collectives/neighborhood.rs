@@ -75,7 +75,7 @@ impl<N: Neighborhood> NeighborhoodCommunicator<N> {
     ///
     /// Accepted parameters: `send_buf` and `send_counts` (required, one
     /// count per out-neighbor), `send_displs`(`_out`), `recv_buf`,
-    /// `recv_counts`(`_out`), `recv_displs`(`_out`), `tuning`. Omitted
+    /// `recv_counts`(`_out`), `recv_displs`(`_out`). Omitted
     /// displacements are prefix sums; omitted receive counts are read
     /// off the delivered messages — no extra communication, O(degree)
     /// messages in total.
@@ -96,8 +96,8 @@ impl<N: Neighborhood> NeighborhoodCommunicator<N> {
     /// out-neighbor, receives one block per in-neighbor.
     ///
     /// Accepted parameters: `send_buf` (required), `recv_buf`,
-    /// `recv_counts`(`_out`), `recv_displs`(`_out`), `tuning`. Omitted
-    /// receive counts are read off the delivered messages — no extra
+    /// `recv_counts`(`_out`), `recv_displs`(`_out`). Omitted receive
+    /// counts are read off the delivered messages — no extra
     /// communication.
     pub fn neighbor_allgatherv<T, A>(
         &self,
@@ -210,7 +210,6 @@ where
 
     fn run(self, comm: &NeighborhoodCommunicator<N>) -> Result<Self::Output> {
         let topo = comm.topology();
-        let _tuning = topo.comm().tuning_guard(self.meta.tuning);
         let send = self.send_buf.send_slice();
         let send_counts = self
             .send_counts
@@ -272,7 +271,6 @@ where
 
     fn run(self, comm: &NeighborhoodCommunicator<N>) -> Result<Self::Output> {
         let topo = comm.topology();
-        let _tuning = topo.comm().tuning_guard(self.meta.tuning);
         let send = self.send_buf.send_slice();
         let blocks = topo.neighbor_allgatherv_blocks(send)?;
         let (rb_out, rc_out, rd_out) = receive_v(
@@ -289,7 +287,7 @@ where
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
-    use kmp_mpi::{NeighborhoodAlgo, Universe};
+    use kmp_mpi::Universe;
 
     #[test]
     fn neighbor_alltoallv_directed_ring() {
@@ -425,26 +423,22 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_alltoallv_forced_dense_same_result() {
+    fn neighbor_collectives_over_complete_graph() {
         Universe::run(4, |comm| {
             let comm = Communicator::new(comm);
             let p = comm.size();
             let others: Vec<usize> = (0..p).filter(|&r| r != comm.rank()).collect();
             let g = comm.create_dist_graph_adjacent(&others, &others).unwrap();
-            let counts = vec![1usize; others.len()];
+            // Each destination gets its own rank back.
             let send: Vec<u32> = others.iter().map(|&d| d as u32).collect();
-            let run = |t: NeighborhoodAlgo| -> Vec<u32> {
-                g.neighbor_alltoallv((
-                    send_buf(&send),
-                    send_counts(&counts),
-                    tuning(CollTuning::default().neighborhood(t)),
-                ))
-                .unwrap()
-            };
-            let sparse = run(NeighborhoodAlgo::Sparse);
-            let dense = run(NeighborhoodAlgo::Dense);
-            assert_eq!(sparse, dense);
-            assert_eq!(sparse, vec![comm.rank() as u32; others.len()]);
+            let counts = vec![1usize; others.len()];
+            let got: Vec<u32> = g
+                .neighbor_alltoallv((send_buf(&send), send_counts(&counts)))
+                .unwrap();
+            assert_eq!(got, vec![comm.rank() as u32; others.len()]);
+            let me = [comm.rank() as u32];
+            let got: Vec<u32> = g.neighbor_allgatherv(send_buf(&me)).unwrap();
+            assert_eq!(got, others.iter().map(|&s| s as u32).collect::<Vec<_>>());
         });
     }
 

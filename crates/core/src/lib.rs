@@ -86,8 +86,8 @@ pub use collectives::NeighborhoodCommunicator;
 pub use communicator::Communicator;
 pub use kmp_mpi::{
     AlgoClass, AllreduceAlgo, AlltoallAlgo, BcastAlgo, ClassEstimate, CollTuning, ModelConfig,
-    ModelSnapshot, MpiError, Neighborhood, NeighborhoodAlgo, Plain, Rank, ReduceAlgo, Result,
-    Select, Tag, TuningStats,
+    ModelSnapshot, MpiError, Neighborhood, Plain, Rank, ReduceAlgo, Result, Select, Tag,
+    TuningStats,
 };
 
 /// The substrate's tracing subsystem (event rings, histograms, Chrome
@@ -143,6 +143,6 @@ pub mod prelude {
     pub use crate::utils::{flatten, with_flattened};
     pub use kmp_mpi::{
         AllreduceAlgo, AlltoallAlgo, BcastAlgo, CollTuning, ModelConfig, Neighborhood,
-        NeighborhoodAlgo, NeighborhoodColl, ReduceAlgo,
+        NeighborhoodColl, ReduceAlgo,
     };
 }

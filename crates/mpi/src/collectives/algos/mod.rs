@@ -119,24 +119,6 @@ pub enum AlltoallAlgo {
     Bruck,
 }
 
-/// Neighborhood-exchange algorithm (topology collectives over
-/// [`Neighborhood`](crate::topology::Neighborhood) communicators).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NeighborhoodAlgo {
-    /// One message per declared neighbor: `d_out` envelopes per rank
-    /// per round instead of `p-1` — the whole point of the topology
-    /// subsystem. Always correct (duplicate neighbors become repeated
-    /// messages on the same FIFO stream).
-    Sparse,
-    /// Route through the dense pairwise `alltoallv` with zeroed
-    /// non-neighbor counts. On near-complete graphs (`d ≈ p-1`) sparsity
-    /// saves nothing, and the dense engine's pack-once + slice datapath
-    /// is already optimal there. Requires duplicate-free neighbor lists
-    /// (one `alltoallv` block per peer); ineligible topologies resolve
-    /// to [`NeighborhoodAlgo::Sparse`] at the call site.
-    Dense,
-}
-
 /// Reduce algorithm (`reduce`, `ireduce`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReduceAlgo {
@@ -197,14 +179,6 @@ pub const BCAST_SCATTER_MIN_BYTES: usize = 256 * 1024;
 /// direction 2 (c) re-derives it.
 pub const BRUCK_MAX_BLOCK_BYTES: usize = 1024;
 
-/// Static `Auto` switches neighborhood exchanges to the dense pairwise
-/// path when the collectively-agreed maximum degree reaches this
-/// percentage of `p - 1` (near-complete graphs, where sparsity saves
-/// nothing). At 90 % of `p - 1` the alpha saving is under 10 % while
-/// the sparse path gives up the dense engine's single shared internal
-/// tag.
-pub const NEIGHBORHOOD_DENSE_MIN_DEGREE_PCT: usize = 90;
-
 /// Per-communicator collective tuning policy.
 ///
 /// Stored on every [`Comm`](crate::Comm) (inherited by `dup`/`split`)
@@ -212,8 +186,8 @@ pub const NEIGHBORHOOD_DENSE_MIN_DEGREE_PCT: usize = 90;
 /// must use the same tuning for the same call — the policy is part of
 /// the wire protocol, exactly like an MPI info hint. An `Auto` slot
 /// picks by constants every rank shares: [`RABENSEIFNER_MIN_BYTES`],
-/// [`BCAST_SCATTER_MIN_BYTES`], [`ALLGATHER_MAX_BYTES`],
-/// [`BRUCK_MAX_BLOCK_BYTES`] and [`NEIGHBORHOOD_DENSE_MIN_DEGREE_PCT`].
+/// [`BCAST_SCATTER_MIN_BYTES`], [`ALLGATHER_MAX_BYTES`] and
+/// [`BRUCK_MAX_BLOCK_BYTES`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CollTuning {
     /// Allreduce algorithm slot (commutative operations; every
@@ -237,8 +211,6 @@ pub struct CollTuning {
     /// blocking, `iallreduce`, `allreduce_init` — reads the
     /// [`allreduce`](Self::allreduce) slot instead.
     pub reduce: Select<ReduceAlgo>,
-    /// Neighborhood-exchange algorithm slot (topology communicators).
-    pub neighborhood: Select<NeighborhoodAlgo>,
     /// Online measured cost model configuration (see [`model`]). With
     /// [`ModelConfig::drive`] off (the default) every `Auto` selection
     /// above is decided purely by the constant thresholds and the model
@@ -275,14 +247,6 @@ impl CollTuning {
     /// Forces the reduce algorithm.
     pub fn reduce(mut self, algo: ReduceAlgo) -> Self {
         self.reduce = Select::Force(algo);
-        self
-    }
-
-    /// Forces the neighborhood-exchange algorithm (the dense path still
-    /// yields to sparse on topologies with duplicate neighbors, which
-    /// it cannot express).
-    pub fn neighborhood(mut self, algo: NeighborhoodAlgo) -> Self {
-        self.neighborhood = Select::Force(algo);
         self
     }
 
@@ -336,17 +300,6 @@ impl CollTuning {
     /// bytes.
     pub fn alltoall_algo(&self, p: usize, block_bytes: usize) -> AlltoallAlgo {
         self.static_algo(p, block_bytes)
-    }
-
-    /// Selects the neighborhood-exchange algorithm from the
-    /// collectively-agreed maximum degree
-    /// ([`Neighborhood::max_degree`](crate::topology::Neighborhood) —
-    /// never the local degree, which differs across ranks while the
-    /// selection must not). The caller still routes dense through sparse
-    /// when the topology is not
-    /// [`dense_eligible`](crate::topology::Neighborhood::dense_eligible).
-    pub fn neighborhood_algo(&self, p: usize, max_degree: usize) -> NeighborhoodAlgo {
-        self.static_algo(p, max_degree)
     }
 }
 
@@ -456,26 +409,6 @@ mod tests {
         // Small communicators never switch automatically.
         assert_eq!(t.allgather_algo(2, 64), AllgatherAlgo::Ring);
         assert_eq!(t.allgather_algo(3, 64), AllgatherAlgo::Ring);
-    }
-
-    #[test]
-    fn neighborhood_selection_by_degree_ratio() {
-        let t = CollTuning::default();
-        // The bench scenario: degree 8 at p = 16 is sparse territory.
-        assert_eq!(t.neighborhood_algo(16, 8), NeighborhoodAlgo::Sparse);
-        // A complete graph gains nothing from sparsity.
-        assert_eq!(t.neighborhood_algo(16, 15), NeighborhoodAlgo::Dense);
-        // 90% of p-1 is the default crossover: 14/15 = 93% goes dense,
-        // 13/15 = 87% stays sparse.
-        assert_eq!(t.neighborhood_algo(16, 14), NeighborhoodAlgo::Dense);
-        assert_eq!(t.neighborhood_algo(16, 13), NeighborhoodAlgo::Sparse);
-        // Degenerate communicators stay sparse.
-        assert_eq!(t.neighborhood_algo(1, 1), NeighborhoodAlgo::Sparse);
-        // Forcing wins regardless of ratio.
-        let f = CollTuning::default().neighborhood(NeighborhoodAlgo::Dense);
-        assert_eq!(f.neighborhood_algo(16, 1), NeighborhoodAlgo::Dense);
-        let s = CollTuning::default().neighborhood(NeighborhoodAlgo::Sparse);
-        assert_eq!(s.neighborhood_algo(16, 15), NeighborhoodAlgo::Sparse);
     }
 
     #[test]

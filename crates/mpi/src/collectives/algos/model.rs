@@ -40,7 +40,7 @@
 //!   sequence number (`tick`), and every
 //!   [`ModelConfig::epoch_len`]-th call rank 0 folds its pending
 //!   observations into the snapshot and **broadcasts the snapshot**
-//!   (a ~270-byte binomial bcast on an internal tag — a matched
+//!   (a ~230-byte binomial bcast on an internal tag — a matched
 //!   collective, inserted at the same call index on every rank);
 //! - decisions read only the *published snapshot*, which every rank
 //!   replaced at the same point in its call sequence. Same snapshot +
@@ -132,10 +132,6 @@ pub enum AlgoClass {
     ReduceBinomial = 9,
     /// Flat-gather reduce (also the flat phase of `iallreduce`).
     ReduceFlat = 10,
-    /// Sparse neighborhood exchange (one message per declared edge).
-    NeighborhoodSparse = 11,
-    /// Dense neighborhood exchange (one message per rank).
-    NeighborhoodDense = 12,
 }
 
 impl AlgoClass {
@@ -320,7 +316,7 @@ pub struct ModelSnapshot {
     pub epoch: u64,
 }
 
-/// Wire size of a serialized snapshot (`epoch` + 13 × (alpha, beta,
+/// Wire size of a serialized snapshot (`epoch` + 11 × (alpha, beta,
 /// obs)).
 const SNAPSHOT_WIRE_BYTES: usize = 8 + CLASS_COUNT * (8 + 8 + 4);
 

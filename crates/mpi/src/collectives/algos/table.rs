@@ -5,12 +5,12 @@
 //! counts, `len` = one block of a self-sizing `allgatherv`, whose
 //! lengths are learned in the rounds (a block rides in them iff `len`
 //! is within [`ALLGATHER_MAX_BYTES`], else its origin sends it direct),
-//! `b` = bytes of one all-to-all block, `d` = the agreed
-//! maximum degree, `p` = communicator size, `p'` = the largest power of
-//! two `<= p`). "Copies per rank" is the payload-byte memcpy bill on the
-//! shared-`Bytes` datapath; folds that combine a received payload into
-//! an accumulator *in place* are compute, not copies. Rows appear in
-//! row order, the fallback row of each collective in **bold**:
+//! `b` = bytes of one all-to-all block, `p` = communicator size, `p'` =
+//! the largest power of two `<= p`). "Copies per rank" is the
+//! payload-byte memcpy bill on the shared-`Bytes` datapath; folds that
+//! combine a received payload into an accumulator *in place* are
+//! compute, not copies. Rows appear in row order, the fallback row of
+//! each collective in **bold**:
 //!
 //! | row ([`AlgoClass::name`]) | algorithm | startups | copies per rank | needs | static `Auto` picks it when | runs as |
 //! |---|---|---|---|---|---|---|
@@ -25,8 +25,6 @@
 //! | `alltoall/bruck` | log-round forwarding, each round's blocks the parts of one message (refcount views, no repack) | ceil(log2 p) | s + r | `p >= 2`, equal blocks | `p >= 4`, `b <=` [`BRUCK_MAX_BLOCK_BYTES`] | blocking, `ialltoall` |
 //! | `reduce/binomial_tree` | binomial tree, in-place folds | <= log2 p | leaf s, inner 0, root r | a commutative op | blocking `reduce` | blocking, `ireduce` |
 //! | **`reduce/flat_gather`** | one send to the root, which folds the collected blocks in place, strictly in rank order | 1 (root p-1) | s (root: + r) | — | otherwise | blocking, `ireduce`; with a binomial broadcast, the allreduce of a non-commutative op in every lifecycle (unselected) |
-//! | **`neighborhood/sparse`** | one message per declared edge, all posted before the first receive | d | s + r | — | otherwise | blocking, `ineighbor_*`, `neighbor_*_init` (the last two always, unselected) |
-//! | `neighborhood/dense` | one message per rank, self included, an empty filler for a non-neighbor | p-1 | s + r | duplicate-free neighbor lists | `p >= 2`, `d >=` [`NEIGHBORHOOD_DENSE_MIN_DEGREE_PCT`] % of `p-1` | blocking |
 //!
 //! The static `Auto` rules are read off dry runs under
 //! [`CostModel::cluster`](crate::CostModel::cluster). Its crossovers —
@@ -51,12 +49,14 @@
 //! wins, but from 128 KiB it costs less than the tolerance.
 //!
 //! Every row is one engine of `collectives/nonblocking.rs` in each
-//! lifecycle it runs as: the eager rows (ring, pairwise, flat gather,
-//! both neighborhood rows) the flat `Exchange`, the others a `Rounds`
-//! description. A row's static `Auto` rule is the same in every
-//! lifecycle, so an `i*` or a `*_init` runs the schedule its blocking
-//! twin runs; only the reduce tree's rule names one (an `ireduce` keeps
-//! the eager flat gather).
+//! lifecycle it runs as: the eager rows (ring, pairwise, flat gather)
+//! the flat `Exchange`, the others a `Rounds` description. The
+//! neighborhood collectives have no row: one message per declared edge
+//! is their only schedule, the flat `Exchange` in every lifecycle. A
+//! row's static `Auto` rule is the same in every lifecycle, so an `i*`
+//! or a `*_init` runs the schedule its blocking twin runs; only the
+//! reduce tree's rule names one (an `ireduce` keeps the eager flat
+//! gather).
 //!
 //! A row is everything the substrate knows about its algorithm: the
 //! enum variant that names it in a [`CollTuning`] slot, its
@@ -89,9 +89,8 @@ use std::time::Instant;
 
 use super::model::{self, AlgoClass, ModelConfig, ModelSnapshot, Pick, OVERLAP_ALPHA_PCT};
 use super::{
-    AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, CollTuning, NeighborhoodAlgo,
-    ReduceAlgo, Select, ALLGATHER_MAX_BYTES, BCAST_SCATTER_MIN_BYTES, BRUCK_MAX_BLOCK_BYTES,
-    NEIGHBORHOOD_DENSE_MIN_DEGREE_PCT, RABENSEIFNER_MIN_BYTES,
+    AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, CollTuning, ReduceAlgo, Select,
+    ALLGATHER_MAX_BYTES, BCAST_SCATTER_MIN_BYTES, BRUCK_MAX_BLOCK_BYTES, RABENSEIFNER_MIN_BYTES,
 };
 use crate::comm::Comm;
 use crate::error::Result;
@@ -101,14 +100,11 @@ use crate::trace;
 /// collectively agreed inputs every rank passes identically.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Call {
-    /// Contribution bytes; block bytes for alltoall; the agreed maximum
-    /// degree for neighborhood exchanges; the agreed total of a counted
-    /// `allgatherv` (see [`Call::total`]).
+    /// Contribution bytes; block bytes for alltoall; the agreed total
+    /// of a counted `allgatherv` (see [`Call::total`]).
     pub size: usize,
     /// The reduction operation is commutative.
     pub commutative: bool,
-    /// The topology's neighbor lists are duplicate-free.
-    pub duplicate_free: bool,
     /// Every rank knows `size` and how the payload splits into blocks
     /// (equal, or by agreed counts — or, for a self-sizing `allgatherv`,
     /// learned in the rounds, with `size` 0): not so for variable
@@ -127,7 +123,6 @@ impl Call {
         Call {
             size,
             commutative: true,
-            duplicate_free: true,
             regular: true,
             total: false,
         }
@@ -451,41 +446,12 @@ impl Algo for ReduceAlgo {
     ];
 }
 
-impl Algo for NeighborhoodAlgo {
-    const SLOT: fn(&CollTuning) -> Select<Self> = |t| t.neighborhood;
-    // Degree-driven: `size` carries the collectively agreed maximum
-    // degree, and the payload volume is deliberately not modelled
-    // (per-rank payload sizes are not symmetric inputs) — alpha absorbs
-    // the typical per-message cost.
-    const ROWS: &'static [Row<Self>] = &[
-        Row {
-            algo: NeighborhoodAlgo::Sparse,
-            class: AlgoClass::NeighborhoodSparse,
-            names: names!("sparse": "neighborhood"),
-            needs: ALWAYS,
-            auto: NEVER,
-            features: |_, _, d| (d.max(1.0), 0.0),
-            rounds: ONE_ROUND,
-        },
-        Row {
-            algo: NeighborhoodAlgo::Dense,
-            class: AlgoClass::NeighborhoodDense,
-            names: names!("dense": "neighborhood"),
-            needs: |_, call| call.duplicate_free,
-            auto: |_, p, d| p >= 2 && d * 100 >= NEIGHBORHOOD_DENSE_MIN_DEGREE_PCT * (p - 1),
-            features: |p, _, _| ((p as f64 - 1.0).max(1.0), 0.0),
-            rounds: ONE_ROUND,
-        },
-    ];
-}
-
 /// Number of rows, i.e. of algorithm classes the model tracks.
 pub const CLASS_COUNT: usize = AllreduceAlgo::ROWS.len()
     + BcastAlgo::ROWS.len()
     + AllgatherAlgo::ROWS.len()
     + AlltoallAlgo::ROWS.len()
-    + ReduceAlgo::ROWS.len()
-    + NeighborhoodAlgo::ROWS.len();
+    + ReduceAlgo::ROWS.len();
 
 /// Most rows any one collective has (the candidate array's capacity).
 const MAX_ROWS: usize = 3;
@@ -509,8 +475,7 @@ pub(crate) const CLASSES: ByClass = {
     let (out, at) = put::<BcastAlgo>(out, at);
     let (out, at) = put::<AllgatherAlgo>(out, at);
     let (out, at) = put::<AlltoallAlgo>(out, at);
-    let (out, at) = put::<ReduceAlgo>(out, at);
-    put::<NeighborhoodAlgo>(out, at).0
+    put::<ReduceAlgo>(out, at).0
 };
 
 /// Ceil(log2 p) as f64 (0 for p <= 1).
@@ -856,7 +821,6 @@ mod tests {
         let worst = Call {
             size: 0,
             commutative: false,
-            duplicate_free: false,
             regular: false,
             total: false,
         };
@@ -870,7 +834,6 @@ mod tests {
         check_rows::<AllgatherAlgo>();
         check_rows::<AlltoallAlgo>();
         check_rows::<ReduceAlgo>();
-        check_rows::<NeighborhoodAlgo>();
         // The module rustdoc is the one written-down menu: it must name
         // every row, in row order.
         let doc: String = include_str!("table.rs")
@@ -940,9 +903,8 @@ mod tests {
     }
 
     /// The menu's startups column, audited instead of restated: every
-    /// row with an `i*` form (all but the neighborhood rows). The
-    /// allgather and all-to-all rows stop at `2^10`: one thread holds
-    /// their `p²` result blocks. Rabenseifner's allgather phase doubles
+    /// row, through its `i*` form. The allgather and all-to-all rows
+    /// stop at `2^10`: one thread holds their `p²` result blocks. Rabenseifner's allgather phase doubles
     /// on a 512-byte payload; on 1 MiB, whose chunks exceed
     /// [`ALLGATHER_MAX_BYTES`] up to p = 64, it takes the eager exchange
     /// (4 KiB elements under an operation that keeps one operand spare
@@ -1230,16 +1192,6 @@ mod tests {
                     want
                 );
                 assert_eq!(pick(&comm, base, Lifecycle::Blocking, Call::sized(0)), want);
-                // Duplicate neighbors have no dense form — forced, or
-                // picked by `Auto` on a complete graph.
-                let dup = Call {
-                    duplicate_free: false,
-                    ..Call::sized(p - 1)
-                };
-                let forced = base.neighborhood(NeighborhoodAlgo::Dense);
-                let want = (NeighborhoodAlgo::Sparse, STATIC);
-                assert_eq!(pick(&comm, forced, Lifecycle::Blocking, dup), want);
-                assert_eq!(pick(&comm, base, Lifecycle::Blocking, dup), want);
                 // A plan freezes the static pick, forced or `Auto`.
                 let forced = base.allgather(AllgatherAlgo::Bruck);
                 let want = if p >= 2 {

@@ -12,8 +12,7 @@
 //! compute, not copies; see [`crate::metrics`]).
 //!
 //! The hot collectives — `allreduce`, `bcast`, `allgather` (and the
-//! counted `allgatherv`), `alltoall`, `reduce`, the neighborhood
-//! exchanges — are **tunable**: a
+//! counted `allgatherv`), `alltoall`, `reduce` — are **tunable**: a
 //! per-communicator [`CollTuning`] policy selects the algorithm at call
 //! time, by default switching at size thresholds chosen so the default
 //! is never slower under the cluster cost model than the former
@@ -28,6 +27,7 @@
 //! | `gather/scatter` | flat tree (linear at root)             | 1 (root: p-1)       | root: s + r; other: s + r |
 //! | `alltoall(v/w)`  | the `alltoall/pairwise` row: one message per peer, pack-once + slice | p-1 | s + r      |
 //! | `scan/exscan`    | rank-ordered recursive doubling, in-place folds | <= ceil(log2 p) | <= s·ceil(log2 p) + s |
+//! | `neighbor_*`     | one message per declared edge          | out-degree          | s + r                |
 //!
 //! Every non-reducing collective is bounded by `s + r`: each payload
 //! byte is serialized once at its origin and materialized once at each
@@ -75,8 +75,8 @@
 //! recursive-doubling and Bruck `allgather`, Bruck `alltoall`, the
 //! binomial and van de Geijn broadcasts, the binomial `reduce` tree,
 //! the doubling `scan` / `exscan`) or the flat `Exchange` (every eager
-//! one: ring, pairwise, flat gather + fold, scatter, both neighborhood
-//! rows). Every operation with more than one lifecycle builds its
+//! one: ring, pairwise, flat gather + fold, scatter, the neighborhood
+//! exchange). Every operation with more than one lifecycle builds its
 //! engine in **one plan** — its internal tags, then its rank-local
 //! checks, its row, its engine — that the lifecycles drive differently:
 //! the blocking call drives the engine to completion on its stack, `i*`
@@ -124,7 +124,7 @@ mod scatter;
 
 pub use algos::{
     AlgoClass, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, ClassEstimate, ClassStat,
-    CollTuning, ModelConfig, ModelSnapshot, NeighborhoodAlgo, ReduceAlgo, Select, TuningStats,
+    CollTuning, ModelConfig, ModelSnapshot, ReduceAlgo, Select, TuningStats,
 };
 pub(crate) use allgather::allgather_internal;
 pub(crate) use alltoall::alltoallv_internal;

@@ -17,11 +17,15 @@
 //! [`topology`](crate::topology) module doc for the degree-vs-p cost
 //! model.
 //!
-//! Both rows — `neighborhood/sparse` and `neighborhood/dense` of
-//! [`algos::table`](super::algos::table) — are the flat `Exchange`
-//! engine of `collectives/nonblocking.rs` over different edge lists,
-//! in every lifecycle. Its zero-copy discipline is the dense
-//! collectives': each call packs (or adopts) its payload once,
+//! Every form — blocking, `ineighbor_*`, `neighbor_*_init` — is one
+//! plan (`sparse_plan`): the flat `Exchange` engine of
+//! `collectives/nonblocking.rs` along the declared edges, handed to the
+//! blocking driver (`drive_blocks`, under one `neighborhood/sparse`
+//! span), the `i*` driver or the persistent one. One message per
+//! out-edge is the only schedule: no tuning slot selects among
+//! others, and the exchange is no row of
+//! [`algos::table`](super::algos::table). Its zero-copy discipline is
+//! the dense collectives': each call packs (or adopts) its payload once,
 //! per-destination fan-out is a refcount clone or `Bytes::slice`, and
 //! received blocks materialize once at their destination — `s + r`
 //! copied bytes per rank, independent of degree.
@@ -31,26 +35,19 @@
 //! so duplicate neighbors (legal, e.g. a periodic cartesian dimension
 //! of extent 2) resolve by arrival order — the engine fills duplicate
 //! slots strictly first-declared-first.
-//!
-//! The [`CollTuning::neighborhood`](crate::CollTuning) slot routes the
-//! *blocking* exchanges to the dense row on near-complete graphs (where
-//! sparsity saves nothing); nonblocking and persistent variants always
-//! run the sparse row — their value is the minimal frozen envelope set —
-//! and are one plan (`sparse_plan`) under the `i*` or `*_init` driver.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use bytes::Bytes;
 
-use super::algos::table::{tuned, Call, Site};
-use super::algos::NeighborhoodAlgo;
 use super::nonblocking::{drive_blocks, CollEngine, Exchange, Finish, Post};
 use super::{byte_ranges, packed_ranges};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::lower::{Delivered, Layout};
 use crate::persistent::PersistentRequest;
-use crate::plain::{as_bytes, bytes_from_slice, bytes_from_vec};
+use crate::plain::{as_bytes, bytes_from_cow};
 use crate::request::Request;
 use crate::topology::Neighborhood;
 use crate::trace;
@@ -80,29 +77,57 @@ fn sparse<N: Neighborhood + ?Sized>(
     Exchange::new(what, tag, post, edges, Finish::Blocks)
 }
 
-/// The plan of the unselected forms (`ineighbor_*`, `neighbor_*_init`):
-/// the call counted and its tag taken under `what`, the packed layout of
-/// `data` checked when `counts` are given (one block per out-neighbor,
-/// back to back; else the whole of `data` to each), the op-named trace
-/// instant, and the [`sparse`] engine with this call's payload handed
-/// to the caller's driver.
+/// How a call's payload splits into one block per out-neighbor, in
+/// elements.
+enum Blocks<'a> {
+    /// The whole payload to each (an allgather's refcount clones).
+    Whole,
+    /// `counts[k]` elements for `destinations()[k]`, back to back.
+    Packed(&'a [usize]),
+    /// `counts[k]` elements at `displs[k]` for `destinations()[k]`.
+    Placed(&'a [usize], &'a [usize]),
+}
+
+/// The plan of every form: the call counted and its tag taken under
+/// `what`, the layout of `data` checked (rank-local, so after the tag:
+/// an erroring rank stays tag-aligned with its peers), the op-named
+/// trace instant over the local out-degree, and the [`sparse`] engine
+/// with this call's payload — adopted when owned — handed to the
+/// caller's driver.
 fn sparse_plan<'c, N: Neighborhood + ?Sized, T: Plain, R>(
     n: &'c N,
     what: &'static str,
-    data: &[T],
-    counts: Option<&[usize]>,
+    data: Cow<'_, [T]>,
+    blocks: Blocks<'_>,
     run: impl FnOnce(&'c Comm, Box<dyn CollEngine>, Bytes) -> Result<R>,
 ) -> Result<R> {
     let comm = n.comm();
     comm.count_op(what);
     let tag = comm.next_internal_tag();
-    let (elem, degree) = (std::mem::size_of::<T>(), n.destinations().len());
-    let layout = |c| packed_ranges(what, c, elem, data.len(), degree);
-    let ranges = counts.map(layout).transpose()?;
-    let bytes = std::mem::size_of_val(data) as u64;
-    trace::instant(trace::cat::COLL, what, bytes, n.max_degree() as u64);
+    let degree = n.destinations().len();
+    let ranges = match blocks {
+        Blocks::Whole => None,
+        Blocks::Packed(counts) => {
+            let elem = std::mem::size_of::<T>();
+            Some(packed_ranges(what, counts, elem, data.len(), degree)?)
+        }
+        Blocks::Placed(counts, displs) => {
+            check_neighbor_layout(what, "destination", counts, displs, data.len(), degree)?;
+            Some(byte_ranges::<T>(counts, displs))
+        }
+    };
+    let bytes = std::mem::size_of_val(&*data) as u64;
+    trace::instant(trace::cat::COLL, what, bytes, degree as u64);
     let engine = sparse(n, what, tag, ranges);
-    run(comm, Box::new(engine), bytes_from_slice(data))
+    run(comm, Box::new(engine), bytes_from_cow(data))
+}
+
+/// The blocking driver of [`sparse_plan`]: the engine run to completion
+/// under one span, named `<collective>/<algorithm>` like the barrier's.
+fn blocking(comm: &Comm, engine: Box<dyn CollEngine>, payload: Bytes) -> Result<Vec<Bytes>> {
+    let (bytes, p) = (payload.len() as u64, comm.size() as u64);
+    let _sp = trace::span(trace::cat::COLL, "neighborhood/sparse", bytes, p);
+    drive_blocks(comm, engine, payload)
 }
 
 /// Validates a per-neighbor counts/displacements layout.
@@ -135,63 +160,6 @@ fn check_neighbor_layout(
     Ok(())
 }
 
-/// Algorithm selection + dispatch for the blocking exchanges (`ranges`
-/// as for [`sparse`], over `payload`). The choice consults only
-/// collectively-agreed inputs (`p`, `max_degree`, `dense_eligible`, the
-/// communicator's tuning), so every rank takes the same path — the
-/// wire-protocol invariant every tuning decision obeys.
-fn exchange<N: Neighborhood + ?Sized>(
-    n: &N,
-    name: &'static str,
-    tag: Tag,
-    payload: Bytes,
-    ranges: Option<Vec<Range<usize>>>,
-) -> Result<Vec<Bytes>> {
-    let (comm, total) = (n.comm(), payload.len() as u64);
-    let call = Call {
-        duplicate_free: n.dense_eligible(),
-        ..Call::sized(n.max_degree())
-    };
-    tuned(comm, Site::BLOCKING, call, |algo| match algo {
-        NeighborhoodAlgo::Sparse => {
-            trace::instant(trace::cat::COLL, name, total, n.max_degree() as u64);
-            drive_blocks(comm, &mut sparse(n, name, tag, ranges), payload)
-        }
-        // The dense route for near-complete graphs: one message to
-        // *every* rank, self included (the declared block for a
-        // neighbor, an empty filler otherwise), one from every rank —
-        // the wire shape of the dense `alltoallv`. Duplicate-free
-        // neighbor lists ([`Neighborhood::dense_eligible`]) make the
-        // per-rank slot unique.
-        NeighborhoodAlgo::Dense => {
-            let p = comm.size();
-            trace::instant(trace::cat::COLL, name, total, p as u64);
-            let mut parts: Vec<_> = (0..p).map(|r| (r, 0..0)).collect();
-            for (k, &d) in n.destinations().iter().enumerate() {
-                parts[d].1 = ranges.as_ref().map_or(0..payload.len(), |r| r[k].clone());
-            }
-            let post = Post::Sliced { parts, keep: 0..0 };
-            let every = ((0..p).collect(), None);
-            let mut engine = Exchange::new(name, tag, post, every, Finish::Blocks);
-            let blocks = drive_blocks(comm, &mut engine, payload)?;
-            Ok(n.sources().iter().map(|&s| blocks[s].clone()).collect())
-        }
-    })
-}
-
-/// The allgather-shaped exchange: one serialization of `data`, a
-/// refcount clone per out-neighbor.
-fn allgather_exchange<N: Neighborhood + ?Sized, T: Plain>(
-    n: &N,
-    name: &'static str,
-    data: &[T],
-) -> Result<Vec<Bytes>> {
-    let comm = n.comm();
-    comm.count_op(name);
-    let tag = comm.next_internal_tag();
-    exchange(n, name, tag, bytes_from_slice(data), None)
-}
-
 /// The neighborhood collectives, blanket-implemented for every
 /// [`Neighborhood`] communicator
 /// ([`CartComm`](crate::topology::CartComm),
@@ -205,7 +173,8 @@ pub trait NeighborhoodColl: Neighborhood {
     /// may differ in size, so this is also the `v` variant). `s + r`
     /// copied bytes: one serialization regardless of out-degree.
     fn neighbor_allgather_vecs<T: Plain>(&self, data: &[T]) -> Result<Vec<Vec<T>>> {
-        let blocks = allgather_exchange(self, "neighbor_allgather", data)?;
+        let data = Cow::Borrowed(data);
+        let blocks = sparse_plan(self, "neighbor_allgather", data, Blocks::Whole, blocking)?;
         let block = |b| Delivered::Message(b).into_vec(Layout::default());
         blocks.into_iter().map(block).collect()
     }
@@ -214,7 +183,8 @@ pub trait NeighborhoodColl: Neighborhood {
     /// in-neighbor in declaration order. The block lengths *are* the
     /// receive counts — no count travels ahead of the payload.
     fn neighbor_allgatherv_blocks<T: Plain>(&self, data: &[T]) -> Result<Vec<Bytes>> {
-        allgather_exchange(self, "neighbor_allgatherv", data)
+        let data = Cow::Borrowed(data);
+        sparse_plan(self, "neighbor_allgatherv", data, Blocks::Whole, blocking)
     }
 
     /// Counted [`neighbor_allgatherv_blocks`](Self::neighbor_allgatherv_blocks)
@@ -234,7 +204,7 @@ pub trait NeighborhoodColl: Neighborhood {
         // The layout check is rank-local: exchange first, so a rank
         // whose layout is wrong stays tag-aligned with — and sends its
         // block to — the peers whose layouts are fine.
-        let blocks = allgather_exchange(self, "neighbor_allgatherv", data)?;
+        let blocks = self.neighbor_allgatherv_blocks(data)?;
         let degree = self.sources().len();
         check_neighbor_layout(
             "neighbor_allgatherv",
@@ -251,17 +221,12 @@ pub trait NeighborhoodColl: Neighborhood {
     /// vector per in-neighbor (mirrors `MPI_Neighbor_alltoall`;
     /// variable block sizes make it the `v` variant too).
     fn neighbor_alltoall_vecs<T: Plain>(&self, sends: &[Vec<T>]) -> Result<Vec<Vec<T>>> {
-        let comm = self.comm();
-        comm.count_op("neighbor_alltoall");
-        let tag = comm.next_internal_tag();
         // Pack once, slice a refcount per neighbor.
-        let (name, degree) = ("neighbor_alltoall", self.destinations().len());
         let counts: Vec<usize> = sends.iter().map(Vec::len).collect();
         let blocks = sends.iter().map(|v| as_bytes(v)).collect();
         let packed = Delivered::<T, _>::Blocks(blocks).into_vec(Layout::default())?;
-        let elem = std::mem::size_of::<T>();
-        let ranges = packed_ranges(name, &counts, elem, packed.len(), degree)?;
-        let blocks = exchange(self, name, tag, bytes_from_vec(packed), Some(ranges))?;
+        let counts = Blocks::Packed(&counts);
+        let blocks = sparse_plan(self, "neighbor_alltoall", packed.into(), counts, blocking)?;
         let block = |b| Delivered::Message(b).into_vec(Layout::default());
         blocks.into_iter().map(block).collect()
     }
@@ -277,27 +242,8 @@ pub trait NeighborhoodColl: Neighborhood {
         send_counts: &[usize],
         send_displs: &[usize],
     ) -> Result<Vec<Bytes>> {
-        let comm = self.comm();
-        comm.count_op("neighbor_alltoallv");
-        // Tag first: the layout check is rank-local, and an erroring
-        // rank must stay tag-aligned with peers whose layouts are fine.
-        let tag = comm.next_internal_tag();
-        check_neighbor_layout(
-            "neighbor_alltoallv",
-            "destination",
-            send_counts,
-            send_displs,
-            send.len(),
-            self.destinations().len(),
-        )?;
-        let ranges = Some(byte_ranges::<T>(send_counts, send_displs));
-        exchange(
-            self,
-            "neighbor_alltoallv",
-            tag,
-            bytes_from_slice(send),
-            ranges,
-        )
+        let blocks = Blocks::Placed(send_counts, send_displs);
+        sparse_plan(self, "neighbor_alltoallv", send.into(), blocks, blocking)
     }
 
     /// Counted [`neighbor_alltoallv_blocks`](Self::neighbor_alltoallv_blocks)
@@ -337,7 +283,8 @@ pub trait NeighborhoodColl: Neighborhood {
     /// [`RequestSet`](crate::RequestSet)s through the engine's
     /// `sources()` hook like every other `i*` collective.
     fn ineighbor_allgatherv<'c, T: Plain>(&'c self, data: &[T]) -> Result<Request<'c>> {
-        sparse_plan(self, "ineighbor_allgather", data, None, Comm::icoll)
+        let (data, run) = (Cow::Borrowed(data), Comm::icoll);
+        sparse_plan(self, "ineighbor_allgather", data, Blocks::Whole, run)
     }
 
     /// Nonblocking counted neighborhood exchange: `data` holds the
@@ -350,7 +297,8 @@ pub trait NeighborhoodColl: Neighborhood {
         data: &[T],
         counts: &[usize],
     ) -> Result<Request<'c>> {
-        sparse_plan(self, "ineighbor_alltoallv", data, Some(counts), Comm::icoll)
+        let (data, counts) = (Cow::Borrowed(data), Blocks::Packed(counts));
+        sparse_plan(self, "ineighbor_alltoallv", data, counts, Comm::icoll)
     }
 
     /// Persistent [`ineighbor_allgatherv`](Self::ineighbor_allgatherv)
@@ -363,8 +311,8 @@ pub trait NeighborhoodColl: Neighborhood {
         &'c self,
         data: &[T],
     ) -> Result<PersistentRequest<'c>> {
-        let run = Comm::persistent_coll;
-        sparse_plan(self, "neighbor_allgather_init", data, None, run)
+        let (data, run) = (Cow::Borrowed(data), Comm::persistent_coll);
+        sparse_plan(self, "neighbor_allgather_init", data, Blocks::Whole, run)
     }
 
     /// Persistent [`ineighbor_alltoallv`](Self::ineighbor_alltoallv)
@@ -378,8 +326,8 @@ pub trait NeighborhoodColl: Neighborhood {
         data: &[T],
         counts: &[usize],
     ) -> Result<PersistentRequest<'c>> {
-        let run = Comm::persistent_coll;
-        sparse_plan(self, "neighbor_alltoallv_init", data, Some(counts), run)
+        let (run, counts) = (Comm::persistent_coll, Blocks::Packed(counts));
+        sparse_plan(self, "neighbor_alltoallv_init", data.into(), counts, run)
     }
 }
 
@@ -393,7 +341,7 @@ mod tests {
 
     /// The headline claim, pinned by the envelope meter: K rounds on a
     /// directed ring (in-degree 1) grow `envelopes_posted` by exactly
-    /// K per rank, where the forced-dense path grows it by K·p.
+    /// K per rank, where a dense exchange would grow it by K·p.
     #[test]
     fn sparse_exchange_posts_degree_envelopes() {
         // Mid-run counter snapshots race with run-ahead peers (a barrier
@@ -402,15 +350,12 @@ mod tests {
         // run the same deterministic program twice, reading each rank's
         // counter at closure end — by then every envelope ever destined
         // to it has been pushed — and subtract a zero-round baseline.
-        fn ring_envelopes(rounds: usize, algo: NeighborhoodAlgo) -> Vec<u64> {
+        fn ring_envelopes(rounds: usize) -> Vec<u64> {
             Universe::run(8, move |comm| {
                 let p = comm.size();
                 let right = (comm.rank() + 1) % p;
                 let left = (comm.rank() + p - 1) % p;
                 let g = comm.create_dist_graph_adjacent(&[left], &[right]).unwrap();
-                let _t = g
-                    .comm()
-                    .tuning_guard(Some(crate::CollTuning::default().neighborhood(algo)));
                 for _ in 0..rounds {
                     g.neighbor_alltoall_vecs(&[vec![comm.rank() as u32]])
                         .unwrap();
@@ -418,57 +363,14 @@ mod tests {
                 comm.mailbox_stats().envelopes_posted
             })
         }
-        let p = 8u64;
-        for algo in [NeighborhoodAlgo::Sparse, NeighborhoodAlgo::Dense] {
-            let base = ring_envelopes(0, algo);
-            let run = ring_envelopes(5, algo);
-            let per_round: u64 = match algo {
-                // in-degree 1 on the directed ring
-                NeighborhoodAlgo::Sparse => 1,
-                // dense posts one message per rank, self included
-                NeighborhoodAlgo::Dense => p,
-            };
-            for (rank, (b, r)) in base.iter().zip(&run).enumerate() {
-                assert_eq!(r - b, 5 * per_round, "{algo:?} rank {rank}");
-            }
+        let (base, run) = (ring_envelopes(0), ring_envelopes(5));
+        for (rank, (b, r)) in base.iter().zip(&run).enumerate() {
+            assert_eq!(r - b, 5, "rank {rank}");
         }
     }
 
-    /// Forced sparse and forced dense must be observationally identical
-    /// on a dense-eligible topology.
-    #[test]
-    fn dense_route_matches_sparse() {
-        Universe::run(5, |comm| {
-            let p = comm.size();
-            // Each rank talks to rank+1 and rank+2 (mod p).
-            let dests: Vec<usize> = vec![(comm.rank() + 1) % p, (comm.rank() + 2) % p];
-            let srcs: Vec<usize> = vec![(comm.rank() + p - 1) % p, (comm.rank() + p - 2) % p];
-            let g = comm.create_dist_graph_adjacent(&srcs, &dests).unwrap();
-            let sends: Vec<Vec<u64>> = (0..2)
-                .map(|k| vec![comm.rank() as u64 * 10 + k as u64; k + 1])
-                .collect();
-            let sparse = {
-                let _t = g.comm().tuning_guard(Some(
-                    crate::CollTuning::default().neighborhood(NeighborhoodAlgo::Sparse),
-                ));
-                g.neighbor_alltoall_vecs(&sends).unwrap()
-            };
-            let dense = {
-                let _t = g.comm().tuning_guard(Some(
-                    crate::CollTuning::default().neighborhood(NeighborhoodAlgo::Dense),
-                ));
-                g.neighbor_alltoall_vecs(&sends).unwrap()
-            };
-            assert_eq!(sparse, dense);
-            // Sanity: block j came from sources[j] with k = position.
-            for (j, &s) in g.sources().iter().enumerate() {
-                assert_eq!(sparse[j][0] / 10, s as u64);
-            }
-        });
-    }
-
-    /// Duplicate neighbors (periodic extent-2 dimension) are never
-    /// dense-eligible and resolve by FIFO declaration order.
+    /// Duplicate neighbors (periodic extent-2 dimension) resolve by
+    /// FIFO declaration order.
     #[test]
     fn duplicate_neighbors_fill_in_declaration_order() {
         Universe::run(2, |comm| {
@@ -478,7 +380,6 @@ mod tests {
             let g = comm
                 .create_dist_graph_adjacent(&[peer, peer], &[peer, peer])
                 .unwrap();
-            assert!(!g.dense_eligible());
             let sends = vec![
                 vec![10u32 + comm.rank() as u32],
                 vec![20 + comm.rank() as u32],

@@ -62,7 +62,7 @@
 //!   frozen source list is collected, and the completion is `Done`, the
 //!   one message, the blocks, or their rank-ordered fold. Gather,
 //!   scatter, `allgather/ring`, `alltoall/pairwise`,
-//!   `reduce/flat_gather` and both neighborhood rows are this engine.
+//!   `reduce/flat_gather` and the neighborhood exchange are this engine.
 //!
 //! So an `i*` or a `*_init` runs the schedule its blocking twin runs.
 //! With [`CollTuning::self_tuning`](super::algos::CollTuning::self_tuning)

@@ -81,7 +81,7 @@ pub use clock::{Clock, CostModel};
 pub use collectives::neighborhood::NeighborhoodColl;
 pub use collectives::{
     AlgoClass, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, ClassEstimate, ClassStat,
-    CollTuning, ModelConfig, ModelSnapshot, NeighborhoodAlgo, ReduceAlgo, Select, TuningStats,
+    CollTuning, ModelConfig, ModelSnapshot, ReduceAlgo, Select, TuningStats,
 };
 pub use comm::{Comm, TuningGuard};
 pub use counter::CallCounts;

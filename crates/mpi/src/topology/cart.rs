@@ -9,14 +9,15 @@
 //! simply omit the block — the lists stay dense and
 //! declaration-ordered).
 
-use super::{finish_topology, Neighborhood, TopologyBase};
+use super::{finish_topology, Neighborhood};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::Rank;
 
 /// A communicator with an attached cartesian grid topology.
 pub struct CartComm {
-    base: TopologyBase,
+    /// The private dup neighborhood traffic runs on.
+    comm: Comm,
     dims: Vec<usize>,
     periods: Vec<bool>,
     coords: Vec<usize>,
@@ -68,9 +69,8 @@ impl Comm {
             }
         }
 
-        let base = finish_topology(self, &neighbors, &neighbors)?;
         Ok(CartComm {
-            base,
+            comm: finish_topology(self)?,
             dims: dims.to_vec(),
             periods: periods.to_vec(),
             coords,
@@ -83,7 +83,7 @@ impl Comm {
 impl CartComm {
     /// The underlying communicator.
     pub fn comm(&self) -> &Comm {
-        &self.base.comm
+        &self.comm
     }
 
     /// The grid extents.
@@ -103,7 +103,7 @@ impl CartComm {
 
     /// Coordinates of an arbitrary rank (mirrors `MPI_Cart_coords`).
     pub fn cart_coords(&self, rank: Rank) -> Result<Vec<usize>> {
-        self.base.comm.check_rank(rank)?;
+        self.comm.check_rank(rank)?;
         Ok(coords_of(rank, &self.dims))
     }
 
@@ -156,7 +156,7 @@ impl CartComm {
 
 impl Neighborhood for CartComm {
     fn comm(&self) -> &Comm {
-        &self.base.comm
+        &self.comm
     }
 
     fn sources(&self) -> &[Rank] {
@@ -165,14 +165,6 @@ impl Neighborhood for CartComm {
 
     fn destinations(&self) -> &[Rank] {
         &self.destinations
-    }
-
-    fn max_degree(&self) -> usize {
-        self.base.max_degree
-    }
-
-    fn dense_eligible(&self) -> bool {
-        self.base.dense_eligible
     }
 }
 
@@ -293,9 +285,8 @@ mod tests {
                 // 2 periodic ⇒ duplicate), dim-1 neighbors (1,0)=3 and
                 // (1,2)=5.
                 assert_eq!(cart.sources(), &[1, 1, 3, 5]);
-                assert!(!cart.dense_eligible(), "duplicate neighbors");
             }
-            assert_eq!(cart.max_degree(), 4);
+            assert_eq!(cart.destinations(), cart.sources());
         });
     }
 

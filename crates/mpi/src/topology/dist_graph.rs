@@ -9,7 +9,7 @@
 //! (§V-A) — while each subsequent neighborhood exchange costs only
 //! `deg` messages ([`crate::collectives::neighborhood`]).
 
-use super::{finish_topology, Neighborhood, TopologyBase};
+use super::{finish_topology, Neighborhood};
 use crate::comm::Comm;
 use crate::error::{MpiError, Result};
 use crate::Rank;
@@ -18,7 +18,8 @@ use crate::Rank;
 /// (mirrors `MPI_Dist_graph_create_adjacent` /
 /// `MPI_Dist_graph_create`).
 pub struct DistGraphComm {
-    base: TopologyBase,
+    /// The private dup neighborhood traffic runs on.
+    comm: Comm,
     /// Ranks this rank receives from, in declaration order.
     sources: Vec<Rank>,
     /// Ranks this rank sends to, in declaration order.
@@ -29,9 +30,11 @@ impl Comm {
     /// Creates a distributed-graph communicator from adjacency lists.
     /// Every rank declares its in-neighbors (`sources`) and out-neighbors
     /// (`destinations`); construction validates that the declarations
-    /// agree (`u` lists `v` as destination iff `v` lists `u` as source)
-    /// with a dense all-to-all — the `Θ(p)` setup cost that makes
-    /// per-iteration graph rebuilds unscalable (§V-A).
+    /// agree — `u` lists `v` as a destination exactly as many times as
+    /// `v` lists `u` as a source — with a dense all-to-all of per-peer
+    /// edge counts, the `Θ(p)` setup cost that makes per-iteration graph
+    /// rebuilds unscalable (§V-A). A disagreement is
+    /// [`MpiError::InvalidLayout`] on every rank.
     pub fn create_dist_graph_adjacent(
         &self,
         sources: &[Rank],
@@ -42,29 +45,29 @@ impl Comm {
         for &r in sources.iter().chain(destinations) {
             self.check_rank(r)?;
         }
-        // Dense consistency exchange: one flag per peer.
-        let mut out_flags = vec![0u8; p];
+        // Dense consistency exchange: the edges declared to each peer,
+        // against the times that peer is listed as a source here. A
+        // `u32` count per peer: no list declares 2^32 edges.
+        let (ones, ident) = (vec![1usize; p], (0..p).collect::<Vec<_>>());
+        let mut out_edges = vec![0u32; p];
         for &d in destinations {
-            out_flags[d] = 1;
+            out_edges[d] += 1;
         }
-        let mut in_flags = vec![0u8; p];
+        let mut in_edges = vec![0u32; p];
         crate::collectives::alltoallv_internal(
             self,
-            &out_flags,
-            &vec![1usize; p],
-            &(0..p).collect::<Vec<_>>(),
-            &mut in_flags,
-            &vec![1usize; p],
-            &(0..p).collect::<Vec<_>>(),
+            &out_edges,
+            &ones,
+            &ident,
+            &mut in_edges,
+            &ones,
+            &ident,
         )?;
-        let mut local_mismatch: Option<Rank> = None;
-        for (r, &flag) in in_flags.iter().enumerate() {
-            let declared = sources.contains(&r);
-            if (flag != 0) != declared {
-                local_mismatch = Some(r);
-                break;
-            }
+        let mut listed = vec![0u32; p];
+        for &s in sources {
+            listed[s] += 1;
         }
+        let local_mismatch = (0..p).find(|&r| in_edges[r] != listed[r]);
         // Graph construction is collective: every rank must agree on
         // whether the declarations were consistent, otherwise the ranks
         // would diverge (some building the communicator, some erroring).
@@ -76,15 +79,16 @@ impl Comm {
         if any_mismatch != 0 {
             return Err(MpiError::InvalidLayout(match local_mismatch {
                 Some(r) => format!(
-                    "dist graph: declarations of rank {} and rank {r} disagree",
-                    self.rank()
+                    "dist graph: rank {r} declares {} edges to rank {}, which lists it {} times",
+                    in_edges[r],
+                    self.rank(),
+                    listed[r]
                 ),
                 None => "dist graph: declarations disagree on another rank".to_string(),
             }));
         }
-        let base = finish_topology(self, sources, destinations)?;
         Ok(DistGraphComm {
-            base,
+            comm: finish_topology(self)?,
             sources: sources.to_vec(),
             destinations: destinations.to_vec(),
         })
@@ -157,9 +161,8 @@ impl Comm {
         destinations.sort_unstable();
         destinations.dedup();
 
-        let base = finish_topology(self, &sources, &destinations)?;
         Ok(DistGraphComm {
-            base,
+            comm: finish_topology(self)?,
             sources,
             destinations,
         })
@@ -168,7 +171,7 @@ impl Comm {
 
 impl Neighborhood for DistGraphComm {
     fn comm(&self) -> &Comm {
-        &self.base.comm
+        &self.comm
     }
 
     fn sources(&self) -> &[Rank] {
@@ -178,20 +181,12 @@ impl Neighborhood for DistGraphComm {
     fn destinations(&self) -> &[Rank] {
         &self.destinations
     }
-
-    fn max_degree(&self) -> usize {
-        self.base.max_degree
-    }
-
-    fn dense_eligible(&self) -> bool {
-        self.base.dense_eligible
-    }
 }
 
 impl DistGraphComm {
     /// The underlying communicator.
     pub fn comm(&self) -> &Comm {
-        &self.base.comm
+        &self.comm
     }
 
     /// Declared in-neighbors.
@@ -208,8 +203,9 @@ impl DistGraphComm {
 #[cfg(test)]
 mod tests {
     use crate::collectives::neighborhood::NeighborhoodColl;
+    use crate::plain::bytes_to_vec;
     use crate::topology::Neighborhood;
-    use crate::Universe;
+    use crate::{MpiError, Rank, Universe};
 
     #[test]
     fn ring_topology_exchange() {
@@ -332,8 +328,6 @@ mod tests {
                 assert!(g.sources().is_empty());
                 assert_eq!(g.destinations(), &[0]);
             }
-            assert_eq!(g.max_degree(), 2, "rank 0's in-degree is the maximum");
-            assert!(g.dense_eligible());
         });
     }
 
@@ -349,18 +343,49 @@ mod tests {
         });
     }
 
+    /// An edge declared twice on one side and once on the other is a
+    /// disagreement, in either direction: every rank refuses the graph.
+    /// (A check of existence alone builds such a graph: the surplus
+    /// message of each cycle then lands in the next cycle, or the
+    /// surplus receive waits forever.)
     #[test]
-    fn max_degree_is_collectively_agreed() {
-        // A star: rank 0 has degree p-1, leaves degree 1 — every rank
-        // must report the same (global) maximum.
-        Universe::run(4, |comm| {
-            let g = if comm.rank() == 0 {
-                comm.create_dist_graph_adjacent(&[1, 2, 3], &[1, 2, 3])
-            } else {
-                comm.create_dist_graph_adjacent(&[0], &[0])
+    fn edge_multiplicities_must_agree() {
+        let cases: [(&[Rank], &[Rank]); 2] = [(&[1, 1], &[0]), (&[1], &[0, 0])];
+        for (dests, srcs) in cases {
+            Universe::run(2, move |comm| {
+                let r = if comm.rank() == 0 {
+                    comm.create_dist_graph_adjacent(&[], dests)
+                } else {
+                    comm.create_dist_graph_adjacent(srcs, &[])
+                };
+                let err = r.err().expect("the graph is refused");
+                assert!(matches!(err, MpiError::InvalidLayout(_)), "{err:?}");
+            });
+        }
+    }
+
+    /// Duplicate edges declared alike on both sides build and exchange,
+    /// cycle after cycle, the duplicate slots in declaration order: the
+    /// periodic cartesian dimension of extent 2, whose one neighbor is
+    /// both the negative and the positive one.
+    #[test]
+    fn consistent_duplicate_edges_exchange_in_order() {
+        Universe::run(2, |comm| {
+            let me = comm.rank() as u32;
+            let cart = comm.create_cart(&[2], &[true], false).unwrap();
+            let peer = 1 - me;
+            assert_eq!(cart.sources(), &[peer as usize; 2]);
+            let mut plan = cart.neighbor_alltoallv_init(&[0u32, 0], &[1, 1]).unwrap();
+            for cycle in 1..=3u32 {
+                plan.set_data(&[100 * cycle + me, 100 * cycle + 10 + me])
+                    .unwrap();
+                plan.start().unwrap();
+                let blocks = plan.wait().unwrap().into_blocks().unwrap();
+                let got: Vec<u32> = blocks.iter().flat_map(|b| bytes_to_vec(b)).collect();
+                assert_eq!(got, [100 * cycle + peer, 100 * cycle + 10 + peer]);
             }
-            .unwrap();
-            assert_eq!(g.max_degree(), 3);
+            let got = cart.neighbor_alltoall_vecs(&[vec![me], vec![me + 2]]);
+            assert_eq!(got.unwrap(), [vec![peer], vec![peer + 2]]);
         });
     }
 }

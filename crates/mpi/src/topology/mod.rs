@@ -25,14 +25,13 @@
 //! a 127x reduction in per-round messages;
 //! `sparse_exchange_posts_degree_envelopes_on_chord_rings` pins the
 //! counts via [`MailboxStats::envelopes_posted`](crate::MailboxStats). The flip
-//! side is setup: topology construction costs `Θ(p)` messages per rank
-//! (a dense consistency/redistribution exchange plus collective
-//! agreement), which is why rebuilding the graph every iteration
-//! destroys the win — construct once, exchange `deg` messages forever.
-//! Near-complete graphs (`d ≈ p-1`) gain nothing from sparsity; the
-//! [`CollTuning`](crate::CollTuning) `neighborhood` slot switches those
-//! back to the dense pairwise path by the collectively-agreed
-//! degree/p ratio.
+//! side is setup: graph construction costs `Θ(p)` messages per rank
+//! (a dense consistency or redistribution exchange before the private
+//! communicator's dup), which is why rebuilding the graph every
+//! iteration destroys the win — construct once, exchange `deg` messages
+//! forever. On a near-complete graph (`d ≈ p-1`) sparsity saves nothing
+//! and costs nothing either: the exchange still posts one message per
+//! declared edge, never more than the dense path's `p-1`.
 //!
 //! # Shapes
 //!
@@ -68,7 +67,12 @@ use crate::Rank;
 /// The neighbor lists are frozen at construction (the MPI model:
 /// topologies describe *static* patterns) and ordered — block `k` of a
 /// neighborhood send goes to `destinations()[k]`, block `j` of a
-/// receive comes from `sources()[j]`.
+/// receive comes from `sources()[j]`. A peer may appear more than once
+/// (a periodic cartesian dimension of extent 2 lists its one neighbor
+/// twice): each occurrence is an edge of its own, and the edges between
+/// one pair match in declaration order. The lists are all there is —
+/// no exchange reads another rank's degree, so construction agrees on
+/// none.
 pub trait Neighborhood {
     /// The underlying communicator (a private dup of the parent, so
     /// neighborhood traffic never collides with other collectives).
@@ -79,65 +83,17 @@ pub trait Neighborhood {
 
     /// Ranks this rank sends to, in declaration order.
     fn destinations(&self) -> &[Rank];
-
-    /// The maximum per-rank degree over the whole topology, agreed
-    /// collectively at construction. Algorithm selection consults this
-    /// instead of the local degree because the sparse/dense choice must
-    /// be symmetric across ranks (all-or-nothing, like every tuning
-    /// decision).
-    fn max_degree(&self) -> usize;
-
-    /// True when every rank's neighbor lists are duplicate-free —
-    /// agreed collectively at construction. Only then can the dense
-    /// fallback express the exchange (one alltoallv block per peer);
-    /// duplicated edges (e.g. a periodic cartesian dimension of extent
-    /// 2, where the left and right neighbor coincide) always take the
-    /// sparse path.
-    fn dense_eligible(&self) -> bool;
 }
 
-/// Collectively-agreed topology metadata computed at construction:
-/// the tuning inputs of [`Neighborhood::max_degree`] /
-/// [`Neighborhood::dense_eligible`] plus the private communicator dup.
-pub(crate) struct TopologyBase {
-    pub(crate) comm: Comm,
-    pub(crate) max_degree: usize,
-    pub(crate) dense_eligible: bool,
-}
-
-/// Shared tail of every topology constructor: agree on the global
-/// maximum degree and duplicate-freeness (the symmetric tuning inputs),
-/// then dup the parent into a private context. Runs two collectives —
-/// part of the `Θ(p)`-ish setup bill the per-exchange savings amortize.
-pub(crate) fn finish_topology(
-    parent: &Comm,
-    sources: &[Rank],
-    destinations: &[Rank],
-) -> Result<TopologyBase> {
-    // A planned crash here dies between a topology constructor's
-    // setup collectives — peers must surface the failure, not hang.
+/// Shared tail of every topology constructor: dup the parent into the
+/// topology's private context. Nothing about the edge lists needs
+/// agreeing on — every exchange posts this rank's own declared edges.
+pub(crate) fn finish_topology(parent: &Comm) -> Result<Comm> {
+    // A planned crash here dies after a constructor's validation or
+    // redistribution and before the dup — peers must surface the
+    // failure, not hang.
     crate::fault::point("topology/build");
-    let local_max = sources.len().max(destinations.len()) as u64;
-    let max_degree =
-        crate::collectives::allreduce_internal(parent, (&[local_max]).into(), crate::op::Max)?[0]
-            as usize;
-    let local_dup = u8::from(has_duplicates(sources) || has_duplicates(destinations));
-    let any_dup = crate::collectives::allreduce_internal(
-        parent,
-        (&[local_dup]).into(),
-        crate::op::LogicalOr,
-    )?[0];
-    Ok(TopologyBase {
-        comm: parent.dup_uncounted()?,
-        max_degree,
-        dense_eligible: any_dup == 0,
-    })
-}
-
-fn has_duplicates(ranks: &[Rank]) -> bool {
-    let mut sorted = ranks.to_vec();
-    sorted.sort_unstable();
-    sorted.windows(2).any(|w| w[0] == w[1])
+    parent.dup_uncounted()
 }
 
 impl Comm {
@@ -151,5 +107,48 @@ impl Comm {
         };
         let base = crate::collectives::bcast_one_internal(self, base, 0)?;
         Ok(self.derived(std::sync::Arc::clone(&self.group), self.rank(), base))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{op, Comm, Universe};
+
+    /// The envelopes a run of `build` on `p` ranks posts beyond an
+    /// empty run, summed over the ranks. Each rank reads its counter at
+    /// closure end, when every envelope destined to it has arrived.
+    fn posted(p: usize, build: fn(&Comm)) -> u64 {
+        let run = |f: fn(&Comm)| -> u64 {
+            let per_rank = Universe::run(p, move |comm| {
+                f(&comm);
+                comm.mailbox_stats().envelopes_posted
+            });
+            per_rank.iter().sum()
+        };
+        run(build) - run(|_| {})
+    }
+
+    /// A constructor's own traffic, pinned. The cartesian one only dups
+    /// its parent: a binomial broadcast, `p - 1` messages. The adjacent
+    /// graph one adds its validation: the dense exchange of per-peer
+    /// edge counts, `p (p - 1)` messages, and one allreduce that agrees
+    /// on the verdict. Nothing else is agreed on.
+    #[test]
+    fn constructors_post_their_validation_and_dup_only() {
+        for p in [2u64, 4, 6, 8] {
+            let n = p as usize;
+            let allreduce = posted(n, |c| {
+                c.allreduce_vec(&[0u8][..], op::LogicalOr).unwrap();
+            });
+            let cart = posted(n, |c| {
+                c.create_cart(&[c.size()], &[true], false).unwrap();
+            });
+            assert_eq!(cart, p - 1, "create_cart, p = {p}");
+            let graph = posted(n, |c| {
+                c.create_dist_graph_adjacent(&[], &[]).unwrap();
+            });
+            let want = p * (p - 1) + allreduce + p - 1;
+            assert_eq!(graph, want, "create_dist_graph_adjacent, p = {p}");
+        }
     }
 }

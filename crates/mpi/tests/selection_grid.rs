@@ -39,7 +39,7 @@
 use kmp_mpi::collectives::displacements_from_counts;
 use kmp_mpi::{
     non_commutative, AlgoClass, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, CollTuning,
-    Comm, NeighborhoodAlgo, NeighborhoodColl, ReduceAlgo, Universe,
+    Comm, ReduceAlgo, Universe,
 };
 
 const P: [usize; 7] = [1, 2, 3, 4, 6, 8, 16];
@@ -47,16 +47,6 @@ const P: [usize; 7] = [1, 2, 3, 4, 6, 8, 16];
 /// Sizes straddling one default threshold by a byte, plus a tiny one.
 fn ladder(threshold: usize) -> Vec<usize> {
     vec![1, threshold - 1, threshold, threshold + 1]
-}
-
-/// Degrees straddling the dense switch-over (90 % of `p - 1`), plus the
-/// sparsest and the complete circulant graph.
-fn degrees(p: usize) -> Vec<usize> {
-    let full = p.saturating_sub(1).max(1);
-    let threshold = (90 * p.saturating_sub(1)).div_ceil(100).max(1);
-    let mut d = vec![1, threshold.saturating_sub(1).max(1), threshold, full];
-    d.dedup();
-    d
 }
 
 /// Runs `call` under `tuning` on a cold model and names what it
@@ -339,59 +329,6 @@ fn grid_at(p: usize) -> Vec<(String, String)> {
                 out.push((format!("{name} {tname}"), group.join(",")));
             }
         }
-        // Neighborhood exchanges: the ladder is the degree of a
-        // circulant graph (rank r sends to r+1 ..= r+d), plus one
-        // topology with a duplicate neighbor (dense-ineligible).
-        let base = CollTuning::default();
-        let tunings = [
-            ("default", base),
-            ("driven_cold", base.self_tuning()),
-            ("sparse", base.neighborhood(NeighborhoodAlgo::Sparse)),
-            ("dense", base.neighborhood(NeighborhoodAlgo::Dense)),
-        ];
-        let me = comm.rank();
-        let mut graphs: Vec<(Vec<usize>, Vec<usize>)> = degrees(p)
-            .into_iter()
-            .map(|d| {
-                (
-                    (1..=d).map(|k| (me + p - k % p) % p).collect(),
-                    (1..=d).map(|k| (me + k) % p).collect(),
-                )
-            })
-            .collect();
-        graphs.push((vec![(me + p - 1) % p; 2], vec![(me + 1) % p; 2]));
-        let graphs: Vec<_> = graphs
-            .iter()
-            .map(|(src, dst)| comm.create_dist_graph_adjacent(src, dst).unwrap())
-            .collect();
-        for (tname, tuning) in tunings {
-            let mut groups = [Vec::new(), Vec::new(), Vec::new()];
-            for g in &graphs {
-                let d = g.destinations().len();
-                let c = g.comm();
-                groups[0].push(cell(c, tuning, || {
-                    g.neighbor_alltoall_vecs(&vec![vec![1u8]; d]).unwrap();
-                }));
-                groups[1].push(cell(c, tuning, || {
-                    let req = g.ineighbor_alltoallv(&vec![1u8; d], &vec![1; d]).unwrap();
-                    req.wait().unwrap();
-                }));
-                groups[2].push(cell(c, tuning, || {
-                    g.neighbor_alltoallv_init(&vec![1u8; d], &vec![1; d])
-                        .unwrap();
-                }));
-            }
-            for (name, group) in [
-                "neighbor_alltoall",
-                "ineighbor_alltoallv",
-                "neighbor_alltoallv_init",
-            ]
-            .iter()
-            .zip(groups)
-            {
-                out.push((format!("{name} {tname}"), group.join(",")));
-            }
-        }
         out
     });
     // Selection is symmetric — except in the self-sizing broadcasts,
@@ -534,18 +471,6 @@ const GOLDEN: &[&str] = &[
     "ireduce(non-commutative) driven_cold | a a a a a a a",
     "ireduce(non-commutative) binomial_tree | a a a a a a a",
     "ireduce(non-commutative) flat_gather | a a a a a a a",
-    "neighbor_alltoall default | b,b c,b b,c,b b,b,c,b b,b,c,b b,b,c,b b,b,c,c,b",
-    "ineighbor_alltoallv default | -,- -,- -,-,- -,-,-,- -,-,-,- -,-,-,- -,-,-,-,-",
-    "neighbor_alltoallv_init default | -,- -,- -,-,- -,-,-,- -,-,-,- -,-,-,- -,-,-,-,-",
-    "neighbor_alltoall driven_cold | b,b c,b b,c,b b,b,c,b b,b,c,b b,b,c,b b,b,c,c,b",
-    "ineighbor_alltoallv driven_cold | -,- -,- -,-,- -,-,-,- -,-,-,- -,-,-,- -,-,-,-,-",
-    "neighbor_alltoallv_init driven_cold | -,- -,- -,-,- -,-,-,- -,-,-,- -,-,-,- -,-,-,-,-",
-    "neighbor_alltoall sparse | b,b b,b b,b,b b,b,b,b b,b,b,b b,b,b,b b,b,b,b,b",
-    "ineighbor_alltoallv sparse | -,- -,- -,-,- -,-,-,- -,-,-,- -,-,-,- -,-,-,-,-",
-    "neighbor_alltoallv_init sparse | -,- -,- -,-,- -,-,-,- -,-,-,- -,-,-,- -,-,-,-,-",
-    "neighbor_alltoall dense | c,b c,b c,c,b c,c,c,b c,c,c,b c,c,c,b c,c,c,c,b",
-    "ineighbor_alltoallv dense | -,- -,- -,-,- -,-,-,- -,-,-,- -,-,-,- -,-,-,-,-",
-    "neighbor_alltoallv_init dense | -,- -,- -,-,- -,-,-,- -,-,-,- -,-,-,- -,-,-,-,-",
 ];
 
 /// Each pick over `sizes` by its capitals (`RecursiveDoubling` → `RD`,
@@ -563,8 +488,7 @@ fn picks<A: std::fmt::Debug>(sizes: Vec<usize>, pick: impl Fn(usize) -> A) -> St
 /// byte either side of every threshold — 64 and 128 KiB for allreduce
 /// (Rabenseifner's size on and off powers of two), 256 KiB for
 /// broadcast, 12 KiB per rank for allgather, 1 KiB blocks for
-/// all-to-all — and every degree below `p` for neighborhood exchanges,
-/// at communicator sizes on and off powers of two. The lines were
+/// all-to-all — at communicator sizes on and off powers of two. The lines were
 /// recorded while the thresholds were settable fields of `CollTuning`,
 /// before they became constants; a difference is a moved pick.
 #[test]
@@ -582,10 +506,6 @@ fn static_auto_picks_around_every_threshold() {
             ("bcast", picks(bc, |s| t.bcast_algo(p, s))),
             ("allgather", picks(ag, |s| t.allgather_algo(p, s))),
             ("alltoall", picks(aa, |s| t.alltoall_algo(p, s))),
-            (
-                "neighborhood",
-                picks((0..p).collect(), |d| t.neighborhood_algo(p, d)),
-            ),
         ];
         got.extend(lines.map(|(name, picks)| format!("{name} p={p}: {picks}")));
     }
@@ -604,35 +524,28 @@ const STATIC_AUTO: &[&str] = &[
     "bcast p=2: B B B",
     "allgather p=2: R R R",
     "alltoall p=2: P P P",
-    "neighborhood p=2: S D",
     "allreduce p=3: RD RD RD RD RD RD",
     "bcast p=3: B B B",
     "allgather p=3: R R R",
     "alltoall p=3: P P P",
-    "neighborhood p=3: S S D",
     "allreduce p=4: RD R R R R R",
     "bcast p=4: B SA SA",
     "allgather p=4: RD RD R",
     "alltoall p=4: B B P",
-    "neighborhood p=4: S S S D",
     "allreduce p=5: RD RD RD RD R R",
     "bcast p=5: B SA SA",
     "allgather p=5: B B R",
     "alltoall p=5: B B P",
-    "neighborhood p=5: S S S S D",
     "allreduce p=8: RD R R R R R",
     "bcast p=8: B SA SA",
     "allgather p=8: RD RD R",
     "alltoall p=8: B B P",
-    "neighborhood p=8: S S S S S S S D",
     "allreduce p=12: RD RD RD RD R R",
     "bcast p=12: B SA SA",
     "allgather p=12: B B R",
     "alltoall p=12: B B P",
-    "neighborhood p=12: S S S S S S S S S S D D",
     "allreduce p=16: RD R R R R R",
     "bcast p=16: B SA SA",
     "allgather p=16: RD RD R",
     "alltoall p=16: B B P",
-    "neighborhood p=16: S S S S S S S S S S S S S S D D",
 ];

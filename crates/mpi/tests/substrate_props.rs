@@ -139,45 +139,107 @@ fn assert_sparse_matches_masked_dense<N: NeighborhoodColl>(
     }
 }
 
-/// Sparse neighborhood exchange posts exactly `degree` envelopes per
-/// rank per round, forced dense at least `p - 1`, on chord rings
-/// (neighbors at `±1..=h`: degree 4 at p = 8, 8 at p = 16). Each rank
-/// reads its counter at closure end, when every envelope destined to it
-/// has arrived, and a zero-round run of the same program is subtracted.
+/// The graphs of the envelope test, as rank `r`'s `(sources,
+/// destinations)` of `p`.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// Neighbors at `±1..=h`: degree 4 at p = 8 (h = 2), 8 at p = 16
+    /// (h = 4).
+    Chord(usize),
+    /// Every other rank.
+    Complete,
+    /// Every other rank, but rank 1 does not send to rank 0: rank 0
+    /// hears from `p - 2` peers, every other rank from `p - 1`.
+    NearComplete,
+}
+
+impl Shape {
+    fn edges(self, p: usize, r: Rank) -> (Vec<Rank>, Vec<Rank>) {
+        let others = (0..p).filter(|&u| u != r);
+        match self {
+            Shape::Chord(h) => {
+                let mut nbrs: Vec<Rank> = (1..=h)
+                    .flat_map(|k| [(r + k) % p, (r + p - k) % p])
+                    .collect();
+                nbrs.sort_unstable();
+                nbrs.dedup();
+                (nbrs.clone(), nbrs)
+            }
+            Shape::Complete => (others.clone().collect(), others.collect()),
+            Shape::NearComplete => (
+                others.clone().filter(|&u| (r, u) != (0, 1)).collect(),
+                others.filter(|&u| (r, u) != (1, 0)).collect(),
+            ),
+        }
+    }
+}
+
+/// The blocking neighborhood forms, by index: `form` run once on `g`,
+/// one 8-element block per edge.
+const FORMS: [&str; 6] = [
+    "neighbor_allgather_vecs",
+    "neighbor_allgatherv_blocks",
+    "neighbor_allgatherv_into",
+    "neighbor_alltoall_vecs",
+    "neighbor_alltoallv_blocks",
+    "neighbor_alltoallv_into",
+];
+
+fn run_form(g: &kmp_mpi::DistGraphComm, form: usize) {
+    let (d_out, d_in) = (g.destinations().len(), g.sources().len());
+    let block = vec![7u64; 8];
+    let (packed, counts) = (vec![7u64; 8 * d_out], vec![8usize; d_out]);
+    let displs: Vec<usize> = (0..d_out).map(|k| 8 * k).collect();
+    let (rc, rd) = (
+        vec![8usize; d_in],
+        (0..d_in).map(|j| 8 * j).collect::<Vec<_>>(),
+    );
+    let mut recv = vec![0u64; 8 * d_in];
+    match form {
+        0 => drop(g.neighbor_allgather_vecs(&block).unwrap()),
+        1 => drop(g.neighbor_allgatherv_blocks(&block).unwrap()),
+        2 => g
+            .neighbor_allgatherv_into(&block, &mut recv, &rc, &rd)
+            .unwrap(),
+        3 => drop(g.neighbor_alltoall_vecs(&vec![block; d_out]).unwrap()),
+        4 => drop(
+            g.neighbor_alltoallv_blocks(&packed, &counts, &displs)
+                .unwrap(),
+        ),
+        _ => (g.neighbor_alltoallv_into(&packed, &counts, &displs, &mut recv, &rc, &rd)).unwrap(),
+    }
+}
+
+/// Every blocking neighborhood form posts exactly one envelope per
+/// edge per round — `envelopes_posted` grows by each rank's in-degree,
+/// the edges it receives on — on chord rings, on the complete graph and
+/// on a near-complete one, where the largest degree is `p - 1` and one
+/// rank's is lower (a dense exchange would post `p` to every rank, self
+/// included). Each rank reads its counter at closure end, when every
+/// envelope destined to it has arrived, and a zero-round run of the
+/// same program is subtracted.
 #[test]
 fn sparse_exchange_posts_degree_envelopes_on_chord_rings() {
-    use kmp_mpi::{CollTuning, NeighborhoodAlgo};
-    fn envelopes(p: usize, h: usize, rounds: usize, algo: NeighborhoodAlgo) -> Vec<u64> {
+    fn envelopes(p: usize, shape: Shape, form: usize, rounds: usize) -> Vec<(u64, usize)> {
         Universe::run(p, move |comm| {
-            let mut nbrs: Vec<Rank> = (1..=h)
-                .flat_map(|k| [(comm.rank() + k) % p, (comm.rank() + p - k) % p])
-                .collect();
-            nbrs.sort_unstable();
-            nbrs.dedup();
-            let g = comm.create_dist_graph_adjacent(&nbrs, &nbrs).unwrap();
-            let _t = g
-                .comm()
-                .tuning_guard(Some(CollTuning::default().neighborhood(algo)));
-            let sends = vec![vec![comm.rank() as u64; 8]; nbrs.len()];
+            let (sources, destinations) = shape.edges(p, comm.rank());
+            let g = comm
+                .create_dist_graph_adjacent(&sources, &destinations)
+                .unwrap();
             for _ in 0..rounds {
-                g.neighbor_alltoall_vecs(&sends).unwrap();
+                run_form(&g, form);
             }
-            comm.mailbox_stats().envelopes_posted
+            (comm.mailbox_stats().envelopes_posted, sources.len())
         })
     }
     for (p, h) in [(8usize, 2usize), (16, 4)] {
-        for algo in [NeighborhoodAlgo::Sparse, NeighborhoodAlgo::Dense] {
-            let (base, run) = (envelopes(p, h, 0, algo), envelopes(p, h, 5, algo));
-            for (rank, (b, r)) in base.iter().zip(&run).enumerate() {
-                let per_round = (r - b) as f64 / 5.0;
-                match algo {
-                    NeighborhoodAlgo::Sparse => {
-                        assert_eq!(per_round, 2.0 * h as f64, "p={p} rank {rank}")
-                    }
-                    _ => assert!(
-                        per_round >= (p - 1) as f64,
-                        "dense p={p} rank {rank}: {per_round}"
-                    ),
+        for shape in [Shape::Chord(h), Shape::Complete, Shape::NearComplete] {
+            let base = envelopes(p, shape, 0, 0);
+            for (form, name) in FORMS.iter().enumerate() {
+                let run = envelopes(p, shape, form, 5);
+                for (rank, ((b, _), (r, d_in))) in base.iter().zip(&run).enumerate() {
+                    let at = format!("{name} p={p} {shape:?} rank {rank}");
+                    assert_eq!(r - b, 5 * *d_in as u64, "{at}");
                 }
             }
         }
