@@ -15,8 +15,8 @@
 //!   inert plan (every rank armed with an unreachable crash count), the
 //!   runtime toggle `fault::set_enabled` alternating: summed thread-CPU
 //!   time, paired-differenced as the trace probe does. The off side is
-//!   one relaxed load per hook, an upper bound on the default build,
-//!   where the hooks are compiled out.
+//!   one relaxed load per hook, an upper bound on a run without a plan,
+//!   whose hooks bail on the live-plan count alone.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

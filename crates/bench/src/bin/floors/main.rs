@@ -3,17 +3,16 @@
 //!
 //! ```sh
 //! cargo run --release -p kmp_bench --bin floors
-//! cargo run --release -p kmp_bench --features trace,fault --bin floors
 //! ```
 //!
-//! The binary takes no flags and writes no file. It runs every probe
-//! compiled in, then prints one line per floor — subject, reference, the
-//! ratio the bound reads, the bound, and PASS / FAIL / NOTE — and exits
-//! 1 if any floor failed. A probe that panics fails one floor named
-//! after it; the probes after it still run. The `trace` and `fault`
-//! probes exist only under their cargo features; in such a build the
-//! other probes run with the trace recorder switched off, so they
-//! measure what the default build measures.
+//! The binary takes no flags and writes no file. It runs every probe,
+//! then prints one line per floor — subject, reference, the ratio the
+//! bound reads, the bound, and PASS / FAIL / NOTE — and exits 1 if any
+//! floor failed. A probe that panics fails one floor named after it;
+//! the probes after it still run. The trace recorder starts off and the
+//! fault plane is inert without a plan, so every probe but `trace` and
+//! `fault` measures an uninstrumented run; those two switch the
+//! recorder or install a plan themselves.
 //!
 //! A bound reads the subject `s` against the reference `r` one of three
 //! ways: `s/r >= x` (rates), `s <= x·r + slack` (times), or `r/s >= x`
@@ -52,12 +51,10 @@
 //! and the Chrome trace schema (`crates/mpi/tests/trace_integration.rs`).
 
 mod completion;
-#[cfg(feature = "fault")]
 mod fault;
 mod matching;
 mod neighborhood;
 mod persistent;
-#[cfg(feature = "trace")]
 mod trace;
 mod tuning;
 
@@ -176,7 +173,6 @@ fn best_rate(reps: usize, mut run: impl FnMut() -> (usize, f64)) -> f64 {
 /// (a monotone drift in CPU speed then cancels in the median). The
 /// first pair is warm-up. Returns this rank's thread-CPU nanoseconds
 /// per measured repetition, (off, on).
-#[cfg(any(feature = "trace", feature = "fault"))]
 fn toggled_cpu(
     comm: &kmp_mpi::Comm,
     reps: usize,
@@ -207,7 +203,6 @@ fn toggled_cpu(
 /// on-minus-off delta of adjacent pairs (robust to a preempted rep) and
 /// the median off time, each summed over ranks. Returns summed CPU
 /// milliseconds (off, on).
-#[cfg(any(feature = "trace", feature = "fault"))]
 fn paired_cpu_ms(per_rank: &[(Vec<u64>, Vec<u64>)]) -> (f64, f64) {
     let median = |mut v: Vec<i64>| {
         v.sort_unstable();
@@ -230,22 +225,15 @@ fn paired_cpu_ms(per_rank: &[(Vec<u64>, Vec<u64>)]) -> (f64, f64) {
 type Probe = (&'static str, fn() -> Vec<Floor>);
 
 fn main() {
-    // In a `trace` build the recorder starts switched on; the probes
-    // that do not measure it run with it off, as in the default build.
-    kmp_mpi::trace::set_enabled(false);
-
-    #[cfg_attr(not(any(feature = "trace", feature = "fault")), allow(unused_mut))]
-    let mut probes: Vec<Probe> = vec![
+    let probes: [Probe; 7] = [
         ("matching", matching::floors),
         ("completion", completion::floors),
         ("persistent", persistent::floors),
         ("neighborhood", neighborhood::floors),
         ("tuning", tuning::floors),
+        ("trace", trace::floors),
+        ("fault", fault::floors),
     ];
-    #[cfg(feature = "trace")]
-    probes.push(("trace", trace::floors));
-    #[cfg(feature = "fault")]
-    probes.push(("fault", fault::floors));
 
     let mut floors = Vec::new();
     for (probe, run) in probes {

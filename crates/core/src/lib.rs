@@ -96,8 +96,9 @@ pub use kmp_mpi::trace;
 
 /// Opens a user-level trace span over an application phase (a BFS
 /// level, a sort pass, …). The span records itself when the returned
-/// guard drops; with the `trace` feature off this is a zero-sized no-op
-/// that compiles away entirely.
+/// guard drops, while the recorder is on ([`trace::set_enabled`]; it
+/// starts off). Off, opening the span is one relaxed load and dropping
+/// it records nothing.
 ///
 /// ```ignore
 /// let _phase = kamping::trace_span("bfs_level");

@@ -45,14 +45,16 @@
 //!   parts twice (refcount views), `Truncate(n)` cuts the part `n`
 //!   falls inside and drops the parts after it.
 //!
-//! # Zero-cost when compiled out
+//! # The cost when no plan is installed
 //!
-//! Mirrors [`crate::trace`]: without the `fault` feature every hook is
-//! an empty `#[inline]` function and [`WorldFaults`] is a zero-sized
-//! type (compile-time asserted) — call sites compile to nothing. With
-//! the feature on but no plan installed, a hook is one relaxed atomic
-//! load (the `fault` probe of the `floors` bench pins the armed-vs-
-//! dormant delta).
+//! The plane is compiled into every build; only a [`FaultPlan`] given
+//! to [`Config::faults`](crate::Config::faults) arms it. While no
+//! universe in the process runs a non-empty plan, each hook is one
+//! relaxed load of the live-plan count, and [`WorldFaults`] holds
+//! `None`. The measured cost of compiling the plane and the trace
+//! recorder in is under "The cost when off" in [`crate::trace`]. The
+//! `fault` probe of the `floors` bench pins the armed hooks' on-vs-off
+//! cost.
 //!
 //! # Using it
 //!
@@ -67,10 +69,16 @@
 //! });
 //! ```
 
-use crate::{Rank, Tag};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
-/// True if the `fault` feature was compiled in.
-pub const COMPILED: bool = cfg!(feature = "fault");
+use parking_lot::Mutex;
+
+use crate::message::Envelope;
+use crate::trace;
+use crate::universe::{RankFailure, WorldState};
+use crate::{Rank, Tag};
 
 /// What to do with a message matched by a [`MsgRule`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,8 +125,8 @@ struct CrashSpec {
 
 /// A deterministic fault schedule: crash arms plus message rules.
 ///
-/// Plans are plain data in every build; without the `fault` feature
-/// installing one is a no-op (the run is fault-free).
+/// Plans are plain data; an empty plan installs nothing (the run is
+/// fault-free).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     crashes: Vec<CrashSpec>,
@@ -248,307 +256,241 @@ impl FaultPlan {
     }
 }
 
-#[cfg(feature = "fault")]
-mod imp {
-    use std::cell::RefCell;
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-    use std::sync::Arc;
+/// Number of live universes with a non-empty plan installed. The
+/// hook fast path bails on one relaxed load of this being zero.
+static ACTIVE_PLANS: AtomicUsize = AtomicUsize::new(0);
+/// Runtime arm/disarm switch, for the overhead bench's paired A/B.
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
-    use parking_lot::Mutex;
+/// Runtime switch: `set_enabled(false)` makes every hook bail after
+/// its fast-path load even with a plan installed (the `fault` probe
+/// of the `floors` bench alternates this to measure the armed hook
+/// cost by paired differencing).
+pub fn set_enabled(on: bool) {
+    ENABLED.store(on, Ordering::SeqCst);
+}
 
-    use super::{CrashSpec, FaultPlan, MsgAction, MsgRule};
-    use crate::message::Envelope;
-    use crate::trace;
-    use crate::universe::{RankFailure, WorldState};
-    use crate::Rank;
+struct CrashArm {
+    point: Option<&'static str>,
+    at: u64,
+    hits: AtomicU64,
+    fired: AtomicBool,
+}
 
-    /// Number of live universes with a non-empty plan installed. The
-    /// hook fast path bails on one relaxed load of this being zero.
-    static ACTIVE_PLANS: AtomicUsize = AtomicUsize::new(0);
-    /// Runtime arm/disarm switch, for the overhead bench's paired A/B.
-    static ENABLED: AtomicBool = AtomicBool::new(true);
+struct RuleState {
+    rule: MsgRule,
+    seen: u64,
+}
 
-    /// Runtime switch: `set_enabled(false)` makes every hook bail after
-    /// its fast-path load even with a plan installed (the `fault` probe
-    /// of the `floors` bench alternates this to measure the armed hook
-    /// cost by paired differencing).
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::SeqCst);
-    }
+struct DelayedMsg {
+    dest_world: Rank,
+    due: u64,
+    env: Envelope,
+}
 
-    struct CrashArm {
-        point: Option<&'static str>,
-        at: u64,
-        hits: AtomicU64,
-        fired: AtomicBool,
-    }
+struct MsgState {
+    rules: Vec<RuleState>,
+    /// Delivery-attempt sequence number per destination mailbox —
+    /// the clock `Delay(n)` is measured against.
+    delivered_to: Vec<u64>,
+    delayed: Vec<DelayedMsg>,
+}
 
-    struct RuleState {
-        rule: MsgRule,
-        seen: u64,
-    }
+struct Inner {
+    /// Crash arms indexed by world rank.
+    arms: Vec<Vec<CrashArm>>,
+    /// Total injection points passed per rank (diagnostics).
+    counters: Vec<AtomicU64>,
+    msg: Mutex<MsgState>,
+}
 
-    struct DelayedMsg {
-        dest_world: Rank,
-        due: u64,
-        env: Envelope,
-    }
-
-    struct MsgState {
-        rules: Vec<RuleState>,
-        /// Delivery-attempt sequence number per destination mailbox —
-        /// the clock `Delay(n)` is measured against.
-        delivered_to: Vec<u64>,
-        delayed: Vec<DelayedMsg>,
-    }
-
-    struct Inner {
-        /// Crash arms indexed by world rank.
-        arms: Vec<Vec<CrashArm>>,
-        /// Total injection points passed per rank (diagnostics).
-        counters: Vec<AtomicU64>,
-        msg: Mutex<MsgState>,
-    }
-
-    impl Inner {
-        #[inline(never)]
-        fn hit(&self, rank: Rank, name: &'static str) {
-            self.counters[rank].fetch_add(1, Ordering::Relaxed);
-            for arm in &self.arms[rank] {
-                if arm.point.is_none_or(|p| p == name) {
-                    let n = arm.hits.fetch_add(1, Ordering::Relaxed) + 1;
-                    if n == arm.at && !arm.fired.swap(true, Ordering::Relaxed) {
-                        trace::instant(trace::cat::ULFM, "fault/crash", rank as u64, n);
-                        // Involuntary `fail_here`: unwind with the same
-                        // payload; the universe marks the rank failed
-                        // and interruption-wakes every parked survivor.
-                        std::panic::panic_any(RankFailure);
-                    }
-                }
-            }
-        }
-
-        fn deliver(&self, dest_world: Rank, env: Envelope, push: &mut dyn FnMut(Envelope)) {
-            let mut st = self.msg.lock();
-            let mut action = None;
-            for rs in st.rules.iter_mut() {
-                let r = &rs.rule;
-                if r.from == env.src_world
-                    && r.to == dest_world
-                    && r.tag.is_none_or(|t| t == env.tag)
-                {
-                    rs.seen += 1;
-                    if rs.seen == r.nth {
-                        action = Some(r.action);
-                        break;
-                    }
-                }
-            }
-            st.delivered_to[dest_world] += 1;
-            let now = st.delivered_to[dest_world];
-            match action {
-                Some(MsgAction::Drop) => {
-                    trace::instant(trace::cat::ULFM, "fault/drop", env.src_world as u64, now);
-                }
-                Some(MsgAction::Delay(by)) => {
-                    trace::instant(trace::cat::ULFM, "fault/delay", env.src_world as u64, by);
-                    st.delayed.push(DelayedMsg {
-                        dest_world,
-                        due: now + by,
-                        env,
-                    });
-                }
-                Some(MsgAction::Duplicate) => {
-                    trace::instant(trace::cat::ULFM, "fault/dup", env.src_world as u64, now);
-                    push(env.clone());
-                    push(env);
-                }
-                Some(MsgAction::Truncate(keep)) => {
-                    trace::instant(
-                        trace::cat::ULFM,
-                        "fault/truncate",
-                        env.src_world as u64,
-                        now,
-                    );
-                    let mut env = env;
-                    env.truncate(keep);
-                    push(env);
-                }
-                None => push(env),
-            }
-            // Release everything whose delay has elapsed for this
-            // destination, in stash order (deterministic).
-            let mut i = 0;
-            while i < st.delayed.len() {
-                if st.delayed[i].dest_world == dest_world && st.delayed[i].due <= now {
-                    let d = st.delayed.remove(i);
-                    push(d.env);
-                } else {
-                    i += 1;
+impl Inner {
+    #[inline(never)]
+    fn hit(&self, rank: Rank, name: &'static str) {
+        self.counters[rank].fetch_add(1, Ordering::Relaxed);
+        for arm in &self.arms[rank] {
+            if arm.point.is_none_or(|p| p == name) {
+                let n = arm.hits.fetch_add(1, Ordering::Relaxed) + 1;
+                if n == arm.at && !arm.fired.swap(true, Ordering::Relaxed) {
+                    trace::instant(trace::cat::ULFM, "fault/crash", rank as u64, n);
+                    // Involuntary `fail_here`: unwind with the same
+                    // payload; the universe marks the rank failed
+                    // and interruption-wakes every parked survivor.
+                    std::panic::panic_any(RankFailure);
                 }
             }
         }
     }
 
-    /// Per-universe fault state, owned by
-    /// [`WorldState`](crate::universe::WorldState). `None` when the
-    /// universe was launched without a plan.
-    pub struct WorldFaults {
-        inner: Option<Arc<Inner>>,
-    }
-
-    impl WorldFaults {
-        pub(crate) fn new(plan: &FaultPlan, size: usize) -> Self {
-            if plan.is_empty() {
-                return WorldFaults { inner: None };
+    fn deliver(&self, dest_world: Rank, env: Envelope, push: &mut dyn FnMut(Envelope)) {
+        let mut st = self.msg.lock();
+        let mut action = None;
+        for rs in st.rules.iter_mut() {
+            let r = &rs.rule;
+            if r.from == env.src_world && r.to == dest_world && r.tag.is_none_or(|t| t == env.tag) {
+                rs.seen += 1;
+                if rs.seen == r.nth {
+                    action = Some(r.action);
+                    break;
+                }
             }
-            let mut arms: Vec<Vec<CrashArm>> = (0..size).map(|_| Vec::new()).collect();
-            for &CrashSpec { rank, point, at } in &plan.crashes {
-                assert!(
-                    rank < size,
-                    "crash rank {rank} out of range for size {size}"
-                );
-                arms[rank].push(CrashArm {
-                    point,
-                    at,
-                    hits: AtomicU64::new(0),
-                    fired: AtomicBool::new(false),
+        }
+        st.delivered_to[dest_world] += 1;
+        let now = st.delivered_to[dest_world];
+        match action {
+            Some(MsgAction::Drop) => {
+                trace::instant(trace::cat::ULFM, "fault/drop", env.src_world as u64, now);
+            }
+            Some(MsgAction::Delay(by)) => {
+                trace::instant(trace::cat::ULFM, "fault/delay", env.src_world as u64, by);
+                st.delayed.push(DelayedMsg {
+                    dest_world,
+                    due: now + by,
+                    env,
                 });
             }
-            for r in &plan.rules {
-                assert!(
-                    r.from < size && r.to < size,
-                    "message rule ranks out of range for size {size}"
+            Some(MsgAction::Duplicate) => {
+                trace::instant(trace::cat::ULFM, "fault/dup", env.src_world as u64, now);
+                push(env.clone());
+                push(env);
+            }
+            Some(MsgAction::Truncate(keep)) => {
+                trace::instant(
+                    trace::cat::ULFM,
+                    "fault/truncate",
+                    env.src_world as u64,
+                    now,
                 );
+                let mut env = env;
+                env.truncate(keep);
+                push(env);
             }
-            ACTIVE_PLANS.fetch_add(1, Ordering::SeqCst);
-            WorldFaults {
-                inner: Some(Arc::new(Inner {
-                    arms,
-                    counters: (0..size).map(|_| AtomicU64::new(0)).collect(),
-                    msg: Mutex::new(MsgState {
-                        rules: plan
-                            .rules
-                            .iter()
-                            .map(|&rule| RuleState { rule, seen: 0 })
-                            .collect(),
-                        delivered_to: vec![0; size],
-                        delayed: Vec::new(),
-                    }),
-                })),
-            }
-        }
-    }
-
-    impl Drop for WorldFaults {
-        fn drop(&mut self) {
-            if self.inner.is_some() {
-                ACTIVE_PLANS.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-    }
-
-    thread_local! {
-        /// The rank thread's handle into its universe's fault state,
-        /// installed by [`register_rank_thread`] at spawn.
-        static CURRENT: RefCell<Option<(Arc<Inner>, Rank)>> = const { RefCell::new(None) };
-    }
-
-    /// Binds the calling rank thread to its universe's fault plan (a
-    /// no-op when the universe has none). Called from
-    /// `Universe::run_on` as each rank thread starts.
-    pub(crate) fn register_rank_thread(world: &WorldState, rank: Rank) {
-        if let Some(inner) = &world.faults.inner {
-            CURRENT.with(|c| *c.borrow_mut() = Some((Arc::clone(inner), rank)));
-        }
-    }
-
-    /// An injection point. One relaxed load when no plan is live
-    /// anywhere; otherwise counts the point against the calling rank's
-    /// crash arms and unwinds if one fires.
-    #[inline]
-    pub(crate) fn point(name: &'static str) {
-        if ACTIVE_PLANS.load(Ordering::Relaxed) == 0 || !ENABLED.load(Ordering::Relaxed) {
-            return;
-        }
-        point_slow(name);
-    }
-
-    fn point_slow(name: &'static str) {
-        let hit = CURRENT.with(|c| c.borrow().as_ref().map(|(i, r)| (Arc::clone(i), *r)));
-        if let Some((inner, rank)) = hit {
-            inner.hit(rank, name);
-        }
-    }
-
-    /// Message-delivery interception: applies any matching rule, then
-    /// hands the surviving envelope(s) to `push`. Inlines to a bare
-    /// `push(env)` when no plan is live.
-    #[inline]
-    pub(crate) fn deliver<F: FnMut(Envelope)>(
-        world: &WorldState,
-        dest_world: Rank,
-        env: Envelope,
-        mut push: F,
-    ) {
-        if ACTIVE_PLANS.load(Ordering::Relaxed) == 0 || !ENABLED.load(Ordering::Relaxed) {
-            push(env);
-            return;
-        }
-        match &world.faults.inner {
-            Some(inner) => inner.deliver(dest_world, env, &mut push),
             None => push(env),
         }
-    }
-}
-
-#[cfg(not(feature = "fault"))]
-mod imp {
-    use super::FaultPlan;
-    use crate::message::Envelope;
-    use crate::universe::WorldState;
-    use crate::Rank;
-
-    /// Per-universe fault state; a zero-sized no-op without the
-    /// `fault` feature.
-    pub struct WorldFaults;
-
-    // The zero-overhead contract: compiled out, the fault plane adds
-    // no state to the world and no code to the hot paths.
-    const _: () = assert!(std::mem::size_of::<WorldFaults>() == 0);
-
-    impl WorldFaults {
-        #[inline]
-        pub(crate) fn new(_plan: &FaultPlan, _size: usize) -> Self {
-            WorldFaults
+        // Release everything whose delay has elapsed for this
+        // destination, in stash order (deterministic).
+        let mut i = 0;
+        while i < st.delayed.len() {
+            if st.delayed[i].dest_world == dest_world && st.delayed[i].due <= now {
+                let d = st.delayed.remove(i);
+                push(d.env);
+            } else {
+                i += 1;
+            }
         }
     }
+}
 
-    /// No-op without the `fault` feature.
-    #[inline]
-    pub fn set_enabled(_on: bool) {}
+/// Per-universe fault state, owned by [`WorldState`]. `None` when the
+/// universe was launched without a plan.
+pub struct WorldFaults {
+    inner: Option<Arc<Inner>>,
+}
 
-    #[inline]
-    pub(crate) fn register_rank_thread(_world: &WorldState, _rank: Rank) {}
-
-    #[inline]
-    pub(crate) fn point(_name: &'static str) {}
-
-    #[inline]
-    pub(crate) fn deliver<F: FnMut(Envelope)>(
-        _world: &WorldState,
-        _dest_world: Rank,
-        env: Envelope,
-        mut push: F,
-    ) {
-        push(env);
+impl WorldFaults {
+    pub(crate) fn new(plan: &FaultPlan, size: usize) -> Self {
+        if plan.is_empty() {
+            return WorldFaults { inner: None };
+        }
+        let mut arms: Vec<Vec<CrashArm>> = (0..size).map(|_| Vec::new()).collect();
+        for &CrashSpec { rank, point, at } in &plan.crashes {
+            assert!(
+                rank < size,
+                "crash rank {rank} out of range for size {size}"
+            );
+            arms[rank].push(CrashArm {
+                point,
+                at,
+                hits: AtomicU64::new(0),
+                fired: AtomicBool::new(false),
+            });
+        }
+        for r in &plan.rules {
+            assert!(
+                r.from < size && r.to < size,
+                "message rule ranks out of range for size {size}"
+            );
+        }
+        ACTIVE_PLANS.fetch_add(1, Ordering::SeqCst);
+        WorldFaults {
+            inner: Some(Arc::new(Inner {
+                arms,
+                counters: (0..size).map(|_| AtomicU64::new(0)).collect(),
+                msg: Mutex::new(MsgState {
+                    rules: plan
+                        .rules
+                        .iter()
+                        .map(|&rule| RuleState { rule, seen: 0 })
+                        .collect(),
+                    delivered_to: vec![0; size],
+                    delayed: Vec::new(),
+                }),
+            })),
+        }
     }
 }
 
-pub(crate) use imp::{deliver, point, register_rank_thread};
-pub use imp::{set_enabled, WorldFaults};
+impl Drop for WorldFaults {
+    fn drop(&mut self) {
+        if self.inner.is_some() {
+            ACTIVE_PLANS.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
 
-#[cfg(all(test, feature = "fault"))]
+thread_local! {
+    /// The rank thread's handle into its universe's fault state,
+    /// installed by [`register_rank_thread`] at spawn.
+    static CURRENT: RefCell<Option<(Arc<Inner>, Rank)>> = const { RefCell::new(None) };
+}
+
+/// Binds the calling rank thread to its universe's fault plan (a
+/// no-op when the universe has none). Called from
+/// `Universe::run_on` as each rank thread starts.
+pub(crate) fn register_rank_thread(world: &WorldState, rank: Rank) {
+    if let Some(inner) = &world.faults.inner {
+        CURRENT.with(|c| *c.borrow_mut() = Some((Arc::clone(inner), rank)));
+    }
+}
+
+/// An injection point. One relaxed load when no plan is live
+/// anywhere; otherwise counts the point against the calling rank's
+/// crash arms and unwinds if one fires.
+#[inline]
+pub(crate) fn point(name: &'static str) {
+    if ACTIVE_PLANS.load(Ordering::Relaxed) == 0 || !ENABLED.load(Ordering::Relaxed) {
+        return;
+    }
+    point_slow(name);
+}
+
+#[inline(never)]
+fn point_slow(name: &'static str) {
+    let hit = CURRENT.with(|c| c.borrow().as_ref().map(|(i, r)| (Arc::clone(i), *r)));
+    if let Some((inner, rank)) = hit {
+        inner.hit(rank, name);
+    }
+}
+
+/// Message-delivery interception: applies any matching rule, then
+/// hands the surviving envelope(s) to `push`. Inlines to a bare
+/// `push(env)` when no plan is live.
+#[inline]
+pub(crate) fn deliver<F: FnMut(Envelope)>(
+    world: &WorldState,
+    dest_world: Rank,
+    env: Envelope,
+    mut push: F,
+) {
+    if ACTIVE_PLANS.load(Ordering::Relaxed) != 0 && ENABLED.load(Ordering::Relaxed) {
+        if let Some(inner) = &world.faults.inner {
+            return inner.deliver(dest_world, env, &mut push);
+        }
+    }
+    push(env);
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::universe::{Config, RankOutcome, Universe};

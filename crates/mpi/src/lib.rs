@@ -28,7 +28,7 @@
 //! - The ULFM operations (revoke / shrink / agree) that back the
 //!   fault-tolerance plugin, with the no-survivor-hangs design note in
 //!   [`ulfm`], and a deterministic **fault-injection plane** ([`fault`],
-//!   feature `fault`, default off and compiled to no-op ZSTs): seeded
+//!   inert until a plan is installed): seeded
 //!   [`FaultPlan`]s crash a rank at its k-th injection point — inside a
 //!   collective phase, a matching wait, or an agreement — or
 //!   drop/delay/duplicate matching messages, installed with
@@ -38,7 +38,8 @@
 //! - One run report: [`Universe::run_report`] returns each rank's
 //!   whole-run counters ([`RankStats`]: copy bill, matching-engine
 //!   diagnostics, call counts, tuning stats) and its final trace
-//!   ([`TraceData`], feature `trace`) in one [`RunReport`].
+//!   ([`TraceData`], recorded while [`trace::set_enabled`] is on) in
+//!   one [`RunReport`].
 //!
 //! ## Example
 //!

@@ -281,7 +281,6 @@ impl Parts {
 
     /// Keeps only the first `n` bytes (all of them when `n` is larger):
     /// the part that `n` falls inside is cut, the parts after it go.
-    #[cfg(any(test, feature = "fault"))]
     pub(crate) fn truncate(&mut self, n: usize) {
         if n <= self.head.len() {
             self.head = self.head.slice(..n);
@@ -400,7 +399,6 @@ impl Envelope {
 
     /// Keeps only the payload's first `n` bytes (a message cut short
     /// in flight): the part `n` falls inside is cut, later ones go.
-    #[cfg(any(test, feature = "fault"))]
     pub(crate) fn truncate(&mut self, n: usize) {
         let mut parts = Parts::joined(std::mem::take(&mut self.payload), self.more.take());
         parts.truncate(n);

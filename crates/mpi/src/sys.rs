@@ -4,8 +4,8 @@
 //! (threads) heavily oversubscribe the host cores, so the park-path
 //! tests and the `floors` run measure spinning with it. On Linux this
 //! reads `CLOCK_THREAD_CPUTIME_ID` directly; other platforms fall back
-//! to a monotonic wall clock. With the `trace` feature on x86_64,
-//! `rdtsc` is the trace rings' raw timestamp.
+//! to a monotonic wall clock. On x86_64, `rdtsc` is the trace rings'
+//! raw timestamp.
 
 #[cfg(target_os = "linux")]
 mod imp {
@@ -54,7 +54,7 @@ pub use imp::thread_cpu_ns;
 
 /// The CPU's time-stamp counter: a few ns per read, invariant and
 /// core-synchronized on every CPU this substrate targets.
-#[cfg(all(feature = "trace", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[inline]
 pub(crate) fn rdtsc() -> u64 {
     // SAFETY: `rdtsc` is baseline x86_64.

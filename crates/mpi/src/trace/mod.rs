@@ -1,12 +1,13 @@
-//! Zero-overhead tracing: per-rank event rings, latency histograms,
-//! and Chrome/Perfetto trace export.
+//! Near-zero-overhead tracing: per-rank event rings, latency
+//! histograms, and Chrome/Perfetto trace export.
 //!
 //! The paper's discipline applies to the observability layer itself:
-//! instrumentation must be **strictly zero-cost when compiled out** and
-//! *provably near zero-overhead when enabled* (the `trace` probe of the
-//! `floors` bench holds the recorder's on-vs-off thread-CPU time within
-//! 10% on its exchange workloads). The design choices below all serve
-//! that budget.
+//! the recorder is compiled into every build and starts switched off,
+//! so it must be *nearly free when off* and *provably near
+//! zero-overhead when on* (the `trace` probe of the `floors` bench
+//! holds the recorder's on-vs-off thread-CPU time within 10% on its
+//! exchange workloads). The design choices below all serve that
+//! budget.
 //!
 //! # Architecture
 //!
@@ -43,18 +44,23 @@
 //!   `Instant::now()` directly. Conversion is monotone, so event
 //!   ordering and span nesting survive it.
 //!
-//! # The zero-overhead argument
+//! # The cost when off
 //!
-//! With the `trace` feature **off**, [`span`]/[`instant`] are empty
-//! `#[inline]` functions, [`SpanGuard`] is a zero-sized type with no
-//! `Drop` impl (compile-time asserted), and no thread-local state
-//! exists: call sites compile to nothing. With the feature **on** but
-//! tracing [`set_enabled`]`(false)`, every entry point bails after one
-//! relaxed atomic load. Enabled, a span costs two timestamps, one ring
-//! write and one histogram add (~25 ns); an instant costs one of each.
-//! The `trace` probe of `kmp_bench`'s `floors` binary measures the
-//! end-to-end effect, recorder on against off in one run, and bounds
-//! it at 10 % of summed CPU.
+//! The recorder starts off; [`set_enabled`]`(true)` switches it on for
+//! the whole process. Off, every entry point — [`span`], [`instant`],
+//! the async pairs, [`next_async_id`] — bails after one relaxed load of
+//! the switch, and a rank thread that recorded nothing hands its
+//! universe an empty, unallocated [`RankTrace`]. On, a span costs two
+//! timestamps, one ring write and one histogram add (~25 ns); an
+//! instant costs one of each. The `trace` probe of `kmp_bench`'s
+//! `floors` binary measures the end-to-end effect, recorder on against
+//! off in one run, and bounds it at 10 % of summed CPU. Compiled in
+//! with the fault plane and switched off, the recorder moved no
+//! end-to-end metric of the repository benchmark past its bound in
+//! alternating runs against a build without either (2-core x86_64
+//! host); the largest median shift, ±4 % on `graph_frontier`'s
+//! `ops_per_s` depending on the batch, lies inside the spread between
+//! the quartiles of the build without them.
 //!
 //! # What is recorded
 //!
@@ -64,7 +70,7 @@
 //! | `coll` | one span per collective, named `op/algorithm-actually-selected` (e.g. `allreduce/rabenseifner`) from [`CollTuning`](crate::CollTuning) |
 //! | `match` | `umq_enqueue` (unexpected message indexed; carries the per-shard arrival seq + queue depth), `umq_match` (unexpected-queue hit), `targeted_wakeup` (envelope handed straight to a posted receiver) |
 //! | `completion` | `park_any`/`park_session`/`park_sync_send` spans, `claim` / `missed_completion` / `spurious_wakeup` instants |
-//! | `ulfm` | `epoch_bump` (mailbox interrupt, the one interrupt of every park), `ulfm/detect` (failure mark), `ulfm/agree` / `ulfm/shrink` spans, and — with the `fault` feature — `fault/crash` / `fault/drop` / `fault/delay` / `fault/dup` injection instants, so a chaos run's timeline shows the crash and every survivor's wakeup |
+//! | `ulfm` | `epoch_bump` (mailbox interrupt, the one interrupt of every park), `ulfm/detect` (failure mark), `ulfm/agree` / `ulfm/shrink` spans, and — under a [`FaultPlan`](crate::FaultPlan) — `fault/crash` / `fault/drop` / `fault/delay` / `fault/dup` / `fault/truncate` injection instants, so a chaos run's timeline shows the crash and every survivor's wakeup |
 //! | `user` | spans opened through the binding layer (`kamping::trace_span`) |
 //! | `async_op` | Chrome async `"b"`/`"e"` pairs spanning each non-blocking request's initiate→complete lifetime (`isend`, `issend`, `irecv`, and `icoll` for every engine-backed request, `ibarrier` included) |
 //! | `persist` | async `"b"`/`"e"` pairs spanning each persistent `start`→completion cycle |
@@ -77,8 +83,9 @@
 //! # Using it
 //!
 //! ```no_run
-//! use kmp_mpi::{Config, Universe};
+//! use kmp_mpi::{trace, Config, Universe};
 //!
+//! trace::set_enabled(true);
 //! let (out, report) = Universe::run_report(Config::new(8), |comm| comm.barrier());
 //! println!("{}", report.trace.report()); // text profile
 //! std::fs::write("trace.json", report.trace.to_chrome_json())?; // open in ui.perfetto.dev
@@ -88,14 +95,16 @@
 //! [`Universe`]: crate::Universe
 //! [`Comm::deliver_bytes`]: crate::Comm
 
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::time::Instant;
+
 mod hist;
 
 pub mod export;
 
 pub use hist::{LatencyHist, HIST_BUCKETS};
-
-/// True if the `trace` feature was compiled in.
-pub const COMPILED: bool = cfg!(feature = "trace");
 
 /// Event categories. The first [`cat::N_SPAN`] are span categories and
 /// own a latency histogram in [`TraceStats`]; the rest only appear as
@@ -187,9 +196,9 @@ pub struct Event {
     pub id: u64,
 }
 
-/// Aggregated per-rank trace statistics. Always present (zeroed when
-/// the `trace` feature is off) so a [`RunReport`](crate::RunReport) has
-/// one shape in every build.
+/// Aggregated per-rank trace statistics. Always present (zeroed for a
+/// rank that recorded nothing) so a [`RunReport`](crate::RunReport)
+/// has one shape whether the recorder was on or off.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// Total events recorded (including any overwritten in the ring).
@@ -243,13 +252,16 @@ impl TraceData {
     }
 
     /// Text profile: per-rank event counts plus per-category latency
-    /// quantiles and the unexpected-queue depth gauge. Degrades to a
-    /// pointer at the `trace` feature when compiled out.
+    /// quantiles and the unexpected-queue depth gauge. Starts with a
+    /// pointer at [`set_enabled`] when no rank recorded anything.
     pub fn report(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
-        if !COMPILED {
-            s.push_str("trace: feature disabled — rebuild with `--features trace` for a profile\n");
+        if self.ranks.iter().all(|r| r.stats.events == 0) {
+            s.push_str(
+                "trace: recorder off — call `kmp_mpi::trace::set_enabled(true)` \
+                 before the run for a profile\n",
+            );
         }
         for (rank, rt) in self.ranks.iter().enumerate() {
             let st = &rt.stats;
@@ -305,414 +317,378 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-#[cfg(feature = "trace")]
-mod imp {
-    use std::cell::RefCell;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::OnceLock;
-    use std::time::Instant;
+/// The recorder's switch; off until [`set_enabled`] turns it on.
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static RING_CAP: AtomicUsize = AtomicUsize::new(1 << 16);
 
-    use super::{cat, Event, LatencyHist, RankTrace, TraceStats};
+/// Raw-timestamp calibration: one `(Instant, raw)` pair taken at the
+/// first recorded event; the raw→ns scale is fixed when the first
+/// thread that recorded anything is collected, over the longest window
+/// available.
+struct Calib {
+    t0: Instant,
+    raw0: u64,
+}
+static CALIB: OnceLock<Calib> = OnceLock::new();
+/// `f64::to_bits` of ns-per-raw-tick, fixed at the first collection
+/// of a non-empty trace so all ranks convert consistently.
+static SCALE: OnceLock<u64> = OnceLock::new();
 
-    static ENABLED: AtomicBool = AtomicBool::new(true);
-    static RING_CAP: AtomicUsize = AtomicUsize::new(1 << 16);
+fn calib() -> &'static Calib {
+    CALIB.get_or_init(|| Calib {
+        t0: Instant::now(),
+        raw0: raw_clock(),
+    })
+}
 
-    /// Raw-timestamp calibration: one `(Instant, raw)` pair taken at
-    /// first use; the raw→ns scale is fixed at first conversion, over
-    /// the longest window available.
-    struct Calib {
-        t0: Instant,
-        raw0: u64,
+/// The raw tick source: `rdtsc` on x86_64 (invariant and
+/// core-synchronized on targeted CPUs), monotonic `Instant`
+/// elsewhere.
+#[inline]
+fn raw_clock() -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        crate::sys::rdtsc()
     }
-    static CALIB: OnceLock<Calib> = OnceLock::new();
-    /// `f64::to_bits` of ns-per-raw-tick, fixed at first collection so
-    /// all ranks convert consistently.
-    static SCALE: OnceLock<u64> = OnceLock::new();
-
-    fn calib() -> &'static Calib {
-        CALIB.get_or_init(|| Calib {
-            t0: Instant::now(),
-            raw0: raw_clock(),
-        })
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        CALIB
+            .get()
+            .map(|c| c.t0.elapsed().as_nanos() as u64)
+            .unwrap_or(0)
     }
+}
 
-    /// The raw tick source: `rdtsc` on x86_64 (invariant and
-    /// core-synchronized on targeted CPUs), monotonic `Instant`
-    /// elsewhere.
-    #[inline]
-    fn raw_clock() -> u64 {
-        #[cfg(target_arch = "x86_64")]
-        {
-            crate::sys::rdtsc()
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            CALIB
-                .get()
-                .map(|c| c.t0.elapsed().as_nanos() as u64)
-                .unwrap_or(0)
-        }
-    }
+#[inline]
+fn raw_now() -> u64 {
+    let c = calib();
+    raw_clock().wrapping_sub(c.raw0)
+}
 
-    #[inline]
-    fn raw_now() -> u64 {
+/// ns per raw tick, calibrated once over the elapsed run.
+fn ns_per_raw() -> f64 {
+    let bits = *SCALE.get_or_init(|| {
         let c = calib();
-        raw_clock().wrapping_sub(c.raw0)
-    }
+        let dr = raw_clock().wrapping_sub(c.raw0);
+        let dt = c.t0.elapsed().as_nanos() as u64;
+        let scale = if dr == 0 { 1.0 } else { dt as f64 / dr as f64 };
+        scale.to_bits()
+    });
+    f64::from_bits(bits)
+}
 
-    /// ns per raw tick, calibrated once over the elapsed run.
-    fn ns_per_raw() -> f64 {
-        let bits = *SCALE.get_or_init(|| {
-            let c = calib();
-            let dr = raw_clock().wrapping_sub(c.raw0);
-            let dt = c.t0.elapsed().as_nanos() as u64;
-            let scale = if dr == 0 { 1.0 } else { dt as f64 / dr as f64 };
-            scale.to_bits()
-        });
-        f64::from_bits(bits)
-    }
+struct ThreadTrace {
+    buf: Vec<Event>,
+    /// Oldest entry once the ring has wrapped (0 before).
+    head: usize,
+    cap: usize,
+    dropped: u64,
+    events: u64,
+    /// Span durations in raw ticks (converted at collection).
+    spans: [LatencyHist; cat::N_SPAN],
+    queue_depth: LatencyHist,
+}
 
-    struct ThreadTrace {
-        buf: Vec<Event>,
-        /// Oldest entry once the ring has wrapped (0 before).
-        head: usize,
-        cap: usize,
-        dropped: u64,
-        events: u64,
-        /// Span durations in raw ticks (converted at collection).
-        spans: [LatencyHist; cat::N_SPAN],
-        queue_depth: LatencyHist,
-    }
-
-    impl ThreadTrace {
-        fn new() -> Self {
-            ThreadTrace {
-                buf: Vec::new(),
-                head: 0,
-                cap: RING_CAP.load(Ordering::Relaxed),
-                dropped: 0,
-                events: 0,
-                spans: Default::default(),
-                queue_depth: LatencyHist::default(),
-            }
-        }
-
-        #[inline]
-        fn record(&mut self, e: Event) {
-            self.events += 1;
-            if self.buf.len() < self.cap {
-                self.buf.push(e);
-            } else if self.cap > 0 {
-                self.buf[self.head] = e;
-                self.head += 1;
-                if self.head == self.cap {
-                    self.head = 0;
-                }
-                self.dropped += 1;
-            } else {
-                self.dropped += 1;
-            }
-        }
-
-        /// Copies the ring (oldest first) and aggregates out of the
-        /// thread, converting raw ticks to wall nanoseconds.
-        fn to_rank_trace(&self) -> RankTrace {
-            let scale = ns_per_raw();
-            let to_ns = |ticks: u64| (ticks as f64 * scale) as u64;
-            let n = self.buf.len();
-            let mut events = Vec::with_capacity(n);
-            for i in 0..n {
-                let e = self.buf[(self.head + i) % n];
-                let start = to_ns(e.ts_ns);
-                // Convert the *end* point, not the duration: monotone
-                // conversion of both endpoints preserves span nesting
-                // exactly through rounding.
-                let end = to_ns(e.ts_ns + e.dur_ns);
-                events.push(Event {
-                    ts_ns: start,
-                    dur_ns: end - start,
-                    ..e
-                });
-            }
-            let mut spans: [LatencyHist; cat::N_SPAN] = Default::default();
-            for (out, h) in spans.iter_mut().zip(&self.spans) {
-                *out = hist_ticks_to_ns(h, scale);
-            }
-            RankTrace {
-                events,
-                stats: TraceStats {
-                    events: self.events,
-                    dropped: self.dropped,
-                    spans,
-                    queue_depth: self.queue_depth,
-                },
-            }
+impl ThreadTrace {
+    fn new() -> Self {
+        ThreadTrace {
+            buf: Vec::new(),
+            head: 0,
+            cap: RING_CAP.load(Ordering::Relaxed),
+            dropped: 0,
+            events: 0,
+            spans: Default::default(),
+            queue_depth: LatencyHist::default(),
         }
     }
 
-    thread_local! {
-        static TT: RefCell<ThreadTrace> = RefCell::new(ThreadTrace::new());
-    }
-
-    /// True if tracing is compiled in *and* runtime-enabled.
     #[inline]
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// Runtime toggle (process-wide). With tracing compiled in but
-    /// disabled, every entry point bails after this one relaxed load —
-    /// the baseline of the `trace` probe of the `floors` bench.
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::Relaxed);
-    }
-
-    /// Sets the ring capacity (events per rank) used by rings created
-    /// *after* the call — set it before `Universe::run`. Aggregate
-    /// statistics are unaffected; only the event window shrinks/grows.
-    pub fn set_ring_capacity(cap: usize) {
-        RING_CAP.store(cap, Ordering::Relaxed);
-    }
-
-    /// An open span; records one complete event (start + duration) and
-    /// a histogram sample when dropped.
-    #[must_use]
-    pub struct SpanGuard {
-        start: u64,
-        a: u64,
-        b: u64,
-        name: &'static str,
-        cat: u8,
-        armed: bool,
-    }
-
-    /// Opens a span in category `c` (< [`cat::N_SPAN`]).
-    #[inline]
-    pub fn span(c: u8, name: &'static str, a: u64, b: u64) -> SpanGuard {
-        if !enabled() {
-            return SpanGuard {
-                start: 0,
-                a: 0,
-                b: 0,
-                name: "",
-                cat: c,
-                armed: false,
-            };
-        }
-        SpanGuard {
-            start: raw_now(),
-            a,
-            b,
-            name,
-            cat: c,
-            armed: true,
-        }
-    }
-
-    impl Drop for SpanGuard {
-        #[inline]
-        fn drop(&mut self) {
-            if !self.armed {
-                return;
+    fn record(&mut self, e: Event) {
+        self.events += 1;
+        if self.buf.len() < self.cap {
+            self.buf.push(e);
+        } else if self.cap > 0 {
+            self.buf[self.head] = e;
+            self.head += 1;
+            if self.head == self.cap {
+                self.head = 0;
             }
-            let dur = raw_now().saturating_sub(self.start);
-            TT.with(|t| {
-                let mut t = t.borrow_mut();
-                t.spans[self.cat as usize].record(dur);
-                t.record(Event {
-                    ts_ns: self.start,
-                    dur_ns: dur,
-                    cat: self.cat,
-                    name: self.name,
-                    a: self.a,
-                    b: self.b,
-                    ph: super::ph::CLASSIC,
-                    id: 0,
-                });
+            self.dropped += 1;
+        } else {
+            self.dropped += 1;
+        }
+    }
+
+    /// Copies the ring (oldest first) and aggregates out of the
+    /// thread, converting raw ticks to wall nanoseconds. A thread that
+    /// recorded nothing leaves the scale unfixed: calibrated now, it
+    /// would span only the moments since the first event anywhere.
+    fn to_rank_trace(&self) -> RankTrace {
+        if self.events == 0 {
+            return RankTrace::default();
+        }
+        let scale = ns_per_raw();
+        let to_ns = |ticks: u64| (ticks as f64 * scale) as u64;
+        let n = self.buf.len();
+        let mut events = Vec::with_capacity(n);
+        for i in 0..n {
+            let e = self.buf[(self.head + i) % n];
+            let start = to_ns(e.ts_ns);
+            // Convert the *end* point, not the duration: monotone
+            // conversion of both endpoints preserves span nesting
+            // exactly through rounding.
+            let end = to_ns(e.ts_ns + e.dur_ns);
+            events.push(Event {
+                ts_ns: start,
+                dur_ns: end - start,
+                ..e
             });
         }
-    }
-
-    /// Records an instant event.
-    #[inline]
-    pub fn instant(c: u8, name: &'static str, a: u64, b: u64) {
-        if !enabled() {
-            return;
+        let mut spans: [LatencyHist; cat::N_SPAN] = Default::default();
+        for (out, h) in spans.iter_mut().zip(&self.spans) {
+            *out = hist_ticks_to_ns(h, scale);
         }
-        let now = raw_now();
-        TT.with(|t| {
-            t.borrow_mut().record(Event {
-                ts_ns: now,
-                dur_ns: 0,
-                cat: c,
-                name,
-                a,
-                b,
-                ph: super::ph::CLASSIC,
-                id: 0,
-            })
-        });
-    }
-
-    /// Process-unique id correlating one async begin/end pair.
-    pub fn next_async_id() -> u64 {
-        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Records the initiation of an async operation (Chrome `"ph":"b"`).
-    /// The matching [`async_end`] with the same `(category, id)` closes
-    /// the span — possibly much later, from a different stack frame.
-    #[inline]
-    pub fn async_begin(c: u8, name: &'static str, id: u64) {
-        async_event(c, name, id, super::ph::ASYNC_BEGIN);
-    }
-
-    /// Records the completion of an async operation (Chrome `"ph":"e"`).
-    #[inline]
-    pub fn async_end(c: u8, name: &'static str, id: u64) {
-        async_event(c, name, id, super::ph::ASYNC_END);
-    }
-
-    #[inline]
-    fn async_event(c: u8, name: &'static str, id: u64, phase: u8) {
-        if !enabled() {
-            return;
+        RankTrace {
+            events,
+            stats: TraceStats {
+                events: self.events,
+                dropped: self.dropped,
+                spans,
+                queue_depth: self.queue_depth,
+            },
         }
-        let now = raw_now();
-        TT.with(|t| {
-            t.borrow_mut().record(Event {
-                ts_ns: now,
-                dur_ns: 0,
-                cat: c,
-                name,
-                a: 0,
-                b: 0,
-                ph: phase,
-                id,
-            })
-        });
     }
+}
 
-    /// Matching-engine hook: one unexpected enqueue = one instant plus
-    /// one depth-gauge sample, in a single thread-local access.
+thread_local! {
+    static TT: RefCell<ThreadTrace> = RefCell::new(ThreadTrace::new());
+}
+
+/// True while the recorder is switched on.
+#[inline]
+pub fn enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
+}
+
+/// Switches the recorder on or off, process-wide; it starts off. Off,
+/// every entry point bails after one relaxed load of this switch — the
+/// baseline of the `trace` probe of the `floors` bench. Switch it on
+/// before `Universe::run` to record the whole run.
+pub fn set_enabled(on: bool) {
+    ENABLED.store(on, Ordering::Relaxed);
+}
+
+/// Sets the ring capacity (events per rank) used by rings created
+/// *after* the call — set it before `Universe::run`. Aggregate
+/// statistics are unaffected; only the event window shrinks/grows.
+pub fn set_ring_capacity(cap: usize) {
+    RING_CAP.store(cap, Ordering::Relaxed);
+}
+
+/// An open span; records one complete event (start + duration) and
+/// a histogram sample when dropped.
+#[must_use]
+pub struct SpanGuard {
+    start: u64,
+    a: u64,
+    b: u64,
+    name: &'static str,
+    cat: u8,
+    armed: bool,
+}
+
+/// Opens a span in category `c` (< [`cat::N_SPAN`]).
+#[inline]
+pub fn span(c: u8, name: &'static str, a: u64, b: u64) -> SpanGuard {
+    if !enabled() {
+        return SpanGuard {
+            start: 0,
+            a: 0,
+            b: 0,
+            name: "",
+            cat: c,
+            armed: false,
+        };
+    }
+    SpanGuard {
+        start: raw_now(),
+        a,
+        b,
+        name,
+        cat: c,
+        armed: true,
+    }
+}
+
+impl Drop for SpanGuard {
     #[inline]
-    pub fn umq_enqueue(seq: u64, depth: u64) {
-        if !enabled() {
-            return;
+    fn drop(&mut self) {
+        if self.armed {
+            self.finish();
         }
-        let now = raw_now();
+    }
+}
+
+impl SpanGuard {
+    /// The recording half of `drop`, out of line like [`record_now`].
+    #[inline(never)]
+    fn finish(&self) {
+        let dur = raw_now().saturating_sub(self.start);
         TT.with(|t| {
             let mut t = t.borrow_mut();
-            t.queue_depth.record(depth);
+            t.spans[self.cat as usize].record(dur);
             t.record(Event {
-                ts_ns: now,
-                dur_ns: 0,
-                cat: cat::MATCH,
-                name: "umq_enqueue",
-                a: seq,
-                b: depth,
-                ph: super::ph::CLASSIC,
+                ts_ns: self.start,
+                dur_ns: dur,
+                cat: self.cat,
+                name: self.name,
+                a: self.a,
+                b: self.b,
+                ph: ph::CLASSIC,
                 id: 0,
             });
         });
     }
+}
 
-    /// Takes (and resets) the calling thread's trace, converting raw
-    /// ticks to wall nanoseconds. Called by the universe as each rank
-    /// thread exits.
-    pub fn take_thread() -> RankTrace {
-        let raw = TT.with(|t| std::mem::replace(&mut *t.borrow_mut(), ThreadTrace::new()));
-        raw.to_rank_trace()
+/// Records an instant event.
+#[inline]
+pub fn instant(c: u8, name: &'static str, a: u64, b: u64) {
+    if enabled() {
+        record_now(c, name, a, b, ph::CLASSIC, 0);
     }
+}
 
-    /// Rescales a tick-valued histogram to nanoseconds by re-recording
-    /// each bucket at its representative value (1.5·2^k ticks). The 2x
-    /// bucket resolution absorbs the approximation.
-    fn hist_ticks_to_ns(h: &LatencyHist, scale: f64) -> LatencyHist {
-        let mut out = LatencyHist::default();
-        for (k, &c) in h.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let rep_ticks = if k == 0 { 1u64 } else { 3u64 << (k - 1) };
-            out.record_n(((rep_ticks as f64 * scale) as u64).max(1), c);
+/// Records one event stamped now. Out of line: an entry point inlines
+/// only its switch check, so while the recorder is off a call site
+/// costs one load and one branch.
+#[inline(never)]
+fn record_now(cat: u8, name: &'static str, a: u64, b: u64, ph: u8, id: u64) {
+    let ts_ns = raw_now();
+    TT.with(|t| {
+        t.borrow_mut().record(Event {
+            ts_ns,
+            dur_ns: 0,
+            cat,
+            name,
+            a,
+            b,
+            ph,
+            id,
+        })
+    });
+}
+
+/// Process-unique id correlating one async begin/end pair; 0 while
+/// the recorder is off, since only recorded events read it.
+#[inline]
+pub fn next_async_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    if !enabled() {
+        return 0;
+    }
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Records the initiation of an async operation (Chrome `"ph":"b"`).
+/// The matching [`async_end`] with the same `(category, id)` closes
+/// the span — possibly much later, from a different stack frame.
+#[inline]
+pub fn async_begin(c: u8, name: &'static str, id: u64) {
+    async_event(c, name, id, ph::ASYNC_BEGIN);
+}
+
+/// Records the completion of an async operation (Chrome `"ph":"e"`).
+#[inline]
+pub fn async_end(c: u8, name: &'static str, id: u64) {
+    async_event(c, name, id, ph::ASYNC_END);
+}
+
+#[inline]
+fn async_event(c: u8, name: &'static str, id: u64, phase: u8) {
+    if enabled() {
+        record_now(c, name, 0, 0, phase, id);
+    }
+}
+
+/// Matching-engine hook: one unexpected enqueue = one instant plus
+/// one depth-gauge sample, in a single thread-local access.
+#[inline]
+pub fn umq_enqueue(seq: u64, depth: u64) {
+    if enabled() {
+        umq_enqueue_now(seq, depth);
+    }
+}
+
+/// The recording half of [`umq_enqueue`], out of line like
+/// [`record_now`].
+#[inline(never)]
+fn umq_enqueue_now(seq: u64, depth: u64) {
+    let now = raw_now();
+    TT.with(|t| {
+        let mut t = t.borrow_mut();
+        t.queue_depth.record(depth);
+        t.record(Event {
+            ts_ns: now,
+            dur_ns: 0,
+            cat: cat::MATCH,
+            name: "umq_enqueue",
+            a: seq,
+            b: depth,
+            ph: ph::CLASSIC,
+            id: 0,
+        });
+    });
+}
+
+/// Takes (and resets) the calling thread's trace, converting raw
+/// ticks to wall nanoseconds. Called by the universe as each rank
+/// thread exits.
+pub fn take_thread() -> RankTrace {
+    let raw = TT.with(|t| std::mem::replace(&mut *t.borrow_mut(), ThreadTrace::new()));
+    raw.to_rank_trace()
+}
+
+/// Rescales a tick-valued histogram to nanoseconds by re-recording
+/// each bucket at its representative value (1.5·2^k ticks). The 2x
+/// bucket resolution absorbs the approximation.
+fn hist_ticks_to_ns(h: &LatencyHist, scale: f64) -> LatencyHist {
+    let mut out = LatencyHist::default();
+    for (k, &c) in h.buckets.iter().enumerate() {
+        if c == 0 {
+            continue;
         }
-        out.count = h.count;
-        out.total = (h.total as f64 * scale) as u64;
-        out
+        let rep_ticks = if k == 0 { 1u64 } else { 3u64 << (k - 1) };
+        out.record_n(((rep_ticks as f64 * scale) as u64).max(1), c);
     }
+    out.count = h.count;
+    out.total = (h.total as f64 * scale) as u64;
+    out
 }
-
-#[cfg(not(feature = "trace"))]
-mod imp {
-    use super::RankTrace;
-
-    /// An open span. With the `trace` feature off this is a zero-sized
-    /// type with no `Drop` impl: spans compile to nothing.
-    #[must_use]
-    pub struct SpanGuard;
-
-    // Compile-time proof of the disabled path's zero cost.
-    const _: () = assert!(std::mem::size_of::<SpanGuard>() == 0);
-
-    /// Always false without the `trace` feature.
-    #[inline]
-    pub fn enabled() -> bool {
-        false
-    }
-
-    /// No-op without the `trace` feature.
-    #[inline]
-    pub fn set_enabled(_on: bool) {}
-
-    /// No-op without the `trace` feature.
-    #[inline]
-    pub fn set_ring_capacity(_cap: usize) {}
-
-    /// No-op without the `trace` feature.
-    #[inline]
-    pub fn span(_c: u8, _name: &'static str, _a: u64, _b: u64) -> SpanGuard {
-        SpanGuard
-    }
-
-    /// No-op without the `trace` feature.
-    #[inline]
-    pub fn instant(_c: u8, _name: &'static str, _a: u64, _b: u64) {}
-
-    /// No-op without the `trace` feature.
-    #[inline]
-    pub fn umq_enqueue(_seq: u64, _depth: u64) {}
-
-    /// Always 0 without the `trace` feature (ids are only consumed by
-    /// the recording paths, which are compiled out).
-    #[inline]
-    pub fn next_async_id() -> u64 {
-        0
-    }
-
-    /// No-op without the `trace` feature.
-    #[inline]
-    pub fn async_begin(_c: u8, _name: &'static str, _id: u64) {}
-
-    /// No-op without the `trace` feature.
-    #[inline]
-    pub fn async_end(_c: u8, _name: &'static str, _id: u64) {}
-
-    /// Returns an empty (allocation-free) trace.
-    pub fn take_thread() -> RankTrace {
-        RankTrace::default()
-    }
-}
-
-pub use imp::{
-    async_begin, async_end, enabled, instant, next_async_id, set_enabled, set_ring_capacity, span,
-    take_thread, umq_enqueue, SpanGuard,
-};
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Holds the recorder on for one test. The switch is process-wide:
+    /// every test that turns it on holds this one lock, and the guard
+    /// switches the recorder off again before releasing it.
+    pub(crate) struct Recording {
+        _held: std::sync::MutexGuard<'static, ()>,
+    }
+
+    pub(crate) fn recording() -> Recording {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let held = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_enabled(true);
+        Recording { _held: held }
+    }
+
+    impl Drop for Recording {
+        fn drop(&mut self) {
+            set_enabled(false);
+        }
+    }
 
     #[test]
     fn stats_merge_folds_everything() {
@@ -743,14 +719,12 @@ mod tests {
         let report = data.report();
         assert!(report.contains("rank 0"));
         assert!(report.contains("rank 1"));
-        if !COMPILED {
-            assert!(report.contains("feature disabled"));
-        }
+        assert!(report.contains("trace::set_enabled(true)"), "{report}");
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn thread_records_spans_instants_and_drops() {
+        let _on = recording();
         // Fresh thread: thread-local state isolates this test from
         // anything else in the process.
         std::thread::spawn(|| {
@@ -779,9 +753,9 @@ mod tests {
         .unwrap();
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
+        let _on = recording();
         std::thread::spawn(|| {
             set_ring_capacity(4);
             for i in 0..10u64 {
@@ -801,12 +775,12 @@ mod tests {
     }
 
     /// Per-event cost calibration (not an assertion — run with
-    /// `cargo test --release --features trace -- --ignored --nocapture
+    /// `cargo test --release -p kmp_mpi -- --ignored --nocapture
     /// calibrate` to see what a span/instant costs on this host).
-    #[cfg(feature = "trace")]
     #[test]
     #[ignore = "prints timings; run explicitly with --ignored --nocapture"]
     fn calibrate_event_costs() {
+        let _on = recording();
         std::thread::spawn(|| {
             let n = 1_000_000u64;
             let t0 = std::time::Instant::now();
@@ -828,7 +802,6 @@ mod tests {
                 instant(cat::MATCH, "calib", i, 0);
             }
             let per_disabled_pair = t0.elapsed().as_nanos() as f64 / n as f64;
-            set_enabled(true);
             println!(
                 "instant: {per_instant:.1} ns, span: {per_span:.1} ns, \
                  disabled span+instant: {per_disabled_pair:.1} ns"
@@ -838,9 +811,9 @@ mod tests {
         .unwrap();
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn timestamps_are_monotone_within_a_thread() {
+        let _on = recording();
         std::thread::spawn(|| {
             for i in 0..100u64 {
                 instant(cat::MATCH, "tick", i, 0);

@@ -94,8 +94,8 @@
 //!
 //! # Crash-testing this argument
 //!
-//! The `fault` feature (see [`crate::fault`]) compiles injection points
-//! into the paths above — `mailbox/push`, `mailbox/match`,
+//! The fault plane (see [`crate::fault`]) threads injection points
+//! through the paths above — `mailbox/push`, `mailbox/match`,
 //! `completion/register`, `completion/park`, `completion/claim`,
 //! `coll/phase`, `persistent/start`, `partitioned/pready`,
 //! `topology/build`, `ulfm/contribute` — so a deterministic

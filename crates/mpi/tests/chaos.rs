@@ -31,8 +31,6 @@
 //! topology constructors allocate fresh contexts through rank 0, and
 //! its mid-constructor death is exercised by the named-point tests.
 
-#![cfg(feature = "fault")]
-
 use kmp_mpi::{
     op, Comm, Config, FaultPlan, MpiError, NeighborhoodColl, RankOutcome, RequestSet, Universe,
 };

@@ -1,8 +1,7 @@
-//! End-to-end coverage for the tracing subsystem in both build
-//! configurations: with `--features trace` a full universe run records
-//! spans on every rank and exports a schema-valid Chrome trace; without
-//! the feature the whole surface stays callable, allocation-free, and
-//! degrades gracefully.
+//! End-to-end coverage for the tracing subsystem: with the recorder off
+//! (how every process starts) a run records nothing, allocates no ring
+//! and says how to switch it on; switched on, a full universe run
+//! records spans on every rank and exports a schema-valid Chrome trace.
 
 use kmp_mpi::{trace, Config, RequestSet, Universe};
 
@@ -48,26 +47,40 @@ fn assert_completed<R>(outcomes: &[kmp_mpi::RankOutcome<R>]) {
     }
 }
 
-/// The runtime enable flag is process-global and one test below toggles
-/// it; every `trace`-enabled test holds this lock so the phases cannot
-/// interleave.
-#[cfg(feature = "trace")]
-static TRACE_TOGGLE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// The recorder's switch is process-wide: every test here holds this
+/// one lock, and [`Recording`] switches the recorder off again before
+/// releasing it.
+static SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// With tracing compiled out, every entry point must stay callable and
-/// free: the span guard is a ZST, runs collect no events, allocate no
-/// ring storage, and the report says why instead of failing.
-#[cfg(not(feature = "trace"))]
-#[test]
-fn disabled_build_records_nothing_and_degrades_gracefully() {
-    const {
-        assert!(!trace::COMPILED);
-        assert!(std::mem::size_of::<trace::SpanGuard>() == 0);
-    }
-    // The toggle is accepted and ignored.
+fn hold_switch() -> std::sync::MutexGuard<'static, ()> {
+    SWITCH.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The recorder switched on, for as long as the guard lives.
+struct Recording {
+    _held: std::sync::MutexGuard<'static, ()>,
+}
+
+fn recording() -> Recording {
+    let held = hold_switch();
     trace::set_enabled(true);
-    assert!(!trace::enabled());
-    trace::set_ring_capacity(8);
+    Recording { _held: held }
+}
+
+impl Drop for Recording {
+    fn drop(&mut self) {
+        trace::set_enabled(false);
+    }
+}
+
+/// With the recorder at its default (off), every entry point stays
+/// callable and free: runs collect no events, allocate no ring storage,
+/// keep every rank's counters, and the report says how to switch the
+/// recorder on instead of failing.
+#[test]
+fn recorder_off_records_nothing_and_says_how_to_switch_it_on() {
+    let _held = hold_switch();
+    assert!(!trace::enabled(), "the recorder starts off");
 
     let (outcomes, report) = Universe::run_report(Config::new(4), |comm| workload(&comm));
     assert_completed(&outcomes);
@@ -84,8 +97,12 @@ fn disabled_build_records_nothing_and_degrades_gracefully() {
         assert_eq!(rt.events.capacity(), 0);
     }
     let profile = data.report();
-    assert!(profile.contains("feature disabled"), "got: {profile}");
-    assert!(profile.contains("--features trace"), "got: {profile}");
+    assert!(profile.contains("recorder off"), "got: {profile}");
+    assert!(
+        profile.contains("trace::set_enabled(true)"),
+        "got: {profile}"
+    );
+    assert!(!profile.contains("--features"), "got: {profile}");
 
     // The same report still carries every rank's counters.
     for s in &report.stats {
@@ -94,19 +111,48 @@ fn disabled_build_records_nothing_and_degrades_gracefully() {
     }
 }
 
-/// With tracing compiled in: a universe run records events on every
-/// rank beside its counters in one `RunReport`, exports a schema-valid
-/// Chrome trace with one pid per rank, and the runtime toggle drops
-/// the whole run to zero events. One test function: the enable flag is
-/// process-global, so the phases must not interleave with each other.
-#[cfg(feature = "trace")]
+/// An untraced run that ends first in a process must not fix the
+/// raw-tick scale: calibrated over the moments since that run's first
+/// clock read, it would stretch every later traced span. A 20 ms sleep
+/// span recorded after an untraced run stays within 25 % of 20 ms.
 #[test]
-fn enabled_build_records_aggregates_exports_and_toggles() {
-    let _toggle = TRACE_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+fn an_untraced_run_first_leaves_later_spans_scaled_right() {
+    const SLEEP_MS: f64 = 20.0;
+    let held = hold_switch();
+    trace::set_enabled(false);
+    Universe::run(2, |comm| comm.barrier().unwrap());
+    drop(held);
+
+    let on = recording();
+    let (outcomes, report) = Universe::run_report(Config::new(1), |_| {
+        let _sleep = trace::span(trace::cat::USER, "sleep", 0, 0);
+        std::thread::sleep(std::time::Duration::from_secs_f64(SLEEP_MS / 1e3));
+    });
+    drop(on);
+    assert_completed(&outcomes);
+    let span = report.trace.ranks[0]
+        .events
+        .iter()
+        .find(|e| e.name == "sleep")
+        .expect("the sleep span was recorded");
+    let ms = span.dur_ns as f64 / 1e6;
+    assert!(
+        (0.75 * SLEEP_MS..=1.25 * SLEEP_MS).contains(&ms),
+        "a {SLEEP_MS} ms sleep recorded as {ms:.2} ms"
+    );
+}
+
+/// With the recorder on: a universe run records events on every rank
+/// beside its counters in one `RunReport`, exports a schema-valid
+/// Chrome trace with one pid per rank, and switching the recorder off
+/// drops the whole run to zero events. One test function: the switch
+/// is process-wide, so the phases must not interleave with each other.
+#[test]
+fn recorder_on_records_aggregates_exports_and_toggles() {
+    let _on = recording();
     let p = 4;
 
-    // --- enabled run: every layer shows up ---------------------------
-    trace::set_enabled(true);
+    // --- recorded run: every layer shows up --------------------------
     let (outcomes, report) = Universe::run_report(Config::new(p), |comm| workload(&comm));
     assert_completed(&outcomes);
     let data = &report.trace;
@@ -152,10 +198,9 @@ fn enabled_build_records_aggregates_exports_and_toggles() {
         "got: {profile}"
     );
 
-    // --- runtime toggle: disabled runs record nothing ----------------
+    // --- runtime toggle: runs with the recorder off record nothing ---
     trace::set_enabled(false);
     let (outcomes, quiet) = Universe::run_report(Config::new(p), |comm| workload(&comm));
-    trace::set_enabled(true);
     assert_completed(&outcomes);
     for (rank, rt) in quiet.trace.ranks.iter().enumerate() {
         assert_eq!(rt.stats.events, 0, "rank {rank} recorded while disabled");
@@ -163,19 +208,17 @@ fn enabled_build_records_aggregates_exports_and_toggles() {
     }
 }
 
-/// With both `trace` and `fault` compiled in, a crash-and-recover run
+/// With the recorder on, a crash-and-recover run under a fault plan
 /// leaves the whole story on one timeline: the injected crash
 /// (`fault/crash` instant on the victim), its detection
 /// (`ulfm/detect`), and the survivors' recovery (`ulfm/agree` and
 /// `ulfm/shrink` spans) — the events a Perfetto view needs to explain
 /// *why* a collective stalled.
-#[cfg(all(feature = "trace", feature = "fault"))]
 #[test]
 fn fault_injection_and_recovery_land_on_the_timeline() {
     use kmp_mpi::{op, FaultPlan, RankOutcome};
 
-    let _toggle = TRACE_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-    trace::set_enabled(true);
+    let on = recording();
     let plan = FaultPlan::new().crash_at(1, "mailbox/match", 1);
     let (out, report) = Universe::run_report(Config::new(3).faults(plan), |comm| {
         let mut active = comm;
@@ -193,6 +236,7 @@ fn fault_injection_and_recovery_land_on_the_timeline() {
         }
         active.size()
     });
+    drop(on);
     assert!(matches!(out[1], RankOutcome::Failed), "{:?}", out[1]);
     assert!(matches!(out[0], RankOutcome::Completed(2)));
     assert!(matches!(out[2], RankOutcome::Completed(2)));
@@ -209,13 +253,11 @@ fn fault_injection_and_recovery_land_on_the_timeline() {
 /// spellings land on the timeline), and once warm the model takes over
 /// — all on the same rings, with nothing new for a Perfetto view to
 /// learn.
-#[cfg(feature = "trace")]
 #[test]
 fn model_driven_run_names_every_explored_algorithm() {
     use kmp_mpi::{CollTuning, ModelConfig};
 
-    let _toggle = TRACE_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-    trace::set_enabled(true);
+    let _on = recording();
     let (outcomes, report) = Universe::run_report(Config::new(4), |comm| {
         comm.set_tuning(
             CollTuning::default().model(
@@ -258,7 +300,6 @@ fn model_driven_run_names_every_explored_algorithm() {
 /// `AlgoClass::name()` cannot drift apart. The broadcasts are
 /// self-sizing: their root selects and names an instant, the other
 /// ranks learn the row from the wire and do neither.
-#[cfg(feature = "trace")]
 #[test]
 fn initiation_instants_are_named_from_the_selected_row() {
     use kmp_mpi::{AlgoClass, AllgatherAlgo, AlltoallAlgo, CollTuning, Comm, ReduceAlgo};
@@ -276,8 +317,7 @@ fn initiation_instants_are_named_from_the_selected_row() {
         class
     }
 
-    let _toggle = TRACE_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-    trace::set_enabled(true);
+    let _on = recording();
     let (outcomes, report) = Universe::run_report(Config::new(4), |comm| {
         let forced = CollTuning::default()
             .allgather(AllgatherAlgo::Bruck)

@@ -160,8 +160,7 @@ fn self_sizing_allgatherv_matches_the_oracle_under_every_row() {
     }
 }
 
-/// Message faults need the fault plane: `cargo test --features fault`.
-#[cfg(feature = "fault")]
+/// Messages cut short in flight, by the fault plane.
 mod cut_short {
     use std::sync::mpsc::{self, RecvTimeoutError};
     use std::time::Duration;

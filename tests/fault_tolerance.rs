@@ -341,7 +341,6 @@ fn allreduce_single_of_the_wrong_length_is_an_error_and_peers_complete() {
 /// returns a typed error — a cut announcement on every non-root, a cut
 /// chunk (which every rank receives in the allgather) on every rank —
 /// before the deadline, and the next broadcast succeeds.
-#[cfg(feature = "fault")]
 #[test]
 fn a_cut_announcement_or_chunk_fails_every_rank_holding_it() {
     use kamping_repro::mpi::{bytes_from_vec, BcastAlgo, CollTuning, FaultPlan};
@@ -406,7 +405,6 @@ fn a_cut_announcement_or_chunk_fails_every_rank_holding_it() {
 
 /// `bcast_one` of a value cut short on its way is `Truncated` on the
 /// rank that got it, not a panic; the root completes.
-#[cfg(feature = "fault")]
 #[test]
 fn a_cut_bcast_one_value_is_truncated_not_a_panic() {
     use kamping_repro::mpi::FaultPlan;
@@ -421,14 +419,12 @@ fn a_cut_bcast_one_value_is_truncated_not_a_panic() {
 
 /// A fault on a message an engine sent in parts: `Truncate(n)` with `n`
 /// inside its second part, or `Duplicate`.
-#[cfg(feature = "fault")]
 #[derive(Clone, Copy, Debug)]
 enum PartsFault {
     Cut(usize),
     Twice,
 }
 
-#[cfg(feature = "fault")]
 impl PartsFault {
     fn plan(self, from: usize, to: usize, tag: Option<i32>) -> kamping_repro::mpi::FaultPlan {
         let plan = kamping_repro::mpi::FaultPlan::new();
@@ -447,7 +443,6 @@ impl PartsFault {
 /// queued on a tag no later call takes. Either way every rank is back
 /// before the deadline, nothing panics, and the next collective on the
 /// communicator succeeds.
-#[cfg(feature = "fault")]
 #[test]
 fn a_cut_or_duplicated_doubling_round_in_parts_fails_only_its_receiver() {
     use kamping_repro::mpi::bytes_from_vec;
@@ -495,7 +490,6 @@ fn a_cut_or_duplicated_doubling_round_in_parts_fails_only_its_receiver() {
 /// the second record, rank 2 returns `Truncated`; duplicated, every rank
 /// completes. Either way every rank is back before the deadline,
 /// nothing panics, and the next exchange on the grid succeeds.
-#[cfg(feature = "fault")]
 #[test]
 fn a_cut_or_duplicated_grid_column_hop_fails_only_its_receiver() {
     const RECORD: usize = 24 + 32;
@@ -546,7 +540,6 @@ fn a_cut_or_duplicated_grid_column_hop_fails_only_its_receiver() {
 /// Either way every rank is back before the deadline, nothing panics,
 /// and the next `allreduce` succeeds. At p = 4 the chunks are
 /// 12 KiB, `ALLGATHER_MAX_BYTES`: the largest that double.
-#[cfg(feature = "fault")]
 #[test]
 fn a_cut_rabenseifner_doubling_round_fails_the_ranks_its_chunks_reach() {
     use kamping_repro::mpi::{AllreduceAlgo, CollTuning, FaultPlan};
